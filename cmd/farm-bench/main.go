@@ -10,32 +10,13 @@
 //	farm-bench -list
 //
 // Experiments: tab1 tab4 tab5 fig4 fig5 fig6 fig7 fig8 fig9 fig10
-// ablation engine-scale engine-loop packet-path workload-scale
-// placement-scale transport-scale seed-path fleet-soak.
+// ablation engine-scale workload-scale placement-scale transport-scale
+// fleet-soak.
 //
 // -json prints the selected experiment's result as machine-readable
-// JSON instead of a table (supported by packet-path, workload-scale,
-// placement-scale, transport-scale, seed-path, and engine-loop; CI
-// archives `farm-bench -exp packet-path -json` as BENCH_packetpath.json,
-// `-exp workload-scale -json` as BENCH_workload.json, `-exp
-// placement-scale -json` as BENCH_placement.json, `-exp transport-scale
-// -json` as BENCH_transport.json, `-exp seed-path -json` as
-// BENCH_seedpath.json, and `-exp engine-loop -json` as
-// BENCH_engineloop.json).
-//
-// engine-loop is the scheduler queue's A/B gate: the attack cocktail
-// plus per-switch polling seeds run on every engine × queue-backend
-// combination (serial/sharded × container-heap/timing-wheel); traffic
-// digests, delivery counters, and central-link bytes must be
-// byte-identical — the wheel may change wall clock and allocation
-// rate, never event order. Any divergence exits non-zero.
-//
-// seed-path is the bytecode VM's A/B gate: every catalogue task runs
-// at fabric scale once on the AST interpreter and once on the
-// compiled back end under identical traffic; harvester report
-// streams, final seed snapshots, and delivery counters are folded
-// into digests that must match, and the wall-clock ratio is the
-// fleet-level speedup. Any divergence exits non-zero.
+// JSON instead of a table (supported by workload-scale,
+// placement-scale, transport-scale, and fleet-soak; CI runs the three
+// *-scale gates with it).
 //
 // -parallel N selects the sharded conservative-parallel event executor
 // with N workers for the experiments that support it (all of fig4 —
@@ -114,7 +95,7 @@ func main() {
 		"run supporting experiments on the sharded executor with this many workers (0 = serial)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments")
 	memProfile := flag.String("memprofile", "", "write a heap profile after the selected experiments")
-	flag.BoolVar(&jsonOut, "json", false, "emit machine-readable JSON (supported by packet-path and workload-scale)")
+	flag.BoolVar(&jsonOut, "json", false, "emit machine-readable JSON (supported by workload-scale, placement-scale, transport-scale, fleet-soak)")
 	flag.Parse()
 	profiling = *cpuProfile != "" || *memProfile != ""
 
@@ -160,12 +141,9 @@ func main() {
 		{"fig10", "Fig. 10: seed<->soil transport latency", runFig10},
 		{"ablation", "Ablations: Alg. 1 passes, migration cost", runAblation},
 		{"engine-scale", "Engine scaling: Fig. 4 pipeline on a 500-switch fat-tree", runEngineScale},
-		{"engine-loop", "Engine loop: timing wheel vs container/heap scheduler queue (digest A/B)", runEngineLoop},
-		{"packet-path", "Packet path: linear classifier vs bucketed index + flow cache", runPacketPath},
 		{"workload-scale", "Workload scale: serial vs sharded traffic generation (digest A/B)", runWorkloadScale},
 		{"placement-scale", "Placement scale: serial vs parallel vs warm-start solves (digest A/B)", runPlacementScale},
 		{"transport-scale", "Transport scale: unbatched vs batched wire path to 10k seeds (digest A/B)", runTransportScale},
-		{"seed-path", "Seed path: AST interpreter vs stack VM vs register VM over the task catalogue (digest A/B)", runSeedPath},
 		{"fleet-soak", "Fleet soak: concurrent RPC clients + forced failover on a live fleetd", runFleetSoak},
 	}
 	if *list {
@@ -323,50 +301,6 @@ func runEngineScale(full bool) error {
 	return nil
 }
 
-func runEngineLoop(full bool) error {
-	cfg := experiments.EngineLoopConfig{}
-	if full {
-		cfg.Leaves = 24
-		cfg.HostsPerLeaf = 16
-		cfg.Tasks = 6
-		cfg.Duration = 5 * time.Second
-	}
-	// Like workload-scale, a divergence returns the measured result AND
-	// an error: render first, then fail the process.
-	res, err := experiments.EngineLoop(cfg)
-	if res != nil {
-		if jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if encErr := enc.Encode(res); encErr != nil {
-				return encErr
-			}
-		} else {
-			fmt.Print(res.Table().Render())
-		}
-	}
-	return err
-}
-
-func runPacketPath(full bool) error {
-	cfg := experiments.PacketPathConfig{}
-	if full {
-		cfg.Packets = 2_000_000
-		cfg.Rules = 256
-	}
-	res, err := experiments.PacketPath(cfg)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
-	}
-	fmt.Print(res.Table().Render())
-	return nil
-}
-
 func runWorkloadScale(full bool) error {
 	cfg := experiments.WorkloadScaleConfig{}
 	if full {
@@ -427,29 +361,6 @@ func runTransportScale(full bool) error {
 	// Like workload-scale, a divergence returns the measured result AND
 	// an error: render first, then fail the process.
 	res, err := experiments.TransportScale(cfg)
-	if res != nil {
-		if jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if encErr := enc.Encode(res); encErr != nil {
-				return encErr
-			}
-		} else {
-			fmt.Print(res.Table().Render())
-		}
-	}
-	return err
-}
-
-func runSeedPath(full bool) error {
-	cfg := experiments.SeedPathConfig{}
-	if full {
-		cfg.Leaves = 6
-		cfg.Millis = 4000
-	}
-	// Like workload-scale, a divergence returns the measured result AND
-	// an error: render first, then fail the process.
-	res, err := experiments.SeedPath(cfg)
 	if res != nil {
 		if jsonOut {
 			enc := json.NewEncoder(os.Stdout)

@@ -4,7 +4,7 @@ import "errors"
 
 // Shared scalar operator semantics. Deployment-time constant folding
 // (EvalConst) and the two runtime back ends in internal/core (the AST
-// interpreter and the bytecode VM) all evaluate the same Almanac
+// interpreter and the register VM) all evaluate the same Almanac
 // operators; routing every float/bool/string case through this one
 // table keeps the three from drifting. Integer arithmetic is the only
 // semantics the runtime adds on top (int64 + - * / when both operands

@@ -6,8 +6,9 @@ import (
 )
 
 // Disassemble renders a lowered program for humans: frame layouts,
-// per-state dispatch tables, and every chunk's bytecode with operands
-// resolved back to names (farmctl compile -dump).
+// per-state dispatch tables, every chunk's stack IR with operands
+// resolved back to names, and then the register code translated from it
+// (farmctl compile -dump).
 func (p *Lowered) Disassemble() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "machine %s: %d chunks, %d instrs, %d consts, %d names\n",
@@ -50,6 +51,7 @@ func (p *Lowered) Disassemble() string {
 		fn := &p.Funcs[fi]
 		fmt.Fprintf(&b, "func %s/%d -> chunk %d\n", fn.Name, fn.NumParams, fn.Chunk)
 	}
+	fmt.Fprintf(&b, "IR (stack form, input to the register translation):\n")
 	for ci := range p.Chunks {
 		ch := &p.Chunks[ci]
 		fmt.Fprintf(&b, "chunk %d: %d locals", ci, ch.NumLocals)
@@ -65,7 +67,7 @@ func (p *Lowered) Disassemble() string {
 	return b.String()
 }
 
-// DisassembleRegisters renders the register form of the program: the
+// DisassembleRegisters renders the register code the VM executes: the
 // record layouts structs resolve to at compile time, then every chunk's
 // three-address code with class-tagged operands (rN registers, literals
 // inline, eN env slots, sN state slots) and fused compare-and-branch

@@ -6,11 +6,13 @@ import "fmt"
 // program — slot-indexed variable frames (machine vars, per-state
 // persistent vars, per-handler locals), a dense state × trigger
 // dispatch table, and stack bytecode for every event handler and
-// auxiliary function. internal/core's VM executes the result
-// allocation-free in steady state; the AST interpreter remains the
-// semantic reference, and the lowered program must be behaviourally
-// indistinguishable from it (states, emissions, snapshots, and error
-// strings — the property tests in internal/core pin this).
+// auxiliary function. The stack bytecode is the IR: nothing executes
+// it, rlower.go translates each chunk into the register code that
+// internal/core's VM runs allocation-free in steady state. The AST
+// interpreter remains the semantic reference, and the lowered program
+// must be behaviourally indistinguishable from it (states, emissions,
+// snapshots, and error strings — the property tests in internal/core
+// pin this).
 //
 // Design notes for exact interpreter parity:
 //
@@ -32,7 +34,7 @@ import "fmt"
 //     error opcodes in place, never to Lower failures: anything sema
 //     accepts must lower, because the interpreter accepts it too.
 
-// Op is a VM opcode. Operands A/B index the Lowered pools named in the
+// Op is a stack-IR opcode. Operands A/B index the Lowered pools named in the
 // comments; Line carries the source line for error messages.
 type Op uint8
 
@@ -392,8 +394,8 @@ func Lower(cm *CompiledMachine, builtinNames []string) (lp *Lowered, err error) 
 	if l.err != nil {
 		return nil, l.err
 	}
-	// Translate to register code; whatever lowers, lowers for both
-	// compiled back ends — a register-translation failure fails Lower.
+	// Translate the IR to register code — the only form that executes,
+	// so a register-translation failure fails Lower.
 	if err := lowerRegisters(l.p); err != nil {
 		return nil, err
 	}

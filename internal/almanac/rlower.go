@@ -2,11 +2,11 @@ package almanac
 
 import "fmt"
 
-// Register lowering: translates each stack chunk produced by Lower into
-// 3-address register code over a per-chunk virtual register file. The
-// register program is semantically identical to the stack program (the
-// parity storms in internal/core and internal/tasks pin this three ways
-// against the interpreter); it exists to cut dispatch count and stack
+// Register lowering: translates each stack-IR chunk produced by Lower
+// into 3-address register code over a per-chunk virtual register file —
+// the form internal/core's VM executes. Its semantics are the
+// interpreter's (the parity storms in internal/core and internal/tasks
+// pin this); relative to the IR it cuts dispatch count and operand
 // traffic on the seed hot path.
 //
 // Register file layout for a chunk: registers [0, NumLocals) are the
@@ -29,7 +29,7 @@ import "fmt"
 // agree on the abstract stack at the merge point.
 //
 // Locals that sema cannot prove defined (conditional declarations)
-// retain the stack VM's runtime-undefined semantics via the RLoadL*/
+// retain the IR's runtime-undefined semantics via the RLoadL*/
 // RStoreL* forms, which check the register's undefined marker and fall
 // back exactly like their stack counterparts. A forward definedness
 // dataflow over the stack code decides, per access, whether the
@@ -42,7 +42,7 @@ const (
 	RMove // regs-or-slot[Dst] = opnd A
 	RZero // dst = fresh zero of Type(A)
 
-	// Undefined-checked local access, mirroring the stack VM's
+	// Undefined-checked local access, mirroring the IR's
 	// OpLoadLoc*/OpStoreLoc* fallback chain. A is the local register;
 	// B is the fallback env slot, state slot, or Names index.
 	RLoadLE   // dst = regs[A] if defined else env[B]
@@ -183,7 +183,7 @@ func (p *Lowered) MaxRegs() int32 {
 }
 
 // lowerRegisters translates every stack chunk; any failure fails Lower
-// as a whole so both compiled back ends always agree on what runs.
+// as a whole.
 func lowerRegisters(p *Lowered) error {
 	entries := make([]int32, len(p.Chunks))
 	for i := range p.Chunks {

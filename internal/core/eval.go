@@ -436,7 +436,7 @@ func (s *Seed) evalBinary(ex *almanac.BinaryExpr, sc *scope) (Value, error) {
 	// Arithmetic stays in int64 when both operands are longs; the
 	// float semantics (and division-by-zero) come from the shared
 	// almanac operator table so EvalConst, the interpreter, and the
-	// bytecode VM cannot drift.
+	// register VM cannot drift.
 	if res, ok, err := almanac.NumArith(ex.Op, lf, rf); ok {
 		if err != nil {
 			return nil, fmt.Errorf("core: %v (line %d)", err, ex.Line())

@@ -1,40 +1,11 @@
 package core
 
-import (
-	"sync"
+import "farm/internal/almanac"
 
-	"farm/internal/almanac"
-)
-
-// Backend selects the execution engine for a deployed machine. The
-// register VM is the zero value and the default; the stack VM and the
-// AST interpreter remain available for A/B comparison and as the
-// semantic reference. All three are cross-restorable: a Snapshot taken
-// on any back end restores into any other.
-type Backend int
-
-const (
-	BackendRegister Backend = iota // register VM over fixed record layouts
-	BackendStack                   // stack bytecode VM
-	BackendInterp                  // AST interpreter (semantic reference)
-)
-
-// String names a backend the way experiment output and bench artifacts
-// spell it.
-func (b Backend) String() string {
-	switch b {
-	case BackendRegister:
-		return "register"
-	case BackendStack:
-		return "stack"
-	default:
-		return "interpreted"
-	}
-}
-
-// Runner is a deployed machine instance: the AST interpreter (*Seed),
-// the stack VM (*vmSeed), or the register VM (*rvmSeed). Soil programs
-// against this so the back end can be swapped per deployment.
+// Runner is a deployed machine instance. Production deployments get
+// the register VM (*rvmSeed) from NewRunner; the AST interpreter (*Seed)
+// satisfies the same interface and is what tests compare it against.
+// Soil programs against this.
 type Runner interface {
 	Machine() *almanac.CompiledMachine
 	State() string
@@ -50,7 +21,6 @@ type Runner interface {
 
 var (
 	_ Runner = (*Seed)(nil)
-	_ Runner = (*vmSeed)(nil)
 	_ Runner = (*rvmSeed)(nil)
 )
 
@@ -121,44 +91,14 @@ func link(p *almanac.Lowered) *linkedLowered {
 	return lp
 }
 
-// lowerCache memoizes lowering+linking per compiled machine, so a
-// fabric deploying the same machine onto hundreds of switches lowers
-// it once.
-var lowerCache sync.Map // *almanac.CompiledMachine -> *lowerResult
-
-type lowerResult struct {
-	lp  *linkedLowered
-	err error
-}
-
-func linkedProgram(cm *almanac.CompiledMachine) (*linkedLowered, error) {
-	if r, ok := lowerCache.Load(cm); ok {
-		res := r.(*lowerResult)
-		return res.lp, res.err
-	}
-	res := &lowerResult{}
+// NewRunner lowers and links the machine and deploys it on the register
+// VM. The linked program belongs to the returned runner and is released
+// with it. A machine that fails to lower (sema accepts none, but decoded
+// seed XML is not sema-checked) is rejected with the lowering error.
+func NewRunner(cm *almanac.CompiledMachine, externals map[string]Value, host Host) (Runner, error) {
 	p, err := almanac.Lower(cm, BuiltinNames())
 	if err != nil {
-		res.err = err
-	} else {
-		res.lp = link(p)
+		return nil, err
 	}
-	lowerCache.Store(cm, res)
-	return res.lp, res.err
-}
-
-// NewRunner deploys a machine on the requested back end. The register
-// VM is the default; BackendInterp forces the AST walker. If lowering
-// fails (it should not for any sema-accepted program), the interpreter
-// is used as a fallback rather than failing the deployment.
-func NewRunner(cm *almanac.CompiledMachine, externals map[string]Value, host Host, be Backend) (Runner, error) {
-	if be != BackendInterp {
-		if lp, err := linkedProgram(cm); err == nil {
-			if be == BackendStack {
-				return newVMSeed(cm, externals, host, lp)
-			}
-			return newRVMSeed(cm, externals, host, lp)
-		}
-	}
-	return NewSeed(cm, externals, host)
+	return newRVMSeed(cm, externals, host, link(p))
 }

@@ -7,49 +7,15 @@ import (
 	"farm/internal/almanac"
 )
 
-// The register VM: executes the register form of a lowered program
-// (almanac.RegChunk) with the same observable behaviour as the stack VM
-// and the AST interpreter — the three-way parity storms pin states,
-// snapshots, host-effect traces, action counts, and error strings.
-//
-// Compared to the stack VM it executes far fewer instructions per
-// statement (operands are read in place from registers, literals, and
-// slots instead of being pushed first) and resolves struct field reads
+// The register VM's dispatch half: handler entry points, the transition
+// cascade, and the loop that executes the register form of a lowered
+// program (almanac.RegChunk) with the same observable behaviour as the
+// AST interpreter — the parity storms pin states, snapshots, host-effect
+// traces, action counts, and error strings. Operands are read in place
+// from registers, literals, and slots, and struct field reads resolve
 // through per-site inline caches keyed on the record's interned layout,
-// so the hot path does no map hashing.
-//
-// rvmSeed embeds vmSeed for everything that is not the dispatch loop:
-// construction/frame flattening, Snapshot/Restore, dynamic name
-// resolution, the arithmetic slow path, and the builtin bridge. The
-// embedded stack/locals fields stay nil — only runChunk/run below ever
-// execute code.
-type rvmSeed struct {
-	vmSeed
-	regs  []rval // register arena; chunk frames are windows into it
-	rbase int
-	fc    []fieldCache // one per RField site, lazily filled
-	nargs [2]rval      // RCallB2 argument buffer
-}
-
-// fieldCache is one RField site's inline cache: last-seen layout and
-// the field's slot in it. Caches are per-seed (the linked program is
-// shared across goroutines and must stay immutable).
-type fieldCache struct {
-	l    *Layout
-	slot int32
-}
-
-func newRVMSeed(cm *almanac.CompiledMachine, externals map[string]Value, host Host, lp *linkedLowered) (*rvmSeed, error) {
-	m := &rvmSeed{}
-	if err := m.initFrames(cm, externals, host, lp); err != nil {
-		return nil, err
-	}
-	m.regs = make([]rval, 64)
-	if n := lp.p.RFieldSites; n > 0 {
-		m.fc = make([]fieldCache, n)
-	}
-	return m, nil
-}
+// so the hot path does no map hashing. The seed struct, its frames and
+// the slow paths live in vm.go.
 
 func (m *rvmSeed) Start() error {
 	if m.started {
@@ -171,23 +137,6 @@ func (t *opndBases) rd(o int32) rval {
 	return t[o>>almanac.ROpndShift][o&almanac.ROpndMask]
 }
 
-// rdOpnd decodes a class-tagged operand. The plain-register fast path
-// is first: hot loops run almost entirely on registers.
-func rdOpnd(o int32, regs, env, stf, lits []rval) rval {
-	if o <= almanac.ROpndMask {
-		return regs[o]
-	}
-	i := o & almanac.ROpndMask
-	switch o >> almanac.ROpndShift {
-	case almanac.RClassLit:
-		return lits[i]
-	case almanac.RClassEnv:
-		return env[i]
-	default:
-		return stf[i]
-	}
-}
-
 // wrOpnd writes a class-tagged destination (register, env, or state
 // slot — stores retargeted by the translator write slots directly).
 func wrOpnd(d int32, v rval, regs, env, stf []rval) {
@@ -203,29 +152,10 @@ func wrOpnd(d int32, v rval, regs, env, stf []rval) {
 	}
 }
 
-// wrScalar writes a scalar result (int, float, bool — ref is never
-// consulted for those kinds) without touching the destination's ref
-// word. Register writes skip the pointer store entirely — no write
-// barrier on the hottest path; env/state slots get a clean full write
-// so long-lived slots never pin a stale reference.
-func wrScalar(d int32, v rval, regs, env, stf []rval) {
-	if d <= almanac.ROpndMask {
-		p := &regs[d]
-		p.k, p.i, p.f = v.k, v.i, v.f
-		return
-	}
-	i := d & almanac.ROpndMask
-	if d>>almanac.ROpndShift == almanac.RClassEnv {
-		env[i] = rval{k: v.k, i: v.i, f: v.f}
-	} else {
-		stf[i] = rval{k: v.k, i: v.i, f: v.f}
-	}
-}
-
 // cmpSlow resolves a fused compare-and-branch whose operands were not
 // both numeric (the inline tiers cover those): a numeric left against a
 // non-numeric right gets the comparison error, everything else goes to
-// binOp (matching the stack VM's cmpBase path and error strings).
+// binOp for the unfused comparison's error strings.
 func (m *rvmSeed) cmpSlow(op almanac.Op, l, r rval, line int32) (bool, error) {
 	if _, lok := asFloatR(l); lok {
 		return false, fmt.Errorf("core: %s %s %s is not defined (line %d)",

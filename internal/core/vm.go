@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -10,14 +9,16 @@ import (
 	"farm/internal/netmodel"
 )
 
-// The bytecode VM: executes an almanac.Lowered program allocation-free
-// in steady state. Values live unboxed in rval frames (machine env
-// slots, per-state persistent slots, a growable locals stack for
-// handler/function activations, and a shared operand stack); only
-// reference values (lists, maps, structs, sketches, ...) carry a boxed
-// payload. The AST interpreter (seed.go/eval.go) stays the semantic
-// reference: every operation here must match it bit-for-bit, including
-// error strings — the parity property tests enforce that.
+// The register VM, everything but its dispatch loop (rvm.go): the
+// unboxed value representation, the seed's frames and their
+// Snapshot/Restore, dynamic name resolution, the arithmetic and field
+// slow paths, and the native builtins. Values live unboxed in rval
+// frames (machine env slots, per-state persistent slots, a register
+// arena for handler/function activations); only reference values
+// (lists, maps, structs, sketches, ...) carry a boxed payload. The AST
+// interpreter (seed.go/eval.go) is the semantic reference: every
+// operation here must match it bit-for-bit, including error strings —
+// the parity property tests enforce that.
 
 // rkind tags an rval.
 type rkind uint8
@@ -215,9 +216,9 @@ func zeroRval(t almanac.Type) rval {
 	}
 }
 
-// vmSeed executes one deployed machine on the lowered back end. It
-// satisfies Runner exactly like *Seed does.
-type vmSeed struct {
+// rvmSeed executes one deployed machine on the register form of its
+// lowered program. It satisfies Runner exactly like *Seed does.
+type rvmSeed struct {
 	in      *Seed // interpreter twin: init evaluation, host, bridged builtins
 	lp      *linkedLowered
 	env     []rval
@@ -226,37 +227,32 @@ type vmSeed struct {
 	started bool
 	actions int
 
-	stack   []rval
-	sp      int
-	locals  []rval
-	lbase   int
-	scratch []Value // bridge argument buffer
+	regs    []rval // register arena; chunk frames are windows into it
+	rbase   int
+	fc      []fieldCache // one per RField site, lazily filled
+	scratch []Value      // bridge argument buffer
 	bindBuf [1]rval
+	nargs   [2]rval // RCallB2 argument buffer
 }
 
-// newVMSeed builds the VM instance. Construction delegates to NewSeed
+// fieldCache is one RField site's inline cache: last-seen layout and
+// the field's slot in it.
+type fieldCache struct {
+	l    *Layout
+	slot int32
+}
+
+// newRVMSeed builds the VM instance. Construction delegates to NewSeed
 // so init-expression evaluation, external binding/validation, and every
 // construction-time error string are shared with the interpreter; the
-// resulting maps are then flattened into slots.
-func newVMSeed(cm *almanac.CompiledMachine, externals map[string]Value, host Host, lp *linkedLowered) (*vmSeed, error) {
-	m := &vmSeed{}
-	if err := m.initFrames(cm, externals, host, lp); err != nil {
-		return nil, err
-	}
-	m.stack = make([]rval, 32)
-	m.locals = make([]rval, 32)
-	return m, nil
-}
-
-// initFrames is the construction path shared with the register VM
-// (which embeds vmSeed): build the interpreter twin, then flatten its
-// env and per-state variable maps into slot frames.
-func (m *vmSeed) initFrames(cm *almanac.CompiledMachine, externals map[string]Value, host Host, lp *linkedLowered) error {
+// resulting env and per-state variable maps are then flattened into
+// slot frames.
+func newRVMSeed(cm *almanac.CompiledMachine, externals map[string]Value, host Host, lp *linkedLowered) (*rvmSeed, error) {
 	in, err := NewSeed(cm, externals, host)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m.in, m.lp, m.state = in, lp, lp.p.InitialState
+	m := &rvmSeed{in: in, lp: lp, state: lp.p.InitialState}
 	m.env = make([]rval, len(lp.p.EnvSlots))
 	for i, s := range lp.p.EnvSlots {
 		m.env[i] = unbox(in.env[s.Name])
@@ -271,77 +267,31 @@ func (m *vmSeed) initFrames(cm *almanac.CompiledMachine, externals map[string]Va
 		}
 		m.states[si] = fr
 	}
-	return nil
+	m.regs = make([]rval, 64)
+	if n := lp.p.RFieldSites; n > 0 {
+		m.fc = make([]fieldCache, n)
+	}
+	return m, nil
 }
 
-func (m *vmSeed) Machine() *almanac.CompiledMachine { return m.in.Machine() }
+func (m *rvmSeed) Machine() *almanac.CompiledMachine { return m.in.Machine() }
 
-func (m *vmSeed) State() string { return m.lp.p.States[m.state].Name }
+func (m *rvmSeed) State() string { return m.lp.p.States[m.state].Name }
 
-func (m *vmSeed) Var(name string) (Value, bool) {
+func (m *rvmSeed) Var(name string) (Value, bool) {
 	if ei, ok := m.lp.envIdx[name]; ok {
 		return m.env[ei].box(), true
 	}
 	return nil, false
 }
 
-func (m *vmSeed) TakeActionCount() int {
+func (m *rvmSeed) TakeActionCount() int {
 	n := m.actions
 	m.actions = 0
 	return n
 }
 
-func (m *vmSeed) Start() error {
-	if m.started {
-		return fmt.Errorf("core: seed %s already started", m.lp.p.Machine)
-	}
-	m.started = true
-	if ci := m.lp.p.States[m.state].Enter; ci >= 0 {
-		return m.runTop(ci, nil, 0)
-	}
-	return nil
-}
-
-func (m *vmSeed) HandleTrigger(varName string, data Value) error {
-	ti, ok := m.lp.trigIdx[varName]
-	if !ok {
-		return nil
-	}
-	ci := m.lp.p.States[m.state].OnVar[ti]
-	if ci < 0 {
-		return nil // no handler in this state: the event is simply ignored
-	}
-	if m.lp.p.Chunks[ci].HasBind {
-		m.bindBuf[0] = unbox(data)
-		return m.runTop(ci, m.bindBuf[:1], 0)
-	}
-	return m.runTop(ci, nil, 0)
-}
-
-func (m *vmSeed) HandleRecv(from MsgSource, v Value) error {
-	st := &m.lp.p.States[m.state]
-	for i := range st.Recvs {
-		rc := &st.Recvs[i]
-		if !recvMatches(rc.Trigger, from, v) {
-			continue
-		}
-		if m.lp.p.Chunks[rc.Chunk].HasBind {
-			m.bindBuf[0] = unbox(CloneValue(v))
-			return m.runTop(rc.Chunk, m.bindBuf[:1], 0)
-		}
-		return m.runTop(rc.Chunk, nil, 0)
-	}
-	return nil
-}
-
-func (m *vmSeed) HandleRealloc() error {
-	if ci := m.lp.p.States[m.state].Realloc; ci >= 0 {
-		return m.runTop(ci, nil, 0)
-	}
-	return nil
-}
-
-func (m *vmSeed) Snapshot() Snapshot {
+func (m *rvmSeed) Snapshot() Snapshot {
 	env := make(map[string]Value, len(m.env))
 	for i, s := range m.lp.p.EnvSlots {
 		env[s.Name] = CloneValue(m.env[i].box())
@@ -358,7 +308,7 @@ func (m *vmSeed) Snapshot() Snapshot {
 	return Snapshot{Machine: m.lp.p.Machine, State: m.State(), Env: env, StateVars: sv}
 }
 
-func (m *vmSeed) Restore(snap Snapshot) error {
+func (m *rvmSeed) Restore(snap Snapshot) error {
 	if snap.Machine != m.lp.p.Machine {
 		return fmt.Errorf("core: snapshot of %s cannot restore into %s", snap.Machine, m.lp.p.Machine)
 	}
@@ -393,47 +343,6 @@ func (m *vmSeed) Restore(snap Snapshot) error {
 	return nil
 }
 
-// runTop runs a handler chunk and then any transition cascade it
-// requests, with the interpreter's exact depth accounting (the depth
-// bound is checked before a chunk's body runs).
-func (m *vmSeed) runTop(ci int32, args []rval, depth int) error {
-	if depth > maxTransitChain {
-		return fmt.Errorf("core: seed %s: transition chain exceeds %d (state-machine loop?)", m.lp.p.Machine, maxTransitChain)
-	}
-	res, err := m.runChunk(ci, args)
-	if err != nil {
-		return err
-	}
-	if res.kind == ctrlTransit {
-		return m.transitionTo(res.transit, depth+1)
-	}
-	return nil
-}
-
-func (m *vmSeed) transitionTo(target int32, depth int) error {
-	if target < 0 {
-		// Handler transits are sema-validated; lowering emits OpErr for
-		// the unknown-state case, so this is unreachable. Keep the
-		// interpreter's error as a backstop.
-		return fmt.Errorf("core: seed %s: transit to unknown state %s", m.lp.p.Machine, "?")
-	}
-	old := &m.lp.p.States[m.state]
-	if old.Exit >= 0 {
-		res, err := m.runChunk(old.Exit, nil)
-		if err != nil {
-			return err
-		}
-		if res.kind == ctrlTransit {
-			return fmt.Errorf("core: seed %s: transit inside exit handler is not allowed", m.lp.p.Machine)
-		}
-	}
-	m.state = target
-	if ci := m.lp.p.States[target].Enter; ci >= 0 {
-		return m.runTop(ci, nil, depth)
-	}
-	return nil
-}
-
 // chunkResult is what a chunk halts with.
 type chunkResult struct {
 	kind    ctrl
@@ -441,16 +350,9 @@ type chunkResult struct {
 	val     rval
 }
 
-func (m *vmSeed) growStack(sp int) []rval {
-	ns := make([]rval, len(m.stack)*2+8)
-	copy(ns, m.stack[:sp])
-	m.stack = ns
-	return ns
-}
-
 // dynLoad is the interpreter's scope chain minus handler locals
 // (resolved statically): current state's vars, then machine env.
-func (m *vmSeed) dynLoad(name string, line int32) (rval, error) {
+func (m *rvmSeed) dynLoad(name string, line int32) (rval, error) {
 	if vi, ok := m.lp.svIdx[m.state][name]; ok {
 		return m.states[m.state][vi], nil
 	}
@@ -460,7 +362,7 @@ func (m *vmSeed) dynLoad(name string, line int32) (rval, error) {
 	return rval{}, fmt.Errorf("core: undeclared variable %s (line %d)", name, line)
 }
 
-func (m *vmSeed) dynStore(name string, v rval) error {
+func (m *rvmSeed) dynStore(name string, v rval) error {
 	if vi, ok := m.lp.svIdx[m.state][name]; ok {
 		m.states[m.state][vi] = v
 		return nil
@@ -494,25 +396,9 @@ func opSym(op almanac.Op) string {
 	return "?"
 }
 
-// cmpBase maps a fused compare-and-branch opcode back to the plain
-// comparison it was peepholed from, for the shared binOp slow path and
-// its error strings.
-func cmpBase(op almanac.Op) almanac.Op {
-	switch op {
-	case almanac.OpJLt:
-		return almanac.OpLt
-	case almanac.OpJLe:
-		return almanac.OpLe
-	case almanac.OpJGt:
-		return almanac.OpGt
-	default:
-		return almanac.OpGe
-	}
-}
-
-// setBoolR and setFloatR write a result into a stack slot touching only
-// the discriminant and its payload; readers never look at the other
-// fields, so skipping them avoids rewriting the whole rval.
+// setBoolR writes a comparison result touching only the discriminant
+// and its payload; readers never look at the other fields, so skipping
+// them avoids rewriting the whole rval.
 func setBoolR(l *rval, b bool) {
 	l.k = rkBool
 	if b {
@@ -522,624 +408,10 @@ func setBoolR(l *rval, b bool) {
 	}
 }
 
-func setFloatR(l *rval, f float64) {
-	l.k = rkFloat
-	l.f = f
-}
-
-// runChunk executes one chunk with the given bindings in local slots
-// 0..len(args)-1; all other local slots start undefined.
-func (m *vmSeed) runChunk(ci int32, args []rval) (chunkResult, error) {
-	ch := &m.lp.p.Chunks[ci]
-	lbase := m.lbase
-	need := lbase + int(ch.NumLocals)
-	if need > len(m.locals) {
-		nl := make([]rval, need*2+8)
-		copy(nl, m.locals[:lbase])
-		m.locals = nl
-	}
-	loc := m.locals[lbase:need:need]
-	n := copy(loc, args)
-	for i := n; i < len(loc); i++ {
-		loc[i] = rval{}
-	}
-	m.lbase = need
-	spBase := m.sp
-	res, err := m.run(ch.Code, loc)
-	m.lbase = lbase
-	m.sp = spBase
-	return res, err
-}
-
-func (m *vmSeed) run(code []almanac.Instr, loc []rval) (chunkResult, error) {
-	lp := m.lp
-	p := lp.p
-	lits := lp.lits
-	env := m.env
-	stf := m.states[m.state] // m.state is fixed for a chunk: transit exits it
-	st := m.stack
-	sp := m.sp
-	for pc := 0; pc < len(code); pc++ {
-		in := &code[pc]
-		switch in.Op {
-		case almanac.OpNop:
-
-		case almanac.OpConst:
-			if sp == len(st) {
-				st = m.growStack(sp)
-			}
-			st[sp] = lits[in.A]
-			sp++
-
-		case almanac.OpZero:
-			if sp == len(st) {
-				st = m.growStack(sp)
-			}
-			st[sp] = zeroRval(almanac.Type(in.A))
-			sp++
-
-		case almanac.OpLoadEnv:
-			if sp == len(st) {
-				st = m.growStack(sp)
-			}
-			st[sp] = env[in.A]
-			sp++
-
-		case almanac.OpStoreEnv:
-			sp--
-			env[in.A] = st[sp]
-
-		case almanac.OpLoadSt:
-			if sp == len(st) {
-				st = m.growStack(sp)
-			}
-			st[sp] = stf[in.A]
-			sp++
-
-		case almanac.OpStoreSt:
-			sp--
-			stf[in.A] = st[sp]
-
-		case almanac.OpLoadLocEnv:
-			v := loc[in.A]
-			if v.k == rkUndef {
-				v = env[in.B]
-			}
-			if sp == len(st) {
-				st = m.growStack(sp)
-			}
-			st[sp] = v
-			sp++
-
-		case almanac.OpLoadLocSt:
-			v := loc[in.A]
-			if v.k == rkUndef {
-				v = stf[in.B]
-			}
-			if sp == len(st) {
-				st = m.growStack(sp)
-			}
-			st[sp] = v
-			sp++
-
-		case almanac.OpLoadLocDyn:
-			v := loc[in.A]
-			if v.k == rkUndef {
-				var err error
-				v, err = m.dynLoad(p.Names[in.B], in.Line)
-				if err != nil {
-					return chunkResult{}, err
-				}
-			}
-			if sp == len(st) {
-				st = m.growStack(sp)
-			}
-			st[sp] = v
-			sp++
-
-		case almanac.OpLoadLocErr:
-			v := loc[in.A]
-			if v.k == rkUndef {
-				return chunkResult{}, fmt.Errorf("core: undeclared variable %s (line %d)", p.Names[in.B], in.Line)
-			}
-			if sp == len(st) {
-				st = m.growStack(sp)
-			}
-			st[sp] = v
-			sp++
-
-		case almanac.OpStoreLocal:
-			sp--
-			loc[in.A] = st[sp]
-
-		case almanac.OpStoreLocEnv:
-			sp--
-			if loc[in.A].k != rkUndef {
-				loc[in.A] = st[sp]
-			} else {
-				env[in.B] = st[sp]
-			}
-
-		case almanac.OpStoreLocSt:
-			sp--
-			if loc[in.A].k != rkUndef {
-				loc[in.A] = st[sp]
-			} else {
-				stf[in.B] = st[sp]
-			}
-
-		case almanac.OpStoreLocDyn:
-			sp--
-			if loc[in.A].k != rkUndef {
-				loc[in.A] = st[sp]
-			} else if err := m.dynStore(p.Names[in.B], st[sp]); err != nil {
-				return chunkResult{}, err
-			}
-
-		case almanac.OpStoreLocErr:
-			sp--
-			if loc[in.A].k != rkUndef {
-				loc[in.A] = st[sp]
-			} else {
-				return chunkResult{}, fmt.Errorf("core: assignment to undeclared variable %s", p.Names[in.B])
-			}
-
-		case almanac.OpLoadDyn:
-			v, err := m.dynLoad(p.Names[in.A], in.Line)
-			if err != nil {
-				return chunkResult{}, err
-			}
-			if sp == len(st) {
-				st = m.growStack(sp)
-			}
-			st[sp] = v
-			sp++
-
-		case almanac.OpStoreDyn:
-			sp--
-			if err := m.dynStore(p.Names[in.A], st[sp]); err != nil {
-				return chunkResult{}, err
-			}
-
-		case almanac.OpLoadErr:
-			return chunkResult{}, fmt.Errorf("core: undeclared variable %s (line %d)", p.Names[in.A], in.Line)
-
-		case almanac.OpStoreErr:
-			return chunkResult{}, fmt.Errorf("core: assignment to undeclared variable %s", p.Names[in.A])
-
-		case almanac.OpJump:
-			pc = int(in.A) - 1
-
-		case almanac.OpJumpIfFalse:
-			sp--
-			b, err := truthyR(st[sp])
-			if err != nil {
-				return chunkResult{}, err
-			}
-			if !b {
-				pc = int(in.A) - 1
-			}
-
-		case almanac.OpLoopInit:
-			loc[in.A] = rint(0)
-
-		case almanac.OpLoopCheck:
-			if loc[in.A].i >= maxWhileIterations {
-				return chunkResult{}, fmt.Errorf("core: while loop exceeded %d iterations (line %d)", maxWhileIterations, in.Line)
-			}
-			loc[in.A].i++
-
-		case almanac.OpTransit:
-			m.sp = sp
-			return chunkResult{kind: ctrlTransit, transit: in.A}, nil
-
-		case almanac.OpReturn:
-			res := chunkResult{kind: ctrlReturn, val: rval{k: rkNil}}
-			if in.A == 1 {
-				sp--
-				res.val = st[sp]
-			}
-			m.sp = sp
-			return res, nil
-
-		case almanac.OpNot:
-			b, err := truthyR(st[sp-1])
-			if err != nil {
-				return chunkResult{}, err
-			}
-			st[sp-1] = rbool(!b)
-
-		case almanac.OpNeg:
-			switch st[sp-1].k {
-			case rkInt:
-				st[sp-1].i = -st[sp-1].i
-			case rkFloat:
-				st[sp-1].f = -st[sp-1].f
-			default:
-				return chunkResult{}, fmt.Errorf("core: unary - on %s", typeNameR(st[sp-1]))
-			}
-
-		case almanac.OpEq:
-			sp--
-			setBoolR(&st[sp-1], eqR(st[sp-1], st[sp]))
-
-		case almanac.OpNe:
-			sp--
-			setBoolR(&st[sp-1], !eqR(st[sp-1], st[sp]))
-
-		case almanac.OpJEq:
-			sp -= 2
-			if !eqR(st[sp], st[sp+1]) {
-				pc = int(in.A) - 1
-			}
-
-		case almanac.OpJNe:
-			sp -= 2
-			if eqR(st[sp], st[sp+1]) {
-				pc = int(in.A) - 1
-			}
-
-		case almanac.OpJLt, almanac.OpJLe, almanac.OpJGt, almanac.OpJGe:
-			sp -= 2
-			l := &st[sp]
-			r := &st[sp+1]
-			var b bool
-			if l.k == rkInt && r.k == rkInt {
-				switch in.Op {
-				case almanac.OpJLt:
-					b = l.i < r.i
-				case almanac.OpJLe:
-					b = l.i <= r.i
-				case almanac.OpJGt:
-					b = l.i > r.i
-				default:
-					b = l.i >= r.i
-				}
-			} else if lf, lok := asFloatR(*l); lok {
-				rf, rok := asFloatR(*r)
-				if !rok {
-					return chunkResult{}, fmt.Errorf("core: %s %s %s is not defined (line %d)",
-						typeNameR(*l), opSym(cmpBase(in.Op)), typeNameR(*r), in.Line)
-				}
-				switch in.Op {
-				case almanac.OpJLt:
-					b = lf < rf
-				case almanac.OpJLe:
-					b = lf <= rf
-				case almanac.OpJGt:
-					b = lf > rf
-				default:
-					b = lf >= rf
-				}
-			} else {
-				// Non-numeric left operand: the shared slow path raises
-				// exactly the error the unfused comparison would.
-				v, err := m.binOp(almanac.Instr{Op: cmpBase(in.Op), Line: in.Line}, *l, *r)
-				if err != nil {
-					return chunkResult{}, err
-				}
-				b = v.i != 0
-			}
-			if !b {
-				pc = int(in.A) - 1
-			}
-
-		case almanac.OpAdd, almanac.OpSub, almanac.OpMul, almanac.OpDiv,
-			almanac.OpLt, almanac.OpLe, almanac.OpGt, almanac.OpGe:
-			sp--
-			l := &st[sp-1]
-			r := &st[sp]
-			if l.k == rkInt && r.k == rkInt {
-				// Long/long fast path inline; division falls through to
-				// binOp when the divisor is zero (for the error).
-				done := true
-				switch in.Op {
-				case almanac.OpAdd:
-					l.i += r.i
-				case almanac.OpSub:
-					l.i -= r.i
-				case almanac.OpMul:
-					l.i *= r.i
-				case almanac.OpDiv:
-					if r.i == 0 {
-						done = false
-					} else {
-						l.i /= r.i
-					}
-				case almanac.OpLt:
-					setBoolR(l, l.i < r.i)
-				case almanac.OpLe:
-					setBoolR(l, l.i <= r.i)
-				case almanac.OpGt:
-					setBoolR(l, l.i > r.i)
-				default:
-					setBoolR(l, l.i >= r.i)
-				}
-				if done {
-					break
-				}
-			}
-			lf, lok := asFloatR(*l)
-			rf, rok := asFloatR(*r)
-			if lok && rok {
-				// Mixed/float numeric fast path; division by zero falls
-				// through to binOp for the shared error string.
-				done := true
-				switch in.Op {
-				case almanac.OpAdd:
-					setFloatR(l, lf+rf)
-				case almanac.OpSub:
-					setFloatR(l, lf-rf)
-				case almanac.OpMul:
-					setFloatR(l, lf*rf)
-				case almanac.OpDiv:
-					if rf == 0 {
-						done = false
-					} else {
-						setFloatR(l, lf/rf)
-					}
-				case almanac.OpLt:
-					setBoolR(l, lf < rf)
-				case almanac.OpLe:
-					setBoolR(l, lf <= rf)
-				case almanac.OpGt:
-					setBoolR(l, lf > rf)
-				default:
-					setBoolR(l, lf >= rf)
-				}
-				if done {
-					break
-				}
-			}
-			v, err := m.binOp(*in, st[sp-1], st[sp])
-			if err != nil {
-				return chunkResult{}, err
-			}
-			st[sp-1] = v
-
-		case almanac.OpTruthy:
-			b, err := truthyR(st[sp-1])
-			if err != nil {
-				return chunkResult{}, err
-			}
-			st[sp-1] = rbool(b)
-
-		case almanac.OpAndL:
-			l := st[sp-1]
-			if l.k == rkRef {
-				if _, ok := l.ref.(FilterVal); ok {
-					break // leave the filter for OpAndR, evaluate rhs
-				}
-			}
-			b, err := truthyR(l)
-			if err != nil {
-				return chunkResult{}, err
-			}
-			if !b {
-				st[sp-1] = rbool(false)
-				pc = int(in.A) - 1
-				break
-			}
-			st[sp-1] = rval{k: rkMark}
-
-		case almanac.OpAndR:
-			sp--
-			r := st[sp]
-			mark := st[sp-1]
-			if mark.k == rkMark {
-				b, err := truthyR(r)
-				if err != nil {
-					return chunkResult{}, err
-				}
-				st[sp-1] = rbool(b)
-				break
-			}
-			lf := mark.ref.(FilterVal)
-			rf, ok := r.ref.(FilterVal)
-			if r.k != rkRef || !ok {
-				return chunkResult{}, fmt.Errorf("core: filter and %s", typeNameR(r))
-			}
-			lc := almanac.FilterConst(lf.F)
-			lc.PortAny = lf.PortAny
-			rc := almanac.FilterConst(rf.F)
-			rc.PortAny = rf.PortAny
-			merged, err := almanac.MergeFilterConsts(lc, rc)
-			if err != nil {
-				return chunkResult{}, err
-			}
-			st[sp-1] = rref(FilterVal{F: merged.Filter, PortAny: merged.PortAny})
-
-		case almanac.OpOrL:
-			b, err := truthyR(st[sp-1])
-			if err != nil {
-				return chunkResult{}, err
-			}
-			if b {
-				st[sp-1] = rbool(true)
-				pc = int(in.A) - 1
-			} else {
-				sp--
-			}
-
-		case almanac.OpField:
-			v, err := m.fieldOp(st[sp-1], p.Names[in.A], in.Line)
-			if err != nil {
-				return chunkResult{}, err
-			}
-			st[sp-1] = v
-
-		case almanac.OpFilterAtom:
-			v, err := filterAtomOp(st[sp-1], p.Names[in.A], in.Line)
-			if err != nil {
-				return chunkResult{}, err
-			}
-			st[sp-1] = v
-
-		case almanac.OpFilterAny:
-			if sp == len(st) {
-				st = m.growStack(sp)
-			}
-			st[sp] = rref(FilterVal{PortAny: true})
-			sp++
-
-		case almanac.OpStructLit:
-			l := lp.layouts[in.A]
-			n := len(l.Names)
-			fields := make([]Value, n)
-			for i := 0; i < n; i++ {
-				fields[i] = st[sp-n+i].box()
-			}
-			sp -= n
-			if sp == len(st) {
-				st = m.growStack(sp)
-			}
-			st[sp] = rref(StructVal{L: l, V: fields})
-			sp++
-
-		case almanac.OpListLit:
-			n := int(in.A)
-			out := make(List, 0, n)
-			for i := 0; i < n; i++ {
-				out = append(out, st[sp-n+i].box())
-			}
-			sp -= n
-			if sp == len(st) {
-				st = m.growStack(sp)
-			}
-			st[sp] = rref(out)
-			sp++
-
-		case almanac.OpCallB:
-			argc := int(in.B)
-			argv := st[sp-argc : sp]
-			if nf := lp.natives[in.A]; nf != nil {
-				res, handled, err := nf(m.in, argv, in.Line)
-				if err != nil {
-					return chunkResult{}, err
-				}
-				if handled {
-					sp -= argc
-					if sp == len(st) {
-						st = m.growStack(sp)
-					}
-					st[sp] = res
-					sp++
-					break
-				}
-			}
-			// Bridge: box the arguments and run the shared builtin, so
-			// every cold path and error string has a single source.
-			m.scratch = m.scratch[:0]
-			for _, a := range argv {
-				m.scratch = append(m.scratch, a.box())
-			}
-			v, err := lp.bfns[in.A](m.in, m.scratch, int(in.Line))
-			if err != nil {
-				return chunkResult{}, err
-			}
-			sp -= argc
-			if sp == len(st) {
-				st = m.growStack(sp)
-			}
-			st[sp] = unbox(v)
-			sp++
-
-		case almanac.OpCallFn:
-			fn := &p.Funcs[in.A]
-			argc := int(in.B)
-			sp -= argc
-			m.sp = sp
-			res, err := m.runChunk(fn.Chunk, st[sp:sp+argc])
-			st = m.stack // the callee may have grown the shared stack
-			if err != nil {
-				return chunkResult{}, err
-			}
-			if res.kind == ctrlTransit {
-				return chunkResult{}, fmt.Errorf("core: transit inside function %s is not allowed", fn.Name)
-			}
-			v := res.val
-			if res.kind != ctrlReturn {
-				v = rval{k: rkNil}
-			}
-			if sp == len(st) {
-				st = m.growStack(sp)
-			}
-			st[sp] = v
-			sp++
-
-		case almanac.OpStep:
-			m.actions++
-
-		case almanac.OpPop:
-			sp--
-
-		case almanac.OpSend:
-			site := &p.Sends[in.A]
-			dest := SendDest{Harvester: site.Harvester, Machine: site.Machine}
-			if site.HasDst {
-				sp--
-				d := st[sp]
-				if d.k != rkStr {
-					return chunkResult{}, fmt.Errorf("core: send destination must be a string, got %s", typeNameR(d))
-				}
-				dest.Dst = d.asStr()
-			}
-			sp--
-			m.in.host.Send(dest, CloneValue(st[sp].box()))
-
-		case almanac.OpSetIval:
-			sp--
-			v := st[sp]
-			name := p.Names[in.A]
-			ms, ok := asFloatR(v)
-			if !ok || ms <= 0 {
-				return chunkResult{}, fmt.Errorf("core: trigger %s.ival must be a positive number, got %s", name, FormatValue(v.box()))
-			}
-			m.in.host.SetTriggerInterval(name, ms)
-
-		case almanac.OpSetTrigger:
-			sp--
-			v := st[sp]
-			name := p.Names[in.A]
-			var sv StructVal
-			ok := v.k == rkRef
-			if ok {
-				sv, ok = v.ref.(StructVal)
-			}
-			if !ok {
-				return chunkResult{}, fmt.Errorf("core: trigger %s must be assigned a Poll/Probe value", name)
-			}
-			ivalV, ok := sv.Get("ival")
-			if !ok {
-				return chunkResult{}, fmt.Errorf("core: trigger %s reassignment needs .ival", name)
-			}
-			ms, ok := AsFloat(ivalV)
-			if !ok || ms <= 0 {
-				return chunkResult{}, fmt.Errorf("core: trigger %s.ival must be a positive number", name)
-			}
-			m.in.host.SetTriggerInterval(name, ms)
-
-		case almanac.OpFieldAssign:
-			sp--
-			if err := m.fieldAssign(&p.FieldAssigns[in.A], loc, st[sp]); err != nil {
-				return chunkResult{}, err
-			}
-
-		case almanac.OpErr:
-			return chunkResult{}, errors.New(p.Errs[in.A])
-
-		default:
-			return chunkResult{}, fmt.Errorf("core: vm: unknown opcode %d", in.Op)
-		}
-	}
-	m.sp = sp
-	return chunkResult{val: rval{k: rkNil}}, nil
-}
-
 // binOp implements + - * / < <= > >= with the interpreter's exact
 // semantics: string/list concatenation for +, int64 arithmetic when
 // both operands are longs, the shared almanac float table otherwise.
-func (m *vmSeed) binOp(in almanac.Instr, l, r rval) (rval, error) {
+func (m *rvmSeed) binOp(in almanac.Instr, l, r rval) (rval, error) {
 	if l.k == rkInt && r.k == rkInt {
 		switch in.Op {
 		case almanac.OpAdd:
@@ -1193,7 +465,7 @@ func (m *vmSeed) binOp(in almanac.Instr, l, r rval) (rval, error) {
 }
 
 // fieldOp mirrors evalField/packetField.
-func (m *vmSeed) fieldOp(x rval, field string, line int32) (rval, error) {
+func (m *rvmSeed) fieldOp(x rval, field string, line int32) (rval, error) {
 	if x.k == rkRef {
 		switch v := x.ref.(type) {
 		case StructVal:
@@ -1271,7 +543,7 @@ func filterAtomOp(arg rval, field string, line int32) (rval, error) {
 }
 
 // fieldAssign mirrors execAssign's struct-field path.
-func (m *vmSeed) fieldAssign(fa *almanac.FieldAssignSite, loc []rval, v rval) error {
+func (m *rvmSeed) fieldAssign(fa *almanac.FieldAssignSite, loc []rval, v rval) error {
 	var cur rval
 	found := false
 	if fa.Local >= 0 && loc[fa.Local].k != rkUndef {

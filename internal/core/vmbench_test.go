@@ -50,7 +50,7 @@ func benchStats(n int) List {
 // benchScalarSource is the other common seed shape: pure scalar
 // arithmetic and control flow (EWMA-style smoothing), no per-event list
 // or map traffic. It isolates dispatch cost from the shared Value
-// operations both back ends pay identically.
+// operations both executors pay identically.
 const benchScalarSource = `
 machine BenchS {
   place all;
@@ -87,20 +87,15 @@ func benchCompile(b *testing.B, src, name string) *almanac.CompiledMachine {
 	return cm
 }
 
-// benchBackends is every execution engine the seed-path benchmarks
-// A/B: the AST interpreter baseline, the stack bytecode VM, and the
-// register VM (the default).
-var benchBackends = []Backend{BackendInterp, BackendStack, BackendRegister}
-
 // BenchmarkSeedHandleTrigger is the headline seed-path number: one poll
-// delivery on each back end. The register VM is held to the ISSUE 9 bar
-// (>=5x over the interpreter at 0 allocs/op).
+// delivery on the interpreter baseline and on the register VM, which is
+// held to the ISSUE 9 bar (>=5x over the interpreter at 0 allocs/op).
 func BenchmarkSeedHandleTrigger(b *testing.B) {
 	cm := benchCompile(b, benchSource, "Bench")
 	stats := benchStats(48)
-	for _, be := range benchBackends {
-		b.Run(be.String(), func(b *testing.B) {
-			r, err := NewRunner(cm, map[string]Value{"threshold": float64(1000)}, newMockHost(), be)
+	for _, be := range parityBackends {
+		b.Run(be, func(b *testing.B) {
+			r, err := newParityRunner(be, cm, map[string]Value{"threshold": float64(1000)}, newMockHost())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -124,9 +119,9 @@ func BenchmarkSeedHandleTrigger(b *testing.B) {
 // map operations.
 func BenchmarkSeedScalarHandler(b *testing.B) {
 	cm := benchCompile(b, benchScalarSource, "BenchS")
-	for _, be := range benchBackends {
-		b.Run(be.String(), func(b *testing.B) {
-			r, err := NewRunner(cm, nil, newMockHost(), be)
+	for _, be := range parityBackends {
+		b.Run(be, func(b *testing.B) {
+			r, err := newParityRunner(be, cm, nil, newMockHost())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,12 +11,12 @@ import (
 	"farm/internal/dataplane"
 )
 
-// The compiled back ends must be observationally identical to the AST
+// The register VM must be observationally identical to the AST
 // interpreter: same states, same variables, same emissions, same error
-// strings, same action counts. These tests run all three back ends —
-// interpreter, stack VM, register VM — side by side over snippets,
-// hand-picked corner cases, and long random trigger sequences, and diff
-// everything pairwise against the interpreter.
+// strings, same action counts. These tests run the reference (*Seed via
+// NewSeed) and the production runner (NewRunner) side by side over
+// snippets, hand-picked corner cases, and long random trigger sequences,
+// and diff everything against the interpreter.
 
 func parityCompile(t *testing.T, src, name string) *almanac.CompiledMachine {
 	t.Helper()
@@ -31,11 +31,24 @@ func parityCompile(t *testing.T, src, name string) *almanac.CompiledMachine {
 	return cm
 }
 
-// parityBackends is every execution engine, interpreter (the semantic
+// parityBackends names the two executors, interpreter (the semantic
 // reference) first.
-var parityBackends = []Backend{BackendInterp, BackendStack, BackendRegister}
+var parityBackends = []string{"interpreted", "register"}
 
-// backendSet holds one runner per back end, deployed from one machine
+// newParityRunner deploys cm on the named executor: the reference through
+// NewSeed, the production path through NewRunner.
+func newParityRunner(be string, cm *almanac.CompiledMachine, ext map[string]Value, host Host) (Runner, error) {
+	if be == "interpreted" {
+		s, err := NewSeed(cm, ext, host)
+		if err != nil {
+			return nil, err // not a typed-nil Runner
+		}
+		return s, nil
+	}
+	return NewRunner(cm, ext, host)
+}
+
+// backendSet holds one runner per executor, deployed from one machine
 // with identical externals, index-parallel to parityBackends.
 type backendSet struct {
 	rs []Runner
@@ -51,7 +64,7 @@ func newBackendSet(t *testing.T, cm *almanac.CompiledMachine, ext map[string]Val
 	errs := make([]error, len(parityBackends))
 	for i, be := range parityBackends {
 		p.hs[i] = newMockHost()
-		p.rs[i], errs[i] = NewRunner(cm, cloneExternals(ext), p.hs[i], be)
+		p.rs[i], errs[i] = newParityRunner(be, cm, cloneExternals(ext), p.hs[i])
 	}
 	for i := 1; i < len(errs); i++ {
 		if (errs[0] == nil) != (errs[i] == nil) || (errs[0] != nil && errs[0].Error() != errs[i].Error()) {
@@ -61,14 +74,8 @@ func newBackendSet(t *testing.T, cm *almanac.CompiledMachine, ext map[string]Val
 	if errs[0] != nil {
 		return nil
 	}
-	if _, ok := p.rs[0].(*Seed); !ok {
-		t.Fatalf("BackendInterp returned %T", p.rs[0])
-	}
-	if _, ok := p.rs[1].(*vmSeed); !ok {
-		t.Fatalf("BackendStack returned %T (lowering fell back?)", p.rs[1])
-	}
-	if _, ok := p.rs[2].(*rvmSeed); !ok {
-		t.Fatalf("BackendRegister returned %T (lowering fell back?)", p.rs[2])
+	if _, ok := p.rs[1].(*rvmSeed); !ok {
+		t.Fatalf("NewRunner returned %T, want the register VM", p.rs[1])
 	}
 	return p
 }
@@ -162,7 +169,7 @@ func diffSet(t *testing.T, p *backendSet, ctx string) {
 	fp0, tr0 := fingerprint(p.rs[0]), hostTrace(p.hs[0])
 	ac0 := p.rs[0].TakeActionCount()
 	for i := 1; i < len(p.rs); i++ {
-		name := parityBackends[i].String()
+		name := parityBackends[i]
 		if a, b := p.rs[0].State(), p.rs[i].State(); a != b {
 			t.Fatalf("%s: state interp=%s %s=%s", ctx, a, name, b)
 		}
@@ -328,7 +335,7 @@ machine P {
 }
 `
 
-// TestVMRandomProperty drives all three back ends through thousands of
+// TestVMRandomProperty drives both executors through thousands of
 // random steps and requires byte-identical observable behaviour
 // throughout, including periodic snapshot rotation across back ends.
 func TestVMRandomProperty(t *testing.T) {
@@ -365,9 +372,9 @@ func TestVMRandomProperty(t *testing.T) {
 			diffSet(t, p, ctx)
 		}
 		if i%997 == 0 {
-			// Cross-restore rotation: snapshot every back end, then
-			// restore each snapshot into the *next* back end. All must
-			// remain identical afterwards.
+			// Cross-restore swap: snapshot both executors, then restore
+			// each snapshot into the *other* one. Both must remain
+			// identical afterwards.
 			snaps := make([]Snapshot, len(p.rs))
 			for j, r := range p.rs {
 				snaps[j] = r.Snapshot()
@@ -385,8 +392,8 @@ func TestVMRandomProperty(t *testing.T) {
 	diffSet(t, p, "final")
 }
 
-// TestVMSnapshotCrossBackend covers the failover path: run on one back
-// end, snapshot, restore into every back end, and require identical
+// TestVMSnapshotCrossBackend covers the failover path: run on one
+// executor, snapshot, restore into both, and require identical
 // subsequent behaviour (all source/destination combinations).
 func TestVMSnapshotCrossBackend(t *testing.T) {
 	cm := parityCompile(t, propertySource, "P")
@@ -410,8 +417,8 @@ func TestVMSnapshotCrossBackend(t *testing.T) {
 	}
 	for _, from := range parityBackends {
 		from := from
-		t.Run("from-"+from.String(), func(t *testing.T) {
-			src, err := NewRunner(cm, nil, newMockHost(), from)
+		t.Run("from-"+from, func(t *testing.T) {
+			src, err := newParityRunner(from, cm, nil, newMockHost())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -421,13 +428,13 @@ func TestVMSnapshotCrossBackend(t *testing.T) {
 			drive(src, rand.New(rand.NewSource(7)), 500)
 			snap := src.Snapshot()
 
-			// Restore the snapshot into a fresh runner of every back
-			// end; drive them all identically and compare.
+			// Restore the snapshot into a fresh runner of each
+			// executor; drive them identically and compare.
 			hosts := make([]*mockHost, len(parityBackends))
 			runners := make([]Runner, len(parityBackends))
 			for i, be := range parityBackends {
 				hosts[i] = newMockHost()
-				runners[i], err = NewRunner(cm, nil, hosts[i], be)
+				runners[i], err = newParityRunner(be, cm, nil, hosts[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -458,7 +465,7 @@ func TestVMSnapshotCrossBackend(t *testing.T) {
 }
 
 // TestVMRestoreErrors pins the error strings of invalid snapshots on
-// every back end.
+// both executors.
 func TestVMRestoreErrors(t *testing.T) {
 	cm := parityCompile(t, propertySource, "P")
 	for _, snap := range []Snapshot{
@@ -475,7 +482,7 @@ func TestVMRestoreErrors(t *testing.T) {
 	}
 }
 
-// TestVMHHParity runs the paper's heavy-hitter seed on all back ends
+// TestVMHHParity runs the paper's heavy-hitter seed on both executors
 // with real PortStats batches, TCAM writes, and harvester traffic.
 func TestVMHHParity(t *testing.T) {
 	cm := compileSrc(t, hhRunnableSource, "HH")
@@ -515,7 +522,7 @@ func TestVMHHParity(t *testing.T) {
 }
 
 // TestConstOpsCrossCheck drives the shared operator table through all
-// consumers — EvalConst, the interpreter, and both VMs — over an
+// consumers — EvalConst, the interpreter, and the register VM — over an
 // operator/operand matrix and requires agreement.
 func TestConstOpsCrossCheck(t *testing.T) {
 	type operand struct {
@@ -547,7 +554,7 @@ machine C {
 					t.Fatalf("parse %s: %v", expr, err)
 				}
 
-				// Runtime: every back end computing the same expression
+				// Runtime: both executors computing the same expression
 				// into a dynamically typed variable.
 				src := fmt.Sprintf(`
 machine C {

@@ -159,19 +159,10 @@ func flowKeyOf(p Packet, inPort int) flowKey {
 	return flowKey{flow: p.Flow(), flags: p.Flags, inPort: int32(inPort)}
 }
 
-// defaultFlowCacheCap bounds the flow caches; when full, the cache is
+// defaultFlowCacheCap bounds the flow cache; when full, the cache is
 // wiped wholesale (deterministic, unlike per-entry eviction) and
 // rebuilt from the live traffic.
 const defaultFlowCacheCap = 1 << 14
-
-// cachedVerdict is one memoized TCAM classification: the winning entry
-// (nil for a cached miss), stamped with the rule generation it was
-// computed under. A stamp older than the table's current generation
-// means rule churn happened since; the entry is recomputed lazily.
-type cachedVerdict struct {
-	gen uint64
-	e   *tcamEntry
-}
 
 // CacheStats reports flow-cache effectiveness.
 type CacheStats struct {

@@ -62,15 +62,15 @@ func benchTraffic(flows, count int) ([]Packet, []int) {
 	return pkts, inPorts
 }
 
-// BenchmarkTCAMLookup measures classification ns/op, naive linear scan
-// vs. the bucketed index + flow cache, at growing table sizes under a
+// BenchmarkTCAMLookup measures classification ns/op, the bucketed index
+// vs. the test oracle's linear scan, at growing table sizes under a
 // skewed flow distribution.
 func BenchmarkTCAMLookup(b *testing.B) {
 	pkts, inPorts := benchTraffic(512, 4096)
 	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"naive", false}} {
+		name   string
+		lookup func(t *TCAM, p Packet, inPort int) (Rule, bool)
+	}{{"fast", (*TCAM).Lookup}, {"naive", lookupLinear}} {
 		for _, n := range []int{64, 256} {
 			b.Run(fmt.Sprintf("%s/rules=%d", mode.name, n), func(b *testing.B) {
 				tc := NewTCAM(n)
@@ -79,12 +79,11 @@ func BenchmarkTCAMLookup(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				tc.SetFastPath(mode.fast)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					j := i % len(pkts)
-					tc.Lookup(pkts[j], inPorts[j])
+					mode.lookup(tc, pkts[j], inPorts[j])
 				}
 			})
 		}
@@ -92,13 +91,11 @@ func BenchmarkTCAMLookup(b *testing.B) {
 }
 
 // BenchmarkSwitchInject measures the full per-packet ASIC pass (ports,
-// TCAM, samplers), naive two-scan vs. the fused flow-cached path.
+// TCAM, samplers), the fused flow-cached path vs. the test oracle's two
+// linear scans.
 func BenchmarkSwitchInject(b *testing.B) {
 	pkts, inPorts := benchTraffic(512, 4096)
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"naive", false}} {
+	for _, mode := range injectPaths {
 		for _, n := range []int{64, 256} {
 			b.Run(fmt.Sprintf("%s/rules=%d", mode.name, n), func(b *testing.B) {
 				sw := NewSwitch("bench", 8, n)
@@ -112,12 +109,11 @@ func BenchmarkSwitchInject(b *testing.B) {
 				sw.AddSampler(Filter{DstPort: 80}, 50, func(Packet) { sink++ })
 				sw.AddSampler(Filter{SrcPrefix: pfx("10.8.0.0/16")}, 10, func(Packet) { sink++ })
 				sw.AddSampler(Filter{FlagsSet: FlagSYN}, 1, func(Packet) { sink++ })
-				sw.SetFastPath(mode.fast)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					j := i % len(pkts)
-					sw.Inject(pkts[j], inPorts[j], (j%7)+1)
+					mode.inject(sw, pkts[j], inPorts[j], (j%7)+1)
 				}
 			})
 		}

@@ -92,14 +92,70 @@ func checkTCAMInvariants(t *testing.T, tc *TCAM) {
 	}
 }
 
+// lookupLinear and injectLinear are the pre-index, pre-flow-cache
+// classifier — first match in the match-ordered entry list, then a
+// second scan over every sampler — kept here as the oracle the indexed,
+// flow-cached production path is checked against. They mutate the same
+// counters Lookup and Inject do.
+func lookupLinear(t *TCAM, p Packet, inPort int) (Rule, bool) {
+	for _, e := range t.entries {
+		if e.rule.Filter.Match(p, inPort) {
+			e.stats.Packets++
+			e.stats.Bytes += uint64(p.Size)
+			return e.rule, true
+		}
+	}
+	return Rule{}, false
+}
+
+func injectLinear(s *Switch, p Packet, inPort, outPort int) Verdict {
+	if inPort >= 1 && inPort < len(s.ports) {
+		s.ports[inPort].RxPackets++
+		s.ports[inPort].RxBytes += uint64(p.Size)
+	}
+	var v Verdict
+	if r, ok := lookupLinear(s.tcam, p, inPort); ok {
+		v.Rule, v.Matched = r, true
+		if r.Action == ActDrop {
+			v.Dropped = true
+			s.dropped++
+		}
+	}
+	for _, sm := range s.samplers {
+		if sm.removed {
+			continue
+		}
+		if sm.Filter.Match(p, inPort) {
+			sm.counter++
+			if sm.counter%sm.OneInN == 0 {
+				sm.fn(p)
+			}
+		}
+	}
+	if !v.Dropped && outPort >= 1 && outPort < len(s.ports) {
+		s.ports[outPort].TxPackets++
+		s.ports[outPort].TxBytes += uint64(p.Size)
+	}
+	return v
+}
+
+// injectPaths names the production inject path and its oracle for tests
+// that pin a behaviour on both.
+var injectPaths = []struct {
+	name   string
+	inject func(s *Switch, p Packet, inPort, outPort int) Verdict
+}{
+	{"fast", (*Switch).Inject},
+	{"naive", injectLinear},
+}
+
 // TestTCAMFastPathProperty interleaves rule churn with lookups and pins
-// the fast path (bucketed index + generation-stamped flow cache) to the
-// lookupReference oracle across >= 10k randomized steps, including
-// replacements at capacity and priority ties.
+// the bucketed index to the lookupReference oracle across >= 10k
+// randomized steps, including replacements at capacity and priority
+// ties.
 func TestTCAMFastPathProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(271828))
 	tc := NewTCAM(16)
-	tc.cacheCap = 64 // small, so wholesale cache wipes happen too
 	lookups, churn := 0, 0
 	for step := 0; step < 12000; step++ {
 		switch rng.Intn(8) {
@@ -139,11 +195,6 @@ func TestTCAMFastPathProperty(t *testing.T) {
 			if gotOK != wantOK || got != want {
 				t.Fatalf("step %d: Lookup = %+v,%v; reference = %+v,%v", step, got, gotOK, want, wantOK)
 			}
-			// Immediate repeat: the flow cache must serve the same answer.
-			again, againOK := tc.Lookup(p, inPort)
-			if againOK != gotOK || again != got {
-				t.Fatalf("step %d: cached repeat diverged: %+v,%v vs %+v,%v", step, again, againOK, got, gotOK)
-			}
 			lookups++
 		}
 		if step%500 == 0 {
@@ -154,13 +205,10 @@ func TestTCAMFastPathProperty(t *testing.T) {
 	if lookups < 5000 || churn < 2000 {
 		t.Fatalf("weak interleaving: %d lookups, %d churn ops", lookups, churn)
 	}
-	if st := tc.CacheStats(); st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("cache never exercised both ways: %+v", st)
-	}
 }
 
-// TestSwitchFastPathEquivalence drives two switches — fused fast path
-// vs. the linear reference path — through an identical schedule of
+// TestSwitchFastPathEquivalence drives two switches — the production
+// fused path vs. the linear oracle — through an identical schedule of
 // packets, rule churn and sampler churn, and requires byte-identical
 // observable behaviour: verdicts, per-rule counters, sampler delivery
 // sequences, port counters and drop counts.
@@ -168,12 +216,12 @@ func TestSwitchFastPathEquivalence(t *testing.T) {
 	const samplers = 4
 	type world struct {
 		sw      *Switch
+		inject  func(s *Switch, p Packet, inPort, outPort int) Verdict
 		fired   [samplers][]int // packet indices delivered per sampler
 		removes [samplers]func()
 	}
-	build := func(fast bool) *world {
-		w := &world{sw: NewSwitch("sw", 4, 12)}
-		w.sw.SetFastPath(fast)
+	build := func(path int) *world {
+		w := &world{sw: NewSwitch("sw", 4, 12), inject: injectPaths[path].inject}
 		w.sw.cacheCap = 128
 		filters := []Filter{{}, {DstPort: 80}, {Proto: ProtoUDP}, {SrcPrefix: pfx("10.1.0.0/16")}}
 		for i := 0; i < samplers; i++ {
@@ -184,7 +232,7 @@ func TestSwitchFastPathEquivalence(t *testing.T) {
 		}
 		return w
 	}
-	fastW, slowW := build(true), build(false)
+	fastW, slowW := build(0), build(1)
 
 	rng := rand.New(rand.NewSource(99))
 	var ops []func(w *world) // one schedule, applied to both worlds
@@ -204,7 +252,7 @@ func TestSwitchFastPathEquivalence(t *testing.T) {
 		default:
 			p, inPort := genPacket(rng)
 			outPort := rng.Intn(4)
-			ops = append(ops, func(w *world) { w.sw.Inject(p, inPort, outPort) })
+			ops = append(ops, func(w *world) { w.inject(w.sw, p, inPort, outPort) })
 		}
 	}
 	for _, op := range ops {
@@ -247,43 +295,47 @@ func TestSwitchFastPathEquivalence(t *testing.T) {
 }
 
 func TestFlowCacheInvalidationOnChurn(t *testing.T) {
-	tc := NewTCAM(8)
+	sw := NewSwitch("sw", 2, 8)
+	tc := sw.TCAM()
 	low := Rule{Priority: 1, Filter: Filter{Proto: ProtoTCP}, Action: ActAllow, Note: "low"}
 	if err := tc.AddRule(low); err != nil {
 		t.Fatal(err)
 	}
 	p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)
-	if r, ok := tc.Lookup(p, 1); !ok || r.Note != "low" {
-		t.Fatalf("lookup = %+v, %v", r, ok)
+	if v := sw.Inject(p, 1, 2); !v.Matched || v.Rule.Note != "low" {
+		t.Fatalf("verdict = %+v", v)
 	}
 	// Warm cache, then install a higher-priority rule for the same flow:
-	// the next lookup must see it despite the cached verdict.
+	// the next packet must see it despite the cached verdict.
 	high := Rule{Priority: 9, Filter: Filter{DstPort: 80}, Action: ActDrop, Note: "high"}
 	if err := tc.AddRule(high); err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := tc.Lookup(p, 1); !ok || r.Note != "high" {
-		t.Fatalf("post-churn lookup = %+v, %v; cache not invalidated", r, ok)
+	if v := sw.Inject(p, 1, 2); !v.Dropped || v.Rule.Note != "high" {
+		t.Fatalf("post-churn verdict = %+v; cache not invalidated", v)
 	}
 	// Removal invalidates too.
 	tc.RemoveRule(high.Filter)
-	if r, ok := tc.Lookup(p, 1); !ok || r.Note != "low" {
-		t.Fatalf("post-remove lookup = %+v, %v", r, ok)
+	if v := sw.Inject(p, 1, 2); !v.Matched || v.Rule.Note != "low" {
+		t.Fatalf("post-remove verdict = %+v", v)
 	}
 	if tc.Generation() != 3 {
 		t.Fatalf("generation = %d, want 3 (two installs + one removal)", tc.Generation())
 	}
+	if st := sw.CacheStats(); st.Hits != 0 || st.Misses != 3 {
+		t.Fatalf("cache stats = %+v, want every probe invalidated by churn", st)
+	}
 }
 
 func TestFlowCacheCapWipe(t *testing.T) {
-	tc := NewTCAM(4)
-	tc.cacheCap = 8
-	_ = tc.AddRule(Rule{Priority: 1, Filter: Filter{Proto: ProtoTCP}})
+	sw := NewSwitch("sw", 2, 4)
+	sw.cacheCap = 8
+	_ = sw.TCAM().AddRule(Rule{Priority: 1, Filter: Filter{Proto: ProtoTCP}})
 	for i := 0; i < 100; i++ {
 		p := pkt("10.0.0.1", "10.0.0.2", uint16(1000+i), 80, ProtoTCP, 64)
-		tc.Lookup(p, 1)
-		if len(tc.cache) > tc.cacheCap {
-			t.Fatalf("cache grew past cap: %d > %d", len(tc.cache), tc.cacheCap)
+		sw.Inject(p, 1, 2)
+		if len(sw.flowCache) > sw.cacheCap {
+			t.Fatalf("cache grew past cap: %d > %d", len(sw.flowCache), sw.cacheCap)
 		}
 	}
 }
@@ -392,25 +444,24 @@ func TestFilterKeyCachedAndAllocationFree(t *testing.T) {
 // Satellite: deterministic 1-in-N cadence across interleaved matching
 // and non-matching packets — only matching packets advance the counter.
 func TestSamplerCadenceInterleaved(t *testing.T) {
-	for _, fast := range []bool{true, false} {
+	for _, path := range injectPaths {
 		sw := NewSwitch("sw0", 2, 16)
-		sw.SetFastPath(fast)
 		var got []uint16
 		sw.AddSampler(Filter{DstPort: 80}, 3, func(p Packet) { got = append(got, p.SrcPort) })
 		matching := 0
 		for i := 0; i < 30; i++ {
 			if i%2 == 0 { // even injections match; odd ones must not advance cadence
 				matching++
-				sw.Inject(pkt("10.0.0.1", "10.0.0.2", uint16(matching), 80, ProtoTCP, 64), 1, 2)
+				path.inject(sw, pkt("10.0.0.1", "10.0.0.2", uint16(matching), 80, ProtoTCP, 64), 1, 2)
 			} else {
-				sw.Inject(pkt("10.0.0.1", "10.0.0.2", uint16(1000+i), 443, ProtoTCP, 64), 1, 2)
+				path.inject(sw, pkt("10.0.0.1", "10.0.0.2", uint16(1000+i), 443, ProtoTCP, 64), 1, 2)
 			}
 		}
 		// 15 matching packets at 1-in-3: exactly the 3rd, 6th, 9th, 12th,
 		// 15th matching packets are delivered.
 		want := []uint16{3, 6, 9, 12, 15}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("fast=%v: sampled %v, want %v", fast, got, want)
+			t.Fatalf("%s: sampled %v, want %v", path.name, got, want)
 		}
 	}
 }
@@ -419,29 +470,28 @@ func TestSamplerCadenceInterleaved(t *testing.T) {
 // delivery immediately and leaves other samplers' cadence intact —
 // including when the removal happens after the flow cache is warm.
 func TestSamplerRemoveMidStream(t *testing.T) {
-	for _, fast := range []bool{true, false} {
+	for _, path := range injectPaths {
 		sw := NewSwitch("sw0", 2, 16)
-		sw.SetFastPath(fast)
 		var a, b int
 		removeA := sw.AddSampler(Filter{}, 2, func(Packet) { a++ })
 		sw.AddSampler(Filter{}, 5, func(Packet) { b++ })
 		p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 64)
-		for i := 0; i < 10; i++ { // warm cache on the fast path
-			sw.Inject(p, 1, 2)
+		for i := 0; i < 10; i++ { // warm the flow cache
+			path.inject(sw, p, 1, 2)
 		}
 		if a != 5 || b != 2 {
-			t.Fatalf("fast=%v: pre-removal a=%d b=%d, want 5, 2", fast, a, b)
+			t.Fatalf("%s: pre-removal a=%d b=%d, want 5, 2", path.name, a, b)
 		}
 		removeA()
 		removeA() // double removal is a no-op
 		for i := 0; i < 10; i++ {
-			sw.Inject(p, 1, 2)
+			path.inject(sw, p, 1, 2)
 		}
 		if a != 5 {
-			t.Fatalf("fast=%v: removed sampler fired: a=%d", fast, a)
+			t.Fatalf("%s: removed sampler fired: a=%d", path.name, a)
 		}
 		if b != 4 {
-			t.Fatalf("fast=%v: surviving sampler cadence broken: b=%d, want 4", fast, b)
+			t.Fatalf("%s: surviving sampler cadence broken: b=%d, want 4", path.name, b)
 		}
 	}
 }
@@ -449,9 +499,8 @@ func TestSamplerRemoveMidStream(t *testing.T) {
 // A sampler removing itself (or a peer) from inside its callback must
 // take effect for the same packet's remaining samplers.
 func TestSamplerRemoveDuringCallback(t *testing.T) {
-	for _, fast := range []bool{true, false} {
+	for _, path := range injectPaths {
 		sw := NewSwitch("sw0", 2, 16)
-		sw.SetFastPath(fast)
 		var first, second int
 		var removeSecond func()
 		sw.AddSampler(Filter{}, 1, func(Packet) {
@@ -463,12 +512,12 @@ func TestSamplerRemoveDuringCallback(t *testing.T) {
 		removeSecond = sw.AddSampler(Filter{}, 1, func(Packet) { second++ })
 		p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 64)
 		for i := 0; i < 6; i++ {
-			sw.Inject(p, 1, 2)
+			path.inject(sw, p, 1, 2)
 		}
 		// second fires for packets 1 and 2 only: on packet 3 the first
 		// sampler removes it before it is reached.
 		if first != 6 || second != 2 {
-			t.Fatalf("fast=%v: first=%d second=%d, want 6, 2", fast, first, second)
+			t.Fatalf("%s: first=%d second=%d, want 6, 2", path.name, first, second)
 		}
 	}
 }

@@ -68,17 +68,11 @@ type TCAM struct {
 	byFilter map[Filter]*tcamEntry
 	seq      int
 
-	// Fast-path state (docs/dataplane.md): the bucketed rule index, the
-	// generation counter bumped on every rule churn, and the
-	// generation-stamped flow cache for direct Lookup callers.
-	// Switch.Inject keeps its own fused cache and shares only the index
-	// and the generation.
-	index    ruleIndex
-	gen      uint64
-	cache    map[flowKey]cachedVerdict
-	cacheCap int
-	stats    CacheStats
-	fastPath bool
+	// Classifier state (docs/dataplane.md): the bucketed rule index and
+	// the generation counter bumped on every rule churn, which stamps the
+	// verdicts in Switch.Inject's flow cache.
+	index ruleIndex
+	gen   uint64
 }
 
 // NewTCAM returns a TCAM with the given entry capacity.
@@ -87,28 +81,13 @@ func NewTCAM(capacity int) *TCAM {
 		capacity: capacity,
 		byFilter: make(map[Filter]*tcamEntry),
 		index:    newRuleIndex(),
-		cache:    make(map[flowKey]cachedVerdict),
-		cacheCap: defaultFlowCacheCap,
-		fastPath: true,
 	}
-}
-
-// SetFastPath toggles the indexed + flow-cached lookup path; disabling
-// it reverts Lookup to the linear reference scan (for benchmarking and
-// A/B validation — the two paths return identical results, which
-// TestTCAMFastPathProperty pins). The flow cache is cleared on toggle.
-func (t *TCAM) SetFastPath(on bool) {
-	t.fastPath = on
-	clear(t.cache)
 }
 
 // Generation returns the rule-churn generation counter; it advances on
 // every AddRule/RemoveRule and stamps (and thereby invalidates) cached
 // flow verdicts.
 func (t *TCAM) Generation() uint64 { return t.gen }
-
-// CacheStats returns hit/miss counters of the Lookup flow cache.
-func (t *TCAM) CacheStats() CacheStats { return t.stats }
 
 // Capacity returns the maximum number of entries.
 func (t *TCAM) Capacity() int { return t.capacity }
@@ -210,44 +189,16 @@ func (t *TCAM) StatsMatching(f Filter) RuleStats {
 	return agg
 }
 
-// Lookup returns the highest-priority matching rule for the packet and
-// counts the match. On the fast path a repeat flow resolves in one map
-// probe; a cold or invalidated flow pays one indexed bucket scan.
+// Lookup returns the highest-priority matching rule for the packet,
+// resolved through the bucketed rule index, and counts the match.
 func (t *TCAM) Lookup(p Packet, inPort int) (Rule, bool) {
-	var e *tcamEntry
-	if t.fastPath {
-		k := flowKeyOf(p, inPort)
-		if v, ok := t.cache[k]; ok && v.gen == t.gen {
-			t.stats.Hits++
-			e = v.e
-		} else {
-			t.stats.Misses++
-			e = t.index.lookup(p, inPort)
-			if len(t.cache) >= t.cacheCap {
-				clear(t.cache)
-			}
-			t.cache[k] = cachedVerdict{gen: t.gen, e: e}
-		}
-	} else {
-		e = t.scanLinear(p, inPort)
-	}
+	e := t.index.lookup(p, inPort)
 	if e == nil {
 		return Rule{}, false
 	}
 	e.stats.Packets++
 	e.stats.Bytes += uint64(p.Size)
 	return e.rule, true
-}
-
-// scanLinear is the pre-index lookup: first match in the match-ordered
-// entry list. Kept as the SetFastPath(false) baseline.
-func (t *TCAM) scanLinear(p Packet, inPort int) *tcamEntry {
-	for _, e := range t.entries {
-		if e.rule.Filter.Match(p, inPort) {
-			return e
-		}
-	}
-	return nil
 }
 
 // lookupReference is a non-mutating linear scan used by property tests
@@ -314,7 +265,6 @@ type Switch struct {
 	flowCache  map[flowKey]*injectVerdict
 	cacheCap   int
 	cacheStats CacheStats
-	fastPath   bool
 }
 
 // injectVerdict is one memoized fused classification.
@@ -334,17 +284,7 @@ func NewSwitch(name string, numPorts, tcamCapacity int) *Switch {
 		tcam:      NewTCAM(tcamCapacity),
 		flowCache: make(map[flowKey]*injectVerdict),
 		cacheCap:  defaultFlowCacheCap,
-		fastPath:  true,
 	}
-}
-
-// SetFastPath toggles the fused flow-cached inject path on this switch
-// and the indexed lookup on its TCAM; off reverts to the linear
-// reference behaviour (for benchmarking and A/B validation).
-func (s *Switch) SetFastPath(on bool) {
-	s.fastPath = on
-	s.tcam.SetFastPath(on)
-	clear(s.flowCache)
 }
 
 // CacheStats returns hit/miss counters of the fused inject flow cache.
@@ -426,8 +366,8 @@ func (s *Switch) CreditRule(f Filter, packets, bytes uint64) bool {
 // counters. inPort/outPort are 1-based; outPort 0 means locally
 // destined.
 //
-// On the fast path TCAM and samplers are evaluated in one fused pass: a
-// single flow-cache probe yields both the winning rule and the matching
+// TCAM and samplers are evaluated in one fused pass: a single
+// flow-cache probe yields both the winning rule and the matching
 // sampler set for a repeat flow; only a cold or churn-invalidated flow
 // pays the indexed TCAM lookup plus the per-sampler filter scan.
 func (s *Switch) Inject(p Packet, inPort, outPort int) Verdict {
@@ -435,12 +375,7 @@ func (s *Switch) Inject(p Packet, inPort, outPort int) Verdict {
 		s.ports[inPort].RxPackets++
 		s.ports[inPort].RxBytes += uint64(p.Size)
 	}
-	var v Verdict
-	if s.fastPath {
-		v = s.classifyFused(p, inPort)
-	} else {
-		v = s.classifyLinear(p, inPort)
-	}
+	v := s.classifyFused(p, inPort)
 	if !v.Dropped && outPort >= 1 && outPort < len(s.ports) {
 		s.ports[outPort].TxPackets++
 		s.ports[outPort].TxBytes += uint64(p.Size)
@@ -448,7 +383,7 @@ func (s *Switch) Inject(p Packet, inPort, outPort int) Verdict {
 	return v
 }
 
-// classifyFused is the fused fast path: one flow-cache probe covering
+// classifyFused is the classify+sample step: one flow-cache probe covering
 // TCAM verdict and sampler set, recomputed lazily when either the rule
 // or the sampler generation moved.
 func (s *Switch) classifyFused(p Packet, inPort int) Verdict {
@@ -487,32 +422,6 @@ func (s *Switch) classifyFused(p Packet, inPort int) Verdict {
 		sm.counter++
 		if sm.counter%sm.OneInN == 0 {
 			sm.fn(p)
-		}
-	}
-	return v
-}
-
-// classifyLinear is the pre-fast-path behaviour: full TCAM scan, then a
-// second scan over every sampler. Kept as the SetFastPath(false)
-// baseline.
-func (s *Switch) classifyLinear(p Packet, inPort int) Verdict {
-	var v Verdict
-	if r, ok := s.tcam.Lookup(p, inPort); ok {
-		v.Rule, v.Matched = r, true
-		if r.Action == ActDrop {
-			v.Dropped = true
-			s.dropped++
-		}
-	}
-	for _, sm := range s.samplers {
-		if sm.removed {
-			continue
-		}
-		if sm.Filter.Match(p, inPort) {
-			sm.counter++
-			if sm.counter%sm.OneInN == 0 {
-				sm.fn(p)
-			}
 		}
 	}
 	return v

@@ -111,10 +111,9 @@ type Partitioned interface {
 
 // ticker is the engine-generic Ticker: it re-arms itself through any
 // Scheduler, allocating a fresh event and Timer handle per firing.
-// Queue-backed schedulers on the wheel backend get the zero-alloc
-// queueTicker fast path instead (wheel.go); this implementation remains
-// for foreign Scheduler implementations and as the reference side of
-// the heap-vs-wheel A/B comparison.
+// Schedulers on the timing wheel get the zero-alloc queueTicker fast
+// path instead (wheel.go); this implementation remains for foreign
+// Scheduler implementations and for the tests' heap oracle.
 type ticker struct {
 	s        Scheduler
 	interval time.Duration
@@ -130,7 +129,7 @@ func EveryOn(s Scheduler, interval time.Duration, fn func()) Ticker {
 	if interval <= 0 {
 		panic("engine: non-positive ticker interval")
 	}
-	if o, ok := s.(queueOwner); ok && o.queue().kind == QueueWheel {
+	if o, ok := s.(queueOwner); ok && !o.queue().heapMode {
 		return newQueueTicker(o, interval, fn)
 	}
 	if r, ok := s.(*RealTime); ok {

@@ -5,18 +5,48 @@ import (
 	"time"
 )
 
+// newSerialHeap and newShardedHeap put a fresh virtual-time engine's
+// (still empty) queues into heap mode — the container/heap oracle the
+// timing wheel is checked against. Production code only ever sets the
+// flag in NewRealTime.
+func newSerialHeap() *Serial {
+	l := NewSerial()
+	l.q.heapMode = true
+	return l
+}
+
+func newShardedHeap(opts ShardedOptions) *Sharded {
+	x := NewSharded(opts)
+	for _, s := range x.shards {
+		s.q.heapMode = true
+	}
+	return x
+}
+
+// serialModes names the serial engine on the wheel and on the heap
+// oracle, for tests and benchmarks that run on both.
+var serialModes = []struct {
+	name string
+	mk   func() *Serial
+}{{"wheel", NewSerial}, {"heap", newSerialHeap}}
+
+// shardedModes is the same pair for the sharded executor.
+var shardedModes = []struct {
+	name string
+	mk   func(ShardedOptions) *Sharded
+}{{"wheel", NewSharded}, {"heap", newShardedHeap}}
+
 // forEachEngine runs a subtest against both engine implementations on
-// both queue backends (the default timing wheel and the container/heap
-// reference). The sharded engine runs with several shards and workers
-// even though these conformance tests schedule through the root view
-// (shard 0), so epoch bookkeeping is exercised.
+// the timing wheel and on the container/heap oracle. The sharded engine
+// runs with several shards and workers even though these conformance
+// tests schedule through the root view (shard 0), so epoch bookkeeping
+// is exercised.
 func forEachEngine(t *testing.T, fn func(t *testing.T, s Scheduler)) {
 	t.Run("serial", func(t *testing.T) { fn(t, NewSerial()) })
-	t.Run("serial-heap", func(t *testing.T) { fn(t, NewSerialQueue(QueueHeap)) })
-	for _, kind := range []QueueBackend{QueueWheel, QueueHeap} {
-		kind := kind
-		t.Run("sharded-"+kind.String(), func(t *testing.T) {
-			x := NewSharded(ShardedOptions{Shards: 4, Workers: 2, ForceWorkers: true, Queue: kind})
+	t.Run("serial-heap", func(t *testing.T) { fn(t, newSerialHeap()) })
+	for _, mode := range shardedModes {
+		t.Run("sharded-"+mode.name, func(t *testing.T) {
+			x := mode.mk(ShardedOptions{Shards: 4, Workers: 2, ForceWorkers: true})
 			t.Cleanup(x.Stop)
 			fn(t, x)
 		})

@@ -24,7 +24,7 @@ import (
 // experiments (those stay on virtual time).
 //
 // Events share the pooled event type and free list with the virtual
-// time engines (an eventQueue on the heap backend — sleeps dominate
+// time engines (an eventQueue in heap mode — sleeps dominate
 // here, so the wheel would buy nothing, but the pooling does: periodic
 // work on a long-lived daemon stops churning the garbage collector).
 //
@@ -32,7 +32,7 @@ import (
 // After), like Serial, so a fabric can be built directly on it.
 type RealTime struct {
 	mu sync.Mutex
-	// q is the pending-event queue, guarded by mu (heap backend: the
+	// q is the pending-event queue, guarded by mu (heap mode: the
 	// run loop needs cheap head peeks and SetInterval re-keys in place
 	// with heap.Fix).
 	q      eventQueue
@@ -53,7 +53,7 @@ func NewRealTime() *RealTime {
 		wake:  make(chan struct{}, 1),
 		done:  make(chan struct{}),
 	}
-	r.q.kind = QueueHeap
+	r.q.heapMode = true
 	return r
 }
 

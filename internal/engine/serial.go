@@ -25,21 +25,6 @@ type Serial struct {
 // by the timing wheel.
 func NewSerial() *Serial { return &Serial{} }
 
-// NewSerialQueue returns a serial scheduler on an explicit queue
-// backend. QueueHeap selects the original container/heap implementation
-// (per-call event and handle allocations included), kept as the
-// reference side of the engine-loop A/B gate and the heap-vs-wheel
-// benchmarks.
-func NewSerialQueue(kind QueueBackend) *Serial {
-	l := &Serial{}
-	l.q.kind = kind
-	l.q.nopool = kind == QueueHeap
-	return l
-}
-
-// Queue returns the queue backend this scheduler runs on.
-func (l *Serial) Queue() QueueBackend { return l.q.kind }
-
 // Now returns the current virtual time.
 func (l *Serial) Now() time.Duration { return l.now }
 
@@ -62,8 +47,7 @@ func (t *serialTimer) Stop() bool {
 	}
 	ev := t.ev
 	if ev.gen != t.gen || ev.stopped || ev.index < 0 {
-		// Recycled (fired), already cancelled, or fired on the unpooled
-		// reference backend.
+		// Recycled (fired) or already cancelled.
 		return false
 	}
 	t.l.q.stop(ev)

@@ -40,10 +40,6 @@ type ShardedOptions struct {
 	// setting goroutine labels on every phase transition costs a few
 	// percent on the hot loop.
 	ProfileLabels bool
-	// Queue selects each shard's event-queue backend. The zero value is
-	// QueueWheel; QueueHeap keeps the original container/heap for the
-	// engine-loop A/B gate.
-	Queue QueueBackend
 }
 
 // DefaultLookahead matches the default fabric's minimum cross-switch
@@ -121,7 +117,7 @@ type Sharded struct {
 	// epoch discovered the sources.
 	mergeSrc []*shard
 	// mergeDst collects destination shards that received events during
-	// the current barrier, for the batched heap repair + head refresh.
+	// the current barrier, for the head refresh.
 	mergeDst []*shard
 	// fix is the reusable scratch list of shards whose head keys moved
 	// during a barrier.
@@ -146,8 +142,8 @@ type shard struct {
 	id  int
 	now time.Duration
 	// q holds the shard's pending events: pooled free list, sequence
-	// counter, and the wheel (or reference heap) behind one type shared
-	// with the serial engine. Single owner, so no locking.
+	// counter, and the wheel behind one type shared with the serial
+	// engine. Single owner, so no locking.
 	q      eventQueue
 	outbox []crossEvent
 	ran    int
@@ -165,7 +161,7 @@ type shard struct {
 	executing bool
 
 	// merging tracks this shard as a destination during one barrier
-	// merge (it is in x.mergeDst awaiting flushMerge + head re-key).
+	// merge (it is in x.mergeDst awaiting its head re-key).
 	merging bool
 	queued  bool // in x.mergeSrc
 	dirty   bool // in the barrier's fix list (dedup mark, cleared each barrier)
@@ -194,7 +190,6 @@ func NewSharded(opts ShardedOptions) *Sharded {
 	x.heads = make(shardHeap, opts.Shards)
 	for i := range x.shards {
 		s := &shard{x: x, id: i, pos: i, headAt: headInf}
-		s.q.kind = opts.Queue
 		x.shards[i] = s
 		x.heads[i] = s
 	}
@@ -226,9 +221,6 @@ func (x *Sharded) Workers() int { return x.opts.Workers }
 // Lookahead returns the conservative window. Consumers validate their
 // minimum cross-shard latency against it.
 func (x *Sharded) Lookahead() time.Duration { return x.opts.Lookahead }
-
-// Queue returns the queue backend the shards run on.
-func (x *Sharded) Queue() QueueBackend { return x.opts.Queue }
 
 // EpochStats reports how many epochs have run and the total shard-runs
 // dispatched across them. Their ratio is the mean number of shards
@@ -526,17 +518,7 @@ func (x *Sharded) runEpoch(end time.Duration) int {
 // in (source shard, emission order) order, assigning destination
 // sequence numbers deterministically, then re-keys the head-time heap
 // for every shard whose head may have moved (ran shards and merge
-// destinations).
-//
-// On the wheel backend each merge insert is O(1) already; on the heap
-// reference backend the merge stays batched per destination — events
-// are appended raw and repaired in one flushMerge pass (a sift-up per
-// appended event when the batch is small relative to the heap, exactly
-// equivalent to sequential heap.Push, or a single heap.Init when the
-// batch dominates). Either way the queue holds the same (at, seq) set,
-// and since (at, seq) is a strict total order the pop sequence — the
-// only thing downstream code can observe — is independent of the
-// internal shape. So batching cannot perturb determinism.
+// destinations). Each merge insert is O(1) on the wheel.
 func (x *Sharded) barrier() {
 	x.phase(x.lblMerge)
 	// Collect sources: shards that ran this epoch plus driver-context
@@ -560,7 +542,7 @@ func (x *Sharded) barrier() {
 			if now := d.effNow(); at < now {
 				at = now
 			}
-			d.q.merge(at, ce.fn)
+			d.q.add(at, ce.fn)
 			if !d.merging {
 				d.merging = true
 				x.mergeDst = append(x.mergeDst, d)
@@ -571,11 +553,6 @@ func (x *Sharded) barrier() {
 		s.queued = false
 	}
 	x.mergeSrc = src[:0]
-	// Repair destination queues in one batch each (no-op on the wheel).
-	for _, d := range x.mergeDst {
-		d.q.flushMerge()
-		d.merging = false
-	}
 	// Re-key the head-time heap. First collect the heads that actually
 	// moved (ran shards and merge destinations, deduped via the dirty
 	// mark) without touching the stored keys, then repair by whichever
@@ -595,6 +572,7 @@ func (x *Sharded) barrier() {
 	}
 	x.runnable = x.runnable[:0]
 	for _, d := range x.mergeDst {
+		d.merging = false
 		if !d.dirty && d.headChanged() {
 			d.dirty = true
 			fix = append(fix, d)

@@ -6,30 +6,6 @@ import (
 	"time"
 )
 
-// QueueBackend selects the event-queue data structure of an executor.
-type QueueBackend uint8
-
-const (
-	// QueueWheel is the default: a hierarchical timing wheel for the
-	// near future with a min-heap overflow for events beyond the wheel
-	// horizon. Insert and re-arm are O(1) for the periodic workloads
-	// that dominate the emulator (poll groups, time triggers, traffic
-	// schedules, bus flushes).
-	QueueWheel QueueBackend = iota
-	// QueueHeap is the original container/heap backend, kept as the
-	// reference implementation for the engine-loop A/B digest gate and
-	// the heap-vs-wheel benchmark variants.
-	QueueHeap
-)
-
-// String names the backend for experiment tables and -json output.
-func (k QueueBackend) String() string {
-	if k == QueueHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
 // event is the one scheduled-callback record shared by every executor
 // (serial, sharded shards, RealTime).
 type event struct {
@@ -62,29 +38,25 @@ func eventLess(a, b *event) bool {
 }
 
 // eventQueue is the pooled pending-event set of one execution lane (the
-// serial engine, or one shard of the sharded engine). It owns the event
-// free list and the (at, seq) sequence counter, and orders events behind
-// one of two backends: the timing wheel (default) or the reference
+// serial engine, one shard of the sharded engine, or RealTime). It owns
+// the event free list and the (at, seq) sequence counter, and orders
+// events on the timing wheel — or, in heap mode, on a plain
 // container/heap. Both produce the identical pop sequence — (at, seq) is
 // a strict total order, so the internal shape is unobservable.
 type eventQueue struct {
-	kind QueueBackend
-	// nopool disables event recycling. Only the serial heap reference
-	// backend sets it, to stay byte-faithful to the original allocation
-	// behaviour that the A/B benchmarks compare against.
-	nopool bool
-	seq    uint64
+	// heapMode keeps every event in heap instead of the wheel. Only
+	// NewRealTime sets it (its run loop peeks the head and re-keys armed
+	// tickers in place with heap.Fix); the package's tests set it on
+	// virtual-time engines to use the heap as the wheel's oracle.
+	heapMode bool
+	seq      uint64
 	// live and dead partition the queued events into unfired-uncancelled
 	// and cancelled-awaiting-reclaim; Pending reports live only.
 	live int
 	dead int
 
 	heap eventHeap
-	// mergePending counts events appended raw to the heap during a
-	// sharded barrier-merge batch, repaired in one flushMerge pass.
-	mergePending int
-
-	w *wheel
+	w    *wheel
 
 	free []*event
 }
@@ -109,9 +81,6 @@ func (q *eventQueue) alloc(at time.Duration, fn func()) *event {
 // generation invalidates any Timer handle still pointing at it.
 func (q *eventQueue) release(ev *event) {
 	ev.fn = nil
-	if q.nopool {
-		return
-	}
 	ev.gen++
 	q.free = append(q.free, ev)
 }
@@ -133,7 +102,7 @@ func (q *eventQueue) rearm(ev *event, at time.Duration) {
 
 func (q *eventQueue) enqueue(ev *event) {
 	q.live++
-	if q.kind == QueueHeap {
+	if q.heapMode {
 		heap.Push(&q.heap, ev)
 		return
 	}
@@ -149,46 +118,11 @@ func (q *eventQueue) enqueue(ev *event) {
 	q.w.place(ev)
 }
 
-// merge enqueues a barrier-merge event. On the heap backend the event
-// is appended raw and repaired in one flushMerge batch (exactly
-// equivalent to sequential pushes); on the wheel, placement is O(1)
-// already and no repair pass is needed.
-func (q *eventQueue) merge(at time.Duration, fn func()) {
-	if q.kind != QueueHeap {
-		q.add(at, fn)
-		return
-	}
-	ev := q.alloc(at, fn)
-	q.live++
-	ev.index = len(q.heap)
-	q.heap = append(q.heap, ev)
-	q.mergePending++
-}
-
-// flushMerge repairs the heap after a merge batch: a sift-up per
-// appended event when the batch is small relative to the heap, or one
-// heap.Init when the batch dominates. Both yield a valid heap over the
-// same (at, seq) set, so the pop sequence is unaffected.
-func (q *eventQueue) flushMerge() {
-	k, n := q.mergePending, len(q.heap)
-	if k == 0 {
-		return
-	}
-	if k*(bits.Len(uint(n))+1) < n {
-		for i := n - k; i < n; i++ {
-			q.heap.up(i)
-		}
-	} else {
-		heap.Init(&q.heap)
-	}
-	q.mergePending = 0
-}
-
 // nextAt peeks the earliest queued event time (cancelled events
 // included, mirroring the heap-head semantics the sharded executor's
 // epoch selection has always used).
 func (q *eventQueue) nextAt() (time.Duration, bool) {
-	if q.kind == QueueHeap {
+	if q.heapMode {
 		if len(q.heap) == 0 {
 			return 0, false
 		}
@@ -203,7 +137,7 @@ func (q *eventQueue) nextAt() (time.Duration, bool) {
 // pop removes and returns the earliest queued event, or nil.
 func (q *eventQueue) pop() *event {
 	var ev *event
-	if q.kind == QueueHeap {
+	if q.heapMode {
 		if len(q.heap) == 0 {
 			return nil
 		}
@@ -253,7 +187,7 @@ const compactMinDead = 64
 // change (a cancelled head no longer opens a window), which is equally
 // unobservable because skipped events never advance a shard clock.
 func (q *eventQueue) compact() {
-	if q.kind == QueueHeap {
+	if q.heapMode {
 		kept := q.heap[:0]
 		for _, ev := range q.heap {
 			if ev.stopped {
@@ -270,7 +204,6 @@ func (q *eventQueue) compact() {
 			ev.index = i
 		}
 		heap.Init(&q.heap)
-		q.mergePending = 0
 		q.dead = 0
 		return
 	}
@@ -359,7 +292,7 @@ const (
 	wheelLevels    = 3
 )
 
-// wheel is the QueueWheel backend state. Invariants, with base the
+// wheel is the timing-wheel state. Invariants, with base the
 // level-0 tick of the wheel origin:
 //
 //   - every event in cur has tick < base; cur is sorted by (at, seq)
@@ -581,8 +514,8 @@ func siftDownEvents(evs []*event, i, n int) {
 }
 
 // eventHeap orders events by (at, seq) for deterministic FIFO behaviour
-// among simultaneous events. It backs the QueueHeap reference mode, the
-// wheel's overflow, and the RealTime scheduler.
+// among simultaneous events. It backs the wheel's overflow and the
+// queue's heap mode (the RealTime scheduler).
 type eventHeap []*event
 
 func (h eventHeap) Len() int           { return len(h) }
@@ -605,21 +538,6 @@ func (h *eventHeap) Pop() any {
 	ev.index = -1
 	*h = old[:n-1]
 	return ev
-}
-
-// up restores the heap invariant for element j against its ancestors —
-// the same sift container/heap.Push performs after an append. flushMerge
-// calls it per raw-appended event when a barrier batch is small, which
-// is exactly equivalent to the sequence of individual heap.Push calls.
-func (h eventHeap) up(j int) {
-	for {
-		i := (j - 1) / 2
-		if i == j || !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		j = i
-	}
 }
 
 // queueOwner is implemented by schedulers whose pending events live in

@@ -10,16 +10,16 @@ import (
 // a large population of periodic timers re-arming forever, the shape of
 // the fabric's steady state (every switch polling counters, every seed
 // on its interval). Setup and warm-up are outside the timer; the
-// measured region is pure steady-state firing. On the wheel backend a
-// re-arm reuses the ticker's one held event in place, so the measured
-// loop must run at 0 B/op; the heap backend is the seed behavior, two
-// allocations per fire (event + timer handle).
+// measured region is pure steady-state firing. On the wheel a re-arm
+// reuses the ticker's one held event in place, so the measured loop
+// must run at 0 B/op; the heap oracle runs the generic re-arm ticker
+// (a timer handle per fire).
 func BenchmarkSerialTickerStorm(b *testing.B) {
-	for _, kind := range []QueueBackend{QueueWheel, QueueHeap} {
-		b.Run(kind.String(), func(b *testing.B) {
-			l := NewSerialQueue(kind)
+	for _, mode := range serialModes {
+		b.Run(mode.name, func(b *testing.B) {
+			l := mode.mk()
 			const tickers = 1024
-			if kind == QueueWheel {
+			if mode.name == "wheel" {
 				// One-time capacity convergence: the aligned-block wheel
 				// touches a fresh top-level slot every 268ms and only
 				// revisits it one full rotation (34.4s) later, so slot
@@ -54,9 +54,9 @@ func BenchmarkSerialTickerStorm(b *testing.B) {
 // pooled free list, lazy compaction, and wheel placement across the
 // near levels.
 func BenchmarkSerialAtStop(b *testing.B) {
-	for _, kind := range []QueueBackend{QueueWheel, QueueHeap} {
-		b.Run(kind.String(), func(b *testing.B) {
-			l := NewSerialQueue(kind)
+	for _, mode := range serialModes {
+		b.Run(mode.name, func(b *testing.B) {
+			l := mode.mk()
 			var timers [256]Timer
 			l.RunFor(time.Millisecond) // move off t=0
 			b.ReportAllocs()

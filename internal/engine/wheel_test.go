@@ -12,10 +12,9 @@ import (
 // across every wheel range (cur window, all three levels, overflow),
 // nested scheduling, cancels, tickers with SetInterval and Stop, a mass
 // cancel, and chunked runs — and returns the exact firing log. The
-// script is a pure function of the seed, so the wheel and heap backends
-// must produce byte-identical logs.
-func runSerialScript(kind QueueBackend, seed uint64) []string {
-	l := NewSerialQueue(kind)
+// script is a pure function of the seed, so the wheel and the heap
+// oracle must produce byte-identical logs.
+func runSerialScript(l *Serial, seed uint64) []string {
 	rng := seed
 	next := func(n int) int {
 		rng = mix(rng, 0x6a09e667f3bcc909)
@@ -89,8 +88,8 @@ func runSerialScript(kind QueueBackend, seed uint64) []string {
 
 func TestWheelMatchesHeapPopOrder(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
-		wheel := runSerialScript(QueueWheel, seed)
-		ref := runSerialScript(QueueHeap, seed)
+		wheel := runSerialScript(NewSerial(), seed)
+		ref := runSerialScript(newSerialHeap(), seed)
 		if len(wheel) == 0 {
 			t.Fatalf("seed %d: empty firing log", seed)
 		}
@@ -105,9 +104,8 @@ func TestWheelMatchesHeapPopOrder(t *testing.T) {
 	}
 }
 
-// TestShardedWheelMatchesHeap pins the cross-shard workload digest
-// across queue backends on both engines — the in-test form of the
-// farm-bench engine-loop A/B gate.
+// TestShardedWheelMatchesHeap pins the cross-shard workload digest on
+// both engines against the heap oracle.
 func TestShardedWheelMatchesHeap(t *testing.T) {
 	const nodes = 24
 	run := func(part Partitioned, sched Scheduler) string {
@@ -118,16 +116,17 @@ func TestShardedWheelMatchesHeap(t *testing.T) {
 	serialWheel := NewSerial()
 	want := run(serialWheel, serialWheel)
 
-	serialHeap := NewSerialQueue(QueueHeap)
+	serialHeap := newSerialHeap()
 	if got := run(serialHeap, serialHeap); got != want {
 		t.Errorf("serial heap diverged:\n got %s\nwant %s", got, want)
 	}
-	for _, kind := range []QueueBackend{QueueWheel, QueueHeap} {
-		x := NewSharded(ShardedOptions{Shards: 5, Workers: 3, Lookahead: testLookahead, ForceWorkers: true, Queue: kind})
+	opts := ShardedOptions{Shards: 5, Workers: 3, Lookahead: testLookahead, ForceWorkers: true}
+	for _, mode := range shardedModes {
+		x := mode.mk(opts)
 		got := run(x, x)
 		x.Stop()
 		if got != want {
-			t.Errorf("sharded %v diverged:\n got %s\nwant %s", kind, got, want)
+			t.Errorf("sharded %s diverged:\n got %s\nwant %s", mode.name, got, want)
 		}
 	}
 }
@@ -165,9 +164,9 @@ func TestPendingExcludesCancelled(t *testing.T) {
 // the queue to reclaim the dead entries immediately instead of
 // stranding them until their (distant) pop time.
 func TestMassCancelCompacts(t *testing.T) {
-	for _, kind := range []QueueBackend{QueueWheel, QueueHeap} {
-		t.Run(kind.String(), func(t *testing.T) {
-			l := NewSerialQueue(kind)
+	for _, mode := range serialModes {
+		t.Run(mode.name, func(t *testing.T) {
+			l := mode.mk()
 			const n = 10000
 			timers := make([]Timer, 0, n)
 			for i := 0; i < n; i++ {

@@ -88,10 +88,6 @@ type EngineConfig struct {
 	// process (see engine.ShardedOptions.ForceWorkers); the determinism
 	// tests set it so the race detector sees the concurrent path.
 	ForceWorkers bool
-	// Queue selects the scheduler's queue backend: the pooled timing
-	// wheel (default) or the container/heap reference the engine-loop
-	// experiment A/Bs against.
-	Queue engine.QueueBackend
 }
 
 // Parallel reports whether the sharded executor is selected.
@@ -131,11 +127,10 @@ func newFabricOnTopology(eng EngineConfig, topo *netmodel.Topology) (*fabric.Fab
 			Lookahead:     fabric.Options{}.MinCrossLatency(),
 			ProfileLabels: eng.ProfileLabels,
 			ForceWorkers:  eng.ForceWorkers,
-			Queue:         eng.Queue,
 		})
 		return fabric.New(topo, x, fabric.Options{}), x, x.Stop
 	}
-	loop := engine.NewSerialQueue(eng.Queue)
+	loop := engine.NewSerial()
 	return fabric.New(topo, loop, fabric.Options{}), loop, func() {}
 }
 

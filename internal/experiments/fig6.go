@@ -76,9 +76,6 @@ type Fig6Config struct {
 	MLSeedCounts []int
 	// Duration is the measured window; 0 means 2 s.
 	Duration time.Duration
-	// Backend selects the seed execution engine (register VM by
-	// default), for before/after comparisons of the compiled seed path.
-	Backend core.Backend
 }
 
 // Fig6 deploys increasing numbers of collocated seeds on one switch and
@@ -111,7 +108,7 @@ func Fig6(cfg Fig6Config) (*Fig6Result, error) {
 			}
 		}
 		for _, n := range counts {
-			p, err := fig6Run(v, n, cfg.Duration, cfg.Backend)
+			p, err := fig6Run(v, n, cfg.Duration)
 			if err != nil {
 				return nil, err
 			}
@@ -141,7 +138,7 @@ func (r *Fig6Result) Table() *Table {
 	return t
 }
 
-func fig6Run(v Fig6Variant, seeds int, duration time.Duration, be core.Backend) (Fig6Point, error) {
+func fig6Run(v Fig6Variant, seeds int, duration time.Duration) (Fig6Point, error) {
 	topo := netmodel.New()
 	// One big switch with per-seed-scaled capacity so admission control
 	// is not the variable under test.
@@ -160,7 +157,6 @@ func fig6Run(v Fig6Variant, seeds int, duration time.Duration, be core.Backend) 
 	// separate processes — the paper attributes its blow-up to the many
 	// context switches; the partitioned panel (6d) uses threads.
 	opts := soil.DefaultOptions()
-	opts.Backend = be
 	if v.MLIterations > 0 && v.IvalMs == 1 {
 		opts.ExecModel = soil.Processes
 	}

@@ -46,9 +46,10 @@ func PickMachine(prog *almanac.Program, name string) (string, error) {
 }
 
 // CompileReport compiles every machine of a source file and writes a
-// per-machine summary, including the lowered bytecode size the soil
-// will actually execute. With dump set it appends each machine's full
-// disassembly (frame layouts, dispatch tables, and instructions).
+// per-machine summary, including the size of the stack IR and of the
+// register code the soil will actually execute. With dump set it
+// appends each machine's full disassembly (frame layouts, dispatch
+// tables, and both instruction forms).
 func CompileReport(w io.Writer, path string, dump bool) error {
 	prog, err := LoadProgram(path)
 	if err != nil {
@@ -64,24 +65,18 @@ func CompileReport(w io.Writer, path string, dump bool) error {
 			cm.Name, len(cm.States), cm.InitialState, len(cm.Vars), len(cm.ExternalVars()), len(cm.Triggers), len(cm.Placements))
 		lp, err := almanac.Lower(cm, core.BuiltinNames())
 		if err != nil {
-			// The soil would fall back to the AST interpreter for this
-			// machine; surface that as a warning, not a hard failure.
-			fmt.Fprintf(w, "  bytecode: WARNING not lowered (%v), would run on the AST interpreter\n", err)
-			continue
+			return err // the soil would reject this machine at deploy
 		}
 		lps[i] = lp
-		fmt.Fprintf(w, "  bytecode: %d instrs in %d chunks, %d state slots, %d env slots, %d literals\n",
+		fmt.Fprintf(w, "  IR: %d instrs in %d chunks, %d state slots, %d env slots, %d literals\n",
 			lp.NumInstrs(), len(lp.Chunks), lp.StateSlots(), len(lp.EnvSlots), len(lp.Lits))
-		fmt.Fprintf(w, "  register form: %d instrs, max frame %d regs, %d record layouts, %d field sites\n",
+		fmt.Fprintf(w, "  register code: %d instrs, max frame %d regs, %d record layouts, %d field sites\n",
 			lp.NumRegInstrs(), lp.MaxRegs(), len(lp.Structs), lp.RFieldSites)
 	}
 	fmt.Fprintf(w, "ok: %d machine(s), %d function(s), %d struct(s)\n",
 		len(cms), len(prog.Funcs), len(prog.Structs))
 	if dump {
 		for _, lp := range lps {
-			if lp == nil {
-				continue
-			}
 			fmt.Fprintln(w)
 			fmt.Fprint(w, lp.Disassemble())
 		}
@@ -108,20 +103,20 @@ func AnalyzeReport(w io.Writer, path, machine string) error {
 	for _, warn := range almanac.Lint(cm) {
 		fmt.Fprintf(w, "WARNING: %s\n", warn)
 	}
-	if lp, err := almanac.Lower(cm, core.BuiltinNames()); err != nil {
-		fmt.Fprintf(w, "compiled: not lowered (%v), runs on the AST interpreter\n", err)
-	} else {
-		maxLocals := int32(0)
-		for _, ch := range lp.Chunks {
-			if ch.NumLocals > maxLocals {
-				maxLocals = ch.NumLocals
-			}
-		}
-		fmt.Fprintf(w, "compiled: %d instrs, %d chunks, %d state slots, %d env slots, max frame %d locals\n",
-			lp.NumInstrs(), len(lp.Chunks), lp.StateSlots(), len(lp.EnvSlots), maxLocals)
-		fmt.Fprintf(w, "register form: %d instrs, max frame %d regs, %d record layouts, %d field sites\n",
-			lp.NumRegInstrs(), lp.MaxRegs(), len(lp.Structs), lp.RFieldSites)
+	lp, err := almanac.Lower(cm, core.BuiltinNames())
+	if err != nil {
+		return err // the soil would reject this machine at deploy
 	}
+	maxLocals := int32(0)
+	for _, ch := range lp.Chunks {
+		if ch.NumLocals > maxLocals {
+			maxLocals = ch.NumLocals
+		}
+	}
+	fmt.Fprintf(w, "IR: %d instrs, %d chunks, %d state slots, %d env slots, max frame %d locals\n",
+		lp.NumInstrs(), len(lp.Chunks), lp.StateSlots(), len(lp.EnvSlots), maxLocals)
+	fmt.Fprintf(w, "register code: %d instrs, max frame %d regs, %d record layouts, %d field sites\n",
+		lp.NumRegInstrs(), lp.MaxRegs(), len(lp.Structs), lp.RFieldSites)
 	fmt.Fprintln(w, "placement directives:")
 	for _, pl := range cm.Placements {
 		if pl.HasRange {

@@ -45,10 +45,6 @@ type Options struct {
 	// Aggregation enables shared-subject polling aggregation (on in
 	// FARM; off reproduces the naive per-seed polling of Fig. 8).
 	Aggregation bool
-	// Backend selects the execution engine for deployed seeds. The
-	// zero value is core.BackendRegister (the register VM); the stack
-	// VM and AST interpreter remain available for A/B comparison.
-	Backend core.Backend
 }
 
 // DefaultOptions is FARM's production configuration.
@@ -140,10 +136,6 @@ func (s *Soil) SetExecFunc(fn ExecFunc) { s.exec = fn }
 
 // SetLogf wires diagnostics.
 func (s *Soil) SetLogf(fn func(string, ...any)) { s.logf = fn }
-
-// SetBackend switches the execution back end for seeds deployed from
-// now on. Already-deployed seeds keep their back end.
-func (s *Soil) SetBackend(be core.Backend) { s.opts.Backend = be }
 
 // Available returns capacity minus allocations.
 func (s *Soil) Available() netmodel.Resources { return s.capacity.Sub(s.used) }
@@ -404,7 +396,7 @@ func (s *Soil) deploy(ref SeedRef, cm *almanac.CompiledMachine, externals map[st
 		timeTickers: map[string]engine.Ticker{},
 	}
 	host := &seedHost{soil: s, rt: rt}
-	seed, err := core.NewRunner(cm, externals, host, s.opts.Backend)
+	seed, err := core.NewRunner(cm, externals, host)
 	if err != nil {
 		return fmt.Errorf("soil %s: %w", s.name, err)
 	}

@@ -1,6 +1,7 @@
 package soil
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -201,6 +202,60 @@ func TestRemoveReleasesResources(t *testing.T) {
 	}
 	if err := s.Remove(ref.ID()); err == nil {
 		t.Fatal("double remove should error")
+	}
+}
+
+// TestRemoveReleasesCompiledMachine: the lowered program is owned by
+// the seed's runner, so once the seed is removed nothing in soil or core
+// may keep its compiled machine reachable.
+func TestRemoveReleasesCompiledMachine(t *testing.T) {
+	fab, loop := testEnv(t)
+	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
+	ref := SeedRef{Task: "hh", Machine: "HH", Switch: s.Name()}
+	collected := make(chan struct{})
+	func() {
+		cm := compileHH(t)
+		runtime.SetFinalizer(cm, func(*almanac.CompiledMachine) { close(collected) })
+		if err := s.DeployCompiled(ref, cm, map[string]core.Value{"threshold": int64(1)}, hhAlloc()); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	loop.RunFor(50 * time.Millisecond)
+	if err := s.Remove(ref.ID()); err != nil {
+		t.Fatal(err)
+	}
+	loop.RunFor(50 * time.Millisecond) // drain the cancelled poll events
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("compiled machine still reachable after its only seed was removed")
+	}
+}
+
+// TestDeployRejectsUnlowerableMachine: seed XML is decoded without a
+// sema pass, so a corrupted operator reaches lowering; the deployment
+// must fail with the lowering error, not run some other way.
+func TestDeployRejectsUnlowerableMachine(t *testing.T) {
+	fab, _ := testEnv(t)
+	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
+	xmlData, err := almanac.EncodeXML(compileHH(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const plus = `kind="binary" s="+"`
+	if strings.Count(string(xmlData), plus) != 1 {
+		t.Fatalf("expected exactly one + in the HH machine:\n%s", xmlData)
+	}
+	bad := strings.Replace(string(xmlData), plus, `kind="binary" s="%%"`, 1)
+	ref := SeedRef{Task: "hh", Machine: "HH", Switch: s.Name()}
+	err = s.Deploy(ref, []byte(bad), map[string]core.Value{"threshold": int64(1)}, hhAlloc())
+	if err == nil || !strings.Contains(err.Error(), `"%%"`) {
+		t.Fatalf("Deploy = %v, want a lowering error naming the operator %q", err, "%%")
+	}
+	if s.NumSeeds() != 0 {
+		t.Fatal("rejected seed was deployed")
 	}
 }
 

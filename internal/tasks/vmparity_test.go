@@ -3,6 +3,7 @@ package tasks
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -14,10 +15,10 @@ import (
 	"farm/internal/netmodel"
 )
 
-// The whole task catalogue must (a) lower to bytecode AND register
-// code — no machine may silently fall back to the AST walker — and
-// (b) stay in observable lockstep across all three back ends under a
-// random storm of triggers, messages, reallocs, and snapshots.
+// The whole task catalogue must (a) lower to register code and deploy
+// on the register VM, and (b) stay in observable lockstep with the AST
+// interpreter (the semantic reference) under a random storm of
+// triggers, messages, reallocs, and snapshots.
 
 // parityTaskHost records every externally observable host effect as a
 // deterministic trace line.
@@ -132,9 +133,9 @@ func taskPayload(rng *rand.Rand) core.Value {
 }
 
 // TestCatalogueLowersToBytecode pins that every catalogued machine
-// lowers — the compiled back end is the default in soil, so a machine
-// that only runs on the interpreter fallback is a regression — and that
-// its disassembly renders.
+// lowers, that core.NewRunner deploys it on the register VM (a machine
+// that does not lower is rejected, so the catalogue must), and that its
+// disassembly renders.
 func TestCatalogueLowersToBytecode(t *testing.T) {
 	for _, d := range All() {
 		prog, err := almanac.Parse(d.Source)
@@ -163,14 +164,24 @@ func TestCatalogueLowersToBytecode(t *testing.T) {
 			if dump := lp.Disassemble(); !strings.Contains(dump, "machine "+m.Name) {
 				t.Fatalf("%s/%s: disassembly missing header:\n%s", d.Name, m.Name, dump)
 			}
+			if d.Machines != nil && !slices.Contains(d.Machines, m.Name) {
+				continue // an inheritance base the task never deploys
+			}
+			r, err := core.NewRunner(cm, d.DefaultExternals[m.Name], newParityTaskHost())
+			if err != nil {
+				t.Fatalf("%s/%s: NewRunner: %v", d.Name, m.Name, err)
+			}
+			if _, interp := r.(*core.Seed); interp {
+				t.Fatalf("%s/%s: NewRunner returned the AST interpreter, want the register VM", d.Name, m.Name)
+			}
 		}
 	}
 }
 
-// TestCatalogueBackendParity drives every catalogued machine on all
-// three back ends through a deterministic random event storm and
-// requires identical states, snapshots, host effects, action counts,
-// and errors, including cross-backend snapshot rotation.
+// TestCatalogueBackendParity drives every catalogued machine on the
+// interpreter and the register VM through a deterministic random event
+// storm and requires identical states, snapshots, host effects, action
+// counts, and errors, including cross-restore in both directions.
 func TestCatalogueBackendParity(t *testing.T) {
 	for _, d := range All() {
 		d := d
@@ -196,9 +207,10 @@ func TestCatalogueBackendParity(t *testing.T) {
 	}
 }
 
-// parityBackends is every execution engine, the interpreter (semantic
-// reference) first.
-var parityBackends = []core.Backend{core.BackendInterp, core.BackendStack, core.BackendRegister}
+// parityBackends names the two executors, the interpreter (semantic
+// reference, built with core.NewSeed) first, then the production runner
+// (core.NewRunner).
+var parityBackends = []string{"interp", "register"}
 
 func driveTaskParity(t *testing.T, cm *almanac.CompiledMachine, ext map[string]core.Value) {
 	t.Helper()
@@ -206,10 +218,15 @@ func driveTaskParity(t *testing.T, cm *almanac.CompiledMachine, ext map[string]c
 	hosts := make([]*parityTaskHost, n)
 	runners := make([]core.Runner, n)
 	errs := make([]error, n)
-	for i, be := range parityBackends {
+	for i := range parityBackends {
 		hosts[i] = newParityTaskHost()
-		runners[i], errs[i] = core.NewRunner(cm, ext, hosts[i], be)
 	}
+	if ref, err := core.NewSeed(cm, ext, hosts[0]); err != nil {
+		errs[0] = err
+	} else {
+		runners[0] = ref
+	}
+	runners[1], errs[1] = core.NewRunner(cm, ext, hosts[1])
 	for i := 1; i < n; i++ {
 		if errStr(errs[0]) != errStr(errs[i]) {
 			t.Fatalf("%s: construction divergence: interp %v vs %s %v", cm.Name, errs[0], parityBackends[i], errs[i])
@@ -218,7 +235,7 @@ func driveTaskParity(t *testing.T, cm *almanac.CompiledMachine, ext map[string]c
 	if errs[0] != nil {
 		return
 	}
-	// every applies one step per back end and requires identical errors.
+	// every applies one step per executor and requires identical errors.
 	every := func(step int, f func(r core.Runner) error) {
 		t.Helper()
 		e0 := f(runners[0])
@@ -241,7 +258,7 @@ func driveTaskParity(t *testing.T, cm *almanac.CompiledMachine, ext map[string]c
 		t.Helper()
 		f0, a0 := snapFingerprint(runners[0].Snapshot()), runners[0].TakeActionCount()
 		for i := 1; i < n; i++ {
-			name := parityBackends[i].String()
+			name := parityBackends[i]
 			if runners[0].State() != runners[i].State() {
 				t.Fatalf("%s step %d: state interp %q vs %s %q", cm.Name, step, runners[0].State(), name, runners[i].State())
 			}
@@ -283,8 +300,8 @@ func driveTaskParity(t *testing.T, cm *almanac.CompiledMachine, ext map[string]c
 		case 8:
 			every(step, func(r core.Runner) error { return r.HandleRealloc() })
 		default:
-			// Cross-restore rotation: each back end resumes from the
-			// next one's snapshot, which must be a no-op
+			// Cross-restore swap: each executor resumes from the
+			// other's snapshot, which must be a no-op
 			// divergence-wise.
 			snaps := make([]core.Snapshot, n)
 			for i, r := range runners {
