@@ -262,12 +262,14 @@ type Switch struct {
 	// generation (rule churn vs. sampler churn) so either kind of churn
 	// invalidates only lazily, on the next probe of a stale flow.
 	samplerGen uint64
-	flowCache  map[flowKey]*injectVerdict
+	flowCache  map[flowKey]injectVerdict
 	cacheCap   int
 	cacheStats CacheStats
 }
 
-// injectVerdict is one memoized fused classification.
+// injectVerdict is one memoized fused classification. Entries are
+// stored by value, so a miss on a flow no sampler matches (the port
+// scan's fresh 5-tuple per packet) allocates nothing.
 type injectVerdict struct {
 	tcamGen    uint64
 	samplerGen uint64
@@ -282,7 +284,7 @@ func NewSwitch(name string, numPorts, tcamCapacity int) *Switch {
 		name:      name,
 		ports:     make([]PortStats, numPorts+1),
 		tcam:      NewTCAM(tcamCapacity),
-		flowCache: make(map[flowKey]*injectVerdict),
+		flowCache: make(map[flowKey]injectVerdict),
 		cacheCap:  defaultFlowCacheCap,
 	}
 }
@@ -391,7 +393,7 @@ func (s *Switch) classifyFused(p Packet, inPort int) Verdict {
 	cv, ok := s.flowCache[k]
 	if !ok || cv.tcamGen != s.tcam.gen || cv.samplerGen != s.samplerGen {
 		s.cacheStats.Misses++
-		cv = &injectVerdict{tcamGen: s.tcam.gen, samplerGen: s.samplerGen}
+		cv = injectVerdict{tcamGen: s.tcam.gen, samplerGen: s.samplerGen}
 		cv.e = s.tcam.index.lookup(p, inPort)
 		for _, sm := range s.samplers {
 			if sm.Filter.Match(p, inPort) {

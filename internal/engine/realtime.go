@@ -28,8 +28,9 @@ import (
 // here, so the wheel would buy nothing, but the pooling does: periodic
 // work on a long-lived daemon stops churning the garbage collector).
 //
-// RealTime implements Partitioned trivially (one shard, CrossAfter =
-// After), like Serial, so a fabric can be built directly on it.
+// RealTime implements Partitioned trivially (one shard, CrossAfter = a
+// handle-free After), like Serial, so a fabric can be built directly on
+// it.
 type RealTime struct {
 	mu sync.Mutex
 	// q is the pending-event queue, guarded by mu (heap mode: the
@@ -267,9 +268,10 @@ func (r *RealTime) Shard(i int) Scheduler {
 }
 
 // CrossAfter implements Partitioned: with one shard there is nothing to
-// cross, so it degenerates to After.
+// cross, so it is After without the Timer handle its signature could
+// never return.
 func (r *RealTime) CrossAfter(from, to int, d time.Duration, fn func()) {
-	r.After(d, fn)
+	r.schedule(d, fn)
 }
 
 // realTimer is the Timer handle of the real-time engine. Like the

@@ -160,7 +160,8 @@ func (l *Serial) Shard(i int) Scheduler {
 }
 
 // CrossAfter implements Partitioned: with one shard there is nothing to
-// cross, so it degenerates to After.
+// cross, so it is After without the Timer handle its signature could
+// never return.
 func (l *Serial) CrossAfter(from, to int, d time.Duration, fn func()) {
-	l.After(d, fn)
+	l.schedule(d, fn)
 }

@@ -393,3 +393,29 @@ func TestScheduleOn(t *testing.T) {
 		t.Fatal("ScheduleOn event did not fire on RealTime")
 	}
 }
+
+// CrossAfter has no Timer to return, so on the one-shard engines it
+// must not build one: every packet hop and control-link message goes
+// through it. Order against After is unchanged (same queue, same seq).
+func TestSerialCrossAfterAllocFree(t *testing.T) {
+	l := NewSerial()
+	var got []int
+	l.CrossAfter(0, 0, time.Millisecond, func() { got = append(got, 1) })
+	l.After(time.Millisecond, func() { got = append(got, 2) })
+	l.CrossAfter(0, 0, time.Millisecond, func() { got = append(got, 3) })
+	l.RunFor(time.Millisecond)
+	if fmt.Sprint(got) != fmt.Sprint([]int{1, 2, 3}) {
+		t.Fatalf("fired as %v, want [1 2 3]", got)
+	}
+	fired := 0
+	fn := func() { fired++ }
+	if allocs := testing.AllocsPerRun(1000, func() {
+		l.CrossAfter(0, 0, 50*time.Microsecond, fn)
+		l.Step()
+	}); allocs != 0 {
+		t.Fatalf("Serial.CrossAfter allocates %v per call in steady state, want 0", allocs)
+	}
+	if fired != 1001 { // AllocsPerRun adds one warm-up run
+		t.Fatalf("fired %d callbacks, want 1001", fired)
+	}
+}

@@ -15,6 +15,7 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -73,14 +74,19 @@ func (o Options) MinCrossLatency() time.Duration {
 	return base / 2
 }
 
-// padCounter is a per-shard event counter, padded so shards don't
-// false-share cache lines.
-type padCounter struct {
-	n uint64
-	_ [7]uint64
+// lane is one shard's share of the forwarding state: its packet
+// counters and its free hop records. Only events on that shard touch
+// it; it fills a cache line so shards don't false-share.
+type lane struct {
+	delivered uint64
+	dropped   uint64
+	free      []*hop
+	_         [3]uint64
 }
 
-// Fabric is the assembled emulated data center.
+// Fabric is the assembled emulated data center. It is a snapshot of
+// the topology's switches, links and hosts at New; the per-switch
+// state below is indexed by the dense SwitchID.
 type Fabric struct {
 	topo  *netmodel.Topology
 	sched engine.Scheduler
@@ -88,17 +94,18 @@ type Fabric struct {
 	opts  Options
 	costs metrics.CostModel
 
-	switches map[netmodel.SwitchID]*dataplane.Switch
-	drivers  map[netmodel.SwitchID]*dataplane.EmuDriver
-	cpus     map[netmodel.SwitchID]*metrics.CPUMeter
-	// ports[sw] maps neighbor switch IDs and host IDs to 1-based ports.
-	swPorts   map[netmodel.SwitchID]map[netmodel.SwitchID]int
-	hostPorts map[netmodel.SwitchID]map[netmodel.HostID]int
-	numPorts  map[netmodel.SwitchID]int
+	switches []*dataplane.Switch
+	drivers  []*dataplane.EmuDriver
+	cpus     []*metrics.CPUMeter
+	// swPorts[sw][nb] is the 1-based port of sw facing switch nb, 0 if
+	// they are not linked; hostPort[h] the port of h on its leaf.
+	swPorts  [][]int32
+	hostPort []int32
+	numPorts []int
 
 	// shardOf pins each switch to its home shard; shardScheds caches the
 	// per-shard scheduler views.
-	shardOf     map[netmodel.SwitchID]int
+	shardOf     []int
 	shardScheds []engine.Scheduler
 
 	// CentralNet meters all traffic into centralized components: the
@@ -106,10 +113,9 @@ type Fabric struct {
 	// senders add on their home lane at send time.
 	CentralNet *metrics.NetMeter
 
-	hopDist map[netmodel.SwitchID]int // hops to CentralAt
+	hopDist []int // hops to CentralAt, -1 = unreachable
 
-	delivered []padCounter // per shard
-	dropped   []padCounter // per shard
+	lanes []lane // per shard
 }
 
 // New assembles a fabric over the topology, scheduling onto sched. When
@@ -139,57 +145,51 @@ func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric 
 				la.Lookahead(), min))
 		}
 	}
+	n := topo.NumSwitches()
 	f := &Fabric{
 		topo:        topo,
 		sched:       sched,
 		part:        part,
 		opts:        opts,
 		costs:       opts.Costs,
-		switches:    make(map[netmodel.SwitchID]*dataplane.Switch),
-		drivers:     make(map[netmodel.SwitchID]*dataplane.EmuDriver),
-		cpus:        make(map[netmodel.SwitchID]*metrics.CPUMeter),
-		swPorts:     make(map[netmodel.SwitchID]map[netmodel.SwitchID]int),
-		hostPorts:   make(map[netmodel.SwitchID]map[netmodel.HostID]int),
-		numPorts:    make(map[netmodel.SwitchID]int),
-		shardOf:     make(map[netmodel.SwitchID]int),
+		switches:    make([]*dataplane.Switch, n),
+		drivers:     make([]*dataplane.EmuDriver, n),
+		cpus:        make([]*metrics.CPUMeter, n),
+		swPorts:     make([][]int32, n),
+		hostPort:    make([]int32, len(topo.Hosts())),
+		numPorts:    make([]int, n),
+		shardOf:     make([]int, n),
 		shardScheds: make([]engine.Scheduler, part.Shards()),
 		CentralNet:  metrics.NewNetMeterLanes(sched, part.Shards()),
-		delivered:   make([]padCounter, part.Shards()),
-		dropped:     make([]padCounter, part.Shards()),
+		hopDist:     make([]int, n),
+		lanes:       make([]lane, part.Shards()),
 	}
 	for i := range f.shardScheds {
 		f.shardScheds[i] = part.Shard(i)
 	}
 
-	// Home-shard assignment: round-robin in switch-ID order, so the
-	// mapping is independent of topology-map iteration order.
-	ids := make([]netmodel.SwitchID, 0, len(topo.Switches()))
-	for _, sw := range topo.Switches() {
-		ids = append(ids, sw.ID)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for i, id := range ids {
-		f.shardOf[id] = i % part.Shards()
+	// Home-shard assignment: round-robin in switch-ID order.
+	for id := range f.shardOf {
+		f.shardOf[id] = id % part.Shards()
 	}
 
 	// Port assignment: hosts first (in host-ID order), then neighbor
 	// switches (in ID order).
-	hostsBySwitch := map[netmodel.SwitchID][]netmodel.HostID{}
+	hostsBySwitch := make([][]netmodel.HostID, n)
 	for _, h := range topo.Hosts() {
 		hostsBySwitch[h.Leaf] = append(hostsBySwitch[h.Leaf], h.ID)
 	}
 	for _, sw := range topo.Switches() {
 		port := 1
-		f.hostPorts[sw.ID] = map[netmodel.HostID]int{}
 		for _, h := range hostsBySwitch[sw.ID] {
-			f.hostPorts[sw.ID][h] = port
+			f.hostPort[h] = int32(port)
 			port++
 		}
 		nbs := append([]netmodel.SwitchID(nil), topo.Neighbors(sw.ID)...)
 		sort.Slice(nbs, func(i, j int) bool { return nbs[i] < nbs[j] })
-		f.swPorts[sw.ID] = map[netmodel.SwitchID]int{}
+		f.swPorts[sw.ID] = make([]int32, n)
 		for _, nb := range nbs {
-			f.swPorts[sw.ID][nb] = port
+			f.swPorts[sw.ID][nb] = int32(port)
 			port++
 		}
 		f.numPorts[sw.ID] = port - 1
@@ -207,13 +207,16 @@ func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric 
 	}
 
 	// BFS hop distance to the central attachment point.
-	f.hopDist = map[netmodel.SwitchID]int{opts.CentralAt: 0}
+	for i := range f.hopDist {
+		f.hopDist[i] = -1
+	}
+	f.hopDist[opts.CentralAt] = 0
 	queue := []netmodel.SwitchID{opts.CentralAt}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		for _, nb := range topo.Neighbors(cur) {
-			if _, seen := f.hopDist[nb]; !seen {
+			if f.hopDist[nb] < 0 {
 				f.hopDist[nb] = f.hopDist[cur] + 1
 				queue = append(queue, nb)
 			}
@@ -233,7 +236,7 @@ func (s singleShard) Shard(i int) engine.Scheduler {
 	return s.Scheduler
 }
 func (s singleShard) CrossAfter(from, to int, d time.Duration, fn func()) {
-	s.After(d, fn)
+	engine.ScheduleOn(s.Scheduler, d, fn)
 }
 
 // Sched returns the root scheduler driving the fabric. Runs
@@ -279,22 +282,27 @@ func (f *Fabric) NumPorts(id netmodel.SwitchID) int { return f.numPorts[id] }
 
 // HostPort returns the 1-based port a host attaches to on its leaf.
 func (f *Fabric) HostPort(sw netmodel.SwitchID, h netmodel.HostID) (int, bool) {
-	p, ok := f.hostPorts[sw][h]
-	return p, ok
+	if h < 0 || int(h) >= len(f.hostPort) || f.topo.Hosts()[h].Leaf != sw {
+		return 0, false
+	}
+	return int(f.hostPort[h]), true
 }
 
 // PortToward returns the 1-based port of sw facing neighbor nb.
 func (f *Fabric) PortToward(sw, nb netmodel.SwitchID) (int, bool) {
-	p, ok := f.swPorts[sw][nb]
-	return p, ok
+	if nb < 0 || int(nb) >= len(f.swPorts) {
+		return 0, false
+	}
+	p := f.swPorts[sw][nb]
+	return int(p), p != 0
 }
 
 // Delivered returns the number of packets that reached their last hop.
 // Summed over per-shard counters; read it while the engine is quiescent.
 func (f *Fabric) Delivered() uint64 {
 	var n uint64
-	for i := range f.delivered {
-		n += f.delivered[i].n
+	for i := range f.lanes {
+		n += f.lanes[i].delivered
 	}
 	return n
 }
@@ -303,28 +311,45 @@ func (f *Fabric) Delivered() uint64 {
 // Summed over per-shard counters; read it while the engine is quiescent.
 func (f *Fabric) DroppedInFabric() uint64 {
 	var n uint64
-	for i := range f.dropped {
-		n += f.dropped[i].n
+	for i := range f.lanes {
+		n += f.lanes[i].dropped
 	}
 	return n
 }
 
-// PathFor returns the ECMP path a flow takes between two hosts,
-// selected deterministically by flow hash.
-func (f *Fabric) PathFor(p dataplane.Packet) (netmodel.Path, error) {
-	src, ok := f.topo.HostByIP(p.SrcIP)
+// The reasons Send and PathFor refuse a packet. They are returned bare
+// (nothing is formatted per packet); match them with errors.Is.
+var (
+	ErrUnknownSource      = errors.New("fabric: unknown source host")
+	ErrUnknownDestination = errors.New("fabric: unknown destination host")
+	ErrNoPath             = errors.New("fabric: no path between source and destination leaf")
+)
+
+// route resolves a packet's endpoints and picks its ECMP path from the
+// topology's path table, deterministically by flow hash. The path is
+// table memory: read-only.
+func (f *Fabric) route(p dataplane.Packet) (src, dst netmodel.HostID, path netmodel.Path, err error) {
+	s, ok := f.topo.HostByIP(p.SrcIP)
 	if !ok {
-		return nil, fmt.Errorf("fabric: unknown source host %v", p.SrcIP)
+		return 0, 0, nil, ErrUnknownSource
 	}
-	dst, ok := f.topo.HostByIP(p.DstIP)
+	d, ok := f.topo.HostByIP(p.DstIP)
 	if !ok {
-		return nil, fmt.Errorf("fabric: unknown destination host %v", p.DstIP)
+		return 0, 0, nil, ErrUnknownDestination
 	}
-	paths := f.topo.Paths(src.Leaf, dst.Leaf)
+	paths := f.topo.Paths(s.Leaf, d.Leaf)
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("fabric: no path %v -> %v", src.Leaf, dst.Leaf)
+		return 0, 0, nil, ErrNoPath
 	}
-	return paths[int(flowHash(p.Flow()))%len(paths)], nil
+	return s.ID, d.ID, paths[int(flowHash(p.Flow()))%len(paths)], nil
+}
+
+// PathFor returns the ECMP path a flow takes between two hosts,
+// selected deterministically by flow hash. Callers must not modify the
+// path (see netmodel.Topology.Paths).
+func (f *Fabric) PathFor(p dataplane.Packet) (netmodel.Path, error) {
+	_, _, path, err := f.route(p)
+	return path, err
 }
 
 // flowHash is the ECMP path selector: FNV-1a over the flow's canonical
@@ -345,50 +370,88 @@ func flowHash(k dataplane.FlowKey) uint32 {
 	return h
 }
 
+// hop is the forwarding state of one packet in flight: which packet, on
+// which path, at which switch. A packet occupies one record from Send
+// to delivery or drop, and one event per switch-to-switch hop, always
+// scheduled with the same prebuilt fire — so forwarding allocates
+// nothing once the records it needs exist.
+type hop struct {
+	f    *Fabric
+	fire func() // h.step, bound once
+	p    dataplane.Packet
+	path netmodel.Path
+	i    int // index into path of the switch about to see the packet
+	// The host-facing ports at either end of the path.
+	srcPort, dstPort int
+}
+
+// maxFreeHops bounds the hop records a shard keeps for reuse. A record
+// is taken on the source leaf's shard and given back on the shard where
+// the packet ends, so a shard that mostly receives (the victim's leaf
+// under a flood) would otherwise collect every record the senders
+// allocate. The working set is the packets in flight per shard (rate x
+// path latency: a few dozen at 200k packets/s); beyond the bound a
+// record is left to the garbage collector.
+const maxFreeHops = 1024
+
 // Send injects a packet at its source host's leaf and forwards it
 // hop-by-hop along its ECMP path, applying each switch's TCAM. The
-// packet is dropped mid-path if a rule says so.
+// packet is dropped mid-path if a rule says so. The path is fixed here:
+// a packet in flight is not rerouted by a later topology change.
 //
 // Under a sharded engine, Send must be called either from an event on
 // the source leaf's home shard (traffic.BulkWorkload arranges this) or
 // from the driving goroutine between runs.
 func (f *Fabric) Send(p dataplane.Packet) error {
-	path, err := f.PathFor(p)
+	src, dst, path, err := f.route(p)
 	if err != nil {
 		return err
 	}
-	src, _ := f.topo.HostByIP(p.SrcIP)
-	dst, _ := f.topo.HostByIP(p.DstIP)
-
-	var step func(i int)
-	step = func(i int) {
-		sw := path[i]
-		inPort := 0
-		if i == 0 {
-			inPort = f.hostPorts[sw][src.ID]
-		} else {
-			inPort = f.swPorts[sw][path[i-1]]
-		}
-		outPort := 0
-		if i == len(path)-1 {
-			outPort = f.hostPorts[sw][dst.ID]
-		} else {
-			outPort = f.swPorts[sw][path[i+1]]
-		}
-		v := f.switches[sw].Inject(p, inPort, outPort)
-		if v.Dropped {
-			f.dropped[f.shardOf[sw]].n++
-			return
-		}
-		if i == len(path)-1 {
-			f.delivered[f.shardOf[sw]].n++
-			return
-		}
-		f.part.CrossAfter(f.shardOf[sw], f.shardOf[path[i+1]], f.opts.HopLatency,
-			func() { step(i + 1) })
+	var h *hop
+	ln := &f.lanes[f.shardOf[path[0]]]
+	if n := len(ln.free); n > 0 {
+		h, ln.free = ln.free[n-1], ln.free[:n-1]
+	} else {
+		h = &hop{f: f}
+		h.fire = h.step
 	}
-	step(0)
+	h.p, h.path, h.i = p, path, 0
+	h.srcPort, h.dstPort = int(f.hostPort[src]), int(f.hostPort[dst])
+	h.step()
 	return nil
+}
+
+// step passes the packet through the switch it has reached and either
+// schedules the next hop or, at the end of the path or on a drop,
+// returns the record to the shard it ended on.
+func (h *hop) step() {
+	f, path, i := h.f, h.path, h.i
+	sw := path[i]
+	last := i == len(path)-1
+	inPort, outPort := h.srcPort, h.dstPort
+	if i > 0 {
+		inPort = int(f.swPorts[sw][path[i-1]])
+	}
+	if !last {
+		outPort = int(f.swPorts[sw][path[i+1]])
+	}
+	v := f.switches[sw].Inject(h.p, inPort, outPort)
+	shard := f.shardOf[sw]
+	ln := &f.lanes[shard]
+	switch {
+	case v.Dropped:
+		ln.dropped++
+	case last:
+		ln.delivered++
+	default:
+		h.i = i + 1
+		f.part.CrossAfter(shard, f.shardOf[path[i+1]], f.opts.HopLatency, h.fire)
+		return
+	}
+	h.path = nil // don't pin a dropped path table
+	if len(ln.free) < maxFreeHops {
+		ln.free = append(ln.free, h)
+	}
 }
 
 // MustSend is Send for callers holding pre-validated addresses.
@@ -407,8 +470,8 @@ func HostIP(leafIndex, hostIndex int) netip.Addr {
 // ControlLatency returns the one-way latency for a control-plane message
 // from a switch's CPU to the centralized components.
 func (f *Fabric) ControlLatency(from netmodel.SwitchID) time.Duration {
-	hops, ok := f.hopDist[from]
-	if !ok {
+	hops := f.hopDist[from]
+	if hops < 0 {
 		hops = 3
 	}
 	return f.opts.ControlBaseLatency + time.Duration(hops)*f.opts.HopLatency

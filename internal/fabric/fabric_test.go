@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -109,6 +110,37 @@ func TestSendUnknownHost(t *testing.T) {
 	p := dataplane.Packet{SrcIP: HostIP(9, 9), DstIP: HostIP(0, 0), Size: 10}
 	if err := f.Send(p); err == nil {
 		t.Fatal("unknown source should error")
+	}
+}
+
+func TestSendErrorsAreSentinels(t *testing.T) {
+	// Two leaves and no spine: both hosts exist, nothing connects them.
+	topo := netmodel.New()
+	for i := 0; i < 2; i++ {
+		leaf := topo.AddSwitch("leaf", netmodel.Leaf, nil)
+		if _, err := topo.AddHost(leaf, HostIP(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := New(topo, engine.NewSerial(), Options{})
+	for _, c := range []struct {
+		src, dst [2]int
+		want     error
+	}{
+		{[2]int{9, 9}, [2]int{0, 0}, ErrUnknownSource},
+		{[2]int{0, 0}, [2]int{9, 9}, ErrUnknownDestination},
+		{[2]int{0, 0}, [2]int{1, 0}, ErrNoPath},
+	} {
+		p := dataplane.Packet{SrcIP: HostIP(c.src[0], c.src[1]), DstIP: HostIP(c.dst[0], c.dst[1]), Size: 10}
+		if err := f.Send(p); !errors.Is(err, c.want) {
+			t.Fatalf("Send %v -> %v: error %v, want %v", p.SrcIP, p.DstIP, err, c.want)
+		}
+		if _, err := f.PathFor(p); !errors.Is(err, c.want) {
+			t.Fatalf("PathFor %v -> %v: error %v, want %v", p.SrcIP, p.DstIP, err, c.want)
+		}
+	}
+	if f.Delivered() != 0 || f.Sched().Pending() != 0 {
+		t.Fatal("a refused packet must leave nothing behind")
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Resource type names used throughout FARM. These match the three
@@ -151,7 +152,8 @@ func (p Path) Key() string {
 
 // Topology is the fabric graph plus attached hosts. Construct with New
 // or a builder such as SpineLeaf, then add switches/links/hosts. Not
-// safe for concurrent mutation.
+// safe for concurrent mutation; once built, any number of goroutines
+// may read it (Paths included) concurrently.
 type Topology struct {
 	switches []Switch
 	adj      map[SwitchID][]SwitchID
@@ -159,6 +161,9 @@ type Topology struct {
 	byIP     map[netip.Addr]HostID
 	// maxECMP caps path enumeration fan-out; 0 means DefaultMaxECMP.
 	maxECMP int
+	// paths is the ECMP table behind Paths: nil until the first query
+	// and again after every mutation that could change a result.
+	paths atomic.Pointer[pathTable]
 }
 
 // DefaultMaxECMP bounds the number of equal-cost paths enumerated per
@@ -174,19 +179,28 @@ func New() *Topology {
 }
 
 // SetMaxECMP overrides the per-pair path enumeration cap.
-func (t *Topology) SetMaxECMP(n int) { t.maxECMP = n }
+func (t *Topology) SetMaxECMP(n int) {
+	t.maxECMP = n
+	t.paths.Store(nil)
+}
 
 // AddSwitch adds a switch and returns its ID.
 func (t *Topology) AddSwitch(name string, role Role, capacity Resources) SwitchID {
 	id := SwitchID(len(t.switches))
 	t.switches = append(t.switches, Switch{ID: id, Name: name, Role: role, Capacity: capacity.Clone()})
+	t.paths.Store(nil)
 	return id
 }
 
-// AddLink adds an undirected link between a and b.
+// AddLink adds an undirected link between a and b, which must be IDs
+// AddSwitch returned.
 func (t *Topology) AddLink(a, b SwitchID) {
+	if n := SwitchID(len(t.switches)); a < 0 || a >= n || b < 0 || b >= n {
+		panic(fmt.Sprintf("netmodel: link %d-%d names a switch that was never added (have %d)", a, b, n))
+	}
 	t.adj[a] = append(t.adj[a], b)
 	t.adj[b] = append(t.adj[b], a)
+	t.paths.Store(nil)
 }
 
 // AddHost attaches a host with the given IP to a leaf switch.
@@ -233,70 +247,152 @@ func (t *Topology) SwitchIDs() []SwitchID {
 	return ids
 }
 
-// Paths enumerates all shortest paths from src to dst, up to the ECMP
-// cap. A path from a switch to itself is the single-element path.
+// Paths returns all shortest paths from src to dst in ECMP order, up to
+// the ECMP cap: nil when dst is unreachable, the single-element path
+// when src == dst.
+//
+// It is a lookup in a per-(src, dst) table that a controller would
+// push to the switches: a cell is computed on its first query, shared
+// by every later one, and the whole table is dropped by AddSwitch,
+// AddLink and SetMaxECMP. The result is table memory — callers must
+// not modify the slice or any path in it. A result stays valid (and
+// unchanged) after the table is dropped, so a packet in flight keeps
+// the path it was given. Safe for concurrent use, lock-free.
 func (t *Topology) Paths(src, dst SwitchID) []Path {
-	if src == dst {
-		return []Path{{src}}
+	tab := t.paths.Load()
+	if tab == nil {
+		// Concurrent first queries build identical tables; the first
+		// one published is kept so its filled cells are not lost.
+		tab = t.newPathTable()
+		if !t.paths.CompareAndSwap(nil, tab) {
+			tab = t.paths.Load()
+		}
 	}
-	limit := t.maxECMP
-	if limit <= 0 {
-		limit = DefaultMaxECMP
+	return tab.lookup(src, dst)
+}
+
+// pathTable is the ECMP table of one topology state. Everything in it
+// is a pure function of (adjacency, cap), and nothing reachable from a
+// published pointer is ever written again, so racing fills may publish
+// duplicates but never different answers.
+type pathTable struct {
+	limit int
+	// nbrs is the adjacency in ascending neighbour order (the order
+	// that fixes ECMP order), indexed by SwitchID.
+	nbrs [][]SwitchID
+	rows []atomic.Pointer[pathRow] // by source
+}
+
+// pathRow holds what is known from one source switch.
+type pathRow struct {
+	dist  []int32                  // hops from the source, -1 = unreachable
+	cells []atomic.Pointer[[]Path] // by destination; nil = not yet computed
+}
+
+func (t *Topology) newPathTable() *pathTable {
+	n := len(t.switches)
+	tab := &pathTable{limit: t.maxECMP, nbrs: make([][]SwitchID, n), rows: make([]atomic.Pointer[pathRow], n)}
+	if tab.limit <= 0 {
+		tab.limit = DefaultMaxECMP
 	}
-	// BFS distance from src.
-	dist := make(map[SwitchID]int, len(t.switches))
-	dist[src] = 0
+	for id, nbs := range t.adj {
+		sorted := append([]SwitchID(nil), nbs...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		tab.nbrs[id] = sorted
+	}
+	return tab
+}
+
+func (tab *pathTable) lookup(src, dst SwitchID) []Path {
+	n := SwitchID(len(tab.rows))
+	if src < 0 || src >= n || dst < 0 || dst >= n {
+		// Not a switch of this topology: nothing links to it.
+		if src == dst {
+			return []Path{{src}}
+		}
+		return nil
+	}
+	row := tab.rows[src].Load()
+	if row == nil {
+		row = tab.newRow(src)
+		if !tab.rows[src].CompareAndSwap(nil, row) {
+			row = tab.rows[src].Load()
+		}
+	}
+	if ps := row.cells[dst].Load(); ps != nil {
+		return *ps
+	}
+	ps := tab.enumerate(row, dst)
+	row.cells[dst].Store(&ps)
+	return ps
+}
+
+// newRow runs the BFS from src that every cell of the row shares.
+func (tab *pathTable) newRow(src SwitchID) *pathRow {
+	row := &pathRow{
+		dist:  make([]int32, len(tab.rows)),
+		cells: make([]atomic.Pointer[[]Path], len(tab.rows)),
+	}
+	for i := range row.dist {
+		row.dist[i] = -1
+	}
+	row.dist[src] = 0
 	queue := []SwitchID{src}
-	found := false
-	for len(queue) > 0 && !found {
+	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range t.adj[cur] {
-			if _, seen := dist[nb]; !seen {
-				dist[nb] = dist[cur] + 1
-				if nb == dst {
-					found = true
-				}
+		for _, nb := range tab.nbrs[cur] {
+			if row.dist[nb] < 0 {
+				row.dist[nb] = row.dist[cur] + 1
 				queue = append(queue, nb)
 			}
 		}
 	}
-	if _, ok := dist[dst]; !ok {
+	return row
+}
+
+// enumerate walks back from dst along strictly decreasing distance,
+// neighbours in ascending order, until the cap is reached. All paths of
+// a cell have the same length and share one backing array.
+func (tab *pathTable) enumerate(row *pathRow, dst SwitchID) []Path {
+	if row.dist[dst] < 0 {
 		return nil
 	}
-	// DFS backwards from dst along strictly decreasing distance.
-	var paths []Path
-	var walk func(cur SwitchID, suffix []SwitchID)
-	walk = func(cur SwitchID, suffix []SwitchID) {
-		if len(paths) >= limit {
+	hops := int(row.dist[dst]) + 1
+	cur := make(Path, hops) // cur[d] is the node at distance d on the walk
+	var flat []SwitchID
+	var walk func(node SwitchID)
+	walk = func(node SwitchID) {
+		d := row.dist[node]
+		cur[d] = node
+		if d == 0 {
+			flat = append(flat, cur...)
 			return
 		}
-		suffix = append(suffix, cur)
-		if cur == src {
-			p := make(Path, len(suffix))
-			for i, n := range suffix {
-				p[len(suffix)-1-i] = n
+		for _, nb := range tab.nbrs[node] {
+			if len(flat) >= tab.limit*hops {
+				return
 			}
-			paths = append(paths, p)
-			return
-		}
-		// Deterministic neighbor order.
-		nbs := append([]SwitchID(nil), t.adj[cur]...)
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i] < nbs[j] })
-		for _, nb := range nbs {
-			if d, ok := dist[nb]; ok && d == dist[cur]-1 {
-				walk(nb, suffix)
+			if row.dist[nb] == d-1 {
+				walk(nb)
 			}
 		}
 	}
-	walk(dst, nil)
+	walk(dst)
+	paths := make([]Path, len(flat)/hops)
+	for i := range paths {
+		paths[i] = flat[i*hops : (i+1)*hops : (i+1)*hops]
+	}
 	return paths
 }
 
-// PathsBetweenPrefixes returns the deduplicated set of shortest paths
-// carrying traffic from any host in srcPfx to any host in dstPfx. This
-// is φ_path from §III-B: the seeder's query to the SDN controller when
-// resolving a range placement constraint.
+// PathsBetweenPrefixes returns the set of shortest paths carrying
+// traffic from any host in srcPfx to any host in dstPfx, ordered by
+// (source leaf, destination leaf, ECMP order). This is φ_path from
+// §III-B: the seeder's query to the SDN controller when resolving a
+// range placement constraint. The leaf lists are deduplicated and the
+// paths of distinct leaf pairs differ in an endpoint, so no path
+// repeats. The paths themselves are table memory (see Paths).
 func (t *Topology) PathsBetweenPrefixes(srcPfx, dstPfx netip.Prefix) []Path {
 	var srcLeaves, dstLeaves []SwitchID
 	seenSrc := map[SwitchID]bool{}
@@ -314,15 +410,9 @@ func (t *Topology) PathsBetweenPrefixes(srcPfx, dstPfx netip.Prefix) []Path {
 	sort.Slice(srcLeaves, func(i, j int) bool { return srcLeaves[i] < srcLeaves[j] })
 	sort.Slice(dstLeaves, func(i, j int) bool { return dstLeaves[i] < dstLeaves[j] })
 	var out []Path
-	seen := map[string]bool{}
 	for _, s := range srcLeaves {
 		for _, d := range dstLeaves {
-			for _, p := range t.Paths(s, d) {
-				if k := p.Key(); !seen[k] {
-					seen[k] = true
-					out = append(out, p)
-				}
-			}
+			out = append(out, t.Paths(s, d)...)
 		}
 	}
 	return out

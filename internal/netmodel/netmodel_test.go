@@ -1,7 +1,11 @@
 package netmodel
 
 import (
+	"math/rand"
 	"net/netip"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -456,6 +460,274 @@ func TestFatTreePaths(t *testing.T) {
 	for _, h := range top.Hosts() {
 		if i := edgeIndex[h.Leaf]; !LeafPrefix(i).Contains(h.IP) {
 			t.Fatalf("host %v on %s outside LeafPrefix(%d)", h.IP, top.Switch(h.Leaf).Name, i)
+		}
+	}
+}
+
+// --- The ECMP table against the per-call enumeration it replaced ---
+
+// pathsReference is Topology.Paths as it stood before the table: a
+// fresh BFS and DFS per call. Frozen; the table must return the same
+// paths in the same order, because ECMP picks paths[hash % len(paths)].
+func pathsReference(t *Topology, src, dst SwitchID) []Path {
+	if src == dst {
+		return []Path{{src}}
+	}
+	limit := t.maxECMP
+	if limit <= 0 {
+		limit = DefaultMaxECMP
+	}
+	// BFS distance from src.
+	dist := make(map[SwitchID]int, len(t.switches))
+	dist[src] = 0
+	queue := []SwitchID{src}
+	found := false
+	for len(queue) > 0 && !found {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, nb := range t.adj[cur] {
+			if _, seen := dist[nb]; !seen {
+				dist[nb] = dist[cur] + 1
+				if nb == dst {
+					found = true
+				}
+				queue = append(queue, nb)
+			}
+		}
+	}
+	if _, ok := dist[dst]; !ok {
+		return nil
+	}
+	// DFS backwards from dst along strictly decreasing distance.
+	var paths []Path
+	var walk func(cur SwitchID, suffix []SwitchID)
+	walk = func(cur SwitchID, suffix []SwitchID) {
+		if len(paths) >= limit {
+			return
+		}
+		suffix = append(suffix, cur)
+		if cur == src {
+			p := make(Path, len(suffix))
+			for i, n := range suffix {
+				p[len(suffix)-1-i] = n
+			}
+			paths = append(paths, p)
+			return
+		}
+		// Deterministic neighbor order.
+		nbs := append([]SwitchID(nil), t.adj[cur]...)
+		sort.Slice(nbs, func(i, j int) bool { return nbs[i] < nbs[j] })
+		for _, nb := range nbs {
+			if d, ok := dist[nb]; ok && d == dist[cur]-1 {
+				walk(nb, suffix)
+			}
+		}
+	}
+	walk(dst, nil)
+	return paths
+}
+
+// checkAgainstReference compares the table with the oracle on one pair.
+// DeepEqual distinguishes nil from empty, so "nil for unreachable" is
+// part of the comparison.
+func checkAgainstReference(t *testing.T, top *Topology, src, dst SwitchID) {
+	t.Helper()
+	got, want := top.Paths(src, dst), pathsReference(top, src, dst)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Paths(%d, %d) = %v, reference %v", src, dst, got, want)
+	}
+}
+
+func mustFatTree(t *testing.T, k int) *Topology {
+	t.Helper()
+	top, err := FatTree(FatTreeOptions{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
+
+func TestPathTableMatchesReferenceOnBuilders(t *testing.T) {
+	for name, top := range map[string]*Topology{
+		"spineleaf-2x32": mustSpineLeaf(t, 2, 32, 1),
+		"fattree-k4":     mustFatTree(t, 4),
+		"fattree-k8":     mustFatTree(t, 8),
+	} {
+		ids := top.SwitchIDs()
+		for _, a := range ids {
+			for _, b := range ids {
+				checkAgainstReference(t, top, a, b)
+			}
+		}
+		// Asked again, the table answers from the same memory.
+		a, b := ids[len(ids)-1], ids[len(ids)-2]
+		if p, q := top.Paths(a, b), top.Paths(a, b); len(p) == 0 || &p[0] != &q[0] {
+			t.Fatalf("%s: repeated query did not hit the table", name)
+		}
+	}
+}
+
+// TestPathTableMatchesReferenceRandom drives 240 seeded random graphs —
+// sparse ones fall apart into components, dense ones exceed the ECMP
+// cap — and interleaves queries with AddSwitch, AddLink and SetMaxECMP
+// so every answer after a mutation must come from a rebuilt table.
+func TestPathTableMatchesReferenceRandom(t *testing.T) {
+	for seed := int64(0); seed < 240; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		top := New()
+		n := 2 + rng.Intn(14)
+		for i := 0; i < n; i++ {
+			top.AddSwitch("s", Leaf, nil)
+		}
+		for i, links := 0, rng.Intn(3*n); i < links; i++ {
+			// Self-loops and parallel links included.
+			top.AddLink(SwitchID(rng.Intn(n)), SwitchID(rng.Intn(n)))
+		}
+		if rng.Intn(2) == 0 {
+			top.SetMaxECMP(rng.Intn(6)) // 0 = default cap
+		}
+		query := func(k int) {
+			for i := 0; i < k; i++ {
+				n := top.NumSwitches()
+				// One past either end: IDs the topology does not have.
+				checkAgainstReference(t, top, SwitchID(rng.Intn(n+2)-1), SwitchID(rng.Intn(n+2)-1))
+			}
+		}
+		query(40)
+		for round := 0; round < 4; round++ {
+			switch rng.Intn(3) {
+			case 0:
+				id := top.AddSwitch("late", Spine, nil)
+				for i := rng.Intn(4); i > 0; i-- {
+					top.AddLink(id, SwitchID(rng.Intn(top.NumSwitches())))
+				}
+			case 1:
+				n := top.NumSwitches()
+				top.AddLink(SwitchID(rng.Intn(n)), SwitchID(rng.Intn(n)))
+			case 2:
+				top.SetMaxECMP(1 + rng.Intn(20))
+			}
+			query(40)
+		}
+		// Finally every pair, so no cell of the last table goes unchecked.
+		for _, a := range top.SwitchIDs() {
+			for _, b := range top.SwitchIDs() {
+				checkAgainstReference(t, top, a, b)
+			}
+		}
+	}
+}
+
+func TestAddLinkUnknownSwitchPanics(t *testing.T) {
+	top := New()
+	a := top.AddSwitch("a", Leaf, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a link to a switch that was never added should panic")
+		}
+	}()
+	top.AddLink(a, a+1)
+}
+
+// A result handed out before a mutation is never written again: a
+// packet in flight keeps the path it was given.
+func TestPathTableOldResultsSurviveInvalidation(t *testing.T) {
+	top := mustSpineLeaf(t, 2, 2, 1)
+	before := top.Paths(2, 3)
+	snapshot := pathsReference(top, 2, 3)
+	sp := top.AddSwitch("spine2", Spine, nil)
+	top.AddLink(sp, 2)
+	top.AddLink(sp, 3)
+	if after := top.Paths(2, 3); len(after) != 3 {
+		t.Fatalf("table not rebuilt after AddLink: %v", after)
+	}
+	if !reflect.DeepEqual(before, snapshot) {
+		t.Fatalf("result handed out earlier changed: %v, was %v", before, snapshot)
+	}
+}
+
+// TestPathTableConcurrentFill has 16 goroutines fill one cold table at
+// once, each walking every pair of a k=8 fat-tree from a different
+// starting point; run under -race it is the gate for the lock-free
+// publication. Every answer must equal the oracle's.
+func TestPathTableConcurrentFill(t *testing.T) {
+	top := mustFatTree(t, 8)
+	ids := top.SwitchIDs()
+	want := make([][][]Path, len(ids))
+	for a := range ids {
+		want[a] = make([][]Path, len(ids))
+		for b := range ids {
+			want[a][b] = pathsReference(top, ids[a], ids[b])
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range ids {
+				a := (i + g*5) % len(ids)
+				for j := range ids {
+					b := (j + g*7) % len(ids)
+					if got := top.Paths(ids[a], ids[b]); !reflect.DeepEqual(got, want[a][b]) {
+						t.Errorf("goroutine %d: Paths(%d, %d) = %v, reference %v", g, a, b, got, want[a][b])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestPathsBetweenPrefixesOrder pins φ_path to what it returned when it
+// deduplicated through Path.Key: no path twice, and the same order.
+func TestPathsBetweenPrefixesOrder(t *testing.T) {
+	reference := func(top *Topology, srcPfx, dstPfx netip.Prefix) []Path {
+		leaves := func(pfx netip.Prefix) []SwitchID {
+			set := map[SwitchID]bool{}
+			for _, h := range top.Hosts() {
+				if pfx.Contains(h.IP) {
+					set[h.Leaf] = true
+				}
+			}
+			return sortedIDs(set)
+		}
+		var out []Path
+		seen := map[string]bool{}
+		for _, s := range leaves(srcPfx) {
+			for _, d := range leaves(dstPfx) {
+				for _, p := range pathsReference(top, s, d) {
+					if k := p.Key(); !seen[k] {
+						seen[k] = true
+						out = append(out, p)
+					}
+				}
+			}
+		}
+		return out
+	}
+	all := netip.MustParsePrefix("10.0.0.0/8")
+	for name, top := range map[string]*Topology{
+		"spineleaf": mustSpineLeaf(t, 3, 6, 2),
+		"fattree":   mustFatTree(t, 4),
+	} {
+		for _, q := range [][2]netip.Prefix{
+			{all, all}, {LeafPrefix(0), all}, {all, LeafPrefix(3)},
+			{LeafPrefix(1), LeafPrefix(2)}, {LeafPrefix(2), LeafPrefix(2)},
+			{netip.MustParsePrefix("10.0.0.0/15"), netip.MustParsePrefix("10.2.0.0/15")},
+		} {
+			got, want := top.PathsBetweenPrefixes(q[0], q[1]), reference(top, q[0], q[1])
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %v -> %v:\n got  %v\n want %v", name, q[0], q[1], got, want)
+			}
+			seen := map[string]bool{}
+			for _, p := range got {
+				if seen[p.Key()] {
+					t.Fatalf("%s %v -> %v: duplicate path %v", name, q[0], q[1], p)
+				}
+				seen[p.Key()] = true
+			}
 		}
 	}
 }

@@ -72,6 +72,10 @@ type Generator struct {
 	// emission never mutates the map (concurrent reads from many shards
 	// are safe; each cell has a single writing shard).
 	digests map[netmodel.SwitchID]*ingressDigest
+	// offFabric counts the rejected packets of flows whose source is no
+	// host of the fabric: they have no leaf, so no cell, and all tick on
+	// the central shard.
+	offFabric uint64
 }
 
 // NewGenerator returns a generator over the fabric.
@@ -102,8 +106,8 @@ func (g *Generator) stream() stream {
 
 // ingress resolves a source address to its ingress leaf and that leaf's
 // home-shard scheduler. Unroutable sources (fab.Send rejects their
-// packets anyway) are homed on the central shard so their schedule
-// still ticks deterministically.
+// packets, and Rejected counts them) are homed on the central shard so
+// their schedule still ticks deterministically.
 func (g *Generator) ingress(src netip.Addr) (netmodel.SwitchID, engine.Scheduler) {
 	if h, ok := g.fab.Topology().HostByIP(src); ok {
 		return h.Leaf, g.fab.SchedulerFor(h.Leaf)
@@ -115,10 +119,29 @@ func (g *Generator) ingress(src netip.Addr) (netmodel.SwitchID, engine.Scheduler
 // sends it. Must run on the leaf's home shard (or the driving goroutine
 // between runs, for Burst).
 func (g *Generator) inject(leaf netmodel.SwitchID, clock engine.Clock, p dataplane.Packet) {
-	if d := g.digests[leaf]; d != nil {
+	d := g.digests[leaf]
+	if d != nil {
 		d.fold(clock.Now(), p)
 	}
-	_ = g.fab.Send(p)
+	if err := g.fab.Send(p); err != nil {
+		if d != nil {
+			d.rejected++
+		} else {
+			g.offFabric++
+		}
+	}
+}
+
+// Rejected returns how many injected packets the fabric refused to
+// send (fabric.ErrUnknownSource, ErrUnknownDestination, ErrNoPath): a
+// scenario with a mistyped address shows up here instead of silently
+// emitting nothing. Call it while the engine is quiescent.
+func (g *Generator) Rejected() uint64 {
+	n := g.offFabric
+	for _, d := range g.digests {
+		n += d.rejected
+	}
+	return n
 }
 
 // PerSwitchDigest returns, per ingress leaf, a digest of every packet
@@ -217,12 +240,13 @@ const (
 	digestPrime  uint64 = 1099511628211
 )
 
-// ingressDigest accumulates one leaf's emission digest. Padded to a
-// cache line: cells are written concurrently by different shards and
-// must not false-share.
+// ingressDigest accumulates one leaf's emission digest and its count of
+// packets the fabric refused. Padded to a cache line: cells are written
+// concurrently by different shards and must not false-share.
 type ingressDigest struct {
-	h uint64
-	_ [56]byte
+	h        uint64
+	rejected uint64
+	_        [48]byte
 }
 
 func (d *ingressDigest) fold(at time.Duration, p dataplane.Packet) {

@@ -54,6 +54,36 @@ func TestBurst(t *testing.T) {
 	}
 }
 
+// A mistyped address must be visible: the fabric refuses the packets
+// and the generator counts them, whether the bad end is the source
+// (no leaf, ticks on the central shard) or the destination.
+func TestRejectedInjectionsAreCounted(t *testing.T) {
+	fab := testFabric(t, 1, 2, 1)
+	g := NewGenerator(fab, 1)
+	good := FlowSpec{Src: fabric.HostIP(0, 0), Dst: fabric.HostIP(1, 0), SrcPort: 1, DstPort: 80, PacketSize: 100, Rate: 1}
+	badSrc, badDst := good, good
+	badSrc.Src = fabric.HostIP(9, 9)
+	badDst.Dst = fabric.HostIP(9, 9)
+	g.Burst(good, 5)
+	g.Burst(badSrc, 3)
+	g.Burst(badDst, 4)
+	fab.Sched().RunFor(time.Millisecond)
+	if got := g.Rejected(); got != 7 {
+		t.Fatalf("Rejected() = %d, want 7", got)
+	}
+	if got := fab.Delivered(); got != 5 {
+		t.Fatalf("delivered = %d, want 5", got)
+	}
+	// A flow from nowhere keeps ticking and keeps being counted.
+	badSrc.Rate = 1000
+	stop := g.StartFlow(badSrc)
+	fab.Sched().RunFor(50 * time.Millisecond)
+	stop()
+	if got := g.Rejected(); got < 7+25 {
+		t.Fatalf("Rejected() = %d after 50 ms of an unroutable 1000 pkt/s flow", got)
+	}
+}
+
 func TestSYNFlood(t *testing.T) {
 	fab := testFabric(t, 1, 3, 4)
 	g := NewGenerator(fab, 2)
