@@ -108,14 +108,16 @@ func Deploy(fab *fabric.Fabric, cfg Config) *System {
 		// serialized record crosses to the collector.
 		tk := sched.Every(cfg.PollInterval, func() {
 			cpu.Charge(costs.PollIssue)
-			drv.PollPortStats(nil, func(stats map[int]dataplane.PortStats) {
+			drv.PollPortStats(nil, func(ports []int, stats []dataplane.PortStats) {
 				// The agent does NOT analyze: it serializes and ships.
 				cpu.Charge(time.Duration(len(stats)) * costs.PollPerRecord)
 				size := len(stats) * counterExportBytes
 				at := sched.Now()
-				recs := stats
+				// The datagram outlives the callback; the driver's
+				// slices do not.
+				ports, stats = append([]int(nil), ports...), append([]dataplane.PortStats(nil), stats...)
 				fab.SendToCentral(swID, size, func() {
-					s.ingestCounters(swID, at, recs)
+					s.ingestCounters(swID, at, ports, stats)
 				})
 			})
 		})
@@ -164,8 +166,9 @@ func sampleBytes(p dataplane.Packet) int {
 	return n + 28 // truncated header + encapsulation
 }
 
-func (s *System) ingestCounters(sw netmodel.SwitchID, at time.Duration, stats map[int]dataplane.PortStats) {
-	for port, st := range stats {
+func (s *System) ingestCounters(sw netmodel.SwitchID, at time.Duration, ports []int, stats []dataplane.PortStats) {
+	for i, port := range ports {
+		st := stats[i]
 		key := [2]int{int(sw), port}
 		prev, ok := s.lastCounters[key]
 		if !ok {

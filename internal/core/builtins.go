@@ -535,27 +535,80 @@ func biGetHH(_ *Seed, args []Value, line int) (Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: getHH threshold must be numeric (line %d)", line)
 	}
-	var hitters List
-	for _, rec := range stats {
-		sv, ok := rec.(StructVal)
-		if !ok || sv.Type() != "PortStats" {
-			return nil, fmt.Errorf("core: getHH expects PortStats records, got %s (line %d)", TypeName(rec), line)
-		}
-		if sv.L == portStatsLayout {
-			d, _ := AsFloat(sv.V[psDTxBytes])
-			if d >= th {
-				hitters = append(hitters, sv.V[psPort])
-			}
-			continue
-		}
-		dv, _ := sv.Get("dTxBytes")
-		d, _ := AsFloat(dv)
-		if d >= th {
-			p, _ := sv.Get("port")
-			hitters = append(hitters, p)
-		}
+	hitters, bad := hhRecords{l: stats}.hitters(th)
+	if bad >= 0 {
+		return nil, fmt.Errorf("core: getHH expects PortStats records, got %s (line %d)", TypeName(stats[bad]), line)
 	}
 	return hitters, nil
+}
+
+// hhRecords is getHH's records argument in either representation: an
+// unboxed poll batch in the port_stats layout (the register VM's fast
+// path) or a boxed list.
+type hhRecords struct {
+	b *Batch
+	l List
+}
+
+func (r hhRecords) len() int {
+	if r.b != nil {
+		return r.b.Len()
+	}
+	return len(r.l)
+}
+
+// dTx returns record i's transmitted-byte delta; ok is false when
+// element i is not a PortStats record.
+func (r hhRecords) dTx(i int) (d float64, ok bool) {
+	if r.b != nil {
+		return float64(r.b.at(i, psDTxBytes)), true
+	}
+	sv, ok := r.l[i].(StructVal)
+	if !ok || sv.Type() != "PortStats" {
+		return 0, false
+	}
+	if sv.L == portStatsLayout {
+		d, _ = AsFloat(sv.V[psDTxBytes])
+		return d, true
+	}
+	dv, _ := sv.Get("dTxBytes")
+	d, _ = AsFloat(dv)
+	return d, true
+}
+
+func (r hhRecords) port(i int) Value {
+	if r.b != nil {
+		return r.b.at(i, psPort)
+	}
+	p, _ := r.l[i].(StructVal).Get("port")
+	return p
+}
+
+// hitters scans the records once to count the ports at or above the
+// threshold and once to collect them, so the result is allocated at its
+// final size (nil when there is none). bad is the index of the first
+// element that is not a PortStats record, or -1.
+func (r hhRecords) hitters(th float64) (out List, bad int) {
+	n := 0
+	for i := 0; i < r.len(); i++ {
+		d, ok := r.dTx(i)
+		if !ok {
+			return nil, i
+		}
+		if d >= th {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, -1
+	}
+	out = make(List, 0, n)
+	for i := 0; i < r.len(); i++ {
+		if d, _ := r.dTx(i); d >= th {
+			out = append(out, r.port(i))
+		}
+	}
+	return out, -1
 }
 
 // BuiltinNames returns the sorted runtime library function names

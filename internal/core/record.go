@@ -133,3 +133,10 @@ const (
 	psDRxPkts
 	psDTxPkts
 )
+
+const (
+	rsPackets = iota
+	rsBytes
+	rsDPackets
+	rsDBytes
+)

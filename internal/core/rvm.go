@@ -726,6 +726,20 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 
 		case almanac.RField:
 			x := bases.rd(in.A)
+			if x.k == rkRow {
+				b := x.ref.(*Batch)
+				c := &m.fc[in.C]
+				if c.l == b.l {
+					wrOpnd(in.Dst, rint(b.at(int(x.i), int(c.slot))), regs, env, stf)
+					break
+				}
+				if i := b.l.Index(p.Names[in.B]); i >= 0 {
+					c.l, c.slot = b.l, int32(i)
+					wrOpnd(in.Dst, rint(b.at(int(x.i), i)), regs, env, stf)
+					break
+				}
+				x = x.materialised() // unknown field: the struct path owns the error
+			}
 			if x.k == rkRef {
 				if sv, ok := x.ref.(StructVal); ok {
 					c := &m.fc[in.C]
@@ -776,6 +790,10 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 
 		case almanac.RListLen:
 			v := bases.rd(in.B)
+			if v.k == rkBatch {
+				wrOpnd(in.Dst, rint(int64(v.ref.(*Batch).Len())), regs, env, stf)
+				break
+			}
 			if l, ok := asListR(v); ok {
 				wrOpnd(in.Dst, rint(int64(len(l))), regs, env, stf)
 				break
@@ -790,7 +808,16 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 		case almanac.RListGet:
 			lv := bases.rd(in.B)
 			iv := bases.rd(in.C)
-			if l, ok := asListR(lv); ok {
+			if lv.k == rkBatch {
+				// A row reference: no record is built unless it escapes.
+				// Out of range falls through to the bridge like a list.
+				if idx, ok := asFloatR(iv); ok {
+					if i := int(idx); i >= 0 && i < lv.ref.(*Batch).Len() {
+						wrOpnd(in.Dst, rval{k: rkRow, i: int64(i), ref: lv.ref}, regs, env, stf)
+						break
+					}
+				}
+			} else if l, ok := asListR(lv); ok {
 				if idx, ok2 := asFloatR(iv); ok2 {
 					if i := int(idx); i >= 0 && i < len(l) {
 						wrOpnd(in.Dst, unbox(l[i]), regs, env, stf)
@@ -885,7 +912,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 			m.in.host.SetTriggerInterval(name, ms)
 
 		case almanac.RSetTrigger:
-			v := bases.rd(in.B)
+			v := bases.rd(in.B).materialised()
 			name := p.Names[in.A]
 			var sv StructVal
 			ok := v.k == rkRef

@@ -189,8 +189,12 @@ func (s *Seed) Start() error {
 }
 
 // HandleTrigger delivers a trigger-variable firing (poll result, probe
-// packet, or time tick) to the current state.
+// packet, or time tick) to the current state. The interpreter works on
+// boxed values only: a poll batch is materialised on entry.
 func (s *Seed) HandleTrigger(varName string, data Value) error {
+	if b, ok := data.(*Batch); ok {
+		data = b.List()
+	}
 	st, ok := s.machine.State(s.state)
 	if !ok {
 		return fmt.Errorf("core: seed %s in unknown state %s", s.machine.Name, s.state)

@@ -27,6 +27,10 @@ import (
 //	PacketVal        packet
 //	StructVal        user/runtime structs (incl. poll records)
 //	ResourcesVal     the res() result
+//
+// A poll result enters HandleTrigger as a *Batch, which stands for the
+// List of StructVal records it materialises to; the functions below
+// treat it as that list.
 type Value any
 
 // List is an Almanac list.
@@ -63,7 +67,7 @@ func TypeName(v Value) string {
 		return "bool"
 	case string:
 		return "string"
-	case List:
+	case List, *Batch:
 		return "list"
 	case MapVal:
 		return "map"
@@ -109,6 +113,12 @@ func AsFloat(v Value) (float64, bool) {
 
 // Equal compares two values structurally.
 func Equal(a, b Value) bool {
+	if x, ok := a.(*Batch); ok {
+		a = x.List()
+	}
+	if y, ok := b.(*Batch); ok {
+		b = y.List()
+	}
 	if fa, ok := AsFloat(a); ok {
 		if fb, ok2 := AsFloat(b); ok2 {
 			return fa == fb
@@ -189,6 +199,8 @@ func Equal(a, b Value) bool {
 // message passing between seeds, which must not share mutable state).
 func CloneValue(v Value) Value {
 	switch x := v.(type) {
+	case *Batch:
+		return x.List()
 	case List:
 		out := make(List, len(x))
 		for i, e := range x {
@@ -225,6 +237,8 @@ func FormatValue(v Value) string {
 		return "nil"
 	case string:
 		return fmt.Sprintf("%q", x)
+	case *Batch:
+		return FormatValue(x.List())
 	case List:
 		s := "["
 		for i, e := range x {
@@ -278,32 +292,4 @@ func FormatValue(v Value) string {
 	default:
 		return fmt.Sprintf("%v", x)
 	}
-}
-
-// PortStatsRecord builds the struct value delivered per port by a
-// statistics poll: cumulative counters plus deltas since the previous
-// poll of the same subject.
-func PortStatsRecord(port int, cur, prev dataplane.PortStats) StructVal {
-	v := make([]Value, len(portStatsLayout.Names))
-	v[psPort] = int64(port)
-	v[psRxBytes] = int64(cur.RxBytes)
-	v[psTxBytes] = int64(cur.TxBytes)
-	v[psRxPkts] = int64(cur.RxPackets)
-	v[psTxPkts] = int64(cur.TxPackets)
-	v[psDRxBytes] = int64(cur.RxBytes - prev.RxBytes)
-	v[psDTxBytes] = int64(cur.TxBytes - prev.TxBytes)
-	v[psDRxPkts] = int64(cur.RxPackets - prev.RxPackets)
-	v[psDTxPkts] = int64(cur.TxPackets - prev.TxPackets)
-	return StructVal{L: portStatsLayout, V: v}
-}
-
-// RuleStatsRecord builds the struct value delivered by a rule-counter
-// poll.
-func RuleStatsRecord(cur, prev dataplane.RuleStats) StructVal {
-	return StructVal{L: ruleStatsLayout, V: []Value{
-		int64(cur.Packets),
-		int64(cur.Bytes),
-		int64(cur.Packets - prev.Packets),
-		int64(cur.Bytes - prev.Bytes),
-	}}
 }

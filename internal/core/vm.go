@@ -31,7 +31,9 @@ const (
 	rkBool
 	rkStr
 	rkRef
-	rkMark // internal OpAndL marker ("lhs was truthy")
+	rkBatch // unboxed poll batch: ref holds the *Batch; boxes to its List
+	rkRow   // record i of the *Batch in ref; boxes to a private StructVal
+	rkMark  // internal OpAndL marker ("lhs was truthy")
 )
 
 // rval is an unboxed VM value. Exactly one payload field is meaningful
@@ -60,9 +62,24 @@ func rbool(v bool) rval {
 }
 func rref(v Value) rval { return rval{k: rkRef, ref: v} }
 
+// isRef reports whether r is a reference value in any representation.
+func (r rval) isRef() bool { return r.k >= rkRef && r.k <= rkRow }
+
+// materialised turns a poll batch or row into the boxed reference it
+// stands for and leaves every other value alone: what a cold path calls
+// before it looks at ref.
+func (r rval) materialised() rval {
+	if r.k == rkBatch || r.k == rkRow {
+		return rref(r.box())
+	}
+	return r
+}
+
 // unbox converts a boxed Value into an rval.
 func unbox(v Value) rval {
 	switch x := v.(type) {
+	case *Batch:
+		return rval{k: rkBatch, ref: x}
 	case nil:
 		return rval{k: rkNil}
 	case int64:
@@ -79,7 +96,9 @@ func unbox(v Value) rval {
 }
 
 // box converts an rval back into a boxed Value (cold paths only:
-// bridged builtins, snapshots, sends, struct/list construction).
+// bridged builtins, snapshots, sends, struct/list construction). This is
+// where a poll batch or one of its rows leaves the VM: it materialises
+// into the List / StructVal it stands for, a private copy every time.
 func (r rval) box() Value {
 	switch r.k {
 	case rkUndef, rkNil:
@@ -92,6 +111,10 @@ func (r rval) box() Value {
 		return r.i != 0
 	case rkStr:
 		return r.ref
+	case rkBatch:
+		return r.ref.(*Batch).List()
+	case rkRow:
+		return r.ref.(*Batch).record(int(r.i))
 	default:
 		return r.ref
 	}
@@ -110,8 +133,10 @@ func typeNameR(r rval) string {
 		return "bool"
 	case rkStr:
 		return "string"
+	case rkRow:
+		return "struct"
 	default:
-		return TypeName(r.ref)
+		return TypeName(r.ref) // a *Batch names itself a list
 	}
 }
 
@@ -142,7 +167,7 @@ func asFloatR(r rval) (float64, bool) {
 // eqR mirrors Equal on two rvals. Kinds that differ (with rkInt/rkFloat
 // as one numeric class) can never be Equal, which matches every branch
 // of the boxed implementation; same-class scalars compare directly and
-// references defer to Equal.
+// references defer to Equal (batches and rows through what they box to).
 func eqR(l, r rval) bool {
 	if lf, ok := asFloatR(l); ok {
 		rf, ok2 := asFloatR(r)
@@ -155,8 +180,11 @@ func eqR(l, r rval) bool {
 		return r.k == rkStr && l.asStr() == r.asStr()
 	case rkNil, rkUndef:
 		return r.k == rkNil || r.k == rkUndef
-	case rkRef:
-		return r.k == rkRef && Equal(l.ref, r.ref)
+	case rkRef, rkBatch, rkRow:
+		if l.k == rkRef && r.k == rkRef {
+			return Equal(l.ref, r.ref)
+		}
+		return r.isRef() && Equal(l.box(), r.box())
 	}
 	return false
 }
@@ -175,7 +203,10 @@ func eqVR(v Value, r rval) bool {
 	case nil:
 		return r.k == rkNil
 	default:
-		return r.k == rkRef && Equal(v, r.ref)
+		if r.k == rkRef {
+			return Equal(v, r.ref)
+		}
+		return r.isRef() && Equal(v, r.box())
 	}
 }
 
@@ -439,6 +470,7 @@ func (m *rvmSeed) binOp(in almanac.Instr, l, r rval) (rval, error) {
 		if l.k == rkStr && r.k == rkStr {
 			return rstr(l.asStr() + r.asStr()), nil
 		}
+		l, r = l.materialised(), r.materialised()
 		if l.k == rkRef && r.k == rkRef {
 			if ll, ok := l.ref.(List); ok {
 				if rl, ok := r.ref.(List); ok {
@@ -542,38 +574,36 @@ func filterAtomOp(arg rval, field string, line int32) (rval, error) {
 	return rref(FilterVal{F: fc.Filter, PortAny: fc.PortAny}), nil
 }
 
-// fieldAssign mirrors execAssign's struct-field path.
+// fieldAssign mirrors execAssign's struct-field path. A row of a poll
+// batch is read-only and possibly shared with other seeds: the write
+// first copies it out into a private struct that replaces the row in
+// the target variable.
 func (m *rvmSeed) fieldAssign(fa *almanac.FieldAssignSite, loc []rval, v rval) error {
-	var cur rval
-	found := false
+	var cur *rval
 	if fa.Local >= 0 && loc[fa.Local].k != rkUndef {
-		cur = loc[fa.Local]
-		found = true
+		cur = &loc[fa.Local]
 	} else if fa.Dyn {
 		if vi, ok := m.lp.svIdx[m.state][fa.Target]; ok {
-			cur = m.states[m.state][vi]
-			found = true
+			cur = &m.states[m.state][vi]
 		} else if ei, ok := m.lp.envIdx[fa.Target]; ok {
-			cur = m.env[ei]
-			found = true
+			cur = &m.env[ei]
 		}
 	} else if fa.St >= 0 {
-		cur = m.states[m.state][fa.St]
-		found = true
+		cur = &m.states[m.state][fa.St]
 	} else if fa.Env >= 0 {
-		cur = m.env[fa.Env]
-		found = true
+		cur = &m.env[fa.Env]
 	}
-	if !found {
+	if cur == nil {
 		return fmt.Errorf("core: assignment to undeclared variable %s", fa.Target)
 	}
+	*cur = cur.materialised()
 	var sv StructVal
 	ok := cur.k == rkRef
 	if ok {
 		sv, ok = cur.ref.(StructVal)
 	}
 	if !ok {
-		return fmt.Errorf("core: %s is %s, not a struct", fa.Target, typeNameR(cur))
+		return fmt.Errorf("core: %s is %s, not a struct", fa.Target, typeNameR(*cur))
 	}
 	if !sv.Set(fa.Field, v.box()) {
 		return fmt.Errorf("core: struct %s has no field %s", sv.Type(), fa.Field)
@@ -877,33 +907,24 @@ func nvGetHH(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 2 {
 		return rval{}, false, nil
 	}
-	stats, ok := asListR(args[0])
-	if !ok {
+	var recs hhRecords
+	if args[0].k == rkBatch {
+		recs.b = args[0].ref.(*Batch)
+		if recs.b.l != portStatsLayout {
+			return rval{}, false, nil
+		}
+	} else if l, ok := asListR(args[0]); ok {
+		recs.l = l
+	} else {
 		return rval{}, false, nil
 	}
 	th, ok := asFloatR(args[1])
 	if !ok {
 		return rval{}, false, nil
 	}
-	var hitters List
-	for _, rec := range stats {
-		sv, ok := rec.(StructVal)
-		if !ok || sv.Type() != "PortStats" {
-			return rval{}, false, nil // bridge for the exact error
-		}
-		if sv.L == portStatsLayout {
-			d, _ := AsFloat(sv.V[psDTxBytes])
-			if d >= th {
-				hitters = append(hitters, sv.V[psPort])
-			}
-			continue
-		}
-		dv, _ := sv.Get("dTxBytes")
-		d, _ := AsFloat(dv)
-		if d >= th {
-			pv, _ := sv.Get("port")
-			hitters = append(hitters, pv)
-		}
+	hitters, bad := recs.hitters(th)
+	if bad >= 0 {
+		return rval{}, false, nil // bridge for the exact error
 	}
 	return rref(hitters), true, nil
 }

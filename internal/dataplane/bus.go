@@ -120,9 +120,13 @@ const (
 type Driver interface {
 	// NumPorts reports the ASIC port count.
 	NumPorts() int
-	// PollPortStats reads counters for the given 1-based ports. nil or
-	// empty polls every port.
-	PollPortStats(ports []int, fn func(map[int]PortStats))
+	// PollPortStats reads counters for the given 1-based ports; nil or
+	// empty polls every port. fn receives the ports that exist, in
+	// request order (ascending for every port), and their counters as
+	// parallel dense slices. Both slices belong to the driver and are
+	// valid only until fn returns; the caller must leave ports unmodified
+	// until then.
+	PollPortStats(ports []int, fn func(ports []int, stats []PortStats))
 	// PollRuleStats reads the counters of the rule with exactly filter f.
 	PollRuleStats(f Filter, fn func(RuleStats, bool))
 	// AddRule installs a TCAM rule.
@@ -145,6 +149,10 @@ type EmuDriver struct {
 	// (the real PCIe DMA ring would overflow); 0 means DefaultMaxSampleBacklog.
 	MaxSampleBacklog time.Duration
 	sampleDrops      uint64
+
+	allPorts  []int       // 1..NumPorts, what a nil port list polls
+	pollPorts []int       // completion scratch, reused across polls
+	pollStats []PortStats // parallel to pollPorts
 }
 
 // DefaultMaxSampleBacklog approximates the ASIC's mirror DMA ring
@@ -169,26 +177,29 @@ func (d *EmuDriver) SampleDrops() uint64 { return d.sampleDrops }
 // NumPorts implements Driver.
 func (d *EmuDriver) NumPorts() int { return d.sw.NumPorts() }
 
-// PollPortStats implements Driver.
-func (d *EmuDriver) PollPortStats(ports []int, fn func(map[int]PortStats)) {
+// PollPortStats implements Driver. Counters are read at completion time
+// (the ASIC answers with its state when the request is serviced) into
+// scratch slices the next completion overwrites.
+func (d *EmuDriver) PollPortStats(ports []int, fn func(ports []int, stats []PortStats)) {
 	if len(ports) == 0 {
-		ports = make([]int, d.sw.NumPorts())
-		for i := range ports {
-			ports[i] = i + 1
-		}
-	}
-	size := portStatsReqBytes + portStatsRespBytes*len(ports)
-	// Capture the port list; read counters at completion time (the
-	// ASIC answers with its state when the request is serviced).
-	ps := append([]int(nil), ports...)
-	d.bus.Request(size, func(time.Duration) {
-		out := make(map[int]PortStats, len(ps))
-		for _, p := range ps {
-			if st, err := d.sw.PortStats(p); err == nil {
-				out[p] = st
+		if d.allPorts == nil {
+			d.allPorts = make([]int, d.sw.NumPorts())
+			for i := range d.allPorts {
+				d.allPorts[i] = i + 1
 			}
 		}
-		fn(out)
+		ports = d.allPorts
+	}
+	size := portStatsReqBytes + portStatsRespBytes*len(ports)
+	d.bus.Request(size, func(time.Duration) {
+		d.pollPorts, d.pollStats = d.pollPorts[:0], d.pollStats[:0]
+		for _, p := range ports {
+			if st, err := d.sw.PortStats(p); err == nil {
+				d.pollPorts = append(d.pollPorts, p)
+				d.pollStats = append(d.pollStats, st)
+			}
+		}
+		fn(d.pollPorts, d.pollStats)
 	})
 }
 

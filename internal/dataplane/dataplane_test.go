@@ -309,15 +309,24 @@ func TestEmuDriverPollPortStats(t *testing.T) {
 	sw := NewSwitch("sw0", 4, 16)
 	drv := NewEmuDriver(sw, NewBus(loop, DefaultPCIePollBytesPerSec))
 	// Traffic arrives while the poll is in flight; the response reflects
-	// state at service time.
+	// state at service time. Port 9 does not exist and is skipped.
 	sw.Inject(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100), 1, 2)
-	var got map[int]PortStats
-	drv.PollPortStats([]int{1, 2}, func(m map[int]PortStats) { got = m })
+	var ports []int
+	var got []PortStats
+	calls := 0
+	drv.PollPortStats([]int{2, 9, 1}, func(p []int, st []PortStats) {
+		calls++
+		// The slices are the driver's; keep copies.
+		ports, got = append([]int(nil), p...), append([]PortStats(nil), st...)
+	})
 	loop.RunFor(10 * time.Millisecond)
-	if got == nil {
-		t.Fatal("poll did not complete")
+	if calls != 1 {
+		t.Fatalf("poll completed %d times, want 1", calls)
 	}
-	if got[1].RxPackets != 1 || got[2].TxPackets != 1 {
+	if len(ports) != 2 || ports[0] != 2 || ports[1] != 1 || len(got) != 2 {
+		t.Fatalf("ports = %v with %d records, want [2 1] in request order", ports, len(got))
+	}
+	if got[0].TxPackets != 1 || got[1].RxPackets != 1 {
 		t.Fatalf("stats = %+v", got)
 	}
 }
@@ -326,11 +335,26 @@ func TestEmuDriverPollAllPorts(t *testing.T) {
 	loop := engine.NewSerial()
 	sw := NewSwitch("sw0", 8, 16)
 	drv := NewEmuDriver(sw, NewBus(loop, DefaultPCIePollBytesPerSec))
-	var got map[int]PortStats
-	drv.PollPortStats(nil, func(m map[int]PortStats) { got = m })
-	loop.RunFor(10 * time.Millisecond)
-	if len(got) != 8 {
-		t.Fatalf("polled %d ports, want 8", len(got))
+	_ = sw.CreditPort(3, 0, 0, 5, 500)
+	for round := 0; round < 2; round++ { // the second poll reuses the scratch
+		var ports []int
+		var tx3 uint64
+		drv.PollPortStats(nil, func(p []int, st []PortStats) {
+			ports = append([]int(nil), p...)
+			tx3 = st[2].TxBytes
+		})
+		loop.RunFor(10 * time.Millisecond)
+		if len(ports) != 8 {
+			t.Fatalf("round %d: polled %d ports, want 8", round, len(ports))
+		}
+		for i, p := range ports {
+			if p != i+1 {
+				t.Fatalf("round %d: ports = %v, want ascending 1..8", round, ports)
+			}
+		}
+		if tx3 != 500 {
+			t.Fatalf("round %d: port 3 txBytes = %d, want 500", round, tx3)
+		}
 	}
 }
 

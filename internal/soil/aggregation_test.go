@@ -28,20 +28,7 @@ machine Poller {
 
 func deployPoller(t *testing.T, s *Soil, task string, ivalMs int) SeedRef {
 	t.Helper()
-	prog, err := almanac.Parse(pollerSource(ivalMs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err := almanac.CompileMachine(prog, "Poller")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := SeedRef{Task: task, Machine: "Poller", Switch: s.Name()}
-	alloc := netmodel.Resources{netmodel.ResVCPU: 0.01, netmodel.ResRAM: 1, netmodel.ResPoll: 2000}
-	if err := s.DeployCompiled(ref, cm, nil, alloc); err != nil {
-		t.Fatal(err)
-	}
-	return ref
+	return deployMachine(t, s, task, pollerSource(ivalMs), "Poller")
 }
 
 // The aggregation group polls at the fastest subscriber's rate; every

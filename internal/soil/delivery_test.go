@@ -1,0 +1,363 @@
+package soil
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"farm/internal/almanac"
+	"farm/internal/core"
+	"farm/internal/engine"
+	"farm/internal/fabric"
+	"farm/internal/netmodel"
+)
+
+// Delivery semantics of the shared poll batch: one immutable batch per
+// completion for every subscriber that has been delivered before, a
+// batch against zero for a first delivery, and no way for one seed to
+// see what another did with the records.
+
+// watchSource records what each completion says about port 1.
+const watchSource = `
+machine Watch {
+  place all;
+  poll p = Poll { .ival = 10, .what = port ANY };
+  list deltas;
+  long tx;
+  state s {
+    util (res) { if (res.vCPU >= 0.01) then { return 1; } }
+    when (p as recs) do {
+      PortStats r = list_get(recs, 0);
+      deltas = list_append(deltas, r.dTxBytes);
+      tx = r.txBytes;
+    }
+  }
+}
+`
+
+// writerSource overwrites a field of the polled record it was handed.
+const writerSource = `
+machine Writer {
+  place all;
+  poll p = Poll { .ival = 10, .what = port ANY };
+  long wrote;
+  state s {
+    util (res) { if (res.vCPU >= 0.01) then { return 1; } }
+    when (p as recs) do {
+      PortStats r = list_get(recs, 0);
+      r.dTxBytes = 0 - 1;
+      r.txBytes = 0 - 1;
+      wrote = r.dTxBytes;
+    }
+  }
+}
+`
+
+// keeperSource keeps the whole poll result in a machine variable and
+// reads the kept one on the next completion.
+const keeperSource = `
+machine Keeper {
+  place all;
+  poll p = Poll { .ival = 10, .what = port ANY };
+  list last;
+  long n; long oldTx; long oldD; long curTx;
+  state s {
+    util (res) { if (res.vCPU >= 0.01) then { return 1; } }
+    when (p as recs) do {
+      if (n > 0) then {
+        PortStats o = list_get(last, 0);
+        oldTx = o.txBytes;
+        oldD = o.dTxBytes;
+      }
+      PortStats c = list_get(recs, 0);
+      curTx = c.txBytes;
+      last = recs;
+      n = n + 1;
+    }
+  }
+}
+`
+
+// summerSource is a handler that allocates nothing: a scan loop over
+// the records into a machine variable.
+const summerSource = `
+machine Summer {
+  place all;
+  poll p = Poll { .ival = 10, .what = port ANY };
+  long total;
+  state s {
+    util (res) { if (res.vCPU >= 0.01) then { return 1; } }
+    when (p as recs) do {
+      long i = 0;
+      while (i < list_len(recs)) {
+        PortStats r = list_get(recs, i);
+        total = total + r.dTxBytes;
+        i = i + 1;
+      }
+    }
+  }
+}
+`
+
+func deployMachine(t testing.TB, s *Soil, task, src, machine string) SeedRef {
+	t.Helper()
+	prog, err := almanac.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := almanac.CompileMachine(prog, machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := SeedRef{Task: task, Machine: machine, Switch: s.Name()}
+	alloc := netmodel.Resources{netmodel.ResVCPU: 0.01, netmodel.ResRAM: 1, netmodel.ResPoll: 2000}
+	if err := s.DeployCompiled(ref, cm, nil, alloc); err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+func seedInts(t *testing.T, s *Soil, ref SeedRef, name string) []int64 {
+	t.Helper()
+	v, ok := s.SeedVar(ref.ID(), name)
+	if !ok {
+		t.Fatalf("seed %s has no variable %s", ref.ID(), name)
+	}
+	if n, ok := v.(int64); ok {
+		return []int64{n}
+	}
+	var out []int64
+	for _, e := range v.(core.List) {
+		out = append(out, e.(int64))
+	}
+	return out
+}
+
+func equalInts(a, b []int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// creditAndPoll credits port 1's transmit counter and runs one poll
+// interval. The clock sits mid-interval between calls, so each call
+// contains exactly one fire and its PCIe completion.
+func creditAndPoll(loop engine.Scheduler, fab *fabric.Fabric, leaf netmodel.SwitchID, bytes uint64) {
+	_ = fab.Switch(leaf).CreditPort(1, 0, 0, 1, bytes)
+	loop.RunFor(10 * time.Millisecond)
+}
+
+// A seed deployed onto a running group gets cumulative deltas once and
+// per-interval deltas afterwards; the seeds already there cannot tell it
+// joined.
+func TestLateJoinerFirstDeliveryAgainstZero(t *testing.T) {
+	run := func(join bool) (first, late []int64, issued uint64) {
+		fab, loop := testEnv(t)
+		leaf := leafID(t, fab, "leaf0")
+		s := New(fab, leaf, DefaultOptions())
+		a := deployMachine(t, s, "a", watchSource, "Watch")
+		_ = fab.Switch(leaf).CreditPort(1, 0, 0, 1, 5000)
+		loop.RunFor(5 * time.Millisecond)
+		var b SeedRef
+		for i := 1; i <= 8; i++ {
+			creditAndPoll(loop, fab, leaf, uint64(100*i))
+			if join && i == 5 {
+				b = deployMachine(t, s, "b", watchSource, "Watch")
+			}
+		}
+		if join {
+			late = seedInts(t, s, b, "deltas")
+		}
+		return seedInts(t, s, a, "deltas"), late, s.PollsIssued()
+	}
+	alone, _, issuedAlone := run(false)
+	first, late, issued := run(true)
+	want := []int64{5100, 200, 300, 400, 500, 600, 700, 800}
+	if !equalInts(alone, want) {
+		t.Fatalf("single subscriber deltas = %v, want %v", alone, want)
+	}
+	if !equalInts(first, want) {
+		t.Fatalf("deltas of the seed already there = %v, want %v (unaffected by the join)", first, want)
+	}
+	// 5000 + 100 + ... + 600 once, then per interval.
+	if wantLate := []int64{7100, 700, 800}; !equalInts(late, wantLate) {
+		t.Fatalf("late joiner deltas = %v, want %v", late, wantLate)
+	}
+	if issued != issuedAlone || issued != 8 {
+		t.Fatalf("polls issued = %d with the joiner, %d without, want 8 (one shared group)", issued, issuedAlone)
+	}
+}
+
+// A handler that assigns fields of a polled record works on its own
+// copy: the next subscriber of the same completion, and the same seed on
+// the next completion, read what the ASIC said.
+func TestPolledRecordWritesAreIsolated(t *testing.T) {
+	fab, loop := testEnv(t)
+	leaf := leafID(t, fab, "leaf0")
+	s := New(fab, leaf, DefaultOptions())
+	w := deployMachine(t, s, "a-writer", writerSource, "Writer") // delivered first
+	r := deployMachine(t, s, "b-reader", watchSource, "Watch")
+	loop.RunFor(5 * time.Millisecond)
+	for i := 1; i <= 4; i++ {
+		creditAndPoll(loop, fab, leaf, uint64(100*i))
+	}
+	if got := seedInts(t, s, w, "wrote"); !equalInts(got, []int64{-1}) {
+		t.Fatalf("writer read back %v from its own copy, want -1", got)
+	}
+	if got, want := seedInts(t, s, r, "deltas"), []int64{100, 200, 300, 400}; !equalInts(got, want) {
+		t.Fatalf("reader deltas = %v, want %v: it saw the writer's assignment", got, want)
+	}
+	if got := seedInts(t, s, r, "tx"); !equalInts(got, []int64{1000}) {
+		t.Fatalf("reader txBytes = %v, want 1000", got)
+	}
+	if s.PollsDelivered() != 8 || s.PollsIssued() != 4 {
+		t.Fatalf("delivered %d of %d polls, want 8 of 4", s.PollsDelivered(), s.PollsIssued())
+	}
+}
+
+// A poll result kept in a machine variable is the completion it was: the
+// next completion is a new batch, not the old one refilled.
+func TestKeptPollResultIsNotOverwritten(t *testing.T) {
+	fab, loop := testEnv(t)
+	leaf := leafID(t, fab, "leaf0")
+	s := New(fab, leaf, DefaultOptions())
+	k := deployMachine(t, s, "keeper", keeperSource, "Keeper")
+	other := deployMachine(t, s, "other", watchSource, "Watch") // shares every batch
+	loop.RunFor(5 * time.Millisecond)
+	for i := 1; i <= 3; i++ {
+		creditAndPoll(loop, fab, leaf, uint64(100*i))
+	}
+	// Completions read 100, 300, 600 cumulative.
+	for name, want := range map[string]int64{"n": 3, "curTx": 600, "oldTx": 300, "oldD": 200} {
+		if got := seedInts(t, s, k, name); !equalInts(got, []int64{want}) {
+			t.Fatalf("%s = %v, want %d", name, got, want)
+		}
+	}
+	// The kept value leaves the seed as a plain list of records.
+	last, _ := s.SeedVar(k.ID(), "last")
+	if l, ok := last.(core.List); !ok || len(l) != fab.Switch(leaf).NumPorts() {
+		t.Fatalf("kept poll result reads as %T", last)
+	}
+	if got, want := seedInts(t, s, other, "deltas"), []int64{100, 200, 300}; !equalInts(got, want) {
+		t.Fatalf("co-subscriber deltas = %v, want %v", got, want)
+	}
+}
+
+// A seed removed between a poll's issue and its PCIe completion gets no
+// delivery; the switch CPU still pays for the records the completion
+// carried, and nothing else.
+func TestRemoveWithPollInFlight(t *testing.T) {
+	for _, aggregation := range []bool{true, false} {
+		fab, loop := testEnv(t)
+		leaf := leafID(t, fab, "leaf0")
+		s := New(fab, leaf, Options{Aggregation: aggregation})
+		a := deployMachine(t, s, "a", watchSource, "Watch")
+		// The ticker fires at 10 ms; the completion needs the bus
+		// transfer on top of that.
+		loop.RunFor(10*time.Millisecond + 10*time.Microsecond)
+		if s.PollsIssued() != 1 || s.PollsDelivered() != 0 {
+			t.Fatalf("issued %d delivered %d before the completion, want 1 and 0", s.PollsIssued(), s.PollsDelivered())
+		}
+		if err := s.Remove(a.ID()); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.groups) != 0 {
+			t.Fatalf("aggregation=%v: %d poll groups left after the last subscriber went", aggregation, len(s.groups))
+		}
+		busy := fab.CPU(leaf).Busy()
+		loop.RunFor(50 * time.Millisecond)
+		if s.PollsIssued() != 1 || s.PollsDelivered() != 0 {
+			t.Fatalf("issued %d delivered %d after removal, want 1 and 0", s.PollsIssued(), s.PollsDelivered())
+		}
+		want := time.Duration(fab.Switch(leaf).NumPorts()) * fab.Costs().PollPerRecord
+		if got := fab.CPU(leaf).Busy() - busy; got != want {
+			t.Fatalf("aggregation=%v: orphaned completion charged %v, want %v (records only)", aggregation, got, want)
+		}
+	}
+}
+
+// pollBench is a leaf with the given port count and subs co-located
+// Summer seeds on one poll group, warmed past every first delivery.
+func pollBench(tb testing.TB, ports, subs int) (*Soil, engine.Scheduler, *fabric.Fabric) {
+	tb.Helper()
+	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{Spines: 1, Leaves: 1, HostsPerLeaf: ports - 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	loop := engine.NewSerial()
+	fab := fabric.New(topo, loop, fabric.Options{})
+	var leaf netmodel.SwitchID
+	for _, sw := range topo.Switches() {
+		if sw.Name == "leaf0" {
+			leaf = sw.ID
+		}
+	}
+	if n := fab.Switch(leaf).NumPorts(); n != ports {
+		tb.Fatalf("leaf has %d ports, want %d", n, ports)
+	}
+	s := New(fab, leaf, DefaultOptions())
+	for i := 0; i < subs; i++ {
+		deployMachine(tb, s, fmt.Sprintf("t%d", i), summerSource, "Summer")
+	}
+	for p := 1; p <= ports; p++ {
+		_ = fab.Switch(leaf).CreditPort(p, 0, 0, 1, uint64(1000*p))
+	}
+	loop.RunFor(55 * time.Millisecond)
+	if want := uint64(5 * subs); s.PollsDelivered() != want {
+		tb.Fatalf("warm-up delivered %d polls, want %d", s.PollsDelivered(), want)
+	}
+	return s, loop, fab
+}
+
+// TestPollDeliveryAllocs: one completion — fire, bus transfer, batch,
+// delivery to every subscriber's scan loop — costs a handful of
+// allocations, however many ports it carries and however many seeds
+// share it.
+func TestPollDeliveryAllocs(t *testing.T) {
+	// Batch header and data, the driver's and the bus's completion
+	// closures, the engine's timer handle.
+	const maxAllocs = 5
+	var base float64
+	for i, c := range []struct{ ports, subs int }{{8, 1}, {48, 1}, {8, 8}, {48, 8}} {
+		s, loop, _ := pollBench(t, c.ports, c.subs)
+		loop.RunFor(2 * time.Second) // let the engine's event pool fill
+		before := s.PollsDelivered()
+		const runs = 100
+		allocs := testing.AllocsPerRun(runs, func() { loop.RunFor(10 * time.Millisecond) })
+		// AllocsPerRun makes one extra warm-up call.
+		if got, want := s.PollsDelivered()-before, uint64((runs+1)*c.subs); got != want {
+			t.Fatalf("%d ports x %d subscribers: %d deliveries in %d intervals, want %d", c.ports, c.subs, got, runs+1, want)
+		}
+		if allocs > maxAllocs {
+			t.Fatalf("%d ports x %d subscribers: %.1f allocations per completion, want <= %d", c.ports, c.subs, allocs, maxAllocs)
+		}
+		if i == 0 {
+			base = allocs
+		} else if allocs != base {
+			t.Fatalf("%d ports x %d subscribers: %.1f allocations per completion, %.1f at 8 x 1: delivery cost grows with the fan-out", c.ports, c.subs, allocs, base)
+		}
+	}
+}
+
+// BenchmarkPollDelivery measures one delivery (a 48-record scan loop in
+// one of 8 seeds sharing the completion), with its share of the poll.
+func BenchmarkPollDelivery(b *testing.B) {
+	const ports, subs = 48, 8
+	s, loop, _ := pollBench(b, ports, subs)
+	before := s.PollsDelivered()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += subs {
+		loop.RunFor(10 * time.Millisecond)
+	}
+	b.StopTimer()
+	if delivered := s.PollsDelivered() - before; delivered < uint64(b.N) {
+		b.Fatalf("%d deliveries in %d iterations", delivered, b.N)
+	}
+}

@@ -178,9 +178,9 @@ type pollSub struct {
 	varName  string
 	interval time.Duration
 	group    *pollGroup
-	// per-subscriber previous counters for delta computation
-	prevPorts map[int]dataplane.PortStats
-	prevRule  dataplane.RuleStats
+	// seen is set by the first delivery, whose deltas are against zero;
+	// from then on the subscriber's previous counters are the group's.
+	seen      bool
 	lastProbe time.Duration
 }
 
@@ -236,12 +236,38 @@ func subjectFromWhat(w almanac.Const) (subject, error) {
 
 // pollGroup aggregates all subscriptions to one subject: the subject is
 // polled once per group interval (the minimum over subscribers) and the
-// result fanned out (§II-B-b "the soil can aggregate polling").
+// result fanned out (§II-B-b "the soil can aggregate polling") as one
+// immutable core.Batch per completion, shared by every subscriber.
 type pollGroup struct {
-	soil    *Soil
-	subject subject
-	subs    []*pollSub
-	ticker  engine.Ticker
+	soil   *Soil
+	key    string // in Soil.groups
+	subs   []*pollSub
+	ticker engine.Ticker
+	poll   func() // issues the subject's driver read, completing in deliverPorts/deliverRule
+
+	// last is the previous completion's batch, whose cumulative counters
+	// are the base of the next one's deltas. Every subscriber is
+	// delivered every completion, so one base serves all of them (bar a
+	// first delivery, see pollSub.seen).
+	last *core.Batch
+}
+
+// newPollGroup binds the subject's driver read and its completion once,
+// so a fire allocates nothing of its own.
+func (s *Soil) newPollGroup(key string, subj subject) *pollGroup {
+	g := &pollGroup{soil: s, key: key}
+	if subj.allPorts || subj.port > 0 {
+		var ports []int // nil polls every port
+		if subj.port > 0 {
+			ports = []int{subj.port}
+		}
+		done := g.deliverPorts
+		g.poll = func() { s.driver.PollPortStats(ports, done) }
+	} else {
+		done := g.deliverRule
+		g.poll = func() { s.driver.PollRuleStats(subj.rule, done) }
+	}
+	return g
 }
 
 func (g *pollGroup) minInterval() time.Duration {
@@ -277,60 +303,58 @@ func (g *pollGroup) fire() {
 	s := g.soil
 	s.pollsIssued++
 	s.cpu.Charge(s.costs.PollIssue)
-	switch {
-	case g.subject.allPorts || g.subject.port > 0:
-		var ports []int
-		if g.subject.port > 0 {
-			ports = []int{g.subject.port}
-		}
-		s.driver.PollPortStats(ports, func(stats map[int]dataplane.PortStats) {
-			g.deliverPorts(stats)
-		})
-	default:
-		s.driver.PollRuleStats(g.subject.rule, func(st dataplane.RuleStats, ok bool) {
-			if !ok {
-				return // rule not installed (yet); nothing to deliver
-			}
-			g.deliverRule(st)
-		})
-	}
+	g.poll()
 }
 
-func (g *pollGroup) deliverPorts(stats map[int]dataplane.PortStats) {
+// deliverPorts runs on the poll's PCIe completion. ports and stats are
+// the driver's and die with the call; the batch built from them does
+// not.
+func (g *pollGroup) deliverPorts(ports []int, stats []dataplane.PortStats) {
 	s := g.soil
-	ports := make([]int, 0, len(stats))
-	for p := range stats {
-		ports = append(ports, p)
-	}
-	sort.Ints(ports)
 	s.cpu.Charge(time.Duration(len(ports)) * s.costs.PollPerRecord)
-	if len(g.subs) > 1 {
-		s.cpu.Charge(time.Duration(len(g.subs)) * s.costs.AggregationPerSeed)
-	}
-	for _, sub := range g.subs {
-		recs := make(core.List, 0, len(ports))
-		for _, p := range ports {
-			prev := sub.prevPorts[p]
-			recs = append(recs, core.PortStatsRecord(p, stats[p], prev))
-			sub.prevPorts[p] = stats[p]
-		}
-		s.pollsDelivered++
-		s.dispatchTrigger(sub.rt, sub.varName, recs)
-	}
+	g.deliver(func(prev *core.Batch) *core.Batch { return core.NewPortStatsBatch(ports, stats, prev) })
 }
 
-func (g *pollGroup) deliverRule(st dataplane.RuleStats) {
+func (g *pollGroup) deliverRule(st dataplane.RuleStats, ok bool) {
+	if !ok {
+		return // rule not installed (yet); nothing to deliver
+	}
 	s := g.soil
 	s.cpu.Charge(s.costs.PollPerRecord)
+	g.deliver(func(prev *core.Batch) *core.Batch { return core.NewRuleStatsBatch(st, prev) })
+}
+
+// deliver fans one completion out: one batch with deltas against the
+// previous completion, handed read-only to every subscriber. A
+// subscriber that joined a running group has seen none of its
+// completions, so its first delivery is a batch apart, with deltas
+// against zero. A completion that finds no subscriber left (the last
+// one was removed with the poll in flight) builds nothing.
+func (g *pollGroup) deliver(build func(prev *core.Batch) *core.Batch) {
+	if len(g.subs) == 0 {
+		return
+	}
+	s := g.soil
 	if len(g.subs) > 1 {
 		s.cpu.Charge(time.Duration(len(g.subs)) * s.costs.AggregationPerSeed)
 	}
+	shared := build(g.last)
+	var first *core.Batch
 	for _, sub := range g.subs {
-		rec := core.RuleStatsRecord(st, sub.prevRule)
-		sub.prevRule = st
+		b := shared
+		if !sub.seen {
+			sub.seen = true
+			if g.last != nil {
+				if first == nil {
+					first = build(nil)
+				}
+				b = first
+			}
+		}
 		s.pollsDelivered++
-		s.dispatchTrigger(sub.rt, sub.varName, core.List{rec})
+		s.dispatchTrigger(sub.rt, sub.varName, b)
 	}
+	g.last = shared
 }
 
 // dispatchTrigger delivers a trigger firing to a seed, charging the
@@ -487,7 +511,7 @@ func (s *Soil) wirePoll(rt *seedRuntime, pi *almanac.PollInfo, interval time.Dur
 	if err != nil {
 		return fmt.Errorf("soil %s: seed %s trigger %s: %w", s.name, rt.ref.ID(), pi.Name, err)
 	}
-	sub := &pollSub{rt: rt, varName: pi.Name, interval: interval, prevPorts: map[int]dataplane.PortStats{}}
+	sub := &pollSub{rt: rt, varName: pi.Name, interval: interval}
 	rt.subs = append(rt.subs, sub)
 
 	key := subj.key()
@@ -497,7 +521,7 @@ func (s *Soil) wirePoll(rt *seedRuntime, pi *almanac.PollInfo, interval time.Dur
 	}
 	g, ok := s.groups[key]
 	if !ok {
-		g = &pollGroup{soil: s, subject: subj}
+		g = s.newPollGroup(key, subj)
 		s.groups[key] = g
 	}
 	sub.group = g
@@ -562,12 +586,7 @@ func (s *Soil) removeInternal(id string) {
 		}
 		if len(g.subs) == 0 {
 			g.stop()
-			for key, grp := range s.groups {
-				if grp == g {
-					delete(s.groups, key)
-					break
-				}
-			}
+			delete(s.groups, g.key)
 		} else {
 			g.retune()
 		}

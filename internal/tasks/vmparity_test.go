@@ -97,20 +97,37 @@ func errStr(err error) string {
 	return err.Error()
 }
 
-func taskPortStats(rng *rand.Rand, n int) core.List {
-	out := make(core.List, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, core.StructOf("PortStats", core.MapVal{
-			"port":     int64(i % 16),
-			"dTxBytes": float64(rng.Intn(4000)),
-			"dRxBytes": float64(rng.Intn(4000)),
-			"txBytes":  float64(rng.Intn(1 << 20)),
-			"rxBytes":  float64(rng.Intn(1 << 20)),
-			"drops":    int64(rng.Intn(10)),
-			"util":     rng.Float64(),
-		}))
+// taskPortStats is one poll completion of n ports as the soil delivers
+// it: a batch with cumulative counters and deltas against a previous
+// completion.
+func taskPortStats(rng *rand.Rand, n int) *core.Batch {
+	ports := make([]int, n)
+	prev := make([]dataplane.PortStats, n)
+	cur := make([]dataplane.PortStats, n)
+	for i := range ports {
+		ports[i] = i + 1
+		prev[i] = dataplane.PortStats{
+			RxPackets: uint64(rng.Intn(1 << 10)), RxBytes: uint64(rng.Intn(1 << 20)),
+			TxPackets: uint64(rng.Intn(1 << 10)), TxBytes: uint64(rng.Intn(1 << 20)),
+		}
+		cur[i] = dataplane.PortStats{
+			RxPackets: prev[i].RxPackets + uint64(rng.Intn(40)), RxBytes: prev[i].RxBytes + uint64(rng.Intn(4000)),
+			TxPackets: prev[i].TxPackets + uint64(rng.Intn(40)), TxBytes: prev[i].TxBytes + uint64(rng.Intn(4000)),
+		}
 	}
-	return out
+	return core.NewPortStatsBatch(ports, cur, core.NewPortStatsBatch(ports, prev, nil))
+}
+
+// triggerArg is what HandleTrigger receives for payload v: the register
+// VM gets a poll batch as the soil hands it over, the interpreter the
+// list it materialises to; anything else is cloned per executor.
+func triggerArg(r core.Runner, v core.Value) core.Value {
+	if _, interp := r.(*core.Seed); !interp {
+		if b, ok := v.(*core.Batch); ok {
+			return b
+		}
+	}
+	return core.CloneValue(v)
 }
 
 func taskPayload(rng *rand.Rand) core.Value {
@@ -289,7 +306,7 @@ func driveTaskParity(t *testing.T, cm *almanac.CompiledMachine, ext map[string]c
 		case 0, 1, 2, 3, 4, 5:
 			tr := triggers[rng.Intn(len(triggers))]
 			v := taskPayload(rng)
-			every(step, func(r core.Runner) error { return r.HandleTrigger(tr, core.CloneValue(v)) })
+			every(step, func(r core.Runner) error { return r.HandleTrigger(tr, triggerArg(r, v)) })
 		case 6, 7:
 			from := core.MsgSource{Harvester: true}
 			if rng.Intn(2) == 0 {

@@ -457,8 +457,8 @@ type BulkWorkload struct {
 // switch's home shard.
 type bulkSwitch struct {
 	id    netmodel.SwitchID
-	idx   []int        // global port indices driven on this switch
-	heavy map[int]bool // global port index -> heavy, for this epoch
+	idx   []int  // global port indices driven on this switch
+	heavy []bool // parallel to idx: heavy in this epoch
 }
 
 // BulkConfig configures NewBulkWorkload.
@@ -549,41 +549,94 @@ func bulkMix(h, v uint64) uint64 {
 	return h
 }
 
-// heavyIndices returns the heavy port set of an epoch: the ratio*N
-// lowest-ranked ports under a (seed, epoch)-keyed hash. It is a pure
-// function, so every shard (and HeavyPorts) derives the same set without
-// shared state.
-func (w *BulkWorkload) heavyIndices(epoch int64) []int {
-	n := int(w.ratio * float64(len(w.ports)))
-	if n <= 0 {
-		return nil
+// heavyMask returns the heavy port set of an epoch, indexed by global
+// port: the ratio*n lowest-ranked ports under a (seed, epoch)-keyed hash,
+// ties broken by index. It is a pure function, so every shard (and
+// HeavyPorts) derives the same set without shared state. Each port is
+// hashed once; the cut is the rank-th smallest key, found by selection on
+// a scratch copy instead of sorting the ports.
+func heavyMask(seed, epoch int64, n int, ratio float64) []bool {
+	on := make([]bool, n)
+	rank := min(int(ratio*float64(n)), n)
+	if rank <= 0 {
+		return on
 	}
-	key := bulkMix(uint64(w.seed), uint64(epoch))
-	order := make([]int, len(w.ports))
-	for i := range order {
-		order[i] = i
+	key := bulkMix(uint64(seed), uint64(epoch))
+	keys := make([]uint64, 2*n)
+	keys, scratch := keys[:n], keys[n:]
+	for i := range keys {
+		keys[i] = bulkMix(key, uint64(i))
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ka, kb := bulkMix(key, uint64(order[a])), bulkMix(key, uint64(order[b]))
-		if ka != kb {
-			return ka < kb
+	copy(scratch, keys)
+	cut := selectKth(scratch, rank-1)
+	// Everything below the cut is in; keys equal to it take the places
+	// that are left, in index order.
+	atCut := rank
+	for _, k := range keys {
+		if k < cut {
+			atCut--
 		}
-		return order[a] < order[b]
-	})
-	return order[:n]
+	}
+	for i, k := range keys {
+		if k < cut {
+			on[i] = true
+		} else if k == cut && atCut > 0 {
+			on[i] = true
+			atCut--
+		}
+	}
+	return on
+}
+
+// selectKth returns the k-th smallest element (0-based) of a, reordering
+// it (quickselect with a median-of-three pivot; the keys are hashes, so
+// no input is adversarial).
+func selectKth(a []uint64, k int) uint64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }
 
 // heavyFor filters the epoch's heavy set down to one switch's ports.
-func (w *BulkWorkload) heavyFor(bs *bulkSwitch, epoch int64) map[int]bool {
-	on := map[int]bool{}
-	for _, i := range w.heavyIndices(epoch) {
-		on[i] = true
-	}
-	heavy := map[int]bool{}
-	for _, i := range bs.idx {
-		if on[i] {
-			heavy[i] = true
-		}
+func (w *BulkWorkload) heavyFor(bs *bulkSwitch, epoch int64) []bool {
+	on := heavyMask(w.seed, epoch, len(w.ports), w.ratio)
+	heavy := make([]bool, len(bs.idx))
+	for j, i := range bs.idx {
+		heavy[j] = on[i]
 	}
 	return heavy
 }
@@ -592,13 +645,14 @@ func (w *BulkWorkload) heavyFor(bs *bulkSwitch, epoch int64) map[int]bool {
 // ground truth detection tasks are scored against. Call it while the
 // engine is quiescent.
 func (w *BulkWorkload) HeavyPorts() []PortLoad {
-	idx := append([]int(nil), w.heavyIndices(w.epochAt(w.fab.Sched().Now()))...)
-	sort.Ints(idx)
 	var out []PortLoad
-	for _, i := range idx {
-		p := w.ports[i]
-		p.BytesPerSec = w.HeavyRate
-		out = append(out, p)
+	epoch := w.epochAt(w.fab.Sched().Now())
+	for i, heavy := range heavyMask(w.seed, epoch, len(w.ports), w.ratio) {
+		if heavy {
+			p := w.ports[i]
+			p.BytesPerSec = w.HeavyRate
+			out = append(out, p)
+		}
 	}
 	return out
 }
@@ -616,10 +670,10 @@ func (w *BulkWorkload) Stop() {
 func (w *BulkWorkload) tick(bs *bulkSwitch) {
 	dt := w.Tick.Seconds()
 	sw := w.fab.Switch(bs.id)
-	for _, i := range bs.idx {
+	for j, i := range bs.idx {
 		p := w.ports[i]
 		rate := w.BaseRate
-		if bs.heavy[i] {
+		if bs.heavy[j] {
 			rate = w.HeavyRate
 		}
 		bytes := uint64(rate * dt)

@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -251,6 +253,68 @@ func TestBulkWorkloadChurn(t *testing.T) {
 	}
 	if same {
 		t.Fatal("churn did not re-pick the heavy set")
+	}
+}
+
+// heavySetBySort is the ranking heavyMask replaced, verbatim: sort every
+// port by (hash, index) and take the first ratio*N.
+func heavySetBySort(seed, epoch int64, n int, ratio float64) []int {
+	k := int(ratio * float64(n))
+	if k <= 0 {
+		return nil
+	}
+	key := bulkMix(uint64(seed), uint64(epoch))
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ka, kb := bulkMix(key, uint64(order[a])), bulkMix(key, uint64(order[b]))
+		if ka != kb {
+			return ka < kb
+		}
+		return order[a] < order[b]
+	})
+	return order[:k]
+}
+
+// TestHeavyMaskMatchesSort pins the selection to the full sort it
+// replaced over random (seed, epoch, N, ratio), and selectKth — whose
+// tie handling hashed keys never exercise — on slices full of
+// duplicates.
+func TestHeavyMaskMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		seed, epoch := rng.Int63(), int64(rng.Intn(1000))
+		n, ratio := rng.Intn(400), rng.Float64()
+		if trial%10 == 0 {
+			ratio = []float64{0, 1, 0.05}[trial/10%3]
+		}
+		want := make([]bool, n)
+		for _, i := range heavySetBySort(seed, epoch, n, ratio) {
+			want[i] = true
+		}
+		got := heavyMask(seed, epoch, n, ratio)
+		if len(got) != n {
+			t.Fatalf("seed %d epoch %d n %d ratio %g: mask of %d ports", seed, epoch, n, ratio, len(got))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d epoch %d n %d ratio %g: port %d heavy = %v, sort says %v", seed, epoch, n, ratio, i, got[i], want[i])
+			}
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		a := make([]uint64, 1+rng.Intn(60))
+		for i := range a {
+			a[i] = uint64(rng.Intn(8))
+		}
+		sorted := append([]uint64(nil), a...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		k := rng.Intn(len(a))
+		if got := selectKth(append([]uint64(nil), a...), k); got != sorted[k] {
+			t.Fatalf("selectKth(%v, %d) = %d, want %d", a, k, got, sorted[k])
+		}
 	}
 }
 
