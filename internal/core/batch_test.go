@@ -400,8 +400,12 @@ func TestBatchWritesCopyOut(t *testing.T) {
 	_, b := testBatches(rand.New(rand.NewSource(4)), 3)
 	polled := b.at(0, psDTxBytes)
 	before := FormatValue(b)
-	for i := 0; i < 2; i++ { // two seeds share the batch
-		r, err := NewRunner(cm, nil, newMockHost())
+	prog, err := Compile(cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // two seeds share the batch and the program
+		r, err := prog.NewRunner(nil, newMockHost())
 		if err != nil {
 			t.Fatal(err)
 		}

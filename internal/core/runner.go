@@ -3,9 +3,9 @@ package core
 import "farm/internal/almanac"
 
 // Runner is a deployed machine instance. Production deployments get
-// the register VM (*rvmSeed) from NewRunner; the AST interpreter (*Seed)
-// satisfies the same interface and is what tests compare it against.
-// Soil programs against this.
+// the register VM (*rvmSeed) from Program.NewRunner; the AST interpreter
+// (*Seed) satisfies the same interface and is what tests compare it
+// against. Soil programs against this.
 type Runner interface {
 	Machine() *almanac.CompiledMachine
 	State() string
@@ -24,11 +24,21 @@ var (
 	_ Runner = (*rvmSeed)(nil)
 )
 
-// linkedLowered is a Lowered program resolved against this package's
-// runtime: literals pre-unboxed, name->index maps for dispatch and
-// snapshots, and builtin name slots bound to their implementations
-// (plus native unboxed fast paths where we have them).
-type linkedLowered struct {
+// Program is a machine ready to run: its compiled form, the register
+// program lowered from it, and that program resolved against this
+// package's runtime — literals pre-unboxed, name->index maps for
+// dispatch and snapshots, builtin name slots bound to their
+// implementations (plus native unboxed fast paths where we have them).
+//
+// A Program is never written after Compile returns, so any number of
+// runners, on any engine shard, share one. Everything a handler can
+// mutate — env and state frames, the register arena, the per-site
+// field caches, every list, map, struct and sketch value — belongs to
+// the runner (rvmSeed) and is built per NewRunner; what is shared is
+// literals (scalars and strings only), layouts, dispatch tables and
+// the machine's AST, which the interpreter twin only reads.
+type Program struct {
+	cm       *almanac.CompiledMachine
 	p        *almanac.Lowered
 	lits     []rval
 	trigIdx  map[string]int32
@@ -43,8 +53,15 @@ type linkedLowered struct {
 	layouts []*Layout
 }
 
-func link(p *almanac.Lowered) *linkedLowered {
-	lp := &linkedLowered{p: p}
+// Compile lowers the machine and links the result. A machine that fails
+// to lower (sema accepts none, but decoded seed XML is not sema-checked)
+// is rejected with the lowering error.
+func Compile(cm *almanac.CompiledMachine) (*Program, error) {
+	p, err := almanac.Lower(cm, BuiltinNames())
+	if err != nil {
+		return nil, err
+	}
+	lp := &Program{cm: cm, p: p}
 	lp.lits = make([]rval, len(p.Lits))
 	for i, l := range p.Lits {
 		switch l.Kind {
@@ -88,17 +105,40 @@ func link(p *almanac.Lowered) *linkedLowered {
 	for i := range p.Structs {
 		lp.layouts[i] = LayoutOf(p.Structs[i].TypeName, p.Structs[i].Fields)
 	}
-	return lp
+	return lp, nil
 }
 
-// NewRunner lowers and links the machine and deploys it on the register
-// VM. The linked program belongs to the returned runner and is released
-// with it. A machine that fails to lower (sema accepts none, but decoded
-// seed XML is not sema-checked) is rejected with the lowering error.
-func NewRunner(cm *almanac.CompiledMachine, externals map[string]Value, host Host) (Runner, error) {
-	p, err := almanac.Lower(cm, BuiltinNames())
+// Machine returns the compiled machine the program was lowered from.
+func (lp *Program) Machine() *almanac.CompiledMachine { return lp.cm }
+
+// NewRunner deploys one instance of the program on the register VM.
+// Construction delegates to NewSeed so init-expression evaluation,
+// external binding/validation, and every construction-time error string
+// are shared with the interpreter; the resulting env and per-state
+// variable maps are then flattened into slot frames.
+func (lp *Program) NewRunner(externals map[string]Value, host Host) (Runner, error) {
+	in, err := NewSeed(lp.cm, externals, host)
 	if err != nil {
 		return nil, err
 	}
-	return newRVMSeed(cm, externals, host, link(p))
+	m := &rvmSeed{in: in, lp: lp, state: lp.p.InitialState}
+	m.env = make([]rval, len(lp.p.EnvSlots))
+	for i, s := range lp.p.EnvSlots {
+		m.env[i] = unbox(in.env[s.Name])
+	}
+	m.states = make([][]rval, len(lp.p.States))
+	for si := range lp.p.States {
+		slots := lp.p.States[si].Slots
+		fr := make([]rval, len(slots))
+		sv := in.stateVars[lp.p.States[si].Name]
+		for i, s := range slots {
+			fr[i] = unbox(sv[s.Name])
+		}
+		m.states[si] = fr
+	}
+	m.regs = make([]rval, 64)
+	if n := lp.p.RFieldSites; n > 0 {
+		m.fc = make([]fieldCache, n)
+	}
+	return m, nil
 }

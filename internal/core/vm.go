@@ -251,7 +251,7 @@ func zeroRval(t almanac.Type) rval {
 // lowered program. It satisfies Runner exactly like *Seed does.
 type rvmSeed struct {
 	in      *Seed // interpreter twin: init evaluation, host, bridged builtins
-	lp      *linkedLowered
+	lp      *Program
 	env     []rval
 	states  [][]rval
 	state   int32
@@ -271,38 +271,6 @@ type rvmSeed struct {
 type fieldCache struct {
 	l    *Layout
 	slot int32
-}
-
-// newRVMSeed builds the VM instance. Construction delegates to NewSeed
-// so init-expression evaluation, external binding/validation, and every
-// construction-time error string are shared with the interpreter; the
-// resulting env and per-state variable maps are then flattened into
-// slot frames.
-func newRVMSeed(cm *almanac.CompiledMachine, externals map[string]Value, host Host, lp *linkedLowered) (*rvmSeed, error) {
-	in, err := NewSeed(cm, externals, host)
-	if err != nil {
-		return nil, err
-	}
-	m := &rvmSeed{in: in, lp: lp, state: lp.p.InitialState}
-	m.env = make([]rval, len(lp.p.EnvSlots))
-	for i, s := range lp.p.EnvSlots {
-		m.env[i] = unbox(in.env[s.Name])
-	}
-	m.states = make([][]rval, len(lp.p.States))
-	for si := range lp.p.States {
-		slots := lp.p.States[si].Slots
-		fr := make([]rval, len(slots))
-		sv := in.stateVars[lp.p.States[si].Name]
-		for i, s := range slots {
-			fr[i] = unbox(sv[s.Name])
-		}
-		m.states[si] = fr
-	}
-	m.regs = make([]rval, 64)
-	if n := lp.p.RFieldSites; n > 0 {
-		m.fc = make([]fieldCache, n)
-	}
-	return m, nil
 }
 
 func (m *rvmSeed) Machine() *almanac.CompiledMachine { return m.in.Machine() }

@@ -14,7 +14,7 @@ import (
 // The register VM must be observationally identical to the AST
 // interpreter: same states, same variables, same emissions, same error
 // strings, same action counts. These tests run the reference (*Seed via
-// NewSeed) and the production runner (NewRunner) side by side over
+// NewSeed) and the production runner (Compile + NewRunner) side by side over
 // snippets, hand-picked corner cases, and long random trigger sequences,
 // and diff everything against the interpreter.
 
@@ -36,7 +36,7 @@ func parityCompile(t *testing.T, src, name string) *almanac.CompiledMachine {
 var parityBackends = []string{"interpreted", "register"}
 
 // newParityRunner deploys cm on the named executor: the reference through
-// NewSeed, the production path through NewRunner.
+// NewSeed, the production path through Compile and NewRunner.
 func newParityRunner(be string, cm *almanac.CompiledMachine, ext map[string]Value, host Host) (Runner, error) {
 	if be == "interpreted" {
 		s, err := NewSeed(cm, ext, host)
@@ -45,7 +45,11 @@ func newParityRunner(be string, cm *almanac.CompiledMachine, ext map[string]Valu
 		}
 		return s, nil
 	}
-	return NewRunner(cm, ext, host)
+	prog, err := Compile(cm)
+	if err != nil {
+		return nil, err
+	}
+	return prog.NewRunner(ext, host)
 }
 
 // backendSet holds one runner per executor, deployed from one machine

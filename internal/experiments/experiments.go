@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"farm/internal/almanac"
+	"farm/internal/core"
 	"farm/internal/engine"
 	"farm/internal/fabric"
 	"farm/internal/netmodel"
@@ -135,12 +136,18 @@ func newFabricOnTopology(eng EngineConfig, topo *netmodel.Topology) (*fabric.Fab
 }
 
 // compileMachine parses Almanac source and compiles its sole machine.
-func compileMachine(src, machine string) (*almanac.CompiledMachine, error) {
+// compileMachine compiles one machine of a source into the program a
+// soil deploys, once for however many seeds run it.
+func compileMachine(src, machine string) (*core.Program, error) {
 	prog, err := almanac.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return almanac.CompileMachine(prog, machine)
+	cm, err := almanac.CompileMachine(prog, machine)
+	if err != nil {
+		return nil, err
+	}
+	return core.Compile(cm)
 }
 
 func fmtDuration(d time.Duration) string {

@@ -122,14 +122,14 @@ func fig8Run(seeds int, cfg Fig8Config, aggregate bool) (Fig8Point, error) {
 	fab := fabric.New(topo, loop, fabric.Options{}) // default 8 Mbps bus
 	s := soil.New(fab, swID, soil.Options{ExecModel: soil.Threads, Aggregation: aggregate})
 	s.SetSendFunc(func(soil.SeedRef, core.SendDest, core.Value) {})
-	cm, err := compileMachine(fig8SeedSource, "BusHog")
+	prog, err := compileMachine(fig8SeedSource, "BusHog")
 	if err != nil {
 		return Fig8Point{}, err
 	}
 	alloc := netmodel.Resources{netmodel.ResVCPU: 0.001, netmodel.ResRAM: 1, netmodel.ResPoll: 1000}
 	for i := 0; i < seeds; i++ {
 		ref := soil.SeedRef{Task: fmt.Sprintf("t%d", i), Machine: "BusHog", Switch: "bench"}
-		if err := s.DeployCompiled(ref, cm, nil, alloc); err != nil {
+		if err := s.DeployCompiled(ref, prog, nil, alloc); err != nil {
 			return Fig8Point{}, err
 		}
 	}

@@ -116,14 +116,14 @@ func fig9Run(seeds int, opts soil.Options, duration time.Duration) (Fig9Point, e
 	})
 	s := soil.New(fab, swID, opts)
 	s.SetSendFunc(func(soil.SeedRef, core.SendDest, core.Value) {})
-	cm, err := compileMachine(fig9SeedSource, "SharedPoller")
+	prog, err := compileMachine(fig9SeedSource, "SharedPoller")
 	if err != nil {
 		return Fig9Point{}, err
 	}
 	alloc := netmodel.Resources{netmodel.ResVCPU: 0.001, netmodel.ResRAM: 1, netmodel.ResPoll: 1000}
 	for i := 0; i < seeds; i++ {
 		ref := soil.SeedRef{Task: fmt.Sprintf("t%d", i), Machine: "SharedPoller", Switch: "bench"}
-		if err := s.DeployCompiled(ref, cm, nil, alloc); err != nil {
+		if err := s.DeployCompiled(ref, prog, nil, alloc); err != nil {
 			return Fig9Point{}, err
 		}
 	}

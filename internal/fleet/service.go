@@ -2,8 +2,9 @@
 // long-lived fleet service: a Service boots a fabric on the wall-clock
 // engine, runs background traffic, and serves the seeder's task
 // lifecycle (compile → analyze → place → install, the pipeline farmctl
-// fronts) to concurrent operators over HTTP and the transport package's
-// TCP RPC.
+// fronts; compile is a lookup in the seeder's program store for every
+// source it has seen, so a resubmit starts at analyze) to concurrent
+// operators over HTTP and the transport package's TCP RPC.
 //
 // Concurrency model — the single-writer loop. The fabric, soils, and
 // seeder are written for a single execution context: every mutation

@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 
 	"farm/internal/lp"
 	"farm/internal/netmodel"
+	"farm/internal/poly"
 )
 
 // testRedistErr, when non-nil (tests only), injects an error into the
@@ -209,7 +211,11 @@ func newHeurState(in *Input) *heurState {
 	}
 	for i := range in.Seeds {
 		s := &in.Seeds[i]
-		p := &seedPrep{spec: s, bestMin: math.Inf(-1), utilName: s.ID + ".u"}
+		p := &seedPrep{
+			spec: s, bestMin: math.Inf(-1), utilName: s.ID + ".u",
+			minAllocs: make([]netmodel.Resources, 0, len(s.Utility)),
+			minUtils:  make([]float64, 0, len(s.Utility)),
+		}
 		for _, c := range s.Utility {
 			alloc, ok := minimalAlloc(c, maxCap)
 			if !ok {
@@ -232,68 +238,80 @@ func newHeurState(in *Input) *heurState {
 }
 
 // bakeCases precomputes every case's step-3 LP fragment for one seed.
+// It runs for every live seed on every solve, so it walks each
+// polynomial's terms in place: no sorted copies of variable names, no
+// per-case maps.
 func (st *heurState) bakeCases(p *seedPrep) {
 	s := p.spec
 	p.cases = make([]caseLP, len(s.Utility))
 	for ci, c := range s.Utility {
 		cl := &p.cases[ci]
-		names := map[string]bool{}
+		cl.res = make([]string, 0, 4) // vCPU, RAM, TCAM, PCIe: rarely more
 		for _, con := range c.Constraints {
-			for _, v := range con.Vars() {
-				names[v] = true
-			}
+			cl.addRes(con)
 		}
 		for _, term := range c.Util {
-			for _, v := range term.Vars() {
-				names[v] = true
-			}
+			cl.addRes(term)
 		}
 		for _, pd := range s.Polls {
-			for _, v := range pd.Rate.Vars() {
-				names[v] = true
-			}
-		}
-		for v := range names {
-			if v != netmodel.ResPoll {
-				cl.res = append(cl.res, v)
-			}
+			cl.addRes(pd.Rate)
 		}
 		sort.Strings(cl.res)
-		resIdx := make(map[string]int, len(cl.res))
+		cl.varNames = make([]string, len(cl.res))
 		for ri, r := range cl.res {
-			cl.varNames = append(cl.varNames, s.ID+"."+r)
-			resIdx[r] = ri
+			cl.varNames[ri] = s.ID + "." + r
 		}
-		sparse := func(coefOf func(string) float64, vars []string, scale float64) ([]int, []float64) {
-			var is []int
-			var vs []float64
-			for _, r := range vars {
-				ri, ok := resIdx[r]
-				if !ok {
-					continue // poll-typed terms never become LP variables
-				}
-				is = append(is, ri)
-				vs = append(vs, scale*coefOf(r))
-			}
-			return is, vs
+		cl.utilRows = make([]lpRow, len(c.Util))
+		for i, term := range c.Util {
+			cl.utilRows[i] = cl.row(term, -1, term.Const)
 		}
-		for _, term := range c.Util {
-			is, vs := sparse(term.CoefOf, term.Vars(), -1)
-			cl.utilRows = append(cl.utilRows, lpRow{res: is, vals: vs, rhs: term.Const})
-		}
+		cl.conRows = make([]lpRow, 0, len(c.Constraints))
 		for _, con := range c.Constraints {
-			is, vs := sparse(con.CoefOf, con.Vars(), 1)
-			if len(is) == 0 {
-				continue
+			if row := cl.row(con, 1, -con.Const); len(row.res) > 0 {
+				cl.conRows = append(cl.conRows, row)
 			}
-			cl.conRows = append(cl.conRows, lpRow{res: is, vals: vs, rhs: -con.Const})
 		}
-		for _, pd := range s.Polls {
-			is, vs := sparse(pd.Rate.CoefOf, pd.Rate.Vars(), -st.alpha)
-			cl.pollRows = append(cl.pollRows, lpRow{res: is, vals: vs, rhs: st.alpha * pd.Rate.Const})
-			cl.pollSubj = append(cl.pollSubj, pd.Subject)
+		cl.pollRows = make([]lpRow, len(s.Polls))
+		cl.pollSubj = make([]string, len(s.Polls))
+		for i, pd := range s.Polls {
+			cl.pollRows[i] = cl.row(pd.Rate, -st.alpha, st.alpha*pd.Rate.Const)
+			cl.pollSubj[i] = pd.Subject
 		}
 	}
+}
+
+// addRes adds the resources lin mentions to the case's variable list.
+// Poll-typed terms never become LP variables.
+func (cl *caseLP) addRes(lin poly.Linear) {
+	for r, c := range lin.Coef {
+		if c != 0 && r != netmodel.ResPoll && !slices.Contains(cl.res, r) {
+			cl.res = append(cl.res, r)
+		}
+	}
+}
+
+// row bakes scale*lin's coefficients over the case's (sorted) variable
+// list, in that order.
+func (cl *caseLP) row(lin poly.Linear, scale, rhs float64) lpRow {
+	n := 0
+	for _, r := range cl.res {
+		if lin.Coef[r] != 0 {
+			n++
+		}
+	}
+	row := lpRow{rhs: rhs}
+	if n == 0 {
+		return row
+	}
+	row.res = make([]int, 0, n)
+	row.vals = make([]float64, 0, n)
+	for ri, r := range cl.res {
+		if c := lin.Coef[r]; c != 0 {
+			row.res = append(row.res, ri)
+			row.vals = append(row.vals, scale*c)
+		}
+	}
+	return row
 }
 
 func (st *heurState) switchInfo(n netmodel.SwitchID) SwitchInfo {

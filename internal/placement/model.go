@@ -366,22 +366,25 @@ func minimalAlloc(c poly.Case, capacity netmodel.Resources) (netmodel.Resources,
 	alloc := netmodel.Resources{}
 	simple := true
 	for _, con := range c.Constraints {
-		vars := con.Vars()
-		switch len(vars) {
+		// The constraint's variables, without a sorted copy of their
+		// names: how many, and the one when there is only one.
+		n, r, a := 0, "", 0.0
+		for v, coef := range con.Coef {
+			if coef != 0 {
+				n, r, a = n+1, v, coef
+			}
+		}
+		switch n {
 		case 0:
 			if con.Const < -1e-9 {
 				return nil, false // constant infeasible
 			}
 		case 1:
-			a := con.CoefOf(vars[0])
 			if a <= 0 {
 				simple = false
-			} else {
+			} else if lb := -con.Const / a; lb > alloc[r] {
 				// a*r + const >= 0 -> r >= -const/a
-				lb := -con.Const / a
-				if lb > alloc[vars[0]] {
-					alloc[vars[0]] = lb
-				}
+				alloc[r] = lb
 			}
 		default:
 			simple = false

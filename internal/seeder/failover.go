@@ -73,8 +73,7 @@ func (sd *Seeder) FailSwitch(id netmodel.SwitchID) (dropped []string, err error)
 				delete(sd.placements, s.id)
 			}
 		}
-		delete(sd.tasks, n)
-		delete(sd.harvesters, n)
+		sd.forget(t)
 	}
 	sort.Strings(dropped)
 	return dropped, nil

@@ -2,7 +2,8 @@
 // (§II-C-b of the paper): it admits tasks written in Almanac, resolves
 // their place directives against the SDN controller's topology view,
 // runs the static analyses that feed placement optimization, invokes the
-// optimizer across all co-deployed tasks, ships seeds to soils as XML,
+// optimizer across all co-deployed tasks, ships seeds to soils (each
+// machine compiled and passed through its XML wire form once, store.go),
 // applies reallocations, and live-migrates seeds (deploy description →
 // transfer state → resume, §V-B).
 package seeder
@@ -68,6 +69,9 @@ type Seeder struct {
 
 	tasks      map[string]*task
 	harvesters map[string]*harvest.Harvester
+	// programs compiles each task source once, for every seed and every
+	// resubmission.
+	programs *programStore
 	// placements holds the optimizer's current assignment per seed ID.
 	placements map[string]placement.Assignment
 	// failed switches are excluded from placement (fault tolerance).
@@ -93,15 +97,17 @@ type Seeder struct {
 type task struct {
 	name  string
 	spec  TaskSpec
+	src   *storedSource // referenced in sd.programs while the task lives
 	seeds []*seedInst
 }
 
 // seedInst is one resolved seed (one element of S^t).
 type seedInst struct {
-	id         string // task/machine/instance
-	ref        soil.SeedRef
-	machine    *almanac.CompiledMachine
-	xml        []byte
+	id  string // task/machine/instance
+	ref soil.SeedRef
+	// m is the machine as compiled once for its source: first deploy and
+	// migration restore run the same program.
+	m          *storedMachine
 	externals  map[string]core.Value
 	candidates []netmodel.SwitchID
 	// utilByState: the seeder analyzes every state's util so
@@ -130,6 +136,7 @@ func New(fab *fabric.Fabric, opts Options) *Seeder {
 		byName:      map[string]netmodel.SwitchID{},
 		tasks:       map[string]*task{},
 		harvesters:  map[string]*harvest.Harvester{},
+		programs:    newProgramStore(),
 		placements:  map[string]placement.Assignment{},
 		failed:      map[netmodel.SwitchID]bool{},
 		touched:     map[netmodel.SwitchID]bool{},
@@ -230,33 +237,14 @@ func (sd *Seeder) AddTask(spec TaskSpec) error {
 	if _, dup := sd.tasks[spec.Name]; dup {
 		return fmt.Errorf("seeder: task %s already deployed", spec.Name)
 	}
-	prog, err := almanac.Parse(spec.Source)
+	src, err := sd.programs.acquire(spec.Source)
 	if err != nil {
 		return fmt.Errorf("seeder: task %s: %w", spec.Name, err)
 	}
-	machineNames := spec.Machines
-	if machineNames == nil {
-		for _, m := range prog.Machines {
-			machineNames = append(machineNames, m.Name)
-		}
-	}
-	t := &task{name: spec.Name, spec: spec}
-	for _, mn := range machineNames {
-		cm, err := almanac.CompileMachine(prog, mn)
-		if err != nil {
-			return fmt.Errorf("seeder: task %s: %w", spec.Name, err)
-		}
-		for _, warn := range almanac.Lint(cm) {
-			sd.logf("seeder: task %s: warning: %s", spec.Name, warn)
-		}
-		seeds, err := sd.resolveMachine(t, cm, spec.Externals[mn])
-		if err != nil {
-			return fmt.Errorf("seeder: task %s: machine %s: %w", spec.Name, mn, err)
-		}
-		t.seeds = append(t.seeds, seeds...)
-	}
-	if len(t.seeds) == 0 {
-		return fmt.Errorf("seeder: task %s resolves to no seeds", spec.Name)
+	t := &task{name: spec.Name, spec: spec, src: src}
+	if err := sd.resolveTask(t); err != nil {
+		sd.programs.release(src)
+		return err
 	}
 	sd.tasks[spec.Name] = t
 	h := harvest.New(spec.Name, spec.Harvester)
@@ -264,9 +252,9 @@ func (sd *Seeder) AddTask(spec TaskSpec) error {
 	h.Bind(&harvesterCtx{sd: sd, task: spec.Name})
 
 	if err := sd.optimizeAndApply(); err != nil {
-		// Roll the task back on placement failure.
-		delete(sd.tasks, spec.Name)
-		delete(sd.harvesters, spec.Name)
+		// Roll the task back: a seed that failed to deploy must not leave
+		// the ones that did running where no RemoveTask can reach them.
+		sd.retire(t)
 		return fmt.Errorf("seeder: task %s: %w", spec.Name, err)
 	}
 	// The whole task may have been dropped by the optimizer.
@@ -277,9 +265,35 @@ func (sd *Seeder) AddTask(spec TaskSpec) error {
 		}
 	}
 	if placed == 0 {
-		delete(sd.tasks, spec.Name)
-		delete(sd.harvesters, spec.Name)
+		sd.retire(t)
 		return fmt.Errorf("seeder: task %s does not fit the fabric (dropped by placement)", spec.Name)
+	}
+	return nil
+}
+
+// resolveTask takes the task's machines from the program store and
+// resolves each into seeds.
+func (sd *Seeder) resolveTask(t *task) error {
+	machineNames := t.spec.Machines
+	if machineNames == nil {
+		machineNames = t.src.names
+	}
+	for _, mn := range machineNames {
+		m, err := t.src.machine(mn)
+		if err != nil {
+			return fmt.Errorf("seeder: task %s: %w", t.name, err)
+		}
+		for _, warn := range m.warnings {
+			sd.logf("seeder: task %s: warning: %s", t.name, warn)
+		}
+		seeds, err := sd.resolveMachine(t, m, t.spec.Externals[mn])
+		if err != nil {
+			return fmt.Errorf("seeder: task %s: machine %s: %w", t.name, mn, err)
+		}
+		t.seeds = append(t.seeds, seeds...)
+	}
+	if len(t.seeds) == 0 {
+		return fmt.Errorf("seeder: task %s resolves to no seeds", t.name)
 	}
 	return nil
 }
@@ -290,6 +304,13 @@ func (sd *Seeder) RemoveTask(name string) error {
 	if !ok {
 		return fmt.Errorf("seeder: no task %s", name)
 	}
+	sd.retire(t)
+	return nil
+}
+
+// retire undeploys whatever seeds of t are deployed and forgets the
+// task.
+func (sd *Seeder) retire(t *task) {
 	for _, s := range t.seeds {
 		if s.deployed {
 			if err := sd.soils[s.deployedAt].Remove(s.ref.ID()); err != nil {
@@ -301,9 +322,15 @@ func (sd *Seeder) RemoveTask(name string) error {
 			delete(sd.placements, s.id)
 		}
 	}
-	delete(sd.tasks, name)
-	delete(sd.harvesters, name)
-	return nil
+	sd.forget(t)
+}
+
+// forget drops a task whose seeds are gone from the seeder's books and
+// releases its programs.
+func (sd *Seeder) forget(t *task) {
+	delete(sd.tasks, t.name)
+	delete(sd.harvesters, t.name)
+	sd.programs.release(t.src)
 }
 
 // Reoptimize re-runs global placement over all tasks (called when
@@ -343,9 +370,9 @@ func (sd *Seeder) BroadcastToTask(task, machine string, v core.Value) error {
 // resolveMachine performs the seeder's first step for a machine:
 // placement directives → seed instances with candidate sets (π, §III-B),
 // plus the second and third steps (utility and poll analysis).
-func (sd *Seeder) resolveMachine(t *task, cm *almanac.CompiledMachine, externals map[string]core.Value) ([]*seedInst, error) {
-	env := constEnv(cm, externals)
-	topo := sd.fab.Topology()
+func (sd *Seeder) resolveMachine(t *task, m *storedMachine, externals map[string]core.Value) ([]*seedInst, error) {
+	cm := m.cm
+	env := core.ConstEnv(cm, externals)
 
 	placements := cm.Placements
 	if len(placements) == 0 {
@@ -393,10 +420,6 @@ func (sd *Seeder) resolveMachine(t *task, cm *almanac.CompiledMachine, externals
 		polls = append(polls, placement.PollDemand{Subject: key, Rate: pi.RatePerSec})
 	}
 
-	xmlData, err := almanac.EncodeXML(cm)
-	if err != nil {
-		return nil, err
-	}
 	var seeds []*seedInst
 	for i, cands := range candidateSets {
 		inst := ""
@@ -406,8 +429,7 @@ func (sd *Seeder) resolveMachine(t *task, cm *almanac.CompiledMachine, externals
 		si := &seedInst{
 			id:          t.name + "/" + cm.Name + instSuffix(inst),
 			ref:         soil.SeedRef{Task: t.name, Machine: cm.Name, Instance: inst},
-			machine:     cm,
-			xml:         xmlData,
+			m:           m,
 			externals:   externals,
 			candidates:  cands,
 			utilByState: utilByState,
@@ -415,7 +437,6 @@ func (sd *Seeder) resolveMachine(t *task, cm *almanac.CompiledMachine, externals
 		}
 		seeds = append(seeds, si)
 	}
-	_ = topo
 	return seeds, nil
 }
 
@@ -549,37 +570,6 @@ func (sd *Seeder) resolvePlacement(pl almanac.Placement, env map[string]almanac.
 	return sets, nil
 }
 
-// constEnv builds the deployment-time constant environment from
-// externals and constant machine-variable initializers.
-func constEnv(cm *almanac.CompiledMachine, externals map[string]core.Value) map[string]almanac.Const {
-	env := map[string]almanac.Const{}
-	for _, v := range cm.Vars {
-		if v.Init == nil {
-			continue
-		}
-		if c, err := almanac.EvalConst(v.Init, env); err == nil {
-			env[v.Name] = c
-		}
-	}
-	for name, v := range externals {
-		switch x := v.(type) {
-		case int64:
-			env[name] = almanac.NumConst(float64(x))
-		case float64:
-			env[name] = almanac.NumConst(x)
-		case string:
-			env[name] = almanac.StrConst(x)
-		case bool:
-			env[name] = almanac.BoolConst(x)
-		case core.FilterVal:
-			c := almanac.FilterConst(x.F)
-			c.PortAny = x.PortAny
-			env[name] = c
-		}
-	}
-	return env
-}
-
 // optimizeAndApply rebuilds the global placement input from every task
 // and applies the optimizer's decisions to the soils.
 func (sd *Seeder) optimizeAndApply() error {
@@ -654,7 +644,7 @@ func (sd *Seeder) buildInput() *placement.Input {
 	for _, n := range names {
 		t := sd.tasks[n]
 		for _, s := range t.seeds {
-			util := s.utilByState[s.machine.InitialState]
+			util := s.utilByState[s.m.cm.InitialState]
 			if s.deployed {
 				if st, err := sd.soils[s.deployedAt].SeedState(s.ref.ID()); err == nil {
 					if u, ok := s.utilByState[st]; ok {
@@ -672,7 +662,7 @@ func (sd *Seeder) buildInput() *placement.Input {
 			in.Seeds = append(in.Seeds, placement.SeedSpec{
 				ID:         s.id,
 				Task:       t.name,
-				Machine:    s.machine.Name,
+				Machine:    s.m.cm.Name,
 				Candidates: cands,
 				Utility:    util,
 				Polls:      s.polls,
@@ -756,7 +746,7 @@ func sameAlloc(a, b netmodel.Resources) bool {
 func (sd *Seeder) deploySeed(s *seedInst, a placement.Assignment) error {
 	ref := s.ref
 	ref.Switch = sd.fab.Topology().Switch(a.Switch).Name
-	if err := sd.soils[a.Switch].Deploy(ref, s.xml, s.externals, a.Alloc); err != nil {
+	if err := sd.soils[a.Switch].DeployCompiled(ref, s.m.prog, s.externals, a.Alloc); err != nil {
 		return err
 	}
 	s.ref = ref
@@ -783,10 +773,10 @@ func (sd *Seeder) migrateSeed(s *seedInst, a placement.Assignment) error {
 	ref := s.ref
 	ref.Switch = sd.fab.Topology().Switch(a.Switch).Name
 	target := sd.soils[a.Switch]
-	machine := s.machine
+	prog := s.m.prog
 	ext := s.externals
 	engine.ScheduleOn(sd.fab.CentralSched(), delay, func() {
-		if err := target.RestoreSeed(ref, machine, ext, a.Alloc, snap); err != nil {
+		if err := target.RestoreSeed(ref, prog, ext, a.Alloc, snap); err != nil {
 			sd.logf("seeder: migration restore %s: %v", s.id, err)
 		}
 	})

@@ -383,28 +383,35 @@ func (s *Soil) chargeActions(rt *seedRuntime) {
 
 // Deploy instantiates a machine on this switch with the given external
 // bindings and resource allocation. The machine arrives in its XML wire
-// form, exactly as the seeder ships it (§V-A-d).
+// form (§V-A-d): this is the wire-format entry, nothing but decode and
+// compile in front of DeployCompiled.
 func (s *Soil) Deploy(ref SeedRef, xmlData []byte, externals map[string]core.Value, alloc netmodel.Resources) error {
 	cm, err := almanac.DecodeXML(xmlData)
 	if err != nil {
 		return fmt.Errorf("soil %s: %w", s.name, err)
 	}
-	return s.DeployCompiled(ref, cm, externals, alloc)
+	prog, err := core.Compile(cm)
+	if err != nil {
+		return fmt.Errorf("soil %s: %w", s.name, err)
+	}
+	return s.DeployCompiled(ref, prog, externals, alloc)
 }
 
-// DeployCompiled is Deploy for already-decoded machines (in-process
-// seeder deployments skip the XML hop; tests use both paths).
-func (s *Soil) DeployCompiled(ref SeedRef, cm *almanac.CompiledMachine, externals map[string]core.Value, alloc netmodel.Resources) error {
-	return s.deploy(ref, cm, externals, alloc, nil)
+// DeployCompiled deploys one instance of an already-compiled program.
+// The program is shared read-only with every other seed deployed from
+// it, on this soil or any other (the seeder decodes and compiles a
+// machine once and hands the same program to each of its seeds).
+func (s *Soil) DeployCompiled(ref SeedRef, prog *core.Program, externals map[string]core.Value, alloc netmodel.Resources) error {
+	return s.deploy(ref, prog, externals, alloc, nil)
 }
 
 // RestoreSeed deploys a migrated seed and resumes it from a snapshot
 // (migration: deploy the description, transfer the state, resume, §V-B).
-func (s *Soil) RestoreSeed(ref SeedRef, cm *almanac.CompiledMachine, externals map[string]core.Value, alloc netmodel.Resources, snap core.Snapshot) error {
-	return s.deploy(ref, cm, externals, alloc, &snap)
+func (s *Soil) RestoreSeed(ref SeedRef, prog *core.Program, externals map[string]core.Value, alloc netmodel.Resources, snap core.Snapshot) error {
+	return s.deploy(ref, prog, externals, alloc, &snap)
 }
 
-func (s *Soil) deploy(ref SeedRef, cm *almanac.CompiledMachine, externals map[string]core.Value, alloc netmodel.Resources, snap *core.Snapshot) error {
+func (s *Soil) deploy(ref SeedRef, prog *core.Program, externals map[string]core.Value, alloc netmodel.Resources, snap *core.Snapshot) error {
 	id := ref.ID()
 	if _, dup := s.seeds[id]; dup {
 		return fmt.Errorf("soil %s: seed %s already deployed", s.name, id)
@@ -420,27 +427,16 @@ func (s *Soil) deploy(ref SeedRef, cm *almanac.CompiledMachine, externals map[st
 		timeTickers: map[string]engine.Ticker{},
 	}
 	host := &seedHost{soil: s, rt: rt}
-	seed, err := core.NewRunner(cm, externals, host)
+	seed, err := prog.NewRunner(externals, host)
 	if err != nil {
 		return fmt.Errorf("soil %s: %w", s.name, err)
 	}
 	rt.seed = seed
 
-	// Static analysis → trigger wiring.
-	env := map[string]almanac.Const{}
-	for name, v := range externals {
-		switch x := v.(type) {
-		case int64:
-			env[name] = almanac.NumConst(float64(x))
-		case float64:
-			env[name] = almanac.NumConst(x)
-		case string:
-			env[name] = almanac.StrConst(x)
-		case bool:
-			env[name] = almanac.BoolConst(x)
-		}
-	}
-	polls, err := almanac.AnalyzePolls(cm, env)
+	// Static analysis → trigger wiring, against the same constant
+	// environment the seeder analysed the machine with.
+	cm := prog.Machine()
+	polls, err := almanac.AnalyzePolls(cm, core.ConstEnv(cm, externals))
 	if err != nil {
 		return fmt.Errorf("soil %s: %w", s.name, err)
 	}

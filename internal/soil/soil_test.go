@@ -80,6 +80,16 @@ func compileHH(t *testing.T) *almanac.CompiledMachine {
 	return cm
 }
 
+// mustCompile lowers and links a machine: what DeployCompiled takes.
+func mustCompile(t testing.TB, cm *almanac.CompiledMachine) *core.Program {
+	t.Helper()
+	prog, err := core.Compile(cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
 func leafID(t *testing.T, fab *fabric.Fabric, name string) netmodel.SwitchID {
 	t.Helper()
 	for _, sw := range fab.Topology().Switches() {
@@ -156,7 +166,7 @@ func TestResourceAdmission(t *testing.T) {
 	s := New(fab, leaf, DefaultOptions())
 	cm := compileHH(t)
 	huge := netmodel.Resources{netmodel.ResVCPU: 999}
-	err := s.DeployCompiled(SeedRef{Task: "t", Machine: "HH", Switch: s.Name()}, cm,
+	err := s.DeployCompiled(SeedRef{Task: "t", Machine: "HH", Switch: s.Name()}, mustCompile(t, cm),
 		map[string]core.Value{"threshold": int64(1)}, huge)
 	if err == nil || !strings.Contains(err.Error(), "insufficient resources") {
 		t.Fatalf("err = %v", err)
@@ -171,7 +181,7 @@ func TestDuplicateDeployRejected(t *testing.T) {
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
 	deployHH(t, s, "hh", 1)
 	cm := compileHH(t)
-	err := s.DeployCompiled(SeedRef{Task: "hh", Machine: "HH", Switch: s.Name()}, cm,
+	err := s.DeployCompiled(SeedRef{Task: "hh", Machine: "HH", Switch: s.Name()}, mustCompile(t, cm),
 		map[string]core.Value{"threshold": int64(1)}, hhAlloc())
 	if err == nil || !strings.Contains(err.Error(), "already deployed") {
 		t.Fatalf("err = %v", err)
@@ -205,9 +215,10 @@ func TestRemoveReleasesResources(t *testing.T) {
 	}
 }
 
-// TestRemoveReleasesCompiledMachine: the lowered program is owned by
-// the seed's runner, so once the seed is removed nothing in soil or core
-// may keep its compiled machine reachable.
+// TestRemoveReleasesCompiledMachine: a program is held by whoever
+// compiled it and by the runners deployed from it, so once its only seed
+// is removed nothing in soil or core may keep it or its compiled machine
+// reachable.
 func TestRemoveReleasesCompiledMachine(t *testing.T) {
 	fab, loop := testEnv(t)
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
@@ -216,7 +227,7 @@ func TestRemoveReleasesCompiledMachine(t *testing.T) {
 	func() {
 		cm := compileHH(t)
 		runtime.SetFinalizer(cm, func(*almanac.CompiledMachine) { close(collected) })
-		if err := s.DeployCompiled(ref, cm, map[string]core.Value{"threshold": int64(1)}, hhAlloc()); err != nil {
+		if err := s.DeployCompiled(ref, mustCompile(t, cm), map[string]core.Value{"threshold": int64(1)}, hhAlloc()); err != nil {
 			t.Fatal(err)
 		}
 	}()
@@ -383,7 +394,7 @@ func TestMigrationSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref2 := SeedRef{Task: "hh", Machine: "HH", Switch: dst.Name()}
-	if err := dst.RestoreSeed(ref2, compileHH(t), map[string]core.Value{"threshold": int64(1000)}, hhAlloc(), snap); err != nil {
+	if err := dst.RestoreSeed(ref2, mustCompile(t, compileHH(t)), map[string]core.Value{"threshold": int64(1000)}, hhAlloc(), snap); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := dst.SeedVar(ref2.ID(), "threshold"); v != int64(4242) {
@@ -424,7 +435,7 @@ machine Rules {
 	alloc := hhAlloc()
 	alloc[netmodel.ResTCAM] = 2
 	ref := SeedRef{Task: "r", Machine: "Rules", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, cm, nil, alloc); err != nil {
+	if err := s.DeployCompiled(ref, mustCompile(t, cm), nil, alloc); err != nil {
 		t.Fatal(err)
 	}
 	_ = s.DeliverMessage(ref.ID(), core.MsgSource{Harvester: true}, int64(1))
@@ -462,7 +473,7 @@ machine Probe {
 	leaf := leafID(t, fab, "leaf0")
 	s := New(fab, leaf, DefaultOptions())
 	ref := SeedRef{Task: "p", Machine: "Probe", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, cm, nil, hhAlloc()); err != nil {
+	if err := s.DeployCompiled(ref, mustCompile(t, cm), nil, hhAlloc()); err != nil {
 		t.Fatal(err)
 	}
 	// 100 matching packets in 20 ms; probe interval 5 ms lower-bounds
@@ -510,7 +521,7 @@ machine Timer {
 	fab, loop := testEnv(t)
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
 	ref := SeedRef{Task: "t", Machine: "Timer", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, cm, nil, hhAlloc()); err != nil {
+	if err := s.DeployCompiled(ref, mustCompile(t, cm), nil, hhAlloc()); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunFor(105 * time.Millisecond)
@@ -541,7 +552,7 @@ machine Adaptive {
 	fab, loop := testEnv(t)
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
 	ref := SeedRef{Task: "a", Machine: "Adaptive", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, cm, nil, hhAlloc()); err != nil {
+	if err := s.DeployCompiled(ref, mustCompile(t, cm), nil, hhAlloc()); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunFor(300 * time.Millisecond)

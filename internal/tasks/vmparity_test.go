@@ -150,9 +150,9 @@ func taskPayload(rng *rand.Rand) core.Value {
 }
 
 // TestCatalogueLowersToBytecode pins that every catalogued machine
-// lowers, that core.NewRunner deploys it on the register VM (a machine
-// that does not lower is rejected, so the catalogue must), and that its
-// disassembly renders.
+// lowers, that core.Compile + NewRunner deploys it on the register VM (a
+// machine that does not lower is rejected, so the catalogue must), and
+// that its disassembly renders.
 func TestCatalogueLowersToBytecode(t *testing.T) {
 	for _, d := range All() {
 		prog, err := almanac.Parse(d.Source)
@@ -184,7 +184,11 @@ func TestCatalogueLowersToBytecode(t *testing.T) {
 			if d.Machines != nil && !slices.Contains(d.Machines, m.Name) {
 				continue // an inheritance base the task never deploys
 			}
-			r, err := core.NewRunner(cm, d.DefaultExternals[m.Name], newParityTaskHost())
+			cp, err := core.Compile(cm)
+			if err != nil {
+				t.Fatalf("%s/%s: Compile: %v", d.Name, m.Name, err)
+			}
+			r, err := cp.NewRunner(d.DefaultExternals[m.Name], newParityTaskHost())
 			if err != nil {
 				t.Fatalf("%s/%s: NewRunner: %v", d.Name, m.Name, err)
 			}
@@ -226,7 +230,7 @@ func TestCatalogueBackendParity(t *testing.T) {
 
 // parityBackends names the two executors, the interpreter (semantic
 // reference, built with core.NewSeed) first, then the production runner
-// (core.NewRunner).
+// (core.Compile + NewRunner).
 var parityBackends = []string{"interp", "register"}
 
 func driveTaskParity(t *testing.T, cm *almanac.CompiledMachine, ext map[string]core.Value) {
@@ -243,7 +247,11 @@ func driveTaskParity(t *testing.T, cm *almanac.CompiledMachine, ext map[string]c
 	} else {
 		runners[0] = ref
 	}
-	runners[1], errs[1] = core.NewRunner(cm, ext, hosts[1])
+	if cp, err := core.Compile(cm); err != nil {
+		errs[1] = err
+	} else {
+		runners[1], errs[1] = cp.NewRunner(ext, hosts[1])
+	}
 	for i := 1; i < n; i++ {
 		if errStr(errs[0]) != errStr(errs[i]) {
 			t.Fatalf("%s: construction divergence: interp %v vs %s %v", cm.Name, errs[0], parityBackends[i], errs[i])
