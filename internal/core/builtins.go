@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"farm/internal/almanac"
 	"farm/internal/dataplane"
@@ -415,9 +416,14 @@ func asMap(v Value, name string, line int) (MapVal, error) {
 	return m, nil
 }
 
+// keyString renders a map key: a string keys as itself, anything else
+// by its FormatValue text (a long: its decimal digits).
 func keyString(v Value) string {
-	if s, ok := v.(string); ok {
-		return s
+	switch x := v.(type) {
+	case string:
+		return x
+	case int64:
+		return strconv.FormatInt(x, 10)
 	}
 	return FormatValue(v)
 }

@@ -38,10 +38,40 @@ func (m *rvmSeed) HandleTrigger(varName string, data Value) error {
 		return nil
 	}
 	if m.lp.p.RegChunks[ci].HasBind {
-		m.bindBuf[0] = unbox(data)
-		return m.runTop(ci, m.bindBuf[:1], 0)
+		pv, lent := data.(*PacketVal)
+		if lent {
+			m.bindBuf[0] = rval{k: rkPacket, ref: pv}
+		} else {
+			m.bindBuf[0] = unbox(data)
+		}
+		err := m.runTop(ci, m.bindBuf[:1], 0)
+		if lent {
+			m.keepPackets()
+		}
+		return err
 	}
 	return m.runTop(ci, nil, 0)
+}
+
+// keepPackets ends a handler run that read a lent packet in place. The
+// env and state slots outlive the run and the packet does not, so any
+// slot the handler (or a state it entered) left referring to it gets a
+// private copy now, while the packet is still the one that was lent.
+// Done here, once per probe, rather than on every slot store: stores are
+// the dispatch loop's hottest path and nearly none of them see a packet.
+func (m *rvmSeed) keepPackets() {
+	for i := range m.env {
+		if m.env[i].k == rkPacket {
+			m.env[i] = m.env[i].materialised()
+		}
+	}
+	for _, fr := range m.states {
+		for i := range fr {
+			if fr[i].k == rkPacket {
+				fr[i] = fr[i].materialised()
+			}
+		}
+	}
 }
 
 func (m *rvmSeed) HandleRecv(from MsgSource, v Value) error {

@@ -190,10 +190,14 @@ func (s *Seed) Start() error {
 
 // HandleTrigger delivers a trigger-variable firing (poll result, probe
 // packet, or time tick) to the current state. The interpreter works on
-// boxed values only: a poll batch is materialised on entry.
+// boxed values only: a poll batch is materialised on entry, a packet
+// lent by pointer copied.
 func (s *Seed) HandleTrigger(varName string, data Value) error {
-	if b, ok := data.(*Batch); ok {
-		data = b.List()
+	switch x := data.(type) {
+	case *Batch:
+		data = x.List()
+	case *PacketVal:
+		data = *x
 	}
 	st, ok := s.machine.State(s.state)
 	if !ok {

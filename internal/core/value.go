@@ -30,7 +30,11 @@ import (
 //
 // A poll result enters HandleTrigger as a *Batch, which stands for the
 // List of StructVal records it materialises to; the functions below
-// treat it as that list.
+// treat it as that list. A probe's packet may enter HandleTrigger as a
+// *PacketVal the caller lends for the call: the runner reads it in
+// place and copies it wherever it keeps it, so the caller may overwrite
+// the packet once HandleTrigger returns. Nothing but HandleTrigger takes
+// that form.
 type Value any
 
 // List is an Almanac list.
@@ -81,8 +85,12 @@ func TypeName(v Value) string {
 		return "struct"
 	case ResourcesVal:
 		return "resources"
+	case SketchVal:
+		return "sketch"
+	case DistinctVal:
+		return "distinct"
 	}
-	return fmt.Sprintf("%T", Value(nil))
+	return fmt.Sprintf("%T", v)
 }
 
 // Truthy converts a value to a boolean condition.

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"net/netip"
+	"strconv"
 
 	"farm/internal/almanac"
 	"farm/internal/dataplane"
@@ -31,9 +33,10 @@ const (
 	rkBool
 	rkStr
 	rkRef
-	rkBatch // unboxed poll batch: ref holds the *Batch; boxes to its List
-	rkRow   // record i of the *Batch in ref; boxes to a private StructVal
-	rkMark  // internal OpAndL marker ("lhs was truthy")
+	rkBatch  // unboxed poll batch: ref holds the *Batch; boxes to its List
+	rkRow    // record i of the *Batch in ref; boxes to a private StructVal
+	rkPacket // a probe's packet read in place: ref holds the caller's *PacketVal, valid until HandleTrigger returns (keepPackets); boxes to a private PacketVal
+	rkMark   // internal OpAndL marker ("lhs was truthy")
 )
 
 // rval is an unboxed VM value. Exactly one payload field is meaningful
@@ -63,13 +66,13 @@ func rbool(v bool) rval {
 func rref(v Value) rval { return rval{k: rkRef, ref: v} }
 
 // isRef reports whether r is a reference value in any representation.
-func (r rval) isRef() bool { return r.k >= rkRef && r.k <= rkRow }
+func (r rval) isRef() bool { return r.k >= rkRef && r.k <= rkPacket }
 
-// materialised turns a poll batch or row into the boxed reference it
-// stands for and leaves every other value alone: what a cold path calls
-// before it looks at ref.
+// materialised turns a poll batch or row, or a packet read in place,
+// into the boxed reference it stands for and leaves every other value
+// alone: what a cold path calls before it looks at ref.
 func (r rval) materialised() rval {
-	if r.k == rkBatch || r.k == rkRow {
+	if r.k > rkRef && r.k <= rkPacket {
 		return rref(r.box())
 	}
 	return r
@@ -89,7 +92,7 @@ func unbox(v Value) rval {
 	case bool:
 		return rbool(x)
 	case string:
-		return rstr(x)
+		return rval{k: rkStr, ref: v} // the box it came in, not a new one
 	default:
 		return rref(v)
 	}
@@ -97,8 +100,9 @@ func unbox(v Value) rval {
 
 // box converts an rval back into a boxed Value (cold paths only:
 // bridged builtins, snapshots, sends, struct/list construction). This is
-// where a poll batch or one of its rows leaves the VM: it materialises
-// into the List / StructVal it stands for, a private copy every time.
+// where a poll batch, one of its rows or a packet read in place leaves
+// the VM: it materialises into the List / StructVal / PacketVal it
+// stands for, a private copy every time.
 func (r rval) box() Value {
 	switch r.k {
 	case rkUndef, rkNil:
@@ -115,6 +119,8 @@ func (r rval) box() Value {
 		return r.ref.(*Batch).List()
 	case rkRow:
 		return r.ref.(*Batch).record(int(r.i))
+	case rkPacket:
+		return *r.ref.(*PacketVal)
 	default:
 		return r.ref
 	}
@@ -135,6 +141,8 @@ func typeNameR(r rval) string {
 		return "string"
 	case rkRow:
 		return "struct"
+	case rkPacket:
+		return "packet"
 	default:
 		return TypeName(r.ref) // a *Batch names itself a list
 	}
@@ -180,7 +188,7 @@ func eqR(l, r rval) bool {
 		return r.k == rkStr && l.asStr() == r.asStr()
 	case rkNil, rkUndef:
 		return r.k == rkNil || r.k == rkUndef
-	case rkRef, rkBatch, rkRow:
+	case rkRef, rkBatch, rkRow, rkPacket:
 		if l.k == rkRef && r.k == rkRef {
 			return Equal(l.ref, r.ref)
 		}
@@ -264,6 +272,38 @@ type rvmSeed struct {
 	scratch []Value      // bridge argument buffer
 	bindBuf [1]rval
 	nargs   [2]rval // RCallB2 argument buffer
+
+	// addrText interns the boxed text of the packet addresses this seed
+	// has read: one String() and one box per address, not per read. At
+	// maxAddrText entries it is wiped (a spoofed-source flood presents a
+	// fresh address with every sample). Made on the first address read.
+	addrText map[netip.Addr]Value
+}
+
+// maxAddrText bounds rvmSeed.addrText.
+const maxAddrText = 256
+
+// protoText is the boxed name of every protocol number.
+var protoText = func() (t [256]Value) {
+	for i := range t {
+		t[i] = dataplane.Proto(i).String()
+	}
+	return t
+}()
+
+// addrStr returns a's text, equal to a.String().
+func (m *rvmSeed) addrStr(a netip.Addr) rval {
+	v, ok := m.addrText[a]
+	if !ok {
+		if m.addrText == nil {
+			m.addrText = make(map[netip.Addr]Value)
+		} else if len(m.addrText) >= maxAddrText {
+			clear(m.addrText)
+		}
+		v = a.String()
+		m.addrText[a] = v
+	}
+	return rval{k: rkStr, ref: v}
 }
 
 // fieldCache is one RField site's inline cache: last-seen layout and
@@ -466,6 +506,9 @@ func (m *rvmSeed) binOp(in almanac.Instr, l, r rval) (rval, error) {
 
 // fieldOp mirrors evalField/packetField.
 func (m *rvmSeed) fieldOp(x rval, field string, line int32) (rval, error) {
+	if x.k == rkPacket {
+		return m.packetField(x.ref.(*PacketVal), field, line)
+	}
 	if x.k == rkRef {
 		switch v := x.ref.(type) {
 		case StructVal:
@@ -479,25 +522,26 @@ func (m *rvmSeed) fieldOp(x rval, field string, line int32) (rval, error) {
 		case MapVal:
 			return unbox(v[field]), nil
 		case PacketVal:
-			return packetFieldR(v, field, line)
+			return m.packetField(&v, field, line)
 		}
 	}
 	return rval{}, fmt.Errorf("core: %s has no fields (line %d)", typeNameR(x), line)
 }
 
-// packetFieldR mirrors packetField without boxing.
-func packetFieldR(p PacketVal, field string, line int32) (rval, error) {
+// packetField mirrors the interpreter's packetField without boxing;
+// address and protocol text come pre-boxed.
+func (m *rvmSeed) packetField(p *PacketVal, field string, line int32) (rval, error) {
 	switch field {
 	case "srcIP":
-		return rstr(p.SrcIP.String()), nil
+		return m.addrStr(p.SrcIP), nil
 	case "dstIP":
-		return rstr(p.DstIP.String()), nil
+		return m.addrStr(p.DstIP), nil
 	case "srcPort":
 		return rint(int64(p.SrcPort)), nil
 	case "dstPort":
 		return rint(int64(p.DstPort)), nil
 	case "proto":
-		return rstr(dataplaneProtoName(p)), nil
+		return rval{k: rkStr, ref: protoText[p.Proto]}, nil
 	case "size":
 		return rint(int64(p.Size)), nil
 	case "syn":
@@ -517,7 +561,7 @@ func packetFieldR(p PacketVal, field string, line int32) (rval, error) {
 	case "httpPartial":
 		return rbool(p.App.HTTPPartial), nil
 	case "flow":
-		return rstr(dataplanePacket(p).Flow().String()), nil
+		return rstr(dataplanePacket(*p).Flow().String()), nil
 	}
 	return rval{}, fmt.Errorf("core: packet has no field %s (line %d)", field, line)
 }
@@ -697,18 +741,38 @@ func nvMapNew(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return rref(MapVal{}), true, nil
 }
 
+// The map natives take a string key as it is and a long key as its
+// decimal text — what keyString makes of it — built in a stack buffer,
+// so only map_set, which must hand the map a key to keep, allocates it.
+// Any other key type, like a non-map, bridges.
+
+func mapArgR(a rval) (MapVal, bool) {
+	if a.k != rkRef {
+		return nil, false
+	}
+	mv, ok := a.ref.(MapVal)
+	return mv, ok
+}
+
 func nvMapGet(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 3 {
 		return rval{}, false, nil
 	}
-	if args[0].k != rkRef || args[1].k != rkStr {
-		return rval{}, false, nil
-	}
-	mv, ok := args[0].ref.(MapVal)
+	mv, ok := mapArgR(args[0])
 	if !ok {
 		return rval{}, false, nil
 	}
-	if v, ok := mv[args[1].asStr()]; ok {
+	var v Value
+	switch args[1].k {
+	case rkStr:
+		v, ok = mv[args[1].asStr()]
+	case rkInt:
+		var buf [20]byte
+		v, ok = mv[string(strconv.AppendInt(buf[:0], args[1].i, 10))]
+	default:
+		return rval{}, false, nil
+	}
+	if ok {
 		return unbox(v), true, nil
 	}
 	return args[2], true, nil
@@ -718,14 +782,18 @@ func nvMapSet(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 3 {
 		return rval{}, false, nil
 	}
-	if args[0].k != rkRef || args[1].k != rkStr {
-		return rval{}, false, nil
-	}
-	mv, ok := args[0].ref.(MapVal)
+	mv, ok := mapArgR(args[0])
 	if !ok {
 		return rval{}, false, nil
 	}
-	mv[args[1].asStr()] = args[2].box()
+	switch args[1].k {
+	case rkStr:
+		mv[args[1].asStr()] = args[2].box()
+	case rkInt:
+		mv[strconv.FormatInt(args[1].i, 10)] = args[2].box()
+	default:
+		return rval{}, false, nil
+	}
 	return args[0], true, nil
 }
 
@@ -733,29 +801,39 @@ func nvMapHas(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 2 {
 		return rval{}, false, nil
 	}
-	if args[0].k != rkRef || args[1].k != rkStr {
-		return rval{}, false, nil
-	}
-	mv, ok := args[0].ref.(MapVal)
+	mv, ok := mapArgR(args[0])
 	if !ok {
 		return rval{}, false, nil
 	}
-	_, has := mv[args[1].asStr()]
-	return rbool(has), true, nil
+	switch args[1].k {
+	case rkStr:
+		_, ok = mv[args[1].asStr()]
+	case rkInt:
+		var buf [20]byte
+		_, ok = mv[string(strconv.AppendInt(buf[:0], args[1].i, 10))]
+	default:
+		return rval{}, false, nil
+	}
+	return rbool(ok), true, nil
 }
 
 func nvMapDel(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 2 {
 		return rval{}, false, nil
 	}
-	if args[0].k != rkRef || args[1].k != rkStr {
-		return rval{}, false, nil
-	}
-	mv, ok := args[0].ref.(MapVal)
+	mv, ok := mapArgR(args[0])
 	if !ok {
 		return rval{}, false, nil
 	}
-	delete(mv, args[1].asStr())
+	switch args[1].k {
+	case rkStr:
+		delete(mv, args[1].asStr())
+	case rkInt:
+		var buf [20]byte
+		delete(mv, string(strconv.AppendInt(buf[:0], args[1].i, 10)))
+	default:
+		return rval{}, false, nil
+	}
 	return args[0], true, nil
 }
 
@@ -763,10 +841,7 @@ func nvMapLen(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 1 {
 		return rval{}, false, nil
 	}
-	if args[0].k != rkRef {
-		return rval{}, false, nil
-	}
-	mv, ok := args[0].ref.(MapVal)
+	mv, ok := mapArgR(args[0])
 	if !ok {
 		return rval{}, false, nil
 	}

@@ -16,6 +16,10 @@ type Bus struct {
 	bytesPerSec float64
 	busyUntil   time.Duration
 
+	// free holds the completion records not in flight. A bus belongs to
+	// one switch and so to one engine shard: nothing else touches it.
+	free []*completion
+
 	// cumulative accounting
 	requests   uint64
 	bytes      uint64
@@ -24,6 +28,29 @@ type Bus struct {
 	delayMax   time.Duration
 	lastActive time.Duration
 }
+
+// completion is one transfer in flight whose end somebody waits for: a
+// request's callback with the latency it is owed, or a sampled packet —
+// held by value — with the subscriber it goes to. The record is the
+// engine event's whole state; fire is bound when the record is made, so
+// a transfer builds no closure and, on the engines' handle-free
+// schedule, allocates nothing once the free list is warm.
+type completion struct {
+	bus     *Bus
+	fire    func() // c.run
+	latency time.Duration
+	fn      func(latency time.Duration) // Request's callback, or
+	sink    func(Packet)                // Sample's subscriber and
+	pkt     Packet                      // the packet it gets
+}
+
+// maxFreeCompletions bounds a bus's free list by what a default bus can
+// have in flight: a full sample backlog of minimum-size frames (≈ 1.6 k
+// records). Records beyond it are left to the garbage collector.
+const maxFreeCompletions = DefaultPCIePollBytesPerSec / int(time.Second/DefaultMaxSampleBacklog) / minFrameBytes
+
+// minFrameBytes is the smallest Ethernet frame, the smallest sample.
+const minFrameBytes = 64
 
 // DefaultPCIePollBytesPerSec is the paper's measured polling capacity:
 // 8 Mbps = 1e6 bytes/s.
@@ -39,9 +66,10 @@ func NewBus(sched engine.Scheduler, bytesPerSec float64) *Bus {
 	return &Bus{sched: sched, bytesPerSec: bytesPerSec}
 }
 
-// Request enqueues a transfer of size bytes and calls fn when it
-// completes; fn receives the total latency (queueing + transfer).
-func (b *Bus) Request(size int, fn func(latency time.Duration)) {
+// admit queues a transfer of size bytes behind everything already on
+// the bus, accounts it, and returns its total latency (queueing +
+// transfer).
+func (b *Bus) admit(size int) (latency time.Duration) {
 	now := b.sched.Now()
 	start := now
 	if b.busyUntil > start {
@@ -58,10 +86,65 @@ func (b *Bus) Request(size int, fn func(latency time.Duration)) {
 	if queueDelay > b.delayMax {
 		b.delayMax = queueDelay
 	}
-	latency := done - now
-	if fn != nil {
-		b.sched.At(done, func() { fn(latency) })
+	return done - now
+}
+
+// record takes a completion record off the free list, or makes one.
+func (b *Bus) record() *completion {
+	if n := len(b.free); n > 0 {
+		c := b.free[n-1]
+		b.free = b.free[:n-1]
+		return c
 	}
+	c := &completion{bus: b}
+	c.fire = c.run
+	return c
+}
+
+// complete schedules c to fire when its transfer ends: one engine event
+// per transfer, enqueued at request time, so completions keep the
+// (time, seq) order of their requests among everything else scheduled
+// for the same instant.
+func (b *Bus) complete(c *completion) {
+	engine.ScheduleOn(b.sched, c.latency, c.fire)
+}
+
+// run is the completion event. The callback may use the bus — issue a
+// request, stop its own sampler, remove its own seed — so the record
+// goes back to the free list only once it has returned.
+func (c *completion) run() {
+	if c.sink != nil {
+		c.sink(c.pkt)
+	} else {
+		c.fn(c.latency)
+	}
+	b := c.bus
+	if len(b.free) < maxFreeCompletions {
+		*c = completion{bus: b, fire: c.fire}
+		b.free = append(b.free, c)
+	}
+}
+
+// Request enqueues a transfer of size bytes and calls fn when it
+// completes; fn receives the total latency (queueing + transfer). A nil
+// fn only occupies the bus.
+func (b *Bus) Request(size int, fn func(latency time.Duration)) {
+	latency := b.admit(size)
+	if fn == nil {
+		return
+	}
+	c := b.record()
+	c.latency, c.fn = latency, fn
+	b.complete(c)
+}
+
+// Sample enqueues the transfer of one sampled packet and hands the
+// packet to sink when the transfer completes. The packet travels in the
+// completion record by value; sink receives a copy and may keep it.
+func (b *Bus) Sample(size int, p Packet, sink func(Packet)) {
+	c := b.record()
+	c.latency, c.pkt, c.sink = b.admit(size), p, sink
+	b.complete(c)
 }
 
 // Backlog returns how far in the future the bus is already committed.
@@ -106,11 +189,13 @@ func (b *Bus) UtilizationSince(prev BusSnapshot) float64 {
 }
 
 // Transfer size constants (bytes) for the operations crossing the bus.
+// The rule sizes are exported for the soil, which applies a seed's rule
+// operations to the TCAM itself and charges the bus for them.
 const (
 	portStatsReqBytes  = 16 // request descriptor
 	portStatsRespBytes = 32 // counters for one port
-	ruleStatsBytes     = 48 // request + one rule's counters
-	ruleUpdateBytes    = 96 // install/remove a TCAM entry
+	RuleStatsBytes     = 48 // request + one rule's counters, or the rule
+	RuleUpdateBytes    = 96 // install/remove a TCAM entry
 	sampleHeaderBytes  = 128
 )
 
@@ -205,7 +290,7 @@ func (d *EmuDriver) PollPortStats(ports []int, fn func(ports []int, stats []Port
 
 // PollRuleStats implements Driver.
 func (d *EmuDriver) PollRuleStats(f Filter, fn func(RuleStats, bool)) {
-	d.bus.Request(ruleStatsBytes, func(time.Duration) {
+	d.bus.Request(RuleStatsBytes, func(time.Duration) {
 		st, ok := d.sw.TCAM().Stats(f)
 		fn(st, ok)
 	})
@@ -213,7 +298,7 @@ func (d *EmuDriver) PollRuleStats(f Filter, fn func(RuleStats, bool)) {
 
 // AddRule implements Driver.
 func (d *EmuDriver) AddRule(r Rule, fn func(error)) {
-	d.bus.Request(ruleUpdateBytes, func(time.Duration) {
+	d.bus.Request(RuleUpdateBytes, func(time.Duration) {
 		err := d.sw.TCAM().AddRule(r)
 		if fn != nil {
 			fn(err)
@@ -223,7 +308,7 @@ func (d *EmuDriver) AddRule(r Rule, fn func(error)) {
 
 // RemoveRule implements Driver.
 func (d *EmuDriver) RemoveRule(f Filter, fn func(bool)) {
-	d.bus.Request(ruleUpdateBytes, func(time.Duration) {
+	d.bus.Request(RuleUpdateBytes, func(time.Duration) {
 		ok := d.sw.TCAM().RemoveRule(f)
 		if fn != nil {
 			fn(ok)
@@ -233,7 +318,7 @@ func (d *EmuDriver) RemoveRule(f Filter, fn func(bool)) {
 
 // GetRule implements Driver.
 func (d *EmuDriver) GetRule(f Filter, fn func(Rule, bool)) {
-	d.bus.Request(ruleStatsBytes, func(time.Duration) {
+	d.bus.Request(RuleStatsBytes, func(time.Duration) {
 		r, ok := d.sw.TCAM().GetRule(f)
 		fn(r, ok)
 	})
@@ -254,6 +339,6 @@ func (d *EmuDriver) StartSampling(f Filter, oneInN int, fn func(Packet)) (stop f
 		if p.Size < size {
 			size = p.Size
 		}
-		d.bus.Request(size, func(time.Duration) { fn(p) })
+		d.bus.Sample(size, p, fn)
 	})
 }

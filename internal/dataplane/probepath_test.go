@@ -1,0 +1,369 @@
+package dataplane
+
+import (
+	"fmt"
+	"math/rand"
+	"net/netip"
+	"testing"
+	"time"
+
+	"farm/internal/engine"
+)
+
+// The probe path below the soil: sampler fire -> PCIe bus -> sink. A
+// crossing sample costs the host nothing once the switch and the bus are
+// warm, flows that match the same samplers share one set, and the pooled
+// completion records fire exactly as a closure per request did.
+
+// TestSampleCrossingAllocs: inject -> sampler fire -> bus transfer ->
+// sink allocates nothing on a warmed switch (3 per sample before the
+// completion records: the driver's closure, the bus's, the engine's
+// timer handle).
+func TestSampleCrossingAllocs(t *testing.T) {
+	loop := engine.NewSerial()
+	sw := NewSwitch("sw0", 2, 16)
+	drv := NewEmuDriver(sw, NewBus(loop, DefaultPCIePollBytesPerSec))
+	bytes := 0
+	stop := drv.StartSampling(Filter{Proto: ProtoTCP}, 1, func(p Packet) { bytes += p.Size })
+	defer stop()
+	p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)
+	const burst = 4 // several records in flight at once
+	cross := func() {
+		for i := 0; i < burst; i++ {
+			sw.Inject(p, 1, 2)
+		}
+		loop.RunFor(time.Millisecond)
+	}
+	for i := 0; i < 3000; i++ { // the flow's cache entry, the records, the engine's event pool
+		cross()
+	}
+	bytes = 0
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, cross); allocs != 0 {
+		t.Fatalf("%.2f allocations per %d crossing samples, want 0", allocs, burst)
+	}
+	// AllocsPerRun makes one extra warm-up call.
+	if want := (runs + 1) * burst * p.Size; bytes != want {
+		t.Fatalf("sink saw %d bytes, want %d", bytes, want)
+	}
+	if drv.SampleDrops() != 0 {
+		t.Fatalf("%d samples dropped", drv.SampleDrops())
+	}
+}
+
+// matchingSamplers is the oracle for Switch.samplerSet: a linear scan.
+func matchingSamplers(s *Switch, p Packet, inPort int) []*Sampler {
+	var out []*Sampler
+	for _, sm := range s.samplers {
+		if sm.Filter.Match(p, inPort) {
+			out = append(out, sm)
+		}
+	}
+	return out
+}
+
+func sameSamplers(a, b []*Sampler) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSamplerSetsInterned: 10 k distinct flows over 12 samplers share
+// one slice per distinct sampler set, each equal to the linear scan's
+// answer; sampler churn starts a new table that holds none of the old
+// slices.
+func TestSamplerSetsInterned(t *testing.T) {
+	sw := NewSwitch("sw0", 2, 16)
+	for _, f := range []Filter{
+		{Proto: ProtoICMP}, {Proto: ProtoTCP}, {Proto: ProtoUDP},
+		{DstPort: 80}, {DstPort: 443}, {DstPort: 22}, {SrcPort: 53},
+		{FlagsSet: FlagSYN}, {InPort: 1},
+		{SrcPrefix: pfx("10.1.0.0/16")}, {SrcPrefix: pfx("10.2.0.0/16")}, {DstPrefix: pfx("10.9.0.0/24")},
+	} {
+		sw.AddSampler(f, 1<<30, func(Packet) {})
+	}
+	flow := func(i int) (Packet, int) {
+		p := Packet{
+			SrcIP:   netip.AddrFrom4([4]byte{10, byte(1 + i%3), byte(i >> 8), byte(i)}),
+			DstIP:   netip.AddrFrom4([4]byte{10, 9, byte(i % 2), 7}),
+			SrcPort: uint16(50 + i%5),
+			DstPort: []uint16{80, 443, 22, 8080}[i%4],
+			Proto:   []Proto{ProtoTCP, ProtoUDP, ProtoAny}[i%3],
+			Size:    64,
+		}
+		if i%7 == 0 {
+			p.Flags = FlagSYN
+		}
+		return p, 1 + i%2
+	}
+	const flows = 10_000
+	for i := 0; i < flows; i++ {
+		p, in := flow(i)
+		sw.Inject(p, in, 0)
+	}
+	if len(sw.flowCache) != flows {
+		t.Fatalf("%d flows cached, want %d distinct", len(sw.flowCache), flows)
+	}
+	slices := map[**Sampler]bool{}
+	sets := map[string]bool{}
+	empty := 0
+	for i := 0; i < flows; i++ {
+		p, in := flow(i)
+		got := sw.flowCache[flowKeyOf(p, in)].samplers
+		want := matchingSamplers(sw, p, in)
+		if !sameSamplers(got, want) {
+			t.Fatalf("flow %d: cached set %v, linear scan %v", i, got, want)
+		}
+		if len(got) == 0 {
+			if got != nil {
+				t.Fatalf("flow %d: empty set is not nil", i)
+			}
+			empty++
+			continue
+		}
+		slices[&got[0]] = true
+		sets[fmt.Sprint(want)] = true
+	}
+	if empty == 0 || len(sets) < 20 {
+		t.Fatalf("weak workload: %d flows without a sampler, %d distinct sets", empty, len(sets))
+	}
+	if len(slices) != len(sets) || len(sw.sets) != len(sets) {
+		t.Fatalf("%d distinct slices and %d table entries for %d distinct sets", len(slices), len(sw.sets), len(sets))
+	}
+
+	// Sampler churn moves the generation: the next miss starts a new
+	// table, and nothing in it is a slice of the old one.
+	tableHoldsOld := func() bool {
+		for _, set := range sw.sets {
+			if slices[&set[0]] {
+				return true
+			}
+		}
+		return false
+	}
+	p, in := flow(1)
+	remove := sw.AddSampler(Filter{}, 1<<30, func(Packet) {})
+	sw.Inject(p, in, 0)
+	if sw.setsGen != sw.samplerGen || len(sw.sets) != 1 || tableHoldsOld() {
+		t.Fatalf("after AddSampler: table of generation %d (switch at %d) with %d sets, old slices reachable: %v",
+			sw.setsGen, sw.samplerGen, len(sw.sets), tableHoldsOld())
+	}
+	withAll := sw.flowCache[flowKeyOf(p, in)].samplers
+	if !sameSamplers(withAll, matchingSamplers(sw, p, in)) {
+		t.Fatalf("after AddSampler: cached set %v, linear scan %v", withAll, matchingSamplers(sw, p, in))
+	}
+	slices[&withAll[0]] = true
+	remove()
+	sw.Inject(p, in, 0)
+	if sw.setsGen != sw.samplerGen || len(sw.sets) != 1 || tableHoldsOld() {
+		t.Fatalf("after removal: table of generation %d (switch at %d) with %d sets, old slices reachable: %v",
+			sw.setsGen, sw.samplerGen, len(sw.sets), tableHoldsOld())
+	}
+	if got := sw.flowCache[flowKeyOf(p, in)].samplers; !sameSamplers(got, matchingSamplers(sw, p, in)) {
+		t.Fatalf("after removal: cached set %v, linear scan %v", got, matchingSamplers(sw, p, in))
+	}
+
+	// A cache wipe takes the table with it, so it never outgrows the cap.
+	sw.cacheCap = len(sw.flowCache)
+	q, qin := flow(2)
+	sw.Inject(q, qin, 0)
+	if len(sw.flowCache) != 1 || len(sw.sets) != 1 {
+		t.Fatalf("after a cache wipe: %d flows, %d sets, want 1 and 1", len(sw.flowCache), len(sw.sets))
+	}
+}
+
+// The set key is a bitmask over the sampler slice with no width limit:
+// past 64 samplers the sets still equal the linear scan's.
+func TestSamplerSetsBeyond64(t *testing.T) {
+	sw := NewSwitch("sw0", 2, 16)
+	const samplers = 70
+	fired := make([]int, samplers)
+	for i := 0; i < samplers; i++ {
+		i := i
+		f := Filter{DstPort: uint16(1000 + i%10)}
+		if i == 0 || i == 63 || i == 64 || i == samplers-1 {
+			f = Filter{Proto: ProtoTCP}
+		}
+		sw.AddSampler(f, 1, func(Packet) { fired[i]++ })
+	}
+	rng := rand.New(rand.NewSource(64))
+	want := make([]int, samplers)
+	for n := 0; n < 2000; n++ {
+		p := pkt("10.0.0.1", "10.0.0.2", uint16(rng.Intn(50)), uint16(995+rng.Intn(20)), []Proto{ProtoTCP, ProtoUDP}[rng.Intn(2)], 64)
+		if got, lin := sw.samplerSet(p, 1), matchingSamplers(sw, p, 1); !sameSamplers(got, lin) {
+			t.Fatalf("packet %d: %d samplers in the set, %d in the linear scan", n, len(got), len(lin))
+		}
+		for i, sm := range sw.samplers {
+			if sm.Filter.Match(p, 1) {
+				want[i]++
+			}
+		}
+		sw.Inject(p, 1, 2)
+	}
+	for i := range fired {
+		if fired[i] != want[i] || (i >= 64 && fired[i] == 0) {
+			t.Fatalf("sampler %d fired %d times, want %d (> 0)", i, fired[i], want[i])
+		}
+	}
+}
+
+// closureBus is the bus as it was before completion records: one
+// closure and one timer per request. It is the reference the pooled
+// completions are replayed against.
+type closureBus struct {
+	sched       engine.Scheduler
+	bytesPerSec float64
+	busyUntil   time.Duration
+}
+
+func (b *closureBus) Request(size int, fn func(latency time.Duration)) {
+	now := b.sched.Now()
+	start := now
+	if b.busyUntil > start {
+		start = b.busyUntil
+	}
+	done := start + time.Duration(float64(size)/b.bytesPerSec*float64(time.Second))
+	b.busyUntil = done
+	latency := done - now
+	if fn != nil {
+		b.sched.At(done, func() { fn(latency) })
+	}
+}
+
+func (b *closureBus) Sample(size int, p Packet, sink func(Packet)) {
+	b.Request(size, func(time.Duration) { sink(p) })
+}
+
+// TestBusCompletionOrder replays one seeded interleaving of polls,
+// samples and callback-less rule updates on the pooled bus and on the
+// closure-per-request reference, with a ticker firing in the same
+// virtual nanoseconds as many completions, and requires the same
+// transcript of (virtual time, callback id, latency or packet).
+func TestBusCompletionOrder(t *testing.T) {
+	type bus interface {
+		Request(size int, fn func(latency time.Duration))
+		Sample(size int, p Packet, sink func(Packet))
+	}
+	run := func(mk func(engine.Scheduler) bus) []string {
+		loop := engine.NewSerial()
+		b := mk(loop)
+		var log []string
+		note := func(format string, args ...any) {
+			log = append(log, fmt.Sprintf("%v ", loop.Now())+fmt.Sprintf(format, args...))
+		}
+		// Sizes are multiples of 100 B on a 1 B/µs bus and requests are
+		// issued on the ticker's grid, so completions tie with ticks
+		// (and with each other's successors) all the time.
+		loop.Every(100*time.Microsecond, func() { note("tick") })
+		rng := rand.New(rand.NewSource(2210))
+		id := 0
+		for step := 0; step < 400; step++ {
+			for n := rng.Intn(4); n > 0; n-- {
+				id++
+				id := id
+				size := 100 * (1 + rng.Intn(3))
+				switch rng.Intn(3) {
+				case 0:
+					b.Request(size, func(lat time.Duration) { note("poll %d latency %v", id, lat) })
+				case 1:
+					p := pkt("10.0.0.1", "10.0.0.2", uint16(id), 80, ProtoTCP, size)
+					b.Sample(size, p, func(got Packet) { note("sample %d packet %d/%d", id, got.SrcPort, got.Size) })
+				default:
+					b.Request(size, nil)
+				}
+			}
+			loop.RunFor(time.Duration(rng.Intn(5)) * 100 * time.Microsecond)
+		}
+		loop.RunFor(time.Second)
+		return log
+	}
+	got := run(func(s engine.Scheduler) bus { return NewBus(s, 1e6) })
+	want := run(func(s engine.Scheduler) bus { return &closureBus{sched: s, bytesPerSec: 1e6} })
+	if len(got) != len(want) {
+		t.Fatalf("%d transcript lines, reference has %d", len(got), len(want))
+	}
+	completions := 0
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("line %d: %q, reference %q", i, got[i], want[i])
+		}
+		if want[i][len(want[i])-4:] != "tick" {
+			completions++
+		}
+	}
+	if completions < 300 {
+		t.Fatalf("weak interleaving: %d completions", completions)
+	}
+}
+
+// TestBusReentrantRequest: a completion callback may use the bus it is
+// completing on. Its record is not reused until it has returned, so a
+// request issued from inside a callback completes like any other, and a
+// sink that stops its own sampler still gets what was already in flight.
+func TestBusReentrantRequest(t *testing.T) {
+	loop := engine.NewSerial()
+	bus := NewBus(loop, 1e6) // 100 B = 100 µs
+	var log []string
+	bus.Request(100, func(lat time.Duration) {
+		log = append(log, fmt.Sprintf("%v outer %v", loop.Now(), lat))
+		// The free list is empty: were the outer record handed out while
+		// its callback runs, this request would overwrite it.
+		bus.Request(200, func(lat time.Duration) {
+			log = append(log, fmt.Sprintf("%v inner %v", loop.Now(), lat))
+		})
+		bus.Sample(100, Packet{Size: 7}, func(p Packet) {
+			log = append(log, fmt.Sprintf("%v sample %d", loop.Now(), p.Size))
+		})
+	})
+	loop.RunFor(time.Second)
+	want := []string{"100µs outer 100µs", "300µs inner 200µs", "400µs sample 7"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("transcript %q, want %q", log, want)
+	}
+	if len(bus.free) != 3 {
+		t.Fatalf("%d records on the free list, want the 3 that were in flight", len(bus.free))
+	}
+
+	sw := NewSwitch("sw0", 2, 16)
+	drv := NewEmuDriver(sw, bus)
+	delivered := 0
+	var stop func()
+	stop = drv.StartSampling(Filter{}, 1, func(Packet) {
+		delivered++
+		stop()
+	})
+	p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)
+	for i := 0; i < 3; i++ {
+		sw.Inject(p, 1, 2) // all three are on the bus before the first completes
+	}
+	loop.RunFor(time.Second)
+	sw.Inject(p, 1, 2) // the sampler is gone
+	loop.RunFor(time.Second)
+	if delivered != 3 || len(sw.samplers) != 0 {
+		t.Fatalf("delivered %d samples with %d samplers left, want 3 and 0", delivered, len(sw.samplers))
+	}
+	if len(bus.free) != 3 {
+		t.Fatalf("%d records on the free list, want 3 (reused, none lost)", len(bus.free))
+	}
+}
+
+// The free list keeps at most maxFreeCompletions records however many
+// were in flight at once.
+func TestBusFreeListBounded(t *testing.T) {
+	loop := engine.NewSerial()
+	bus := NewBus(loop, 1e9)
+	done := 0
+	for i := 0; i < 2*maxFreeCompletions; i++ {
+		bus.Request(64, func(time.Duration) { done++ })
+	}
+	loop.RunFor(time.Second)
+	if done != 2*maxFreeCompletions || len(bus.free) != maxFreeCompletions {
+		t.Fatalf("%d completions, %d records kept, want %d and %d", done, len(bus.free), 2*maxFreeCompletions, maxFreeCompletions)
+	}
+}

@@ -265,16 +265,24 @@ type Switch struct {
 	flowCache  map[flowKey]injectVerdict
 	cacheCap   int
 	cacheStats CacheStats
+
+	// Interned sampler sets of generation setsGen: every flow matched by
+	// the same samplers shares one slice, keyed by the set itself as a
+	// bitmask over s.samplers (bit i = s.samplers[i] matches).
+	sets    map[string][]*Sampler
+	setsGen uint64
+	setKey  []byte // scratch for the mask of the flow being classified
 }
 
 // injectVerdict is one memoized fused classification. Entries are
-// stored by value, so a miss on a flow no sampler matches (the port
-// scan's fresh 5-tuple per packet) allocates nothing.
+// stored by value and sampler sets are interned, so a miss (the port
+// scan's fresh 5-tuple per packet) allocates nothing unless it is the
+// first to see its sampler set.
 type injectVerdict struct {
 	tcamGen    uint64
 	samplerGen uint64
 	e          *tcamEntry // nil = no rule matches
-	samplers   []*Sampler // the samplers whose filter matches this flow
+	samplers   []*Sampler // the samplers whose filter matches this flow; shared, never written
 }
 
 // NewSwitch returns a switch with numPorts ports and the given
@@ -286,6 +294,7 @@ func NewSwitch(name string, numPorts, tcamCapacity int) *Switch {
 		tcam:      NewTCAM(tcamCapacity),
 		flowCache: make(map[flowKey]injectVerdict),
 		cacheCap:  defaultFlowCacheCap,
+		sets:      make(map[string][]*Sampler),
 	}
 }
 
@@ -385,6 +394,47 @@ func (s *Switch) Inject(p Packet, inPort, outPort int) Verdict {
 	return v
 }
 
+// samplerSet returns the samplers whose filter matches the packet, in
+// registration order, as the one slice every flow with that set shares.
+// The table belongs to the current sampler generation: bit positions
+// index s.samplers, which only changes together with samplerGen.
+func (s *Switch) samplerSet(p Packet, inPort int) []*Sampler {
+	if len(s.samplers) == 0 {
+		return nil
+	}
+	if s.setsGen != s.samplerGen {
+		clear(s.sets)
+		s.setsGen = s.samplerGen
+	}
+	need := (len(s.samplers) + 7) / 8
+	if cap(s.setKey) < need {
+		s.setKey = make([]byte, need)
+	}
+	key := s.setKey[:need]
+	clear(key)
+	n := 0
+	for i, sm := range s.samplers {
+		if sm.Filter.Match(p, inPort) {
+			key[i>>3] |= 1 << (i & 7)
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	if set, ok := s.sets[string(key)]; ok {
+		return set
+	}
+	set := make([]*Sampler, 0, n)
+	for i, sm := range s.samplers {
+		if key[i>>3]&(1<<(i&7)) != 0 {
+			set = append(set, sm)
+		}
+	}
+	s.sets[string(key)] = set
+	return set
+}
+
 // classifyFused is the classify+sample step: one flow-cache probe covering
 // TCAM verdict and sampler set, recomputed lazily when either the rule
 // or the sampler generation moved.
@@ -395,14 +445,13 @@ func (s *Switch) classifyFused(p Packet, inPort int) Verdict {
 		s.cacheStats.Misses++
 		cv = injectVerdict{tcamGen: s.tcam.gen, samplerGen: s.samplerGen}
 		cv.e = s.tcam.index.lookup(p, inPort)
-		for _, sm := range s.samplers {
-			if sm.Filter.Match(p, inPort) {
-				cv.samplers = append(cv.samplers, sm)
-			}
-		}
 		if len(s.flowCache) >= s.cacheCap {
+			// The sets go with the flows that named them, which bounds
+			// the table by the cache's cap whatever the filters are.
 			clear(s.flowCache)
+			clear(s.sets)
 		}
+		cv.samplers = s.samplerSet(p, inPort)
 		s.flowCache[k] = cv
 	} else {
 		s.cacheStats.Hits++

@@ -1,10 +1,15 @@
 package seeder
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"farm/internal/core"
+	"farm/internal/dataplane"
+	"farm/internal/harvest"
 	"farm/internal/netmodel"
+	"farm/internal/soil"
 )
 
 func TestFailSwitchRelocatesMovableSeed(t *testing.T) {
@@ -139,4 +144,91 @@ machine Mover {
 		t.Fatal("failing an unknown switch should error")
 	}
 	loop.RunFor(50 * time.Millisecond)
+}
+
+// A switch failure that squeezes a probe seed off its (healthy) switch
+// migrates it live: snapshot, remove, restore elsewhere. A sample of its
+// probe that was on the old switch's PCIe bus at that moment completes
+// to nobody — the old instance reports nothing — and the restored
+// instance reports from its new switch.
+func TestFailSwitchMigrationDropsSampleInFlight(t *testing.T) {
+	const prober = `
+machine Prober {
+  place any;
+  probe pkts = Probe { .ival = 1, .what = dstPort 80 };
+  state s {
+    util (res) { if (res.vCPU >= 2) then { return res.vCPU * 10; } }
+    when (pkts as p) do { send p.srcPort to harvester; }
+  }
+}`
+	fab, loop := testSetup(t, 1, 3, 1)
+	sd := New(fab, Options{MigrationCost: 0.1})
+	var reports []string
+	logic := harvest.FuncLogic{Message: func(_ harvest.Context, from soil.SeedRef, v core.Value) {
+		reports = append(reports, fmt.Sprintf("%s:%v", from.Switch, v))
+	}}
+	if err := sd.AddTask(TaskSpec{Name: "prober", Source: prober, Harvester: logic}); err != nil {
+		t.Fatal(err)
+	}
+	home, _ := sd.SeedSwitch("prober/Prober")
+	// A heavyweight that may run next to the prober's switch or on one
+	// other; it starts on the other, which then fails.
+	var other netmodel.SwitchID
+	for _, sw := range fab.Topology().Switches() {
+		if sw.ID != home {
+			other = sw.ID
+			break
+		}
+	}
+	name := func(id netmodel.SwitchID) string { return fab.Topology().Switch(id).Name }
+	squatter := fmt.Sprintf(`
+machine Squatter {
+  place any "%s", "%s";
+  time tick = 100;
+  state s {
+    util (res) { if (res.vCPU >= 3) then { return 1000; } }
+    when (tick as x) do { }
+  }
+}`, name(home), name(other))
+	if err := sd.AddTask(TaskSpec{Name: "squatter", Source: squatter}); err != nil {
+		t.Fatal(err)
+	}
+	loop.RunFor(10 * time.Millisecond)
+	if at, _ := sd.SeedSwitch("squatter/Squatter"); at != other {
+		t.Fatalf("squatter on %s, want %s (no pressure on the prober yet)", name(at), name(other))
+	}
+	if at, _ := sd.SeedSwitch("prober/Prober"); at != home || sd.Migrations() != 0 {
+		t.Fatalf("prober moved to %s before the failure", name(at))
+	}
+
+	probe := func(sw netmodel.SwitchID, srcPort uint16) {
+		fab.Switch(sw).Inject(dataplane.Packet{SrcPort: srcPort, DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100}, 1, 0)
+	}
+	probe(home, 1)
+	loop.RunFor(10 * time.Millisecond)
+	if want := []string{name(home) + ":1"}; fmt.Sprint(reports) != fmt.Sprint(want) {
+		t.Fatalf("reports %v before the failure, want %v", reports, want)
+	}
+
+	// The sample needs 100 µs on the bus; the switch next door fails
+	// first, the squatter lands on home and the prober is migrated away.
+	probe(home, 2)
+	loop.RunFor(10 * time.Microsecond)
+	if _, err := sd.FailSwitch(other); err != nil {
+		t.Fatal(err)
+	}
+	now, ok := sd.SeedSwitch("prober/Prober")
+	if !ok || now == home || now == other || sd.Migrations() != 1 {
+		t.Fatalf("prober on %s (ok %v) after %d migrations, want a live migration off %s", name(now), ok, sd.Migrations(), name(home))
+	}
+	loop.RunFor(10 * time.Millisecond)
+	if got := sd.Soil(home).ProbesDelivered(); got != 1 || len(reports) != 1 {
+		t.Fatalf("old switch delivered %d probes, harvester has %v: the migrated-away seed got the sample in flight", got, reports)
+	}
+
+	probe(now, 3)
+	loop.RunFor(10 * time.Millisecond)
+	if want := []string{name(home) + ":1", name(now) + ":3"}; fmt.Sprint(reports) != fmt.Sprint(want) {
+		t.Fatalf("reports %v, want %v (the restored seed reports from its new switch)", reports, want)
+	}
 }

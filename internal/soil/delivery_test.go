@@ -2,11 +2,13 @@ package soil
 
 import (
 	"fmt"
+	"net/netip"
 	"testing"
 	"time"
 
 	"farm/internal/almanac"
 	"farm/internal/core"
+	"farm/internal/dataplane"
 	"farm/internal/engine"
 	"farm/internal/fabric"
 	"farm/internal/netmodel"
@@ -94,6 +96,62 @@ machine Summer {
         total = total + r.dTxBytes;
         i = i + 1;
       }
+    }
+  }
+}
+`
+
+// snifferSource is a probe handler that allocates nothing: it reads the
+// packet's text, number and flag fields, compares and keeps them in
+// machine variables, and looks a long key up in a map.
+const snifferSource = `
+machine Sniffer {
+  place all;
+  probe pkts = Probe { .ival = 0.01, .what = dstPort 80 };
+  map perPort;
+  long n; long bytes; long syns; long tcp; long known;
+  string lastSrc;
+  state s {
+    util (res) { if (res.vCPU >= 0.01) then { return 1; } }
+    when (pkts as p) do {
+      n = n + 1;
+      bytes = bytes + p.size;
+      if (p.syn) then { syns = syns + 1; }
+      if (p.proto == "tcp") then { tcp = tcp + 1; }
+      if (p.srcIP <> p.dstIP) then { lastSrc = p.srcIP; }
+      known = known + map_get(perPort, p.dstPort, 0);
+    }
+  }
+}
+`
+
+// reporterSource reports every probe to the harvester.
+const reporterSource = `
+machine Reporter {
+  place all;
+  probe pkts = Probe { .ival = 0.01, .what = dstPort 80 };
+  state s {
+    util (res) { if (res.vCPU >= 0.01) then { return 1; } }
+    when (pkts as p) do { send p.size to harvester; }
+  }
+}
+`
+
+// packetKeeperSource keeps the first probe's packet in a machine
+// variable and reads the kept one on every later probe.
+const packetKeeperSource = `
+machine PacketKeeper {
+  place all;
+  probe pkts = Probe { .ival = 0.01, .what = dstPort 80 };
+  packet first;
+  long n; long firstPort; long curPort;
+  state s {
+    util (res) { if (res.vCPU >= 0.01) then { return 1; } }
+    when (pkts as p) do {
+      if (n == 0) then { first = p; }
+      n = n + 1;
+      firstPort = first.srcPort;
+      curPort = p.srcPort;
     }
   }
 }
@@ -282,22 +340,165 @@ func TestRemoveWithPollInFlight(t *testing.T) {
 	}
 }
 
-// pollBench is a leaf with the given port count and subs co-located
-// Summer seeds on one poll group, warmed past every first delivery.
-func pollBench(tb testing.TB, ports, subs int) (*Soil, engine.Scheduler, *fabric.Fabric) {
+// A seed removed while one of its samples is on the PCIe bus gets no
+// delivery: nothing runs, nothing is sent and the switch CPU is charged
+// nothing. The transfer itself happened and stays on the bus's account.
+func TestRemoveWithSampleInFlight(t *testing.T) {
+	fab, loop := testEnv(t)
+	leaf := leafID(t, fab, "leaf0")
+	s := New(fab, leaf, DefaultOptions())
+	sent := 0
+	s.SetSendFunc(func(SeedRef, core.SendDest, core.Value) { sent++ })
+	a := deployMachine(t, s, "a", reporterSource, "Reporter")
+	p := dataplane.Packet{SrcPort: 1, DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100}
+
+	// With the seed in place the sample is delivered and reported.
+	fab.Switch(leaf).Inject(p, 1, 2)
+	loop.RunFor(10 * time.Millisecond)
+	if s.ProbesDelivered() != 1 || sent != 1 {
+		t.Fatalf("%d probes delivered, %d sent with the seed deployed, want 1 and 1", s.ProbesDelivered(), sent)
+	}
+
+	// 100 bytes take 100 µs to cross; the seed goes before that.
+	fab.Switch(leaf).Inject(p, 1, 2)
+	loop.RunFor(10 * time.Microsecond)
+	if err := s.Remove(a.ID()); err != nil {
+		t.Fatal(err)
+	}
+	busy := fab.CPU(leaf).Busy()
+	loop.RunFor(10 * time.Millisecond)
+	if s.ProbesDelivered() != 1 || sent != 1 {
+		t.Fatalf("%d probes delivered, %d sent after removal, want 1 and 1: the removed seed ran", s.ProbesDelivered(), sent)
+	}
+	if got := fab.CPU(leaf).Busy() - busy; got != 0 {
+		t.Fatalf("orphaned sample charged %v to the switch CPU, want nothing", got)
+	}
+	if bus := fab.Driver(leaf).Bus().Snapshot(); bus.Requests != 2 || bus.Bytes != 200 {
+		t.Fatalf("bus carried %d transfers / %d bytes, want both samples accounted (2 / 200)", bus.Requests, bus.Bytes)
+	}
+}
+
+// A probe's packet is lent to the handler for the call; a seed that
+// keeps it keeps a copy, which the next probe does not overwrite.
+func TestKeptProbePacketIsNotOverwritten(t *testing.T) {
+	fab, loop := testEnv(t)
+	leaf := leafID(t, fab, "leaf0")
+	s := New(fab, leaf, DefaultOptions())
+	k := deployMachine(t, s, "keeper", packetKeeperSource, "PacketKeeper")
+	for port := uint16(1); port <= 3; port++ {
+		fab.Switch(leaf).Inject(dataplane.Packet{SrcPort: port, DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100}, 1, 2)
+		loop.RunFor(time.Millisecond)
+	}
+	for name, want := range map[string]int64{"n": 3, "firstPort": 1, "curPort": 3} {
+		if got := seedInts(t, s, k, name); !equalInts(got, []int64{want}) {
+			t.Fatalf("%s = %v, want %d", name, got, want)
+		}
+	}
+	first, _ := s.SeedVar(k.ID(), "first")
+	if pv, ok := first.(core.PacketVal); !ok || pv.SrcPort != 1 {
+		t.Fatalf("kept packet reads as %T %v, want the first probe's packet by value", first, first)
+	}
+}
+
+// oneLeafFabric is one spine and one leaf with the given number of
+// hosts on the leaf, on a serial engine.
+func oneLeafFabric(tb testing.TB, hosts int) (*fabric.Fabric, engine.Scheduler, netmodel.SwitchID) {
 	tb.Helper()
-	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{Spines: 1, Leaves: 1, HostsPerLeaf: ports - 1})
+	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{Spines: 1, Leaves: 1, HostsPerLeaf: hosts})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	loop := engine.NewSerial()
 	fab := fabric.New(topo, loop, fabric.Options{})
-	var leaf netmodel.SwitchID
 	for _, sw := range topo.Switches() {
 		if sw.Name == "leaf0" {
-			leaf = sw.ID
+			return fab, loop, sw.ID
 		}
 	}
+	tb.Fatal("no leaf0 in the topology")
+	return nil, nil, 0
+}
+
+// probeBench is a leaf with subs co-located Sniffer seeds, each with its
+// own sampler on the same filter, warmed past the first probe.
+func probeBench(tb testing.TB, subs int) (*Soil, engine.Scheduler, func()) {
+	tb.Helper()
+	fab, loop, leaf := oneLeafFabric(tb, 2)
+	s := New(fab, leaf, DefaultOptions())
+	for i := 0; i < subs; i++ {
+		deployMachine(tb, s, fmt.Sprintf("t%d", i), snifferSource, "Sniffer")
+	}
+	p := dataplane.Packet{
+		SrcIP: netip.MustParseAddr("10.0.0.1"), DstIP: netip.MustParseAddr("10.0.0.2"),
+		SrcPort: 4242, DstPort: 80, Proto: dataplane.ProtoTCP, Flags: dataplane.FlagSYN, Size: 100,
+	}
+	// One packet is one sample per seed: subs transfers of 100 µs each.
+	probe := func() {
+		fab.Switch(leaf).Inject(p, 1, 2)
+		loop.RunFor(time.Duration(subs+1) * 100 * time.Microsecond)
+	}
+	for i := 0; i < 5; i++ {
+		probe()
+	}
+	if want := uint64(5 * subs); s.ProbesDelivered() != want {
+		tb.Fatalf("warm-up delivered %d probes, want %d", s.ProbesDelivered(), want)
+	}
+	return s, loop, probe
+}
+
+// TestProbeDeliveryAllocs: a delivered probe — sampler fire, bus
+// transfer, throttle, dispatch, a handler reading the packet's fields —
+// allocates nothing, with one probe seed on the switch or eight. (Before
+// the completion records and the packet lent in place: 3 per crossing
+// sample, a boxed packet per delivery, two strings per address read.)
+func TestProbeDeliveryAllocs(t *testing.T) {
+	const maxAllocs = 0
+	for _, subs := range []int{1, 8} {
+		s, _, probe := probeBench(t, subs)
+		const warm = 3000 // ~2 virtual seconds: let the engine's event pool fill
+		for i := 0; i < warm; i++ {
+			probe()
+		}
+		before := s.ProbesDelivered()
+		const runs = 100
+		allocs := testing.AllocsPerRun(runs, probe)
+		// AllocsPerRun makes one extra warm-up call.
+		if got, want := s.ProbesDelivered()-before, uint64((runs+1)*subs); got != want {
+			t.Fatalf("%d probe seeds: %d deliveries for %d packets, want %d", subs, got, runs+1, want)
+		}
+		if perProbe := allocs / float64(subs); perProbe > maxAllocs {
+			t.Fatalf("%d probe seeds: %.2f allocations per delivered probe, want <= %d", subs, perProbe, maxAllocs)
+		}
+		for _, v := range []string{"n", "syns", "tcp"} {
+			if got, want := seedInts(t, s, SeedRef{Task: "t0", Machine: "Sniffer"}, v), int64(5+warm+runs+1); !equalInts(got, []int64{want}) {
+				t.Fatalf("%d probe seeds: %s = %v after %d probes", subs, v, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkProbeDelivery measures one delivered probe (one of 8 seeds
+// sampling the same packet), with the sample's bus crossing.
+func BenchmarkProbeDelivery(b *testing.B) {
+	const subs = 8
+	s, _, probe := probeBench(b, subs)
+	before := s.ProbesDelivered()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += subs {
+		probe()
+	}
+	b.StopTimer()
+	if delivered := s.ProbesDelivered() - before; delivered < uint64(b.N) {
+		b.Fatalf("%d deliveries in %d iterations", delivered, b.N)
+	}
+}
+
+// pollBench is a leaf with the given port count and subs co-located
+// Summer seeds on one poll group, warmed past every first delivery.
+func pollBench(tb testing.TB, ports, subs int) (*Soil, engine.Scheduler, *fabric.Fabric) {
+	tb.Helper()
+	fab, loop, leaf := oneLeafFabric(tb, ports-1)
 	if n := fab.Switch(leaf).NumPorts(); n != ports {
 		tb.Fatalf("leaf has %d ports, want %d", n, ports)
 	}
@@ -320,9 +521,9 @@ func pollBench(tb testing.TB, ports, subs int) (*Soil, engine.Scheduler, *fabric
 // allocations, however many ports it carries and however many seeds
 // share it.
 func TestPollDeliveryAllocs(t *testing.T) {
-	// Batch header and data, the driver's and the bus's completion
-	// closures, the engine's timer handle.
-	const maxAllocs = 5
+	// Batch header and data, and the driver's completion closure; the
+	// bus transfer itself is a pooled record.
+	const maxAllocs = 3
 	var base float64
 	for i, c := range []struct{ ports, subs int }{{8, 1}, {48, 1}, {8, 8}, {48, 8}} {
 		s, loop, _ := pollBench(t, c.ports, c.subs)

@@ -170,6 +170,9 @@ type seedRuntime struct {
 	timeTickers map[string]engine.Ticker
 	stopProbes  []func()
 	rulesOwned  int
+	// removed is set when the seed leaves this soil; a sample of its
+	// probe still on the bus then completes to nobody.
+	removed bool
 }
 
 // pollSub is one seed's subscription to a polling subject.
@@ -182,6 +185,9 @@ type pollSub struct {
 	// from then on the subscriber's previous counters are the group's.
 	seen      bool
 	lastProbe time.Duration
+	// pkt is the probe being delivered, lent to the handler by pointer
+	// and overwritten by the next delivery.
+	pkt core.PacketVal
 }
 
 // subject describes what a poll reads from the ASIC.
@@ -534,6 +540,9 @@ func (s *Soil) wireProbe(rt *seedRuntime, pi *almanac.PollInfo, interval time.Du
 	sub := &pollSub{rt: rt, varName: pi.Name, interval: interval}
 	rt.subs = append(rt.subs, sub)
 	stop := s.driver.StartSampling(f, 1, func(p dataplane.Packet) {
+		if rt.removed {
+			return
+		}
 		// The probe interval is a lower bound on the delivery period
 		// (§III-A-a): excess samples are dropped at the soil.
 		now := s.loop.Now()
@@ -543,7 +552,8 @@ func (s *Soil) wireProbe(rt *seedRuntime, pi *almanac.PollInfo, interval time.Du
 		sub.lastProbe = now
 		s.probesDelivered++
 		s.cpu.Charge(s.costs.SampleProcess)
-		s.dispatchTrigger(rt, pi.Name, core.PacketVal(p))
+		sub.pkt = core.PacketVal(p)
+		s.dispatchTrigger(rt, pi.Name, &sub.pkt)
 	})
 	rt.stopProbes = append(rt.stopProbes, stop)
 	return nil
@@ -588,6 +598,7 @@ func (s *Soil) removeInternal(id string) {
 		}
 	}
 	s.used = s.used.Sub(rt.alloc)
+	rt.removed = true
 	delete(s.seeds, id)
 }
 
@@ -734,7 +745,7 @@ func (h *seedHost) AddTCAMRule(r dataplane.Rule) error {
 	if !replacing {
 		h.rt.rulesOwned++
 	}
-	h.soil.driver.Bus().Request(96, nil)
+	h.soil.driver.Bus().Request(dataplane.RuleUpdateBytes, nil)
 	return nil
 }
 
@@ -743,12 +754,12 @@ func (h *seedHost) RemoveTCAMRule(f dataplane.Filter) bool {
 	if ok && h.rt.rulesOwned > 0 {
 		h.rt.rulesOwned--
 	}
-	h.soil.driver.Bus().Request(96, nil)
+	h.soil.driver.Bus().Request(dataplane.RuleUpdateBytes, nil)
 	return ok
 }
 
 func (h *seedHost) GetTCAMRule(f dataplane.Filter) (dataplane.Rule, bool) {
-	h.soil.driver.Bus().Request(48, nil)
+	h.soil.driver.Bus().Request(dataplane.RuleStatsBytes, nil)
 	return h.soil.driver.Switch().TCAM().GetRule(f)
 }
 

@@ -3,6 +3,7 @@ package tasks
 import (
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"slices"
 	"sort"
 	"strings"
@@ -119,21 +120,51 @@ func taskPortStats(rng *rand.Rand, n int) *core.Batch {
 }
 
 // triggerArg is what HandleTrigger receives for payload v: the register
-// VM gets a poll batch as the soil hands it over, the interpreter the
-// list it materialises to; anything else is cloned per executor.
+// VM gets a poll batch as the soil hands it over and a packet lent by
+// pointer, the interpreter the list the batch materialises to and the
+// packet boxed; anything else is cloned per executor.
 func triggerArg(r core.Runner, v core.Value) core.Value {
 	if _, interp := r.(*core.Seed); !interp {
-		if b, ok := v.(*core.Batch); ok {
-			return b
+		switch x := v.(type) {
+		case *core.Batch:
+			return x
+		case core.PacketVal:
+			return &x
 		}
 	}
 	return core.CloneValue(v)
 }
 
+// taskPacket draws from the traffic the catalogue's probes watch: SYNs
+// and ACKs, DNS responses, failed SSH logins, partial HTTP requests,
+// over few enough addresses and ports that the tasks' thresholds trip.
+func taskPacket(rng *rand.Rand) core.PacketVal {
+	p := core.PacketVal{
+		SrcIP:   netip.AddrFrom4([4]byte{10, 1, 0, byte(rng.Intn(4))}),
+		DstIP:   netip.AddrFrom4([4]byte{10, 2, 0, byte(rng.Intn(2))}),
+		SrcPort: uint16(1024 + rng.Intn(8)),
+		DstPort: []uint16{22, 53, 80, 443}[rng.Intn(4)],
+		Proto:   []dataplane.Proto{dataplane.ProtoTCP, dataplane.ProtoUDP}[rng.Intn(2)],
+		Flags:   []dataplane.TCPFlags{dataplane.FlagSYN, dataplane.FlagACK, dataplane.FlagSYN | dataplane.FlagACK, dataplane.FlagFIN, 0}[rng.Intn(5)],
+		Size:    64 + rng.Intn(1400),
+	}
+	switch rng.Intn(4) {
+	case 0:
+		p.App = dataplane.AppInfo{Kind: dataplane.AppDNS, DNSResponse: true, DNSQName: "q.example"}
+	case 1:
+		p.App = dataplane.AppInfo{Kind: dataplane.AppSSH, SSHAuthFail: true}
+	case 2:
+		p.App = dataplane.AppInfo{Kind: dataplane.AppHTTP, HTTPPartial: true}
+	}
+	return p
+}
+
 func taskPayload(rng *rand.Rand) core.Value {
-	switch rng.Intn(6) {
+	switch rng.Intn(8) {
 	case 0:
 		return taskPortStats(rng, 4+rng.Intn(8))
+	case 6, 7:
+		return taskPacket(rng)
 	case 1:
 		return int64(rng.Intn(5000))
 	case 2:
