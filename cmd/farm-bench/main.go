@@ -301,6 +301,33 @@ func runEngineScale(full bool) error {
 	return nil
 }
 
+// renderGate prints what a digest A/B gate measured — JSON under -json,
+// its table otherwise — and returns the gate's verdict. A gate hands
+// back its result AND a non-nil error when a variant's digests diverge
+// from the reference: render what was measured either way, then fail
+// the process.
+func renderGate[R interface {
+	comparable
+	Table() *experiments.Table
+}](res R, err error) error {
+	var none R
+	if res == none {
+		return err
+	}
+	if !jsonOut {
+		fmt.Print(res.Table().Render())
+	} else if encErr := printJSON(res); encErr != nil {
+		return encErr
+	}
+	return err
+}
+
+func printJSON(v any) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
 func runWorkloadScale(full bool) error {
 	cfg := experiments.WorkloadScaleConfig{}
 	if full {
@@ -309,22 +336,7 @@ func runWorkloadScale(full bool) error {
 		cfg.Duration = 5 * time.Second
 		cfg.Workers = []int{2, 4, 8, 16}
 	}
-	// The divergence gate: WorkloadScale returns its result AND a
-	// non-nil error if any sharded run's digests differ from serial.
-	// Render what we measured either way, then fail the process.
-	res, err := experiments.WorkloadScale(cfg)
-	if res != nil {
-		if jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if encErr := enc.Encode(res); encErr != nil {
-				return encErr
-			}
-		} else {
-			fmt.Print(res.Table().Render())
-		}
-	}
-	return err
+	return renderGate(experiments.WorkloadScale(cfg))
 }
 
 func runPlacementScale(full bool) error {
@@ -335,21 +347,7 @@ func runPlacementScale(full bool) error {
 		cfg.Seeds = 10200
 		cfg.Tasks = 60
 	}
-	// Like workload-scale, a divergence returns the measured result AND
-	// an error: render first, then fail the process.
-	res, err := experiments.PlacementScale(cfg)
-	if res != nil {
-		if jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if encErr := enc.Encode(res); encErr != nil {
-				return encErr
-			}
-		} else {
-			fmt.Print(res.Table().Render())
-		}
-	}
-	return err
+	return renderGate(experiments.PlacementScale(cfg))
 }
 
 func runTransportScale(full bool) error {
@@ -358,21 +356,7 @@ func runTransportScale(full bool) error {
 		cfg.RecordsPerSeed = 16
 		cfg.Conns = 8
 	}
-	// Like workload-scale, a divergence returns the measured result AND
-	// an error: render first, then fail the process.
-	res, err := experiments.TransportScale(cfg)
-	if res != nil {
-		if jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if encErr := enc.Encode(res); encErr != nil {
-				return encErr
-			}
-		} else {
-			fmt.Print(res.Table().Render())
-		}
-	}
-	return err
+	return renderGate(experiments.TransportScale(cfg))
 }
 
 // runFleetSoak is the daemon's survivability gate (docs/fleetd.md): N
@@ -400,14 +384,10 @@ func runFleetSoak(full bool) error {
 	if err != nil {
 		return err
 	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if encErr := enc.Encode(res); encErr != nil {
-			return encErr
-		}
-	} else {
+	if !jsonOut {
 		fmt.Print(res)
+	} else if encErr := printJSON(res); encErr != nil {
+		return encErr
 	}
 	if !res.Passed() {
 		return fmt.Errorf("fleet-soak failed: lost=%v unexpected=%v takeovers=%d",

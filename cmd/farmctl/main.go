@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	farmctl compile  <file.alm> [-dump]   # parse + compile + report (-dump: IR + register code disassembly)
+//	farmctl compile  <file.alm> [-dump]   # parse + compile + report (-dump: register code disassembly)
 //	farmctl analyze  <file.alm> [machine] # placement/utility/poll analysis
 //	farmctl xml      <file.alm> [machine] # emit the XML wire format
 //	farmctl fmt      <file.alm>           # reprint in canonical form
@@ -114,7 +114,7 @@ func parseWithPositionals(fs *flag.FlagSet, args []string, max int) ([]string, e
 
 func cmdCompile(args []string) error {
 	fs := newFlagSet("compile")
-	dump := fs.Bool("dump", false, "disassemble the lowered IR and register code for every machine")
+	dump := fs.Bool("dump", false, "disassemble the register code of every machine")
 	pos, err := parseWithPositionals(fs, args, 1)
 	if err != nil {
 		return err

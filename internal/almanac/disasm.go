@@ -6,13 +6,11 @@ import (
 )
 
 // Disassemble renders a lowered program for humans: frame layouts,
-// per-state dispatch tables, every chunk's stack IR with operands
-// resolved back to names, and then the register code translated from it
-// (farmctl compile -dump).
+// per-state dispatch tables, and the register code of every chunk with
+// operands resolved back to names (farmctl compile -dump).
 func (p *Lowered) Disassemble() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "machine %s: %d chunks, %d instrs, %d consts, %d names\n",
-		p.Machine, len(p.Chunks), p.NumInstrs(), len(p.Lits), len(p.Names))
+	fmt.Fprintf(&b, "machine %s: %d consts, %d names\n", p.Machine, len(p.Lits), len(p.Names))
 	if len(p.EnvSlots) > 0 {
 		fmt.Fprintf(&b, "env slots:\n")
 		for i, s := range p.EnvSlots {
@@ -51,18 +49,6 @@ func (p *Lowered) Disassemble() string {
 		fn := &p.Funcs[fi]
 		fmt.Fprintf(&b, "func %s/%d -> chunk %d\n", fn.Name, fn.NumParams, fn.Chunk)
 	}
-	fmt.Fprintf(&b, "IR (stack form, input to the register translation):\n")
-	for ci := range p.Chunks {
-		ch := &p.Chunks[ci]
-		fmt.Fprintf(&b, "chunk %d: %d locals", ci, ch.NumLocals)
-		if ch.HasBind {
-			fmt.Fprintf(&b, " (local 0 = binding)")
-		}
-		fmt.Fprintf(&b, "\n")
-		for pc, in := range ch.Code {
-			fmt.Fprintf(&b, "  %4d  %s\n", pc, p.instrString(in))
-		}
-	}
 	b.WriteString(p.DisassembleRegisters())
 	return b.String()
 }
@@ -94,7 +80,7 @@ func (p *Lowered) DisassembleRegisters() string {
 			if in.Step > 0 {
 				step = "+ " // charges one action before executing
 			}
-			fmt.Fprintf(&b, "  %4d %s%s\n", pc, step, p.rinstrString(in))
+			fmt.Fprintf(&b, "  %4d %s%s\n", pc, step, p.renderRInstr(in))
 		}
 	}
 	return b.String()
@@ -129,7 +115,7 @@ func (p *Lowered) ropnd(o int32) string {
 	}
 }
 
-func (p *Lowered) rinstrString(in RInstr) string {
+func (p *Lowered) renderRInstr(in RInstr) string {
 	name := func(i int32) string { return p.Names[i] }
 	dst := func() string { return p.ropnd(in.Dst) }
 	switch in.Op {
@@ -247,161 +233,4 @@ func (p *Lowered) rinstrString(in RInstr) string {
 		return fmt.Sprintf("%s = muladd %s, %s, %s", dst(), p.ropnd(in.A), p.ropnd(in.B), p.ropnd(in.C))
 	}
 	return fmt.Sprintf("rop%d %d %d %d %d", in.Op, in.Dst, in.A, in.B, in.C)
-}
-
-func (p *Lowered) instrString(in Instr) string {
-	name := func(i int32) string { return p.Names[i] }
-	switch in.Op {
-	case OpNop:
-		return "nop"
-	case OpConst:
-		l := p.Lits[in.A]
-		switch l.Kind {
-		case LitInt:
-			return fmt.Sprintf("const %d", l.I)
-		case LitFloat:
-			return fmt.Sprintf("const %g", l.F)
-		case LitBool:
-			return fmt.Sprintf("const %v", l.B)
-		default:
-			return fmt.Sprintf("const %q", l.S)
-		}
-	case OpZero:
-		return fmt.Sprintf("zero %s", Type(in.A))
-	case OpLoadEnv:
-		return fmt.Sprintf("load.env e%d (%s)", in.A, p.EnvSlots[in.A].Name)
-	case OpStoreEnv:
-		return fmt.Sprintf("store.env e%d (%s)", in.A, p.EnvSlots[in.A].Name)
-	case OpLoadSt:
-		return fmt.Sprintf("load.state s%d", in.A)
-	case OpStoreSt:
-		return fmt.Sprintf("store.state s%d", in.A)
-	case OpLoadLocEnv:
-		return fmt.Sprintf("load.local l%d ?: e%d", in.A, in.B)
-	case OpLoadLocSt:
-		return fmt.Sprintf("load.local l%d ?: s%d", in.A, in.B)
-	case OpLoadLocDyn:
-		return fmt.Sprintf("load.local l%d ?: dyn %s", in.A, name(in.B))
-	case OpLoadLocErr:
-		return fmt.Sprintf("load.local l%d ?: undeclared %s", in.A, name(in.B))
-	case OpStoreLocal:
-		return fmt.Sprintf("declare l%d", in.A)
-	case OpStoreLocEnv:
-		return fmt.Sprintf("store.local l%d ?: e%d", in.A, in.B)
-	case OpStoreLocSt:
-		return fmt.Sprintf("store.local l%d ?: s%d", in.A, in.B)
-	case OpStoreLocDyn:
-		return fmt.Sprintf("store.local l%d ?: dyn %s", in.A, name(in.B))
-	case OpStoreLocErr:
-		return fmt.Sprintf("store.local l%d ?: undeclared %s", in.A, name(in.B))
-	case OpLoadDyn:
-		return fmt.Sprintf("load.dyn %s", name(in.A))
-	case OpStoreDyn:
-		return fmt.Sprintf("store.dyn %s", name(in.A))
-	case OpLoadErr:
-		return fmt.Sprintf("load.undeclared %s", name(in.A))
-	case OpStoreErr:
-		return fmt.Sprintf("store.undeclared %s", name(in.A))
-	case OpJump:
-		return fmt.Sprintf("jump %d", in.A)
-	case OpJumpIfFalse:
-		return fmt.Sprintf("jump.false %d", in.A)
-	case OpLoopInit:
-		return fmt.Sprintf("loop.init l%d", in.A)
-	case OpLoopCheck:
-		return fmt.Sprintf("loop.check l%d", in.A)
-	case OpTransit:
-		if in.A >= 0 {
-			return fmt.Sprintf("transit %s", p.States[in.A].Name)
-		}
-		return "transit <unknown>"
-	case OpReturn:
-		if in.A == 1 {
-			return "return value"
-		}
-		return "return"
-	case OpNot:
-		return "not"
-	case OpNeg:
-		return "neg"
-	case OpAdd:
-		return "add"
-	case OpSub:
-		return "sub"
-	case OpMul:
-		return "mul"
-	case OpDiv:
-		return "div"
-	case OpLt:
-		return "lt"
-	case OpLe:
-		return "le"
-	case OpGt:
-		return "gt"
-	case OpGe:
-		return "ge"
-	case OpEq:
-		return "eq"
-	case OpNe:
-		return "ne"
-	case OpTruthy:
-		return "truthy"
-	case OpAndL:
-		return fmt.Sprintf("and.l end=%d", in.A)
-	case OpAndR:
-		return "and.r"
-	case OpOrL:
-		return fmt.Sprintf("or.l end=%d", in.A)
-	case OpField:
-		return fmt.Sprintf("field .%s", name(in.A))
-	case OpFilterAtom:
-		return fmt.Sprintf("filter %s", name(in.A))
-	case OpFilterAny:
-		return "filter port ANY"
-	case OpStructLit:
-		s := p.Structs[in.A]
-		return fmt.Sprintf("struct %s{%s}", s.TypeName, strings.Join(s.Fields, ","))
-	case OpListLit:
-		return fmt.Sprintf("list %d", in.A)
-	case OpCallB:
-		return fmt.Sprintf("call.builtin %s/%d", name(in.A), in.B)
-	case OpCallFn:
-		return fmt.Sprintf("call.func %s/%d", p.Funcs[in.A].Name, in.B)
-	case OpStep:
-		return "step"
-	case OpPop:
-		return "pop"
-	case OpSend:
-		s := p.Sends[in.A]
-		switch {
-		case s.Harvester:
-			return "send harvester"
-		case s.HasDst:
-			return fmt.Sprintf("send %s@<dst>", s.Machine)
-		default:
-			return fmt.Sprintf("send %s", s.Machine)
-		}
-	case OpSetIval:
-		return fmt.Sprintf("set.ival %s", name(in.A))
-	case OpSetTrigger:
-		return fmt.Sprintf("set.trigger %s", name(in.A))
-	case OpFieldAssign:
-		fa := p.FieldAssigns[in.A]
-		return fmt.Sprintf("store.field %s.%s", fa.Target, fa.Field)
-	case OpErr:
-		return fmt.Sprintf("err %q", p.Errs[in.A])
-	case OpJLt:
-		return fmt.Sprintf("lt.jump.false %d", in.A)
-	case OpJLe:
-		return fmt.Sprintf("le.jump.false %d", in.A)
-	case OpJGt:
-		return fmt.Sprintf("gt.jump.false %d", in.A)
-	case OpJGe:
-		return fmt.Sprintf("ge.jump.false %d", in.A)
-	case OpJEq:
-		return fmt.Sprintf("eq.jump.false %d", in.A)
-	case OpJNe:
-		return fmt.Sprintf("ne.jump.false %d", in.A)
-	}
-	return fmt.Sprintf("op%d %d %d", in.Op, in.A, in.B)
 }

@@ -5,14 +5,13 @@ import "fmt"
 // Lowering back end: compiles a post-sema CompiledMachine into a flat
 // program — slot-indexed variable frames (machine vars, per-state
 // persistent vars, per-handler locals), a dense state × trigger
-// dispatch table, and stack bytecode for every event handler and
-// auxiliary function. The stack bytecode is the IR: nothing executes
-// it, rlower.go translates each chunk into the register code that
-// internal/core's VM runs allocation-free in steady state. The AST
-// interpreter remains the semantic reference, and the lowered program
-// must be behaviourally indistinguishable from it (states, emissions,
-// snapshots, and error strings — the property tests in internal/core
-// pin this).
+// dispatch table, and register code for every event handler and
+// auxiliary function, emitted in one walk over the AST (the instruction
+// set and the emitter are in rlower.go). internal/core's VM runs that
+// code allocation-free in steady state. The AST interpreter remains the
+// semantic reference, and the lowered program must be behaviourally
+// indistinguishable from it (states, emissions, snapshots, and error
+// strings — the property tests in internal/core pin this).
 //
 // Design notes for exact interpreter parity:
 //
@@ -21,115 +20,19 @@ import "fmt"
 //     DeclStmt adds its name when (and only if) it executes. Lowering
 //     therefore pre-allocates a local slot for every name declared
 //     anywhere in a handler body, marks slots "undefined" at entry,
-//     and every local access carries the statically-resolved fallback
-//     (state slot, env slot, dynamic lookup, or undeclared-variable
-//     error) taken when the slot is still undefined — which reproduces
-//     conditional declarations and shadowing byte-for-byte.
+//     and every access to a local not defined on all paths carries the
+//     statically-resolved fallback (state slot, env slot, dynamic
+//     lookup, or undeclared-variable error) taken when the slot is
+//     still undefined — which reproduces conditional declarations and
+//     shadowing byte-for-byte.
 //   - Auxiliary functions run with the caller's *current* state
 //     unknown at compile time, so non-local names inside them resolve
-//     dynamically at runtime (OpLoadDyn/OpStoreDyn), exactly like the
+//     dynamically at runtime (RLoadDyn/RStoreDyn), exactly like the
 //     interpreter's scope chain.
 //   - Errors the interpreter raises lazily (unknown function, arity
 //     mismatch, ANY on a non-port field, undeclared names) lower to
 //     error opcodes in place, never to Lower failures: anything sema
 //     accepts must lower, because the interpreter accepts it too.
-
-// Op is a stack-IR opcode. Operands A/B index the Lowered pools named in the
-// comments; Line carries the source line for error messages.
-type Op uint8
-
-const (
-	OpNop Op = iota
-
-	// Values.
-	OpConst // push Lits[A]
-	OpZero  // push a fresh zero value of Type(A)
-
-	// Variable access. "Loc" ops read/write local slot A and fall back
-	// (when the slot is still undefined) to env slot B, state slot B of
-	// the current state, a dynamic name lookup of Names[B], or an
-	// undeclared-variable error naming Names[B].
-	OpLoadEnv     // push env[A]
-	OpStoreEnv    // env[A] = pop
-	OpLoadSt      // push stateVars[currentState][A]
-	OpStoreSt     // stateVars[currentState][A] = pop
-	OpLoadLocEnv  // push locals[A], else env[B]
-	OpLoadLocSt   // push locals[A], else stateVars[cur][B]
-	OpLoadLocDyn  // push locals[A], else dynamic lookup Names[B]
-	OpLoadLocErr  // push locals[A], else undeclared-variable error Names[B]
-	OpStoreLocal  // declare: locals[A] = pop (always defines)
-	OpStoreLocEnv // locals[A] = pop if defined, else env[B] = pop
-	OpStoreLocSt  // locals[A] = pop if defined, else stateVars[cur][B] = pop
-	OpStoreLocDyn // locals[A] = pop if defined, else dynamic assign Names[B]
-	OpStoreLocErr // locals[A] = pop if defined, else undeclared-assign error Names[B]
-	OpLoadDyn     // dynamic lookup Names[A] (function chunks)
-	OpStoreDyn    // dynamic assign Names[A] (function chunks)
-	OpLoadErr     // undeclared-variable error Names[A]
-	OpStoreErr    // undeclared-assign error Names[A]
-
-	// Control flow.
-	OpJump        // pc = A
-	OpJumpIfFalse // pop; if not truthy, pc = A (Truthy errors propagate)
-	OpLoopInit    // locals[A] = 0 (hidden while-loop counter)
-	OpLoopCheck   // if locals[A] >= maxWhileIterations error; locals[A]++
-	OpTransit     // halt chunk, request transition to state A (-1 unknown)
-	OpReturn      // halt chunk; A=1 pops the return value, A=0 returns nil
-
-	// Operators.
-	OpNot
-	OpNeg
-	OpAdd
-	OpSub
-	OpMul
-	OpDiv
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-	OpEq
-	OpNe
-	OpTruthy // pop; push Truthy(value) as bool
-	OpAndL   // and-lhs: filter → fall through; false → push false, jump A; true → push marker
-	OpAndR   // and-rhs: combine with the OpAndL marker (filter merge or Truthy)
-	OpOrL    // or-lhs: truthy → push true, jump A; else fall through
-
-	// Composite values and calls.
-	OpField      // pop x; push x.Names[A]
-	OpFilterAtom // pop arg; push single-field filter for field Names[A]
-	OpFilterAny  // push the port-ANY filter
-	OpStructLit  // pop len(Structs[A].Fields) values; push the struct
-	OpListLit    // pop A values; push the list
-	OpCallB      // builtin Names[A] with B args (popped)
-	OpCallFn     // auxiliary function Funcs[A] with B args (popped)
-
-	// Statements.
-	OpStep        // account one action (per-statement, before it runs)
-	OpPop         // discard top of stack (expression statements)
-	OpSend        // send per Sends[A]; pops dst (if any), then the value
-	OpSetIval     // pop v; retune trigger Names[A]'s interval
-	OpSetTrigger  // pop v; whole-trigger reassignment of Names[A]
-	OpFieldAssign // pop v; struct-field assignment per FieldAssigns[A]
-	OpErr         // fail with the pre-formatted message Errs[A]
-
-	// Fused compare-and-branch forms, peepholed from a comparison
-	// followed immediately by OpJumpIfFalse (the shape every `if` and
-	// `while` condition lowers to). Pop two operands; jump to A when the
-	// comparison is false. Comparison errors are raised exactly as the
-	// unfused operator would raise them.
-	OpJLt
-	OpJLe
-	OpJGt
-	OpJGe
-	OpJEq
-	OpJNe
-)
-
-// Instr is one VM instruction.
-type Instr struct {
-	Op   Op
-	A, B int32
-	Line int32
-}
 
 // LitKind discriminates constant-pool entries.
 type LitKind uint8
@@ -155,13 +58,6 @@ type Lit struct {
 type SlotDef struct {
 	Name string
 	Type Type
-}
-
-// LoweredChunk is one compiled handler or function body.
-type LoweredChunk struct {
-	Code      []Instr
-	NumLocals int32
-	HasBind   bool // local slot 0 receives the event binding
 }
 
 // RecvCase is one recv handler with its match pattern; patterns are
@@ -223,26 +119,16 @@ type Lowered struct {
 	TriggerNames []string // declared triggers first, in declaration order
 	States       []LoweredState
 	InitialState int32
-	Chunks       []LoweredChunk
 	Funcs        []LoweredFunc
 	Sends        []SendSite
 	Structs      []StructSite
 	FieldAssigns []FieldAssignSite
 
-	// Register form, translated from Chunks by lowerRegisters; index-
-	// parallel to Chunks. RFieldSites counts RField instructions across
-	// the program so executors can size their inline-cache tables.
+	// RegChunks holds every handler and function body; the dispatch
+	// tables and Funcs index it. RFieldSites counts RField instructions
+	// across the program so executors can size their inline-cache tables.
 	RegChunks   []RegChunk
 	RFieldSites int32
-}
-
-// NumInstrs is the total instruction count across all chunks.
-func (p *Lowered) NumInstrs() int {
-	n := 0
-	for i := range p.Chunks {
-		n += len(p.Chunks[i].Code)
-	}
-	return n
 }
 
 // StateSlots is the total per-state persistent slot count.
@@ -272,8 +158,10 @@ type lowerer struct {
 // needs only the name set, so internal/core keeps its one-way
 // dependency on internal/almanac. Lower never panics on sema-accepted
 // input: constructs the interpreter would only fault on at runtime
-// lower to error opcodes, and genuinely unknown AST shapes return an
-// error (the caller falls back to the interpreter).
+// lower to error opcodes; AST shapes no parser produces (decoded seed
+// XML is not sema-checked) return an error, and so does a machine with
+// no states or an initial state it does not declare, so a program that
+// lowers always has a state to start in.
 func Lower(cm *CompiledMachine, builtinNames []string) (lp *Lowered, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -347,31 +235,31 @@ func Lower(cm *CompiledMachine, builtinNames []string) (lp *Lowered, err error) 
 			slots[v.Name] = int32(i)
 			ls.Slots = append(ls.Slots, SlotDef{Name: v.Name, Type: v.Type})
 		}
-		sctx := &stateCtx{idx: int32(si), slots: slots}
+		sctx := &stateCtx{slots: slots}
 		for ei := range st.Events {
 			ev := &st.Events[ei]
 			switch ev.Trigger.Kind {
 			case TrigOnVar:
 				ti := l.trigIdx[ev.Trigger.VarName]
 				if ls.OnVar[ti] == -1 {
-					ls.OnVar[ti] = l.compileChunk(sctx, ev.Body, ev.Trigger.AsName)
+					ls.OnVar[ti] = l.compileHandler(sctx, ev.Body, ev.Trigger.AsName)
 				}
 			case TrigOnEnter:
 				if ls.Enter == -1 {
-					ls.Enter = l.compileChunk(sctx, ev.Body, "")
+					ls.Enter = l.compileHandler(sctx, ev.Body, "")
 				}
 			case TrigOnExit:
 				if ls.Exit == -1 {
-					ls.Exit = l.compileChunk(sctx, ev.Body, "")
+					ls.Exit = l.compileHandler(sctx, ev.Body, "")
 				}
 			case TrigOnRealloc:
 				if ls.Realloc == -1 {
-					ls.Realloc = l.compileChunk(sctx, ev.Body, "")
+					ls.Realloc = l.compileHandler(sctx, ev.Body, "")
 				}
 			case TrigOnRecv:
 				ls.Recvs = append(ls.Recvs, RecvCase{
 					Trigger: ev.Trigger,
-					Chunk:   l.compileChunk(sctx, ev.Body, ev.Trigger.RecvVar),
+					Chunk:   l.compileHandler(sctx, ev.Body, ev.Trigger.RecvVar),
 				})
 			}
 		}
@@ -380,8 +268,10 @@ func Lower(cm *CompiledMachine, builtinNames []string) (lp *Lowered, err error) 
 			l.p.InitialState = int32(si)
 		}
 	}
-	if l.p.InitialState < 0 && len(l.p.States) > 0 {
-		l.p.InitialState = 0
+	if len(cm.States) == 0 {
+		l.failf("machine declares no states")
+	} else if l.p.InitialState < 0 {
+		l.failf("unknown initial state %s", cm.InitialState)
 	}
 	for i := range cm.Funcs {
 		fd := &cm.Funcs[i]
@@ -389,15 +279,14 @@ func Lower(cm *CompiledMachine, builtinNames []string) (lp *Lowered, err error) 
 		if !ok || l.p.Funcs[fi].Chunk != -1 {
 			continue
 		}
-		l.p.Funcs[fi].Chunk = l.compileFuncChunk(fd)
+		params := make([]string, len(fd.Params))
+		for i, p := range fd.Params {
+			params[i] = p.Name
+		}
+		l.p.Funcs[fi].Chunk = l.compileChunk(nil, fd.Body, params)
 	}
 	if l.err != nil {
 		return nil, l.err
-	}
-	// Translate the IR to register code — the only form that executes,
-	// so a register-translation failure fails Lower.
-	if err := lowerRegisters(l.p); err != nil {
-		return nil, err
 	}
 	return l.p, nil
 }
@@ -438,52 +327,59 @@ func (l *lowerer) errMsg(msg string) int32 {
 	return i
 }
 
+// stateCtx is the state a handler is compiled in: its persistent slots
+// by name.
 type stateCtx struct {
-	idx   int32
 	slots map[string]int32
 }
 
+// chunkCompiler walks one handler or function body and drives the
+// emitter: expressions leave their value on the abstract operand stack,
+// statements consume it.
 type chunkCompiler struct {
+	emitter
 	l      *lowerer
 	sctx   *stateCtx // nil inside auxiliary functions
 	locals map[string]int32
-	nloc   int32
-	code   []Instr
-	bound  bool
+	nloc   int32 // slots handed out so far
 }
 
-func (l *lowerer) compileChunk(sctx *stateCtx, body []Stmt, bindName string) int32 {
-	c := &chunkCompiler{l: l, sctx: sctx, locals: map[string]int32{}}
-	if bindName != "" {
-		c.locals[bindName] = 0
-		c.nloc = 1
-		c.bound = true
+func (l *lowerer) compileHandler(sctx *stateCtx, body []Stmt, bindName string) int32 {
+	if bindName == "" {
+		return l.compileChunk(sctx, body, nil)
 	}
-	c.collectLocals(body)
-	c.stmts(body)
-	l.p.Chunks = append(l.p.Chunks, LoweredChunk{Code: c.code, NumLocals: c.nloc, HasBind: c.bound})
-	return int32(len(l.p.Chunks) - 1)
+	return l.compileChunk(sctx, body, []string{bindName})
 }
 
-func (l *lowerer) compileFuncChunk(fd *FuncDecl) int32 {
-	c := &chunkCompiler{l: l, locals: map[string]int32{}}
-	for i, p := range fd.Params {
+// compileChunk compiles a body whose first local slots hold params (a
+// handler's event binding, a function's parameters), defined on entry.
+func (l *lowerer) compileChunk(sctx *stateCtx, body []Stmt, params []string) int32 {
+	c := &chunkCompiler{emitter: emitter{lastProd: -1}, l: l, sctx: sctx, locals: map[string]int32{}}
+	for i, p := range params {
 		// Duplicate parameter names resolve to the last slot, matching
 		// the interpreter's bind-map overwrite.
-		c.locals[p.Name] = int32(i)
+		c.locals[p] = int32(i)
 	}
-	c.nloc = int32(len(fd.Params))
-	c.collectLocals(fd.Body)
-	c.stmts(fd.Body)
-	l.p.Chunks = append(l.p.Chunks, LoweredChunk{Code: c.code, NumLocals: c.nloc, HasBind: len(fd.Params) > 0})
-	return int32(len(l.p.Chunks) - 1)
+	c.nloc = int32(len(params))
+	// The frame size comes first: temporaries are numbered from it.
+	loops := c.collectLocals(body)
+	c.numLocals = c.nloc + loops
+	c.defined = newLocalSet(c.numLocals)
+	for i := range params {
+		c.defined.set(int32(i))
+	}
+	c.stmts(body)
+	l.p.RegChunks = append(l.p.RegChunks, c.finish(len(params) > 0))
+	return int32(len(l.p.RegChunks) - 1)
 }
 
 // collectLocals pre-allocates a slot for every name a DeclStmt anywhere
-// in the body may introduce; whether a given slot is live at a given
+// in the body may introduce — whether a given slot is live at a given
 // instruction is a runtime question (conditional declarations), tracked
-// by the VM's undefined marker.
-func (c *chunkCompiler) collectLocals(body []Stmt) {
+// by the VM's undefined marker — and returns how many while loops the
+// body holds: each takes one more slot for its hidden counter, handed
+// out as the walk reaches the loop.
+func (c *chunkCompiler) collectLocals(body []Stmt) (loops int32) {
 	for _, stmt := range body {
 		switch st := stmt.(type) {
 		case *DeclStmt:
@@ -492,32 +388,30 @@ func (c *chunkCompiler) collectLocals(body []Stmt) {
 				c.nloc++
 			}
 		case *IfStmt:
-			c.collectLocals(st.Then)
-			c.collectLocals(st.Else)
+			loops += c.collectLocals(st.Then) + c.collectLocals(st.Else)
 		case *WhileStmt:
-			c.collectLocals(st.Body)
+			loops += 1 + c.collectLocals(st.Body)
 		}
 	}
+	return loops
 }
 
-func (c *chunkCompiler) hidden() int32 {
-	s := c.nloc
-	c.nloc++
-	return s
+// fail records an AST shape that cannot be lowered; the rest of the
+// chunk is walked dead and Lower returns the error.
+func (c *chunkCompiler) fail(format string, args ...any) {
+	c.l.failf(format, args...)
+	c.dead = true
 }
 
-func (c *chunkCompiler) emit(op Op, a, b int32, line int) int32 {
-	c.code = append(c.code, Instr{Op: op, A: a, B: b, Line: int32(line)})
-	return int32(len(c.code) - 1)
-}
-
-func (c *chunkCompiler) patch(at int32) {
-	c.code[at].A = int32(len(c.code))
+// raise lowers a fault the interpreter raises when it gets here.
+func (c *chunkCompiler) raise(line int32, format string, args ...any) {
+	c.terminate(RErr, c.l.errMsg(fmt.Sprintf(format, args...)), line)
 }
 
 func (c *chunkCompiler) stmts(body []Stmt) {
 	for _, stmt := range body {
-		c.emit(OpStep, 0, 0, 0)
+		c.step()
+		line := int32(stmt.Line())
 		switch st := stmt.(type) {
 		case *AssignStmt:
 			c.assign(st)
@@ -525,111 +419,119 @@ func (c *chunkCompiler) stmts(body []Stmt) {
 			if st.Var.Init != nil {
 				c.expr(st.Var.Init)
 			} else {
-				c.emit(OpZero, int32(st.Var.Type), 0, st.Line())
+				c.produce(RZero, int32(st.Var.Type), 0, 0, line)
 			}
-			c.emit(OpStoreLocal, c.locals[st.Var.Name], 0, st.Line())
+			slot := c.locals[st.Var.Name]
+			c.store(slot, c.pop(), line)
+			c.defined.set(slot)
 		case *TransitStmt:
 			c.transit(st)
 		case *ReturnStmt:
+			v := int32(-1)
 			if st.Val != nil {
 				c.expr(st.Val)
-				c.emit(OpReturn, 1, 0, st.Line())
-			} else {
-				c.emit(OpReturn, 0, 0, st.Line())
+				v = c.pop()
 			}
+			c.terminate(RReturn, v, line)
 		case *IfStmt:
-			c.expr(st.Cond)
-			jElse := c.condJump(st.Line())
+			var elseL, endL label
+			c.condJump(st.Cond, line, &elseL)
 			c.stmts(st.Then)
 			if len(st.Else) > 0 {
-				jEnd := c.emit(OpJump, 0, 0, st.Line())
-				c.patch(jElse)
+				c.jump(&endL, line)
+				c.bind(&elseL)
 				c.stmts(st.Else)
-				c.patch(jEnd)
+				c.bind(&endL)
 			} else {
-				c.patch(jElse)
+				c.bind(&elseL)
 			}
 		case *WhileStmt:
-			counter := c.hidden()
-			c.emit(OpLoopInit, counter, 0, st.Line())
+			// Body and exit both start from what preceded the loop: the
+			// back edge can only add definitions, never remove one.
+			counter := c.nloc
+			c.nloc++
+			c.emit(RLoopInit, 0, counter, 0, 0, line)
+			c.defined.set(counter)
 			head := int32(len(c.code))
-			c.emit(OpLoopCheck, counter, 0, st.Line())
-			c.expr(st.Cond)
-			jEnd := c.condJump(st.Line())
+			c.emit(RLoopCheck, 0, counter, 0, 0, line)
+			var exit label
+			c.condJump(st.Cond, line, &exit)
 			c.stmts(st.Body)
-			c.emit(OpJump, head, 0, st.Line())
-			c.patch(jEnd)
+			c.terminate(RJump, head, line)
+			c.bind(&exit)
 		case *SendStmt:
 			c.expr(st.Val)
-			site := SendSite{Harvester: st.To.Harvester, Machine: st.To.Machine}
-			if st.To.Dst != nil {
+			site := SendSite{Harvester: st.To.Harvester, Machine: st.To.Machine, HasDst: st.To.Dst != nil}
+			dst := int32(-1)
+			if site.HasDst {
 				c.expr(st.To.Dst)
-				site.HasDst = true
+				dst = c.pop()
 			}
 			c.l.p.Sends = append(c.l.p.Sends, site)
-			c.emit(OpSend, int32(len(c.l.p.Sends)-1), 0, st.Line())
+			c.emit(RSend, 0, int32(len(c.l.p.Sends)-1), c.pop(), dst, line)
 		case *ExprStmt:
 			c.expr(st.X)
-			c.emit(OpPop, 0, 0, st.Line())
+			c.pop() // deferred operands are effect-free; eager ones already ran
 		default:
-			c.l.failf("unknown statement %T", stmt)
+			c.fail("unknown statement %T", stmt)
 			return
 		}
 	}
 }
 
-// fusedJump maps a comparison opcode to its compare-and-branch form.
-var fusedJump = map[Op]Op{
-	OpLt: OpJLt, OpLe: OpJLe, OpGt: OpJGt, OpGe: OpJGe, OpEq: OpJEq, OpNe: OpJNe,
+// fusedJump maps a comparison to its compare-and-branch form.
+var fusedJump = map[string]ROp{
+	"<": RJLt, "<=": RJLe, ">": RJGt, ">=": RJGe, "==": RJEq, "<>": RJNe,
 }
 
-// condJump emits the branch closing an if/while condition. When the
-// condition ends in a bare comparison the pair is fused into one
+// condJump emits the branch closing an if/while condition: to lb when
+// cond is false. A condition that is a bare comparison becomes one
 // compare-and-branch instruction: the comparison's boolean never
-// materializes on the stack and the branch needs no truthiness check.
-// Fusing is safe because no jump can target the slot the OpJumpIfFalse
-// would occupy — a trailing comparison means that position is
-// mid-expression, and every forward patch in this compiler resolves to
-// a position after a complete statement or and/or merge.
-func (c *chunkCompiler) condJump(line int) int32 {
-	if n := len(c.code); n > 0 {
-		if j, ok := fusedJump[c.code[n-1].Op]; ok {
-			c.code[n-1].Op = j // A patched later with the jump target
-			return int32(n - 1)
+// materializes and the branch needs no truthiness check.
+func (c *chunkCompiler) condJump(cond Expr, line int32, lb *label) {
+	if cmp, ok := cond.(*BinaryExpr); ok {
+		if op, ok := fusedJump[cmp.Op]; ok {
+			c.expr(cmp.L)
+			c.expr(cmp.R)
+			r := c.pop()
+			l := c.pop()
+			c.jumpTo(lb, c.emit(op, 0, l, r, 0, int32(cmp.Line())), 'C')
+			return
 		}
 	}
-	return c.emit(OpJumpIfFalse, 0, 0, line)
+	c.expr(cond)
+	c.jumpTo(lb, c.emit(RJF, 0, c.pop(), 0, 0, line), 'B')
 }
 
 func (c *chunkCompiler) transit(st *TransitStmt) {
+	line := int32(st.Line())
 	for i := range c.l.cm.States {
 		if c.l.cm.States[i].Name == st.State {
-			c.emit(OpTransit, int32(i), 0, st.Line())
+			c.terminate(RTransit, int32(i), line)
 			return
 		}
 	}
 	if c.sctx == nil {
 		// Inside a function the interpreter rejects any transit before
 		// validating its target; the call site raises that error.
-		c.emit(OpTransit, -1, 0, st.Line())
+		c.terminate(RTransit, -1, line)
 		return
 	}
 	// Unreachable for sema-accepted machines (transit targets are
 	// validated), but keep the interpreter's runtime error just in case.
-	c.emit(OpErr, c.l.errMsg(fmt.Sprintf(
-		"core: seed %s: transit to unknown state %s", c.l.cm.Name, st.State)), 0, st.Line())
+	c.raise(line, "core: seed %s: transit to unknown state %s", c.l.cm.Name, st.State)
 }
 
 func (c *chunkCompiler) assign(st *AssignStmt) {
+	line := int32(st.Line())
 	c.expr(st.Val) // the value is evaluated before any target checks
 	if st.Field != "" {
 		if c.isDeclaredTrigger(st.Target) {
 			if st.Field != "ival" {
-				c.emit(OpErr, c.l.errMsg(fmt.Sprintf(
-					"core: only .ival of trigger %s can be assigned", st.Target)), 0, st.Line())
+				c.raise(line, "core: only .ival of trigger %s can be assigned", st.Target)
 				return
 			}
-			c.emit(OpSetIval, c.l.name(st.Target), 0, st.Line())
+			c.emit(RSetIval, 0, c.l.name(st.Target), c.pop(), 0, line)
 			return
 		}
 		site := FieldAssignSite{Target: st.Target, Field: st.Field, Local: -1, St: -1, Env: -1}
@@ -646,14 +548,14 @@ func (c *chunkCompiler) assign(st *AssignStmt) {
 			}
 		}
 		c.l.p.FieldAssigns = append(c.l.p.FieldAssigns, site)
-		c.emit(OpFieldAssign, int32(len(c.l.p.FieldAssigns)-1), 0, st.Line())
+		c.emit(RFieldAssign, 0, int32(len(c.l.p.FieldAssigns)-1), c.pop(), 0, line)
 		return
 	}
 	if c.isDeclaredTrigger(st.Target) {
-		c.emit(OpSetTrigger, c.l.name(st.Target), 0, st.Line())
+		c.emit(RSetTrigger, 0, c.l.name(st.Target), c.pop(), 0, line)
 		return
 	}
-	c.storeName(st.Target, st.Line())
+	c.storeName(st.Target, line)
 }
 
 // isDeclaredTrigger mirrors Seed.isTrigger: only machine-declared
@@ -668,131 +570,178 @@ func (c *chunkCompiler) isDeclaredTrigger(name string) bool {
 	return false
 }
 
-func (c *chunkCompiler) loadName(name string, line int) {
+// scope is where a name resolves when no local of that name is defined:
+// the interpreter's chain below the locals map.
+type scope uint8
+
+const (
+	scopeDyn        scope = iota // function context: looked up by name at runtime
+	scopeState                   // slot of the current state
+	scopeEnv                     // machine env slot
+	scopeUndeclared              // nowhere: the access is an error
+)
+
+// Undefined-checked local access per fallback scope.
+var (
+	loadLocal  = [...]ROp{scopeDyn: RLoadLD, scopeState: RLoadLS, scopeEnv: RLoadLE, scopeUndeclared: RLoadLErr}
+	storeLocal = [...]ROp{scopeDyn: RStoreLD, scopeState: RStoreLS, scopeEnv: RStoreLE, scopeUndeclared: RStoreLErr}
+)
+
+// resolve returns name's scope and its index there: a state or env
+// slot, or (dynamic and undeclared) the Names index.
+func (c *chunkCompiler) resolve(name string) (scope, int32) {
+	if c.sctx == nil {
+		return scopeDyn, c.l.name(name)
+	}
+	if ss, ok := c.sctx.slots[name]; ok {
+		return scopeState, ss
+	}
+	if es, ok := c.l.envIdx[name]; ok {
+		return scopeEnv, es
+	}
+	return scopeUndeclared, c.l.name(name)
+}
+
+// loadName pushes name's value. State slots, env slots and locals
+// defined on every path here are deferred: the consumer reads them in
+// place.
+func (c *chunkCompiler) loadName(name string, line int32) {
+	sc, idx := c.resolve(name)
 	if slot, ok := c.locals[name]; ok {
-		if c.sctx == nil {
-			c.emit(OpLoadLocDyn, slot, c.l.name(name), line)
-		} else if ss, ok := c.sctx.slots[name]; ok {
-			c.emit(OpLoadLocSt, slot, ss, line)
-		} else if es, ok := c.l.envIdx[name]; ok {
-			c.emit(OpLoadLocEnv, slot, es, line)
+		if c.defined.has(slot) {
+			c.push(slot)
 		} else {
-			c.emit(OpLoadLocErr, slot, c.l.name(name), line)
+			c.produce(loadLocal[sc], slot, idx, 0, line)
 		}
 		return
 	}
-	if c.sctx == nil {
-		c.emit(OpLoadDyn, c.l.name(name), 0, line)
-		return
+	switch sc {
+	case scopeDyn:
+		c.produce(RLoadDyn, idx, 0, 0, line)
+	case scopeState:
+		c.push(RStOpnd(idx))
+	case scopeEnv:
+		c.push(REnvOpnd(idx))
+	default:
+		c.terminate(RLoadErr, idx, line)
 	}
-	if ss, ok := c.sctx.slots[name]; ok {
-		c.emit(OpLoadSt, ss, 0, line)
-		return
-	}
-	if es, ok := c.l.envIdx[name]; ok {
-		c.emit(OpLoadEnv, es, 0, line)
-		return
-	}
-	c.emit(OpLoadErr, c.l.name(name), 0, line)
 }
 
-func (c *chunkCompiler) storeName(name string, line int) {
+// storeName pops the value and assigns it to name.
+func (c *chunkCompiler) storeName(name string, line int32) {
+	sc, idx := c.resolve(name)
+	v := c.pop()
 	if slot, ok := c.locals[name]; ok {
-		if c.sctx == nil {
-			c.emit(OpStoreLocDyn, slot, c.l.name(name), line)
-		} else if ss, ok := c.sctx.slots[name]; ok {
-			c.emit(OpStoreLocSt, slot, ss, line)
-		} else if es, ok := c.l.envIdx[name]; ok {
-			c.emit(OpStoreLocEnv, slot, es, line)
+		if c.defined.has(slot) {
+			c.store(slot, v, line)
 		} else {
-			c.emit(OpStoreLocErr, slot, c.l.name(name), line)
+			c.emit(storeLocal[sc], 0, slot, idx, v, line)
 		}
 		return
 	}
-	if c.sctx == nil {
-		c.emit(OpStoreDyn, c.l.name(name), 0, line)
-		return
+	switch sc {
+	case scopeDyn:
+		c.emit(RStoreDyn, 0, idx, v, 0, line)
+	case scopeState:
+		c.store(RStOpnd(idx), v, line)
+	case scopeEnv:
+		c.store(REnvOpnd(idx), v, line)
+	default:
+		c.terminate(RStoreErr, idx, line)
 	}
-	if ss, ok := c.sctx.slots[name]; ok {
-		c.emit(OpStoreSt, ss, 0, line)
-		return
-	}
-	if es, ok := c.l.envIdx[name]; ok {
-		c.emit(OpStoreEnv, es, 0, line)
-		return
-	}
-	c.emit(OpStoreErr, c.l.name(name), 0, line)
 }
 
-var binOps = map[string]Op{
-	"+": OpAdd, "-": OpSub, "*": OpMul, "/": OpDiv,
-	"<": OpLt, "<=": OpLe, ">": OpGt, ">=": OpGe,
-	"==": OpEq, "<>": OpNe,
-}
+var (
+	unaryOps  = map[string]ROp{"not": RNot, "-": RNeg}
+	binaryOps = map[string]ROp{
+		"+": RAdd, "-": RSub, "*": RMul, "/": RDiv,
+		"<": RLt, "<=": RLe, ">": RGt, ">=": RGe,
+		"==": REq, "<>": RNe,
+	}
+)
 
+// expr pushes e's value. Literals are deferred like slots are.
 func (c *chunkCompiler) expr(e Expr) {
+	if e == nil { // decoded XML: a filter atom that lost its argument
+		c.fail("unknown expression %T", e)
+		return
+	}
+	line := int32(e.Line())
 	switch ex := e.(type) {
 	case *IntLit:
-		c.emit(OpConst, c.l.lit(Lit{Kind: LitInt, I: ex.Val}), 0, ex.Line())
+		c.push(RLitOpnd(c.l.lit(Lit{Kind: LitInt, I: ex.Val})))
 	case *FloatLit:
-		c.emit(OpConst, c.l.lit(Lit{Kind: LitFloat, F: ex.Val}), 0, ex.Line())
+		c.push(RLitOpnd(c.l.lit(Lit{Kind: LitFloat, F: ex.Val})))
 	case *StringLit:
-		c.emit(OpConst, c.l.lit(Lit{Kind: LitStr, S: ex.Val}), 0, ex.Line())
+		c.push(RLitOpnd(c.l.lit(Lit{Kind: LitStr, S: ex.Val})))
 	case *BoolLit:
-		c.emit(OpConst, c.l.lit(Lit{Kind: LitBool, B: ex.Val}), 0, ex.Line())
+		c.push(RLitOpnd(c.l.lit(Lit{Kind: LitBool, B: ex.Val})))
 	case *Ident:
-		c.loadName(ex.Name, ex.Line())
+		c.loadName(ex.Name, line)
 	case *UnaryExpr:
 		c.expr(ex.X)
-		switch ex.Op {
-		case "not":
-			c.emit(OpNot, 0, 0, ex.Line())
-		case "-":
-			c.emit(OpNeg, 0, 0, ex.Line())
-		default:
-			c.l.failf("unknown unary %q", ex.Op)
+		op, ok := unaryOps[ex.Op]
+		if !ok {
+			c.fail("unknown unary %q", ex.Op)
+			return
 		}
+		c.produce(op, c.pop(), 0, 0, line)
 	case *BinaryExpr:
 		switch ex.Op {
-		case "and":
+		case "and", "or":
+			// Left leg decides (RAndL/ROrL jump to the end with the
+			// result in d) or falls through to the right leg, whose
+			// value RAndR/RTruthy folds into d: both paths merge on one
+			// register.
+			lop, rop := RAndL, RAndR
+			if ex.Op == "or" {
+				lop, rop = ROrL, RTruthy
+			}
+			var end label
 			c.expr(ex.L)
-			j := c.emit(OpAndL, 0, 0, ex.Line())
+			c.materializeEnvSt(line)
+			lhs := c.pop()
+			d := c.temp()
+			at := c.emit(lop, d, lhs, 0, 0, line)
+			c.push(d)
+			c.jumpTo(&end, at, 'B')
 			c.expr(ex.R)
-			c.emit(OpAndR, 0, 0, ex.Line())
-			c.patch(j)
-		case "or":
-			c.expr(ex.L)
-			j := c.emit(OpOrL, 0, 0, ex.Line())
-			c.expr(ex.R)
-			c.emit(OpTruthy, 0, 0, ex.Line())
-			c.patch(j)
+			c.emit(rop, d, c.pop(), 0, 0, line)
+			c.bind(&end)
 		default:
-			op, ok := binOps[ex.Op]
+			op, ok := binaryOps[ex.Op]
 			if !ok {
-				c.l.failf("unknown operator %q", ex.Op)
+				c.fail("unknown operator %q", ex.Op)
 				return
 			}
 			c.expr(ex.L)
 			c.expr(ex.R)
-			c.emit(op, 0, 0, ex.Line())
+			r := c.pop()
+			l := c.pop()
+			if op != RAdd || !c.fuseMulAdd(l, r) {
+				c.produce(op, l, r, 0, line)
+			}
 		}
 	case *FieldExpr:
 		c.expr(ex.X)
-		c.emit(OpField, c.l.name(ex.Field), 0, ex.Line())
+		field := c.l.name(ex.Field)
+		x := c.pop()
+		if c.dead {
+			return // a read that never runs claims no inline-cache site
+		}
+		c.produce(RField, x, field, c.l.p.RFieldSites, line)
+		c.l.p.RFieldSites++
 	case *CallExpr:
 		c.call(ex)
 	case *FilterAtom:
-		if ex.Any {
-			if ex.Field != "port" {
-				c.emit(OpErr, c.l.errMsg(fmt.Sprintf(
-					"core: ANY is only valid with port (line %d)", ex.Line())), 0, ex.Line())
-				return
-			}
-			c.emit(OpFilterAny, 0, 0, ex.Line())
-			return
+		if !ex.Any {
+			c.expr(ex.Arg)
+			c.produce(RFilterAtom, c.pop(), c.l.name(ex.Field), 0, line)
+		} else if ex.Field == "port" {
+			c.produce(RFilterAny, 0, 0, 0, line)
+		} else {
+			c.raise(line, "core: ANY is only valid with port (line %d)", line)
 		}
-		c.expr(ex.Arg)
-		c.emit(OpFilterAtom, c.l.name(ex.Field), 0, ex.Line())
 	case *StructLit:
 		site := StructSite{TypeName: ex.TypeName, Fields: make([]string, len(ex.Fields))}
 		for i, f := range ex.Fields {
@@ -800,41 +749,61 @@ func (c *chunkCompiler) expr(e Expr) {
 			c.expr(f.Val)
 		}
 		c.l.p.Structs = append(c.l.p.Structs, site)
-		c.emit(OpStructLit, int32(len(c.l.p.Structs)-1), 0, ex.Line())
+		c.produce(RStructLit, int32(len(c.l.p.Structs)-1), c.popWindow(len(ex.Fields), line), 0, line)
 	case *ListLit:
 		for _, el := range ex.Elems {
 			c.expr(el)
 		}
-		c.emit(OpListLit, int32(len(ex.Elems)), 0, ex.Line())
+		n := len(ex.Elems)
+		c.produce(RListLit, c.popWindow(n, line), int32(n), 0, line)
 	default:
-		c.l.failf("unknown expression %T", e)
+		c.fail("unknown expression %T", e)
 	}
 }
 
 func (c *chunkCompiler) call(ex *CallExpr) {
+	line, n := int32(ex.Line()), len(ex.Args)
 	if c.l.builtin[ex.Name] {
 		for _, a := range ex.Args {
 			c.expr(a)
 		}
-		c.emit(OpCallB, c.l.name(ex.Name), int32(len(ex.Args)), ex.Line())
-		return
-	}
-	if fi, ok := c.l.funcIdx[ex.Name]; ok {
-		fn := &c.l.p.Funcs[fi]
-		if int32(len(ex.Args)) != fn.NumParams {
-			// The interpreter raises the arity error before evaluating
-			// any argument; so do we.
-			c.emit(OpErr, c.l.errMsg(fmt.Sprintf(
-				"core: %s expects %d arguments, got %d (line %d)",
-				ex.Name, fn.NumParams, len(ex.Args), ex.Line())), 0, ex.Line())
+		name := c.l.name(ex.Name)
+		if n > 2 {
+			c.produce(RCallB, name, c.popWindow(n, line), int32(n), line)
 			return
 		}
-		for _, a := range ex.Args {
-			c.expr(a)
+		// Up to two arguments are read in place; -1 marks an absent one.
+		// The two list accessors the seed hot paths live on get their
+		// own opcode with the same operand layout.
+		op, a1, a2 := RCallB2, int32(-1), int32(-1)
+		if n == 2 {
+			a2 = c.pop()
 		}
-		c.emit(OpCallFn, fi, int32(len(ex.Args)), ex.Line())
+		if n >= 1 {
+			a1 = c.pop()
+		}
+		if ex.Name == "list_len" && n == 1 {
+			op = RListLen
+		} else if ex.Name == "list_get" && n == 2 {
+			op = RListGet
+		}
+		c.produce(op, name, a1, a2, line)
 		return
 	}
-	c.emit(OpErr, c.l.errMsg(fmt.Sprintf(
-		"core: unknown function %s (line %d)", ex.Name, ex.Line())), 0, ex.Line())
+	fi, ok := c.l.funcIdx[ex.Name]
+	if !ok {
+		c.raise(line, "core: unknown function %s (line %d)", ex.Name, line)
+		return
+	}
+	if want := c.l.p.Funcs[fi].NumParams; int32(n) != want {
+		// The interpreter raises the arity error before evaluating any
+		// argument; so do we.
+		c.raise(line, "core: %s expects %d arguments, got %d (line %d)", ex.Name, want, n, line)
+		return
+	}
+	for _, a := range ex.Args {
+		c.expr(a)
+	}
+	c.materializeEnvSt(line) // the callee may write env and state slots
+	c.produce(RCallFn, fi, c.popWindow(n, line), int32(n), line)
 }

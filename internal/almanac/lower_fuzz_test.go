@@ -5,47 +5,19 @@ import (
 	"testing"
 )
 
-// FuzzLower drives arbitrary bytes through the whole front end and both
-// lowering back ends: parse, compile, lower to stack bytecode and
-// register code, then disassemble. Nothing on that path may panic —
-// whatever sema accepts must lower (the compiled back ends are the soil
-// default), and whatever lowers must render. Seeds cover the paper's
-// heavy-hitter task, the golden-disassembly machine, and a few shapes
-// that stress the translator (fused branches, struct layouts, nested
-// calls).
+// FuzzLower drives arbitrary bytes through the whole front end: parse,
+// compile, lower to register code, disassemble. Nothing on that path
+// may panic — whatever sema accepts must lower (lowered code is the
+// only thing a soil runs), whatever lowers must render, and lowering
+// the same machine twice must give the same program. Seeds
+// (fuzzLowerSeeds, whose lowering the edge golden pins too) cover the
+// paper's heavy-hitter task, the golden-disassembly machine, and a few
+// shapes that stress the emitter (fused branches, struct layouts,
+// nested calls).
 func FuzzLower(f *testing.F) {
-	f.Add(hhSource)
-	f.Add(disasmGoldenSource)
-	f.Add(`
-machine M {
-  place all;
-  poll p = Poll { .ival = 1, .what = port ANY };
-  long a;
-  state s {
-    when (p as v) do {
-      long i = 0;
-      while (i < 8) { a = a * 2 + 1; i = i + 1; }
-      if (a > 100 and a < 1000) then { transit s; }
-    }
-  }
-}
-`)
-	f.Add(`
-struct P { long x; }
-function f(long n) { if (n <= 1) then { return 1; } return n * f(n - 1); }
-machine R {
-  place all;
-  time t = 5;
-  long acc;
-  state s {
-    when (t as tick) do {
-      P p = P { .x = f(6) };
-      acc = p.x;
-      send acc to harvester;
-    }
-  }
-}
-`)
+	for _, src := range fuzzLowerSeeds {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse(src)
 		if err != nil || prog == nil {
@@ -56,17 +28,16 @@ machine R {
 			return
 		}
 		for _, cm := range cms {
-			lp, err := Lower(cm, []string{"list_len", "list_get", "addTCAMRule"})
+			lp, err := Lower(cm, fuzzBuiltins)
 			if err != nil {
 				t.Fatalf("sema-accepted input failed to lower: %v\n---\n%s", err, src)
 			}
-			if len(lp.RegChunks) != len(lp.Chunks) {
-				t.Fatalf("register form incomplete: %d rchunks vs %d chunks\n---\n%s",
-					len(lp.RegChunks), len(lp.Chunks), src)
-			}
-			dump := lp.Disassemble()
-			if !strings.Contains(dump, "register form:") {
+			if !strings.Contains(lp.Disassemble(), "register form:") {
 				t.Fatalf("disassembly missing register section\n---\n%s", src)
+			}
+			again, err := Lower(cm, fuzzBuiltins)
+			if err != nil || dumpLowered(again) != dumpLowered(lp) {
+				t.Fatalf("lowering is not stable across two calls (err %v)\n---\n%s", err, src)
 			}
 		}
 	})

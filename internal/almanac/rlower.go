@@ -2,19 +2,19 @@ package almanac
 
 import "fmt"
 
-// Register lowering: translates each stack-IR chunk produced by Lower
-// into 3-address register code over a per-chunk virtual register file —
-// the form internal/core's VM executes. Its semantics are the
+// Register code: the 3-address form over a per-chunk virtual register
+// file that Lower emits and internal/core's VM executes, and the
+// emitter the AST walk in lower.go drives. Its semantics are the
 // interpreter's (the parity storms in internal/core and internal/tasks
-// pin this); relative to the IR it cuts dispatch count and operand
-// traffic on the seed hot path.
+// pin this).
 //
 // Register file layout for a chunk: registers [0, NumLocals) are the
-// chunk's locals (same slot numbering as the stack chunk, including
-// hidden loop counters); registers [NumLocals, NumRegs) are expression
-// temporaries. The canonical temporary for abstract-stack depth i is
-// register NumLocals+i, so the translator can window contiguous
-// argument runs for calls and literals without extra moves.
+// chunk's locals (event binding or parameters, then every declared
+// name, then one hidden counter per while loop); registers [NumLocals,
+// NumRegs) are expression temporaries. The emitter keeps an abstract
+// operand stack whose depth is the expression nesting; the canonical
+// temporary for depth i is register NumLocals+i, so contiguous argument
+// runs for calls and literals can be windowed without extra moves.
 //
 // Operands are class-tagged int32s (see ROpnd*): a plain register, a
 // literal-pool index, a machine-env slot, or a current-state slot.
@@ -28,12 +28,14 @@ import "fmt"
 // same materialization runs at and/or left legs so both control paths
 // agree on the abstract stack at the merge point.
 //
-// Locals that sema cannot prove defined (conditional declarations)
-// retain the IR's runtime-undefined semantics via the RLoadL*/
-// RStoreL* forms, which check the register's undefined marker and fall
-// back exactly like their stack counterparts. A forward definedness
-// dataflow over the stack code decides, per access, whether the
-// fallback check is needed at all.
+// Locals not defined on every path to an access (conditional
+// declarations) keep the interpreter's scope-chain semantics via the
+// RLoadL*/RStoreL* forms, which check the register's undefined marker
+// and fall back to the state slot, env slot, dynamic lookup or
+// undeclared-variable error the name otherwise resolves to. Which
+// accesses need the check is decided during the walk: the set of
+// must-be-defined locals travels with it as a bitset, snapshotted at
+// every jump and intersected where paths join.
 type ROp uint8
 
 const (
@@ -42,9 +44,9 @@ const (
 	RMove // regs-or-slot[Dst] = opnd A
 	RZero // dst = fresh zero of Type(A)
 
-	// Undefined-checked local access, mirroring the IR's
-	// OpLoadLoc*/OpStoreLoc* fallback chain. A is the local register;
-	// B is the fallback env slot, state slot, or Names index.
+	// Undefined-checked local access with the interpreter's fallback
+	// chain. A is the local register; B is the fallback env slot, state
+	// slot, or Names index.
 	RLoadLE   // dst = regs[A] if defined else env[B]
 	RLoadLS   // dst = regs[A] if defined else stateVars[cur][B]
 	RLoadLD   // dst = regs[A] if defined else dynamic lookup Names[B]
@@ -143,7 +145,7 @@ func REnvOpnd(i int32) int32 { return RClassEnv<<ROpndShift | i }
 func RStOpnd(i int32) int32 { return RClassSt<<ROpndShift | i }
 
 // RInstr is one register-VM instruction. Dst is an operand-encoded
-// destination (register, env slot, or state slot — the translator
+// destination (register, env slot, or state slot — the emitter
 // retargets single-producer temporaries straight into their store
 // destination); A/B/C are operands or pool indices per opcode.
 type RInstr struct {
@@ -154,7 +156,7 @@ type RInstr struct {
 	Line    int32
 }
 
-// RegChunk is the register form of one LoweredChunk.
+// RegChunk is one compiled handler or function body.
 type RegChunk struct {
 	Code      []RInstr
 	NumRegs   int32 // locals + expression temporaries
@@ -182,501 +184,269 @@ func (p *Lowered) MaxRegs() int32 {
 	return m
 }
 
-// lowerRegisters translates every stack chunk; any failure fails Lower
-// as a whole.
-func lowerRegisters(p *Lowered) error {
-	entries := make([]int32, len(p.Chunks))
-	for i := range p.Chunks {
-		if p.Chunks[i].HasBind {
-			entries[i] = 1
-		}
+// localSet is a bitset over a chunk's local slots.
+type localSet []uint64
+
+func newLocalSet(n int32) localSet  { return make(localSet, n/64+1) }
+func (s localSet) has(i int32) bool { return s[i/64]&(1<<uint(i%64)) != 0 }
+func (s localSet) set(i int32)      { s[i/64] |= 1 << uint(i%64) }
+
+func (s localSet) intersect(o localSet) {
+	for w := range s {
+		s[w] &= o[w]
 	}
-	for _, f := range p.Funcs {
-		if f.Chunk >= 0 {
-			entries[f.Chunk] = f.NumParams
-		}
-	}
-	p.RegChunks = make([]RegChunk, len(p.Chunks))
-	for i := range p.Chunks {
-		rc, err := translateChunk(p, &p.Chunks[i], entries[i])
-		if err != nil {
-			return fmt.Errorf("almanac: lower %s: register chunk %d: %w", p.Machine, i, err)
-		}
-		p.RegChunks[i] = rc
-	}
-	return nil
 }
 
-// definedSets runs a forward must-be-defined dataflow over a stack
-// chunk: IN[pc] is a bitset of local slots that are defined on every
-// path reaching pc. entry slots (the event binding or the function
-// parameters) are defined on entry; OpStoreLocal and OpLoopInit define
-// their slot; the conditional OpStoreLoc* forms do not (they only write
-// the local when it is already defined). Unreached pcs stay nil.
-func definedSets(code []Instr, numLocals, entry int32) [][]uint64 {
-	n := len(code)
-	sets := make([][]uint64, n+1)
-	if n == 0 {
-		return sets
-	}
-	words := (int(numLocals) + 63) / 64
-	if words == 0 {
-		words = 1
-	}
-	ein := make([]uint64, words)
-	for i := int32(0); i < entry; i++ {
-		ein[i/64] |= 1 << uint(i%64)
-	}
-	sets[0] = ein
-	work := []int{0}
-	out := make([]uint64, words)
-	var succ [2]int
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		in := code[pc]
-		copy(out, sets[pc])
-		switch in.Op {
-		case OpStoreLocal, OpLoopInit:
-			out[in.A/64] |= 1 << uint(in.A%64)
-		}
-		ns := succ[:0]
-		switch in.Op {
-		case OpJump:
-			ns = append(ns, int(in.A))
-		case OpJumpIfFalse, OpJLt, OpJLe, OpJGt, OpJGe, OpJEq, OpJNe, OpAndL, OpOrL:
-			ns = append(ns, pc+1, int(in.A))
-		case OpTransit, OpReturn, OpErr, OpLoadErr, OpStoreErr:
-			// no successors
-		default:
-			ns = append(ns, pc+1)
-		}
-		for _, s := range ns {
-			if sets[s] == nil {
-				sets[s] = append([]uint64(nil), out...)
-				if s < n {
-					work = append(work, s)
-				}
-				continue
-			}
-			changed := false
-			for w := range out {
-				if old := sets[s][w]; old&out[w] != old {
-					sets[s][w] &= out[w]
-					changed = true
-				}
-			}
-			if changed && s < n {
-				work = append(work, s)
-			}
-		}
-	}
-	return sets
+// label is a forward jump target: the jumps waiting for its pc, and
+// what the code after it may assume — the abstract stack the jumps left
+// (all of them the same: labels sit at statement ends, where it is
+// empty, or at an and/or merge, below which nothing moves) and the
+// locals defined on every one of them. Only live jumps register; a
+// label none reached revives nothing.
+type label struct {
+	refs    []labelRef
+	astk    []int32
+	defined localSet
 }
 
-type regPatch struct {
+type labelRef struct {
 	at    int32
-	field uint8 // 'A', 'B', or 'C'
+	field uint8 // 'A', 'B', or 'C': where the instruction keeps its target
 }
 
-type regTranslator struct {
-	p         *Lowered
-	src       []Instr
+// emitter is the code-generation state of one chunk.
+type emitter struct {
 	numLocals int32
-	defined   [][]uint64
+	code      []RInstr
+	astk      []int32 // operand encodings, bottom to top
+	maxDepth  int
+	lastProd  int // index of the last produce()d instruction, or -1
 
-	code     []RInstr
-	astk     []int32 // operand encodings, bottom to top
-	maxDepth int
-	lastProd int // index of the last produce()d instruction, or -1
+	// defined holds the locals defined on every path to this point.
+	defined localSet
 
-	regPCAt []int32           // stack pc → register pc, for jump patching
-	patches []regPatch        // register jumps carrying stack targets
-	pending map[int32][]int32 // live jump target → abstract stack snapshot
-	dead    bool
+	// dead is set after an instruction control never falls out of
+	// (return, transit, jump, the error forms) until a label with a live
+	// jump is bound. Dead code emits nothing and leaves the abstract
+	// stack alone, but the walk goes on through it: the names, literals,
+	// error strings and send/struct/field-assign sites it mentions are
+	// interned and its loops keep their counter slots, as the
+	// interpreter-visible pools and frame sizes do not depend on
+	// reachability.
+	dead bool
 
 	// stepPend is an action account waiting to ride on the next emitted
-	// instruction's Step field. OpStep runs before its statement's first
-	// instruction, so charging the step in the dispatch preamble of that
+	// instruction's Step field. A statement's step is due before its
+	// first instruction, so charging it in the dispatch preamble of that
 	// instruction is observably identical (including on error paths) and
 	// saves a full dispatch per statement.
 	stepPend uint8
 }
 
-func translateChunk(p *Lowered, ch *LoweredChunk, entry int32) (rc RegChunk, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("internal error: %v", r)
-		}
-	}()
-	t := &regTranslator{
-		p:         p,
-		src:       ch.Code,
-		numLocals: ch.NumLocals,
-		defined:   definedSets(ch.Code, ch.NumLocals, entry),
-		lastProd:  -1,
-		regPCAt:   make([]int32, len(ch.Code)+1),
-		pending:   map[int32][]int32{},
+// step opens a statement: one action is due before its first
+// instruction.
+func (e *emitter) step() {
+	if e.dead {
+		return
 	}
-	t.run()
-	for _, pt := range t.patches {
-		in := &t.code[pt.at]
-		switch pt.field {
-		case 'A':
-			in.A = t.regPCAt[in.A]
-		case 'B':
-			in.B = t.regPCAt[in.B]
-		case 'C':
-			in.C = t.regPCAt[in.C]
-		}
+	if e.stepPend > 0 {
+		// The previous statement lowered to nothing (all its operands
+		// deferred); park its step on a nop so no instruction ever
+		// carries two statements' accounts.
+		e.emit(RNop, 0, 0, 0, 0, 0)
 	}
-	return RegChunk{
-		Code:      t.code,
-		NumRegs:   t.numLocals + int32(t.maxDepth),
-		NumLocals: t.numLocals,
-		HasBind:   ch.HasBind,
-	}, nil
+	e.stepPend = 1
 }
 
-func (t *regTranslator) push(opnd int32) {
-	t.astk = append(t.astk, opnd)
-	if len(t.astk) > t.maxDepth {
-		t.maxDepth = len(t.astk)
+func (e *emitter) emit(op ROp, dst, a, b, c, line int32) int32 {
+	if e.dead {
+		return -1
+	}
+	e.code = append(e.code, RInstr{Op: op, Step: e.stepPend, Dst: dst, A: a, B: b, C: c, Line: line})
+	e.stepPend = 0
+	return int32(len(e.code) - 1)
+}
+
+// terminate emits an instruction control never falls out of.
+func (e *emitter) terminate(op ROp, a, line int32) {
+	e.emit(op, 0, a, 0, 0, line)
+	e.dead = true
+}
+
+func (e *emitter) push(opnd int32) {
+	if e.dead {
+		return
+	}
+	e.astk = append(e.astk, opnd)
+	if len(e.astk) > e.maxDepth {
+		e.maxDepth = len(e.astk)
 	}
 }
 
-func (t *regTranslator) pop() int32 {
-	v := t.astk[len(t.astk)-1]
-	t.astk = t.astk[:len(t.astk)-1]
+func (e *emitter) pop() int32 {
+	if e.dead {
+		return -1
+	}
+	v := e.astk[len(e.astk)-1]
+	e.astk = e.astk[:len(e.astk)-1]
 	return v
 }
 
-func (t *regTranslator) emit(op ROp, dst, a, b, c, line int32) int32 {
-	t.code = append(t.code, RInstr{Op: op, Step: t.stepPend, Dst: dst, A: a, B: b, C: c, Line: line})
-	t.stepPend = 0
-	return int32(len(t.code) - 1)
-}
+// temp is the canonical temporary for the current stack depth.
+func (e *emitter) temp() int32 { return e.numLocals + int32(len(e.astk)) }
 
 // produce emits an instruction whose destination is the canonical
 // temporary for the current stack depth and pushes that temporary. The
 // instruction is recorded as retarget-eligible: a store that
 // immediately consumes it redirects Dst instead of emitting a move.
-func (t *regTranslator) produce(op ROp, a, b, c, line int32) {
-	d := t.numLocals + int32(len(t.astk))
-	t.emit(op, d, a, b, c, line)
-	t.lastProd = len(t.code) - 1
-	t.push(d)
+func (e *emitter) produce(op ROp, a, b, c, line int32) {
+	if e.dead {
+		return
+	}
+	d := e.temp()
+	e.emit(op, d, a, b, c, line)
+	e.lastProd = len(e.code) - 1
+	e.push(d)
+}
+
+// justProduced returns the instruction produce emitted last, if nothing
+// was emitted and no label bound since.
+func (e *emitter) justProduced() *RInstr {
+	if e.dead || e.lastProd < 0 || e.lastProd != len(e.code)-1 {
+		return nil
+	}
+	return &e.code[e.lastProd]
 }
 
 // store writes operand v to the operand-encoded destination dst. When v
 // is the canonical temporary the immediately preceding instruction
 // produced, that instruction is retargeted in place.
-func (t *regTranslator) store(dst, v, line int32) {
-	if t.lastProd >= 0 && t.lastProd == len(t.code)-1 {
-		if in := &t.code[t.lastProd]; in.Dst == v && v>>ROpndShift == RClassReg && v >= t.numLocals {
-			in.Dst = dst
-			t.lastProd = -1
-			return
-		}
+func (e *emitter) store(dst, v, line int32) {
+	if in := e.justProduced(); in != nil && in.Dst == v && v>>ROpndShift == RClassReg && v >= e.numLocals {
+		in.Dst = dst
+		e.lastProd = -1
+		return
 	}
-	t.emit(RMove, dst, v, 0, 0, line)
+	e.emit(RMove, dst, v, 0, 0, line)
+}
+
+// fuseMulAdd folds a just-produced `mul` into the `add` consuming it as
+// operand l or r: the product never round-trips through a register,
+// saving a dispatch on the EWMA-style seed hot path.
+func (e *emitter) fuseMulAdd(l, r int32) bool {
+	in := e.justProduced()
+	if in == nil || in.Op != RMul || (in.Dst != l && in.Dst != r) {
+		return false
+	}
+	other := l
+	if in.Dst == l {
+		other = r
+	}
+	d := e.temp()
+	in.Op, in.C, in.Dst = RMulAdd, other, d
+	e.push(d)
+	return true
 }
 
 // materializeEnvSt copies every deferred env/st operand on the abstract
 // stack into its canonical temporary. Called before RCallFn (the callee
 // may write those slots) and at and/or left legs (both control paths
 // must agree on the stack at the merge).
-func (t *regTranslator) materializeEnvSt(line int32) {
-	for i, o := range t.astk {
+func (e *emitter) materializeEnvSt(line int32) {
+	if e.dead {
+		return
+	}
+	for i, o := range e.astk {
 		if cls := o >> ROpndShift; cls == RClassEnv || cls == RClassSt {
-			d := t.numLocals + int32(i)
-			t.emit(RMove, d, o, 0, 0, line)
-			t.astk[i] = d
+			d := e.numLocals + int32(i)
+			e.emit(RMove, d, o, 0, 0, line)
+			e.astk[i] = d
 		}
 	}
 }
 
-// window materializes astk[base:] into the canonical temporaries so a
-// call or literal can consume a contiguous register run; returns the
-// first register of the run.
-func (t *regTranslator) window(base int, line int32) int32 {
-	for i := base; i < len(t.astk); i++ {
-		d := t.numLocals + int32(i)
-		if t.astk[i] != d {
-			t.emit(RMove, d, t.astk[i], 0, 0, line)
-			t.astk[i] = d
+// popWindow materializes the top n operands into their canonical
+// temporaries so a call or literal can consume a contiguous register
+// run, pops them, and returns the first register of the run.
+func (e *emitter) popWindow(n int, line int32) int32 {
+	if e.dead {
+		return -1
+	}
+	base := len(e.astk) - n
+	for i := base; i < len(e.astk); i++ {
+		if d := e.numLocals + int32(i); e.astk[i] != d {
+			e.emit(RMove, d, e.astk[i], 0, 0, line)
 		}
 	}
-	return t.numLocals + int32(base)
+	e.astk = e.astk[:base]
+	return e.numLocals + int32(base)
 }
 
-func (t *regTranslator) isDefined(pc int, slot int32) bool {
-	set := t.defined[pc]
-	if set == nil {
-		return true // unreachable; never executed
+// jumpTo registers the jump just emitted at pc `at` with its label.
+func (e *emitter) jumpTo(lb *label, at int32, field uint8) {
+	if e.dead {
+		return
 	}
-	return set[slot/64]&(1<<uint(slot%64)) != 0
+	lb.refs = append(lb.refs, labelRef{at, field})
+	lb.astk = append(lb.astk[:0], e.astk...)
+	if lb.defined == nil {
+		lb.defined = append(localSet(nil), e.defined...)
+	} else {
+		lb.defined.intersect(e.defined)
+	}
 }
 
-// jumpTo records a live jump from register instruction at (field f)
-// to stack pc target, snapshotting the abstract stack for the merge.
-func (t *regTranslator) jumpTo(at int32, f uint8, target int32) {
-	t.patches = append(t.patches, regPatch{at: at, field: f})
-	t.pending[target] = append([]int32(nil), t.astk...)
+// jump emits an unconditional forward jump.
+func (e *emitter) jump(lb *label, line int32) {
+	e.jumpTo(lb, e.emit(RJump, 0, 0, 0, 0, line), 'A')
+	e.dead = true
 }
 
-var regBin = map[Op]ROp{
-	OpNot: RNot, OpNeg: RNeg,
-	OpAdd: RAdd, OpSub: RSub, OpMul: RMul, OpDiv: RDiv,
-	OpLt: RLt, OpLe: RLe, OpGt: RGt, OpGe: RGe, OpEq: REq, OpNe: RNe,
+// bind places lb at the current pc. A step still pending here belongs
+// to a statement the joining paths did not run, so it is parked on a
+// nop before the label: only fall-through pays it.
+func (e *emitter) bind(lb *label) {
+	if len(lb.refs) == 0 {
+		return
+	}
+	if e.dead {
+		e.astk = append(e.astk[:0], lb.astk...)
+		e.defined = lb.defined
+		e.dead = false
+	} else {
+		if e.stepPend > 0 {
+			e.emit(RNop, 0, 0, 0, 0, 0)
+		}
+		if len(lb.astk) != len(e.astk) {
+			panic(fmt.Sprintf("merge at pc %d: stack depth %d vs %d", len(e.code), len(lb.astk), len(e.astk)))
+		}
+		e.defined.intersect(lb.defined)
+	}
+	pc := int32(len(e.code))
+	for _, ref := range lb.refs {
+		in := &e.code[ref.at]
+		switch ref.field {
+		case 'A':
+			in.A = pc
+		case 'B':
+			in.B = pc
+		case 'C':
+			in.C = pc
+		}
+	}
+	e.lastProd = -1 // a second path reaches here; never retarget across it
 }
 
-var regFused = map[Op]ROp{
-	OpJLt: RJLt, OpJLe: RJLe, OpJGt: RJGt, OpJGe: RJGe, OpJEq: RJEq, OpJNe: RJNe,
-}
-
-func (t *regTranslator) run() {
-	for pc := 0; pc <= len(t.src); pc++ {
-		if t.stepPend > 0 && !t.dead {
-			// A pending step must not leak past a jump target (or the
-			// chunk end): a path joining here did not run the statement
-			// the step belongs to. Flush it onto a nop placed *before*
-			// the target pc so only fall-through pays it.
-			if _, tgt := t.pending[int32(pc)]; tgt || pc == len(t.src) {
-				t.emit(RNop, 0, 0, 0, 0, 0)
-			}
-		}
-		t.regPCAt[pc] = int32(len(t.code))
-		if snap, ok := t.pending[int32(pc)]; ok {
-			if t.dead {
-				t.astk = append(t.astk[:0], snap...)
-				t.dead = false
-			} else if len(snap) != len(t.astk) {
-				panic(fmt.Sprintf("merge at pc %d: stack depth %d vs %d", pc, len(snap), len(t.astk)))
-			}
-			t.lastProd = -1 // a second path reaches here; never retarget across it
-		}
-		if pc == len(t.src) {
-			break
-		}
-		if t.dead {
-			continue
-		}
-		in := t.src[pc]
-		line := in.Line
-		switch in.Op {
-		case OpNop:
-			// drop
-		case OpConst:
-			t.push(RLitOpnd(in.A))
-		case OpZero:
-			t.produce(RZero, in.A, 0, 0, line)
-		case OpLoadEnv:
-			t.push(REnvOpnd(in.A))
-		case OpStoreEnv:
-			t.store(REnvOpnd(in.A), t.pop(), line)
-		case OpLoadSt:
-			t.push(RStOpnd(in.A))
-		case OpStoreSt:
-			t.store(RStOpnd(in.A), t.pop(), line)
-		case OpLoadLocEnv, OpLoadLocSt, OpLoadLocDyn, OpLoadLocErr:
-			if t.isDefined(pc, in.A) {
-				t.push(in.A) // plain register, read directly
-				break
-			}
-			var op ROp
-			switch in.Op {
-			case OpLoadLocEnv:
-				op = RLoadLE
-			case OpLoadLocSt:
-				op = RLoadLS
-			case OpLoadLocDyn:
-				op = RLoadLD
-			default:
-				op = RLoadLErr
-			}
-			t.produce(op, in.A, in.B, 0, line)
-		case OpStoreLocal:
-			t.store(in.A, t.pop(), line)
-		case OpStoreLocEnv, OpStoreLocSt, OpStoreLocDyn, OpStoreLocErr:
-			if t.isDefined(pc, in.A) {
-				t.store(in.A, t.pop(), line)
-				break
-			}
-			var op ROp
-			switch in.Op {
-			case OpStoreLocEnv:
-				op = RStoreLE
-			case OpStoreLocSt:
-				op = RStoreLS
-			case OpStoreLocDyn:
-				op = RStoreLD
-			default:
-				op = RStoreLErr
-			}
-			t.emit(op, 0, in.A, in.B, t.pop(), line)
-		case OpLoadDyn:
-			t.produce(RLoadDyn, in.A, 0, 0, line)
-		case OpStoreDyn:
-			t.emit(RStoreDyn, 0, in.A, t.pop(), 0, line)
-		case OpLoadErr:
-			t.emit(RLoadErr, 0, in.A, 0, 0, line)
-			t.dead = true
-		case OpStoreErr:
-			t.pop()
-			t.emit(RStoreErr, 0, in.A, 0, 0, line)
-			t.dead = true
-		case OpJump:
-			at := t.emit(RJump, 0, in.A, 0, 0, line)
-			t.jumpTo(at, 'A', in.A)
-			t.dead = true
-		case OpJumpIfFalse:
-			v := t.pop()
-			at := t.emit(RJF, 0, v, in.A, 0, line)
-			t.jumpTo(at, 'B', in.A)
-		case OpJLt, OpJLe, OpJGt, OpJGe, OpJEq, OpJNe:
-			r := t.pop()
-			l := t.pop()
-			at := t.emit(regFused[in.Op], 0, l, r, in.A, line)
-			t.jumpTo(at, 'C', in.A)
-		case OpLoopInit:
-			t.emit(RLoopInit, 0, in.A, 0, 0, line)
-		case OpLoopCheck:
-			t.emit(RLoopCheck, 0, in.A, 0, 0, line)
-		case OpTransit:
-			t.emit(RTransit, 0, in.A, 0, 0, line)
-			t.dead = true
-		case OpReturn:
-			v := int32(-1)
-			if in.A == 1 {
-				v = t.pop()
-			}
-			t.emit(RReturn, 0, v, 0, 0, line)
-			t.dead = true
-		case OpNot, OpNeg:
-			t.produce(regBin[in.Op], t.pop(), 0, 0, line)
-		case OpAdd, OpSub, OpMul, OpDiv, OpLt, OpLe, OpGt, OpGe, OpEq, OpNe:
-			r := t.pop()
-			l := t.pop()
-			if in.Op == OpAdd && t.lastProd >= 0 && t.lastProd == len(t.code)-1 {
-				// Fuse `mul` straight into a consuming `add`: the
-				// product never round-trips through a register, saving
-				// a dispatch on the EWMA-style seed hot path.
-				if li := &t.code[t.lastProd]; li.Op == RMul && (li.Dst == l || li.Dst == r) {
-					other := l
-					if li.Dst == l {
-						other = r
-					}
-					d := t.numLocals + int32(len(t.astk))
-					li.Op, li.C, li.Dst = RMulAdd, other, d
-					t.push(d)
-					break
-				}
-			}
-			t.produce(regBin[in.Op], l, r, 0, line)
-		case OpTruthy:
-			// Only emitted as the or-rhs terminator: fold the rhs into
-			// the ROrL destination so both paths merge on one register.
-			rhs := t.pop()
-			d := t.astk[len(t.astk)-1]
-			t.emit(RTruthy, d, rhs, 0, 0, line)
-			t.lastProd = -1
-		case OpAndL:
-			t.materializeEnvSt(line)
-			l := t.pop()
-			d := t.numLocals + int32(len(t.astk))
-			at := t.emit(RAndL, d, l, in.A, 0, line)
-			t.push(d)
-			t.jumpTo(at, 'B', in.A)
-			t.lastProd = -1
-		case OpAndR:
-			rhs := t.pop()
-			d := t.astk[len(t.astk)-1]
-			t.emit(RAndR, d, rhs, 0, 0, line)
-			t.lastProd = -1
-		case OpOrL:
-			t.materializeEnvSt(line)
-			l := t.pop()
-			d := t.numLocals + int32(len(t.astk))
-			at := t.emit(ROrL, d, l, in.A, 0, line)
-			t.push(d)
-			t.jumpTo(at, 'B', in.A)
-			t.lastProd = -1
-		case OpField:
-			site := t.p.RFieldSites
-			t.p.RFieldSites++
-			t.produce(RField, t.pop(), in.A, site, line)
-		case OpFilterAtom:
-			t.produce(RFilterAtom, t.pop(), in.A, 0, line)
-		case OpFilterAny:
-			t.produce(RFilterAny, 0, 0, 0, line)
-		case OpStructLit:
-			n := len(t.p.Structs[in.A].Fields)
-			w := t.window(len(t.astk)-n, line)
-			t.astk = t.astk[:len(t.astk)-n]
-			t.produce(RStructLit, in.A, w, 0, line)
-		case OpListLit:
-			n := int(in.A)
-			w := t.window(len(t.astk)-n, line)
-			t.astk = t.astk[:len(t.astk)-n]
-			t.produce(RListLit, w, in.A, 0, line)
-		case OpCallB:
-			if name := t.p.Names[in.A]; name == "list_len" && in.B == 1 {
-				t.produce(RListLen, in.A, t.pop(), -1, line)
-				break
-			} else if name == "list_get" && in.B == 2 {
-				a2 := t.pop()
-				a1 := t.pop()
-				t.produce(RListGet, in.A, a1, a2, line)
-				break
-			}
-			if in.B <= 2 {
-				a1, a2 := int32(-1), int32(-1)
-				if in.B == 2 {
-					a2 = t.pop()
-				}
-				if in.B >= 1 {
-					a1 = t.pop()
-				}
-				t.produce(RCallB2, in.A, a1, a2, line)
-				break
-			}
-			w := t.window(len(t.astk)-int(in.B), line)
-			t.astk = t.astk[:len(t.astk)-int(in.B)]
-			t.produce(RCallB, in.A, w, in.B, line)
-		case OpCallFn:
-			t.materializeEnvSt(line)
-			w := t.window(len(t.astk)-int(in.B), line)
-			t.astk = t.astk[:len(t.astk)-int(in.B)]
-			t.produce(RCallFn, in.A, w, in.B, line)
-		case OpStep:
-			if t.stepPend > 0 {
-				// The previous statement lowered to nothing (all its
-				// operands deferred); park its step on a nop so no
-				// instruction ever carries two statements' accounts.
-				t.emit(RNop, 0, 0, 0, 0, line)
-			}
-			t.stepPend = 1
-		case OpPop:
-			t.pop() // deferred operands are effect-free; eager ones already ran
-		case OpSend:
-			dst := int32(-1)
-			if t.p.Sends[in.A].HasDst {
-				dst = t.pop()
-			}
-			v := t.pop()
-			t.emit(RSend, 0, in.A, v, dst, line)
-		case OpSetIval:
-			t.emit(RSetIval, 0, in.A, t.pop(), 0, line)
-		case OpSetTrigger:
-			t.emit(RSetTrigger, 0, in.A, t.pop(), 0, line)
-		case OpFieldAssign:
-			t.emit(RFieldAssign, 0, in.A, t.pop(), 0, line)
-		case OpErr:
-			t.emit(RErr, 0, in.A, 0, 0, line)
-			t.dead = true
-		default:
-			panic(fmt.Sprintf("unhandled stack opcode %d", in.Op))
-		}
+// finish closes the chunk; its end is a join too (every return and
+// transit lands there), so a pending step gets its nop.
+func (e *emitter) finish(hasBind bool) RegChunk {
+	if e.stepPend > 0 {
+		e.emit(RNop, 0, 0, 0, 0, 0)
+	}
+	return RegChunk{
+		Code:      e.code,
+		NumRegs:   e.numLocals + int32(e.maxDepth),
+		NumLocals: e.numLocals,
+		HasBind:   hasBind,
 	}
 }

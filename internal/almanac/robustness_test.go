@@ -108,7 +108,7 @@ func TestWhateverCompilesLowers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("lower failed for compiling machine: %v", err)
 			}
-			if lp.NumInstrs() <= 0 {
+			if lp.NumRegInstrs() <= 0 {
 				t.Fatalf("lowered %s has no instructions", cm.Name)
 			}
 			dump := lp.Disassemble()
@@ -136,5 +136,22 @@ func TestLexerRobust(t *testing.T) {
 			}()
 			_, _ = Lex(string(b))
 		}()
+	}
+}
+
+// Seed XML is decoded without a sema pass, and the codec accepts a
+// filter atom with no argument; lowering reports the missing operand
+// as an error like any other shape it does not know.
+func TestLowerRejectsMissingOperand(t *testing.T) {
+	cm := &CompiledMachine{
+		Name:         "M",
+		InitialState: "s",
+		States: []CompiledState{{Name: "s", Events: []EventDecl{{
+			Trigger: EventTrigger{Kind: TrigOnEnter},
+			Body:    []Stmt{&ExprStmt{X: &FilterAtom{Field: "srcIP"}}},
+		}}}},
+	}
+	if _, err := Lower(cm, nil); err == nil || !strings.Contains(err.Error(), "unknown expression") {
+		t.Fatalf("Lower = %v, want an unknown-expression error", err)
 	}
 }

@@ -125,6 +125,14 @@ func DecodeXML(data []byte) (*CompiledMachine, error) {
 		}
 		cm.States = append(cm.States, st)
 	}
+	// Sema guarantees both for anything EncodeXML was given; decoded
+	// bytes come from the wire.
+	if len(cm.States) == 0 {
+		return nil, fmt.Errorf("almanac: xml: machine %s: machine declares no states", cm.Name)
+	}
+	if _, ok := cm.State(cm.InitialState); !ok {
+		return nil, fmt.Errorf("almanac: xml: machine %s: unknown initial state %s", cm.Name, cm.InitialState)
+	}
 	for _, xf := range xm.Funcs {
 		f := FuncDecl{Name: xf.Name}
 		for _, p := range xf.Params {

@@ -36,7 +36,7 @@ func (s *Seed) evalCall(ex *almanac.CallExpr, sc *scope) (Value, error) {
 			}
 			args[i] = v
 		}
-		return fn(s, args, ex.Line())
+		return fn(s.host, args, ex.Line())
 	}
 	if fd, ok := s.funcs[ex.Name]; ok {
 		if len(ex.Args) != len(fd.Params) {
@@ -62,7 +62,7 @@ func (s *Seed) evalCall(ex *almanac.CallExpr, sc *scope) (Value, error) {
 	return nil, fmt.Errorf("core: unknown function %s (line %d)", ex.Name, ex.Line())
 }
 
-type builtinFn func(s *Seed, args []Value, line int) (Value, error)
+type builtinFn func(h Host, args []Value, line int) (Value, error)
 
 var builtins map[string]builtinFn
 
@@ -77,12 +77,12 @@ func init() {
 		"getTCAMRule":    biGetTCAMRule,
 		"exec":           biExec,
 		// Actions for TCAM rules.
-		"drop":      func(*Seed, []Value, int) (Value, error) { return ActionVal(dataplane.ActDrop), nil },
-		"allow":     func(*Seed, []Value, int) (Value, error) { return ActionVal(dataplane.ActAllow), nil },
-		"rateLimit": func(*Seed, []Value, int) (Value, error) { return ActionVal(dataplane.ActRateLimit), nil },
-		"mirror":    func(*Seed, []Value, int) (Value, error) { return ActionVal(dataplane.ActMirror), nil },
-		"countAct":  func(*Seed, []Value, int) (Value, error) { return ActionVal(dataplane.ActCount), nil },
-		"setQoS":    func(*Seed, []Value, int) (Value, error) { return ActionVal(dataplane.ActSetQoS), nil },
+		"drop":      func(Host, []Value, int) (Value, error) { return ActionVal(dataplane.ActDrop), nil },
+		"allow":     func(Host, []Value, int) (Value, error) { return ActionVal(dataplane.ActAllow), nil },
+		"rateLimit": func(Host, []Value, int) (Value, error) { return ActionVal(dataplane.ActRateLimit), nil },
+		"mirror":    func(Host, []Value, int) (Value, error) { return ActionVal(dataplane.ActMirror), nil },
+		"countAct":  func(Host, []Value, int) (Value, error) { return ActionVal(dataplane.ActCount), nil },
+		"setQoS":    func(Host, []Value, int) (Value, error) { return ActionVal(dataplane.ActSetQoS), nil },
 		// Math.
 		"min":   biMin,
 		"max":   biMax,
@@ -96,9 +96,9 @@ func init() {
 		"is_list_empty": biListEmpty,
 		"list_contains": biListContains,
 		"list_get":      biListGet,
-		"list_clear":    func(*Seed, []Value, int) (Value, error) { return List(nil), nil },
+		"list_clear":    func(Host, []Value, int) (Value, error) { return List(nil), nil },
 		// Maps.
-		"map_new":  func(*Seed, []Value, int) (Value, error) { return MapVal{}, nil },
+		"map_new":  func(Host, []Value, int) (Value, error) { return MapVal{}, nil },
 		"map_get":  biMapGet,
 		"map_set":  biMapSet,
 		"map_has":  biMapHas,
@@ -108,12 +108,12 @@ func init() {
 		// Misc.
 		"now": biNow,
 		"str": biStr,
-		"log_msg": func(s *Seed, args []Value, _ int) (Value, error) {
+		"log_msg": func(h Host, args []Value, _ int) (Value, error) {
 			parts := make([]any, len(args))
 			for i, a := range args {
 				parts[i] = FormatValue(a)
 			}
-			s.host.Log("%v", parts)
+			h.Log("%v", parts)
 			return nil, nil
 		},
 		// Statistics helpers for the canonical tasks.
@@ -121,16 +121,16 @@ func init() {
 	}
 }
 
-func biRes(s *Seed, args []Value, line int) (Value, error) {
+func biRes(h Host, args []Value, line int) (Value, error) {
 	if len(args) != 0 {
 		return nil, fmt.Errorf("core: res() takes no arguments (line %d)", line)
 	}
-	return ResourcesVal(s.host.Resources()), nil
+	return ResourcesVal(h.Resources()), nil
 }
 
 // biAddTCAMRule accepts either a Rule struct {.pattern, .act, .priority}
 // or (filter, action [, priority]).
-func biAddTCAMRule(s *Seed, args []Value, line int) (Value, error) {
+func biAddTCAMRule(h Host, args []Value, line int) (Value, error) {
 	var rule dataplane.Rule
 	switch {
 	case len(args) == 1:
@@ -173,14 +173,13 @@ func biAddTCAMRule(s *Seed, args []Value, line int) (Value, error) {
 	default:
 		return nil, fmt.Errorf("core: addTCAMRule needs a rule (line %d)", line)
 	}
-	rule.Note = s.machine.Name
-	if err := s.host.AddTCAMRule(rule); err != nil {
+	if err := h.AddTCAMRule(rule); err != nil {
 		return nil, fmt.Errorf("core: addTCAMRule: %w (line %d)", err, line)
 	}
 	return nil, nil
 }
 
-func biRemoveTCAMRule(s *Seed, args []Value, line int) (Value, error) {
+func biRemoveTCAMRule(h Host, args []Value, line int) (Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("core: removeTCAMRule needs a filter (line %d)", line)
 	}
@@ -188,10 +187,10 @@ func biRemoveTCAMRule(s *Seed, args []Value, line int) (Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: removeTCAMRule needs a filter, got %s (line %d)", TypeName(args[0]), line)
 	}
-	return s.host.RemoveTCAMRule(f.F), nil
+	return h.RemoveTCAMRule(f.F), nil
 }
 
-func biGetTCAMRule(s *Seed, args []Value, line int) (Value, error) {
+func biGetTCAMRule(h Host, args []Value, line int) (Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("core: getTCAMRule needs a filter (line %d)", line)
 	}
@@ -199,7 +198,7 @@ func biGetTCAMRule(s *Seed, args []Value, line int) (Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: getTCAMRule needs a filter (line %d)", line)
 	}
-	r, found := s.host.GetTCAMRule(f.F)
+	r, found := h.GetTCAMRule(f.F)
 	if !found {
 		return nil, nil
 	}
@@ -210,7 +209,7 @@ func biGetTCAMRule(s *Seed, args []Value, line int) (Value, error) {
 	}}, nil
 }
 
-func biExec(s *Seed, args []Value, line int) (Value, error) {
+func biExec(h Host, args []Value, line int) (Value, error) {
 	if len(args) < 1 {
 		return nil, fmt.Errorf("core: exec needs a command (line %d)", line)
 	}
@@ -222,7 +221,7 @@ func biExec(s *Seed, args []Value, line int) (Value, error) {
 	if len(args) == 2 {
 		arg = args[1]
 	}
-	return s.host.Exec(cmd, arg)
+	return h.Exec(cmd, arg)
 }
 
 func numericArgs(name string, args []Value, line int) ([]float64, error) {
@@ -249,7 +248,7 @@ func allInts(args []Value) bool {
 	return true
 }
 
-func biMin(_ *Seed, args []Value, line int) (Value, error) {
+func biMin(_ Host, args []Value, line int) (Value, error) {
 	fs, err := numericArgs("min", args, line)
 	if err != nil {
 		return nil, err
@@ -266,7 +265,7 @@ func biMin(_ *Seed, args []Value, line int) (Value, error) {
 	return best, nil
 }
 
-func biMax(_ *Seed, args []Value, line int) (Value, error) {
+func biMax(_ Host, args []Value, line int) (Value, error) {
 	fs, err := numericArgs("max", args, line)
 	if err != nil {
 		return nil, err
@@ -283,7 +282,7 @@ func biMax(_ *Seed, args []Value, line int) (Value, error) {
 	return best, nil
 }
 
-func biAbs(_ *Seed, args []Value, line int) (Value, error) {
+func biAbs(_ Host, args []Value, line int) (Value, error) {
 	fs, err := numericArgs("abs", args, line)
 	if err != nil {
 		return nil, err
@@ -297,7 +296,7 @@ func biAbs(_ *Seed, args []Value, line int) (Value, error) {
 	return math.Abs(fs[0]), nil
 }
 
-func biLog(_ *Seed, args []Value, line int) (Value, error) {
+func biLog(_ Host, args []Value, line int) (Value, error) {
 	fs, err := numericArgs("log", args, line)
 	if err != nil {
 		return nil, err
@@ -308,7 +307,7 @@ func biLog(_ *Seed, args []Value, line int) (Value, error) {
 	return math.Log(fs[0]), nil
 }
 
-func biLog2(_ *Seed, args []Value, line int) (Value, error) {
+func biLog2(_ Host, args []Value, line int) (Value, error) {
 	fs, err := numericArgs("log2", args, line)
 	if err != nil {
 		return nil, err
@@ -319,7 +318,7 @@ func biLog2(_ *Seed, args []Value, line int) (Value, error) {
 	return math.Log2(fs[0]), nil
 }
 
-func biFloor(_ *Seed, args []Value, line int) (Value, error) {
+func biFloor(_ Host, args []Value, line int) (Value, error) {
 	fs, err := numericArgs("floor", args, line)
 	if err != nil {
 		return nil, err
@@ -327,7 +326,7 @@ func biFloor(_ *Seed, args []Value, line int) (Value, error) {
 	return int64(math.Floor(fs[0])), nil
 }
 
-func biListAppend(_ *Seed, args []Value, line int) (Value, error) {
+func biListAppend(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("core: list_append(list, value) (line %d)", line)
 	}
@@ -351,7 +350,7 @@ func asList(v Value, name string, line int) (List, error) {
 	return l, nil
 }
 
-func biListLen(_ *Seed, args []Value, line int) (Value, error) {
+func biListLen(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("core: list_len(list) (line %d)", line)
 	}
@@ -362,7 +361,7 @@ func biListLen(_ *Seed, args []Value, line int) (Value, error) {
 	return int64(len(l)), nil
 }
 
-func biListEmpty(_ *Seed, args []Value, line int) (Value, error) {
+func biListEmpty(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("core: is_list_empty(list) (line %d)", line)
 	}
@@ -373,7 +372,7 @@ func biListEmpty(_ *Seed, args []Value, line int) (Value, error) {
 	return len(l) == 0, nil
 }
 
-func biListContains(_ *Seed, args []Value, line int) (Value, error) {
+func biListContains(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("core: list_contains(list, value) (line %d)", line)
 	}
@@ -389,7 +388,7 @@ func biListContains(_ *Seed, args []Value, line int) (Value, error) {
 	return false, nil
 }
 
-func biListGet(_ *Seed, args []Value, line int) (Value, error) {
+func biListGet(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("core: list_get(list, index) (line %d)", line)
 	}
@@ -428,7 +427,7 @@ func keyString(v Value) string {
 	return FormatValue(v)
 }
 
-func biMapGet(_ *Seed, args []Value, line int) (Value, error) {
+func biMapGet(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 3 {
 		return nil, fmt.Errorf("core: map_get(map, key, default) (line %d)", line)
 	}
@@ -442,7 +441,7 @@ func biMapGet(_ *Seed, args []Value, line int) (Value, error) {
 	return args[2], nil
 }
 
-func biMapSet(_ *Seed, args []Value, line int) (Value, error) {
+func biMapSet(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 3 {
 		return nil, fmt.Errorf("core: map_set(map, key, value) (line %d)", line)
 	}
@@ -454,7 +453,7 @@ func biMapSet(_ *Seed, args []Value, line int) (Value, error) {
 	return m, nil
 }
 
-func biMapHas(_ *Seed, args []Value, line int) (Value, error) {
+func biMapHas(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("core: map_has(map, key) (line %d)", line)
 	}
@@ -466,7 +465,7 @@ func biMapHas(_ *Seed, args []Value, line int) (Value, error) {
 	return ok, nil
 }
 
-func biMapDel(_ *Seed, args []Value, line int) (Value, error) {
+func biMapDel(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("core: map_del(map, key) (line %d)", line)
 	}
@@ -478,7 +477,7 @@ func biMapDel(_ *Seed, args []Value, line int) (Value, error) {
 	return m, nil
 }
 
-func biMapLen(_ *Seed, args []Value, line int) (Value, error) {
+func biMapLen(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("core: map_len(map) (line %d)", line)
 	}
@@ -489,7 +488,7 @@ func biMapLen(_ *Seed, args []Value, line int) (Value, error) {
 	return int64(len(m)), nil
 }
 
-func biMapKeys(_ *Seed, args []Value, line int) (Value, error) {
+func biMapKeys(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("core: map_keys(map) (line %d)", line)
 	}
@@ -509,14 +508,14 @@ func biMapKeys(_ *Seed, args []Value, line int) (Value, error) {
 	return out, nil
 }
 
-func biNow(s *Seed, args []Value, line int) (Value, error) {
+func biNow(h Host, args []Value, line int) (Value, error) {
 	if len(args) != 0 {
 		return nil, fmt.Errorf("core: now() takes no arguments (line %d)", line)
 	}
-	return float64(s.host.Now().Milliseconds()), nil
+	return float64(h.Now().Milliseconds()), nil
 }
 
-func biStr(_ *Seed, args []Value, line int) (Value, error) {
+func biStr(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("core: str(value) (line %d)", line)
 	}
@@ -529,7 +528,7 @@ func biStr(_ *Seed, args []Value, line int) (Value, error) {
 // biGetHH is the paper's abstracted getHH helper: given a list of
 // PortStats records and a byte threshold, return the ports whose
 // transmitted bytes since the last poll reach the threshold.
-func biGetHH(_ *Seed, args []Value, line int) (Value, error) {
+func biGetHH(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("core: getHH(stats, threshold) (line %d)", line)
 	}

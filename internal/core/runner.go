@@ -36,7 +36,8 @@ var (
 // field caches, every list, map, struct and sketch value — belongs to
 // the runner (rvmSeed) and is built per NewRunner; what is shared is
 // literals (scalars and strings only), layouts, dispatch tables and
-// the machine's AST, which the interpreter twin only reads.
+// the machine's AST, which NewRunner's initialiser evaluation only
+// reads.
 type Program struct {
 	cm       *almanac.CompiledMachine
 	p        *almanac.Lowered
@@ -55,7 +56,8 @@ type Program struct {
 
 // Compile lowers the machine and links the result. A machine that fails
 // to lower (sema accepts none, but decoded seed XML is not sema-checked)
-// is rejected with the lowering error.
+// is rejected with the lowering error, so every Program has an initial
+// state for its runners to start in.
 func Compile(cm *almanac.CompiledMachine) (*Program, error) {
 	p, err := almanac.Lower(cm, BuiltinNames())
 	if err != nil {
@@ -112,16 +114,17 @@ func Compile(cm *almanac.CompiledMachine) (*Program, error) {
 func (lp *Program) Machine() *almanac.CompiledMachine { return lp.cm }
 
 // NewRunner deploys one instance of the program on the register VM.
-// Construction delegates to NewSeed so init-expression evaluation,
+// Construction goes through NewSeed so init-expression evaluation,
 // external binding/validation, and every construction-time error string
-// are shared with the interpreter; the resulting env and per-state
-// variable maps are then flattened into slot frames.
+// have one source, the interpreter; its env and per-state variable maps
+// are flattened into slot frames and the interpreter is let go — the
+// runner keeps the host, nothing else.
 func (lp *Program) NewRunner(externals map[string]Value, host Host) (Runner, error) {
 	in, err := NewSeed(lp.cm, externals, host)
 	if err != nil {
 		return nil, err
 	}
-	m := &rvmSeed{in: in, lp: lp, state: lp.p.InitialState}
+	m := &rvmSeed{host: in.host, lp: lp, state: lp.p.InitialState}
 	m.env = make([]rval, len(lp.p.EnvSlots))
 	for i, s := range lp.p.EnvSlots {
 		m.env[i] = unbox(in.env[s.Name])

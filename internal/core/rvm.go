@@ -186,12 +186,12 @@ func wrOpnd(d int32, v rval, regs, env, stf []rval) {
 // both numeric (the inline tiers cover those): a numeric left against a
 // non-numeric right gets the comparison error, everything else goes to
 // binOp for the unfused comparison's error strings.
-func (m *rvmSeed) cmpSlow(op almanac.Op, l, r rval, line int32) (bool, error) {
+func (m *rvmSeed) cmpSlow(op almanac.ROp, l, r rval, line int32) (bool, error) {
 	if _, lok := asFloatR(l); lok {
 		return false, fmt.Errorf("core: %s %s %s is not defined (line %d)",
 			typeNameR(l), opSym(op), typeNameR(r), line)
 	}
-	v, err := m.binOp(almanac.Instr{Op: op, Line: line}, l, r)
+	v, err := m.binOp(op, line, l, r)
 	if err != nil {
 		return false, err
 	}
@@ -207,7 +207,7 @@ func (m *rvmSeed) bridgeB(name int32, argv []rval, line int32) (rval, error) {
 	for _, a := range argv {
 		m.scratch = append(m.scratch, a.box())
 	}
-	v, err := m.lp.bfns[name](m.in, m.scratch, int(line))
+	v, err := m.lp.bfns[name](m.host, m.scratch, int(line))
 	if err != nil {
 		return rval{}, err
 	}
@@ -415,7 +415,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				b = l.f < float64(r.i)
 			} else {
 				var err error
-				if b, err = m.cmpSlow(almanac.OpLt, l, r, in.Line); err != nil {
+				if b, err = m.cmpSlow(almanac.RLt, l, r, in.Line); err != nil {
 					return chunkResult{}, err
 				}
 			}
@@ -437,7 +437,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				b = l.f <= float64(r.i)
 			} else {
 				var err error
-				if b, err = m.cmpSlow(almanac.OpLe, l, r, in.Line); err != nil {
+				if b, err = m.cmpSlow(almanac.RLe, l, r, in.Line); err != nil {
 					return chunkResult{}, err
 				}
 			}
@@ -459,7 +459,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				b = l.f > float64(r.i)
 			} else {
 				var err error
-				if b, err = m.cmpSlow(almanac.OpGt, l, r, in.Line); err != nil {
+				if b, err = m.cmpSlow(almanac.RGt, l, r, in.Line); err != nil {
 					return chunkResult{}, err
 				}
 			}
@@ -481,7 +481,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				b = l.f >= float64(r.i)
 			} else {
 				var err error
-				if b, err = m.cmpSlow(almanac.OpGe, l, r, in.Line); err != nil {
+				if b, err = m.cmpSlow(almanac.RGe, l, r, in.Line); err != nil {
 					return chunkResult{}, err
 				}
 			}
@@ -504,7 +504,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 			} else if l.k == rkFloat && r.k == rkInt {
 				l.f *= float64(r.i)
 			} else {
-				v, err := m.binOp(almanac.Instr{Op: almanac.OpMul, Line: in.Line}, l, r)
+				v, err := m.binOp(almanac.RMul, in.Line, l, r)
 				if err != nil {
 					return chunkResult{}, err
 				}
@@ -520,7 +520,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 			} else if l.k == rkFloat && c.k == rkInt {
 				l.f += float64(c.i)
 			} else {
-				v, err := m.binOp(almanac.Instr{Op: almanac.OpAdd, Line: in.Line}, l, c)
+				v, err := m.binOp(almanac.RAdd, in.Line, l, c)
 				if err != nil {
 					return chunkResult{}, err
 				}
@@ -543,7 +543,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				// Non-numeric add (string/list concat, type errors) is
 				// binOp's; its result may be a reference, so this is the
 				// one tier that takes the full write.
-				v, err := m.binOp(almanac.Instr{Op: almanac.OpAdd, Line: in.Line}, l, r)
+				v, err := m.binOp(almanac.RAdd, in.Line, l, r)
 				if err != nil {
 					return chunkResult{}, err
 				}
@@ -564,7 +564,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 			} else if l.k == rkFloat && r.k == rkInt {
 				l.f -= float64(r.i)
 			} else {
-				v, err := m.binOp(almanac.Instr{Op: almanac.OpSub, Line: in.Line}, l, r)
+				v, err := m.binOp(almanac.RSub, in.Line, l, r)
 				if err != nil {
 					return chunkResult{}, err
 				}
@@ -585,7 +585,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 			} else if l.k == rkFloat && r.k == rkInt {
 				l.f *= float64(r.i)
 			} else {
-				v, err := m.binOp(almanac.Instr{Op: almanac.OpMul, Line: in.Line}, l, r)
+				v, err := m.binOp(almanac.RMul, in.Line, l, r)
 				if err != nil {
 					return chunkResult{}, err
 				}
@@ -607,7 +607,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 			} else if l.k == rkFloat && r.k == rkInt && r.i != 0 {
 				l.f /= float64(r.i)
 			} else {
-				v, err := m.binOp(almanac.Instr{Op: almanac.OpDiv, Line: in.Line}, l, r)
+				v, err := m.binOp(almanac.RDiv, in.Line, l, r)
 				if err != nil {
 					return chunkResult{}, err
 				}
@@ -629,7 +629,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				setBoolR(&l, l.f < float64(r.i))
 			} else {
 				var err error
-				if l, err = m.binOp(almanac.Instr{Op: almanac.OpLt, Line: in.Line}, l, r); err != nil {
+				if l, err = m.binOp(almanac.RLt, in.Line, l, r); err != nil {
 					return chunkResult{}, err
 				}
 			}
@@ -648,7 +648,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				setBoolR(&l, l.f <= float64(r.i))
 			} else {
 				var err error
-				if l, err = m.binOp(almanac.Instr{Op: almanac.OpLe, Line: in.Line}, l, r); err != nil {
+				if l, err = m.binOp(almanac.RLe, in.Line, l, r); err != nil {
 					return chunkResult{}, err
 				}
 			}
@@ -667,7 +667,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				setBoolR(&l, l.f > float64(r.i))
 			} else {
 				var err error
-				if l, err = m.binOp(almanac.Instr{Op: almanac.OpGt, Line: in.Line}, l, r); err != nil {
+				if l, err = m.binOp(almanac.RGt, in.Line, l, r); err != nil {
 					return chunkResult{}, err
 				}
 			}
@@ -686,7 +686,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				setBoolR(&l, l.f >= float64(r.i))
 			} else {
 				var err error
-				if l, err = m.binOp(almanac.Instr{Op: almanac.OpGe, Line: in.Line}, l, r); err != nil {
+				if l, err = m.binOp(almanac.RGe, in.Line, l, r); err != nil {
 					return chunkResult{}, err
 				}
 			}
@@ -879,7 +879,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				argv = m.nargs[:argc]
 			}
 			if nf := lp.natives[in.A]; nf != nil {
-				res, handled, err := nf(m.in, argv, in.Line)
+				res, handled, err := nf(m.host, argv, in.Line)
 				if err != nil {
 					return chunkResult{}, err
 				}
@@ -894,7 +894,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 			for _, a := range argv {
 				m.scratch = append(m.scratch, a.box())
 			}
-			v, err := lp.bfns[in.A](m.in, m.scratch, int(in.Line))
+			v, err := lp.bfns[in.A](m.host, m.scratch, int(in.Line))
 			if err != nil {
 				return chunkResult{}, err
 			}
@@ -930,7 +930,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				}
 				dest.Dst = d.asStr()
 			}
-			m.in.host.Send(dest, CloneValue(bases.rd(in.B).box()))
+			m.host.Send(dest, CloneValue(bases.rd(in.B).box()))
 
 		case almanac.RSetIval:
 			v := bases.rd(in.B)
@@ -939,7 +939,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 			if !ok || ms <= 0 {
 				return chunkResult{}, fmt.Errorf("core: trigger %s.ival must be a positive number, got %s", name, FormatValue(v.box()))
 			}
-			m.in.host.SetTriggerInterval(name, ms)
+			m.host.SetTriggerInterval(name, ms)
 
 		case almanac.RSetTrigger:
 			v := bases.rd(in.B).materialised()
@@ -960,7 +960,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 			if !ok || ms <= 0 {
 				return chunkResult{}, fmt.Errorf("core: trigger %s.ival must be a positive number", name)
 			}
-			m.in.host.SetTriggerInterval(name, ms)
+			m.host.SetTriggerInterval(name, ms)
 
 		case almanac.RFieldAssign:
 			v := bases.rd(in.B)

@@ -47,6 +47,19 @@ type Host interface {
 	Log(format string, args ...any)
 }
 
+// machineHost is the Host a seed's code runs against: the deployment's,
+// with the machine's name noted on every TCAM rule it installs. It is
+// all of a seed that a builtin sees.
+type machineHost struct {
+	Host
+	machine string
+}
+
+func (h machineHost) AddTCAMRule(r dataplane.Rule) error {
+	r.Note = h.machine
+	return h.Host.AddTCAMRule(r)
+}
+
 // Seed is a running instance of a compiled machine.
 type Seed struct {
 	machine *almanac.CompiledMachine
@@ -71,7 +84,7 @@ type Seed struct {
 func NewSeed(cm *almanac.CompiledMachine, externals map[string]Value, host Host) (*Seed, error) {
 	s := &Seed{
 		machine:   cm,
-		host:      host,
+		host:      machineHost{host, cm.Name},
 		env:       make(map[string]Value),
 		stateVars: make(map[string]map[string]Value),
 		state:     cm.InitialState,

@@ -31,7 +31,7 @@ func init() {
 	builtins["distinct_reset"] = biDistinctReset
 }
 
-func biSketchNew(_ *Seed, args []Value, line int) (Value, error) {
+func biSketchNew(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("core: sketch_new(width, depth) (line %d)", line)
 	}
@@ -51,7 +51,7 @@ func asSketch(v Value, name string, line int) (SketchVal, error) {
 	return s, nil
 }
 
-func biSketchAdd(_ *Seed, args []Value, line int) (Value, error) {
+func biSketchAdd(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 3 {
 		return nil, fmt.Errorf("core: sketch_add(sketch, key, delta) (line %d)", line)
 	}
@@ -67,7 +67,7 @@ func biSketchAdd(_ *Seed, args []Value, line int) (Value, error) {
 	return s, nil
 }
 
-func biSketchCount(_ *Seed, args []Value, line int) (Value, error) {
+func biSketchCount(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("core: sketch_count(sketch, key) (line %d)", line)
 	}
@@ -78,7 +78,7 @@ func biSketchCount(_ *Seed, args []Value, line int) (Value, error) {
 	return int64(s.S.Count(keyString(args[1]))), nil
 }
 
-func biSketchTotal(_ *Seed, args []Value, line int) (Value, error) {
+func biSketchTotal(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("core: sketch_total(sketch) (line %d)", line)
 	}
@@ -89,7 +89,7 @@ func biSketchTotal(_ *Seed, args []Value, line int) (Value, error) {
 	return int64(s.S.Total()), nil
 }
 
-func biSketchReset(_ *Seed, args []Value, line int) (Value, error) {
+func biSketchReset(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("core: sketch_reset(sketch) (line %d)", line)
 	}
@@ -101,7 +101,7 @@ func biSketchReset(_ *Seed, args []Value, line int) (Value, error) {
 	return s, nil
 }
 
-func biDistinctNew(_ *Seed, args []Value, line int) (Value, error) {
+func biDistinctNew(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("core: distinct_new(slots) (line %d)", line)
 	}
@@ -120,7 +120,7 @@ func asDistinct(v Value, name string, line int) (DistinctVal, error) {
 	return d, nil
 }
 
-func biDistinctAdd(_ *Seed, args []Value, line int) (Value, error) {
+func biDistinctAdd(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("core: distinct_add(counter, key) (line %d)", line)
 	}
@@ -132,7 +132,7 @@ func biDistinctAdd(_ *Seed, args []Value, line int) (Value, error) {
 	return d, nil
 }
 
-func biDistinctEstimate(_ *Seed, args []Value, line int) (Value, error) {
+func biDistinctEstimate(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("core: distinct_estimate(counter) (line %d)", line)
 	}
@@ -143,7 +143,7 @@ func biDistinctEstimate(_ *Seed, args []Value, line int) (Value, error) {
 	return d.D.Estimate(), nil
 }
 
-func biDistinctReset(_ *Seed, args []Value, line int) (Value, error) {
+func biDistinctReset(_ Host, args []Value, line int) (Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("core: distinct_reset(counter) (line %d)", line)
 	}

@@ -36,7 +36,7 @@ const (
 	rkBatch  // unboxed poll batch: ref holds the *Batch; boxes to its List
 	rkRow    // record i of the *Batch in ref; boxes to a private StructVal
 	rkPacket // a probe's packet read in place: ref holds the caller's *PacketVal, valid until HandleTrigger returns (keepPackets); boxes to a private PacketVal
-	rkMark   // internal OpAndL marker ("lhs was truthy")
+	rkMark   // internal RAndL marker ("lhs was truthy")
 )
 
 // rval is an unboxed VM value. Exactly one payload field is meaningful
@@ -258,7 +258,7 @@ func zeroRval(t almanac.Type) rval {
 // rvmSeed executes one deployed machine on the register form of its
 // lowered program. It satisfies Runner exactly like *Seed does.
 type rvmSeed struct {
-	in      *Seed // interpreter twin: init evaluation, host, bridged builtins
+	host    Host
 	lp      *Program
 	env     []rval
 	states  [][]rval
@@ -313,7 +313,7 @@ type fieldCache struct {
 	slot int32
 }
 
-func (m *rvmSeed) Machine() *almanac.CompiledMachine { return m.in.Machine() }
+func (m *rvmSeed) Machine() *almanac.CompiledMachine { return m.lp.cm }
 
 func (m *rvmSeed) State() string { return m.lp.p.States[m.state].Name }
 
@@ -413,23 +413,23 @@ func (m *rvmSeed) dynStore(name string, v rval) error {
 	return fmt.Errorf("core: assignment to undeclared variable %s", name)
 }
 
-func opSym(op almanac.Op) string {
+func opSym(op almanac.ROp) string {
 	switch op {
-	case almanac.OpAdd:
+	case almanac.RAdd:
 		return "+"
-	case almanac.OpSub:
+	case almanac.RSub:
 		return "-"
-	case almanac.OpMul:
+	case almanac.RMul:
 		return "*"
-	case almanac.OpDiv:
+	case almanac.RDiv:
 		return "/"
-	case almanac.OpLt:
+	case almanac.RLt:
 		return "<"
-	case almanac.OpLe:
+	case almanac.RLe:
 		return "<="
-	case almanac.OpGt:
+	case almanac.RGt:
 		return ">"
-	case almanac.OpGe:
+	case almanac.RGe:
 		return ">="
 	}
 	return "?"
@@ -450,31 +450,31 @@ func setBoolR(l *rval, b bool) {
 // binOp implements + - * / < <= > >= with the interpreter's exact
 // semantics: string/list concatenation for +, int64 arithmetic when
 // both operands are longs, the shared almanac float table otherwise.
-func (m *rvmSeed) binOp(in almanac.Instr, l, r rval) (rval, error) {
+func (m *rvmSeed) binOp(op almanac.ROp, line int32, l, r rval) (rval, error) {
 	if l.k == rkInt && r.k == rkInt {
-		switch in.Op {
-		case almanac.OpAdd:
+		switch op {
+		case almanac.RAdd:
 			return rint(l.i + r.i), nil
-		case almanac.OpSub:
+		case almanac.RSub:
 			return rint(l.i - r.i), nil
-		case almanac.OpMul:
+		case almanac.RMul:
 			return rint(l.i * r.i), nil
-		case almanac.OpDiv:
+		case almanac.RDiv:
 			if r.i == 0 {
-				return rval{}, fmt.Errorf("core: division by zero (line %d)", in.Line)
+				return rval{}, fmt.Errorf("core: division by zero (line %d)", line)
 			}
 			return rint(l.i / r.i), nil
-		case almanac.OpLt:
+		case almanac.RLt:
 			return rbool(l.i < r.i), nil
-		case almanac.OpLe:
+		case almanac.RLe:
 			return rbool(l.i <= r.i), nil
-		case almanac.OpGt:
+		case almanac.RGt:
 			return rbool(l.i > r.i), nil
-		case almanac.OpGe:
+		case almanac.RGe:
 			return rbool(l.i >= r.i), nil
 		}
 	}
-	if in.Op == almanac.OpAdd {
+	if op == almanac.RAdd {
 		if l.k == rkStr && r.k == rkStr {
 			return rstr(l.asStr() + r.asStr()), nil
 		}
@@ -492,15 +492,15 @@ func (m *rvmSeed) binOp(in almanac.Instr, l, r rval) (rval, error) {
 	lf, lok := asFloatR(l)
 	rf, rok := asFloatR(r)
 	if !lok || !rok {
-		return rval{}, fmt.Errorf("core: %s %s %s is not defined (line %d)", typeNameR(l), opSym(in.Op), typeNameR(r), in.Line)
+		return rval{}, fmt.Errorf("core: %s %s %s is not defined (line %d)", typeNameR(l), opSym(op), typeNameR(r), line)
 	}
-	if res, ok, err := almanac.NumArith(opSym(in.Op), lf, rf); ok {
+	if res, ok, err := almanac.NumArith(opSym(op), lf, rf); ok {
 		if err != nil {
-			return rval{}, fmt.Errorf("core: %v (line %d)", err, in.Line)
+			return rval{}, fmt.Errorf("core: %v (line %d)", err, line)
 		}
 		return rfloat(res), nil
 	}
-	res, _ := almanac.NumCompare(opSym(in.Op), lf, rf)
+	res, _ := almanac.NumCompare(opSym(op), lf, rf)
 	return rbool(res), nil
 }
 
@@ -626,7 +626,7 @@ func (m *rvmSeed) fieldAssign(fa *almanac.FieldAssignSite, loc []rval, v rval) e
 // nativeFn is an unboxed fast path for one builtin: handled=false means
 // "bridge to the boxed builtin" (unexpected types, arity, or any error
 // case — error strings have exactly one source, builtins.go).
-type nativeFn func(s *Seed, args []rval, line int32) (res rval, handled bool, err error)
+type nativeFn func(h Host, args []rval, line int32) (res rval, handled bool, err error)
 
 var vmNatives = map[string]nativeFn{
 	"list_len":          nvListLen,
@@ -670,7 +670,7 @@ func asListR(r rval) (List, bool) {
 	return nil, false
 }
 
-func nvListLen(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvListLen(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 1 {
 		return rval{}, false, nil
 	}
@@ -681,7 +681,7 @@ func nvListLen(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return rint(int64(len(l))), true, nil
 }
 
-func nvListEmpty(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvListEmpty(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 1 {
 		return rval{}, false, nil
 	}
@@ -692,7 +692,7 @@ func nvListEmpty(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return rbool(len(l) == 0), true, nil
 }
 
-func nvListGet(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvListGet(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 2 {
 		return rval{}, false, nil
 	}
@@ -711,7 +711,7 @@ func nvListGet(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return unbox(l[i]), true, nil
 }
 
-func nvListContains(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvListContains(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 2 {
 		return rval{}, false, nil
 	}
@@ -727,14 +727,14 @@ func nvListContains(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return rbool(false), true, nil
 }
 
-func nvListClear(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvListClear(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 1 {
 		return rval{}, false, nil
 	}
 	return rref(zeroListVal), true, nil
 }
 
-func nvMapNew(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvMapNew(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 0 {
 		return rval{}, false, nil
 	}
@@ -754,7 +754,7 @@ func mapArgR(a rval) (MapVal, bool) {
 	return mv, ok
 }
 
-func nvMapGet(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvMapGet(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 3 {
 		return rval{}, false, nil
 	}
@@ -778,7 +778,7 @@ func nvMapGet(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return args[2], true, nil
 }
 
-func nvMapSet(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvMapSet(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 3 {
 		return rval{}, false, nil
 	}
@@ -797,7 +797,7 @@ func nvMapSet(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return args[0], true, nil
 }
 
-func nvMapHas(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvMapHas(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 2 {
 		return rval{}, false, nil
 	}
@@ -817,7 +817,7 @@ func nvMapHas(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return rbool(ok), true, nil
 }
 
-func nvMapDel(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvMapDel(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 2 {
 		return rval{}, false, nil
 	}
@@ -837,7 +837,7 @@ func nvMapDel(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return args[0], true, nil
 }
 
-func nvMapLen(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvMapLen(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 1 {
 		return rval{}, false, nil
 	}
@@ -880,10 +880,10 @@ func nvMinMax(args []rval, max bool) (rval, bool, error) {
 	return rfloat(best), true, nil
 }
 
-func nvMin(_ *Seed, args []rval, _ int32) (rval, bool, error) { return nvMinMax(args, false) }
-func nvMax(_ *Seed, args []rval, _ int32) (rval, bool, error) { return nvMinMax(args, true) }
+func nvMin(_ Host, args []rval, _ int32) (rval, bool, error) { return nvMinMax(args, false) }
+func nvMax(_ Host, args []rval, _ int32) (rval, bool, error) { return nvMinMax(args, true) }
 
-func nvAbs(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvAbs(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 1 {
 		return rval{}, false, nil
 	}
@@ -899,7 +899,7 @@ func nvAbs(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return rval{}, false, nil
 }
 
-func nvFloor(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvFloor(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 1 {
 		return rval{}, false, nil
 	}
@@ -910,7 +910,7 @@ func nvFloor(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return rint(int64(math.Floor(f))), true, nil
 }
 
-func nvLog(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvLog(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 1 {
 		return rval{}, false, nil
 	}
@@ -921,7 +921,7 @@ func nvLog(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return rfloat(math.Log(f)), true, nil
 }
 
-func nvLog2(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvLog2(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 1 {
 		return rval{}, false, nil
 	}
@@ -932,21 +932,21 @@ func nvLog2(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return rfloat(math.Log2(f)), true, nil
 }
 
-func nvNow(s *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvNow(h Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 0 {
 		return rval{}, false, nil
 	}
-	return rfloat(float64(s.host.Now().Milliseconds())), true, nil
+	return rfloat(float64(h.Now().Milliseconds())), true, nil
 }
 
-func nvStr(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvStr(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 1 || args[0].k != rkStr {
 		return rval{}, false, nil
 	}
 	return args[0], true, nil
 }
 
-func nvGetHH(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvGetHH(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 2 {
 		return rval{}, false, nil
 	}
@@ -972,7 +972,7 @@ func nvGetHH(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return rref(hitters), true, nil
 }
 
-func nvSketchAdd(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvSketchAdd(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 3 {
 		return rval{}, false, nil
 	}
@@ -991,7 +991,7 @@ func nvSketchAdd(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return args[0], true, nil
 }
 
-func nvSketchCount(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvSketchCount(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 2 {
 		return rval{}, false, nil
 	}
@@ -1005,7 +1005,7 @@ func nvSketchCount(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return rint(int64(s.S.Count(args[1].asStr()))), true, nil
 }
 
-func nvSketchTotal(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvSketchTotal(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 1 || args[0].k != rkRef {
 		return rval{}, false, nil
 	}
@@ -1016,7 +1016,7 @@ func nvSketchTotal(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return rint(int64(s.S.Total())), true, nil
 }
 
-func nvDistinctAdd(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvDistinctAdd(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 2 {
 		return rval{}, false, nil
 	}
@@ -1031,7 +1031,7 @@ func nvDistinctAdd(_ *Seed, args []rval, _ int32) (rval, bool, error) {
 	return args[0], true, nil
 }
 
-func nvDistinctEstimate(_ *Seed, args []rval, _ int32) (rval, bool, error) {
+func nvDistinctEstimate(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 1 || args[0].k != rkRef {
 		return rval{}, false, nil
 	}

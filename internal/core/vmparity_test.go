@@ -616,3 +616,33 @@ machine C {
 		}
 	}
 }
+
+// A machine with no states, or whose initial state it does not declare
+// (sema produces neither; decoded seed XML is not sema-checked), is
+// unusable on both sides: the interpreter fails in "unknown state" the
+// moment it is started, and Compile refuses to hand out a program whose
+// runner would have no state frame to start in.
+func TestNoStartStateIsUnusableOnBothSides(t *testing.T) {
+	declared := parityCompile(t, `machine M { place all; time t = 5; state s { when (t) do { } } }`, "M")
+	nowhere := *declared
+	nowhere.InitialState = "nowhere"
+	for _, tc := range []struct {
+		name string
+		cm   *almanac.CompiledMachine
+		want string
+	}{
+		{"stateless", &almanac.CompiledMachine{Name: "M"}, "machine declares no states"},
+		{"unknown initial", &nowhere, "unknown initial state nowhere"},
+	} {
+		if _, err := Compile(tc.cm); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Compile = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		in, err := NewSeed(tc.cm, nil, newMockHost())
+		if err != nil {
+			t.Fatalf("%s: NewSeed: %v", tc.name, err)
+		}
+		if err := in.Start(); err == nil || !strings.Contains(err.Error(), "in unknown state") {
+			t.Errorf("%s: interpreter Start = %v, want the unknown-state error", tc.name, err)
+		}
+	}
+}

@@ -45,11 +45,17 @@ func PickMachine(prog *almanac.Program, name string) (string, error) {
 	return prog.Machines[0].Name, nil
 }
 
+// codeSummary is the one-line size of a lowered machine: the register
+// code the soil executes and the frames it runs in.
+func codeSummary(lp *almanac.Lowered) string {
+	return fmt.Sprintf("register code: %d instrs in %d chunks, max frame %d regs, %d state slots, %d env slots, %d literals, %d record layouts, %d field sites",
+		lp.NumRegInstrs(), len(lp.RegChunks), lp.MaxRegs(), lp.StateSlots(), len(lp.EnvSlots), len(lp.Lits), len(lp.Structs), lp.RFieldSites)
+}
+
 // CompileReport compiles every machine of a source file and writes a
-// per-machine summary, including the size of the stack IR and of the
-// register code the soil will actually execute. With dump set it
-// appends each machine's full disassembly (frame layouts, dispatch
-// tables, and both instruction forms).
+// per-machine summary, including the size of the register code the soil
+// will execute. With dump set it appends each machine's full
+// disassembly (frame layouts, dispatch tables, and the code).
 func CompileReport(w io.Writer, path string, dump bool) error {
 	prog, err := LoadProgram(path)
 	if err != nil {
@@ -68,10 +74,7 @@ func CompileReport(w io.Writer, path string, dump bool) error {
 			return err // the soil would reject this machine at deploy
 		}
 		lps[i] = lp
-		fmt.Fprintf(w, "  IR: %d instrs in %d chunks, %d state slots, %d env slots, %d literals\n",
-			lp.NumInstrs(), len(lp.Chunks), lp.StateSlots(), len(lp.EnvSlots), len(lp.Lits))
-		fmt.Fprintf(w, "  register code: %d instrs, max frame %d regs, %d record layouts, %d field sites\n",
-			lp.NumRegInstrs(), lp.MaxRegs(), len(lp.Structs), lp.RFieldSites)
+		fmt.Fprintf(w, "  %s\n", codeSummary(lp))
 	}
 	fmt.Fprintf(w, "ok: %d machine(s), %d function(s), %d struct(s)\n",
 		len(cms), len(prog.Funcs), len(prog.Structs))
@@ -107,16 +110,7 @@ func AnalyzeReport(w io.Writer, path, machine string) error {
 	if err != nil {
 		return err // the soil would reject this machine at deploy
 	}
-	maxLocals := int32(0)
-	for _, ch := range lp.Chunks {
-		if ch.NumLocals > maxLocals {
-			maxLocals = ch.NumLocals
-		}
-	}
-	fmt.Fprintf(w, "IR: %d instrs, %d chunks, %d state slots, %d env slots, max frame %d locals\n",
-		lp.NumInstrs(), len(lp.Chunks), lp.StateSlots(), len(lp.EnvSlots), maxLocals)
-	fmt.Fprintf(w, "register code: %d instrs, max frame %d regs, %d record layouts, %d field sites\n",
-		lp.NumRegInstrs(), lp.MaxRegs(), len(lp.Structs), lp.RFieldSites)
+	fmt.Fprintln(w, codeSummary(lp))
 	fmt.Fprintln(w, "placement directives:")
 	for _, pl := range cm.Placements {
 		if pl.HasRange {

@@ -71,7 +71,7 @@ func (r SeedRef) ID() string {
 }
 
 // ExecFunc runs external code for seeds (the exec() hook); wired by the
-// deployment (e.g. to mlwork).
+// deployment (Fig. 6c/d charge a modelled SVR cost through it).
 type ExecFunc func(command string, arg core.Value) (core.Value, error)
 
 // Soil is the per-switch runtime.

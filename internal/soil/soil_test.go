@@ -270,6 +270,49 @@ func TestDeployRejectsUnlowerableMachine(t *testing.T) {
 	}
 }
 
+// TestDeployRejectsStatelessMachine: sema rejects a machine without
+// states, but seed XML arrives without a sema pass; such a seed must be
+// a deploy error, not a soil that panics when it starts the seed in
+// state -1.
+func TestDeployRejectsStatelessMachine(t *testing.T) {
+	fab, _ := testEnv(t)
+	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
+	ref := SeedRef{Task: "t", Machine: "M", Switch: s.Name()}
+	err := s.Deploy(ref, []byte(`<machine name="M"></machine>`), nil, hhAlloc())
+	if err == nil || !strings.Contains(err.Error(), "machine declares no states") {
+		t.Fatalf("Deploy = %v, want the no-states error", err)
+	}
+	if s.NumSeeds() != 0 {
+		t.Fatal("rejected seed was deployed")
+	}
+}
+
+// TestDeployRejectsUnknownInitialState: an initial attribute naming no
+// declared state must be a deploy error (the reference interpreter
+// fails every handler with "in unknown state"), not a seed that
+// silently starts in the first state.
+func TestDeployRejectsUnknownInitialState(t *testing.T) {
+	fab, _ := testEnv(t)
+	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
+	xmlData, err := almanac.EncodeXML(compileHH(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const initial = `initial="observe"`
+	if strings.Count(string(xmlData), initial) != 1 {
+		t.Fatalf("expected one %s in the HH machine:\n%s", initial, xmlData)
+	}
+	bad := strings.Replace(string(xmlData), initial, `initial="nowhere"`, 1)
+	ref := SeedRef{Task: "hh", Machine: "HH", Switch: s.Name()}
+	err = s.Deploy(ref, []byte(bad), map[string]core.Value{"threshold": int64(1)}, hhAlloc())
+	if err == nil || !strings.Contains(err.Error(), "unknown initial state nowhere") {
+		t.Fatalf("Deploy = %v, want the unknown-initial-state error", err)
+	}
+	if s.NumSeeds() != 0 {
+		t.Fatal("rejected seed was deployed")
+	}
+}
+
 func TestPollingAggregation(t *testing.T) {
 	// Two tasks polling the same subject: with aggregation the soil
 	// issues one poll per interval; without, two.
