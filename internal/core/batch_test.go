@@ -120,7 +120,7 @@ func TestBatchValueFunctions(t *testing.T) {
 	var sorted List
 	for _, rec := range l {
 		sv := rec.(StructVal)
-		fields := MapVal{}
+		fields := map[string]Value{}
 		for i, n := range sv.L.Names {
 			fields[n] = sv.V[i]
 		}
@@ -361,8 +361,9 @@ func assertNoBatch(t *testing.T, what string, vs ...any) {
 			for _, e := range x {
 				walk(e)
 			}
-		case MapVal:
-			for _, e := range x {
+		case *MapVal:
+			for _, k := range x.Keys() {
+				e, _ := x.Get(k.(string))
 				walk(e)
 			}
 		case map[string]Value:

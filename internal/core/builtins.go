@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
 	"farm/internal/almanac"
 	"farm/internal/dataplane"
@@ -50,7 +49,12 @@ func (s *Seed) evalCall(ex *almanac.CallExpr, sc *scope) (Value, error) {
 			}
 			bind[p.Name] = v
 		}
+		if s.depth >= maxCallDepth {
+			return nil, errCallDepth(ex.Name, ex.Line())
+		}
+		s.depth++
 		res, err := s.exec(fd.Body, newScope(s, bind))
+		s.depth--
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +102,7 @@ func init() {
 		"list_get":      biListGet,
 		"list_clear":    func(Host, []Value, int) (Value, error) { return List(nil), nil },
 		// Maps.
-		"map_new":  func(Host, []Value, int) (Value, error) { return MapVal{}, nil },
+		"map_new":  func(Host, []Value, int) (Value, error) { return NewMap(), nil },
 		"map_get":  biMapGet,
 		"map_set":  biMapSet,
 		"map_has":  biMapHas,
@@ -407,24 +411,18 @@ func biListGet(_ Host, args []Value, line int) (Value, error) {
 	return l[i], nil
 }
 
-func asMap(v Value, name string, line int) (MapVal, error) {
-	m, ok := v.(MapVal)
+func asMap(v Value, name string, line int) (*MapVal, error) {
+	m, ok := v.(*MapVal)
 	if !ok {
 		return nil, fmt.Errorf("core: %s needs a map, got %s (line %d)", name, TypeName(v), line)
 	}
 	return m, nil
 }
 
-// keyString renders a map key: a string keys as itself, anything else
-// by its FormatValue text (a long: its decimal digits).
+// keyString is keyText of a boxed key.
 func keyString(v Value) string {
-	switch x := v.(type) {
-	case string:
-		return x
-	case int64:
-		return strconv.FormatInt(x, 10)
-	}
-	return FormatValue(v)
+	k := unbox(v)
+	return keyText(&k)
 }
 
 func biMapGet(_ Host, args []Value, line int) (Value, error) {
@@ -435,8 +433,9 @@ func biMapGet(_ Host, args []Value, line int) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	if v, ok := m[keyString(args[1])]; ok {
-		return v, nil
+	k := unbox(args[1])
+	if i := m.find(&k); i >= 0 {
+		return m.slots[i].val.box(), nil
 	}
 	return args[2], nil
 }
@@ -449,7 +448,8 @@ func biMapSet(_ Host, args []Value, line int) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	m[keyString(args[1])] = args[2]
+	k, v := unbox(args[1]), unbox(args[2])
+	m.set(&k, &v)
 	return m, nil
 }
 
@@ -461,8 +461,8 @@ func biMapHas(_ Host, args []Value, line int) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, ok := m[keyString(args[1])]
-	return ok, nil
+	k := unbox(args[1])
+	return m.find(&k) >= 0, nil
 }
 
 func biMapDel(_ Host, args []Value, line int) (Value, error) {
@@ -473,7 +473,8 @@ func biMapDel(_ Host, args []Value, line int) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	delete(m, keyString(args[1]))
+	k := unbox(args[1])
+	m.del(&k)
 	return m, nil
 }
 
@@ -485,7 +486,7 @@ func biMapLen(_ Host, args []Value, line int) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return int64(len(m)), nil
+	return int64(m.Len()), nil
 }
 
 func biMapKeys(_ Host, args []Value, line int) (Value, error) {
@@ -496,16 +497,7 @@ func biMapKeys(_ Host, args []Value, line int) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make(List, len(keys))
-	for i, k := range keys {
-		out[i] = k
-	}
-	return out, nil
+	return m.keyList(), nil
 }
 
 func biNow(h Host, args []Value, line int) (Value, error) {

@@ -80,6 +80,16 @@ type execResult struct {
 // event loop.
 const maxWhileIterations = 1_000_000
 
+// maxCallDepth bounds nested calls of auxiliary functions, so a function
+// that never bottoms out fails its handler instead of overflowing the Go
+// stack of the process that hosts the soil. Both executors count the
+// same activations and fail with errCallDepth at the same call.
+const maxCallDepth = 200
+
+func errCallDepth(fn string, line int) error {
+	return fmt.Errorf("core: call of %s nests deeper than %d (runaway recursion?) (line %d)", fn, maxCallDepth, line)
+}
+
 func (s *Seed) exec(body []almanac.Stmt, sc *scope) (execResult, error) {
 	for _, stmt := range body {
 		s.actions++
@@ -476,8 +486,8 @@ func (s *Seed) evalField(ex *almanac.FieldExpr, sc *scope) (Value, error) {
 		return nil, fmt.Errorf("core: struct %s has no field %s (line %d)", v.Type(), ex.Field, ex.Line())
 	case ResourcesVal:
 		return netmodel.Resources(v)[ex.Field], nil
-	case MapVal:
-		return v[ex.Field], nil
+	case *MapVal:
+		return v.field(ex.Field).box(), nil
 	case PacketVal:
 		return packetField(v, ex.Field, ex.Line())
 	}

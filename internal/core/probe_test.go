@@ -125,8 +125,9 @@ func assertNoLentPacket(t *testing.T, what string, vs ...any) {
 			for _, e := range x {
 				assertNoLentPacket(t, what, e)
 			}
-		case MapVal:
-			for _, e := range x {
+		case *MapVal:
+			for _, k := range x.Keys() {
+				e, _ := x.Get(k.(string))
 				assertNoLentPacket(t, what, e)
 			}
 		case map[string]Value:
@@ -319,8 +320,8 @@ func TestAddrTextBoundedAndExact(t *testing.T) {
 	}
 }
 
-// A long map key is its decimal text, the same for the native fast
-// paths, keyString and FormatValue, over boundary and random values.
+// A long map key is its decimal text, the same for the natives, the boxed
+// builtins, keyString and FormatValue, over boundary and random values.
 func TestMapLongKeysMatchFormatValue(t *testing.T) {
 	keys := []int64{0, 1, -1, 9, 10, 99, 100, 255, 256, 65535, -65536, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}
 	rng := rand.New(rand.NewSource(99))
@@ -333,13 +334,13 @@ func TestMapLongKeysMatchFormatValue(t *testing.T) {
 		if got := keyString(k); got != want {
 			t.Fatalf("keyString(%d) = %q, FormatValue gives %q", k, got, want)
 		}
-		mv := MapVal{}
+		mv := NewMap()
 		mref, key := rref(mv), rint(k)
 		if _, handled, _ := nvMapSet(nil, []rval{mref, key, rint(7)}, 1); !handled {
 			t.Fatalf("map_set with long key %d bridged", k)
 		}
-		if v, ok := mv[want]; !ok || len(mv) != 1 || v != int64(7) {
-			t.Fatalf("map_set(%d) stored under %v, want key %q", k, mv, want)
+		if v, ok := mv.Get(want); !ok || mv.Len() != 1 || v != int64(7) {
+			t.Fatalf("map_set(%d) stored under %s, want key %q", k, FormatValue(mv), want)
 		}
 		if got, handled, _ := nvMapGet(nil, []rval{mref, key, rint(-1)}, 1); !handled || got.i != 7 {
 			t.Fatalf("map_get(%d) = %v (handled %v), want 7", k, got.box(), handled)
@@ -355,12 +356,13 @@ func TestMapLongKeysMatchFormatValue(t *testing.T) {
 		if got, _, _ := nvMapGet(nil, []rval{mref, rstr(want), rint(-1)}, 1); got.i != 7 {
 			t.Fatalf("map_get(%q) = %v, want 7", want, got.box())
 		}
-		if _, handled, _ := nvMapDel(nil, []rval{mref, key}, 1); !handled || len(mv) != 0 {
-			t.Fatalf("map_del(%d) left %v (handled %v)", k, mv, handled)
+		if _, handled, _ := nvMapDel(nil, []rval{mref, key}, 1); !handled || mv.Len() != 0 {
+			t.Fatalf("map_del(%d) left %s (handled %v)", k, FormatValue(mv), handled)
 		}
 	}
 	// Lookups build the key text on the stack.
-	mv := MapVal{"123456": int64(1)}
+	mv := NewMap()
+	mv.Set("123456", int64(1))
 	args := []rval{rref(mv), rint(123456), rint(0)}
 	if allocs := testing.AllocsPerRun(100, func() {
 		nvMapGet(nil, args, 1)
@@ -368,14 +370,23 @@ func TestMapLongKeysMatchFormatValue(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("map_get + map_has with a long key allocate %.1f, want 0", allocs)
 	}
-	// Every other key type still bridges.
+	// Every other key type is the text FormatValue gives it, natively and
+	// through the boxed builtins alike.
 	for _, key := range []rval{rfloat(1.5), rbool(true), {k: rkNil}, rref(List{int64(1)})} {
-		if _, handled, _ := nvMapGet(nil, []rval{rref(mv), key, rint(0)}, 1); handled {
-			t.Fatalf("map_get with a %s key did not bridge", typeNameR(key))
+		want := FormatValue(key.box())
+		if _, handled, _ := nvMapSet(nil, []rval{rref(mv), key, rint(9)}, 1); !handled {
+			t.Fatalf("map_set with a %s key bridged", typeNameR(key))
 		}
-		if _, handled, _ := nvMapSet(nil, []rval{rref(mv), key, rint(0)}, 1); handled {
-			t.Fatalf("map_set with a %s key did not bridge", typeNameR(key))
+		if v, ok := mv.Get(want); !ok || v != int64(9) {
+			t.Fatalf("map_set with a %s key: no entry %q in %s", typeNameR(key), want, FormatValue(mv))
 		}
+		if got, _ := biMapGet(nil, []Value{mv, key.box(), int64(-1)}, 1); got != int64(9) {
+			t.Fatalf("bridged map_get with a %s key = %v, want 9", typeNameR(key), got)
+		}
+	}
+	// A non-map still bridges, for the builtin's error string.
+	if _, handled, _ := nvMapGet(nil, []rval{rint(1), rint(1), rint(0)}, 1); handled {
+		t.Fatal("map_get on a long did not bridge")
 	}
 }
 

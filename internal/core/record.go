@@ -94,7 +94,7 @@ func (s StructVal) Set(name string, v Value) bool {
 // StructOf builds a struct value from a field map (sorted field order).
 // Convenience for hosts and tests; compiled code resolves layouts at
 // link time instead.
-func StructOf(typeName string, fields MapVal) StructVal {
+func StructOf(typeName string, fields map[string]Value) StructVal {
 	names := make([]string, 0, len(fields))
 	for k := range fields {
 		names = append(names, k)

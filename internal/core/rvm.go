@@ -902,7 +902,12 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 
 		case almanac.RCallFn:
 			fn := &p.Funcs[in.A]
+			if m.depth >= maxCallDepth {
+				return chunkResult{}, errCallDepth(fn.Name, int(in.Line))
+			}
+			m.depth++
 			res, err := m.runChunk(fn.Chunk, regs[in.B:in.B+in.C])
+			m.depth--
 			regs = m.regs[base : base+int(ch.NumRegs)] // callee may grow the arena
 			bases[almanac.RClassReg] = regs
 			if err != nil {

@@ -73,6 +73,7 @@ type Seed struct {
 	structs map[string]*almanac.StructDecl
 
 	started bool
+	depth   int // auxiliary-function activations in progress (maxCallDepth)
 	// actions counts executed statements since the last TakeActionCount;
 	// the soil charges CPU cost proportionally.
 	actions int
@@ -159,7 +160,7 @@ func zeroValue(t almanac.Type) Value {
 	case almanac.TList:
 		return List(nil)
 	case almanac.TMap:
-		return MapVal{}
+		return NewMap()
 	case almanac.TFilter:
 		return FilterVal{}
 	case almanac.TAction:
@@ -284,7 +285,7 @@ func recvMatches(trg almanac.EventTrigger, from MsgSource, v Value) bool {
 		_, ok := v.(List)
 		return ok
 	case almanac.TMap:
-		_, ok := v.(MapVal)
+		_, ok := v.(*MapVal)
 		return ok
 	case almanac.TFilter:
 		_, ok := v.(FilterVal)

@@ -136,7 +136,7 @@ func newHHSeed(t *testing.T, h Host) *Seed {
 func statsList(portBytes map[int]int64) List {
 	var out List
 	for port, d := range portBytes {
-		out = append(out, StructOf("PortStats", MapVal{
+		out = append(out, StructOf("PortStats", map[string]Value{
 			"port": int64(port), "dTxBytes": d, "txBytes": d,
 			"dRxBytes": int64(0), "rxBytes": int64(0),
 			"dTxPkts": int64(1), "txPkts": int64(1),

@@ -8,7 +8,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"farm/internal/dataplane"
 	"farm/internal/netmodel"
@@ -21,7 +25,7 @@ import (
 //	bool             bool
 //	string           string
 //	List             list
-//	MapVal           map (string-keyed)
+//	*MapVal          map (keyed by text)
 //	FilterVal        filter
 //	ActionVal        action
 //	PacketVal        packet
@@ -40,8 +44,190 @@ type Value any
 // List is an Almanac list.
 type List []Value
 
-// MapVal is an Almanac map with string keys.
-type MapVal map[string]Value
+// MapVal is an Almanac map, the one representation both executors use.
+// A key is text: a string is its own, a long its decimal digits, any
+// other value what FormatValue makes of it, so 7 and "7" name one entry.
+// Entries live in slots — the key's text boxed once, the value unboxed —
+// and a store to an existing key is a lookup and a slot write, no
+// allocation whatever the value. A map is a reference: every name it was
+// assigned to, and every map_get that fetched it from another map, sees
+// the same slots. The zero MapVal is an empty map.
+type MapVal struct {
+	slots []mapSlot
+	idx   map[string]int32 // key text -> slot; nil while the slots are few enough to scan
+	keys  Value            // the sorted key List map_keys last handed out, boxed; nil once an insert or delete outdates it
+}
+
+type mapSlot struct {
+	key Value // a string
+	val rval  // never a poll batch, a row of one or a lent packet
+}
+
+// mapScanMax is the size up to which a lookup compares the slots' keys
+// one by one instead of hashing: most maps a handler nests inside
+// another hold a handful of entries and never need an index.
+const mapScanMax = 8
+
+// NewMap returns an empty map.
+func NewMap() *MapVal { return &MapVal{} }
+
+// Len returns the number of entries.
+func (m *MapVal) Len() int { return len(m.slots) }
+
+// Get reads the entry whose key text is key.
+func (m *MapVal) Get(key string) (Value, bool) {
+	if i := m.lookup(key); i >= 0 {
+		return m.slots[i].val.box(), true
+	}
+	return nil, false
+}
+
+// Set stores v under the key text key.
+func (m *MapVal) Set(key string, v Value) {
+	k, val := rstr(key), unbox(v)
+	m.set(&k, &val)
+}
+
+// Keys returns the key texts in sorted order. The list is the caller's
+// to read, not to write.
+func (m *MapVal) Keys() List {
+	if m.keys != nil {
+		return m.keys.(List)
+	}
+	if len(m.slots) == 0 {
+		return nil
+	}
+	l := make(List, len(m.slots))
+	for i := range m.slots {
+		l[i] = m.slots[i].key
+	}
+	slices.SortFunc(l, func(a, b Value) int { return strings.Compare(a.(string), b.(string)) })
+	return l
+}
+
+// keyList is Keys as map_keys returns it: boxed, and kept until the key
+// set changes, so a handler that walks an unchanged map again gets the
+// same list. Lists handed out are never written again.
+func (m *MapVal) keyList() Value {
+	if len(m.slots) == 0 {
+		return zeroListVal
+	}
+	if m.keys == nil {
+		m.keys = m.Keys()
+	}
+	return m.keys
+}
+
+func (m *MapVal) lookup(key string) int {
+	if m.idx != nil {
+		if i, ok := m.idx[key]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	for i := range m.slots {
+		if m.slots[i].key.(string) == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// smallKeyText is the boxed text of the long keys handlers insert over
+// and over into short-lived maps: port numbers, histogram buckets, group
+// ids.
+var smallKeyText = func() (t [256]Value) {
+	for i := range t {
+		t[i] = strconv.Itoa(i)
+	}
+	return t
+}()
+
+// keyText is the one place that says what a key's text is (sketches and
+// distinct counters key the same way).
+func keyText(k *rval) string {
+	switch k.k {
+	case rkStr:
+		return k.asStr()
+	case rkInt:
+		return strconv.FormatInt(k.i, 10)
+	}
+	return FormatValue(k.box())
+}
+
+// find returns the slot of key k, or -1. A long's digits are read off
+// the stack, so a lookup allocates nothing. (Keys and values travel by
+// pointer through these methods: an rval is 40 bytes, and the counter
+// update that is most of what seeds do with maps is two calls deep.)
+func (m *MapVal) find(k *rval) int {
+	switch k.k {
+	case rkStr:
+		return m.lookup(k.asStr())
+	case rkInt:
+		var buf [20]byte
+		return m.lookup(string(strconv.AppendInt(buf[:0], k.i, 10)))
+	}
+	return m.lookup(keyText(k))
+}
+
+// field is m.name in Almanac: the entry's value, nil when absent.
+func (m *MapVal) field(name string) rval {
+	if i := m.lookup(name); i >= 0 {
+		return m.slots[i].val
+	}
+	return rval{k: rkNil}
+}
+
+func (m *MapVal) set(k, v *rval) {
+	val := v.materialised()
+	if i := m.find(k); i >= 0 {
+		m.slots[i].val = val
+		return
+	}
+	var key Value
+	switch {
+	case k.k == rkStr:
+		key = k.ref // the box the key arrived in
+	case k.k == rkInt && uint64(k.i) < uint64(len(smallKeyText)):
+		key = smallKeyText[k.i]
+	default:
+		key = keyText(k)
+	}
+	if m.slots == nil {
+		// Most maps that get an entry get a few: skip append's 1, 2, 4.
+		m.slots = make([]mapSlot, 0, 4)
+	}
+	m.slots = append(m.slots, mapSlot{key, val})
+	if m.idx != nil {
+		m.idx[key.(string)] = int32(len(m.slots) - 1)
+	} else if len(m.slots) > mapScanMax {
+		m.idx = make(map[string]int32, 2*len(m.slots))
+		for i := range m.slots {
+			m.idx[m.slots[i].key.(string)] = int32(i)
+		}
+	}
+	m.keys = nil
+}
+
+// del removes key k by moving the last slot into its place: slot order
+// is nothing a program can see (map_keys sorts).
+func (m *MapVal) del(k *rval) {
+	i := m.find(k)
+	if i < 0 {
+		return
+	}
+	last := len(m.slots) - 1
+	if m.idx != nil {
+		delete(m.idx, m.slots[i].key.(string))
+		if i != last {
+			m.idx[m.slots[last].key.(string)] = int32(i)
+		}
+	}
+	m.slots[i] = m.slots[last]
+	m.slots[last] = mapSlot{}
+	m.slots = m.slots[:last]
+	m.keys = nil
+}
 
 // FilterVal wraps a packet filter; PortAny marks `port ANY`.
 type FilterVal struct {
@@ -73,7 +259,7 @@ func TypeName(v Value) string {
 		return "string"
 	case List, *Batch:
 		return "list"
-	case MapVal:
+	case *MapVal:
 		return "map"
 	case FilterVal:
 		return "filter"
@@ -162,14 +348,14 @@ func Equal(a, b Value) bool {
 			}
 		}
 		return true
-	case MapVal:
-		y, ok := b.(MapVal)
-		if !ok || len(x) != len(y) {
+	case *MapVal:
+		y, ok := b.(*MapVal)
+		if !ok || len(x.slots) != len(y.slots) {
 			return false
 		}
-		for k, v := range x {
-			w, present := y[k]
-			if !present || !Equal(v, w) {
+		for i := range x.slots {
+			j := y.lookup(x.slots[i].key.(string))
+			if j < 0 || !eqR(x.slots[i].val, y.slots[j].val) {
 				return false
 			}
 		}
@@ -215,10 +401,13 @@ func CloneValue(v Value) Value {
 			out[i] = CloneValue(e)
 		}
 		return out
-	case MapVal:
-		out := make(MapVal, len(x))
-		for k, e := range x {
-			out[k] = CloneValue(e)
+	case *MapVal:
+		out := &MapVal{slots: make([]mapSlot, len(x.slots)), idx: maps.Clone(x.idx), keys: x.keys}
+		for i, s := range x.slots {
+			if s.val.k == rkRef {
+				s.val.ref = CloneValue(s.val.ref)
+			}
+			out.slots[i] = s
 		}
 		return out
 	case StructVal:
@@ -256,18 +445,13 @@ func FormatValue(v Value) string {
 			s += FormatValue(e)
 		}
 		return s + "]"
-	case MapVal:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+	case *MapVal:
 		s := "{"
-		for i, k := range keys {
+		for i, k := range x.Keys() {
 			if i > 0 {
 				s += ", "
 			}
-			s += fmt.Sprintf("%s: %s", k, FormatValue(x[k]))
+			s += fmt.Sprintf("%s: %s", k, FormatValue(x.field(k.(string)).box()))
 		}
 		return s + "}"
 	case StructVal:

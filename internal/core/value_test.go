@@ -31,13 +31,14 @@ func randValue(rng *rand.Rand, depth int) Value {
 		}
 		return l
 	case 1:
-		m := MapVal{}
-		for i := 0; i < rng.Intn(4); i++ {
-			m[string(rune('a'+rng.Intn(8)))] = randValue(rng, depth-1)
+		// Up to 11 entries: both sides of the scan/index threshold.
+		m := NewMap()
+		for i := 0; i < rng.Intn(12); i++ {
+			m.Set(string(rune('a'+rng.Intn(16))), randValue(rng, depth-1))
 		}
 		return m
 	case 2:
-		return StructOf("T", MapVal{"x": randValue(rng, depth-1)})
+		return StructOf("T", map[string]Value{"x": randValue(rng, depth-1)})
 	case 3:
 		return FilterVal{F: dataplane.Filter{DstPort: uint16(rng.Intn(100))}}
 	case 4:
@@ -77,15 +78,29 @@ func TestClonePreservesEqualityAndIsolates(t *testing.T) {
 	}
 	// Directed isolation checks (the random walk above can't easily
 	// capture before/after).
-	orig := MapVal{"k": List{int64(1)}, "s": StructOf("T", MapVal{"f": int64(2)})}
-	c := CloneValue(orig).(MapVal)
-	c["k"].(List)[0] = int64(99)
-	c["s"].(StructVal).Set("f", int64(99))
-	if orig["k"].(List)[0] != int64(1) {
+	orig := NewMap()
+	orig.Set("k", List{int64(1)})
+	orig.Set("s", StructOf("T", map[string]Value{"f": int64(2)}))
+	inner := NewMap()
+	inner.Set("n", int64(3))
+	orig.Set("m", inner)
+	c := CloneValue(orig).(*MapVal)
+	at := func(m *MapVal, key string) Value {
+		v, _ := m.Get(key)
+		return v
+	}
+	at(c, "k").(List)[0] = int64(99)
+	at(c, "s").(StructVal).Set("f", int64(99))
+	at(c, "m").(*MapVal).Set("n", int64(99))
+	c.Set("extra", true)
+	if at(orig, "k").(List)[0] != int64(1) {
 		t.Fatal("list mutation leaked into the original")
 	}
-	if f, _ := orig["s"].(StructVal).Get("f"); f != int64(2) {
+	if f, _ := at(orig, "s").(StructVal).Get("f"); f != int64(2) {
 		t.Fatal("struct mutation leaked into the original")
+	}
+	if n := at(inner, "n"); n != int64(3) || orig.Len() != 3 {
+		t.Fatalf("map mutation leaked into the original: %s", FormatValue(orig))
 	}
 }
 
@@ -95,8 +110,8 @@ func mutate(v Value) {
 		if len(x) > 0 {
 			x[0] = int64(123456)
 		}
-	case MapVal:
-		x["__mutated"] = true
+	case *MapVal:
+		x.Set("__mutated", true)
 	case StructVal:
 		if len(x.V) > 0 {
 			x.V[0] = int64(123456)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"strconv"
 
 	"farm/internal/almanac"
 	"farm/internal/dataplane"
@@ -243,7 +242,7 @@ func zeroRval(t almanac.Type) rval {
 	case almanac.TList:
 		return rref(zeroListVal)
 	case almanac.TMap:
-		return rref(MapVal{})
+		return rref(NewMap())
 	case almanac.TFilter:
 		return rref(zeroFilterVal)
 	case almanac.TAction:
@@ -265,6 +264,7 @@ type rvmSeed struct {
 	state   int32
 	started bool
 	actions int
+	depth   int // auxiliary-function activations in progress (maxCallDepth)
 
 	regs    []rval // register arena; chunk frames are windows into it
 	rbase   int
@@ -519,8 +519,8 @@ func (m *rvmSeed) fieldOp(x rval, field string, line int32) (rval, error) {
 			return unbox(f), nil
 		case ResourcesVal:
 			return unbox(netmodel.Resources(v)[field]), nil
-		case MapVal:
-			return unbox(v[field]), nil
+		case *MapVal:
+			return v.field(field), nil
 		case PacketVal:
 			return m.packetField(&v, field, line)
 		}
@@ -640,6 +640,7 @@ var vmNatives = map[string]nativeFn{
 	"map_has":           nvMapHas,
 	"map_del":           nvMapDel,
 	"map_len":           nvMapLen,
+	"map_keys":          nvMapKeys,
 	"min":               nvMin,
 	"max":               nvMax,
 	"abs":               nvAbs,
@@ -738,114 +739,71 @@ func nvMapNew(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 0 {
 		return rval{}, false, nil
 	}
-	return rref(MapVal{}), true, nil
+	return rref(NewMap()), true, nil
 }
 
-// The map natives take a string key as it is and a long key as its
-// decimal text — what keyString makes of it — built in a stack buffer,
-// so only map_set, which must hand the map a key to keep, allocates it.
-// Any other key type, like a non-map, bridges.
+// The map natives are MapVal's methods on unboxed arguments; a non-map
+// or a wrong argument count bridges for its error.
 
-func mapArgR(a rval) (MapVal, bool) {
-	if a.k != rkRef {
+func mapArgR(args []rval, n int) (*MapVal, bool) {
+	if len(args) != n || args[0].k != rkRef {
 		return nil, false
 	}
-	mv, ok := a.ref.(MapVal)
+	mv, ok := args[0].ref.(*MapVal)
 	return mv, ok
 }
 
 func nvMapGet(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 3 {
-		return rval{}, false, nil
-	}
-	mv, ok := mapArgR(args[0])
+	mv, ok := mapArgR(args, 3)
 	if !ok {
 		return rval{}, false, nil
 	}
-	var v Value
-	switch args[1].k {
-	case rkStr:
-		v, ok = mv[args[1].asStr()]
-	case rkInt:
-		var buf [20]byte
-		v, ok = mv[string(strconv.AppendInt(buf[:0], args[1].i, 10))]
-	default:
-		return rval{}, false, nil
-	}
-	if ok {
-		return unbox(v), true, nil
+	if i := mv.find(&args[1]); i >= 0 {
+		return mv.slots[i].val, true, nil
 	}
 	return args[2], true, nil
 }
 
 func nvMapSet(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 3 {
-		return rval{}, false, nil
-	}
-	mv, ok := mapArgR(args[0])
+	mv, ok := mapArgR(args, 3)
 	if !ok {
 		return rval{}, false, nil
 	}
-	switch args[1].k {
-	case rkStr:
-		mv[args[1].asStr()] = args[2].box()
-	case rkInt:
-		mv[strconv.FormatInt(args[1].i, 10)] = args[2].box()
-	default:
-		return rval{}, false, nil
-	}
+	mv.set(&args[1], &args[2])
 	return args[0], true, nil
 }
 
 func nvMapHas(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 2 {
-		return rval{}, false, nil
-	}
-	mv, ok := mapArgR(args[0])
+	mv, ok := mapArgR(args, 2)
 	if !ok {
 		return rval{}, false, nil
 	}
-	switch args[1].k {
-	case rkStr:
-		_, ok = mv[args[1].asStr()]
-	case rkInt:
-		var buf [20]byte
-		_, ok = mv[string(strconv.AppendInt(buf[:0], args[1].i, 10))]
-	default:
-		return rval{}, false, nil
-	}
-	return rbool(ok), true, nil
+	return rbool(mv.find(&args[1]) >= 0), true, nil
 }
 
 func nvMapDel(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 2 {
-		return rval{}, false, nil
-	}
-	mv, ok := mapArgR(args[0])
+	mv, ok := mapArgR(args, 2)
 	if !ok {
 		return rval{}, false, nil
 	}
-	switch args[1].k {
-	case rkStr:
-		delete(mv, args[1].asStr())
-	case rkInt:
-		var buf [20]byte
-		delete(mv, string(strconv.AppendInt(buf[:0], args[1].i, 10)))
-	default:
-		return rval{}, false, nil
-	}
+	mv.del(&args[1])
 	return args[0], true, nil
 }
 
 func nvMapLen(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 1 {
-		return rval{}, false, nil
-	}
-	mv, ok := mapArgR(args[0])
+	mv, ok := mapArgR(args, 1)
 	if !ok {
 		return rval{}, false, nil
 	}
-	return rint(int64(len(mv))), true, nil
+	return rint(int64(mv.Len())), true, nil
+}
+
+func nvMapKeys(_ Host, args []rval, _ int32) (rval, bool, error) {
+	mv, ok := mapArgR(args, 1)
+	if !ok {
+		return rval{}, false, nil
+	}
+	return rval{k: rkRef, ref: mv.keyList()}, true, nil
 }
 
 // nvMinMax mirrors biMin/biMax: float comparison, int64 result when

@@ -39,7 +39,7 @@ machine Bench {
 func benchStats(n int) List {
 	stats := make(List, 0, n)
 	for i := 0; i < n; i++ {
-		stats = append(stats, StructOf("PortStats", MapVal{
+		stats = append(stats, StructOf("PortStats", map[string]Value{
 			"port":     int64(i),
 			"dTxBytes": float64((i * 37) % 1900),
 		}))

@@ -255,6 +255,12 @@ func TestVMSnippetParity(t *testing.T) {
 		{"map zero fresh", "map m; long n;", `m = map_set(m, "x", 1); n = map_len(m);`},
 		{"eq across types", "bool a; bool b; bool c;", `a = 1 == 1.0; b = 1 == "1"; c = [1] == [1];`},
 		{"nil compare", "bool a;", "a = exec(\"x\", 0) == exec(\"y\", 0);"},
+		{"recursion within the depth limit", "long a;", "a = down(150);"},
+		{"recursion past the depth limit", "long a; long b;", "b = 1; a = down(1000); b = 2;"},
+		{"direct runaway recursion", "long a; long b;", "b = 1; a = forever(0); b = 2;"},
+		{"mutual runaway recursion", "long a;", "a = 3; a = ping(0);"},
+		{"runaway recursion in an argument", "long a;", "a = f2(1, ping(0));"},
+		{"depth resets after a failed call", "long a;", "a = down(150) + down(150);"},
 	}
 	for _, c := range cases {
 		c := c
@@ -263,6 +269,10 @@ func TestVMSnippetParity(t *testing.T) {
 struct Pair { long a; long b; }
 function f2(long a, long b) { return a * 10 + b; }
 function noret(long a) { a = a + 1; }
+function down(long n) { if (n <= 0) then { return 0; } return 1 + down(n - 1); }
+function forever(long n) { return forever(n + 1); }
+function ping(long n) { return pong(n + 1); }
+function pong(long n) { return ping(n + 1); }
 machine T {
   place all;
   poll p = Poll { .ival = 10, .what = port ANY };
@@ -300,7 +310,10 @@ machine P {
   poll tock = Poll { .ival = 20, .what = port ANY };
   long total;
   map counts;
+  map groups;
+  map alias;
   list seen;
+  list ks;
   string last;
 
   state idle {
@@ -311,7 +324,14 @@ machine P {
     }
     when (tock as v) do {
       counts = map_set(counts, str(v), map_get(counts, str(v), 0) + 1);
-      if (map_len(counts) > 6) then { transit busy; }
+      alias = counts;
+      map_set(alias, v + 100, map_get(counts, v + 100, 0) + 1000);
+      map g = map_get(groups, v / 3, map_new());
+      map_set(g, v, map_get(g, v, 0) + 70000);
+      groups = map_set(groups, v / 3, g);
+      if (v == 4) then { counts = map_del(counts, "104"); }
+      ks = map_keys(alias);
+      if (map_len(counts) > 12) then { transit busy; }
     }
     when (recv long x from harvester) do { total = total - x; }
     when (recv Rec r from harvester) do {
@@ -331,6 +351,7 @@ machine P {
     }
     when (realloc) do { tick.ival = 15; }
     when (exit) do {
+      if (total > 42) then { groups = map_new(); }
       total = 0;
       counts = map_new();
       seen = list_clear(seen);
@@ -364,7 +385,7 @@ func TestVMRandomProperty(t *testing.T) {
 		case 7:
 			key, n := fmt.Sprintf("k%d", rng.Intn(5)), int64(rng.Intn(100))
 			p.do(t, ctx, func(r Runner) error {
-				return r.HandleRecv(harv, StructOf("Rec", MapVal{"key": key, "n": n}))
+				return r.HandleRecv(harv, StructOf("Rec", map[string]Value{"key": key, "n": n}))
 			})
 		case 8:
 			p.do(t, ctx, func(r Runner) error { return r.HandleRealloc() })
@@ -643,6 +664,56 @@ func TestNoStartStateIsUnusableOnBothSides(t *testing.T) {
 		}
 		if err := in.Start(); err == nil || !strings.Contains(err.Error(), "in unknown state") {
 			t.Errorf("%s: interpreter Start = %v, want the unknown-state error", tc.name, err)
+		}
+	}
+}
+
+// A function that never bottoms out fails the handler that called it, with
+// one error string on both executors, and leaves the seed usable: the
+// depth count is back at zero for the next handler.
+func TestCallDepthBounded(t *testing.T) {
+	cm := parityCompile(t, `
+function down(long n) { if (n <= 0) then { return 0; } return 1 + down(n - 1); }
+function forever(long n) { return forever(n + 1); }
+machine D {
+  place all;
+  poll t = Poll { .ival = 10, .what = port ANY };
+  long a; long calls;
+  state s {
+    when (t as v) do {
+      calls = calls + 1;
+      if (v > 0) then { a = forever(0); } else { a = down(v + `+fmt.Sprint(maxCallDepth)+`); }
+    }
+  }
+}`, "D")
+	p := newBackendSet(t, cm, nil)
+	p.do(t, "start", func(r Runner) error { return r.Start() })
+	for round := 0; round < 3; round++ {
+		err := p.do(t, "runaway", func(r Runner) error { return r.HandleTrigger("t", int64(1)) })
+		if want := fmt.Sprintf("core: call of forever nests deeper than %d (runaway recursion?) (line 3)", maxCallDepth); err == nil || err.Error() != want {
+			t.Fatalf("runaway recursion: %v, want %q", err, want)
+		}
+		// down(maxCallDepth - 1) is maxCallDepth activations: the deepest
+		// call that fits, and only if the failed one above left none behind.
+		if err := p.do(t, "bounded", func(r Runner) error { return r.HandleTrigger("t", int64(-1)) }); err != nil {
+			t.Fatalf("round %d: recursion within the limit: %v", round, err)
+		}
+		if err := p.do(t, "one too deep", func(r Runner) error { return r.HandleTrigger("t", int64(0)) }); err == nil {
+			t.Fatalf("round %d: %d nested activations did not fail", round, maxCallDepth+1)
+		}
+		diffSet(t, p, fmt.Sprintf("round %d", round))
+	}
+	if a, _ := p.rs[1].Var("a"); a != int64(maxCallDepth-1) {
+		t.Fatalf("a = %v, want %d", a, maxCallDepth-1)
+	}
+	// Initialisers run when the runner is built: there the runaway call
+	// fails the deployment.
+	bad := parityCompile(t, `
+function forever(long n) { return forever(n + 1); }
+machine I { place all; long a = forever(0); state s { when (enter) do { } } }`, "I")
+	for _, be := range parityBackends {
+		if _, err := newParityRunner(be, bad, nil, newMockHost()); err == nil || !strings.Contains(err.Error(), "init of a: core: call of forever nests deeper than") {
+			t.Fatalf("%s: runaway initialiser: %v", be, err)
 		}
 	}
 }

@@ -23,6 +23,16 @@ import (
 //
 // Reads are snapshots taken on the engine goroutine; mutations go
 // through the same single-writer path as the RPC ops.
+//
+// What a client may make the server hold is bounded: request headers
+// must arrive within httpReadHeaderTimeout or the connection is closed,
+// and a request body is read up to httpMaxBodyBytes (a submit is a task
+// name) and refused with 413 beyond that.
+
+const httpMaxBodyBytes = 64 << 10
+
+// A variable only so that a test need not wait it out.
+var httpReadHeaderTimeout = 5 * time.Second
 
 type httpState struct {
 	srv *http.Server
@@ -46,7 +56,7 @@ func (s *Service) startHTTP() error {
 	mux.HandleFunc("POST /failover", s.handleFailover)
 	mux.HandleFunc("POST /drain", s.handleDrain)
 	s.httpState.ln = ln
-	s.httpState.srv = &http.Server{Handler: mux}
+	s.httpState.srv = &http.Server{Handler: mux, ReadHeaderTimeout: httpReadHeaderTimeout}
 	go func() {
 		if err := s.httpState.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			s.cfg.Logf("fleet: http server: %v", err)
@@ -137,7 +147,12 @@ func (s *Service) handleTaskSubmit(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Name string `json:"name"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Name == "" {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, httpMaxBodyBytes)).Decode(&body)
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": fmt.Sprintf("body exceeds %d bytes", httpMaxBodyBytes)})
+		return
+	}
+	if err != nil || body.Name == "" {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": `body must be {"name": "<task>"}`})
 		return
 	}

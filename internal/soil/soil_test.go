@@ -1,6 +1,7 @@
 package soil
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -626,5 +627,62 @@ func TestCPUAccountingProcessVsThreads(t *testing.T) {
 	}
 	if procs <= threads {
 		t.Fatalf("process model (%g) should cost more CPU than threads (%g)", procs, threads)
+	}
+}
+
+// A seed whose function recurses without end fails its handler on every
+// trigger — logged, not fatal to the process — while the seed next to it
+// on the same soil keeps counting.
+func TestRunawayRecursionFailsTheHandlerOnly(t *testing.T) {
+	src := `
+function forever(long n) { return forever(n + 1); }
+machine Runaway {
+  place all;
+  time tick = 10;
+  long fires; long done;
+  state s {
+    when (tick as now) do { fires = fires + 1; done = forever(0); }
+  }
+}
+machine Timer {
+  place all;
+  time tick = 10;
+  long fires;
+  state s {
+    when (tick as now) do { fires = fires + 1; }
+  }
+}
+`
+	prog, err := almanac.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab, loop := testEnv(t)
+	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
+	var logged []string
+	s.SetLogf(func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) })
+	refs := map[string]SeedRef{}
+	for _, name := range []string{"Runaway", "Timer"} {
+		cm, err := almanac.CompileMachine(prog, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[name] = SeedRef{Task: "t", Machine: name, Switch: s.Name()}
+		if err := s.DeployCompiled(refs[name], mustCompile(t, cm), nil, hhAlloc()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loop.RunFor(105 * time.Millisecond)
+	if v, _ := s.SeedVar(refs["Timer"].ID(), "fires"); v != int64(10) {
+		t.Fatalf("neighbour fired %v times, want 10", v)
+	}
+	if v, _ := s.SeedVar(refs["Runaway"].ID(), "fires"); v != int64(10) {
+		t.Fatalf("runaway seed's handler ran %v times, want 10", v)
+	}
+	if v, _ := s.SeedVar(refs["Runaway"].ID(), "done"); v != int64(0) {
+		t.Fatalf("done = %v: the runaway call returned", v)
+	}
+	if len(logged) != 10 || !strings.Contains(logged[0], "call of forever nests deeper than") {
+		t.Fatalf("logged %d errors, want 10 call-depth errors: %q", len(logged), logged)
 	}
 }

@@ -9,40 +9,37 @@ import (
 	"farm/internal/core"
 )
 
-// recurses reports whether an auxiliary function of lp can call itself,
-// directly or through others. Neither executor bounds call depth, so a
-// function that never bottoms out overflows the Go stack instead of
-// failing the handler; the fuzz target below stays clear of that.
-func recurses(lp *almanac.Lowered) bool {
-	for fi := range lp.Funcs {
-		seen := make([]bool, len(lp.Funcs))
-		work := []int32{int32(fi)}
-		for len(work) > 0 {
-			f := lp.Funcs[work[len(work)-1]]
-			work = work[:len(work)-1]
-			for _, in := range lp.RegChunks[f.Chunk].Code {
-				if in.Op != almanac.RCallFn {
-					continue
-				}
-				if in.A == int32(fi) {
-					return true
-				}
-				if !seen[in.A] {
-					seen[in.A] = true
-					work = append(work, in.A)
-				}
-			}
-		}
-	}
-	return false
-}
-
 // FuzzDecodeCompile drives arbitrary bytes through the path seed XML
 // takes into a soil: decode (no sema pass), compile, render, deploy on
 // the register VM, and one round of events. Any step may refuse its
-// input; none may panic. The corpus is the XML of every catalogue
-// machine.
+// input; none may panic — a machine whose functions recurse without end
+// fails its handlers at the call-depth bound. The corpus is the XML of
+// every catalogue machine and of one such runaway.
 func FuzzDecodeCompile(f *testing.F) {
+	runaway, err := almanac.Parse(`
+function ping(long n) { return pong(n + 1); }
+function pong(long n) { return ping(n + 1); }
+machine Runaway {
+  place all;
+  time tick = 10;
+  long depth;
+  state s {
+    when (enter) do { depth = pong(0); }
+    when (tick as now) do { depth = ping(now); }
+  }
+}`)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cm, err := almanac.CompileMachine(runaway, "Runaway")
+	if err != nil {
+		f.Fatal(err)
+	}
+	xmlData, err := almanac.EncodeXML(cm)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(xmlData)
 	defaults := map[string]core.Value{}
 	for _, d := range All() {
 		prog, err := almanac.Parse(d.Source)
@@ -81,9 +78,6 @@ func FuzzDecodeCompile(f *testing.F) {
 			t.Fatalf("Compile accepted a machine Lower rejects: %v", err)
 		}
 		_ = lp.Disassemble()
-		if recurses(lp) {
-			return
-		}
 		externals := map[string]core.Value{}
 		for _, name := range cm.ExternalVars() {
 			v, ok := defaults[name]

@@ -338,8 +338,8 @@ func TestFlowSizeDistribution(t *testing.T) {
 	if !ok {
 		t.Fatal("no histogram report")
 	}
-	hist, isMap := v.(core.MapVal)
-	if !isMap || len(hist) == 0 {
+	hist, isMap := v.(*core.MapVal)
+	if !isMap || hist.Len() == 0 {
 		t.Fatalf("histogram = %v", core.FormatValue(v))
 	}
 }

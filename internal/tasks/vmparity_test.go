@@ -170,7 +170,7 @@ func taskPayload(rng *rand.Rand) core.Value {
 	case 2:
 		return rng.Float64() * 5000
 	case 3:
-		return core.StructOf("PortStats", core.MapVal{
+		return core.StructOf("PortStats", map[string]core.Value{
 			"port": int64(rng.Intn(16)), "dTxBytes": float64(rng.Intn(4000)),
 		})
 	case 4:
