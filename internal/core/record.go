@@ -17,6 +17,7 @@ type Layout struct {
 	TypeName string
 	Names    []string
 	index    map[string]int
+	sorted   []int // for each name in sorted order, the slot it reads
 }
 
 // Index returns the slot of a field name, or -1.
@@ -47,7 +48,12 @@ func LayoutOf(typeName string, names []string) *Layout {
 	for i, n := range names {
 		idx[n] = i
 	}
-	l := &Layout{TypeName: typeName, Names: append([]string(nil), names...), index: idx}
+	sorted := append([]string(nil), names...)
+	sort.Strings(sorted)
+	l := &Layout{TypeName: typeName, Names: append([]string(nil), names...), index: idx, sorted: make([]int, len(sorted))}
+	for i, n := range sorted {
+		l.sorted[i] = idx[n]
+	}
 	layoutTab[key] = l
 	return l
 }

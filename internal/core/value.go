@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -428,60 +427,110 @@ func CloneValue(v Value) Value {
 }
 
 // FormatValue renders a value deterministically for logs and tests.
-func FormatValue(v Value) string {
+func FormatValue(v Value) string { return string(AppendValue(nil, v)) }
+
+// AppendValue appends FormatValue's text of v to dst and returns the
+// extended slice. Sizing a message by the text's length into a reused
+// buffer builds no string: scalars, lists, maps and structs append in
+// place.
+func AppendValue(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
-		return "nil"
+		return append(dst, "nil"...)
+	case int64:
+		return strconv.AppendInt(dst, x, 10)
+	case float64:
+		return strconv.AppendFloat(dst, x, 'g', -1, 64)
+	case bool:
+		return strconv.AppendBool(dst, x)
 	case string:
-		return fmt.Sprintf("%q", x)
+		return strconv.AppendQuote(dst, x)
 	case *Batch:
-		return FormatValue(x.List())
+		return AppendValue(dst, x.List())
 	case List:
-		s := "["
+		dst = append(dst, '[')
 		for i, e := range x {
 			if i > 0 {
-				s += ", "
+				dst = append(dst, ", "...)
 			}
-			s += FormatValue(e)
+			dst = AppendValue(dst, e)
 		}
-		return s + "]"
+		return append(dst, ']')
 	case *MapVal:
-		s := "{"
-		for i, k := range x.Keys() {
-			if i > 0 {
-				s += ", "
-			}
-			s += fmt.Sprintf("%s: %s", k, FormatValue(x.field(k.(string)).box()))
+		// Entries in key order: the slots sorted by key text, in place on
+		// the stack for the maps handlers report.
+		var buf [32]int32
+		order := buf[:0]
+		if len(x.slots) > len(buf) {
+			order = make([]int32, 0, len(x.slots))
 		}
-		return s + "}"
+		for i := range x.slots {
+			order = append(order, int32(i))
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			return strings.Compare(x.slots[a].key.(string), x.slots[b].key.(string))
+		})
+		dst = append(dst, '{')
+		for n, i := range order {
+			if n > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = append(dst, x.slots[i].key.(string)...)
+			dst = append(dst, ": "...)
+			dst = appendR(dst, &x.slots[i].val)
+		}
+		return append(dst, '}')
 	case StructVal:
-		// Render sorted by field name, independent of layout order, so
-		// digests and golden logs stay stable across layouts.
-		names := append([]string(nil), x.L.Names...)
-		sort.Strings(names)
-		s := x.Type() + "{"
-		for i, n := range names {
-			if i > 0 {
-				s += ", "
+		// Sorted by field name, independent of layout order, so digests
+		// and golden logs stay stable across layouts.
+		dst = append(dst, x.Type()...)
+		dst = append(dst, '{')
+		for n, i := range x.L.sorted {
+			if n > 0 {
+				dst = append(dst, ", "...)
 			}
-			v, _ := x.Get(n)
-			s += fmt.Sprintf("%s: %s", n, FormatValue(v))
+			dst = append(dst, x.L.Names[i]...)
+			dst = append(dst, ": "...)
+			dst = AppendValue(dst, x.V[i])
 		}
-		return s + "}"
+		return append(dst, '}')
 	case FilterVal:
 		if x.PortAny {
-			return "filter(port ANY)"
+			return append(dst, "filter(port ANY)"...)
 		}
-		return x.F.String()
+		return append(dst, x.F.String()...)
 	case ActionVal:
-		return dataplane.Action(x).String()
+		return append(dst, dataplane.Action(x).String()...)
 	case PacketVal:
-		return dataplane.Packet(x).Flow().String()
+		return dataplane.Packet(x).Flow().AppendTo(dst)
 	case SketchVal:
-		return fmt.Sprintf("sketch(%dx%d,total=%d)", x.S.Width(), x.S.Depth(), x.S.Total())
+		dst = append(dst, "sketch("...)
+		dst = strconv.AppendInt(dst, int64(x.S.Width()), 10)
+		dst = append(dst, 'x')
+		dst = strconv.AppendInt(dst, int64(x.S.Depth()), 10)
+		dst = append(dst, ",total="...)
+		dst = strconv.AppendUint(dst, x.S.Total(), 10)
+		return append(dst, ')')
 	case DistinctVal:
-		return fmt.Sprintf("distinct(~%.0f)", x.D.Estimate())
+		dst = append(dst, "distinct(~"...)
+		dst = strconv.AppendFloat(dst, x.D.Estimate(), 'f', 0, 64)
+		return append(dst, ')')
 	default:
-		return fmt.Sprintf("%v", x)
+		return fmt.Appendf(dst, "%v", x)
 	}
+}
+
+// appendR is AppendValue of r.box() without boxing a scalar.
+func appendR(dst []byte, r *rval) []byte {
+	switch r.k {
+	case rkUndef, rkNil:
+		return append(dst, "nil"...)
+	case rkInt:
+		return strconv.AppendInt(dst, r.i, 10)
+	case rkFloat:
+		return strconv.AppendFloat(dst, r.f, 'g', -1, 64)
+	case rkBool:
+		return strconv.AppendBool(dst, r.i != 0)
+	}
+	return AppendValue(dst, r.box())
 }

@@ -908,22 +908,22 @@ func nvGetHH(_ Host, args []rval, _ int32) (rval, bool, error) {
 	if len(args) != 2 {
 		return rval{}, false, nil
 	}
-	var recs hhRecords
-	if args[0].k == rkBatch {
-		recs.b = args[0].ref.(*Batch)
-		if recs.b.l != portStatsLayout {
-			return rval{}, false, nil
-		}
-	} else if l, ok := asListR(args[0]); ok {
-		recs.l = l
-	} else {
-		return rval{}, false, nil
-	}
 	th, ok := asFloatR(args[1])
 	if !ok {
 		return rval{}, false, nil
 	}
-	hitters, bad := recs.hitters(th)
+	if args[0].k == rkBatch {
+		b := args[0].ref.(*Batch)
+		if b.l != portStatsLayout {
+			return rval{}, false, nil
+		}
+		return rref(b.hitters(th)), true, nil
+	}
+	l, ok := asListR(args[0])
+	if !ok {
+		return rval{}, false, nil
+	}
+	hitters, bad := hhRecords{l: l}.hitters(th)
 	if bad >= 0 {
 		return rval{}, false, nil // bridge for the exact error
 	}

@@ -235,9 +235,10 @@ type EmuDriver struct {
 	MaxSampleBacklog time.Duration
 	sampleDrops      uint64
 
-	allPorts  []int       // 1..NumPorts, what a nil port list polls
-	pollPorts []int       // completion scratch, reused across polls
-	pollStats []PortStats // parallel to pollPorts
+	allPorts  []int         // 1..NumPorts, what a nil port list polls
+	pollPorts []int         // completion scratch, reused across polls
+	pollStats []PortStats   // parallel to pollPorts
+	freePolls []*pollRecord // poll records not in flight
 }
 
 // DefaultMaxSampleBacklog approximates the ASIC's mirror DMA ring
@@ -275,25 +276,79 @@ func (d *EmuDriver) PollPortStats(ports []int, fn func(ports []int, stats []Port
 		}
 		ports = d.allPorts
 	}
-	size := portStatsReqBytes + portStatsRespBytes*len(ports)
-	d.bus.Request(size, func(time.Duration) {
-		d.pollPorts, d.pollStats = d.pollPorts[:0], d.pollStats[:0]
-		for _, p := range ports {
-			if st, err := d.sw.PortStats(p); err == nil {
-				d.pollPorts = append(d.pollPorts, p)
-				d.pollStats = append(d.pollStats, st)
-			}
-		}
-		fn(d.pollPorts, d.pollStats)
-	})
+	p := d.pollRecord()
+	p.ports, p.portsFn = ports, fn
+	d.enqueue(p, portStatsReqBytes+portStatsRespBytes*len(ports))
 }
 
 // PollRuleStats implements Driver.
 func (d *EmuDriver) PollRuleStats(f Filter, fn func(RuleStats, bool)) {
-	d.bus.Request(RuleStatsBytes, func(time.Duration) {
-		st, ok := d.sw.TCAM().Stats(f)
-		fn(st, ok)
-	})
+	p := d.pollRecord()
+	p.rule, p.ruleFn = f, fn
+	d.enqueue(p, RuleStatsBytes)
+}
+
+// pollRecord is a statistics poll in flight, the polls' counterpart of
+// the bus's completion record: the request, and the callback the ASIC's
+// answer goes to when the transfer completes. fire is bound when the
+// record is made and the record goes back to the driver's free list once
+// the callback has returned, so a poll builds no closure. Polls keep
+// records of their own because a switch has a handful in flight, while
+// a sample backlog keeps thousands of completion records that would each
+// carry a poll's fields.
+type pollRecord struct {
+	drv     *EmuDriver
+	fire    func() // p.run
+	ports   []int
+	portsFn func(ports []int, stats []PortStats) // a port poll's callback, or
+	rule    Filter                               // a rule poll's filter and
+	ruleFn  func(RuleStats, bool)                // callback
+}
+
+// maxFreePolls bounds a driver's free list of poll records: more polls
+// than this are in flight at once only behind a long sample backlog.
+const maxFreePolls = 64
+
+// pollRecord takes a poll record off the free list, or makes one.
+func (d *EmuDriver) pollRecord() *pollRecord {
+	if n := len(d.freePolls); n > 0 {
+		p := d.freePolls[n-1]
+		d.freePolls = d.freePolls[:n-1]
+		return p
+	}
+	p := &pollRecord{drv: d}
+	p.fire = p.run
+	return p
+}
+
+// enqueue puts a poll's transfer of size bytes on the bus and schedules
+// its record to fire when the transfer ends: one engine event enqueued
+// at request time, as for every transfer, so completions keep the
+// (time, seq) order of their requests.
+func (d *EmuDriver) enqueue(p *pollRecord, size int) {
+	engine.ScheduleOn(d.bus.sched, d.bus.admit(size), p.fire)
+}
+
+// run is a poll's completion event: read what was asked for and answer.
+func (p *pollRecord) run() {
+	d := p.drv
+	if p.portsFn != nil {
+		d.pollPorts, d.pollStats = d.pollPorts[:0], d.pollStats[:0]
+		for _, port := range p.ports {
+			if st, err := d.sw.PortStats(port); err == nil {
+				d.pollPorts = append(d.pollPorts, port)
+				d.pollStats = append(d.pollStats, st)
+			}
+		}
+		p.portsFn(d.pollPorts, d.pollStats)
+	} else {
+		st, ok := d.sw.TCAM().Stats(p.rule)
+		p.ruleFn(st, ok)
+	}
+	if len(d.freePolls) < maxFreePolls {
+		*p = pollRecord{drv: d, fire: p.fire}
+		d.freePolls = append(d.freePolls, p)
+	}
 }
 
 // AddRule implements Driver.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -240,40 +241,114 @@ func (b *closureBus) Sample(size int, p Packet, sink func(Packet)) {
 	b.Request(size, func(time.Duration) { sink(p) })
 }
 
-// TestBusCompletionOrder replays one seeded interleaving of polls,
-// samples and callback-less rule updates on the pooled bus and on the
-// closure-per-request reference, with a ticker firing in the same
-// virtual nanoseconds as many completions, and requires the same
-// transcript of (virtual time, callback id, latency or packet).
+// closureDriver polls as the driver did before poll records: a closure
+// over the request and its callback, put on the bus as a plain request.
+type closureDriver struct {
+	*closureBus
+	sw *Switch
+}
+
+func (d *closureDriver) PollPortStats(ports []int, fn func(ports []int, stats []PortStats)) {
+	if len(ports) == 0 {
+		for p := 1; p <= d.sw.NumPorts(); p++ {
+			ports = append(ports, p)
+		}
+	}
+	d.Request(portStatsReqBytes+portStatsRespBytes*len(ports), func(time.Duration) {
+		var got []int
+		var stats []PortStats
+		for _, p := range ports {
+			if st, err := d.sw.PortStats(p); err == nil {
+				got = append(got, p)
+				stats = append(stats, st)
+			}
+		}
+		fn(got, stats)
+	})
+}
+
+func (d *closureDriver) PollRuleStats(f Filter, fn func(RuleStats, bool)) {
+	d.Request(RuleStatsBytes, func(time.Duration) {
+		st, ok := d.sw.TCAM().Stats(f)
+		fn(st, ok)
+	})
+}
+
+// pooledDriver is the production bus and driver behind the same methods.
+type pooledDriver struct {
+	*Bus
+	drv *EmuDriver
+}
+
+func (d pooledDriver) PollPortStats(ports []int, fn func(ports []int, stats []PortStats)) {
+	d.drv.PollPortStats(ports, fn)
+}
+
+func (d pooledDriver) PollRuleStats(f Filter, fn func(RuleStats, bool)) {
+	d.drv.PollRuleStats(f, fn)
+}
+
+// TestBusCompletionOrder replays one seeded interleaving of port and
+// rule polls, samples, plain requests and callback-less rule updates on
+// the pooled bus and driver and on the closure-per-request reference,
+// with a ticker firing in the same virtual nanoseconds as many
+// completions and counters moving between requests, and requires the
+// same transcript of (virtual time, callback id, latency, packet or
+// counters read).
 func TestBusCompletionOrder(t *testing.T) {
 	type bus interface {
 		Request(size int, fn func(latency time.Duration))
 		Sample(size int, p Packet, sink func(Packet))
+		PollPortStats(ports []int, fn func(ports []int, stats []PortStats))
+		PollRuleStats(f Filter, fn func(RuleStats, bool))
 	}
-	run := func(mk func(engine.Scheduler) bus) []string {
+	installed, absent := Filter{DstPort: 80}, Filter{DstPort: 443}
+	run := func(mk func(engine.Scheduler, *Switch) bus) []string {
 		loop := engine.NewSerial()
-		b := mk(loop)
+		sw := NewSwitch("sw0", 6, 16)
+		if err := sw.TCAM().AddRule(Rule{Filter: installed, Action: ActAllow}); err != nil {
+			t.Fatal(err)
+		}
+		b := mk(loop, sw)
 		var log []string
 		note := func(format string, args ...any) {
 			log = append(log, fmt.Sprintf("%v ", loop.Now())+fmt.Sprintf(format, args...))
 		}
 		// Sizes are multiples of 100 B on a 1 B/µs bus and requests are
 		// issued on the ticker's grid, so completions tie with ticks
-		// (and with each other's successors) all the time.
+		// (and with each other's successors) all the time. A port poll
+		// of n ports is 16 + 32n B: off the grid, so later completions
+		// tie with each other instead.
 		loop.Every(100*time.Microsecond, func() { note("tick") })
 		rng := rand.New(rand.NewSource(2210))
 		id := 0
 		for step := 0; step < 400; step++ {
-			for n := rng.Intn(4); n > 0; n-- {
+			_ = sw.CreditPort(1+rng.Intn(5), 0, 0, 1, uint64(rng.Intn(1000)))
+			sw.CreditRule(installed, 1, uint64(rng.Intn(1000)))
+			for n := rng.Intn(5); n > 0; n-- {
 				id++
 				id := id
 				size := 100 * (1 + rng.Intn(3))
-				switch rng.Intn(3) {
+				switch rng.Intn(5) {
 				case 0:
-					b.Request(size, func(lat time.Duration) { note("poll %d latency %v", id, lat) })
+					b.Request(size, func(lat time.Duration) { note("request %d latency %v", id, lat) })
 				case 1:
 					p := pkt("10.0.0.1", "10.0.0.2", uint16(id), 80, ProtoTCP, size)
 					b.Sample(size, p, func(got Packet) { note("sample %d packet %d/%d", id, got.SrcPort, got.Size) })
+				case 2:
+					var ports []int // every port
+					if rng.Intn(2) == 0 {
+						ports = []int{5, 1 + rng.Intn(5), 9} // 9 does not exist
+					}
+					b.PollPortStats(ports, func(ports []int, stats []PortStats) {
+						note("ports %d %v %v", id, ports, stats)
+					})
+				case 3:
+					f := installed
+					if rng.Intn(3) == 0 {
+						f = absent
+					}
+					b.PollRuleStats(f, func(st RuleStats, ok bool) { note("rule %d %v %v", id, st, ok) })
 				default:
 					b.Request(size, nil)
 				}
@@ -283,22 +358,27 @@ func TestBusCompletionOrder(t *testing.T) {
 		loop.RunFor(time.Second)
 		return log
 	}
-	got := run(func(s engine.Scheduler) bus { return NewBus(s, 1e6) })
-	want := run(func(s engine.Scheduler) bus { return &closureBus{sched: s, bytesPerSec: 1e6} })
+	got := run(func(s engine.Scheduler, sw *Switch) bus {
+		b := NewBus(s, 1e6)
+		return pooledDriver{Bus: b, drv: NewEmuDriver(sw, b)}
+	})
+	want := run(func(s engine.Scheduler, sw *Switch) bus {
+		return &closureDriver{closureBus: &closureBus{sched: s, bytesPerSec: 1e6}, sw: sw}
+	})
 	if len(got) != len(want) {
 		t.Fatalf("%d transcript lines, reference has %d", len(got), len(want))
 	}
-	completions := 0
+	kinds := map[string]int{}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("line %d: %q, reference %q", i, got[i], want[i])
 		}
-		if want[i][len(want[i])-4:] != "tick" {
-			completions++
-		}
+		kinds[strings.Fields(want[i])[1]]++
 	}
-	if completions < 300 {
-		t.Fatalf("weak interleaving: %d completions", completions)
+	for _, k := range []string{"request", "sample", "ports", "rule"} {
+		if kinds[k] < 100 {
+			t.Fatalf("weak interleaving: %d %s completions (%v)", kinds[k], k, kinds)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package seeder
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"farm/internal/almanac"
@@ -791,19 +792,32 @@ func (sd *Seeder) migrateSeed(s *seedInst, a placement.Assignment) error {
 func estimateSnapshotBytes(snap core.Snapshot) int {
 	n := 64
 	for k, v := range snap.Env {
-		n += len(k) + len(core.FormatValue(v))
+		n += len(k) + textBytes(v)
 	}
 	for _, vars := range snap.StateVars {
 		for k, v := range vars {
-			n += len(k) + len(core.FormatValue(v))
+			n += len(k) + textBytes(v)
 		}
 	}
 	return n
 }
 
 func estimateValueBytes(v core.Value) int {
-	return 32 + len(core.FormatValue(v))
+	return 32 + textBytes(v)
 }
+
+// textBytes is len(core.FormatValue(v)) without building the string:
+// the text is appended to pooled scratch. (Soils on every engine shard
+// size their messages at once, so each call takes a buffer of its own.)
+func textBytes(v core.Value) int {
+	buf := textScratch.Get().(*[]byte)
+	*buf = core.AppendValue((*buf)[:0], v)
+	n := len(*buf)
+	textScratch.Put(buf)
+	return n
+}
+
+var textScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // route is the soils' SendFunc: it carries seed messages to harvesters
 // and other seeds over the control network.

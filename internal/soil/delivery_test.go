@@ -56,13 +56,14 @@ machine Writer {
 `
 
 // keeperSource keeps the whole poll result in a machine variable and
-// reads the kept one on the next completion.
+// reads the kept one on the next completion; it also keeps the first
+// one for good and reads it on every completion.
 const keeperSource = `
 machine Keeper {
   place all;
   poll p = Poll { .ival = 10, .what = port ANY };
-  list last;
-  long n; long oldTx; long oldD; long curTx;
+  list last; list first;
+  long n; long oldTx; long oldD; long curTx; long firstTx;
   state s {
     util (res) { if (res.vCPU >= 0.01) then { return 1; } }
     when (p as recs) do {
@@ -70,9 +71,13 @@ machine Keeper {
         PortStats o = list_get(last, 0);
         oldTx = o.txBytes;
         oldD = o.dTxBytes;
+      } else {
+        first = recs;
       }
       PortStats c = list_get(recs, 0);
       curTx = c.txBytes;
+      PortStats f = list_get(first, 0);
+      firstTx = f.txBytes;
       last = recs;
       n = n + 1;
     }
@@ -279,8 +284,8 @@ func TestPolledRecordWritesAreIsolated(t *testing.T) {
 	}
 }
 
-// A poll result kept in a machine variable is the completion it was: the
-// next completion is a new batch, not the old one refilled.
+// A poll result kept in a machine variable is the completion it was: no
+// later completion is the old batch refilled, however many follow.
 func TestKeptPollResultIsNotOverwritten(t *testing.T) {
 	fab, loop := testEnv(t)
 	leaf := leafID(t, fab, "leaf0")
@@ -288,13 +293,21 @@ func TestKeptPollResultIsNotOverwritten(t *testing.T) {
 	k := deployMachine(t, s, "keeper", keeperSource, "Keeper")
 	other := deployMachine(t, s, "other", watchSource, "Watch") // shares every batch
 	loop.RunFor(5 * time.Millisecond)
-	for i := 1; i <= 3; i++ {
+	const completions = 100
+	var wantDeltas []int64
+	for i := 1; i <= completions; i++ {
 		creditAndPoll(loop, fab, leaf, uint64(100*i))
-	}
-	// Completions read 100, 300, 600 cumulative.
-	for name, want := range map[string]int64{"n": 3, "curTx": 600, "oldTx": 300, "oldD": 200} {
-		if got := seedInts(t, s, k, name); !equalInts(got, []int64{want}) {
-			t.Fatalf("%s = %v, want %d", name, got, want)
+		wantDeltas = append(wantDeltas, int64(100*i))
+		// Completions read 100, 300, 600, ... cumulative.
+		cum := int64(50 * i * (i + 1))
+		want := map[string]int64{"n": int64(i), "curTx": cum, "firstTx": 100}
+		if i > 1 {
+			want["oldTx"], want["oldD"] = cum-int64(100*i), int64(100*(i-1))
+		}
+		for name, w := range want {
+			if got := seedInts(t, s, k, name); !equalInts(got, []int64{w}) {
+				t.Fatalf("completion %d: %s = %v, want %d", i, name, got, w)
+			}
 		}
 	}
 	// The kept value leaves the seed as a plain list of records.
@@ -302,8 +315,8 @@ func TestKeptPollResultIsNotOverwritten(t *testing.T) {
 	if l, ok := last.(core.List); !ok || len(l) != fab.Switch(leaf).NumPorts() {
 		t.Fatalf("kept poll result reads as %T", last)
 	}
-	if got, want := seedInts(t, s, other, "deltas"), []int64{100, 200, 300}; !equalInts(got, want) {
-		t.Fatalf("co-subscriber deltas = %v, want %v", got, want)
+	if got := seedInts(t, s, other, "deltas"); !equalInts(got, wantDeltas) {
+		t.Fatalf("co-subscriber deltas = %v, want %v", got, wantDeltas)
 	}
 }
 
@@ -494,54 +507,96 @@ func BenchmarkProbeDelivery(b *testing.B) {
 	}
 }
 
+// hhDeltaSource is the Fig. 4 heavy-hitter seed: getHH on every
+// completion, a report only when the hitter set changes.
+const hhDeltaSource = `
+machine HHDelta {
+  place all;
+  poll p = Poll { .ival = 10, .what = port ANY };
+  long threshold = 4000;
+  list hitters;
+  list reported;
+  state s {
+    util (res) { if (res.vCPU >= 0.01) then { return 1; } }
+    when (p as stats) do {
+      hitters = getHH(stats, threshold);
+      if (hitters <> reported) then {
+        send hitters to harvester;
+        reported = hitters;
+      }
+    }
+  }
+}
+`
+
 // pollBench is a leaf with the given port count and subs co-located
-// Summer seeds on one poll group, warmed past every first delivery.
-func pollBench(tb testing.TB, ports, subs int) (*Soil, engine.Scheduler, *fabric.Fabric) {
+// seeds of one machine on one poll group, warmed past every first
+// delivery. Each step credits port p with 1000·p bytes — port p is a
+// 4000-byte hitter from p = 4 on — or, when rotate says so for the
+// step, with the heavy half of the ports moved by one, and runs one
+// poll interval.
+func pollBench(tb testing.TB, ports, subs int, src, machine string) (s *Soil, step func(rotate bool)) {
 	tb.Helper()
 	fab, loop, leaf := oneLeafFabric(tb, ports-1)
 	if n := fab.Switch(leaf).NumPorts(); n != ports {
 		tb.Fatalf("leaf has %d ports, want %d", n, ports)
 	}
-	s := New(fab, leaf, DefaultOptions())
+	s = New(fab, leaf, DefaultOptions())
 	for i := 0; i < subs; i++ {
-		deployMachine(tb, s, fmt.Sprintf("t%d", i), summerSource, "Summer")
+		deployMachine(tb, s, fmt.Sprintf("t%d", i), src, machine)
 	}
-	for p := 1; p <= ports; p++ {
-		_ = fab.Switch(leaf).CreditPort(p, 0, 0, 1, uint64(1000*p))
+	shift := 0
+	step = func(rotate bool) {
+		if rotate {
+			shift++
+		}
+		for p := 1; p <= ports; p++ {
+			_ = fab.Switch(leaf).CreditPort(p, 0, 0, 1, uint64(1000*(1+(p-1+shift)%ports)))
+		}
+		loop.RunFor(10 * time.Millisecond)
 	}
-	loop.RunFor(55 * time.Millisecond)
+	loop.RunFor(5 * time.Millisecond)
+	for i := 0; i < 5; i++ {
+		step(false)
+	}
 	if want := uint64(5 * subs); s.PollsDelivered() != want {
 		tb.Fatalf("warm-up delivered %d polls, want %d", s.PollsDelivered(), want)
 	}
-	return s, loop, fab
+	return s, step
 }
 
-// TestPollDeliveryAllocs: one completion — fire, bus transfer, batch,
-// delivery to every subscriber's scan loop — costs a handful of
-// allocations, however many ports it carries and however many seeds
-// share it.
+// TestPollDeliveryAllocs: a completion — fire, bus transfer, batch,
+// delivery to every subscriber's handler — costs the batch's header and
+// counters, whether the handler is a scan loop or a getHH whose answer
+// has not changed, however many ports the completion carries and however
+// many seeds share it. The bus transfer rides a pooled poll record and
+// the hitter list is the previous completion's. (Before: the driver's
+// completion closure besides, and 2 more per getHH call.)
 func TestPollDeliveryAllocs(t *testing.T) {
-	// Batch header and data, and the driver's completion closure; the
-	// bus transfer itself is a pooled record.
-	const maxAllocs = 3
+	const maxAllocs = 2
+	const runs = 100
+	first := true
 	var base float64
-	for i, c := range []struct{ ports, subs int }{{8, 1}, {48, 1}, {8, 8}, {48, 8}} {
-		s, loop, _ := pollBench(t, c.ports, c.subs)
-		loop.RunFor(2 * time.Second) // let the engine's event pool fill
-		before := s.PollsDelivered()
-		const runs = 100
-		allocs := testing.AllocsPerRun(runs, func() { loop.RunFor(10 * time.Millisecond) })
-		// AllocsPerRun makes one extra warm-up call.
-		if got, want := s.PollsDelivered()-before, uint64((runs+1)*c.subs); got != want {
-			t.Fatalf("%d ports x %d subscribers: %d deliveries in %d intervals, want %d", c.ports, c.subs, got, runs+1, want)
-		}
-		if allocs > maxAllocs {
-			t.Fatalf("%d ports x %d subscribers: %.1f allocations per completion, want <= %d", c.ports, c.subs, allocs, maxAllocs)
-		}
-		if i == 0 {
-			base = allocs
-		} else if allocs != base {
-			t.Fatalf("%d ports x %d subscribers: %.1f allocations per completion, %.1f at 8 x 1: delivery cost grows with the fan-out", c.ports, c.subs, allocs, base)
+	for _, m := range []struct{ src, machine string }{{summerSource, "Summer"}, {hhDeltaSource, "HHDelta"}} {
+		for _, c := range []struct{ ports, subs int }{{8, 1}, {48, 1}, {8, 8}, {48, 8}} {
+			s, step := pollBench(t, c.ports, c.subs, m.src, m.machine)
+			for i := 0; i < 200; i++ { // let the engine's event pool fill
+				step(false)
+			}
+			before := s.PollsDelivered()
+			allocs := testing.AllocsPerRun(runs, func() { step(false) })
+			// AllocsPerRun makes one extra warm-up call.
+			if got, want := s.PollsDelivered()-before, uint64((runs+1)*c.subs); got != want {
+				t.Fatalf("%s, %d ports x %d subscribers: %d deliveries in %d intervals, want %d", m.machine, c.ports, c.subs, got, runs+1, want)
+			}
+			if allocs > maxAllocs {
+				t.Fatalf("%s, %d ports x %d subscribers: %.1f allocations per completion, want <= %d", m.machine, c.ports, c.subs, allocs, maxAllocs)
+			}
+			if first {
+				first, base = false, allocs
+			} else if allocs != base {
+				t.Fatalf("%s, %d ports x %d subscribers: %.1f allocations per completion, %.1f for Summer at 8 x 1: delivery cost depends on the handler or grows with the fan-out", m.machine, c.ports, c.subs, allocs, base)
+			}
 		}
 	}
 }
@@ -550,15 +605,42 @@ func TestPollDeliveryAllocs(t *testing.T) {
 // one of 8 seeds sharing the completion), with its share of the poll.
 func BenchmarkPollDelivery(b *testing.B) {
 	const ports, subs = 48, 8
-	s, loop, _ := pollBench(b, ports, subs)
+	s, step := pollBench(b, ports, subs, summerSource, "Summer")
 	before := s.PollsDelivered()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += subs {
-		loop.RunFor(10 * time.Millisecond)
+		step(false)
 	}
 	b.StopTimer()
 	if delivered := s.PollsDelivered() - before; delivered < uint64(b.N) {
 		b.Fatalf("%d deliveries in %d iterations", delivered, b.N)
+	}
+}
+
+// BenchmarkHHDeltaPoll measures one delivery of the Fig. 4 pipeline: 8
+// HHDelta seeds on one 48-port poll group, each calling getHH and
+// comparing against what it reported, with the heavy ports moving every
+// 25th completion (the bench workload's churn at a 10 ms poll), so one
+// completion in 25 sends a report from every seed.
+func BenchmarkHHDeltaPoll(b *testing.B) {
+	const ports, subs = 48, 8
+	s, step := pollBench(b, ports, subs, hhDeltaSource, "HHDelta")
+	sent := 0
+	s.SetSendFunc(func(SeedRef, core.SendDest, core.Value) { sent++ })
+	before := s.PollsDelivered()
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i += subs {
+		n++
+		step(n%25 == 0)
+	}
+	b.StopTimer()
+	if delivered := s.PollsDelivered() - before; delivered < uint64(b.N) {
+		b.Fatalf("%d deliveries in %d iterations", delivered, b.N)
+	}
+	if want := subs * (n / 25); sent != want {
+		b.Fatalf("%d reports for %d hitter-set changes x %d seeds, want %d", sent, n/25, subs, want)
 	}
 }
