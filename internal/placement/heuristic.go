@@ -125,16 +125,122 @@ type lpRow struct {
 	rhs  float64
 }
 
-// caseLP is the switch-independent part of a seed case's step-3 LP
-// fragment, baked once per solve so redistribute never re-sorts names
-// or re-walks polynomials.
+// caseLP is the switch- and seed-independent part of a seed case's
+// step-3 LP fragment, baked ahead of the solve (see Baked) so
+// redistribute never re-sorts names or re-walks polynomials.
 type caseLP struct {
 	res      []string // sorted resources the case or polls mention, sans poll
-	varNames []string // interned "<seed>.<res>" LP variable names
 	utilRows []lpRow  // t <= term rows: -coef per res, rhs = term const
 	conRows  []lpRow  // case constraints as GE rows, rhs = -const
 	pollRows []lpRow  // poll demand rows: -alpha*coef per res, rhs = alpha*const
 	pollSubj []string // subject per pollRows entry
+}
+
+// Baked is one seed's step-3 LP fragments: every utility case's sorted
+// resource list and util/constraint/poll rows, plus the seed's interned
+// LP variable names. They depend only on the seed's ID, Utility and Polls
+// and on alpha, so a caller that re-solves the same seeds (the seeder's
+// warm replans) bakes once per (seed, utility) and hands the value back
+// in SeedSpec.Baked. A Baked is never written after Bake returns: any
+// number of solves, and their step-3 workers, share it.
+type Baked struct {
+	id       string
+	utilName string     // "<seed>.u"
+	varNames [][]string // per case: "<seed>.<res>" per shape.cases[ci].res
+	shape    *bakedShape
+}
+
+// bakedShape is the part of a Baked that does not depend on the seed ID:
+// seeds baked from the same Utility and Polls slices at the same alpha
+// (the seeds of one machine) share it.
+type bakedShape struct {
+	alpha   float64
+	utility poly.Utility // the cases baked, checked by Validate
+	polls   []PollDemand
+	cases   []caseLP
+}
+
+// Bake precomputes spec's step-3 LP fragments for a solve whose
+// Input.AlphaPoll is alpha (0 means 1, as there). like may be another
+// seed's Baked: when it was baked from the same Utility and Polls slices
+// at the same alpha, the result shares its rows and adds only spec's
+// variable names.
+func Bake(spec *SeedSpec, alpha float64, like *Baked) *Baked {
+	alpha = alphaOrOne(alpha)
+	var sh *bakedShape
+	if like != nil && like.shape.matches(spec, alpha) {
+		sh = like.shape
+	} else {
+		sh = bakeShape(spec, alpha)
+	}
+	b := &Baked{
+		id: spec.ID, utilName: spec.ID + ".u",
+		varNames: make([][]string, len(sh.cases)),
+		shape:    sh,
+	}
+	for ci := range sh.cases {
+		res := sh.cases[ci].res
+		names := make([]string, len(res))
+		for ri, r := range res {
+			names[ri] = spec.ID + "." + r
+		}
+		b.varNames[ci] = names
+	}
+	return b
+}
+
+func bakeShape(spec *SeedSpec, alpha float64) *bakedShape {
+	sh := &bakedShape{
+		alpha: alpha, utility: spec.Utility, polls: spec.Polls,
+		cases: make([]caseLP, len(spec.Utility)),
+	}
+	for ci, c := range spec.Utility {
+		cl := &sh.cases[ci]
+		cl.res = make([]string, 0, 4) // vCPU, RAM, TCAM, PCIe: rarely more
+		for _, con := range c.Constraints {
+			cl.addRes(con)
+		}
+		for _, term := range c.Util {
+			cl.addRes(term)
+		}
+		for _, pd := range spec.Polls {
+			cl.addRes(pd.Rate)
+		}
+		sort.Strings(cl.res)
+		cl.utilRows = make([]lpRow, len(c.Util))
+		for i, term := range c.Util {
+			cl.utilRows[i] = cl.row(term, -1, term.Const)
+		}
+		cl.conRows = make([]lpRow, 0, len(c.Constraints))
+		for _, con := range c.Constraints {
+			if row := cl.row(con, 1, -con.Const); len(row.res) > 0 {
+				cl.conRows = append(cl.conRows, row)
+			}
+		}
+		cl.pollRows = make([]lpRow, len(spec.Polls))
+		cl.pollSubj = make([]string, len(spec.Polls))
+		for i, pd := range spec.Polls {
+			cl.pollRows[i] = cl.row(pd.Rate, -alpha, alpha*pd.Rate.Const)
+			cl.pollSubj[i] = pd.Subject
+		}
+	}
+	return sh
+}
+
+// matches reports whether b was baked from spec at alpha: the same seed
+// ID, the same Utility and Polls slices, the same alpha.
+func (b *Baked) matches(spec *SeedSpec, alpha float64) bool {
+	return b.id == spec.ID && b.shape.matches(spec, alpha)
+}
+
+func (sh *bakedShape) matches(spec *SeedSpec, alpha float64) bool {
+	return sh.alpha == alpha && sameSlice(sh.utility, spec.Utility) && sameSlice(sh.polls, spec.Polls)
+}
+
+// sameSlice reports whether a and b are the same slice: same length, same
+// backing array.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 type seedPrep struct {
@@ -144,8 +250,7 @@ type seedPrep struct {
 	minAllocs []netmodel.Resources
 	minUtils  []float64
 	bestMin   float64 // max over cases of minUtils
-	utilName  string  // interned "<seed>.u" LP variable name
-	cases     []caseLP
+	baked     *Baked
 }
 
 type heurState struct {
@@ -157,6 +262,8 @@ type heurState struct {
 	// pinned marks tasks kept at their Current assignment (warm start).
 	pinned map[string]bool
 
+	// remaining[n] is owned by the solve (cloned from capacity) and
+	// updated in place.
 	remaining map[netmodel.SwitchID]netmodel.Resources
 	// pollMax[n][subject] = current max demand for the subject on n
 	// (shared consumption = max across subscribers at group rate).
@@ -212,9 +319,12 @@ func newHeurState(in *Input) *heurState {
 	for i := range in.Seeds {
 		s := &in.Seeds[i]
 		p := &seedPrep{
-			spec: s, bestMin: math.Inf(-1), utilName: s.ID + ".u",
+			spec: s, bestMin: math.Inf(-1), baked: s.Baked,
 			minAllocs: make([]netmodel.Resources, 0, len(s.Utility)),
 			minUtils:  make([]float64, 0, len(s.Utility)),
+		}
+		if p.baked == nil {
+			p.baked = Bake(s, st.alpha, nil)
 		}
 		for _, c := range s.Utility {
 			alloc, ok := minimalAlloc(c, maxCap)
@@ -230,54 +340,10 @@ func newHeurState(in *Input) *heurState {
 				p.bestMin = u
 			}
 		}
-		st.bakeCases(p)
 		st.preps[s.ID] = p
 		st.tasks[s.Task] = append(st.tasks[s.Task], p)
 	}
 	return st
-}
-
-// bakeCases precomputes every case's step-3 LP fragment for one seed.
-// It runs for every live seed on every solve, so it walks each
-// polynomial's terms in place: no sorted copies of variable names, no
-// per-case maps.
-func (st *heurState) bakeCases(p *seedPrep) {
-	s := p.spec
-	p.cases = make([]caseLP, len(s.Utility))
-	for ci, c := range s.Utility {
-		cl := &p.cases[ci]
-		cl.res = make([]string, 0, 4) // vCPU, RAM, TCAM, PCIe: rarely more
-		for _, con := range c.Constraints {
-			cl.addRes(con)
-		}
-		for _, term := range c.Util {
-			cl.addRes(term)
-		}
-		for _, pd := range s.Polls {
-			cl.addRes(pd.Rate)
-		}
-		sort.Strings(cl.res)
-		cl.varNames = make([]string, len(cl.res))
-		for ri, r := range cl.res {
-			cl.varNames[ri] = s.ID + "." + r
-		}
-		cl.utilRows = make([]lpRow, len(c.Util))
-		for i, term := range c.Util {
-			cl.utilRows[i] = cl.row(term, -1, term.Const)
-		}
-		cl.conRows = make([]lpRow, 0, len(c.Constraints))
-		for _, con := range c.Constraints {
-			if row := cl.row(con, 1, -con.Const); len(row.res) > 0 {
-				cl.conRows = append(cl.conRows, row)
-			}
-		}
-		cl.pollRows = make([]lpRow, len(s.Polls))
-		cl.pollSubj = make([]string, len(s.Polls))
-		for i, pd := range s.Polls {
-			cl.pollRows[i] = cl.row(pd.Rate, -st.alpha, st.alpha*pd.Rate.Const)
-			cl.pollSubj[i] = pd.Subject
-		}
-	}
 }
 
 // addRes adds the resources lin mentions to the case's variable list.
@@ -373,7 +439,7 @@ func (st *heurState) pinCurrent() (bool, map[netmodel.SwitchID]bool) {
 				used[a.Switch] = netmodel.Resources{}
 				polls[a.Switch] = map[string]float64{}
 			}
-			used[a.Switch] = used[a.Switch].Add(allocSansPoll(a.Alloc))
+			addSansPoll(used[a.Switch], a.Alloc)
 			for _, pd := range p.spec.Polls {
 				d := st.alpha * pd.Rate.Eval(a.Alloc.AsFloats())
 				if d > polls[a.Switch][pd.Subject] {
@@ -599,17 +665,30 @@ func (st *heurState) placeSeed(p *seedPrep, n netmodel.SwitchID, caseIdx int) {
 		Case:    caseIdx,
 		Utility: p.minUtils[caseIdx],
 	}
-	st.remaining[n] = st.remaining[n].Sub(allocSansPoll(alloc))
+	subSansPoll(st.remaining[n], alloc)
 	st.commitPolls(n, p.spec, alloc)
 	st.seedsOn[n] = append(st.seedsOn[n], p.spec.ID)
 	st.greedyOn[n] = true
 	st.invalidateSlack(n)
 }
 
-func allocSansPoll(a netmodel.Resources) netmodel.Resources {
-	c := a.Clone()
-	delete(c, netmodel.ResPoll)
-	return c
+// subSansPoll and addSansPoll update a capacity map the solve owns in
+// place by an allocation, skipping poll: polling is accounted through
+// shared subjects (pollMax), not per seed.
+func subSansPoll(m, alloc netmodel.Resources) {
+	for r, v := range alloc {
+		if r != netmodel.ResPoll {
+			m[r] -= v
+		}
+	}
+}
+
+func addSansPoll(m, alloc netmodel.Resources) {
+	for r, v := range alloc {
+		if r != netmodel.ResPoll {
+			m[r] += v
+		}
+	}
 }
 
 // unplaceSeed rolls a seed back out.
@@ -619,7 +698,7 @@ func (st *heurState) unplaceSeed(id string) {
 		return
 	}
 	delete(st.placed, id)
-	st.remaining[a.Switch] = st.remaining[a.Switch].Add(allocSansPoll(a.Alloc))
+	addSansPoll(st.remaining[a.Switch], a.Alloc)
 	list := st.seedsOn[a.Switch]
 	for i, x := range list {
 		if x == id {
@@ -830,11 +909,12 @@ func (st *heurState) solveRedist(sw SwitchInfo, prob *lp.Problem) (*redistOutcom
 	for k, id := range ids {
 		p := st.preps[id]
 		a := st.placed[id]
-		cl := &p.cases[a.Case]
+		cl := &p.baked.shape.cases[a.Case]
+		names := p.baked.varNames[a.Case]
 		cls[k] = cl
 		rv := make([]lp.Var, len(cl.res))
 		for ri, r := range cl.res {
-			v := prob.AddVar(cl.varNames[ri], 0, sw.Capacity[r])
+			v := prob.AddVar(names[ri], 0, sw.Capacity[r])
 			rv[ri] = v
 			if _, seen := usage[r]; !seen {
 				usageOrder = append(usageOrder, r)
@@ -843,7 +923,7 @@ func (st *heurState) solveRedist(sw SwitchInfo, prob *lp.Problem) (*redistOutcom
 		}
 		resVars[k] = rv
 		// Utility variable with t <= each min-term.
-		u := prob.AddVar(p.utilName, 0, lp.Inf)
+		u := prob.AddVar(p.baked.utilName, 0, lp.Inf)
 		utilVars[k] = u
 		obj = append(obj, lp.Coef{Var: u, Val: 1})
 		for _, row := range cl.utilRows {
@@ -930,14 +1010,14 @@ func (st *heurState) applyRedist(sw SwitchInfo, out *redistOutcome) {
 	}
 	st.recomputePolls(sw.ID)
 	// Update remaining capacity from actual allocations.
-	rem := netmodel.Resources{}
+	rem := st.remaining[sw.ID]
+	clear(rem)
 	for r, v := range sw.Capacity {
 		rem[r] = v
 	}
 	for _, id := range out.ids {
-		rem = rem.Sub(allocSansPoll(st.placed[id].Alloc))
+		subSansPoll(rem, st.placed[id].Alloc)
 	}
-	st.remaining[sw.ID] = rem
 	st.invalidateSlack(sw.ID)
 }
 
@@ -1080,7 +1160,7 @@ func (st *heurState) moveBenefit(id string, n netmodel.SwitchID) (float64, bool,
 func (st *heurState) placeSeedAt(p *seedPrep, n netmodel.SwitchID, a Assignment) {
 	a.Switch = n
 	st.placed[p.spec.ID] = a
-	st.remaining[n] = st.remaining[n].Sub(allocSansPoll(a.Alloc))
+	subSansPoll(st.remaining[n], a.Alloc)
 	st.commitPolls(n, p.spec, a.Alloc)
 	st.seedsOn[n] = append(st.seedsOn[n], p.spec.ID)
 	st.invalidateSlack(n)

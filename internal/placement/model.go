@@ -36,6 +36,12 @@ type SeedSpec struct {
 	Candidates []netmodel.SwitchID // N^s, non-empty
 	Utility    poly.Utility        // cases of (C^s, u^s)
 	Polls      []PollDemand
+	// Baked optionally carries this seed's step-3 LP fragments, made by
+	// Bake from this spec's ID, Utility and Polls and the Input's
+	// AlphaPoll. The caller owns it and may hand the same value to every
+	// solve while those stay the same (the seeder keeps one per seed and
+	// utility state, and drops it with the task); nil bakes per solve.
+	Baked *Baked
 }
 
 // SwitchInfo is the optimizer's view of one switch.
@@ -52,7 +58,8 @@ type Assignment struct {
 	Utility float64
 }
 
-// Input is a full placement problem.
+// Input is a full placement problem. A solve reads it and writes none of
+// it, including the SeedSpec.Baked values it shares with other solves.
 type Input struct {
 	Switches []SwitchInfo
 	Seeds    []SeedSpec
@@ -113,11 +120,13 @@ type Result struct {
 	Runtime      time.Duration
 }
 
-func (in *Input) alphaPoll() float64 {
-	if in.AlphaPoll == 0 {
+func (in *Input) alphaPoll() float64 { return alphaOrOne(in.AlphaPoll) }
+
+func alphaOrOne(alpha float64) float64 {
+	if alpha == 0 {
 		return 1
 	}
-	return in.AlphaPoll
+	return alpha
 }
 
 func (in *Input) migrationCost() float64 {
@@ -181,6 +190,10 @@ func (in *Input) Validate() error {
 		}
 		if len(s.Utility) == 0 {
 			return fmt.Errorf("placement: seed %s has no utility cases", s.ID)
+		}
+		if s.Baked != nil && !s.Baked.matches(&s, in.alphaPoll()) {
+			return fmt.Errorf("placement: seed %s: Baked was made from another spec (seed %s, alpha %g; want alpha %g and this Utility and Polls)",
+				s.ID, s.Baked.id, s.Baked.shape.alpha, in.alphaPoll())
 		}
 	}
 	return nil

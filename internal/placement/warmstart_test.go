@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"farm/internal/netmodel"
@@ -39,6 +40,51 @@ func TestHeuristicDigestAcrossWorkers(t *testing.T) {
 		res := solveAt(t, in, workers)
 		if got, want := res.Digest(), ref.Digest(); got != want {
 			t.Fatalf("workers=%d digest %s, serial %s", workers, got, want)
+		}
+	}
+}
+
+// TestBakedFragmentsMatchPerSolve: fragments baked ahead of the solve and
+// carried in SeedSpec.Baked place exactly what fragments baked inside it
+// do, serial and on four workers, at a non-default alpha. The seeds of a
+// task share their first seed's Utility and Polls, as a machine's seeds
+// do in the seeder, and are baked like it, so they share its rows.
+func TestBakedFragmentsMatchPerSolve(t *testing.T) {
+	in := digestScenario()
+	in.AlphaPoll = 0.5
+	first := map[string]int{}
+	for i := range in.Seeds {
+		s := &in.Seeds[i]
+		if f, ok := first[s.Task]; ok {
+			s.Utility, s.Polls = in.Seeds[f].Utility, in.Seeds[f].Polls
+		} else {
+			first[s.Task] = i
+		}
+	}
+	carried := *in
+	carried.Seeds = slices.Clone(in.Seeds)
+	for i := range carried.Seeds {
+		s := &carried.Seeds[i]
+		like := carried.Seeds[first[s.Task]].Baked
+		s.Baked = Bake(s, in.AlphaPoll, like)
+		if like != nil && s.Baked.shape != like.shape {
+			t.Fatalf("seed %s does not share its task's rows", s.ID)
+		}
+	}
+	other := &carried.Seeds[1]
+	if other.Task == carried.Seeds[0].Task {
+		t.Fatal("scenario: the first two seeds are of one task")
+	}
+	if b := Bake(other, in.AlphaPoll, carried.Seeds[0].Baked); b.shape == carried.Seeds[0].Baked.shape {
+		t.Fatal("a seed with other Utility and Polls borrowed rows")
+	}
+	for _, workers := range []int{-1, 4} {
+		want := solveAt(t, in, workers).Digest()
+		// Twice: a solve leaves the fragments it shares as it found them.
+		for run := 0; run < 2; run++ {
+			if got := solveAt(t, &carried, workers).Digest(); got != want {
+				t.Fatalf("workers=%d run %d: carried fragments digest %s, per-solve %s", workers, run, got, want)
+			}
 		}
 	}
 }

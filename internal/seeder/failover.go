@@ -66,7 +66,7 @@ func (sd *Seeder) FailSwitch(id netmodel.SwitchID) (dropped []string, err error)
 		dropped = append(dropped, n)
 		for _, s := range t.seeds {
 			if s.deployed {
-				if rmErr := sd.soils[s.deployedAt].Remove(s.ref.ID()); rmErr != nil {
+				if rmErr := sd.soils[s.deployedAt].Remove(s.id); rmErr != nil {
 					sd.logf("seeder: failover undeploy %s: %v", s.id, rmErr)
 				}
 				s.deployed = false

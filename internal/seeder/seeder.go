@@ -93,6 +93,9 @@ type Seeder struct {
 
 	migrations uint64
 	logf       func(string, ...any)
+	// beforeSolve, when set (tests only), sees every placement input
+	// just before the optimizer does.
+	beforeSolve func(*placement.Input)
 }
 
 type task struct {
@@ -104,7 +107,7 @@ type task struct {
 
 // seedInst is one resolved seed (one element of S^t).
 type seedInst struct {
-	id  string // task/machine/instance
+	id  string // ref.ID() (task/machine[/instance]), built once at resolve
 	ref soil.SeedRef
 	// m is the machine as compiled once for its source: first deploy and
 	// migration restore run the same program.
@@ -115,8 +118,17 @@ type seedInst struct {
 	// re-optimizations can use the seed's current state (§III-B).
 	utilByState map[string]poly.Utility
 	polls       []placement.PollDemand
-	deployedAt  netmodel.SwitchID
-	deployed    bool
+	// baked holds the seed's step-3 LP fragments per utility state, baked
+	// the first time a solve sees the seed in that state and reused by
+	// every later one; they die with the seed. A seed has a state or two,
+	// so a slice, not a map.
+	baked []stateBaked
+	// kin is the first seed resolved from the same machine: it shares
+	// utilByState and polls, so its fragments lend their rows to this
+	// seed's.
+	kin        *seedInst
+	deployedAt netmodel.SwitchID
+	deployed   bool
 }
 
 // New builds a seeder over the fabric, creating one soil per switch.
@@ -314,7 +326,7 @@ func (sd *Seeder) RemoveTask(name string) error {
 func (sd *Seeder) retire(t *task) {
 	for _, s := range t.seeds {
 		if s.deployed {
-			if err := sd.soils[s.deployedAt].Remove(s.ref.ID()); err != nil {
+			if err := sd.soils[s.deployedAt].Remove(s.id); err != nil {
 				sd.logf("seeder: remove %s: %v", s.id, err)
 			}
 			// The freed capacity makes the switch worth revisiting on
@@ -427,9 +439,10 @@ func (sd *Seeder) resolveMachine(t *task, m *storedMachine, externals map[string
 		if len(candidateSets) > 1 {
 			inst = fmt.Sprintf("i%d", i)
 		}
+		ref := soil.SeedRef{Task: t.name, Machine: cm.Name, Instance: inst}
 		si := &seedInst{
-			id:          t.name + "/" + cm.Name + instSuffix(inst),
-			ref:         soil.SeedRef{Task: t.name, Machine: cm.Name, Instance: inst},
+			id:          ref.ID(),
+			ref:         ref,
 			m:           m,
 			externals:   externals,
 			candidates:  cands,
@@ -438,14 +451,10 @@ func (sd *Seeder) resolveMachine(t *task, m *storedMachine, externals map[string
 		}
 		seeds = append(seeds, si)
 	}
-	return seeds, nil
-}
-
-func instSuffix(inst string) string {
-	if inst == "" {
-		return ""
+	for _, si := range seeds {
+		si.kin = seeds[0]
 	}
-	return "/" + inst
+	return seeds, nil
 }
 
 // resolvePlacement interprets one place directive into candidate sets.
@@ -575,13 +584,7 @@ func (sd *Seeder) resolvePlacement(pl almanac.Placement, env map[string]almanac.
 // and applies the optimizer's decisions to the soils.
 func (sd *Seeder) optimizeAndApply() error {
 	in := sd.buildInput()
-	var res *placement.Result
-	var err error
-	if sd.opts.UseMILP {
-		res, err = placement.MILP(in, placement.MILPOptions{Timeout: sd.opts.MILPTimeout})
-	} else {
-		res, err = placement.Heuristic(in)
-	}
+	res, err := sd.solve(in)
 	if err != nil {
 		return err
 	}
@@ -591,7 +594,7 @@ func (sd *Seeder) optimizeAndApply() error {
 		// the full solver one shot before the drop stands.
 		in.Touched = nil
 		in.ForceFull = true
-		if res, err = placement.Heuristic(in); err != nil {
+		if res, err = sd.solve(in); err != nil {
 			return err
 		}
 	}
@@ -608,6 +611,16 @@ func (sd *Seeder) optimizeAndApply() error {
 	sd.fullNeeded = false
 	sd.touched = map[netmodel.SwitchID]bool{}
 	return nil
+}
+
+func (sd *Seeder) solve(in *placement.Input) (*placement.Result, error) {
+	if sd.beforeSolve != nil {
+		sd.beforeSolve(in)
+	}
+	if sd.opts.UseMILP {
+		return placement.MILP(in, placement.MILPOptions{Timeout: sd.opts.MILPTimeout})
+	}
+	return placement.Heuristic(in)
 }
 
 // freshDrop reports whether res drops a task the previous solve did
@@ -645,11 +658,11 @@ func (sd *Seeder) buildInput() *placement.Input {
 	for _, n := range names {
 		t := sd.tasks[n]
 		for _, s := range t.seeds {
-			util := s.utilByState[s.m.cm.InitialState]
+			state := s.m.cm.InitialState
 			if s.deployed {
-				if st, err := sd.soils[s.deployedAt].SeedState(s.ref.ID()); err == nil {
-					if u, ok := s.utilByState[st]; ok {
-						util = u
+				if st, err := sd.soils[s.deployedAt].SeedState(s.id); err == nil {
+					if _, ok := s.utilByState[st]; ok {
+						state = st
 					}
 				}
 				in.Current[s.id] = sd.placements[s.id]
@@ -665,12 +678,39 @@ func (sd *Seeder) buildInput() *placement.Input {
 				Task:       t.name,
 				Machine:    s.m.cm.Name,
 				Candidates: cands,
-				Utility:    util,
+				Utility:    s.utilByState[state],
 				Polls:      s.polls,
 			})
+			spec := &in.Seeds[len(in.Seeds)-1]
+			spec.Baked = s.bakedFor(state, spec, in.AlphaPoll)
 		}
 	}
 	return in
+}
+
+type stateBaked struct {
+	state string
+	baked *placement.Baked
+}
+
+// bakedFor returns the seed's LP fragments in the given state, baking
+// them on first use.
+func (s *seedInst) bakedFor(state string, spec *placement.SeedSpec, alpha float64) *placement.Baked {
+	if b := s.bakedIn(state); b != nil {
+		return b
+	}
+	b := placement.Bake(spec, alpha, s.kin.bakedIn(state))
+	s.baked = append(s.baked, stateBaked{state, b})
+	return b
+}
+
+func (s *seedInst) bakedIn(state string) *placement.Baked {
+	for _, sb := range s.baked {
+		if sb.state == state {
+			return sb.baked
+		}
+	}
+	return nil
 }
 
 // apply reconciles soils with an optimization result. Resources are
@@ -691,7 +731,7 @@ func (sd *Seeder) apply(res *placement.Result) error {
 			switch {
 			case !placed && s.deployed:
 				// Evicted (task dropped in re-optimization).
-				if err := sd.soils[s.deployedAt].Remove(s.ref.ID()); err != nil {
+				if err := sd.soils[s.deployedAt].Remove(s.id); err != nil {
 					sd.logf("seeder: evict %s: %v", s.id, err)
 				}
 				s.deployed = false
@@ -701,7 +741,7 @@ func (sd *Seeder) apply(res *placement.Result) error {
 				if !sameAlloc(old, a.Alloc) && old.AtLeast(a.Alloc, 1e-9) {
 					// Shrinking: safe to apply before anything claims
 					// the freed capacity.
-					if err := sd.soils[a.Switch].Realloc(s.ref.ID(), a.Alloc); err != nil {
+					if err := sd.soils[a.Switch].Realloc(s.id, a.Alloc); err != nil {
 						sd.logf("seeder: realloc %s: %v", s.id, err)
 					}
 					sd.placements[s.id] = a
@@ -729,7 +769,7 @@ func (sd *Seeder) apply(res *placement.Result) error {
 				}
 			default:
 				if !sameAlloc(sd.placements[s.id].Alloc, a.Alloc) {
-					if err := sd.soils[a.Switch].Realloc(s.ref.ID(), a.Alloc); err != nil {
+					if err := sd.soils[a.Switch].Realloc(s.id, a.Alloc); err != nil {
 						sd.logf("seeder: realloc %s: %v", s.id, err)
 					}
 				}
@@ -761,11 +801,11 @@ func (sd *Seeder) deploySeed(s *seedInst, a placement.Assignment) error {
 // then restore on the target after the modelled state-transfer delay.
 func (sd *Seeder) migrateSeed(s *seedInst, a placement.Assignment) error {
 	src := sd.soils[s.deployedAt]
-	snap, err := src.SnapshotSeed(s.ref.ID())
+	snap, err := src.SnapshotSeed(s.id)
 	if err != nil {
 		return err
 	}
-	if err := src.Remove(s.ref.ID()); err != nil {
+	if err := src.Remove(s.id); err != nil {
 		return err
 	}
 	stateBytes := estimateSnapshotBytes(snap)

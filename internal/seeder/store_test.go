@@ -522,3 +522,106 @@ func BenchmarkResubmit(b *testing.B) {
 		cycle()
 	}
 }
+
+// soakCapacity is the fleet soak's per-switch model (fleet.SoakConfig's
+// default, and control-churn's): wide enough for the whole catalogue on
+// every switch at once.
+func soakCapacity() netmodel.Resources {
+	return netmodel.Resources{
+		netmodel.ResVCPU: 128,
+		netmodel.ResRAM:  1 << 17,
+		netmodel.ResTCAM: 1 << 14,
+		netmodel.ResPCIe: 512,
+		netmodel.ResPoll: 1e6,
+	}
+}
+
+// catalogueSpecs is the Tab. I catalogue as submit specs, sorted by name.
+func catalogueSpecs() []TaskSpec {
+	var specs []TaskSpec
+	for _, d := range tasks.All() {
+		specs = append(specs, TaskSpec{Name: d.Name, Source: d.Source, Machines: d.Machines, Externals: d.DefaultExternals})
+	}
+	return specs
+}
+
+// churnFabric is the control-churn fabric: 2 spines, 4 leaves, soak
+// capacities.
+func churnFabric(tb testing.TB) (*fabric.Fabric, engine.Scheduler) {
+	tb.Helper()
+	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{
+		Spines: 2, Leaves: 4, HostsPerLeaf: 8,
+		LeafCapacity: soakCapacity(), SpineCapacity: soakCapacity(),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	loop := engine.NewSerial()
+	return fabric.New(topo, loop, fabric.Options{}), loop
+}
+
+// loadedSeeder is the churn fabric with every catalogue task live, and a
+// cycle that retires and resubmits the next task in turn: a warm replan
+// with 17 other tasks' seeds in the problem.
+func loadedSeeder(tb testing.TB, parallel int) (sd *Seeder, cycle func()) {
+	tb.Helper()
+	fab, _ := churnFabric(tb)
+	sd = New(fab, Options{PlacementParallel: parallel})
+	specs := catalogueSpecs()
+	for _, spec := range specs {
+		if err := sd.AddTask(spec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	next := 0
+	return sd, func() {
+		spec := specs[next%len(specs)]
+		next++
+		if err := sd.RemoveTask(spec.Name); err != nil {
+			tb.Fatal(err)
+		}
+		if err := sd.AddTask(spec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkResubmitLoaded is BenchmarkResubmit with the whole catalogue
+// live: one op retires and resubmits one task while the other 17 stay
+// placed, so the warm replan carries every live seed. What placement
+// costs per submit shows here, not on the empty fabric.
+func BenchmarkResubmitLoaded(b *testing.B) {
+	_, cycle := loadedSeeder(b, -1)
+	for i := 0; i < len(catalogueSpecs()); i++ {
+		cycle()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
+
+// TestLoadedResubmitAllocBound pins BenchmarkResubmitLoaded's objects per
+// cycle. Re-baking every live seed's step-3 LP fragments on every replan,
+// and cloning a capacity map per update, cost 5 135; fragments carried on
+// the seed and capacity updated in place bring it to ≈ 2 300.
+func TestLoadedResubmitAllocBound(t *testing.T) {
+	_, cycle := loadedSeeder(t, -1)
+	n := len(catalogueSpecs())
+	for i := 0; i < n; i++ {
+		cycle()
+	}
+	// One full lap of the catalogue per run, so every task's cost counts
+	// once in the mean.
+	got := testing.AllocsPerRun(2, func() {
+		for i := 0; i < n; i++ {
+			cycle()
+		}
+	}) / float64(n)
+	t.Logf("loaded retire+resubmit: %.0f allocs per cycle", got)
+	const bound = 3000
+	if got > bound {
+		t.Fatalf("loaded retire+resubmit = %.0f allocs per cycle, want <= %d", got, bound)
+	}
+}
