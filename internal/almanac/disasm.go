@@ -49,6 +49,7 @@ func (p *Lowered) Disassemble() string {
 		fn := &p.Funcs[fi]
 		fmt.Fprintf(&b, "func %s/%d -> chunk %d\n", fn.Name, fn.NumParams, fn.Chunk)
 	}
+	fmt.Fprintf(&b, "init -> chunk %d\n", p.Init)
 	b.WriteString(p.DisassembleRegisters())
 	return b.String()
 }
@@ -73,6 +74,9 @@ func (p *Lowered) DisassembleRegisters() string {
 		fmt.Fprintf(&b, "rchunk %d: %d regs (%d locals", ci, ch.NumRegs, ch.NumLocals)
 		if ch.HasBind {
 			fmt.Fprintf(&b, ", r0 = binding")
+		}
+		if int32(ci) == p.Init {
+			fmt.Fprintf(&b, ", init")
 		}
 		fmt.Fprintf(&b, ")\n")
 		for pc, in := range ch.Code {

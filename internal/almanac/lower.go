@@ -5,13 +5,14 @@ import "fmt"
 // Lowering back end: compiles a post-sema CompiledMachine into a flat
 // program — slot-indexed variable frames (machine vars, per-state
 // persistent vars, per-handler locals), a dense state × trigger
-// dispatch table, and register code for every event handler and
-// auxiliary function, emitted in one walk over the AST (the instruction
-// set and the emitter are in rlower.go). internal/core's VM runs that
-// code allocation-free in steady state. The AST interpreter remains the
+// dispatch table, and register code for every event handler, every
+// auxiliary function and the variables' initialisers, emitted in one
+// walk over the AST (the instruction set and the emitter are in
+// rlower.go). internal/core's VM runs that code allocation-free in
+// steady state. The AST interpreter in internal/core's tests is the
 // semantic reference, and the lowered program must be behaviourally
-// indistinguishable from it (states, emissions, snapshots, and error
-// strings — the property tests in internal/core pin this).
+// indistinguishable from it (construction, states, emissions,
+// snapshots, and error strings — the property tests there pin this).
 //
 // Design notes for exact interpreter parity:
 //
@@ -124,11 +125,30 @@ type Lowered struct {
 	Structs      []StructSite
 	FieldAssigns []FieldAssignSite
 
-	// RegChunks holds every handler and function body; the dispatch
-	// tables and Funcs index it. RFieldSites counts RField instructions
-	// across the program so executors can size their inline-cache tables.
+	// RegChunks holds every handler and function body and the init
+	// chunk; the dispatch tables, Funcs and Init index it. RFieldSites
+	// counts RField instructions across the program so executors can
+	// size their inline-cache tables.
 	RegChunks   []RegChunk
 	RFieldSites int32
+
+	// Init is the chunk that builds a seed's variables, the last one.
+	// It runs the machine variables' initialisers in declaration order,
+	// each seeing only the machine variables built before it, then every
+	// state's variables' initialisers, state by state, which see every
+	// machine variable and no state variable. Functions they call look
+	// names up at runtime, so the executor starts every env and state
+	// slot undefined and reads an undefined one as undeclared. The
+	// chunk's locals are, in order: one per external machine variable, in
+	// declaration order, holding the deployment's binding or undefined
+	// when there is none (a bound one takes the binding after its
+	// initialiser ran, an unbound one keeps the initialiser's value); one
+	// per state
+	// variable, states in order, holding its built value when the chunk
+	// ends; and the name of the initialiser running, for its fault. The
+	// initial state's values also move into its frame once all of them
+	// are built: from then on, and not before, functions see them.
+	Init int32
 }
 
 // StateSlots is the total per-state persistent slot count.
@@ -285,6 +305,7 @@ func Lower(cm *CompiledMachine, builtinNames []string) (lp *Lowered, err error) 
 		}
 		l.p.Funcs[fi].Chunk = l.compileChunk(nil, fd.Body, params)
 	}
+	l.p.Init = l.compileInit()
 	if l.err != nil {
 		return nil, l.err
 	}
@@ -342,6 +363,9 @@ type chunkCompiler struct {
 	sctx   *stateCtx // nil inside auxiliary functions
 	locals map[string]int32
 	nloc   int32 // slots handed out so far
+	// built is, in the init chunk, the machine variables built so far;
+	// nil elsewhere, where all of them are.
+	built map[string]bool
 }
 
 func (l *lowerer) compileHandler(sctx *stateCtx, body []Stmt, bindName string) int32 {
@@ -371,6 +395,72 @@ func (l *lowerer) compileChunk(sctx *stateCtx, body []Stmt, params []string) int
 	c.stmts(body)
 	l.p.RegChunks = append(l.p.RegChunks, c.finish(len(params) > 0))
 	return int32(len(l.p.RegChunks) - 1)
+}
+
+// compileInit compiles Lowered.Init. It is the last chunk compiled, so
+// the names, literals and sites it adds extend the pools without moving
+// an index any other chunk holds.
+func (l *lowerer) compileInit() int32 {
+	cm := l.cm
+	nExt := int32(0)
+	for _, v := range cm.Vars {
+		if v.External {
+			nExt++
+		}
+	}
+	c := &chunkCompiler{emitter: emitter{lastProd: -1}, l: l, sctx: &stateCtx{}, locals: map[string]int32{}, built: map[string]bool{}}
+	c.numLocals = nExt + int32(l.p.StateSlots()) + 1
+	c.defined = newLocalSet(c.numLocals)
+	running := c.numLocals - 1
+	ext := int32(0)
+	for i := range cm.Vars {
+		v := &cm.Vars[i]
+		line, slot := int32(v.DeclLine), l.envIdx[v.Name]
+		if v.Init != nil {
+			c.initValue(v.Init, REnvOpnd(slot), running, fmt.Sprintf("core: %s: init of %s", cm.Name, v.Name))
+		} else if !v.External {
+			c.emit(RZero, REnvOpnd(slot), int32(v.Type), 0, 0, line)
+		}
+		if v.External {
+			if v.Init != nil {
+				c.emit(RLoadLE, REnvOpnd(slot), ext, slot, 0, line) // the binding, if any
+			} else {
+				c.emit(RMove, REnvOpnd(slot), ext, 0, 0, line)
+			}
+			ext++
+		}
+		c.built[v.Name] = true
+	}
+	reg := nExt
+	for si := range cm.States {
+		st := &cm.States[si]
+		first := reg
+		for j := range st.Vars {
+			v := &st.Vars[j]
+			if v.Init != nil {
+				c.initValue(v.Init, reg, running, fmt.Sprintf("core: %s: state %s: init of %s", cm.Name, st.Name, v.Name))
+			} else {
+				c.emit(RZero, reg, int32(v.Type), 0, 0, int32(v.DeclLine))
+			}
+			reg++
+		}
+		if int32(si) == l.p.InitialState {
+			for j := range st.Vars {
+				c.emit(RMove, RStOpnd(int32(j)), first+int32(j), 0, 0, 0)
+			}
+		}
+	}
+	l.p.RegChunks = append(l.p.RegChunks, c.finish(false))
+	return int32(len(l.p.RegChunks) - 1)
+}
+
+// initValue evaluates one initialiser into dst, first noting its name in
+// register running.
+func (c *chunkCompiler) initValue(init Expr, dst, running int32, name string) {
+	line := int32(init.Line())
+	c.emit(RMove, running, RLitOpnd(c.l.lit(Lit{Kind: LitStr, S: name})), 0, 0, line)
+	c.expr(init)
+	c.store(dst, c.pop(), line)
 }
 
 // collectLocals pre-allocates a slot for every name a DeclStmt anywhere
@@ -596,7 +686,7 @@ func (c *chunkCompiler) resolve(name string) (scope, int32) {
 	if ss, ok := c.sctx.slots[name]; ok {
 		return scopeState, ss
 	}
-	if es, ok := c.l.envIdx[name]; ok {
+	if es, ok := c.l.envIdx[name]; ok && (c.built == nil || c.built[name]) {
 		return scopeEnv, es
 	}
 	return scopeUndeclared, c.l.name(name)

@@ -5,8 +5,7 @@ import "fmt"
 // Register code: the 3-address form over a per-chunk virtual register
 // file that Lower emits and internal/core's VM executes, and the
 // emitter the AST walk in lower.go drives. Its semantics are the
-// interpreter's (the parity storms in internal/core and internal/tasks
-// pin this).
+// interpreter's (the parity storms in internal/core pin this).
 //
 // Register file layout for a chunk: registers [0, NumLocals) are the
 // chunk's locals (event binding or parameters, then every declared

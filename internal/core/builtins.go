@@ -5,11 +5,10 @@ import (
 	"math"
 	"sort"
 
-	"farm/internal/almanac"
 	"farm/internal/dataplane"
 )
 
-// Aliases keeping eval.go terse.
+// Aliases keeping the packet field reads terse.
 const (
 	flagSYN = dataplane.FlagSYN
 	flagACK = dataplane.FlagACK
@@ -18,53 +17,6 @@ const (
 )
 
 func dataplanePacket(p PacketVal) dataplane.Packet { return dataplane.Packet(p) }
-
-func dataplaneProtoName(p PacketVal) string { return p.Proto.String() }
-
-// evalCall dispatches user functions and the runtime library
-// (List. 1 of the paper plus list/map/math helpers the Tab. I tasks use).
-func (s *Seed) evalCall(ex *almanac.CallExpr, sc *scope) (Value, error) {
-	// User-defined auxiliary functions shadow nothing: builtins win to
-	// keep the runtime library stable.
-	if fn, ok := builtins[ex.Name]; ok {
-		args := make([]Value, len(ex.Args))
-		for i, a := range ex.Args {
-			v, err := s.eval(a, sc)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		return fn(s.host, args, ex.Line())
-	}
-	if fd, ok := s.funcs[ex.Name]; ok {
-		if len(ex.Args) != len(fd.Params) {
-			return nil, fmt.Errorf("core: %s expects %d arguments, got %d (line %d)", ex.Name, len(fd.Params), len(ex.Args), ex.Line())
-		}
-		bind := map[string]Value{}
-		for i, p := range fd.Params {
-			v, err := s.eval(ex.Args[i], sc)
-			if err != nil {
-				return nil, err
-			}
-			bind[p.Name] = v
-		}
-		if s.depth >= maxCallDepth {
-			return nil, errCallDepth(ex.Name, ex.Line())
-		}
-		s.depth++
-		res, err := s.exec(fd.Body, newScope(s, bind))
-		s.depth--
-		if err != nil {
-			return nil, err
-		}
-		if res.kind == ctrlTransit {
-			return nil, fmt.Errorf("core: transit inside function %s is not allowed", ex.Name)
-		}
-		return res.val, nil
-	}
-	return nil, fmt.Errorf("core: unknown function %s (line %d)", ex.Name, ex.Line())
-}
 
 type builtinFn func(h Host, args []Value, line int) (Value, error)
 

@@ -1,11 +1,14 @@
 package core
 
-import "farm/internal/almanac"
+import (
+	"fmt"
 
-// Runner is a deployed machine instance. Production deployments get
-// the register VM (*rvmSeed) from Program.NewRunner; the AST interpreter
-// (*Seed) satisfies the same interface and is what tests compare it
-// against. Soil programs against this.
+	"farm/internal/almanac"
+)
+
+// Runner is a deployed machine instance: the register VM (*rvmSeed)
+// that Program.NewRunner builds. Soil programs against this, and the
+// AST interpreter the tests hold the VM to satisfies it too.
 type Runner interface {
 	Machine() *almanac.CompiledMachine
 	State() string
@@ -19,10 +22,7 @@ type Runner interface {
 	Restore(snap Snapshot) error
 }
 
-var (
-	_ Runner = (*Seed)(nil)
-	_ Runner = (*rvmSeed)(nil)
-)
+var _ Runner = (*rvmSeed)(nil)
 
 // Program is a machine ready to run: its compiled form, the register
 // program lowered from it, and that program resolved against this
@@ -36,8 +36,8 @@ var (
 // field caches, every list, map, struct and sketch value — belongs to
 // the runner (rvmSeed) and is built per NewRunner; what is shared is
 // literals (scalars and strings only), layouts, dispatch tables and
-// the machine's AST, which NewRunner's initialiser evaluation only
-// reads.
+// the compiled machine, of which NewRunner reads only the external
+// variables' declarations.
 type Program struct {
 	cm       *almanac.CompiledMachine
 	p        *almanac.Lowered
@@ -114,34 +114,86 @@ func Compile(cm *almanac.CompiledMachine) (*Program, error) {
 func (lp *Program) Machine() *almanac.CompiledMachine { return lp.cm }
 
 // NewRunner deploys one instance of the program on the register VM.
-// Construction goes through NewSeed so init-expression evaluation,
-// external binding/validation, and every construction-time error string
-// have one source, the interpreter; its env and per-state variable maps
-// are flattened into slot frames and the interpreter is let go — the
-// runner keeps the host, nothing else.
+// The deployment's bindings are checked against the machine's external
+// variables before anything runs; then the init chunk builds the
+// variables (almanac.Lowered.Init) against the deployment's host, and a
+// fault there is reported with the initialiser it happened in.
+// Construction is not charged to the seed's action count.
 func (lp *Program) NewRunner(externals map[string]Value, host Host) (Runner, error) {
-	in, err := NewSeed(lp.cm, externals, host)
+	args, err := lp.bindExternals(externals)
 	if err != nil {
 		return nil, err
 	}
-	m := &rvmSeed{host: in.host, lp: lp, state: lp.p.InitialState}
-	m.env = make([]rval, len(lp.p.EnvSlots))
-	for i, s := range lp.p.EnvSlots {
-		m.env[i] = unbox(in.env[s.Name])
-	}
-	m.states = make([][]rval, len(lp.p.States))
-	for si := range lp.p.States {
-		slots := lp.p.States[si].Slots
-		fr := make([]rval, len(slots))
-		sv := in.stateVars[lp.p.States[si].Name]
-		for i, s := range slots {
-			fr[i] = unbox(sv[s.Name])
-		}
-		m.states[si] = fr
+	p := lp.p
+	m := &rvmSeed{host: machineHost{host, p.Machine}, lp: lp, state: p.InitialState}
+	// Every slot starts undefined: not built yet.
+	m.env = make([]rval, len(p.EnvSlots))
+	m.states = make([][]rval, len(p.States))
+	all := make([]rval, p.StateSlots())
+	for si := range p.States {
+		n := len(p.States[si].Slots)
+		m.states[si], all = all[:n:n], all[n:]
 	}
 	m.regs = make([]rval, 64)
-	if n := lp.p.RFieldSites; n > 0 {
+	if n := p.RFieldSites; n > 0 {
 		m.fc = make([]fieldCache, n)
 	}
+	if _, err := m.runChunk(p.Init, args); err != nil {
+		if running := m.regs[p.RegChunks[p.Init].NumLocals-1]; running.k == rkStr {
+			return nil, fmt.Errorf("%s: %w", running.asStr(), err)
+		}
+		return nil, err
+	}
+	// The initial state's variables are in its frame already, perhaps
+	// written since by a function; the other states' are where the
+	// chunk built them.
+	built := m.regs[len(args):]
+	for si, fr := range m.states {
+		if int32(si) != p.InitialState {
+			copy(fr, built)
+		}
+		built = built[len(fr):]
+	}
+	m.actions = 0
 	return m, nil
+}
+
+// bindExternals checks a deployment's bindings against the machine's
+// external variables — every one without an initialiser bound, nothing
+// bound the machine does not declare external, the first offender in
+// declaration or name order reported — and returns them as the init
+// chunk's arguments: a private copy of each binding, undefined where
+// there is none.
+func (lp *Program) bindExternals(externals map[string]Value) ([]rval, error) {
+	declared := func(name string) bool {
+		for _, v := range lp.cm.Vars {
+			if v.External && v.Name == name {
+				return true
+			}
+		}
+		return false
+	}
+	n := 0
+	for _, v := range lp.cm.Vars {
+		if v.External {
+			n++
+		}
+	}
+	args := make([]rval, 0, n)
+	for _, v := range lp.cm.Vars {
+		if !v.External {
+			continue
+		}
+		var a rval
+		if x, ok := externals[v.Name]; ok {
+			a = unbox(CloneValue(x))
+		} else if v.Init == nil {
+			return nil, fmt.Errorf("core: %s: external variable %s not bound at deployment", lp.p.Machine, v.Name)
+		}
+		args = append(args, a)
+	}
+	if name, ok := smallestMissing(externals, declared); ok {
+		return nil, fmt.Errorf("core: %s: unknown external variable %s", lp.p.Machine, name)
+	}
+	return args, nil
 }

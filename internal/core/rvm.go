@@ -17,6 +17,33 @@ import (
 // so the hot path does no map hashing. The seed struct, its frames and
 // the slow paths live in vm.go.
 
+// ctrl describes how a chunk terminated.
+type ctrl int
+
+const (
+	ctrlNone ctrl = iota
+	ctrlReturn
+	ctrlTransit
+)
+
+// maxTransitChain bounds enter/exit cascades so a buggy machine cannot
+// loop the soil forever.
+const maxTransitChain = 64
+
+// maxWhileIterations bounds loops so a buggy machine cannot wedge the
+// event loop.
+const maxWhileIterations = 1_000_000
+
+// maxCallDepth bounds nested calls of auxiliary functions, so a function
+// that never bottoms out fails its handler instead of overflowing the Go
+// stack of the process that hosts the soil. Both executors count the
+// same activations and fail with errCallDepth at the same call.
+const maxCallDepth = 200
+
+func errCallDepth(fn string, line int) error {
+	return fmt.Errorf("core: call of %s nests deeper than %d (runaway recursion?) (line %d)", fn, maxCallDepth, line)
+}
+
 func (m *rvmSeed) Start() error {
 	if m.started {
 		return fmt.Errorf("core: seed %s already started", m.lp.p.Machine)

@@ -16,6 +16,7 @@ type mockHost struct {
 	now       time.Duration
 	resources netmodel.Resources
 	tcam      *dataplane.TCAM
+	rules     []string // every AddTCAMRule call, rendered
 	sent      []sentMsg
 	intervals map[string]float64
 	execCalls []string
@@ -39,6 +40,7 @@ func newMockHost() *mockHost {
 func (h *mockHost) Now() time.Duration            { return h.now }
 func (h *mockHost) Resources() netmodel.Resources { return h.resources }
 func (h *mockHost) AddTCAMRule(r dataplane.Rule) error {
+	h.rules = append(h.rules, fmt.Sprintf("%+v", r))
 	return h.tcam.AddRule(r)
 }
 func (h *mockHost) RemoveTCAMRule(f dataplane.Filter) bool { return h.tcam.RemoveRule(f) }
@@ -221,14 +223,26 @@ func TestRecvPatternMatching(t *testing.T) {
 	}
 }
 
+// Bindings that do not match the machine's externals fail the deployment
+// on both executors, the smallest unknown name reported whatever the
+// map's order.
 func TestExternalValidation(t *testing.T) {
 	cm := compileSrc(t, hhRunnableSource, "HH")
-	h := newMockHost()
-	if _, err := NewSeed(cm, nil, h); err == nil || !strings.Contains(err.Error(), "not bound") {
-		t.Fatalf("err = %v, want unbound-external error", err)
-	}
-	if _, err := NewSeed(cm, map[string]Value{"threshold": int64(1), "typo": int64(2)}, h); err == nil || !strings.Contains(err.Error(), "unknown external") {
-		t.Fatalf("err = %v, want unknown-external error", err)
+	for _, c := range []struct {
+		ext  map[string]Value
+		want string
+	}{
+		{nil, "core: HH: external variable threshold not bound at deployment"},
+		{map[string]Value{"threshold": int64(1), "typo": int64(2)}, "core: HH: unknown external variable typo"},
+		{map[string]Value{"threshold": int64(1), "zz": int64(2), "typo": int64(3), "aa": int64(4)}, "core: HH: unknown external variable aa"},
+	} {
+		for _, be := range parityBackends {
+			for round := 0; round < 20; round++ {
+				if _, err := newParityRunner(be, cm, c.ext, newMockHost()); err == nil || err.Error() != c.want {
+					t.Fatalf("%s: err = %v, want %q", be, err, c.want)
+				}
+			}
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // frames (machine env slots, per-state persistent slots, a register
 // arena for handler/function activations); only reference values
 // (lists, maps, structs, sketches, ...) carry a boxed payload. The AST
-// interpreter (seed.go/eval.go) is the semantic reference: every
+// interpreter in this package's tests is the semantic reference: every
 // operation here must match it bit-for-bit, including error strings —
 // the parity property tests enforce that.
 
@@ -25,7 +25,7 @@ import (
 type rkind uint8
 
 const (
-	rkUndef rkind = iota // local slot whose DeclStmt has not executed yet
+	rkUndef rkind = iota // local slot whose DeclStmt has not executed yet, or a variable not built yet
 	rkNil
 	rkInt
 	rkFloat
@@ -227,8 +227,8 @@ var (
 	zeroPacketVal Value = PacketVal{}
 )
 
-// zeroRval mirrors zeroValue. TMap must be fresh per execution (maps
-// are mutable references).
+// zeroRval mirrors the interpreter's zeroValue. TMap must be fresh per
+// execution (maps are mutable references).
 func zeroRval(t almanac.Type) rval {
 	switch t {
 	case almanac.TBool:
@@ -255,7 +255,7 @@ func zeroRval(t almanac.Type) rval {
 }
 
 // rvmSeed executes one deployed machine on the register form of its
-// lowered program. It satisfies Runner exactly like *Seed does.
+// lowered program.
 type rvmSeed struct {
 	host    Host
 	lp      *Program
@@ -355,26 +355,21 @@ func (m *rvmSeed) Restore(snap Snapshot) error {
 	if !ok {
 		return fmt.Errorf("core: snapshot state %s unknown", snap.State)
 	}
-	for k, v := range snap.Env {
-		ei, ok := m.lp.envIdx[k]
-		if !ok {
-			return fmt.Errorf("core: snapshot variable %s unknown", k)
-		}
-		m.env[ei] = unbox(CloneValue(v))
+	lp := m.lp
+	err := snap.checkNames(
+		func(k string) bool { _, ok := lp.envIdx[k]; return ok },
+		func(st string) bool { _, ok := lp.stateIdx[st]; return ok },
+		func(st, k string) bool { _, ok := lp.svIdx[lp.stateIdx[st]][k]; return ok })
+	if err != nil {
+		return err
 	}
-	for stName, vars := range snap.StateVars {
-		si, ok := m.lp.stateIdx[stName]
-		if !ok {
-			return fmt.Errorf("core: snapshot state %s unknown", stName)
-		}
-		idx := m.lp.svIdx[si]
+	for k, v := range snap.Env {
+		m.env[lp.envIdx[k]] = unbox(CloneValue(v))
+	}
+	for st, vars := range snap.StateVars {
+		si := lp.stateIdx[st]
 		for k, v := range vars {
-			if vi, ok := idx[k]; ok {
-				m.states[si][vi] = unbox(CloneValue(v))
-			}
-			// Names the state never declared are silently dropped: the
-			// interpreter would stash them in its map where no program
-			// accepted by sema can observe them.
+			m.states[si][lp.svIdx[si][k]] = unbox(CloneValue(v))
 		}
 	}
 	m.state = tgt
@@ -389,25 +384,30 @@ type chunkResult struct {
 	val     rval
 }
 
-// dynLoad is the interpreter's scope chain minus handler locals
-// (resolved statically): current state's vars, then machine env.
-func (m *rvmSeed) dynLoad(name string, line int32) (rval, error) {
-	if vi, ok := m.lp.svIdx[m.state][name]; ok {
-		return m.states[m.state][vi], nil
+// dynSlot resolves a name the way a function body sees it (handler
+// locals are resolved statically): the current state's variables, then
+// the machine's. A slot still undefined is a variable not built yet
+// (only while the init chunk runs) and resolves no name.
+func (m *rvmSeed) dynSlot(name string) *rval {
+	if vi, ok := m.lp.svIdx[m.state][name]; ok && m.states[m.state][vi].k != rkUndef {
+		return &m.states[m.state][vi]
 	}
-	if ei, ok := m.lp.envIdx[name]; ok {
-		return m.env[ei], nil
+	if ei, ok := m.lp.envIdx[name]; ok && m.env[ei].k != rkUndef {
+		return &m.env[ei]
+	}
+	return nil
+}
+
+func (m *rvmSeed) dynLoad(name string, line int32) (rval, error) {
+	if p := m.dynSlot(name); p != nil {
+		return *p, nil
 	}
 	return rval{}, fmt.Errorf("core: undeclared variable %s (line %d)", name, line)
 }
 
 func (m *rvmSeed) dynStore(name string, v rval) error {
-	if vi, ok := m.lp.svIdx[m.state][name]; ok {
-		m.states[m.state][vi] = v
-		return nil
-	}
-	if ei, ok := m.lp.envIdx[name]; ok {
-		m.env[ei] = v
+	if p := m.dynSlot(name); p != nil {
+		*p = v
 		return nil
 	}
 	return fmt.Errorf("core: assignment to undeclared variable %s", name)
@@ -595,11 +595,7 @@ func (m *rvmSeed) fieldAssign(fa *almanac.FieldAssignSite, loc []rval, v rval) e
 	if fa.Local >= 0 && loc[fa.Local].k != rkUndef {
 		cur = &loc[fa.Local]
 	} else if fa.Dyn {
-		if vi, ok := m.lp.svIdx[m.state][fa.Target]; ok {
-			cur = &m.states[m.state][vi]
-		} else if ei, ok := m.lp.envIdx[fa.Target]; ok {
-			cur = &m.env[ei]
-		}
+		cur = m.dynSlot(fa.Target)
 	} else if fa.St >= 0 {
 		cur = &m.states[m.state][fa.St]
 	} else if fa.Env >= 0 {

@@ -18,7 +18,7 @@ import (
 // snippets, hand-picked corner cases, and long random trigger sequences,
 // and diff everything against the interpreter.
 
-func parityCompile(t *testing.T, src, name string) *almanac.CompiledMachine {
+func parityCompile(t testing.TB, src, name string) *almanac.CompiledMachine {
 	t.Helper()
 	prog, err := almanac.Parse(src)
 	if err != nil {
@@ -148,6 +148,9 @@ func hostTrace(h *mockHost) string {
 	var b strings.Builder
 	for _, m := range h.sent {
 		fmt.Fprintf(&b, "send harv=%v machine=%q dst=%q v=%s\n", m.to.Harvester, m.to.Machine, m.to.Dst, FormatValue(m.v))
+	}
+	for _, r := range h.rules {
+		fmt.Fprintf(&b, "tcam+ %s\n", r)
 	}
 	ivals := make([]string, 0, len(h.intervals))
 	for k, v := range h.intervals {
@@ -490,19 +493,45 @@ func TestVMSnapshotCrossBackend(t *testing.T) {
 }
 
 // TestVMRestoreErrors pins the error strings of invalid snapshots on
-// both executors.
+// both executors. A snapshot naming several unknown variables reports
+// the smallest name, whatever the maps' order (each case runs 20 times
+// so the order would show), and a rejected snapshot writes nothing: the
+// valid names it carries leave the seed as it was.
 func TestVMRestoreErrors(t *testing.T) {
 	cm := parityCompile(t, propertySource, "P")
-	for _, snap := range []Snapshot{
-		{Machine: "Q", State: "idle"},
-		{Machine: "P", State: "nope"},
-		{Machine: "P", State: "idle", Env: map[string]Value{"ghost": int64(1)}},
-		{Machine: "P", State: "idle", StateVars: map[string]map[string]Value{"nope": {}}},
+	for _, c := range []struct {
+		snap Snapshot
+		want string
+	}{
+		{Snapshot{Machine: "Q", State: "idle"}, "core: snapshot of Q cannot restore into P"},
+		{Snapshot{Machine: "P", State: "nope"}, "core: snapshot state nope unknown"},
+		{Snapshot{Machine: "P", State: "idle", Env: map[string]Value{"ghost": int64(1)}}, "core: snapshot variable ghost unknown"},
+		{Snapshot{Machine: "P", State: "idle", StateVars: map[string]map[string]Value{"nope": {}}}, "core: snapshot state nope unknown"},
+		{Snapshot{Machine: "P", State: "busy", Env: map[string]Value{
+			"total": int64(77), "zeta": int64(1), "ghost": int64(2), "last": "x", "alpha2": nil,
+		}}, "core: snapshot variable alpha2 unknown"},
+		{Snapshot{Machine: "P", State: "busy", Env: map[string]Value{"total": int64(77)}, StateVars: map[string]map[string]Value{
+			"busy": {"rounds": int64(9)}, "zz": {}, "nope": {"rounds": int64(1)}, "idle": {},
+		}}, "core: snapshot state nope unknown"},
+		{Snapshot{Machine: "P", State: "busy", Env: map[string]Value{"total": int64(77)}, StateVars: map[string]map[string]Value{
+			"busy": {"rounds": int64(9), "spare": int64(1), "extra": int64(2)}, "idle": {"ghost": true},
+		}}, "core: snapshot state busy has no variable extra"},
+		{Snapshot{Machine: "P", State: "idle", StateVars: map[string]map[string]Value{
+			"idle": {"ghost": true, "also": 1.5},
+		}}, "core: snapshot state idle has no variable also"},
 	} {
-		snap := snap
-		p := newBackendSet(t, cm, nil)
-		if p.do(t, fmt.Sprintf("restore %+v", snap), func(r Runner) error { return r.Restore(snap) }) == nil {
-			t.Fatalf("restore %+v: expected error", snap)
+		for round := 0; round < 20; round++ {
+			p := newBackendSet(t, cm, nil)
+			p.do(t, "start", func(r Runner) error { return r.Start() })
+			before := fingerprint(p.rs[0])
+			err := p.do(t, fmt.Sprintf("restore %+v", c.snap), func(r Runner) error { return r.Restore(c.snap) })
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("restore %+v: %v, want %q", c.snap, err, c.want)
+			}
+			diffSet(t, p, "after a rejected restore")
+			if after := fingerprint(p.rs[0]); after != before {
+				t.Fatalf("restore %+v failed but wrote:\n--- before ---\n%s--- after ---\n%s", c.snap, before, after)
+			}
 		}
 	}
 }

@@ -28,8 +28,13 @@ func (sd *Seeder) FailSwitch(id netmodel.SwitchID) (dropped []string, err error)
 	}
 	sd.failed[id] = true
 
-	// Seeds on the failed switch are lost: forget their deployment
-	// without contacting the dead soil.
+	// Seeds on the failed switch are lost: forget their deployment, and
+	// clear the soil, since its seeds died with the switch. Left there,
+	// they would keep running in the emulation and, once the switch
+	// recovers, refuse a seed of the same ID placed back on it.
+	for _, sid := range sd.soils[id].SeedIDs() {
+		_ = sd.soils[id].Remove(sid)
+	}
 	names := make([]string, 0, len(sd.tasks))
 	for n := range sd.tasks {
 		names = append(names, n)

@@ -146,6 +146,42 @@ machine Mover {
 	loop.RunFor(50 * time.Millisecond)
 }
 
+// A task dropped by a switch failure and resubmitted while the switch is
+// down gets the seed it pins there back when the switch recovers: the
+// seeds the switch hosted died with it, so nothing of the first
+// submission is left on its soil to refuse the redeployment.
+func TestRecoverSwitchAfterResubmit(t *testing.T) {
+	fab, loop := testSetup(t, 1, 2, 1)
+	sd := New(fab, Options{})
+	addHHTask(t, sd, "hh", 1, nil)
+	dropped, err := sd.FailSwitch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dropped) != 1 || dropped[0] != "hh" {
+		t.Fatalf("dropped = %v, want [hh]", dropped)
+	}
+	if ids := sd.Soil(0).SeedIDs(); len(ids) != 0 {
+		t.Fatalf("the failed switch still runs %v", ids)
+	}
+	addHHTask(t, sd, "hh", 1, nil)
+	if got := len(sd.Placements()); got != 2 {
+		t.Fatalf("resubmitted during the failure: %d seeds placed, want 2", got)
+	}
+	if err := sd.RecoverSwitch(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(sd.Placements()); got != 3 {
+		t.Fatalf("after recovery: %d seeds placed, want 3", got)
+	}
+	loop.RunFor(50 * time.Millisecond)
+	for _, sw := range fab.Topology().Switches() {
+		if ids := sd.Soil(sw.ID).SeedIDs(); len(ids) != 1 {
+			t.Fatalf("switch %s runs %v, want one HH seed", sw.Name, ids)
+		}
+	}
+}
+
 // A switch failure that squeezes a probe seed off its (healthy) switch
 // migrates it live: snapshot, remove, restore elsewhere. A sample of its
 // probe that was on the old switch's PCIe bus at that moment completes

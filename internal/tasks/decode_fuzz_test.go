@@ -2,12 +2,111 @@ package tasks
 
 import (
 	"math/rand"
+	"net/netip"
 	"slices"
 	"testing"
+	"time"
 
 	"farm/internal/almanac"
 	"farm/internal/core"
+	"farm/internal/dataplane"
+	"farm/internal/netmodel"
 )
+
+// fuzzHost is the soil side of a fuzzed deployment: a TCAM, a clock at
+// zero, and nowhere for sends and logs to go.
+type fuzzHost struct{ tcam *dataplane.TCAM }
+
+func (fuzzHost) Now() time.Duration { return 0 }
+func (fuzzHost) Resources() netmodel.Resources {
+	return netmodel.Resources{netmodel.ResVCPU: 2, netmodel.ResRAM: 1024, netmodel.ResPCIe: 1}
+}
+func (h fuzzHost) AddTCAMRule(r dataplane.Rule) error                    { return h.tcam.AddRule(r) }
+func (h fuzzHost) RemoveTCAMRule(f dataplane.Filter) bool                { return h.tcam.RemoveRule(f) }
+func (h fuzzHost) GetTCAMRule(f dataplane.Filter) (dataplane.Rule, bool) { return h.tcam.GetRule(f) }
+func (fuzzHost) Send(core.SendDest, core.Value)                          {}
+func (fuzzHost) SetTriggerInterval(string, float64)                      {}
+func (fuzzHost) Exec(string, core.Value) (core.Value, error)             { return int64(1), nil }
+func (fuzzHost) Log(string, ...any)                                      {}
+
+// taskPortStats is one poll completion of n ports as the soil delivers
+// it: a batch with cumulative counters and deltas against a previous
+// completion.
+func taskPortStats(rng *rand.Rand, n int) *core.Batch {
+	ports := make([]int, n)
+	prev := make([]dataplane.PortStats, n)
+	cur := make([]dataplane.PortStats, n)
+	for i := range ports {
+		ports[i] = i + 1
+		prev[i] = dataplane.PortStats{
+			RxPackets: uint64(rng.Intn(1 << 10)), RxBytes: uint64(rng.Intn(1 << 20)),
+			TxPackets: uint64(rng.Intn(1 << 10)), TxBytes: uint64(rng.Intn(1 << 20)),
+		}
+		cur[i] = dataplane.PortStats{
+			RxPackets: prev[i].RxPackets + uint64(rng.Intn(40)), RxBytes: prev[i].RxBytes + uint64(rng.Intn(4000)),
+			TxPackets: prev[i].TxPackets + uint64(rng.Intn(40)), TxBytes: prev[i].TxBytes + uint64(rng.Intn(4000)),
+		}
+	}
+	return core.NewPortStatsBatch(ports, cur, core.NewPortStatsBatch(ports, prev, nil))
+}
+
+// triggerArg is what the register VM's HandleTrigger receives for
+// payload v: a poll batch as the soil hands it over, a packet lent by
+// pointer, anything else cloned.
+func triggerArg(v core.Value) core.Value {
+	switch x := v.(type) {
+	case *core.Batch:
+		return x
+	case core.PacketVal:
+		return &x
+	}
+	return core.CloneValue(v)
+}
+
+// taskPacket draws from the traffic the catalogue's probes watch: SYNs
+// and ACKs, DNS responses, failed SSH logins, partial HTTP requests,
+// over few enough addresses and ports that the tasks' thresholds trip.
+func taskPacket(rng *rand.Rand) core.PacketVal {
+	p := core.PacketVal{
+		SrcIP:   netip.AddrFrom4([4]byte{10, 1, 0, byte(rng.Intn(4))}),
+		DstIP:   netip.AddrFrom4([4]byte{10, 2, 0, byte(rng.Intn(2))}),
+		SrcPort: uint16(1024 + rng.Intn(8)),
+		DstPort: []uint16{22, 53, 80, 443}[rng.Intn(4)],
+		Proto:   []dataplane.Proto{dataplane.ProtoTCP, dataplane.ProtoUDP}[rng.Intn(2)],
+		Flags:   []dataplane.TCPFlags{dataplane.FlagSYN, dataplane.FlagACK, dataplane.FlagSYN | dataplane.FlagACK, dataplane.FlagFIN, 0}[rng.Intn(5)],
+		Size:    64 + rng.Intn(1400),
+	}
+	switch rng.Intn(4) {
+	case 0:
+		p.App = dataplane.AppInfo{Kind: dataplane.AppDNS, DNSResponse: true, DNSQName: "q.example"}
+	case 1:
+		p.App = dataplane.AppInfo{Kind: dataplane.AppSSH, SSHAuthFail: true}
+	case 2:
+		p.App = dataplane.AppInfo{Kind: dataplane.AppHTTP, HTTPPartial: true}
+	}
+	return p
+}
+
+func taskPayload(rng *rand.Rand) core.Value {
+	switch rng.Intn(8) {
+	case 0:
+		return taskPortStats(rng, 4+rng.Intn(8))
+	case 6, 7:
+		return taskPacket(rng)
+	case 1:
+		return int64(rng.Intn(5000))
+	case 2:
+		return rng.Float64() * 5000
+	case 3:
+		return core.StructOf("PortStats", map[string]core.Value{
+			"port": int64(rng.Intn(16)), "dTxBytes": float64(rng.Intn(4000)),
+		})
+	case 4:
+		return core.ActionVal(dataplane.ActDrop)
+	default:
+		return core.List{int64(rng.Intn(8)), int64(rng.Intn(8))}
+	}
+}
 
 // FuzzDecodeCompile drives arbitrary bytes through the path seed XML
 // takes into a soil: decode (no sema pass), compile, render, deploy on
@@ -86,7 +185,7 @@ machine Runaway {
 			}
 			externals[name] = core.CloneValue(v)
 		}
-		r, err := prog.NewRunner(externals, newParityTaskHost())
+		r, err := prog.NewRunner(externals, fuzzHost{tcam: dataplane.NewTCAM(128)})
 		if err != nil {
 			return
 		}
@@ -95,7 +194,7 @@ machine Runaway {
 		_ = r.HandleRealloc()
 		rng := rand.New(rand.NewSource(int64(len(data))))
 		for _, tr := range cm.Triggers {
-			_ = r.HandleTrigger(tr.Name, triggerArg(r, taskPayload(rng)))
+			_ = r.HandleTrigger(tr.Name, triggerArg(taskPayload(rng)))
 		}
 		r.Snapshot()
 	})
