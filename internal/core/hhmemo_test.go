@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"farm/internal/dataplane"
@@ -225,7 +226,9 @@ func TestGetHHMemoMatchesInterpreter(t *testing.T) {
 
 // TestGetHHAllocs: on an unchanged hitter set getHH allocates nothing,
 // however many subscribers ask; on a changed one the first caller pays
-// for the new list (its slice and the box) and the rest nothing.
+// for the new list (its slice and the box) and the rest nothing. The
+// count is process-wide, so the GC is off while a loop is measured: a
+// cycle's mallocs, and its finalizers', would count against getHH.
 func TestGetHHAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats
@@ -252,27 +255,31 @@ func TestGetHHAllocs(t *testing.T) {
 			args := []rval{{k: rkBatch}, rint(4000)}
 			var prev *Batch
 			var total uint64
-			for n := 0; n < completions; n++ {
-				for i := range cur {
-					cur[i].TxBytes += 10
-				}
-				for _, p := range c.heavy(n) {
-					cur[p-1].TxBytes += 5000
-				}
-				// The next completion is built once every subscriber has
-				// had this one, as the soil does.
-				prev = NewPortStatsBatch(ports, cur, prev)
-				args[0].ref = prev
-				before := mallocs()
-				for s := 0; s < subs; s++ {
-					if r, ok, _ := nvGetHH(nil, args, 0); !ok || r.k != rkRef {
-						t.Fatalf("getHH refused completion %d", n)
+			func() {
+				runtime.GC()
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				for n := 0; n < completions; n++ {
+					for i := range cur {
+						cur[i].TxBytes += 10
+					}
+					for _, p := range c.heavy(n) {
+						cur[p-1].TxBytes += 5000
+					}
+					// The next completion is built once every subscriber
+					// has had this one, as the soil does.
+					prev = NewPortStatsBatch(ports, cur, prev)
+					args[0].ref = prev
+					before := mallocs()
+					for s := 0; s < subs; s++ {
+						if r, ok, _ := nvGetHH(nil, args, 0); !ok || r.k != rkRef {
+							t.Fatalf("getHH refused completion %d", n)
+						}
+					}
+					if n > 0 { // the first completion has nothing to carry
+						total += mallocs() - before
 					}
 				}
-				if n > 0 { // the first completion has nothing to carry
-					total += mallocs() - before
-				}
-			}
+			}()
 			if per := float64(total) / (completions - 1); per > c.max {
 				t.Fatalf("%s hitter set, %d subscribers: %.2f allocations per completion, want <= %.0f", c.name, subs, per, c.max)
 			}

@@ -24,7 +24,7 @@ func testConfig() Config {
 	}
 }
 
-func startService(t *testing.T, cfg Config) *Service {
+func startService(t testing.TB, cfg Config) *Service {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -39,7 +39,7 @@ func startService(t *testing.T, cfg Config) *Service {
 
 // waitReady polls Ready until it holds or the deadline passes,
 // returning how long it took.
-func waitReady(t *testing.T, s *Service, deadline time.Duration) time.Duration {
+func waitReady(t testing.TB, s *Service, deadline time.Duration) time.Duration {
 	t.Helper()
 	start := time.Now()
 	for time.Since(start) < deadline {

@@ -1,4 +1,4 @@
-// Package lp implements a dense two-phase primal simplex solver for
+// Package lp implements a two-phase primal simplex solver for
 // linear programs and a branch-and-bound solver for mixed-integer linear
 // programs, using only the standard library.
 //
@@ -86,25 +86,29 @@ type variable struct {
 	integer bool
 }
 
+// constraint is one row: Problem.coefs[lo:hi] op rhs.
 type constraint struct {
-	coefs []Coef
-	op    Op
-	rhs   float64
+	lo, hi int
+	op     Op
+	rhs    float64
 }
 
 // Problem is a linear or mixed-integer linear program under
 // construction. The zero value is not usable; call New.
 //
 // A Problem is not safe for concurrent use: besides the builder state,
-// it owns a grow-only scratch arena (bounds, flattened constraint rows,
-// the dense tableau) that Solve reuses across calls, so repeat solves
-// of same-shaped problems are allocation-light. Parallel solvers (the
-// placement heuristic's per-switch redistribution pool) keep one
-// Problem per worker and Reset it between solves.
+// it owns grow-only arenas (every constraint's coefficients in one
+// slice; bounds, right-hand sides and the tableau for Solve)
+// that are reused across Reset and Solve, so rebuilding and solving
+// problems no larger than an earlier one allocates only the escaping
+// Solution. Parallel solvers (the placement heuristic's per-switch
+// redistribution pool) keep one Problem per worker and Reset it
+// between solves.
 type Problem struct {
 	sense    Sense
 	vars     []variable
 	cons     []constraint
+	coefs    []Coef // constraint coefficient arena, see constraint
 	objCoefs []Coef
 	objConst float64
 	// deadline, when nonzero, aborts long simplex runs with
@@ -124,14 +128,14 @@ func New(sense Sense) *Problem {
 }
 
 // Reset clears the problem for rebuilding under a new sense while
-// keeping every allocated buffer (variables, constraint rows, objective,
-// solve arena) for reuse. Anything previously returned by the problem —
-// Var handles, Solutions — is invalidated except Solution.Values, which
-// is always freshly allocated.
+// keeping every allocated buffer (variables, the coefficient arena,
+// objective, solve arena) for reuse. Var handles are invalidated;
+// Solutions are not: Solve always allocates a fresh one.
 func (p *Problem) Reset(sense Sense) {
 	p.sense = sense
 	p.vars = p.vars[:0]
 	p.cons = p.cons[:0]
+	p.coefs = p.coefs[:0]
 	p.objCoefs = p.objCoefs[:0]
 	p.objConst = 0
 	p.deadline = time.Time{}
@@ -169,21 +173,12 @@ func (p *Problem) AddIntVar(name string, lb, ub float64) Var {
 // SetInteger marks an existing variable as integral.
 func (p *Problem) SetInteger(v Var) { p.vars[v].integer = true }
 
-// AddConstraint adds sum(coefs) op rhs. The coefs slice is copied; after
-// a Reset, retired rows' backing arrays are reused.
+// AddConstraint adds sum(coefs) op rhs. The coefs are copied into the
+// problem's coefficient arena.
 func (p *Problem) AddConstraint(coefs []Coef, op Op, rhs float64) {
-	var cs []Coef
-	if len(p.cons) < cap(p.cons) {
-		// Reclaim the coef backing of the retired row in this slot.
-		cs = p.cons[: len(p.cons)+1 : cap(p.cons)][len(p.cons)].coefs[:0]
-	}
-	if cap(cs) >= len(coefs) {
-		cs = cs[:len(coefs)]
-	} else {
-		cs = make([]Coef, len(coefs))
-	}
-	copy(cs, coefs)
-	p.cons = append(p.cons, constraint{coefs: cs, op: op, rhs: rhs})
+	lo := len(p.coefs)
+	p.coefs = append(p.coefs, coefs...)
+	p.cons = append(p.cons, constraint{lo: lo, hi: len(p.coefs), op: op, rhs: rhs})
 }
 
 // SetObjective sets the objective sum(coefs) + constant.
@@ -215,22 +210,32 @@ var ErrNumerical = errors.New("lp: simplex failed to converge")
 // Solve solves the continuous relaxation of the problem (integrality
 // markers are ignored) with the two-phase primal simplex method.
 func (p *Problem) Solve() (*Solution, error) {
+	if testSolve != nil {
+		testSolve(p)
+	}
 	return p.solveRelaxation(nil, nil)
 }
+
+// Test hooks, nil in production. lp's tests install the dense pivot
+// oracle in place of pivot, and observe every Solve so that the LPs
+// other packages build can be re-solved both ways.
+var (
+	testPivot func(t *tableau, leave, enter int)
+	testSolve func(p *Problem)
+)
 
 // scratch is the grow-only solve arena owned by a Problem: every buffer
 // solveRelaxation needs, reused across calls so repeat solves of
 // same-shaped problems allocate only the escaping Solution.
 type scratch struct {
-	lb, ub   []float64
-	rowCoefs []float64 // flattened n-wide shifted constraint rows
-	rowRHS   []float64
-	rowOps   []Op
-	cost     []float64
-	c1, c2   []float64
-	xs       []float64
-	tab      tableau
-	tabA     []float64 // dense tableau backing
+	lb, ub []float64
+	rowRHS []float64 // shifted right-hand sides, before negation
+	rowOps []Op      // after negation
+	cost   []float64
+	c1, c2 []float64
+	xs     []float64
+	tab    tableau
+	tabA   []float64 // dense tableau backing
 }
 
 // growF returns *buf resized to n without zeroing, growing it if needed.
@@ -282,6 +287,9 @@ func (s *scratch) tableau(m, maxCols int) *tableau {
 	for i := range t.basis {
 		t.basis[i] = -1
 	}
+	if cap(t.nz) < maxCols {
+		t.nz = make([]int, 0, maxCols)
+	}
 	t.m, t.ncols = m, maxCols
 	t.frozenFrom = -1
 	t.objConst = 0
@@ -319,10 +327,10 @@ func (p *Problem) solveRelaxation(lbOverride, ubOverride map[Var]float64) (*Solu
 	}
 
 	// Shift every variable by its lower bound: x = x' + lb, x' >= 0.
-	// Finite upper bounds become extra rows x' <= ub-lb. Rows live in
-	// the arena's flattened n-wide buffer.
+	// Finite upper bounds become extra rows x' <= ub-lb. The rows'
+	// right-hand sides and operators come first: they fix the column
+	// layout.
 	maxRows := len(p.cons) + n
-	rowCoefs := growFZero(&s.rowCoefs, maxRows*n)
 	rowRHS := growF(&s.rowRHS, maxRows)
 	if cap(s.rowOps) >= maxRows {
 		s.rowOps = s.rowOps[:maxRows]
@@ -332,10 +340,8 @@ func (p *Problem) solveRelaxation(lbOverride, ubOverride map[Var]float64) (*Solu
 	rowOps := s.rowOps
 	m := 0
 	for _, c := range p.cons {
-		rc := rowCoefs[m*n : (m+1)*n]
 		rhs := c.rhs
-		for _, cf := range c.coefs {
-			rc[cf.Var] += cf.Val
+		for _, cf := range p.coefs[c.lo:c.hi] {
 			rhs -= cf.Val * lb[cf.Var]
 		}
 		rowOps[m], rowRHS[m] = c.op, rhs
@@ -351,9 +357,20 @@ func (p *Problem) solveRelaxation(lbOverride, ubOverride map[Var]float64) (*Solu
 			// cannot drift.
 			op = EQ
 		}
-		rowCoefs[m*n+i] = 1
 		rowOps[m], rowRHS[m] = op, ub[i]-lb[i]
 		m++
+	}
+	// A row with a negative right-hand side is negated, which swaps LE
+	// and GE.
+	for i := 0; i < m; i++ {
+		if rowRHS[i] < 0 {
+			switch rowOps[i] {
+			case LE:
+				rowOps[i] = GE
+			case GE:
+				rowOps[i] = LE
+			}
+		}
 	}
 
 	// Objective in "minimize" form over shifted variables.
@@ -368,45 +385,45 @@ func (p *Problem) solveRelaxation(lbOverride, ubOverride map[Var]float64) (*Solu
 		objShift += cf.Val * lb[cf.Var]
 	}
 
-	// Column layout: [structural n][slack/surplus][artificial].
-	nSlack := 0
-	for i := 0; i < m; i++ {
-		if rowOps[i] != EQ {
+	// Column layout: [structural n][slack/surplus][artificial]: a slack
+	// for every inequality, an artificial for every GE or EQ row.
+	nSlack, nArt := 0, 0
+	for _, op := range rowOps[:m] {
+		if op != EQ {
 			nSlack++
 		}
+		if op != LE {
+			nArt++
+		}
 	}
-	total := n + nSlack + m // upper bound on artificials: one per row
-	t := s.tableau(m, total)
+	t := s.tableau(m, n+nSlack+nArt)
 	t.deadline = p.deadline
+	sign := func(i int) float64 {
+		if rowRHS[i] < 0 {
+			return -1
+		}
+		return 1
+	}
+	// Structural columns, the row negated with its right-hand side.
+	// Summing sign*coef is bit for bit sign*(sum of coefs): negation is
+	// exact and rounding symmetric.
+	for i, c := range p.cons {
+		row, sg := t.a[i], sign(i)
+		for _, cf := range p.coefs[c.lo:c.hi] {
+			row[cf.Var] += sg * cf.Val
+		}
+	}
+	for i, r := 0, len(p.cons); i < n; i++ {
+		if !math.IsInf(ub[i], 1) {
+			t.a[r][i] = sign(r)
+			r++
+		}
+	}
 	slackCol := n
 	artCol := n + nSlack
-	nArt := 0
 	for i := 0; i < m; i++ {
-		rc := rowCoefs[i*n : (i+1)*n]
-		rhs := rowRHS[i]
-		sign := 1.0
-		if rhs < 0 {
-			sign = -1
-			rhs = -rhs
-		}
-		row := t.a[i]
-		for j, c := range rc {
-			if c != 0 {
-				row[j] = sign * c
-			}
-		}
-		t.b[i] = rhs
-		op := rowOps[i]
-		if sign < 0 {
-			switch op {
-			case LE:
-				op = GE
-			case GE:
-				op = LE
-			}
-		}
-		needArt := false
-		switch op {
+		t.b[i] = sign(i) * rowRHS[i]
+		switch rowOps[i] {
 		case LE:
 			t.a[i][slackCol] = 1
 			// Slack can serve as the initial basic variable.
@@ -415,15 +432,11 @@ func (p *Problem) solveRelaxation(lbOverride, ubOverride map[Var]float64) (*Solu
 		case GE:
 			t.a[i][slackCol] = -1
 			slackCol++
-			needArt = true
+			fallthrough
 		case EQ:
-			needArt = true
-		}
-		if needArt {
 			t.a[i][artCol] = 1
 			t.basis[i] = artCol
 			artCol++
-			nArt++
 		}
 	}
 	t.ncols = artCol
@@ -499,7 +512,8 @@ func (p *Problem) solveRelaxation(lbOverride, ubOverride map[Var]float64) (*Solu
 	return &Solution{Status: Optimal, Objective: obj, Values: vals}, nil
 }
 
-// tableau is a dense simplex tableau for min c'x, Ax=b, x>=0, b>=0.
+// tableau is a simplex tableau for min c'x, Ax=b, x>=0, b>=0, stored
+// dense and pivoted sparse (see pivot).
 type tableau struct {
 	m, ncols   int
 	a          [][]float64
@@ -509,6 +523,7 @@ type tableau struct {
 	basis      []int
 	frozenFrom int // columns >= frozenFrom may not enter the basis (-1: none)
 	deadline   time.Time
+	nz         []int // pivot's scratch: the pivot row's nonzero columns
 }
 
 // setObjective installs cost vector c and prices out the current basis.
@@ -603,38 +618,54 @@ func (t *tableau) iterate(enterLimit int) (Status, error) {
 	}
 }
 
-// pivot makes column enter basic in row leave.
+// pivot makes column enter basic in row leave. The other rows and the
+// reduced costs change only in the pivot row's nonzero columns (step-3
+// LPs average ~4 of ~270): a column the pivot row has zero in would be
+// updated by x -= f*0, which changes at most the sign of a zero x. No
+// comparison, multiplier (only nonzero entries are ever multiplied in)
+// or b value can observe a zero's sign, so every pivot choice and every
+// b, hence every Solution, is bit for bit what the dense update gives.
+// lp_test.go keeps that dense update as the oracle.
 func (t *tableau) pivot(leave, enter int) {
-	piv := t.a[leave][enter]
-	inv := 1 / piv
-	rowL := t.a[leave]
-	for j := 0; j < t.ncols; j++ {
-		rowL[j] *= inv
+	if testPivot != nil {
+		testPivot(t, leave, enter)
+		return
 	}
+	rowL := t.a[leave]
+	inv := 1 / rowL[enter]
+	nz := t.nz[:0]
+	for j, v := range rowL[:t.ncols] {
+		if v == 0 {
+			continue
+		}
+		v *= inv
+		rowL[j] = v
+		if v != 0 {
+			nz = append(nz, j)
+		}
+	}
+	t.nz = nz
 	t.b[leave] *= inv
+	bL := t.b[leave]
 	for i := 0; i < t.m; i++ {
-		if i == leave {
-			continue
-		}
-		f := t.a[i][enter]
-		if f == 0 {
-			continue
-		}
 		row := t.a[i]
-		for j := 0; j < t.ncols; j++ {
+		f := row[enter]
+		if i == leave || f == 0 {
+			continue
+		}
+		for _, j := range nz {
 			row[j] -= f * rowL[j]
 		}
-		t.b[i] -= f * t.b[leave]
+		t.b[i] -= f * bL
 		if t.b[i] < 0 && t.b[i] > -1e-11 {
 			t.b[i] = 0
 		}
 	}
-	f := t.obj[enter]
-	if f != 0 {
-		for j := 0; j < t.ncols; j++ {
+	if f := t.obj[enter]; f != 0 {
+		for _, j := range nz {
 			t.obj[j] -= f * rowL[j]
 		}
-		t.objConst -= f * t.b[leave]
+		t.objConst -= f * bL
 	}
 	t.basis[leave] = enter
 }

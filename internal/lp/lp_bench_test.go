@@ -95,3 +95,20 @@ func BenchmarkMILPKnapsack20(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSimplexStep3 measures the placement heuristic's step-3 LP
+// shape (bounded resource variables, GE case and poll rows, shared poll
+// variables, one capacity row per resource and a shared poll row) at
+// the loaded control-churn size: rebuilt into one Reset problem and
+// solved, every iteration.
+func BenchmarkSimplexStep3(b *testing.B) {
+	p := New(Maximize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fillStep3LP(p, rand.New(rand.NewSource(5)), 24)
+		if _, err := p.Solve(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

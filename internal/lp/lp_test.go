@@ -435,3 +435,242 @@ func TestMILPIntegralityAndBound(t *testing.T) {
 		}
 	}
 }
+
+// densePivot is the dense pivot the sparse one replaced, kept as its
+// oracle: every column of every row with a nonzero multiplier, and of
+// the reduced costs, is updated.
+func densePivot(t *tableau, leave, enter int) {
+	piv := t.a[leave][enter]
+	inv := 1 / piv
+	rowL := t.a[leave]
+	for j := 0; j < t.ncols; j++ {
+		rowL[j] *= inv
+	}
+	t.b[leave] *= inv
+	for i := 0; i < t.m; i++ {
+		if i == leave {
+			continue
+		}
+		f := t.a[i][enter]
+		if f == 0 {
+			continue
+		}
+		row := t.a[i]
+		for j := 0; j < t.ncols; j++ {
+			row[j] -= f * rowL[j]
+		}
+		t.b[i] -= f * t.b[leave]
+		if t.b[i] < 0 && t.b[i] > -1e-11 {
+			t.b[i] = 0
+		}
+	}
+	f := t.obj[enter]
+	if f != 0 {
+		for j := 0; j < t.ncols; j++ {
+			t.obj[j] -= f * rowL[j]
+		}
+		t.objConst -= f * t.b[leave]
+	}
+	t.basis[leave] = enter
+}
+
+// solveDense solves p with the dense pivot oracle in place of the
+// sparse pivot.
+func solveDense(p *Problem) (*Solution, error) {
+	testPivot = densePivot
+	defer func() { testPivot = nil }()
+	return p.Solve()
+}
+
+// sameSolution reports whether two solves ended bit for bit alike:
+// error, status, objective and every value.
+func sameSolution(a *Solution, aerr error, b *Solution, berr error) bool {
+	if (aerr == nil) != (berr == nil) || (aerr != nil && aerr.Error() != berr.Error()) {
+		return false
+	}
+	if aerr != nil {
+		return true
+	}
+	if a.Status != b.Status || math.Float64bits(a.Objective) != math.Float64bits(b.Objective) || len(a.Values) != len(b.Values) {
+		return false
+	}
+	for i := range a.Values {
+		if math.Float64bits(a.Values[i]) != math.Float64bits(b.Values[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// fillRandomMixedLP builds a random LP over every feature the solver
+// has: either sense, lower-bounded, fixed and unbounded variables,
+// LE/GE/EQ rows with signed coefficients, and a constant objective
+// term. Rows are drawn around a random point within the bounds, so most
+// LPs are feasible; one in eight gets a contradicting row pair, and
+// unbounded variables make some unbounded.
+func fillRandomMixedLP(p *Problem, rng *rand.Rand) {
+	sense := Maximize
+	if rng.Intn(2) == 0 {
+		sense = Minimize
+	}
+	p.Reset(sense)
+	n := 1 + rng.Intn(12)
+	m := rng.Intn(14)
+	vs := make([]Var, n)
+	x0 := make([]float64, n)
+	for i := range vs {
+		lb := 0.0
+		if rng.Intn(4) == 0 {
+			lb = float64(rng.Intn(5))
+		}
+		ub := Inf
+		x0[i] = lb + float64(rng.Intn(6))
+		switch rng.Intn(8) {
+		case 0:
+			ub, x0[i] = lb, lb
+		case 1, 2, 3, 4:
+			ub = x0[i] + float64(rng.Intn(20))
+		}
+		vs[i] = p.AddVar("v", lb, ub)
+	}
+	for j := 0; j < m; j++ {
+		var coefs []Coef
+		at := 0.0
+		for i := range vs {
+			if rng.Intn(3) == 0 {
+				c := float64(rng.Intn(11) - 3)
+				coefs = append(coefs, Coef{vs[i], c})
+				at += c * x0[i]
+			}
+		}
+		switch rng.Intn(6) {
+		case 0:
+			p.AddConstraint(coefs, EQ, at)
+		case 1, 2:
+			p.AddConstraint(coefs, GE, at-float64(rng.Intn(6)))
+		default:
+			p.AddConstraint(coefs, LE, at+float64(rng.Intn(6)))
+		}
+	}
+	if rng.Intn(8) == 0 {
+		v := vs[rng.Intn(n)]
+		p.AddConstraint([]Coef{{v, 1}}, GE, 30)
+		p.AddConstraint([]Coef{{v, 1}}, LE, 29)
+	}
+	obj := make([]Coef, 0, n)
+	for i := range vs {
+		if rng.Intn(4) != 0 {
+			obj = append(obj, Coef{vs[i], float64(rng.Intn(13)-4) / 3})
+		}
+	}
+	p.SetObjective(obj, float64(rng.Intn(5)))
+}
+
+// fillStep3LP builds an LP of the placement heuristic's step-3 shape:
+// per seed, resource variables bounded by the switch's capacity, a
+// utility variable under min-of-linear LE rows, GE case rows and GE poll
+// demand rows on shared poll variables; then one LE capacity row per
+// resource and one shared poll row. seeds sets the size.
+func fillStep3LP(p *Problem, rng *rand.Rand, seeds int) {
+	p.Reset(Maximize)
+	const nres, nsubj = 4, 6
+	capacity := [nres]float64{128, 1 << 17, 1 << 14, 512}
+	pollVars := make([]Var, nsubj)
+	pollUsed := make([]bool, nsubj)
+	usage := make([][]Coef, nres)
+	var obj []Coef
+	for s := 0; s < seeds; s++ {
+		var rv [nres]Var
+		for r := range rv {
+			rv[r] = p.AddVar("res", 0, capacity[r])
+			usage[r] = append(usage[r], Coef{rv[r], 1})
+		}
+		u := p.AddVar("u", 0, Inf)
+		obj = append(obj, Coef{u, 1})
+		for k := 1 + rng.Intn(2); k > 0; k-- {
+			r := rng.Intn(nres)
+			p.AddConstraint([]Coef{{u, 1}, {rv[r], -float64(1 + rng.Intn(12))}}, LE, float64(rng.Intn(3)))
+		}
+		for r := 0; r < 2; r++ {
+			p.AddConstraint([]Coef{{rv[r], 1}}, GE, float64(1+rng.Intn(4))/4)
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			sj := rng.Intn(nsubj)
+			if !pollUsed[sj] {
+				pollVars[sj], pollUsed[sj] = p.AddVar("poll", 0, Inf), true
+			}
+			p.AddConstraint([]Coef{{pollVars[sj], 1}, {rv[3], -float64(10 + rng.Intn(90))}}, GE, 0)
+		}
+	}
+	for r := range usage {
+		p.AddConstraint(usage[r], LE, capacity[r])
+	}
+	var polls []Coef
+	for sj, used := range pollUsed {
+		if used {
+			polls = append(polls, Coef{pollVars[sj], 1})
+		}
+	}
+	if len(polls) > 0 {
+		p.AddConstraint(polls, LE, 1e6)
+	}
+	p.SetObjective(obj, 0)
+}
+
+// TestSparsePivotMatchesDense: on random LPs of every shape and on
+// step-3-shaped ones, the sparse pivot's Solutions are bitwise the dense
+// oracle's. (The catalogue's own step-3 LPs are checked the same way by
+// TestCatalogueLPsSparseMatchesDense.)
+func TestSparsePivotMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	statuses := map[Status]int{}
+	check := func(trial int, p *Problem) {
+		t.Helper()
+		got, gerr := p.Solve()
+		want, werr := solveDense(p)
+		if !sameSolution(got, gerr, want, werr) {
+			t.Fatalf("trial %d: sparse %+v (%v), dense %+v (%v)", trial, got, gerr, want, werr)
+		}
+		if gerr == nil {
+			statuses[got.Status]++
+		}
+	}
+	p := New(Maximize)
+	for trial := 0; trial < 2000; trial++ {
+		fillRandomMixedLP(p, rng)
+		check(trial, p)
+	}
+	for trial := 0; trial < 40; trial++ {
+		fillStep3LP(p, rng, 1+rng.Intn(30))
+		check(trial, p)
+	}
+	t.Logf("%v", statuses)
+	if statuses[Optimal] < 1000 || statuses[Infeasible] == 0 || statuses[Unbounded] == 0 {
+		t.Fatalf("random LPs cover too little: %v", statuses)
+	}
+}
+
+// TestProblemReuseBitIdentical: one Problem rebuilt and solved over a
+// random sequence of differently shaped LPs answers each bit for bit as
+// a fresh Problem does, so nothing a solve reads survives the Reset.
+func TestProblemReuseBitIdentical(t *testing.T) {
+	reused := New(Maximize)
+	for trial := 0; trial < 400; trial++ {
+		build := func(p *Problem) {
+			rng := rand.New(rand.NewSource(int64(trial)))
+			if trial%3 == 0 {
+				fillStep3LP(p, rng, 1+trial%25)
+			} else {
+				fillRandomMixedLP(p, rng)
+			}
+		}
+		build(reused)
+		got, gerr := reused.Solve()
+		fresh := New(Maximize)
+		build(fresh)
+		want, werr := fresh.Solve()
+		if !sameSolution(got, gerr, want, werr) {
+			t.Fatalf("trial %d: reused problem %+v (%v), fresh %+v (%v)", trial, got, gerr, want, werr)
+		}
+	}
+}

@@ -51,6 +51,16 @@ type SwitchInfo struct {
 }
 
 // Assignment is one seed's placement decision.
+//
+// An Alloc is read-only once it is handed out: nobody — the solver, the
+// caller, whoever it is passed on to — writes it afterwards. A solve
+// relies on that rule. A pinned seed keeps its Input.Current Alloc map
+// itself; a greedily placed one gets its machine's minimal allocation,
+// which the seeds of that machine share; and when a step-3 LP gives a
+// seed exactly the allocation it already has, the seed keeps that map.
+// So one map may sit in several Results, in Input.Current and in a
+// Baked at once. Whoever must change an allocation builds a new map (the
+// soil clones on deploy and realloc).
 type Assignment struct {
 	Switch  netmodel.SwitchID
 	Alloc   netmodel.Resources
@@ -59,7 +69,9 @@ type Assignment struct {
 }
 
 // Input is a full placement problem. A solve reads it and writes none of
-// it, including the SeedSpec.Baked values it shares with other solves.
+// it, including the SeedSpec.Baked values it shares with other solves —
+// except to publish a Baked's minimal allocations, once per capacity
+// vector, which nothing writes afterwards.
 type Input struct {
 	Switches []SwitchInfo
 	Seeds    []SeedSpec
@@ -164,34 +176,42 @@ func (in *Input) switchByID(id netmodel.SwitchID) (SwitchInfo, bool) {
 
 // Validate checks structural sanity of the input.
 func (in *Input) Validate() error {
-	swSet := map[netmodel.SwitchID]bool{}
-	for _, sw := range in.Switches {
-		if swSet[sw.ID] {
+	return in.validate(map[netmodel.SwitchID]int32{}, map[string]int32{})
+}
+
+// validate is Validate with the sets it builds passed in (and cleared
+// first), so that a pooled solve reuses them: swIdx maps each switch ID
+// to its index in Switches, seedIdx each seed ID to its index in Seeds.
+func (in *Input) validate(swIdx map[netmodel.SwitchID]int32, seedIdx map[string]int32) error {
+	clear(swIdx)
+	clear(seedIdx)
+	for i, sw := range in.Switches {
+		if _, dup := swIdx[sw.ID]; dup {
 			return fmt.Errorf("placement: duplicate switch %d", sw.ID)
 		}
-		swSet[sw.ID] = true
+		swIdx[sw.ID] = int32(i)
 	}
-	ids := map[string]bool{}
-	for _, s := range in.Seeds {
+	for i := range in.Seeds {
+		s := &in.Seeds[i]
 		if s.ID == "" {
 			return fmt.Errorf("placement: seed with empty ID")
 		}
-		if ids[s.ID] {
+		if _, dup := seedIdx[s.ID]; dup {
 			return fmt.Errorf("placement: duplicate seed %s", s.ID)
 		}
-		ids[s.ID] = true
+		seedIdx[s.ID] = int32(i)
 		if len(s.Candidates) == 0 {
 			return fmt.Errorf("placement: seed %s has no candidate switches", s.ID)
 		}
 		for _, c := range s.Candidates {
-			if !swSet[c] {
+			if _, ok := swIdx[c]; !ok {
 				return fmt.Errorf("placement: seed %s candidate %d is not a known switch", s.ID, c)
 			}
 		}
 		if len(s.Utility) == 0 {
 			return fmt.Errorf("placement: seed %s has no utility cases", s.ID)
 		}
-		if s.Baked != nil && !s.Baked.matches(&s, in.alphaPoll()) {
+		if s.Baked != nil && !s.Baked.matches(s, in.alphaPoll()) {
 			return fmt.Errorf("placement: seed %s: Baked was made from another spec (seed %s, alpha %g; want alpha %g and this Utility and Polls)",
 				s.ID, s.Baked.id, s.Baked.shape.alpha, in.alphaPoll())
 		}

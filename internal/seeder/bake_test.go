@@ -8,7 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"farm/internal/engine"
+	"farm/internal/fabric"
+	"farm/internal/netmodel"
 	"farm/internal/placement"
+	"farm/internal/poly"
 )
 
 // flipSource is a task whose seeds change state on every tick, each state
@@ -161,4 +165,133 @@ func TestBakedFragmentsLifetime(t *testing.T) {
 	if end := heap(); end > settled+settled/4+(1<<20) {
 		t.Fatalf("heap in use grew from %d to %d bytes over 800 more resubmits", settled, end)
 	}
+}
+
+// capacityShiftSource is a task of two machines whose seeds (one per leaf,
+// three per machine) share their machine's baked rows, and whose case
+// constraints span two resources, so a minimal allocation is a small LP
+// over the largest capacities the fabric offers: which resource is cheap
+// depends on that capacity vector. A third, movable machine can sit on
+// the spine.
+const capacityShiftSource = `
+machine Left {
+  place all "leaf0", "leaf1", "leaf2";
+  time tick = 5;
+  state s {
+    util (res) { if (res.vCPU + res.PCIe >= 2) then { return min(res.vCPU * 3, res.PCIe * 5); } }
+    when (tick as x) do { }
+  }
+}
+machine Right {
+  place all "leaf0", "leaf1", "leaf2";
+  time tick = 5;
+  state s {
+    util (res) { if (res.vCPU + 2 * res.PCIe >= 3 and res.RAM >= 16) then { return res.vCPU * 2 + res.PCIe; } }
+    when (tick as x) do { }
+  }
+}
+machine Roam {
+  place any;
+  time tick = 5;
+  state s {
+    util (res) { if (res.vCPU + res.PCIe >= 1) then { return res.vCPU + res.PCIe * 2; } }
+    when (tick as x) do { }
+  }
+}`
+
+// TestMinimalAllocsFollowCapacity: a machine's minimal allocations are
+// computed once and published on its shared rows, keyed by the largest
+// capacity vector of the solve. On a fabric whose one spine has far more
+// PCIe than the leaves, failing and recovering the spine changes that
+// vector twice; every solve of a churn around it, with the rows the seeds
+// carry, places exactly what rows baked fresh for that solve place —
+// with step 3, and without it, where the minimal allocations are the
+// answer itself.
+func TestMinimalAllocsFollowCapacity(t *testing.T) {
+	// With the spine up PCIe is the plentiful resource (512 against 128
+	// vCPU), with it down vCPU is (128 against 16): the minimal
+	// allocations of Left, Right and Roam change resource.
+	leafCap := soakCapacity()
+	leafCap[netmodel.ResPCIe] = 16
+	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{
+		Spines: 1, Leaves: 3, HostsPerLeaf: 2, LeafCapacity: leafCap, SpineCapacity: soakCapacity(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := engine.NewSerial()
+	sd := New(fabric.New(topo, loop, fabric.Options{}), Options{PlacementParallel: 2})
+
+	vectors := map[string]bool{}
+	solves, shared := 0, 0
+	sd.beforeSolve = func(in *placement.Input) {
+		solves++
+		maxCap := netmodel.Resources{}
+		for _, sw := range in.Switches {
+			for r, v := range sw.Capacity {
+				maxCap[r] = max(maxCap[r], v)
+			}
+		}
+		vectors[maxCap.String()] = true
+		byMachine := map[string]*poly.Case{}
+		for _, spec := range in.Seeds {
+			if first, ok := byMachine[spec.Machine]; ok && first == &spec.Utility[0] {
+				shared++
+			}
+			byMachine[spec.Machine] = &spec.Utility[0]
+		}
+		for _, skip := range []bool{false, true} {
+			carried := *in
+			carried.SkipRedistribution = skip
+			fresh := carried
+			fresh.Seeds = slices.Clone(in.Seeds)
+			for i := range fresh.Seeds {
+				fresh.Seeds[i].Baked = nil
+			}
+			a, err := placement.Heuristic(&carried)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := placement.Heuristic(&fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Digest() != b.Digest() || !reflect.DeepEqual(a.Placed, b.Placed) {
+				t.Fatalf("solve %d (skip step 3: %v) at %v: carried rows place %s, fresh ones %s", solves, skip, maxCap, a.Digest(), b.Digest())
+			}
+		}
+	}
+
+	spine := sd.byName["spine0"]
+	other := TaskSpec{Name: "flip", Source: flipSource}
+	shift := TaskSpec{Name: "shift", Source: capacityShiftSource}
+	step := func(what string, f func() error) {
+		t.Helper()
+		if err := f(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		loop.RunFor(3 * time.Millisecond)
+	}
+	for round := 0; round < 3; round++ {
+		step("submit shift", func() error { return sd.AddTask(shift) })
+		step("submit flip", func() error { return sd.AddTask(other) })
+		switch round {
+		case 0:
+			step("fail spine", func() error { _, err := sd.FailSwitch(spine); return err })
+		case 1:
+			step("recover spine", func() error { return sd.RecoverSwitch(spine) })
+		}
+		for _, name := range []string{shift.Name, other.Name} {
+			if sd.HasTask(name) { // a spine failure drops flip: it is placed on every switch
+				step("retire "+name, func() error { return sd.RemoveTask(name) })
+			}
+		}
+	}
+	if len(vectors) < 2 {
+		t.Fatalf("the churn saw %d capacity vector(s); the spine's failure did not change it", len(vectors))
+	}
+	if shared == 0 {
+		t.Fatal("no two seeds of a machine shared rows")
+	}
+	t.Logf("%d solves over %d capacity vectors, %d seeds on shared rows", solves, len(vectors), shared)
 }

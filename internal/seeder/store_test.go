@@ -605,7 +605,12 @@ func BenchmarkResubmitLoaded(b *testing.B) {
 // TestLoadedResubmitAllocBound pins BenchmarkResubmitLoaded's objects per
 // cycle. Re-baking every live seed's step-3 LP fragments on every replan,
 // and cloning a capacity map per update, cost 5 135; fragments carried on
-// the seed and capacity updated in place bring it to ≈ 2 300.
+// the seed and capacity updated in place brought it to ≈ 2 300. Solves
+// in pooled scratch, with minimal allocations computed once per machine,
+// allocation-free LP assembly and outcome maps only for changed answers,
+// bring it to ≈ 450. Under the race detector sync.Pool drops a quarter of
+// what it is handed, so a solve rebuilds its scratch now and then; with
+// no pool at all a cycle is ≈ 800.
 func TestLoadedResubmitAllocBound(t *testing.T) {
 	_, cycle := loadedSeeder(t, -1)
 	n := len(catalogueSpecs())
@@ -620,8 +625,11 @@ func TestLoadedResubmitAllocBound(t *testing.T) {
 		}
 	}) / float64(n)
 	t.Logf("loaded retire+resubmit: %.0f allocs per cycle", got)
-	const bound = 3000
-	if got > bound {
+	bound := 570
+	if raceEnabled {
+		bound = 1000
+	}
+	if got > float64(bound) {
 		t.Fatalf("loaded retire+resubmit = %.0f allocs per cycle, want <= %d", got, bound)
 	}
 }
