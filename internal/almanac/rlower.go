@@ -113,9 +113,9 @@ const (
 	RJNe
 
 	// Specialized hot natives and superinstructions. Each keeps the
-	// generic form's operand layout (A = builtin-name index for the
-	// bridge path) so a failed fast path falls back to the shared boxed
-	// builtin with identical behaviour and error strings.
+	// generic form's operand layout (A = builtin-name index) so a case
+	// its inline fast path does not cover, every error among them, goes
+	// to the builtin itself with identical behaviour and error strings.
 	RListLen // dst = list_len(opnd B); A = name index
 	RListGet // dst = list_get(opnd B, opnd C); A = name index
 	RMulAdd  // dst = opnd A * opnd B + opnd C (fused mul feeding an add)

@@ -19,10 +19,11 @@ import (
 // memo (hh), and only by the handlers the batch is delivered to — all on
 // the soil that built it, so on one engine shard; what it records is a
 // function of the records, so no caller can tell whether it was there.
-// The register VM reads a batch in place (list_len, list_get, field
-// reads, getHH); everywhere else — the boxed builtin bridge, sends,
-// snapshots, Equal, FormatValue, field assignment — it is materialised
-// first, so nothing outside core and soil ever holds one.
+// The register VM reads a batch in place (list_len, is_list_empty,
+// list_get, field reads, getHH); everywhere else — the builtins that
+// read a list as a whole, sends, snapshots, Equal, FormatValue, field
+// assignment — it is materialised first, so nothing outside core and
+// soil ever holds one.
 type Batch struct {
 	l    *Layout
 	rows int
@@ -151,7 +152,7 @@ func (b *Batch) hitters(th float64) Value {
 		copy(b.hh[1:], b.hh[:len(b.hh)-1])
 	}
 	var v Value = zeroListVal
-	if l, _ := (hhRecords{b: b}).hitters(th); l != nil {
+	if l, _ := (listView{b: b}).hitters(th); l != nil {
 		v = l
 	}
 	b.hh[i] = hhMemo{th: key, list: v, checked: true}

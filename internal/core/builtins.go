@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"farm/internal/dataplane"
 )
@@ -18,91 +19,126 @@ const (
 
 func dataplanePacket(p PacketVal) dataplane.Packet { return dataplane.Packet(p) }
 
-type builtinFn func(h Host, args []Value, line int) (Value, error)
+// nativeFn is one function of the runtime library, run by the register
+// VM on its unboxed arguments: it reads them in place, converts what it
+// must read as a whole (a poll batch's records, a lent packet) with box,
+// and produces its own errors.
+//
+// A boxed value — a List, *MapVal, FilterVal, SketchVal, ... — is only
+// ever held by an rkRef rval, so a type assertion on ref for one of those
+// is also the kind check. (A batch and its rows both hold a *Batch.)
+type nativeFn func(h Host, args []rval, line int32) (rval, error)
 
-var builtins map[string]builtinFn
-
-func init() {
-	// Assigned in init to allow the table to reference helper functions
-	// defined below without an initialization cycle.
-	builtins = map[string]builtinFn{
-		// Runtime library (List. 1).
-		"res":            biRes,
-		"addTCAMRule":    biAddTCAMRule,
-		"removeTCAMRule": biRemoveTCAMRule,
-		"getTCAMRule":    biGetTCAMRule,
-		"exec":           biExec,
-		// Actions for TCAM rules.
-		"drop":      func(Host, []Value, int) (Value, error) { return ActionVal(dataplane.ActDrop), nil },
-		"allow":     func(Host, []Value, int) (Value, error) { return ActionVal(dataplane.ActAllow), nil },
-		"rateLimit": func(Host, []Value, int) (Value, error) { return ActionVal(dataplane.ActRateLimit), nil },
-		"mirror":    func(Host, []Value, int) (Value, error) { return ActionVal(dataplane.ActMirror), nil },
-		"countAct":  func(Host, []Value, int) (Value, error) { return ActionVal(dataplane.ActCount), nil },
-		"setQoS":    func(Host, []Value, int) (Value, error) { return ActionVal(dataplane.ActSetQoS), nil },
-		// Math.
-		"min":   biMin,
-		"max":   biMax,
-		"abs":   biAbs,
-		"log":   biLog,
-		"log2":  biLog2,
-		"floor": biFloor,
-		// Lists.
-		"list_append":   biListAppend,
-		"list_len":      biListLen,
-		"is_list_empty": biListEmpty,
-		"list_contains": biListContains,
-		"list_get":      biListGet,
-		"list_clear":    func(Host, []Value, int) (Value, error) { return List(nil), nil },
-		// Maps.
-		"map_new":  func(Host, []Value, int) (Value, error) { return NewMap(), nil },
-		"map_get":  biMapGet,
-		"map_set":  biMapSet,
-		"map_has":  biMapHas,
-		"map_del":  biMapDel,
-		"map_len":  biMapLen,
-		"map_keys": biMapKeys,
-		// Misc.
-		"now": biNow,
-		"str": biStr,
-		"log_msg": func(h Host, args []Value, _ int) (Value, error) {
-			parts := make([]any, len(args))
-			for i, a := range args {
-				parts[i] = FormatValue(a)
-			}
-			h.Log("%v", parts)
-			return nil, nil
-		},
-		// Statistics helpers for the canonical tasks.
-		"getHH": biGetHH,
-	}
+// natives is the runtime library (List. 1 plus the helpers the Tab. I
+// tasks use, and the §VIII sketches in sketch_builtins.go), one
+// implementation per name; Compile links a program's builtin names to it
+// by index.
+var natives = map[string]nativeFn{
+	// Runtime library (List. 1).
+	"res":            nvRes,
+	"addTCAMRule":    nvAddTCAMRule,
+	"removeTCAMRule": nvRemoveTCAMRule,
+	"getTCAMRule":    nvGetTCAMRule,
+	"exec":           nvExec,
+	// Actions for TCAM rules.
+	"drop":      action(dataplane.ActDrop),
+	"allow":     action(dataplane.ActAllow),
+	"rateLimit": action(dataplane.ActRateLimit),
+	"mirror":    action(dataplane.ActMirror),
+	"countAct":  action(dataplane.ActCount),
+	"setQoS":    action(dataplane.ActSetQoS),
+	// Math.
+	"min":   nvMin,
+	"max":   nvMax,
+	"abs":   nvAbs,
+	"log":   nvLog,
+	"log2":  nvLog2,
+	"floor": nvFloor,
+	// Lists.
+	"list_append":   nvListAppend,
+	"list_len":      nvListLen,
+	"is_list_empty": nvListEmpty,
+	"list_contains": nvListContains,
+	"list_get":      nvListGet,
+	"list_clear":    nvListClear,
+	// Maps.
+	"map_new":  nvMapNew,
+	"map_get":  nvMapGet,
+	"map_set":  nvMapSet,
+	"map_has":  nvMapHas,
+	"map_del":  nvMapDel,
+	"map_len":  nvMapLen,
+	"map_keys": nvMapKeys,
+	// Misc.
+	"now":     nvNow,
+	"str":     nvStr,
+	"log_msg": nvLogMsg,
+	// Statistics helpers for the canonical tasks.
+	"getHH": nvGetHH,
+	// Sketches (§VIII).
+	"sketch_new":        nvSketchNew,
+	"sketch_add":        nvSketchAdd,
+	"sketch_count":      nvSketchCount,
+	"sketch_total":      nvSketchTotal,
+	"sketch_reset":      nvSketchReset,
+	"distinct_new":      nvDistinctNew,
+	"distinct_add":      nvDistinctAdd,
+	"distinct_estimate": nvDistinctEstimate,
+	"distinct_reset":    nvDistinctReset,
 }
 
-func biRes(h Host, args []Value, line int) (Value, error) {
+// BuiltinNames returns the sorted runtime library function names
+// (documentation and farmctl introspection).
+func BuiltinNames() []string {
+	names := make([]string, 0, len(natives))
+	for n := range natives {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// arity checks a builtin's argument count; the error quotes its usage,
+// e.g. "map_get(map, key, default)".
+func arity(args []rval, n int, usage string, line int32) error {
+	if len(args) != n {
+		return fmt.Errorf("core: %s (line %d)", usage, line)
+	}
+	return nil
+}
+
+// usageName is the builtin a usage line is about.
+func usageName(usage string) string {
+	name, _, _ := strings.Cut(usage, "(")
+	return name
+}
+
+func nvRes(h Host, args []rval, line int32) (rval, error) {
 	if len(args) != 0 {
-		return nil, fmt.Errorf("core: res() takes no arguments (line %d)", line)
+		return rval{}, fmt.Errorf("core: res() takes no arguments (line %d)", line)
 	}
-	return ResourcesVal(h.Resources()), nil
+	return rref(ResourcesVal(h.Resources())), nil
 }
 
-// biAddTCAMRule accepts either a Rule struct {.pattern, .act, .priority}
+// nvAddTCAMRule accepts either a Rule struct {.pattern, .act, .priority}
 // or (filter, action [, priority]).
-func biAddTCAMRule(h Host, args []Value, line int) (Value, error) {
+func nvAddTCAMRule(h Host, args []rval, line int32) (rval, error) {
 	var rule dataplane.Rule
 	switch {
 	case len(args) == 1:
-		sv, ok := args[0].(StructVal)
+		sv, ok := args[0].box().(StructVal)
 		if !ok || sv.Type() != "Rule" {
-			return nil, fmt.Errorf("core: addTCAMRule needs a Rule struct (line %d)", line)
+			return rval{}, fmt.Errorf("core: addTCAMRule needs a Rule struct (line %d)", line)
 		}
 		pat, _ := sv.Get("pattern")
 		f, ok := pat.(FilterVal)
 		if !ok {
-			return nil, fmt.Errorf("core: Rule.pattern must be a filter (line %d)", line)
+			return rval{}, fmt.Errorf("core: Rule.pattern must be a filter (line %d)", line)
 		}
 		act, _ := sv.Get("act")
 		a, ok := act.(ActionVal)
 		if !ok {
-			return nil, fmt.Errorf("core: Rule.act must be an action (line %d)", line)
+			return rval{}, fmt.Errorf("core: Rule.act must be an action (line %d)", line)
 		}
 		rule.Filter, rule.Action = f.F, dataplane.Action(a)
 		prio, _ := sv.Get("priority")
@@ -110,409 +146,224 @@ func biAddTCAMRule(h Host, args []Value, line int) (Value, error) {
 			rule.Priority = int(p)
 		}
 	case len(args) >= 2:
-		f, ok := args[0].(FilterVal)
+		f, ok := args[0].ref.(FilterVal)
 		if !ok {
-			return nil, fmt.Errorf("core: addTCAMRule: first argument must be a filter (line %d)", line)
+			return rval{}, fmt.Errorf("core: addTCAMRule: first argument must be a filter (line %d)", line)
 		}
-		a, ok := args[1].(ActionVal)
+		a, ok := args[1].ref.(ActionVal)
 		if !ok {
-			return nil, fmt.Errorf("core: addTCAMRule: second argument must be an action (line %d)", line)
+			return rval{}, fmt.Errorf("core: addTCAMRule: second argument must be an action (line %d)", line)
 		}
 		rule.Filter, rule.Action = f.F, dataplane.Action(a)
 		if len(args) == 3 {
-			p, ok := AsFloat(args[2])
+			p, ok := asFloatR(args[2])
 			if !ok {
-				return nil, fmt.Errorf("core: addTCAMRule: priority must be a number (line %d)", line)
+				return rval{}, fmt.Errorf("core: addTCAMRule: priority must be a number (line %d)", line)
 			}
 			rule.Priority = int(p)
 		}
 	default:
-		return nil, fmt.Errorf("core: addTCAMRule needs a rule (line %d)", line)
+		return rval{}, fmt.Errorf("core: addTCAMRule needs a rule (line %d)", line)
 	}
 	if err := h.AddTCAMRule(rule); err != nil {
-		return nil, fmt.Errorf("core: addTCAMRule: %w (line %d)", err, line)
+		return rval{}, fmt.Errorf("core: addTCAMRule: %w (line %d)", err, line)
 	}
-	return nil, nil
+	return rval{k: rkNil}, nil
 }
 
-func biRemoveTCAMRule(h Host, args []Value, line int) (Value, error) {
+func nvRemoveTCAMRule(h Host, args []rval, line int32) (rval, error) {
 	if len(args) != 1 {
-		return nil, fmt.Errorf("core: removeTCAMRule needs a filter (line %d)", line)
+		return rval{}, fmt.Errorf("core: removeTCAMRule needs a filter (line %d)", line)
 	}
-	f, ok := args[0].(FilterVal)
+	f, ok := args[0].ref.(FilterVal)
 	if !ok {
-		return nil, fmt.Errorf("core: removeTCAMRule needs a filter, got %s (line %d)", TypeName(args[0]), line)
+		return rval{}, fmt.Errorf("core: removeTCAMRule needs a filter, got %s (line %d)", typeNameR(args[0]), line)
 	}
-	return h.RemoveTCAMRule(f.F), nil
+	return rbool(h.RemoveTCAMRule(f.F)), nil
 }
 
-func biGetTCAMRule(h Host, args []Value, line int) (Value, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("core: getTCAMRule needs a filter (line %d)", line)
+func nvGetTCAMRule(h Host, args []rval, line int32) (rval, error) {
+	var f FilterVal
+	ok := len(args) == 1
+	if ok {
+		f, ok = args[0].ref.(FilterVal)
 	}
-	f, ok := args[0].(FilterVal)
 	if !ok {
-		return nil, fmt.Errorf("core: getTCAMRule needs a filter (line %d)", line)
+		return rval{}, fmt.Errorf("core: getTCAMRule needs a filter (line %d)", line)
 	}
 	r, found := h.GetTCAMRule(f.F)
 	if !found {
-		return nil, nil
+		return rval{k: rkNil}, nil
 	}
-	return StructVal{L: ruleLayout, V: []Value{
+	return rref(StructVal{L: ruleLayout, V: []Value{
 		FilterVal{F: r.Filter},
 		ActionVal(r.Action),
 		int64(r.Priority),
-	}}, nil
+	}}), nil
 }
 
-func biExec(h Host, args []Value, line int) (Value, error) {
+// nvExec hands the host its argument only when there are exactly two.
+func nvExec(h Host, args []rval, line int32) (rval, error) {
 	if len(args) < 1 {
-		return nil, fmt.Errorf("core: exec needs a command (line %d)", line)
+		return rval{}, fmt.Errorf("core: exec needs a command (line %d)", line)
 	}
-	cmd, ok := args[0].(string)
-	if !ok {
-		return nil, fmt.Errorf("core: exec command must be a string (line %d)", line)
+	if args[0].k != rkStr {
+		return rval{}, fmt.Errorf("core: exec command must be a string (line %d)", line)
 	}
 	var arg Value
 	if len(args) == 2 {
-		arg = args[1]
+		arg = args[1].box()
 	}
-	return h.Exec(cmd, arg)
+	v, err := h.Exec(args[0].asStr(), arg)
+	if err != nil {
+		return rval{}, err
+	}
+	return unbox(v), nil
 }
 
-func numericArgs(name string, args []Value, line int) ([]float64, error) {
+// action is a TCAM action constructor; it takes any arguments and
+// ignores them.
+func action(a dataplane.Action) nativeFn {
+	v := Value(ActionVal(a))
+	return func(Host, []rval, int32) (rval, error) { return rref(v), nil }
+}
+
+// numeric checks a math builtin's arguments: at least one, every one a
+// number.
+func numeric(name string, args []rval, line int32) error {
 	if len(args) == 0 {
-		return nil, fmt.Errorf("core: %s needs arguments (line %d)", name, line)
+		return fmt.Errorf("core: %s needs arguments (line %d)", name, line)
 	}
-	out := make([]float64, len(args))
 	for i, a := range args {
-		f, ok := AsFloat(a)
-		if !ok {
-			return nil, fmt.Errorf("core: %s: argument %d is %s, not numeric (line %d)", name, i+1, TypeName(a), line)
-		}
-		out[i] = f
-	}
-	return out, nil
-}
-
-func allInts(args []Value) bool {
-	for _, a := range args {
-		if _, ok := a.(int64); !ok {
-			return false
+		if a.k != rkInt && a.k != rkFloat {
+			return fmt.Errorf("core: %s: argument %d is %s, not numeric (line %d)", name, i+1, typeNameR(a), line)
 		}
 	}
-	return true
+	return nil
 }
 
-func biMin(_ Host, args []Value, line int) (Value, error) {
-	fs, err := numericArgs("min", args, line)
-	if err != nil {
-		return nil, err
+// minMax compares as floats and returns a long (the float narrowed back)
+// when every operand is one.
+func minMax(name string, args []rval, line int32, max bool) (rval, error) {
+	if err := numeric(name, args, line); err != nil {
+		return rval{}, err
 	}
-	best := fs[0]
-	for _, f := range fs[1:] {
-		if f < best {
+	allInt := true
+	best, _ := asFloatR(args[0])
+	for i, a := range args {
+		allInt = allInt && a.k == rkInt
+		if f, _ := asFloatR(a); i > 0 && ((max && f > best) || (!max && f < best)) {
 			best = f
 		}
 	}
-	if allInts(args) {
-		return int64(best), nil
+	if allInt {
+		return rint(int64(best)), nil
 	}
-	return best, nil
+	return rfloat(best), nil
 }
 
-func biMax(_ Host, args []Value, line int) (Value, error) {
-	fs, err := numericArgs("max", args, line)
-	if err != nil {
-		return nil, err
+func nvMin(_ Host, args []rval, line int32) (rval, error) { return minMax("min", args, line, false) }
+func nvMax(_ Host, args []rval, line int32) (rval, error) { return minMax("max", args, line, true) }
+
+// The one-operand math builtins check every argument and use the first.
+
+func nvAbs(_ Host, args []rval, line int32) (rval, error) {
+	if err := numeric("abs", args, line); err != nil {
+		return rval{}, err
 	}
-	best := fs[0]
-	for _, f := range fs[1:] {
-		if f > best {
-			best = f
+	if a := args[0]; a.k == rkInt {
+		if a.i < 0 {
+			return rint(-a.i), nil
 		}
+		return a, nil
 	}
-	if allInts(args) {
-		return int64(best), nil
-	}
-	return best, nil
+	return rfloat(math.Abs(args[0].f)), nil
 }
 
-func biAbs(_ Host, args []Value, line int) (Value, error) {
-	fs, err := numericArgs("abs", args, line)
-	if err != nil {
-		return nil, err
-	}
-	if v, ok := args[0].(int64); ok {
-		if v < 0 {
-			return -v, nil
-		}
-		return v, nil
-	}
-	return math.Abs(fs[0]), nil
+func nvLog(_ Host, args []rval, line int32) (rval, error) {
+	return logOf("log", math.Log, args, line)
 }
 
-func biLog(_ Host, args []Value, line int) (Value, error) {
-	fs, err := numericArgs("log", args, line)
-	if err != nil {
-		return nil, err
-	}
-	if fs[0] <= 0 {
-		return nil, fmt.Errorf("core: log of non-positive %g (line %d)", fs[0], line)
-	}
-	return math.Log(fs[0]), nil
+func nvLog2(_ Host, args []rval, line int32) (rval, error) {
+	return logOf("log2", math.Log2, args, line)
 }
 
-func biLog2(_ Host, args []Value, line int) (Value, error) {
-	fs, err := numericArgs("log2", args, line)
-	if err != nil {
-		return nil, err
+func logOf(name string, log func(float64) float64, args []rval, line int32) (rval, error) {
+	if err := numeric(name, args, line); err != nil {
+		return rval{}, err
 	}
-	if fs[0] <= 0 {
-		return nil, fmt.Errorf("core: log2 of non-positive %g (line %d)", fs[0], line)
+	f, _ := asFloatR(args[0])
+	if f <= 0 {
+		return rval{}, fmt.Errorf("core: %s of non-positive %g (line %d)", name, f, line)
 	}
-	return math.Log2(fs[0]), nil
+	return rfloat(log(f)), nil
 }
 
-func biFloor(_ Host, args []Value, line int) (Value, error) {
-	fs, err := numericArgs("floor", args, line)
-	if err != nil {
-		return nil, err
+func nvFloor(_ Host, args []rval, line int32) (rval, error) {
+	if err := numeric("floor", args, line); err != nil {
+		return rval{}, err
 	}
-	return int64(math.Floor(fs[0])), nil
+	f, _ := asFloatR(args[0])
+	return rint(int64(math.Floor(f))), nil
 }
 
-func biListAppend(_ Host, args []Value, line int) (Value, error) {
-	if len(args) != 2 {
-		return nil, fmt.Errorf("core: list_append(list, value) (line %d)", line)
+// asListR reads a list in place: nil is the empty list. A poll batch is
+// not one here; the list builtins read it through listArg.
+func asListR(r rval) (List, bool) {
+	if r.k <= rkNil {
+		return nil, true
 	}
-	l, ok := args[0].(List)
-	if !ok && args[0] != nil {
-		return nil, fmt.Errorf("core: list_append: first argument is %s (line %d)", TypeName(args[0]), line)
-	}
-	out := make(List, 0, len(l)+1)
-	out = append(out, l...)
-	return append(out, args[1]), nil
+	l, ok := r.ref.(List)
+	return l, ok
 }
 
-func asList(v Value, name string, line int) (List, error) {
-	if v == nil {
-		return nil, nil
-	}
-	l, ok := v.(List)
-	if !ok {
-		return nil, fmt.Errorf("core: %s needs a list, got %s (line %d)", name, TypeName(v), line)
-	}
-	return l, nil
-}
-
-func biListLen(_ Host, args []Value, line int) (Value, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("core: list_len(list) (line %d)", line)
-	}
-	l, err := asList(args[0], "list_len", line)
-	if err != nil {
-		return nil, err
-	}
-	return int64(len(l)), nil
-}
-
-func biListEmpty(_ Host, args []Value, line int) (Value, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("core: is_list_empty(list) (line %d)", line)
-	}
-	l, err := asList(args[0], "is_list_empty", line)
-	if err != nil {
-		return nil, err
-	}
-	return len(l) == 0, nil
-}
-
-func biListContains(_ Host, args []Value, line int) (Value, error) {
-	if len(args) != 2 {
-		return nil, fmt.Errorf("core: list_contains(list, value) (line %d)", line)
-	}
-	l, err := asList(args[0], "list_contains", line)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range l {
-		if Equal(e, args[1]) {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-func biListGet(_ Host, args []Value, line int) (Value, error) {
-	if len(args) != 2 {
-		return nil, fmt.Errorf("core: list_get(list, index) (line %d)", line)
-	}
-	l, err := asList(args[0], "list_get", line)
-	if err != nil {
-		return nil, err
-	}
-	idx, ok := AsFloat(args[1])
-	if !ok {
-		return nil, fmt.Errorf("core: list_get index must be numeric (line %d)", line)
-	}
-	i := int(idx)
-	if i < 0 || i >= len(l) {
-		return nil, fmt.Errorf("core: list_get index %d out of range [0,%d) (line %d)", i, len(l), line)
-	}
-	return l[i], nil
-}
-
-func asMap(v Value, name string, line int) (*MapVal, error) {
-	m, ok := v.(*MapVal)
-	if !ok {
-		return nil, fmt.Errorf("core: %s needs a map, got %s (line %d)", name, TypeName(v), line)
-	}
-	return m, nil
-}
-
-// keyString is keyText of a boxed key.
-func keyString(v Value) string {
-	k := unbox(v)
-	return keyText(&k)
-}
-
-func biMapGet(_ Host, args []Value, line int) (Value, error) {
-	if len(args) != 3 {
-		return nil, fmt.Errorf("core: map_get(map, key, default) (line %d)", line)
-	}
-	m, err := asMap(args[0], "map_get", line)
-	if err != nil {
-		return nil, err
-	}
-	k := unbox(args[1])
-	if i := m.find(&k); i >= 0 {
-		return m.slots[i].val.box(), nil
-	}
-	return args[2], nil
-}
-
-func biMapSet(_ Host, args []Value, line int) (Value, error) {
-	if len(args) != 3 {
-		return nil, fmt.Errorf("core: map_set(map, key, value) (line %d)", line)
-	}
-	m, err := asMap(args[0], "map_set", line)
-	if err != nil {
-		return nil, err
-	}
-	k, v := unbox(args[1]), unbox(args[2])
-	m.set(&k, &v)
-	return m, nil
-}
-
-func biMapHas(_ Host, args []Value, line int) (Value, error) {
-	if len(args) != 2 {
-		return nil, fmt.Errorf("core: map_has(map, key) (line %d)", line)
-	}
-	m, err := asMap(args[0], "map_has", line)
-	if err != nil {
-		return nil, err
-	}
-	k := unbox(args[1])
-	return m.find(&k) >= 0, nil
-}
-
-func biMapDel(_ Host, args []Value, line int) (Value, error) {
-	if len(args) != 2 {
-		return nil, fmt.Errorf("core: map_del(map, key) (line %d)", line)
-	}
-	m, err := asMap(args[0], "map_del", line)
-	if err != nil {
-		return nil, err
-	}
-	k := unbox(args[1])
-	m.del(&k)
-	return m, nil
-}
-
-func biMapLen(_ Host, args []Value, line int) (Value, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("core: map_len(map) (line %d)", line)
-	}
-	m, err := asMap(args[0], "map_len", line)
-	if err != nil {
-		return nil, err
-	}
-	return int64(m.Len()), nil
-}
-
-func biMapKeys(_ Host, args []Value, line int) (Value, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("core: map_keys(map) (line %d)", line)
-	}
-	m, err := asMap(args[0], "map_keys", line)
-	if err != nil {
-		return nil, err
-	}
-	return m.keyList(), nil
-}
-
-func biNow(h Host, args []Value, line int) (Value, error) {
-	if len(args) != 0 {
-		return nil, fmt.Errorf("core: now() takes no arguments (line %d)", line)
-	}
-	return float64(h.Now().Milliseconds()), nil
-}
-
-func biStr(_ Host, args []Value, line int) (Value, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("core: str(value) (line %d)", line)
-	}
-	if s, ok := args[0].(string); ok {
-		return s, nil
-	}
-	return FormatValue(args[0]), nil
-}
-
-// biGetHH is the paper's abstracted getHH helper: given a list of
-// PortStats records and a byte threshold, return the ports whose
-// transmitted bytes since the last poll reach the threshold.
-func biGetHH(_ Host, args []Value, line int) (Value, error) {
-	if len(args) != 2 {
-		return nil, fmt.Errorf("core: getHH(stats, threshold) (line %d)", line)
-	}
-	stats, err := asList(args[0], "getHH", line)
-	if err != nil {
-		return nil, err
-	}
-	th, ok := AsFloat(args[1])
-	if !ok {
-		return nil, fmt.Errorf("core: getHH threshold must be numeric (line %d)", line)
-	}
-	hitters, bad := hhRecords{l: stats}.hitters(th)
-	if bad >= 0 {
-		return nil, fmt.Errorf("core: getHH expects PortStats records, got %s (line %d)", TypeName(stats[bad]), line)
-	}
-	return hitters, nil
-}
-
-// hhRecords is getHH's records argument in either representation: an
-// unboxed poll batch in the port_stats layout (the register VM's fast
-// path) or a boxed list.
-type hhRecords struct {
+// listView is a list argument: a poll batch read in place, or a list.
+type listView struct {
 	b *Batch
 	l List
 }
 
-func (r hhRecords) len() int {
-	if r.b != nil {
-		return r.b.Len()
+// listArg reads a list builtin's first argument after checking the
+// argument count.
+func listArg(args []rval, n int, usage string, line int32) (listView, error) {
+	if err := arity(args, n, usage, line); err != nil {
+		return listView{}, err
 	}
-	return len(r.l)
+	if args[0].k == rkBatch {
+		return listView{b: args[0].ref.(*Batch)}, nil
+	}
+	l, ok := asListR(args[0])
+	if !ok {
+		return listView{}, fmt.Errorf("core: %s needs a list, got %s (line %d)", usageName(usage), typeNameR(args[0]), line)
+	}
+	return listView{l: l}, nil
+}
+
+func (v listView) len() int {
+	if v.b != nil {
+		return v.b.Len()
+	}
+	return len(v.l)
+}
+
+// at is element i; a batch's is a row, no record built.
+func (v listView) at(i int) rval {
+	if v.b != nil {
+		return rval{k: rkRow, i: int64(i), ref: v.b}
+	}
+	return unbox(v.l[i])
 }
 
 // dTx returns record i's transmitted-byte delta; ok is false when
 // element i is not a PortStats record.
-func (r hhRecords) dTx(i int) (d float64, ok bool) {
-	if r.b != nil {
-		return float64(r.b.at(i, psDTxBytes)), true
+func (v listView) dTx(i int) (d float64, ok bool) {
+	if v.b != nil {
+		if v.b.l != portStatsLayout {
+			return 0, false
+		}
+		return float64(v.b.at(i, psDTxBytes)), true
 	}
-	sv, ok := r.l[i].(StructVal)
+	sv, ok := v.l[i].(StructVal)
 	if !ok || sv.Type() != "PortStats" {
 		return 0, false
 	}
@@ -525,11 +376,11 @@ func (r hhRecords) dTx(i int) (d float64, ok bool) {
 	return d, true
 }
 
-func (r hhRecords) port(i int) Value {
-	if r.b != nil {
-		return r.b.at(i, psPort)
+func (v listView) port(i int) Value {
+	if v.b != nil {
+		return v.b.at(i, psPort)
 	}
-	p, _ := r.l[i].(StructVal).Get("port")
+	p, _ := v.l[i].(StructVal).Get("port")
 	return p
 }
 
@@ -537,10 +388,10 @@ func (r hhRecords) port(i int) Value {
 // threshold and once to collect them, so the result is allocated at its
 // final size (nil when there is none). bad is the index of the first
 // element that is not a PortStats record, or -1.
-func (r hhRecords) hitters(th float64) (out List, bad int) {
+func (v listView) hitters(th float64) (out List, bad int) {
 	n := 0
-	for i := 0; i < r.len(); i++ {
-		d, ok := r.dTx(i)
+	for i := 0; i < v.len(); i++ {
+		d, ok := v.dTx(i)
 		if !ok {
 			return nil, i
 		}
@@ -552,21 +403,195 @@ func (r hhRecords) hitters(th float64) (out List, bad int) {
 		return nil, -1
 	}
 	out = make(List, 0, n)
-	for i := 0; i < r.len(); i++ {
-		if d, _ := r.dTx(i); d >= th {
-			out = append(out, r.port(i))
+	for i := 0; i < v.len(); i++ {
+		if d, _ := v.dTx(i); d >= th {
+			out = append(out, v.port(i))
 		}
 	}
 	return out, -1
 }
 
-// BuiltinNames returns the sorted runtime library function names
-// (documentation and farmctl introspection).
-func BuiltinNames() []string {
-	names := make([]string, 0, len(builtins))
-	for n := range builtins {
-		names = append(names, n)
+func nvListAppend(_ Host, args []rval, line int32) (rval, error) {
+	v, err := listArg(args, 2, "list_append(list, value)", line)
+	if err != nil && len(args) == 2 {
+		err = fmt.Errorf("core: list_append: first argument is %s (line %d)", typeNameR(args[0]), line)
 	}
-	sort.Strings(names)
-	return names
+	if err != nil {
+		return rval{}, err
+	}
+	l := v.l
+	if v.b != nil {
+		l = v.b.List()
+	}
+	out := make(List, 0, len(l)+1)
+	out = append(out, l...)
+	return rref(append(out, args[1].box())), nil
+}
+
+func nvListLen(_ Host, args []rval, line int32) (rval, error) {
+	v, err := listArg(args, 1, "list_len(list)", line)
+	if err != nil {
+		return rval{}, err
+	}
+	return rint(int64(v.len())), nil
+}
+
+func nvListEmpty(_ Host, args []rval, line int32) (rval, error) {
+	v, err := listArg(args, 1, "is_list_empty(list)", line)
+	if err != nil {
+		return rval{}, err
+	}
+	return rbool(v.len() == 0), nil
+}
+
+func nvListContains(_ Host, args []rval, line int32) (rval, error) {
+	v, err := listArg(args, 2, "list_contains(list, value)", line)
+	if err != nil {
+		return rval{}, err
+	}
+	for i := 0; i < v.len(); i++ {
+		if eqR(v.at(i), args[1]) {
+			return rbool(true), nil
+		}
+	}
+	return rbool(false), nil
+}
+
+func nvListGet(_ Host, args []rval, line int32) (rval, error) {
+	v, err := listArg(args, 2, "list_get(list, index)", line)
+	if err != nil {
+		return rval{}, err
+	}
+	idx, ok := asFloatR(args[1])
+	if !ok {
+		return rval{}, fmt.Errorf("core: list_get index must be numeric (line %d)", line)
+	}
+	i := int(idx)
+	if i < 0 || i >= v.len() {
+		return rval{}, fmt.Errorf("core: list_get index %d out of range [0,%d) (line %d)", i, v.len(), line)
+	}
+	return v.at(i), nil
+}
+
+// nvListClear takes any arguments and ignores them.
+func nvListClear(Host, []rval, int32) (rval, error) { return rref(zeroListVal), nil }
+
+// nvGetHH is the paper's abstracted getHH helper: given a list of
+// PortStats records and a byte threshold, return the ports whose
+// transmitted bytes since the last poll reach the threshold. On a
+// port-statistics poll batch the answer is the batch's (memoised).
+func nvGetHH(_ Host, args []rval, line int32) (rval, error) {
+	v, err := listArg(args, 2, "getHH(stats, threshold)", line)
+	if err != nil {
+		return rval{}, err
+	}
+	th, ok := asFloatR(args[1])
+	if !ok {
+		return rval{}, fmt.Errorf("core: getHH threshold must be numeric (line %d)", line)
+	}
+	if v.b != nil && v.b.l == portStatsLayout {
+		return rref(v.b.hitters(th)), nil
+	}
+	hitters, bad := v.hitters(th)
+	if bad >= 0 {
+		return rval{}, fmt.Errorf("core: getHH expects PortStats records, got %s (line %d)", typeNameR(v.at(bad)), line)
+	}
+	return rref(hitters), nil
+}
+
+// nvMapNew takes any arguments and ignores them.
+func nvMapNew(Host, []rval, int32) (rval, error) { return rref(NewMap()), nil }
+
+// The map builtins are MapVal's methods on unboxed arguments.
+
+// mapArg reads a map builtin's first argument after checking the
+// argument count.
+func mapArg(args []rval, n int, usage string, line int32) (*MapVal, error) {
+	if err := arity(args, n, usage, line); err != nil {
+		return nil, err
+	}
+	m, ok := args[0].ref.(*MapVal)
+	if !ok {
+		return nil, fmt.Errorf("core: %s needs a map, got %s (line %d)", usageName(usage), typeNameR(args[0]), line)
+	}
+	return m, nil
+}
+
+func nvMapGet(_ Host, args []rval, line int32) (rval, error) {
+	m, err := mapArg(args, 3, "map_get(map, key, default)", line)
+	if err != nil {
+		return rval{}, err
+	}
+	if i := m.find(&args[1]); i >= 0 {
+		return m.slots[i].val, nil
+	}
+	return args[2], nil
+}
+
+func nvMapSet(_ Host, args []rval, line int32) (rval, error) {
+	m, err := mapArg(args, 3, "map_set(map, key, value)", line)
+	if err != nil {
+		return rval{}, err
+	}
+	m.set(&args[1], &args[2])
+	return args[0], nil
+}
+
+func nvMapHas(_ Host, args []rval, line int32) (rval, error) {
+	m, err := mapArg(args, 2, "map_has(map, key)", line)
+	if err != nil {
+		return rval{}, err
+	}
+	return rbool(m.find(&args[1]) >= 0), nil
+}
+
+func nvMapDel(_ Host, args []rval, line int32) (rval, error) {
+	m, err := mapArg(args, 2, "map_del(map, key)", line)
+	if err != nil {
+		return rval{}, err
+	}
+	m.del(&args[1])
+	return args[0], nil
+}
+
+func nvMapLen(_ Host, args []rval, line int32) (rval, error) {
+	m, err := mapArg(args, 1, "map_len(map)", line)
+	if err != nil {
+		return rval{}, err
+	}
+	return rint(int64(m.Len())), nil
+}
+
+func nvMapKeys(_ Host, args []rval, line int32) (rval, error) {
+	m, err := mapArg(args, 1, "map_keys(map)", line)
+	if err != nil {
+		return rval{}, err
+	}
+	return rref(m.keyList()), nil
+}
+
+func nvNow(h Host, args []rval, line int32) (rval, error) {
+	if len(args) != 0 {
+		return rval{}, fmt.Errorf("core: now() takes no arguments (line %d)", line)
+	}
+	return rfloat(float64(h.Now().Milliseconds())), nil
+}
+
+func nvStr(_ Host, args []rval, line int32) (rval, error) {
+	if err := arity(args, 1, "str(value)", line); err != nil {
+		return rval{}, err
+	}
+	if args[0].k == rkStr {
+		return args[0], nil
+	}
+	return rstr(string(appendR(nil, &args[0]))), nil
+}
+
+func nvLogMsg(h Host, args []rval, _ int32) (rval, error) {
+	parts := make([]any, len(args))
+	for i := range args {
+		parts[i] = string(appendR(nil, &args[i]))
+	}
+	h.Log("%v", parts)
+	return rval{k: rkNil}, nil
 }

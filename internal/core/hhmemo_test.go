@@ -49,9 +49,9 @@ func (s *hhStream) next() *Batch {
 // vmGetHH calls the register VM's getHH native on a batch.
 func vmGetHH(t *testing.T, b *Batch, th rval) List {
 	t.Helper()
-	r, ok, err := nvGetHH(nil, []rval{{k: rkBatch, ref: b}, th}, 0)
-	if !ok || err != nil {
-		t.Fatalf("getHH native refused a port batch: ok=%v err=%v", ok, err)
+	r, err := nvGetHH(nil, []rval{{k: rkBatch, ref: b}, th}, 0)
+	if err != nil {
+		t.Fatalf("getHH native refused a port batch: %v", err)
 	}
 	return r.ref.(List)
 }
@@ -271,7 +271,7 @@ func TestGetHHAllocs(t *testing.T) {
 					args[0].ref = prev
 					before := mallocs()
 					for s := 0; s < subs; s++ {
-						if r, ok, _ := nvGetHH(nil, args, 0); !ok || r.k != rkRef {
+						if r, err := nvGetHH(nil, args, 0); err != nil || r.k != rkRef {
 							t.Fatalf("getHH refused completion %d", n)
 						}
 					}

@@ -382,7 +382,7 @@ func TestMapKeysAllocs(t *testing.T) {
 			m.Set(fmt.Sprintf("key-%03d", (i*37)%size), int64(i))
 		}
 		args := []rval{rref(m)}
-		first, _, _ := nvMapKeys(nil, args, 1)
+		first, _ := nvMapKeys(nil, args, 1)
 		if l := first.ref.(List); len(l) != size || !slices.IsSortedFunc(l, func(a, b Value) int { return strings.Compare(a.(string), b.(string)) }) {
 			t.Fatalf("%d keys: map_keys = %s", size, FormatValue(l))
 		}
@@ -401,7 +401,7 @@ func TestMapKeysAllocs(t *testing.T) {
 		}); allocs > 2 {
 			t.Errorf("%d keys: map_keys after an insert and a delete allocates %.1f, want <= 2 whatever the size", size, allocs)
 		}
-		if again, _, _ := nvMapKeys(nil, args, 1); FormatValue(again.ref) != FormatValue(first.ref) {
+		if again, _ := nvMapKeys(nil, args, 1); FormatValue(again.ref) != FormatValue(first.ref) {
 			t.Fatalf("%d keys: key list changed: %s, was %s", size, FormatValue(again.ref), FormatValue(first.ref))
 		}
 	}

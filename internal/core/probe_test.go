@@ -320,8 +320,8 @@ func TestAddrTextBoundedAndExact(t *testing.T) {
 	}
 }
 
-// A long map key is its decimal text, the same for the natives, the boxed
-// builtins, keyString and FormatValue, over boundary and random values.
+// A long map key is its decimal text, the same for the natives, their
+// boxed twins, keyString and FormatValue, over boundary and random values.
 func TestMapLongKeysMatchFormatValue(t *testing.T) {
 	keys := []int64{0, 1, -1, 9, 10, 99, 100, 255, 256, 65535, -65536, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}
 	rng := rand.New(rand.NewSource(99))
@@ -336,28 +336,28 @@ func TestMapLongKeysMatchFormatValue(t *testing.T) {
 		}
 		mv := NewMap()
 		mref, key := rref(mv), rint(k)
-		if _, handled, _ := nvMapSet(nil, []rval{mref, key, rint(7)}, 1); !handled {
-			t.Fatalf("map_set with long key %d bridged", k)
+		if _, err := nvMapSet(nil, []rval{mref, key, rint(7)}, 1); err != nil {
+			t.Fatalf("map_set with long key %d: %v", k, err)
 		}
 		if v, ok := mv.Get(want); !ok || mv.Len() != 1 || v != int64(7) {
 			t.Fatalf("map_set(%d) stored under %s, want key %q", k, FormatValue(mv), want)
 		}
-		if got, handled, _ := nvMapGet(nil, []rval{mref, key, rint(-1)}, 1); !handled || got.i != 7 {
-			t.Fatalf("map_get(%d) = %v (handled %v), want 7", k, got.box(), handled)
+		if got, err := nvMapGet(nil, []rval{mref, key, rint(-1)}, 1); err != nil || got.i != 7 {
+			t.Fatalf("map_get(%d) = %v (%v), want 7", k, got.box(), err)
 		}
-		if got, handled, _ := nvMapHas(nil, []rval{mref, key}, 1); !handled || got.i != 1 {
-			t.Fatalf("map_has(%d) = %v (handled %v), want true", k, got.box(), handled)
+		if got, err := nvMapHas(nil, []rval{mref, key}, 1); err != nil || got.i != 1 {
+			t.Fatalf("map_has(%d) = %v (%v), want true", k, got.box(), err)
 		}
-		// The boxed builtins and a string key of the same text reach the
-		// same entry.
+		// The boxed twin and a string key of the same text reach the same
+		// entry.
 		if got, _ := biMapGet(nil, []Value{mv, k, int64(-1)}, 1); got != int64(7) {
-			t.Fatalf("bridged map_get(%d) = %v, want 7", k, got)
+			t.Fatalf("boxed map_get(%d) = %v, want 7", k, got)
 		}
-		if got, _, _ := nvMapGet(nil, []rval{mref, rstr(want), rint(-1)}, 1); got.i != 7 {
+		if got, _ := nvMapGet(nil, []rval{mref, rstr(want), rint(-1)}, 1); got.i != 7 {
 			t.Fatalf("map_get(%q) = %v, want 7", want, got.box())
 		}
-		if _, handled, _ := nvMapDel(nil, []rval{mref, key}, 1); !handled || mv.Len() != 0 {
-			t.Fatalf("map_del(%d) left %s (handled %v)", k, FormatValue(mv), handled)
+		if _, err := nvMapDel(nil, []rval{mref, key}, 1); err != nil || mv.Len() != 0 {
+			t.Fatalf("map_del(%d) left %s (%v)", k, FormatValue(mv), err)
 		}
 	}
 	// Lookups build the key text on the stack.
@@ -371,22 +371,24 @@ func TestMapLongKeysMatchFormatValue(t *testing.T) {
 		t.Fatalf("map_get + map_has with a long key allocate %.1f, want 0", allocs)
 	}
 	// Every other key type is the text FormatValue gives it, natively and
-	// through the boxed builtins alike.
+	// through the boxed twins alike.
 	for _, key := range []rval{rfloat(1.5), rbool(true), {k: rkNil}, rref(List{int64(1)})} {
 		want := FormatValue(key.box())
-		if _, handled, _ := nvMapSet(nil, []rval{rref(mv), key, rint(9)}, 1); !handled {
-			t.Fatalf("map_set with a %s key bridged", typeNameR(key))
+		if _, err := nvMapSet(nil, []rval{rref(mv), key, rint(9)}, 1); err != nil {
+			t.Fatalf("map_set with a %s key: %v", typeNameR(key), err)
 		}
 		if v, ok := mv.Get(want); !ok || v != int64(9) {
 			t.Fatalf("map_set with a %s key: no entry %q in %s", typeNameR(key), want, FormatValue(mv))
 		}
 		if got, _ := biMapGet(nil, []Value{mv, key.box(), int64(-1)}, 1); got != int64(9) {
-			t.Fatalf("bridged map_get with a %s key = %v, want 9", typeNameR(key), got)
+			t.Fatalf("boxed map_get with a %s key = %v, want 9", typeNameR(key), got)
 		}
 	}
-	// A non-map still bridges, for the builtin's error string.
-	if _, handled, _ := nvMapGet(nil, []rval{rint(1), rint(1), rint(0)}, 1); handled {
-		t.Fatal("map_get on a long did not bridge")
+	// A non-map fails with the boxed twin's error string.
+	_, err := nvMapGet(nil, []rval{rint(1), rint(1), rint(0)}, 1)
+	_, want := biMapGet(nil, []Value{int64(1), int64(1), int64(0)}, 1)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("map_get on a long: %v, want %v", err, want)
 	}
 }
 

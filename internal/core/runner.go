@@ -28,7 +28,7 @@ var _ Runner = (*rvmSeed)(nil)
 // program lowered from it, and that program resolved against this
 // package's runtime — literals pre-unboxed, name->index maps for
 // dispatch and snapshots, builtin name slots bound to their
-// implementations (plus native unboxed fast paths where we have them).
+// implementations.
 //
 // A Program is never written after Compile returns, so any number of
 // runners, on any engine shard, share one. Everything a handler can
@@ -46,8 +46,7 @@ type Program struct {
 	stateIdx map[string]int32
 	envIdx   map[string]int32
 	svIdx    []map[string]int32
-	bfns     []builtinFn
-	natives  []nativeFn
+	natives  []nativeFn // by name index; nil for a name that is no builtin
 	// layouts[i] is the interned record layout for struct site
 	// p.Structs[i]: struct literals become a layout pointer plus a flat
 	// field slice, no per-record map.
@@ -95,13 +94,9 @@ func Compile(cm *almanac.CompiledMachine) (*Program, error) {
 	for i, s := range p.EnvSlots {
 		lp.envIdx[s.Name] = int32(i)
 	}
-	lp.bfns = make([]builtinFn, len(p.Names))
 	lp.natives = make([]nativeFn, len(p.Names))
 	for i, n := range p.Names {
-		if fn, ok := builtins[n]; ok {
-			lp.bfns[i] = fn
-			lp.natives[i] = vmNatives[n]
-		}
+		lp.natives[i] = natives[n]
 	}
 	lp.layouts = make([]*Layout, len(p.Structs))
 	for i := range p.Structs {

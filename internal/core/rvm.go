@@ -225,22 +225,6 @@ func (m *rvmSeed) cmpSlow(op almanac.ROp, l, r rval, line int32) (bool, error) {
 	return v.i != 0, nil
 }
 
-// bridgeB boxes the arguments and runs the shared boxed builtin — the
-// fallback for the specialized native opcodes (RListLen, RListGet) when
-// the unboxed fast path does not apply. It mirrors the RCallB bridge so
-// cold paths and error strings have a single source.
-func (m *rvmSeed) bridgeB(name int32, argv []rval, line int32) (rval, error) {
-	m.scratch = m.scratch[:0]
-	for _, a := range argv {
-		m.scratch = append(m.scratch, a.box())
-	}
-	v, err := m.lp.bfns[name](m.host, m.scratch, int(line))
-	if err != nil {
-		return rval{}, err
-	}
-	return unbox(v), nil
-}
-
 func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 	lp := m.lp
 	p := lp.p
@@ -856,7 +840,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				break
 			}
 			m.nargs[0] = v
-			res, err := m.bridgeB(in.A, m.nargs[:1], in.Line)
+			res, err := lp.natives[in.A](m.host, m.nargs[:1], in.Line)
 			if err != nil {
 				return chunkResult{}, err
 			}
@@ -867,7 +851,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 			iv := bases.rd(in.C)
 			if lv.k == rkBatch {
 				// A row reference: no record is built unless it escapes.
-				// Out of range falls through to the bridge like a list.
+				// Out of range falls through to the native's error.
 				if idx, ok := asFloatR(iv); ok {
 					if i := int(idx); i >= 0 && i < lv.ref.(*Batch).Len() {
 						wrOpnd(in.Dst, rval{k: rkRow, i: int64(i), ref: lv.ref}, regs, env, stf)
@@ -883,7 +867,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				}
 			}
 			m.nargs[0], m.nargs[1] = lv, iv
-			res, err := m.bridgeB(in.A, m.nargs[:2], in.Line)
+			res, err := lp.natives[in.A](m.host, m.nargs[:2], in.Line)
 			if err != nil {
 				return chunkResult{}, err
 			}
@@ -905,27 +889,11 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				}
 				argv = m.nargs[:argc]
 			}
-			if nf := lp.natives[in.A]; nf != nil {
-				res, handled, err := nf(m.host, argv, in.Line)
-				if err != nil {
-					return chunkResult{}, err
-				}
-				if handled {
-					wrOpnd(in.Dst, res, regs, env, stf)
-					break
-				}
-			}
-			// Bridge: box the arguments and run the shared builtin, so
-			// every cold path and error string has a single source.
-			m.scratch = m.scratch[:0]
-			for _, a := range argv {
-				m.scratch = append(m.scratch, a.box())
-			}
-			v, err := lp.bfns[in.A](m.host, m.scratch, int(in.Line))
+			res, err := lp.natives[in.A](m.host, argv, in.Line)
 			if err != nil {
 				return chunkResult{}, err
 			}
-			wrOpnd(in.Dst, unbox(v), regs, env, stf)
+			wrOpnd(in.Dst, res, regs, env, stf)
 
 		case almanac.RCallFn:
 			fn := &p.Funcs[in.A]

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"net/netip"
 
 	"farm/internal/almanac"
@@ -10,10 +9,10 @@ import (
 	"farm/internal/netmodel"
 )
 
-// The register VM, everything but its dispatch loop (rvm.go): the
-// unboxed value representation, the seed's frames and their
-// Snapshot/Restore, dynamic name resolution, the arithmetic and field
-// slow paths, and the native builtins. Values live unboxed in rval
+// The register VM, everything but its dispatch loop (rvm.go) and its
+// builtins (builtins.go): the unboxed value representation, the seed's
+// frames and their Snapshot/Restore, dynamic name resolution, and the
+// arithmetic and field slow paths. Values live unboxed in rval
 // frames (machine env slots, per-state persistent slots, a register
 // arena for handler/function activations); only reference values
 // (lists, maps, structs, sketches, ...) carry a boxed payload. The AST
@@ -98,10 +97,10 @@ func unbox(v Value) rval {
 }
 
 // box converts an rval back into a boxed Value (cold paths only:
-// bridged builtins, snapshots, sends, struct/list construction). This is
-// where a poll batch, one of its rows or a packet read in place leaves
-// the VM: it materialises into the List / StructVal / PacketVal it
-// stands for, a private copy every time.
+// snapshots, sends, struct/list construction, the builtins that read a
+// value as a whole). This is where a poll batch, one of its rows or a
+// packet read in place leaves the VM: it materialises into the List /
+// StructVal / PacketVal it stands for, a private copy every time.
 func (r rval) box() Value {
 	switch r.k {
 	case rkUndef, rkNil:
@@ -196,27 +195,6 @@ func eqR(l, r rval) bool {
 	return false
 }
 
-// eqVR mirrors Equal(boxed, rval) without boxing the right side.
-func eqVR(v Value, r rval) bool {
-	if fv, ok := AsFloat(v); ok {
-		rf, ok2 := asFloatR(r)
-		return ok2 && fv == rf
-	}
-	switch x := v.(type) {
-	case bool:
-		return r.k == rkBool && x == (r.i != 0)
-	case string:
-		return r.k == rkStr && x == r.asStr()
-	case nil:
-		return r.k == rkNil
-	default:
-		if r.k == rkRef {
-			return Equal(v, r.ref)
-		}
-		return r.isRef() && Equal(v, r.box())
-	}
-}
-
 // Prebuilt boxed zero values for reference kinds that are immutable (or
 // never mutated through the shared box), so OpZero stays allocation
 // free where the interpreter's zeroValue would re-box.
@@ -269,7 +247,6 @@ type rvmSeed struct {
 	regs    []rval // register arena; chunk frames are windows into it
 	rbase   int
 	fc      []fieldCache // one per RField site, lazily filled
-	scratch []Value      // bridge argument buffer
 	bindBuf [1]rval
 	nargs   [2]rval // RCallB2 argument buffer
 
@@ -617,381 +594,4 @@ func (m *rvmSeed) fieldAssign(fa *almanac.FieldAssignSite, loc []rval, v rval) e
 		return fmt.Errorf("core: struct %s has no field %s", sv.Type(), fa.Field)
 	}
 	return nil
-}
-
-// nativeFn is an unboxed fast path for one builtin: handled=false means
-// "bridge to the boxed builtin" (unexpected types, arity, or any error
-// case — error strings have exactly one source, builtins.go).
-type nativeFn func(h Host, args []rval, line int32) (res rval, handled bool, err error)
-
-var vmNatives = map[string]nativeFn{
-	"list_len":          nvListLen,
-	"is_list_empty":     nvListEmpty,
-	"list_get":          nvListGet,
-	"list_contains":     nvListContains,
-	"list_clear":        nvListClear,
-	"map_new":           nvMapNew,
-	"map_get":           nvMapGet,
-	"map_set":           nvMapSet,
-	"map_has":           nvMapHas,
-	"map_del":           nvMapDel,
-	"map_len":           nvMapLen,
-	"map_keys":          nvMapKeys,
-	"min":               nvMin,
-	"max":               nvMax,
-	"abs":               nvAbs,
-	"floor":             nvFloor,
-	"log":               nvLog,
-	"log2":              nvLog2,
-	"now":               nvNow,
-	"str":               nvStr,
-	"getHH":             nvGetHH,
-	"sketch_add":        nvSketchAdd,
-	"sketch_count":      nvSketchCount,
-	"sketch_total":      nvSketchTotal,
-	"distinct_add":      nvDistinctAdd,
-	"distinct_estimate": nvDistinctEstimate,
-}
-
-// asListR extracts a List per asList semantics (nil passes); handled
-// reports whether the rval is list-shaped at all.
-func asListR(r rval) (List, bool) {
-	if r.k == rkNil {
-		return nil, true
-	}
-	if r.k == rkRef {
-		if l, ok := r.ref.(List); ok {
-			return l, true
-		}
-	}
-	return nil, false
-}
-
-func nvListLen(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 1 {
-		return rval{}, false, nil
-	}
-	l, ok := asListR(args[0])
-	if !ok {
-		return rval{}, false, nil
-	}
-	return rint(int64(len(l))), true, nil
-}
-
-func nvListEmpty(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 1 {
-		return rval{}, false, nil
-	}
-	l, ok := asListR(args[0])
-	if !ok {
-		return rval{}, false, nil
-	}
-	return rbool(len(l) == 0), true, nil
-}
-
-func nvListGet(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 2 {
-		return rval{}, false, nil
-	}
-	l, ok := asListR(args[0])
-	if !ok {
-		return rval{}, false, nil
-	}
-	idx, ok := asFloatR(args[1])
-	if !ok {
-		return rval{}, false, nil
-	}
-	i := int(idx)
-	if i < 0 || i >= len(l) {
-		return rval{}, false, nil // bridge for the exact range error
-	}
-	return unbox(l[i]), true, nil
-}
-
-func nvListContains(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 2 {
-		return rval{}, false, nil
-	}
-	l, ok := asListR(args[0])
-	if !ok {
-		return rval{}, false, nil
-	}
-	for _, e := range l {
-		if eqVR(e, args[1]) {
-			return rbool(true), true, nil
-		}
-	}
-	return rbool(false), true, nil
-}
-
-func nvListClear(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 1 {
-		return rval{}, false, nil
-	}
-	return rref(zeroListVal), true, nil
-}
-
-func nvMapNew(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 0 {
-		return rval{}, false, nil
-	}
-	return rref(NewMap()), true, nil
-}
-
-// The map natives are MapVal's methods on unboxed arguments; a non-map
-// or a wrong argument count bridges for its error.
-
-func mapArgR(args []rval, n int) (*MapVal, bool) {
-	if len(args) != n || args[0].k != rkRef {
-		return nil, false
-	}
-	mv, ok := args[0].ref.(*MapVal)
-	return mv, ok
-}
-
-func nvMapGet(_ Host, args []rval, _ int32) (rval, bool, error) {
-	mv, ok := mapArgR(args, 3)
-	if !ok {
-		return rval{}, false, nil
-	}
-	if i := mv.find(&args[1]); i >= 0 {
-		return mv.slots[i].val, true, nil
-	}
-	return args[2], true, nil
-}
-
-func nvMapSet(_ Host, args []rval, _ int32) (rval, bool, error) {
-	mv, ok := mapArgR(args, 3)
-	if !ok {
-		return rval{}, false, nil
-	}
-	mv.set(&args[1], &args[2])
-	return args[0], true, nil
-}
-
-func nvMapHas(_ Host, args []rval, _ int32) (rval, bool, error) {
-	mv, ok := mapArgR(args, 2)
-	if !ok {
-		return rval{}, false, nil
-	}
-	return rbool(mv.find(&args[1]) >= 0), true, nil
-}
-
-func nvMapDel(_ Host, args []rval, _ int32) (rval, bool, error) {
-	mv, ok := mapArgR(args, 2)
-	if !ok {
-		return rval{}, false, nil
-	}
-	mv.del(&args[1])
-	return args[0], true, nil
-}
-
-func nvMapLen(_ Host, args []rval, _ int32) (rval, bool, error) {
-	mv, ok := mapArgR(args, 1)
-	if !ok {
-		return rval{}, false, nil
-	}
-	return rint(int64(mv.Len())), true, nil
-}
-
-func nvMapKeys(_ Host, args []rval, _ int32) (rval, bool, error) {
-	mv, ok := mapArgR(args, 1)
-	if !ok {
-		return rval{}, false, nil
-	}
-	return rval{k: rkRef, ref: mv.keyList()}, true, nil
-}
-
-// nvMinMax mirrors biMin/biMax: float comparison, int64 result when
-// every operand is a long (including the same float64→int64 narrowing).
-func nvMinMax(args []rval, max bool) (rval, bool, error) {
-	if len(args) == 0 {
-		return rval{}, false, nil
-	}
-	allInt := true
-	best, ok := asFloatR(args[0])
-	if !ok {
-		return rval{}, false, nil
-	}
-	if args[0].k != rkInt {
-		allInt = false
-	}
-	for _, a := range args[1:] {
-		f, ok := asFloatR(a)
-		if !ok {
-			return rval{}, false, nil
-		}
-		if a.k != rkInt {
-			allInt = false
-		}
-		if (max && f > best) || (!max && f < best) {
-			best = f
-		}
-	}
-	if allInt {
-		return rint(int64(best)), true, nil
-	}
-	return rfloat(best), true, nil
-}
-
-func nvMin(_ Host, args []rval, _ int32) (rval, bool, error) { return nvMinMax(args, false) }
-func nvMax(_ Host, args []rval, _ int32) (rval, bool, error) { return nvMinMax(args, true) }
-
-func nvAbs(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 1 {
-		return rval{}, false, nil
-	}
-	switch args[0].k {
-	case rkInt:
-		if args[0].i < 0 {
-			return rint(-args[0].i), true, nil
-		}
-		return args[0], true, nil
-	case rkFloat:
-		return rfloat(math.Abs(args[0].f)), true, nil
-	}
-	return rval{}, false, nil
-}
-
-func nvFloor(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 1 {
-		return rval{}, false, nil
-	}
-	f, ok := asFloatR(args[0])
-	if !ok {
-		return rval{}, false, nil
-	}
-	return rint(int64(math.Floor(f))), true, nil
-}
-
-func nvLog(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 1 {
-		return rval{}, false, nil
-	}
-	f, ok := asFloatR(args[0])
-	if !ok || f <= 0 {
-		return rval{}, false, nil
-	}
-	return rfloat(math.Log(f)), true, nil
-}
-
-func nvLog2(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 1 {
-		return rval{}, false, nil
-	}
-	f, ok := asFloatR(args[0])
-	if !ok || f <= 0 {
-		return rval{}, false, nil
-	}
-	return rfloat(math.Log2(f)), true, nil
-}
-
-func nvNow(h Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 0 {
-		return rval{}, false, nil
-	}
-	return rfloat(float64(h.Now().Milliseconds())), true, nil
-}
-
-func nvStr(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 1 || args[0].k != rkStr {
-		return rval{}, false, nil
-	}
-	return args[0], true, nil
-}
-
-func nvGetHH(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 2 {
-		return rval{}, false, nil
-	}
-	th, ok := asFloatR(args[1])
-	if !ok {
-		return rval{}, false, nil
-	}
-	if args[0].k == rkBatch {
-		b := args[0].ref.(*Batch)
-		if b.l != portStatsLayout {
-			return rval{}, false, nil
-		}
-		return rref(b.hitters(th)), true, nil
-	}
-	l, ok := asListR(args[0])
-	if !ok {
-		return rval{}, false, nil
-	}
-	hitters, bad := hhRecords{l: l}.hitters(th)
-	if bad >= 0 {
-		return rval{}, false, nil // bridge for the exact error
-	}
-	return rref(hitters), true, nil
-}
-
-func nvSketchAdd(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 3 {
-		return rval{}, false, nil
-	}
-	if args[0].k != rkRef || args[1].k != rkStr {
-		return rval{}, false, nil
-	}
-	s, ok := args[0].ref.(SketchVal)
-	if !ok {
-		return rval{}, false, nil
-	}
-	delta, ok := asFloatR(args[2])
-	if !ok || delta < 0 {
-		return rval{}, false, nil
-	}
-	s.S.Add(args[1].asStr(), uint64(delta))
-	return args[0], true, nil
-}
-
-func nvSketchCount(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 2 {
-		return rval{}, false, nil
-	}
-	if args[0].k != rkRef || args[1].k != rkStr {
-		return rval{}, false, nil
-	}
-	s, ok := args[0].ref.(SketchVal)
-	if !ok {
-		return rval{}, false, nil
-	}
-	return rint(int64(s.S.Count(args[1].asStr()))), true, nil
-}
-
-func nvSketchTotal(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 1 || args[0].k != rkRef {
-		return rval{}, false, nil
-	}
-	s, ok := args[0].ref.(SketchVal)
-	if !ok {
-		return rval{}, false, nil
-	}
-	return rint(int64(s.S.Total())), true, nil
-}
-
-func nvDistinctAdd(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 2 {
-		return rval{}, false, nil
-	}
-	if args[0].k != rkRef || args[1].k != rkStr {
-		return rval{}, false, nil
-	}
-	d, ok := args[0].ref.(DistinctVal)
-	if !ok {
-		return rval{}, false, nil
-	}
-	d.D.Add(args[1].asStr())
-	return args[0], true, nil
-}
-
-func nvDistinctEstimate(_ Host, args []rval, _ int32) (rval, bool, error) {
-	if len(args) != 1 || args[0].k != rkRef {
-		return rval{}, false, nil
-	}
-	d, ok := args[0].ref.(DistinctVal)
-	if !ok {
-		return rval{}, false, nil
-	}
-	return rfloat(d.D.Estimate()), true, nil
 }

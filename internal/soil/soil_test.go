@@ -686,3 +686,73 @@ machine Timer {
 		t.Fatalf("logged %d errors, want 10 call-depth errors: %q", len(logged), logged)
 	}
 }
+
+// A seed asking for a sketch or a distinct counter past the size bound
+// fails the handler that asked, with an error naming the dimensions: its
+// deployment when the enter handler asks, each tick when a trigger's
+// does. The soil and its other seeds keep running; unbounded, the sizes
+// below panic in makeslice and take down the process hosting the soil.
+func TestOversizedSketchFailsTheHandlerOnly(t *testing.T) {
+	src := `
+machine Greedy {
+  place all;
+  list sk;
+  state s {
+    when (enter) do { sk = sketch_new(10000000, 10000000); }
+  }
+}
+machine Counter {
+  place all;
+  time tick = 10;
+  long fires; list dc;
+  state s {
+    when (tick as now) do { fires = fires + 1; dc = distinct_new(1000000000000000); }
+  }
+}
+machine Timer {
+  place all;
+  time tick = 10;
+  long fires;
+  state s {
+    when (tick as now) do { fires = fires + 1; }
+  }
+}
+`
+	prog, err := almanac.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab, loop := testEnv(t)
+	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
+	var logged []string
+	s.SetLogf(func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) })
+	refs := map[string]SeedRef{}
+	deploy := func(name string) error {
+		cm, err := almanac.CompileMachine(prog, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[name] = SeedRef{Task: "t", Machine: name, Switch: s.Name()}
+		return s.DeployCompiled(refs[name], mustCompile(t, cm), nil, hhAlloc())
+	}
+	for _, name := range []string{"Timer", "Counter"} {
+		if err := deploy(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := deploy("Greedy"); err == nil || !strings.Contains(err.Error(), "sketch_new(1e+07, 1e+07)") {
+		t.Fatalf("deploying a seed whose enter handler asks for 1e14 counters: %v, want the sketch_new size error", err)
+	}
+	if s.NumSeeds() != 2 {
+		t.Fatalf("%d seeds on the soil after the failed deployment, want 2", s.NumSeeds())
+	}
+	loop.RunFor(105 * time.Millisecond)
+	for _, name := range []string{"Timer", "Counter"} {
+		if v, _ := s.SeedVar(refs[name].ID(), "fires"); v != int64(10) {
+			t.Fatalf("%s fired %v times, want 10", name, v)
+		}
+	}
+	if len(logged) != 10 || !strings.Contains(logged[0], "distinct_new(1e+15)") {
+		t.Fatalf("logged %d errors, want 10 distinct_new size errors: %q", len(logged), logged)
+	}
+}
