@@ -10,40 +10,20 @@
 //	farm-bench -list
 //
 // Experiments: tab1 tab4 tab5 fig4 fig5 fig6 fig7 fig8 fig9 fig10
-// ablation engine-scale workload-scale placement-scale transport-scale
-// fleet-soak.
-//
-// -json prints the selected experiment's result as machine-readable
-// JSON instead of a table (supported by workload-scale,
-// placement-scale, transport-scale, and fleet-soak; CI runs the three
-// *-scale gates with it).
+// ablation fleet-soak.
 //
 // -parallel N selects the sharded conservative-parallel event executor
-// with N workers for the experiments that support it (all of fig4 —
-// the FARM runs and, now that their agents are per-switch, the sFlow
-// and Sonata baselines — plus engine-scale; output is byte-identical
-// to serial — see docs/engine.md and docs/workloads.md). Each
-// experiment prints a wall-clock elapsed line, so serial vs. parallel
-// runtimes can be compared directly. Parallel runs of engine-scale and
-// fig4 additionally print par-avail and/or the shard-imbalance
+// with N workers for fig4 (the FARM runs and, since their agents are
+// per-switch, the sFlow and Sonata baselines); output is byte-identical
+// to serial — see docs/engine.md. Each experiment prints a wall-clock
+// elapsed line, so serial vs. parallel runtimes can be compared
+// directly. Parallel fig4 runs additionally print the shard imbalance
 // (max/mean central-lane load) outside the determinism-compared table.
 //
-// workload-scale is its own A/B harness: it drives the full attack
-// cocktail once on the serial engine and once per sharded worker
-// count, compares per-ingress-leaf emission digests, and exits
-// non-zero on any divergence.
-//
-// transport-scale is the wire-path A/B: the same deterministic record
-// stream driven through the TCP transport unbatched (one record per
-// round trip) and batched (CallBatch frames), sweeping to 10k seeds,
-// comparing per-seed response digests, and exiting non-zero on any
-// divergence — batching must change throughput, never bytes.
-//
-// placement-scale replays a placement churn script (cold start, task
-// arrival/departure, switch failure, steady state) under serial,
-// parallel, warm-start, and from-scratch solves, compares placement
-// digests within each step, and exits non-zero on any divergence —
-// the runtime gate on the optimizer's determinism contract.
+// The serial-vs-variant digest gates of the engine, the traffic
+// generator, placement and the wire path are tests, not experiments:
+// go test -run 'TestEngineLargeFabricShardedMatchesSerial|TestWorkloadShardedMatchesSerial' .
+// and go test ./internal/placement ./internal/transport.
 //
 // -cpuprofile/-memprofile write pprof profiles covering the selected
 // experiments; combined with the engine's per-phase pprof labels
@@ -52,7 +32,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -79,10 +58,6 @@ var parallelWorkers int
 // set; sharded runs then tag executor phases with pprof labels.
 var profiling bool
 
-// jsonOut is the -json flag: emit machine-readable results and no
-// elapsed lines, so output can be piped straight into a file.
-var jsonOut bool
-
 func engineConfig() experiments.EngineConfig {
 	return experiments.EngineConfig{Workers: parallelWorkers, ProfileLabels: profiling}
 }
@@ -95,7 +70,6 @@ func main() {
 		"run supporting experiments on the sharded executor with this many workers (0 = serial)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments")
 	memProfile := flag.String("memprofile", "", "write a heap profile after the selected experiments")
-	flag.BoolVar(&jsonOut, "json", false, "emit machine-readable JSON (supported by workload-scale, placement-scale, transport-scale, fleet-soak)")
 	flag.Parse()
 	profiling = *cpuProfile != "" || *memProfile != ""
 
@@ -140,10 +114,6 @@ func main() {
 		{"fig9", "Fig. 9: soil CPU, threads vs processes", runFig9},
 		{"fig10", "Fig. 10: seed<->soil transport latency", runFig10},
 		{"ablation", "Ablations: Alg. 1 passes, migration cost", runAblation},
-		{"engine-scale", "Engine scaling: Fig. 4 pipeline on a 500-switch fat-tree", runEngineScale},
-		{"workload-scale", "Workload scale: serial vs sharded traffic generation (digest A/B)", runWorkloadScale},
-		{"placement-scale", "Placement scale: serial vs parallel vs warm-start solves (digest A/B)", runPlacementScale},
-		{"transport-scale", "Transport scale: unbatched vs batched wire path to 10k seeds (digest A/B)", runTransportScale},
 		{"fleet-soak", "Fleet soak: concurrent RPC clients + forced failover on a live fleetd", runFleetSoak},
 	}
 	if *list {
@@ -163,9 +133,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		if !jsonOut {
-			fmt.Printf("(%s finished in %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
-		}
+		fmt.Printf("(%s finished in %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *exp)
@@ -286,79 +254,6 @@ func runFig10(full bool) error {
 	return nil
 }
 
-func runEngineScale(full bool) error {
-	cfg := experiments.EngineScaleConfig{Engine: engineConfig()}
-	if !full {
-		cfg.Tasks = 2
-		cfg.Duration = 2 * time.Second
-	}
-	res, err := experiments.EngineScale(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Table().Render())
-	fmt.Print(res.ParallelStats())
-	return nil
-}
-
-// renderGate prints what a digest A/B gate measured — JSON under -json,
-// its table otherwise — and returns the gate's verdict. A gate hands
-// back its result AND a non-nil error when a variant's digests diverge
-// from the reference: render what was measured either way, then fail
-// the process.
-func renderGate[R interface {
-	comparable
-	Table() *experiments.Table
-}](res R, err error) error {
-	var none R
-	if res == none {
-		return err
-	}
-	if !jsonOut {
-		fmt.Print(res.Table().Render())
-	} else if encErr := printJSON(res); encErr != nil {
-		return encErr
-	}
-	return err
-}
-
-func printJSON(v any) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
-
-func runWorkloadScale(full bool) error {
-	cfg := experiments.WorkloadScaleConfig{}
-	if full {
-		cfg.Leaves = 24
-		cfg.HostsPerLeaf = 16
-		cfg.Duration = 5 * time.Second
-		cfg.Workers = []int{2, 4, 8, 16}
-	}
-	return renderGate(experiments.WorkloadScale(cfg))
-}
-
-func runPlacementScale(full bool) error {
-	cfg := experiments.PlacementScaleConfig{}
-	if full {
-		// The paper-scale Fig. 7 point: 10200 seeds on 1040 switches.
-		cfg.Switches = 1040
-		cfg.Seeds = 10200
-		cfg.Tasks = 60
-	}
-	return renderGate(experiments.PlacementScale(cfg))
-}
-
-func runTransportScale(full bool) error {
-	cfg := experiments.TransportScaleConfig{}
-	if full {
-		cfg.RecordsPerSeed = 16
-		cfg.Conns = 8
-	}
-	return renderGate(experiments.TransportScale(cfg))
-}
-
 // runFleetSoak is the daemon's survivability gate (docs/fleetd.md): N
 // concurrent RPC clients churn the catalogue against a live fleet
 // service while the active control replica is killed mid-run. Unlike
@@ -384,11 +279,7 @@ func runFleetSoak(full bool) error {
 	if err != nil {
 		return err
 	}
-	if !jsonOut {
-		fmt.Print(res)
-	} else if encErr := printJSON(res); encErr != nil {
-		return encErr
-	}
+	fmt.Print(res)
 	if !res.Passed() {
 		return fmt.Errorf("fleet-soak failed: lost=%v unexpected=%v takeovers=%d",
 			res.Lost, res.Unexpected, res.Takeovers)

@@ -36,61 +36,14 @@ machine HHDelta%d {
 }
 `
 
-// runEngineScenario drives the Fig. 4-style monitoring pipeline — bulk
-// port load with churning heavy hitters, per-switch HH seeds polling
-// over the PCIe bus, change reports to the central harvester — on a
-// 66-switch (2 spines + 64 leaves, 3072 host ports) fabric for simFor
-// of virtual time. It returns the central-link byte count as a
-// cross-engine sanity check: serial and sharded must agree exactly.
-func runEngineScenario(tb testing.TB, eng engine.Scheduler, simFor time.Duration) uint64 {
+// runHHPipeline drives the Fig. 4-style monitoring pipeline — bulk port
+// load with churning heavy hitters, one HH seed per switch per task
+// polling over the PCIe bus at 10, 11, ... ms, change reports to the
+// central harvester — on topo for simFor of virtual time. It returns the
+// central link's byte and message counts: serial and sharded runs must
+// agree on both exactly.
+func runHHPipeline(tb testing.TB, eng engine.Scheduler, topo *netmodel.Topology, tasks int, simFor time.Duration) (bytes, msgs uint64) {
 	tb.Helper()
-	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{
-		Spines: 2, Leaves: 64, HostsPerLeaf: 48,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	fab := fabric.New(topo, eng, fabric.Options{})
-	sd := seeder.New(fab, seeder.Options{})
-	// Eight staggered monitoring tasks, one HH seed per switch each:
-	// 528 seeds polling at 10-17 ms.
-	for i := 0; i < 8; i++ {
-		machine := fmt.Sprintf("HHDelta%d", i)
-		if err := sd.AddTask(seeder.TaskSpec{
-			Name:   fmt.Sprintf("hh%d", i),
-			Source: fmt.Sprintf(benchHHSource, i, 10+i),
-			Externals: map[string]map[string]core.Value{
-				machine: {"threshold": int64(400_000)},
-			},
-		}); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	w := traffic.NewBulkWorkload(fab, traffic.BulkConfig{
-		Tick:       10 * time.Millisecond,
-		BaseRate:   1e5,
-		HeavyRate:  5e7,
-		HeavyRatio: 0.05,
-		Churn:      2 * time.Second,
-		Seed:       7,
-	})
-	defer w.Stop()
-	eng.RunFor(simFor)
-	return fab.CentralNet.Bytes()
-}
-
-// runLargeFabricScenario is the 500-switch variant of the pipeline: a
-// k=20 fat-tree (100 core + 200 agg + 200 edge switches, 800 host
-// ports) with staggered HH tasks on every switch. This is the scale the
-// shard-time priority queue, event pooling, and batched barrier merge
-// exist for; serial and sharded central-byte counts must agree exactly
-// here too.
-func runLargeFabricScenario(tb testing.TB, eng engine.Scheduler, tasks int, simFor time.Duration) uint64 {
-	tb.Helper()
-	topo, err := netmodel.FatTree(netmodel.FatTreeOptions{K: 20, HostsPerEdge: 4})
-	if err != nil {
-		tb.Fatal(err)
-	}
 	fab := fabric.New(topo, eng, fabric.Options{})
 	sd := seeder.New(fab, seeder.Options{})
 	for i := 0; i < tasks; i++ {
@@ -115,7 +68,56 @@ func runLargeFabricScenario(tb testing.TB, eng engine.Scheduler, tasks int, simF
 	})
 	defer w.Stop()
 	eng.RunFor(simFor)
-	return fab.CentralNet.Bytes()
+	return fab.CentralNet.Bytes(), fab.CentralNet.Packets()
+}
+
+// spineLeaf66 is the engine benchmarks' fabric: 2 spines + 64 leaves,
+// 3072 host ports.
+func spineLeaf66(tb testing.TB) *netmodel.Topology {
+	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{Spines: 2, Leaves: 64, HostsPerLeaf: 48})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return topo
+}
+
+// fatTree500 is the large fabric: a k=20 fat-tree, 100 core + 200 agg +
+// 200 edge switches and 800 host ports — the scale the shard-time
+// priority queue, event pooling and batched barrier merge exist for.
+func fatTree500(tb testing.TB) *netmodel.Topology {
+	topo, err := netmodel.FatTree(netmodel.FatTreeOptions{K: 20, HostsPerEdge: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return topo
+}
+
+// TestEngineLargeFabricShardedMatchesSerial is the large-fabric
+// determinism gate the executor is held to: two HH tasks on the
+// 500-switch fat-tree for 3 s, on the serial engine and on the sharded
+// executor with one shard per switch and four workers forced on (so the
+// concurrent path runs, and -race sees it, on a one-CPU machine). The
+// central byte and message counts must agree exactly.
+func TestEngineLargeFabricShardedMatchesSerial(t *testing.T) {
+	const tasks, simFor = 2, 3 * time.Second
+	bytes, msgs := runHHPipeline(t, engine.NewSerial(), fatTree500(t), tasks, simFor)
+	if msgs == 0 {
+		t.Fatal("serial run sent nothing to the harvester")
+	}
+	topo := fatTree500(t)
+	x := engine.NewSharded(engine.ShardedOptions{
+		Shards:       topo.NumSwitches(),
+		Workers:      4,
+		Lookahead:    fabric.Options{}.MinCrossLatency(),
+		ForceWorkers: true,
+	})
+	defer x.Stop()
+	shBytes, shMsgs := runHHPipeline(t, x, topo, tasks, simFor)
+	if shBytes != bytes || shMsgs != msgs {
+		t.Fatalf("sharded run (4 workers) sent %d central bytes in %d messages, serial %d in %d",
+			shBytes, shMsgs, bytes, msgs)
+	}
+	t.Logf("%d switches, %d HH seeds: %d central bytes in %d messages", topo.NumSwitches(), tasks*topo.NumSwitches(), bytes, msgs)
 }
 
 // BenchmarkEngineLargeFabric drives the 500-switch fat-tree pipeline on
@@ -127,7 +129,7 @@ func BenchmarkEngineLargeFabric(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			bytes := runLargeFabricScenario(b, engine.NewSerial(), 2, simFor)
+			bytes, _ := runHHPipeline(b, engine.NewSerial(), fatTree500(b), 2, simFor)
 			b.ReportMetric(float64(bytes), "central-bytes")
 		}
 	})
@@ -139,7 +141,7 @@ func BenchmarkEngineLargeFabric(b *testing.B) {
 				Workers:   4,
 				Lookahead: fabric.Options{}.MinCrossLatency(),
 			})
-			bytes := runLargeFabricScenario(b, x, 2, simFor)
+			bytes, _ := runHHPipeline(b, x, fatTree500(b), 2, simFor)
 			epochs, runs := x.EpochStats()
 			x.Stop()
 			b.ReportMetric(float64(bytes), "central-bytes")
@@ -148,12 +150,14 @@ func BenchmarkEngineLargeFabric(b *testing.B) {
 	})
 }
 
+// BenchmarkEngineSerial and BenchmarkEngineSharded run eight staggered
+// HH tasks on the 66-switch fabric: 528 seeds polling at 10-17 ms.
 const engineBenchSimTime = 2 * time.Second
 
 func BenchmarkEngineSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bytes := runEngineScenario(b, engine.NewSerial(), engineBenchSimTime)
+		bytes, _ := runHHPipeline(b, engine.NewSerial(), spineLeaf66(b), 8, engineBenchSimTime)
 		b.ReportMetric(float64(bytes), "central-bytes")
 	}
 }
@@ -168,7 +172,7 @@ func BenchmarkEngineSharded(b *testing.B) {
 					Workers:   workers,
 					Lookahead: fabric.Options{}.MinCrossLatency(),
 				})
-				bytes := runEngineScenario(b, x, engineBenchSimTime)
+				bytes, _ := runHHPipeline(b, x, spineLeaf66(b), 8, engineBenchSimTime)
 				epochs, runs := x.EpochStats()
 				x.Stop()
 				b.ReportMetric(float64(bytes), "central-bytes")

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -35,31 +38,41 @@ func TestFig4Deterministic(t *testing.T) {
 	}
 }
 
-// TestEngineScaleDeterministic is the large-fabric determinism gate the
-// executor optimizations are held to: the Fig. 4-style pipeline on the
-// full 500-switch fat-tree, rendered on the serial engine and on the
-// sharded executor (with the worker pool forced on, so the concurrent
-// path is exercised even on single-CPU CI machines), must produce
-// byte-identical tables.
-func TestEngineScaleDeterministic(t *testing.T) {
-	render := func(eng EngineConfig) string {
-		res, err := EngineScale(EngineScaleConfig{
-			Tasks:    1,
-			Duration: 500 * time.Millisecond,
-			Engine:   eng,
-		})
+// TestPlacementScaleConsistent holds the placement experiments to the
+// heuristic's determinism contract on the path they run it: with
+// Input.Parallel left at 0, step 3 fans out over GOMAXPROCS workers.
+// The Fig. 7 heuristic column (up to the 40-switch, 400-seed point) and
+// the Alg. 1 ablation must report the same utilities and migrations with
+// one worker as with four; only runtimes may differ.
+func TestPlacementScaleConsistent(t *testing.T) {
+	report := func(procs int) []string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		fig7, err := Fig7(Fig7Config{SeedCounts: []int{100, 400}, Runs: 2, SkipMILPAbove: 1})
 		if err != nil {
-			t.Fatalf("EngineScale: %v", err)
+			t.Fatalf("GOMAXPROCS=%d: Fig7: %v", procs, err)
 		}
-		if res.Switches < 500 {
-			t.Fatalf("fabric has %d switches, want >= 500", res.Switches)
+		abl, err := Ablation(AblationConfig{Switches: 20, Seeds: 120, Tasks: 8, Runs: 2})
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: Ablation: %v", procs, err)
 		}
-		return res.Table().Render()
+		var out []string
+		for _, p := range fig7.Heuristic {
+			out = append(out, fmt.Sprintf("fig7 %d seeds / %d switches: utility %v over %d runs",
+				p.Seeds, p.Switches, p.Utility, p.Solved))
+		}
+		for _, r := range abl.Passes.Rows {
+			out = append(out, fmt.Sprintf("ablation %s: utility %s", r.Label, r.Values[0]))
+		}
+		return append(out, abl.Migration.Render())
 	}
-
-	serial := render(EngineConfig{})
-	sharded := render(EngineConfig{Workers: 4, ForceWorkers: true})
-	if sharded != serial {
-		t.Fatalf("sharded run diverged from serial:\n--- serial\n%s\n--- sharded\n%s", serial, sharded)
+	serial := report(1)
+	if len(serial) != 2+3+1 {
+		t.Fatalf("got %d report lines, want 6:\n%s", len(serial), strings.Join(serial, "\n"))
+	}
+	parallel := report(4)
+	for i := range serial {
+		if parallel[i] != serial[i] {
+			t.Fatalf("four step-3 workers diverged from one:\n--- one\n%s\n--- four\n%s", serial[i], parallel[i])
+		}
 	}
 }

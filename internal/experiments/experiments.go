@@ -77,11 +77,9 @@ func (t *Table) Render() string {
 // EngineConfig selects the event executor an experiment runs on.
 type EngineConfig struct {
 	// Workers > 1 selects the sharded conservative-parallel executor
-	// with that many worker goroutines; 0 or 1 means the serial engine.
+	// with that many worker goroutines and one shard per switch; 0 or 1
+	// means the serial engine.
 	Workers int
-	// Shards is the event partition count under the sharded executor;
-	// 0 means one shard per switch.
-	Shards int
 	// ProfileLabels tags executor phases (select/run/merge) with pprof
 	// labels on sharded runs, for use with farm-bench -cpuprofile.
 	ProfileLabels bool
@@ -110,29 +108,18 @@ func newFabricOn(eng EngineConfig, spines, leaves, hostsPerLeaf int) (*fabric.Fa
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	fab, sched, stop := newFabricOnTopology(eng, topo)
-	return fab, sched, stop, nil
-}
-
-// newFabricOnTopology builds a fabric over an already-constructed
-// topology (the engine-scale experiment brings its own fat-tree).
-func newFabricOnTopology(eng EngineConfig, topo *netmodel.Topology) (*fabric.Fabric, engine.Scheduler, func()) {
 	if eng.Parallel() {
-		shards := eng.Shards
-		if shards == 0 {
-			shards = len(topo.Switches())
-		}
 		x := engine.NewSharded(engine.ShardedOptions{
-			Shards:        shards,
+			Shards:        len(topo.Switches()),
 			Workers:       eng.Workers,
 			Lookahead:     fabric.Options{}.MinCrossLatency(),
 			ProfileLabels: eng.ProfileLabels,
 			ForceWorkers:  eng.ForceWorkers,
 		})
-		return fabric.New(topo, x, fabric.Options{}), x, x.Stop
+		return fabric.New(topo, x, fabric.Options{}), x, x.Stop, nil
 	}
 	loop := engine.NewSerial()
-	return fabric.New(topo, loop, fabric.Options{}), loop, func() {}
+	return fabric.New(topo, loop, fabric.Options{}), loop, func() {}, nil
 }
 
 // compileMachine parses Almanac source and compiles its sole machine.

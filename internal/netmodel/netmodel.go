@@ -483,7 +483,7 @@ func SpineLeaf(opts SpineLeafOptions) (*Topology, error) {
 type FatTreeOptions struct {
 	// K is the pod arity: K pods of K/2 aggregation and K/2 edge
 	// switches each, plus (K/2)^2 core switches — 5K²/4 switches total
-	// (K=20 is the 500-switch fabric of the engine-scale experiments).
+	// (K=20 is the 500-switch fabric of the large-fabric engine gate).
 	// K must be even and >= 2.
 	K int
 	// HostsPerEdge is the number of hosts attached to each edge switch;

@@ -98,7 +98,9 @@ type Input struct {
 	// same determinism contract the engine and traffic generator pin.
 	Parallel int
 	// ForceFull disables warm-start pinning: even with Current and
-	// Touched set, every task re-places from scratch.
+	// Touched set, every task goes through greedy placement again. It is
+	// not a from-scratch solve: greedy still prefers a seed's Current
+	// switch, since keeping a placement ranks above utility.
 	ForceFull bool
 	// Touched lists the switches whose capacity or hosted workload
 	// changed since the solve that produced Current. A non-nil Touched
@@ -304,8 +306,8 @@ func CheckFeasible(in *Input, res *Result) error {
 // Digest folds the full placement decision — every assignment's switch,
 // case, utility, and allocation, plus dropped tasks and the migration
 // count — into one FNV-1a value. Two results are byte-identical iff
-// their digests match; the determinism tests and the placement-scale
-// gate compare serial, parallel, and warm-start runs through it.
+// their digests match; the determinism tests compare serial, parallel,
+// and warm-start runs through it.
 func (r *Result) Digest() string {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {

@@ -3,8 +3,6 @@ package placement
 import (
 	"testing"
 	"time"
-
-	"farm/internal/netmodel"
 )
 
 func benchScenario(seeds, switches int) *Input {
@@ -44,26 +42,9 @@ func BenchmarkHeuristicWarmReplan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gone := in.Seeds[0].Task
 	warm := *in
-	warm.Seeds = nil
-	warm.Current = map[string]Assignment{}
-	dirty := map[netmodel.SwitchID]bool{}
-	for _, s := range in.Seeds {
-		if s.Task == gone {
-			if a, ok := first.Placed[s.ID]; ok {
-				dirty[a.Switch] = true
-			}
-			continue
-		}
-		warm.Seeds = append(warm.Seeds, s)
-		if a, ok := first.Placed[s.ID]; ok {
-			warm.Current[s.ID] = a
-		}
-	}
-	for id := range dirty {
-		warm.Touched = append(warm.Touched, id)
-	}
+	warm.Current = first.Placed
+	dropTask(&warm, in.Seeds[0].Task)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

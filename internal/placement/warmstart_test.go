@@ -89,45 +89,119 @@ func TestBakedFragmentsMatchPerSolve(t *testing.T) {
 	}
 }
 
-// TestHeuristicWarmDigestAcrossWorkers pins the same contract for
-// warm-start replans: after a churn event, the warm solve is identical
-// at 1/4/16 workers.
-func TestHeuristicWarmDigestAcrossWorkers(t *testing.T) {
-	in := digestScenario()
-	first := solveAt(t, in, -1)
-
-	// Churn: drop the first task, dirtying its former switches.
-	gone := in.Seeds[0].Task
-	warm := *in
-	warm.Seeds = nil
-	warm.Current = map[string]Assignment{}
+// dropTask is a task departure as the seeder replans it: the task's
+// seeds leave in.Seeds and in.Current, and the switches they sat on
+// become in.Touched (non-nil even when empty, so the warm start arms).
+func dropTask(in *Input, task string) {
 	dirty := map[netmodel.SwitchID]bool{}
-	for _, s := range in.Seeds {
-		if s.Task == gone {
-			if a, ok := first.Placed[s.ID]; ok {
-				dirty[a.Switch] = true
-			}
-			continue
+	in.Seeds = slices.DeleteFunc(slices.Clone(in.Seeds), func(s SeedSpec) bool {
+		if s.Task != task {
+			return false
 		}
-		warm.Seeds = append(warm.Seeds, s)
-	}
-	for id, a := range first.Placed {
-		if _, kept := warm.Current[id]; kept {
-			continue
+		if a, ok := in.Current[s.ID]; ok {
+			dirty[a.Switch] = true
+			delete(in.Current, s.ID)
 		}
-		warm.Current[id] = a
-	}
+		return true
+	})
+	in.Touched = []netmodel.SwitchID{}
 	for id := range dirty {
-		warm.Touched = append(warm.Touched, id)
+		in.Touched = append(in.Touched, id)
+	}
+	slices.Sort(in.Touched)
+}
+
+// killSwitch fails the switch hosting the most seeds of in.Current (the
+// lowest ID on a tie): it leaves in.Switches and every candidate set,
+// seeds with no candidate left drop out of the problem, the seeds it
+// hosted lose their assignment, and it alone is in.Touched.
+func killSwitch(in *Input) {
+	load := map[netmodel.SwitchID]int{}
+	for _, a := range in.Current {
+		load[a.Switch]++
+	}
+	victim := in.Switches[0].ID
+	for _, sw := range in.Switches {
+		if load[sw.ID] > load[victim] || (load[sw.ID] == load[victim] && sw.ID < victim) {
+			victim = sw.ID
+		}
+	}
+	isVictim := func(id netmodel.SwitchID) bool { return id == victim }
+	in.Switches = slices.DeleteFunc(slices.Clone(in.Switches), func(sw SwitchInfo) bool { return isVictim(sw.ID) })
+	var kept []SeedSpec
+	for _, s := range in.Seeds {
+		s.Candidates = slices.DeleteFunc(slices.Clone(s.Candidates), isVictim)
+		if len(s.Candidates) == 0 {
+			delete(in.Current, s.ID)
+			continue
+		}
+		kept = append(kept, s)
+	}
+	in.Seeds = kept
+	for id, a := range in.Current {
+		if isVictim(a.Switch) {
+			delete(in.Current, id)
+		}
+	}
+	in.Touched = []netmodel.SwitchID{victim}
+}
+
+// TestHeuristicWarmDigestAcrossWorkers is the determinism gate of
+// placement through churn, on the 40-switch Fig. 7 scenario: a cold
+// start, a task arriving, a task departing, the most loaded switch
+// failing, and a settle step where nothing changed. Each step is solved
+// serially and at 1, 4 and 16 step-3 workers; every solve must be
+// feasible and have the serial digest. Every step after the cold start
+// arms the warm start from the serial answer of the step before
+// (Current set, Touched non-nil); whether the solve then pins or falls
+// back to a full one is the heuristic's call (the kill-switch step falls
+// back: too many tasks lost their pins).
+func TestHeuristicWarmDigestAcrossWorkers(t *testing.T) {
+	const switches, seeds, tasks = 40, 400, 12
+	in := RandomScenario(ScenarioConfig{Switches: switches, Seeds: seeds, Tasks: tasks, Seed: 7})
+	step := func(name string) bool {
+		return t.Run(name, func(t *testing.T) {
+			if name != "cold-start" && (len(in.Current) == 0 || in.Touched == nil) {
+				t.Fatalf("warm start not armed: %d current assignments, Touched %v", len(in.Current), in.Touched)
+			}
+			ref := solveAt(t, in, -1)
+			for _, workers := range []int{1, 4, 16} {
+				if got, want := solveAt(t, in, workers).Digest(), ref.Digest(); got != want {
+					t.Fatalf("workers=%d digest %s, serial %s", workers, got, want)
+				}
+			}
+			t.Logf("digest %s: %d placed, %d tasks dropped, utility %.1f, %d migrations",
+				ref.Digest(), len(ref.Placed), len(ref.DroppedTasks), ref.Utility, ref.Migrations)
+			in.Current = ref.Placed
+		})
+	}
+	if !step("cold-start") {
+		return
 	}
 
-	ref := solveAt(t, &warm, -1)
-	for _, workers := range []int{1, 4, 16} {
-		res := solveAt(t, &warm, workers)
-		if got, want := res.Digest(), ref.Digest(); got != want {
-			t.Fatalf("warm workers=%d digest %s, serial %s", workers, got, want)
-		}
+	arrival := RandomScenario(ScenarioConfig{Switches: switches, Seeds: seeds / tasks, Tasks: 1, Seed: 14})
+	for i := range arrival.Seeds {
+		arrival.Seeds[i].ID = fmt.Sprintf("tadd/s%d", i)
+		arrival.Seeds[i].Task = "taskadd"
 	}
+	in.Seeds = append(slices.Clone(in.Seeds), arrival.Seeds...)
+	in.Touched = []netmodel.SwitchID{}
+	if !step("add-task") {
+		return
+	}
+
+	dropTask(in, in.Seeds[0].Task)
+	if !step("remove-task") {
+		return
+	}
+
+	killSwitch(in)
+	if !step("kill-switch") {
+		return
+	}
+
+	in.Touched = []netmodel.SwitchID{}
+	step("settle")
 }
 
 // TestHeuristicWarmStartPinsUnchanged: with nothing touched, a warm

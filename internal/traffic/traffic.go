@@ -149,8 +149,8 @@ func (g *Generator) Rejected() uint64 {
 // and app kind, folded in emission order. This is the generator's
 // determinism contract made checkable — the same seed must produce
 // byte-identical digests on the serial engine and on the sharded engine
-// at any worker count (workload-scale and the traffic tests compare
-// them). Call it while the engine is quiescent. Leaves that emitted
+// at any worker count (the traffic tests and the root package's
+// TestWorkloadShardedMatchesSerial compare them). Call it while the engine is quiescent. Leaves that emitted
 // nothing are omitted.
 func (g *Generator) PerSwitchDigest() map[netmodel.SwitchID]uint64 {
 	out := make(map[netmodel.SwitchID]uint64, len(g.digests))

@@ -9,8 +9,8 @@ import (
 // The transport benchmarks quantify the wire-path rebuild: the frame
 // arena must run at 0 allocs/op steady state, and batched calls must
 // deliver ≥5× the messages/sec of the one-record-per-round-trip
-// baseline (the transport-scale experiment's premise). Every benchmark
-// reports msgs/sec so the comparison is direct.
+// baseline. Every benchmark reports msgs/sec so the comparison is
+// direct.
 
 const benchRecordBytes = 256
 

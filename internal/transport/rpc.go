@@ -9,8 +9,8 @@
 //
 // Frames are multi-record batches assembled in pooled, grow-only
 // arenas: one Write per frame, zero allocations on the steady-state
-// path, and CallBatch amortizes a round trip over many records (the
-// transport-scale experiment's ≥5× messages/sec lever). See
+// path, and CallBatch amortizes a round trip over many records (≥5×
+// the messages/sec of one record per round trip). See
 // docs/transport.md for the frame format and the buffer-ownership
 // contract.
 package transport

@@ -2,8 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -344,52 +346,121 @@ func TestSharedBufCallBatch(t *testing.T) {
 	testCallBatch(t, srv)
 }
 
-// TestTCPCallBatchConcurrent drives batched calls from many
-// connections at once: per-connection arenas must not bleed into each
-// other through the shared pool.
+// flipBytes answers a request with every byte XORed by 0x5A, so a
+// response that matches proves the record crossed the wire and the
+// handler, not only that the client read back its own buffer.
+func flipBytes(dst, req []byte) []byte {
+	for _, b := range req {
+		dst = append(dst, b^0x5A)
+	}
+	return dst
+}
+
+// seedRecord writes record i of connection conn in the wire-path
+// stream: each connection carries 2 500 seeds, 8 records of 256 bytes
+// each, laid out as [4B seed][4B seq][bytes derived from both].
+func seedRecord(buf []byte, conn, i int) []byte {
+	seed, seq := conn*2500+i/8, i%8
+	buf = slices.Grow(buf[:0], 256)[:256]
+	binary.BigEndian.PutUint32(buf, uint32(seed))
+	binary.BigEndian.PutUint32(buf[4:], uint32(seq))
+	for j := 8; j < len(buf); j++ {
+		buf[j] = byte(seed*31 + seq*7 + j)
+	}
+	return buf
+}
+
+// TestTCPCallBatchConcurrent drives calls from several connections at
+// once and checks every response against the handler's answer to its
+// request: per-connection arenas must not bleed into each other through
+// the shared pool, and batching must change the round trips, never the
+// bytes. The wire-path cases are 10 000 seeds over 4 connections, 8
+// records of 256 bytes per seed, one record per round trip and 64 per
+// frame.
 func TestTCPCallBatchConcurrent(t *testing.T) {
-	srv, err := NewTCPServer(echoUpper)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		handler Handler
+		// conns connections each send records requests, batch per frame
+		// (1 = Call).
+		conns, records, batch int
+		request               func(buf []byte, conn, i int) []byte
+	}{
+		{"echo", echoUpper, 8, 360, 9, func(buf []byte, conn, i int) []byte {
+			return fmt.Appendf(buf[:0], "c%d-r%d-m%d", conn, i/9, i%9)
+		}},
+		{"wire-path/unbatched", flipBytes, 4, 20_000, 1, seedRecord},
+		{"wire-path/batched", flipBytes, 4, 20_000, 64, seedRecord},
 	}
-	defer srv.Close()
-	const clients = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c, err := srv.Dial()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := NewTCPServer(tc.handler)
 			if err != nil {
-				errs <- err
-				return
+				t.Fatal(err)
 			}
-			defer c.Close()
-			reqs := make([][]byte, 9)
-			for round := 0; round < 40; round++ {
-				for j := range reqs {
-					reqs[j] = []byte(fmt.Sprintf("c%d-r%d-m%d", id, round, j))
-				}
-				resps, err := c.CallBatch(reqs)
-				if err != nil {
-					errs <- err
-					return
-				}
-				for j, resp := range resps {
-					if string(resp) != fmt.Sprintf("C%d-R%d-M%d", id, round, j) {
-						errs <- fmt.Errorf("client %d round %d record %d = %q", id, round, j, resp)
-						return
+			defer srv.Close()
+			var wg sync.WaitGroup
+			errs := make(chan error, tc.conns)
+			for conn := 0; conn < tc.conns; conn++ {
+				wg.Add(1)
+				go func(conn int) {
+					defer wg.Done()
+					if err := driveConn(srv, tc.handler, tc.records, tc.batch, func(buf []byte, i int) []byte {
+						return tc.request(buf, conn, i)
+					}); err != nil {
+						errs <- fmt.Errorf("connection %d: %w", conn, err)
 					}
-				}
+				}(conn)
 			}
-		}(i)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		})
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+}
+
+// driveConn sends records requests on one new connection of srv, batch
+// per frame, and compares each response with h's answer to its request.
+func driveConn(srv Server, h Handler, records, batch int, request func(buf []byte, i int) []byte) error {
+	c, err := srv.Dial()
+	if err != nil {
+		return err
 	}
+	defer c.Close()
+	reqs := make([][]byte, batch)
+	resps := make([][]byte, 1)
+	var want []byte
+	for base := 0; base < records; base += batch {
+		n := min(batch, records-base)
+		for j := range reqs[:n] {
+			reqs[j] = request(reqs[j], base+j)
+		}
+		if batch == 1 {
+			resps[0], err = c.Call(reqs[0])
+		} else {
+			resps, err = c.CallBatch(reqs[:n])
+		}
+		if err != nil {
+			return fmt.Errorf("record %d: %w", base, err)
+		}
+		if len(resps) != n {
+			return fmt.Errorf("record %d: %d responses to %d requests", base, len(resps), n)
+		}
+		for j, resp := range resps {
+			want = h(want[:0], reqs[j])
+			if !bytes.Equal(resp, want) {
+				k := 0
+				for k < len(resp) && k < len(want) && resp[k] == want[k] {
+					k++
+				}
+				return fmt.Errorf("record %d: %d-byte response differs at byte %d from the handler's %d-byte answer",
+					base+j, len(resp), k, len(want))
+			}
+		}
+	}
+	return nil
 }
 
 // TestTCPCloseDrainsInFlightCall is the shutdown-drain contract: a Call

@@ -15,11 +15,11 @@ import (
 // flood, port scan (stopped mid-run), super-spreader, DNS reflection,
 // SSH brute force, Slowloris, plus a background flow per leaf — on a
 // 2-spine/12-leaf fabric for simFor of virtual time. It returns the
-// delivered-packet count as the cross-engine sanity check: with the
-// per-leaf schedules this must agree exactly between serial and
-// sharded runs (the per-switch digest tests pin the stronger
-// byte-identity property).
-func runWorkloadScenario(tb testing.TB, eng engine.Scheduler, simFor time.Duration) uint64 {
+// generator's per-ingress-leaf emission digests, which serial and
+// sharded runs must reproduce byte for byte, the delivered-packet count,
+// and centralShare, the fraction of executed events that ran on shard 0
+// (1 on the serial engine, which is one shard).
+func runWorkloadScenario(tb testing.TB, eng engine.Scheduler, simFor time.Duration) (digests map[netmodel.SwitchID]uint64, delivered uint64, centralShare float64) {
 	tb.Helper()
 	const leaves = 12
 	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{
@@ -51,7 +51,67 @@ func runWorkloadScenario(tb testing.TB, eng engine.Scheduler, simFor time.Durati
 	for _, s := range stops {
 		s()
 	}
-	return fab.Delivered()
+	centralShare = 1
+	if x, ok := eng.(*engine.Sharded); ok {
+		counts := x.ShardEventCounts()
+		var total uint64
+		for _, c := range counts {
+			total += c
+		}
+		centralShare = float64(counts[fabric.CentralShard]) / float64(total)
+	}
+	return gen.PerSwitchDigest(), fab.Delivered(), centralShare
+}
+
+// newWorkloadSharded is the sharded executor for runWorkloadScenario:
+// one shard per switch (2 spines + 12 leaves).
+func newWorkloadSharded(workers int, force bool) *engine.Sharded {
+	return engine.NewSharded(engine.ShardedOptions{
+		Shards:       14,
+		Workers:      workers,
+		Lookahead:    fabric.Options{}.MinCrossLatency(),
+		ForceWorkers: force,
+	})
+}
+
+// TestWorkloadShardedMatchesSerial is the traffic generator's
+// determinism gate: the attack cocktail for 2 s on the serial engine and
+// on 4 and 16 sharded workers forced on must emit byte-identical
+// per-leaf digests and deliver the same packets, and the sharded runs
+// must execute under half their events on the central shard — the
+// scenarios emit from their ingress leaves, not from shard 0.
+func TestWorkloadShardedMatchesSerial(t *testing.T) {
+	const simFor = 2 * time.Second
+	want, wantDelivered, _ := runWorkloadScenario(t, engine.NewSerial(), simFor)
+	if len(want) == 0 || wantDelivered == 0 {
+		t.Fatalf("serial run: %d leaves emitted, %d packets delivered", len(want), wantDelivered)
+	}
+	for _, workers := range []int{4, 16} {
+		x := newWorkloadSharded(workers, true)
+		got, delivered, share := runWorkloadScenario(t, x, simFor)
+		x.Stop()
+		// The lowest switch whose digest differs, or that only one run has.
+		bad, diverged := netmodel.SwitchID(0), false
+		for _, m := range []map[netmodel.SwitchID]uint64{want, got} {
+			for id := range m {
+				w, inWant := want[id]
+				g, inGot := got[id]
+				if (w != g || inWant != inGot) && (!diverged || id < bad) {
+					bad, diverged = id, true
+				}
+			}
+		}
+		if diverged {
+			t.Fatalf("%d workers: switch %d emission digest %016x, serial %016x", workers, bad, got[bad], want[bad])
+		}
+		if delivered != wantDelivered {
+			t.Fatalf("%d workers: %d packets delivered, serial %d", workers, delivered, wantDelivered)
+		}
+		if share >= 0.5 {
+			t.Fatalf("%d workers: central share %.3f, want < 0.5 (the workload serializes on shard 0)", workers, share)
+		}
+		t.Logf("%d workers: %d leaves, %d delivered, central share %.3f", workers, len(got), delivered, share)
+	}
 }
 
 // BenchmarkWorkloadSharded compares the serial engine against the
@@ -64,31 +124,20 @@ func BenchmarkWorkloadSharded(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			delivered := runWorkloadScenario(b, engine.NewSerial(), simFor)
+			_, delivered, share := runWorkloadScenario(b, engine.NewSerial(), simFor)
 			b.ReportMetric(float64(delivered), "delivered")
-			b.ReportMetric(1, "central-share")
+			b.ReportMetric(share, "central-share")
 		}
 	})
 	for _, workers := range []int{2, 4} {
 		b.Run(fmt.Sprintf("sharded/workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				x := engine.NewSharded(engine.ShardedOptions{
-					Shards:    14, // one per switch: 2 spines + 12 leaves
-					Workers:   workers,
-					Lookahead: fabric.Options{}.MinCrossLatency(),
-				})
-				delivered := runWorkloadScenario(b, x, simFor)
-				counts := x.ShardEventCounts()
+				x := newWorkloadSharded(workers, false)
+				_, delivered, share := runWorkloadScenario(b, x, simFor)
 				x.Stop()
-				var total uint64
-				for _, c := range counts {
-					total += c
-				}
 				b.ReportMetric(float64(delivered), "delivered")
-				if total > 0 {
-					b.ReportMetric(float64(counts[fabric.CentralShard])/float64(total), "central-share")
-				}
+				b.ReportMetric(share, "central-share")
 			}
 		})
 	}
