@@ -113,7 +113,7 @@ type Partitioned interface {
 // Scheduler, allocating a fresh event and Timer handle per firing.
 // Schedulers on the timing wheel get the zero-alloc queueTicker fast
 // path instead (wheel.go); this implementation remains for foreign
-// Scheduler implementations and for the tests' heap oracle.
+// Scheduler implementations and for the tests' reference scheduler.
 type ticker struct {
 	s        Scheduler
 	interval time.Duration
@@ -129,11 +129,8 @@ func EveryOn(s Scheduler, interval time.Duration, fn func()) Ticker {
 	if interval <= 0 {
 		panic("engine: non-positive ticker interval")
 	}
-	if o, ok := s.(queueOwner); ok && !o.queue().heapMode {
+	if o, ok := s.(queueOwner); ok {
 		return newQueueTicker(o, interval, fn)
-	}
-	if r, ok := s.(*RealTime); ok {
-		return newRealTicker(r, interval, fn)
 	}
 	t := &ticker{s: s, interval: interval, fn: fn}
 	t.fire = func() {

@@ -1,56 +1,138 @@
 package engine
 
 import (
+	"container/heap"
 	"testing"
 	"time"
 )
 
-// newSerialHeap and newShardedHeap put a fresh virtual-time engine's
-// (still empty) queues into heap mode — the container/heap oracle the
-// timing wheel is checked against. Production code only ever sets the
-// flag in NewRealTime.
-func newSerialHeap() *Serial {
-	l := NewSerial()
-	l.q.heapMode = true
-	return l
+// heapSched is the reference scheduler the timing wheel is checked
+// against: a plain container/heap of unpooled events with its own clock,
+// tickers from EveryOn's generic re-arm path, and cancelled events
+// dropped only when they reach the head. shards only sets what Shards
+// reports — every view is the scheduler itself, so a partitioned
+// workload runs on it sequentially, in one (at, seq) order.
+type heapSched struct {
+	now    time.Duration
+	seq    uint64
+	h      eventHeap
+	live   int
+	shards int
 }
 
-func newShardedHeap(opts ShardedOptions) *Sharded {
-	x := NewSharded(opts)
-	for _, s := range x.shards {
-		s.q.heapMode = true
+func newHeapSched() *heapSched { return &heapSched{shards: 1} }
+
+type heapTimer struct {
+	s  *heapSched
+	ev *event
+}
+
+func (t heapTimer) Stop() bool {
+	if t.ev.stopped || t.ev.index < 0 {
+		return false
 	}
-	return x
+	t.ev.stopped = true
+	t.s.live--
+	return true
 }
 
-// serialModes names the serial engine on the wheel and on the heap
-// oracle, for tests and benchmarks that run on both.
+func (s *heapSched) Now() time.Duration { return s.now }
+func (s *heapSched) Pending() int       { return s.live }
+
+func (s *heapSched) At(at time.Duration, fn func()) Timer {
+	if at < s.now {
+		at = s.now
+	}
+	ev := &event{at: at, seq: s.seq, fn: fn}
+	s.seq++
+	heap.Push(&s.h, ev)
+	s.live++
+	return heapTimer{s, ev}
+}
+
+func (s *heapSched) After(d time.Duration, fn func()) Timer { return s.At(s.now+d, fn) }
+
+func (s *heapSched) Every(interval time.Duration, fn func()) Ticker {
+	return EveryOn(s, interval, fn)
+}
+
+// head drops cancelled events off the top and returns the earliest live
+// one, or nil.
+func (s *heapSched) head() *event {
+	for len(s.h) > 0 && s.h[0].stopped {
+		heap.Pop(&s.h)
+	}
+	if len(s.h) == 0 {
+		return nil
+	}
+	return s.h[0]
+}
+
+func (s *heapSched) Step() bool {
+	if s.head() == nil {
+		return false
+	}
+	ev := heap.Pop(&s.h).(*event)
+	s.live--
+	s.now = ev.at
+	ev.fn()
+	return true
+}
+
+func (s *heapSched) RunUntil(t time.Duration) {
+	for ev := s.head(); ev != nil && ev.at <= t; ev = s.head() {
+		s.Step()
+	}
+	if s.now < t {
+		s.now = t
+	}
+}
+
+func (s *heapSched) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
+
+func (s *heapSched) Drain(limit int) int {
+	n := 0
+	for n < limit && s.Step() {
+		n++
+	}
+	return n
+}
+
+func (s *heapSched) Shards() int { return s.shards }
+
+func (s *heapSched) Shard(i int) Scheduler {
+	if i < 0 || i >= s.shards {
+		panic("engine: shard index out of range")
+	}
+	return s
+}
+
+func (s *heapSched) CrossAfter(from, to int, d time.Duration, fn func()) { s.After(d, fn) }
+
+// serialModes names the serial engine and the heap reference, for tests
+// and benchmarks that run on both.
 var serialModes = []struct {
 	name string
-	mk   func() *Serial
-}{{"wheel", NewSerial}, {"heap", newSerialHeap}}
+	mk   func() Scheduler
+}{
+	{"wheel", func() Scheduler { return NewSerial() }},
+	{"heap", func() Scheduler { return newHeapSched() }},
+}
 
-// shardedModes is the same pair for the sharded executor.
-var shardedModes = []struct {
-	name string
-	mk   func(ShardedOptions) *Sharded
-}{{"wheel", NewSharded}, {"heap", newShardedHeap}}
-
-// forEachEngine runs a subtest against both engine implementations on
-// the timing wheel and on the container/heap oracle. The sharded engine
-// runs with several shards and workers even though these conformance
-// tests schedule through the root view (shard 0), so epoch bookkeeping
-// is exercised.
+// forEachEngine runs a subtest against both engines and the heap
+// reference. The sharded engine runs with several shards and workers
+// even though these conformance tests schedule through the root view
+// (shard 0), so epoch bookkeeping is exercised; the reference runs once
+// as one lane and once reporting the same shard count.
 func forEachEngine(t *testing.T, fn func(t *testing.T, s Scheduler)) {
 	t.Run("serial", func(t *testing.T) { fn(t, NewSerial()) })
-	t.Run("serial-heap", func(t *testing.T) { fn(t, newSerialHeap()) })
-	for _, mode := range shardedModes {
-		t.Run("sharded-"+mode.name, func(t *testing.T) {
-			x := mode.mk(ShardedOptions{Shards: 4, Workers: 2, ForceWorkers: true})
-			t.Cleanup(x.Stop)
-			fn(t, x)
-		})
-	}
+	t.Run("serial-heap", func(t *testing.T) { fn(t, newHeapSched()) })
+	t.Run("sharded-wheel", func(t *testing.T) {
+		x := NewSharded(ShardedOptions{Shards: 4, Workers: 2, ForceWorkers: true})
+		t.Cleanup(x.Stop)
+		fn(t, x)
+	})
+	t.Run("sharded-heap", func(t *testing.T) { fn(t, &heapSched{shards: 4}) })
 }
 
 func TestAfterOrdering(t *testing.T) {
@@ -209,6 +291,25 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 		l.RunUntil(10 * time.Millisecond)
 		if l.Now() != 42*time.Millisecond {
 			t.Fatalf("clock rewound to %v", l.Now())
+		}
+	})
+}
+
+// TestRunUntilStopsPastCancelledHead: a cancelled event at the head of
+// the queue must not carry RunUntil past its horizon into the next live
+// event.
+func TestRunUntilStopsPastCancelledHead(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, l Scheduler) {
+		l.After(time.Millisecond, func() {}).Stop()
+		fired := false
+		l.After(time.Second, func() { fired = true })
+		l.RunUntil(2 * time.Millisecond)
+		if fired || l.Now() != 2*time.Millisecond {
+			t.Fatalf("RunUntil(2ms): 1s event fired = %v, now = %v; want false, 2ms", fired, l.Now())
+		}
+		l.RunUntil(time.Second)
+		if !fired {
+			t.Fatal("live event did not fire at its deadline")
 		}
 	})
 }

@@ -120,16 +120,19 @@ func TestRealTimeCloseWakesBlockedRun(t *testing.T) {
 	}
 }
 
-// TestRealTimeCrossGoroutineSchedule exercises the wake path: an event
-// scheduled from another goroutine with an earlier deadline than the
-// one the run loop is sleeping toward must still fire on time.
+// TestRealTimeCrossGoroutineSchedule exercises the wake path: a callback
+// posted from another goroutine while the run loop sleeps toward a far
+// deadline must run promptly, and the event it schedules with an earlier
+// deadline than that one must still fire on time.
 func TestRealTimeCrossGoroutineSchedule(t *testing.T) {
 	r := NewRealTime()
 	fired := make(chan struct{}, 1)
 	r.After(250*time.Millisecond, func() {}) // far-out head to sleep toward
 	go func() {
 		time.Sleep(2 * time.Millisecond)
-		r.After(time.Millisecond, func() { fired <- struct{}{} })
+		r.Post(func() {
+			r.After(time.Millisecond, func() { fired <- struct{}{} })
+		})
 	}()
 	done := make(chan struct{})
 	go func() {
@@ -142,4 +145,67 @@ func TestRealTimeCrossGoroutineSchedule(t *testing.T) {
 		t.Fatal("cross-goroutine event never fired")
 	}
 	<-done
+}
+
+// TestRealTimePostRace is the Post contract under -race: 8 goroutines
+// post 500 callbacks each into a running loop. Every callback runs
+// exactly once, on the driving goroutine, and each poster's callbacks run
+// in posting order. A Post after Close never runs and does not block.
+func TestRealTimePostRace(t *testing.T) {
+	const posters, per = 8, 500
+	r := NewRealTime()
+	// Loop-owned state: touched only by posted callbacks and the ticker,
+	// so the race detector flags any callback run off the driving
+	// goroutine.
+	next := make([]int, posters)
+	total := 0
+	done := make(chan struct{})
+	r.Every(time.Millisecond, func() {}) // keep the loop re-arming its sleep
+	loopDone := make(chan struct{})
+	go func() {
+		r.RunFor(time.Hour)
+		close(loopDone)
+	}()
+	for p := 0; p < posters; p++ {
+		p := p
+		go func() {
+			for i := 0; i < per; i++ {
+				i := i
+				r.Post(func() {
+					if next[p] != i {
+						t.Errorf("poster %d: callback %d ran when %d was due", p, i, next[p])
+					}
+					next[p]++
+					if total++; total == posters*per {
+						close(done)
+					}
+				})
+			}
+		}()
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("posted callbacks did not all run")
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	<-loopDone
+	posted := make(chan struct{})
+	go func() {
+		r.Post(func() { t.Error("callback posted after Close ran") })
+		close(posted)
+	}()
+	select {
+	case <-posted:
+	case <-time.After(time.Second):
+		t.Fatal("Post after Close blocked")
+	}
+	r.RunFor(5 * time.Millisecond)
+	for p, n := range next {
+		if n != per {
+			t.Fatalf("poster %d: %d callbacks ran, want %d", p, n, per)
+		}
+	}
 }

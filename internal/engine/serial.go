@@ -94,7 +94,10 @@ func (l *Serial) checkTickerContext(string) {}
 func (l *Serial) noteQueueChanged() {}
 
 // Step runs the earliest pending event, advancing virtual time to it.
-// It reports whether an event ran.
+// It reports whether an event ran. The clock only moves forward: under
+// virtual time no queued event is earlier than Now, but RealTime moves
+// the clock to the wall time before stepping, and an overdue event then
+// runs at that later Now.
 func (l *Serial) Step() bool {
 	for {
 		ev := l.q.pop()
@@ -105,7 +108,9 @@ func (l *Serial) Step() bool {
 			l.q.release(ev)
 			continue
 		}
-		l.now = ev.at
+		if ev.at > l.now {
+			l.now = ev.at
+		}
 		fn := ev.fn
 		if !ev.held {
 			// Recycle before running, so an At inside the callback can
@@ -122,13 +127,11 @@ func (l *Serial) Step() bool {
 // the clock to exactly t.
 func (l *Serial) RunUntil(t time.Duration) {
 	for {
-		at, ok := l.q.nextAt()
+		at, ok := l.q.nextLive()
 		if !ok || at > t {
 			break
 		}
-		if !l.Step() {
-			break
-		}
+		l.Step()
 	}
 	if l.now < t {
 		l.now = t

@@ -7,15 +7,15 @@ import (
 )
 
 // event is the one scheduled-callback record shared by every executor
-// (serial, sharded shards, RealTime).
+// (serial, whose wall-clock pacer is RealTime, and the sharded shards).
 type event struct {
 	at      time.Duration
 	seq     uint64
 	fn      func()
 	stopped bool
-	// index is >= 0 while the event is queued (it is the heap index on
-	// heap-backed queues and a plain queued marker on the wheel) and -1
-	// once popped. Timer handles and the ticker fast path use it to
+	// index is >= 0 while the event is queued (the overflow-heap index
+	// there, a plain queued marker elsewhere on the wheel) and -1 once
+	// popped. Timer handles and the ticker fast path use it to
 	// distinguish armed from in-flight events.
 	index int
 	// gen is bumped each time the event is recycled through a free
@@ -38,25 +38,19 @@ func eventLess(a, b *event) bool {
 }
 
 // eventQueue is the pooled pending-event set of one execution lane (the
-// serial engine, one shard of the sharded engine, or RealTime). It owns
-// the event free list and the (at, seq) sequence counter, and orders
-// events on the timing wheel — or, in heap mode, on a plain
-// container/heap. Both produce the identical pop sequence — (at, seq) is
-// a strict total order, so the internal shape is unobservable.
+// serial engine or one shard of the sharded engine). It owns the event
+// free list and the (at, seq) sequence counter, and orders events on the
+// timing wheel. (at, seq) is a strict total order, so the pop sequence is
+// the one a plain heap would produce — the package's tests hold the
+// wheel to exactly that oracle.
 type eventQueue struct {
-	// heapMode keeps every event in heap instead of the wheel. Only
-	// NewRealTime sets it (its run loop peeks the head and re-keys armed
-	// tickers in place with heap.Fix); the package's tests set it on
-	// virtual-time engines to use the heap as the wheel's oracle.
-	heapMode bool
-	seq      uint64
+	seq uint64
 	// live and dead partition the queued events into unfired-uncancelled
 	// and cancelled-awaiting-reclaim; Pending reports live only.
 	live int
 	dead int
 
-	heap eventHeap
-	w    *wheel
+	w *wheel
 
 	free []*event
 }
@@ -102,10 +96,6 @@ func (q *eventQueue) rearm(ev *event, at time.Duration) {
 
 func (q *eventQueue) enqueue(ev *event) {
 	q.live++
-	if q.heapMode {
-		heap.Push(&q.heap, ev)
-		return
-	}
 	if q.w == nil {
 		q.w = &wheel{}
 	}
@@ -122,40 +112,39 @@ func (q *eventQueue) enqueue(ev *event) {
 // included, mirroring the heap-head semantics the sharded executor's
 // epoch selection has always used).
 func (q *eventQueue) nextAt() (time.Duration, bool) {
-	if q.heapMode {
-		if len(q.heap) == 0 {
-			return 0, false
-		}
-		return q.heap[0].at, true
-	}
 	if q.w == nil || !q.w.ensureCur() {
 		return 0, false
 	}
 	return q.w.cur[q.w.curPos].at, true
 }
 
+// nextLive peeks the earliest live event time, reclaiming the cancelled
+// events queued ahead of it — a run bound must be tested against the
+// event that would actually run, not a dead head.
+func (q *eventQueue) nextLive() (time.Duration, bool) {
+	for {
+		at, ok := q.nextAt()
+		if !ok || !q.w.cur[q.w.curPos].stopped {
+			return at, ok
+		}
+		q.release(q.pop())
+	}
+}
+
 // pop removes and returns the earliest queued event, or nil.
 func (q *eventQueue) pop() *event {
-	var ev *event
-	if q.heapMode {
-		if len(q.heap) == 0 {
-			return nil
-		}
-		ev = heap.Pop(&q.heap).(*event)
-	} else {
-		if q.w == nil || !q.w.ensureCur() {
-			return nil
-		}
-		w := q.w
-		ev = w.cur[w.curPos]
-		w.cur[w.curPos] = nil
-		w.curPos++
-		if w.curPos == len(w.cur) {
-			w.cur = w.cur[:0]
-			w.curPos = 0
-		}
-		ev.index = -1
+	if q.w == nil || !q.w.ensureCur() {
+		return nil
 	}
+	w := q.w
+	ev := w.cur[w.curPos]
+	w.cur[w.curPos] = nil
+	w.curPos++
+	if w.curPos == len(w.cur) {
+		w.cur = w.cur[:0]
+		w.curPos = 0
+	}
+	ev.index = -1
 	if ev.stopped {
 		q.dead--
 	} else {
@@ -187,26 +176,6 @@ const compactMinDead = 64
 // change (a cancelled head no longer opens a window), which is equally
 // unobservable because skipped events never advance a shard clock.
 func (q *eventQueue) compact() {
-	if q.heapMode {
-		kept := q.heap[:0]
-		for _, ev := range q.heap {
-			if ev.stopped {
-				q.release(ev)
-			} else {
-				kept = append(kept, ev)
-			}
-		}
-		for i := len(kept); i < len(q.heap); i++ {
-			q.heap[i] = nil
-		}
-		q.heap = kept
-		for i, ev := range q.heap {
-			ev.index = i
-		}
-		heap.Init(&q.heap)
-		q.dead = 0
-		return
-	}
 	w := q.w
 	// cur: filter in place, preserving sorted order.
 	j := w.curPos
@@ -514,8 +483,8 @@ func siftDownEvents(evs []*event, i, n int) {
 }
 
 // eventHeap orders events by (at, seq) for deterministic FIFO behaviour
-// among simultaneous events. It backs the wheel's overflow and the
-// queue's heap mode (the RealTime scheduler).
+// among simultaneous events. It backs the wheel's overflow (and the
+// tests' reference scheduler).
 type eventHeap []*event
 
 func (h eventHeap) Len() int           { return len(h) }

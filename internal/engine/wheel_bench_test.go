@@ -12,7 +12,7 @@ import (
 // on its interval). Setup and warm-up are outside the timer; the
 // measured region is pure steady-state firing. On the wheel a re-arm
 // reuses the ticker's one held event in place, so the measured loop
-// must run at 0 B/op; the heap oracle runs the generic re-arm ticker
+// must run at 0 B/op; the heap reference runs the generic re-arm ticker
 // (a timer handle per fire).
 func BenchmarkSerialTickerStorm(b *testing.B) {
 	for _, mode := range serialModes {

@@ -13,8 +13,8 @@ import (
 // nested scheduling, cancels, tickers with SetInterval and Stop, a mass
 // cancel, and chunked runs — and returns the exact firing log. The
 // script is a pure function of the seed, so the wheel and the heap
-// oracle must produce byte-identical logs.
-func runSerialScript(l *Serial, seed uint64) []string {
+// reference must produce byte-identical logs.
+func runSerialScript(l Scheduler, seed uint64) []string {
 	rng := seed
 	next := func(n int) int {
 		rng = mix(rng, 0x6a09e667f3bcc909)
@@ -89,7 +89,7 @@ func runSerialScript(l *Serial, seed uint64) []string {
 func TestWheelMatchesHeapPopOrder(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		wheel := runSerialScript(NewSerial(), seed)
-		ref := runSerialScript(newSerialHeap(), seed)
+		ref := runSerialScript(newHeapSched(), seed)
 		if len(wheel) == 0 {
 			t.Fatalf("seed %d: empty firing log", seed)
 		}
@@ -105,7 +105,8 @@ func TestWheelMatchesHeapPopOrder(t *testing.T) {
 }
 
 // TestShardedWheelMatchesHeap pins the cross-shard workload digest on
-// both engines against the heap oracle.
+// both engines against the heap reference, which runs the same five-shard
+// placement sequentially.
 func TestShardedWheelMatchesHeap(t *testing.T) {
 	const nodes = 24
 	run := func(part Partitioned, sched Scheduler) string {
@@ -113,21 +114,17 @@ func TestShardedWheelMatchesHeap(t *testing.T) {
 		sched.RunFor(50 * time.Millisecond)
 		return w.digest()
 	}
-	serialWheel := NewSerial()
-	want := run(serialWheel, serialWheel)
+	ref := &heapSched{shards: 5}
+	want := run(ref, ref)
 
-	serialHeap := newSerialHeap()
-	if got := run(serialHeap, serialHeap); got != want {
-		t.Errorf("serial heap diverged:\n got %s\nwant %s", got, want)
+	serial := NewSerial()
+	if got := run(serial, serial); got != want {
+		t.Errorf("serial diverged:\n got %s\nwant %s", got, want)
 	}
-	opts := ShardedOptions{Shards: 5, Workers: 3, Lookahead: testLookahead, ForceWorkers: true}
-	for _, mode := range shardedModes {
-		x := mode.mk(opts)
-		got := run(x, x)
-		x.Stop()
-		if got != want {
-			t.Errorf("sharded %s diverged:\n got %s\nwant %s", mode.name, got, want)
-		}
+	x := NewSharded(ShardedOptions{Shards: 5, Workers: 3, Lookahead: testLookahead, ForceWorkers: true})
+	defer x.Stop()
+	if got := run(x, x); got != want {
+		t.Errorf("sharded diverged:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -164,38 +161,36 @@ func TestPendingExcludesCancelled(t *testing.T) {
 // the queue to reclaim the dead entries immediately instead of
 // stranding them until their (distant) pop time.
 func TestMassCancelCompacts(t *testing.T) {
-	for _, mode := range serialModes {
-		t.Run(mode.name, func(t *testing.T) {
-			l := mode.mk()
-			const n = 10000
-			timers := make([]Timer, 0, n)
-			for i := 0; i < n; i++ {
-				// Spread across every wheel level and the overflow.
-				d := time.Duration(i) * 7 * time.Millisecond
-				timers = append(timers, l.After(time.Millisecond+d, func() {}))
+	t.Run("wheel", func(t *testing.T) {
+		l := NewSerial()
+		const n = 10000
+		timers := make([]Timer, 0, n)
+		for i := 0; i < n; i++ {
+			// Spread across every wheel level and the overflow.
+			d := time.Duration(i) * 7 * time.Millisecond
+			timers = append(timers, l.After(time.Millisecond+d, func() {}))
+		}
+		ran := 0
+		l.After(500*time.Microsecond, func() { ran++ })
+		for _, tm := range timers {
+			if !tm.Stop() {
+				t.Fatal("Stop on pending timer reported false")
 			}
-			ran := 0
-			l.After(500*time.Microsecond, func() { ran++ })
-			for _, tm := range timers {
-				if !tm.Stop() {
-					t.Fatal("Stop on pending timer reported false")
-				}
-			}
-			if l.q.dead >= compactMinDead {
-				t.Fatalf("%d cancelled events still queued after mass cancel, want < %d", l.q.dead, compactMinDead)
-			}
-			if n := l.Pending(); n != 1 {
-				t.Fatalf("Pending() = %d after mass cancel, want 1", n)
-			}
-			l.RunFor(time.Second)
-			if ran != 1 {
-				t.Fatalf("surviving event ran %d times, want 1", ran)
-			}
-			if n := l.Pending(); n != 0 {
-				t.Fatalf("Pending() = %d after drain, want 0", n)
-			}
-		})
-	}
+		}
+		if l.q.dead >= compactMinDead {
+			t.Fatalf("%d cancelled events still queued after mass cancel, want < %d", l.q.dead, compactMinDead)
+		}
+		if n := l.Pending(); n != 1 {
+			t.Fatalf("Pending() = %d after mass cancel, want 1", n)
+		}
+		l.RunFor(time.Second)
+		if ran != 1 {
+			t.Fatalf("surviving event ran %d times, want 1", ran)
+		}
+		if n := l.Pending(); n != 0 {
+			t.Fatalf("Pending() = %d after drain, want 0", n)
+		}
+	})
 }
 
 // TestSerialStaleHandleAfterRecycle mirrors the sharded pool test: once

@@ -271,3 +271,60 @@ func TestFleetFailover(t *testing.T) {
 		t.Fatalf("submit with both replicas dead: want error")
 	}
 }
+
+// TestMutationsAcrossStop: an operator mutation racing Stop either
+// completes or fails with ErrStopped (ErrNoLeader once Stop has retired
+// the replicas), and none hangs on the closing engine; every mutation
+// issued after Stop fails with ErrStopped at once.
+func TestMutationsAcrossStop(t *testing.T) {
+	s := startService(t, testConfig())
+	waitReady(t, s, 2*time.Second)
+
+	const writers, slow = 4, time.Second
+	final := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func() {
+			for {
+				start := time.Now()
+				err := s.Retire("hh")
+				if d := time.Since(start); d > slow {
+					t.Errorf("Retire racing Stop took %v", d)
+				}
+				switch err {
+				case nil, ErrNoLeader:
+					continue
+				}
+				final <- err
+				return
+			}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond)
+	if err := s.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	for w := 0; w < writers; w++ {
+		select {
+		case err := <-final:
+			if err != ErrStopped {
+				t.Fatalf("mutation racing Stop: %v, want ErrStopped", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("mutation racing Stop never returned")
+		}
+	}
+
+	for name, op := range map[string]func() error{
+		"retire":         func() error { return s.Retire("hh") },
+		"kill-leader":    s.KillLeader,
+		"recover-switch": func() error { return s.RecoverSwitch(0) },
+	} {
+		start := time.Now()
+		if err := op(); err != ErrStopped {
+			t.Fatalf("%s after Stop: %v, want ErrStopped", name, err)
+		}
+		if d := time.Since(start); d > slow {
+			t.Fatalf("%s after Stop took %v", name, d)
+		}
+	}
+}

@@ -212,10 +212,14 @@ func (c *Client) do(q rpcRequest) (rpcResponse, error) {
 		return resp, err
 	}
 	if !resp.OK {
-		if resp.Retryable {
-			return resp, retryableError{msg: resp.Err}
+		msg := resp.Err
+		if msg == "" {
+			msg = "fleet: request refused without a reason"
 		}
-		return resp, errors.New(resp.Err)
+		if resp.Retryable {
+			return resp, retryableError{msg: msg}
+		}
+		return resp, errors.New(msg)
 	}
 	return resp, nil
 }
@@ -243,6 +247,9 @@ func (c *Client) Status() (*StatusSnapshot, error) {
 	resp, err := c.do(rpcRequest{Op: "status"})
 	if err != nil {
 		return nil, err
+	}
+	if resp.Status == nil {
+		return nil, errors.New("fleet: bad response: no status")
 	}
 	return resp.Status, nil
 }

@@ -291,7 +291,7 @@ func (s *Service) drive() {
 // state once the service is running.
 func (s *Service) exec(fn func()) error {
 	done := make(chan struct{})
-	engine.ScheduleOn(s.rt, 0, func() {
+	s.rt.Post(func() {
 		fn()
 		close(done)
 	})

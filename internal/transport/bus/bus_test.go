@@ -193,9 +193,10 @@ func TestPublishFromDeliveryCallback(t *testing.T) {
 
 // testDropAccounting fills a bounded subscriber queue and checks the
 // per-topic drop counter and that the surviving messages keep FIFO
-// order. It runs the publish burst on the loop goroutine (the broker is
-// loop-confined) so the same body works for serial and RealTime.
-func testDropAccounting(t *testing.T, loop engine.Scheduler, run func()) {
+// order. It hands the publish burst to the loop goroutine with post (the
+// broker is loop-confined) so the same body works for serial and
+// RealTime.
+func testDropAccounting(t *testing.T, loop engine.Scheduler, post func(func()), run func()) {
 	t.Helper()
 	b := New(loop, func(string) time.Duration { return time.Millisecond })
 	b.SetQueueLimit(4)
@@ -216,7 +217,7 @@ func testDropAccounting(t *testing.T, loop engine.Scheduler, run func()) {
 		tick()
 	})
 	b.Subscribe("other", func(Message) { tick() })
-	loop.After(0, func() {
+	post(func() {
 		for i := 0; i < 10; i++ {
 			b.Publish("bounded", i) // 4 queued, 6 dropped
 		}
@@ -250,7 +251,8 @@ func testDropAccounting(t *testing.T, loop engine.Scheduler, run func()) {
 
 func TestDropAccountingSerial(t *testing.T) {
 	loop := engine.NewSerial()
-	testDropAccounting(t, loop, func() { loop.RunFor(time.Second) })
+	post := func(fn func()) { loop.After(0, fn) }
+	testDropAccounting(t, loop, post, func() { loop.RunFor(time.Second) })
 }
 
 func TestDropAccountingRealTime(t *testing.T) {
@@ -259,7 +261,7 @@ func TestDropAccountingRealTime(t *testing.T) {
 	// The wall-clock engine needs a driving goroutine, like the fleet
 	// daemon's engine loop.
 	go loop.RunFor(10 * time.Second)
-	testDropAccounting(t, loop, func() {})
+	testDropAccounting(t, loop, loop.Post, func() {})
 }
 
 // TestQueueDrainsBelowLimit: the bound applies to the queue, not the
