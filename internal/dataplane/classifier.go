@@ -13,13 +13,16 @@
 //     the (at most four) candidate buckets instead of every entry;
 //   - generation-stamped flow caches (flowCache): the winning entry —
 //     and, on the fused Switch.Inject path, the matching sampler set —
-//     memoized per (FlowKey, Flags, inPort), invalidated wholesale by
+//     memoized per (5-tuple, Flags, inPort), invalidated wholesale by
 //     bumping a generation counter on any rule or sampler churn.
 //
 // The top tier, the fused Switch.Inject pass, lives in switch.go.
 package dataplane
 
-import "sort"
+import (
+	"net/netip"
+	"sort"
+)
 
 // entryLess orders TCAM entries in match order: higher priority first,
 // ties broken by installation sequence (earlier wins). (Priority, seq)
@@ -116,7 +119,7 @@ func (ix *ruleIndex) remove(e *tcamEntry) {
 // scanBucket returns the best match in one bucket, given the best match
 // found so far. Buckets are in match order, so the scan stops at the
 // first match — and early, as soon as no remaining entry can beat best.
-func (ix *ruleIndex) scanBucket(k bucketKey, p Packet, inPort int, best *tcamEntry) *tcamEntry {
+func (ix *ruleIndex) scanBucket(k bucketKey, p *Packet, inPort int, best *tcamEntry) *tcamEntry {
 	for _, e := range ix.buckets[k] {
 		if best != nil && !entryLess(e, best) {
 			break
@@ -132,7 +135,7 @@ func (ix *ruleIndex) scanBucket(k bucketKey, p Packet, inPort int, best *tcamEnt
 // A matching rule's bucket discriminator necessarily equals the packet's
 // corresponding field, so only the packet's own candidate buckets (plus
 // the wildcard bucket) can hold a match.
-func (ix *ruleIndex) lookup(p Packet, inPort int) *tcamEntry {
+func (ix *ruleIndex) lookup(p *Packet, inPort int) *tcamEntry {
 	best := ix.scanBucket(bucketKey{bWildcard, 0}, p, inPort, nil)
 	if p.DstPort != 0 {
 		best = ix.scanBucket(bucketKey{bDstPort, uint32(p.DstPort)}, p, inPort, best)
@@ -149,14 +152,52 @@ func (ix *ruleIndex) lookup(p Packet, inPort int) *tcamEntry {
 // flowKey is the flow-cache key: everything a Filter can match on. Two
 // packets with equal flowKeys classify identically (Size and App are
 // not matchable), so the verdict can be memoized per flowKey.
+//
+// An address is kept as its 16-byte As16 form plus its addrClass. Those
+// are all a Filter can tell apart: netip.Prefix.Contains compares the
+// address bits within one family, rejects the other family (so 10.0.0.1
+// and ::ffff:10.0.0.1 differ) and rejects every zoned address, whatever
+// the zone. The fields are laid out with no padding and no blank field,
+// so the map hashes and compares the key as 44 bytes of plain memory.
 type flowKey struct {
-	flow   FlowKey
-	flags  TCPFlags
-	inPort int32
+	src, dst           [16]byte
+	srcPort, dstPort   uint16
+	inPort             int32
+	proto              Proto
+	flags              TCPFlags
+	srcClass, dstClass addrClass
 }
 
-func flowKeyOf(p Packet, inPort int) flowKey {
-	return flowKey{flow: p.Flow(), flags: p.Flags, inPort: int32(inPort)}
+// addrClass is the part of an address that its As16 bytes drop.
+type addrClass uint8
+
+const (
+	classInvalid addrClass = iota // the zero netip.Addr
+	classV4
+	classV6
+	classV6Zone // IPv6 with a zone
+)
+
+func classOf(a netip.Addr) addrClass {
+	switch {
+	case a.Is4():
+		return classV4
+	case !a.IsValid():
+		return classInvalid
+	case a.Zone() != "":
+		return classV6Zone
+	}
+	return classV6
+}
+
+func flowKeyOf(p *Packet, inPort int) flowKey {
+	return flowKey{
+		src: p.SrcIP.As16(), dst: p.DstIP.As16(),
+		srcPort: p.SrcPort, dstPort: p.DstPort,
+		inPort: int32(inPort),
+		proto:  p.Proto, flags: p.Flags,
+		srcClass: classOf(p.SrcIP), dstClass: classOf(p.DstIP),
+	}
 }
 
 // defaultFlowCacheCap bounds the flow cache; when full, the cache is

@@ -113,7 +113,7 @@ func BenchmarkSwitchInject(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					j := i % len(pkts)
-					mode.inject(sw, pkts[j], inPorts[j], (j%7)+1)
+					mode.inject(sw, &pkts[j], inPorts[j], (j%7)+1)
 				}
 			})
 		}

@@ -99,7 +99,7 @@ func checkTCAMInvariants(t *testing.T, tc *TCAM) {
 // counters Lookup and Inject do.
 func lookupLinear(t *TCAM, p Packet, inPort int) (Rule, bool) {
 	for _, e := range t.entries {
-		if e.rule.Filter.Match(p, inPort) {
+		if e.rule.Filter.Match(&p, inPort) {
 			e.stats.Packets++
 			e.stats.Bytes += uint64(p.Size)
 			return e.rule, true
@@ -108,13 +108,13 @@ func lookupLinear(t *TCAM, p Packet, inPort int) (Rule, bool) {
 	return Rule{}, false
 }
 
-func injectLinear(s *Switch, p Packet, inPort, outPort int) Verdict {
+func injectLinear(s *Switch, p *Packet, inPort, outPort int) Verdict {
 	if inPort >= 1 && inPort < len(s.ports) {
 		s.ports[inPort].RxPackets++
 		s.ports[inPort].RxBytes += uint64(p.Size)
 	}
 	var v Verdict
-	if r, ok := lookupLinear(s.tcam, p, inPort); ok {
+	if r, ok := lookupLinear(s.tcam, *p, inPort); ok {
 		v.Rule, v.Matched = r, true
 		if r.Action == ActDrop {
 			v.Dropped = true
@@ -128,7 +128,7 @@ func injectLinear(s *Switch, p Packet, inPort, outPort int) Verdict {
 		if sm.Filter.Match(p, inPort) {
 			sm.counter++
 			if sm.counter%sm.OneInN == 0 {
-				sm.fn(p)
+				sm.fn(*p)
 			}
 		}
 	}
@@ -143,7 +143,7 @@ func injectLinear(s *Switch, p Packet, inPort, outPort int) Verdict {
 // that pin a behaviour on both.
 var injectPaths = []struct {
 	name   string
-	inject func(s *Switch, p Packet, inPort, outPort int) Verdict
+	inject func(s *Switch, p *Packet, inPort, outPort int) Verdict
 }{
 	{"fast", (*Switch).Inject},
 	{"naive", injectLinear},
@@ -216,7 +216,7 @@ func TestSwitchFastPathEquivalence(t *testing.T) {
 	const samplers = 4
 	type world struct {
 		sw      *Switch
-		inject  func(s *Switch, p Packet, inPort, outPort int) Verdict
+		inject  func(s *Switch, p *Packet, inPort, outPort int) Verdict
 		fired   [samplers][]int // packet indices delivered per sampler
 		removes [samplers]func()
 	}
@@ -252,7 +252,7 @@ func TestSwitchFastPathEquivalence(t *testing.T) {
 		default:
 			p, inPort := genPacket(rng)
 			outPort := rng.Intn(4)
-			ops = append(ops, func(w *world) { w.inject(w.sw, p, inPort, outPort) })
+			ops = append(ops, func(w *world) { w.inject(w.sw, &p, inPort, outPort) })
 		}
 	}
 	for _, op := range ops {
@@ -302,7 +302,7 @@ func TestFlowCacheInvalidationOnChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)
-	if v := sw.Inject(p, 1, 2); !v.Matched || v.Rule.Note != "low" {
+	if v := sw.Inject(&p, 1, 2); !v.Matched || v.Rule.Note != "low" {
 		t.Fatalf("verdict = %+v", v)
 	}
 	// Warm cache, then install a higher-priority rule for the same flow:
@@ -311,12 +311,12 @@ func TestFlowCacheInvalidationOnChurn(t *testing.T) {
 	if err := tc.AddRule(high); err != nil {
 		t.Fatal(err)
 	}
-	if v := sw.Inject(p, 1, 2); !v.Dropped || v.Rule.Note != "high" {
+	if v := sw.Inject(&p, 1, 2); !v.Dropped || v.Rule.Note != "high" {
 		t.Fatalf("post-churn verdict = %+v; cache not invalidated", v)
 	}
 	// Removal invalidates too.
 	tc.RemoveRule(high.Filter)
-	if v := sw.Inject(p, 1, 2); !v.Matched || v.Rule.Note != "low" {
+	if v := sw.Inject(&p, 1, 2); !v.Matched || v.Rule.Note != "low" {
 		t.Fatalf("post-remove verdict = %+v", v)
 	}
 	if tc.Generation() != 3 {
@@ -333,7 +333,7 @@ func TestFlowCacheCapWipe(t *testing.T) {
 	_ = sw.TCAM().AddRule(Rule{Priority: 1, Filter: Filter{Proto: ProtoTCP}})
 	for i := 0; i < 100; i++ {
 		p := pkt("10.0.0.1", "10.0.0.2", uint16(1000+i), 80, ProtoTCP, 64)
-		sw.Inject(p, 1, 2)
+		sw.Inject(&p, 1, 2)
 		if len(sw.flowCache) > sw.cacheCap {
 			t.Fatalf("cache grew past cap: %d > %d", len(sw.flowCache), sw.cacheCap)
 		}
@@ -414,7 +414,7 @@ func TestFilterCoversSoundness(t *testing.T) {
 		}
 		for j := 0; j < 50; j++ {
 			p, inPort := genPacket(rng)
-			if g.Match(p, inPort) && !f.Match(p, inPort) {
+			if g.Match(&p, inPort) && !f.Match(&p, inPort) {
 				t.Fatalf("f=%v covers g=%v but missed packet %+v in %d", f, g, p, inPort)
 			}
 		}
@@ -452,9 +452,9 @@ func TestSamplerCadenceInterleaved(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			if i%2 == 0 { // even injections match; odd ones must not advance cadence
 				matching++
-				path.inject(sw, pkt("10.0.0.1", "10.0.0.2", uint16(matching), 80, ProtoTCP, 64), 1, 2)
+				path.inject(sw, ref(pkt("10.0.0.1", "10.0.0.2", uint16(matching), 80, ProtoTCP, 64)), 1, 2)
 			} else {
-				path.inject(sw, pkt("10.0.0.1", "10.0.0.2", uint16(1000+i), 443, ProtoTCP, 64), 1, 2)
+				path.inject(sw, ref(pkt("10.0.0.1", "10.0.0.2", uint16(1000+i), 443, ProtoTCP, 64)), 1, 2)
 			}
 		}
 		// 15 matching packets at 1-in-3: exactly the 3rd, 6th, 9th, 12th,
@@ -477,7 +477,7 @@ func TestSamplerRemoveMidStream(t *testing.T) {
 		sw.AddSampler(Filter{}, 5, func(Packet) { b++ })
 		p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 64)
 		for i := 0; i < 10; i++ { // warm the flow cache
-			path.inject(sw, p, 1, 2)
+			path.inject(sw, &p, 1, 2)
 		}
 		if a != 5 || b != 2 {
 			t.Fatalf("%s: pre-removal a=%d b=%d, want 5, 2", path.name, a, b)
@@ -485,7 +485,7 @@ func TestSamplerRemoveMidStream(t *testing.T) {
 		removeA()
 		removeA() // double removal is a no-op
 		for i := 0; i < 10; i++ {
-			path.inject(sw, p, 1, 2)
+			path.inject(sw, &p, 1, 2)
 		}
 		if a != 5 {
 			t.Fatalf("%s: removed sampler fired: a=%d", path.name, a)
@@ -512,7 +512,7 @@ func TestSamplerRemoveDuringCallback(t *testing.T) {
 		removeSecond = sw.AddSampler(Filter{}, 1, func(Packet) { second++ })
 		p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 64)
 		for i := 0; i < 6; i++ {
-			path.inject(sw, p, 1, 2)
+			path.inject(sw, &p, 1, 2)
 		}
 		// second fires for packets 1 and 2 only: on packet 3 the first
 		// sampler removes it before it is reached.

@@ -109,25 +109,96 @@ func (p Packet) Flow() FlowKey {
 	return FlowKey{SrcIP: p.SrcIP, DstIP: p.DstIP, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Proto}
 }
 
-// AppendTo appends the flow's canonical text form to b and returns the
-// extended slice — the allocation-free building block for per-packet
-// consumers (the fabric's ECMP flow hash feeds these exact bytes to
-// FNV-1a, so the encoding must stay stable).
+// FlowTextCap is a buffer size that takes any IPv4 flow's AppendTo
+// without growing: the longest IPv4 text is 44 bytes before the
+// protocol ("255.255.255.255:65535->255.255.255.255:65535"), and the
+// longest protocol name, "/proto(255)", adds 11.
+const FlowTextCap = 64
+
+// AppendTo appends the flow's canonical text form,
+// "src:sport->dst:dport/proto", to b and returns the extended slice —
+// the allocation-free building block for per-packet consumers. The
+// fabric's ECMP hash and the generator's emission digest feed these
+// exact bytes to FNV-1a, so the encoding must stay stable: addresses as
+// netip.Addr.AppendTo writes them (String, except that the zero Addr
+// writes nothing), ports in decimal, the protocol as Proto.String names
+// it. FuzzFlowKeyText holds it to that reference. A flow between two
+// IPv4 addresses is written octet by octet and digit by digit into a
+// stack buffer; any other flow goes through netip and strconv, and any
+// protocol but tcp and udp through Proto.String.
 func (k FlowKey) AppendTo(b []byte) []byte {
-	b = k.SrcIP.AppendTo(b)
-	b = append(b, ':')
-	b = strconv.AppendUint(b, uint64(k.SrcPort), 10)
-	b = append(b, '-', '>')
-	b = k.DstIP.AppendTo(b)
-	b = append(b, ':')
-	b = strconv.AppendUint(b, uint64(k.DstPort), 10)
+	if k.SrcIP.Is4() && k.DstIP.Is4() {
+		var t v4Text
+		n := t.putAddr(0, k.SrcIP.As4())
+		t[n] = ':'
+		n = t.putDecimal(n+1, k.SrcPort)
+		t[n], t[n+1] = '-', '>'
+		n = t.putAddr(n+2, k.DstIP.As4())
+		t[n] = ':'
+		n = t.putDecimal(n+1, k.DstPort)
+		b = append(b, t[:n]...)
+	} else {
+		b = k.SrcIP.AppendTo(b)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, uint64(k.SrcPort), 10)
+		b = append(b, '-', '>')
+		b = k.DstIP.AppendTo(b)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, uint64(k.DstPort), 10)
+	}
+	switch k.Proto {
+	case ProtoTCP:
+		return append(b, "/tcp"...)
+	case ProtoUDP:
+		return append(b, "/udp"...)
+	}
 	b = append(b, '/')
-	b = append(b, k.Proto.String()...)
-	return b
+	return append(b, k.Proto.String()...)
+}
+
+// v4Text holds an IPv4 flow's text up to the protocol.
+type v4Text [44]byte
+
+// putAddr writes a's dotted quad at t[n:] and returns the index after it.
+func (t *v4Text) putAddr(n int, a [4]byte) int {
+	n = t.putOctet(n, a[0])
+	t[n] = '.'
+	n = t.putOctet(n+1, a[1])
+	t[n] = '.'
+	n = t.putOctet(n+1, a[2])
+	t[n] = '.'
+	return t.putOctet(n+1, a[3])
+}
+
+func (t *v4Text) putOctet(n int, v byte) int {
+	switch {
+	case v >= 100:
+		t[n], t[n+1], t[n+2] = '0'+v/100, '0'+v/10%10, '0'+v%10
+		return n + 3
+	case v >= 10:
+		t[n], t[n+1] = '0'+v/10, '0'+v%10
+		return n + 2
+	}
+	t[n] = '0' + v
+	return n + 1
+}
+
+// putDecimal writes v in decimal at t[n:] and returns the index after it.
+func (t *v4Text) putDecimal(n int, v uint16) int {
+	end := n + 1
+	for x := v; x >= 10; x /= 10 {
+		end++
+	}
+	for i := end - 1; i > n; i-- {
+		t[i] = byte('0' + v%10)
+		v /= 10
+	}
+	t[n] = byte('0' + v)
+	return end
 }
 
 func (k FlowKey) String() string {
-	return string(k.AppendTo(make([]byte, 0, 64)))
+	return string(k.AppendTo(make([]byte, 0, FlowTextCap)))
 }
 
 // Filter is a ternary match over packet headers and ingress port. The
@@ -145,8 +216,9 @@ type Filter struct {
 // IsZero reports whether f matches everything.
 func (f Filter) IsZero() bool { return f == Filter{} }
 
-// Match reports whether packet p arriving on inPort matches f.
-func (f Filter) Match(p Packet, inPort int) bool {
+// Match reports whether packet p arriving on inPort matches f. It only
+// reads p.
+func (f Filter) Match(p *Packet, inPort int) bool {
 	if f.SrcPrefix.IsValid() && !f.SrcPrefix.Contains(p.SrcIP) {
 		return false
 	}

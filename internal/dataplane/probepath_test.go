@@ -31,7 +31,7 @@ func TestSampleCrossingAllocs(t *testing.T) {
 	const burst = 4 // several records in flight at once
 	cross := func() {
 		for i := 0; i < burst; i++ {
-			sw.Inject(p, 1, 2)
+			sw.Inject(&p, 1, 2)
 		}
 		loop.RunFor(time.Millisecond)
 	}
@@ -56,7 +56,7 @@ func TestSampleCrossingAllocs(t *testing.T) {
 func matchingSamplers(s *Switch, p Packet, inPort int) []*Sampler {
 	var out []*Sampler
 	for _, sm := range s.samplers {
-		if sm.Filter.Match(p, inPort) {
+		if sm.Filter.Match(&p, inPort) {
 			out = append(out, sm)
 		}
 	}
@@ -106,7 +106,7 @@ func TestSamplerSetsInterned(t *testing.T) {
 	const flows = 10_000
 	for i := 0; i < flows; i++ {
 		p, in := flow(i)
-		sw.Inject(p, in, 0)
+		sw.Inject(&p, in, 0)
 	}
 	if len(sw.flowCache) != flows {
 		t.Fatalf("%d flows cached, want %d distinct", len(sw.flowCache), flows)
@@ -116,7 +116,7 @@ func TestSamplerSetsInterned(t *testing.T) {
 	empty := 0
 	for i := 0; i < flows; i++ {
 		p, in := flow(i)
-		got := sw.flowCache[flowKeyOf(p, in)].samplers
+		got := sw.flowCache[flowKeyOf(&p, in)].samplers
 		want := matchingSamplers(sw, p, in)
 		if !sameSamplers(got, want) {
 			t.Fatalf("flow %d: cached set %v, linear scan %v", i, got, want)
@@ -150,30 +150,30 @@ func TestSamplerSetsInterned(t *testing.T) {
 	}
 	p, in := flow(1)
 	remove := sw.AddSampler(Filter{}, 1<<30, func(Packet) {})
-	sw.Inject(p, in, 0)
+	sw.Inject(&p, in, 0)
 	if sw.setsGen != sw.samplerGen || len(sw.sets) != 1 || tableHoldsOld() {
 		t.Fatalf("after AddSampler: table of generation %d (switch at %d) with %d sets, old slices reachable: %v",
 			sw.setsGen, sw.samplerGen, len(sw.sets), tableHoldsOld())
 	}
-	withAll := sw.flowCache[flowKeyOf(p, in)].samplers
+	withAll := sw.flowCache[flowKeyOf(&p, in)].samplers
 	if !sameSamplers(withAll, matchingSamplers(sw, p, in)) {
 		t.Fatalf("after AddSampler: cached set %v, linear scan %v", withAll, matchingSamplers(sw, p, in))
 	}
 	slices[&withAll[0]] = true
 	remove()
-	sw.Inject(p, in, 0)
+	sw.Inject(&p, in, 0)
 	if sw.setsGen != sw.samplerGen || len(sw.sets) != 1 || tableHoldsOld() {
 		t.Fatalf("after removal: table of generation %d (switch at %d) with %d sets, old slices reachable: %v",
 			sw.setsGen, sw.samplerGen, len(sw.sets), tableHoldsOld())
 	}
-	if got := sw.flowCache[flowKeyOf(p, in)].samplers; !sameSamplers(got, matchingSamplers(sw, p, in)) {
+	if got := sw.flowCache[flowKeyOf(&p, in)].samplers; !sameSamplers(got, matchingSamplers(sw, p, in)) {
 		t.Fatalf("after removal: cached set %v, linear scan %v", got, matchingSamplers(sw, p, in))
 	}
 
 	// A cache wipe takes the table with it, so it never outgrows the cap.
 	sw.cacheCap = len(sw.flowCache)
 	q, qin := flow(2)
-	sw.Inject(q, qin, 0)
+	sw.Inject(&q, qin, 0)
 	if len(sw.flowCache) != 1 || len(sw.sets) != 1 {
 		t.Fatalf("after a cache wipe: %d flows, %d sets, want 1 and 1", len(sw.flowCache), len(sw.sets))
 	}
@@ -197,15 +197,15 @@ func TestSamplerSetsBeyond64(t *testing.T) {
 	want := make([]int, samplers)
 	for n := 0; n < 2000; n++ {
 		p := pkt("10.0.0.1", "10.0.0.2", uint16(rng.Intn(50)), uint16(995+rng.Intn(20)), []Proto{ProtoTCP, ProtoUDP}[rng.Intn(2)], 64)
-		if got, lin := sw.samplerSet(p, 1), matchingSamplers(sw, p, 1); !sameSamplers(got, lin) {
+		if got, lin := sw.samplerSet(&p, 1), matchingSamplers(sw, p, 1); !sameSamplers(got, lin) {
 			t.Fatalf("packet %d: %d samplers in the set, %d in the linear scan", n, len(got), len(lin))
 		}
 		for i, sm := range sw.samplers {
-			if sm.Filter.Match(p, 1) {
+			if sm.Filter.Match(&p, 1) {
 				want[i]++
 			}
 		}
-		sw.Inject(p, 1, 2)
+		sw.Inject(&p, 1, 2)
 	}
 	for i := range fired {
 		if fired[i] != want[i] || (i >= 64 && fired[i] == 0) {
@@ -420,10 +420,10 @@ func TestBusReentrantRequest(t *testing.T) {
 	})
 	p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)
 	for i := 0; i < 3; i++ {
-		sw.Inject(p, 1, 2) // all three are on the bus before the first completes
+		sw.Inject(&p, 1, 2) // all three are on the bus before the first completes
 	}
 	loop.RunFor(time.Second)
-	sw.Inject(p, 1, 2) // the sampler is gone
+	sw.Inject(&p, 1, 2) // the sampler is gone
 	loop.RunFor(time.Second)
 	if delivered != 3 || len(sw.samplers) != 0 {
 		t.Fatalf("delivered %d samples with %d samplers left, want 3 and 0", delivered, len(sw.samplers))

@@ -192,7 +192,7 @@ func (t *TCAM) StatsMatching(f Filter) RuleStats {
 // Lookup returns the highest-priority matching rule for the packet,
 // resolved through the bucketed rule index, and counts the match.
 func (t *TCAM) Lookup(p Packet, inPort int) (Rule, bool) {
-	e := t.index.lookup(p, inPort)
+	e := t.index.lookup(&p, inPort)
 	if e == nil {
 		return Rule{}, false
 	}
@@ -206,7 +206,7 @@ func (t *TCAM) Lookup(p Packet, inPort int) (Rule, bool) {
 func (t *TCAM) lookupReference(p Packet, inPort int) (Rule, bool) {
 	best := -1
 	for i, e := range t.entries {
-		if !e.rule.Filter.Match(p, inPort) {
+		if !e.rule.Filter.Match(&p, inPort) {
 			continue
 		}
 		if best == -1 ||
@@ -381,7 +381,10 @@ func (s *Switch) CreditRule(f Filter, packets, bytes uint64) bool {
 // flow-cache probe yields both the winning rule and the matching
 // sampler set for a repeat flow; only a cold or churn-invalidated flow
 // pays the indexed TCAM lookup plus the per-sampler filter scan.
-func (s *Switch) Inject(p Packet, inPort, outPort int) Verdict {
+//
+// Inject borrows p for the call: it reads the packet in place and keeps
+// no reference to it. A sampler that fires gets its own copy.
+func (s *Switch) Inject(p *Packet, inPort, outPort int) Verdict {
 	if inPort >= 1 && inPort < len(s.ports) {
 		s.ports[inPort].RxPackets++
 		s.ports[inPort].RxBytes += uint64(p.Size)
@@ -398,7 +401,7 @@ func (s *Switch) Inject(p Packet, inPort, outPort int) Verdict {
 // registration order, as the one slice every flow with that set shares.
 // The table belongs to the current sampler generation: bit positions
 // index s.samplers, which only changes together with samplerGen.
-func (s *Switch) samplerSet(p Packet, inPort int) []*Sampler {
+func (s *Switch) samplerSet(p *Packet, inPort int) []*Sampler {
 	if len(s.samplers) == 0 {
 		return nil
 	}
@@ -438,7 +441,7 @@ func (s *Switch) samplerSet(p Packet, inPort int) []*Sampler {
 // classifyFused is the classify+sample step: one flow-cache probe covering
 // TCAM verdict and sampler set, recomputed lazily when either the rule
 // or the sampler generation moved.
-func (s *Switch) classifyFused(p Packet, inPort int) Verdict {
+func (s *Switch) classifyFused(p *Packet, inPort int) Verdict {
 	k := flowKeyOf(p, inPort)
 	cv, ok := s.flowCache[k]
 	if !ok || cv.tcamGen != s.tcam.gen || cv.samplerGen != s.samplerGen {
@@ -472,7 +475,7 @@ func (s *Switch) classifyFused(p Packet, inPort int) Verdict {
 		}
 		sm.counter++
 		if sm.counter%sm.OneInN == 0 {
-			sm.fn(p)
+			sm.fn(*p)
 		}
 	}
 	return v

@@ -327,8 +327,9 @@ var (
 
 // route resolves a packet's endpoints and picks its ECMP path from the
 // topology's path table, deterministically by flow hash. The path is
-// table memory: read-only.
-func (f *Fabric) route(p dataplane.Packet) (src, dst netmodel.HostID, path netmodel.Path, err error) {
+// table memory: read-only. The modulus is taken in uint32, so a hash of
+// 2^31 or more selects the same path on 32- and 64-bit targets.
+func (f *Fabric) route(p *dataplane.Packet) (src, dst netmodel.HostID, path netmodel.Path, err error) {
 	s, ok := f.topo.HostByIP(p.SrcIP)
 	if !ok {
 		return 0, 0, nil, ErrUnknownSource
@@ -341,13 +342,13 @@ func (f *Fabric) route(p dataplane.Packet) (src, dst netmodel.HostID, path netmo
 	if len(paths) == 0 {
 		return 0, 0, nil, ErrNoPath
 	}
-	return s.ID, d.ID, paths[int(flowHash(p.Flow()))%len(paths)], nil
+	return s.ID, d.ID, paths[flowHash(p.Flow())%uint32(len(paths))], nil
 }
 
 // PathFor returns the ECMP path a flow takes between two hosts,
 // selected deterministically by flow hash. Callers must not modify the
-// path (see netmodel.Topology.Paths).
-func (f *Fabric) PathFor(p dataplane.Packet) (netmodel.Path, error) {
+// path (see netmodel.Topology.Paths). PathFor only reads p.
+func (f *Fabric) PathFor(p *dataplane.Packet) (netmodel.Path, error) {
 	_, _, path, err := f.route(p)
 	return path, err
 }
@@ -359,7 +360,7 @@ func (f *Fabric) PathFor(p dataplane.Packet) (netmodel.Path, error) {
 // this) — but without the hasher and fmt allocations on the per-packet
 // path.
 func flowHash(k dataplane.FlowKey) uint32 {
-	var arr [64]byte
+	var arr [dataplane.FlowTextCap]byte
 	b := k.AppendTo(arr[:0])
 	const offset32, prime32 = 2166136261, 16777619
 	h := uint32(offset32)
@@ -374,7 +375,8 @@ func flowHash(k dataplane.FlowKey) uint32 {
 // which path, at which switch. A packet occupies one record from Send
 // to delivery or drop, and one event per switch-to-switch hop, always
 // scheduled with the same prebuilt fire — so forwarding allocates
-// nothing once the records it needs exist.
+// nothing once the records it needs exist. The record owns its copy of
+// the packet; each switch on the path borrows it for one Inject.
 type hop struct {
 	f    *Fabric
 	fire func() // h.step, bound once
@@ -399,10 +401,13 @@ const maxFreeHops = 1024
 // packet is dropped mid-path if a rule says so. The path is fixed here:
 // a packet in flight is not rerouted by a later topology change.
 //
+// Send borrows p: it copies the packet into the hop record that carries
+// it and keeps no reference, so the caller may reuse p at once.
+//
 // Under a sharded engine, Send must be called either from an event on
 // the source leaf's home shard (traffic.BulkWorkload arranges this) or
 // from the driving goroutine between runs.
-func (f *Fabric) Send(p dataplane.Packet) error {
+func (f *Fabric) Send(p *dataplane.Packet) error {
 	src, dst, path, err := f.route(p)
 	if err != nil {
 		return err
@@ -415,7 +420,7 @@ func (f *Fabric) Send(p dataplane.Packet) error {
 		h = &hop{f: f}
 		h.fire = h.step
 	}
-	h.p, h.path, h.i = p, path, 0
+	h.p, h.path, h.i = *p, path, 0
 	h.srcPort, h.dstPort = int(f.hostPort[src]), int(f.hostPort[dst])
 	h.step()
 	return nil
@@ -435,7 +440,7 @@ func (h *hop) step() {
 	if !last {
 		outPort = int(f.swPorts[sw][path[i+1]])
 	}
-	v := f.switches[sw].Inject(h.p, inPort, outPort)
+	v := f.switches[sw].Inject(&h.p, inPort, outPort)
 	shard := f.shardOf[sw]
 	ln := &f.lanes[shard]
 	switch {
@@ -455,7 +460,7 @@ func (h *hop) step() {
 }
 
 // MustSend is Send for callers holding pre-validated addresses.
-func (f *Fabric) MustSend(p dataplane.Packet) {
+func (f *Fabric) MustSend(p *dataplane.Packet) {
 	if err := f.Send(p); err != nil {
 		panic(err)
 	}

@@ -62,7 +62,7 @@ func TestSendAcrossLeaves(t *testing.T) {
 		SrcIP: HostIP(0, 0), DstIP: HostIP(1, 0),
 		SrcPort: 1234, DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100,
 	}
-	if err := f.Send(p); err != nil {
+	if err := f.Send(&p); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunFor(time.Millisecond)
@@ -71,7 +71,7 @@ func TestSendAcrossLeaves(t *testing.T) {
 	}
 	// The packet crossed leaf0 -> a spine -> leaf1: each switch on the
 	// path saw it once.
-	path, err := f.PathFor(p)
+	path, err := f.PathFor(&p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSendSameLeaf(t *testing.T) {
 		SrcIP: HostIP(0, 0), DstIP: HostIP(0, 1),
 		SrcPort: 1, DstPort: 2, Proto: dataplane.ProtoUDP, Size: 64,
 	}
-	if err := f.Send(p); err != nil {
+	if err := f.Send(&p); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunFor(time.Millisecond)
@@ -108,7 +108,7 @@ func TestSendSameLeaf(t *testing.T) {
 func TestSendUnknownHost(t *testing.T) {
 	f, _ := testFabric(t, 1, 1, 1)
 	p := dataplane.Packet{SrcIP: HostIP(9, 9), DstIP: HostIP(0, 0), Size: 10}
-	if err := f.Send(p); err == nil {
+	if err := f.Send(&p); err == nil {
 		t.Fatal("unknown source should error")
 	}
 }
@@ -132,10 +132,10 @@ func TestSendErrorsAreSentinels(t *testing.T) {
 		{[2]int{0, 0}, [2]int{1, 0}, ErrNoPath},
 	} {
 		p := dataplane.Packet{SrcIP: HostIP(c.src[0], c.src[1]), DstIP: HostIP(c.dst[0], c.dst[1]), Size: 10}
-		if err := f.Send(p); !errors.Is(err, c.want) {
+		if err := f.Send(&p); !errors.Is(err, c.want) {
 			t.Fatalf("Send %v -> %v: error %v, want %v", p.SrcIP, p.DstIP, err, c.want)
 		}
-		if _, err := f.PathFor(p); !errors.Is(err, c.want) {
+		if _, err := f.PathFor(&p); !errors.Is(err, c.want) {
 			t.Fatalf("PathFor %v -> %v: error %v, want %v", p.SrcIP, p.DstIP, err, c.want)
 		}
 	}
@@ -150,11 +150,11 @@ func TestECMPDeterministicPerFlow(t *testing.T) {
 		SrcIP: HostIP(0, 0), DstIP: HostIP(1, 0),
 		SrcPort: 1234, DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100,
 	}
-	p1, err := f.PathFor(p)
+	p1, err := f.PathFor(&p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _ := f.PathFor(p)
+	p2, _ := f.PathFor(&p)
 	if p1.Key() != p2.Key() {
 		t.Fatal("same flow must take the same path")
 	}
@@ -163,7 +163,7 @@ func TestECMPDeterministicPerFlow(t *testing.T) {
 	for sp := uint16(1); sp <= 64; sp++ {
 		q := p
 		q.SrcPort = sp
-		qp, _ := f.PathFor(q)
+		qp, _ := f.PathFor(&q)
 		seen[qp.Key()] = true
 	}
 	if len(seen) < 2 {
@@ -177,7 +177,7 @@ func TestTCAMDropStopsForwarding(t *testing.T) {
 		SrcIP: HostIP(0, 0), DstIP: HostIP(1, 0),
 		SrcPort: 5, DstPort: 666, Proto: dataplane.ProtoTCP, Size: 100,
 	}
-	path, _ := f.PathFor(p)
+	path, _ := f.PathFor(&p)
 	// Install a drop rule at the first hop.
 	err := f.Switch(path[0]).TCAM().AddRule(dataplane.Rule{
 		Priority: 10, Filter: dataplane.Filter{DstPort: 666}, Action: dataplane.ActDrop,
@@ -185,7 +185,7 @@ func TestTCAMDropStopsForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = f.Send(p)
+	_ = f.Send(&p)
 	loop.RunFor(time.Millisecond)
 	if f.Delivered() != 0 || f.DroppedInFabric() != 1 {
 		t.Fatalf("delivered=%d dropped=%d", f.Delivered(), f.DroppedInFabric())

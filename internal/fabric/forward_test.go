@@ -24,11 +24,11 @@ func crossLeafPacket() dataplane.Packet {
 func TestSendSteadyStateAllocs(t *testing.T) {
 	f, loop := testFabric(t, 2, 2, 2)
 	p := crossLeafPacket()
-	if path, err := f.PathFor(p); err != nil || len(path) != 3 {
+	if path, err := f.PathFor(&p); err != nil || len(path) != 3 {
 		t.Fatalf("path = %v, %v; want 3 switches", path, err)
 	}
 	sendAndDeliver := func() {
-		if err := f.Send(p); err != nil {
+		if err := f.Send(&p); err != nil {
 			t.Fatal(err)
 		}
 		loop.Drain(16)
@@ -50,7 +50,8 @@ func TestSendSteadyStateAllocs(t *testing.T) {
 // path table is dropped while it is in flight.
 func TestInFlightPacketSurvivesTableInvalidation(t *testing.T) {
 	f, loop := testFabric(t, 2, 2, 2)
-	if err := f.Send(crossLeafPacket()); err != nil {
+	p := crossLeafPacket()
+	if err := f.Send(&p); err != nil {
 		t.Fatal(err)
 	}
 	f.Topology().SetMaxECMP(1)
@@ -83,7 +84,7 @@ func flood(t *testing.T, sched engine.Scheduler, d time.Duration) *Fabric {
 			// Distinct periods, so arrivals interleave instead of
 			// landing on the victim in lockstep.
 			period := time.Duration(400+7*(l*hosts+h)) * time.Microsecond
-			f.SchedulerFor(src.Leaf).Every(period, func() { f.MustSend(p) })
+			f.SchedulerFor(src.Leaf).Every(period, func() { f.MustSend(&p) })
 		}
 	}
 	sched.RunFor(d)

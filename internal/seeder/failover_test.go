@@ -238,7 +238,7 @@ machine Squatter {
 	}
 
 	probe := func(sw netmodel.SwitchID, srcPort uint16) {
-		fab.Switch(sw).Inject(dataplane.Packet{SrcPort: srcPort, DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100}, 1, 0)
+		fab.Switch(sw).Inject(&dataplane.Packet{SrcPort: srcPort, DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100}, 1, 0)
 	}
 	probe(home, 1)
 	loop.RunFor(10 * time.Millisecond)

@@ -524,7 +524,7 @@ machine Probe {
 	// delivery: expect ~4-5 deliveries, not 100.
 	sw := fab.Switch(leaf)
 	for i := 0; i < 100; i++ {
-		sw.Inject(dataplane.Packet{DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100}, 1, 2)
+		sw.Inject(&dataplane.Packet{DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100}, 1, 2)
 		loop.RunFor(200 * time.Microsecond)
 	}
 	loop.RunFor(10 * time.Millisecond)
@@ -538,7 +538,7 @@ machine Probe {
 	}
 	// Non-matching packets are not sampled.
 	before := seen
-	sw.Inject(dataplane.Packet{DstPort: 443, Proto: dataplane.ProtoTCP, Size: 100}, 1, 2)
+	sw.Inject(&dataplane.Packet{DstPort: 443, Proto: dataplane.ProtoTCP, Size: 100}, 1, 2)
 	loop.RunFor(10 * time.Millisecond)
 	v, _ = s.SeedVar(ref.ID(), "seen")
 	if v.(int64) != before {

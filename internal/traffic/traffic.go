@@ -104,24 +104,27 @@ func (g *Generator) stream() stream {
 	return stream{state: bulkMix(uint64(g.seed), id)}
 }
 
-// ingress resolves a source address to its ingress leaf and that leaf's
-// home-shard scheduler. Unroutable sources (fab.Send rejects their
-// packets, and Rejected counts them) are homed on the central shard so
-// their schedule still ticks deterministically.
-func (g *Generator) ingress(src netip.Addr) (netmodel.SwitchID, engine.Scheduler) {
+// ingress resolves a source address to its ingress leaf's emission
+// digest cell and that leaf's home-shard scheduler. Unroutable sources
+// (fab.Send rejects their packets, and Rejected counts them) have no
+// cell and are homed on the central shard so their schedule still ticks
+// deterministically.
+func (g *Generator) ingress(src netip.Addr) (*ingressDigest, engine.Scheduler) {
 	if h, ok := g.fab.Topology().HostByIP(src); ok {
-		return h.Leaf, g.fab.SchedulerFor(h.Leaf)
+		return g.digests[h.Leaf], g.fab.SchedulerFor(h.Leaf)
 	}
-	return -1, g.fab.CentralSched()
+	return nil, g.fab.CentralSched()
 }
 
-// inject folds the packet into the ingress leaf's emission digest and
-// sends it. Must run on the leaf's home shard (or the driving goroutine
+// inject folds the packet into its ingress leaf's emission digest cell d
+// and sends it. text is the packet's canonical flow text
+// (FlowKey.AppendTo): a flow whose 5-tuple never changes renders it
+// once, a scenario that makes a fresh tuple per packet renders it per
+// packet. Must run on the leaf's home shard (or the driving goroutine
 // between runs, for Burst).
-func (g *Generator) inject(leaf netmodel.SwitchID, clock engine.Clock, p dataplane.Packet) {
-	d := g.digests[leaf]
+func (g *Generator) inject(d *ingressDigest, clock engine.Clock, p *dataplane.Packet, text []byte) {
 	if d != nil {
-		d.fold(clock.Now(), p)
+		d.fold(clock.Now(), p, text)
 	}
 	if err := g.fab.Send(p); err != nil {
 		if d != nil {
@@ -171,8 +174,9 @@ func (g *Generator) StartFlow(spec FlowSpec) (stop func()) {
 	if spec.Rate <= 0 {
 		panic(fmt.Sprintf("traffic: flow rate must be positive, got %g", spec.Rate))
 	}
-	leaf, sched := g.ingress(spec.Src)
+	d, sched := g.ingress(spec.Src)
 	pkt := spec.packet()
+	text := pkt.Flow().AppendTo(nil)
 	rng := g.stream()
 	interval := float64(time.Second) / spec.Rate
 	stopped := false
@@ -188,7 +192,7 @@ func (g *Generator) StartFlow(spec FlowSpec) (stop func()) {
 		if stopped {
 			return
 		}
-		g.inject(leaf, sched, pkt)
+		g.inject(d, sched, &pkt, text)
 		schedule(0.5 + rng.float64())
 	}
 	schedule(rng.float64()) // random start phase
@@ -198,10 +202,11 @@ func (g *Generator) StartFlow(spec FlowSpec) (stop func()) {
 // Burst sends n packets of the flow immediately (driving goroutine,
 // between runs).
 func (g *Generator) Burst(spec FlowSpec, n int) {
-	leaf, sched := g.ingress(spec.Src)
+	d, sched := g.ingress(spec.Src)
 	pkt := spec.packet()
+	text := pkt.Flow().AppendTo(nil)
 	for i := 0; i < n; i++ {
-		g.inject(leaf, sched, pkt)
+		g.inject(d, sched, &pkt, text)
 	}
 }
 
@@ -249,11 +254,11 @@ type ingressDigest struct {
 	_        [48]byte
 }
 
-func (d *ingressDigest) fold(at time.Duration, p dataplane.Packet) {
-	var keyArr [64]byte
-	key := p.Flow().AppendTo(keyArr[:0])
+// fold adds one emission: its time, the packet's flow text, size, flags
+// and app kind.
+func (d *ingressDigest) fold(at time.Duration, p *dataplane.Packet, text []byte) {
 	h := foldUint(d.h, uint64(at))
-	for _, c := range key {
+	for _, c := range text {
 		h ^= uint64(c)
 		h *= digestPrime
 	}
@@ -300,15 +305,17 @@ func (g *Generator) SYNFlood(target netip.Addr, nSources int, rate float64) (sto
 // PortScan probes sequential destination ports on target from src. The
 // scan ticks on src's ingress leaf.
 func (g *Generator) PortScan(src, target netip.Addr, portsPerSec float64) (stop func()) {
-	leaf, sched := g.ingress(src)
+	d, sched := g.ingress(src)
 	next := uint16(1)
 	interval := time.Duration(float64(time.Second) / portsPerSec)
 	tk := sched.Every(interval, func() {
-		g.inject(leaf, sched, dataplane.Packet{
+		p := dataplane.Packet{
 			SrcIP: src, DstIP: target,
 			SrcPort: 40000, DstPort: next,
 			Proto: dataplane.ProtoTCP, Flags: dataplane.FlagSYN, Size: 60,
-		})
+		}
+		var text [dataplane.FlowTextCap]byte
+		g.inject(d, sched, &p, p.Flow().AppendTo(text[:0]))
 		next++
 		if next == 0 {
 			next = 1
@@ -331,7 +338,7 @@ func (g *Generator) SuperSpreader(src netip.Addr, fanout int, rate float64) (sto
 			break
 		}
 	}
-	leaf, sched := g.ingress(src)
+	d, sched := g.ingress(src)
 	rng := g.stream()
 	i := 0
 	interval := time.Duration(float64(time.Second) / rate)
@@ -339,11 +346,13 @@ func (g *Generator) SuperSpreader(src netip.Addr, fanout int, rate float64) (sto
 		// Random destination order: real spreaders do not round-robin
 		// in lockstep with samplers.
 		dst := dsts[rng.intn(len(dsts))]
-		g.inject(leaf, sched, dataplane.Packet{
+		p := dataplane.Packet{
 			SrcIP: src, DstIP: dst,
 			SrcPort: uint16(30000 + i%1000), DstPort: 443,
 			Proto: dataplane.ProtoTCP, Flags: dataplane.FlagSYN, Size: 60,
-		})
+		}
+		var text [dataplane.FlowTextCap]byte
+		g.inject(d, sched, &p, p.Flow().AppendTo(text[:0]))
 		i++
 	})
 	return tk.Stop
