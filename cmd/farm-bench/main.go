@@ -6,29 +6,18 @@
 //	farm-bench -exp all            # every experiment at quick scale
 //	farm-bench -exp tab4           # one experiment
 //	farm-bench -exp fig7 -full     # paper-scale grid (heuristic only; slow)
-//	farm-bench -exp fig4 -parallel 4   # FARM runs on the sharded executor
 //	farm-bench -list
 //
 // Experiments: tab1 tab4 tab5 fig4 fig5 fig6 fig7 fig8 fig9 fig10
-// ablation fleet-soak.
+// ablation fleet-soak. Each prints a wall-clock elapsed line.
 //
-// -parallel N selects the sharded conservative-parallel event executor
-// with N workers for fig4 (the FARM runs and, since their agents are
-// per-switch, the sFlow and Sonata baselines); output is byte-identical
-// to serial — see docs/engine.md. Each experiment prints a wall-clock
-// elapsed line, so serial vs. parallel runtimes can be compared
-// directly. Parallel fig4 runs additionally print the shard imbalance
-// (max/mean central-lane load) outside the determinism-compared table.
-//
-// The serial-vs-variant digest gates of the engine, the traffic
-// generator, placement and the wire path are tests, not experiments:
-// go test -run 'TestEngineLargeFabricShardedMatchesSerial|TestWorkloadShardedMatchesSerial' .
+// The digest gates of the engine, the traffic generator, placement and
+// the wire path are tests, not experiments:
+// go test -run 'TestEngineLargeFabricPinned|TestWorkloadDigestsPinned' .
 // and go test ./internal/placement ./internal/transport.
 //
 // -cpuprofile/-memprofile write pprof profiles covering the selected
-// experiments; combined with the engine's per-phase pprof labels
-// (select/run/merge) the executor's own overhead is directly visible in
-// `go tool pprof -tags`.
+// experiments.
 package main
 
 import (
@@ -50,28 +39,13 @@ type experiment struct {
 	run  func(full bool) error
 }
 
-// parallelWorkers is the -parallel flag: worker count for the sharded
-// executor, 0 meaning the serial engine.
-var parallelWorkers int
-
-// profiling is true when a -cpuprofile or -memprofile destination is
-// set; sharded runs then tag executor phases with pprof labels.
-var profiling bool
-
-func engineConfig() experiments.EngineConfig {
-	return experiments.EngineConfig{Workers: parallelWorkers, ProfileLabels: profiling}
-}
-
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (or 'all')")
 	full := flag.Bool("full", false, "paper-scale parameters (slow)")
 	list := flag.Bool("list", false, "list experiments")
-	flag.IntVar(&parallelWorkers, "parallel", 0,
-		"run supporting experiments on the sharded executor with this many workers (0 = serial)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments")
 	memProfile := flag.String("memprofile", "", "write a heap profile after the selected experiments")
 	flag.Parse()
-	profiling = *cpuProfile != "" || *memProfile != ""
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -161,7 +135,7 @@ func runTab4(bool) error {
 }
 
 func runFig4(full bool) error {
-	cfg := experiments.Fig4Config{Engine: engineConfig()}
+	cfg := experiments.Fig4Config{}
 	if !full {
 		cfg.PortCounts = []int{48, 96, 240, 480}
 		cfg.Duration = 8 * time.Second
@@ -172,7 +146,6 @@ func runFig4(full bool) error {
 		return err
 	}
 	fmt.Print(res.Table().Render())
-	fmt.Print(res.ParallelStats())
 	return nil
 }
 

@@ -40,8 +40,7 @@ machine HHDelta%d {
 // load with churning heavy hitters, one HH seed per switch per task
 // polling over the PCIe bus at 10, 11, ... ms, change reports to the
 // central harvester — on topo for simFor of virtual time. It returns the
-// central link's byte and message counts: serial and sharded runs must
-// agree on both exactly.
+// central link's byte and message counts.
 func runHHPipeline(tb testing.TB, eng engine.Scheduler, topo *netmodel.Topology, tasks int, simFor time.Duration) (bytes, msgs uint64) {
 	tb.Helper()
 	fab := fabric.New(topo, eng, fabric.Options{})
@@ -82,8 +81,7 @@ func spineLeaf66(tb testing.TB) *netmodel.Topology {
 }
 
 // fatTree500 is the large fabric: a k=20 fat-tree, 100 core + 200 agg +
-// 200 edge switches and 800 host ports — the scale the shard-time
-// priority queue, event pooling and batched barrier merge exist for.
+// 200 edge switches and 800 host ports.
 func fatTree500(tb testing.TB) *netmodel.Topology {
 	topo, err := netmodel.FatTree(netmodel.FatTreeOptions{K: 20, HostsPerEdge: 4})
 	if err != nil {
@@ -92,95 +90,38 @@ func fatTree500(tb testing.TB) *netmodel.Topology {
 	return topo
 }
 
-// TestEngineLargeFabricShardedMatchesSerial is the large-fabric
-// determinism gate the executor is held to: two HH tasks on the
-// 500-switch fat-tree for 3 s, on the serial engine and on the sharded
-// executor with one shard per switch and four workers forced on (so the
-// concurrent path runs, and -race sees it, on a one-CPU machine). The
-// central byte and message counts must agree exactly.
-func TestEngineLargeFabricShardedMatchesSerial(t *testing.T) {
+// TestEngineLargeFabricPinned is the large-fabric gate: two HH tasks on
+// the 500-switch fat-tree for 3 s must send exactly the central bytes
+// and messages recorded when the serial engine became the only
+// simulator (the sharded executor, with one shard per switch, matched
+// them before it was removed).
+func TestEngineLargeFabricPinned(t *testing.T) {
 	const tasks, simFor = 2, 3 * time.Second
-	bytes, msgs := runHHPipeline(t, engine.NewSerial(), fatTree500(t), tasks, simFor)
-	if msgs == 0 {
-		t.Fatal("serial run sent nothing to the harvester")
-	}
+	const wantBytes, wantMsgs = 7306, 210
 	topo := fatTree500(t)
-	x := engine.NewSharded(engine.ShardedOptions{
-		Shards:       topo.NumSwitches(),
-		Workers:      4,
-		Lookahead:    fabric.Options{}.MinCrossLatency(),
-		ForceWorkers: true,
-	})
-	defer x.Stop()
-	shBytes, shMsgs := runHHPipeline(t, x, topo, tasks, simFor)
-	if shBytes != bytes || shMsgs != msgs {
-		t.Fatalf("sharded run (4 workers) sent %d central bytes in %d messages, serial %d in %d",
-			shBytes, shMsgs, bytes, msgs)
+	bytes, msgs := runHHPipeline(t, engine.NewSerial(), topo, tasks, simFor)
+	if bytes != wantBytes || msgs != wantMsgs {
+		t.Fatalf("sent %d central bytes in %d messages, want %d in %d", bytes, msgs, wantBytes, wantMsgs)
 	}
 	t.Logf("%d switches, %d HH seeds: %d central bytes in %d messages", topo.NumSwitches(), tasks*topo.NumSwitches(), bytes, msgs)
 }
 
-// BenchmarkEngineLargeFabric drives the 500-switch fat-tree pipeline on
-// both engines. allocs/op here is the end-to-end event-loop allocation
-// rate the pooling work targets; par-avail is the mean number of shards
-// eligible per epoch (the speedup ceiling at this scale).
+// BenchmarkEngineLargeFabric drives the 500-switch fat-tree pipeline.
+// allocs/op here is the end-to-end event-loop allocation rate.
 func BenchmarkEngineLargeFabric(b *testing.B) {
-	const simFor = time.Second
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bytes, _ := runHHPipeline(b, engine.NewSerial(), fatTree500(b), 2, simFor)
-			b.ReportMetric(float64(bytes), "central-bytes")
-		}
-	})
-	b.Run("sharded", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			x := engine.NewSharded(engine.ShardedOptions{
-				Shards:    500,
-				Workers:   4,
-				Lookahead: fabric.Options{}.MinCrossLatency(),
-			})
-			bytes, _ := runHHPipeline(b, x, fatTree500(b), 2, simFor)
-			epochs, runs := x.EpochStats()
-			x.Stop()
-			b.ReportMetric(float64(bytes), "central-bytes")
-			b.ReportMetric(float64(runs)/float64(epochs), "par-avail")
-		}
-	})
-}
-
-// BenchmarkEngineSerial and BenchmarkEngineSharded run eight staggered
-// HH tasks on the 66-switch fabric: 528 seeds polling at 10-17 ms.
-const engineBenchSimTime = 2 * time.Second
-
-func BenchmarkEngineSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bytes, _ := runHHPipeline(b, engine.NewSerial(), spineLeaf66(b), 8, engineBenchSimTime)
+		bytes, _ := runHHPipeline(b, engine.NewSerial(), fatTree500(b), 2, time.Second)
 		b.ReportMetric(float64(bytes), "central-bytes")
 	}
 }
 
-func BenchmarkEngineSharded(b *testing.B) {
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				x := engine.NewSharded(engine.ShardedOptions{
-					Shards:    66,
-					Workers:   workers,
-					Lookahead: fabric.Options{}.MinCrossLatency(),
-				})
-				bytes, _ := runHHPipeline(b, x, spineLeaf66(b), 8, engineBenchSimTime)
-				epochs, runs := x.EpochStats()
-				x.Stop()
-				b.ReportMetric(float64(bytes), "central-bytes")
-				// Mean shards eligible to run concurrently per epoch: the
-				// speedup ceiling this workload offers, independent of the
-				// host's core count.
-				b.ReportMetric(float64(runs)/float64(epochs), "par-avail")
-			}
-		})
+// BenchmarkEngineSerial runs eight staggered HH tasks on the 66-switch
+// fabric: 528 seeds polling at 10-17 ms.
+func BenchmarkEngineSerial(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bytes, _ := runHHPipeline(b, engine.NewSerial(), spineLeaf66(b), 8, 2*time.Second)
+		b.ReportMetric(float64(bytes), "central-bytes")
 	}
 }

@@ -5,11 +5,9 @@
 // which coordinates network-wide blocking and later lifts it.
 //
 //	go run ./examples/ddos
-//	go run ./examples/ddos -parallel 4   # same output, sharded executor
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"time"
@@ -26,27 +24,13 @@ import (
 )
 
 func main() {
-	parallel := flag.Int("parallel", 0,
-		"run on the sharded executor with this many workers (0 = serial; output is identical)")
-	flag.Parse()
 	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{
 		Spines: 2, Leaves: 4, HostsPerLeaf: 8,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	var loop engine.Scheduler
-	if *parallel > 1 {
-		x := engine.NewSharded(engine.ShardedOptions{
-			Shards:    topo.NumSwitches(),
-			Workers:   *parallel,
-			Lookahead: fabric.Options{}.MinCrossLatency(),
-		})
-		defer x.Stop()
-		loop = x
-	} else {
-		loop = engine.NewSerial()
-	}
+	loop := engine.NewSerial()
 	fab := fabric.New(topo, loop, fabric.Options{})
 	sd := seeder.New(fab, seeder.Options{})
 

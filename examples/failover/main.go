@@ -4,11 +4,9 @@
 // movable monitoring capacity on the survivors.
 //
 //	go run ./examples/failover
-//	go run ./examples/failover -parallel 4   # same output, sharded executor
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"sort"
@@ -26,27 +24,13 @@ import (
 )
 
 func main() {
-	parallel := flag.Int("parallel", 0,
-		"run on the sharded executor with this many workers (0 = serial; output is identical)")
-	flag.Parse()
 	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{
 		Spines: 2, Leaves: 3, HostsPerLeaf: 6,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	var loop engine.Scheduler
-	if *parallel > 1 {
-		x := engine.NewSharded(engine.ShardedOptions{
-			Shards:    topo.NumSwitches(),
-			Workers:   *parallel,
-			Lookahead: fabric.Options{}.MinCrossLatency(),
-		})
-		defer x.Stop()
-		loop = x
-	} else {
-		loop = engine.NewSerial()
-	}
+	loop := engine.NewSerial()
 	fab := fabric.New(topo, loop, fabric.Options{})
 	sd := seeder.New(fab, seeder.Options{})
 

@@ -49,19 +49,15 @@ type Detection struct {
 }
 
 // System is a deployed sFlow instance. The agents are per-switch: each
-// polls and pre-serializes on its switch's home shard and ships records
-// over the collection network (fabric.SendToCentral, a CrossAfter under
-// the hood). All collector state below lives on the central shard —
-// mutated only inside the shipped callbacks and the analysis ticker —
-// so the whole system runs on the sharded engine with the same wire
-// sizes, tick times, and latencies as the old central loop.
+// polls and pre-serializes on its switch and ships records over the
+// collection network (fabric.SendToCentral). The collector state below
+// is mutated only inside the shipped callbacks and the analysis ticker.
 type System struct {
-	fab     *fabric.Fabric
-	central engine.Scheduler // the collector's shard-0 view
-	cfg     Config
+	fab   *fabric.Fabric
+	sched engine.Scheduler
+	cfg   Config
 
-	// OnHH fires on each new detection (optional). Called on the
-	// central shard.
+	// OnHH fires on each new detection (optional).
 	OnHH func(Detection)
 
 	detections []Detection
@@ -90,7 +86,7 @@ func Deploy(fab *fabric.Fabric, cfg Config) *System {
 	}
 	s := &System{
 		fab:          fab,
-		central:      fab.CentralSched(),
+		sched:        fab.Sched(),
 		cfg:          cfg,
 		active:       map[[2]int]bool{},
 		pendingHH:    map[[2]int]bool{},
@@ -101,18 +97,17 @@ func Deploy(fab *fabric.Fabric, cfg Config) *System {
 		swID := sw.ID
 		drv := fab.Driver(swID)
 		cpu := fab.CPU(swID)
-		sched := fab.SchedulerFor(swID)
-		// Counter polling agent on the switch's home shard: read all
-		// ports, pre-serialize, forward unfiltered. The poll, the CPU
-		// charges, and the export all stay switch-local; only the
-		// serialized record crosses to the collector.
-		tk := sched.Every(cfg.PollInterval, func() {
+		// Counter polling agent: read all ports, pre-serialize, forward
+		// unfiltered. The poll, the CPU charges, and the export all stay
+		// switch-local; only the serialized record crosses to the
+		// collector.
+		tk := s.sched.Every(cfg.PollInterval, func() {
 			cpu.Charge(costs.PollIssue)
 			drv.PollPortStats(nil, func(ports []int, stats []dataplane.PortStats) {
 				// The agent does NOT analyze: it serializes and ships.
 				cpu.Charge(time.Duration(len(stats)) * costs.PollPerRecord)
 				size := len(stats) * counterExportBytes
-				at := sched.Now()
+				at := s.sched.Now()
 				// The datagram outlives the callback; the driver's
 				// slices do not.
 				ports, stats = append([]int(nil), ports...), append([]dataplane.PortStats(nil), stats...)
@@ -127,9 +122,9 @@ func Deploy(fab *fabric.Fabric, cfg Config) *System {
 			if batch < 1 {
 				batch = 1
 			}
-			// Per-switch pending batch, confined to the switch's home
-			// shard (the sampler callback and the flush ticker both run
-			// there); only the shipped datagram crosses to the collector.
+			// Per-switch pending batch, filled by the sampler callback and
+			// flushed by the ticker; only the shipped datagram crosses to
+			// the collector.
 			pendBytes, pendCount := 0, 0
 			ship := func() {
 				if pendCount == 0 {
@@ -148,13 +143,13 @@ func Deploy(fab *fabric.Fabric, cfg Config) *System {
 				}
 			})
 			if batch > 1 {
-				s.tickers = append(s.tickers, sched.Every(cfg.PollInterval, ship))
+				s.tickers = append(s.tickers, s.sched.Every(cfg.PollInterval, ship))
 			}
 			s.stopSamplers = append(s.stopSamplers, stop)
 		}
 	}
-	// Collector analysis loop, on the central shard.
-	s.tickers = append(s.tickers, s.central.Every(cfg.AnalysisInterval, s.analyze))
+	// Collector analysis loop.
+	s.tickers = append(s.tickers, s.sched.Every(cfg.AnalysisInterval, s.analyze))
 	return s
 }
 
@@ -208,7 +203,7 @@ func (s *System) analyze() {
 			continue
 		}
 		s.active[key] = true
-		d := Detection{Switch: netmodel.SwitchID(key[0]), Port: key[1], At: s.central.Now()}
+		d := Detection{Switch: netmodel.SwitchID(key[0]), Port: key[1], At: s.sched.Now()}
 		s.detections = append(s.detections, d)
 		if s.OnHH != nil {
 			s.OnHH(d)
@@ -216,19 +211,16 @@ func (s *System) analyze() {
 	}
 }
 
-// Detections returns all heavy hitters found so far. Call it while the
-// engine is quiescent (the slice is owned by the central shard).
+// Detections returns all heavy hitters found so far.
 func (s *System) Detections() []Detection { return s.detections }
 
 // SamplesReceived returns how many packet samples reached the collector.
-// Call it while the engine is quiescent.
 func (s *System) SamplesReceived() uint64 { return s.samplesRecv }
 
 // CentralTraffic exposes the collector-side network meter.
 func (s *System) CentralTraffic() *metrics.NetMeter { return s.fab.CentralNet }
 
-// Stop halts agents and collector. Call it from the driving goroutine
-// between runs (agent tickers live on their switches' home shards).
+// Stop halts agents and collector.
 func (s *System) Stop() {
 	for _, tk := range s.tickers {
 		tk.Stop()

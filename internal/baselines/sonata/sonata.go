@@ -112,37 +112,26 @@ type Detection struct {
 }
 
 // System is a deployed Sonata instance. The data-plane side is
-// per-switch: each (switch, query) aggregate lives on the switch's home
-// shard, written by the in-ASIC tap and flushed by a window ticker on
-// the same shard; only the exported batch crosses to the stream
-// processor (fabric.SendToCentral → CrossAfter). Detections and the
-// micro-batch delay are central-shard state.
+// per-switch: each (switch, query) aggregate is written by the in-ASIC
+// tap and flushed by a window ticker; only the exported batch crosses
+// to the stream processor (fabric.SendToCentral). Detections come after
+// the micro-batch delay.
 type System struct {
-	fab     *fabric.Fabric
-	central engine.Scheduler // stream processor's shard-0 view
-	cfg     Config
+	fab   *fabric.Fabric
+	sched engine.Scheduler
+	cfg   Config
 
-	// OnDetect fires per having-match (optional). Called on the central
-	// shard.
+	// OnDetect fires per having-match (optional).
 	OnDetect func(Detection)
 
 	detections []Detection
 	tickers    []engine.Ticker
 	stops      []func()
-	// keyScratch is the stream processor's reusable sort buffer;
-	// processBatch runs only on the central shard, so reuse is safe and
-	// the per-window key sort stops allocating once it has grown.
+	// keyScratch is the stream processor's reusable sort buffer: the
+	// per-window key sort stops allocating once it has grown.
 	keyScratch []string
-	// exported counts records shipped to the stream processor, in
-	// per-shard single-writer lanes (flush tickers run on every shard);
-	// RecordsAggregated sums them between runs.
-	exported []exportLane
-}
-
-// exportLane is a cache-line-padded per-shard export counter.
-type exportLane struct {
-	n uint64
-	_ [56]byte
+	// exported counts records shipped to the stream processor.
+	exported uint64
 }
 
 // Deploy installs the queries on every switch.
@@ -159,22 +148,17 @@ func Deploy(fab *fabric.Fabric, queries []Query, cfg Config) *System {
 		cfg.RecordBytes = 64
 	}
 	s := &System{
-		fab:      fab,
-		central:  fab.CentralSched(),
-		cfg:      cfg,
-		exported: make([]exportLane, fab.Partition().Shards()),
+		fab:   fab,
+		sched: fab.Sched(),
+		cfg:   cfg,
 	}
 	for _, swInfo := range fab.Topology().Switches() {
 		swID := swInfo.ID
-		home := fab.ShardOf(swID)
-		sched := fab.SchedulerFor(swID)
 		for _, q := range queries {
 			q := q
 			agg := map[string]float64{}
 			// In-ASIC tap: direct sampler on the emulated switch, not
-			// through the PCIe-limited driver. Samplers fire inside
-			// Switch.Inject, which runs on the switch's home shard, so
-			// agg is single-shard state.
+			// through the PCIe-limited driver.
 			remove := fab.Switch(swID).AddSampler(q.Filter, 1, func(p dataplane.Packet) {
 				// The emulated sampler sees egress-bound packets once
 				// per switch; reduce in place.
@@ -187,9 +171,9 @@ func Deploy(fab *fabric.Fabric, queries []Query, cfg Config) *System {
 				}
 			})
 			s.stops = append(s.stops, remove)
-			// Window flush on the same home shard: the aggregate never
-			// leaves the switch — only the export batch does.
-			tk := sched.Every(q.Window, func() {
+			// Window flush: the aggregate never leaves the switch — only
+			// the export batch does.
+			tk := s.sched.Every(q.Window, func() {
 				if len(agg) == 0 {
 					return
 				}
@@ -199,13 +183,13 @@ func Deploy(fab *fabric.Fabric, queries []Query, cfg Config) *System {
 				if exported < 1 {
 					exported = 1
 				}
-				s.exported[home].n += uint64(records)
+				s.exported += uint64(records)
 				size := exported * cfg.RecordBytes
 				batch := agg
 				agg = map[string]float64{}
 				fab.SendToCentral(swID, size, func() {
 					// Micro-batch processing delay before results.
-					s.central.After(cfg.BatchDelay, func() {
+					s.sched.After(cfg.BatchDelay, func() {
 						s.processBatch(q, swID, batch)
 					})
 				})
@@ -219,9 +203,7 @@ func Deploy(fab *fabric.Fabric, queries []Query, cfg Config) *System {
 // IngestCounterWindow feeds the data-plane aggregation from bulk port
 // counters (used by large-scale workloads that do not generate
 // per-packet events): each port with traffic contributes one record per
-// window with its byte count. Call it from the sending switch's home
-// shard (or the driving goroutine between runs), like any other
-// switch-local export.
+// window with its byte count.
 func (s *System) IngestCounterWindow(q Query, sw netmodel.SwitchID, portBytes map[int]float64) {
 	batch := map[string]float64{}
 	for port, bytes := range portBytes {
@@ -235,9 +217,9 @@ func (s *System) IngestCounterWindow(q Query, sw netmodel.SwitchID, portBytes ma
 	if exported < 1 {
 		exported = 1
 	}
-	s.exported[s.fab.ShardOf(sw)].n += uint64(records)
+	s.exported += uint64(records)
 	s.fab.SendToCentral(sw, exported*s.cfg.RecordBytes, func() {
-		s.central.After(s.cfg.BatchDelay, func() {
+		s.sched.After(s.cfg.BatchDelay, func() {
 			s.processBatch(q, sw, batch)
 		})
 	})
@@ -254,7 +236,7 @@ func (s *System) processBatch(q Query, sw netmodel.SwitchID, batch map[string]fl
 		if v < q.Threshold {
 			continue
 		}
-		d := Detection{Query: q.Name, Switch: sw, Key: k, Value: v, At: s.central.Now()}
+		d := Detection{Query: q.Name, Switch: sw, Key: k, Value: v, At: s.sched.Now()}
 		s.detections = append(s.detections, d)
 		if s.OnDetect != nil {
 			s.OnDetect(d)
@@ -268,24 +250,14 @@ func (s *System) processBatch(q Query, sw netmodel.SwitchID, batch map[string]fl
 	s.keyScratch = keys[:0]
 }
 
-// Detections returns all having-matches so far. Call it while the
-// engine is quiescent (the slice is owned by the central shard).
+// Detections returns all having-matches so far.
 func (s *System) Detections() []Detection { return s.detections }
 
 // RecordsAggregated returns the raw record count reduced in the data
-// plane (before the aggregation factor was applied for export), summed
-// over the per-shard export lanes. Call it while the engine is
-// quiescent.
-func (s *System) RecordsAggregated() uint64 {
-	var n uint64
-	for i := range s.exported {
-		n += s.exported[i].n
-	}
-	return n
-}
+// plane (before the aggregation factor was applied for export).
+func (s *System) RecordsAggregated() uint64 { return s.exported }
 
-// Stop halts the deployment. Call it from the driving goroutine between
-// runs (flush tickers live on their switches' home shards).
+// Stop halts the deployment.
 func (s *System) Stop() {
 	for _, tk := range s.tickers {
 		tk.Stop()

@@ -17,8 +17,8 @@ import (
 // no lifetime rule: a seed that keeps one keeps it alive, and no seed can
 // observe another's use of it. The one field written later is the getHH
 // memo (hh), and only by the handlers the batch is delivered to — all on
-// the soil that built it, so on one engine shard; what it records is a
-// function of the records, so no caller can tell whether it was there.
+// the soil that built it; what it records is a function of the
+// records, so no caller can tell whether it was there.
 // The register VM reads a batch in place (list_len, is_list_empty,
 // list_get, field reads, getHH); everywhere else — the builtins that
 // read a list as a whole, sends, snapshots, Equal, FormatValue, field

@@ -4,18 +4,18 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"farm/internal/almanac"
 	"farm/internal/core"
-	"farm/internal/engine"
 	"farm/internal/tasks"
 )
 
 // A core.Program is shared read-only by every seed deployed from it, on
-// whatever engine shard its soil runs: the seeder compiles a machine
-// once per source. The storm below is the gate on that sharing — under
+// whatever goroutine its soil runs: the seeder compiles a machine once
+// per source. The storm below is the gate on that sharing — under
 // -race any write through the shared program or its machine's AST is a
 // reported race, and without it the transcripts still have to agree.
 
@@ -62,9 +62,8 @@ func stormTranscript(r core.Runner, h *parityTaskHost, cm *almanac.CompiledMachi
 }
 
 // TestCatalogueSharedProgramStorm runs, for every catalogued machine,
-// four runners deployed from ONE program on four shards of the sharded
-// engine with four real worker goroutines, all through the same storm at
-// the same virtual instants. Each must end where the interpreter, run
+// four runners deployed from ONE program on four goroutines at once, all
+// through the same storm. Each must end where the interpreter, run
 // alone, ends; and the shared machine must encode and lower afterwards
 // to exactly what it did before.
 func TestCatalogueSharedProgramStorm(t *testing.T) {
@@ -119,7 +118,7 @@ func TestCatalogueSharedProgramStorm(t *testing.T) {
 			}
 			want := refDone()
 
-			x := engine.NewSharded(engine.ShardedOptions{Shards: runners, Workers: runners, ForceWorkers: true})
+			var wg sync.WaitGroup
 			dones := make([]func() string, runners)
 			for i := 0; i < runners; i++ {
 				h := newParityTaskHost()
@@ -129,10 +128,15 @@ func TestCatalogueSharedProgramStorm(t *testing.T) {
 				}
 				var step func()
 				step, dones[i] = stormTranscript(r, h, cm)
-				x.Shard(i).Every(7*time.Millisecond, step)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for j := 0; j < steps; j++ {
+						step()
+					}
+				}()
 			}
-			x.RunFor(steps * 7 * time.Millisecond)
-			x.Stop()
+			wg.Wait()
 			for i, done := range dones {
 				if got := done(); got != want {
 					t.Fatalf("%s/%s: runner %d on the shared program diverged from the interpreter:\n--- interpreter\n%s\n--- runner\n%s",

@@ -31,7 +31,7 @@ var _ Runner = (*rvmSeed)(nil)
 // implementations.
 //
 // A Program is never written after Compile returns, so any number of
-// runners, on any engine shard, share one. Everything a handler can
+// runners, on any goroutine, share one. Everything a handler can
 // mutate — env and state frames, the register arena, the per-site
 // field caches, every list, map, struct and sketch value — belongs to
 // the runner (rvmSeed) and is built per NewRunner; what is shared is

@@ -53,7 +53,7 @@ func newParityRunner(be string, cm *almanac.CompiledMachine, ext map[string]Valu
 }
 
 // backendSet holds one runner per executor, deployed from one machine
-// with identical externals, index-parallel to parityBackends.
+// with identical externals, parallel by index to parityBackends.
 type backendSet struct {
 	rs []Runner
 	hs []*mockHost

@@ -17,7 +17,7 @@ type Bus struct {
 	busyUntil   time.Duration
 
 	// free holds the completion records not in flight. A bus belongs to
-	// one switch and so to one engine shard: nothing else touches it.
+	// one switch: nothing else touches it.
 	free []*completion
 
 	// cumulative accounting
@@ -56,8 +56,7 @@ const minFrameBytes = 64
 // 8 Mbps = 1e6 bytes/s.
 const DefaultPCIePollBytesPerSec = 1_000_000
 
-// NewBus returns a bus on the given scheduler (under the sharded
-// engine: the owning switch's shard view) with the given capacity in
+// NewBus returns a bus on the given scheduler with the given capacity in
 // bytes per second.
 func NewBus(sched engine.Scheduler, bytesPerSec float64) *Bus {
 	if bytesPerSec <= 0 {

@@ -2,21 +2,16 @@
 // data center. It decouples every layer of the reproduction (soil
 // runtimes, fabric delivery, PCIe bus accounting, the broker, the §VI
 // experiments) from a concrete event loop behind the Scheduler
-// interface, with two implementations:
+// interface. There is one event loop:
 //
-//   - Serial: the original single-threaded loop over virtual time.
-//     Every scheduled callback runs inline on the driving goroutine;
-//     execution order is a total (time, seq) order.
+//   - Serial: the single-threaded loop over virtual time. Every
+//     scheduled callback runs inline on the driving goroutine; execution
+//     order is a total (time, seq) order.
 //
-//   - Sharded: a conservative-parallel executor that partitions events
-//     into shards (one or more emulated switches per shard), runs the
-//     shards on worker goroutines epoch-by-epoch under a lookahead
-//     window, and merges cross-shard sends at epoch barriers in a fixed
-//     (epoch, source shard, seq) order, so simulation output is
-//     reproducible — and, for state partitioned by switch, identical to
-//     serial execution.
+//   - RealTime: a wall-clock pacer over Serial, for demos, wall-clock
+//     latency measurements and the fleet daemon.
 //
-// See docs/engine.md for the determinism model and shard-count guidance.
+// See docs/engine.md for the determinism model.
 package engine
 
 import "time"
@@ -24,9 +19,7 @@ import "time"
 // Clock exposes virtual time. Meters and consumers that only read time
 // depend on this narrow view.
 type Clock interface {
-	// Now returns the current virtual time. On a shard view this is the
-	// shard-local time, which trails the epoch frontier by at most the
-	// lookahead window and equals the global time between runs.
+	// Now returns the current virtual time.
 	Now() time.Duration
 }
 
@@ -34,8 +27,8 @@ type Clock interface {
 type Timer interface {
 	// Stop cancels the timer if it has not fired. It reports whether the
 	// call prevented the callback from running. Stop must be called from
-	// the scheduler's own execution context (a callback on the same
-	// shard, or the driving goroutine between runs).
+	// the scheduler's own execution context (a callback, or the driving
+	// goroutine between runs).
 	Stop() bool
 }
 
@@ -52,9 +45,7 @@ type Ticker interface {
 }
 
 // Scheduler is a deterministic discrete-event scheduler over virtual
-// time. Both engines implement it, as do the per-shard views of the
-// sharded engine (whose Step/RunUntil/RunFor/Drain panic: runs are
-// driven from the root executor only).
+// time. Serial and RealTime implement it.
 type Scheduler interface {
 	Clock
 
@@ -71,9 +62,8 @@ type Scheduler interface {
 	// events.
 	Pending() int
 
-	// Step runs the earliest pending work unit — one event on the serial
-	// engine, one epoch on the sharded engine — advancing virtual time.
-	// It reports whether anything ran.
+	// Step runs the earliest pending event, advancing virtual time. It
+	// reports whether anything ran.
 	Step() bool
 	// RunUntil processes all events scheduled at or before t, then
 	// advances the clock to exactly t.
@@ -84,29 +74,6 @@ type Scheduler interface {
 	// safety valve against self-perpetuating tickers). It returns the
 	// number of events processed.
 	Drain(limit int) int
-}
-
-// Partitioned is implemented by schedulers that expose per-shard
-// scheduler views. Consumers that pin state to shards (the fabric) use
-// it to place each emulated switch's events on that switch's shard and
-// to route cross-shard sends through the epoch barrier.
-//
-// The contract callers must hold for determinism and race freedom:
-//
-//   - All events that mutate a piece of state are scheduled on one
-//     shard (the state's home shard).
-//   - CrossAfter is the only way one shard schedules onto another, and
-//     its delay must be at least the executor's lookahead window.
-type Partitioned interface {
-	// Shards returns the number of shards.
-	Shards() int
-	// Shard returns the scheduler view pinned to shard i.
-	Shard(i int) Scheduler
-	// CrossAfter schedules fn on shard to, d after shard from's current
-	// time. It must be called either from an event executing on shard
-	// from, or from the driving goroutine between runs. On a parallel
-	// executor d must be >= the lookahead window.
-	CrossAfter(from, to int, d time.Duration, fn func())
 }
 
 // ticker is the engine-generic Ticker: it re-arms itself through any

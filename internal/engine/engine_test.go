@@ -9,18 +9,15 @@ import (
 // heapSched is the reference scheduler the timing wheel is checked
 // against: a plain container/heap of unpooled events with its own clock,
 // tickers from EveryOn's generic re-arm path, and cancelled events
-// dropped only when they reach the head. shards only sets what Shards
-// reports — every view is the scheduler itself, so a partitioned
-// workload runs on it sequentially, in one (at, seq) order.
+// dropped only when they reach the head.
 type heapSched struct {
-	now    time.Duration
-	seq    uint64
-	h      eventHeap
-	live   int
-	shards int
+	now  time.Duration
+	seq  uint64
+	h    eventHeap
+	live int
 }
 
-func newHeapSched() *heapSched { return &heapSched{shards: 1} }
+func newHeapSched() *heapSched { return &heapSched{} }
 
 type heapTimer struct {
 	s  *heapSched
@@ -98,17 +95,6 @@ func (s *heapSched) Drain(limit int) int {
 	return n
 }
 
-func (s *heapSched) Shards() int { return s.shards }
-
-func (s *heapSched) Shard(i int) Scheduler {
-	if i < 0 || i >= s.shards {
-		panic("engine: shard index out of range")
-	}
-	return s
-}
-
-func (s *heapSched) CrossAfter(from, to int, d time.Duration, fn func()) { s.After(d, fn) }
-
 // serialModes names the serial engine and the heap reference, for tests
 // and benchmarks that run on both.
 var serialModes = []struct {
@@ -119,20 +105,11 @@ var serialModes = []struct {
 	{"heap", func() Scheduler { return newHeapSched() }},
 }
 
-// forEachEngine runs a subtest against both engines and the heap
-// reference. The sharded engine runs with several shards and workers
-// even though these conformance tests schedule through the root view
-// (shard 0), so epoch bookkeeping is exercised; the reference runs once
-// as one lane and once reporting the same shard count.
+// forEachEngine runs a subtest against the serial engine and the heap
+// reference.
 func forEachEngine(t *testing.T, fn func(t *testing.T, s Scheduler)) {
 	t.Run("serial", func(t *testing.T) { fn(t, NewSerial()) })
 	t.Run("serial-heap", func(t *testing.T) { fn(t, newHeapSched()) })
-	t.Run("sharded-wheel", func(t *testing.T) {
-		x := NewSharded(ShardedOptions{Shards: 4, Workers: 2, ForceWorkers: true})
-		t.Cleanup(x.Stop)
-		fn(t, x)
-	})
-	t.Run("sharded-heap", func(t *testing.T) { fn(t, &heapSched{shards: 4}) })
 }
 
 func TestAfterOrdering(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 )
 
 // RealTime is a Scheduler driven by the wall clock: a thin pacer around
-// a Serial. Scheduling (At, After, Every, Pending, CrossAfter) is the
+// a Serial. Scheduling (At, After, Every, Pending, ScheduleOn) is the
 // serial engine's own, on the same pooled timing wheel; only the run
 // methods differ — instead of jumping virtual time to the next event they
 // sleep until its wall deadline. It lets demos, latency benches (the
@@ -215,11 +215,4 @@ func (r *RealTime) Drain(limit int) int {
 		n++
 	}
 	return n
-}
-
-// Shard implements Partitioned: the one shard is the pacer itself, so
-// the view's run methods keep wall-clock pacing.
-func (r *RealTime) Shard(i int) Scheduler {
-	r.Serial.Shard(i) // panics on i != 0
-	return r
 }

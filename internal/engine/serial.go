@@ -86,13 +86,6 @@ func (l *Serial) Every(interval time.Duration, fn func()) Ticker {
 // queue implements queueOwner for the ticker fast path.
 func (l *Serial) queue() *eventQueue { return &l.q }
 
-// checkTickerContext implements queueOwner: the serial engine is
-// single-threaded, every context may mutate the queue.
-func (l *Serial) checkTickerContext(string) {}
-
-// noteQueueChanged implements queueOwner: nothing to maintain.
-func (l *Serial) noteQueueChanged() {}
-
 // Step runs the earliest pending event, advancing virtual time to it.
 // It reports whether an event ran. The clock only moves forward: under
 // virtual time no queued event is earlier than Now, but RealTime moves
@@ -149,22 +142,4 @@ func (l *Serial) Drain(limit int) int {
 		n++
 	}
 	return n
-}
-
-// Shards implements Partitioned: a serial engine is one shard.
-func (l *Serial) Shards() int { return 1 }
-
-// Shard implements Partitioned.
-func (l *Serial) Shard(i int) Scheduler {
-	if i != 0 {
-		panic("engine: serial engine has a single shard")
-	}
-	return l
-}
-
-// CrossAfter implements Partitioned: with one shard there is nothing to
-// cross, so it is After without the Timer handle its signature could
-// never return.
-func (l *Serial) CrossAfter(from, to int, d time.Duration, fn func()) {
-	l.schedule(d, fn)
 }

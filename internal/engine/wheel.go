@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// event is the one scheduled-callback record shared by every executor
-// (serial, whose wall-clock pacer is RealTime, and the sharded shards).
+// event is the one scheduled-callback record of the serial engine (and
+// so of RealTime, its wall-clock pacer).
 type event struct {
 	at      time.Duration
 	seq     uint64
@@ -37,10 +37,9 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is the pooled pending-event set of one execution lane (the
-// serial engine or one shard of the sharded engine). It owns the event
-// free list and the (at, seq) sequence counter, and orders events on the
-// timing wheel. (at, seq) is a strict total order, so the pop sequence is
+// eventQueue is the pooled pending-event set of the serial engine. It
+// owns the event free list and the (at, seq) sequence counter, and
+// orders events on the timing wheel. (at, seq) is a strict total order, so the pop sequence is
 // the one a plain heap would produce — the package's tests hold the
 // wheel to exactly that oracle.
 type eventQueue struct {
@@ -108,24 +107,16 @@ func (q *eventQueue) enqueue(ev *event) {
 	q.w.place(ev)
 }
 
-// nextAt peeks the earliest queued event time (cancelled events
-// included, mirroring the heap-head semantics the sharded executor's
-// epoch selection has always used).
-func (q *eventQueue) nextAt() (time.Duration, bool) {
-	if q.w == nil || !q.w.ensureCur() {
-		return 0, false
-	}
-	return q.w.cur[q.w.curPos].at, true
-}
-
 // nextLive peeks the earliest live event time, reclaiming the cancelled
 // events queued ahead of it — a run bound must be tested against the
 // event that would actually run, not a dead head.
 func (q *eventQueue) nextLive() (time.Duration, bool) {
 	for {
-		at, ok := q.nextAt()
-		if !ok || !q.w.cur[q.w.curPos].stopped {
-			return at, ok
+		if q.w == nil || !q.w.ensureCur() {
+			return 0, false
+		}
+		if ev := q.w.cur[q.w.curPos]; !ev.stopped {
+			return ev.at, true
 		}
 		q.release(q.pop())
 	}
@@ -172,9 +163,7 @@ const compactMinDead = 64
 
 // compact removes every cancelled event from the queue. Firing order is
 // untouched — only events that would have been skipped on pop vanish —
-// so digests cannot move; on the sharded engine the epoch structure may
-// change (a cancelled head no longer opens a window), which is equally
-// unobservable because skipped events never advance a shard clock.
+// so digests cannot move.
 func (q *eventQueue) compact() {
 	w := q.w
 	// cur: filter in place, preserving sorted order.
@@ -510,22 +499,11 @@ func (h *eventHeap) Pop() any {
 }
 
 // queueOwner is implemented by schedulers whose pending events live in
-// an eventQueue — the serial engine and the sharded engine's shard
-// views. EveryOn routes Ticker construction through it onto the
-// zero-alloc fast path.
+// an eventQueue — the serial engine, and RealTime through it. EveryOn
+// routes Ticker construction through it onto the zero-alloc fast path.
 type queueOwner interface {
 	Scheduler
 	queue() *eventQueue
-	// checkTickerContext panics when the caller may not mutate the
-	// queue right now (a cross-shard ticker mutation during an epoch).
-	checkTickerContext(op string)
-	// noteQueueChanged runs the owner's post-mutation maintenance after
-	// a direct queue insert or cancel (the sharded engine re-keys the
-	// shard's entry in the head-time heap when in driver context; the
-	// serial engine needs nothing). The ticker fire path skips it: a
-	// firing ticker is by definition inside its owner's run loop, where
-	// the epoch barrier re-keys heads anyway.
-	noteQueueChanged()
 }
 
 // queueTicker is the fast-path Ticker: one event object and one closure
@@ -565,7 +543,6 @@ func newQueueTicker(o queueOwner, interval time.Duration, fn func()) *queueTicke
 	ev.held = true
 	q.enqueue(ev)
 	t.ev = ev
-	o.noteQueueChanged()
 	return t
 }
 
@@ -573,7 +550,6 @@ func (t *queueTicker) Stop() {
 	if t.stopped {
 		return
 	}
-	t.o.checkTickerContext("Ticker.Stop")
 	t.stopped = true
 	if ev := t.ev; ev != nil && ev.index >= 0 {
 		// Armed: cancel the pending firing; the queue reclaims the
@@ -581,7 +557,6 @@ func (t *queueTicker) Stop() {
 		t.ev = nil
 		ev.held = false
 		t.o.queue().stop(ev)
-		t.o.noteQueueChanged()
 	}
 }
 
@@ -595,7 +570,6 @@ func (t *queueTicker) SetInterval(interval time.Duration) {
 		t.interval = interval
 		return
 	}
-	t.o.checkTickerContext("Ticker.SetInterval")
 	t.interval = interval
 	if ev := t.ev; ev != nil && ev.index >= 0 {
 		// Armed: reschedule the pending firing to interval from now.
@@ -610,7 +584,6 @@ func (t *queueTicker) SetInterval(interval time.Duration) {
 		nev.held = true
 		q.enqueue(nev)
 		t.ev = nev
-		t.o.noteQueueChanged()
 	}
 	// Inside our own callback the epilogue re-arms at interval from
 	// now, which is the same instant the armed path would pick.
@@ -623,8 +596,9 @@ type scheduleOnly interface {
 }
 
 // ScheduleOn schedules fn after d on s without returning a Timer. For
-// callers that never cancel (the bus flush path re-arms one prebuilt
-// closure per subscriber), this skips the per-call handle allocation
+// callers that never cancel (the fabric's packet hops and control-link
+// messages; the bus flush path, which re-arms one prebuilt closure per
+// subscriber), this skips the per-call handle allocation
 // entirely: on a pooled queue the steady state allocates nothing.
 func ScheduleOn(s Scheduler, d time.Duration, fn func()) {
 	if p, ok := s.(scheduleOnly); ok {

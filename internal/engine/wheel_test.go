@@ -2,11 +2,25 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
 
 // --- wheel-vs-heap equivalence ---
+
+// mix is a splitmix64-style hash step: the scripts below use it as
+// their deterministic random source.
+func mix(h, v uint64) uint64 {
+	h ^= v
+	h += 0x9e3779b97f4a7c15
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
+}
 
 // runSerialScript drives a randomized scheduling script — one-shots
 // across every wheel range (cur window, all three levels, overflow),
@@ -104,27 +118,73 @@ func TestWheelMatchesHeapPopOrder(t *testing.T) {
 	}
 }
 
-// TestShardedWheelMatchesHeap pins the cross-shard workload digest on
-// both engines against the heap reference, which runs the same five-shard
-// placement sequentially.
-func TestShardedWheelMatchesHeap(t *testing.T) {
-	const nodes = 24
-	run := func(part Partitioned, sched Scheduler) string {
-		w := startNodes(part, nodes)
-		sched.RunFor(50 * time.Millisecond)
-		return w.digest()
-	}
-	ref := &heapSched{shards: 5}
-	want := run(ref, ref)
+// poolScriptOp is one step of the pooling property test: an event at a
+// pseudo-random time that optionally schedules a child and optionally
+// stops an earlier op's timer.
+type poolScriptOp struct {
+	at         time.Duration
+	childDelay time.Duration // 0 = no child
+	stopTarget int           // -1 = no stop
+}
 
-	serial := NewSerial()
-	if got := run(serial, serial); got != want {
-		t.Errorf("serial diverged:\n got %s\nwant %s", got, want)
+// runPoolScript executes the script on any scheduler and returns the
+// observed firing order. All decisions live in the pre-generated
+// script, so both schedulers execute literally the same closures.
+func runPoolScript(s Scheduler, script []poolScriptOp, runFor time.Duration) []int {
+	timers := make([]Timer, len(script))
+	var order []int
+	for i, op := range script {
+		i, op := i, op
+		timers[i] = s.At(op.at, func() {
+			order = append(order, i)
+			if op.childDelay > 0 {
+				s.After(op.childDelay, func() { order = append(order, len(script)+i) })
+			}
+			if op.stopTarget >= 0 {
+				timers[op.stopTarget].Stop()
+			}
+		})
 	}
-	x := NewSharded(ShardedOptions{Shards: 5, Workers: 3, Lookahead: testLookahead, ForceWorkers: true})
-	defer x.Stop()
-	if got := run(x, x); got != want {
-		t.Errorf("sharded diverged:\n got %s\nwant %s", got, want)
+	s.RunFor(runFor)
+	return order
+}
+
+// TestPooledOrderMatchesSerial is the pooling property test: the serial
+// engine, whose events are recycled through its free list, must produce
+// the exact firing order of the unpooled heap reference across
+// randomized schedules with duplicate times, nested scheduling, and
+// Stop/cancel interleavings (including stops of already-fired,
+// already-recycled events).
+func TestPooledOrderMatchesSerial(t *testing.T) {
+	const ops = 200
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		script := make([]poolScriptOp, ops)
+		for i := range script {
+			script[i] = poolScriptOp{
+				// Coarse quantization forces plenty of equal-time ties.
+				at:         time.Duration(rng.Intn(40)) * 250 * time.Microsecond,
+				stopTarget: -1,
+			}
+			if rng.Intn(2) == 0 {
+				script[i].childDelay = time.Duration(1+rng.Intn(8)) * 250 * time.Microsecond
+			}
+			if i > 0 && rng.Intn(3) == 0 {
+				script[i].stopTarget = rng.Intn(i)
+			}
+		}
+		runFor := 15 * time.Millisecond
+
+		ref := runPoolScript(newHeapSched(), script, runFor)
+		got := runPoolScript(NewSerial(), script, runFor)
+		if len(ref) != len(got) {
+			t.Fatalf("seed %d: heap fired %d events, pooled fired %d", seed, len(ref), len(got))
+		}
+		for i := range ref {
+			if ref[i] != got[i] {
+				t.Fatalf("seed %d: pop order diverged at %d: heap %d, pooled %d", seed, i, ref[i], got[i])
+			}
+		}
 	}
 }
 
@@ -193,9 +253,9 @@ func TestMassCancelCompacts(t *testing.T) {
 	})
 }
 
-// TestSerialStaleHandleAfterRecycle mirrors the sharded pool test: once
-// an event fires and its slot is reused, the old handle's Stop must be
-// inert rather than cancelling the slot's new occupant.
+// TestSerialStaleHandleAfterRecycle pins the generation check on pooled
+// events: once an event fires and its slot is reused, the old handle's
+// Stop must be inert rather than cancelling the slot's new occupant.
 func TestSerialStaleHandleAfterRecycle(t *testing.T) {
 	l := NewSerial()
 	tm1 := l.After(time.Millisecond, func() {})
@@ -389,15 +449,15 @@ func TestScheduleOn(t *testing.T) {
 	}
 }
 
-// CrossAfter has no Timer to return, so on the one-shard engines it
-// must not build one: every packet hop and control-link message goes
-// through it. Order against After is unchanged (same queue, same seq).
-func TestSerialCrossAfterAllocFree(t *testing.T) {
+// ScheduleOn has no Timer to return, so on the serial engine it must
+// not build one: every packet hop and control-link message goes through
+// it. Order against After is unchanged (same queue, same seq).
+func TestScheduleOnAllocFree(t *testing.T) {
 	l := NewSerial()
 	var got []int
-	l.CrossAfter(0, 0, time.Millisecond, func() { got = append(got, 1) })
+	ScheduleOn(l, time.Millisecond, func() { got = append(got, 1) })
 	l.After(time.Millisecond, func() { got = append(got, 2) })
-	l.CrossAfter(0, 0, time.Millisecond, func() { got = append(got, 3) })
+	ScheduleOn(l, time.Millisecond, func() { got = append(got, 3) })
 	l.RunFor(time.Millisecond)
 	if fmt.Sprint(got) != fmt.Sprint([]int{1, 2, 3}) {
 		t.Fatalf("fired as %v, want [1 2 3]", got)
@@ -405,10 +465,10 @@ func TestSerialCrossAfterAllocFree(t *testing.T) {
 	fired := 0
 	fn := func() { fired++ }
 	if allocs := testing.AllocsPerRun(1000, func() {
-		l.CrossAfter(0, 0, 50*time.Microsecond, fn)
+		ScheduleOn(l, 50*time.Microsecond, fn)
 		l.Step()
 	}); allocs != 0 {
-		t.Fatalf("Serial.CrossAfter allocates %v per call in steady state, want 0", allocs)
+		t.Fatalf("ScheduleOn allocates %v per call on Serial in steady state, want 0", allocs)
 	}
 	if fired != 1001 { // AllocsPerRun adds one warm-up run
 		t.Fatalf("fired %d callbacks, want 1001", fired)

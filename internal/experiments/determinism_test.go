@@ -8,18 +8,15 @@ import (
 	"time"
 )
 
-// TestFig4Deterministic renders a small Fig. 4 three times — twice on
-// the serial engine, once on the sharded executor — and requires all
-// three tables to be byte-identical. This is the regression gate for
-// the engine's determinism contract: parallel execution must not change
-// any reported number, only the wall-clock time it takes to produce it.
+// TestFig4Deterministic renders a small Fig. 4 twice and requires the
+// two tables to be byte-identical: every reported number is a function
+// of virtual time and seeds, never of the host.
 func TestFig4Deterministic(t *testing.T) {
-	render := func(eng EngineConfig) string {
+	render := func() string {
 		res, err := Fig4(Fig4Config{
 			PortCounts: []int{48, 96},
 			Duration:   2 * time.Second,
 			Churn:      time.Second,
-			Engine:     eng,
 		})
 		if err != nil {
 			t.Fatalf("Fig4: %v", err)
@@ -27,14 +24,9 @@ func TestFig4Deterministic(t *testing.T) {
 		return res.Table().Render()
 	}
 
-	serial1 := render(EngineConfig{})
-	serial2 := render(EngineConfig{})
-	if serial1 != serial2 {
-		t.Fatalf("serial runs diverged:\n--- run 1\n%s\n--- run 2\n%s", serial1, serial2)
-	}
-	sharded := render(EngineConfig{Workers: 4})
-	if sharded != serial1 {
-		t.Fatalf("sharded run diverged from serial:\n--- serial\n%s\n--- sharded\n%s", serial1, sharded)
+	run1, run2 := render(), render()
+	if run1 != run2 {
+		t.Fatalf("runs diverged:\n--- run 1\n%s\n--- run 2\n%s", run1, run2)
 	}
 }
 

@@ -74,52 +74,16 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// EngineConfig selects the event executor an experiment runs on.
-type EngineConfig struct {
-	// Workers > 1 selects the sharded conservative-parallel executor
-	// with that many worker goroutines and one shard per switch; 0 or 1
-	// means the serial engine.
-	Workers int
-	// ProfileLabels tags executor phases (select/run/merge) with pprof
-	// labels on sharded runs, for use with farm-bench -cpuprofile.
-	ProfileLabels bool
-	// ForceWorkers forces worker-pool dispatch even on a single-CPU
-	// process (see engine.ShardedOptions.ForceWorkers); the determinism
-	// tests set it so the race detector sees the concurrent path.
-	ForceWorkers bool
-}
-
-// Parallel reports whether the sharded executor is selected.
-func (c EngineConfig) Parallel() bool { return c.Workers > 1 }
-
 // newFabric builds the standard experiment fabric on the serial engine.
 func newFabric(spines, leaves, hostsPerLeaf int) (*fabric.Fabric, engine.Scheduler, error) {
-	fab, sched, _, err := newFabricOn(EngineConfig{}, spines, leaves, hostsPerLeaf)
-	return fab, sched, err
-}
-
-// newFabricOn builds the standard experiment fabric on the configured
-// engine. The returned stop func releases the sharded executor's
-// workers; call it when the run completes.
-func newFabricOn(eng EngineConfig, spines, leaves, hostsPerLeaf int) (*fabric.Fabric, engine.Scheduler, func(), error) {
 	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{
 		Spines: spines, Leaves: leaves, HostsPerLeaf: hostsPerLeaf,
 	})
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	if eng.Parallel() {
-		x := engine.NewSharded(engine.ShardedOptions{
-			Shards:        len(topo.Switches()),
-			Workers:       eng.Workers,
-			Lookahead:     fabric.Options{}.MinCrossLatency(),
-			ProfileLabels: eng.ProfileLabels,
-			ForceWorkers:  eng.ForceWorkers,
-		})
-		return fabric.New(topo, x, fabric.Options{}), x, x.Stop, nil
+		return nil, nil, err
 	}
 	loop := engine.NewSerial()
-	return fabric.New(topo, loop, fabric.Options{}), loop, func() {}, nil
+	return fabric.New(topo, loop, fabric.Options{}), loop, nil
 }
 
 // compileMachine parses Almanac source and compiles its sole machine.

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"farm/internal/baselines/sflow"
@@ -56,10 +54,6 @@ type Fig4Config struct {
 	Churn      time.Duration
 	// Duration is the measured window per point; 0 means 20 s.
 	Duration time.Duration
-	// Engine selects the executor for all three systems: the FARM runs
-	// and — now that their agents are per-switch — the sFlow and Sonata
-	// baselines too. Output is byte-identical to serial either way.
-	Engine EngineConfig
 }
 
 // Fig4Point is one (system, ports) measurement.
@@ -67,19 +61,13 @@ type Fig4Point struct {
 	Ports       int
 	PktPerSec   float64
 	BytesPerSec float64
-	// Imbalance is max/mean central-lane bytes across shards for this
-	// point's run — how unevenly the collection load spread. It is
-	// lane-count dependent (serial runs have one lane), so it renders in
-	// ParallelStats, outside the determinism-compared Table.
-	Imbalance float64
 }
 
 // Fig4Result is the reproduced Fig. 4 (network load toward the central
 // components for HH detection).
 type Fig4Result struct {
-	Systems  map[string][]Fig4Point // keyed by system label
-	Order    []string
-	Parallel bool
+	Systems map[string][]Fig4Point // keyed by system label
+	Order   []string
 }
 
 // Fig4 sweeps fabric sizes and measures central-link load for FARM,
@@ -98,9 +86,8 @@ func Fig4(cfg Fig4Config) (*Fig4Result, error) {
 		cfg.Duration = 20 * time.Second
 	}
 	res := &Fig4Result{
-		Systems:  map[string][]Fig4Point{},
-		Order:    []string{"FARM", "sFlow 1ms", "sFlow 10ms", "Sonata (75% agg)"},
-		Parallel: cfg.Engine.Parallel(),
+		Systems: map[string][]Fig4Point{},
+		Order:   []string{"FARM", "sFlow 1ms", "sFlow 10ms", "Sonata (75% agg)"},
 	}
 	for _, ports := range cfg.PortCounts {
 		leaves := ports / 48
@@ -158,25 +145,6 @@ func (r *Fig4Result) Table() *Table {
 	return t
 }
 
-// ParallelStats renders the per-point shard-imbalance column for
-// sharded runs. It lives outside Table deliberately: imbalance is
-// max/mean over central-net lanes, and the lane count differs between
-// engines (serial = 1 lane), so including it in Table would break the
-// byte-identity the determinism gates check.
-func (r *Fig4Result) ParallelStats() string {
-	if !r.Parallel {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString("shard imbalance (max/mean central-lane bytes) per point:\n")
-	for _, sys := range r.Order {
-		for _, p := range r.Systems[sys] {
-			fmt.Fprintf(&b, "  %-18s %5d ports  %.2f\n", sys, p.Ports, p.Imbalance)
-		}
-	}
-	return b.String()
-}
-
 func fig4Workload(fab *fabric.Fabric, cfg Fig4Config) *traffic.BulkWorkload {
 	return traffic.NewBulkWorkload(fab, traffic.BulkConfig{
 		Tick:       10 * time.Millisecond,
@@ -189,11 +157,10 @@ func fig4Workload(fab *fabric.Fabric, cfg Fig4Config) *traffic.BulkWorkload {
 }
 
 func fig4FARM(leaves, hosts int, cfg Fig4Config) (Fig4Point, error) {
-	fab, loop, stop, err := newFabricOn(cfg.Engine, 2, leaves, hosts)
+	fab, loop, err := newFabric(2, leaves, hosts)
 	if err != nil {
 		return Fig4Point{}, err
 	}
-	defer stop()
 	sd := seeder.New(fab, seeder.Options{})
 	if err := sd.AddTask(seeder.TaskSpec{
 		Name: "hh", Source: farmChangeReportHH,
@@ -207,16 +174,14 @@ func fig4FARM(leaves, hosts int, cfg Fig4Config) (Fig4Point, error) {
 	snap := fab.CentralNet.Snapshot()
 	loop.RunFor(cfg.Duration)
 	pps, bps := fab.CentralNet.RateSince(snap)
-	return Fig4Point{Ports: leaves * hosts, PktPerSec: pps, BytesPerSec: bps,
-		Imbalance: fab.CentralNet.Imbalance()}, nil
+	return Fig4Point{Ports: leaves * hosts, PktPerSec: pps, BytesPerSec: bps}, nil
 }
 
 func fig4SFlow(leaves, hosts int, poll time.Duration, cfg Fig4Config) (Fig4Point, error) {
-	fab, loop, stop, err := newFabricOn(cfg.Engine, 2, leaves, hosts)
+	fab, loop, err := newFabric(2, leaves, hosts)
 	if err != nil {
 		return Fig4Point{}, err
 	}
-	defer stop()
 	sys := sflow.Deploy(fab, sflow.Config{
 		PollInterval:           poll,
 		HHThresholdBytesPerSec: 10_000_000,
@@ -230,16 +195,14 @@ func fig4SFlow(leaves, hosts int, poll time.Duration, cfg Fig4Config) (Fig4Point
 	// its load is strictly periodic.
 	loop.RunFor(cfg.Duration / 4)
 	pps, bps := fab.CentralNet.RateSince(snap)
-	return Fig4Point{Ports: leaves * hosts, PktPerSec: pps, BytesPerSec: bps,
-		Imbalance: fab.CentralNet.Imbalance()}, nil
+	return Fig4Point{Ports: leaves * hosts, PktPerSec: pps, BytesPerSec: bps}, nil
 }
 
 func fig4Sonata(leaves, hosts int, cfg Fig4Config) (Fig4Point, error) {
-	fab, loop, stop, err := newFabricOn(cfg.Engine, 2, leaves, hosts)
+	fab, loop, err := newFabric(2, leaves, hosts)
 	if err != nil {
 		return Fig4Point{}, err
 	}
-	defer stop()
 	window := 3 * time.Second
 	q := sonata.Query{
 		Name: "hh", Key: sonata.KeyByInPort, Reduce: sonata.SumBytes,
@@ -250,9 +213,9 @@ func fig4Sonata(leaves, hosts int, cfg Fig4Config) (Fig4Point, error) {
 	w := fig4Workload(fab, cfg)
 	defer w.Stop()
 	// Window flushes carry per-port byte counts from every leaf. One
-	// flush agent per leaf, on the leaf's home shard: the port counters
-	// it reads and the delta baseline it keeps are switch-local, and the
-	// export enters the collection network from the right shard.
+	// flush agent per leaf: the port counters it reads and the delta
+	// baseline it keeps are switch-local, and the export enters the
+	// collection network at its leaf.
 	var flushes []engine.Ticker
 	for _, sw := range fab.Topology().Switches() {
 		if sw.Role != netmodel.Leaf {
@@ -260,7 +223,7 @@ func fig4Sonata(leaves, hosts int, cfg Fig4Config) (Fig4Point, error) {
 		}
 		swID := sw.ID
 		prev := map[int]dataplane.PortStats{}
-		flushes = append(flushes, fab.SchedulerFor(swID).Every(window, func() {
+		flushes = append(flushes, loop.Every(window, func() {
 			cur := map[int]dataplane.PortStats{}
 			bytesByPort := map[int]float64{}
 			for port := 1; port <= fab.NumPorts(swID); port++ {
@@ -289,6 +252,5 @@ func fig4Sonata(leaves, hosts int, cfg Fig4Config) (Fig4Point, error) {
 	snap := fab.CentralNet.Snapshot()
 	loop.RunFor(cfg.Duration)
 	pps, bps := fab.CentralNet.RateSince(snap)
-	return Fig4Point{Ports: leaves * hosts, PktPerSec: pps, BytesPerSec: bps,
-		Imbalance: fab.CentralNet.Imbalance()}, nil
+	return Fig4Point{Ports: leaves * hosts, PktPerSec: pps, BytesPerSec: bps}, nil
 }

@@ -4,19 +4,15 @@
 // along ECMP paths, and models control-plane communication latency
 // between switches and centralized components.
 //
-// The fabric is the layer that maps the emulation onto the engine's
-// shards: every switch has a home shard (round-robin over sorted switch
-// IDs), all of a switch's state — its ASIC, TCAM, PCIe bus, CPU meter,
-// soil — is mutated only by events on that shard, and anything that
-// crosses switches (packet hops, control messages to/from the central
-// components, seed-to-seed sends) is routed through Partitioned.CrossAfter
-// so the sharded engine can merge it deterministically at epoch barriers.
-// Centralized components (seeder, harvesters, collectors) live on shard 0.
+// Every switch and the centralized components (seeder, harvesters,
+// collectors) run on the one scheduler the fabric is built over. Anything
+// that crosses switches — packet hops, control messages to and from the
+// central components, seed-to-seed sends — is scheduled on it after the
+// modelled latency, without a Timer handle (engine.ScheduleOn).
 package fabric
 
 import (
 	"errors"
-	"fmt"
 	"net/netip"
 	"sort"
 	"time"
@@ -55,42 +51,12 @@ const (
 	DefaultControlBaseLatency = 100 * time.Microsecond
 )
 
-// MinCrossLatency returns the smallest delay any cross-switch event can
-// carry under these options: the lesser of one forwarding hop and a
-// same-switch control round (ControlBaseLatency/2, see SwitchLatency).
-// A sharded engine's lookahead window must not exceed it.
-func (o Options) MinCrossLatency() time.Duration {
-	hop := o.HopLatency
-	if hop == 0 {
-		hop = DefaultHopLatency
-	}
-	base := o.ControlBaseLatency
-	if base == 0 {
-		base = DefaultControlBaseLatency
-	}
-	if hop < base/2 {
-		return hop
-	}
-	return base / 2
-}
-
-// lane is one shard's share of the forwarding state: its packet
-// counters and its free hop records. Only events on that shard touch
-// it; it fills a cache line so shards don't false-share.
-type lane struct {
-	delivered uint64
-	dropped   uint64
-	free      []*hop
-	_         [3]uint64
-}
-
 // Fabric is the assembled emulated data center. It is a snapshot of
 // the topology's switches, links and hosts at New; the per-switch
 // state below is indexed by the dense SwitchID.
 type Fabric struct {
 	topo  *netmodel.Topology
 	sched engine.Scheduler
-	part  engine.Partitioned
 	opts  Options
 	costs metrics.CostModel
 
@@ -103,25 +69,21 @@ type Fabric struct {
 	hostPort []int32
 	numPorts []int
 
-	// shardOf pins each switch to its home shard; shardScheds caches the
-	// per-shard scheduler views.
-	shardOf     []int
-	shardScheds []engine.Scheduler
-
 	// CentralNet meters all traffic into centralized components: the
-	// collector-bottleneck measurement of Fig. 4. One lane per shard;
-	// senders add on their home lane at send time.
+	// collector-bottleneck measurement of Fig. 4.
 	CentralNet *metrics.NetMeter
 
 	hopDist []int // hops to CentralAt, -1 = unreachable
 
-	lanes []lane // per shard
+	// delivered and dropped count packets that reached their last hop
+	// and packets a TCAM rule dropped en route; free holds the hop
+	// records of finished packets for reuse.
+	delivered uint64
+	dropped   uint64
+	free      []*hop
 }
 
-// New assembles a fabric over the topology, scheduling onto sched. When
-// sched is partitioned with more than one shard (engine.Sharded),
-// switches are spread round-robin (in switch-ID order) across the
-// shards and every cross-switch interaction goes through CrossAfter.
+// New assembles a fabric over the topology, scheduling onto sched.
 func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric {
 	if opts.HopLatency == 0 {
 		opts.HopLatency = DefaultHopLatency
@@ -135,42 +97,20 @@ func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric 
 	if opts.Costs == (metrics.CostModel{}) {
 		opts.Costs = metrics.DefaultCostModel()
 	}
-	part, ok := sched.(engine.Partitioned)
-	if !ok {
-		part = singleShard{sched}
-	}
-	if la, ok := sched.(interface{ Lookahead() time.Duration }); ok && part.Shards() > 1 {
-		if min := opts.MinCrossLatency(); la.Lookahead() > min {
-			panic(fmt.Sprintf("fabric: engine lookahead %v exceeds minimum cross-switch latency %v",
-				la.Lookahead(), min))
-		}
-	}
 	n := topo.NumSwitches()
 	f := &Fabric{
-		topo:        topo,
-		sched:       sched,
-		part:        part,
-		opts:        opts,
-		costs:       opts.Costs,
-		switches:    make([]*dataplane.Switch, n),
-		drivers:     make([]*dataplane.EmuDriver, n),
-		cpus:        make([]*metrics.CPUMeter, n),
-		swPorts:     make([][]int32, n),
-		hostPort:    make([]int32, len(topo.Hosts())),
-		numPorts:    make([]int, n),
-		shardOf:     make([]int, n),
-		shardScheds: make([]engine.Scheduler, part.Shards()),
-		CentralNet:  metrics.NewNetMeterLanes(sched, part.Shards()),
-		hopDist:     make([]int, n),
-		lanes:       make([]lane, part.Shards()),
-	}
-	for i := range f.shardScheds {
-		f.shardScheds[i] = part.Shard(i)
-	}
-
-	// Home-shard assignment: round-robin in switch-ID order.
-	for id := range f.shardOf {
-		f.shardOf[id] = id % part.Shards()
+		topo:       topo,
+		sched:      sched,
+		opts:       opts,
+		costs:      opts.Costs,
+		switches:   make([]*dataplane.Switch, n),
+		drivers:    make([]*dataplane.EmuDriver, n),
+		cpus:       make([]*metrics.CPUMeter, n),
+		swPorts:    make([][]int32, n),
+		hostPort:   make([]int32, len(topo.Hosts())),
+		numPorts:   make([]int, n),
+		CentralNet: metrics.NewNetMeter(sched),
+		hopDist:    make([]int, n),
 	}
 
 	// Port assignment: hosts first (in host-ID order), then neighbor
@@ -200,10 +140,9 @@ func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric 
 		}
 		ds := dataplane.NewSwitch(sw.Name, port-1, tcamCap)
 		f.switches[sw.ID] = ds
-		home := f.shardScheds[f.shardOf[sw.ID]]
-		bus := dataplane.NewBus(home, opts.BusBytesPerSec)
+		bus := dataplane.NewBus(sched, opts.BusBytesPerSec)
 		f.drivers[sw.ID] = dataplane.NewEmuDriver(ds, bus)
-		f.cpus[sw.ID] = metrics.NewCPUMeter(home, opts.CPUCores)
+		f.cpus[sw.ID] = metrics.NewCPUMeter(sched, opts.CPUCores)
 	}
 
 	// BFS hop distance to the central attachment point.
@@ -225,42 +164,9 @@ func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric 
 	return f
 }
 
-// singleShard adapts a plain Scheduler to the Partitioned interface.
-type singleShard struct{ engine.Scheduler }
-
-func (s singleShard) Shards() int { return 1 }
-func (s singleShard) Shard(i int) engine.Scheduler {
-	if i != 0 {
-		panic("fabric: scheduler has a single shard")
-	}
-	return s.Scheduler
-}
-func (s singleShard) CrossAfter(from, to int, d time.Duration, fn func()) {
-	engine.ScheduleOn(s.Scheduler, d, fn)
-}
-
-// Sched returns the root scheduler driving the fabric. Runs
-// (RunFor/RunUntil/Step/Drain) go through it.
+// Sched returns the scheduler driving the fabric. Every component
+// schedules on it, and runs (RunFor/RunUntil/Step/Drain) go through it.
 func (f *Fabric) Sched() engine.Scheduler { return f.sched }
-
-// Partition returns the shard-routing view of the scheduler.
-func (f *Fabric) Partition() engine.Partitioned { return f.part }
-
-// ShardOf returns the home shard of a switch.
-func (f *Fabric) ShardOf(id netmodel.SwitchID) int { return f.shardOf[id] }
-
-// SchedulerFor returns the scheduler view of a switch's home shard. All
-// events touching the switch's state must be scheduled through it.
-func (f *Fabric) SchedulerFor(id netmodel.SwitchID) engine.Scheduler {
-	return f.shardScheds[f.shardOf[id]]
-}
-
-// CentralShard is the home shard of the centralized components.
-const CentralShard = 0
-
-// CentralSched returns the scheduler view the centralized components
-// (seeder, harvesters, collectors) schedule through.
-func (f *Fabric) CentralSched() engine.Scheduler { return f.shardScheds[CentralShard] }
 
 // Topology returns the underlying topology.
 func (f *Fabric) Topology() *netmodel.Topology { return f.topo }
@@ -298,24 +204,10 @@ func (f *Fabric) PortToward(sw, nb netmodel.SwitchID) (int, bool) {
 }
 
 // Delivered returns the number of packets that reached their last hop.
-// Summed over per-shard counters; read it while the engine is quiescent.
-func (f *Fabric) Delivered() uint64 {
-	var n uint64
-	for i := range f.lanes {
-		n += f.lanes[i].delivered
-	}
-	return n
-}
+func (f *Fabric) Delivered() uint64 { return f.delivered }
 
 // DroppedInFabric returns packets dropped by TCAM rules en route.
-// Summed over per-shard counters; read it while the engine is quiescent.
-func (f *Fabric) DroppedInFabric() uint64 {
-	var n uint64
-	for i := range f.lanes {
-		n += f.lanes[i].dropped
-	}
-	return n
-}
+func (f *Fabric) DroppedInFabric() uint64 { return f.dropped }
 
 // The reasons Send and PathFor refuse a packet. They are returned bare
 // (nothing is formatted per packet); match them with errors.Is.
@@ -387,15 +279,6 @@ type hop struct {
 	srcPort, dstPort int
 }
 
-// maxFreeHops bounds the hop records a shard keeps for reuse. A record
-// is taken on the source leaf's shard and given back on the shard where
-// the packet ends, so a shard that mostly receives (the victim's leaf
-// under a flood) would otherwise collect every record the senders
-// allocate. The working set is the packets in flight per shard (rate x
-// path latency: a few dozen at 200k packets/s); beyond the bound a
-// record is left to the garbage collector.
-const maxFreeHops = 1024
-
 // Send injects a packet at its source host's leaf and forwards it
 // hop-by-hop along its ECMP path, applying each switch's TCAM. The
 // packet is dropped mid-path if a rule says so. The path is fixed here:
@@ -403,19 +286,14 @@ const maxFreeHops = 1024
 //
 // Send borrows p: it copies the packet into the hop record that carries
 // it and keeps no reference, so the caller may reuse p at once.
-//
-// Under a sharded engine, Send must be called either from an event on
-// the source leaf's home shard (traffic.BulkWorkload arranges this) or
-// from the driving goroutine between runs.
 func (f *Fabric) Send(p *dataplane.Packet) error {
 	src, dst, path, err := f.route(p)
 	if err != nil {
 		return err
 	}
 	var h *hop
-	ln := &f.lanes[f.shardOf[path[0]]]
-	if n := len(ln.free); n > 0 {
-		h, ln.free = ln.free[n-1], ln.free[:n-1]
+	if n := len(f.free); n > 0 {
+		h, f.free = f.free[n-1], f.free[:n-1]
 	} else {
 		h = &hop{f: f}
 		h.fire = h.step
@@ -428,7 +306,7 @@ func (f *Fabric) Send(p *dataplane.Packet) error {
 
 // step passes the packet through the switch it has reached and either
 // schedules the next hop or, at the end of the path or on a drop,
-// returns the record to the shard it ended on.
+// returns the record to the free list.
 func (h *hop) step() {
 	f, path, i := h.f, h.path, h.i
 	sw := path[i]
@@ -441,22 +319,18 @@ func (h *hop) step() {
 		outPort = int(f.swPorts[sw][path[i+1]])
 	}
 	v := f.switches[sw].Inject(&h.p, inPort, outPort)
-	shard := f.shardOf[sw]
-	ln := &f.lanes[shard]
 	switch {
 	case v.Dropped:
-		ln.dropped++
+		f.dropped++
 	case last:
-		ln.delivered++
+		f.delivered++
 	default:
 		h.i = i + 1
-		f.part.CrossAfter(shard, f.shardOf[path[i+1]], f.opts.HopLatency, h.fire)
+		engine.ScheduleOn(f.sched, f.opts.HopLatency, h.fire)
 		return
 	}
 	h.path = nil // don't pin a dropped path table
-	if len(ln.free) < maxFreeHops {
-		ln.free = append(ln.free, h)
-	}
+	f.free = append(f.free, h)
 }
 
 // MustSend is Send for callers holding pre-validated addresses.
@@ -503,29 +377,27 @@ const MTU = 1400
 // SendToCentral models a control message from a switch to a centralized
 // component: it meters the bytes (and MTU-derived packet count) on the
 // central links, charges serialization cost to the switch CPU, and
-// delivers fn on the central shard after the control latency. It must be
-// called from the sending switch's home shard (or between runs).
+// delivers fn after the control latency.
 func (f *Fabric) SendToCentral(from netmodel.SwitchID, bytes int, fn func()) {
 	pkts := (bytes + MTU - 1) / MTU
 	if pkts < 1 {
 		pkts = 1
 	}
-	home := f.shardOf[from]
-	f.CentralNet.AddLane(home, pkts, bytes)
+	f.CentralNet.Add(pkts, bytes)
 	f.cpus[from].Charge(time.Duration(bytes) * f.costs.SerializePerByte)
-	f.part.CrossAfter(home, CentralShard, f.ControlLatency(from), fn)
+	engine.ScheduleOn(f.sched, f.ControlLatency(from), fn)
 }
 
 // SendFromCentral models a control message from a centralized component
-// to a switch CPU; fn is delivered on the switch's home shard.
+// to a switch CPU; fn is delivered after the control latency.
 func (f *Fabric) SendFromCentral(to netmodel.SwitchID, bytes int, fn func()) {
-	f.part.CrossAfter(CentralShard, f.shardOf[to], f.ControlLatency(to), fn)
+	engine.ScheduleOn(f.sched, f.ControlLatency(to), fn)
 }
 
 // SendSwitchToSwitch models a control message between two switch CPUs
-// (seed-to-seed communication, §II-C-b). It must be called from the
-// sending switch's home shard; fn is delivered on the receiver's.
+// (seed-to-seed communication, §II-C-b); fn is delivered after the
+// switch-to-switch latency.
 func (f *Fabric) SendSwitchToSwitch(from, to netmodel.SwitchID, bytes int, fn func()) {
 	f.cpus[from].Charge(time.Duration(bytes) * f.costs.SerializePerByte)
-	f.part.CrossAfter(f.shardOf[from], f.shardOf[to], f.SwitchLatency(from, to), fn)
+	engine.ScheduleOn(f.sched, f.SwitchLatency(from, to), fn)
 }

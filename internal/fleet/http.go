@@ -14,7 +14,7 @@ import (
 // collector):
 //
 //	GET    /healthz        readiness: leader present, not draining
-//	GET    /metrics        MetricsSnapshot (NetMeter lanes, wire, placement)
+//	GET    /metrics        MetricsSnapshot (central link, wire, placement)
 //	GET    /tasks          StatusSnapshot (deployed tasks + placements)
 //	POST   /tasks          {"name": "<catalogue task>"} → submit
 //	DELETE /tasks/{name}   retire

@@ -583,10 +583,8 @@ func (s *Service) Status() (*StatusSnapshot, error) {
 type MetricsSnapshot struct {
 	Now             time.Duration `json:"now"`
 	PendingEvents   int           `json:"pending_events"`
-	Lanes           []LaneStat    `json:"central_lanes"`
 	CentralPackets  uint64        `json:"central_packets"`
 	CentralBytes    uint64        `json:"central_bytes"`
-	LaneImbalance   float64       `json:"lane_imbalance"`
 	Delivered       uint64        `json:"delivered"`
 	DroppedInFabric uint64        `json:"dropped_in_fabric"`
 	Tasks           int           `json:"tasks"`
@@ -604,12 +602,6 @@ type MetricsSnapshot struct {
 	Takeovers         uint64            `json:"takeovers"`
 }
 
-// LaneStat is one NetMeter lane's cumulative counters.
-type LaneStat struct {
-	Packets uint64 `json:"packets"`
-	Bytes   uint64 `json:"bytes"`
-}
-
 // Metrics snapshots the live meters on the engine goroutine.
 func (s *Service) Metrics() (*MetricsSnapshot, error) {
 	m := &MetricsSnapshot{}
@@ -617,13 +609,8 @@ func (s *Service) Metrics() (*MetricsSnapshot, error) {
 		m.Now = s.rt.Now()
 		m.PendingEvents = s.rt.Pending()
 		cn := s.fab.CentralNet
-		for i := 0; i < cn.Lanes(); i++ {
-			p, b := cn.Lane(i)
-			m.Lanes = append(m.Lanes, LaneStat{Packets: p, Bytes: b})
-		}
 		m.CentralPackets = cn.Packets()
 		m.CentralBytes = cn.Bytes()
-		m.LaneImbalance = cn.Imbalance()
 		m.Delivered = s.fab.Delivered()
 		m.DroppedInFabric = s.fab.DroppedInFabric()
 		m.Tasks = len(s.sd.TaskNames())

@@ -10,12 +10,10 @@
 // per actually-executed operation, so load curves inherit their shape
 // from real execution counts, not from closed-form formulas.
 //
-// Concurrency contract under the sharded engine: a CPUMeter belongs to
-// one switch and is only mutated by events on that switch's home shard.
-// A NetMeter aggregates writers from many shards through per-shard
-// lanes — each lane has a single writer, and the summed counters are
-// read only while the workers are quiescent (between runs, or at epoch
-// barriers), so no lock or atomic sits on the hot path.
+// Concurrency contract: meters are plain counters with no lock or
+// atomic. They are mutated only by events on the scheduler that drives
+// the fabric, and read from that scheduler's goroutine (in a callback,
+// or between runs).
 package metrics
 
 import (
@@ -24,9 +22,7 @@ import (
 	"farm/internal/engine"
 )
 
-// CPUMeter accumulates busy time for one switch management CPU. It is
-// mutated only from its owning shard and reads time from that shard's
-// clock.
+// CPUMeter accumulates busy time for one switch management CPU.
 type CPUMeter struct {
 	clock engine.Clock
 	cores float64
@@ -125,94 +121,30 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// netLane is one writer's slice of a NetMeter, padded out to a cache
-// line so lanes written by different worker goroutines don't false-share.
-type netLane struct {
+// NetMeter counts control-plane traffic crossing a measurement point
+// (e.g., the links into a central collector).
+type NetMeter struct {
+	clock   engine.Clock
 	packets uint64
 	bytes   uint64
-	_       [6]uint64
 }
 
-// NetMeter counts control-plane traffic crossing a measurement point
-// (e.g., the links into a central collector). Writers on different
-// shards add into distinct lanes; totals are the sum over lanes, read
-// while writers are quiescent.
-type NetMeter struct {
-	clock engine.Clock
-	lanes []netLane
-}
-
-// NewNetMeter returns a single-lane meter on the given clock.
+// NewNetMeter returns a meter on the given clock.
 func NewNetMeter(clock engine.Clock) *NetMeter {
-	return NewNetMeterLanes(clock, 1)
+	return &NetMeter{clock: clock}
 }
 
-// NewNetMeterLanes returns a meter with one lane per writer shard.
-func NewNetMeterLanes(clock engine.Clock, lanes int) *NetMeter {
-	if lanes < 1 {
-		lanes = 1
-	}
-	return &NetMeter{clock: clock, lanes: make([]netLane, lanes)}
+// Add records a message of the given wire size.
+func (m *NetMeter) Add(packets int, bytes int) {
+	m.packets += uint64(packets)
+	m.bytes += uint64(bytes)
 }
 
-// Lanes returns the lane count.
-func (m *NetMeter) Lanes() int { return len(m.lanes) }
+// Packets returns the cumulative packet count.
+func (m *NetMeter) Packets() uint64 { return m.packets }
 
-// Add records a message of the given wire size on lane 0.
-func (m *NetMeter) Add(packets int, bytes int) { m.AddLane(0, packets, bytes) }
-
-// AddLane records a message on the caller's lane. Each lane must have at
-// most one concurrent writer (under the sharded engine: the lane's shard).
-func (m *NetMeter) AddLane(lane, packets, bytes int) {
-	m.lanes[lane].packets += uint64(packets)
-	m.lanes[lane].bytes += uint64(bytes)
-}
-
-// Lane returns the cumulative counters of one lane — under the fabric's
-// wiring, the traffic contributed by that home shard. Like the totals,
-// it must be read while writers are quiescent.
-func (m *NetMeter) Lane(i int) (packets, bytes uint64) {
-	return m.lanes[i].packets, m.lanes[i].bytes
-}
-
-// Imbalance returns the max/mean ratio over per-lane byte counts: 1.0
-// means perfectly even shard load, N means one lane carries N times the
-// mean. It returns 0 when no lane has carried traffic. Experiments
-// report it for sharded runs to show how evenly the monitoring load
-// spreads over shards (and therefore what speedup remains reachable).
-func (m *NetMeter) Imbalance() float64 {
-	var max, sum uint64
-	for i := range m.lanes {
-		b := m.lanes[i].bytes
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(m.lanes))
-	return float64(max) / mean
-}
-
-// Packets returns the cumulative packet count across lanes.
-func (m *NetMeter) Packets() uint64 {
-	var n uint64
-	for i := range m.lanes {
-		n += m.lanes[i].packets
-	}
-	return n
-}
-
-// Bytes returns the cumulative byte count across lanes.
-func (m *NetMeter) Bytes() uint64 {
-	var n uint64
-	for i := range m.lanes {
-		n += m.lanes[i].bytes
-	}
-	return n
-}
+// Bytes returns the cumulative byte count.
+func (m *NetMeter) Bytes() uint64 { return m.bytes }
 
 // NetSnapshot is a point-in-time view of a NetMeter.
 type NetSnapshot struct {

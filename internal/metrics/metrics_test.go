@@ -85,43 +85,3 @@ func TestDefaultCostModelSane(t *testing.T) {
 		t.Fatal("an ML iteration must dominate a handler dispatch")
 	}
 }
-
-func TestNetMeterLanes(t *testing.T) {
-	loop := engine.NewSerial()
-	m := NewNetMeterLanes(loop, 4)
-	snap := m.Snapshot()
-	m.AddLane(0, 1, 100)
-	m.AddLane(3, 2, 200)
-	m.AddLane(3, 1, 50)
-	if m.Packets() != 4 || m.Bytes() != 350 {
-		t.Fatalf("totals = %d pkts, %d bytes", m.Packets(), m.Bytes())
-	}
-	loop.RunFor(time.Second)
-	pps, bps := m.RateSince(snap)
-	if pps != 4 || bps != 350 {
-		t.Fatalf("rates = %g pps, %g bps", pps, bps)
-	}
-}
-
-func TestNetMeterLaneAccessAndImbalance(t *testing.T) {
-	loop := engine.NewSerial()
-	m := NewNetMeterLanes(loop, 4)
-	if m.Imbalance() != 0 {
-		t.Fatalf("idle imbalance = %g, want 0", m.Imbalance())
-	}
-	m.AddLane(0, 1, 100)
-	m.AddLane(1, 1, 100)
-	m.AddLane(2, 1, 100)
-	m.AddLane(3, 1, 100)
-	if got := m.Imbalance(); got != 1 {
-		t.Fatalf("even imbalance = %g, want 1", got)
-	}
-	m.AddLane(3, 3, 400)
-	if pkts, bytes := m.Lane(3); pkts != 4 || bytes != 500 {
-		t.Fatalf("lane 3 = %d pkts, %d bytes, want 4/500", pkts, bytes)
-	}
-	// Lane bytes now 100,100,100,500: mean 200, max 500.
-	if got := m.Imbalance(); got != 2.5 {
-		t.Fatalf("skewed imbalance = %g, want 2.5", got)
-	}
-}

@@ -31,8 +31,7 @@ func solveAt(t *testing.T, in *Input, workers int) *Result {
 
 // TestHeuristicDigestAcrossWorkers pins the step-3 determinism
 // contract: the parallel per-switch LP fan-out must reproduce the
-// serial solve byte-for-byte at any worker count (mirroring
-// TestGeneratorDigestAcrossEngines for the traffic layer).
+// serial solve byte-for-byte at any worker count.
 func TestHeuristicDigestAcrossWorkers(t *testing.T) {
 	in := digestScenario()
 	ref := solveAt(t, in, -1)

@@ -361,7 +361,7 @@ func (sd *Seeder) Reoptimize() error {
 // emulated fabric a periodic sweep plays that role. Returns a stop
 // function.
 func (sd *Seeder) StartAutoReoptimize(interval time.Duration) (stop func()) {
-	tk := sd.fab.CentralSched().Every(interval, func() {
+	tk := sd.fab.Sched().Every(interval, func() {
 		if err := sd.Reoptimize(); err != nil {
 			sd.logf("seeder: auto reoptimize: %v", err)
 		}
@@ -816,7 +816,7 @@ func (sd *Seeder) migrateSeed(s *seedInst, a placement.Assignment) error {
 	target := sd.soils[a.Switch]
 	prog := s.m.prog
 	ext := s.externals
-	engine.ScheduleOn(sd.fab.CentralSched(), delay, func() {
+	engine.ScheduleOn(sd.fab.Sched(), delay, func() {
 		if err := target.RestoreSeed(ref, prog, ext, a.Alloc, snap); err != nil {
 			sd.logf("seeder: migration restore %s: %v", s.id, err)
 		}
@@ -847,8 +847,9 @@ func estimateValueBytes(v core.Value) int {
 }
 
 // textBytes is len(core.FormatValue(v)) without building the string:
-// the text is appended to pooled scratch. (Soils on every engine shard
-// size their messages at once, so each call takes a buffer of its own.)
+// the text is appended to pooled scratch. (Independent simulations may
+// run on several goroutines at once, so each call takes a buffer of its
+// own.)
 func textBytes(v core.Value) int {
 	buf := textScratch.Get().(*[]byte)
 	*buf = core.AppendValue((*buf)[:0], v)
@@ -930,7 +931,7 @@ func (c *harvesterCtx) SendToSeeds(machine, switchName string, v core.Value) {
 }
 
 // Now implements harvest.Context.
-func (c *harvesterCtx) Now() time.Duration { return c.sd.fab.CentralSched().Now() }
+func (c *harvesterCtx) Now() time.Duration { return c.sd.fab.Sched().Now() }
 
 // Log implements harvest.Context.
 func (c *harvesterCtx) Log(format string, args ...any) { c.sd.logf(format, args...) }

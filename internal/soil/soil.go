@@ -109,7 +109,7 @@ func New(fab *fabric.Fabric, swID netmodel.SwitchID, opts Options) *Soil {
 	return &Soil{
 		swID:     swID,
 		name:     sw.Name,
-		loop:     fab.SchedulerFor(swID),
+		loop:     fab.Sched(),
 		driver:   fab.Driver(swID),
 		cpu:      fab.CPU(swID),
 		costs:    fab.Costs(),

@@ -43,24 +43,19 @@ func (s FlowSpec) packet() dataplane.Packet {
 }
 
 // Generator drives workloads onto a fabric. Seeded deterministically:
-// the same seed yields the same per-switch packet sequence on any
-// engine at any worker count.
+// the same seed yields the same per-switch packet sequence.
 //
 // Every flow is homed on its ingress leaf — the leaf its source host
-// attaches to — and ticks on that leaf's home shard
-// (fabric.SchedulerFor), injecting through the fused fast path so each
-// leaf's flow cache stays hot. Emission-time randomness (jitter, start
-// phase, random destination picks) comes from per-flow splitmix streams
-// keyed by (seed, flow creation index), never a shared *rand.Rand, so
-// the sequence a leaf emits is a pure function of the seed and the
-// order scenarios were constructed in — independent of how shards
-// interleave. Construction-time randomness (which hosts a scenario
-// picks) still uses one seeded source, drawn only on the driving
-// goroutine while building scenarios.
+// attaches to — whose emission digest it folds into. Emission-time
+// randomness (jitter, start phase, random destination picks) comes from
+// per-flow splitmix streams keyed by (seed, flow creation index), never
+// a shared *rand.Rand, so the sequence a leaf emits is a pure function
+// of the seed and the order scenarios were constructed in.
+// Construction-time randomness (which hosts a scenario picks) uses one
+// seeded source, drawn while building scenarios.
 //
 // Scenario stop funcs follow the engine's ownership contract: call them
-// from the driving goroutine between runs (or from a callback on the
-// flow's own shard).
+// from the driving goroutine between runs, or from a callback.
 type Generator struct {
 	fab   *fabric.Fabric
 	seed  int64
@@ -69,12 +64,10 @@ type Generator struct {
 	// splitmix stream.
 	nextFlow uint64
 	// digests holds one per-leaf emission digest cell, built up front so
-	// emission never mutates the map (concurrent reads from many shards
-	// are safe; each cell has a single writing shard).
+	// emission never mutates the map.
 	digests map[netmodel.SwitchID]*ingressDigest
 	// offFabric counts the rejected packets of flows whose source is no
-	// host of the fabric: they have no leaf, so no cell, and all tick on
-	// the central shard.
+	// host of the fabric: they have no leaf, so no cell.
 	offFabric uint64
 }
 
@@ -92,9 +85,8 @@ func NewGenerator(fab *fabric.Fabric, seed int64) *Generator {
 	return g
 }
 
-// Rand exposes the generator's construction-time random source. It is
-// only safe to draw from on the driving goroutine (scenario setup);
-// emission-time draws come from per-flow streams.
+// Rand exposes the generator's construction-time random source, for
+// scenario setup; emission-time draws come from per-flow streams.
 func (g *Generator) Rand() *rand.Rand { return g.setup }
 
 // stream allocates the next flow's RNG stream.
@@ -105,26 +97,23 @@ func (g *Generator) stream() stream {
 }
 
 // ingress resolves a source address to its ingress leaf's emission
-// digest cell and that leaf's home-shard scheduler. Unroutable sources
-// (fab.Send rejects their packets, and Rejected counts them) have no
-// cell and are homed on the central shard so their schedule still ticks
-// deterministically.
-func (g *Generator) ingress(src netip.Addr) (*ingressDigest, engine.Scheduler) {
+// digest cell. Unroutable sources (fab.Send rejects their packets, and
+// Rejected counts them) have no cell.
+func (g *Generator) ingress(src netip.Addr) *ingressDigest {
 	if h, ok := g.fab.Topology().HostByIP(src); ok {
-		return g.digests[h.Leaf], g.fab.SchedulerFor(h.Leaf)
+		return g.digests[h.Leaf]
 	}
-	return nil, g.fab.CentralSched()
+	return nil
 }
 
 // inject folds the packet into its ingress leaf's emission digest cell d
 // and sends it. text is the packet's canonical flow text
 // (FlowKey.AppendTo): a flow whose 5-tuple never changes renders it
 // once, a scenario that makes a fresh tuple per packet renders it per
-// packet. Must run on the leaf's home shard (or the driving goroutine
-// between runs, for Burst).
-func (g *Generator) inject(d *ingressDigest, clock engine.Clock, p *dataplane.Packet, text []byte) {
+// packet.
+func (g *Generator) inject(d *ingressDigest, p *dataplane.Packet, text []byte) {
 	if d != nil {
-		d.fold(clock.Now(), p, text)
+		d.fold(g.fab.Sched().Now(), p, text)
 	}
 	if err := g.fab.Send(p); err != nil {
 		if d != nil {
@@ -138,7 +127,7 @@ func (g *Generator) inject(d *ingressDigest, clock engine.Clock, p *dataplane.Pa
 // Rejected returns how many injected packets the fabric refused to
 // send (fabric.ErrUnknownSource, ErrUnknownDestination, ErrNoPath): a
 // scenario with a mistyped address shows up here instead of silently
-// emitting nothing. Call it while the engine is quiescent.
+// emitting nothing.
 func (g *Generator) Rejected() uint64 {
 	n := g.offFabric
 	for _, d := range g.digests {
@@ -151,10 +140,9 @@ func (g *Generator) Rejected() uint64 {
 // the generator injected there: emission time, 5-tuple, size, flags,
 // and app kind, folded in emission order. This is the generator's
 // determinism contract made checkable — the same seed must produce
-// byte-identical digests on the serial engine and on the sharded engine
-// at any worker count (the traffic tests and the root package's
-// TestWorkloadShardedMatchesSerial compare them). Call it while the engine is quiescent. Leaves that emitted
-// nothing are omitted.
+// byte-identical digests (the traffic tests and the root package's
+// TestWorkloadDigestsPinned hold them to recorded values). Leaves that
+// emitted nothing are omitted.
 func (g *Generator) PerSwitchDigest() map[netmodel.SwitchID]uint64 {
 	out := make(map[netmodel.SwitchID]uint64, len(g.digests))
 	for id, d := range g.digests {
@@ -169,12 +157,12 @@ func (g *Generator) PerSwitchDigest() map[netmodel.SwitchID]uint64 {
 // mean rate with uniform +/-50% inter-packet jitter. The jitter (and a
 // random start phase) keeps concurrent flows interleaving like real
 // traffic; strictly periodic flows would alias with periodic samplers
-// and rate limiters. The flow ticks on its ingress leaf's home shard.
+// and rate limiters.
 func (g *Generator) StartFlow(spec FlowSpec) (stop func()) {
 	if spec.Rate <= 0 {
 		panic(fmt.Sprintf("traffic: flow rate must be positive, got %g", spec.Rate))
 	}
-	d, sched := g.ingress(spec.Src)
+	d, sched := g.ingress(spec.Src), g.fab.Sched()
 	pkt := spec.packet()
 	text := pkt.Flow().AppendTo(nil)
 	rng := g.stream()
@@ -192,21 +180,20 @@ func (g *Generator) StartFlow(spec FlowSpec) (stop func()) {
 		if stopped {
 			return
 		}
-		g.inject(d, sched, &pkt, text)
+		g.inject(d, &pkt, text)
 		schedule(0.5 + rng.float64())
 	}
 	schedule(rng.float64()) // random start phase
 	return func() { stopped = true }
 }
 
-// Burst sends n packets of the flow immediately (driving goroutine,
-// between runs).
+// Burst sends n packets of the flow immediately.
 func (g *Generator) Burst(spec FlowSpec, n int) {
-	d, sched := g.ingress(spec.Src)
+	d := g.ingress(spec.Src)
 	pkt := spec.packet()
 	text := pkt.Flow().AppendTo(nil)
 	for i := 0; i < n; i++ {
-		g.inject(d, sched, &pkt, text)
+		g.inject(d, &pkt, text)
 	}
 }
 
@@ -215,7 +202,7 @@ func (g *Generator) Burst(spec FlowSpec, n int) {
 // stream is a splitmix64 generator seeded per flow with
 // bulkMix(seed, flow index) — the same pure-function construction
 // BulkWorkload uses for its heavy sets. State is owned by the flow's
-// closure on its home shard; nothing is shared.
+// closure; nothing is shared.
 type stream struct{ state uint64 }
 
 func (s *stream) next() uint64 {
@@ -246,12 +233,10 @@ const (
 )
 
 // ingressDigest accumulates one leaf's emission digest and its count of
-// packets the fabric refused. Padded to a cache line: cells are written
-// concurrently by different shards and must not false-share.
+// packets the fabric refused.
 type ingressDigest struct {
 	h        uint64
 	rejected uint64
-	_        [48]byte
 }
 
 // fold adds one emission: its time, the packet's flow text, size, flags
@@ -305,17 +290,17 @@ func (g *Generator) SYNFlood(target netip.Addr, nSources int, rate float64) (sto
 // PortScan probes sequential destination ports on target from src. The
 // scan ticks on src's ingress leaf.
 func (g *Generator) PortScan(src, target netip.Addr, portsPerSec float64) (stop func()) {
-	d, sched := g.ingress(src)
+	d := g.ingress(src)
 	next := uint16(1)
 	interval := time.Duration(float64(time.Second) / portsPerSec)
-	tk := sched.Every(interval, func() {
+	tk := g.fab.Sched().Every(interval, func() {
 		p := dataplane.Packet{
 			SrcIP: src, DstIP: target,
 			SrcPort: 40000, DstPort: next,
 			Proto: dataplane.ProtoTCP, Flags: dataplane.FlagSYN, Size: 60,
 		}
 		var text [dataplane.FlowTextCap]byte
-		g.inject(d, sched, &p, p.Flow().AppendTo(text[:0]))
+		g.inject(d, &p, p.Flow().AppendTo(text[:0]))
 		next++
 		if next == 0 {
 			next = 1
@@ -338,11 +323,11 @@ func (g *Generator) SuperSpreader(src netip.Addr, fanout int, rate float64) (sto
 			break
 		}
 	}
-	d, sched := g.ingress(src)
+	d := g.ingress(src)
 	rng := g.stream()
 	i := 0
 	interval := time.Duration(float64(time.Second) / rate)
-	tk := sched.Every(interval, func() {
+	tk := g.fab.Sched().Every(interval, func() {
 		// Random destination order: real spreaders do not round-robin
 		// in lockstep with samplers.
 		dst := dsts[rng.intn(len(dsts))]
@@ -352,7 +337,7 @@ func (g *Generator) SuperSpreader(src netip.Addr, fanout int, rate float64) (sto
 			Proto: dataplane.ProtoTCP, Flags: dataplane.FlagSYN, Size: 60,
 		}
 		var text [dataplane.FlowTextCap]byte
-		g.inject(d, sched, &p, p.Flow().AppendTo(text[:0]))
+		g.inject(d, &p, p.Flow().AppendTo(text[:0]))
 		i++
 	})
 	return tk.Stop
@@ -441,10 +426,9 @@ type PortLoad struct {
 // observations (1-10% of ports heavy, ratio changing up to once a
 // minute).
 //
-// The workload is shard-safe: each switch's ports are credited by a
-// ticker on that switch's home shard, and the heavy set for a churn
-// epoch is a pure function of (seed, epoch) — a seeded ranking every
-// switch recomputes locally — so no shard reads state another mutates.
+// Each switch's ports are credited by a ticker of its own, and the heavy
+// set for a churn epoch is a pure function of (seed, epoch) — a seeded
+// ranking every switch recomputes locally.
 type BulkWorkload struct {
 	fab *fabric.Fabric
 
@@ -462,8 +446,7 @@ type BulkWorkload struct {
 	tickers  []engine.Ticker
 }
 
-// bulkSwitch is the per-switch slice of a BulkWorkload, owned by the
-// switch's home shard.
+// bulkSwitch is the per-switch slice of a BulkWorkload.
 type bulkSwitch struct {
 	id    netmodel.SwitchID
 	idx   []int  // global port indices driven on this switch
@@ -522,10 +505,10 @@ func NewBulkWorkload(fab *fabric.Fabric, cfg BulkConfig) *BulkWorkload {
 	}
 	sort.Slice(w.switches, func(i, j int) bool { return w.switches[i].id < w.switches[j].id })
 
-	epoch := w.epochAt(fab.Sched().Now())
+	sched := fab.Sched()
+	epoch := w.epochAt(sched.Now())
 	for _, bs := range w.switches {
 		bs := bs
-		sched := fab.SchedulerFor(bs.id)
 		bs.heavy = w.heavyFor(bs, epoch)
 		w.tickers = append(w.tickers, sched.Every(cfg.Tick, func() { w.tick(bs) }))
 		if cfg.Churn > 0 {
@@ -560,7 +543,7 @@ func bulkMix(h, v uint64) uint64 {
 
 // heavyMask returns the heavy port set of an epoch, indexed by global
 // port: the ratio*n lowest-ranked ports under a (seed, epoch)-keyed hash,
-// ties broken by index. It is a pure function, so every shard (and
+// ties broken by index. It is a pure function, so every switch (and
 // HeavyPorts) derives the same set without shared state. Each port is
 // hashed once; the cut is the rank-th smallest key, found by selection on
 // a scratch copy instead of sorting the ports.

@@ -89,7 +89,7 @@ func TestBurst(t *testing.T) {
 
 // A mistyped address must be visible: the fabric refuses the packets
 // and the generator counts them, whether the bad end is the source
-// (no leaf, ticks on the central shard) or the destination.
+// (no leaf, so no digest cell) or the destination.
 func TestRejectedInjectionsAreCounted(t *testing.T) {
 	fab := testFabric(t, 1, 2, 1)
 	g := NewGenerator(fab, 1)
