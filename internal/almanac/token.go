@@ -182,9 +182,6 @@ func (t Token) String() string {
 	return fmt.Sprintf("%q", t.Text)
 }
 
-// Pos renders the token's position for error messages.
-func (t Token) Pos() string { return fmt.Sprintf("%d:%d", t.Line, t.Col) }
-
 // SyntaxError is a lexing or parsing error with position information.
 type SyntaxError struct {
 	Line, Col int

@@ -16,27 +16,19 @@ import (
 	"farm/internal/dataplane"
 	"farm/internal/engine"
 	"farm/internal/fabric"
-	"farm/internal/metrics"
 	"farm/internal/netmodel"
 )
 
 // Config parameterizes the deployment.
 type Config struct {
 	// PollInterval is the agents' counter-export period (the paper runs
-	// 1 ms to match FARM's responsiveness, and 10 ms to reduce load).
+	// 1 ms to match FARM's responsiveness, and 10 ms to reduce load). It
+	// is also the collector's analysis period: detection happens at
+	// analysis boundaries.
 	PollInterval time.Duration
-	// SampleOneInN enables 1-in-N packet sampling when > 0.
+	// SampleOneInN enables 1-in-N packet sampling when > 0; each sample
+	// crosses to the collector as one datagram.
 	SampleOneInN int
-	// AnalysisInterval is the collector's processing period; detection
-	// happens at analysis boundaries. 0 means PollInterval.
-	AnalysisInterval time.Duration
-	// SampleExportBatch coalesces this many packet samples into one
-	// datagram toward the collector (0 or 1 = one datagram per sample,
-	// the classic behavior). The same total sample bytes cross the
-	// collection network in fewer, larger packets; partial batches are
-	// flushed on the poll tick, so no sample lingers longer than one
-	// PollInterval.
-	SampleExportBatch int
 	// HHThresholdBytesPerSec classifies a port as a heavy hitter.
 	HHThresholdBytesPerSec float64
 }
@@ -81,9 +73,6 @@ const counterExportBytes = 88
 
 // Deploy installs agents on every switch and starts the collector.
 func Deploy(fab *fabric.Fabric, cfg Config) *System {
-	if cfg.AnalysisInterval == 0 {
-		cfg.AnalysisInterval = cfg.PollInterval
-	}
 	s := &System{
 		fab:          fab,
 		sched:        fab.Sched(),
@@ -118,38 +107,15 @@ func Deploy(fab *fabric.Fabric, cfg Config) *System {
 		})
 		s.tickers = append(s.tickers, tk)
 		if cfg.SampleOneInN > 0 {
-			batch := cfg.SampleExportBatch
-			if batch < 1 {
-				batch = 1
-			}
-			// Per-switch pending batch, filled by the sampler callback and
-			// flushed by the ticker; only the shipped datagram crosses to
-			// the collector.
-			pendBytes, pendCount := 0, 0
-			ship := func() {
-				if pendCount == 0 {
-					return
-				}
-				n, size := uint64(pendCount), pendBytes
-				pendBytes, pendCount = 0, 0
-				fab.SendToCentral(swID, size, func() { s.samplesRecv += n })
-			}
 			stop := drv.StartSampling(dataplane.Filter{}, cfg.SampleOneInN, func(p dataplane.Packet) {
 				cpu.Charge(costs.SampleProcess)
-				pendBytes += sampleBytes(p)
-				pendCount++
-				if pendCount >= batch {
-					ship()
-				}
+				fab.SendToCentral(swID, sampleBytes(p), func() { s.samplesRecv++ })
 			})
-			if batch > 1 {
-				s.tickers = append(s.tickers, s.sched.Every(cfg.PollInterval, ship))
-			}
 			s.stopSamplers = append(s.stopSamplers, stop)
 		}
 	}
 	// Collector analysis loop.
-	s.tickers = append(s.tickers, s.sched.Every(cfg.AnalysisInterval, s.analyze))
+	s.tickers = append(s.tickers, s.sched.Every(cfg.PollInterval, s.analyze))
 	return s
 }
 
@@ -216,9 +182,6 @@ func (s *System) Detections() []Detection { return s.detections }
 
 // SamplesReceived returns how many packet samples reached the collector.
 func (s *System) SamplesReceived() uint64 { return s.samplesRecv }
-
-// CentralTraffic exposes the collector-side network meter.
-func (s *System) CentralTraffic() *metrics.NetMeter { return s.fab.CentralNet }
 
 // Stop halts agents and collector.
 func (s *System) Stop() {

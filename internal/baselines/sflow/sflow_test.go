@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"farm/internal/dataplane"
 	"farm/internal/engine"
 	"farm/internal/fabric"
 	"farm/internal/netmodel"
@@ -130,50 +131,12 @@ func TestDetectionLatencyBoundedByIntervals(t *testing.T) {
 	}
 }
 
-// TestSampleExportBatching pins the batched export lane: the collector
-// receives the same samples and the same total sample bytes whether
-// datagrams carry 1 or 8 samples — only the datagram count shrinks.
-func TestSampleExportBatching(t *testing.T) {
-	run := func(batch int) (samples, packets, bytes uint64) {
-		fab := testFabric(t, 2, 2)
-		sys := Deploy(fab, Config{
-			PollInterval:           100 * time.Millisecond,
-			SampleOneInN:           10,
-			SampleExportBatch:      batch,
-			HHThresholdBytesPerSec: 1e12,
-		})
-		defer sys.Stop()
-		g := traffic.NewGenerator(fab, 3)
-		stop := g.StartFlow(traffic.FlowSpec{
-			Src: fabric.HostIP(0, 0), Dst: fabric.HostIP(1, 0),
-			SrcPort: 1, DstPort: 80, Proto: 6, PacketSize: 500, Rate: 2000,
-		})
-		fab.Sched().RunFor(500 * time.Millisecond)
-		stop()
-		// One more poll period so partial batches flush and land.
-		fab.Sched().RunFor(200 * time.Millisecond)
-		return sys.SamplesReceived(), fab.CentralNet.Packets(), fab.CentralNet.Bytes()
-	}
-	s1, p1, b1 := run(1)
-	s8, p8, b8 := run(8)
-	if s1 == 0 {
-		t.Fatal("no samples reached the collector")
-	}
-	if s8 != s1 {
-		t.Fatalf("samples received: batch-8 %d vs batch-1 %d", s8, s1)
-	}
-	if b8 != b1 {
-		t.Fatalf("central bytes: batch-8 %d vs batch-1 %d", b8, b1)
-	}
-	if p8 >= p1 {
-		t.Fatalf("central packets: batch-8 %d not below batch-1 %d", p8, p1)
-	}
-}
-
 func TestPacketSamplingForwardsToCollector(t *testing.T) {
 	fab := testFabric(t, 2, 2)
+	// A poll period past the run keeps counter exports off the central
+	// links, so everything metered there is sample traffic.
 	sys := Deploy(fab, Config{
-		PollInterval:           100 * time.Millisecond,
+		PollInterval:           time.Second,
 		SampleOneInN:           10,
 		HHThresholdBytesPerSec: 1e12,
 	})
@@ -183,14 +146,25 @@ func TestPacketSamplingForwardsToCollector(t *testing.T) {
 		Src: fabric.HostIP(0, 0), Dst: fabric.HostIP(1, 0),
 		SrcPort: 1, DstPort: 80, Proto: 6, PacketSize: 500, Rate: 2000,
 	})
-	defer stop()
 	fab.Sched().RunFor(500 * time.Millisecond)
-	if sys.SamplesReceived() == 0 {
+	stop()
+	// Let the samples in flight land.
+	fab.Sched().RunFor(10 * time.Millisecond)
+	got := sys.SamplesReceived()
+	if got == 0 {
 		t.Fatal("no samples reached the collector")
 	}
 	// ~1000 packets, 1-in-10 sampling, 3 switches on the path: within
 	// a loose band (bus backlog may drop some).
-	if sys.SamplesReceived() > 400 {
-		t.Fatalf("samples = %d, sampling rate not applied", sys.SamplesReceived())
+	if got > 400 {
+		t.Fatalf("samples = %d, sampling rate not applied", got)
+	}
+	// Each received sample crossed as one datagram of sampleBytes.
+	if pkts := fab.CentralNet.Packets(); pkts != got {
+		t.Fatalf("central packets = %d, want one per sample (%d)", pkts, got)
+	}
+	want := got * uint64(sampleBytes(dataplane.Packet{Size: 500}))
+	if bytes := fab.CentralNet.Bytes(); bytes != want {
+		t.Fatalf("central bytes = %d, want %d", bytes, want)
 	}
 }

@@ -38,9 +38,6 @@ type KeyFunc func(p dataplane.Packet, inPort int) string
 // KeyByDstIP groups by destination address (classic HH query).
 func KeyByDstIP(p dataplane.Packet, _ int) string { return p.DstIP.String() }
 
-// KeyBySrcIP groups by source address (super-spreader style).
-func KeyBySrcIP(p dataplane.Packet, _ int) string { return p.SrcIP.String() }
-
 // KeyByInPort groups by ingress port (port-level HH, comparable to
 // FARM's HH seed).
 func KeyByInPort(_ dataplane.Packet, inPort int) string {
@@ -86,21 +83,19 @@ type Query struct {
 
 // Config tunes the system-level behaviour.
 type Config struct {
-	// BatchDelay models the stream processor's micro-batch scheduling
-	// and computation time; results of a window surface this long after
-	// the window closes. 0 means DefaultBatchDelay.
-	BatchDelay time.Duration
 	// AggregationFactor is the fraction of raw records the data-plane
 	// reduction eliminates before export (the paper grants Sonata 75%,
 	// the best achievable with the HH ratio changing once a minute).
 	AggregationFactor float64
-	// RecordBytes is the export size per surviving record; 0 means 64.
-	RecordBytes int
 }
 
 // DefaultBatchDelay approximates Spark Streaming micro-batch scheduling
-// plus query execution on the paper's collector hardware.
+// plus query execution on the paper's collector hardware: results of a
+// window surface this long after the window's export lands.
 const DefaultBatchDelay = 400 * time.Millisecond
+
+// recordBytes is the export size per surviving record.
+const recordBytes = 64
 
 // Detection is one `having` match emitted by the stream processor.
 type Detection struct {
@@ -130,8 +125,6 @@ type System struct {
 	// keyScratch is the stream processor's reusable sort buffer: the
 	// per-window key sort stops allocating once it has grown.
 	keyScratch []string
-	// exported counts records shipped to the stream processor.
-	exported uint64
 }
 
 // Deploy installs the queries on every switch.
@@ -141,12 +134,6 @@ type System struct {
 // its state is only a per-key aggregate, flushed at window boundaries
 // to the central processor over the collection network.
 func Deploy(fab *fabric.Fabric, queries []Query, cfg Config) *System {
-	if cfg.BatchDelay == 0 {
-		cfg.BatchDelay = DefaultBatchDelay
-	}
-	if cfg.RecordBytes == 0 {
-		cfg.RecordBytes = 64
-	}
 	s := &System{
 		fab:   fab,
 		sched: fab.Sched(),
@@ -177,22 +164,9 @@ func Deploy(fab *fabric.Fabric, queries []Query, cfg Config) *System {
 				if len(agg) == 0 {
 					return
 				}
-				// Export surviving records to the stream processor.
-				records := len(agg)
-				exported := int(float64(records)*(1-cfg.AggregationFactor) + 0.999)
-				if exported < 1 {
-					exported = 1
-				}
-				s.exported += uint64(records)
-				size := exported * cfg.RecordBytes
 				batch := agg
 				agg = map[string]float64{}
-				fab.SendToCentral(swID, size, func() {
-					// Micro-batch processing delay before results.
-					s.sched.After(cfg.BatchDelay, func() {
-						s.processBatch(q, swID, batch)
-					})
-				})
+				s.export(q, swID, batch)
 			})
 			s.tickers = append(s.tickers, tk)
 		}
@@ -209,17 +183,23 @@ func (s *System) IngestCounterWindow(q Query, sw netmodel.SwitchID, portBytes ma
 	for port, bytes := range portBytes {
 		batch[portKey(port)] = bytes
 	}
-	records := len(batch)
-	if records == 0 {
+	if len(batch) == 0 {
 		return
 	}
-	exported := int(float64(records)*(1-s.cfg.AggregationFactor) + 0.999)
+	s.export(q, sw, batch)
+}
+
+// export ships one window's records from sw to the stream processor:
+// the records that survive the data-plane aggregation factor cross the
+// collection network, and the micro-batch processes the batch
+// DefaultBatchDelay after it lands.
+func (s *System) export(q Query, sw netmodel.SwitchID, batch map[string]float64) {
+	exported := int(float64(len(batch))*(1-s.cfg.AggregationFactor) + 0.999)
 	if exported < 1 {
 		exported = 1
 	}
-	s.exported += uint64(records)
-	s.fab.SendToCentral(sw, exported*s.cfg.RecordBytes, func() {
-		s.sched.After(s.cfg.BatchDelay, func() {
+	s.fab.SendToCentral(sw, exported*recordBytes, func() {
+		s.sched.After(DefaultBatchDelay, func() {
 			s.processBatch(q, sw, batch)
 		})
 	})
@@ -252,10 +232,6 @@ func (s *System) processBatch(q Query, sw netmodel.SwitchID, batch map[string]fl
 
 // Detections returns all having-matches so far.
 func (s *System) Detections() []Detection { return s.detections }
-
-// RecordsAggregated returns the raw record count reduced in the data
-// plane (before the aggregation factor was applied for export).
-func (s *System) RecordsAggregated() uint64 { return s.exported }
 
 // Stop halts the deployment.
 func (s *System) Stop() {

@@ -210,11 +210,3 @@ type CacheStats struct {
 	Hits   uint64
 	Misses uint64
 }
-
-// HitRate returns Hits / (Hits + Misses), or 0 before any probe.
-func (c CacheStats) HitRate() float64 {
-	if c.Hits+c.Misses == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(c.Hits+c.Misses)
-}

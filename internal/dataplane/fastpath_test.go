@@ -6,6 +6,39 @@ import (
 	"testing"
 )
 
+// Lookup returns the highest-priority matching rule for the packet,
+// resolved through the bucketed rule index the switch classifies with,
+// and counts the match.
+func (t *TCAM) Lookup(p Packet, inPort int) (Rule, bool) {
+	e := t.index.lookup(&p, inPort)
+	if e == nil {
+		return Rule{}, false
+	}
+	e.stats.Packets++
+	e.stats.Bytes += uint64(p.Size)
+	return e.rule, true
+}
+
+// lookupReference is a non-mutating linear scan that validates Lookup's
+// priority semantics.
+func (t *TCAM) lookupReference(p Packet, inPort int) (Rule, bool) {
+	best := -1
+	for i, e := range t.entries {
+		if !e.rule.Filter.Match(&p, inPort) {
+			continue
+		}
+		if best == -1 ||
+			e.rule.Priority > t.entries[best].rule.Priority ||
+			(e.rule.Priority == t.entries[best].rule.Priority && e.seq < t.entries[best].seq) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return Rule{}, false
+	}
+	return t.entries[best].rule, true
+}
+
 // genFilter draws a filter from a small structured pool so that every
 // index bucket kind (dport/proto/inport/wildcard), replacement (filter
 // collisions) and priority ties all occur frequently.

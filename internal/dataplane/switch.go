@@ -189,38 +189,6 @@ func (t *TCAM) StatsMatching(f Filter) RuleStats {
 	return agg
 }
 
-// Lookup returns the highest-priority matching rule for the packet,
-// resolved through the bucketed rule index, and counts the match.
-func (t *TCAM) Lookup(p Packet, inPort int) (Rule, bool) {
-	e := t.index.lookup(&p, inPort)
-	if e == nil {
-		return Rule{}, false
-	}
-	e.stats.Packets++
-	e.stats.Bytes += uint64(p.Size)
-	return e.rule, true
-}
-
-// lookupReference is a non-mutating linear scan used by property tests
-// to validate Lookup's priority semantics.
-func (t *TCAM) lookupReference(p Packet, inPort int) (Rule, bool) {
-	best := -1
-	for i, e := range t.entries {
-		if !e.rule.Filter.Match(&p, inPort) {
-			continue
-		}
-		if best == -1 ||
-			e.rule.Priority > t.entries[best].rule.Priority ||
-			(e.rule.Priority == t.entries[best].rule.Priority && e.seq < t.entries[best].seq) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Rule{}, false
-	}
-	return t.entries[best].rule, true
-}
-
 // PortStats are per-port traffic counters.
 type PortStats struct {
 	RxPackets uint64

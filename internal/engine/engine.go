@@ -75,71 +75,3 @@ type Scheduler interface {
 	// number of events processed.
 	Drain(limit int) int
 }
-
-// ticker is the engine-generic Ticker: it re-arms itself through any
-// Scheduler, allocating a fresh event and Timer handle per firing.
-// Schedulers on the timing wheel get the zero-alloc queueTicker fast
-// path instead (wheel.go); this implementation remains for foreign
-// Scheduler implementations and for the tests' reference scheduler.
-type ticker struct {
-	s        Scheduler
-	interval time.Duration
-	fn       func()
-	fire     func() // the re-arming callback, built once so periodic re-arms don't allocate a closure per firing
-	timer    Timer
-	stopped  bool
-	firing   bool
-}
-
-// EveryOn implements Scheduler.Every over any Scheduler.
-func EveryOn(s Scheduler, interval time.Duration, fn func()) Ticker {
-	if interval <= 0 {
-		panic("engine: non-positive ticker interval")
-	}
-	if o, ok := s.(queueOwner); ok {
-		return newQueueTicker(o, interval, fn)
-	}
-	t := &ticker{s: s, interval: interval, fn: fn}
-	t.fire = func() {
-		if t.stopped {
-			return
-		}
-		t.firing = true
-		t.fn()
-		t.firing = false
-		if !t.stopped {
-			t.arm()
-		}
-	}
-	t.arm()
-	return t
-}
-
-func (t *ticker) arm() {
-	t.timer = t.s.After(t.interval, t.fire)
-}
-
-func (t *ticker) Stop() {
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	t.timer.Stop()
-}
-
-func (t *ticker) Interval() time.Duration { return t.interval }
-
-func (t *ticker) SetInterval(interval time.Duration) {
-	if interval <= 0 {
-		panic("engine: non-positive ticker interval")
-	}
-	t.interval = interval
-	if t.stopped || t.firing {
-		// Inside our own callback the fire epilogue re-arms with the
-		// new interval; arming here too would leave two live timers
-		// ticking the same callback.
-		return
-	}
-	t.timer.Stop()
-	t.arm()
-}

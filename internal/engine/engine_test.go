@@ -8,7 +8,7 @@ import (
 
 // heapSched is the reference scheduler the timing wheel is checked
 // against: a plain container/heap of unpooled events with its own clock,
-// tickers from EveryOn's generic re-arm path, and cancelled events
+// tickers from the generic re-arm ticker below, and cancelled events
 // dropped only when they reach the head.
 type heapSched struct {
 	now  time.Duration
@@ -50,7 +50,7 @@ func (s *heapSched) At(at time.Duration, fn func()) Timer {
 func (s *heapSched) After(d time.Duration, fn func()) Timer { return s.At(s.now+d, fn) }
 
 func (s *heapSched) Every(interval time.Duration, fn func()) Ticker {
-	return EveryOn(s, interval, fn)
+	return newTicker(s, interval, fn)
 }
 
 // head drops cancelled events off the top and returns the earliest live
@@ -326,4 +326,67 @@ func TestEveryPanicsOnBadInterval(t *testing.T) {
 		}()
 		l.Every(0, func() {})
 	})
+}
+
+// ticker is heapSched's Ticker: it re-arms itself through the
+// scheduler's After, allocating a fresh event and Timer handle per
+// firing. Serial's queueTicker (wheel.go) re-arms one held event in
+// place and must fire in the same order.
+type ticker struct {
+	s        Scheduler
+	interval time.Duration
+	fn       func()
+	fire     func() // the re-arming callback, built once so periodic re-arms don't allocate a closure per firing
+	timer    Timer
+	stopped  bool
+	firing   bool
+}
+
+func newTicker(s Scheduler, interval time.Duration, fn func()) *ticker {
+	if interval <= 0 {
+		panic("engine: non-positive ticker interval")
+	}
+	t := &ticker{s: s, interval: interval, fn: fn}
+	t.fire = func() {
+		if t.stopped {
+			return
+		}
+		t.firing = true
+		t.fn()
+		t.firing = false
+		if !t.stopped {
+			t.arm()
+		}
+	}
+	t.arm()
+	return t
+}
+
+func (t *ticker) arm() {
+	t.timer = t.s.After(t.interval, t.fire)
+}
+
+func (t *ticker) Stop() {
+	if t.stopped {
+		return
+	}
+	t.stopped = true
+	t.timer.Stop()
+}
+
+func (t *ticker) Interval() time.Duration { return t.interval }
+
+func (t *ticker) SetInterval(interval time.Duration) {
+	if interval <= 0 {
+		panic("engine: non-positive ticker interval")
+	}
+	t.interval = interval
+	if t.stopped || t.firing {
+		// Inside our own callback the fire epilogue re-arms with the
+		// new interval; arming here too would leave two live timers
+		// ticking the same callback.
+		return
+	}
+	t.timer.Stop()
+	t.arm()
 }

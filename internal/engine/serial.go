@@ -80,11 +80,11 @@ func (l *Serial) schedule(d time.Duration, fn func()) {
 
 // Every implements Scheduler.
 func (l *Serial) Every(interval time.Duration, fn func()) Ticker {
-	return EveryOn(l, interval, fn)
+	if interval <= 0 {
+		panic("engine: non-positive ticker interval")
+	}
+	return newQueueTicker(l, interval, fn)
 }
-
-// queue implements queueOwner for the ticker fast path.
-func (l *Serial) queue() *eventQueue { return &l.q }
 
 // Step runs the earliest pending event, advancing virtual time to it.
 // It reports whether an event ran. The clock only moves forward: under

@@ -498,20 +498,13 @@ func (h *eventHeap) Pop() any {
 	return ev
 }
 
-// queueOwner is implemented by schedulers whose pending events live in
-// an eventQueue — the serial engine, and RealTime through it. EveryOn
-// routes Ticker construction through it onto the zero-alloc fast path.
-type queueOwner interface {
-	Scheduler
-	queue() *eventQueue
-}
-
-// queueTicker is the fast-path Ticker: one event object and one closure
-// for the ticker's lifetime, re-armed in place with a fresh (at, seq)
-// after each firing. Steady state allocates nothing — the generic
-// re-arm ticker allocates an event and a Timer handle per firing.
+// queueTicker is Serial's Ticker: one event object and one closure for
+// the ticker's lifetime, re-armed in place with a fresh (at, seq) after
+// each firing. Steady state allocates nothing — the generic re-arm
+// ticker the tests' heap scheduler uses allocates an event and a Timer
+// handle per firing.
 type queueTicker struct {
-	o        queueOwner
+	l        *Serial
 	ev       *event
 	fire     func()
 	interval time.Duration
@@ -519,17 +512,17 @@ type queueTicker struct {
 	stopped  bool
 }
 
-func newQueueTicker(o queueOwner, interval time.Duration, fn func()) *queueTicker {
-	t := &queueTicker{o: o, interval: interval, fn: fn}
+func newQueueTicker(l *Serial, interval time.Duration, fn func()) *queueTicker {
+	t := &queueTicker{l: l, interval: interval, fn: fn}
 	t.fire = func() {
 		// Run the callback before re-arming, like the generic ticker:
 		// events the callback schedules take their sequence numbers
 		// first, so the FIFO order among simultaneous events is
 		// bit-identical to the allocate-per-fire implementation.
 		t.fn()
-		q := t.o.queue()
+		q := &t.l.q
 		if !t.stopped {
-			q.rearm(t.ev, t.o.Now()+t.interval)
+			q.rearm(t.ev, t.l.now+t.interval)
 		} else if ev := t.ev; ev != nil {
 			// Stopped from inside its own callback: the held event is
 			// in flight, so the epilogue hands it back to the pool.
@@ -538,8 +531,8 @@ func newQueueTicker(o queueOwner, interval time.Duration, fn func()) *queueTicke
 			q.release(ev)
 		}
 	}
-	q := o.queue()
-	ev := q.alloc(o.Now()+interval, t.fire)
+	q := &l.q
+	ev := q.alloc(l.now+interval, t.fire)
 	ev.held = true
 	q.enqueue(ev)
 	t.ev = ev
@@ -556,7 +549,7 @@ func (t *queueTicker) Stop() {
 		// event lazily (pop or compaction).
 		t.ev = nil
 		ev.held = false
-		t.o.queue().stop(ev)
+		t.l.q.stop(ev)
 	}
 }
 
@@ -577,10 +570,10 @@ func (t *queueTicker) SetInterval(interval time.Duration) {
 		// a new sequence number — the same ordering the generic
 		// ticker's Stop+After produced, so an event already scheduled
 		// at the same instant still fires first.
-		q := t.o.queue()
+		q := &t.l.q
 		ev.held = false
 		q.stop(ev)
-		nev := q.alloc(t.o.Now()+interval, t.fire)
+		nev := q.alloc(t.l.now+interval, t.fire)
 		nev.held = true
 		q.enqueue(nev)
 		t.ev = nev

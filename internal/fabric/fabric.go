@@ -28,28 +28,23 @@ type Options struct {
 	// BusBytesPerSec is the PCIe polling capacity per switch;
 	// 0 means dataplane.DefaultPCIePollBytesPerSec.
 	BusBytesPerSec float64
-	// HopLatency is the per-switch-hop propagation+forwarding delay;
-	// 0 means DefaultHopLatency.
-	HopLatency time.Duration
-	// ControlBaseLatency is the fixed software overhead of any
-	// control-plane message; 0 means DefaultControlBaseLatency.
-	ControlBaseLatency time.Duration
-	// CPUCores is the management CPU core count per switch; 0 means 4.
-	CPUCores float64
-	// Costs is the CPU cost model; the zero value means
-	// metrics.DefaultCostModel().
-	Costs metrics.CostModel
-	// CentralAt is the switch the centralized components (seeder,
-	// harvesters, collectors) attach behind. Defaults to switch 0
-	// (a spine under the SpineLeaf builder).
-	CentralAt netmodel.SwitchID
 }
 
-// Default latency constants for an intra-DC fabric.
+// Default latency constants for an intra-DC fabric: the per-switch-hop
+// propagation+forwarding delay, and the fixed software overhead of any
+// control-plane message.
 const (
 	DefaultHopLatency         = 50 * time.Microsecond
 	DefaultControlBaseLatency = 100 * time.Microsecond
 )
+
+// cpuCores is the management CPU core count per switch.
+const cpuCores = 4
+
+// centralAt is the switch the centralized components (seeder,
+// harvesters, collectors) attach behind: switch 0, a spine under the
+// SpineLeaf builder.
+const centralAt netmodel.SwitchID = 0
 
 // Fabric is the assembled emulated data center. It is a snapshot of
 // the topology's switches, links and hosts at New; the per-switch
@@ -57,7 +52,6 @@ const (
 type Fabric struct {
 	topo  *netmodel.Topology
 	sched engine.Scheduler
-	opts  Options
 	costs metrics.CostModel
 
 	switches []*dataplane.Switch
@@ -73,7 +67,7 @@ type Fabric struct {
 	// collector-bottleneck measurement of Fig. 4.
 	CentralNet *metrics.NetMeter
 
-	hopDist []int // hops to CentralAt, -1 = unreachable
+	hopDist []int // hops to centralAt, -1 = unreachable
 
 	// delivered and dropped count packets that reached their last hop
 	// and packets a TCAM rule dropped en route; free holds the hop
@@ -85,24 +79,11 @@ type Fabric struct {
 
 // New assembles a fabric over the topology, scheduling onto sched.
 func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric {
-	if opts.HopLatency == 0 {
-		opts.HopLatency = DefaultHopLatency
-	}
-	if opts.ControlBaseLatency == 0 {
-		opts.ControlBaseLatency = DefaultControlBaseLatency
-	}
-	if opts.CPUCores == 0 {
-		opts.CPUCores = 4
-	}
-	if opts.Costs == (metrics.CostModel{}) {
-		opts.Costs = metrics.DefaultCostModel()
-	}
 	n := topo.NumSwitches()
 	f := &Fabric{
 		topo:       topo,
 		sched:      sched,
-		opts:       opts,
-		costs:      opts.Costs,
+		costs:      metrics.DefaultCostModel(),
 		switches:   make([]*dataplane.Switch, n),
 		drivers:    make([]*dataplane.EmuDriver, n),
 		cpus:       make([]*metrics.CPUMeter, n),
@@ -142,15 +123,15 @@ func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric 
 		f.switches[sw.ID] = ds
 		bus := dataplane.NewBus(sched, opts.BusBytesPerSec)
 		f.drivers[sw.ID] = dataplane.NewEmuDriver(ds, bus)
-		f.cpus[sw.ID] = metrics.NewCPUMeter(sched, opts.CPUCores)
+		f.cpus[sw.ID] = metrics.NewCPUMeter(sched, cpuCores)
 	}
 
 	// BFS hop distance to the central attachment point.
 	for i := range f.hopDist {
 		f.hopDist[i] = -1
 	}
-	f.hopDist[opts.CentralAt] = 0
-	queue := []netmodel.SwitchID{opts.CentralAt}
+	f.hopDist[centralAt] = 0
+	queue := []netmodel.SwitchID{centralAt}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
@@ -326,7 +307,7 @@ func (h *hop) step() {
 		f.delivered++
 	default:
 		h.i = i + 1
-		engine.ScheduleOn(f.sched, f.opts.HopLatency, h.fire)
+		engine.ScheduleOn(f.sched, DefaultHopLatency, h.fire)
 		return
 	}
 	h.path = nil // don't pin a dropped path table
@@ -353,21 +334,21 @@ func (f *Fabric) ControlLatency(from netmodel.SwitchID) time.Duration {
 	if hops < 0 {
 		hops = 3
 	}
-	return f.opts.ControlBaseLatency + time.Duration(hops)*f.opts.HopLatency
+	return DefaultControlBaseLatency + time.Duration(hops)*DefaultHopLatency
 }
 
 // SwitchLatency returns the one-way control-plane latency between two
 // switch CPUs.
 func (f *Fabric) SwitchLatency(a, b netmodel.SwitchID) time.Duration {
 	if a == b {
-		return f.opts.ControlBaseLatency / 2
+		return DefaultControlBaseLatency / 2
 	}
 	paths := f.topo.Paths(a, b)
 	hops := 3
 	if len(paths) > 0 {
 		hops = len(paths[0]) - 1
 	}
-	return f.opts.ControlBaseLatency + time.Duration(hops)*f.opts.HopLatency
+	return DefaultControlBaseLatency + time.Duration(hops)*DefaultHopLatency
 }
 
 // MTU is the payload capacity used to convert message sizes into

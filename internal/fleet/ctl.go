@@ -201,26 +201,24 @@ func ListBuiltins(w io.Writer) {
 
 // RunOptions shapes RunTask's one-shot fabric.
 type RunOptions struct {
-	Leaves  int // leaf switches (default 4)
-	Seconds int // simulated seconds (default 2)
+	Leaves  int // leaf switches, at least 1
+	Seconds int // simulated seconds, at least 1
 	Seed    int64
-	// MaxPrinted caps the harvester reports echoed to w (default 10).
-	MaxPrinted int
 }
+
+// runMaxPrinted caps the harvester reports RunTask echoes to w.
+const runMaxPrinted = 10
 
 // RunTask deploys one catalogue task on a fresh virtual-time fabric
 // with a mixed workload cocktail and runs it for the configured
 // simulated time — farmctl's offline `run` mode, sharing the catalogue
 // and deployment path with the daemon.
 func RunTask(w io.Writer, taskName string, opts RunOptions) error {
-	if opts.Leaves == 0 {
-		opts.Leaves = 4
+	if opts.Leaves < 1 {
+		return fmt.Errorf("run: leaves must be at least 1, got %d", opts.Leaves)
 	}
-	if opts.Seconds == 0 {
-		opts.Seconds = 2
-	}
-	if opts.MaxPrinted == 0 {
-		opts.MaxPrinted = 10
+	if opts.Seconds < 1 {
+		return fmt.Errorf("run: seconds must be at least 1, got %d", opts.Seconds)
 	}
 	d, err := tasks.ByName(taskName)
 	if err != nil {
@@ -242,7 +240,7 @@ func RunTask(w io.Writer, taskName string, opts RunOptions) error {
 		Harvester: harvest.FuncLogic{
 			Message: func(ctx harvest.Context, from soil.SeedRef, v core.Value) {
 				reports++
-				if reports <= opts.MaxPrinted {
+				if reports <= runMaxPrinted {
 					fmt.Fprintf(w, "[%10v] %s: %s\n", ctx.Now(), from.Switch, core.FormatValue(v))
 				}
 			},

@@ -31,15 +31,12 @@ type SoakConfig struct {
 	// Rounds is the churn rounds per client (default 6): each round
 	// submits every owned task, then retires a round-dependent subset.
 	Rounds int
-	// OpDeadline bounds each SubmitWait/RetireWait retry window across
-	// the leadership gap (default 10s).
-	OpDeadline time.Duration
-	// ReadyBound bounds how long after the leader kill the service may
-	// stay not-ready (default HeartbeatTimeout + 10×interval + 2s
-	// wall-clock slack for the takeover replan).
-	ReadyBound time.Duration
-	Logf       func(format string, args ...any)
+	Logf   func(format string, args ...any)
 }
+
+// soakOpDeadline bounds each SubmitWait/RetireWait retry window across
+// the leadership gap.
+const soakOpDeadline = 10 * time.Second
 
 func (c *SoakConfig) fill() {
 	if c.Clients == 0 {
@@ -47,9 +44,6 @@ func (c *SoakConfig) fill() {
 	}
 	if c.Rounds == 0 {
 		c.Rounds = 6
-	}
-	if c.OpDeadline == 0 {
-		c.OpDeadline = 10 * time.Second
 	}
 	if c.Service.RPCAddr == "" {
 		c.Service.RPCAddr = "127.0.0.1:0"
@@ -199,10 +193,9 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 					return
 				}
 				t0 := time.Now()
-				bound := cfg.ReadyBound
-				if bound == 0 {
-					bound = s.cfg.HeartbeatTimeout + 10*s.cfg.HeartbeatInterval + 2*time.Second
-				}
+				// The takeover's heartbeat timeout and sweeps, plus
+				// wall-clock slack for the takeover replan.
+				bound := s.cfg.HeartbeatTimeout + 10*s.cfg.HeartbeatInterval + 2*time.Second
 				for !s.Ready() {
 					if time.Since(t0) > bound {
 						cfg.Logf("fleet-soak: still not ready after %v", bound)
@@ -232,9 +225,9 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 			if IsRetryable(err) {
 				retried.Add(1)
 				if submit {
-					err = cl.SubmitWait(name, cfg.OpDeadline)
+					err = cl.SubmitWait(name, soakOpDeadline)
 				} else {
-					err = cl.RetireWait(name, cfg.OpDeadline)
+					err = cl.RetireWait(name, soakOpDeadline)
 				}
 			}
 			if err != nil {
@@ -284,7 +277,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	}
 	select {
 	case <-killDone:
-	case <-time.After(cfg.OpDeadline):
+	case <-time.After(soakOpDeadline):
 		return nil, fmt.Errorf("fleet: soak finished without the leader kill completing")
 	}
 

@@ -170,9 +170,6 @@ func (p *Problem) AddIntVar(name string, lb, ub float64) Var {
 	return v
 }
 
-// SetInteger marks an existing variable as integral.
-func (p *Problem) SetInteger(v Var) { p.vars[v].integer = true }
-
 // AddConstraint adds sum(coefs) op rhs. The coefs are copied into the
 // problem's coefficient arena.
 func (p *Problem) AddConstraint(coefs []Coef, op Op, rhs float64) {
@@ -674,8 +671,10 @@ func (t *tableau) pivot(leave, enter int) {
 type MILPOptions struct {
 	Deadline time.Time     // zero: no deadline
 	Timeout  time.Duration // alternative to Deadline; 0: none
-	MaxNodes int           // 0: default 200000
 }
+
+// maxNodes caps the branch & bound search.
+const maxNodes = 200000
 
 // SolveMILP runs branch & bound on the integer-marked variables. If the
 // deadline expires, the best incumbent found so far is returned with
@@ -684,10 +683,6 @@ func (p *Problem) SolveMILP(opts MILPOptions) (*Solution, error) {
 	deadline := opts.Deadline
 	if deadline.IsZero() && opts.Timeout > 0 {
 		deadline = time.Now().Add(opts.Timeout)
-	}
-	maxNodes := opts.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = 200000
 	}
 
 	hasInt := false

@@ -489,12 +489,10 @@ type FatTreeOptions struct {
 	// HostsPerEdge is the number of hosts attached to each edge switch;
 	// it defaults to K/2, the classic fat-tree host fan-out.
 	HostsPerEdge int
-	// EdgeCapacity/AggCapacity/CoreCapacity default to
-	// DefaultLeafCapacity / DefaultSpineCapacity / DefaultCoreCapacity
-	// when nil.
+	// EdgeCapacity/AggCapacity default to DefaultLeafCapacity /
+	// DefaultSpineCapacity when nil. Cores get DefaultCoreCapacity.
 	EdgeCapacity Resources
 	AggCapacity  Resources
-	CoreCapacity Resources
 }
 
 // DefaultCoreCapacity models a core-tier chassis: more management RAM
@@ -532,10 +530,7 @@ func FatTree(opts FatTreeOptions) (*Topology, error) {
 	if aggCap == nil {
 		aggCap = DefaultSpineCapacity()
 	}
-	coreCap := opts.CoreCapacity
-	if coreCap == nil {
-		coreCap = DefaultCoreCapacity()
-	}
+	coreCap := DefaultCoreCapacity()
 	t := New()
 	// Core group g holds cores g*half .. g*half+half-1.
 	cores := make([]SwitchID, half*half)

@@ -14,14 +14,13 @@ import (
 // original, so a write through any alias shows up in reflect.DeepEqual.
 
 type inputSnap struct {
-	Switches      []SwitchInfo
-	Seeds         []seedSnap
-	Current       map[string]Assignment
-	Touched       []netmodel.SwitchID
-	Alpha, MigC   float64
-	Flags         [3]bool
-	Parallel      int
-	FullThreshold float64
+	Switches    []SwitchInfo
+	Seeds       []seedSnap
+	Current     map[string]Assignment
+	Touched     []netmodel.SwitchID
+	Alpha, MigC float64
+	Flags       [3]bool
+	Parallel    int
 }
 
 type seedSnap struct {
@@ -153,7 +152,7 @@ func snapInput(in *Input) inputSnap {
 		Current: clonePlaced(in.Current), Touched: slices.Clone(in.Touched),
 		Alpha: in.AlphaPoll, MigC: in.MigrationCost,
 		Flags:    [3]bool{in.DisableMigration, in.SkipRedistribution, in.ForceFull},
-		Parallel: in.Parallel, FullThreshold: in.FullThreshold,
+		Parallel: in.Parallel,
 	}
 	for _, sw := range in.Switches {
 		s.Switches = append(s.Switches, SwitchInfo{ID: sw.ID, Capacity: sw.Capacity.Clone()})

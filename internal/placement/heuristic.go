@@ -654,7 +654,7 @@ func (st *heurState) pinCurrent() bool {
 			}
 		}
 	}
-	if hadCurrent > 0 && float64(stale)/float64(hadCurrent) > in.fullThreshold() {
+	if hadCurrent > 0 && float64(stale)/float64(hadCurrent) > DefaultFullThreshold {
 		for ti := range st.tasks {
 			st.tasks[ti].pinned = false
 		}

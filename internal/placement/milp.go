@@ -15,8 +15,6 @@ type MILPOptions struct {
 	// Timeout bounds branch & bound (the paper runs Gurobi with 1 s and
 	// 10 min budgets); 0 means no limit.
 	Timeout time.Duration
-	// MaxNodes caps the search; 0 uses the lp package default.
-	MaxNodes int
 }
 
 // MILP solves the placement problem exactly (modulo the time budget)
@@ -192,7 +190,7 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 	}
 
 	prob.SetObjective(obj, 0)
-	sol, err := prob.SolveMILP(lp.MILPOptions{Timeout: opts.Timeout, MaxNodes: opts.MaxNodes})
+	sol, err := prob.SolveMILP(lp.MILPOptions{Timeout: opts.Timeout})
 	if err != nil {
 		return nil, fmt.Errorf("placement: MILP: %w", err)
 	}

@@ -110,10 +110,6 @@ type Input struct {
 	// neighborhoods are re-solved. nil means "unknown" and forces the
 	// classic full solve, so existing callers are unaffected.
 	Touched []netmodel.SwitchID
-	// FullThreshold is the fraction of tasks that must re-place before
-	// the warm-start path gives up its pins and falls back to the full
-	// solve; 0 means DefaultFullThreshold.
-	FullThreshold float64
 }
 
 // DefaultMigrationCost approximates the transient double resource usage
@@ -148,13 +144,6 @@ func (in *Input) migrationCost() float64 {
 		return DefaultMigrationCost
 	}
 	return in.MigrationCost
-}
-
-func (in *Input) fullThreshold() float64 {
-	if in.FullThreshold == 0 {
-		return DefaultFullThreshold
-	}
-	return in.FullThreshold
 }
 
 func (in *Input) parallelWorkers() int {

@@ -17,10 +17,11 @@ type ScenarioConfig struct {
 	Seeds    int
 	Tasks    int // distinct task instances; seeds are spread across them
 	Seed     int64
-	// CandidateSpread is the max size of a seed's candidate set
-	// (uniform in [1, CandidateSpread]); 0 means 4.
-	CandidateSpread int
 }
+
+// candidateSpread is the max size of a seed's candidate set (uniform in
+// [1, candidateSpread]).
+const candidateSpread = 4
 
 // taskProfile mirrors the shape of a Tab. I use case: how demanding its
 // seeds are and how their utility responds to resources.
@@ -168,9 +169,6 @@ func boundedUtility(minVCPU, minRAM float64, u poly.MinExpr) poly.Utility {
 // RandomScenario builds a reproducible Fig. 7-style placement problem.
 func RandomScenario(cfg ScenarioConfig) *Input {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	if cfg.CandidateSpread <= 0 {
-		cfg.CandidateSpread = 4
-	}
 	if cfg.Tasks <= 0 {
 		cfg.Tasks = 1
 	}
@@ -184,7 +182,7 @@ func RandomScenario(cfg ScenarioConfig) *Input {
 	for i := 0; i < cfg.Seeds; i++ {
 		taskIdx := i % cfg.Tasks
 		prof := profiles[taskIdx%len(profiles)]
-		nCand := 1 + rng.Intn(cfg.CandidateSpread)
+		nCand := 1 + rng.Intn(candidateSpread)
 		if nCand > cfg.Switches {
 			nCand = cfg.Switches
 		}

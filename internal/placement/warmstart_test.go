@@ -256,17 +256,22 @@ func TestHeuristicNilTouchedIsClassic(t *testing.T) {
 }
 
 // TestHeuristicWarmFallsBackWhenMostlyDirty: when more tasks must
-// re-place than the threshold allows, the warm path gives up and the
-// result equals the full solve.
+// re-place than DefaultFullThreshold allows, the warm path gives up its
+// pins and the result equals the full solve.
 func TestHeuristicWarmFallsBackWhenMostlyDirty(t *testing.T) {
 	in := digestScenario()
 	first := solveAt(t, in, -1)
 
-	warm := *in
-	warm.Touched = []netmodel.SwitchID{}
-	warm.FullThreshold = 0.05
+	kept := *in
+	kept.Touched = []netmodel.SwitchID{}
+	kept.Current = first.Placed
+	if !pinsHeld(t, &kept) {
+		t.Fatal("warm solve with every seed kept did not pin")
+	}
+
+	warm := kept
 	// Keep Current for only a handful of seeds: almost every task is
-	// dirty, far past the 5% threshold.
+	// dirty, far past the 25% threshold.
 	warm.Current = map[string]Assignment{}
 	n := 0
 	for _, s := range in.Seeds {
@@ -274,6 +279,9 @@ func TestHeuristicWarmFallsBackWhenMostlyDirty(t *testing.T) {
 			warm.Current[s.ID] = a
 			n++
 		}
+	}
+	if pinsHeld(t, &warm) {
+		t.Fatal("mostly-dirty warm solve kept its pins; the fallback did not run")
 	}
 	fellBack := solveAt(t, &warm, -1)
 
@@ -284,6 +292,19 @@ func TestHeuristicWarmFallsBackWhenMostlyDirty(t *testing.T) {
 		t.Fatalf("over-threshold warm solve %s differs from full solve %s",
 			fellBack.Digest(), full.Digest())
 	}
+}
+
+// pinsHeld runs the heuristic's warm-start pinning on in and reports
+// whether it stayed armed.
+func pinsHeld(t *testing.T, in *Input) bool {
+	t.Helper()
+	st := heurPool.Get().(*heurState)
+	defer st.release()
+	if err := in.validate(st.swIdx, st.seedIdx); err != nil {
+		t.Fatal(err)
+	}
+	st.reset(in)
+	return st.pinCurrent()
 }
 
 // TestMigrateRedistributeErrorPropagates is the regression test for

@@ -49,17 +49,14 @@ type Options struct {
 	// AlphaPoll and MigrationCost feed the optimization model.
 	AlphaPoll     float64
 	MigrationCost float64
-	// StateTransferBytesPerSec models migration state transfer speed;
-	// 0 means 10 MB/s.
-	StateTransferBytesPerSec float64
-	// ForceFullPlacement disables warm-start replans: every
-	// re-optimization solves the whole placement from scratch.
-	ForceFullPlacement bool
 	// PlacementParallel is the step-3 LP worker count (0 = GOMAXPROCS,
 	// negative = serial). The result is identical at any setting.
 	PlacementParallel int
 	Logf              func(format string, args ...any)
 }
+
+// stateTransferBytesPerSec models migration state transfer speed.
+const stateTransferBytesPerSec = 10 << 20
 
 // Seeder is the centralized control instance.
 type Seeder struct {
@@ -135,9 +132,6 @@ type seedInst struct {
 func New(fab *fabric.Fabric, opts Options) *Seeder {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
-	}
-	if opts.StateTransferBytesPerSec == 0 {
-		opts.StateTransferBytesPerSec = 10 << 20
 	}
 	if opts.Soil == (soil.Options{}) {
 		opts.Soil = soil.DefaultOptions()
@@ -353,20 +347,6 @@ func (sd *Seeder) forget(t *task) {
 func (sd *Seeder) Reoptimize() error {
 	sd.fullNeeded = true
 	return sd.optimizeAndApply()
-}
-
-// StartAutoReoptimize re-runs global placement periodically — the
-// paper's seeder re-optimizes whenever an input of the placement
-// function changes (resource depletion, workload drift, §V-B); on the
-// emulated fabric a periodic sweep plays that role. Returns a stop
-// function.
-func (sd *Seeder) StartAutoReoptimize(interval time.Duration) (stop func()) {
-	tk := sd.fab.Sched().Every(interval, func() {
-		if err := sd.Reoptimize(); err != nil {
-			sd.logf("seeder: auto reoptimize: %v", err)
-		}
-	})
-	return tk.Stop
 }
 
 // BroadcastToTask delivers a harvester-sourced message to every seed of
@@ -642,7 +622,7 @@ func (sd *Seeder) buildInput() *placement.Input {
 		Current:       map[string]placement.Assignment{},
 		Parallel:      sd.opts.PlacementParallel,
 	}
-	if sd.solvedOnce && !sd.fullNeeded && !sd.opts.ForceFullPlacement && !sd.opts.UseMILP {
+	if sd.solvedOnce && !sd.fullNeeded && !sd.opts.UseMILP {
 		in.Touched = make([]netmodel.SwitchID, 0, len(sd.touched))
 		for id := range sd.touched {
 			in.Touched = append(in.Touched, id)
@@ -810,7 +790,7 @@ func (sd *Seeder) migrateSeed(s *seedInst, a placement.Assignment) error {
 	}
 	stateBytes := estimateSnapshotBytes(snap)
 	delay := sd.fab.SwitchLatency(s.deployedAt, a.Switch) +
-		time.Duration(float64(stateBytes)/sd.opts.StateTransferBytesPerSec*float64(time.Second))
+		time.Duration(float64(stateBytes)/stateTransferBytesPerSec*float64(time.Second))
 	ref := s.ref
 	ref.Switch = sd.fab.Topology().Switch(a.Switch).Name
 	target := sd.soils[a.Switch]

@@ -60,9 +60,6 @@ func (s *CountMin) Depth() int { return s.depth }
 // Total returns the total weight added.
 func (s *CountMin) Total() uint64 { return s.total }
 
-// MemoryBytes reports the sketch's fixed footprint.
-func (s *CountMin) MemoryBytes() int { return s.width * s.depth * 8 }
-
 func (s *CountMin) index(row int, key string) int {
 	h := fnv.New64a()
 	// Per-row salt keeps the rows independent.
