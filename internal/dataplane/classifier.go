@@ -11,15 +11,16 @@
 //     buckets by the exact-match discriminators DstPort, Proto and
 //     InPort, each bucket kept in match order, so a lookup scans only
 //     the (at most four) candidate buckets instead of every entry;
-//   - generation-stamped flow caches (flowCache): the winning entry —
-//     and, on the fused Switch.Inject path, the matching sampler set —
-//     memoized per (5-tuple, Flags, inPort), invalidated wholesale by
+//   - a generation-stamped flow cache (flowCache): the winning entry and
+//     the matching sampler set memoized per (5-tuple, Flags, inPort) in
+//     a fixed table of flowCacheSlots slots, invalidated wholesale by
 //     bumping a generation counter on any rule or sampler churn.
 //
 // The top tier, the fused Switch.Inject pass, lives in switch.go.
 package dataplane
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"sort"
 )
@@ -200,10 +201,89 @@ func flowKeyOf(p *Packet, inPort int) flowKey {
 	}
 }
 
-// defaultFlowCacheCap bounds the flow cache; when full, the cache is
-// wiped wholesale (deterministic, unlike per-entry eviction) and
-// rebuilt from the live traffic.
-const defaultFlowCacheCap = 1 << 14
+// flowCacheSlots is the size of a switch's flow cache: a fixed
+// exact-match table, as on the ASIC, never grown and never wiped.
+// flowCacheBits is its log2, the hash bits one probe uses.
+const (
+	flowCacheBits  = 10
+	flowCacheSlots = 1 << flowCacheBits
+)
+
+// flowCache is the exact-match flow cache, two-way: a key may live in
+// either of the two slots its hash names (OVS's EMC probes two the same
+// way). A slot is valid once written; a miss overwrites one of its two.
+type flowCache [flowCacheSlots]flowSlot
+
+// flowSlot is one cached flow: the full key, compared on every probe,
+// and its fused verdict, which carries its own generation stamps.
+type flowSlot struct {
+	key flowKey
+	// valid: the slot has been written. used: it has hit since it was
+	// written or last passed over for eviction (a one-bit clock, so a
+	// fresh 5-tuple that never repeats evicts its like, not a live flow).
+	valid, used bool
+	v           injectVerdict
+}
+
+// probe returns the slot for k: the one holding it (hit), or the one a
+// miss overwrites, already holding k, for the caller to fill. The victim
+// is an unwritten slot if either is, else one that has not hit since
+// its last pass, else the first; every choice depends on the key and
+// the probe sequence alone, so hits and misses repeat run to run.
+func (c *flowCache) probe(k *flowKey) (slot *flowSlot, hit bool) {
+	a, b := c.ways(k)
+	if a.valid && a.key == *k {
+		a.used = true
+		return a, true
+	}
+	if b.valid && b.key == *k {
+		b.used = true
+		return b, true
+	}
+	victim := a
+	switch {
+	case !a.valid:
+	case !b.valid:
+		victim = b
+	case a.used && !b.used: // a is passed over: its second chance
+		a.used = false
+		victim = b
+	default:
+		b.used = false
+	}
+	victim.key, victim.valid, victim.used = *k, true, false
+	return victim, false
+}
+
+// ways returns the two slots k may live in, named by disjoint bit
+// fields of its hash (the two may coincide).
+func (c *flowCache) ways(k *flowKey) (a, b *flowSlot) {
+	h := k.hash()
+	return &c[h>>(64-flowCacheBits)], &c[h>>(64-2*flowCacheBits)&(flowCacheSlots-1)]
+}
+
+// hash folds the key's 44 bytes, eight at a time, through a
+// multiply-xorshift mix; the slots come from the top bits of the result.
+// It is a pure function of the key — maphash is seeded per process — so
+// which flows share a slot is the same in every run.
+func (k *flowKey) hash() uint64 {
+	le := binary.LittleEndian
+	h := mix(0, uint64(k.proto)|uint64(k.flags)<<8|uint64(k.srcClass)<<16|uint64(k.dstClass)<<24)
+	h = mix(h, uint64(k.srcPort)|uint64(k.dstPort)<<16|uint64(uint32(k.inPort))<<32)
+	h = mix(h, le.Uint64(k.src[:8]))
+	h = mix(h, le.Uint64(k.src[8:]))
+	h = mix(h, le.Uint64(k.dst[:8]))
+	h = mix(h, le.Uint64(k.dst[8:]))
+	return h * mixMul
+}
+
+// mixMul is 2^64 over the golden ratio, the usual odd multiplier.
+const mixMul = 0x9e3779b97f4a7c15
+
+func mix(h, w uint64) uint64 {
+	h = (h ^ w) * mixMul
+	return h ^ h>>29
+}
 
 // CacheStats reports flow-cache effectiveness.
 type CacheStats struct {

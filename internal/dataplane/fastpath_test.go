@@ -3,6 +3,7 @@ package dataplane
 import (
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"testing"
 )
 
@@ -131,14 +132,21 @@ func checkTCAMInvariants(t *testing.T, tc *TCAM) {
 // flow-cached production path is checked against. They mutate the same
 // counters Lookup and Inject do.
 func lookupLinear(t *TCAM, p Packet, inPort int) (Rule, bool) {
-	for _, e := range t.entries {
-		if e.rule.Filter.Match(&p, inPort) {
-			e.stats.Packets++
-			e.stats.Bytes += uint64(p.Size)
-			return e.rule, true
-		}
+	if e := entryLinear(t, &p, inPort); e != nil {
+		return e.rule, true
 	}
 	return Rule{}, false
+}
+
+func entryLinear(t *TCAM, p *Packet, inPort int) *tcamEntry {
+	for _, e := range t.entries {
+		if e.rule.Filter.Match(p, inPort) {
+			e.stats.Packets++
+			e.stats.Bytes += uint64(p.Size)
+			return e
+		}
+	}
+	return nil
 }
 
 func injectLinear(s *Switch, p *Packet, inPort, outPort int) Verdict {
@@ -147,9 +155,9 @@ func injectLinear(s *Switch, p *Packet, inPort, outPort int) Verdict {
 		s.ports[inPort].RxBytes += uint64(p.Size)
 	}
 	var v Verdict
-	if r, ok := lookupLinear(s.tcam, *p, inPort); ok {
-		v.Rule, v.Matched = r, true
-		if r.Action == ActDrop {
+	if e := entryLinear(s.tcam, p, inPort); e != nil {
+		v.Rule = &e.rule
+		if e.rule.Action == ActDrop {
 			v.Dropped = true
 			s.dropped++
 		}
@@ -240,11 +248,43 @@ func TestTCAMFastPathProperty(t *testing.T) {
 	}
 }
 
+// sameVerdict reports whether two verdicts agree: the same drop, and no
+// rule or equal rules (they point into different switches' tables).
+func sameVerdict(v, w Verdict) bool {
+	if v.Dropped != w.Dropped || (v.Rule == nil) != (w.Rule == nil) {
+		return false
+	}
+	return v.Rule == nil || *v.Rule == *w.Rule
+}
+
+// overwrote reports whether a valid slot's key changed between two
+// waysOf copies of the same slots: one flow evicted another.
+func overwrote(before, after [2]flowSlot) bool {
+	for i := range before {
+		if before[i].valid && after[i].key != before[i].key {
+			return true
+		}
+	}
+	return false
+}
+
+// waysOf copies the two slots p's key may live in (zero slots before the
+// switch's first packet).
+func waysOf(s *Switch, p *Packet, inPort int) [2]flowSlot {
+	if s.flowCache == nil {
+		return [2]flowSlot{}
+	}
+	k := flowKeyOf(p, inPort)
+	a, b := s.flowCache.ways(&k)
+	return [2]flowSlot{*a, *b}
+}
+
 // TestSwitchFastPathEquivalence drives two switches — the production
 // fused path vs. the linear oracle — through an identical schedule of
 // packets, rule churn and sampler churn, and requires byte-identical
 // observable behaviour: verdicts, per-rule counters, sampler delivery
-// sequences, port counters and drop counts.
+// sequences, port counters and drop counts. The packets span more
+// flows than the cache has slots, so flows evict each other.
 func TestSwitchFastPathEquivalence(t *testing.T) {
 	const samplers = 4
 	type world struct {
@@ -252,10 +292,11 @@ func TestSwitchFastPathEquivalence(t *testing.T) {
 		inject  func(s *Switch, p *Packet, inPort, outPort int) Verdict
 		fired   [samplers][]int // packet indices delivered per sampler
 		removes [samplers]func()
+		last    Verdict
+		evicted int // injects that overwrote another flow's slot
 	}
 	build := func(path int) *world {
 		w := &world{sw: NewSwitch("sw", 4, 12), inject: injectPaths[path].inject}
-		w.sw.cacheCap = 128
 		filters := []Filter{{}, {DstPort: 80}, {Proto: ProtoUDP}, {SrcPrefix: pfx("10.1.0.0/16")}}
 		for i := 0; i < samplers; i++ {
 			i := i
@@ -285,12 +326,22 @@ func TestSwitchFastPathEquivalence(t *testing.T) {
 		default:
 			p, inPort := genPacket(rng)
 			outPort := rng.Intn(4)
-			ops = append(ops, func(w *world) { w.inject(w.sw, &p, inPort, outPort) })
+			ops = append(ops, func(w *world) {
+				before := waysOf(w.sw, &p, inPort)
+				w.last = w.inject(w.sw, &p, inPort, outPort)
+				if overwrote(before, waysOf(w.sw, &p, inPort)) {
+					w.evicted++
+				}
+			})
 		}
 	}
-	for _, op := range ops {
-		op(fastW)
+	for i, op := range ops {
+		fastW.last, slowW.last = Verdict{}, Verdict{}
 		op(slowW)
+		op(fastW)
+		if !sameVerdict(fastW.last, slowW.last) {
+			t.Fatalf("op %d: verdict fast %+v, linear %+v", i, fastW.last, slowW.last)
+		}
 	}
 
 	if fastW.sw.Dropped() != slowW.sw.Dropped() {
@@ -322,8 +373,8 @@ func TestSwitchFastPathEquivalence(t *testing.T) {
 			t.Fatalf("sampler %d deliveries diverged: %d vs %d", i, len(fastW.fired[i]), len(slowW.fired[i]))
 		}
 	}
-	if st := fastW.sw.CacheStats(); st.Hits == 0 {
-		t.Fatal("fused flow cache never hit")
+	if st := fastW.sw.CacheStats(); st.Hits == 0 || fastW.evicted == 0 {
+		t.Fatalf("fused flow cache: %+v, %d evictions; want hits and evictions", st, fastW.evicted)
 	}
 }
 
@@ -335,7 +386,7 @@ func TestFlowCacheInvalidationOnChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)
-	if v := sw.Inject(&p, 1, 2); !v.Matched || v.Rule.Note != "low" {
+	if v := sw.Inject(&p, 1, 2); v.Rule == nil || v.Rule.Note != "low" {
 		t.Fatalf("verdict = %+v", v)
 	}
 	// Warm cache, then install a higher-priority rule for the same flow:
@@ -344,12 +395,12 @@ func TestFlowCacheInvalidationOnChurn(t *testing.T) {
 	if err := tc.AddRule(high); err != nil {
 		t.Fatal(err)
 	}
-	if v := sw.Inject(&p, 1, 2); !v.Dropped || v.Rule.Note != "high" {
+	if v := sw.Inject(&p, 1, 2); !v.Dropped || v.Rule == nil || v.Rule.Note != "high" {
 		t.Fatalf("post-churn verdict = %+v; cache not invalidated", v)
 	}
 	// Removal invalidates too.
 	tc.RemoveRule(high.Filter)
-	if v := sw.Inject(&p, 1, 2); !v.Matched || v.Rule.Note != "low" {
+	if v := sw.Inject(&p, 1, 2); v.Rule == nil || v.Rule.Note != "low" {
 		t.Fatalf("post-remove verdict = %+v", v)
 	}
 	if tc.Generation() != 3 {
@@ -360,16 +411,30 @@ func TestFlowCacheInvalidationOnChurn(t *testing.T) {
 	}
 }
 
-func TestFlowCacheCapWipe(t *testing.T) {
+// TestFlowCacheFreshTuplesAllocFree: once a switch has seen a packet,
+// its flow cache is a fixed table. Ten times as many fresh 5-tuples as
+// it has slots — each a miss that overwrites a slot — allocate nothing.
+func TestFlowCacheFreshTuplesAllocFree(t *testing.T) {
 	sw := NewSwitch("sw", 2, 4)
-	sw.cacheCap = 8
 	_ = sw.TCAM().AddRule(Rule{Priority: 1, Filter: Filter{Proto: ProtoTCP}})
-	for i := 0; i < 100; i++ {
-		p := pkt("10.0.0.1", "10.0.0.2", uint16(1000+i), 80, ProtoTCP, 64)
-		sw.Inject(&p, 1, 2)
-		if len(sw.flowCache) > sw.cacheCap {
-			t.Fatalf("cache grew past cap: %d > %d", len(sw.flowCache), sw.cacheCap)
+	sw.AddSampler(Filter{DstPort: 80}, 1<<30, func(Packet) {})
+	p := pkt("10.0.0.1", "10.0.0.2", 0, 80, ProtoTCP, 64)
+	sw.Inject(&p, 1, 2)
+	const tuples = 10 * flowCacheSlots
+	n := 0
+	allocs := testing.AllocsPerRun(1, func() { // one warm-up run, one measured
+		for i := 0; i < tuples; i++ {
+			n++
+			p.SrcPort = uint16(n)
+			p.DstIP = netip.AddrFrom4([4]byte{10, 1, byte(n >> 8), byte(n)})
+			sw.Inject(&p, 1, 2)
 		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations for %d fresh tuples, want 0", allocs, tuples)
+	}
+	if st := sw.CacheStats(); st.Hits != 0 || st.Misses != 2*tuples+1 {
+		t.Fatalf("cache %+v, want a miss per packet", st)
 	}
 }
 

@@ -257,7 +257,7 @@ func TestV4MappedTwinNotDropped(t *testing.T) {
 			} else {
 				w, v = sw.Inject(&mapped, 1, 2), sw.Inject(&v4, 1, 2)
 			}
-			if !v.Dropped || w.Dropped || w.Matched {
+			if !v.Dropped || w.Dropped || w.Rule != nil {
 				t.Fatalf("v4 first %v, round %d: IPv4 verdict %+v, mapped verdict %+v", v4First, i, v, w)
 			}
 		}

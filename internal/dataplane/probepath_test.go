@@ -75,6 +75,16 @@ func sameSamplers(a, b []*Sampler) bool {
 	return true
 }
 
+// cached returns the verdict the flow cache holds for the flow, if any.
+func cached(s *Switch, p *Packet, inPort int) (injectVerdict, bool) {
+	for _, slot := range waysOf(s, p, inPort) {
+		if slot.valid && slot.key == flowKeyOf(p, inPort) {
+			return slot.v, true
+		}
+	}
+	return injectVerdict{}, false
+}
+
 // TestSamplerSetsInterned: 10 k distinct flows over 12 samplers share
 // one slice per distinct sampler set, each equal to the linear scan's
 // answer; sampler churn starts a new table that holds none of the old
@@ -104,19 +114,17 @@ func TestSamplerSetsInterned(t *testing.T) {
 		return p, 1 + i%2
 	}
 	const flows = 10_000
-	for i := 0; i < flows; i++ {
-		p, in := flow(i)
-		sw.Inject(&p, in, 0)
-	}
-	if len(sw.flowCache) != flows {
-		t.Fatalf("%d flows cached, want %d distinct", len(sw.flowCache), flows)
-	}
 	slices := map[**Sampler]bool{}
 	sets := map[string]bool{}
 	empty := 0
 	for i := 0; i < flows; i++ {
 		p, in := flow(i)
-		got := sw.flowCache[flowKeyOf(&p, in)].samplers
+		sw.Inject(&p, in, 0)
+		cv, ok := cached(sw, &p, in)
+		if !ok {
+			t.Fatalf("flow %d: not cached right after its packet", i)
+		}
+		got := cv.samplers
 		want := matchingSamplers(sw, p, in)
 		if !sameSamplers(got, want) {
 			t.Fatalf("flow %d: cached set %v, linear scan %v", i, got, want)
@@ -155,7 +163,8 @@ func TestSamplerSetsInterned(t *testing.T) {
 		t.Fatalf("after AddSampler: table of generation %d (switch at %d) with %d sets, old slices reachable: %v",
 			sw.setsGen, sw.samplerGen, len(sw.sets), tableHoldsOld())
 	}
-	withAll := sw.flowCache[flowKeyOf(&p, in)].samplers
+	cv, _ := cached(sw, &p, in)
+	withAll := cv.samplers
 	if !sameSamplers(withAll, matchingSamplers(sw, p, in)) {
 		t.Fatalf("after AddSampler: cached set %v, linear scan %v", withAll, matchingSamplers(sw, p, in))
 	}
@@ -166,16 +175,65 @@ func TestSamplerSetsInterned(t *testing.T) {
 		t.Fatalf("after removal: table of generation %d (switch at %d) with %d sets, old slices reachable: %v",
 			sw.setsGen, sw.samplerGen, len(sw.sets), tableHoldsOld())
 	}
-	if got := sw.flowCache[flowKeyOf(&p, in)].samplers; !sameSamplers(got, matchingSamplers(sw, p, in)) {
-		t.Fatalf("after removal: cached set %v, linear scan %v", got, matchingSamplers(sw, p, in))
+	if cv, _ := cached(sw, &p, in); !sameSamplers(cv.samplers, matchingSamplers(sw, p, in)) {
+		t.Fatalf("after removal: cached set %v, linear scan %v", cv.samplers, matchingSamplers(sw, p, in))
 	}
+}
 
-	// A cache wipe takes the table with it, so it never outgrows the cap.
-	sw.cacheCap = len(sw.flowCache)
-	q, qin := flow(2)
-	sw.Inject(&q, qin, 0)
-	if len(sw.flowCache) != 1 || len(sw.sets) != 1 {
-		t.Fatalf("after a cache wipe: %d flows, %d sets, want 1 and 1", len(sw.flowCache), len(sw.sets))
+// TestSamplerSetsBounded: the intern table never outgrows the flow
+// cache. 2 048 distinct sampler sets (eleven samplers, each matching on
+// its own packet bit) start a fresh table at flowCacheSlots sets; the
+// flows cached before the drop keep their sets, and every set stays
+// equal to the linear scan's.
+func TestSamplerSetsBounded(t *testing.T) {
+	sw := NewSwitch("sw0", 2, 16)
+	filters := []Filter{
+		{SrcPrefix: pfx("10.0.0.0/9")}, {DstPrefix: pfx("10.0.0.0/9")}, {InPort: 1},
+	}
+	for bit := 0; bit < 8; bit++ {
+		filters = append(filters, Filter{FlagsSet: TCPFlags(1 << bit)})
+	}
+	for _, f := range filters {
+		sw.AddSampler(f, 1<<30, func(Packet) {})
+	}
+	flow := func(i int) (Packet, int) {
+		p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 64)
+		if i&1 != 0 {
+			p.SrcIP = addr("10.200.0.1")
+		}
+		if i&2 != 0 {
+			p.DstIP = addr("10.200.0.2")
+		}
+		p.Flags = TCPFlags(i >> 3)
+		return p, 1 + i>>2&1
+	}
+	const flows = 1 << 11 // one of them matches no sampler
+	full := -1            // the flow whose set filled the table
+	var fullSet []*Sampler
+	for i := 0; i < flows; i++ {
+		p, in := flow(i)
+		sw.Inject(&p, in, 0)
+		if len(sw.sets) > flowCacheSlots {
+			t.Fatalf("flow %d: %d interned sets, bound %d", i, len(sw.sets), flowCacheSlots)
+		}
+		cv, _ := cached(sw, &p, in)
+		if !sameSamplers(cv.samplers, matchingSamplers(sw, p, in)) {
+			t.Fatalf("flow %d: cached set %v, linear scan %v", i, cv.samplers, matchingSamplers(sw, p, in))
+		}
+		if len(sw.sets) == flowCacheSlots {
+			full, fullSet = i, cv.samplers
+		} else if full >= 0 && i == full+1 {
+			// The table was just dropped; the flow cached before keeps
+			// the very slice it had.
+			q, qin := flow(full)
+			if kept, ok := cached(sw, &q, qin); !ok || &kept.samplers[0] != &fullSet[0] {
+				t.Fatalf("flow %d: cached %v (cached: %v), want the slice it had before the drop", full, kept.samplers, ok)
+			}
+		}
+	}
+	if full < 0 || len(sw.sets) != flows-1-flowCacheSlots {
+		t.Fatalf("%d interned sets after %d distinct ones (table full at flow %d), want the table restarted once",
+			len(sw.sets), flows-1, full)
 	}
 }
 

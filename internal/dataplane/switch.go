@@ -210,8 +210,10 @@ type Sampler struct {
 
 // Verdict reports what the ASIC did with an injected packet.
 type Verdict struct {
-	Rule    Rule
-	Matched bool
+	// Rule is the TCAM rule that matched, nil if none did. It points
+	// into the table: read-only, and still the rule as it was matched
+	// after the table changes (a replaced rule is a new entry).
+	Rule    *Rule
 	Dropped bool
 }
 
@@ -228,10 +230,11 @@ type Switch struct {
 	// Fused inject path: one flow cache holding the TCAM verdict and the
 	// matching sampler set together, each half stamped with its own
 	// generation (rule churn vs. sampler churn) so either kind of churn
-	// invalidates only lazily, on the next probe of a stale flow.
+	// invalidates only lazily, on the next probe of a stale flow. The
+	// table is allocated by the first Inject: a switch that never sees
+	// a packet pays nothing for it.
 	samplerGen uint64
-	flowCache  map[flowKey]injectVerdict
-	cacheCap   int
+	flowCache  *flowCache
 	cacheStats CacheStats
 
 	// Interned sampler sets of generation setsGen: every flow matched by
@@ -242,10 +245,10 @@ type Switch struct {
 	setKey  []byte // scratch for the mask of the flow being classified
 }
 
-// injectVerdict is one memoized fused classification. Entries are
-// stored by value and sampler sets are interned, so a miss (the port
-// scan's fresh 5-tuple per packet) allocates nothing unless it is the
-// first to see its sampler set.
+// injectVerdict is one memoized fused classification. Slots hold it by
+// value and sampler sets are interned, so a miss (the port scan's fresh
+// 5-tuple per packet) allocates nothing unless it is the first to see
+// its sampler set.
 type injectVerdict struct {
 	tcamGen    uint64
 	samplerGen uint64
@@ -257,12 +260,9 @@ type injectVerdict struct {
 // monitoring-TCAM capacity.
 func NewSwitch(name string, numPorts, tcamCapacity int) *Switch {
 	return &Switch{
-		name:      name,
-		ports:     make([]PortStats, numPorts+1),
-		tcam:      NewTCAM(tcamCapacity),
-		flowCache: make(map[flowKey]injectVerdict),
-		cacheCap:  defaultFlowCacheCap,
-		sets:      make(map[string][]*Sampler),
+		name:  name,
+		ports: make([]PortStats, numPorts+1),
+		tcam:  NewTCAM(tcamCapacity),
 	}
 }
 
@@ -402,6 +402,16 @@ func (s *Switch) samplerSet(p *Packet, inPort int) []*Sampler {
 			set = append(set, sm)
 		}
 	}
+	switch {
+	case s.sets == nil:
+		s.sets = make(map[string][]*Sampler)
+	case len(s.sets) >= flowCacheSlots:
+		// The cache holds at most one distinct set per slot, so the slot
+		// count bounds the table too, whatever the filters are. Cached
+		// slots keep their (immutable) slices: all a drop loses is
+		// sharing with them.
+		clear(s.sets)
+	}
 	s.sets[string(key)] = set
 	return set
 }
@@ -410,29 +420,29 @@ func (s *Switch) samplerSet(p *Packet, inPort int) []*Sampler {
 // TCAM verdict and sampler set, recomputed lazily when either the rule
 // or the sampler generation moved.
 func (s *Switch) classifyFused(p *Packet, inPort int) Verdict {
+	if s.flowCache == nil {
+		s.flowCache = new(flowCache)
+	}
 	k := flowKeyOf(p, inPort)
-	cv, ok := s.flowCache[k]
+	slot, ok := s.flowCache.probe(&k)
+	cv := &slot.v
 	if !ok || cv.tcamGen != s.tcam.gen || cv.samplerGen != s.samplerGen {
 		s.cacheStats.Misses++
-		cv = injectVerdict{tcamGen: s.tcam.gen, samplerGen: s.samplerGen}
-		cv.e = s.tcam.index.lookup(p, inPort)
-		if len(s.flowCache) >= s.cacheCap {
-			// The sets go with the flows that named them, which bounds
-			// the table by the cache's cap whatever the filters are.
-			clear(s.flowCache)
-			clear(s.sets)
+		*cv = injectVerdict{
+			tcamGen:    s.tcam.gen,
+			samplerGen: s.samplerGen,
+			e:          s.tcam.index.lookup(p, inPort),
+			samplers:   s.samplerSet(p, inPort),
 		}
-		cv.samplers = s.samplerSet(p, inPort)
-		s.flowCache[k] = cv
 	} else {
 		s.cacheStats.Hits++
 	}
 	var v Verdict
-	if cv.e != nil {
-		cv.e.stats.Packets++
-		cv.e.stats.Bytes += uint64(p.Size)
-		v.Rule, v.Matched = cv.e.rule, true
-		if cv.e.rule.Action == ActDrop {
+	if e := cv.e; e != nil {
+		e.stats.Packets++
+		e.stats.Bytes += uint64(p.Size)
+		v.Rule = &e.rule
+		if e.rule.Action == ActDrop {
 			v.Dropped = true
 			s.dropped++
 		}

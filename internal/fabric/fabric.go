@@ -4,6 +4,12 @@
 // along ECMP paths, and models control-plane communication latency
 // between switches and centralized components.
 //
+// A packet is sent in two steps. Resolve does the per-flow work once:
+// both hosts, their leaves and ports, and the ECMP hash of the 5-tuple,
+// into a Route. SendOn does the per-packet work: it picks the path from
+// the topology's current path table by that hash and forwards along it.
+// Send is the two together, for a packet whose 5-tuple is new.
+//
 // Every switch and the centralized components (seeder, harvesters,
 // collectors) run on the one scheduler the fabric is built over. Anything
 // that crosses switches — packet hops, control messages to and from the
@@ -190,40 +196,68 @@ func (f *Fabric) Delivered() uint64 { return f.delivered }
 // DroppedInFabric returns packets dropped by TCAM rules en route.
 func (f *Fabric) DroppedInFabric() uint64 { return f.dropped }
 
-// The reasons Send and PathFor refuse a packet. They are returned bare
-// (nothing is formatted per packet); match them with errors.Is.
+// The reasons Send, Resolve and PathFor refuse a packet. They are
+// returned bare (nothing is formatted per packet); match them with
+// errors.Is.
 var (
 	ErrUnknownSource      = errors.New("fabric: unknown source host")
 	ErrUnknownDestination = errors.New("fabric: unknown destination host")
 	ErrNoPath             = errors.New("fabric: no path between source and destination leaf")
 )
 
-// route resolves a packet's endpoints and picks its ECMP path from the
-// topology's path table, deterministically by flow hash. The path is
-// table memory: read-only. The modulus is taken in uint32, so a hash of
-// 2^31 or more selects the same path on 32- and 64-bit targets.
-func (f *Fabric) route(p *dataplane.Packet) (src, dst netmodel.HostID, path netmodel.Path, err error) {
+// Route is what a flow's packets share on their way through the
+// fabric: the leaves and host ports at either end and the ECMP hash of
+// the 5-tuple. Resolve computes it once per flow; SendOn uses it for
+// every packet of the flow. It holds no path: SendOn reads the path
+// table per packet, so a topology change reaches a resolved flow
+// exactly as it reaches Send.
+type Route struct {
+	srcLeaf, dstLeaf netmodel.SwitchID
+	srcPort, dstPort int32 // the host-facing ports on those leaves
+	hash             uint32
+}
+
+// Resolve looks up both hosts of p's flow and hashes its 5-tuple. A
+// host is known if it was in the topology when the fabric was built;
+// one added later has no port here, and is refused like an unknown
+// address. Resolve only reads p.
+func (f *Fabric) Resolve(p *dataplane.Packet) (Route, error) {
 	s, ok := f.topo.HostByIP(p.SrcIP)
-	if !ok {
-		return 0, 0, nil, ErrUnknownSource
+	if !ok || int(s.ID) >= len(f.hostPort) {
+		return Route{}, ErrUnknownSource
 	}
 	d, ok := f.topo.HostByIP(p.DstIP)
-	if !ok {
-		return 0, 0, nil, ErrUnknownDestination
+	if !ok || int(d.ID) >= len(f.hostPort) {
+		return Route{}, ErrUnknownDestination
 	}
-	paths := f.topo.Paths(s.Leaf, d.Leaf)
+	return Route{
+		srcLeaf: s.Leaf, dstLeaf: d.Leaf,
+		srcPort: f.hostPort[s.ID], dstPort: f.hostPort[d.ID],
+		hash: flowHash(p.Flow()),
+	}, nil
+}
+
+// path picks r's ECMP path from the topology's current path table,
+// deterministically by flow hash. The path is table memory: read-only.
+// The modulus is taken in uint32, so a hash of 2^31 or more selects the
+// same path on 32- and 64-bit targets.
+func (f *Fabric) path(r *Route) (netmodel.Path, error) {
+	paths := f.topo.Paths(r.srcLeaf, r.dstLeaf)
 	if len(paths) == 0 {
-		return 0, 0, nil, ErrNoPath
+		return nil, ErrNoPath
 	}
-	return s.ID, d.ID, paths[flowHash(p.Flow())%uint32(len(paths))], nil
+	return paths[r.hash%uint32(len(paths))], nil
 }
 
 // PathFor returns the ECMP path a flow takes between two hosts,
 // selected deterministically by flow hash. Callers must not modify the
 // path (see netmodel.Topology.Paths). PathFor only reads p.
 func (f *Fabric) PathFor(p *dataplane.Packet) (netmodel.Path, error) {
-	_, _, path, err := f.route(p)
-	return path, err
+	r, err := f.Resolve(p)
+	if err != nil {
+		return nil, err
+	}
+	return f.path(&r)
 }
 
 // flowHash is the ECMP path selector: FNV-1a over the flow's canonical
@@ -245,7 +279,7 @@ func flowHash(k dataplane.FlowKey) uint32 {
 }
 
 // hop is the forwarding state of one packet in flight: which packet, on
-// which path, at which switch. A packet occupies one record from Send
+// which path, at which switch. A packet occupies one record from SendOn
 // to delivery or drop, and one event per switch-to-switch hop, always
 // scheduled with the same prebuilt fire — so forwarding allocates
 // nothing once the records it needs exist. The record owns its copy of
@@ -265,10 +299,24 @@ type hop struct {
 // packet is dropped mid-path if a rule says so. The path is fixed here:
 // a packet in flight is not rerouted by a later topology change.
 //
-// Send borrows p: it copies the packet into the hop record that carries
-// it and keeps no reference, so the caller may reuse p at once.
+// Send is Resolve then SendOn; a flow that sends many packets resolves
+// once and calls SendOn per packet.
 func (f *Fabric) Send(p *dataplane.Packet) error {
-	src, dst, path, err := f.route(p)
+	r, err := f.Resolve(p)
+	if err != nil {
+		return err
+	}
+	return f.SendOn(r, p)
+}
+
+// SendOn is Send for a packet of a flow Resolve already resolved: it
+// takes the flow's path from the current path table and sends p along
+// it. r must be Resolve's answer for a packet with p's 5-tuple.
+//
+// SendOn borrows p: it copies the packet into the hop record that
+// carries it and keeps no reference, so the caller may reuse p at once.
+func (f *Fabric) SendOn(r Route, p *dataplane.Packet) error {
+	path, err := f.path(&r)
 	if err != nil {
 		return err
 	}
@@ -280,7 +328,7 @@ func (f *Fabric) Send(p *dataplane.Packet) error {
 		h.fire = h.step
 	}
 	h.p, h.path, h.i = *p, path, 0
-	h.srcPort, h.dstPort = int(f.hostPort[src]), int(f.hostPort[dst])
+	h.srcPort, h.dstPort = int(r.srcPort), int(r.dstPort)
 	h.step()
 	return nil
 }

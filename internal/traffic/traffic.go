@@ -108,14 +108,22 @@ func (g *Generator) ingress(src netip.Addr) *ingressDigest {
 
 // inject folds the packet into its ingress leaf's emission digest cell d
 // and sends it. text is the packet's canonical flow text
-// (FlowKey.AppendTo): a flow whose 5-tuple never changes renders it
-// once, a scenario that makes a fresh tuple per packet renders it per
-// packet.
-func (g *Generator) inject(d *ingressDigest, p *dataplane.Packet, text []byte) {
+// (FlowKey.AppendTo) and r its flow's route (fabric.Resolve): a flow
+// whose 5-tuple never changes renders and resolves once, a scenario that
+// makes a fresh tuple per packet renders per packet and passes a nil r,
+// so the fabric resolves per packet. A flow whose route did not resolve
+// passes nil too, and is refused per packet for the same reason.
+func (g *Generator) inject(d *ingressDigest, p *dataplane.Packet, text []byte, r *fabric.Route) {
 	if d != nil {
 		d.fold(g.fab.Sched().Now(), p, text)
 	}
-	if err := g.fab.Send(p); err != nil {
+	var err error
+	if r != nil {
+		err = g.fab.SendOn(*r, p)
+	} else {
+		err = g.fab.Send(p)
+	}
+	if err != nil {
 		if d != nil {
 			d.rejected++
 		} else {
@@ -165,6 +173,7 @@ func (g *Generator) StartFlow(spec FlowSpec) (stop func()) {
 	d, sched := g.ingress(spec.Src), g.fab.Sched()
 	pkt := spec.packet()
 	text := pkt.Flow().AppendTo(nil)
+	r := g.resolve(&pkt)
 	rng := g.stream()
 	interval := float64(time.Second) / spec.Rate
 	stopped := false
@@ -180,7 +189,7 @@ func (g *Generator) StartFlow(spec FlowSpec) (stop func()) {
 		if stopped {
 			return
 		}
-		g.inject(d, &pkt, text)
+		g.inject(d, &pkt, text, r)
 		schedule(0.5 + rng.float64())
 	}
 	schedule(rng.float64()) // random start phase
@@ -192,9 +201,21 @@ func (g *Generator) Burst(spec FlowSpec, n int) {
 	d := g.ingress(spec.Src)
 	pkt := spec.packet()
 	text := pkt.Flow().AppendTo(nil)
+	r := g.resolve(&pkt)
 	for i := 0; i < n; i++ {
-		g.inject(d, &pkt, text)
+		g.inject(d, &pkt, text, r)
 	}
+}
+
+// resolve returns the route of p's flow, or nil if the fabric refuses
+// it: inject then sends through Send, which refuses each packet and
+// says why.
+func (g *Generator) resolve(p *dataplane.Packet) *fabric.Route {
+	r, err := g.fab.Resolve(p)
+	if err != nil {
+		return nil
+	}
+	return &r
 }
 
 // --- Per-flow RNG streams and the emission digest ---
@@ -300,7 +321,7 @@ func (g *Generator) PortScan(src, target netip.Addr, portsPerSec float64) (stop 
 			Proto: dataplane.ProtoTCP, Flags: dataplane.FlagSYN, Size: 60,
 		}
 		var text [dataplane.FlowTextCap]byte
-		g.inject(d, &p, p.Flow().AppendTo(text[:0]))
+		g.inject(d, &p, p.Flow().AppendTo(text[:0]), nil)
 		next++
 		if next == 0 {
 			next = 1
@@ -337,7 +358,7 @@ func (g *Generator) SuperSpreader(src netip.Addr, fanout int, rate float64) (sto
 			Proto: dataplane.ProtoTCP, Flags: dataplane.FlagSYN, Size: 60,
 		}
 		var text [dataplane.FlowTextCap]byte
-		g.inject(d, &p, p.Flow().AppendTo(text[:0]))
+		g.inject(d, &p, p.Flow().AppendTo(text[:0]), nil)
 		i++
 	})
 	return tk.Stop
