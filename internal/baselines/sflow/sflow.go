@@ -16,6 +16,7 @@ import (
 	"farm/internal/dataplane"
 	"farm/internal/engine"
 	"farm/internal/fabric"
+	"farm/internal/metrics"
 	"farm/internal/netmodel"
 )
 
@@ -81,7 +82,6 @@ func Deploy(fab *fabric.Fabric, cfg Config) *System {
 		pendingHH:    map[[2]int]bool{},
 		lastCounters: map[[2]int]counterRecord{},
 	}
-	costs := fab.Costs()
 	for _, sw := range fab.Topology().Switches() {
 		swID := sw.ID
 		drv := fab.Driver(swID)
@@ -91,10 +91,10 @@ func Deploy(fab *fabric.Fabric, cfg Config) *System {
 		// switch-local; only the serialized record crosses to the
 		// collector.
 		tk := s.sched.Every(cfg.PollInterval, func() {
-			cpu.Charge(costs.PollIssue)
+			cpu.Charge(metrics.CostPollIssue)
 			drv.PollPortStats(nil, func(ports []int, stats []dataplane.PortStats) {
 				// The agent does NOT analyze: it serializes and ships.
-				cpu.Charge(time.Duration(len(stats)) * costs.PollPerRecord)
+				cpu.Charge(time.Duration(len(stats)) * metrics.CostPollPerRecord)
 				size := len(stats) * counterExportBytes
 				at := s.sched.Now()
 				// The datagram outlives the callback; the driver's
@@ -108,7 +108,7 @@ func Deploy(fab *fabric.Fabric, cfg Config) *System {
 		s.tickers = append(s.tickers, tk)
 		if cfg.SampleOneInN > 0 {
 			stop := drv.StartSampling(dataplane.Filter{}, cfg.SampleOneInN, func(p dataplane.Packet) {
-				cpu.Charge(costs.SampleProcess)
+				cpu.Charge(metrics.CostSampleProcess)
 				fab.SendToCentral(swID, sampleBytes(p), func() { s.samplesRecv++ })
 			})
 			s.stopSamplers = append(s.stopSamplers, stop)

@@ -221,18 +221,16 @@ type Driver interface {
 	GetRule(f Filter, fn func(Rule, bool))
 	// StartSampling mirrors 1-in-N matching packets to fn. Each sample
 	// crosses the bus; samples are dropped when the backlog exceeds the
-	// driver's limit. stop unregisters the sampler.
+	// ASIC's mirror ring (DefaultMaxSampleBacklog). stop unregisters
+	// the sampler.
 	StartSampling(f Filter, oneInN int, fn func(Packet)) (stop func())
 }
 
 // EmuDriver implements Driver over an emulated Switch and Bus.
 type EmuDriver struct {
-	sw  *Switch
-	bus *Bus
-	// MaxSampleBacklog drops samples once the bus backlog exceeds it
-	// (the real PCIe DMA ring would overflow); 0 means DefaultMaxSampleBacklog.
-	MaxSampleBacklog time.Duration
-	sampleDrops      uint64
+	sw          *Switch
+	bus         *Bus
+	sampleDrops uint64
 
 	allPorts  []int         // 1..NumPorts, what a nil port list polls
 	pollPorts []int         // completion scratch, reused across polls
@@ -241,7 +239,8 @@ type EmuDriver struct {
 }
 
 // DefaultMaxSampleBacklog approximates the ASIC's mirror DMA ring
-// capacity expressed as time at line rate.
+// capacity expressed as time at line rate: a sampler drops a sample once
+// the bus backlog exceeds it (the real PCIe DMA ring would overflow).
 const DefaultMaxSampleBacklog = 100 * time.Millisecond
 
 // NewEmuDriver returns a driver over the given switch and bus.
@@ -380,12 +379,8 @@ func (d *EmuDriver) GetRule(f Filter, fn func(Rule, bool)) {
 
 // StartSampling implements Driver.
 func (d *EmuDriver) StartSampling(f Filter, oneInN int, fn func(Packet)) (stop func()) {
-	limit := d.MaxSampleBacklog
-	if limit == 0 {
-		limit = DefaultMaxSampleBacklog
-	}
 	return d.sw.AddSampler(f, oneInN, func(p Packet) {
-		if d.bus.Backlog() > limit {
+		if d.bus.Backlog() > DefaultMaxSampleBacklog {
 			d.sampleDrops++
 			return
 		}

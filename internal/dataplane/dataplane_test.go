@@ -398,9 +398,10 @@ func (*sentinelError) Error() string { return "sentinel" }
 func TestEmuDriverSamplingDropsUnderBacklog(t *testing.T) {
 	loop := engine.NewSerial()
 	sw := NewSwitch("sw0", 2, 16)
-	bus := NewBus(loop, 1000) // tiny bus: 128 B sample = 128 ms
+	// Tiny bus: one 128 B sample takes 128 ms, more than the 100 ms
+	// ring holds.
+	bus := NewBus(loop, 1000)
 	drv := NewEmuDriver(sw, bus)
-	drv.MaxSampleBacklog = 200 * time.Millisecond
 	delivered := 0
 	stop := drv.StartSampling(Filter{}, 1, func(Packet) { delivered++ })
 	defer stop()

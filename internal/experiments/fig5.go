@@ -101,7 +101,6 @@ func fig5FARM(flows int, cfg Fig5Config) (float64, error) {
 	sw := dataplane.NewSwitch("bench", 8, flows+8)
 	bus := dataplane.NewBus(loop, 256*dataplane.DefaultPCIePollBytesPerSec)
 	cpu := metrics.NewCPUMeter(loop, 4)
-	costs := metrics.DefaultCostModel()
 
 	filters := make([]dataplane.Filter, flows)
 	for i := range filters {
@@ -120,14 +119,14 @@ func fig5FARM(flows int, cfg Fig5Config) (float64, error) {
 	loop.Every(cfg.Accuracy, func() {
 		// The soil aggregates the seed's rule polls into one bulk bus
 		// transfer per interval (§II-B-b); analysis happens in place.
-		cpu.Charge(costs.PollIssue + costs.HandlerDispatch)
+		cpu.Charge(metrics.CostPollIssue + metrics.CostHandlerDispatch)
 		bus.Request(16+48*len(filters), func(time.Duration) {
 			for i := range filters {
 				st, ok := sw.TCAM().Stats(filters[i])
 				if !ok {
 					continue
 				}
-				cpu.Charge(costs.PollPerRecord + fig5CompareCost)
+				cpu.Charge(metrics.CostPollPerRecord + fig5CompareCost)
 				prev[i] = st
 			}
 		})
@@ -144,19 +143,18 @@ func fig5FARM(flows int, cfg Fig5Config) (float64, error) {
 func fig5SFlow(flows int, cfg Fig5Config) float64 {
 	loop := engine.NewSerial()
 	cpu := metrics.NewCPUMeter(loop, 4)
-	costs := metrics.DefaultCostModel()
 	samplesPerSec := cfg.TrafficPPS / float64(cfg.SampleOneInN)
 
 	// Sampling+forwarding, charged in 1 ms batches.
 	loop.Every(time.Millisecond, func() {
 		n := samplesPerSec / 1000
-		cpu.Charge(time.Duration(n * float64(costs.SampleProcess+128*costs.SerializePerByte)))
+		cpu.Charge(time.Duration(n * float64(metrics.CostSampleProcess+128*metrics.CostSerializePerByte)))
 	})
 	// Periodic per-port counter export (independent of the flow count:
 	// sFlow exports interface counters, it does not track flows).
 	loop.Every(cfg.Accuracy, func() {
-		cpu.Charge(costs.PollIssue)
-		cpu.Charge(48 * (costs.PollPerRecord + 88*costs.SerializePerByte))
+		cpu.Charge(metrics.CostPollIssue)
+		cpu.Charge(48 * (metrics.CostPollPerRecord + 88*metrics.CostSerializePerByte))
 	})
 	loop.RunFor(200 * time.Millisecond)
 	snap := cpu.Snapshot()

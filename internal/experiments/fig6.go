@@ -8,6 +8,7 @@ import (
 	"farm/internal/dataplane"
 	"farm/internal/engine"
 	"farm/internal/fabric"
+	"farm/internal/metrics"
 	"farm/internal/netmodel"
 	"farm/internal/soil"
 )
@@ -152,7 +153,6 @@ func fig6Run(v Fig6Variant, seeds int, duration time.Duration) (Fig6Point, error
 	fab := fabric.New(topo, loop, fabric.Options{
 		BusBytesPerSec: 64 * dataplane.DefaultPCIePollBytesPerSec,
 	})
-	costs := fab.Costs()
 	// The unpartitioned ML panel (Fig. 6c) runs its seeds at 1 ms as
 	// separate processes — the paper attributes its blow-up to the many
 	// context switches; the partitioned panel (6d) uses threads.
@@ -165,7 +165,7 @@ func fig6Run(v Fig6Variant, seeds int, duration time.Duration) (Fig6Point, error
 	cpu := fab.CPU(swID)
 	s.SetExecFunc(func(cmd string, arg core.Value) (core.Value, error) {
 		// One exec() call = one modelled SVR iteration on this CPU.
-		cpu.Charge(costs.MLIteration)
+		cpu.Charge(metrics.CostMLIteration)
 		return arg, nil
 	})
 

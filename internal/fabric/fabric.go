@@ -58,7 +58,6 @@ const centralAt netmodel.SwitchID = 0
 type Fabric struct {
 	topo  *netmodel.Topology
 	sched engine.Scheduler
-	costs metrics.CostModel
 
 	switches []*dataplane.Switch
 	drivers  []*dataplane.EmuDriver
@@ -89,7 +88,6 @@ func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric 
 	f := &Fabric{
 		topo:       topo,
 		sched:      sched,
-		costs:      metrics.DefaultCostModel(),
 		switches:   make([]*dataplane.Switch, n),
 		drivers:    make([]*dataplane.EmuDriver, n),
 		cpus:       make([]*metrics.CPUMeter, n),
@@ -157,9 +155,6 @@ func (f *Fabric) Sched() engine.Scheduler { return f.sched }
 
 // Topology returns the underlying topology.
 func (f *Fabric) Topology() *netmodel.Topology { return f.topo }
-
-// Costs returns the CPU cost model.
-func (f *Fabric) Costs() metrics.CostModel { return f.costs }
 
 // Switch returns the emulated ASIC of a switch.
 func (f *Fabric) Switch(id netmodel.SwitchID) *dataplane.Switch { return f.switches[id] }
@@ -413,7 +408,7 @@ func (f *Fabric) SendToCentral(from netmodel.SwitchID, bytes int, fn func()) {
 		pkts = 1
 	}
 	f.CentralNet.Add(pkts, bytes)
-	f.cpus[from].Charge(time.Duration(bytes) * f.costs.SerializePerByte)
+	f.cpus[from].Charge(time.Duration(bytes) * metrics.CostSerializePerByte)
 	engine.ScheduleOn(f.sched, f.ControlLatency(from), fn)
 }
 
@@ -427,6 +422,6 @@ func (f *Fabric) SendFromCentral(to netmodel.SwitchID, bytes int, fn func()) {
 // (seed-to-seed communication, §II-C-b); fn is delivered after the
 // switch-to-switch latency.
 func (f *Fabric) SendSwitchToSwitch(from, to netmodel.SwitchID, bytes int, fn func()) {
-	f.cpus[from].Charge(time.Duration(bytes) * f.costs.SerializePerByte)
+	f.cpus[from].Charge(time.Duration(bytes) * metrics.CostSerializePerByte)
 	engine.ScheduleOn(f.sched, f.SwitchLatency(from, to), fn)
 }

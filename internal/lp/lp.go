@@ -669,19 +669,18 @@ func (t *tableau) pivot(leave, enter int) {
 
 // MILPOptions configures branch & bound.
 type MILPOptions struct {
-	Deadline time.Time     // zero: no deadline
-	Timeout  time.Duration // alternative to Deadline; 0: none
+	Timeout time.Duration // wall-clock budget from the call; 0: none
 }
 
 // maxNodes caps the branch & bound search.
 const maxNodes = 200000
 
 // SolveMILP runs branch & bound on the integer-marked variables. If the
-// deadline expires, the best incumbent found so far is returned with
+// timeout expires, the best incumbent found so far is returned with
 // Status DeadlineExceeded (or Infeasible if none was found).
 func (p *Problem) SolveMILP(opts MILPOptions) (*Solution, error) {
-	deadline := opts.Deadline
-	if deadline.IsZero() && opts.Timeout > 0 {
+	var deadline time.Time
+	if opts.Timeout > 0 {
 		deadline = time.Now().Add(opts.Timeout)
 	}
 

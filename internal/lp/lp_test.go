@@ -364,8 +364,8 @@ func TestMILPMixed(t *testing.T) {
 }
 
 func TestMILPDeadline(t *testing.T) {
-	// A larger random knapsack; a 0 deadline in the past must return
-	// quickly with DeadlineExceeded.
+	// A larger random knapsack; a 1 ns timeout has expired before the
+	// search starts, so it must return quickly with DeadlineExceeded.
 	rng := rand.New(rand.NewSource(3))
 	p := New(Maximize)
 	var coefs, weights []Coef
@@ -377,7 +377,7 @@ func TestMILPDeadline(t *testing.T) {
 	p.AddConstraint(weights, LE, 120)
 	p.SetObjective(coefs, 0)
 	start := time.Now()
-	sol, err := p.SolveMILP(MILPOptions{Deadline: time.Now().Add(-time.Second)})
+	sol, err := p.SolveMILP(MILPOptions{Timeout: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,50 +76,35 @@ func (m *CPUMeter) Saturated(prev CPUSnapshot) bool {
 	return m.LoadSince(prev) > m.cores
 }
 
-// CostModel holds per-operation CPU costs. The defaults are calibrated
-// to an Intel Atom C2538-class management CPU (the paper's Accton
-// AS5712/AS7712 platforms).
-type CostModel struct {
-	// PollIssue is charged when a poll request is issued to the driver.
-	PollIssue time.Duration
-	// PollPerRecord is charged per statistics record processed on
+// Per-operation CPU costs, calibrated to an Intel Atom C2538-class
+// management CPU (the paper's Accton AS5712/AS7712 platforms).
+const (
+	// CostPollIssue is charged when a poll request is issued to the
+	// driver.
+	CostPollIssue = 2 * time.Microsecond
+	// CostPollPerRecord is charged per statistics record processed on
 	// completion (per port or per rule entry).
-	PollPerRecord time.Duration
-	// HandlerDispatch is charged when a seed event handler fires.
-	HandlerDispatch time.Duration
-	// HandlerPerAction is charged per executed Almanac action.
-	HandlerPerAction time.Duration
-	// SampleProcess is charged per sampled packet handed to a seed.
-	SampleProcess time.Duration
-	// SerializePerByte is charged for marshalling control messages.
-	SerializePerByte time.Duration
-	// ContextSwitch is charged per wakeup of a process-model seed
+	CostPollPerRecord = 300 * time.Nanosecond
+	// CostHandlerDispatch is charged when a seed event handler fires.
+	CostHandlerDispatch = 1 * time.Microsecond
+	// CostHandlerPerAction is charged per executed Almanac action.
+	CostHandlerPerAction = 400 * time.Nanosecond
+	// CostSampleProcess is charged per sampled packet handed to a seed.
+	CostSampleProcess = 2 * time.Microsecond
+	// CostSerializePerByte is charged for marshalling control messages.
+	CostSerializePerByte = 2 * time.Nanosecond
+	// CostContextSwitch is charged per wakeup of a process-model seed
 	// (thread-model seeds run inline in the soil and skip it).
-	ContextSwitch time.Duration
-	// AggregationPerSeed is the soil-side fan-out cost when one poll
+	CostContextSwitch = 15 * time.Microsecond
+	// CostAggregationPerSeed is the soil-side fan-out cost when one poll
 	// response is distributed to several seeds.
-	AggregationPerSeed time.Duration
-	// MLIteration is one iteration of the SVR matrix workload
+	CostAggregationPerSeed = 500 * time.Nanosecond
+	// CostMLIteration is one iteration of the SVR matrix workload
 	// (§VI-A-c), calibrated so that the Fig. 6 load curves land in the
 	// paper's range (the Python 1000x1000 multiply is partitioned; one
 	// "iteration" here is one partition slice on one Atom core).
-	MLIteration time.Duration
-}
-
-// DefaultCostModel returns Atom-class defaults.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		PollIssue:          2 * time.Microsecond,
-		PollPerRecord:      300 * time.Nanosecond,
-		HandlerDispatch:    1 * time.Microsecond,
-		HandlerPerAction:   400 * time.Nanosecond,
-		SampleProcess:      2 * time.Microsecond,
-		SerializePerByte:   2 * time.Nanosecond,
-		ContextSwitch:      15 * time.Microsecond,
-		AggregationPerSeed: 500 * time.Nanosecond,
-		MLIteration:        12 * time.Microsecond,
-	}
-}
+	CostMLIteration = 12 * time.Microsecond
+)
 
 // NetMeter counts control-plane traffic crossing a measurement point
 // (e.g., the links into a central collector).

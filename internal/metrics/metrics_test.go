@@ -74,14 +74,20 @@ func TestNetMeterRates(t *testing.T) {
 }
 
 func TestDefaultCostModelSane(t *testing.T) {
-	cm := DefaultCostModel()
-	if cm.PollIssue <= 0 || cm.HandlerDispatch <= 0 || cm.MLIteration <= 0 {
-		t.Fatal("default costs must be positive")
+	costs := []time.Duration{
+		CostPollIssue, CostPollPerRecord, CostHandlerDispatch, CostHandlerPerAction,
+		CostSampleProcess, CostSerializePerByte, CostContextSwitch,
+		CostAggregationPerSeed, CostMLIteration,
 	}
-	if cm.ContextSwitch <= cm.HandlerDispatch {
+	for i, c := range costs {
+		if c <= 0 {
+			t.Fatalf("cost %d is %v; every cost must be positive", i, c)
+		}
+	}
+	if CostContextSwitch <= CostHandlerDispatch {
 		t.Fatal("a process context switch must cost more than an inline dispatch")
 	}
-	if cm.MLIteration <= cm.HandlerDispatch {
+	if CostMLIteration <= CostHandlerDispatch {
 		t.Fatal("an ML iteration must dominate a handler dispatch")
 	}
 }

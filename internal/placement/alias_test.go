@@ -14,13 +14,13 @@ import (
 // original, so a write through any alias shows up in reflect.DeepEqual.
 
 type inputSnap struct {
-	Switches    []SwitchInfo
-	Seeds       []seedSnap
-	Current     map[string]Assignment
-	Touched     []netmodel.SwitchID
-	Alpha, MigC float64
-	Flags       [3]bool
-	Parallel    int
+	Switches []SwitchInfo
+	Seeds    []seedSnap
+	Current  map[string]Assignment
+	Touched  []netmodel.SwitchID
+	MigC     float64
+	Flags    [3]bool
+	Parallel int
 }
 
 type seedSnap struct {
@@ -34,7 +34,6 @@ type seedSnap struct {
 type bakedSnap struct {
 	ID, UtilName string
 	VarNames     [][]string
-	Alpha        float64
 	Utility      poly.Utility
 	Polls        []PollDemand
 	Cases        []caseSnap
@@ -121,7 +120,7 @@ func snapBaked(b *Baked) *bakedSnap {
 	}
 	sh := b.shape
 	s := &bakedSnap{
-		ID: b.id, UtilName: b.utilName, Alpha: sh.alpha,
+		ID: b.id, UtilName: b.utilName,
 		Utility: cloneUtility(sh.utility), Polls: clonePolls(sh.polls),
 		PollNames: slices.Clone(sh.pollNames),
 	}
@@ -150,7 +149,7 @@ func snapBaked(b *Baked) *bakedSnap {
 func snapInput(in *Input) inputSnap {
 	s := inputSnap{
 		Current: clonePlaced(in.Current), Touched: slices.Clone(in.Touched),
-		Alpha: in.AlphaPoll, MigC: in.MigrationCost,
+		MigC:     in.MigrationCost,
 		Flags:    [3]bool{in.DisableMigration, in.SkipRedistribution, in.ForceFull},
 		Parallel: in.Parallel,
 	}
@@ -185,16 +184,15 @@ func mapID(m netmodel.Resources) uintptr { return reflect.ValueOf(m).Pointer() }
 // its step-3 workers only read what they share.
 func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 	base := digestScenario()
-	base.AlphaPoll = 0.5
 	first := map[string]int{}
 	for i := range base.Seeds {
 		s := &base.Seeds[i]
 		if f, ok := first[s.Task]; ok {
 			s.Utility, s.Polls = base.Seeds[f].Utility, base.Seeds[f].Polls
-			s.Baked = Bake(s, base.AlphaPoll, base.Seeds[f].Baked)
+			s.Baked = Bake(s, base.Seeds[f].Baked)
 		} else {
 			first[s.Task] = i
-			s.Baked = Bake(s, base.AlphaPoll, nil)
+			s.Baked = Bake(s, nil)
 		}
 	}
 	// The previous solve: it publishes every machine's minimal

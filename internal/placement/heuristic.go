@@ -135,13 +135,13 @@ type caseLP struct {
 	res      []string // sorted resources the case or polls mention, sans poll
 	utilRows []lpRow  // t <= term rows: -coef per res, rhs = term const
 	conRows  []lpRow  // case constraints as GE rows, rhs = -const
-	pollRows []lpRow  // per Polls entry: -alpha*coef per res, rhs = alpha*const
+	pollRows []lpRow  // per Polls entry: -coef per res, rhs = const
 }
 
 // Baked is one seed's step-3 LP fragments: every utility case's sorted
 // resource list and util/constraint/poll rows, plus the seed's interned
-// LP variable names. They depend only on the seed's ID, Utility and Polls
-// and on alpha, so a caller that re-solves the same seeds (the seeder's
+// LP variable names. They depend only on the seed's ID, Utility and
+// Polls, so a caller that re-solves the same seeds (the seeder's
 // warm replans) bakes once per (seed, utility) and hands the value back
 // in SeedSpec.Baked. Any number of solves, and their step-3 workers,
 // share a Baked: nothing in it is written after Bake returns except the
@@ -154,10 +154,9 @@ type Baked struct {
 }
 
 // bakedShape is the part of a Baked that does not depend on the seed ID:
-// seeds baked from the same Utility and Polls slices at the same alpha
-// (the seeds of one machine) share it.
+// seeds baked from the same Utility and Polls slices (the seeds of one
+// machine) share it.
 type bakedShape struct {
-	alpha   float64
 	utility poly.Utility // the cases baked, checked by Validate
 	polls   []PollDemand
 	cases   []caseLP
@@ -215,18 +214,15 @@ func (sh *bakedShape) minimalAt(maxCap netmodel.Resources, key []capEntry) *mini
 	return m
 }
 
-// Bake precomputes spec's step-3 LP fragments for a solve whose
-// Input.AlphaPoll is alpha (0 means 1, as there). like may be another
-// seed's Baked: when it was baked from the same Utility and Polls slices
-// at the same alpha, the result shares its rows and adds only spec's
-// variable names.
-func Bake(spec *SeedSpec, alpha float64, like *Baked) *Baked {
-	alpha = alphaOrOne(alpha)
+// Bake precomputes spec's step-3 LP fragments. like may be another
+// seed's Baked: when it was baked from the same Utility and Polls slices,
+// the result shares its rows and adds only spec's variable names.
+func Bake(spec *SeedSpec, like *Baked) *Baked {
 	var sh *bakedShape
-	if like != nil && like.shape.matches(spec, alpha) {
+	if like != nil && like.shape.matches(spec) {
 		sh = like.shape
 	} else {
-		sh = bakeShape(spec, alpha)
+		sh = bakeShape(spec)
 	}
 	b := &Baked{
 		id: spec.ID, utilName: spec.ID + ".u",
@@ -244,9 +240,9 @@ func Bake(spec *SeedSpec, alpha float64, like *Baked) *Baked {
 	return b
 }
 
-func bakeShape(spec *SeedSpec, alpha float64) *bakedShape {
+func bakeShape(spec *SeedSpec) *bakedShape {
 	sh := &bakedShape{
-		alpha: alpha, utility: spec.Utility, polls: spec.Polls,
+		utility: spec.Utility, polls: spec.Polls,
 		cases:     make([]caseLP, len(spec.Utility)),
 		pollNames: make([]string, len(spec.Polls)),
 	}
@@ -278,20 +274,20 @@ func bakeShape(spec *SeedSpec, alpha float64) *bakedShape {
 		}
 		cl.pollRows = make([]lpRow, len(spec.Polls))
 		for i, pd := range spec.Polls {
-			cl.pollRows[i] = cl.row(pd.Rate, -alpha, alpha*pd.Rate.Const)
+			cl.pollRows[i] = cl.row(pd.Rate, -1, pd.Rate.Const)
 		}
 	}
 	return sh
 }
 
-// matches reports whether b was baked from spec at alpha: the same seed
-// ID, the same Utility and Polls slices, the same alpha.
-func (b *Baked) matches(spec *SeedSpec, alpha float64) bool {
-	return b.id == spec.ID && b.shape.matches(spec, alpha)
+// matches reports whether b was baked from spec: the same seed ID, the
+// same Utility and Polls slices.
+func (b *Baked) matches(spec *SeedSpec) bool {
+	return b.id == spec.ID && b.shape.matches(spec)
 }
 
-func (sh *bakedShape) matches(spec *SeedSpec, alpha float64) bool {
-	return sh.alpha == alpha && sameSlice(sh.utility, spec.Utility) && sameSlice(sh.polls, spec.Polls)
+func (sh *bakedShape) matches(spec *SeedSpec) bool {
+	return sameSlice(sh.utility, spec.Utility) && sameSlice(sh.polls, spec.Polls)
 }
 
 // sameSlice reports whether a and b are the same slice: same length, same
@@ -329,8 +325,7 @@ type taskPrep struct {
 // caller's data. Per-switch state is indexed by the switch's position
 // in Input.Switches; per-seed state by the seed's position in ID order.
 type heurState struct {
-	in    *Input
-	alpha float64
+	in *Input
 
 	// swIdx maps a switch ID to its index. seedIdx is validate's
 	// duplicate-ID set; reset then maps each seed ID to its prep.
@@ -406,7 +401,6 @@ var heurPool = sync.Pool{New: func() any {
 // checked (filling swIdx).
 func (st *heurState) reset(in *Input) {
 	st.in = in
-	st.alpha = in.alphaPoll()
 	ns := len(in.Switches)
 	st.remaining = growMaps(st.remaining, ns)
 	st.pollMax = growMaps(st.pollMax, ns)
@@ -449,7 +443,7 @@ func (st *heurState) reset(in *Input) {
 		p := &st.preps[k]
 		*p = seedPrep{spec: s, baked: s.Baked}
 		if p.baked == nil {
-			p.baked = Bake(s, st.alpha, nil)
+			p.baked = Bake(s, nil)
 		}
 		p.min = p.baked.shape.minimalAt(st.maxCap, st.maxKey)
 		p.cur, p.hasCur = in.Current[s.ID]
@@ -608,7 +602,7 @@ func (st *heurState) pinCurrent() bool {
 			addSansPoll(st.used[si], a.Alloc)
 			polls := st.pollsUsed[si]
 			for _, pd := range p.spec.Polls {
-				d := st.alpha * pd.Rate.Eval(a.Alloc.AsFloats())
+				d := pd.Rate.Eval(a.Alloc.AsFloats())
 				if d > polls[pd.Subject] {
 					polls[pd.Subject] = d
 				}
@@ -754,7 +748,7 @@ func (st *heurState) invalidateSlack(si int32) {
 func (st *heurState) pollDelta(si int32, spec *SeedSpec, alloc netmodel.Resources) float64 {
 	delta := 0.0
 	for _, pd := range spec.Polls {
-		demand := st.alpha * pd.Rate.Eval(alloc.AsFloats())
+		demand := pd.Rate.Eval(alloc.AsFloats())
 		cur := st.pollMax[si][pd.Subject]
 		if demand > cur {
 			delta += demand - cur
@@ -766,7 +760,7 @@ func (st *heurState) pollDelta(si int32, spec *SeedSpec, alloc netmodel.Resource
 func (st *heurState) commitPolls(si int32, spec *SeedSpec, alloc netmodel.Resources) {
 	m := st.pollMax[si]
 	for _, pd := range spec.Polls {
-		demand := st.alpha * pd.Rate.Eval(alloc.AsFloats())
+		demand := pd.Rate.Eval(alloc.AsFloats())
 		if demand > m[pd.Subject] {
 			m[pd.Subject] = demand
 		}
@@ -781,7 +775,7 @@ func (st *heurState) recomputePolls(si int32) {
 	for _, k := range st.seedsOn[si] {
 		p := &st.preps[k]
 		for _, pd := range p.spec.Polls {
-			demand := st.alpha * pd.Rate.Eval(p.a.Alloc.AsFloats())
+			demand := pd.Rate.Eval(p.a.Alloc.AsFloats())
 			if demand > m[pd.Subject] {
 				m[pd.Subject] = demand
 			}
@@ -1139,7 +1133,7 @@ func (st *heurState) solveRedist(si int32, rs *redistScratch, out *redistOutcome
 			coefs = row.appendCoefs(coefs[:0], rv)
 			prob.AddConstraint(coefs, lp.GE, row.rhs)
 		}
-		// Poll demands: pollres_p >= alpha * rate(res).
+		// Poll demands: pollres_p >= rate(res).
 		for pi, row := range cl.pollRows {
 			pv := rs.pollVar(sh.polls[pi].Subject, sh.pollNames[pi])
 			coefs = append(coefs[:0], lp.Coef{Var: pv, Val: 1})

@@ -146,7 +146,7 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 					prob.AddConstraint(coefs, lp.LE, term.Const+bigU)
 				}
 				obj = append(obj, lp.Coef{Var: pv.util, Val: 1})
-				// Polling: pollres(n,p) >= alpha*rate(res) - bigP(1-plc).
+				// Polling: pollres(n,p) >= rate(res) - bigP(1-plc).
 				for _, pd := range s.Polls {
 					pr, ok := pollres[swID][pd.Subject]
 					if !ok {
@@ -154,19 +154,19 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 						pollres[swID][pd.Subject] = pr
 					}
 					// Worst-case demand bound for big-M.
-					bigP := math.Abs(in.alphaPoll()*pd.Rate.Const) + 1
+					bigP := math.Abs(pd.Rate.Const) + 1
 					for _, r := range pd.Rate.Vars() {
 						if pd.Rate.CoefOf(r) > 0 {
-							bigP += in.alphaPoll() * pd.Rate.CoefOf(r) * sw.Capacity[r]
+							bigP += pd.Rate.CoefOf(r) * sw.Capacity[r]
 						}
 					}
 					coefs := []lp.Coef{{Var: pr, Val: 1}, {Var: pv.plc, Val: -bigP}}
 					for _, r := range pd.Rate.Vars() {
 						if rv, ok := pv.res[r]; ok {
-							coefs = append(coefs, lp.Coef{Var: rv, Val: -in.alphaPoll() * pd.Rate.CoefOf(r)})
+							coefs = append(coefs, lp.Coef{Var: rv, Val: -pd.Rate.CoefOf(r)})
 						}
 					}
-					prob.AddConstraint(coefs, lp.GE, in.alphaPoll()*pd.Rate.Const-bigP)
+					prob.AddConstraint(coefs, lp.GE, pd.Rate.Const-bigP)
 				}
 				pairs[key] = pv
 			}

@@ -45,12 +45,11 @@ func TestHeuristicDigestAcrossWorkers(t *testing.T) {
 
 // TestBakedFragmentsMatchPerSolve: fragments baked ahead of the solve and
 // carried in SeedSpec.Baked place exactly what fragments baked inside it
-// do, serial and on four workers, at a non-default alpha. The seeds of a
-// task share their first seed's Utility and Polls, as a machine's seeds
-// do in the seeder, and are baked like it, so they share its rows.
+// do, serial and on four workers. The seeds of a task share their first
+// seed's Utility and Polls, as a machine's seeds do in the seeder, and are
+// baked like it, so they share its rows.
 func TestBakedFragmentsMatchPerSolve(t *testing.T) {
 	in := digestScenario()
-	in.AlphaPoll = 0.5
 	first := map[string]int{}
 	for i := range in.Seeds {
 		s := &in.Seeds[i]
@@ -65,7 +64,7 @@ func TestBakedFragmentsMatchPerSolve(t *testing.T) {
 	for i := range carried.Seeds {
 		s := &carried.Seeds[i]
 		like := carried.Seeds[first[s.Task]].Baked
-		s.Baked = Bake(s, in.AlphaPoll, like)
+		s.Baked = Bake(s, like)
 		if like != nil && s.Baked.shape != like.shape {
 			t.Fatalf("seed %s does not share its task's rows", s.ID)
 		}
@@ -74,7 +73,7 @@ func TestBakedFragmentsMatchPerSolve(t *testing.T) {
 	if other.Task == carried.Seeds[0].Task {
 		t.Fatal("scenario: the first two seeds are of one task")
 	}
-	if b := Bake(other, in.AlphaPoll, carried.Seeds[0].Baked); b.shape == carried.Seeds[0].Baked.shape {
+	if b := Bake(other, carried.Seeds[0].Baked); b.shape == carried.Seeds[0].Baked.shape {
 		t.Fatal("a seed with other Utility and Polls borrowed rows")
 	}
 	for _, workers := range []int{-1, 4} {

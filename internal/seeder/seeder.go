@@ -43,11 +43,7 @@ type TaskSpec struct {
 // Options configures a Seeder.
 type Options struct {
 	Soil soil.Options
-	// UseMILP solves placement exactly instead of with Alg. 1.
-	UseMILP     bool
-	MILPTimeout time.Duration
-	// AlphaPoll and MigrationCost feed the optimization model.
-	AlphaPoll     float64
+	// MigrationCost feeds the optimization model (placement.Input's).
 	MigrationCost float64
 	// PlacementParallel is the step-3 LP worker count (0 = GOMAXPROCS,
 	// negative = serial). The result is identical at any setting.
@@ -597,9 +593,6 @@ func (sd *Seeder) solve(in *placement.Input) (*placement.Result, error) {
 	if sd.beforeSolve != nil {
 		sd.beforeSolve(in)
 	}
-	if sd.opts.UseMILP {
-		return placement.MILP(in, placement.MILPOptions{Timeout: sd.opts.MILPTimeout})
-	}
 	return placement.Heuristic(in)
 }
 
@@ -617,12 +610,11 @@ func (sd *Seeder) freshDrop(res *placement.Result) bool {
 
 func (sd *Seeder) buildInput() *placement.Input {
 	in := &placement.Input{
-		AlphaPoll:     sd.opts.AlphaPoll,
 		MigrationCost: sd.opts.MigrationCost,
 		Current:       map[string]placement.Assignment{},
 		Parallel:      sd.opts.PlacementParallel,
 	}
-	if sd.solvedOnce && !sd.fullNeeded && !sd.opts.UseMILP {
+	if sd.solvedOnce && !sd.fullNeeded {
 		in.Touched = make([]netmodel.SwitchID, 0, len(sd.touched))
 		for id := range sd.touched {
 			in.Touched = append(in.Touched, id)
@@ -662,7 +654,7 @@ func (sd *Seeder) buildInput() *placement.Input {
 				Polls:      s.polls,
 			})
 			spec := &in.Seeds[len(in.Seeds)-1]
-			spec.Baked = s.bakedFor(state, spec, in.AlphaPoll)
+			spec.Baked = s.bakedFor(state, spec)
 		}
 	}
 	return in
@@ -675,11 +667,11 @@ type stateBaked struct {
 
 // bakedFor returns the seed's LP fragments in the given state, baking
 // them on first use.
-func (s *seedInst) bakedFor(state string, spec *placement.SeedSpec, alpha float64) *placement.Baked {
+func (s *seedInst) bakedFor(state string, spec *placement.SeedSpec) *placement.Baked {
 	if b := s.bakedIn(state); b != nil {
 		return b
 	}
-	b := placement.Bake(spec, alpha, s.kin.bakedIn(state))
+	b := placement.Bake(spec, s.kin.bakedIn(state))
 	s.baked = append(s.baked, stateBaked{state, b})
 	return b
 }

@@ -11,6 +11,7 @@ import (
 	"farm/internal/dataplane"
 	"farm/internal/engine"
 	"farm/internal/fabric"
+	"farm/internal/metrics"
 	"farm/internal/netmodel"
 )
 
@@ -346,7 +347,7 @@ func TestRemoveWithPollInFlight(t *testing.T) {
 		if s.PollsIssued() != 1 || s.PollsDelivered() != 0 {
 			t.Fatalf("issued %d delivered %d after removal, want 1 and 0", s.PollsIssued(), s.PollsDelivered())
 		}
-		want := time.Duration(fab.Switch(leaf).NumPorts()) * fab.Costs().PollPerRecord
+		want := time.Duration(fab.Switch(leaf).NumPorts()) * metrics.CostPollPerRecord
 		if got := fab.CPU(leaf).Busy() - busy; got != want {
 			t.Fatalf("aggregation=%v: orphaned completion charged %v, want %v (records only)", aggregation, got, want)
 		}

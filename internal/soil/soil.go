@@ -81,7 +81,6 @@ type Soil struct {
 	loop   engine.Scheduler
 	driver *dataplane.EmuDriver
 	cpu    *metrics.CPUMeter
-	costs  metrics.CostModel
 	opts   Options
 
 	capacity netmodel.Resources
@@ -112,7 +111,6 @@ func New(fab *fabric.Fabric, swID netmodel.SwitchID, opts Options) *Soil {
 		loop:     fab.Sched(),
 		driver:   fab.Driver(swID),
 		cpu:      fab.CPU(swID),
-		costs:    fab.Costs(),
 		opts:     opts,
 		capacity: sw.Capacity.Clone(),
 		used:     netmodel.Resources{},
@@ -308,7 +306,7 @@ func (g *pollGroup) stop() {
 func (g *pollGroup) fire() {
 	s := g.soil
 	s.pollsIssued++
-	s.cpu.Charge(s.costs.PollIssue)
+	s.cpu.Charge(metrics.CostPollIssue)
 	g.poll()
 }
 
@@ -317,7 +315,7 @@ func (g *pollGroup) fire() {
 // not.
 func (g *pollGroup) deliverPorts(ports []int, stats []dataplane.PortStats) {
 	s := g.soil
-	s.cpu.Charge(time.Duration(len(ports)) * s.costs.PollPerRecord)
+	s.cpu.Charge(time.Duration(len(ports)) * metrics.CostPollPerRecord)
 	g.deliver(func(prev *core.Batch) *core.Batch { return core.NewPortStatsBatch(ports, stats, prev) })
 }
 
@@ -326,7 +324,7 @@ func (g *pollGroup) deliverRule(st dataplane.RuleStats, ok bool) {
 		return // rule not installed (yet); nothing to deliver
 	}
 	s := g.soil
-	s.cpu.Charge(s.costs.PollPerRecord)
+	s.cpu.Charge(metrics.CostPollPerRecord)
 	g.deliver(func(prev *core.Batch) *core.Batch { return core.NewRuleStatsBatch(st, prev) })
 }
 
@@ -342,7 +340,7 @@ func (g *pollGroup) deliver(build func(prev *core.Batch) *core.Batch) {
 	}
 	s := g.soil
 	if len(g.subs) > 1 {
-		s.cpu.Charge(time.Duration(len(g.subs)) * s.costs.AggregationPerSeed)
+		s.cpu.Charge(time.Duration(len(g.subs)) * metrics.CostAggregationPerSeed)
 	}
 	shared := build(g.last)
 	var first *core.Batch
@@ -374,16 +372,16 @@ func (s *Soil) dispatchTrigger(rt *seedRuntime, varName string, data core.Value)
 }
 
 func (s *Soil) chargeDispatch() {
-	s.cpu.Charge(s.costs.HandlerDispatch)
+	s.cpu.Charge(metrics.CostHandlerDispatch)
 	if s.opts.ExecModel == Processes {
-		s.cpu.Charge(s.costs.ContextSwitch)
+		s.cpu.Charge(metrics.CostContextSwitch)
 	}
 }
 
 func (s *Soil) chargeActions(rt *seedRuntime) {
 	n := rt.seed.TakeActionCount()
 	if n > 0 {
-		s.cpu.Charge(time.Duration(n) * s.costs.HandlerPerAction)
+		s.cpu.Charge(time.Duration(n) * metrics.CostHandlerPerAction)
 	}
 }
 
@@ -551,7 +549,7 @@ func (s *Soil) wireProbe(rt *seedRuntime, pi *almanac.PollInfo, interval time.Du
 		}
 		sub.lastProbe = now
 		s.probesDelivered++
-		s.cpu.Charge(s.costs.SampleProcess)
+		s.cpu.Charge(metrics.CostSampleProcess)
 		sub.pkt = core.PacketVal(p)
 		s.dispatchTrigger(rt, pi.Name, &sub.pkt)
 	})
