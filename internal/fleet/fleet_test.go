@@ -67,6 +67,37 @@ func httpGet(t *testing.T, client *http.Client, url string, out any) int {
 	return resp.StatusCode
 }
 
+// TestNewRejectsBadConfig: a negative size or duration is refused by New
+// with an error, where it used to boot a fabric with no hosts, a
+// spine-leaf in place of a fat-tree, a standby that took over at boot,
+// or a ticker that panicked at Start. Zero still means the default.
+func TestNewRejectsBadConfig(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"negative fat-tree arity", func(c *Config) { c.FatTreeK = -4 }},
+		{"negative hosts per leaf", func(c *Config) { c.HostsPerLeaf = -2 }},
+		{"negative hosts per fat-tree edge", func(c *Config) { c.FatTreeK, c.HostsPerLeaf = 4, -2 }},
+		{"negative spines", func(c *Config) { c.Spines = -1 }},
+		{"negative heartbeat interval", func(c *Config) { c.HeartbeatInterval = -time.Second }},
+		{"negative heartbeat timeout", func(c *Config) { c.HeartbeatTimeout = -time.Second }},
+		{"negative reoptimize interval", func(c *Config) { c.ReoptimizeInterval = -time.Second }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var cfg Config
+			c.mut(&cfg)
+			if s, err := New(cfg); err == nil {
+				t.Fatalf("New accepted the config: %s", s.FabricDesc())
+			}
+		})
+	}
+	if _, err := New(Config{}); err != nil {
+		t.Fatalf("New with every default: %v", err)
+	}
+}
+
 // TestFleetLifecycle boots the daemon core, drives it over both
 // operator surfaces (HTTP and RPC), shuts it down cleanly, and checks
 // no goroutine outlives the service.

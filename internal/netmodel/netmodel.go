@@ -448,6 +448,9 @@ func SpineLeaf(opts SpineLeafOptions) (*Topology, error) {
 	if opts.Spines <= 0 || opts.Leaves <= 0 {
 		return nil, fmt.Errorf("netmodel: spine-leaf needs positive spines (%d) and leaves (%d)", opts.Spines, opts.Leaves)
 	}
+	if opts.HostsPerLeaf < 0 {
+		return nil, fmt.Errorf("netmodel: spine-leaf needs non-negative hosts per leaf, got %d", opts.HostsPerLeaf)
+	}
 	if opts.Leaves > 250 {
 		return nil, fmt.Errorf("netmodel: at most 250 leaves supported by the addressing scheme, got %d", opts.Leaves)
 	}
@@ -519,6 +522,9 @@ func FatTree(opts FatTreeOptions) (*Topology, error) {
 		return nil, fmt.Errorf("netmodel: at most 250 edge switches supported by the addressing scheme, got %d (k=%d)", edges, k)
 	}
 	hostsPerEdge := opts.HostsPerEdge
+	if hostsPerEdge < 0 {
+		return nil, fmt.Errorf("netmodel: fat-tree needs non-negative hosts per edge, got %d", hostsPerEdge)
+	}
 	if hostsPerEdge == 0 {
 		hostsPerEdge = half
 	}
