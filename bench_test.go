@@ -1,8 +1,12 @@
 // Package farm's repository-root benchmarks regenerate each table and
 // figure of the paper's evaluation through internal/experiments, one
-// testing.B target per artifact:
+// testing.B target per artifact, at farm-bench's quick scale:
 //
 //	go test -bench=. -benchmem
+//
+// Fig. 7 and Fig. 10 run at smaller scales than farm-bench's quick one
+// (Fig. 7's waits out minutes of solver deadlines), so their benchmarks
+// live in internal/experiments.
 //
 // Benchmarks report the headline quantity of their experiment as a
 // custom metric next to the usual ns/op (which here measures the cost
@@ -30,7 +34,7 @@ func BenchmarkTab1UseCases(b *testing.B) {
 
 func BenchmarkTab4DetectionTime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Tab4(experiments.Tab4Config{})
+		res, err := experiments.Tab4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,11 +54,7 @@ func BenchmarkTab4DetectionTime(b *testing.B) {
 
 func BenchmarkFig4NetworkLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4(experiments.Fig4Config{
-			PortCounts: []int{48, 192},
-			Duration:   4 * time.Second,
-			Churn:      time.Second,
-		})
+		res, err := experiments.Fig4(false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,51 +71,25 @@ func BenchmarkFig4NetworkLoad(b *testing.B) {
 
 func BenchmarkFig5CPULoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5(experiments.Fig5Config{
-			FlowCounts: []int{100, 10000},
-			Duration:   time.Second,
-		})
+		res, err := experiments.Fig5(false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.FARM[1].Load*100, "farm-cpu-pct-10k")
-		b.ReportMetric(res.SFlow[1].Load*100, "sflow-cpu-pct-10k")
+		last := len(res.FARM) - 1 // 10000 flows
+		b.ReportMetric(res.FARM[last].Load*100, "farm-cpu-pct-10k")
+		b.ReportMetric(res.SFlow[last].Load*100, "sflow-cpu-pct-10k")
 	}
 }
 
 func BenchmarkFig6SeedScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(experiments.Fig6Config{
-			HHSeedCounts: []int{100},
-			MLSeedCounts: []int{250},
-			Duration:     time.Second,
-		})
+		res, err := experiments.Fig6(false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Variants["HH 10ms"][0].Load*100, "hh100-cpu-pct")
-		b.ReportMetric(res.Variants["ML 10ms x10iter (partitioned)"][0].Load*100, "ml250-cpu-pct")
-	}
-}
-
-func BenchmarkFig7Placement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(experiments.Fig7Config{
-			SeedCounts:    []int{30},
-			Runs:          1,
-			MILPShort:     200 * time.Millisecond,
-			MILPLong:      3 * time.Second,
-			SkipMILPAbove: 30,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		h := res.Heuristic[0]
-		b.ReportMetric(h.Utility, "heuristic-utility")
-		b.ReportMetric(float64(h.Runtime.Microseconds()), "heuristic-us")
-		if len(res.MILPLong) > 0 && res.MILPLong[0].Utility > 0 {
-			b.ReportMetric(h.Utility/res.MILPLong[0].Utility, "heur/milp-utility")
-		}
+		hh, ml := res.Variants["HH 10ms"], res.Variants["ML 10ms x10iter (partitioned)"]
+		b.ReportMetric(hh[len(hh)-1].Load*100, "hh100-cpu-pct")
+		b.ReportMetric(ml[len(ml)-1].Load*100, "ml250-cpu-pct")
 	}
 }
 
@@ -154,51 +128,31 @@ func BenchmarkFig7HeuristicPaperScale(b *testing.B) {
 
 func BenchmarkFig8PCIe(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(experiments.Fig8Config{
-			SeedCounts: []int{1, 32},
-			Duration:   time.Second,
-		})
+		res, err := experiments.Fig8()
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.NoAggregation[1].Utilization*100, "bus-pct-noagg-32")
-		b.ReportMetric(res.WithAggregation[1].Utilization*100, "bus-pct-agg-32")
+		last := len(res.NoAggregation) - 1
+		b.ReportMetric(res.NoAggregation[last].Utilization*100, "bus-pct-noagg-64")
+		b.ReportMetric(res.WithAggregation[last].Utilization*100, "bus-pct-agg-64")
 	}
 }
 
 func BenchmarkFig9Aggregation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(experiments.Fig9Config{
-			SeedCounts: []int{150},
-			Duration:   time.Second,
-		})
+		res, err := experiments.Fig9()
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Configs["threads + aggregation"][0].Load*100, "threads-cpu-pct")
-		b.ReportMetric(res.Configs["processes + aggregation"][0].Load*100, "processes-cpu-pct")
-	}
-}
-
-func BenchmarkFig10Transport(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(experiments.Fig10Config{
-			SeedCounts:   []int{50},
-			CallsPerSeed: 200,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.SharedBuf[0].MeanLatency.Nanoseconds()), "sharedbuf-ns")
-		b.ReportMetric(float64(res.TCPRPC[0].MeanLatency.Nanoseconds()), "tcprpc-ns")
+		thr, prc := res.Configs["threads + aggregation"], res.Configs["processes + aggregation"]
+		b.ReportMetric(thr[len(thr)-1].Load*100, "threads-cpu-pct")
+		b.ReportMetric(prc[len(prc)-1].Load*100, "processes-cpu-pct")
 	}
 }
 
 func BenchmarkAblationHeuristicPasses(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Ablation(experiments.AblationConfig{
-			Switches: 8, Seeds: 50, Tasks: 6, Runs: 1,
-		})
+		res, err := experiments.Ablation()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -36,7 +36,15 @@ import (
 type experiment struct {
 	name string
 	desc string
-	run  func(full bool) error
+	run  func(full bool) (string, error) // the rendered output
+}
+
+// render is the run of an experiment whose result is one table.
+func render[R interface{ Table() *experiments.Table }](res R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return res.Table().Render(), nil
 }
 
 func main() {
@@ -77,18 +85,74 @@ func main() {
 	}
 
 	exps := []experiment{
-		{"tab1", "Tab. I: use cases implemented in Almanac", runTab1},
-		{"tab4", "Tab. 4: HH detection time across systems", runTab4},
-		{"tab5", "Tab. V: feature matrix of generic M&M solutions", runTab5},
-		{"fig4", "Fig. 4: network load toward central components", runFig4},
-		{"fig5", "Fig. 5: switch CPU load vs monitored flows", runFig5},
-		{"fig6", "Fig. 6: CPU load vs collocated seeds (HH/ML)", runFig6},
-		{"fig7", "Fig. 7: placement utility and runtime", runFig7},
-		{"fig8", "Fig. 8: PCIe bus congestion and aggregation", runFig8},
-		{"fig9", "Fig. 9: soil CPU, threads vs processes", runFig9},
-		{"fig10", "Fig. 10: seed<->soil transport latency", runFig10},
-		{"ablation", "Ablations: Alg. 1 passes, migration cost", runAblation},
-		{"fleet-soak", "Fleet soak: concurrent RPC clients + forced failover on a live fleetd", runFleetSoak},
+		{"tab1", "Tab. I: use cases implemented in Almanac", func(bool) (string, error) {
+			return experiments.Tab1().Table().Render(), nil
+		}},
+		{"tab4", "Tab. 4: HH detection time across systems", func(bool) (string, error) {
+			return render(experiments.Tab4())
+		}},
+		{"tab5", "Tab. V: feature matrix of generic M&M solutions", func(bool) (string, error) {
+			return experiments.Tab5().Render(), nil
+		}},
+		{"fig4", "Fig. 4: network load toward central components", func(full bool) (string, error) {
+			return render(experiments.Fig4(full))
+		}},
+		{"fig5", "Fig. 5: switch CPU load vs monitored flows", func(full bool) (string, error) {
+			return render(experiments.Fig5(full))
+		}},
+		{"fig6", "Fig. 6: CPU load vs collocated seeds (HH/ML)", func(full bool) (string, error) {
+			return render(experiments.Fig6(full))
+		}},
+		{"fig7", "Fig. 7: placement utility and runtime", func(full bool) (string, error) {
+			return render(experiments.Fig7(full))
+		}},
+		{"fig8", "Fig. 8: PCIe bus congestion and aggregation", func(bool) (string, error) {
+			return render(experiments.Fig8())
+		}},
+		{"fig9", "Fig. 9: soil CPU, threads vs processes", func(bool) (string, error) {
+			return render(experiments.Fig9())
+		}},
+		{"fig10", "Fig. 10: seed<->soil transport latency", func(full bool) (string, error) {
+			return render(experiments.Fig10(full))
+		}},
+		{"ablation", "Ablations: Alg. 1 passes, migration cost", func(bool) (string, error) {
+			res, err := experiments.Ablation()
+			if err != nil {
+				return "", err
+			}
+			return res.Passes.Render() + "\n" + res.Migration.Render(), nil
+		}},
+		// The daemon's survivability gate (docs/fleetd.md): concurrent
+		// RPC clients churn the catalogue against a live fleet service
+		// while the active control replica is killed mid-run. Unlike the
+		// other experiments it runs on the wall-clock engine, so elapsed
+		// time is real time.
+		{"fleet-soak", "Fleet soak: concurrent RPC clients + forced failover on a live fleetd", func(full bool) (string, error) {
+			cfg := fleet.SoakConfig{
+				Service: fleet.Config{
+					Spines: 2, Leaves: 3, HostsPerLeaf: 4,
+					Traffic:           true,
+					HeartbeatInterval: 10 * time.Millisecond,
+				},
+				Clients: 8,
+				Rounds:  3,
+			}
+			if full {
+				cfg.Service.Leaves = 8
+				cfg.Service.HostsPerLeaf = 8
+				cfg.Clients = 16
+				cfg.Rounds = 6
+			}
+			res, err := fleet.Soak(cfg)
+			if err != nil {
+				return "", err
+			}
+			if !res.Passed() {
+				err = fmt.Errorf("fleet-soak failed: lost=%v unexpected=%v takeovers=%d",
+					res.Lost, res.Unexpected, res.Takeovers)
+			}
+			return res.String(), err
+		}},
 	}
 	if *list {
 		for _, e := range exps {
@@ -103,7 +167,9 @@ func main() {
 		}
 		ran++
 		start := time.Now()
-		if err := e.run(*full); err != nil {
+		out, err := e.run(*full)
+		fmt.Print(out)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
@@ -113,160 +179,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *exp)
 		os.Exit(1)
 	}
-}
-
-func runTab1(bool) error {
-	fmt.Print(experiments.Tab1().Table().Render())
-	return nil
-}
-
-func runTab5(bool) error {
-	fmt.Print(experiments.Tab5().Render())
-	return nil
-}
-
-func runTab4(bool) error {
-	res, err := experiments.Tab4(experiments.Tab4Config{})
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Table().Render())
-	return nil
-}
-
-func runFig4(full bool) error {
-	cfg := experiments.Fig4Config{}
-	if !full {
-		cfg.PortCounts = []int{48, 96, 240, 480}
-		cfg.Duration = 8 * time.Second
-		cfg.Churn = 3 * time.Second
-	}
-	res, err := experiments.Fig4(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Table().Render())
-	return nil
-}
-
-func runFig5(full bool) error {
-	cfg := experiments.Fig5Config{}
-	if !full {
-		cfg.FlowCounts = []int{100, 1000, 5000, 10000}
-		cfg.Duration = 2 * time.Second
-	}
-	res, err := experiments.Fig5(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Table().Render())
-	return nil
-}
-
-func runFig6(full bool) error {
-	cfg := experiments.Fig6Config{}
-	if !full {
-		cfg.HHSeedCounts = []int{10, 40, 100}
-		cfg.MLSeedCounts = []int{10, 50, 150, 250}
-		cfg.Duration = time.Second
-	}
-	res, err := experiments.Fig6(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Table().Render())
-	return nil
-}
-
-func runFig7(full bool) error {
-	cfg := experiments.Fig7Config{}
-	if full {
-		// The paper's grid shape: 1000..10200 seeds on up to 1040
-		// switches. The exact solver cannot follow; the heuristic can.
-		cfg.SeedCounts = []int{1000, 4000, 7000, 10200}
-		cfg.SwitchesPerSeed = 1040.0 / 10200.0
-		cfg.Runs = 3
-		cfg.SkipMILPAbove = 400
-	}
-	res, err := experiments.Fig7(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Table().Render())
-	return nil
-}
-
-func runFig8(bool) error {
-	res, err := experiments.Fig8(experiments.Fig8Config{})
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Table().Render())
-	return nil
-}
-
-func runFig9(bool) error {
-	res, err := experiments.Fig9(experiments.Fig9Config{})
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Table().Render())
-	return nil
-}
-
-func runFig10(full bool) error {
-	cfg := experiments.Fig10Config{}
-	if !full {
-		cfg.CallsPerSeed = 500
-	}
-	res, err := experiments.Fig10(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Table().Render())
-	return nil
-}
-
-// runFleetSoak is the daemon's survivability gate (docs/fleetd.md): N
-// concurrent RPC clients churn the catalogue against a live fleet
-// service while the active control replica is killed mid-run. Unlike
-// the other experiments it exercises the wall-clock engine, so elapsed
-// time is real time.
-func runFleetSoak(full bool) error {
-	cfg := fleet.SoakConfig{
-		Service: fleet.Config{
-			Spines: 2, Leaves: 3, HostsPerLeaf: 4,
-			Traffic:           true,
-			HeartbeatInterval: 10 * time.Millisecond,
-		},
-		Clients: 8,
-		Rounds:  3,
-	}
-	if full {
-		cfg.Service.Leaves = 8
-		cfg.Service.HostsPerLeaf = 8
-		cfg.Clients = 16
-		cfg.Rounds = 6
-	}
-	res, err := fleet.Soak(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res)
-	if !res.Passed() {
-		return fmt.Errorf("fleet-soak failed: lost=%v unexpected=%v takeovers=%d",
-			res.Lost, res.Unexpected, res.Takeovers)
-	}
-	return nil
-}
-
-func runAblation(bool) error {
-	res, err := experiments.Ablation(experiments.AblationConfig{})
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Passes.Render())
-	fmt.Println()
-	fmt.Print(res.Migration.Render())
-	return nil
 }

@@ -17,32 +17,23 @@ type AblationResult struct {
 	Migration *Table
 }
 
-// AblationConfig parameterizes the ablations.
-type AblationConfig struct {
-	Switches, Seeds, Tasks int
-	Runs                   int
-	Seed                   int64
-}
+// The ablation scenario's size: ablationRuns random instances of
+// ablationSeeds seeds of ablationTasks tasks on ablationSwitches
+// switches.
+const (
+	ablationSwitches = 10
+	ablationSeeds    = 80
+	ablationTasks    = 8
+	ablationRuns     = 3
+)
 
 // Ablation runs both ablation studies.
-func Ablation(cfg AblationConfig) (*AblationResult, error) {
-	if cfg.Switches == 0 {
-		cfg.Switches = 10
-	}
-	if cfg.Seeds == 0 {
-		cfg.Seeds = 80
-	}
-	if cfg.Tasks == 0 {
-		cfg.Tasks = 8
-	}
-	if cfg.Runs == 0 {
-		cfg.Runs = 3
-	}
-	passes, err := ablationPasses(cfg)
+func Ablation() (*AblationResult, error) {
+	passes, err := ablationPasses()
 	if err != nil {
 		return nil, err
 	}
-	migr, err := ablationMigrationCost(cfg)
+	migr, err := ablationMigrationCost()
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +41,7 @@ func Ablation(cfg AblationConfig) (*AblationResult, error) {
 }
 
 // ablationPasses isolates the contribution of each Alg. 1 pass.
-func ablationPasses(cfg AblationConfig) (*Table, error) {
+func ablationPasses() (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: Alg. 1 passes (utility gained per pass)",
 		Columns: []string{"utility", "runtime"},
@@ -67,17 +58,17 @@ func ablationPasses(cfg AblationConfig) (*Table, error) {
 	for _, v := range variants {
 		var util float64
 		var rt time.Duration
-		for run := 0; run < cfg.Runs; run++ {
+		for run := 0; run < ablationRuns; run++ {
 			in := placement.RandomScenario(placement.ScenarioConfig{
-				Switches: cfg.Switches, Seeds: cfg.Seeds, Tasks: cfg.Tasks,
-				Seed: cfg.Seed + int64(run),
+				Switches: ablationSwitches, Seeds: ablationSeeds, Tasks: ablationTasks,
+				Seed: int64(run),
 			})
 			// Re-optimization setting: the migration pass only engages
 			// with an existing placement, so seed it with a fresh
 			// greedy-only run.
 			base := placement.RandomScenario(placement.ScenarioConfig{
-				Switches: cfg.Switches, Seeds: cfg.Seeds, Tasks: cfg.Tasks,
-				Seed: cfg.Seed + int64(run),
+				Switches: ablationSwitches, Seeds: ablationSeeds, Tasks: ablationTasks,
+				Seed: int64(run),
 			})
 			base.SkipRedistribution = true
 			base.DisableMigration = true
@@ -99,8 +90,8 @@ func ablationPasses(cfg AblationConfig) (*Table, error) {
 			rt += res.Runtime
 		}
 		t.Rows = append(t.Rows, Row{Label: v.label, Values: []string{
-			fmtFloat(util / float64(cfg.Runs)),
-			fmtDuration(rt / time.Duration(cfg.Runs)),
+			fmtFloat(util / ablationRuns),
+			fmtDuration(rt / ablationRuns),
 		}})
 	}
 	return t, nil
@@ -110,7 +101,7 @@ func ablationPasses(cfg AblationConfig) (*Table, error) {
 // where moving is genuinely attractive: every seed starts (per the
 // prior placement) on a cramped switch while roomy switches sit idle.
 // The penalty decides how many of those beneficial moves survive.
-func ablationMigrationCost(cfg AblationConfig) (*Table, error) {
+func ablationMigrationCost() (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: migration-cost sensitivity (re-optimization)",
 		Columns: []string{"migrations", "utility"},
@@ -122,10 +113,7 @@ func ablationMigrationCost(cfg AblationConfig) (*Table, error) {
 		}
 		big := netmodel.DefaultLeafCapacity()
 		in := &placement.Input{Current: map[string]placement.Assignment{}}
-		nPairs := cfg.Switches / 2
-		if nPairs < 2 {
-			nPairs = 2
-		}
+		const nPairs = ablationSwitches / 2
 		for i := 0; i < nPairs; i++ {
 			in.Switches = append(in.Switches,
 				placement.SwitchInfo{ID: netmodel.SwitchID(2 * i), Capacity: small.Clone()},

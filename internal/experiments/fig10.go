@@ -24,36 +24,37 @@ type Fig10Result struct {
 	TCPRPC    []Fig10Point
 }
 
-// Fig10Config parameterizes the microbenchmark.
-type Fig10Config struct {
-	SeedCounts []int
-	// CallsPerSeed per measurement; 0 means 2000.
-	CallsPerSeed int
-	// PayloadBytes per request; 0 means 256 (a typical statistics
-	// record batch).
-	PayloadBytes int
+// fig10Scale is one Fig. 10 sweep: the seed counts and the calls each
+// seed makes per measurement.
+type fig10Scale struct {
+	seedCounts   []int
+	callsPerSeed int
 }
+
+// fig10PayloadBytes is each request's size, a typical statistics record
+// batch.
+const fig10PayloadBytes = 256
 
 // Fig10 creates N concurrent "seeds" per transport, each performing
 // synchronous request/response calls against the soil, and reports the
 // per-call latency. The socket path (the gRPC role) degrades linearly
-// with the seed count; the shared buffer stays flat (§VI-E-c).
-func Fig10(cfg Fig10Config) (*Fig10Result, error) {
-	if cfg.SeedCounts == nil {
-		cfg.SeedCounts = []int{1, 10, 50, 100, 150}
+// with the seed count; the shared buffer stays flat (§VI-E-c). Each seed
+// makes 2000 calls per measurement at full scale, 500 at quick scale.
+func Fig10(full bool) (*Fig10Result, error) {
+	sc := fig10Scale{seedCounts: []int{1, 10, 50, 100, 150}, callsPerSeed: 500}
+	if full {
+		sc.callsPerSeed = 2000
 	}
-	if cfg.CallsPerSeed == 0 {
-		cfg.CallsPerSeed = 2000
-	}
-	if cfg.PayloadBytes == 0 {
-		cfg.PayloadBytes = 256
-	}
+	return fig10(sc)
+}
+
+func fig10(sc fig10Scale) (*Fig10Result, error) {
 	res := &Fig10Result{}
 	handler := func(dst, req []byte) []byte { return append(dst, req...) } // echo soil
 
-	for _, n := range cfg.SeedCounts {
+	for _, n := range sc.seedCounts {
 		shared := transport.NewSharedBufServer(64*1024, handler)
-		p, err := fig10Measure(shared, n, cfg)
+		p, err := fig10Measure(shared, n, sc.callsPerSeed)
 		shared.Close()
 		if err != nil {
 			return nil, err
@@ -64,7 +65,7 @@ func Fig10(cfg Fig10Config) (*Fig10Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err = fig10Measure(tcp, n, cfg)
+		p, err = fig10Measure(tcp, n, sc.callsPerSeed)
 		tcp.Close()
 		if err != nil {
 			return nil, err
@@ -92,8 +93,8 @@ func (r *Fig10Result) Table() *Table {
 	return t
 }
 
-func fig10Measure(srv transport.Server, seeds int, cfg Fig10Config) (Fig10Point, error) {
-	payload := make([]byte, cfg.PayloadBytes)
+func fig10Measure(srv transport.Server, seeds, calls int) (Fig10Point, error) {
+	payload := make([]byte, fig10PayloadBytes)
 	type result struct {
 		lats []time.Duration
 		err  error
@@ -110,8 +111,8 @@ func fig10Measure(srv transport.Server, seeds int, cfg Fig10Config) (Fig10Point,
 				return
 			}
 			defer conn.Close()
-			lats := make([]time.Duration, 0, cfg.CallsPerSeed)
-			for c := 0; c < cfg.CallsPerSeed; c++ {
+			lats := make([]time.Duration, 0, calls)
+			for c := 0; c < calls; c++ {
 				start := time.Now()
 				if _, err := conn.Call(payload); err != nil {
 					results[idx].err = err

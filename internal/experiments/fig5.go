@@ -9,22 +9,14 @@ import (
 	"farm/internal/metrics"
 )
 
-// Fig5Config parameterizes the CPU-load-vs-flows comparison.
-type Fig5Config struct {
-	// FlowCounts is the x-axis (monitored flow rules); nil means the
-	// paper's sweep 100..10000.
-	FlowCounts []int
-	// Accuracy is the monitoring period both systems must deliver
-	// (the paper uses 10 ms).
-	Accuracy time.Duration
-	// Duration is the measured window; 0 means 5 s.
-	Duration time.Duration
-	// TrafficPPS is the line rate the sFlow agent samples from; 0 means
-	// 1e6 packets/s (a loaded 10G port mix).
-	TrafficPPS float64
-	// SampleOneInN is sFlow's sampling ratio; 0 means 64.
-	SampleOneInN int
-}
+// Fig. 5's fixed setting: both systems deliver a 10 ms monitoring period
+// (the paper's accuracy), and the sFlow agent samples 1 in 8 packets of a
+// 2 Mpps line rate (a loaded 10G port mix).
+const (
+	fig5Accuracy     = 10 * time.Millisecond
+	fig5TrafficPPS   = 2e6
+	fig5SampleOneInN = 8
+)
 
 // Fig5Point is one (system, flows) CPU-load measurement.
 type Fig5Point struct {
@@ -43,31 +35,22 @@ type Fig5Result struct {
 // switch-local microbenchmark on the emulated ASIC and cost model: FARM
 // polls the rules' counters and analyzes the deltas on the switch;
 // sFlow samples packets at line rate and forwards everything (plus a
-// periodic counter export), doing no local filtering (§VI-B-c).
-func Fig5(cfg Fig5Config) (*Fig5Result, error) {
-	if cfg.FlowCounts == nil {
-		cfg.FlowCounts = []int{100, 500, 1000, 2500, 5000, 10000}
-	}
-	if cfg.Accuracy == 0 {
-		cfg.Accuracy = 10 * time.Millisecond
-	}
-	if cfg.Duration == 0 {
-		cfg.Duration = 5 * time.Second
-	}
-	if cfg.TrafficPPS == 0 {
-		cfg.TrafficPPS = 2e6
-	}
-	if cfg.SampleOneInN == 0 {
-		cfg.SampleOneInN = 8
+// periodic counter export), doing no local filtering (§VI-B-c). The full
+// sweep is the paper's 100..10000 flows over a 5 s window; quick scale
+// takes four of its points over 2 s.
+func Fig5(full bool) (*Fig5Result, error) {
+	flowCounts, duration := []int{100, 1000, 5000, 10000}, 2*time.Second
+	if full {
+		flowCounts, duration = []int{100, 500, 1000, 2500, 5000, 10000}, 5*time.Second
 	}
 	res := &Fig5Result{}
-	for _, flows := range cfg.FlowCounts {
-		farm, err := fig5FARM(flows, cfg)
+	for _, flows := range flowCounts {
+		farm, err := fig5FARM(flows, duration)
 		if err != nil {
 			return nil, err
 		}
 		res.FARM = append(res.FARM, Fig5Point{Flows: flows, Load: farm})
-		sf := fig5SFlow(flows, cfg)
+		sf := fig5SFlow(duration)
 		res.SFlow = append(res.SFlow, Fig5Point{Flows: flows, Load: sf})
 	}
 	return res, nil
@@ -94,9 +77,9 @@ func (r *Fig5Result) Table() *Table {
 // seed performs in place of exporting the record.
 const fig5CompareCost = 100 * time.Nanosecond
 
-// fig5FARM: a seed polls `flows` rule counters every Accuracy period and
-// analyzes the deltas locally (threshold compare per rule).
-func fig5FARM(flows int, cfg Fig5Config) (float64, error) {
+// fig5FARM: a seed polls `flows` rule counters every fig5Accuracy period
+// and analyzes the deltas locally (threshold compare per rule).
+func fig5FARM(flows int, duration time.Duration) (float64, error) {
 	loop := engine.NewSerial()
 	sw := dataplane.NewSwitch("bench", 8, flows+8)
 	bus := dataplane.NewBus(loop, 256*dataplane.DefaultPCIePollBytesPerSec)
@@ -110,13 +93,13 @@ func fig5FARM(flows int, cfg Fig5Config) (float64, error) {
 		}
 	}
 	// Background traffic credits the rules.
-	loop.Every(cfg.Accuracy, func() {
+	loop.Every(fig5Accuracy, func() {
 		for i := range filters {
 			sw.CreditRule(filters[i], 10, 10_000)
 		}
 	})
 	prev := make([]dataplane.RuleStats, flows)
-	loop.Every(cfg.Accuracy, func() {
+	loop.Every(fig5Accuracy, func() {
 		// The soil aggregates the seed's rule polls into one bulk bus
 		// transfer per interval (§II-B-b); analysis happens in place.
 		cpu.Charge(metrics.CostPollIssue + metrics.CostHandlerDispatch)
@@ -133,17 +116,17 @@ func fig5FARM(flows int, cfg Fig5Config) (float64, error) {
 	})
 	loop.RunFor(200 * time.Millisecond)
 	snap := cpu.Snapshot()
-	loop.RunFor(cfg.Duration)
+	loop.RunFor(duration)
 	return cpu.LoadSince(snap), nil
 }
 
 // fig5SFlow: the agent samples 1-in-N packets of line-rate traffic
 // (cost independent of the flow count) and exports every rule counter
 // unfiltered each period (serialize + ship, no analysis).
-func fig5SFlow(flows int, cfg Fig5Config) float64 {
+func fig5SFlow(duration time.Duration) float64 {
 	loop := engine.NewSerial()
 	cpu := metrics.NewCPUMeter(loop, 4)
-	samplesPerSec := cfg.TrafficPPS / float64(cfg.SampleOneInN)
+	samplesPerSec := fig5TrafficPPS / fig5SampleOneInN
 
 	// Sampling+forwarding, charged in 1 ms batches.
 	loop.Every(time.Millisecond, func() {
@@ -152,12 +135,12 @@ func fig5SFlow(flows int, cfg Fig5Config) float64 {
 	})
 	// Periodic per-port counter export (independent of the flow count:
 	// sFlow exports interface counters, it does not track flows).
-	loop.Every(cfg.Accuracy, func() {
+	loop.Every(fig5Accuracy, func() {
 		cpu.Charge(metrics.CostPollIssue)
 		cpu.Charge(48 * (metrics.CostPollPerRecord + 88*metrics.CostSerializePerByte))
 	})
 	loop.RunFor(200 * time.Millisecond)
 	snap := cpu.Snapshot()
-	loop.RunFor(cfg.Duration)
+	loop.RunFor(duration)
 	return cpu.LoadSince(snap)
 }

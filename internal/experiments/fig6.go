@@ -69,47 +69,34 @@ type Fig6Result struct {
 	Order    []string
 }
 
-// Fig6Config parameterizes the seed-scaling experiment.
-type Fig6Config struct {
-	// SeedCounts per variant; nil uses the paper's axes (10..100 for HH,
-	// 10..250 for ML-partitioned).
-	HHSeedCounts []int
-	MLSeedCounts []int
-	// Duration is the measured window; 0 means 2 s.
-	Duration time.Duration
-}
-
 // Fig6 deploys increasing numbers of collocated seeds on one switch and
 // measures CPU load and achieved polling accuracy. Every seed polls a
 // distinct rule (distinct tasks monitor distinct flows), so polling does
 // not aggregate away. ML iterations charge the modelled Atom cost of the
 // 1000x1000 SVR multiplication (§VI-A-c); when total demand exceeds the
 // 4 cores, load reports the demand and accuracy degrades accordingly —
-// the saturation regime of Fig. 6c.
-func Fig6(cfg Fig6Config) (*Fig6Result, error) {
-	if cfg.HHSeedCounts == nil {
-		cfg.HHSeedCounts = []int{10, 20, 40, 60, 80, 100}
-	}
-	if cfg.MLSeedCounts == nil {
-		cfg.MLSeedCounts = []int{10, 20, 40, 50, 100, 150, 200, 250}
-	}
-	if cfg.Duration == 0 {
-		cfg.Duration = 2 * time.Second
+// the saturation regime of Fig. 6c. The full seed axes are the paper's
+// (10..100 for HH, 10..250 for ML-partitioned) over a 2 s window; quick
+// scale takes some of their points over 1 s.
+func Fig6(full bool) (*Fig6Result, error) {
+	hhSeedCounts, mlSeedCounts, duration := []int{10, 40, 100}, []int{10, 50, 150, 250}, time.Second
+	if full {
+		hhSeedCounts, mlSeedCounts, duration = []int{10, 20, 40, 60, 80, 100}, []int{10, 20, 40, 50, 100, 150, 200, 250}, 2*time.Second
 	}
 	res := &Fig6Result{Variants: map[string][]Fig6Point{}}
 	for _, v := range Fig6Variants() {
 		res.Order = append(res.Order, v.Name)
-		counts := cfg.HHSeedCounts
+		counts := hhSeedCounts
 		if v.MLIterations > 0 {
-			counts = cfg.MLSeedCounts
+			counts = mlSeedCounts
 			if v.IvalMs == 1 {
 				// The unpartitioned ML panel stops at 100 seeds like the
 				// paper's Fig. 6c.
-				counts = cfg.HHSeedCounts
+				counts = hhSeedCounts
 			}
 		}
 		for _, n := range counts {
-			p, err := fig6Run(v, n, cfg.Duration)
+			p, err := fig6Run(v, n, duration)
 			if err != nil {
 				return nil, err
 			}

@@ -7,26 +7,36 @@ import (
 	"farm/internal/placement"
 )
 
-// Fig7Config parameterizes the placement-optimization comparison.
-type Fig7Config struct {
-	// SeedCounts is the x-axis; nil means a laptop-scale sweep with the
-	// paper's grid shape. Full mode (cmd/farm-bench -full) uses the
-	// paper sizes up to 10200 seeds on 1040 switches.
-	SeedCounts []int
-	// SwitchesPerSeed keeps the paper's seed:switch ratio (~10:1).
-	SwitchesPerSeed float64
-	// Runs per point with varying random needs (paper: 10).
-	Runs int
-	// MILPShort/MILPLong are the two exact-solver budgets (the paper's
-	// Gurobi 1 s and 10 min).
-	MILPShort time.Duration
-	MILPLong  time.Duration
-	// SkipMILPAbove disables the exact solver beyond this seed count
-	// (branch & bound on a dense simplex does not reach paper scale;
-	// the heuristic column keeps going, which is the claim under test).
-	SkipMILPAbove int
-	Seed          int64
+// fig7Scale is one Fig. 7 grid. The exact solver runs only up to
+// milpMaxSeeds seeds, with the two budgets that stand in for the
+// paper's Gurobi 1 s and 10 min: branch & bound on a dense simplex does
+// not reach paper scale, and the heuristic column, the claim under test,
+// keeps going.
+type fig7Scale struct {
+	seedCounts          []int
+	switchesPerSeed     float64
+	runs                int // per point, with varying random needs (paper: 10)
+	milpShort, milpLong time.Duration
+	milpMaxSeeds        int
 }
+
+var (
+	// fig7Quick is a laptop-scale sweep with the paper's grid shape and
+	// seed:switch ratio (10200 seeds : 1040 switches, ~10:1). Our
+	// from-scratch branch & bound stops producing incumbents beyond ~40
+	// seeds within minutes-scale budgets; Gurobi went further in the
+	// paper.
+	fig7Quick = fig7Scale{
+		seedCounts: []int{20, 30, 40, 100, 400}, switchesPerSeed: 0.1, runs: 3,
+		milpShort: time.Second, milpLong: 20 * time.Second, milpMaxSeeds: 40,
+	}
+	// fig7Full is the paper's grid: 1000..10200 seeds on up to 1040
+	// switches. The exact solver cannot follow; the heuristic can.
+	fig7Full = fig7Scale{
+		seedCounts: []int{1000, 4000, 7000, 10200}, switchesPerSeed: 1040.0 / 10200.0, runs: 3,
+		milpShort: time.Second, milpLong: 20 * time.Second, milpMaxSeeds: 400,
+	}
+)
 
 // Fig7Point is one (solver, size) aggregate over runs.
 type Fig7Point struct {
@@ -48,42 +58,28 @@ type Fig7Result struct {
 // Fig7 compares FARM's Alg. 1 heuristic against the time-boxed exact
 // MILP across problem sizes, reporting mean monitoring utility (MU) and
 // mean solver runtime per size.
-func Fig7(cfg Fig7Config) (*Fig7Result, error) {
-	if cfg.SeedCounts == nil {
-		cfg.SeedCounts = []int{20, 30, 40, 100, 400}
+func Fig7(full bool) (*Fig7Result, error) {
+	if full {
+		return fig7(fig7Full)
 	}
-	if cfg.SwitchesPerSeed == 0 {
-		cfg.SwitchesPerSeed = 0.1 // 10200 seeds : 1040 switches
-	}
-	if cfg.Runs == 0 {
-		cfg.Runs = 3
-	}
-	if cfg.MILPShort == 0 {
-		cfg.MILPShort = time.Second
-	}
-	if cfg.MILPLong == 0 {
-		cfg.MILPLong = 20 * time.Second
-	}
-	if cfg.SkipMILPAbove == 0 {
-		// Our from-scratch branch & bound stops producing incumbents
-		// beyond ~40 seeds within minutes-scale budgets; Gurobi went
-		// further in the paper. The heuristic column keeps going.
-		cfg.SkipMILPAbove = 40
-	}
-	res := &Fig7Result{ShortBudget: cfg.MILPShort, LongBudget: cfg.MILPLong}
-	for _, seeds := range cfg.SeedCounts {
-		switches := int(float64(seeds) * cfg.SwitchesPerSeed)
+	return fig7(fig7Quick)
+}
+
+func fig7(sc fig7Scale) (*Fig7Result, error) {
+	res := &Fig7Result{ShortBudget: sc.milpShort, LongBudget: sc.milpLong}
+	for _, seeds := range sc.seedCounts {
+		switches := int(float64(seeds) * sc.switchesPerSeed)
 		if switches < 2 {
 			switches = 2
 		}
 		var hU, hT, sU, sT, lU, lT float64
 		var hN, sN, lN int
-		for run := 0; run < cfg.Runs; run++ {
+		for run := 0; run < sc.runs; run++ {
 			in := placement.RandomScenario(placement.ScenarioConfig{
 				Switches: switches,
 				Seeds:    seeds,
 				Tasks:    10,
-				Seed:     cfg.Seed + int64(run*1000+seeds),
+				Seed:     int64(run*1000 + seeds),
 			})
 			h, err := placement.Heuristic(in)
 			if err != nil {
@@ -92,15 +88,15 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 			hU += h.Utility
 			hT += h.Runtime.Seconds()
 			hN++
-			if seeds <= cfg.SkipMILPAbove {
-				ms, err := placement.MILP(in, placement.MILPOptions{Timeout: cfg.MILPShort})
+			if seeds <= sc.milpMaxSeeds {
+				ms, err := placement.MILP(in, placement.MILPOptions{Timeout: sc.milpShort})
 				if err != nil {
 					return nil, fmt.Errorf("experiments: fig7 milp-short: %w", err)
 				}
 				sU += ms.Utility
 				sT += ms.Runtime.Seconds()
 				sN++
-				ml, err := placement.MILP(in, placement.MILPOptions{Timeout: cfg.MILPLong})
+				ml, err := placement.MILP(in, placement.MILPOptions{Timeout: sc.milpLong})
 				if err != nil {
 					return nil, fmt.Errorf("experiments: fig7 milp-long: %w", err)
 				}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"farm/internal/core"
-	"farm/internal/dataplane"
 	"farm/internal/engine"
 	"farm/internal/fabric"
 	"farm/internal/netmodel"
@@ -42,39 +41,27 @@ type Fig8Result struct {
 	ASICRatio float64
 }
 
-// Fig8Config parameterizes the bus-congestion sweep.
-type Fig8Config struct {
-	SeedCounts []int
-	Ports      int           // ports polled per request; 0 means 48
-	Duration   time.Duration // 0 means 2 s
-}
+// fig8Ports is how many host ports each seed's port-table poll reads.
+const fig8Ports = 8
 
 // Fig8 deploys N seeds that all poll the full port table at 1 ms, with
 // the soil's polling aggregation off and on, and measures PCIe bus
 // utilization and backlog. Without aggregation the 8 Mbps bus saturates
 // after a handful of seeds — the 1:12500 PCIe:ASIC gap of §VI-E-a;
-// aggregation collapses the demand to a single poll stream.
-func Fig8(cfg Fig8Config) (*Fig8Result, error) {
-	if cfg.SeedCounts == nil {
-		cfg.SeedCounts = []int{1, 2, 4, 8, 16, 32, 64}
-	}
-	if cfg.Ports == 0 {
-		cfg.Ports = 8
-	}
-	if cfg.Duration == 0 {
-		cfg.Duration = 2 * time.Second
-	}
+// aggregation collapses the demand to a single poll stream. Each point
+// measures a 2 s window.
+func Fig8() (*Fig8Result, error) {
 	res := &Fig8Result{
 		// 8 Mbps polling vs 100 Gbps ASIC.
 		ASICRatio: 100e9 / 8e6,
 	}
-	for _, n := range cfg.SeedCounts {
-		p, err := fig8Run(n, cfg, false)
+	for _, n := range []int{1, 2, 4, 8, 16, 32, 64} {
+		p, err := fig8Run(n, false)
 		if err != nil {
 			return nil, err
 		}
 		res.NoAggregation = append(res.NoAggregation, p)
-		p, err = fig8Run(n, cfg, true)
+		p, err = fig8Run(n, true)
 		if err != nil {
 			return nil, err
 		}
@@ -105,14 +92,14 @@ func (r *Fig8Result) Table() *Table {
 	return t
 }
 
-func fig8Run(seeds int, cfg Fig8Config, aggregate bool) (Fig8Point, error) {
+func fig8Run(seeds int, aggregate bool) (Fig8Point, error) {
 	topo := netmodel.New()
 	capacity := netmodel.Resources{
 		netmodel.ResVCPU: 64, netmodel.ResRAM: 1 << 20,
 		netmodel.ResTCAM: 1024, netmodel.ResPCIe: 64, netmodel.ResPoll: 1e9,
 	}
 	swID := topo.AddSwitch("bench", netmodel.Leaf, capacity)
-	for i := 0; i < cfg.Ports; i++ {
+	for i := 0; i < fig8Ports; i++ {
 		_, err := topo.AddHost(swID, fabric.HostIP(0, i))
 		if err != nil {
 			return Fig8Point{}, err
@@ -137,8 +124,7 @@ func fig8Run(seeds int, cfg Fig8Config, aggregate bool) (Fig8Point, error) {
 	loop.RunFor(100 * time.Millisecond)
 	snap := bus.Snapshot()
 	polls := s.PollsIssued()
-	loop.RunFor(cfg.Duration)
-	var _ = dataplane.DefaultPCIePollBytesPerSec
+	loop.RunFor(2 * time.Second)
 	return Fig8Point{
 		Seeds:       seeds,
 		Utilization: bus.UtilizationSince(snap),

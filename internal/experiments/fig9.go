@@ -39,26 +39,15 @@ type Fig9Result struct {
 	Order   []string
 }
 
-// Fig9Config parameterizes the sweep.
-type Fig9Config struct {
-	SeedCounts []int
-	Duration   time.Duration // 0 means 2 s
-}
-
 // Fig9 measures the soil's CPU load for seeds sharing one polling
 // subject, across {threads, processes} x {aggregation on, off}. The
 // fan-out cost of aggregation is charged per subscriber; per-delivery
 // context switches make it far more visible for process seeds, while
 // thread seeds stay cheap in every configuration (§VI-E-b). In our
 // accounting, skipping aggregation costs extra ASIC polls, so
-// aggregation is a net CPU win as well as a bus win.
-func Fig9(cfg Fig9Config) (*Fig9Result, error) {
-	if cfg.SeedCounts == nil {
-		cfg.SeedCounts = []int{1, 10, 25, 50, 100, 150}
-	}
-	if cfg.Duration == 0 {
-		cfg.Duration = 2 * time.Second
-	}
+// aggregation is a net CPU win as well as a bus win. Each point measures
+// a 2 s window.
+func Fig9() (*Fig9Result, error) {
 	res := &Fig9Result{Configs: map[string][]Fig9Point{}}
 	for _, mode := range []struct {
 		label string
@@ -70,8 +59,8 @@ func Fig9(cfg Fig9Config) (*Fig9Result, error) {
 		{"processes, no aggregation", soil.Options{ExecModel: soil.Processes, Aggregation: false}},
 	} {
 		res.Order = append(res.Order, mode.label)
-		for _, n := range cfg.SeedCounts {
-			p, err := fig9Run(n, mode.opts, cfg.Duration)
+		for _, n := range []int{1, 10, 25, 50, 100, 150} {
+			p, err := fig9Run(n, mode.opts)
 			if err != nil {
 				return nil, err
 			}
@@ -98,7 +87,7 @@ func (r *Fig9Result) Table() *Table {
 	return t
 }
 
-func fig9Run(seeds int, opts soil.Options, duration time.Duration) (Fig9Point, error) {
+func fig9Run(seeds int, opts soil.Options) (Fig9Point, error) {
 	topo := netmodel.New()
 	capacity := netmodel.Resources{
 		netmodel.ResVCPU: 64, netmodel.ResRAM: 1 << 20,
@@ -130,6 +119,6 @@ func fig9Run(seeds int, opts soil.Options, duration time.Duration) (Fig9Point, e
 	cpu := fab.CPU(swID)
 	loop.RunFor(100 * time.Millisecond)
 	snap := cpu.Snapshot()
-	loop.RunFor(duration)
+	loop.RunFor(2 * time.Second)
 	return Fig9Point{Seeds: seeds, Load: cpu.LoadSince(snap)}, nil
 }

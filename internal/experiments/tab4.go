@@ -13,16 +13,15 @@ import (
 	"farm/internal/tasks"
 )
 
-// Tab4Config parameterizes the detection-time comparison.
-type Tab4Config struct {
-	// SFlowPoll is the sFlow counter-export period (the deployment
-	// default that yields the paper's ~100 ms row); 0 means 50 ms
-	// (detection needs two exports plus the analysis tick).
-	SFlowPoll time.Duration
-	// SonataWindow is the stream window; 0 means 3 s (with the micro-
-	// batch delay this lands at the paper's ~3.4 s row).
-	SonataWindow time.Duration
-}
+// Tab. 4's baseline settings. tab4SFlowPoll is the sFlow counter-export
+// period (the deployment default that yields the paper's ~100 ms row:
+// detection needs two exports plus the analysis tick). tab4SonataWindow
+// is the stream window (with the micro-batch delay it lands at the
+// paper's ~3.4 s row).
+const (
+	tab4SFlowPoll    = 50 * time.Millisecond
+	tab4SonataWindow = 3 * time.Second
+)
 
 // Tab4Row is one system's measured detection time.
 type Tab4Row struct {
@@ -40,13 +39,7 @@ type Tab4Result struct {
 // Tab4 measures the time from a heavy hitter appearing to each system
 // recognizing it, on the paper's 20-switch production topology
 // (4 spines + 16 leaves).
-func Tab4(cfg Tab4Config) (*Tab4Result, error) {
-	if cfg.SFlowPoll == 0 {
-		cfg.SFlowPoll = 50 * time.Millisecond
-	}
-	if cfg.SonataWindow == 0 {
-		cfg.SonataWindow = 3 * time.Second
-	}
+func Tab4() (*Tab4Result, error) {
 	res := &Tab4Result{}
 
 	farmTime, err := tab4FARM()
@@ -61,12 +54,12 @@ func Tab4(cfg Tab4Config) (*Tab4Result, error) {
 	res.Rows = append(res.Rows,
 		Tab4Row{System: "Planck", Kind: "S", Time: 4 * time.Millisecond, Mode: "reference"},
 		Tab4Row{System: "Helios", Kind: "S", Time: 77 * time.Millisecond, Mode: "reference"})
-	sfTime, err := tab4SFlow(cfg.SFlowPoll)
+	sfTime, err := tab4SFlow()
 	if err != nil {
 		return nil, err
 	}
 	res.Rows = append(res.Rows, Tab4Row{System: "sFlow", Kind: "G", Time: sfTime, Mode: "measured"})
-	soTime, err := tab4Sonata(cfg.SonataWindow)
+	soTime, err := tab4Sonata()
 	if err != nil {
 		return nil, err
 	}
@@ -135,14 +128,14 @@ func tab4FARM() (time.Duration, error) {
 	return 0, fmt.Errorf("experiments: FARM never detected the heavy hitter")
 }
 
-func tab4SFlow(poll time.Duration) (time.Duration, error) {
+func tab4SFlow() (time.Duration, error) {
 	sp, lv, hosts := paper20Switches()
 	fab, loop, err := newFabric(sp, lv, hosts)
 	if err != nil {
 		return 0, err
 	}
 	sys := sflow.Deploy(fab, sflow.Config{
-		PollInterval:           poll,
+		PollInterval:           tab4SFlowPoll,
 		HHThresholdBytesPerSec: 10_000_000,
 	})
 	defer sys.Stop()
@@ -170,7 +163,7 @@ func tab4SFlow(poll time.Duration) (time.Duration, error) {
 	return 0, fmt.Errorf("experiments: sFlow never detected the heavy hitter")
 }
 
-func tab4Sonata(window time.Duration) (time.Duration, error) {
+func tab4Sonata() (time.Duration, error) {
 	sp, lv, hosts := paper20Switches()
 	fab, loop, err := newFabric(sp, lv, hosts)
 	if err != nil {
@@ -178,7 +171,7 @@ func tab4Sonata(window time.Duration) (time.Duration, error) {
 	}
 	q := sonata.Query{
 		Name: "hh", Key: sonata.KeyByInPort, Reduce: sonata.SumBytes,
-		Window:    window,
+		Window:    tab4SonataWindow,
 		Threshold: 1_000_000,
 	}
 	sys := sonata.Deploy(fab, nil, sonata.Config{AggregationFactor: 0.75})
@@ -193,7 +186,7 @@ func tab4Sonata(window time.Duration) (time.Duration, error) {
 	// The data plane aggregates at line rate; window flushes carry the
 	// per-port byte counts (counter-window ingestion).
 	var last dataplane.PortStats
-	flush := loop.Every(window, func() {
+	flush := loop.Every(tab4SonataWindow, func() {
 		st, _ := fab.Switch(leaf).PortStats(1)
 		delta := float64(st.TxBytes - last.TxBytes)
 		last = st
@@ -204,7 +197,7 @@ func tab4Sonata(window time.Duration) (time.Duration, error) {
 		_ = fab.Switch(leaf).CreditPort(1, 0, 0, 10, 10_000)
 	})
 	defer hot.Stop()
-	deadline := start + 4*window
+	deadline := start + 4*tab4SonataWindow
 	for loop.Now() < deadline {
 		loop.RunFor(10 * time.Millisecond)
 		for _, d := range sys.Detections() {
