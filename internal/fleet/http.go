@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"time"
+
+	"farm/internal/tasks"
 )
 
 // The HTTP operator API (the monitoring-server role of a production
@@ -99,6 +101,8 @@ func writeErr(w http.ResponseWriter, err error) {
 		code = http.StatusConflict
 	case errors.Is(err, ErrStopped):
 		code = http.StatusServiceUnavailable
+	case errors.Is(err, tasks.ErrUnknownTask):
+		code = http.StatusNotFound
 	}
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -49,8 +49,12 @@ func TestHTTPSubmitBodyBounded(t *testing.T) {
 		t.Fatalf("status after a refused submit: %+v, %v", st, err)
 	}
 
-	// Malformed and empty bodies are still 400, a proper one still 200.
-	for payload, want := range map[string]int{`{"name":`: http.StatusBadRequest, `{}`: http.StatusBadRequest, `{"name":"hh"}`: http.StatusOK} {
+	// Malformed and empty bodies are still 400, a name outside the
+	// catalogue is 404, a proper one still 200.
+	for payload, want := range map[string]int{
+		`{"name":`: http.StatusBadRequest, `{}`: http.StatusBadRequest,
+		`{"name":"no-such-task"}`: http.StatusNotFound, `{"name":"hh"}`: http.StatusOK,
+	} {
 		r, err := http.Post("http://"+s.HTTPAddr()+"/tasks", "application/json", strings.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)

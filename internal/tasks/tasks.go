@@ -6,6 +6,7 @@
 package tasks
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -39,6 +40,10 @@ func All() []Def {
 	return out
 }
 
+// ErrUnknownTask is what ByName's error wraps for a name outside the
+// catalogue.
+var ErrUnknownTask = errors.New("unknown task")
+
 // ByName looks a task up.
 func ByName(name string) (Def, error) {
 	for _, d := range registry {
@@ -46,7 +51,7 @@ func ByName(name string) (Def, error) {
 			return d, nil
 		}
 	}
-	return Def{}, fmt.Errorf("tasks: unknown task %q", name)
+	return Def{}, fmt.Errorf("tasks: %w %q", ErrUnknownTask, name)
 }
 
 // Names lists the catalogue.
