@@ -119,7 +119,7 @@ func (r *RealTime) At(at time.Duration, fn func()) Timer {
 
 // After schedules fn d after the current clock.
 func (r *RealTime) After(d time.Duration, fn func()) Timer {
-	return r.At(r.now+d, fn)
+	return r.At(later(r.now, d), fn)
 }
 
 // collect moves the posted callbacks into the queue at the current
@@ -205,7 +205,7 @@ func (r *RealTime) RunUntil(t time.Duration) {
 }
 
 // RunFor processes events for the next d of wall time.
-func (r *RealTime) RunFor(d time.Duration) { r.RunUntil(time.Since(r.start) + d) }
+func (r *RealTime) RunFor(d time.Duration) { r.RunUntil(later(time.Since(r.start), d)) }
 
 // Drain runs events (waiting out their deadlines) until none remain or
 // the limit is reached. It returns the number of events processed.

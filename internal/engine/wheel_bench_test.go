@@ -19,26 +19,11 @@ func BenchmarkSerialTickerStorm(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			l := mode.mk()
 			const tickers = 1024
-			if mode.name == "wheel" {
-				// One-time capacity convergence: the aligned-block wheel
-				// touches a fresh top-level slot every 268ms and only
-				// revisits it one full rotation (34.4s) later, so slot
-				// arrays keep growing for the first rotation of virtual
-				// time. Spray one tick-sized batch per top-level slot
-				// across a whole rotation so every array reaches its
-				// steady-state capacity before the measured region.
-				for d := 250 * time.Millisecond; d <= 36*time.Second; d += 250 * time.Millisecond {
-					for k := 0; k < tickers; k++ {
-						l.At(d+time.Duration(k)*300*time.Nanosecond, func() {})
-					}
-				}
-				l.Drain(1 << 30)
-			}
 			for i := 0; i < tickers; i++ {
 				interval := time.Duration(100+i%400) * time.Microsecond
 				l.Every(interval, func() {})
 			}
-			l.RunFor(2 * time.Second) // converge level-0/1 occupancy highs
+			l.RunFor(2 * time.Second) // converge cur's capacity
 			runtime.GC()
 			b.ReportAllocs()
 			b.ResetTimer()
