@@ -13,22 +13,28 @@ import (
 // to HandleTrigger: one batch per PCIe completion, shared read-only by
 // every subscriber of the polled subject.
 //
-// A batch's records are never written after construction, so they have
-// no lifetime rule: a seed that keeps one keeps it alive, and no seed can
-// observe another's use of it. The one field written later is the getHH
-// memo (hh), and only by the handlers the batch is delivered to — all on
-// the soil that built it; what it records is a function of the
-// records, so no caller can tell whether it was there.
-// The register VM reads a batch in place (list_len, is_list_empty,
-// list_get, field reads, getHH); everywhere else — the builtins that
-// read a list as a whole, sends, snapshots, Equal, FormatValue, field
-// assignment — it is materialised first, so nothing outside core and
-// soil ever holds one.
+// A poll group keeps one batch and rewrites it in place for each
+// completion (NewPortStatsBatch, NewRuleStatsBatch), so a handler sees
+// its records only for the length of its run. A handler that keeps the
+// batch, or one of its rows, in a machine or state variable marks it
+// kept (the register VM looks when the run ends): a kept batch is never
+// written again, and the group builds a new one for its next completion.
+// Nothing else can keep one: the VM reads a batch in place (list_len,
+// is_list_empty, list_get, field reads, getHH) and everywhere else — the
+// builtins that read a list as a whole, map entries, sends, snapshots,
+// Equal, FormatValue, field assignment — materialises it first, so
+// nothing outside core and soil ever holds one.
+//
+// The one field written while a batch is shared is the getHH memo (hh),
+// and only by the handlers the batch is delivered to — all on the soil
+// that built it; what it records is a function of the records, so no
+// caller can tell whether it was there.
 type Batch struct {
 	l    *Layout
 	rows int
 	cols int     // len(l.Names)
 	data []int64 // rows*cols
+	kept bool    // a handler holds it past its run: never rewritten
 
 	hh [hhMemoSlots]hhMemo
 }
@@ -47,23 +53,44 @@ type hhMemo struct {
 // harvester raising it for some of them first.
 const hhMemoSlots = 2
 
-func newBatch(l *Layout, rows int) *Batch {
-	cols := len(l.Names)
-	return &Batch{l: l, rows: rows, cols: cols, data: make([]int64, rows*cols)}
+// reuse returns the batch the next completion of prev's poll (nil, or a
+// batch of layout l) is written to: prev itself unless a handler kept it
+// or the poll now has another number of records, a new batch otherwise.
+// Either way the getHH answers prev carries become candidates.
+func reuse(prev *Batch, l *Layout, rows int) *Batch {
+	b := prev
+	if b == nil || b.kept || b.rows != rows {
+		cols := len(l.Names)
+		b = &Batch{l: l, rows: rows, cols: cols, data: make([]int64, rows*cols)}
+		if prev == nil {
+			return b
+		}
+		b.hh = prev.hh
+	}
+	for i := range b.hh {
+		b.hh[i].checked = false
+	}
+	return b
 }
 
-// NewPortStatsBatch builds the batch of a port-statistics poll: one
+// NewPortStatsBatch returns the batch of a port-statistics poll: one
 // PortStats record per polled port, cumulative counters plus deltas
 // against prev, the batch of the previous poll of the same ports. A nil
 // prev (or a record prev does not have) gives deltas against zero. The
-// batch inherits prev's getHH answers as candidates, never prev itself.
+// batch is prev rewritten in place when reuse allows, and a new batch
+// otherwise.
 func NewPortStatsBatch(ports []int, cur []dataplane.PortStats, prev *Batch) *Batch {
 	if prev != nil && prev.l != portStatsLayout {
 		prev = nil
 	}
-	b := newBatch(portStatsLayout, len(ports))
-	var zero [psTxPkts + 1]int64 // the cumulative columns of a port never polled
+	b := reuse(prev, portStatsLayout, len(ports))
 	for i, p := range ports {
+		// The cumulative columns of the port's previous record, read
+		// before the row (which may be that record) is written.
+		var was [psTxPkts + 1]int64
+		if prev != nil && i < prev.rows && prev.at(i, psPort) == int64(p) {
+			copy(was[:], prev.data[i*prev.cols:])
+		}
 		c := cur[i]
 		row := b.data[i*b.cols : (i+1)*b.cols]
 		row[psPort] = int64(p)
@@ -71,35 +98,30 @@ func NewPortStatsBatch(ports []int, cur []dataplane.PortStats, prev *Batch) *Bat
 		row[psTxBytes] = int64(c.TxBytes)
 		row[psRxPkts] = int64(c.RxPackets)
 		row[psTxPkts] = int64(c.TxPackets)
-		was := zero[:]
-		if prev != nil && i < prev.rows && prev.at(i, psPort) == row[psPort] {
-			was = prev.data[i*prev.cols:]
-		}
 		row[psDRxBytes] = row[psRxBytes] - was[psRxBytes]
 		row[psDTxBytes] = row[psTxBytes] - was[psTxBytes]
 		row[psDRxPkts] = row[psRxPkts] - was[psRxPkts]
 		row[psDTxPkts] = row[psTxPkts] - was[psTxPkts]
 	}
-	if prev != nil {
-		b.hh = prev.hh
-		for i := range b.hh {
-			b.hh[i].checked = false
-		}
-	}
 	return b
 }
 
-// NewRuleStatsBatch builds the one-record batch of a rule-counter poll,
-// with deltas against prev, the previous poll's batch (nil: zero).
+// NewRuleStatsBatch returns the one-record batch of a rule-counter poll,
+// with deltas against prev, the previous poll's batch (nil: zero),
+// rewriting prev in place when reuse allows.
 func NewRuleStatsBatch(cur dataplane.RuleStats, prev *Batch) *Batch {
-	b := newBatch(ruleStatsLayout, 1)
+	if prev != nil && prev.l != ruleStatsLayout {
+		prev = nil
+	}
+	var wasPkts, wasBytes int64
+	if prev != nil {
+		wasPkts, wasBytes = prev.data[rsPackets], prev.data[rsBytes]
+	}
+	b := reuse(prev, ruleStatsLayout, 1)
 	b.data[rsPackets] = int64(cur.Packets)
 	b.data[rsBytes] = int64(cur.Bytes)
-	b.data[rsDPackets], b.data[rsDBytes] = b.data[rsPackets], b.data[rsBytes]
-	if prev != nil && prev.l == ruleStatsLayout {
-		b.data[rsDPackets] -= prev.data[rsPackets]
-		b.data[rsDBytes] -= prev.data[rsBytes]
-	}
+	b.data[rsDPackets] = b.data[rsPackets] - wasPkts
+	b.data[rsDBytes] = b.data[rsBytes] - wasBytes
 	return b
 }
 

@@ -37,7 +37,9 @@ func RuleStatsRecord(cur, prev dataplane.RuleStats) StructVal {
 }
 
 // testBatches builds two consecutive completions of an n-port poll from
-// seeded random counters, the second with deltas against the first.
+// seeded random counters, the second with deltas against the first. The
+// first is kept, as a handler holding it would keep it, so the second is
+// a batch of its own.
 func testBatches(rng *rand.Rand, n int) (first, second *Batch) {
 	ports := make([]int, n)
 	cur := make([]dataplane.PortStats, n)
@@ -54,6 +56,7 @@ func testBatches(rng *rand.Rand, n int) (first, second *Batch) {
 	}
 	step()
 	first = NewPortStatsBatch(ports, cur, nil)
+	first.kept = true
 	step()
 	second = NewPortStatsBatch(ports, cur, first)
 	return first, second
@@ -68,6 +71,7 @@ func TestBatchMaterialisesToOracle(t *testing.T) {
 	prev := []dataplane.PortStats{{RxPackets: 1, RxBytes: 100, TxPackets: 4, TxBytes: 400}, {TxBytes: 9}, {RxBytes: 5}}
 	cur := []dataplane.PortStats{{RxPackets: 5, RxBytes: 500, TxPackets: 10, TxBytes: 1000}, {TxBytes: 3}, {RxBytes: 50}}
 	b0 := NewPortStatsBatch(ports, prev, nil)
+	b0.kept = true // compared below, so not rewritten
 	b1 := NewPortStatsBatch(ports, cur, b0)
 	var want0, want1 List
 	for i, p := range ports {
@@ -107,6 +111,68 @@ func TestBatchMaterialisesToOracle(t *testing.T) {
 	}
 	if !Equal(NewRuleStatsBatch(dataplane.RuleStats{Packets: 10, Bytes: 1000}, b0), NewRuleStatsBatch(dataplane.RuleStats{Packets: 10, Bytes: 1000}, nil)) {
 		t.Fatal("a port batch was used as the base of rule deltas")
+	}
+}
+
+// TestBatchRewrittenUnlessKept: a poll's next completion is written over
+// its previous batch unless a handler kept that one or the poll now has
+// another number of records, and reads the same either way; a kept batch
+// keeps reading its own completion.
+func TestBatchRewrittenUnlessKept(t *testing.T) {
+	ports := []int{3, 1, 7}
+	cs := [][]dataplane.PortStats{
+		{{TxBytes: 400, TxPackets: 4}, {TxBytes: 9}, {RxBytes: 5}},
+		{{TxBytes: 1000, TxPackets: 10}, {TxBytes: 30}, {RxBytes: 50}},
+		{{TxBytes: 1500, TxPackets: 11}, {TxBytes: 31}, {RxBytes: 70}},
+		{{TxBytes: 1900, TxPackets: 12}, {TxBytes: 40}},
+	}
+	want := func(k, n int) List {
+		var l List
+		for i := 0; i < n; i++ {
+			var was dataplane.PortStats
+			if k > 0 {
+				was = cs[k-1][i]
+			}
+			l = append(l, PortStatsRecord(ports[i], cs[k][i], was))
+		}
+		return l
+	}
+	check := func(what string, b *Batch, k, n int) {
+		t.Helper()
+		if w := want(k, n); !Equal(b, w) {
+			t.Fatalf("%s:\n got %s\nwant %s", what, FormatValue(b), FormatValue(w))
+		}
+	}
+	b0 := NewPortStatsBatch(ports, cs[0], nil)
+	b1 := NewPortStatsBatch(ports, cs[1], b0)
+	if b1 != b0 {
+		t.Fatal("a batch nobody kept was not rewritten")
+	}
+	check("rewritten", b1, 1, 3)
+	b1.kept = true
+	b2 := NewPortStatsBatch(ports, cs[2], b1)
+	if b2 == b1 {
+		t.Fatal("a kept batch was rewritten")
+	}
+	check("kept", b1, 1, 3)
+	check("after a kept one", b2, 2, 3)
+	b3 := NewPortStatsBatch(ports[:2], cs[3], b2)
+	if b3 == b2 {
+		t.Fatal("a batch was rewritten with another number of records")
+	}
+	check("fewer ports", b3, 3, 2)
+
+	r0 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 3, Bytes: 300}, nil)
+	r1 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 10, Bytes: 1000}, r0)
+	if r1 != r0 {
+		t.Fatal("a rule batch nobody kept was not rewritten")
+	}
+	r1.kept = true
+	r2 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 12, Bytes: 1100}, r1)
+	wantR1 := List{RuleStatsRecord(dataplane.RuleStats{Packets: 10, Bytes: 1000}, dataplane.RuleStats{Packets: 3, Bytes: 300})}
+	wantR2 := List{RuleStatsRecord(dataplane.RuleStats{Packets: 12, Bytes: 1100}, dataplane.RuleStats{Packets: 10, Bytes: 1000})}
+	if r2 == r1 || !Equal(r1, wantR1) || !Equal(r2, wantR2) {
+		t.Fatalf("kept rule batch %s and its successor %s, want %s and %s", FormatValue(r1), FormatValue(r2), FormatValue(wantR1), FormatValue(wantR2))
 	}
 }
 
@@ -196,8 +262,9 @@ machine B {
 // TestBatchEquivalentToList runs every consumer of poll data three ways —
 // the interpreter and the register VM fed the batch, the register VM fed
 // the batch's materialised list — and requires identical errors, state,
-// host effects and action counts. Each case fires two completions of
-// each trigger, so values kept across handlers are covered.
+// host effects and action counts. Each case fires three completions of
+// each trigger, so values kept across handlers are covered, and so are
+// batches rewritten in place once nothing kept them.
 func TestBatchEquivalentToList(t *testing.T) {
 	type tc struct {
 		name            string
@@ -268,14 +335,25 @@ func TestBatchEquivalentToList(t *testing.T) {
 		}
 	}
 
+	// Three completions of each trigger, alternating. Each variant builds
+	// them the way the soil does, over its trigger's previous batch once
+	// that has been handled: rewritten in place unless the handler kept it.
 	rng := rand.New(rand.NewSource(17))
-	s1, s2 := testBatches(rng, 6)
-	r1 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 4, Bytes: 900}, nil)
-	r2 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 9, Bytes: 1900}, r1)
-	steps := []struct {
-		trigger string
-		b       *Batch
-	}{{"stats", s1}, {"rule", r1}, {"stats", s2}, {"rule", r2}}
+	ports := []int{1, 2, 3, 4, 5, 6}
+	var portCur [3][]dataplane.PortStats
+	var ruleCur [3]dataplane.RuleStats
+	for k := range portCur {
+		portCur[k] = make([]dataplane.PortStats, len(ports))
+		for i := range ports {
+			c := dataplane.PortStats{RxPackets: uint64(rng.Intn(50)), RxBytes: uint64(rng.Intn(4000)), TxPackets: uint64(rng.Intn(50)), TxBytes: uint64(rng.Intn(4000))}
+			if k > 0 {
+				p := portCur[k-1][i]
+				c.RxPackets, c.RxBytes, c.TxPackets, c.TxBytes = c.RxPackets+p.RxPackets, c.RxBytes+p.RxBytes, c.TxPackets+p.TxPackets, c.TxBytes+p.TxBytes
+			}
+			portCur[k][i] = c
+		}
+		ruleCur[k] = dataplane.RuleStats{Packets: uint64(4 + 5*k), Bytes: uint64(900 + 1000*k)}
+	}
 	variants := []struct {
 		name    string
 		backend string
@@ -302,13 +380,20 @@ func TestBatchEquivalentToList(t *testing.T) {
 				}
 				var errs strings.Builder
 				actions := 0
-				for _, st := range steps {
-					var arg Value = st.b
+				deliver := func(trigger string, b *Batch) {
+					var arg Value = b
 					if v.asList {
-						arg = st.b.List()
+						arg = b.List()
 					}
-					fmt.Fprintf(&errs, "%s: %v\n", st.trigger, r.HandleTrigger(st.trigger, arg))
+					fmt.Fprintf(&errs, "%s: %v\n", trigger, r.HandleTrigger(trigger, arg))
 					actions += r.TakeActionCount()
+				}
+				var stats, rule *Batch
+				for k := range portCur {
+					stats = NewPortStatsBatch(ports, portCur[k], stats)
+					deliver("stats", stats)
+					rule = NewRuleStatsBatch(ruleCur[k], rule)
+					deliver("rule", rule)
 				}
 				// Snapshot -> restore into a fresh runner -> snapshot: what
 				// a handler kept survives migration as plain values.

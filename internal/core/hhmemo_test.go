@@ -104,6 +104,7 @@ func TestGetHHMemoParity(t *testing.T) {
 			}
 			if held == nil || rng.Intn(10) == 0 {
 				held = b
+				held.kept = true // as a seed holding it marks it
 			}
 			subs := 1 + rng.Intn(4)
 			for sub := 0; sub < subs; sub++ {

@@ -64,20 +64,58 @@ func (m *rvmSeed) HandleTrigger(varName string, data Value) error {
 	if ci < 0 {
 		return nil
 	}
-	if m.lp.p.RegChunks[ci].HasBind {
-		pv, lent := data.(*PacketVal)
-		if lent {
-			m.bindBuf[0] = rval{k: rkPacket, ref: pv}
-		} else {
-			m.bindBuf[0] = unbox(data)
-		}
+	if !m.lp.p.RegChunks[ci].HasBind {
+		return m.runTop(ci, nil, 0)
+	}
+	switch x := data.(type) {
+	case *PacketVal:
+		m.bindBuf[0] = rval{k: rkPacket, ref: x}
 		err := m.runTop(ci, m.bindBuf[:1], 0)
-		if lent {
-			m.keepPackets()
-		}
+		m.keepPackets()
+		return err
+	case *Batch:
+		m.bindBuf[0] = rval{k: rkBatch, ref: x}
+		err := m.runTop(ci, m.bindBuf[:1], 0)
+		m.noteKept(x)
 		return err
 	}
-	return m.runTop(ci, nil, 0)
+	m.bindBuf[0] = unbox(data)
+	return m.runTop(ci, m.bindBuf[:1], 0)
+}
+
+// noteKept ends a handler run that was handed a poll batch. The soil
+// rewrites the batch for its next completion unless a handler kept it,
+// and the env and state slots are the only places a run can leave the
+// batch or one of its rows (every other place materialises them), so
+// any such slot marks the batch kept. Like keepPackets, this is one scan
+// per delivery instead of a check on every slot store.
+func (m *rvmSeed) noteKept(b *Batch) {
+	if b.kept {
+		return
+	}
+	for i := range m.env {
+		if holds(&m.env[i], b) {
+			b.kept = true
+			return
+		}
+	}
+	for _, fr := range m.states {
+		for i := range fr {
+			if holds(&fr[i], b) {
+				b.kept = true
+				return
+			}
+		}
+	}
+}
+
+// holds reports whether r is batch b or one of its rows.
+func holds(r *rval, b *Batch) bool {
+	if r.k != rkBatch && r.k != rkRow {
+		return false
+	}
+	p, _ := r.ref.(*Batch)
+	return p == b
 }
 
 // keepPackets ends a handler run that read a lent packet in place. The
@@ -930,7 +968,7 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				}
 				dest.Dst = d.asStr()
 			}
-			m.host.Send(dest, CloneValue(bases.rd(in.B).box()))
+			m.host.Send(dest, sendValue(bases.rd(in.B)))
 
 		case almanac.RSetIval:
 			v := bases.rd(in.B)

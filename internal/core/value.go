@@ -426,6 +426,42 @@ func CloneValue(v Value) Value {
 	}
 }
 
+// sendValue is what a send hands its host for r: a value that no later
+// write by the sender can reach. A poll batch, a row of one or a lent
+// packet materialises to a private copy, which is copy enough. A list
+// holding only scalars and strings (or lists of those) has nothing a
+// program can write — no builtin writes a list in place, and field
+// assignment writes only structs — so it goes as the box it is.
+// Everything else is deep-copied.
+func sendValue(r rval) Value {
+	switch r.k {
+	case rkBatch, rkRow, rkPacket:
+		return r.box()
+	case rkRef:
+		if l, ok := r.ref.(List); ok && scalarList(l) {
+			return r.ref
+		}
+	}
+	return CloneValue(r.box())
+}
+
+// scalarList reports whether l holds only scalars, strings and lists of
+// those.
+func scalarList(l List) bool {
+	for _, e := range l {
+		switch x := e.(type) {
+		case nil, int64, float64, bool, string:
+		case List:
+			if !scalarList(x) {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // FormatValue renders a value deterministically for logs and tests.
 func FormatValue(v Value) string { return string(AppendValue(nil, v)) }
 

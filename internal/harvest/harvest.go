@@ -28,7 +28,8 @@ type Context interface {
 type Logic interface {
 	// OnStart runs once when the task deploys.
 	OnStart(ctx Context)
-	// OnSeedMessage handles one report from a seed.
+	// OnSeedMessage handles one report from a seed; v is read-only
+	// (Harvester.Deliver).
 	OnSeedMessage(ctx Context, from soil.SeedRef, v core.Value)
 }
 
@@ -86,7 +87,10 @@ func (h *Harvester) Bind(ctx Context) {
 	}
 }
 
-// Deliver hands a seed report to the logic and records it.
+// Deliver hands a seed report to the logic and records it. The value is
+// read-only: a list of scalars and strings is the sending seed's own
+// (a list no seed writes, so sent uncopied), and the same value may be
+// delivered to other harvesters or kept in history.
 func (h *Harvester) Deliver(from soil.SeedRef, v core.Value) {
 	at := time.Duration(0)
 	if h.ctx != nil {

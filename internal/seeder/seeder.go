@@ -85,7 +85,9 @@ type Seeder struct {
 	droppedLast map[string]bool
 
 	migrations uint64
-	logf       func(string, ...any)
+	// freeMsgs holds the control-message records not in flight.
+	freeMsgs []*ctlMsg
+	logf     func(string, ...any)
 	// beforeSolve, when set (tests only), sees every placement input
 	// just before the optimizer does.
 	beforeSolve func(*placement.Input)
@@ -849,28 +851,71 @@ func (sd *Seeder) route(from soil.SeedRef, to core.SendDest, v core.Value) {
 			sd.logf("seeder: task %s has no harvester", from.Task)
 			return
 		}
-		sd.fab.SendToCentral(fromID, size, func() { h.Deliver(from, v) })
+		m := sd.msg(v)
+		m.h, m.from = h, from
+		sd.fab.SendToCentral(fromID, size, m.fire)
 	case to.Dst != "":
 		dstID, ok := sd.byName[to.Dst]
 		if !ok {
 			sd.logf("seeder: send to unknown switch %q", to.Dst)
 			return
 		}
-		task := from.Task
-		sd.fab.SendSwitchToSwitch(fromID, dstID, size, func() {
-			sd.soils[dstID].DeliverToMachine(task, to.Machine, src, v)
-		})
+		m := sd.msg(v)
+		m.dst, m.task, m.machine, m.src = dstID, from.Task, to.Machine, src
+		sd.fab.SendSwitchToSwitch(fromID, dstID, size, m.fire)
 	default:
 		// Broadcast to every switch hosting seeds of the machine
 		// within the same task.
-		task := from.Task
 		for _, sw := range sd.fab.Topology().Switches() {
-			dstID := sw.ID
-			sd.fab.SendSwitchToSwitch(fromID, dstID, size, func() {
-				sd.soils[dstID].DeliverToMachine(task, to.Machine, src, v)
-			})
+			m := sd.msg(v)
+			m.dst, m.task, m.machine, m.src = sw.ID, from.Task, to.Machine, src
+			sd.fab.SendSwitchToSwitch(fromID, sw.ID, size, m.fire)
 		}
 	}
+}
+
+// ctlMsg is one control message in flight: a seed's report on its way
+// to its task's harvester, or a message on its way to the seeds of a
+// machine on one switch. A message occupies one record from send to
+// delivery, scheduled with the prebuilt fire, so routing allocates
+// nothing once the records it needs exist (fabric's hop records do the
+// same for packets).
+type ctlMsg struct {
+	sd   *Seeder
+	fire func() // m.deliver, bound once
+	v    core.Value
+
+	h             *harvest.Harvester // to this harvester, from this seed, or
+	from          soil.SeedRef
+	dst           netmodel.SwitchID // to these seeds on this switch
+	task, machine string
+	src           core.MsgSource
+}
+
+// msg takes a record off the free list, or makes one, to carry v.
+func (sd *Seeder) msg(v core.Value) *ctlMsg {
+	var m *ctlMsg
+	if n := len(sd.freeMsgs); n > 0 {
+		m, sd.freeMsgs = sd.freeMsgs[n-1], sd.freeMsgs[:n-1]
+	} else {
+		m = &ctlMsg{sd: sd}
+		m.fire = m.deliver
+	}
+	m.v = v
+	return m
+}
+
+// deliver is a message's arrival. The record goes back to the free list
+// first, so whatever the delivery sends can reuse it.
+func (m *ctlMsg) deliver() {
+	c := *m
+	*m = ctlMsg{sd: c.sd, fire: c.fire}
+	c.sd.freeMsgs = append(c.sd.freeMsgs, m)
+	if c.h != nil {
+		c.h.Deliver(c.from, c.v)
+		return
+	}
+	c.sd.soils[c.dst].DeliverToMachine(c.task, c.machine, c.src, c.v)
 }
 
 // harvesterCtx implements harvest.Context for one task.
@@ -883,22 +928,22 @@ type harvesterCtx struct {
 func (c *harvesterCtx) SendToSeeds(machine, switchName string, v core.Value) {
 	size := estimateValueBytes(v)
 	src := core.MsgSource{Harvester: true}
+	send := func(id netmodel.SwitchID) {
+		m := c.sd.msg(v)
+		m.dst, m.task, m.machine, m.src = id, c.task, machine, src
+		c.sd.fab.SendFromCentral(id, size, m.fire)
+	}
 	if switchName != "" {
 		id, ok := c.sd.byName[switchName]
 		if !ok {
 			c.sd.logf("seeder: harvester %s: unknown switch %q", c.task, switchName)
 			return
 		}
-		c.sd.fab.SendFromCentral(id, size, func() {
-			c.sd.soils[id].DeliverToMachine(c.task, machine, src, v)
-		})
+		send(id)
 		return
 	}
 	for _, sw := range c.sd.fab.Topology().Switches() {
-		id := sw.ID
-		c.sd.fab.SendFromCentral(id, size, func() {
-			c.sd.soils[id].DeliverToMachine(c.task, machine, src, v)
-		})
+		send(sw.ID)
 	}
 }
 

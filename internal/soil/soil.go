@@ -242,7 +242,7 @@ func subjectFromWhat(w almanac.Const) (subject, error) {
 // pollGroup aggregates all subscriptions to one subject: the subject is
 // polled once per group interval (the minimum over subscribers) and the
 // result fanned out (§II-B-b "the soil can aggregate polling") as one
-// immutable core.Batch per completion, shared by every subscriber.
+// core.Batch per completion, shared read-only by every subscriber.
 type pollGroup struct {
 	soil   *Soil
 	key    string // in Soil.groups
@@ -250,11 +250,12 @@ type pollGroup struct {
 	ticker engine.Ticker
 	poll   func() // issues the subject's driver read, completing in deliverPorts/deliverRule
 
-	// last is the previous completion's batch, whose cumulative counters
-	// are the base of the next one's deltas. Every subscriber is
-	// delivered every completion, so one base serves all of them (bar a
-	// first delivery, see pollSub.seen).
-	last *core.Batch
+	// batch is the previous completion's batch, whose cumulative
+	// counters are the base of the next one's deltas, and which the next
+	// completion is written over unless a handler kept it (core.Batch).
+	// Every subscriber is delivered every completion, so one base serves
+	// all of them (bar a first delivery, see pollSub.seen).
+	batch *core.Batch
 }
 
 // newPollGroup binds the subject's driver read and its completion once,
@@ -312,7 +313,7 @@ func (g *pollGroup) fire() {
 }
 
 // deliverPorts runs on the poll's PCIe completion. ports and stats are
-// the driver's and die with the call; the batch built from them does
+// the driver's and die with the call; the batch written from them does
 // not.
 func (g *pollGroup) deliverPorts(ports []int, stats []dataplane.PortStats) {
 	s := g.soil
@@ -330,11 +331,12 @@ func (g *pollGroup) deliverRule(st dataplane.RuleStats, ok bool) {
 }
 
 // deliver fans one completion out: one batch with deltas against the
-// previous completion, handed read-only to every subscriber. A
-// subscriber that joined a running group has seen none of its
-// completions, so its first delivery is a batch apart, with deltas
-// against zero. A completion that finds no subscriber left (the last
-// one was removed with the poll in flight) builds nothing.
+// previous completion, written over the group's batch unless a handler
+// kept that, and handed read-only to every subscriber. A subscriber that
+// joined a running group has seen none of its completions, so its first
+// delivery is a new batch apart, with deltas against zero. A completion
+// that finds no subscriber left (the last one was removed with the poll
+// in flight) builds nothing.
 func (g *pollGroup) deliver(build func(prev *core.Batch) *core.Batch) {
 	if len(g.subs) == 0 {
 		return
@@ -343,13 +345,13 @@ func (g *pollGroup) deliver(build func(prev *core.Batch) *core.Batch) {
 	if len(g.subs) > 1 {
 		s.cpu.Charge(time.Duration(len(g.subs)) * metrics.CostAggregationPerSeed)
 	}
-	shared := build(g.last)
+	shared := build(g.batch)
 	var first *core.Batch
 	for _, sub := range g.subs {
 		b := shared
 		if !sub.seen {
 			sub.seen = true
-			if g.last != nil {
+			if g.batch != nil {
 				if first == nil {
 					first = build(nil)
 				}
@@ -359,7 +361,7 @@ func (g *pollGroup) deliver(build func(prev *core.Batch) *core.Batch) {
 		s.pollsDelivered++
 		s.dispatchTrigger(sub.rt, sub.varName, b)
 	}
-	g.last = shared
+	g.batch = shared
 }
 
 // dispatchTrigger delivers a trigger firing to a seed, charging the

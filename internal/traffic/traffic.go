@@ -449,7 +449,8 @@ type PortLoad struct {
 //
 // Each switch's ports are credited by a ticker of its own, and the heavy
 // set for a churn epoch is a pure function of (seed, epoch) — a seeded
-// ranking every switch recomputes locally.
+// ranking, worked out once per epoch, that each switch's churn ticker
+// copies its ports' bits out of.
 type BulkWorkload struct {
 	fab *fabric.Fabric
 
@@ -465,6 +466,11 @@ type BulkWorkload struct {
 	ports    []PortLoad // all driven ports, base rates, in host order
 	switches []*bulkSwitch
 	tickers  []engine.Ticker
+
+	// mask is heavyMask of epoch maskEpoch, the last epoch asked for;
+	// nil until then.
+	mask      []bool
+	maskEpoch int64
 }
 
 // bulkSwitch is the per-switch slice of a BulkWorkload.
@@ -530,11 +536,12 @@ func NewBulkWorkload(fab *fabric.Fabric, cfg BulkConfig) *BulkWorkload {
 	epoch := w.epochAt(sched.Now())
 	for _, bs := range w.switches {
 		bs := bs
-		bs.heavy = w.heavyFor(bs, epoch)
+		bs.heavy = make([]bool, len(bs.idx))
+		w.setHeavy(bs, epoch)
 		w.tickers = append(w.tickers, sched.Every(cfg.Tick, func() { w.tick(bs) }))
 		if cfg.Churn > 0 {
 			w.tickers = append(w.tickers, sched.Every(cfg.Churn, func() {
-				bs.heavy = w.heavyFor(bs, w.epochAt(sched.Now()))
+				w.setHeavy(bs, w.epochAt(sched.Now()))
 			}))
 		}
 	}
@@ -564,8 +571,8 @@ func bulkMix(h, v uint64) uint64 {
 
 // heavyMask returns the heavy port set of an epoch, indexed by global
 // port: the ratio*n lowest-ranked ports under a (seed, epoch)-keyed hash,
-// ties broken by index. It is a pure function, so every switch (and
-// HeavyPorts) derives the same set without shared state. Each port is
+// ties broken by index. It is a pure function of its arguments, so one
+// call per epoch serves every switch and HeavyPorts. Each port is
 // hashed once; the cut is the rank-th smallest key, found by selection on
 // a scratch copy instead of sorting the ports.
 func heavyMask(seed, epoch int64, n int, ratio float64) []bool {
@@ -644,14 +651,23 @@ func selectKth(a []uint64, k int) uint64 {
 	return a[k]
 }
 
-// heavyFor filters the epoch's heavy set down to one switch's ports.
-func (w *BulkWorkload) heavyFor(bs *bulkSwitch, epoch int64) []bool {
-	on := heavyMask(w.seed, epoch, len(w.ports), w.ratio)
-	heavy := make([]bool, len(bs.idx))
-	for j, i := range bs.idx {
-		heavy[j] = on[i]
+// heavyAt returns the heavy set of an epoch, indexed by global port. It
+// is worked out once per epoch, for whichever caller asks first, and is
+// read-only to every caller.
+func (w *BulkWorkload) heavyAt(epoch int64) []bool {
+	if w.mask == nil || w.maskEpoch != epoch {
+		w.mask, w.maskEpoch = heavyMask(w.seed, epoch, len(w.ports), w.ratio), epoch
 	}
-	return heavy
+	return w.mask
+}
+
+// setHeavy copies one switch's ports' bits of the epoch's heavy set into
+// its heavy flags.
+func (w *BulkWorkload) setHeavy(bs *bulkSwitch, epoch int64) {
+	on := w.heavyAt(epoch)
+	for j, i := range bs.idx {
+		bs.heavy[j] = on[i]
+	}
 }
 
 // HeavyPorts returns the currently heavy (switch, port) pairs — the
@@ -659,8 +675,7 @@ func (w *BulkWorkload) heavyFor(bs *bulkSwitch, epoch int64) []bool {
 // engine is quiescent.
 func (w *BulkWorkload) HeavyPorts() []PortLoad {
 	var out []PortLoad
-	epoch := w.epochAt(w.fab.Sched().Now())
-	for i, heavy := range heavyMask(w.seed, epoch, len(w.ports), w.ratio) {
+	for i, heavy := range w.heavyAt(w.epochAt(w.fab.Sched().Now())) {
 		if heavy {
 			p := w.ports[i]
 			p.BytesPerSec = w.HeavyRate

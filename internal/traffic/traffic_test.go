@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -284,6 +285,50 @@ func TestBulkWorkloadChurn(t *testing.T) {
 	}
 	if same {
 		t.Fatal("churn did not re-pick the heavy set")
+	}
+}
+
+// TestBulkHeavyMaskPerEpoch: the heavy flags each switch's churn ticker
+// copies out of the epoch's shared mask are what a recomputation of the
+// mask for that switch gives, at every epoch, and HeavyPorts lists the
+// same ports as the mask it is computed from.
+func TestBulkHeavyMaskPerEpoch(t *testing.T) {
+	fab := testFabric(t, 1, 4, 8)
+	const churn = 50 * time.Millisecond
+	w := NewBulkWorkload(fab, BulkConfig{
+		Tick: 10 * time.Millisecond, HeavyRatio: 0.25,
+		Churn: churn, Seed: 3,
+	})
+	defer w.Stop()
+	seenSets := map[string]bool{}
+	for step := 0; step < 12; step++ {
+		epoch := w.epochAt(fab.Sched().Now())
+		on := heavyMask(w.seed, epoch, len(w.ports), w.ratio)
+		for _, bs := range w.switches {
+			for j, i := range bs.idx {
+				if bs.heavy[j] != on[i] {
+					t.Fatalf("epoch %d switch %v port %d: heavy = %v, a recomputation says %v", epoch, bs.id, w.ports[i].Port, bs.heavy[j], on[i])
+				}
+			}
+		}
+		var want []PortLoad
+		for i, heavy := range on {
+			if heavy {
+				p := w.ports[i]
+				p.BytesPerSec = w.HeavyRate
+				want = append(want, p)
+			}
+		}
+		got := w.HeavyPorts()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("epoch %d: HeavyPorts = %v, want %v", epoch, got, want)
+		}
+		seenSets[fmt.Sprint(got)] = true
+		// Mid-epoch, then past the next churn instant.
+		fab.Sched().RunFor(churn/2 + time.Duration(step%2)*churn)
+	}
+	if len(seenSets) < 4 {
+		t.Fatalf("%d distinct heavy sets over the run: churn did not move them", len(seenSets))
 	}
 }
 
