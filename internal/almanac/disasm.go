@@ -235,6 +235,10 @@ func (p *Lowered) renderRInstr(in RInstr) string {
 		return fmt.Sprintf("%s = list_get %s[%s]", dst(), p.ropnd(in.B), p.ropnd(in.C))
 	case RMulAdd:
 		return fmt.Sprintf("%s = muladd %s, %s, %s", dst(), p.ropnd(in.A), p.ropnd(in.B), p.ropnd(in.C))
+	case RMapReset:
+		return fmt.Sprintf("%s = map_new in place", dst())
+	case RMapGetNew:
+		return fmt.Sprintf("%s = map_get %s[%s] ?: map_new", dst(), p.ropnd(in.B), p.ropnd(in.C))
 	}
 	return fmt.Sprintf("rop%d %d %d %d %d", in.Op, in.Dst, in.A, in.B, in.C)
 }

@@ -132,6 +132,10 @@ type Lowered struct {
 	RegChunks   []RegChunk
 	RFieldSites int32
 
+	// Private lists, sorted, the map variables whose `x = map_new()`
+	// lowered to RMapReset (private.go says when a variable is private).
+	Private []string
+
 	// Init is the chunk that builds a seed's variables, the last one.
 	// It runs the machine variables' initialisers in declaration order,
 	// each seeing only the machine variables built before it, then every
@@ -170,6 +174,7 @@ type lowerer struct {
 	nameIdx map[string]int32
 	litIdx  map[Lit]int32
 	errIdx  map[string]int32
+	private map[string]bool
 	err     error
 }
 
@@ -202,6 +207,8 @@ func Lower(cm *CompiledMachine, builtinNames []string) (lp *Lowered, err error) 
 	for _, n := range builtinNames {
 		l.builtin[n] = true
 	}
+	l.private = privateMaps(cm, l.builtin)
+	l.p.Private = sortedNames(l.private)
 	for i := range cm.Funcs {
 		// First declaration wins, like the interpreter's map build
 		// would resolve lookups (later duplicates are unreachable
@@ -614,6 +621,9 @@ func (c *chunkCompiler) transit(st *TransitStmt) {
 
 func (c *chunkCompiler) assign(st *AssignStmt) {
 	line := int32(st.Line())
+	if c.resetPrivate(st) {
+		return
+	}
 	c.expr(st.Val) // the value is evaluated before any target checks
 	if st.Field != "" {
 		if c.isDeclaredTrigger(st.Target) {
@@ -646,6 +656,27 @@ func (c *chunkCompiler) assign(st *AssignStmt) {
 		return
 	}
 	c.storeName(st.Target, line)
+}
+
+// resetPrivate lowers `x = map_new()` on a private map variable x to one
+// RMapReset on x's slot, the instruction the call would have produced
+// there, and reports whether it did. (No local is named x: x would not
+// be private.)
+func (c *chunkCompiler) resetPrivate(st *AssignStmt) bool {
+	if st.Field != "" || !c.l.private[st.Target] || !isMapNew(st.Val, c.l.builtin) {
+		return false
+	}
+	var dst int32
+	switch sc, idx := c.resolve(st.Target); sc {
+	case scopeState:
+		dst = RStOpnd(idx)
+	case scopeEnv:
+		dst = REnvOpnd(idx)
+	default:
+		return false
+	}
+	c.emit(RMapReset, dst, c.l.name("map_new"), -1, -1, int32(st.Val.Line()))
+	return true
 }
 
 // isDeclaredTrigger mirrors Seed.isTrigger: only machine-declared
@@ -854,6 +885,17 @@ func (c *chunkCompiler) expr(e Expr) {
 func (c *chunkCompiler) call(ex *CallExpr) {
 	line, n := int32(ex.Line()), len(ex.Args)
 	if c.l.builtin[ex.Name] {
+		if ex.Name == "map_get" && n == 3 && isMapNew(ex.Args[2], c.l.builtin) {
+			// The default is built only on a miss: map_new() has no
+			// effect and cannot fail, so not evaluating it is the same
+			// program.
+			c.expr(ex.Args[0])
+			c.expr(ex.Args[1])
+			c.l.name("map_new")
+			k, m := c.pop(), c.pop()
+			c.produce(RMapGetNew, c.l.name(ex.Name), m, k, line)
+			return
+		}
 		for _, a := range ex.Args {
 			c.expr(a)
 		}

@@ -119,6 +119,11 @@ const (
 	RListLen // dst = list_len(opnd B); A = name index
 	RListGet // dst = list_get(opnd B, opnd C); A = name index
 	RMulAdd  // dst = opnd A * opnd B + opnd C (fused mul feeding an add)
+
+	// Map forms that allocate only what outlives the run. Same layout as
+	// the RCallB2 they replace (A = builtin-name index, -1 = absent).
+	RMapReset  // private map slot Dst = map_new(): emptied in place if it holds a map; A = map_new's name index
+	RMapGetNew // dst = map_get(opnd B, opnd C, map_new()), the default built only on a miss; A = map_get's name index
 )
 
 // Operand encoding: the top nibble-bits select the source class, the

@@ -371,16 +371,21 @@ machine C {
 }
 
 // TestMapKeysAllocs: map_keys costs nothing per key. On a map whose key
-// set has not changed since the last call — value updates in between
-// included — it returns the list it already made; after an insert or a
-// delete it makes one new list: the slice, and the header that boxes a
-// slice as a Value.
+// set is the one the list it last handed out holds — after value
+// updates, after an insert and a delete that cancel out, after a reset
+// and a refill with the same keys — it returns that list; when the key
+// set really changed it makes one new list: the slice, and the header
+// that boxes a slice as a Value.
 func TestMapKeysAllocs(t *testing.T) {
 	for _, size := range []int{2, 16, 256} {
 		m := NewMap()
-		for i := 0; i < size; i++ {
-			m.Set(fmt.Sprintf("key-%03d", (i*37)%size), int64(i))
+		fill := func() {
+			for i := 0; i < size; i++ {
+				k, v := rstr(fmt.Sprintf("key-%03d", (i*37)%size)), rint(int64(i))
+				m.set(&k, &v)
+			}
 		}
+		fill()
 		args := []rval{rref(m)}
 		first, _ := nvMapKeys(nil, args, 1)
 		if l := first.ref.(List); len(l) != size || !slices.IsSortedFunc(l, func(a, b Value) int { return strings.Compare(a.(string), b.(string)) }) {
@@ -398,8 +403,24 @@ func TestMapKeysAllocs(t *testing.T) {
 			m.set(&extra, &v)
 			m.del(&extra)
 			nvMapKeys(nil, args, 1)
-		}); allocs > 2 {
-			t.Errorf("%d keys: map_keys after an insert and a delete allocates %.1f, want <= 2 whatever the size", size, allocs)
+		}); allocs != 0 {
+			t.Errorf("%d keys: map_keys after an insert and a delete of one key allocates %.1f, want 0", size, allocs)
+		}
+		m.reset()
+		if got, _ := nvMapKeys(nil, args, 1); len(got.ref.(List)) != 0 {
+			t.Fatalf("%d keys: map_keys of a reset map = %s", size, FormatValue(got.ref))
+		}
+		fill()
+		if again, _ := nvMapKeys(nil, args, 1); FormatValue(again.ref) != FormatValue(first.ref) || &again.ref.(List)[0] != &first.ref.(List)[0] {
+			t.Fatalf("%d keys: after a reset and a refill map_keys = %s, want the list it handed out before, %s", size, FormatValue(again.ref), FormatValue(first.ref))
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			m.set(&extra, &v)
+			nvMapKeys(nil, args, 1)
+			m.del(&extra)
+			nvMapKeys(nil, args, 1)
+		}); allocs > 4 {
+			t.Errorf("%d keys: map_keys after a changed key set allocates %.1f per change, want <= 2 whatever the size", size, allocs/2)
 		}
 		if again, _ := nvMapKeys(nil, args, 1); FormatValue(again.ref) != FormatValue(first.ref) {
 			t.Fatalf("%d keys: key list changed: %s, was %s", size, FormatValue(again.ref), FormatValue(first.ref))

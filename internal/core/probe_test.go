@@ -320,6 +320,50 @@ func TestAddrTextBoundedAndExact(t *testing.T) {
 	}
 }
 
+// TestFlowTextBoundedAndExact: p.flow reads the flow's canonical text,
+// interned per 5-tuple in a table with addrText's bound and wipe.
+func TestFlowTextBoundedAndExact(t *testing.T) {
+	cm := parityCompile(t, probeParitySource, "Probe")
+	prog, err := Compile(cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := prog.NewRunner(nil, newMockHost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := r.(*rvmSeed)
+	if m.flowText != nil {
+		t.Fatal("flow table built before any flow was read")
+	}
+	check := func(p PacketVal) {
+		t.Helper()
+		want := dataplane.Packet(p).Flow().String()
+		for i := 0; i < 2; i++ { // a miss, then a hit
+			if got, err := m.packetField(&p, "flow", 1); err != nil || got.k != rkStr || got.asStr() != want {
+				t.Fatalf("p.flow of %+v = %q (%v), want %q", p, got.box(), err, want)
+			}
+		}
+		if len(m.flowText) > maxAddrText {
+			t.Fatalf("flow table holds %d entries, bound is %d", len(m.flowText), maxAddrText)
+		}
+	}
+	check(PacketVal{})
+	check(PacketVal{SrcIP: netip.MustParseAddr("2001:db8::1"), DstIP: netip.MustParseAddr("fe80::1%eth0"), SrcPort: 65535, Proto: 200})
+	for i := 0; i < 10_000; i++ {
+		check(PacketVal{SrcIP: netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}), DstIP: netip.AddrFrom4([4]byte{10, 1, 0, 1}),
+			SrcPort: uint16(i), DstPort: 80, Proto: dataplane.ProtoTCP})
+	}
+	if len(m.flowText) == 0 {
+		t.Fatal("flow table empty after 10 k reads")
+	}
+	p := PacketVal{SrcIP: netip.MustParseAddr("10.9.9.9"), DstIP: netip.MustParseAddr("10.1.0.1"), DstPort: 443, Proto: dataplane.ProtoTCP}
+	m.packetField(&p, "flow", 1)
+	if allocs := testing.AllocsPerRun(100, func() { m.packetField(&p, "flow", 1) }); allocs != 0 {
+		t.Fatalf("reading an interned flow allocates %.1f", allocs)
+	}
+}
+
 // A long map key is its decimal text, the same for the natives, their
 // boxed twins, keyString and FormatValue, over boundary and random values.
 func TestMapLongKeysMatchFormatValue(t *testing.T) {

@@ -1006,6 +1006,35 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 				return chunkResult{}, err
 			}
 
+		case almanac.RMapReset:
+			// `x = map_new()` on a private map: no other name can hold
+			// x's map, so emptying it is the same as replacing it.
+			if v := bases.rd(in.Dst); v.k == rkRef {
+				if mv, ok := v.ref.(*MapVal); ok {
+					mv.reset()
+					break
+				}
+			}
+			wrOpnd(in.Dst, rref(NewMap()), regs, env, stf)
+
+		case almanac.RMapGetNew:
+			m.nargs[0], m.nargs[1] = bases.rd(in.B), bases.rd(in.C)
+			if mv, ok := m.nargs[0].ref.(*MapVal); ok {
+				if i := mv.find(&m.nargs[1]); i >= 0 {
+					wrOpnd(in.Dst, mv.slots[i].val, regs, env, stf)
+				} else {
+					wrOpnd(in.Dst, rref(NewMap()), regs, env, stf)
+				}
+				break
+			}
+			// Not a map: map_get's own answer (its error), default and all.
+			args := []rval{m.nargs[0], m.nargs[1], rref(NewMap())}
+			res, err := lp.natives[in.A](m.host, args, in.Line)
+			if err != nil {
+				return chunkResult{}, err
+			}
+			wrOpnd(in.Dst, res, regs, env, stf)
+
 		case almanac.RErr:
 			return chunkResult{}, errors.New(p.Errs[in.A])
 

@@ -54,7 +54,12 @@ type List []Value
 type MapVal struct {
 	slots []mapSlot
 	idx   map[string]int32 // key text -> slot; nil while the slots are few enough to scan
-	keys  Value            // the sorted key List map_keys last handed out, boxed; nil once an insert or delete outdates it
+	// keys is the sorted key List map_keys last handed out, boxed, or nil.
+	// It outlives inserts, deletes and resets: keysStale says the key set
+	// may have changed since, and map_keys hands it out again if the keys
+	// turn out to be the same (keysStale means nothing while keys is nil).
+	keys      Value
+	keysStale bool
 }
 
 type mapSlot struct {
@@ -90,12 +95,31 @@ func (m *MapVal) Set(key string, v Value) {
 // Keys returns the key texts in sorted order. The list is the caller's
 // to read, not to write.
 func (m *MapVal) Keys() List {
-	if m.keys != nil {
+	switch {
+	case len(m.slots) == 0:
+		return nil
+	case m.keys != nil && (!m.keysStale || m.sameKeys()):
 		return m.keys.(List)
 	}
+	return m.sortedKeys()
+}
+
+// keyList is Keys as map_keys returns it: boxed, and kept, so a handler
+// that walks a map whose key set is the one it walked last time — after
+// value updates, inserts and deletes that cancel out, or a reset and a
+// refill — gets the same list. Lists handed out are never written again.
+func (m *MapVal) keyList() Value {
 	if len(m.slots) == 0 {
-		return nil
+		return zeroListVal
 	}
+	if m.keys == nil || m.keysStale && !m.sameKeys() {
+		m.keys = m.sortedKeys()
+	}
+	m.keysStale = false
+	return m.keys
+}
+
+func (m *MapVal) sortedKeys() List {
 	l := make(List, len(m.slots))
 	for i := range m.slots {
 		l[i] = m.slots[i].key
@@ -104,17 +128,32 @@ func (m *MapVal) Keys() List {
 	return l
 }
 
-// keyList is Keys as map_keys returns it: boxed, and kept until the key
-// set changes, so a handler that walks an unchanged map again gets the
-// same list. Lists handed out are never written again.
-func (m *MapVal) keyList() Value {
-	if len(m.slots) == 0 {
-		return zeroListVal
+// sameKeys reports whether the kept key list holds exactly the map's
+// keys: as many, and each slot's key found in it (keys are distinct on
+// both sides, so that is set equality).
+func (m *MapVal) sameKeys() bool {
+	l := m.keys.(List)
+	if len(l) != len(m.slots) {
+		return false
 	}
-	if m.keys == nil {
-		m.keys = m.Keys()
+	for i := range m.slots {
+		if _, ok := slices.BinarySearchFunc(l, m.slots[i].key.(string), func(e Value, k string) int {
+			return strings.Compare(e.(string), k)
+		}); !ok {
+			return false
+		}
 	}
-	return m.keys
+	return true
+}
+
+// reset empties the map in place, keeping its slot array, its index and
+// its kept key list: `x = map_new()` on a map variable nothing else can
+// reach (almanac's private maps).
+func (m *MapVal) reset() {
+	clear(m.slots)
+	m.slots = m.slots[:0]
+	clear(m.idx)
+	m.keysStale = true
 }
 
 func (m *MapVal) lookup(key string) int {
@@ -205,7 +244,7 @@ func (m *MapVal) set(k, v *rval) {
 			m.idx[m.slots[i].key.(string)] = int32(i)
 		}
 	}
-	m.keys = nil
+	m.keysStale = true
 }
 
 // del removes key k by moving the last slot into its place: slot order
@@ -225,7 +264,7 @@ func (m *MapVal) del(k *rval) {
 	m.slots[i] = m.slots[last]
 	m.slots[last] = mapSlot{}
 	m.slots = m.slots[:last]
-	m.keys = nil
+	m.keysStale = true
 }
 
 // FilterVal wraps a packet filter; PortAny marks `port ANY`.
@@ -401,7 +440,7 @@ func CloneValue(v Value) Value {
 		}
 		return out
 	case *MapVal:
-		out := &MapVal{slots: make([]mapSlot, len(x.slots)), idx: maps.Clone(x.idx), keys: x.keys}
+		out := &MapVal{slots: make([]mapSlot, len(x.slots)), idx: maps.Clone(x.idx), keys: x.keys, keysStale: x.keysStale}
 		for i, s := range x.slots {
 			if s.val.k == rkRef {
 				s.val.ref = CloneValue(s.val.ref)

@@ -255,9 +255,12 @@ type rvmSeed struct {
 	// maxAddrText entries it is wiped (a spoofed-source flood presents a
 	// fresh address with every sample). Made on the first address read.
 	addrText map[netip.Addr]Value
+	// flowText does the same for p.flow, per 5-tuple, with the same bound
+	// and wipe. Made on the first flow read.
+	flowText map[dataplane.FlowKey]Value
 }
 
-// maxAddrText bounds rvmSeed.addrText.
+// maxAddrText bounds rvmSeed.addrText and rvmSeed.flowText.
 const maxAddrText = 256
 
 // protoText is the boxed name of every protocol number.
@@ -283,6 +286,21 @@ func (m *rvmSeed) addrStr(a netip.Addr) rval {
 	return rval{k: rkStr, ref: v}
 }
 
+// flowStr returns k's text, equal to k.String().
+func (m *rvmSeed) flowStr(k dataplane.FlowKey) rval {
+	v, ok := m.flowText[k]
+	if !ok {
+		if m.flowText == nil {
+			m.flowText = make(map[dataplane.FlowKey]Value)
+		} else if len(m.flowText) >= maxAddrText {
+			clear(m.flowText)
+		}
+		v = k.String()
+		m.flowText[k] = v
+	}
+	return rval{k: rkStr, ref: v}
+}
+
 // fieldCache is one RField site's inline cache: last-seen layout and
 // the field's slot in it.
 type fieldCache struct {
@@ -294,9 +312,15 @@ func (m *rvmSeed) Machine() *almanac.CompiledMachine { return m.lp.cm }
 
 func (m *rvmSeed) State() string { return m.lp.p.States[m.state].Name }
 
+// Var reads a machine variable. A map comes out as a copy: the seed may
+// empty its own in place later (RMapReset).
 func (m *rvmSeed) Var(name string) (Value, bool) {
 	if ei, ok := m.lp.envIdx[name]; ok {
-		return m.env[ei].box(), true
+		v := m.env[ei].box()
+		if mv, ok := v.(*MapVal); ok {
+			v = CloneValue(mv)
+		}
+		return v, true
 	}
 	return nil, false
 }
@@ -538,7 +562,7 @@ func (m *rvmSeed) packetField(p *PacketVal, field string, line int32) (rval, err
 	case "httpPartial":
 		return rbool(p.App.HTTPPartial), nil
 	case "flow":
-		return rstr(dataplanePacket(*p).Flow().String()), nil
+		return m.flowStr(dataplanePacket(*p).Flow()), nil
 	}
 	return rval{}, fmt.Errorf("core: packet has no field %s (line %d)", field, line)
 }

@@ -237,6 +237,9 @@ func TestVMSnippetParity(t *testing.T) {
 		{"list append and clear", "list l; long n;", "l = list_append(l, 9); l = list_append(l, 8); n = list_len(l); l = list_clear(l);"},
 		{"map keys", "map m; list ks;", `m = map_set(m, "b", 1); m = map_set(m, "a", 2); ks = map_keys(m);`},
 		{"map has and del", "map m; bool h1; bool h2;", `m = map_set(m, "k", 1); h1 = map_has(m, "k"); m = map_del(m, "k"); h2 = map_has(m, "k");`},
+		{"map_new default hit and miss", "map m; map hit; map miss; long n;", `m = map_set(m, "k", map_set(map_new(), "in", 1)); hit = map_get(m, "k", map_new()); miss = map_get(m, "nope", map_new()); map_set(miss, "x", 2); n = map_len(hit) + map_len(map_get(m, "nope", map_new()));`},
+		{"map_new default on a non-map", "long a; map x;", `a = 5; x = map_get(a, "k", map_new());`},
+		{"private map reset in place", "map m; list ks; list again; long n;", `m = map_set(m, "b", 1); m = map_set(m, "a", 2); ks = map_keys(m); m = map_new(); n = map_len(m); m = map_set(m, "a", 3); m = map_set(m, "b", 4); again = map_keys(m);`},
 		{"nested function calls", "long out;", "out = f2(f2(1, 2), f2(3, 4));"},
 		{"function return nothing", "long out;", "out = 5; noret(1);"},
 		{"conditional decl then use", "long out;", "if (1 > 2) then { long x = 5; } out = 1;"},
