@@ -129,30 +129,8 @@ func (p *Lowered) renderRInstr(in RInstr) string {
 		return fmt.Sprintf("%s = %s", dst(), p.ropnd(in.A))
 	case RZero:
 		return fmt.Sprintf("%s = zero %s", dst(), Type(in.A))
-	case RLoadLE:
+	case RBindExternal:
 		return fmt.Sprintf("%s = r%d ?: e%d", dst(), in.A, in.B)
-	case RLoadLS:
-		return fmt.Sprintf("%s = r%d ?: s%d", dst(), in.A, in.B)
-	case RLoadLD:
-		return fmt.Sprintf("%s = r%d ?: dyn %s", dst(), in.A, name(in.B))
-	case RLoadLErr:
-		return fmt.Sprintf("%s = r%d ?: undeclared %s", dst(), in.A, name(in.B))
-	case RStoreLE:
-		return fmt.Sprintf("r%d ?: e%d = %s", in.A, in.B, p.ropnd(in.C))
-	case RStoreLS:
-		return fmt.Sprintf("r%d ?: s%d = %s", in.A, in.B, p.ropnd(in.C))
-	case RStoreLD:
-		return fmt.Sprintf("r%d ?: dyn %s = %s", in.A, name(in.B), p.ropnd(in.C))
-	case RStoreLErr:
-		return fmt.Sprintf("r%d ?: undeclared %s = %s", in.A, name(in.B), p.ropnd(in.C))
-	case RLoadDyn:
-		return fmt.Sprintf("%s = dyn %s", dst(), name(in.A))
-	case RStoreDyn:
-		return fmt.Sprintf("dyn %s = %s", name(in.A), p.ropnd(in.B))
-	case RLoadErr:
-		return fmt.Sprintf("load.undeclared %s", name(in.A))
-	case RStoreErr:
-		return fmt.Sprintf("store.undeclared %s", name(in.A))
 	case RJump:
 		return fmt.Sprintf("jump %d", in.A)
 	case RJF:

@@ -33,7 +33,7 @@ machine Gold {
         i = i + 1;
       }
       Pt p = Pt { .x = sum, .y = 0.0 };
-      if (p.x > threshold) then { acc = acc + 1.0; }
+      if (p.x > threshold) then { acc = acc * 0.9 + 1.0; }
     }
   }
 }

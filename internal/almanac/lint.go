@@ -3,14 +3,10 @@ package almanac
 import "fmt"
 
 // Lint reports likely deployment problems that are legal Almanac but
-// almost certainly bugs. Current checks:
-//
-//  1. The machine calls addTCAMRule somewhere, but no utility case in
-//     any state constrains res.TCAM — the optimizer will allocate zero
-//     TCAM entries and every installation will fail at runtime.
-//  2. A state declares events for a trigger variable of type time but
-//     the machine never reads the bound value — harmless, skipped.
-//     (Placeholder for future checks.)
+// almost certainly bugs. It checks one: the machine calls addTCAMRule
+// somewhere, but no utility case in any state constrains res.TCAM — the
+// optimizer will allocate zero TCAM entries and every installation will
+// fail at runtime.
 //
 // The seeder surfaces these as warnings at task admission; farmctl
 // analyze prints them.

@@ -16,24 +16,17 @@ import "fmt"
 //
 // Design notes for exact interpreter parity:
 //
-//   - The interpreter resolves names dynamically through a flat
-//     locals map → current state's vars → machine env chain, and a
-//     DeclStmt adds its name when (and only if) it executes. Lowering
-//     therefore pre-allocates a local slot for every name declared
-//     anywhere in a handler body, marks slots "undefined" at entry,
-//     and every access to a local not defined on all paths carries the
-//     statically-resolved fallback (state slot, env slot, dynamic
-//     lookup, or undeclared-variable error) taken when the slot is
-//     still undefined — which reproduces conditional declarations and
-//     shadowing byte-for-byte.
-//   - Auxiliary functions run with the caller's *current* state
-//     unknown at compile time, so non-local names inside them resolve
-//     dynamically at runtime (RLoadDyn/RStoreDyn), exactly like the
-//     interpreter's scope chain.
+//   - Sema has resolved every name in lexical block scope (resolve.go),
+//     so each one has a single static home: a local register (one per
+//     name a chunk declares, its binding or parameters first), a slot of
+//     the state the handler belongs to, or a machine env slot. Functions
+//     see only their parameters and locals, so a function chunk touches
+//     no env or state slot. A name with no home is a Lower error: only a
+//     machine built by hand, never resolved, can have one.
 //   - Errors the interpreter raises lazily (unknown function, arity
-//     mismatch, ANY on a non-port field, undeclared names) lower to
-//     error opcodes in place, never to Lower failures: anything sema
-//     accepts must lower, because the interpreter accepts it too.
+//     mismatch, ANY on a non-port field) lower to error opcodes in
+//     place, never to Lower failures: anything sema accepts must lower,
+//     because the interpreter accepts it too.
 
 // LitKind discriminates constant-pool entries.
 type LitKind uint8
@@ -55,7 +48,7 @@ type Lit struct {
 }
 
 // SlotDef names one frame slot (machine env or per-state vars); the
-// name is kept for snapshots and dynamic lookups.
+// name is kept for snapshots.
 type SlotDef struct {
 	Name string
 	Type Type
@@ -100,14 +93,12 @@ type StructSite struct {
 }
 
 // FieldAssignSite is the static half of `target.field = expr` on a
-// struct variable: the resolved target location plus names for errors.
+// struct variable: where the target lives, as an operand (a local
+// register, a current-state slot or an env slot), plus names for errors.
 type FieldAssignSite struct {
 	Target string
 	Field  string
-	Local  int32 // local slot or -1
-	St     int32 // current-state slot or -1
-	Env    int32 // env slot or -1
-	Dyn    bool  // function context: resolve Target by name at runtime
+	Dst    int32
 }
 
 // Lowered is the flat program for one machine.
@@ -140,18 +131,16 @@ type Lowered struct {
 	// It runs the machine variables' initialisers in declaration order,
 	// each seeing only the machine variables built before it, then every
 	// state's variables' initialisers, state by state, which see every
-	// machine variable and no state variable. Functions they call look
-	// names up at runtime, so the executor starts every env and state
-	// slot undefined and reads an undefined one as undeclared. The
-	// chunk's locals are, in order: one per external machine variable, in
+	// machine variable and no state variable (sema holds them to that,
+	// and a function they call sees no variable at all). The chunk's
+	// locals are, in order: one per external machine variable, in
 	// declaration order, holding the deployment's binding or undefined
 	// when there is none (a bound one takes the binding after its
 	// initialiser ran, an unbound one keeps the initialiser's value); one
-	// per state
-	// variable, states in order, holding its built value when the chunk
-	// ends; and the name of the initialiser running, for its fault. The
-	// initial state's values also move into its frame once all of them
-	// are built: from then on, and not before, functions see them.
+	// per state variable, states in order, holding its built value when
+	// the chunk ends; and the name of the initialiser running, for its
+	// fault. The initial state's values also move into its frame once
+	// all of them are built.
 	Init int32
 }
 
@@ -181,12 +170,14 @@ type lowerer struct {
 // Lower compiles a post-sema machine into its flat program.
 // builtinNames is the runtime library (core.BuiltinNames()); lowering
 // needs only the name set, so internal/core keeps its one-way
-// dependency on internal/almanac. Lower never panics on sema-accepted
-// input: constructs the interpreter would only fault on at runtime
-// lower to error opcodes; AST shapes no parser produces (decoded seed
-// XML is not sema-checked) return an error, and so does a machine with
-// no states or an initial state it does not declare, so a program that
-// lowers always has a state to start in.
+// dependency on internal/almanac. Lower never panics and never fails on
+// what sema or DecodeXML accepts: constructs the interpreter would only
+// fault on at runtime lower to error opcodes. A machine built by hand
+// can hold what neither accepts: an AST shape no parser produces, a
+// name with no static home, an event on a trigger the machine does not
+// declare, no states or an initial state it does not declare. Those
+// return an error, so a program that lowers always has a state to start
+// in and a slot for every name.
 func Lower(cm *CompiledMachine, builtinNames []string) (lp *Lowered, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -226,20 +217,6 @@ func Lower(cm *CompiledMachine, builtinNames []string) (lp *Lowered, err error) 
 		l.trigIdx[t.Name] = int32(i)
 		l.p.TriggerNames = append(l.p.TriggerNames, t.Name)
 	}
-	// Events may (in principle) name triggers the machine never
-	// declared; give those dispatch rows too so HandleTrigger behaves
-	// identically for any name.
-	for si := range cm.States {
-		for ei := range cm.States[si].Events {
-			trg := &cm.States[si].Events[ei].Trigger
-			if trg.Kind == TrigOnVar {
-				if _, ok := l.trigIdx[trg.VarName]; !ok {
-					l.trigIdx[trg.VarName] = int32(len(l.p.TriggerNames))
-					l.p.TriggerNames = append(l.p.TriggerNames, trg.VarName)
-				}
-			}
-		}
-	}
 	for i, v := range cm.Vars {
 		l.envIdx[v.Name] = int32(i)
 		l.p.EnvSlots = append(l.p.EnvSlots, SlotDef{Name: v.Name, Type: v.Type})
@@ -267,8 +244,10 @@ func Lower(cm *CompiledMachine, builtinNames []string) (lp *Lowered, err error) 
 			ev := &st.Events[ei]
 			switch ev.Trigger.Kind {
 			case TrigOnVar:
-				ti := l.trigIdx[ev.Trigger.VarName]
-				if ls.OnVar[ti] == -1 {
+				ti, ok := l.trigIdx[ev.Trigger.VarName]
+				if !ok {
+					l.failf("event on undeclared trigger %s", ev.Trigger.VarName)
+				} else if ls.OnVar[ti] == -1 {
 					ls.OnVar[ti] = l.compileHandler(sctx, ev.Body, ev.Trigger.AsName)
 				}
 			case TrigOnEnter:
@@ -383,22 +362,16 @@ func (l *lowerer) compileHandler(sctx *stateCtx, body []Stmt, bindName string) i
 }
 
 // compileChunk compiles a body whose first local slots hold params (a
-// handler's event binding, a function's parameters), defined on entry.
+// handler's event binding, a function's parameters).
 func (l *lowerer) compileChunk(sctx *stateCtx, body []Stmt, params []string) int32 {
 	c := &chunkCompiler{emitter: emitter{lastProd: -1}, l: l, sctx: sctx, locals: map[string]int32{}}
 	for i, p := range params {
-		// Duplicate parameter names resolve to the last slot, matching
-		// the interpreter's bind-map overwrite.
 		c.locals[p] = int32(i)
 	}
 	c.nloc = int32(len(params))
 	// The frame size comes first: temporaries are numbered from it.
 	loops := c.collectLocals(body)
 	c.numLocals = c.nloc + loops
-	c.defined = newLocalSet(c.numLocals)
-	for i := range params {
-		c.defined.set(int32(i))
-	}
 	c.stmts(body)
 	l.p.RegChunks = append(l.p.RegChunks, c.finish(len(params) > 0))
 	return int32(len(l.p.RegChunks) - 1)
@@ -417,7 +390,6 @@ func (l *lowerer) compileInit() int32 {
 	}
 	c := &chunkCompiler{emitter: emitter{lastProd: -1}, l: l, sctx: &stateCtx{}, locals: map[string]int32{}, built: map[string]bool{}}
 	c.numLocals = nExt + int32(l.p.StateSlots()) + 1
-	c.defined = newLocalSet(c.numLocals)
 	running := c.numLocals - 1
 	ext := int32(0)
 	for i := range cm.Vars {
@@ -430,7 +402,7 @@ func (l *lowerer) compileInit() int32 {
 		}
 		if v.External {
 			if v.Init != nil {
-				c.emit(RLoadLE, REnvOpnd(slot), ext, slot, 0, line) // the binding, if any
+				c.emit(RBindExternal, REnvOpnd(slot), ext, slot, 0, line)
 			} else {
 				c.emit(RMove, REnvOpnd(slot), ext, 0, 0, line)
 			}
@@ -470,12 +442,11 @@ func (c *chunkCompiler) initValue(init Expr, dst, running int32, name string) {
 	c.store(dst, c.pop(), line)
 }
 
-// collectLocals pre-allocates a slot for every name a DeclStmt anywhere
-// in the body may introduce — whether a given slot is live at a given
-// instruction is a runtime question (conditional declarations), tracked
-// by the VM's undefined marker — and returns how many while loops the
-// body holds: each takes one more slot for its hidden counter, handed
-// out as the walk reaches the loop.
+// collectLocals allocates a slot for every name a DeclStmt anywhere in
+// the body introduces (declarations of one name in blocks that do not
+// nest share it: sema keeps them from being visible at once) and returns
+// how many while loops the body holds: each takes one more slot for its
+// hidden counter, handed out as the walk reaches the loop.
 func (c *chunkCompiler) collectLocals(body []Stmt) (loops int32) {
 	for _, stmt := range body {
 		switch st := stmt.(type) {
@@ -518,9 +489,7 @@ func (c *chunkCompiler) stmts(body []Stmt) {
 			} else {
 				c.produce(RZero, int32(st.Var.Type), 0, 0, line)
 			}
-			slot := c.locals[st.Var.Name]
-			c.store(slot, c.pop(), line)
-			c.defined.set(slot)
+			c.store(c.locals[st.Var.Name], c.pop(), line)
 		case *TransitStmt:
 			c.transit(st)
 		case *ReturnStmt:
@@ -543,12 +512,9 @@ func (c *chunkCompiler) stmts(body []Stmt) {
 				c.bind(&elseL)
 			}
 		case *WhileStmt:
-			// Body and exit both start from what preceded the loop: the
-			// back edge can only add definitions, never remove one.
 			counter := c.nloc
 			c.nloc++
 			c.emit(RLoopInit, 0, counter, 0, 0, line)
-			c.defined.set(counter)
 			head := int32(len(c.code))
 			c.emit(RLoopCheck, 0, counter, 0, 0, line)
 			var exit label
@@ -614,9 +580,7 @@ func (c *chunkCompiler) transit(st *TransitStmt) {
 		c.terminate(RTransit, -1, line)
 		return
 	}
-	// Unreachable for sema-accepted machines (transit targets are
-	// validated), but keep the interpreter's runtime error just in case.
-	c.raise(line, "core: seed %s: transit to unknown state %s", c.l.cm.Name, st.State)
+	c.fail("transit to undeclared state %s", st.State)
 }
 
 func (c *chunkCompiler) assign(st *AssignStmt) {
@@ -625,151 +589,83 @@ func (c *chunkCompiler) assign(st *AssignStmt) {
 		return
 	}
 	c.expr(st.Val) // the value is evaluated before any target checks
-	if st.Field != "" {
-		if c.isDeclaredTrigger(st.Target) {
-			if st.Field != "ival" {
-				c.raise(line, "core: only .ival of trigger %s can be assigned", st.Target)
-				return
-			}
+	dst, ok := c.lookup(st.Target)
+	if !ok {
+		if _, trig := c.l.trigIdx[st.Target]; !trig || c.sctx == nil {
+			c.fail("assignment to unresolved name %s", st.Target)
+		} else if st.Field == "" {
+			c.emit(RSetTrigger, 0, c.l.name(st.Target), c.pop(), 0, line)
+		} else if st.Field == "ival" {
 			c.emit(RSetIval, 0, c.l.name(st.Target), c.pop(), 0, line)
-			return
-		}
-		site := FieldAssignSite{Target: st.Target, Field: st.Field, Local: -1, St: -1, Env: -1}
-		if slot, ok := c.locals[st.Target]; ok {
-			site.Local = slot
-		}
-		if c.sctx == nil {
-			site.Dyn = true
 		} else {
-			if slot, ok := c.sctx.slots[st.Target]; ok {
-				site.St = slot
-			} else if slot, ok := c.l.envIdx[st.Target]; ok {
-				site.Env = slot
-			}
+			c.raise(line, "core: only .ival of trigger %s can be assigned", st.Target)
 		}
-		c.l.p.FieldAssigns = append(c.l.p.FieldAssigns, site)
+		return
+	}
+	if st.Field != "" {
+		c.l.p.FieldAssigns = append(c.l.p.FieldAssigns, FieldAssignSite{Target: st.Target, Field: st.Field, Dst: dst})
 		c.emit(RFieldAssign, 0, int32(len(c.l.p.FieldAssigns)-1), c.pop(), 0, line)
 		return
 	}
-	if c.isDeclaredTrigger(st.Target) {
-		c.emit(RSetTrigger, 0, c.l.name(st.Target), c.pop(), 0, line)
-		return
-	}
-	c.storeName(st.Target, line)
+	c.internLocal(st.Target, dst)
+	c.store(dst, c.pop(), line)
 }
 
 // resetPrivate lowers `x = map_new()` on a private map variable x to one
 // RMapReset on x's slot, the instruction the call would have produced
-// there, and reports whether it did. (No local is named x: x would not
-// be private.)
+// there, and reports whether it did. (A local or binding named x, in a
+// handler that sees no variable x, is a register and keeps the call.)
 func (c *chunkCompiler) resetPrivate(st *AssignStmt) bool {
 	if st.Field != "" || !c.l.private[st.Target] || !isMapNew(st.Val, c.l.builtin) {
 		return false
 	}
-	var dst int32
-	switch sc, idx := c.resolve(st.Target); sc {
-	case scopeState:
-		dst = RStOpnd(idx)
-	case scopeEnv:
-		dst = REnvOpnd(idx)
-	default:
+	dst, ok := c.lookup(st.Target)
+	if !ok || dst>>ROpndShift == RClassReg {
 		return false
 	}
 	c.emit(RMapReset, dst, c.l.name("map_new"), -1, -1, int32(st.Val.Line()))
 	return true
 }
 
-// isDeclaredTrigger mirrors Seed.isTrigger: only machine-declared
-// triggers take the trigger-assignment path (the dispatch table may
-// hold extra rows for undeclared event names; those do not count).
-func (c *chunkCompiler) isDeclaredTrigger(name string) bool {
-	for _, t := range c.l.cm.Triggers {
-		if t.Name == name {
-			return true
-		}
+// lookup returns the operand that holds name: its local register, a
+// slot of the handler's state or an env slot (in the init chunk, only
+// of a machine variable built already). A function chunk has locals
+// only.
+func (c *chunkCompiler) lookup(name string) (int32, bool) {
+	if slot, ok := c.locals[name]; ok {
+		return slot, true
 	}
-	return false
-}
-
-// scope is where a name resolves when no local of that name is defined:
-// the interpreter's chain below the locals map.
-type scope uint8
-
-const (
-	scopeDyn        scope = iota // function context: looked up by name at runtime
-	scopeState                   // slot of the current state
-	scopeEnv                     // machine env slot
-	scopeUndeclared              // nowhere: the access is an error
-)
-
-// Undefined-checked local access per fallback scope.
-var (
-	loadLocal  = [...]ROp{scopeDyn: RLoadLD, scopeState: RLoadLS, scopeEnv: RLoadLE, scopeUndeclared: RLoadLErr}
-	storeLocal = [...]ROp{scopeDyn: RStoreLD, scopeState: RStoreLS, scopeEnv: RStoreLE, scopeUndeclared: RStoreLErr}
-)
-
-// resolve returns name's scope and its index there: a state or env
-// slot, or (dynamic and undeclared) the Names index.
-func (c *chunkCompiler) resolve(name string) (scope, int32) {
 	if c.sctx == nil {
-		return scopeDyn, c.l.name(name)
+		return 0, false
 	}
 	if ss, ok := c.sctx.slots[name]; ok {
-		return scopeState, ss
+		return RStOpnd(ss), true
 	}
 	if es, ok := c.l.envIdx[name]; ok && (c.built == nil || c.built[name]) {
-		return scopeEnv, es
+		return REnvOpnd(es), true
 	}
-	return scopeUndeclared, c.l.name(name)
+	return 0, false
 }
 
-// loadName pushes name's value. State slots, env slots and locals
-// defined on every path here are deferred: the consumer reads them in
-// place.
+// internLocal adds a local's name to the names pool when code reads or
+// writes the local. Nothing looks a local up by name, but the pool is
+// part of the lowered program the catalogue golden pins byte for byte.
+func (c *chunkCompiler) internLocal(name string, opnd int32) {
+	if opnd>>ROpndShift == RClassReg {
+		c.l.name(name)
+	}
+}
+
+// loadName pushes name's value. Every home is read in place: the
+// consumer takes the operand as it is.
 func (c *chunkCompiler) loadName(name string, line int32) {
-	sc, idx := c.resolve(name)
-	if slot, ok := c.locals[name]; ok {
-		if c.defined.has(slot) {
-			c.push(slot)
-		} else {
-			c.produce(loadLocal[sc], slot, idx, 0, line)
-		}
+	o, ok := c.lookup(name)
+	if !ok {
+		c.fail("unresolved name %s", name)
 		return
 	}
-	switch sc {
-	case scopeDyn:
-		c.produce(RLoadDyn, idx, 0, 0, line)
-	case scopeState:
-		c.push(RStOpnd(idx))
-	case scopeEnv:
-		c.push(REnvOpnd(idx))
-	default:
-		c.terminate(RLoadErr, idx, line)
-	}
-}
-
-// storeName pops the value and assigns it to name.
-func (c *chunkCompiler) storeName(name string, line int32) {
-	sc, idx := c.resolve(name)
-	v := c.pop()
-	if slot, ok := c.locals[name]; ok {
-		if c.defined.has(slot) {
-			c.store(slot, v, line)
-		} else {
-			c.emit(storeLocal[sc], 0, slot, idx, v, line)
-		}
-		return
-	}
-	switch sc {
-	case scopeDyn:
-		c.emit(RStoreDyn, 0, idx, v, 0, line)
-	case scopeState:
-		c.store(RStOpnd(idx), v, line)
-	case scopeEnv:
-		c.store(REnvOpnd(idx), v, line)
-	default:
-		c.terminate(RStoreErr, idx, line)
-	}
+	c.internLocal(name, o)
+	c.push(o)
 }
 
 var (
@@ -936,6 +832,5 @@ func (c *chunkCompiler) call(ex *CallExpr) {
 	for _, a := range ex.Args {
 		c.expr(a)
 	}
-	c.materializeEnvSt(line) // the callee may write env and state slots
 	c.produce(RCallFn, fi, c.popWindow(n, line), int32(n), line)
 }

@@ -9,22 +9,27 @@ import "sort"
 // map_keys last handed out (RMapReset). A machine or state variable x is
 // private when
 //
-//   - it is declared once, as a map, not external, with no initialiser
-//     or `map_new()`, and no state variable, trigger, handler binding,
-//     parameter or local shares its name;
+//   - every machine or state variable of that name is declared as a
+//     map, not external, with no initialiser or `map_new()`;
 //   - every read of it is the first argument of map_get, map_has,
 //     map_len or map_keys (none of which returns the map), the first
 //     argument of map_set or map_del in a statement that drops the
 //     result or stores it back into x, or the operand of send (which
 //     deep-copies a map);
 //   - every write is `x = map_new()`, `x = map_set(x, …)` or
-//     `x = map_del(x, …)`;
-//   - no auxiliary function mentions the name (functions resolve names
-//     at run time, in whatever state calls them).
+//     `x = map_del(x, …)`.
 //
-// Then the only reference to x's map is x's slot: nothing the program
-// computes can be that map. Outside the program, send, recv bindings,
-// snapshots, restores and Var all copy a map.
+// Uses are matched by name. Two states may each declare an x; each has
+// its own slot, and the first rule holds for both or strikes both. Sema
+// lets no name in scope be declared again, so a use of x in a handler
+// that sees a variable x is a use of that variable. A local or binding
+// named x in a handler that sees none is a register, which is never
+// reset in place; its uses can only strike x, never keep it. Functions
+// are not looked at: a function sees only its parameters and its
+// locals, so it cannot name x. Then the only reference to x's map is
+// x's slot: nothing the program computes can be that map. Outside the
+// program, send, recv bindings, snapshots, restores and Var all copy a
+// map.
 
 // mapReaders never return the map that is their first argument;
 // mapWriters always do.
@@ -36,11 +41,12 @@ var (
 // privateMaps returns the names of cm's private map variables.
 func privateMaps(cm *CompiledMachine, builtin map[string]bool) map[string]bool {
 	w := &escapeWalk{cand: map[string]bool{}, builtin: builtin}
-	decls := map[string]int{}
+	shared := map[string]bool{}
 	consider := func(v *VarDecl) {
-		decls[v.Name]++
 		if v.Type == TMap && !v.External && (v.Init == nil || isMapNew(v.Init, w.builtin)) {
 			w.cand[v.Name] = true
+		} else {
+			shared[v.Name] = true
 		}
 	}
 	for i := range cm.Vars {
@@ -51,25 +57,11 @@ func privateMaps(cm *CompiledMachine, builtin map[string]bool) map[string]bool {
 			consider(&cm.States[si].Vars[i])
 		}
 	}
-	for n := range w.cand {
-		if decls[n] > 1 {
-			delete(w.cand, n)
-		}
-	}
-	for _, t := range cm.Triggers {
-		delete(w.cand, t.Name)
+	for n := range shared {
+		delete(w.cand, n)
 	}
 	if len(w.cand) == 0 {
 		return nil
-	}
-	for i := range cm.Funcs {
-		fd := &cm.Funcs[i]
-		for _, p := range fd.Params {
-			delete(w.cand, p.Name)
-		}
-		w.mentions = true
-		w.stmts(fd.Body)
-		w.mentions = false
 	}
 	walkInits := func(vars []VarDecl) {
 		for i := range vars {
@@ -83,11 +75,7 @@ func privateMaps(cm *CompiledMachine, builtin map[string]bool) map[string]bool {
 		st := &cm.States[si]
 		walkInits(st.Vars)
 		for ei := range st.Events {
-			ev := &st.Events[ei]
-			delete(w.cand, ev.Trigger.AsName)
-			delete(w.cand, ev.Trigger.RecvVar)
-			w.expr(ev.Trigger.FromDst)
-			w.stmts(ev.Body)
+			w.stmts(st.Events[ei].Body)
 		}
 	}
 	return w.cand
@@ -104,12 +92,10 @@ func sortedNames(set map[string]bool) []string {
 }
 
 // escapeWalk strikes from cand every name used in a way that could let
-// its map reach another name. In mentions mode (function bodies) any use
-// at all strikes the name.
+// its map reach another name.
 type escapeWalk struct {
-	cand     map[string]bool
-	builtin  map[string]bool
-	mentions bool
+	cand    map[string]bool
+	builtin map[string]bool
 }
 
 // isMapNew reports whether e is exactly `map_new()`, the builtin.
@@ -133,7 +119,7 @@ func (w *escapeWalk) stmts(body []Stmt) {
 	for _, stmt := range body {
 		switch st := stmt.(type) {
 		case *AssignStmt:
-			if !w.mentions && st.Field == "" {
+			if st.Field == "" {
 				if isMapNew(st.Val, w.builtin) {
 					continue
 				}
@@ -145,10 +131,9 @@ func (w *escapeWalk) stmts(body []Stmt) {
 			delete(w.cand, st.Target)
 			w.expr(st.Val)
 		case *DeclStmt:
-			delete(w.cand, st.Var.Name)
 			w.expr(st.Var.Init)
 		case *ExprStmt:
-			if c, ok := st.X.(*CallExpr); ok && !w.mentions && len(c.Args) > 0 {
+			if c, ok := st.X.(*CallExpr); ok && len(c.Args) > 0 {
 				if id, ok := c.Args[0].(*Ident); ok && w.writesBack(c, id.Name) {
 					w.exprs(c.Args[1:])
 					continue
@@ -156,7 +141,7 @@ func (w *escapeWalk) stmts(body []Stmt) {
 			}
 			w.expr(st.X)
 		case *SendStmt:
-			if _, ok := st.Val.(*Ident); !ok || w.mentions {
+			if _, ok := st.Val.(*Ident); !ok {
 				w.expr(st.Val)
 			}
 			w.expr(st.To.Dst)
@@ -185,7 +170,7 @@ func (w *escapeWalk) expr(e Expr) {
 		delete(w.cand, ex.Name)
 	case *CallExpr:
 		args := ex.Args
-		if len(args) > 0 && !w.mentions && mapReaders[ex.Name] && w.builtin[ex.Name] {
+		if len(args) > 0 && mapReaders[ex.Name] && w.builtin[ex.Name] {
 			if _, ok := args[0].(*Ident); ok {
 				args = args[1:]
 			}

@@ -49,13 +49,13 @@ function h() { return map_new(); }
 machine M {
   place all;
   time t = 5;
-  %s
   map y;
   list l;
   S s;
   long n;
+  %s
   state a {
-    when (t as %s) do {
+    when (t as tick) do {
       %s
       x = map_new();
     }
@@ -70,7 +70,6 @@ machine M {
 		name    string
 		fn      string // an extra auxiliary function
 		decl    string // x's declaration
-		bind    string // the handler's binding name
 		body    string // the handler body before the reset
 		stateB  string // state b's variables
 		private bool
@@ -100,11 +99,11 @@ machine M {
 		{name: "a field write", body: "x.k = 1;"},
 		{name: "in a comparison", body: "bool same = x == y;"},
 		{name: "rendered", body: "string txt = str(x);"},
-		{name: "mentioned in an auxiliary function", fn: "function f2() { return map_len(x); }"},
-		{name: "assigned in an auxiliary function", fn: "function f2() { x = map_new(); return 0; }"},
-		{name: "shadowed by a state variable", stateB: "map x;"},
-		{name: "shadowed by a local", body: "map x = map_new();"},
-		{name: "shadowed by the handler binding", bind: "x"},
+		// A function sees only its parameters and its locals: these x are
+		// other variables. (Naming the machine's x in a function, or
+		// shadowing it, is a sema error.)
+		{name: "a function's parameter of that name", fn: "function f2(map x) { x = map_set(x, 1, 2); return x; }", private: true},
+		{name: "a function's local of that name", fn: "function f2() { map x = map_new(); return map_len(x); }", private: true},
 		{name: "external", decl: "external map x;"},
 		{name: "initialised from another map", decl: "map x = y;"},
 		{name: "initialised by map_set", decl: `map x = map_set(map_new(), "k", 1);`},
@@ -112,14 +111,11 @@ machine M {
 		{name: "sent inside a list", body: "send [x] to harvester;"},
 	}
 	for _, tc := range cases {
-		decl, bind := tc.decl, tc.bind
+		decl := tc.decl
 		if decl == "" {
 			decl = "map x;"
 		}
-		if bind == "" {
-			bind = "tick"
-		}
-		src := fmt.Sprintf(tmpl, tc.fn, decl, bind, tc.body, tc.stateB)
+		src := fmt.Sprintf(tmpl, tc.fn, decl, tc.body, tc.stateB)
 		got := slices.Contains(privateOf(t, src), "M.x")
 		if got != tc.private {
 			t.Errorf("%s: x private = %v, want %v\n%s", tc.name, got, tc.private, src)
@@ -139,6 +135,50 @@ machine St {
 `
 	if got := privateOf(t, stateSrc); !slices.Equal(got, []string{"St.sx"}) {
 		t.Errorf("state variable: private %v, want [St.sx]", got)
+	}
+
+	// Two states each declare an x. State b's x starts as y's map, so
+	// resetting it in place would empty y: neither x is private, and
+	// b's reset leaves y as it was.
+	const twoSrc = `
+machine Two {
+  place all;
+  time t = 5;
+  map y;
+  state b {
+    map x = y;
+    when (enter) do { y = map_set(y, "k", 1); x = map_new(); }
+  }
+  state a {
+    map x;
+    when (t as tick) do { x = map_set(x, tick, 1); x = map_new(); }
+  }
+}
+`
+	if got := privateOf(t, twoSrc); len(got) != 0 {
+		t.Errorf("two states' x: private %v, want none", got)
+	}
+	prog, err := almanac.Parse(twoSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := almanac.CompileMachine(prog, "Two")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp, err := core.Compile(cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := lp.NewRunner(nil, struct{ core.Host }{}) // the machine calls no host method
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if y, _ := r.Var("y"); core.FormatValue(y) != "{k: 1}" {
+		t.Errorf("after b's reset of x, y = %s, want {k: 1}", core.FormatValue(y))
 	}
 
 	var catalogue []string

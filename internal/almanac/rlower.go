@@ -17,24 +17,16 @@ import "fmt"
 //
 // Operands are class-tagged int32s (see ROpnd*): a plain register, a
 // literal-pool index, a machine-env slot, or a current-state slot.
-// Loads of literals, env slots, state slots, and provably-defined
-// locals are *deferred* — no instruction is emitted; the consumer reads
-// the source directly. Deferral is safe because assignments are
-// statements (nothing mutates a local mid-expression), with one
-// exception: auxiliary function calls can write env and state slots, so
-// any deferred env/st operands are materialized into temporaries before
-// RCallFn (builtins cannot touch slots and need no such barrier). The
-// same materialization runs at and/or left legs so both control paths
-// agree on the abstract stack at the merge point.
-//
-// Locals not defined on every path to an access (conditional
-// declarations) keep the interpreter's scope-chain semantics via the
-// RLoadL*/RStoreL* forms, which check the register's undefined marker
-// and fall back to the state slot, env slot, dynamic lookup or
-// undeclared-variable error the name otherwise resolves to. Which
-// accesses need the check is decided during the walk: the set of
-// must-be-defined locals travels with it as a bitset, snapshotted at
-// every jump and intersected where paths join.
+// Loads of literals, env slots, state slots and locals are *deferred* —
+// no instruction is emitted; the consumer reads the source directly.
+// Deferral is safe because assignments are statements (nothing mutates
+// a variable mid-expression), and a call cannot mutate one either: a
+// function sees only its parameters and its locals (sema's resolver
+// holds it to that) and builtins never touch slots. The resolver also
+// guarantees that every local is read after its declaration, so no
+// access needs a run-time check. Deferred env/st operands are
+// materialized at and/or left legs only, so both control paths agree on
+// the abstract stack at the merge point.
 type ROp uint8
 
 const (
@@ -43,29 +35,19 @@ const (
 	RMove // regs-or-slot[Dst] = opnd A
 	RZero // dst = fresh zero of Type(A)
 
-	// Undefined-checked local access with the interpreter's fallback
-	// chain. A is the local register; B is the fallback env slot, state
-	// slot, or Names index.
-	RLoadLE   // dst = regs[A] if defined else env[B]
-	RLoadLS   // dst = regs[A] if defined else stateVars[cur][B]
-	RLoadLD   // dst = regs[A] if defined else dynamic lookup Names[B]
-	RLoadLErr // dst = regs[A] if defined else undeclared-variable error Names[B]
-	RStoreLE  // if regs[A] defined regs[A] = opnd C else env[B] = opnd C
-	RStoreLS  // if regs[A] defined regs[A] = opnd C else stateVars[cur][B] = opnd C
-	RStoreLD  // if regs[A] defined regs[A] = opnd C else dynamic assign Names[B]
-	RStoreLErr
-	RLoadDyn  // dst = dynamic lookup Names[A] (function chunks)
-	RStoreDyn // dynamic assign Names[A] = opnd B
-	RLoadErr  // undeclared-variable error Names[A]
-	RStoreErr // undeclared-assign error Names[A]
+	// The init chunk's bound-external select: env slot Dst = the
+	// deployment's binding in regs[A], or env[B] (what the variable's
+	// initialiser built) when there is none.
+	RBindExternal
 
-	// Control flow.
-	RJump      // pc = A
-	RJF        // if not truthy(opnd A): pc = B
-	RLoopInit  // regs[A] = 0 (hidden while counter)
-	RLoopCheck // iteration-cap check + increment of regs[A]
-	RTransit   // halt chunk, request transition to state A (-1 unknown)
-	RReturn    // halt chunk; opnd A is the value, -1 returns nil
+	// Control flow. Opcodes 4 to 14 are retired; the ones below keep
+	// their numbers.
+	RJump      ROp = iota + 11 // pc = A
+	RJF                        // if not truthy(opnd A): pc = B
+	RLoopInit                  // regs[A] = 0 (hidden while counter)
+	RLoopCheck                 // iteration-cap check + increment of regs[A]
+	RTransit                   // halt chunk, request transition to state A (-1 unknown)
+	RReturn                    // halt chunk; opnd A is the value, -1 returns nil
 
 	// Operators: dst = op(opnd A) / opnd A op opnd B.
 	RNot
@@ -188,29 +170,14 @@ func (p *Lowered) MaxRegs() int32 {
 	return m
 }
 
-// localSet is a bitset over a chunk's local slots.
-type localSet []uint64
-
-func newLocalSet(n int32) localSet  { return make(localSet, n/64+1) }
-func (s localSet) has(i int32) bool { return s[i/64]&(1<<uint(i%64)) != 0 }
-func (s localSet) set(i int32)      { s[i/64] |= 1 << uint(i%64) }
-
-func (s localSet) intersect(o localSet) {
-	for w := range s {
-		s[w] &= o[w]
-	}
-}
-
-// label is a forward jump target: the jumps waiting for its pc, and
-// what the code after it may assume — the abstract stack the jumps left
-// (all of them the same: labels sit at statement ends, where it is
-// empty, or at an and/or merge, below which nothing moves) and the
-// locals defined on every one of them. Only live jumps register; a
-// label none reached revives nothing.
+// label is a forward jump target: the jumps waiting for its pc, and the
+// abstract stack they left (all of them the same: labels sit at
+// statement ends, where it is empty, or at an and/or merge, below which
+// nothing moves). Only live jumps register; a label none reached
+// revives nothing.
 type label struct {
-	refs    []labelRef
-	astk    []int32
-	defined localSet
+	refs []labelRef
+	astk []int32
 }
 
 type labelRef struct {
@@ -225,9 +192,6 @@ type emitter struct {
 	astk      []int32 // operand encodings, bottom to top
 	maxDepth  int
 	lastProd  int // index of the last produce()d instruction, or -1
-
-	// defined holds the locals defined on every path to this point.
-	defined localSet
 
 	// dead is set after an instruction control never falls out of
 	// (return, transit, jump, the error forms) until a label with a live
@@ -335,27 +299,24 @@ func (e *emitter) store(dst, v, line int32) {
 }
 
 // fuseMulAdd folds a just-produced `mul` into the `add` consuming it as
-// operand l or r: the product never round-trips through a register,
-// saving a dispatch on the EWMA-style seed hot path.
+// its left operand l: the product never round-trips through a register,
+// saving a dispatch on the EWMA-style seed hot path. A product on the
+// right stays a mul and an add, so an add that fails names its operands
+// in source order.
 func (e *emitter) fuseMulAdd(l, r int32) bool {
 	in := e.justProduced()
-	if in == nil || in.Op != RMul || (in.Dst != l && in.Dst != r) {
+	if in == nil || in.Op != RMul || in.Dst != l {
 		return false
 	}
-	other := l
-	if in.Dst == l {
-		other = r
-	}
 	d := e.temp()
-	in.Op, in.C, in.Dst = RMulAdd, other, d
+	in.Op, in.C, in.Dst = RMulAdd, r, d
 	e.push(d)
 	return true
 }
 
 // materializeEnvSt copies every deferred env/st operand on the abstract
-// stack into its canonical temporary. Called before RCallFn (the callee
-// may write those slots) and at and/or left legs (both control paths
-// must agree on the stack at the merge).
+// stack into its canonical temporary. Called at and/or left legs: both
+// control paths must agree on the stack at the merge.
 func (e *emitter) materializeEnvSt(line int32) {
 	if e.dead {
 		return
@@ -393,11 +354,6 @@ func (e *emitter) jumpTo(lb *label, at int32, field uint8) {
 	}
 	lb.refs = append(lb.refs, labelRef{at, field})
 	lb.astk = append(lb.astk[:0], e.astk...)
-	if lb.defined == nil {
-		lb.defined = append(localSet(nil), e.defined...)
-	} else {
-		lb.defined.intersect(e.defined)
-	}
 }
 
 // jump emits an unconditional forward jump.
@@ -415,7 +371,6 @@ func (e *emitter) bind(lb *label) {
 	}
 	if e.dead {
 		e.astk = append(e.astk[:0], lb.astk...)
-		e.defined = lb.defined
 		e.dead = false
 	} else {
 		if e.stepPend > 0 {
@@ -424,7 +379,6 @@ func (e *emitter) bind(lb *label) {
 		if len(lb.astk) != len(e.astk) {
 			panic(fmt.Sprintf("merge at pc %d: stack depth %d vs %d", len(e.code), len(lb.astk), len(e.astk)))
 		}
-		e.defined.intersect(lb.defined)
 	}
 	pc := int32(len(e.code))
 	for _, ref := range lb.refs {

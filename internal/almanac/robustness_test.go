@@ -139,9 +139,10 @@ func TestLexerRobust(t *testing.T) {
 	}
 }
 
-// Seed XML is decoded without a sema pass, and the codec accepts a
-// filter atom with no argument; lowering reports the missing operand
-// as an error like any other shape it does not know.
+// A machine built by hand can hold a filter atom with no argument (so
+// can seed XML: DecodeXML resolves names but checks no more of sema);
+// lowering reports the missing operand as an error like any other
+// shape it does not know.
 func TestLowerRejectsMissingOperand(t *testing.T) {
 	cm := &CompiledMachine{
 		Name:         "M",
@@ -153,5 +154,32 @@ func TestLowerRejectsMissingOperand(t *testing.T) {
 	}
 	if _, err := Lower(cm, nil); err == nil || !strings.Contains(err.Error(), "unknown expression") {
 		t.Fatalf("Lower = %v, want an unknown-expression error", err)
+	}
+}
+
+// A machine built by hand skips name resolution. Lower refuses what
+// resolution would have refused with an error, never a fault opcode
+// that fails when it runs.
+func TestLowerRejectsUnresolvedNames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		trg  EventTrigger
+		body []Stmt
+		want string
+	}{
+		{"read", EventTrigger{Kind: TrigOnEnter}, []Stmt{&ExprStmt{X: &Ident{Name: "ghost"}}}, "unresolved name ghost"},
+		{"write", EventTrigger{Kind: TrigOnEnter}, []Stmt{&AssignStmt{Target: "ghost", Val: &IntLit{Val: 1}}}, "assignment to unresolved name ghost"},
+		{"field write", EventTrigger{Kind: TrigOnEnter}, []Stmt{&AssignStmt{Target: "ghost", Field: "x", Val: &IntLit{Val: 1}}}, "assignment to unresolved name ghost"},
+		{"transit", EventTrigger{Kind: TrigOnEnter}, []Stmt{&TransitStmt{State: "nowhere"}}, "transit to undeclared state nowhere"},
+		{"trigger", EventTrigger{Kind: TrigOnVar, VarName: "nosuch"}, nil, "event on undeclared trigger nosuch"},
+	} {
+		cm := &CompiledMachine{
+			Name:         "M",
+			InitialState: "s",
+			States:       []CompiledState{{Name: "s", Events: []EventDecl{{Trigger: tc.trg, Body: tc.body}}}},
+		}
+		if _, err := Lower(cm, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Lower = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -88,36 +88,17 @@ func CompileMachine(prog *Program, name string) (*CompiledMachine, error) {
 	}
 
 	cm := &CompiledMachine{Name: name, Funcs: prog.Funcs, Structs: prog.Structs}
-	varNames := map[string]int{}  // name -> decl line
-	trigNames := map[string]int{} // name -> decl line
-	stateIdx := map[string]int{}  // name -> index in cm.States
+	stateIdx := map[string]int{} // name -> index in cm.States
 	machineEvents := []EventDecl{}
 	stateOrder := []string{} // order of first declaration (base first)
 
 	// Walk base-to-derived so children override parents.
 	for i := len(chain) - 1; i >= 0; i-- {
 		md := chain[i]
-		// Variables: no overriding or shadowing across the chain.
-		for _, v := range md.Vars {
-			if prev, dup := varNames[v.Name]; dup {
-				return nil, semaErr(name, v.DeclLine, "variable %s already declared at line %d (overriding/shadowing is not allowed)", v.Name, prev)
-			}
-			if _, dup := trigNames[v.Name]; dup {
-				return nil, semaErr(name, v.DeclLine, "variable %s conflicts with a trigger variable", v.Name)
-			}
-			varNames[v.Name] = v.DeclLine
-			cm.Vars = append(cm.Vars, v)
-		}
-		for _, tv := range md.Triggers {
-			if prev, dup := trigNames[tv.Name]; dup {
-				return nil, semaErr(name, tv.DeclLine, "trigger variable %s already declared at line %d", tv.Name, prev)
-			}
-			if _, dup := varNames[tv.Name]; dup {
-				return nil, semaErr(name, tv.DeclLine, "trigger variable %s conflicts with a variable", tv.Name)
-			}
-			trigNames[tv.Name] = tv.DeclLine
-			cm.Triggers = append(cm.Triggers, tv)
-		}
+		// Variables and triggers accumulate; resolveNames refuses one
+		// that reuses a name (no overriding or shadowing).
+		cm.Vars = append(cm.Vars, md.Vars...)
+		cm.Triggers = append(cm.Triggers, md.Triggers...)
 		// Placements: children replace the parent's placement set when
 		// they declare any; otherwise inherit.
 		if len(md.Placements) > 0 {
@@ -149,7 +130,10 @@ func CompileMachine(prog *Program, name string) (*CompiledMachine, error) {
 		cm.States[i].Events = mergeEvents(machineEvents, cm.States[i].Events)
 	}
 
-	if err := validateMachine(prog, cm, varNames, trigNames); err != nil {
+	if err := validateMachine(cm); err != nil {
+		return nil, err
+	}
+	if err := resolveNames(cm); err != nil {
 		return nil, err
 	}
 	return cm, nil
@@ -189,62 +173,15 @@ func inheritanceChain(prog *Program, name string) ([]*MachineDecl, error) {
 	return chain, nil
 }
 
-func validateMachine(prog *Program, cm *CompiledMachine, varNames, trigNames map[string]int) error {
-	stateNames := map[string]bool{}
+func validateMachine(cm *CompiledMachine) error {
 	for _, st := range cm.States {
-		stateNames[st.Name] = true
-	}
-	funcNames := map[string]bool{}
-	for _, f := range prog.Funcs {
-		funcNames[f.Name] = true
-	}
-
-	for _, st := range cm.States {
-		localNames := map[string]int{}
 		for _, v := range st.Vars {
 			if v.External {
 				return semaErr(cm.Name, v.DeclLine, "state %s: external is disallowed on state variables", st.Name)
 			}
-			if prev, dup := localNames[v.Name]; dup {
-				return semaErr(cm.Name, v.DeclLine, "state %s: variable %s already declared at line %d", st.Name, v.Name, prev)
-			}
-			localNames[v.Name] = v.DeclLine
-		}
-		for _, ev := range st.Events {
-			if ev.Trigger.Kind == TrigOnVar {
-				if _, ok := trigNames[ev.Trigger.VarName]; !ok {
-					return semaErr(cm.Name, ev.DeclLine, "state %s: event references undeclared trigger variable %s", st.Name, ev.Trigger.VarName)
-				}
-			}
-			if err := validateStmts(cm.Name, st.Name, ev.Body, stateNames); err != nil {
-				return err
-			}
 		}
 		if st.Util != nil {
 			if err := validateUtil(cm.Name, st.Name, st.Util); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func validateStmts(machine, state string, stmts []Stmt, stateNames map[string]bool) error {
-	for _, s := range stmts {
-		switch st := s.(type) {
-		case *TransitStmt:
-			if !stateNames[st.State] {
-				return semaErr(machine, st.Line(), "state %s: transit to undeclared state %s", state, st.State)
-			}
-		case *IfStmt:
-			if err := validateStmts(machine, state, st.Then, stateNames); err != nil {
-				return err
-			}
-			if err := validateStmts(machine, state, st.Else, stateNames); err != nil {
-				return err
-			}
-		case *WhileStmt:
-			if err := validateStmts(machine, state, st.Body, stateNames); err != nil {
 				return err
 			}
 		}

@@ -8,8 +8,10 @@ import (
 
 // The XML wire format: the seeder compiles Almanac machines and ships
 // them to soils as XML for OS/vendor portability (§V-A-d). EncodeXML and
-// DecodeXML round-trip a CompiledMachine exactly (modulo source line
-// numbers, which are diagnostics only).
+// DecodeXML round-trip a CompiledMachine exactly, but for the source
+// lines of placements, utilities and structs: the lines of code,
+// variables, triggers, events and functions travel, so an error about
+// decoded code names the line it came from.
 
 // EncodeXML serializes a compiled machine.
 func EncodeXML(cm *CompiledMachine) ([]byte, error) {
@@ -21,7 +23,7 @@ func EncodeXML(cm *CompiledMachine) ([]byte, error) {
 		xm.Vars = append(xm.Vars, varToXML(v))
 	}
 	for _, tv := range cm.Triggers {
-		xt := xmlTrigger{Type: tv.TType.String(), Name: tv.Name}
+		xt := xmlTrigger{Type: tv.TType.String(), Name: tv.Name, Line: tv.DeclLine}
 		if tv.Init != nil {
 			n := exprToNode(tv.Init)
 			xt.Init = &n
@@ -42,7 +44,7 @@ func EncodeXML(cm *CompiledMachine) ([]byte, error) {
 		xm.States = append(xm.States, xs)
 	}
 	for _, f := range cm.Funcs {
-		xf := xmlFunc{Name: f.Name, Body: stmtsToNodes(f.Body)}
+		xf := xmlFunc{Name: f.Name, Line: f.DeclLine, Body: stmtsToNodes(f.Body)}
 		for _, p := range f.Params {
 			xf.Params = append(xf.Params, xmlParam{Type: typeName(p.Type), TypeName: p.TypeName, Name: p.Name})
 		}
@@ -80,7 +82,7 @@ func DecodeXML(data []byte) (*CompiledMachine, error) {
 		cm.Vars = append(cm.Vars, v)
 	}
 	for _, xt := range xm.Triggers {
-		tv := TriggerDecl{Name: xt.Name}
+		tv := TriggerDecl{Name: xt.Name, DeclLine: xt.Line}
 		switch xt.Type {
 		case "time":
 			tv.TType = TrigTime
@@ -134,7 +136,7 @@ func DecodeXML(data []byte) (*CompiledMachine, error) {
 		return nil, fmt.Errorf("almanac: xml: machine %s: unknown initial state %s", cm.Name, cm.InitialState)
 	}
 	for _, xf := range xm.Funcs {
-		f := FuncDecl{Name: xf.Name}
+		f := FuncDecl{Name: xf.Name, DeclLine: xf.Line}
 		for _, p := range xf.Params {
 			typ, err := typeFromName(p.Type)
 			if err != nil {
@@ -159,6 +161,11 @@ func DecodeXML(data []byte) (*CompiledMachine, error) {
 			s.Fields = append(s.Fields, Param{Type: typ, TypeName: p.TypeName, Name: p.Name})
 		}
 		cm.Structs = append(cm.Structs, s)
+	}
+	// Decoded bytes come from the wire: resolve their names as sema
+	// resolves a source's.
+	if err := resolveNames(cm); err != nil {
+		return nil, err
 	}
 	return cm, nil
 }
@@ -188,6 +195,7 @@ type xmlPlacement struct {
 }
 
 type xmlVar struct {
+	Line     int      `xml:"line,attr,omitempty"`
 	External bool     `xml:"external,attr,omitempty"`
 	Type     string   `xml:"type,attr"`
 	TypeName string   `xml:"typeName,attr,omitempty"`
@@ -196,6 +204,7 @@ type xmlVar struct {
 }
 
 type xmlTrigger struct {
+	Line int      `xml:"line,attr,omitempty"`
 	Type string   `xml:"type,attr"`
 	Name string   `xml:"name,attr"`
 	Init *xmlNode `xml:"init>node"`
@@ -207,6 +216,7 @@ type xmlUtil struct {
 }
 
 type xmlEvent struct {
+	Line          int       `xml:"line,attr,omitempty"`
 	Kind          string    `xml:"kind,attr"`
 	VarName       string    `xml:"varName,attr,omitempty"`
 	AsName        string    `xml:"asName,attr,omitempty"`
@@ -233,6 +243,7 @@ type xmlParam struct {
 }
 
 type xmlFunc struct {
+	Line   int        `xml:"line,attr,omitempty"`
 	Name   string     `xml:"name,attr"`
 	Params []xmlParam `xml:"param"`
 	Body   []xmlNode  `xml:"body>node"`
@@ -245,6 +256,7 @@ type xmlStruct struct {
 
 // xmlNode is the generic AST node encoding.
 type xmlNode struct {
+	Line int       `xml:"line,attr,omitempty"`
 	Kind string    `xml:"kind,attr"`
 	S    string    `xml:"s,attr,omitempty"`
 	S2   string    `xml:"s2,attr,omitempty"`
@@ -268,7 +280,7 @@ func typeFromName(s string) (Type, error) {
 }
 
 func varToXML(v VarDecl) xmlVar {
-	xv := xmlVar{External: v.External, Type: typeName(v.Type), TypeName: v.TypeName, Name: v.Name}
+	xv := xmlVar{Line: v.DeclLine, External: v.External, Type: typeName(v.Type), TypeName: v.TypeName, Name: v.Name}
 	if v.Init != nil {
 		n := exprToNode(v.Init)
 		xv.Init = &n
@@ -281,7 +293,7 @@ func varFromXML(xv xmlVar) (VarDecl, error) {
 	if err != nil {
 		return VarDecl{}, err
 	}
-	v := VarDecl{External: xv.External, Type: typ, TypeName: xv.TypeName, Name: xv.Name}
+	v := VarDecl{External: xv.External, Type: typ, TypeName: xv.TypeName, Name: xv.Name, DeclLine: xv.Line}
 	if xv.Init != nil {
 		ex, err := nodeToExpr(*xv.Init)
 		if err != nil {
@@ -344,6 +356,7 @@ func placementFromXML(xp xmlPlacement) (Placement, error) {
 
 func eventToXML(ev EventDecl) xmlEvent {
 	xe := xmlEvent{
+		Line:          ev.DeclLine,
 		Kind:          ev.Trigger.Kind.String(),
 		VarName:       ev.Trigger.VarName,
 		AsName:        ev.Trigger.AsName,
@@ -364,7 +377,7 @@ func eventToXML(ev EventDecl) xmlEvent {
 }
 
 func eventFromXML(xe xmlEvent) (EventDecl, error) {
-	ev := EventDecl{}
+	ev := EventDecl{DeclLine: xe.Line}
 	switch xe.Kind {
 	case "enter":
 		ev.Trigger.Kind = TrigOnEnter
@@ -409,7 +422,19 @@ func eventFromXML(xe xmlEvent) (EventDecl, error) {
 
 // --- Expression/statement node encoding ---
 
+// lined is an AST node whose source line decoding restores.
+type lined interface{ setLine(int) }
+
+func (e *exprBase) setLine(line int) { e.line = line }
+func (s *stmtBase) setLine(line int) { s.line = line }
+
 func exprToNode(e Expr) xmlNode {
+	n := exprNode(e)
+	n.Line = e.Line()
+	return n
+}
+
+func exprNode(e Expr) xmlNode {
 	switch ex := e.(type) {
 	case *IntLit:
 		return xmlNode{Kind: "int", N: strconv.FormatInt(ex.Val, 10)}
@@ -456,6 +481,15 @@ func exprToNode(e Expr) xmlNode {
 }
 
 func nodeToExpr(n xmlNode) (Expr, error) {
+	e, err := nodeExpr(n)
+	if err != nil {
+		return nil, err
+	}
+	e.(lined).setLine(n.Line)
+	return e, nil
+}
+
+func nodeExpr(n xmlNode) (Expr, error) {
 	switch n.Kind {
 	case "int":
 		v, err := strconv.ParseInt(n.N, 10, 64)
@@ -564,6 +598,12 @@ func stmtsToNodes(stmts []Stmt) []xmlNode {
 func block(kids []xmlNode) xmlNode { return xmlNode{Kind: "block", Kids: kids} }
 
 func stmtToNode(s Stmt) xmlNode {
+	n := stmtNode(s)
+	n.Line = s.Line()
+	return n
+}
+
+func stmtNode(s Stmt) xmlNode {
 	switch st := s.(type) {
 	case *AssignStmt:
 		return xmlNode{Kind: "assign", S: st.Target, S2: st.Field, Kids: []xmlNode{exprToNode(st.Val)}}
@@ -614,6 +654,15 @@ func nodesToStmts(nodes []xmlNode) ([]Stmt, error) {
 }
 
 func nodeToStmt(n xmlNode) (Stmt, error) {
+	s, err := nodeStmt(n)
+	if err != nil {
+		return nil, err
+	}
+	s.(lined).setLine(n.Line)
+	return s, nil
+}
+
+func nodeStmt(n xmlNode) (Stmt, error) {
 	switch n.Kind {
 	case "assign":
 		if len(n.Kids) != 1 {

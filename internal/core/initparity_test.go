@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,36 +14,35 @@ import (
 // initialisers and the deployment's bindings of its external variables:
 // the machine variables in declaration order, each seeing only the ones
 // built before it, then every state's variables, which see the machine
-// variables only. An initialiser may call functions; those resolve names
-// through the initial state (once all its variables exist) and the
-// machine variables built so far, and may send, install rules, retune
-// triggers, recurse or fail. The oracle (NewSeed) evaluates all of it on
-// the AST, production (Compile + NewRunner) as register code. Both must
-// agree on the construction error and the host effects construction had,
-// and on success on the first snapshot and on everything Start and the
-// first message do — over hand-picked cases and random initialisers.
+// variables only. Sema holds initialisers to that and refuses the rest
+// with a positioned error. An initialiser may call functions, which see
+// no variable, and may send, install rules, recurse or fail. The oracle
+// (NewSeed) evaluates all of it on the AST, production (Compile +
+// NewRunner) as register code. Both must agree on the construction
+// error and the host effects construction had, and on success on the
+// first snapshot and on everything Start and the first message do —
+// over hand-picked cases and random initialisers.
 
 // initPrelude is the function library the initialisers below call.
 const initPrelude = `
 struct Pair { long a; long b; }
-function rd() { return sv; }
-function rdg() { return g; }
 function snd(long v) { send v to harvester; return v; }
 function rule(long v) { addTCAMRule(port v, drop(), 5); return v; }
 function tr() { transit t; }
-function setg(long v) { g = v; return v; }
-function setsv(long v) { sv = v; return v; }
-function setpa(long v) { pa.a = v; return v; }
 function down(long n) { if (n <= 0) then { return 0; } return 1 + down(n - 1); }
 function forever(long n) { return forever(n + 1); }
-function tune(long v) { p.ival = v; return v; }
 function noisy(long v) { log_msg("init " + str(v)); return exec("hook", v); }
 `
 
 // initMachine renders machine T with the given machine variables and
 // the variables of its two states, s (the initial one) and t.
 func initMachine(vars, sVars, tVars string) string {
-	return initPrelude + `
+	return initFuncsMachine("", vars, sVars, tVars)
+}
+
+// initFuncsMachine is initMachine with more functions after the prelude.
+func initFuncsMachine(funcs, vars, sVars, tVars string) string {
+	return initPrelude + funcs + `
 machine T {
   place all;
   poll p = Poll { .ival = 10, .what = port ANY };
@@ -113,37 +113,40 @@ func checkInitParity(t *testing.T, src string, ext map[string]Value) initOutcome
 func TestInitParityCases(t *testing.T) {
 	cases := []struct {
 		name               string
+		fn                 string // functions beyond the prelude
 		vars, sVars, tVars string
 		ext                map[string]Value
 		want               string // in the construction error; "" = it builds
 		seen               string // in the built seed's first snapshot
+		sema               string // sema refuses the machine with this
 	}{
 		{name: "backward references", vars: `long a = 2; long b = a * 3 + 1; string s1 = "x" + str(b);`, seen: `env s1="x7"`},
 		{name: "zero values", vars: "long a; float f; string s1; list l; map m; filter fl; action ac; bool bo; Pair pr;", sVars: "long sv;", tVars: "long w;"},
 		{name: "composite initialisers", vars: `list l = [1, 2] + [3]; map m = map_set(map_new(), "k", 1); Pair pr = Pair { .a = 1, .b = 2 }; filter f = dstPort 80 and proto "tcp"; float c = res().vCPU; float n = now();`},
-		{name: "forward reference", vars: "long a = b + 1; long b = 2;", want: "core: T: init of a: core: undeclared variable b (line"},
-		{name: "self reference", vars: "long a = a + 1;", want: "core: T: init of a: core: undeclared variable a (line"},
-		{name: "a trigger is no variable", vars: "float a = p;", want: "init of a: core: undeclared variable p"},
-		{name: "short circuit skips a forward reference", vars: "bool a = false and b; bool b = true;", seen: "env a=false"},
-		{name: "short circuit reaches a forward reference", vars: "bool a = true and b; bool b = true;", want: "init of a: core: undeclared variable b"},
-		{name: "state variable reads a local of its own state", sVars: "long sv = 1; long sv2 = sv + 1;", want: "core: T: state s: init of sv2: core: undeclared variable sv (line"},
-		{name: "state variable reads the machine variable of that name", vars: "long sv = 10;", sVars: "long sv = 1; long sv2 = sv + 1;", seen: "var s.sv2=11"},
-		{name: "state variable reads another state's", sVars: "long sv = 1;", tVars: "long w = sv;", want: "core: T: state t: init of w: core: undeclared variable sv"},
-		{name: "function reads a machine variable built before", vars: "long g = 4; long h = rdg();", seen: "env h=4"},
-		{name: "function reads a machine variable not built yet", vars: "long h = rdg(); long g = 4;", want: "init of h: core: undeclared variable g"},
-		{name: "function reads the initial state before it is built", vars: "long a = rd();", sVars: "long sv = 5;", want: "init of a: core: undeclared variable sv"},
-		{name: "function reads the initial state from its own initialisers", sVars: "long sv = 5; long sv2 = rd();", want: "state s: init of sv2: core: undeclared variable sv"},
-		{name: "function falls back to the machine variable", vars: "long sv = 9;", sVars: "long sv = 5; long sv2 = rd();", seen: "var s.sv2=9"},
-		{name: "function reads the initial state once built", sVars: "long sv = 5;", tVars: "long w = rd();", seen: "var t.w=5"},
-		{name: "function writes the initial state once built", sVars: "long sv = 5;", tVars: "long w = setsv(8);", seen: "var s.sv=8"},
-		{name: "function writes the initial state before it is built", sVars: "long sv = 5; long sv2 = setsv(8);", want: "state s: init of sv2: core: assignment to undeclared variable sv"},
-		{name: "function writes a machine variable built before", vars: "long g = 1; long h = setg(7);", seen: "env g=7"},
-		{name: "function writes a machine variable not built yet", vars: "long h = setg(7); long g = 1;", want: "init of h: core: assignment to undeclared variable g"},
-		{name: "function writes a field of a machine variable", vars: "Pair pa = Pair { .a = 1, .b = 2 }; long h = setpa(5);", seen: "env pa=Pair{a: 5, b: 2}"},
-		{name: "function writes a field of a machine variable not built yet", vars: "long h = setpa(5); Pair pa = Pair { .a = 1, .b = 2 };", want: "init of h: core: assignment to undeclared variable pa"},
+		{name: "forward reference", vars: "long a = b + 1; long b = 2;", sema: "init of a: undeclared name b"},
+		{name: "self reference", vars: "long a = a + 1;", sema: "init of a: undeclared name a"},
+		{name: "a trigger is no variable", vars: "float a = p;", sema: "init of a: trigger p can only be assigned, not read"},
+		{name: "short circuit skips a forward reference", vars: "bool a = false and b; bool b = true;", sema: "init of a: undeclared name b"},
+		{name: "short circuit reaches a forward reference", vars: "bool a = true and b; bool b = true;", sema: "init of a: undeclared name b"},
+		{name: "state variable reads a local of its own state", sVars: "long sv = 1; long sv2 = sv + 1;", sema: "state s: init of sv2: undeclared name sv"},
+		{name: "state variable reads the machine variable of that name", vars: "long sv = 10;", sVars: "long sv = 1; long sv2 = sv + 1;", sema: "state s: state variable sv is already declared as a machine variable"},
+		{name: "state variable reads another state's", sVars: "long sv = 1;", tVars: "long w = sv;", sema: "state t: init of w: undeclared name sv"},
+		{name: "function reads a machine variable built before", fn: rdg, vars: "long g = 4; long h = rdg();", sema: "function rdg: undeclared name g"},
+		{name: "function reads a machine variable not built yet", fn: rdg, vars: "long h = rdg(); long g = 4;", sema: "function rdg: undeclared name g"},
+		{name: "function reads the initial state before it is built", fn: rd, vars: "long a = rd();", sVars: "long sv = 5;", sema: "function rd: undeclared name sv"},
+		{name: "function reads the initial state from its own initialisers", fn: rd, sVars: "long sv = 5; long sv2 = rd();", sema: "function rd: undeclared name sv"},
+		{name: "function falls back to the machine variable", fn: rd, vars: "long sv = 9;", sVars: "long sv2 = rd();", sema: "function rd: undeclared name sv"},
+		{name: "function reads the initial state once built", fn: rd, sVars: "long sv = 5;", tVars: "long w = rd();", sema: "function rd: undeclared name sv"},
+		{name: "function writes the initial state once built", fn: setsv, sVars: "long sv = 5;", tVars: "long w = setsv(8);", sema: "function setsv: assignment to undeclared name sv"},
+		{name: "function writes the initial state before it is built", fn: setsv, sVars: "long sv = 5; long sv2 = setsv(8);", sema: "function setsv: assignment to undeclared name sv"},
+		{name: "function writes a machine variable built before", fn: setg, vars: "long g = 1; long h = setg(7);", sema: "function setg: assignment to undeclared name g"},
+		{name: "function writes a machine variable not built yet", fn: setg, vars: "long h = setg(7); long g = 1;", sema: "function setg: assignment to undeclared name g"},
+		{name: "function writes a field of a machine variable", fn: setpa, vars: "Pair pa = Pair { .a = 1, .b = 2 }; long h = setpa(5);", sema: "function setpa: assignment to undeclared name pa"},
+		{name: "function writes a field of a machine variable not built yet", fn: setpa, vars: "long h = setpa(5); Pair pa = Pair { .a = 1, .b = 2 };", sema: "function setpa: assignment to undeclared name pa"},
+		{name: "a function's local may reuse a machine variable's name", fn: "function shade(long v) { long g = v * 2; return g; }", vars: "long g = 1; long h = shade(4);", seen: "env h=8"},
 		{name: "sends from initialisers", vars: "long a = snd(3);", sVars: "long sv = snd(4);", tVars: "long w = snd(5);"},
 		{name: "rule from an initialiser", vars: "long a = rule(3);", sVars: "long sv = rule(4);"},
-		{name: "trigger retuned from an initialiser", vars: "long a = tune(50);"},
+		{name: "trigger retuned from an initialiser", fn: "function tune(long v) { p.ival = v; return v; }", vars: "long a = tune(50);", sema: "function tune: assignment to undeclared name p"},
 		{name: "log and exec from an initialiser", vars: "long a = 1; long b = noisy(a);"},
 		{name: "transit from an initialiser", vars: "long a = tr();", want: "core: T: init of a: core: transit inside function tr is not allowed"},
 		{name: "transit from a state initialiser", tVars: "long w = tr();", want: "core: T: state t: init of w: core: transit inside function tr is not allowed"},
@@ -163,7 +166,12 @@ func TestInitParityCases(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			o := checkInitParity(t, initMachine(c.vars, c.sVars, c.tVars), c.ext)
+			src := initFuncsMachine(c.fn, c.vars, c.sVars, c.tVars)
+			if c.sema != "" {
+				refusedBySema(t, src, "T", c.sema)
+				return
+			}
+			o := checkInitParity(t, src, c.ext)
 			if c.want == "" && o.err != "" {
 				t.Fatalf("construction failed: %s", o.err)
 			}
@@ -177,68 +185,94 @@ func TestInitParityCases(t *testing.T) {
 	}
 }
 
-// randInitExpr draws an initialiser over the names and functions the
-// storm's machines share, forward references, side effects and faults
-// included.
-func randInitExpr(rng *rand.Rand, depth int) string {
+// Functions that name variables a function cannot see: sema refuses
+// every machine that has one.
+const (
+	rd    = "function rd() { return sv; }\n"
+	rdg   = "function rdg() { return g; }\n"
+	setg  = "function setg(long v) { g = v; return v; }\n"
+	setsv = "function setsv(long v) { sv = v; return v; }\n"
+	setpa = "function setpa(long v) { pa.a = v; return v; }\n"
+)
+
+// initGen draws the storm's initialisers. A name it draws is one the
+// initialiser can see, except now and then (one in five) any of the
+// storm's names: if that one is not visible, sema must refuse the
+// machine.
+type initGen struct {
+	rng     *rand.Rand
+	visible []string
+	strayed bool // drew a name its initialiser cannot see
+}
+
+var initNames = []string{"g", "h", "k", "th", "sv", "sv2", "w"}
+
+func (g *initGen) name() string {
+	if g.rng.Intn(5) == 0 {
+		n := initNames[g.rng.Intn(len(initNames))]
+		g.strayed = g.strayed || !slices.Contains(g.visible, n)
+		return n
+	}
+	if len(g.visible) == 0 {
+		return fmt.Sprint(g.rng.Intn(10))
+	}
+	return g.visible[g.rng.Intn(len(g.visible))]
+}
+
+// expr draws an initialiser over the visible names and the prelude,
+// side effects and faults included.
+func (g *initGen) expr(depth int) string {
+	rng := g.rng
 	leaf := depth <= 0
 	switch k := rng.Intn(40); {
 	case k < 14 || (leaf && k < 30):
 		return fmt.Sprint(rng.Intn(10))
 	case k < 18:
-		return []string{"g", "h", "k", "th", "sv", "sv2", "w"}[rng.Intn(7)]
+		return g.name()
 	case k < 30:
-		return randInitExpr(rng, depth-1) + []string{" + ", " * ", " - "}[rng.Intn(3)] + randInitExpr(rng, depth-1)
+		return g.expr(depth-1) + []string{" + ", " * ", " - "}[rng.Intn(3)] + g.expr(depth-1)
 	case k < 39:
-		switch rng.Intn(11) {
+		switch rng.Intn(7) {
 		case 0:
-			return "rdg()"
+			return "snd(" + g.expr(depth-1) + ")"
 		case 1:
-			return "rd()"
-		case 2:
-			return "snd(" + randInitExpr(rng, depth-1) + ")"
-		case 3:
 			return fmt.Sprintf("rule(%d)", 1+rng.Intn(4))
-		case 4:
-			return fmt.Sprintf("setg(%d)", rng.Intn(10))
-		case 5:
-			return fmt.Sprintf("setsv(%d)", rng.Intn(10))
-		case 6:
+		case 2:
 			return fmt.Sprintf("down(%d)", rng.Intn(5))
-		case 7:
-			return fmt.Sprintf("tune(%d)", 1+rng.Intn(90))
-		case 8:
-			return "noisy(" + randInitExpr(rng, depth-1) + ")"
-		case 9:
+		case 3:
+			return "noisy(" + g.expr(depth-1) + ")"
+		case 4:
 			return "tr()"
 		default:
-			return "[" + randInitExpr(rng, depth-1) + "]"
+			return "[" + g.expr(depth-1) + "]"
 		}
 	default:
 		return []string{"1 / 0", "down(500)", "list_get([], 0)"}[rng.Intn(3)]
 	}
 }
 
-// randDecl declares name, with an initialiser two times in three.
-func randDecl(rng *rand.Rand, name string) string {
-	if rng.Intn(3) == 0 {
+// decl declares name, with an initialiser two times in three.
+func (g *initGen) decl(name string) string {
+	if g.rng.Intn(3) == 0 {
 		return "long " + name + ";"
 	}
-	return "long " + name + " = " + randInitExpr(rng, 2) + ";"
+	return "long " + name + " = " + g.expr(2) + ";"
 }
 
 // TestInitParityStorm builds random machines: the machine variables g,
 // h, k and th in random order, some external, some bound, now and then
 // an unknown binding; state s's sv and sv2, state t's w; initialisers
-// reading any of them and calling the prelude.
+// reading the names they can see, calling the prelude, and now and then
+// naming one they cannot, which sema must refuse.
 func TestInitParityStorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	n := 1500
 	if testing.Short() {
 		n = 300
 	}
-	built := 0
+	built, refused := 0, 0
 	for i := 0; i < n; i++ {
+		g := &initGen{rng: rng}
 		var vars, sVars, tVars strings.Builder
 		ext := map[string]Value{}
 		for _, j := range rng.Perm(4) {
@@ -250,7 +284,8 @@ func TestInitParityStorm(t *testing.T) {
 						ext[name] = int64(rng.Intn(100))
 					}
 				}
-				vars.WriteString(randDecl(rng, name) + " ")
+				vars.WriteString(g.decl(name) + " ")
+				g.visible = append(g.visible, name)
 			}
 		}
 		if rng.Intn(10) == 0 {
@@ -258,19 +293,25 @@ func TestInitParityStorm(t *testing.T) {
 		}
 		for _, name := range []string{"sv", "sv2"} {
 			if rng.Intn(3) != 0 {
-				sVars.WriteString(randDecl(rng, name) + " ")
+				sVars.WriteString(g.decl(name) + " ")
 			}
 		}
 		if rng.Intn(2) == 0 {
-			tVars.WriteString(randDecl(rng, "w"))
+			tVars.WriteString(g.decl("w"))
 		}
-		if o := checkInitParity(t, initMachine(vars.String(), sVars.String(), tVars.String()), ext); o.err == "" {
+		src := initMachine(vars.String(), sVars.String(), tVars.String())
+		if g.strayed {
+			refusedBySema(t, src, "T", "undeclared name")
+			refused++
+			continue
+		}
+		if o := checkInitParity(t, src, ext); o.err == "" {
 			built++
 		}
 	}
-	// The storm is only worth its time if both outcomes are common.
-	t.Logf("%d of %d random machines built", built, n)
-	if built < n/5 || built > n*4/5 {
-		t.Fatalf("%d of %d random machines built", built, n)
+	// The storm is only worth its time if every outcome is common.
+	t.Logf("of %d random machines: %d refused by sema, %d built", n, refused, built)
+	if accepted := n - refused; refused < n/20 || built < accepted/5 || built > accepted*4/5 {
+		t.Fatalf("of %d random machines: %d refused by sema, %d built", n, refused, built)
 	}
 }

@@ -153,10 +153,11 @@ func TestInterpreterSnippets(t *testing.T) {
 			// range-check below.
 		},
 		{
+			// Refused by sema, before the interpreter sees it.
 			name:   "undeclared variable",
 			decls:  "",
 			body:   "nosuch = 1;",
-			errSub: "undeclared variable",
+			errSub: "line 8: state s: assignment to undeclared name nosuch",
 		},
 		{
 			name:   "unknown function",
@@ -230,7 +231,7 @@ machine T {
 	}
 	cm, err := almanac.CompileMachine(prog, "T")
 	if err != nil {
-		t.Fatalf("compile: %v", err)
+		return nil, err
 	}
 	s, err := NewSeed(cm, nil, newMockHost())
 	if err != nil {

@@ -16,7 +16,7 @@ const mapReuseSource = `
 struct Box { map f; }
 function size(map m) { return map_len(m); }
 function give() { return map_set(map_new(), "given", 1); }
-function touch() { stash = viaFunc; viaFunc = map_set(viaFunc, "touched", map_len(viaFunc)); return 0; }
+function pass(map m) { return m; }
 machine Reuse {
   place all;
   poll fill = Poll { .ival = 10, .what = port ANY };
@@ -28,7 +28,7 @@ machine Reuse {
   map priv; map sent; map outer;
   map toVar; map alias; map fromVar; map donor; map asValue; map holder;
   map asElem; map asField; map asArg; map fromFunc; map viaFunc;
-  map shadowed; map localShadow; map fromGet; map got; map stash;
+  map fromGet; map got; map stash;
   list held; list inList; Box box; long n;
   state a {
     map spriv;
@@ -68,24 +68,27 @@ machine Reuse {
       asField = map_set(asField, v, 5); box = Box { .f = asField }; asField = map_new(); asField = map_set(asField, "f", v);
       asArg = map_set(asArg, v, 6); n = size(asArg); asArg = map_new();
       fromFunc = give(); fromFunc = map_set(fromFunc, v, 7); fromFunc = map_new();
-      n = touch(); viaFunc = map_new(); viaFunc = map_set(viaFunc, "v", v);
-      shadowed = map_set(shadowed, v, 8); shadowed = map_new();
+      stash = pass(viaFunc); viaFunc = map_set(viaFunc, "passed", map_len(viaFunc));
+      viaFunc = map_new(); viaFunc = map_set(viaFunc, "v", v);
       fromGet = map_get(holder, "inner", map_new()); fromGet = map_set(fromGet, "g", v);
       if (v == 7) then { holder = map_new(); fromGet = map_set(fromGet, "h", v); }
       fromGet = map_new();
       if (v > 3) then { transit b; }
     }
+    when (recv long r from harvester) do {
+      spriv = map_set(spriv, r, r);
+      sent = map_set(sent, r, r);
+    }
     when (hop as v) do {
-      map localShadow = map_new();
-      localShadow = map_set(localShadow, v, 9);
-      localShadow = map_new();
+      map loc = map_new();
+      loc = map_set(loc, v, 9);
+      loc = map_new();
     }
   }
   state b {
-    map shadowed;
+    map bmap;
     when (hop as v) do {
-      shadowed = map_set(shadowed, v, 10); shadowed = map_new();
-      localShadow = map_set(localShadow, v, 11); localShadow = map_new();
+      bmap = map_set(bmap, v, 10); bmap = map_new();
       transit a;
     }
   }
@@ -94,7 +97,6 @@ machine Reuse {
     priv = map_set(priv, "recv", map_len(m));
   }
   when (recv long r from harvester) do {
-    spriv = map_set(spriv, r, r);
     sent = map_set(sent, r, r);
   }
 }
@@ -102,7 +104,7 @@ machine Reuse {
 
 // mapReusePrivate is what lowering must find private in mapReuseSource
 // (the escape routes and TestPrivateMaps say why each other one is not).
-var mapReusePrivate = []string{"holder", "outer", "priv", "sent", "spriv"}
+var mapReusePrivate = []string{"bmap", "holder", "outer", "priv", "sent", "spriv"}
 
 // FuzzMapReuse drives mapReuseSource with events decoded from arbitrary
 // bytes — triggers with small arguments, and long and map messages —

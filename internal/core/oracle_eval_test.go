@@ -7,58 +7,74 @@ import (
 	"farm/internal/netmodel"
 )
 
-// scope is one lexical activation: event-handler bindings and local
-// declarations, layered over the current state's variables and the
-// machine environment.
+// scope is one activation, with sema's scope rules: a handler's binding
+// or a function's parameters, and the locals of the blocks still open,
+// each visible to the end of its block; below them, in a handler only,
+// the current state's variables and the machine environment. A function
+// sees its parameters and its locals and nothing else.
 type scope struct {
 	seed   *Seed
+	fn     bool
 	locals map[string]Value
+	open   []string // locals declared in the blocks still open
 }
 
-func newScope(s *Seed, bind map[string]Value) *scope {
+func newScope(s *Seed, bind map[string]Value, fn bool) *scope {
 	locals := bind
 	if locals == nil {
 		locals = map[string]Value{}
 	}
-	return &scope{seed: s, locals: locals}
+	return &scope{seed: s, fn: fn, locals: locals}
 }
 
-// lookup resolves a variable: handler locals, then state locals, then
-// machine variables.
+// lookup resolves a variable: locals, then (in a handler) state
+// variables, then machine variables.
 func (sc *scope) lookup(name string) (Value, bool) {
 	if v, ok := sc.locals[name]; ok {
 		return v, true
 	}
-	if sv, ok := sc.seed.stateVars[sc.seed.state]; ok {
-		if v, ok := sv[name]; ok {
-			return v, true
-		}
+	if sc.fn {
+		return nil, false
+	}
+	if v, ok := sc.seed.stateVars[sc.seed.state][name]; ok {
+		return v, true
 	}
 	v, ok := sc.seed.env[name]
 	return v, ok
 }
 
-// assign writes a variable wherever it is declared; handler locals win.
+// assign writes a variable where lookup finds it.
 func (sc *scope) assign(name string, v Value) error {
 	if _, ok := sc.locals[name]; ok {
 		sc.locals[name] = v
 		return nil
 	}
-	if sv, ok := sc.seed.stateVars[sc.seed.state]; ok {
-		if _, ok := sv[name]; ok {
-			sv[name] = v
+	if !sc.fn {
+		if sv := sc.seed.stateVars[sc.seed.state]; sv != nil {
+			if _, ok := sv[name]; ok {
+				sv[name] = v
+				return nil
+			}
+		}
+		if _, ok := sc.seed.env[name]; ok {
+			sc.seed.env[name] = v
 			return nil
 		}
-	}
-	if _, ok := sc.seed.env[name]; ok {
-		sc.seed.env[name] = v
-		return nil
 	}
 	return fmt.Errorf("core: assignment to undeclared variable %s", name)
 }
 
 func (sc *scope) declare(name string, v Value) {
 	sc.locals[name] = v
+	sc.open = append(sc.open, name)
+}
+
+// close forgets the locals declared since mark, when their block ends.
+func (sc *scope) close(mark int) {
+	for _, n := range sc.open[mark:] {
+		delete(sc.locals, n)
+	}
+	sc.open = sc.open[:mark]
 }
 
 type execResult struct {
@@ -67,7 +83,9 @@ type execResult struct {
 	transit string
 }
 
+// exec runs body as a block: the locals it declares end with it.
 func (s *Seed) exec(body []almanac.Stmt, sc *scope) (execResult, error) {
+	defer sc.close(len(sc.open))
 	for _, stmt := range body {
 		s.actions++
 		switch st := stmt.(type) {
@@ -539,7 +557,7 @@ func (s *Seed) evalCall(ex *almanac.CallExpr, sc *scope) (Value, error) {
 			return nil, errCallDepth(ex.Name, ex.Line())
 		}
 		s.depth++
-		res, err := s.exec(fd.Body, newScope(s, bind))
+		res, err := s.exec(fd.Body, newScope(s, bind, true))
 		s.depth--
 		if err != nil {
 			return nil, err

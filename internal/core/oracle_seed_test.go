@@ -249,7 +249,7 @@ func (s *Seed) runStmtsWithTransit(body []almanac.Stmt, bind map[string]Value, d
 	if depth > maxTransitChain {
 		return fmt.Errorf("core: seed %s: transition chain exceeds %d (state-machine loop?)", s.machine.Name, maxTransitChain)
 	}
-	scope := newScope(s, bind)
+	scope := newScope(s, bind, false)
 	res, err := s.exec(body, scope)
 	if err != nil {
 		return err
@@ -269,7 +269,7 @@ func (s *Seed) transitionTo(target string, depth int) error {
 	for i := range st.Events {
 		ev := &st.Events[i]
 		if ev.Trigger.Kind == almanac.TrigOnExit {
-			scope := newScope(s, nil)
+			scope := newScope(s, nil, false)
 			res, err := s.exec(ev.Body, scope)
 			if err != nil {
 				return err

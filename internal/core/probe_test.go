@@ -17,14 +17,11 @@ import (
 // left in the seed once the handler has returned.
 
 // probeParitySource reads every packet field and keeps packets every
-// way a seed can: machine and state variables (direct, local-or-slot and
-// from inside a function), lists, sends, map keys.
+// way a seed can: machine and state variables (directly, through a
+// local and as a function's result), lists, sends, map keys.
 const probeParitySource = `
-function remember(packet q) {
-  remembered = q;
-  return q.srcPort;
-}
-function hold(packet q) { held = q; }
+function srcPortOf(packet q) { return q.srcPort; }
+function hold(packet q) { return q; }
 machine Probe {
   place all;
   probe pkts = Probe { .ival = 1, .what = dstPort 80 };
@@ -51,8 +48,9 @@ machine Probe {
         send p to harvester;
       }
       packet q = p;
-      ports = ports + remember(q);
-      if (n < 0) then { packet prev = p; }
+      ports = ports + srcPortOf(q);
+      remembered = hold(q);
+      if (n < 0) then { packet early = p; prev = early; }
       prev = q;
       if (n > 25) then { transit cool; }
     }
@@ -61,8 +59,8 @@ machine Probe {
     packet last; packet held;
     when (enter) do { send [prev, remembered] to harvester; }
     when (pkts as p) do {
-      hold(p);
-      if (n < 0) then { packet last = p; }
+      held = hold(p);
+      if (n < 0) then { packet early = p; last = early; }
       last = p;
       send [p, p.size] to harvester;
       send str(p) to harvester;

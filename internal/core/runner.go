@@ -54,9 +54,9 @@ type Program struct {
 }
 
 // Compile lowers the machine and links the result. A machine that fails
-// to lower (sema accepts none, but decoded seed XML is not sema-checked)
-// is rejected with the lowering error, so every Program has an initial
-// state for its runners to start in.
+// to lower (neither sema nor DecodeXML accepts one; a machine built by
+// hand can be one) is rejected with the lowering error, so every Program
+// has an initial state for its runners to start in.
 func Compile(cm *almanac.CompiledMachine) (*Program, error) {
 	p, err := almanac.Lower(cm, BuiltinNames())
 	if err != nil {
@@ -121,7 +121,8 @@ func (lp *Program) NewRunner(externals map[string]Value, host Host) (Runner, err
 	}
 	p := lp.p
 	m := &rvmSeed{host: machineHost{host, p.Machine}, lp: lp, state: p.InitialState}
-	// Every slot starts undefined: not built yet.
+	// The init chunk writes every env slot and the initial state's
+	// slots before anything reads them.
 	m.env = make([]rval, len(p.EnvSlots))
 	m.states = make([][]rval, len(p.States))
 	all := make([]rval, p.StateSlots())
@@ -139,9 +140,9 @@ func (lp *Program) NewRunner(externals map[string]Value, host Host) (Runner, err
 		}
 		return nil, err
 	}
-	// The initial state's variables are in its frame already, perhaps
-	// written since by a function; the other states' are where the
-	// chunk built them.
+	// The initial state's variables are in its frame already (the chunk
+	// moved them there); the other states' are where the chunk built
+	// them.
 	built := m.regs[len(args):]
 	for si, fr := range m.states {
 		if int32(si) != p.InitialState {

@@ -176,10 +176,10 @@ func (m *rvmSeed) runTop(ci int32, args []rval, depth int) error {
 	return nil
 }
 
+// transitionTo switches to state target, a state of the program: a
+// handler's transit names one (sema and Lower see to it), and a
+// function's, which names none, fails at its call.
 func (m *rvmSeed) transitionTo(target int32, depth int) error {
-	if target < 0 {
-		return fmt.Errorf("core: seed %s: transit to unknown state %s", m.lp.p.Machine, "?")
-	}
 	old := &m.lp.p.States[m.state]
 	if old.Exit >= 0 {
 		res, err := m.runChunk(old.Exit, nil)
@@ -198,9 +198,10 @@ func (m *rvmSeed) transitionTo(target int32, depth int) error {
 }
 
 // runChunk executes one register chunk: carve a frame window out of the
-// arena, bind the arguments, mark the remaining locals undefined, and
-// leave the temporaries dirty (every temporary read is dominated by a
-// write by construction).
+// arena, bind the arguments, clear the remaining locals, and leave the
+// temporaries dirty (every temporary read is dominated by a write by
+// construction, and so is every local read: sema resolved each one to
+// a declaration that runs first).
 func (m *rvmSeed) runChunk(ci int32, args []rval) (chunkResult, error) {
 	ch := &m.lp.p.RegChunks[ci]
 	base := m.rbase
@@ -247,6 +248,18 @@ func wrOpnd(d int32, v rval, regs, env, stf []rval) {
 	}
 }
 
+// slotOf returns the register or slot a class-tagged destination names.
+func slotOf(d int32, regs, env, stf []rval) *rval {
+	i := d & almanac.ROpndMask
+	switch d >> almanac.ROpndShift {
+	case almanac.RClassEnv:
+		return &env[i]
+	case almanac.RClassSt:
+		return &stf[i]
+	}
+	return &regs[i]
+}
+
 // cmpSlow resolves a fused compare-and-branch whose operands were not
 // both numeric (the inline tiers cover those): a numeric left against a
 // non-numeric right gets the comparison error, everything else goes to
@@ -289,87 +302,12 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 		case almanac.RZero:
 			wrOpnd(in.Dst, zeroRval(almanac.Type(in.A)), regs, env, stf)
 
-		case almanac.RLoadLE:
+		case almanac.RBindExternal:
 			v := regs[in.A]
 			if v.k == rkUndef {
 				v = env[in.B]
 			}
 			wrOpnd(in.Dst, v, regs, env, stf)
-
-		case almanac.RLoadLS:
-			v := regs[in.A]
-			if v.k == rkUndef {
-				v = stf[in.B]
-			}
-			wrOpnd(in.Dst, v, regs, env, stf)
-
-		case almanac.RLoadLD:
-			v := regs[in.A]
-			if v.k == rkUndef {
-				var err error
-				v, err = m.dynLoad(p.Names[in.B], in.Line)
-				if err != nil {
-					return chunkResult{}, err
-				}
-			}
-			wrOpnd(in.Dst, v, regs, env, stf)
-
-		case almanac.RLoadLErr:
-			v := regs[in.A]
-			if v.k == rkUndef {
-				return chunkResult{}, fmt.Errorf("core: undeclared variable %s (line %d)", p.Names[in.B], in.Line)
-			}
-			wrOpnd(in.Dst, v, regs, env, stf)
-
-		case almanac.RStoreLE:
-			v := bases.rd(in.C)
-			if regs[in.A].k != rkUndef {
-				regs[in.A] = v
-			} else {
-				env[in.B] = v
-			}
-
-		case almanac.RStoreLS:
-			v := bases.rd(in.C)
-			if regs[in.A].k != rkUndef {
-				regs[in.A] = v
-			} else {
-				stf[in.B] = v
-			}
-
-		case almanac.RStoreLD:
-			v := bases.rd(in.C)
-			if regs[in.A].k != rkUndef {
-				regs[in.A] = v
-			} else if err := m.dynStore(p.Names[in.B], v); err != nil {
-				return chunkResult{}, err
-			}
-
-		case almanac.RStoreLErr:
-			v := bases.rd(in.C)
-			if regs[in.A].k != rkUndef {
-				regs[in.A] = v
-			} else {
-				return chunkResult{}, fmt.Errorf("core: assignment to undeclared variable %s", p.Names[in.B])
-			}
-
-		case almanac.RLoadDyn:
-			v, err := m.dynLoad(p.Names[in.A], in.Line)
-			if err != nil {
-				return chunkResult{}, err
-			}
-			wrOpnd(in.Dst, v, regs, env, stf)
-
-		case almanac.RStoreDyn:
-			if err := m.dynStore(p.Names[in.A], bases.rd(in.B)); err != nil {
-				return chunkResult{}, err
-			}
-
-		case almanac.RLoadErr:
-			return chunkResult{}, fmt.Errorf("core: undeclared variable %s (line %d)", p.Names[in.A], in.Line)
-
-		case almanac.RStoreErr:
-			return chunkResult{}, fmt.Errorf("core: assignment to undeclared variable %s", p.Names[in.A])
 
 		case almanac.RJump:
 			pc = int(in.A) - 1
@@ -1001,8 +939,8 @@ func (m *rvmSeed) run(ch *almanac.RegChunk, base int) (chunkResult, error) {
 			m.host.SetTriggerInterval(name, ms)
 
 		case almanac.RFieldAssign:
-			v := bases.rd(in.B)
-			if err := m.fieldAssign(&p.FieldAssigns[in.A], regs[:ch.NumLocals], v); err != nil {
+			fa := &p.FieldAssigns[in.A]
+			if err := fieldAssign(fa, slotOf(fa.Dst, regs, env, stf), bases.rd(in.B)); err != nil {
 				return chunkResult{}, err
 			}
 

@@ -598,7 +598,7 @@ func AppendValue(dst []byte, v Value) []byte {
 // appendR is AppendValue of r.box() without boxing a scalar.
 func appendR(dst []byte, r *rval) []byte {
 	switch r.k {
-	case rkUndef, rkNil:
+	case rkNil:
 		return append(dst, "nil"...)
 	case rkInt:
 		return strconv.AppendInt(dst, r.i, 10)

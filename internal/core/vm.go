@@ -11,8 +11,8 @@ import (
 
 // The register VM, everything but its dispatch loop (rvm.go) and its
 // builtins (builtins.go): the unboxed value representation, the seed's
-// frames and their Snapshot/Restore, dynamic name resolution, and the
-// arithmetic and field slow paths. Values live unboxed in rval
+// frames and their Snapshot/Restore, and the arithmetic and field slow
+// paths. Values live unboxed in rval
 // frames (machine env slots, per-state persistent slots, a register
 // arena for handler/function activations); only reference values
 // (lists, maps, structs, sketches, ...) carry a boxed payload. The AST
@@ -24,7 +24,7 @@ import (
 type rkind uint8
 
 const (
-	rkUndef rkind = iota // local slot whose DeclStmt has not executed yet, or a variable not built yet
+	rkUndef rkind = iota // no value: an external the deployment did not bind (RBindExternal), a register not written yet
 	rkNil
 	rkInt
 	rkFloat
@@ -103,7 +103,7 @@ func unbox(v Value) rval {
 // StructVal / PacketVal it stands for, a private copy every time.
 func (r rval) box() Value {
 	switch r.k {
-	case rkUndef, rkNil:
+	case rkNil:
 		return nil
 	case rkInt:
 		return r.i
@@ -127,7 +127,7 @@ func (r rval) box() Value {
 // typeNameR mirrors TypeName without boxing.
 func typeNameR(r rval) string {
 	switch r.k {
-	case rkUndef, rkNil:
+	case rkNil:
 		return "nil"
 	case rkInt:
 		return "long"
@@ -184,8 +184,8 @@ func eqR(l, r rval) bool {
 		return r.k == rkBool && l.i == r.i
 	case rkStr:
 		return r.k == rkStr && l.asStr() == r.asStr()
-	case rkNil, rkUndef:
-		return r.k == rkNil || r.k == rkUndef
+	case rkNil:
+		return r.k == rkNil
 	case rkRef, rkBatch, rkRow, rkPacket:
 		if l.k == rkRef && r.k == rkRef {
 			return Equal(l.ref, r.ref)
@@ -385,35 +385,6 @@ type chunkResult struct {
 	val     rval
 }
 
-// dynSlot resolves a name the way a function body sees it (handler
-// locals are resolved statically): the current state's variables, then
-// the machine's. A slot still undefined is a variable not built yet
-// (only while the init chunk runs) and resolves no name.
-func (m *rvmSeed) dynSlot(name string) *rval {
-	if vi, ok := m.lp.svIdx[m.state][name]; ok && m.states[m.state][vi].k != rkUndef {
-		return &m.states[m.state][vi]
-	}
-	if ei, ok := m.lp.envIdx[name]; ok && m.env[ei].k != rkUndef {
-		return &m.env[ei]
-	}
-	return nil
-}
-
-func (m *rvmSeed) dynLoad(name string, line int32) (rval, error) {
-	if p := m.dynSlot(name); p != nil {
-		return *p, nil
-	}
-	return rval{}, fmt.Errorf("core: undeclared variable %s (line %d)", name, line)
-}
-
-func (m *rvmSeed) dynStore(name string, v rval) error {
-	if p := m.dynSlot(name); p != nil {
-		*p = v
-		return nil
-	}
-	return fmt.Errorf("core: assignment to undeclared variable %s", name)
-}
-
 func opSym(op almanac.ROp) string {
 	switch op {
 	case almanac.RAdd:
@@ -587,24 +558,11 @@ func filterAtomOp(arg rval, field string, line int32) (rval, error) {
 	return rref(FilterVal{F: fc.Filter, PortAny: fc.PortAny}), nil
 }
 
-// fieldAssign mirrors execAssign's struct-field path. A row of a poll
-// batch is read-only and possibly shared with other seeds: the write
-// first copies it out into a private struct that replaces the row in
-// the target variable.
-func (m *rvmSeed) fieldAssign(fa *almanac.FieldAssignSite, loc []rval, v rval) error {
-	var cur *rval
-	if fa.Local >= 0 && loc[fa.Local].k != rkUndef {
-		cur = &loc[fa.Local]
-	} else if fa.Dyn {
-		cur = m.dynSlot(fa.Target)
-	} else if fa.St >= 0 {
-		cur = &m.states[m.state][fa.St]
-	} else if fa.Env >= 0 {
-		cur = &m.env[fa.Env]
-	}
-	if cur == nil {
-		return fmt.Errorf("core: assignment to undeclared variable %s", fa.Target)
-	}
+// fieldAssign mirrors execAssign's struct-field path on the variable
+// in cur. A row of a poll batch is read-only and possibly shared with
+// other seeds: the write first copies it out into a private struct that
+// replaces the row in the variable.
+func fieldAssign(fa *almanac.FieldAssignSite, cur *rval, v rval) error {
 	*cur = cur.materialised()
 	var sv StructVal
 	ok := cur.k == rkRef

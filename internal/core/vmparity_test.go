@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -192,6 +193,21 @@ func diffSet(t *testing.T, p *backendSet, ctx string) {
 	}
 }
 
+// refusedBySema requires CompileMachine to refuse src's machine with a
+// positioned error containing want.
+func refusedBySema(t *testing.T, src, machine, want string) {
+	t.Helper()
+	prog, err := almanac.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v\n%s", err, src)
+	}
+	_, err = almanac.CompileMachine(prog, machine)
+	var se *almanac.SemaError
+	if !errors.As(err, &se) || se.Line <= 0 || !strings.Contains(err.Error(), want) {
+		t.Fatalf("CompileMachine = %v, want a positioned error containing %q\n%s", err, want, src)
+	}
+}
+
 func TestVMSnippetParity(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -218,8 +234,10 @@ func TestVMSnippetParity(t *testing.T) {
 		{"unary minus error", "string s; long a;", `s = "x"; a = -s;`},
 		{"condition type error", "long a;", `if ("nope") then { a = 1; }`},
 		{"add type error", "long a;", `a = 1 + "x";`},
-		{"struct literal and field assign", "long out;", "Pair p = Pair { .a = 1, .b = 2 }; p.a = 10; out = p.a + p.b;"},
-		{"struct field missing", "long out;", "Pair p = Pair { .a = 1, .b = 2 }; out = p.c;"},
+		{"add type error of a product on the right", "list l;", "l = [1] + 2 * 3;"},
+		{"add type error of a product on the left", "long a;", `a = 2 * 3 + "x";`},
+		{"struct literal and field assign", "long out;", "Pair pr = Pair { .a = 1, .b = 2 }; pr.a = 10; out = pr.a + pr.b;"},
+		{"struct field missing", "long out;", "Pair pr = Pair { .a = 1, .b = 2 }; out = pr.c;"},
 		{"field assign non-struct", "long x;", "x = 1; x.a = 2;"},
 		{"filter values", "filter f; bool removed;", `f = dstPort 80 and proto "tcp"; addTCAMRule(f, drop(), 5); removed = removeTCAMRule(f);`},
 		{"filter and non-filter", "filter f;", `f = dstPort 80 and 1;`},
@@ -242,7 +260,7 @@ func TestVMSnippetParity(t *testing.T) {
 		{"private map reset in place", "map m; list ks; list again; long n;", `m = map_set(m, "b", 1); m = map_set(m, "a", 2); ks = map_keys(m); m = map_new(); n = map_len(m); m = map_set(m, "a", 3); m = map_set(m, "b", 4); again = map_keys(m);`},
 		{"nested function calls", "long out;", "out = f2(f2(1, 2), f2(3, 4));"},
 		{"function return nothing", "long out;", "out = 5; noret(1);"},
-		{"conditional decl then use", "long out;", "if (1 > 2) then { long x = 5; } out = 1;"},
+		{"conditional decl then use", "long out;", "if (1 > 2) then { long x = 5; out = x; } out = 1;"},
 		{"conditional decl undeclared read", "long out;", "if (1 > 2) then { long x = 5; } out = x;"},
 		{"decl shadows machine var", "long g; long out;", "g = 1; long g = 7; out = g;"},
 		{"conditional shadow falls back", "long g; long out;", "g = 3; if (1 > 2) then { long g = 7; g = 9; } out = g;"},
@@ -267,6 +285,15 @@ func TestVMSnippetParity(t *testing.T) {
 		{"mutual runaway recursion", "long a;", "a = 3; a = ping(0);"},
 		{"runaway recursion in an argument", "long a;", "a = f2(1, ping(0));"},
 		{"depth resets after a failed call", "long a;", "a = down(150) + down(150);"},
+	}
+	// Snippets that name something out of scope: sema refuses them, at
+	// the line of the name, before either executor sees them.
+	refused := map[string]string{
+		"undeclared variable":              "line 15: state s: assignment to undeclared name nosuch",
+		"undeclared read":                  "line 15: state s: undeclared name nosuch",
+		"conditional decl undeclared read": "line 15: state s: undeclared name x",
+		"decl shadows machine var":         "line 15: state s: local g is already declared as a machine variable",
+		"conditional shadow falls back":    "line 15: state s: local g is already declared as a machine variable",
 	}
 	for _, c := range cases {
 		c := c
@@ -293,6 +320,10 @@ machine T {
   }
 }
 `
+			if want, ok := refused[c.name]; ok {
+				refusedBySema(t, src, "T", want)
+				return
+			}
 			cm := parityCompile(t, src, "T")
 			p := newBackendSet(t, cm, nil)
 			p.do(t, "start", func(r Runner) error { return r.Start() })
@@ -671,7 +702,7 @@ machine C {
 }
 
 // A machine with no states, or whose initial state it does not declare
-// (sema produces neither; decoded seed XML is not sema-checked), is
+// (neither sema nor DecodeXML produces either; a hand-built machine can), is
 // unusable on both sides: the interpreter fails in "unknown state" the
 // moment it is started, and Compile refuses to hand out a program whose
 // runner would have no state frame to start in.

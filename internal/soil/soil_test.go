@@ -272,9 +272,9 @@ func TestDeployRejectsUnlowerableMachine(t *testing.T) {
 }
 
 // TestDeployRejectsStatelessMachine: sema rejects a machine without
-// states, but seed XML arrives without a sema pass; such a seed must be
-// a deploy error, not a soil that panics when it starts the seed in
-// state -1.
+// states, but seed XML does not go through all of sema (DecodeXML
+// resolves its names only); such a seed must be a deploy error, not a
+// soil that panics when it starts the seed in state -1.
 func TestDeployRejectsStatelessMachine(t *testing.T) {
 	fab, _ := testEnv(t)
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())

@@ -1,9 +1,13 @@
 package tasks
 
 import (
+	"errors"
 	"math/rand"
 	"net/netip"
+	"regexp"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,12 +112,61 @@ func taskPayload(rng *rand.Rand) core.Value {
 	}
 }
 
+// hhWireWith is the XML of the HH task's machine with the first ident
+// node naming from renamed to: seed XML whose code names something of
+// its choosing. line is the source line of that node.
+func hhWireWith(tb testing.TB, from, to string) (data []byte, line int) {
+	tb.Helper()
+	prog, err := almanac.Parse(HHSource)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cm, err := almanac.CompileMachine(prog, "HH")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, err = almanac.EncodeXML(cm)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	re := regexp.MustCompile(`<node line="([0-9]+)" kind="ident" s="` + from + `"`)
+	m := re.FindSubmatchIndex(data)
+	if m == nil {
+		tb.Fatalf("no ident %s in HH's XML", from)
+	}
+	line, _ = strconv.Atoi(string(data[m[2]:m[3]]))
+	renamed := strings.Replace(string(data[m[0]:m[1]]), `s="`+from+`"`, `s="`+to+`"`, 1)
+	return append(append(append([]byte(nil), data[:m[0]]...), renamed...), data[m[1]:]...), line
+}
+
+// Seed XML is resolved like source: a name that does not resolve is
+// refused by DecodeXML, at the line the XML carries for it, and never
+// reaches a soil's compiler.
+func TestDecodeRefusesUnresolvedNames(t *testing.T) {
+	for _, tc := range []struct{ from, to, msg string }{
+		{"stats", "statz", "state observe: undeclared name statz"},
+		{"hs", "hitters", "function setHitterRules: undeclared name hitters"},
+		{"newTh", "threshold2", "state observe: undeclared name threshold2"},
+	} {
+		data, line := hhWireWith(t, tc.from, tc.to)
+		if want := strings.Split(HHSource, "\n")[line-1]; !strings.Contains(want, tc.from) {
+			t.Fatalf("the XML puts %s on line %d, which reads %q", tc.from, line, want)
+		}
+		cm, err := almanac.DecodeXML(data)
+		var se *almanac.SemaError
+		if !errors.As(err, &se) || se.Line != line || !strings.Contains(se.Msg, tc.msg) {
+			t.Fatalf("DecodeXML(%s renamed %s) = %v, %v; want a SemaError at line %d: %s", tc.from, tc.to, cm, err, line, tc.msg)
+		}
+	}
+}
+
 // FuzzDecodeCompile drives arbitrary bytes through the path seed XML
-// takes into a soil: decode (no sema pass), compile, render, deploy on
-// the register VM, and one round of events. Any step may refuse its
-// input; none may panic — a machine whose functions recurse without end
-// fails its handlers at the call-depth bound. The corpus is the XML of
-// every catalogue machine and of one such runaway.
+// takes into a soil: decode (names resolved as sema resolves a
+// source's), compile, render, deploy on the register VM, and one round
+// of events. Any step may refuse its input; none may panic — a machine
+// whose functions recurse without end fails its handlers at the
+// call-depth bound. The corpus is the XML of every catalogue machine, of
+// one such runaway, and of HH naming a variable its function cannot see.
 func FuzzDecodeCompile(f *testing.F) {
 	runaway, err := almanac.Parse(`
 function ping(long n) { return pong(n + 1); }
@@ -139,6 +192,8 @@ machine Runaway {
 		f.Fatal(err)
 	}
 	f.Add(xmlData)
+	unresolved, _ := hhWireWith(f, "hs", "hitters")
+	f.Add(unresolved)
 	defaults := map[string]core.Value{}
 	for _, d := range All() {
 		prog, err := almanac.Parse(d.Source)
