@@ -94,10 +94,8 @@ func BenchmarkFig6SeedScaling(b *testing.B) {
 }
 
 // BenchmarkFig7HeuristicPaperScale runs the heuristic alone at the
-// paper's largest grid point (10200 seeds, 1040 switches), serially
-// and with the step-3 LP worker pool at 8 workers (identical output by
-// the determinism contract; the speedup needs a multi-core host).
-// Skipped in -short mode; this is the scalability claim of §VI-D.
+// paper's largest grid point (10200 seeds, 1040 switches). Skipped in
+// -short mode; this is the scalability claim of §VI-D.
 func BenchmarkFig7HeuristicPaperScale(b *testing.B) {
 	if testing.Short() {
 		b.Skip("paper-scale placement skipped in -short")
@@ -105,24 +103,15 @@ func BenchmarkFig7HeuristicPaperScale(b *testing.B) {
 	in := placement.RandomScenario(placement.ScenarioConfig{
 		Switches: 1040, Seeds: 10200, Tasks: 10, Seed: 1,
 	})
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", -1}, {"parallel-8", 8}} {
-		b.Run(bc.name, func(b *testing.B) {
-			cp := *in
-			cp.Parallel = bc.workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := placement.Heuristic(&cp)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Utility, "utility")
-				b.ReportMetric(float64(len(res.Placed)), "seeds-placed")
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := placement.Heuristic(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(res.Utility, "utility")
+		b.ReportMetric(float64(len(res.Placed)), "seeds-placed")
 	}
 }
 

@@ -43,7 +43,6 @@ func main() {
 	trafficSeed := flag.Int64("traffic-seed", 1, "background traffic RNG seed")
 	hbInterval := flag.Duration("hb-interval", 50*time.Millisecond, "leader heartbeat interval (engine time)")
 	hbTimeout := flag.Duration("hb-timeout", 0, "heartbeat timeout before standby takeover (0 = 5× interval)")
-	parallel := flag.Int("placement-parallel", 0, "parallel placement LP workers (0 = auto)")
 	reopt := flag.Duration("reoptimize", 0, "periodic full-replan interval (0 = off)")
 	flag.Parse()
 
@@ -56,7 +55,6 @@ func main() {
 		TrafficSeed:        *trafficSeed,
 		HeartbeatInterval:  *hbInterval,
 		HeartbeatTimeout:   *hbTimeout,
-		PlacementParallel:  *parallel,
 		ReoptimizeInterval: *reopt,
 		HTTPAddr:           *httpAddr,
 		RPCAddr:            *rpcAddr,

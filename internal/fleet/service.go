@@ -82,7 +82,7 @@ type Config struct {
 	// AS5712/AS7712-class models fit only a few Tab. I tasks per switch.
 	LeafCapacity  netmodel.Resources
 	SpineCapacity netmodel.Resources
-	// PlacementParallel is the seeder's step-3 LP worker count.
+	// Deprecated: placement runs serially; the value is ignored. bench/e2e still sets it.
 	PlacementParallel int
 	// ReoptimizeInterval, when > 0, re-runs global placement
 	// periodically on the live fabric.
@@ -210,10 +210,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	rt := engine.NewRealTime()
 	fab := fabric.New(topo, rt, fabric.Options{})
-	sd := seeder.New(fab, seeder.Options{
-		PlacementParallel: cfg.PlacementParallel,
-		Logf:              cfg.Logf,
-	})
+	sd := seeder.New(fab, seeder.Options{Logf: cfg.Logf})
 	s := &Service{
 		cfg:       cfg,
 		rt:        rt,

@@ -32,7 +32,7 @@ func replayAudit(t *testing.T, cfg Config, log []AuditEntry) string {
 	}
 	loop := engine.NewSerial()
 	fab := fabric.New(topo, loop, fabric.Options{})
-	sd := seeder.New(fab, seeder.Options{PlacementParallel: cfg.PlacementParallel})
+	sd := seeder.New(fab, seeder.Options{})
 	for _, e := range log {
 		var opErr error
 		switch e.Op {

@@ -31,7 +31,7 @@ func TestCatalogueLPsSparseMatchesDense(t *testing.T) {
 	var lps []*lp.Problem
 	stop := lp.CaptureSolves(func(p *lp.Problem) { lps = append(lps, p) })
 	defer stop()
-	sd := seeder.New(fabric.New(topo, engine.NewSerial(), fabric.Options{}), seeder.Options{PlacementParallel: -1})
+	sd := seeder.New(fabric.New(topo, engine.NewSerial(), fabric.Options{}), seeder.Options{})
 	var specs []seeder.TaskSpec
 	for _, d := range tasks.All() {
 		specs = append(specs, seeder.TaskSpec{Name: d.Name, Source: d.Source, Machines: d.Machines, Externals: d.DefaultExternals})

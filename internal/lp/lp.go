@@ -101,9 +101,8 @@ type constraint struct {
 // slice; bounds, right-hand sides and the tableau for Solve)
 // that are reused across Reset and Solve, so rebuilding and solving
 // problems no larger than an earlier one allocates only the escaping
-// Solution. Parallel solvers (the placement heuristic's per-switch
-// redistribution pool) keep one Problem per worker and Reset it
-// between solves.
+// Solution. The placement heuristic keeps one Problem per solve state
+// and Resets it for every switch's step-3 LP.
 type Problem struct {
 	sense    Sense
 	vars     []variable

@@ -19,8 +19,7 @@ type inputSnap struct {
 	Current  map[string]Assignment
 	Touched  []netmodel.SwitchID
 	MigC     float64
-	Flags    [3]bool
-	Parallel int
+	Flags    [2]bool
 }
 
 type seedSnap struct {
@@ -149,9 +148,8 @@ func snapBaked(b *Baked) *bakedSnap {
 func snapInput(in *Input) inputSnap {
 	s := inputSnap{
 		Current: clonePlaced(in.Current), Touched: slices.Clone(in.Touched),
-		MigC:     in.MigrationCost,
-		Flags:    [3]bool{in.DisableMigration, in.SkipRedistribution, in.ForceFull},
-		Parallel: in.Parallel,
+		MigC:  in.MigrationCost,
+		Flags: [2]bool{in.DisableMigration, in.SkipRedistribution},
 	}
 	for _, sw := range in.Switches {
 		s.Switches = append(s.Switches, SwitchInfo{ID: sw.ID, Capacity: sw.Capacity.Clone()})
@@ -178,10 +176,8 @@ func mapID(m netmodel.Resources) uintptr { return reflect.ValueOf(m).Pointer() }
 // handed may be written. Deep copies of the Input (every Current
 // allocation, every carried Baked with its published minimal
 // allocations) and of the previous Result, whose allocations are that
-// Current, must be unchanged by a full, a warm, a migrating, a
-// SkipRedistribution and a four-worker solve, run one after another on
-// the same values. Under -race the four-worker solve also checks that
-// its step-3 workers only read what they share.
+// Current, must be unchanged by a full, a warm, a migrating and a
+// SkipRedistribution solve, run one after another on the same values.
 func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 	base := digestScenario()
 	first := map[string]int{}
@@ -197,7 +193,7 @@ func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 	}
 	// The previous solve: it publishes every machine's minimal
 	// allocations, and its Placed becomes the Current of what follows.
-	prev := solveAt(t, base, -1)
+	prev := solveChecked(t, base)
 	prevSnap := clonePlaced(prev.Placed)
 
 	// A second previous placement on half the switches, so that the
@@ -217,7 +213,7 @@ func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 			half.Seeds = append(half.Seeds, s)
 		}
 	}
-	halfRes := solveAt(t, &half, -1)
+	halfRes := solveChecked(t, &half)
 
 	var touched []netmodel.SwitchID
 	for _, id := range []string{base.Seeds[0].ID, base.Seeds[1].ID} {
@@ -233,7 +229,6 @@ func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 		{"warm", func(in *Input) { in.Touched = touched }},
 		{"migrating", func(in *Input) { in.Current = halfRes.Placed; in.MigrationCost = 0.1 }},
 		{"skip-redistribution", func(in *Input) { in.SkipRedistribution = true }},
-		{"parallel", func(in *Input) { in.Touched = touched; in.Parallel = 4 }},
 	}
 	memos := map[*bakedShape]*minimal{}
 	for i := range base.Seeds {

@@ -29,15 +29,11 @@ var testRedistErr func(netmodel.SwitchID) error
 // per switch, (4+5) evaluate migration benefits and apply them in
 // decreasing order.
 //
-// Step 3's per-switch LPs are independent and fan out over a worker
-// pool (Input.Parallel); outcomes are merged in switch order, so the
-// result is byte-identical to the serial run at any worker count.
-//
-// When Input.Current and Input.Touched are both set (and ForceFull is
-// not), the solve warm-starts: tasks whose current assignments are
-// still valid and feasible are pinned as-is, greedy placement runs only
-// for the rest, and redistribution and migration are confined to the
-// dirty switch neighborhoods. Because the previous solve's LP outcomes
+// When Input.Current and Input.Touched are both set, the solve
+// warm-starts: tasks whose current assignments are still valid and
+// feasible are pinned as-is, greedy placement runs only for the rest,
+// and redistribution and migration are confined to the dirty switch
+// neighborhoods. Because the previous solve's LP outcomes
 // are stored in Current and the LP is deterministic, skipping clean
 // switches reproduces exactly what re-solving them would produce.
 //
@@ -87,8 +83,10 @@ func Heuristic(in *Input) (*Result, error) {
 			}
 		}
 		st.sws = sws
-		if err := st.redistributeAll(sws); err != nil {
-			return nil, err
+		for _, si := range sws {
+			if err := st.redistribute(si); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -143,8 +141,8 @@ type caseLP struct {
 // LP variable names. They depend only on the seed's ID, Utility and
 // Polls, so a caller that re-solves the same seeds (the seeder's
 // warm replans) bakes once per (seed, utility) and hands the value back
-// in SeedSpec.Baked. Any number of solves, and their step-3 workers,
-// share a Baked: nothing in it is written after Bake returns except the
+// in SeedSpec.Baked. Any number of solves, on any goroutines, share a
+// Baked: nothing in it is written after Bake returns except the
 // minimal allocations a solve publishes on its shape (see minimalAt).
 type Baked struct {
 	id       string
@@ -377,14 +375,8 @@ type heurState struct {
 	migIDs    []int32
 	queue     []move
 
-	// arenas[w] is step-3 fan-out worker w's arena; arenas[0] also
-	// serves the serial path and the migrate pass. outs holds the
-	// fan-out's outcomes until they are applied in switch order,
-	// serialOut the serial path's.
-	arenas    []*redistScratch
-	outs      []redistOutcome
-	errs      []error
-	serialOut redistOutcome
+	// redist is the arena of step 3 and the migrate pass.
+	redist redistScratch
 }
 
 var heurPool = sync.Pool{New: func() any {
@@ -393,7 +385,7 @@ var heurPool = sync.Pool{New: func() any {
 		seedIdx: map[string]int32{},
 		taskIdx: map[string]int32{},
 		maxCap:  netmodel.Resources{},
-		arenas:  []*redistScratch{newRedistScratch()},
+		redist:  redistScratch{prob: lp.New(lp.Maximize)},
 	}
 }}
 
@@ -486,11 +478,6 @@ func (st *heurState) release() {
 	}
 	clear(st.taskIdx)
 	clear(st.seedIdx)
-	for i := range st.outs {
-		clear(st.outs[i].allocs)
-	}
-	clear(st.serialOut.allocs)
-	clear(st.errs)
 	heurPool.Put(st)
 }
 
@@ -563,7 +550,7 @@ func (cl *caseLP) row(lin poly.Linear, scale, rhs float64) lpRow {
 // if so, dirty holds the switches seeding step 3's scope.
 func (st *heurState) pinCurrent() bool {
 	in := st.in
-	if in.ForceFull || in.Touched == nil || len(in.Current) == 0 {
+	if in.Touched == nil || len(in.Current) == 0 {
 		return false
 	}
 	// A task pins iff every one of its seeds can stay put (C1).
@@ -955,21 +942,11 @@ func (st *heurState) placeTask(ti int32) bool {
 	return placed
 }
 
-// redistOutcome is the solved step-3 LP of one switch: the new
-// allocations and utilities for its seeds (in ID order). !ok means
-// "keep the greedy allocation" (empty switch or non-optimal LP).
-type redistOutcome struct {
-	ok     bool
-	ids    []int32
-	allocs []netmodel.Resources
-	utils  []float64
-}
-
-// redistScratch is one step-3 solver's arena: its LP and the lists the
-// LP is assembled from, all reused from switch to switch and solve to
-// solve.
+// redistScratch is step 3's arena: its LP and the lists the LP is
+// assembled from, all reused from switch to switch and solve to solve.
 type redistScratch struct {
 	prob     *lp.Problem
+	ids      []int32   // the switch's seeds, in ID order
 	coefs    []lp.Coef // one row being built; AddConstraint copies it
 	obj      []lp.Coef
 	resVars  []lp.Var // every seed's resource variables, back to back
@@ -983,10 +960,6 @@ type redistScratch struct {
 	usage    [][]lp.Coef
 	pollSubj []string
 	pollVars []lp.Var
-}
-
-func newRedistScratch() *redistScratch {
-	return &redistScratch{prob: lp.New(lp.Maximize)}
 }
 
 // addUsage adds v to resource r's capacity row.
@@ -1017,84 +990,21 @@ func (rs *redistScratch) pollVar(subject, name string) lp.Var {
 	return v
 }
 
-// redistributeAll runs step 3 over the given switches. With more than
-// one worker the independent per-switch LPs fan out over a pool — each
-// worker owns one redistScratch — and outcomes are applied serially
-// in switch order, so the result is byte-identical to the serial run at
-// any worker count. Per-switch solves read only switch-local state
-// (seedsOn, the assignments of resident seeds, the preps), and
-// applies only write switch-local state, so solve-all-then-apply is
-// equivalent to the interleaved serial loop.
-func (st *heurState) redistributeAll(sws []int32) error {
-	workers := st.in.parallelWorkers()
-	if workers > len(sws) {
-		workers = len(sws)
-	}
-	if workers <= 1 {
-		for _, si := range sws {
-			if err := st.redistribute(si); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for len(st.arenas) < workers {
-		st.arenas = append(st.arenas, newRedistScratch())
-	}
-	st.outs = slices.Grow(st.outs[:0], len(sws))[:len(sws)]
-	st.errs = slices.Grow(st.errs[:0], len(sws))[:len(sws)]
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for _, rs := range st.arenas[:workers] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sws) {
-					return
-				}
-				st.errs[i] = st.solveRedist(sws[i], rs, &st.outs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range st.errs {
-		if err != nil {
-			return err // lowest switch index wins, matching serial
-		}
-	}
-	for i, si := range sws {
-		st.applyRedist(si, &st.outs[i])
-	}
-	return nil
-}
-
-// redistribute solves and applies one switch's step-3 LP (serial path
-// and the migrate pass) in the first arena.
+// redistribute runs step 3 of Alg. 1 on one switch and commits the
+// answer: maximize the sum of the placed seeds' utilities subject to
+// their selected cases, the switch capacities, and the shared polling
+// budget. An empty switch or a non-optimal LP keeps the greedy
+// allocation, which is feasible by construction.
 func (st *heurState) redistribute(si int32) error {
-	if err := st.solveRedist(si, st.arenas[0], &st.serialOut); err != nil {
-		return err
-	}
-	st.applyRedist(si, &st.serialOut)
-	return nil
-}
-
-// solveRedist builds and solves the per-switch LP of step 3: maximize
-// the sum of the placed seeds' utilities subject to their selected
-// cases, the switch capacities, and the shared polling budget. It is
-// strictly read-only on shared state (safe to run concurrently for
-// distinct switches), builds the LP in rs and writes its answer to out.
-func (st *heurState) solveRedist(si int32, rs *redistScratch, out *redistOutcome) error {
 	sw := &st.in.Switches[si]
-	out.ok = false
 	if testRedistErr != nil {
 		if err := testRedistErr(sw.ID); err != nil {
 			return fmt.Errorf("placement: redistribution on switch %d: %w", sw.ID, err)
 		}
 	}
-	ids := append(out.ids[:0], st.seedsOn[si]...)
-	out.ids = ids
+	rs := &st.redist
+	ids := append(rs.ids[:0], st.seedsOn[si]...)
+	rs.ids = ids
 	if len(ids) == 0 {
 		return nil
 	}
@@ -1161,19 +1071,26 @@ func (st *heurState) solveRedist(si int32, rs *redistScratch, out *redistOutcome
 		return fmt.Errorf("placement: redistribution on switch %d: %w", sw.ID, err)
 	}
 	if sol.Status != lp.Optimal {
-		// The greedy allocation is feasible by construction; keep it.
 		return nil
 	}
-	out.ok = true
-	out.allocs = slices.Grow(out.allocs[:0], len(ids))[:len(ids)]
-	out.utils = slices.Grow(out.utils[:0], len(ids))[:len(ids)]
 	for j, k := range ids {
 		p := &st.preps[k]
 		res := p.baked.shape.cases[p.a.Case].res
 		off := rs.resOff[j]
-		out.allocs[j] = outcomeAlloc(p.a.Alloc, res, rs.resVars[off:off+len(res)], sol)
-		out.utils[j] = sol.Value(rs.utilVars[j])
+		p.a.Alloc = outcomeAlloc(p.a.Alloc, res, rs.resVars[off:off+len(res)], sol)
+		p.a.Utility = sol.Value(rs.utilVars[j])
 	}
+	st.recomputePolls(si)
+	// Update remaining capacity from actual allocations.
+	rem := st.remaining[si]
+	clear(rem)
+	for r, v := range sw.Capacity {
+		rem[r] = v
+	}
+	for _, k := range ids {
+		subSansPoll(rem, st.preps[k].a.Alloc)
+	}
+	st.invalidateSlack(si)
 	return nil
 }
 
@@ -1211,29 +1128,6 @@ func outcomeAlloc(cur netmodel.Resources, res []string, rv []lp.Var, sol *lp.Sol
 		}
 	}
 	return alloc
-}
-
-// applyRedist commits one switch's solved LP outcome.
-func (st *heurState) applyRedist(si int32, out *redistOutcome) {
-	if !out.ok {
-		return
-	}
-	for j, k := range out.ids {
-		p := &st.preps[k]
-		p.a.Alloc = out.allocs[j]
-		p.a.Utility = out.utils[j]
-	}
-	st.recomputePolls(si)
-	// Update remaining capacity from actual allocations.
-	rem := st.remaining[si]
-	clear(rem)
-	for r, v := range st.in.Switches[si].Capacity {
-		rem[r] = v
-	}
-	for _, k := range out.ids {
-		subSansPoll(rem, st.preps[k].a.Alloc)
-	}
-	st.invalidateSlack(si)
 }
 
 // switchUtility sums the current utilities on a switch.

@@ -10,7 +10,7 @@ package placement
 import (
 	"fmt"
 	"math"
-	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -89,23 +89,15 @@ type Input struct {
 	// resource redistribution, leaving every seed at its greedy minimal
 	// allocation (ablation: isolates step 3 of Alg. 1).
 	SkipRedistribution bool
-	// Parallel is the worker count for the heuristic's per-switch LP
-	// redistribution (step 3): 0 means GOMAXPROCS, negative means
-	// serial. The output is byte-identical at any worker count — the
-	// same determinism contract the engine and traffic generator pin.
-	Parallel int
-	// ForceFull disables warm-start pinning: even with Current and
-	// Touched set, every task goes through greedy placement again. It is
-	// not a from-scratch solve: greedy still prefers a seed's Current
-	// switch, since keeping a placement ranks above utility.
-	ForceFull bool
 	// Touched lists the switches whose capacity or hosted workload
 	// changed since the solve that produced Current. A non-nil Touched
 	// (possibly empty) arms the warm-start path: tasks whose current
 	// assignments are still valid and feasible keep them without
 	// re-running greedy placement, and only the affected switch
 	// neighborhoods are re-solved. nil means "unknown" and forces the
-	// classic full solve, so existing callers are unaffected.
+	// classic full solve, so existing callers are unaffected. A full
+	// solve is not a from-scratch one: greedy still prefers a seed's
+	// Current switch, since keeping a placement ranks above utility.
 	Touched []netmodel.SwitchID
 }
 
@@ -132,16 +124,6 @@ func (in *Input) migrationCost() float64 {
 		return DefaultMigrationCost
 	}
 	return in.MigrationCost
-}
-
-func (in *Input) parallelWorkers() int {
-	if in.Parallel > 0 {
-		return in.Parallel
-	}
-	if in.Parallel < 0 {
-		return 1
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (in *Input) switchByID(id netmodel.SwitchID) (SwitchInfo, bool) {
@@ -201,40 +183,40 @@ func (in *Input) validate(swIdx map[netmodel.SwitchID]int32, seedIdx map[string]
 // CheckFeasible verifies that a result satisfies (C1)-(C4): task
 // all-or-nothing, per-case constraints, candidate-set membership, and
 // per-switch capacities including shared polling. Used by property
-// tests and as a paranoia check after optimization.
+// tests and as a paranoia check after optimization. It walks tasks in
+// Input order, seeds in ID order and switches in Input order, so a
+// result with several violations always reports the same one.
 func CheckFeasible(in *Input, res *Result) error {
 	placedByTask := map[string]int{}
 	seedsByTask := map[string]int{}
 	seedByID := map[string]*SeedSpec{}
+	var tasks []string
 	for i := range in.Seeds {
 		s := &in.Seeds[i]
 		seedByID[s.ID] = s
+		if seedsByTask[s.Task] == 0 {
+			tasks = append(tasks, s.Task)
+		}
 		seedsByTask[s.Task]++
 		if _, ok := res.Placed[s.ID]; ok {
 			placedByTask[s.Task]++
 		}
 	}
 	// C1: all of a task's seeds placed, or none.
-	for task, n := range placedByTask {
-		if n != seedsByTask[task] {
+	for _, task := range tasks {
+		if n := placedByTask[task]; n > 0 && n != seedsByTask[task] {
 			return fmt.Errorf("placement: task %s has %d of %d seeds placed", task, n, seedsByTask[task])
 		}
 	}
 	used := map[netmodel.SwitchID]netmodel.Resources{}
 	pollUsed := map[netmodel.SwitchID]map[string]float64{}
-	for id, a := range res.Placed {
+	for _, id := range sortedKeys(res.Placed) {
+		a := res.Placed[id]
 		s, ok := seedByID[id]
 		if !ok {
 			return fmt.Errorf("placement: unknown seed %s in result", id)
 		}
-		inCand := false
-		for _, c := range s.Candidates {
-			if c == a.Switch {
-				inCand = true
-				break
-			}
-		}
-		if !inCand {
+		if !slices.Contains(s.Candidates, a.Switch) {
 			return fmt.Errorf("placement: seed %s placed outside its candidate set", id)
 		}
 		if a.Case < 0 || a.Case >= len(s.Utility) {
@@ -245,6 +227,9 @@ func CheckFeasible(in *Input, res *Result) error {
 			return fmt.Errorf("placement: seed %s allocation %v violates case %d constraints", id, a.Alloc, a.Case)
 		}
 		if used[a.Switch] == nil {
+			if _, ok := in.switchByID(a.Switch); !ok {
+				return fmt.Errorf("placement: seeds on unknown switch %d", a.Switch)
+			}
 			used[a.Switch] = netmodel.Resources{}
 			pollUsed[a.Switch] = map[string]float64{}
 		}
@@ -256,35 +241,46 @@ func CheckFeasible(in *Input, res *Result) error {
 			}
 		}
 	}
-	for swID, u := range used {
-		sw, ok := in.switchByID(swID)
+	for _, sw := range in.Switches {
+		u, ok := used[sw.ID]
 		if !ok {
-			return fmt.Errorf("placement: seeds on unknown switch %d", swID)
+			continue
 		}
-		for r, v := range u {
+		for _, r := range sortedKeys(u) {
 			if r == netmodel.ResPoll {
 				continue // polling is checked via shared subjects below
 			}
-			if v > sw.Capacity[r]+1e-6 {
-				return fmt.Errorf("placement: switch %d over capacity on %s: %g > %g", swID, r, v, sw.Capacity[r])
+			if v := u[r]; v > sw.Capacity[r]+1e-6 {
+				return fmt.Errorf("placement: switch %d over capacity on %s: %g > %g", sw.ID, r, v, sw.Capacity[r])
 			}
 		}
 		total := 0.0
-		for _, d := range pollUsed[swID] {
-			total += d
+		polls := pollUsed[sw.ID]
+		for _, subj := range sortedKeys(polls) {
+			total += polls[subj]
 		}
 		if total > sw.Capacity[netmodel.ResPoll]+1e-6 {
-			return fmt.Errorf("placement: switch %d over polling capacity: %g > %g", swID, total, sw.Capacity[netmodel.ResPoll])
+			return fmt.Errorf("placement: switch %d over polling capacity: %g > %g", sw.ID, total, sw.Capacity[netmodel.ResPoll])
 		}
 	}
 	return nil
 }
 
+// sortedKeys returns m's keys in increasing order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // Digest folds the full placement decision — every assignment's switch,
 // case, utility, and allocation, plus dropped tasks and the migration
 // count — into one FNV-1a value. Two results are byte-identical iff
-// their digests match; the determinism tests compare serial, parallel,
-// and warm-start runs through it.
+// their digests match; the determinism tests compare full and
+// warm-start runs through it.
 func (r *Result) Digest() string {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
@@ -301,13 +297,8 @@ func (r *Result) Digest() string {
 		}
 		mix(uint64(len(s)))
 	}
-	ids := make([]string, 0, len(r.Placed))
-	for id := range r.Placed {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	var resNames []string
-	for _, id := range ids {
+	for _, id := range sortedKeys(r.Placed) {
 		a := r.Placed[id]
 		mixStr(id)
 		mix(uint64(a.Switch))

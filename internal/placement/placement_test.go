@@ -301,6 +301,24 @@ func TestHeuristicAlwaysFeasible(t *testing.T) {
 	}
 }
 
+// TestCheckFeasibleReportsOneViolation: with two seeds each violating
+// its case constraints, CheckFeasible names the same one, the lowest ID,
+// on every call — not whichever a map walk meets first.
+func TestCheckFeasibleReportsOneViolation(t *testing.T) {
+	in := twoSwitchInput()
+	starved := netmodel.Resources{netmodel.ResVCPU: 0.1}
+	res := &Result{Placed: map[string]Assignment{
+		"a": {Switch: 0, Alloc: starved},
+		"b": {Switch: 1, Alloc: starved},
+	}}
+	want := "placement: seed a allocation {vCPU=0.1} violates case 0 constraints"
+	for i := 0; i < 50; i++ {
+		if err := CheckFeasible(in, res); err == nil || err.Error() != want {
+			t.Fatalf("call %d: %v, want %s", i, err, want)
+		}
+	}
+}
+
 func TestHeuristicScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling check skipped in -short")

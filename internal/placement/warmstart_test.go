@@ -15,37 +15,31 @@ func digestScenario() *Input {
 	return RandomScenario(ScenarioConfig{Switches: 30, Seeds: 200, Tasks: 10, Seed: 3})
 }
 
-func solveAt(t *testing.T, in *Input, workers int) *Result {
+// solveChecked solves in and requires the result to be feasible.
+func solveChecked(t *testing.T, in *Input) *Result {
 	t.Helper()
-	cp := *in
-	cp.Parallel = workers
-	res, err := Heuristic(&cp)
+	res, err := Heuristic(in)
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
-	if err := CheckFeasible(&cp, res); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+	if err := CheckFeasible(in, res); err != nil {
+		t.Fatal(err)
 	}
 	return res
 }
 
-// TestHeuristicDigestAcrossWorkers pins the step-3 determinism
-// contract: the parallel per-switch LP fan-out must reproduce the
-// serial solve byte-for-byte at any worker count.
-func TestHeuristicDigestAcrossWorkers(t *testing.T) {
-	in := digestScenario()
-	ref := solveAt(t, in, -1)
-	for _, workers := range []int{1, 4, 16} {
-		res := solveAt(t, in, workers)
-		if got, want := res.Digest(), ref.Digest(); got != want {
-			t.Fatalf("workers=%d digest %s, serial %s", workers, got, want)
-		}
+// TestHeuristicDigestPinned pins the full solve of digestScenario: LP
+// rows in first-use order and every tie broken by ID make it the same
+// bit for bit on every run.
+func TestHeuristicDigestPinned(t *testing.T) {
+	if got, want := solveChecked(t, digestScenario()).Digest(), "01ab82714b2d5185"; got != want {
+		t.Fatalf("digest %s, want %s", got, want)
 	}
 }
 
 // TestBakedFragmentsMatchPerSolve: fragments baked ahead of the solve and
 // carried in SeedSpec.Baked place exactly what fragments baked inside it
-// do, serial and on four workers. The seeds of a task share their first
+// do. The seeds of a task share their first
 // seed's Utility and Polls, as a machine's seeds do in the seeder, and are
 // baked like it, so they share its rows.
 func TestBakedFragmentsMatchPerSolve(t *testing.T) {
@@ -76,13 +70,11 @@ func TestBakedFragmentsMatchPerSolve(t *testing.T) {
 	if b := Bake(other, carried.Seeds[0].Baked); b.shape == carried.Seeds[0].Baked.shape {
 		t.Fatal("a seed with other Utility and Polls borrowed rows")
 	}
-	for _, workers := range []int{-1, 4} {
-		want := solveAt(t, in, workers).Digest()
-		// Twice: a solve leaves the fragments it shares as it found them.
-		for run := 0; run < 2; run++ {
-			if got := solveAt(t, &carried, workers).Digest(); got != want {
-				t.Fatalf("workers=%d run %d: carried fragments digest %s, per-solve %s", workers, run, got, want)
-			}
+	want := solveChecked(t, in).Digest()
+	// Twice: a solve leaves the fragments it shares as it found them.
+	for run := 0; run < 2; run++ {
+		if got := solveChecked(t, &carried).Digest(); got != want {
+			t.Fatalf("run %d: carried fragments digest %s, per-solve %s", run, got, want)
 		}
 	}
 }
@@ -144,36 +136,33 @@ func killSwitch(in *Input) {
 	in.Touched = []netmodel.SwitchID{victim}
 }
 
-// TestHeuristicWarmDigestAcrossWorkers is the determinism gate of
-// placement through churn, on the 40-switch Fig. 7 scenario: a cold
-// start, a task arriving, a task departing, the most loaded switch
-// failing, and a settle step where nothing changed. Each step is solved
-// serially and at 1, 4 and 16 step-3 workers; every solve must be
-// feasible and have the serial digest. Every step after the cold start
-// arms the warm start from the serial answer of the step before
-// (Current set, Touched non-nil); whether the solve then pins or falls
-// back to a full one is the heuristic's call (the kill-switch step falls
-// back: too many tasks lost their pins).
-func TestHeuristicWarmDigestAcrossWorkers(t *testing.T) {
+// TestHeuristicWarmDigestsPinned is the determinism gate of placement
+// through churn, on the 40-switch Fig. 7 scenario: a cold start, a task
+// arriving, a task departing, the most loaded switch failing, and a
+// settle step where nothing changed. Every solve must be feasible and
+// have its step's pinned digest. Every step after the cold start arms
+// the warm start from the answer of the step before (Current set,
+// Touched non-nil); whether the solve then pins or falls back to a full
+// one is the heuristic's call (the kill-switch step falls back: too many
+// tasks lost their pins).
+func TestHeuristicWarmDigestsPinned(t *testing.T) {
 	const switches, seeds, tasks = 40, 400, 12
 	in := RandomScenario(ScenarioConfig{Switches: switches, Seeds: seeds, Tasks: tasks, Seed: 7})
-	step := func(name string) bool {
+	step := func(name, want string) bool {
 		return t.Run(name, func(t *testing.T) {
 			if name != "cold-start" && (len(in.Current) == 0 || in.Touched == nil) {
 				t.Fatalf("warm start not armed: %d current assignments, Touched %v", len(in.Current), in.Touched)
 			}
-			ref := solveAt(t, in, -1)
-			for _, workers := range []int{1, 4, 16} {
-				if got, want := solveAt(t, in, workers).Digest(), ref.Digest(); got != want {
-					t.Fatalf("workers=%d digest %s, serial %s", workers, got, want)
-				}
-			}
+			res := solveChecked(t, in)
 			t.Logf("digest %s: %d placed, %d tasks dropped, utility %.1f, %d migrations",
-				ref.Digest(), len(ref.Placed), len(ref.DroppedTasks), ref.Utility, ref.Migrations)
-			in.Current = ref.Placed
+				res.Digest(), len(res.Placed), len(res.DroppedTasks), res.Utility, res.Migrations)
+			if got := res.Digest(); got != want {
+				t.Fatalf("digest %s, want %s", got, want)
+			}
+			in.Current = res.Placed
 		})
 	}
-	if !step("cold-start") {
+	if !step("cold-start", "25605f414f2c5564") {
 		return
 	}
 
@@ -184,22 +173,22 @@ func TestHeuristicWarmDigestAcrossWorkers(t *testing.T) {
 	}
 	in.Seeds = append(slices.Clone(in.Seeds), arrival.Seeds...)
 	in.Touched = []netmodel.SwitchID{}
-	if !step("add-task") {
+	if !step("add-task", "83ede815f31ed9d1") {
 		return
 	}
 
 	dropTask(in, in.Seeds[0].Task)
-	if !step("remove-task") {
+	if !step("remove-task", "9587eba2081709f7") {
 		return
 	}
 
 	killSwitch(in)
-	if !step("kill-switch") {
+	if !step("kill-switch", "c9d372a24200d168") {
 		return
 	}
 
 	in.Touched = []netmodel.SwitchID{}
-	step("settle")
+	step("settle", "07c900b457df65aa")
 }
 
 // TestHeuristicWarmStartPinsUnchanged: with nothing touched, a warm
@@ -207,12 +196,12 @@ func TestHeuristicWarmDigestAcrossWorkers(t *testing.T) {
 // their assignments and no migrations fire.
 func TestHeuristicWarmStartPinsUnchanged(t *testing.T) {
 	in := digestScenario()
-	first := solveAt(t, in, -1)
+	first := solveChecked(t, in)
 
 	warm := *in
 	warm.Current = first.Placed
 	warm.Touched = []netmodel.SwitchID{}
-	res := solveAt(t, &warm, -1)
+	res := solveChecked(t, &warm)
 
 	if res.Migrations != 0 {
 		t.Fatalf("migrations = %d on an untouched warm replan", res.Migrations)
@@ -232,25 +221,22 @@ func sameRes(a, b netmodel.Resources) bool {
 	return a.AtLeast(b, 1e-9) && b.AtLeast(a, 1e-9)
 }
 
-// TestHeuristicNilTouchedIsClassic: Touched nil must leave the classic
-// full solve untouched, even with Current set — existing callers see
-// identical behavior.
+// TestHeuristicNilTouchedIsClassic: Touched nil is the classic full
+// solve even with Current set — no task pins — while an empty Touched
+// over the same Current arms the warm start.
 func TestHeuristicNilTouchedIsClassic(t *testing.T) {
 	in := digestScenario()
-	first := solveAt(t, in, -1)
+	first := solveChecked(t, in)
 
 	withCur := *in
 	withCur.Current = first.Placed
-	classic := solveAt(t, &withCur, -1)
-
-	forced := withCur
-	forced.Touched = []netmodel.SwitchID{}
-	forced.ForceFull = true
-	full := solveAt(t, &forced, -1)
-
-	if classic.Digest() != full.Digest() {
-		t.Fatalf("nil-Touched solve %s differs from ForceFull solve %s",
-			classic.Digest(), full.Digest())
+	if pinsHeld(t, &withCur) {
+		t.Fatal("a nil-Touched solve pinned tasks")
+	}
+	warm := withCur
+	warm.Touched = []netmodel.SwitchID{}
+	if !pinsHeld(t, &warm) {
+		t.Fatal("an empty Touched over an unchanged Current did not pin")
 	}
 }
 
@@ -259,7 +245,7 @@ func TestHeuristicNilTouchedIsClassic(t *testing.T) {
 // pins and the result equals the full solve.
 func TestHeuristicWarmFallsBackWhenMostlyDirty(t *testing.T) {
 	in := digestScenario()
-	first := solveAt(t, in, -1)
+	first := solveChecked(t, in)
 
 	kept := *in
 	kept.Touched = []netmodel.SwitchID{}
@@ -282,11 +268,11 @@ func TestHeuristicWarmFallsBackWhenMostlyDirty(t *testing.T) {
 	if pinsHeld(t, &warm) {
 		t.Fatal("mostly-dirty warm solve kept its pins; the fallback did not run")
 	}
-	fellBack := solveAt(t, &warm, -1)
+	fellBack := solveChecked(t, &warm)
 
 	forced := warm
-	forced.ForceFull = true
-	full := solveAt(t, &forced, -1)
+	forced.Touched = nil
+	full := solveChecked(t, &forced)
 	if fellBack.Digest() != full.Digest() {
 		t.Fatalf("over-threshold warm solve %s differs from full solve %s",
 			fellBack.Digest(), full.Digest())
@@ -312,7 +298,7 @@ func pinsHeld(t *testing.T, in *Input) bool {
 // error, not silently leave inconsistent state behind.
 func TestMigrateRedistributeErrorPropagates(t *testing.T) {
 	in := digestScenario()
-	first := solveAt(t, in, -1)
+	first := solveChecked(t, in)
 	in.Current = first.Placed
 	// Skip step 3 so the only redistribution solves are the migration
 	// pass's benefit evaluations — the site that used to discard errors.

@@ -36,11 +36,10 @@ machine Flip {
 // state-flipping task, then a switch failure and a full re-optimization),
 // every placement input the seeder builds solves to the same result with
 // the fragments it carries on its seeds as with fragments baked fresh for
-// that solve. Run under -race it also checks that the step-3 workers
-// share carried fragments across solves read-only.
+// that solve.
 func TestBakedFragmentsParity(t *testing.T) {
 	fab, loop := churnFabric(t)
-	sd := New(fab, Options{PlacementParallel: 4})
+	sd := New(fab, Options{})
 	solves, flipped := 0, 0
 	sd.beforeSolve = func(in *placement.Input) {
 		solves++
@@ -123,7 +122,7 @@ func TestBakedFragmentsLifetime(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a heap-trend check over 1 000 loaded replans: ~40 s under the race detector, and nothing concurrent to check")
 	}
-	sd, _ := loadedSeeder(t, -1)
+	sd, _ := loadedSeeder(t)
 	spec := catalogueSpecs()[0]
 	cycle := func() {
 		if err := sd.RemoveTask(spec.Name); err != nil {
@@ -220,7 +219,7 @@ func TestMinimalAllocsFollowCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	loop := engine.NewSerial()
-	sd := New(fabric.New(topo, loop, fabric.Options{}), Options{PlacementParallel: 2})
+	sd := New(fabric.New(topo, loop, fabric.Options{}), Options{})
 
 	vectors := map[string]bool{}
 	solves, shared := 0, 0

@@ -48,7 +48,7 @@ func (sd *Seeder) FailSwitch(id netmodel.SwitchID) (dropped []string, err error)
 			}
 		}
 	}
-	sd.touched[id] = true
+	sd.touch(id)
 
 	if err := sd.optimizeAndApply(); err != nil {
 		return nil, err
@@ -93,7 +93,7 @@ func (sd *Seeder) RecoverSwitch(id netmodel.SwitchID) error {
 	delete(sd.failed, id)
 	// Migrating seeds back onto the recovered switch requires looking at
 	// every current placement, so this replan is a full solve.
-	sd.fullNeeded = true
+	sd.touched = nil
 	return sd.optimizeAndApply()
 }
 

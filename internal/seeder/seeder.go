@@ -45,8 +45,7 @@ type Options struct {
 	Soil soil.Options
 	// MigrationCost feeds the optimization model (placement.Input's).
 	MigrationCost float64
-	// PlacementParallel is the step-3 LP worker count (0 = GOMAXPROCS,
-	// negative = serial). The result is identical at any setting.
+	// Deprecated: placement runs serially; the value is ignored. bench/e2e still sets it.
 	PlacementParallel int
 	Logf              func(format string, args ...any)
 }
@@ -73,11 +72,9 @@ type Seeder struct {
 
 	// touched accumulates switches whose load or availability changed
 	// since the last successful optimization — the dirty set handed to
-	// the optimizer's warm-start path. solvedOnce and fullNeeded decide
-	// whether the next solve may warm-start at all.
-	touched    map[netmodel.SwitchID]bool
-	solvedOnce bool
-	fullNeeded bool
+	// the optimizer's warm-start path. nil (before the first solve, and
+	// after Reoptimize or RecoverSwitch) makes the next solve full.
+	touched map[netmodel.SwitchID]bool
 	// droppedLast records which tasks the last solve dropped. A warm
 	// replan that drops a task the previous solve placed (or one never
 	// solved at all) may just be hitting its pins, not real capacity —
@@ -144,7 +141,6 @@ func New(fab *fabric.Fabric, opts Options) *Seeder {
 		programs:    newProgramStore(),
 		placements:  map[string]placement.Assignment{},
 		failed:      map[netmodel.SwitchID]bool{},
-		touched:     map[netmodel.SwitchID]bool{},
 		droppedLast: map[string]bool{},
 		logf:        opts.Logf,
 	}
@@ -321,9 +317,8 @@ func (sd *Seeder) retire(t *task) {
 			if err := sd.soils[s.deployedAt].Remove(s.id); err != nil {
 				sd.logf("seeder: remove %s: %v", s.id, err)
 			}
-			// The freed capacity makes the switch worth revisiting on
-			// the next warm-start replan.
-			sd.touched[s.deployedAt] = true
+			// The freed capacity is worth revisiting on the next replan.
+			sd.touch(s.deployedAt)
 			delete(sd.placements, s.id)
 		}
 	}
@@ -339,12 +334,20 @@ func (sd *Seeder) forget(t *task) {
 }
 
 // Reoptimize re-runs global placement over all tasks (called when
-// resources deplete or workloads change). Because anything may have
-// drifted, this always solves from scratch; incremental paths
-// (AddTask, RemoveTask, FailSwitch) warm-start instead.
+// resources deplete or workloads change) as a full solve: nothing is
+// pinned. It is not a from-scratch solve, since greedy still prefers
+// each seed's current switch (ROADMAP item 12). AddTask, RemoveTask and
+// FailSwitch warm-start instead.
 func (sd *Seeder) Reoptimize() error {
-	sd.fullNeeded = true
+	sd.touched = nil
 	return sd.optimizeAndApply()
+}
+
+// touch marks a switch for the next replan; a full one needs no marks.
+func (sd *Seeder) touch(id netmodel.SwitchID) {
+	if sd.touched != nil {
+		sd.touched[id] = true
+	}
 }
 
 // BroadcastToTask delivers a harvester-sourced message to every seed of
@@ -571,7 +574,6 @@ func (sd *Seeder) optimizeAndApply() error {
 		// one it never saw). Pins can starve a fitting task, so give
 		// the full solver one shot before the drop stands.
 		in.Touched = nil
-		in.ForceFull = true
 		if res, err = sd.solve(in); err != nil {
 			return err
 		}
@@ -585,8 +587,6 @@ func (sd *Seeder) optimizeAndApply() error {
 	}
 	// The dirty set is consumed; future replans may warm-start from the
 	// placement just applied.
-	sd.solvedOnce = true
-	sd.fullNeeded = false
 	sd.touched = map[netmodel.SwitchID]bool{}
 	return nil
 }
@@ -614,9 +614,8 @@ func (sd *Seeder) buildInput() *placement.Input {
 	in := &placement.Input{
 		MigrationCost: sd.opts.MigrationCost,
 		Current:       map[string]placement.Assignment{},
-		Parallel:      sd.opts.PlacementParallel,
 	}
-	if sd.solvedOnce && !sd.fullNeeded {
+	if sd.touched != nil {
 		in.Touched = make([]netmodel.SwitchID, 0, len(sd.touched))
 		for id := range sd.touched {
 			in.Touched = append(in.Touched, id)

@@ -501,7 +501,7 @@ func BenchmarkResubmit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sd := New(fabric.New(topo, engine.NewSerial(), fabric.Options{}), Options{PlacementParallel: -1})
+	sd := New(fabric.New(topo, engine.NewSerial(), fabric.Options{}), Options{})
 	d, err := tasks.ByName("hh")
 	if err != nil {
 		b.Fatal(err)
@@ -563,10 +563,10 @@ func churnFabric(tb testing.TB) (*fabric.Fabric, engine.Scheduler) {
 // loadedSeeder is the churn fabric with every catalogue task live, and a
 // cycle that retires and resubmits the next task in turn: a warm replan
 // with 17 other tasks' seeds in the problem.
-func loadedSeeder(tb testing.TB, parallel int) (sd *Seeder, cycle func()) {
+func loadedSeeder(tb testing.TB) (sd *Seeder, cycle func()) {
 	tb.Helper()
 	fab, _ := churnFabric(tb)
-	sd = New(fab, Options{PlacementParallel: parallel})
+	sd = New(fab, Options{})
 	specs := catalogueSpecs()
 	for _, spec := range specs {
 		if err := sd.AddTask(spec); err != nil {
@@ -591,7 +591,7 @@ func loadedSeeder(tb testing.TB, parallel int) (sd *Seeder, cycle func()) {
 // placed, so the warm replan carries every live seed. What placement
 // costs per submit shows here, not on the empty fabric.
 func BenchmarkResubmitLoaded(b *testing.B) {
-	_, cycle := loadedSeeder(b, -1)
+	_, cycle := loadedSeeder(b)
 	for i := 0; i < len(catalogueSpecs()); i++ {
 		cycle()
 	}
@@ -612,7 +612,7 @@ func BenchmarkResubmitLoaded(b *testing.B) {
 // what it is handed, so a solve rebuilds its scratch now and then; with
 // no pool at all a cycle is ≈ 800.
 func TestLoadedResubmitAllocBound(t *testing.T) {
-	_, cycle := loadedSeeder(t, -1)
+	_, cycle := loadedSeeder(t)
 	n := len(catalogueSpecs())
 	for i := 0; i < n; i++ {
 		cycle()
