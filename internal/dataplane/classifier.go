@@ -191,6 +191,15 @@ func classOf(a netip.Addr) addrClass {
 	return classV6
 }
 
+// Key is a packet's flow-cache key without its ingress port: the
+// per-flow part of the classification, which KeyOf builds once and
+// Switch.InjectKey completes at each switch with the port the packet
+// came in on. Keys of packets with equal match fields are equal.
+type Key struct{ fk flowKey }
+
+// KeyOf returns p's key.
+func KeyOf(p *Packet) Key { return Key{flowKeyOf(p, 0)} }
+
 func flowKeyOf(p *Packet, inPort int) flowKey {
 	return flowKey{
 		src: p.SrcIP.As16(), dst: p.DstIP.As16(),

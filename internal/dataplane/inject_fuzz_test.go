@@ -56,10 +56,13 @@ func fuzzPacket(a, b, c byte) (Packet, int) {
 }
 
 // oracleWorld is one switch under the fuzz program: the production path
-// or the linear oracle, with the log of every sampler delivery.
+// or the linear oracle, with the log of every sampler delivery. A world
+// with a key injects through InjectKey, with the key built once per
+// packet and carried across its in-ports.
 type oracleWorld struct {
 	sw       *Switch
 	inject   func(s *Switch, p *Packet, inPort, outPort int) Verdict
+	key      *Key
 	removes  []func()
 	fired    []string // "sampler/packet" in delivery order
 	injected int
@@ -75,15 +78,20 @@ func (w *oracleWorld) addSampler(f Filter, oneInN int) {
 // FuzzInjectOracle runs an arbitrary program of packets, rule churn and
 // sampler churn on the fused Switch.Inject path and on the linear
 // oracle, followed by a storm of more distinct flows than the flow cache
-// has slots, interleaved with repeats of the program's last flows. The
-// two must agree on every verdict, the rule table and its counters, the
-// sampler deliveries in order, the port counters and the drop count.
+// has slots, interleaved with repeats of the program's last flows. Each
+// packet visits one or more in-ports in turn, as it would the switches of
+// a path; a third world injects it through InjectKey with one key built
+// per packet, as the fabric does. All three must agree on every verdict,
+// the rule table and its counters, the sampler deliveries in order, the
+// port counters and the drop count, and the keyed world must hit and
+// miss the flow cache exactly as the world that builds a key per call.
 func FuzzInjectOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 9, 4, 1, 2, 3, 2, 0, 1, 4, 5, 6, 7})
 	f.Add([]byte{2, 3, 7, 0, 0, 2, 1, 4, 9, 9, 9, 5, 200, 1, 0, 3, 4, 4, 4, 4, 5, 3})
 	f.Add([]byte{0, 9, 3, 0, 2, 0, 0, 0, 1, 4, 1, 2, 3, 3, 0, 4, 1, 2, 3, 5, 255})
-	f.Add([]byte{4, 1, 2, 3, 2, 3, 0, 0, 4, 1, 2, 3}) // a sampler added over a cached flow
+	f.Add([]byte{4, 1, 2, 3, 2, 3, 0, 0, 4, 1, 2, 3})                 // a sampler added over a cached flow
+	f.Add([]byte{0, 2, 0, 4, 2, 2, 1, 0, 196, 9, 1, 2, 197, 0, 5, 6}) // in-port rule and sampler, packets over four in-ports
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 512 {
 			return // the storm is what exercises eviction, not length
@@ -91,8 +99,9 @@ func FuzzInjectOracle(f *testing.F) {
 		build := func(inject func(s *Switch, p *Packet, inPort, outPort int) Verdict) *oracleWorld {
 			return &oracleWorld{sw: NewSwitch("sw", 4, 12), inject: inject}
 		}
-		fast, slow := build((*Switch).Inject), build(injectLinear)
-		worlds := []*oracleWorld{fast, slow}
+		fast, slow, keyed := build((*Switch).Inject), build(injectLinear), build(nil)
+		keyed.key = new(Key)
+		worlds := []*oracleWorld{fast, slow, keyed}
 		next := func() byte {
 			if len(prog) == 0 {
 				return 0
@@ -101,18 +110,26 @@ func FuzzInjectOracle(f *testing.F) {
 			prog = prog[1:]
 			return b
 		}
-		send := func(p *Packet, inPort, outPort int) {
-			var v [2]Verdict
-			for i, w := range worlds {
-				w.injected++
-				v[i] = w.inject(w.sw, p, inPort, outPort)
-			}
-			if !sameVerdict(v[0], v[1]) {
-				t.Fatalf("packet %d %+v in %d: verdict fast %+v, linear %+v", fast.injected, *p, inPort, v[0], v[1])
+		// send injects p at each hop's (inPort, outPort) in turn.
+		send := func(p *Packet, hops ...hopPorts) {
+			*keyed.key = KeyOf(p)
+			for _, hp := range hops {
+				var v [3]Verdict
+				for i, w := range worlds {
+					w.injected++
+					if w.key != nil {
+						v[i] = w.sw.InjectKey(p, w.key, hp.in, hp.out)
+					} else {
+						v[i] = w.inject(w.sw, p, hp.in, hp.out)
+					}
+				}
+				if !sameVerdict(v[0], v[1]) || !sameVerdict(v[2], v[1]) {
+					t.Fatalf("packet %d %+v in %d: verdict fast %+v, keyed %+v, linear %+v", fast.injected, *p, hp.in, v[0], v[2], v[1])
+				}
 			}
 		}
 		var recent []Packet // the program's packets, replayed in the storm
-		var recentIn []int
+		var recentHops [][]hopPorts
 		for len(prog) > 0 {
 			switch op := next(); op % 6 {
 			case 0:
@@ -140,8 +157,12 @@ func FuzzInjectOracle(f *testing.F) {
 				}
 			case 4, 5:
 				p, in := fuzzPacket(next(), next(), next())
-				send(&p, in, int(op>>3%5))
-				recent, recentIn = append(recent, p), append(recentIn, in)
+				hops := []hopPorts{{in, int(op >> 3 % 5)}}
+				for n := op >> 6; n > 0; n-- { // up to three more in-ports
+					hops = append(hops, hopPorts{(hops[len(hops)-1].in + 1) % 5, int(n)})
+				}
+				send(&p, hops...)
+				recent, recentHops = append(recent, p), append(recentHops, hops)
 			}
 		}
 		// The storm: a fresh source port and destination per packet,
@@ -149,44 +170,58 @@ func FuzzInjectOracle(f *testing.F) {
 		for i := 0; i < 2*flowCacheSlots+1; i++ {
 			if i%2 == 1 && len(recent) > 0 {
 				j := i / 2 % len(recent)
-				send(&recent[j], recentIn[j], 2)
+				send(&recent[j], recentHops[j]...)
 				continue
 			}
 			p, in := fuzzPacket(byte(i), byte(i>>8), byte(i>>4))
 			p.SrcPort = uint16(2000 + i)
 			p.DstIP = netip.AddrFrom4([4]byte{10, 2, byte(i >> 8), byte(i)})
-			send(&p, in, 1)
+			send(&p, hopPorts{in, 1}, hopPorts{in%4 + 1, 2})
 		}
 		if fast.sw.CacheStats().Misses <= flowCacheSlots {
 			t.Fatalf("cache %+v: the storm did not overflow the slots", fast.sw.CacheStats())
 		}
-
-		if fast.sw.Dropped() != slow.sw.Dropped() {
-			t.Fatalf("dropped: fast %d, linear %d", fast.sw.Dropped(), slow.sw.Dropped())
+		if fc, kc := fast.sw.CacheStats(), keyed.sw.CacheStats(); fc != kc {
+			t.Fatalf("cache: key per call %+v, key per packet %+v", fc, kc)
 		}
-		for port := 0; port <= 4; port++ {
-			if fs, ss := fast.sw.ports[port], slow.sw.ports[port]; fs != ss {
-				t.Fatalf("port %d: fast %+v, linear %+v", port, fs, ss)
-			}
-		}
-		fr, sr := fast.sw.TCAM().Rules(), slow.sw.TCAM().Rules()
-		if len(fr) != len(sr) {
-			t.Fatalf("rules: fast %d, linear %d", len(fr), len(sr))
-		}
-		for i := range fr {
-			fs, _ := fast.sw.TCAM().Stats(fr[i].Filter)
-			ss, _ := slow.sw.TCAM().Stats(sr[i].Filter)
-			if fr[i] != sr[i] || fs != ss {
-				t.Fatalf("rule %d: fast %+v %+v, linear %+v %+v", i, fr[i], fs, sr[i], ss)
-			}
-		}
-		if len(fast.fired) != len(slow.fired) {
-			t.Fatalf("sampler deliveries: fast %d, linear %d", len(fast.fired), len(slow.fired))
-		}
-		for i := range fast.fired {
-			if fast.fired[i] != slow.fired[i] {
-				t.Fatalf("sampler delivery %d: fast %s, linear %s", i, fast.fired[i], slow.fired[i])
-			}
-		}
+		agreeWithOracle(t, "fast", fast, slow)
+		agreeWithOracle(t, "keyed", keyed, slow)
 	})
+}
+
+// hopPorts are the ports of one visit of a packet to the switch.
+type hopPorts struct{ in, out int }
+
+// agreeWithOracle fails t unless w and the linear world slow hold the
+// same drop count, port counters, rules and rule counters, and sampler
+// deliveries.
+func agreeWithOracle(t *testing.T, name string, w, slow *oracleWorld) {
+	t.Helper()
+	if w.sw.Dropped() != slow.sw.Dropped() {
+		t.Fatalf("dropped: %s %d, linear %d", name, w.sw.Dropped(), slow.sw.Dropped())
+	}
+	for port := 0; port <= 4; port++ {
+		if ws, ss := w.sw.ports[port], slow.sw.ports[port]; ws != ss {
+			t.Fatalf("port %d: %s %+v, linear %+v", port, name, ws, ss)
+		}
+	}
+	wr, sr := w.sw.TCAM().Rules(), slow.sw.TCAM().Rules()
+	if len(wr) != len(sr) {
+		t.Fatalf("rules: %s %d, linear %d", name, len(wr), len(sr))
+	}
+	for i := range wr {
+		ws, _ := w.sw.TCAM().Stats(wr[i].Filter)
+		ss, _ := slow.sw.TCAM().Stats(sr[i].Filter)
+		if wr[i] != sr[i] || ws != ss {
+			t.Fatalf("rule %d: %s %+v %+v, linear %+v %+v", i, name, wr[i], ws, sr[i], ss)
+		}
+	}
+	if len(w.fired) != len(slow.fired) {
+		t.Fatalf("sampler deliveries: %s %d, linear %d", name, len(w.fired), len(slow.fired))
+	}
+	for i := range w.fired {
+		if w.fired[i] != slow.fired[i] {
+			t.Fatalf("sampler delivery %d: %s %s, linear %s", i, name, w.fired[i], slow.fired[i])
+		}
+	}
 }

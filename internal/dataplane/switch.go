@@ -343,21 +343,34 @@ func (s *Switch) CreditRule(f Filter, packets, bytes uint64) bool {
 // Inject passes a packet through the ASIC: ingress counters, TCAM
 // classification (counting and possibly dropping), samplers, egress
 // counters. inPort/outPort are 1-based; outPort 0 means locally
-// destined.
+// destined. It is InjectKey with the packet's key built for this call.
+func (s *Switch) Inject(p *Packet, inPort, outPort int) Verdict {
+	k := KeyOf(p)
+	return s.InjectKey(p, &k, inPort, outPort)
+}
+
+// InjectKey is Inject for a caller that built p's key once, with
+// KeyOf, and carries it from switch to switch: the fabric builds it
+// when it resolves a flow and passes it to every hop. k must be
+// KeyOf(p) or a key built from a packet with p's match fields (the
+// 5-tuple and the TCP flags); InjectKey sets its ingress port, the one
+// field that differs from hop to hop.
 //
 // TCAM and samplers are evaluated in one fused pass: a single
 // flow-cache probe yields both the winning rule and the matching
 // sampler set for a repeat flow; only a cold or churn-invalidated flow
 // pays the indexed TCAM lookup plus the per-sampler filter scan.
 //
-// Inject borrows p for the call: it reads the packet in place and keeps
-// no reference to it. A sampler that fires gets its own copy.
-func (s *Switch) Inject(p *Packet, inPort, outPort int) Verdict {
+// InjectKey borrows p and k for the call: it reads the packet in place
+// and keeps no reference to either. A sampler that fires gets its own
+// copy of the packet.
+func (s *Switch) InjectKey(p *Packet, k *Key, inPort, outPort int) Verdict {
 	if inPort >= 1 && inPort < len(s.ports) {
 		s.ports[inPort].RxPackets++
 		s.ports[inPort].RxBytes += uint64(p.Size)
 	}
-	v := s.classifyFused(p, inPort)
+	k.fk.inPort = int32(inPort)
+	v := s.classifyFused(p, &k.fk, inPort)
 	if !v.Dropped && outPort >= 1 && outPort < len(s.ports) {
 		s.ports[outPort].TxPackets++
 		s.ports[outPort].TxBytes += uint64(p.Size)
@@ -418,13 +431,12 @@ func (s *Switch) samplerSet(p *Packet, inPort int) []*Sampler {
 
 // classifyFused is the classify+sample step: one flow-cache probe covering
 // TCAM verdict and sampler set, recomputed lazily when either the rule
-// or the sampler generation moved.
-func (s *Switch) classifyFused(p *Packet, inPort int) Verdict {
+// or the sampler generation moved. k is p's key at inPort.
+func (s *Switch) classifyFused(p *Packet, k *flowKey, inPort int) Verdict {
 	if s.flowCache == nil {
 		s.flowCache = new(flowCache)
 	}
-	k := flowKeyOf(p, inPort)
-	slot, ok := s.flowCache.probe(&k)
+	slot, ok := s.flowCache.probe(k)
 	cv := &slot.v
 	if !ok || cv.tcamGen != s.tcam.gen || cv.samplerGen != s.samplerGen {
 		s.cacheStats.Misses++

@@ -5,10 +5,12 @@
 // between switches and centralized components.
 //
 // A packet is sent in two steps. Resolve does the per-flow work once:
-// both hosts, their leaves and ports, and the ECMP hash of the 5-tuple,
-// into a Route. SendOn does the per-packet work: it picks the path from
-// the topology's current path table by that hash and forwards along it.
-// Send is the two together, for a packet whose 5-tuple is new.
+// both hosts, their leaves and ports, the ECMP hash of the 5-tuple and
+// the flow-cache key every switch classifies by, into a Route. SendOn
+// does the per-packet work: it picks the path from the topology's
+// current path table by that hash and forwards along it, handing the
+// key to each switch. Send is the two together, for a packet whose
+// match fields are new.
 //
 // Every switch and the centralized components (seeder, harvesters,
 // collectors) run on the one scheduler the fabric is built over. Anything
@@ -201,21 +203,24 @@ var (
 )
 
 // Route is what a flow's packets share on their way through the
-// fabric: the leaves and host ports at either end and the ECMP hash of
-// the 5-tuple. Resolve computes it once per flow; SendOn uses it for
-// every packet of the flow. It holds no path: SendOn reads the path
-// table per packet, so a topology change reaches a resolved flow
-// exactly as it reaches Send.
+// fabric: the leaves and host ports at either end, the ECMP hash of the
+// 5-tuple, and the flow-cache key of the match fields (the 5-tuple and
+// the TCP flags). Resolve computes it once per flow; SendOn uses it for
+// every packet of the flow. A flow whose packets vary their TCP flags
+// has a new key per packet and sends through Send. A route holds no
+// path: SendOn reads the path table per packet, so a topology change
+// reaches a resolved flow exactly as it reaches Send.
 type Route struct {
 	srcLeaf, dstLeaf netmodel.SwitchID
 	srcPort, dstPort int32 // the host-facing ports on those leaves
 	hash             uint32
+	key              dataplane.Key
 }
 
-// Resolve looks up both hosts of p's flow and hashes its 5-tuple. A
-// host is known if it was in the topology when the fabric was built;
-// one added later has no port here, and is refused like an unknown
-// address. Resolve only reads p.
+// Resolve looks up both hosts of p's flow, hashes its 5-tuple and
+// builds its flow-cache key. A host is known if it was in the topology
+// when the fabric was built; one added later has no port here, and is
+// refused like an unknown address. Resolve only reads p.
 func (f *Fabric) Resolve(p *dataplane.Packet) (Route, error) {
 	s, ok := f.topo.HostByIP(p.SrcIP)
 	if !ok || int(s.ID) >= len(f.hostPort) {
@@ -229,6 +234,7 @@ func (f *Fabric) Resolve(p *dataplane.Packet) (Route, error) {
 		srcLeaf: s.Leaf, dstLeaf: d.Leaf,
 		srcPort: f.hostPort[s.ID], dstPort: f.hostPort[d.ID],
 		hash: flowHash(p.Flow()),
+		key:  dataplane.KeyOf(p),
 	}, nil
 }
 
@@ -278,11 +284,13 @@ func flowHash(k dataplane.FlowKey) uint32 {
 // to delivery or drop, and one event per switch-to-switch hop, always
 // scheduled with the same prebuilt fire — so forwarding allocates
 // nothing once the records it needs exist. The record owns its copy of
-// the packet; each switch on the path borrows it for one Inject.
+// the packet and of its route's key; each switch on the path borrows
+// both for one InjectKey, which sets the key's ingress port.
 type hop struct {
 	f    *Fabric
 	fire func() // h.step, bound once
 	p    dataplane.Packet
+	key  dataplane.Key
 	path netmodel.Path
 	i    int // index into path of the switch about to see the packet
 	// The host-facing ports at either end of the path.
@@ -295,7 +303,8 @@ type hop struct {
 // a packet in flight is not rerouted by a later topology change.
 //
 // Send is Resolve then SendOn; a flow that sends many packets resolves
-// once and calls SendOn per packet.
+// once and calls SendOn per packet. Send builds the packet's key once,
+// for every switch on the path.
 func (f *Fabric) Send(p *dataplane.Packet) error {
 	r, err := f.Resolve(p)
 	if err != nil {
@@ -306,7 +315,10 @@ func (f *Fabric) Send(p *dataplane.Packet) error {
 
 // SendOn is Send for a packet of a flow Resolve already resolved: it
 // takes the flow's path from the current path table and sends p along
-// it. r must be Resolve's answer for a packet with p's 5-tuple.
+// it. r must be Resolve's answer for a packet with p's match fields:
+// the 5-tuple and the TCP flags, which r's key carries to every switch.
+// A caller that varies the flags between packets of a flow must use
+// Send.
 //
 // SendOn borrows p: it copies the packet into the hop record that
 // carries it and keeps no reference, so the caller may reuse p at once.
@@ -322,7 +334,7 @@ func (f *Fabric) SendOn(r Route, p *dataplane.Packet) error {
 		h = &hop{f: f}
 		h.fire = h.step
 	}
-	h.p, h.path, h.i = *p, path, 0
+	h.p, h.key, h.path, h.i = *p, r.key, path, 0
 	h.srcPort, h.dstPort = int(r.srcPort), int(r.dstPort)
 	h.step()
 	return nil
@@ -342,7 +354,7 @@ func (h *hop) step() {
 	if !last {
 		outPort = int(f.swPorts[sw][path[i+1]])
 	}
-	v := f.switches[sw].Inject(&h.p, inPort, outPort)
+	v := f.switches[sw].InjectKey(&h.p, &h.key, inPort, outPort)
 	switch {
 	case v.Dropped:
 		f.dropped++

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"farm/internal/dataplane"
 	"farm/internal/engine"
 	"farm/internal/fabric"
 	"farm/internal/netmodel"
@@ -89,4 +90,29 @@ func TestGeneratorDigestSameSeedReproduces(t *testing.T) {
 			t.Errorf("leaf %d digest differs across identical runs", leaf)
 		}
 	}
+}
+
+// FuzzTailFold holds a flow's one-step tail fold to the byte loop it
+// replaces: for any digest state — the fuzzed high bytes under each of
+// the 256 low bytes — any flow text, up to and past FlowTextCap, and
+// any size, flags and app kind, tailFold.fold(h) equals foldTail(h).
+func FuzzTailFold(f *testing.F) {
+	f.Add(uint64(digestOffset), []byte("10.0.0.1:1->10.1.0.1:80/tcp"), int64(100), byte(dataplane.FlagSYN), byte(0))
+	f.Add(uint64(0), []byte{}, int64(0), byte(0), byte(0))
+	f.Add(^uint64(0), make([]byte, dataplane.FlowTextCap), int64(-1), byte(0xff), byte(0xff))
+	f.Add(uint64(1)<<63, make([]byte, dataplane.FlowTextCap+1), int64(1)<<40, byte(0x12), byte(dataplane.AppDNS))
+	f.Add(uint64(0x0123456789abcdef), []byte("[fe80::1%eth0]:65535->[::ffff:10.0.0.1]:0/proto(255)"), int64(3000), byte(0), byte(dataplane.AppHTTP))
+	f.Fuzz(func(t *testing.T, h uint64, text []byte, size int64, flags, kind byte) {
+		if len(text) > 4*dataplane.FlowTextCap {
+			return
+		}
+		p := dataplane.Packet{Size: int(size), Flags: dataplane.TCPFlags(flags), App: dataplane.AppInfo{Kind: dataplane.AppKind(kind)}}
+		tail := newTailFold(&p, text)
+		for lo := uint64(0); lo < 256; lo++ {
+			at := h&^0xff | lo
+			if got, want := tail.fold(at), foldTail(at, &p, text); got != want {
+				t.Fatalf("h %#x, %d-byte text %q: table fold %#x, byte loop %#x", at, len(text), text, got, want)
+			}
+		}
+	})
 }

@@ -108,15 +108,21 @@ func (g *Generator) ingress(src netip.Addr) *ingressDigest {
 
 // inject folds the packet into its ingress leaf's emission digest cell d
 // and sends it. text is the packet's canonical flow text
-// (FlowKey.AppendTo) and r its flow's route (fabric.Resolve): a flow
-// whose 5-tuple never changes renders and resolves once, a scenario that
-// makes a fresh tuple per packet renders per packet and passes a nil r,
-// so the fabric resolves per packet. A flow whose route did not resolve
-// passes nil too, and is refused per packet for the same reason.
+// (FlowKey.AppendTo) and r its flow's route (fabric.Resolve): a burst
+// renders and resolves once, a scenario that makes a fresh tuple per
+// packet renders per packet and passes a nil r, so the fabric resolves
+// per packet. A flow whose route did not resolve passes nil too, and is
+// refused per packet for the same reason.
 func (g *Generator) inject(d *ingressDigest, p *dataplane.Packet, text []byte, r *fabric.Route) {
 	if d != nil {
 		d.fold(g.fab.Sched().Now(), p, text)
 	}
+	g.send(d, p, r)
+}
+
+// send sends p on r (nil: through Send) and counts a refusal in d, or
+// as off-fabric if the flow has no cell.
+func (g *Generator) send(d *ingressDigest, p *dataplane.Packet, r *fabric.Route) {
 	var err error
 	if r != nil {
 		err = g.fab.SendOn(*r, p)
@@ -172,7 +178,10 @@ func (g *Generator) StartFlow(spec FlowSpec) (stop func()) {
 	}
 	d, sched := g.ingress(spec.Src), g.fab.Sched()
 	pkt := spec.packet()
-	text := pkt.Flow().AppendTo(nil)
+	var tail *tailFold
+	if d != nil {
+		tail = newTailFold(&pkt, pkt.Flow().AppendTo(nil))
+	}
 	r := g.resolve(&pkt)
 	rng := g.stream()
 	interval := float64(time.Second) / spec.Rate
@@ -189,7 +198,10 @@ func (g *Generator) StartFlow(spec FlowSpec) (stop func()) {
 		if stopped {
 			return
 		}
-		g.inject(d, &pkt, text, r)
+		if d != nil {
+			d.h = tail.fold(foldUint(d.h, uint64(sched.Now())))
+		}
+		g.send(d, &pkt, r)
 		schedule(0.5 + rng.float64())
 	}
 	schedule(rng.float64()) // random start phase
@@ -260,10 +272,15 @@ type ingressDigest struct {
 	rejected uint64
 }
 
-// fold adds one emission: its time, the packet's flow text, size, flags
-// and app kind.
+// fold adds one emission: its time, then the packet's tail.
 func (d *ingressDigest) fold(at time.Duration, p *dataplane.Packet, text []byte) {
-	h := foldUint(d.h, uint64(at))
+	d.h = foldTail(foldUint(d.h, uint64(at)), p, text)
+}
+
+// foldTail folds the part of an emission that is fixed for a flow: the
+// packet's flow text, size, flags and app kind. It is the one definition
+// of that fold; tailFold computes it in one step.
+func foldTail(h uint64, p *dataplane.Packet, text []byte) uint64 {
 	for _, c := range text {
 		h ^= uint64(c)
 		h *= digestPrime
@@ -273,8 +290,38 @@ func (d *ingressDigest) fold(at time.Duration, p *dataplane.Packet, text []byte)
 	h *= digestPrime
 	h ^= uint64(p.App.Kind)
 	h *= digestPrime
-	d.h = h
+	return h
 }
+
+// tailFold is foldTail for one flow's fixed tail of n bytes, as one
+// multiply and one table lookup. It is exact: an FNV-1a step's XOR only
+// touches the low byte, and the product's low byte depends only on the
+// low bytes of its factors, so the low byte of the state evolves on its
+// own. Split h = hi + lo, with lo = h & 0xff: folding the tail from h
+// gives hi·Pⁿ plus the fold from lo alone, which is
+// h·Pⁿ + (foldTail(lo) − lo·Pⁿ), all mod 2⁶⁴. The table holds the
+// second term for each of the 256 low bytes.
+type tailFold struct {
+	pn uint64 // digestPrime^n
+	k  [256]uint64
+}
+
+// newTailFold builds p's table, text being its flow text.
+func newTailFold(p *dataplane.Packet, text []byte) *tailFold {
+	n := len(text) + 8 + 2 // text, size, flags, app kind
+	t := &tailFold{pn: 1}
+	for i := 0; i < n; i++ {
+		t.pn *= digestPrime
+	}
+	for lo := range t.k {
+		t.k[lo] = foldTail(uint64(lo), p, text) - uint64(lo)*t.pn
+	}
+	return t
+}
+
+// fold is foldTail(h, p, text) for the p and text the table was built
+// from.
+func (t *tailFold) fold(h uint64) uint64 { return h*t.pn + t.k[h&0xff] }
 
 func foldUint(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
