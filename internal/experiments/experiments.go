@@ -20,6 +20,7 @@ import (
 	"farm/internal/engine"
 	"farm/internal/fabric"
 	"farm/internal/netmodel"
+	"farm/internal/soil"
 )
 
 // Row is one line of a rendered result table.
@@ -86,7 +87,25 @@ func newFabric(spines, leaves, hostsPerLeaf int) (*fabric.Fabric, engine.Schedul
 	return fabric.New(topo, loop, fabric.Options{}), loop, nil
 }
 
-// compileMachine parses Almanac source and compiles its sole machine.
+// newBenchRig builds the one-switch rig of Figs. 6, 8 and 9: a leaf
+// named "bench" with the given capacity and hosts, the fabric over it
+// with a PCIe bus of busBytesPerSec (0: the default), and the soil under
+// test, with the given options, whose seeds' sends go nowhere.
+func newBenchRig(capacity netmodel.Resources, hosts int, busBytesPerSec float64, opts soil.Options) (engine.Scheduler, *fabric.Fabric, *soil.Soil, error) {
+	topo := netmodel.New()
+	sw := topo.AddSwitch("bench", netmodel.Leaf, capacity)
+	for i := 0; i < hosts; i++ {
+		if _, err := topo.AddHost(sw, fabric.HostIP(0, i)); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	loop := engine.NewSerial()
+	fab := fabric.New(topo, loop, fabric.Options{BusBytesPerSec: busBytesPerSec})
+	s := soil.New(fab, sw, opts)
+	s.SetSendFunc(func(soil.SeedRef, core.SendDest, core.Value) {})
+	return loop, fab, s, nil
+}
+
 // compileMachine compiles one machine of a source into the program a
 // soil deploys, once for however many seeds run it.
 func compileMachine(src, machine string) (*core.Program, error) {

@@ -6,8 +6,6 @@ import (
 
 	"farm/internal/core"
 	"farm/internal/dataplane"
-	"farm/internal/engine"
-	"farm/internal/fabric"
 	"farm/internal/metrics"
 	"farm/internal/netmodel"
 	"farm/internal/soil"
@@ -127,7 +125,6 @@ func (r *Fig6Result) Table() *Table {
 }
 
 func fig6Run(v Fig6Variant, seeds int, duration time.Duration) (Fig6Point, error) {
-	topo := netmodel.New()
 	// One big switch with per-seed-scaled capacity so admission control
 	// is not the variable under test.
 	capacity := netmodel.Resources{
@@ -135,11 +132,6 @@ func fig6Run(v Fig6Variant, seeds int, duration time.Duration) (Fig6Point, error
 		netmodel.ResTCAM: float64(seeds + 64), netmodel.ResPCIe: 64,
 		netmodel.ResPoll: 1e9,
 	}
-	swID := topo.AddSwitch("bench", netmodel.Leaf, capacity)
-	loop := engine.NewSerial()
-	fab := fabric.New(topo, loop, fabric.Options{
-		BusBytesPerSec: 64 * dataplane.DefaultPCIePollBytesPerSec,
-	})
 	// The unpartitioned ML panel (Fig. 6c) runs its seeds at 1 ms as
 	// separate processes — the paper attributes its blow-up to the many
 	// context switches; the partitioned panel (6d) uses threads.
@@ -147,8 +139,11 @@ func fig6Run(v Fig6Variant, seeds int, duration time.Duration) (Fig6Point, error
 	if v.MLIterations > 0 && v.IvalMs == 1 {
 		opts.ExecModel = soil.Processes
 	}
-	s := soil.New(fab, swID, opts)
-	s.SetSendFunc(func(soil.SeedRef, core.SendDest, core.Value) {})
+	loop, fab, s, err := newBenchRig(capacity, 0, 64*dataplane.DefaultPCIePollBytesPerSec, opts)
+	if err != nil {
+		return Fig6Point{}, err
+	}
+	swID := s.SwitchID()
 	cpu := fab.CPU(swID)
 	s.SetExecFunc(func(cmd string, arg core.Value) (core.Value, error) {
 		// One exec() call = one modelled SVR iteration on this CPU.

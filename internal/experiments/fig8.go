@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"farm/internal/core"
-	"farm/internal/engine"
-	"farm/internal/fabric"
 	"farm/internal/netmodel"
 	"farm/internal/soil"
 )
@@ -93,22 +90,15 @@ func (r *Fig8Result) Table() *Table {
 }
 
 func fig8Run(seeds int, aggregate bool) (Fig8Point, error) {
-	topo := netmodel.New()
 	capacity := netmodel.Resources{
 		netmodel.ResVCPU: 64, netmodel.ResRAM: 1 << 20,
 		netmodel.ResTCAM: 1024, netmodel.ResPCIe: 64, netmodel.ResPoll: 1e9,
 	}
-	swID := topo.AddSwitch("bench", netmodel.Leaf, capacity)
-	for i := 0; i < fig8Ports; i++ {
-		_, err := topo.AddHost(swID, fabric.HostIP(0, i))
-		if err != nil {
-			return Fig8Point{}, err
-		}
+	// Bus rate 0: the default 8 Mbps bus.
+	loop, fab, s, err := newBenchRig(capacity, fig8Ports, 0, soil.Options{ExecModel: soil.Threads, Aggregation: aggregate})
+	if err != nil {
+		return Fig8Point{}, err
 	}
-	loop := engine.NewSerial()
-	fab := fabric.New(topo, loop, fabric.Options{}) // default 8 Mbps bus
-	s := soil.New(fab, swID, soil.Options{ExecModel: soil.Threads, Aggregation: aggregate})
-	s.SetSendFunc(func(soil.SeedRef, core.SendDest, core.Value) {})
 	prog, err := compileMachine(fig8SeedSource, "BusHog")
 	if err != nil {
 		return Fig8Point{}, err
@@ -120,7 +110,7 @@ func fig8Run(seeds int, aggregate bool) (Fig8Point, error) {
 			return Fig8Point{}, err
 		}
 	}
-	bus := fab.Driver(swID).Bus()
+	bus := fab.Driver(s.SwitchID()).Bus()
 	loop.RunFor(100 * time.Millisecond)
 	snap := bus.Snapshot()
 	polls := s.PollsIssued()

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"farm/internal/core"
 	"farm/internal/dataplane"
-	"farm/internal/engine"
-	"farm/internal/fabric"
 	"farm/internal/netmodel"
 	"farm/internal/soil"
 )
@@ -88,23 +85,14 @@ func (r *Fig9Result) Table() *Table {
 }
 
 func fig9Run(seeds int, opts soil.Options) (Fig9Point, error) {
-	topo := netmodel.New()
 	capacity := netmodel.Resources{
 		netmodel.ResVCPU: 64, netmodel.ResRAM: 1 << 20,
 		netmodel.ResTCAM: 1024, netmodel.ResPCIe: 64, netmodel.ResPoll: 1e9,
 	}
-	swID := topo.AddSwitch("bench", netmodel.Leaf, capacity)
-	for i := 0; i < 16; i++ {
-		if _, err := topo.AddHost(swID, fabric.HostIP(0, i)); err != nil {
-			return Fig9Point{}, err
-		}
+	loop, fab, s, err := newBenchRig(capacity, 16, 64*dataplane.DefaultPCIePollBytesPerSec, opts)
+	if err != nil {
+		return Fig9Point{}, err
 	}
-	loop := engine.NewSerial()
-	fab := fabric.New(topo, loop, fabric.Options{
-		BusBytesPerSec: 64 * dataplane.DefaultPCIePollBytesPerSec,
-	})
-	s := soil.New(fab, swID, opts)
-	s.SetSendFunc(func(soil.SeedRef, core.SendDest, core.Value) {})
 	prog, err := compileMachine(fig9SeedSource, "SharedPoller")
 	if err != nil {
 		return Fig9Point{}, err
@@ -116,7 +104,7 @@ func fig9Run(seeds int, opts soil.Options) (Fig9Point, error) {
 			return Fig9Point{}, err
 		}
 	}
-	cpu := fab.CPU(swID)
+	cpu := fab.CPU(s.SwitchID())
 	loop.RunFor(100 * time.Millisecond)
 	snap := cpu.Snapshot()
 	loop.RunFor(2 * time.Second)

@@ -4,13 +4,19 @@
 // along ECMP paths, and models control-plane communication latency
 // between switches and centralized components.
 //
+// New finishes the topology it is given (netmodel.Topology.Finish): the
+// network is fixed from then on, so the ports New numbers from the
+// topology's sorted adjacency, the host ports and the control latencies
+// it fills from the topology's hop counts stay true for the fabric's
+// life, and every link a packet crosses is one a port counts.
+//
 // A packet is sent in two steps. Resolve does the per-flow work once:
 // both hosts, their leaves and ports, the ECMP hash of the 5-tuple and
 // the flow-cache key every switch classifies by, into a Route. SendOn
-// does the per-packet work: it picks the path from the topology's
-// current path table by that hash and forwards along it, handing the
-// key to each switch. Send is the two together, for a packet whose
-// match fields are new.
+// does the per-packet work: it picks the path from the topology's path
+// table by that hash and forwards along it, handing the key to each
+// switch. Send is the two together, for a packet whose match fields are
+// new.
 //
 // Every switch and the centralized components (seeder, harvesters,
 // collectors) run on the one scheduler the fabric is built over. Anything
@@ -22,7 +28,6 @@ package fabric
 import (
 	"errors"
 	"net/netip"
-	"sort"
 	"time"
 
 	"farm/internal/dataplane"
@@ -54,9 +59,8 @@ const cpuCores = 4
 // SpineLeaf builder.
 const centralAt netmodel.SwitchID = 0
 
-// Fabric is the assembled emulated data center. It is a snapshot of
-// the topology's switches, links and hosts at New; the per-switch
-// state below is indexed by the dense SwitchID.
+// Fabric is the assembled emulated data center over a finished
+// topology; the per-switch state below is indexed by the dense SwitchID.
 type Fabric struct {
 	topo  *netmodel.Topology
 	sched engine.Scheduler
@@ -74,7 +78,8 @@ type Fabric struct {
 	// collector-bottleneck measurement of Fig. 4.
 	CentralNet *metrics.NetMeter
 
-	hopDist []int // hops to centralAt, -1 = unreachable
+	// ctrlLatency[sw] is the one-way control latency from sw to centralAt.
+	ctrlLatency []time.Duration
 
 	// delivered and dropped count packets that reached their last hop
 	// and packets a TCAM rule dropped en route; free holds the hop
@@ -86,67 +91,47 @@ type Fabric struct {
 
 // New assembles a fabric over the topology, scheduling onto sched.
 func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric {
+	topo.Finish()
 	n := topo.NumSwitches()
 	f := &Fabric{
-		topo:       topo,
-		sched:      sched,
-		switches:   make([]*dataplane.Switch, n),
-		drivers:    make([]*dataplane.EmuDriver, n),
-		cpus:       make([]*metrics.CPUMeter, n),
-		swPorts:    make([][]int32, n),
-		hostPort:   make([]int32, len(topo.Hosts())),
-		numPorts:   make([]int, n),
-		CentralNet: metrics.NewNetMeter(sched),
-		hopDist:    make([]int, n),
+		topo:        topo,
+		sched:       sched,
+		switches:    make([]*dataplane.Switch, n),
+		drivers:     make([]*dataplane.EmuDriver, n),
+		cpus:        make([]*metrics.CPUMeter, n),
+		swPorts:     make([][]int32, n),
+		hostPort:    make([]int32, len(topo.Hosts())),
+		numPorts:    make([]int, n),
+		CentralNet:  metrics.NewNetMeter(sched),
+		ctrlLatency: make([]time.Duration, n),
 	}
 
 	// Port assignment: hosts first (in host-ID order), then neighbor
-	// switches (in ID order).
-	hostsBySwitch := make([][]netmodel.HostID, n)
+	// switches (in the finished topology's ascending adjacency order).
+	nHosts := make([]int32, n) // hosts numbered so far, per switch
 	for _, h := range topo.Hosts() {
-		hostsBySwitch[h.Leaf] = append(hostsBySwitch[h.Leaf], h.ID)
+		nHosts[h.Leaf]++
+		f.hostPort[h.ID] = nHosts[h.Leaf]
 	}
 	for _, sw := range topo.Switches() {
-		port := 1
-		for _, h := range hostsBySwitch[sw.ID] {
-			f.hostPort[h] = int32(port)
-			port++
-		}
-		nbs := append([]netmodel.SwitchID(nil), topo.Neighbors(sw.ID)...)
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i] < nbs[j] })
+		port := nHosts[sw.ID]
 		f.swPorts[sw.ID] = make([]int32, n)
-		for _, nb := range nbs {
-			f.swPorts[sw.ID][nb] = int32(port)
+		for _, nb := range topo.Neighbors(sw.ID) {
 			port++
+			f.swPorts[sw.ID][nb] = port
 		}
-		f.numPorts[sw.ID] = port - 1
+		f.numPorts[sw.ID] = int(port)
 
 		tcamCap := int(sw.Capacity[netmodel.ResTCAM])
 		if tcamCap <= 0 {
 			tcamCap = 1024
 		}
-		ds := dataplane.NewSwitch(sw.Name, port-1, tcamCap)
+		ds := dataplane.NewSwitch(sw.Name, int(port), tcamCap)
 		f.switches[sw.ID] = ds
 		bus := dataplane.NewBus(sched, opts.BusBytesPerSec)
 		f.drivers[sw.ID] = dataplane.NewEmuDriver(ds, bus)
 		f.cpus[sw.ID] = metrics.NewCPUMeter(sched, cpuCores)
-	}
-
-	// BFS hop distance to the central attachment point.
-	for i := range f.hopDist {
-		f.hopDist[i] = -1
-	}
-	f.hopDist[centralAt] = 0
-	queue := []netmodel.SwitchID{centralAt}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range topo.Neighbors(cur) {
-			if f.hopDist[nb] < 0 {
-				f.hopDist[nb] = f.hopDist[cur] + 1
-				queue = append(queue, nb)
-			}
-		}
+		f.ctrlLatency[sw.ID] = controlLatency(topo.Hops(centralAt, sw.ID))
 	}
 	return f
 }
@@ -208,8 +193,7 @@ var (
 // the TCP flags). Resolve computes it once per flow; SendOn uses it for
 // every packet of the flow. A flow whose packets vary their TCP flags
 // has a new key per packet and sends through Send. A route holds no
-// path: SendOn reads the path table per packet, so a topology change
-// reaches a resolved flow exactly as it reaches Send.
+// path: SendOn reads it from the path table per packet, as Send does.
 type Route struct {
 	srcLeaf, dstLeaf netmodel.SwitchID
 	srcPort, dstPort int32 // the host-facing ports on those leaves
@@ -218,16 +202,14 @@ type Route struct {
 }
 
 // Resolve looks up both hosts of p's flow, hashes its 5-tuple and
-// builds its flow-cache key. A host is known if it was in the topology
-// when the fabric was built; one added later has no port here, and is
-// refused like an unknown address. Resolve only reads p.
+// builds its flow-cache key. Resolve only reads p.
 func (f *Fabric) Resolve(p *dataplane.Packet) (Route, error) {
 	s, ok := f.topo.HostByIP(p.SrcIP)
-	if !ok || int(s.ID) >= len(f.hostPort) {
+	if !ok {
 		return Route{}, ErrUnknownSource
 	}
 	d, ok := f.topo.HostByIP(p.DstIP)
-	if !ok || int(d.ID) >= len(f.hostPort) {
+	if !ok {
 		return Route{}, ErrUnknownDestination
 	}
 	return Route{
@@ -238,7 +220,7 @@ func (f *Fabric) Resolve(p *dataplane.Packet) (Route, error) {
 	}, nil
 }
 
-// path picks r's ECMP path from the topology's current path table,
+// path picks r's ECMP path from the topology's path table,
 // deterministically by flow hash. The path is table memory: read-only.
 // The modulus is taken in uint32, so a hash of 2^31 or more selects the
 // same path on 32- and 64-bit targets.
@@ -299,8 +281,7 @@ type hop struct {
 
 // Send injects a packet at its source host's leaf and forwards it
 // hop-by-hop along its ECMP path, applying each switch's TCAM. The
-// packet is dropped mid-path if a rule says so. The path is fixed here:
-// a packet in flight is not rerouted by a later topology change.
+// packet is dropped mid-path if a rule says so.
 //
 // Send is Resolve then SendOn; a flow that sends many packets resolves
 // once and calls SendOn per packet. Send builds the packet's key once,
@@ -314,7 +295,7 @@ func (f *Fabric) Send(p *dataplane.Packet) error {
 }
 
 // SendOn is Send for a packet of a flow Resolve already resolved: it
-// takes the flow's path from the current path table and sends p along
+// takes the flow's path from the path table and sends p along
 // it. r must be Resolve's answer for a packet with p's match fields:
 // the 5-tuple and the TCP flags, which r's key carries to every switch.
 // A caller that varies the flags between packets of a flow must use
@@ -365,7 +346,6 @@ func (h *hop) step() {
 		engine.ScheduleOn(f.sched, DefaultHopLatency, h.fire)
 		return
 	}
-	h.path = nil // don't pin a dropped path table
 	f.free = append(f.free, h)
 }
 
@@ -382,14 +362,20 @@ func HostIP(leafIndex, hostIndex int) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, byte(leafIndex), byte(hostIndex / 250), byte(hostIndex%250 + 1)})
 }
 
-// ControlLatency returns the one-way latency for a control-plane message
-// from a switch's CPU to the centralized components.
-func (f *Fabric) ControlLatency(from netmodel.SwitchID) time.Duration {
-	hops := f.hopDist[from]
+// controlLatency is the one-way latency of a control-plane message
+// over a shortest path of the given number of hops; an unreachable
+// peer (-1) is taken to be 3 hops away.
+func controlLatency(hops int) time.Duration {
 	if hops < 0 {
 		hops = 3
 	}
 	return DefaultControlBaseLatency + time.Duration(hops)*DefaultHopLatency
+}
+
+// ControlLatency returns the one-way latency for a control-plane message
+// from a switch's CPU to the centralized components.
+func (f *Fabric) ControlLatency(from netmodel.SwitchID) time.Duration {
+	return f.ctrlLatency[from]
 }
 
 // SwitchLatency returns the one-way control-plane latency between two
@@ -398,12 +384,7 @@ func (f *Fabric) SwitchLatency(a, b netmodel.SwitchID) time.Duration {
 	if a == b {
 		return DefaultControlBaseLatency / 2
 	}
-	paths := f.topo.Paths(a, b)
-	hops := 3
-	if len(paths) > 0 {
-		hops = len(paths[0]) - 1
-	}
-	return DefaultControlBaseLatency + time.Duration(hops)*DefaultHopLatency
+	return controlLatency(f.topo.Hops(a, b))
 }
 
 // MTU is the payload capacity used to convert message sizes into

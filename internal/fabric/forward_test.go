@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"testing"
-	"time"
 
 	"farm/internal/dataplane"
 )
@@ -41,20 +40,5 @@ func TestSendSteadyStateAllocs(t *testing.T) {
 	}
 	if got := len(f.free); got != 1 {
 		t.Fatalf("%d hop records after one packet at a time, want 1", got)
-	}
-}
-
-// A packet keeps the path it was given at Send, even if the topology's
-// path table is dropped while it is in flight.
-func TestInFlightPacketSurvivesTableInvalidation(t *testing.T) {
-	f, loop := testFabric(t, 2, 2, 2)
-	p := crossLeafPacket()
-	if err := f.Send(&p); err != nil {
-		t.Fatal(err)
-	}
-	f.Topology().SetMaxECMP(1)
-	loop.RunFor(time.Millisecond)
-	if f.Delivered() != 1 {
-		t.Fatalf("delivered = %d, want 1", f.Delivered())
 	}
 }

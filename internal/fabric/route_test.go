@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -13,45 +12,70 @@ import (
 	"farm/internal/netmodel"
 )
 
-// A host the topology gains after New has no port in the fabric: every
-// way of sending to or from it is refused as an unknown host, and
-// nothing is sent. (It used to index past the fabric's host ports.)
-func TestHostAddedAfterNewIsUnknown(t *testing.T) {
-	f, loop := testFabric(t, 2, 2, 2)
-	late := netip.MustParseAddr("10.9.9.9")
-	if _, err := f.Topology().AddHost(2, late); err != nil {
-		t.Fatal(err)
+// openSpineLeaf builds by hand what netmodel.SpineLeaf builds — spines
+// first, then each leaf with its uplinks and its hosts at HostIP — but
+// leaves the topology open, so a test can add links before New.
+func openSpineLeaf(t *testing.T, spines, leaves, hosts int) *netmodel.Topology {
+	t.Helper()
+	topo := netmodel.New()
+	for s := 0; s < spines; s++ {
+		topo.AddSwitch(fmt.Sprintf("spine%d", s), netmodel.Spine, nil)
 	}
-	known := HostIP(1, 0)
+	for l := 0; l < leaves; l++ {
+		leaf := topo.AddSwitch(fmt.Sprintf("leaf%d", l), netmodel.Leaf, nil)
+		for s := 0; s < spines; s++ {
+			topo.AddLink(leaf, netmodel.SwitchID(s))
+		}
+		for h := 0; h < hosts; h++ {
+			if _, err := topo.AddHost(leaf, HostIP(l, h)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return topo
+}
+
+// The network is fixed once the fabric is built: a link added after New
+// would carry packets that no port of the fabric counts, so adding one
+// panics, and so does adding a switch or a host.
+func TestTopologyFixedAfterNew(t *testing.T) {
+	const spines = 2
+	leaf0, leaf1 := netmodel.SwitchID(spines), netmodel.SwitchID(spines+1)
 	for _, c := range []struct {
-		src, dst netip.Addr
-		want     error
+		op     string
+		mutate func(*netmodel.Topology)
 	}{
-		{late, known, ErrUnknownSource},
-		{known, late, ErrUnknownDestination},
+		{"AddLink", func(topo *netmodel.Topology) { topo.AddLink(leaf0, leaf1) }},
+		{"AddSwitch", func(topo *netmodel.Topology) { topo.AddSwitch("late", netmodel.Spine, nil) }},
+		{"AddHost", func(topo *netmodel.Topology) { _, _ = topo.AddHost(leaf0, netip.MustParseAddr("10.9.9.9")) }},
 	} {
-		p := dataplane.Packet{SrcIP: c.src, DstIP: c.dst, SrcPort: 1, DstPort: 80, Proto: dataplane.ProtoTCP, Size: 10}
-		if _, err := f.Resolve(&p); !errors.Is(err, c.want) {
-			t.Fatalf("Resolve %v -> %v: error %v, want %v", c.src, c.dst, err, c.want)
-		}
-		if err := f.Send(&p); !errors.Is(err, c.want) {
-			t.Fatalf("Send %v -> %v: error %v, want %v", c.src, c.dst, err, c.want)
-		}
-		if _, err := f.PathFor(&p); !errors.Is(err, c.want) {
-			t.Fatalf("PathFor %v -> %v: error %v, want %v", c.src, c.dst, err, c.want)
-		}
-	}
-	loop.RunFor(time.Second)
-	if f.Delivered() != 0 {
-		t.Fatalf("delivered %d refused packets", f.Delivered())
+		topo := openSpineLeaf(t, spines, 2, 2)
+		loop := engine.NewSerial()
+		f := New(topo, loop, Options{})
+		func() {
+			defer func() {
+				if recover() != nil {
+					return
+				}
+				// The mutation went through: show what it costs.
+				p := crossLeafPacket()
+				path, _ := f.PathFor(&p)
+				for i := 0; i < 10; i++ {
+					_ = f.Send(&p)
+				}
+				loop.RunFor(time.Millisecond)
+				port, ok := f.PortToward(leaf0, leaf1)
+				t.Fatalf("%s after New did not panic; %d packets delivered over %v, PortToward(leaf0, leaf1) = %d, %v",
+					c.op, f.Delivered(), path, port, ok)
+			}()
+			c.mutate(topo)
+		}()
 	}
 }
 
 // TestSendOnMatchesPathFor: a packet sent on a resolved route visits
 // exactly the switches PathFor names, in order, for random flows on a
-// spine-leaf. The routes are resolved once, before a link is added; the
-// link drops the path table and changes some flows' paths, and the same
-// routes then follow the new paths — a route holds no path.
+// spine-leaf.
 func TestSendOnMatchesPathFor(t *testing.T) {
 	const spines, leaves, hosts = 3, 4, 3
 	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{Spines: spines, Leaves: leaves, HostsPerLeaf: hosts})
@@ -80,43 +104,22 @@ func TestSendOnMatchesPathFor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check := func(phase string) []string {
-		paths := make([]string, len(pkts))
-		for i := range pkts {
-			want, err := f.PathFor(&pkts[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			visited = visited[:0]
-			if err := f.SendOn(routes[i], &pkts[i]); err != nil {
-				t.Fatal(err)
-			}
-			loop.Drain(16)
-			if fmt.Sprint(visited) != fmt.Sprint(want) {
-				t.Fatalf("%s: flow %d visited %v, PathFor %v", phase, i, visited, want)
-			}
-			paths[i] = want.Key()
+	for i := range pkts {
+		want, err := f.PathFor(&pkts[i])
+		if err != nil {
+			t.Fatal(err)
 		}
-		return paths
-	}
-	before := check("before AddLink")
-	// A direct link between the first two leaves: their flows now take
-	// it instead of a spine.
-	leaf0, _ := topo.HostByIP(HostIP(0, 0))
-	leaf1, _ := topo.HostByIP(HostIP(1, 0))
-	topo.AddLink(leaf0.Leaf, leaf1.Leaf)
-	after := check("after AddLink")
-	changed := 0
-	for i := range before {
-		if before[i] != after[i] {
-			changed++
+		visited = visited[:0]
+		if err := f.SendOn(routes[i], &pkts[i]); err != nil {
+			t.Fatal(err)
+		}
+		loop.Drain(16)
+		if fmt.Sprint(visited) != fmt.Sprint(want) {
+			t.Fatalf("flow %d visited %v, PathFor %v", i, visited, want)
 		}
 	}
-	if changed == 0 {
-		t.Fatal("no flow changed path: the AddLink case is not exercised")
-	}
-	if f.Delivered() != uint64(2*len(pkts)) {
-		t.Fatalf("delivered %d, want %d", f.Delivered(), 2*len(pkts))
+	if f.Delivered() != uint64(len(pkts)) {
+		t.Fatalf("delivered %d, want %d", f.Delivered(), len(pkts))
 	}
 }
 
@@ -169,18 +172,21 @@ func (r *refFabric) send(t *testing.T, pkt dataplane.Packet) {
 // same packets with the key built per hop. Both must agree on
 // deliveries, drops, every rule counter, every sampler delivery in
 // order, every port counter and every switch's flow-cache hits and
-// misses — before and after a link that changes some flows' paths.
+// misses — on the plain spine-leaf, and on one whose first two leaves
+// are also linked directly, where flows between them take that link
+// and both of its ends count them.
 func TestCarriedKeyMatchesKeyPerHop(t *testing.T) {
 	const spines, leaves, hosts = 3, 4, 3
+	leaf0, leaf1 := netmodel.SwitchID(spines), netmodel.SwitchID(spines+1)
 	type world struct {
 		f     *Fabric
 		loop  engine.Scheduler
 		fired []string
 	}
-	build := func() *world {
-		topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{Spines: spines, Leaves: leaves, HostsPerLeaf: hosts})
-		if err != nil {
-			t.Fatal(err)
+	build := func(leafLink bool) *world {
+		topo := openSpineLeaf(t, spines, leaves, hosts)
+		if leafLink {
+			topo.AddLink(leaf0, leaf1)
 		}
 		w := &world{loop: engine.NewSerial()}
 		w.f = New(topo, w.loop, Options{})
@@ -204,28 +210,32 @@ func TestCarriedKeyMatchesKeyPerHop(t *testing.T) {
 		}
 		return w
 	}
-	prod, twin := build(), build()
-	ref := &refFabric{f: twin.f}
+	for _, leafLink := range []bool{false, true} {
+		phase := "spine-leaf"
+		if leafLink {
+			phase = "spine-leaf with a leaf0-leaf1 link"
+		}
+		prod, twin := build(leafLink), build(leafLink)
+		ref := &refFabric{f: twin.f}
 
-	rng := rand.New(rand.NewSource(9))
-	flags := []dataplane.TCPFlags{0, dataplane.FlagSYN, dataplane.FlagACK, dataplane.FlagSYN | dataplane.FlagACK}
-	packet := func() dataplane.Packet {
-		return dataplane.Packet{
-			SrcIP: HostIP(rng.Intn(leaves), rng.Intn(hosts)), DstIP: HostIP(rng.Intn(leaves), rng.Intn(hosts)),
-			SrcPort: uint16(1000 + rng.Intn(8)), DstPort: uint16(80 + rng.Intn(3)),
-			Proto: dataplane.ProtoTCP, Flags: flags[rng.Intn(len(flags))], Size: 64 + rng.Intn(64),
+		rng := rand.New(rand.NewSource(9))
+		flags := []dataplane.TCPFlags{0, dataplane.FlagSYN, dataplane.FlagACK, dataplane.FlagSYN | dataplane.FlagACK}
+		packet := func() dataplane.Packet {
+			return dataplane.Packet{
+				SrcIP: HostIP(rng.Intn(leaves), rng.Intn(hosts)), DstIP: HostIP(rng.Intn(leaves), rng.Intn(hosts)),
+				SrcPort: uint16(1000 + rng.Intn(8)), DstPort: uint16(80 + rng.Intn(3)),
+				Proto: dataplane.ProtoTCP, Flags: flags[rng.Intn(len(flags))], Size: 64 + rng.Intn(64),
+			}
 		}
-	}
-	flows := make([]dataplane.Packet, 40)
-	routes := make([]Route, len(flows))
-	for i := range flows {
-		flows[i] = packet()
-		var err error
-		if routes[i], err = prod.f.Resolve(&flows[i]); err != nil {
-			t.Fatal(err)
+		flows := make([]dataplane.Packet, 40)
+		routes := make([]Route, len(flows))
+		for i := range flows {
+			flows[i] = packet()
+			var err error
+			if routes[i], err = prod.f.Resolve(&flows[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	round := func() {
 		for n := 0; n < 3000; n++ {
 			if rng.Intn(2) == 0 {
 				i := rng.Intn(len(flows))
@@ -247,8 +257,7 @@ func TestCarriedKeyMatchesKeyPerHop(t *testing.T) {
 		}
 		prod.loop.RunFor(time.Millisecond)
 		twin.loop.RunFor(time.Millisecond)
-	}
-	compare := func(phase string) {
+
 		if prod.f.Delivered() != ref.delivered || prod.f.DroppedInFabric() != ref.dropped {
 			t.Fatalf("%s: delivered/dropped %d/%d, key per hop %d/%d", phase,
 				prod.f.Delivered(), prod.f.DroppedInFabric(), ref.delivered, ref.dropped)
@@ -280,32 +289,30 @@ func TestCarriedKeyMatchesKeyPerHop(t *testing.T) {
 				}
 			}
 		}
-	}
-	round()
-	compare("before AddLink")
-
-	pathsBefore := make([]string, len(flows))
-	for i := range flows {
-		path, _ := prod.f.PathFor(&flows[i])
-		pathsBefore[i] = path.Key()
-	}
-	// A direct link between the first two leaves: their flows now take
-	// it, and arrive at the second leaf on a port the fabric never
-	// assigned (in-port 0).
-	for _, w := range []*world{prod, twin} {
-		leaf0, _ := w.f.Topology().HostByIP(HostIP(0, 0))
-		leaf1, _ := w.f.Topology().HostByIP(HostIP(1, 0))
-		w.f.Topology().AddLink(leaf0.Leaf, leaf1.Leaf)
-	}
-	changed := 0
-	for i := range flows {
-		if path, _ := prod.f.PathFor(&flows[i]); path.Key() != pathsBefore[i] {
-			changed++
+		if !leafLink {
+			continue
+		}
+		// Flows between the linked leaves take the link, and its ports
+		// count them at both ends.
+		direct := 0
+		for i := range flows {
+			if path, _ := prod.f.PathFor(&flows[i]); len(path) == 2 {
+				direct++
+			}
+		}
+		if direct == 0 {
+			t.Fatalf("%s: no resolved flow takes the link", phase)
+		}
+		out, ok0 := prod.f.PortToward(leaf0, leaf1)
+		in, ok1 := prod.f.PortToward(leaf1, leaf0)
+		if !ok0 || !ok1 {
+			t.Fatalf("%s: the link has ports %d, %d", phase, out, in)
+		}
+		tx, _ := prod.f.Switch(leaf0).PortStats(out)
+		rx, _ := prod.f.Switch(leaf1).PortStats(in)
+		if tx.TxPackets == 0 || rx.RxPackets == 0 {
+			t.Fatalf("%s: leaf0 port %d sent %d packets, leaf1 port %d received %d: the link carries uncounted packets",
+				phase, out, tx.TxPackets, in, rx.RxPackets)
 		}
 	}
-	if changed == 0 {
-		t.Fatal("no resolved flow changed path: the AddLink case is not exercised")
-	}
-	round()
-	compare("after AddLink")
 }

@@ -4,12 +4,14 @@
 // It plays the role of the SDN controller's topology view in the paper:
 // the seeder resolves Almanac place directives by asking the controller
 // for the set of paths matching a traffic filter (φ_path in §III-B) and
-// for the switches present in the fabric.
+// for the switches present in the fabric. The fabric forwards over the
+// same view, which is fixed once it is finished (see Topology).
 package netmodel
 
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -150,61 +152,81 @@ func (p Path) Key() string {
 	return strings.Join(parts, "-")
 }
 
-// Topology is the fabric graph plus attached hosts. Construct with New
-// or a builder such as SpineLeaf, then add switches/links/hosts. Not
-// safe for concurrent mutation; once built, any number of goroutines
-// may read it (Paths included) concurrently.
+// Topology is the fabric graph plus attached hosts. A builder such as
+// SpineLeaf hands it out finished; New, AddSwitch, AddLink and AddHost
+// build one by hand, and Finish (or fabric.New) fixes it. Once finished
+// it never changes, so the path table and the fabric's ports describe
+// one network, and any number of goroutines may read it (Paths
+// included) concurrently. Building is not safe for concurrent use.
 type Topology struct {
 	switches []Switch
-	adj      map[SwitchID][]SwitchID
-	hosts    []Host
-	byIP     map[netip.Addr]HostID
-	// maxECMP caps path enumeration fan-out; 0 means DefaultMaxECMP.
-	maxECMP int
-	// paths is the ECMP table behind Paths: nil until the first query
-	// and again after every mutation that could change a result.
-	paths atomic.Pointer[pathTable]
+	// adj is the adjacency by SwitchID, one entry per link end, sorted
+	// by Finish: the order that fixes ECMP order and port numbers.
+	adj   [][]SwitchID
+	hosts []Host
+	byIP  map[netip.Addr]HostID
+	// rows is the ECMP table behind Paths and Hops, by source switch,
+	// each row computed on its first query; nil until Finish.
+	rows []atomic.Pointer[pathRow]
 }
 
 // DefaultMaxECMP bounds the number of equal-cost paths enumerated per
-// host pair, mirroring hardware ECMP group limits.
+// switch pair, mirroring hardware ECMP group limits.
 const DefaultMaxECMP = 16
 
-// New returns an empty topology.
+// New returns an empty topology, open for AddSwitch, AddLink and AddHost
+// until Finish.
 func New() *Topology {
-	return &Topology{
-		adj:  make(map[SwitchID][]SwitchID),
-		byIP: make(map[netip.Addr]HostID),
-	}
+	return &Topology{byIP: make(map[netip.Addr]HostID)}
 }
 
-// SetMaxECMP overrides the per-pair path enumeration cap.
-func (t *Topology) SetMaxECMP(n int) {
-	t.maxECMP = n
-	t.paths.Store(nil)
+// Finish fixes the topology: it sorts the adjacency and makes the path
+// table that Paths and Hops read; from then on AddSwitch, AddLink and
+// AddHost panic. Finishing a finished topology does nothing.
+func (t *Topology) Finish() {
+	if t.rows != nil {
+		return
+	}
+	for _, nbs := range t.adj {
+		slices.Sort(nbs)
+	}
+	t.rows = make([]atomic.Pointer[pathRow], len(t.switches))
+}
+
+// mustBeOpen panics if t is finished.
+func (t *Topology) mustBeOpen(op string) {
+	if t.rows != nil {
+		panic("netmodel: " + op + " on a finished topology: the network is fixed once a builder or fabric.New has finished it")
+	}
 }
 
 // AddSwitch adds a switch and returns its ID.
 func (t *Topology) AddSwitch(name string, role Role, capacity Resources) SwitchID {
+	t.mustBeOpen("AddSwitch")
 	id := SwitchID(len(t.switches))
 	t.switches = append(t.switches, Switch{ID: id, Name: name, Role: role, Capacity: capacity.Clone()})
-	t.paths.Store(nil)
+	t.adj = append(t.adj, nil)
 	return id
 }
 
 // AddLink adds an undirected link between a and b, which must be IDs
 // AddSwitch returned.
 func (t *Topology) AddLink(a, b SwitchID) {
+	t.mustBeOpen("AddLink")
 	if n := SwitchID(len(t.switches)); a < 0 || a >= n || b < 0 || b >= n {
 		panic(fmt.Sprintf("netmodel: link %d-%d names a switch that was never added (have %d)", a, b, n))
 	}
 	t.adj[a] = append(t.adj[a], b)
 	t.adj[b] = append(t.adj[b], a)
-	t.paths.Store(nil)
 }
 
-// AddHost attaches a host with the given IP to a leaf switch.
+// AddHost attaches a host with the given IP to a leaf switch, which
+// must be an ID AddSwitch returned.
 func (t *Topology) AddHost(leaf SwitchID, ip netip.Addr) (HostID, error) {
+	t.mustBeOpen("AddHost")
+	if n := SwitchID(len(t.switches)); leaf < 0 || leaf >= n {
+		return 0, fmt.Errorf("netmodel: host %v names switch %d, which was never added (have %d)", ip, leaf, n)
+	}
 	if _, dup := t.byIP[ip]; dup {
 		return 0, fmt.Errorf("netmodel: duplicate host IP %v", ip)
 	}
@@ -235,7 +257,8 @@ func (t *Topology) HostByIP(ip netip.Addr) (Host, bool) {
 	return t.hosts[id], true
 }
 
-// Neighbors returns the adjacency list of s (callers must not modify).
+// Neighbors returns the adjacency list of s, sorted once the topology
+// is finished (callers must not modify it).
 func (t *Topology) Neighbors(s SwitchID) []SwitchID { return t.adj[s] }
 
 // SwitchIDs returns all switch IDs in order.
@@ -248,90 +271,78 @@ func (t *Topology) SwitchIDs() []SwitchID {
 }
 
 // Paths returns all shortest paths from src to dst in ECMP order, up to
-// the ECMP cap: nil when dst is unreachable, the single-element path
+// DefaultMaxECMP: nil when dst is unreachable, the single-element path
 // when src == dst.
 //
 // It is a lookup in a per-(src, dst) table that a controller would
-// push to the switches: a cell is computed on its first query, shared
-// by every later one, and the whole table is dropped by AddSwitch,
-// AddLink and SetMaxECMP. The result is table memory — callers must
-// not modify the slice or any path in it. A result stays valid (and
-// unchanged) after the table is dropped, so a packet in flight keeps
-// the path it was given. Safe for concurrent use, lock-free.
+// push to the switches: a cell is computed on its first query and
+// shared by every later one. The result is table memory — callers must
+// not modify the slice or any path in it. The topology must be
+// finished. Safe for concurrent use, lock-free.
 func (t *Topology) Paths(src, dst SwitchID) []Path {
-	tab := t.paths.Load()
-	if tab == nil {
-		// Concurrent first queries build identical tables; the first
-		// one published is kept so its filled cells are not lost.
-		tab = t.newPathTable()
-		if !t.paths.CompareAndSwap(nil, tab) {
-			tab = t.paths.Load()
-		}
-	}
-	return tab.lookup(src, dst)
-}
-
-// pathTable is the ECMP table of one topology state. Everything in it
-// is a pure function of (adjacency, cap), and nothing reachable from a
-// published pointer is ever written again, so racing fills may publish
-// duplicates but never different answers.
-type pathTable struct {
-	limit int
-	// nbrs is the adjacency in ascending neighbour order (the order
-	// that fixes ECMP order), indexed by SwitchID.
-	nbrs [][]SwitchID
-	rows []atomic.Pointer[pathRow] // by source
-}
-
-// pathRow holds what is known from one source switch.
-type pathRow struct {
-	dist  []int32                  // hops from the source, -1 = unreachable
-	cells []atomic.Pointer[[]Path] // by destination; nil = not yet computed
-}
-
-func (t *Topology) newPathTable() *pathTable {
-	n := len(t.switches)
-	tab := &pathTable{limit: t.maxECMP, nbrs: make([][]SwitchID, n), rows: make([]atomic.Pointer[pathRow], n)}
-	if tab.limit <= 0 {
-		tab.limit = DefaultMaxECMP
-	}
-	for id, nbs := range t.adj {
-		sorted := append([]SwitchID(nil), nbs...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		tab.nbrs[id] = sorted
-	}
-	return tab
-}
-
-func (tab *pathTable) lookup(src, dst SwitchID) []Path {
-	n := SwitchID(len(tab.rows))
-	if src < 0 || src >= n || dst < 0 || dst >= n {
+	row := t.row(src)
+	if row == nil || dst < 0 || int(dst) >= len(row.cells) {
 		// Not a switch of this topology: nothing links to it.
 		if src == dst {
 			return []Path{{src}}
 		}
 		return nil
 	}
-	row := tab.rows[src].Load()
-	if row == nil {
-		row = tab.newRow(src)
-		if !tab.rows[src].CompareAndSwap(nil, row) {
-			row = tab.rows[src].Load()
-		}
-	}
 	if ps := row.cells[dst].Load(); ps != nil {
 		return *ps
 	}
-	ps := tab.enumerate(row, dst)
+	ps := t.enumerate(row, dst)
 	row.cells[dst].Store(&ps)
 	return ps
 }
 
+// Hops returns the number of links on a shortest path from src to dst:
+// -1 when dst is unreachable, 0 when src == dst. It reads the same
+// table row as Paths(src, dst), so the topology must be finished.
+func (t *Topology) Hops(src, dst SwitchID) int {
+	row := t.row(src)
+	if row == nil || dst < 0 || int(dst) >= len(row.dist) {
+		if src == dst {
+			return 0
+		}
+		return -1
+	}
+	return int(row.dist[dst])
+}
+
+// pathRow holds what is known from one source switch. Everything in it
+// is a pure function of the finished adjacency, and nothing reachable
+// from a published pointer is ever written again, so racing fills may
+// publish duplicates but never different answers.
+type pathRow struct {
+	dist  []int32                  // hops from the source, -1 = unreachable
+	cells []atomic.Pointer[[]Path] // by destination; nil = not yet computed
+}
+
+// row returns the table row of src, running its BFS on the first query;
+// nil if src is not a switch of t.
+func (t *Topology) row(src SwitchID) *pathRow {
+	if t.rows == nil {
+		panic("netmodel: path query on a topology that is not finished (call Finish)")
+	}
+	if src < 0 || int(src) >= len(t.rows) {
+		return nil
+	}
+	row := t.rows[src].Load()
+	if row == nil {
+		row = t.newRow(src)
+		if !t.rows[src].CompareAndSwap(nil, row) {
+			row = t.rows[src].Load()
+		}
+	}
+	return row
+}
+
 // newRow runs the BFS from src that every cell of the row shares.
-func (tab *pathTable) newRow(src SwitchID) *pathRow {
+func (t *Topology) newRow(src SwitchID) *pathRow {
 	row := &pathRow{
-		dist:  make([]int32, len(tab.rows)),
-		cells: make([]atomic.Pointer[[]Path], len(tab.rows)),
+		dist:  make([]int32, len(t.rows)),
+		cells: make([]atomic.Pointer[[]Path], len(t.rows)),
 	}
 	for i := range row.dist {
 		row.dist[i] = -1
@@ -341,7 +352,7 @@ func (tab *pathTable) newRow(src SwitchID) *pathRow {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range tab.nbrs[cur] {
+		for _, nb := range t.adj[cur] {
 			if row.dist[nb] < 0 {
 				row.dist[nb] = row.dist[cur] + 1
 				queue = append(queue, nb)
@@ -354,7 +365,7 @@ func (tab *pathTable) newRow(src SwitchID) *pathRow {
 // enumerate walks back from dst along strictly decreasing distance,
 // neighbours in ascending order, until the cap is reached. All paths of
 // a cell have the same length and share one backing array.
-func (tab *pathTable) enumerate(row *pathRow, dst SwitchID) []Path {
+func (t *Topology) enumerate(row *pathRow, dst SwitchID) []Path {
 	if row.dist[dst] < 0 {
 		return nil
 	}
@@ -369,8 +380,8 @@ func (tab *pathTable) enumerate(row *pathRow, dst SwitchID) []Path {
 			flat = append(flat, cur...)
 			return
 		}
-		for _, nb := range tab.nbrs[node] {
-			if len(flat) >= tab.limit*hops {
+		for _, nb := range t.adj[node] {
+			if len(flat) >= DefaultMaxECMP*hops {
 				return
 			}
 			if row.dist[nb] == d-1 {
@@ -443,7 +454,7 @@ func DefaultSpineCapacity() Resources {
 
 // SpineLeaf builds a two-tier Clos fabric: every leaf is connected to
 // every spine, and hostsPerLeaf hosts hang off each leaf with addresses
-// 10.<leaf>.<k/250>.<k%250+1>.
+// 10.<leaf>.<k/250>.<k%250+1>. The topology is finished.
 func SpineLeaf(opts SpineLeafOptions) (*Topology, error) {
 	if opts.Spines <= 0 || opts.Leaves <= 0 {
 		return nil, fmt.Errorf("netmodel: spine-leaf needs positive spines (%d) and leaves (%d)", opts.Spines, opts.Leaves)
@@ -479,6 +490,7 @@ func SpineLeaf(opts SpineLeafOptions) (*Topology, error) {
 			}
 		}
 	}
+	t.Finish()
 	return t, nil
 }
 
@@ -511,7 +523,8 @@ func DefaultCoreCapacity() Resources {
 // switch. Edge switches take the Leaf role (hosts attach there, with
 // the same 10.<edge>.<h/250>.<h%250+1> addressing as SpineLeaf, so
 // LeafPrefix and the placement filters work unchanged), aggregation
-// switches the Spine role, and cores the Core role.
+// switches the Spine role, and cores the Core role. The topology is
+// finished.
 func FatTree(opts FatTreeOptions) (*Topology, error) {
 	k := opts.K
 	if k < 2 || k%2 != 0 {
@@ -568,6 +581,7 @@ func FatTree(opts FatTreeOptions) (*Topology, error) {
 			edgeIdx++
 		}
 	}
+	t.Finish()
 	return t, nil
 }
 

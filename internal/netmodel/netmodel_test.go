@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -154,6 +155,7 @@ func TestPathsDisconnected(t *testing.T) {
 	top := New()
 	a := top.AddSwitch("a", Leaf, nil)
 	b := top.AddSwitch("b", Leaf, nil)
+	top.Finish()
 	if paths := top.Paths(a, b); paths != nil {
 		t.Fatalf("disconnected pair has paths %v", paths)
 	}
@@ -172,10 +174,6 @@ func TestECMPCap(t *testing.T) {
 	}
 	if got := len(top.Paths(leaves[0], leaves[1])); got != DefaultMaxECMP {
 		t.Fatalf("paths = %d, want cap %d", got, DefaultMaxECMP)
-	}
-	top.SetMaxECMP(5)
-	if got := len(top.Paths(leaves[0], leaves[1])); got != 5 {
-		t.Fatalf("paths = %d, want 5", got)
 	}
 }
 
@@ -473,10 +471,10 @@ func pathsReference(t *Topology, src, dst SwitchID) []Path {
 	if src == dst {
 		return []Path{{src}}
 	}
-	limit := t.maxECMP
-	if limit <= 0 {
-		limit = DefaultMaxECMP
+	if src < 0 || int(src) >= len(t.switches) {
+		return nil // not a switch of t: nothing links to it
 	}
+	limit := DefaultMaxECMP
 	// BFS distance from src.
 	dist := make(map[SwitchID]int, len(t.switches))
 	dist[src] = 0
@@ -567,55 +565,49 @@ func TestPathTableMatchesReferenceOnBuilders(t *testing.T) {
 	}
 }
 
+// randomTopology builds a finished graph of 2..n switches and up to
+// linksPerSwitch*n random links, self-loops and parallel links
+// included.
+func randomTopology(rng *rand.Rand, n, linksPerSwitch int) *Topology {
+	top := New()
+	n = 2 + rng.Intn(n-1)
+	for i := 0; i < n; i++ {
+		top.AddSwitch("s", Leaf, nil)
+	}
+	for i, links := 0, rng.Intn(linksPerSwitch*n); i < links; i++ {
+		top.AddLink(SwitchID(rng.Intn(n)), SwitchID(rng.Intn(n)))
+	}
+	top.Finish()
+	return top
+}
+
 // TestPathTableMatchesReferenceRandom drives 240 seeded random graphs —
 // sparse ones fall apart into components, dense ones exceed the ECMP
-// cap — and interleaves queries with AddSwitch, AddLink and SetMaxECMP
-// so every answer after a mutation must come from a rebuilt table.
+// cap — each built, finished and then queried: random pairs first,
+// IDs one past either end included, then every pair, so no cell of the
+// table goes unchecked.
 func TestPathTableMatchesReferenceRandom(t *testing.T) {
+	capped := 0
 	for seed := int64(0); seed < 240; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		top := New()
-		n := 2 + rng.Intn(14)
-		for i := 0; i < n; i++ {
-			top.AddSwitch("s", Leaf, nil)
+		top := randomTopology(rng, 24, 4)
+		n := top.NumSwitches()
+		for i := 0; i < 40; i++ {
+			checkAgainstReference(t, top, SwitchID(rng.Intn(n+2)-1), SwitchID(rng.Intn(n+2)-1))
 		}
-		for i, links := 0, rng.Intn(3*n); i < links; i++ {
-			// Self-loops and parallel links included.
-			top.AddLink(SwitchID(rng.Intn(n)), SwitchID(rng.Intn(n)))
-		}
-		if rng.Intn(2) == 0 {
-			top.SetMaxECMP(rng.Intn(6)) // 0 = default cap
-		}
-		query := func(k int) {
-			for i := 0; i < k; i++ {
-				n := top.NumSwitches()
-				// One past either end: IDs the topology does not have.
-				checkAgainstReference(t, top, SwitchID(rng.Intn(n+2)-1), SwitchID(rng.Intn(n+2)-1))
-			}
-		}
-		query(40)
-		for round := 0; round < 4; round++ {
-			switch rng.Intn(3) {
-			case 0:
-				id := top.AddSwitch("late", Spine, nil)
-				for i := rng.Intn(4); i > 0; i-- {
-					top.AddLink(id, SwitchID(rng.Intn(top.NumSwitches())))
-				}
-			case 1:
-				n := top.NumSwitches()
-				top.AddLink(SwitchID(rng.Intn(n)), SwitchID(rng.Intn(n)))
-			case 2:
-				top.SetMaxECMP(1 + rng.Intn(20))
-			}
-			query(40)
-		}
-		// Finally every pair, so no cell of the last table goes unchecked.
 		for _, a := range top.SwitchIDs() {
 			for _, b := range top.SwitchIDs() {
 				checkAgainstReference(t, top, a, b)
+				if len(top.Paths(a, b)) == DefaultMaxECMP {
+					capped++
+				}
 			}
 		}
 	}
+	if capped == 0 {
+		t.Fatal("no pair reached the ECMP cap: the cap is not exercised")
+	}
+	t.Logf("%d pairs at the ECMP cap", capped)
 }
 
 func TestAddLinkUnknownSwitchPanics(t *testing.T) {
@@ -629,20 +621,94 @@ func TestAddLinkUnknownSwitchPanics(t *testing.T) {
 	top.AddLink(a, a+1)
 }
 
-// A result handed out before a mutation is never written again: a
-// packet in flight keeps the path it was given.
-func TestPathTableOldResultsSurviveInvalidation(t *testing.T) {
-	top := mustSpineLeaf(t, 2, 2, 1)
-	before := top.Paths(2, 3)
-	snapshot := pathsReference(top, 2, 3)
-	sp := top.AddSwitch("spine2", Spine, nil)
-	top.AddLink(sp, 2)
-	top.AddLink(sp, 3)
-	if after := top.Paths(2, 3); len(after) != 3 {
-		t.Fatalf("table not rebuilt after AddLink: %v", after)
+// A host on a switch that was never added is refused where it is
+// added, not by an index out of range when a fabric numbers its ports.
+func TestAddHostUnknownSwitch(t *testing.T) {
+	top := New()
+	top.AddSwitch("leaf0", Leaf, nil)
+	for _, leaf := range []SwitchID{-1, 1, 5} {
+		if _, err := top.AddHost(leaf, netip.AddrFrom4([4]byte{10, 0, 0, 1})); err == nil {
+			t.Fatalf("a host on switch %d of a one-switch topology was accepted", leaf)
+		}
 	}
-	if !reflect.DeepEqual(before, snapshot) {
-		t.Fatalf("result handed out earlier changed: %v, was %v", before, snapshot)
+	if len(top.Hosts()) != 0 {
+		t.Fatalf("refused hosts were kept: %v", top.Hosts())
+	}
+}
+
+// A finished topology is fixed: every mutation panics and says why, on
+// a hand-built topology after Finish and on a builder's output alike.
+func TestFinishedTopologyRefusesMutation(t *testing.T) {
+	hand := New()
+	a := hand.AddSwitch("a", Leaf, nil)
+	b := hand.AddSwitch("b", Spine, nil)
+	hand.AddLink(a, b)
+	hand.Finish()
+	hand.Finish() // a second Finish is a no-op
+	built := mustSpineLeaf(t, 2, 2, 1)
+	for name, top := range map[string]*Topology{"hand-built": hand, "SpineLeaf": built} {
+		for op, mutate := range map[string]func(){
+			"AddSwitch": func() { top.AddSwitch("late", Spine, nil) },
+			"AddLink":   func() { top.AddLink(0, 1) },
+			"AddHost":   func() { _, _ = top.AddHost(0, netip.AddrFrom4([4]byte{10, 9, 9, 9})) },
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, op) || !strings.Contains(msg, "finished") {
+						t.Fatalf("%s: %s on a finished topology: panic %q, want one naming %s and the finish", name, op, msg, op)
+					}
+				}()
+				mutate()
+			}()
+		}
+	}
+	if hand.NumSwitches() != 2 || len(hand.Neighbors(a)) != 1 || len(built.Hosts()) != 2 {
+		t.Fatal("a refused mutation changed the topology")
+	}
+}
+
+// Paths and Hops on a topology that is still open panic: Finish makes
+// the table they read.
+func TestQueryBeforeFinishPanics(t *testing.T) {
+	top := New()
+	top.AddSwitch("a", Leaf, nil)
+	for name, query := range map[string]func(){
+		"Paths": func() { top.Paths(0, 0) },
+		"Hops":  func() { top.Hops(0, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s before Finish did not panic", name)
+				}
+			}()
+			query()
+		}()
+	}
+}
+
+// Hops is the length of every path Paths returns, on every pair of the
+// builders' fabrics and of random graphs, IDs one past either end
+// included (unreachable: -1, no paths).
+func TestHopsMatchesPaths(t *testing.T) {
+	tops := []*Topology{mustSpineLeaf(t, 3, 5, 1), mustFatTree(t, 4)}
+	for seed := int64(0); seed < 40; seed++ {
+		tops = append(tops, randomTopology(rand.New(rand.NewSource(seed)), 12, 2))
+	}
+	for _, top := range tops {
+		n := top.NumSwitches()
+		for a := SwitchID(-1); int(a) <= n; a++ {
+			for b := SwitchID(-1); int(b) <= n; b++ {
+				want := -1
+				if ps := top.Paths(a, b); len(ps) > 0 {
+					want = len(ps[0]) - 1
+				}
+				if got := top.Hops(a, b); got != want {
+					t.Fatalf("Hops(%d, %d) = %d, paths say %d", a, b, got, want)
+				}
+			}
+		}
 	}
 }
 

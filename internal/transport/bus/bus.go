@@ -19,7 +19,6 @@
 package bus
 
 import (
-	"fmt"
 	"time"
 
 	"farm/internal/engine"
@@ -214,24 +213,4 @@ func (b *Broker) DroppedByTopic() map[string]uint64 {
 		out[t] = n
 	}
 	return out
-}
-
-// Topic name helpers shared by seeder, harvesters, and soils.
-
-// SoilTopic is the per-switch topic soils listen on for deployments.
-func SoilTopic(switchName string) string { return "soil." + switchName }
-
-// HarvesterTopic is the per-task topic harvesters listen on.
-func HarvesterTopic(task string) string { return "harvester." + task }
-
-// SeederTopic is the seeder's control topic.
-const SeederTopic = "seeder"
-
-// SeedTopic is the topic for seed-to-seed messages of one machine type
-// on one switch ("" switch = broadcast topic).
-func SeedTopic(machine, switchName string) string {
-	if switchName == "" {
-		return fmt.Sprintf("seed.%s.all", machine)
-	}
-	return fmt.Sprintf("seed.%s.%s", machine, switchName)
 }

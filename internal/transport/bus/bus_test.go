@@ -286,18 +286,3 @@ func TestQueueDrainsBelowLimit(t *testing.T) {
 		t.Fatalf("dropped = %d, want 3", st.Dropped)
 	}
 }
-
-func TestTopicHelpers(t *testing.T) {
-	if SoilTopic("leaf1") != "soil.leaf1" {
-		t.Fatal(SoilTopic("leaf1"))
-	}
-	if HarvesterTopic("hh") != "harvester.hh" {
-		t.Fatal(HarvesterTopic("hh"))
-	}
-	if SeedTopic("HH", "leaf1") != "seed.HH.leaf1" {
-		t.Fatal(SeedTopic("HH", "leaf1"))
-	}
-	if SeedTopic("HH", "") != "seed.HH.all" {
-		t.Fatal(SeedTopic("HH", ""))
-	}
-}
