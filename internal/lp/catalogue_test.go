@@ -1,6 +1,7 @@
 package lp_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"farm/internal/engine"
@@ -12,11 +13,14 @@ import (
 )
 
 // TestCatalogueLPsSparseMatchesDense: every LP the placement heuristic
-// solves while the Tab. I catalogue is submitted, retired and
-// resubmitted on the control-churn fabric (two spines, four leaves, the
-// fleet soak's capacities) — step 3's per-switch LPs and the
-// minimal-allocation LPs alike — solves bit for bit the same with the
-// sparse pivot as with the dense oracle.
+// solves while the Tab. I catalogue is submitted and then churned on the
+// control-churn fabric (two spines, four leaves, the fleet soak's
+// capacities) — step 3's per-switch LPs and the minimal-allocation LPs
+// alike — solves bit for bit the same with the sparse pivot as with the
+// dense oracle. Step 3 solves each distinct LP once per placement solve,
+// and a resubmit of one task repeats few, so the churn is control-churn's
+// own: 20 seeded rounds that retire 5 random tasks and resubmit them,
+// which reach more than 100 LPs of more than 50 rows.
 func TestCatalogueLPsSparseMatchesDense(t *testing.T) {
 	capacity := netmodel.Resources{
 		netmodel.ResVCPU: 128, netmodel.ResRAM: 1 << 17, netmodel.ResTCAM: 1 << 14,
@@ -41,12 +45,18 @@ func TestCatalogueLPsSparseMatchesDense(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, spec := range specs[:6] {
-		if err := sd.RemoveTask(spec.Name); err != nil {
-			t.Fatal(err)
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 20; round++ {
+		churned := rng.Perm(len(specs))[:5]
+		for _, i := range churned {
+			if err := sd.RemoveTask(specs[i].Name); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := sd.AddTask(spec); err != nil {
-			t.Fatal(err)
+		for _, i := range churned {
+			if err := sd.AddTask(specs[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	stop()

@@ -16,13 +16,7 @@ func SameSolution(a *Solution, aerr error, b *Solution, berr error) bool {
 func CaptureSolves(f func(*Problem)) (stop func()) {
 	var mu sync.Mutex
 	testSolve = func(p *Problem) {
-		c := &Problem{
-			sense: p.sense, objConst: p.objConst,
-			vars:     append([]variable(nil), p.vars...),
-			cons:     append([]constraint(nil), p.cons...),
-			coefs:    append([]Coef(nil), p.coefs...),
-			objCoefs: append([]Coef(nil), p.objCoefs...),
-		}
+		c := cloneProblem(p)
 		mu.Lock()
 		defer mu.Unlock()
 		f(c)

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -672,5 +673,43 @@ func TestProblemReuseBitIdentical(t *testing.T) {
 		if !sameSolution(got, gerr, want, werr) {
 			t.Fatalf("trial %d: reused problem %+v (%v), fresh %+v (%v)", trial, got, gerr, want, werr)
 		}
+	}
+}
+
+// TestVariableNamesDoNotChangeSolution: a variable's name labels an
+// error and nothing else, so the same problem under other names solves
+// to the same Solution bit for bit. The placement heuristic relies on
+// it when two switches whose LPs differ only in their seeds' names
+// share one answer.
+func TestVariableNamesDoNotChangeSolution(t *testing.T) {
+	for trial := 0; trial < 400; trial++ {
+		p := New(Maximize)
+		rng := rand.New(rand.NewSource(int64(trial)))
+		if trial%2 == 0 {
+			fillStep3LP(p, rng, 1+trial%25)
+		} else {
+			fillRandomMixedLP(p, rng)
+		}
+		renamed := cloneProblem(p)
+		for i := range renamed.vars {
+			renamed.vars[i].name = fmt.Sprintf("seed%d.res%d", trial, i)
+		}
+		want, werr := p.Solve()
+		got, gerr := renamed.Solve()
+		if !sameSolution(got, gerr, want, werr) {
+			t.Fatalf("trial %d: renamed %+v (%v), original %+v (%v)", trial, got, gerr, want, werr)
+		}
+	}
+}
+
+// cloneProblem copies what p's Solve reads into a new Problem with an
+// empty solve arena.
+func cloneProblem(p *Problem) *Problem {
+	return &Problem{
+		sense: p.sense, objConst: p.objConst,
+		vars:     append([]variable(nil), p.vars...),
+		cons:     append([]constraint(nil), p.cons...),
+		coefs:    append([]Coef(nil), p.coefs...),
+		objCoefs: append([]Coef(nil), p.objCoefs...),
 	}
 }

@@ -28,9 +28,6 @@ const (
 	ResPoll = "poll" // statistics polling capacity, requests/s
 )
 
-// StandardResources lists all resource types in deterministic order.
-var StandardResources = []string{ResVCPU, ResRAM, ResTCAM, ResPCIe, ResPoll}
-
 // Resources maps resource type to amount. The zero value (nil) means
 // "no resources".
 type Resources map[string]float64

@@ -177,7 +177,9 @@ func mapID(m netmodel.Resources) uintptr { return reflect.ValueOf(m).Pointer() }
 // allocation, every carried Baked with its published minimal
 // allocations) and of the previous Result, whose allocations are that
 // Current, must be unchanged by a full, a warm, a migrating and a
-// SkipRedistribution solve, run one after another on the same values.
+// SkipRedistribution solve, run one after another on the same values,
+// and by a "place all" solve in which switches share one memoized
+// step-3 answer.
 func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 	base := digestScenario()
 	first := map[string]int{}
@@ -215,6 +217,12 @@ func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 	}
 	halfRes := solveChecked(t, &half)
 
+	// Identical switches holding the same seeds: step 3 solves the first
+	// one's LP and the others reuse its answer. Solved once here to
+	// publish its machines' minimal allocations.
+	placeAll := placeAllScenario(6, 3, 0, 5)
+	solveChecked(t, placeAll)
+
 	var touched []netmodel.SwitchID
 	for _, id := range []string{base.Seeds[0].ID, base.Seeds[1].ID} {
 		if a, ok := prev.Placed[id]; ok {
@@ -229,6 +237,7 @@ func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 		{"warm", func(in *Input) { in.Touched = touched }},
 		{"migrating", func(in *Input) { in.Current = halfRes.Placed; in.MigrationCost = 0.1 }},
 		{"skip-redistribution", func(in *Input) { in.SkipRedistribution = true }},
+		{"shared-answer", func(in *Input) { *in = *placeAll }},
 	}
 	memos := map[*bakedShape]*minimal{}
 	for i := range base.Seeds {
@@ -238,13 +247,21 @@ func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 			t.Fatalf("seed %s: no minimal allocations published by the first solve", base.Seeds[i].ID)
 		}
 	}
-	shared, migrated := 0, 0
+	shared, migrated, hits, sharedAnswers := 0, 0, 0, 0
+	testMemo = func(_ netmodel.SwitchID, hit bool) bool {
+		if hit {
+			hits++
+		}
+		return false
+	}
+	defer func() { testMemo = nil }()
 	for _, s := range solves {
 		in := *base
 		in.Current = prev.Placed
 		s.mut(&in)
 		before := snapInput(&in)
 		halfBefore := clonePlaced(halfRes.Placed)
+		hits = 0
 		res, err := Heuristic(&in)
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
@@ -269,10 +286,14 @@ func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 			}
 		}
 		migrated += res.Migrations
+		if s.name == "shared-answer" {
+			sharedAnswers = hits
+		}
 	}
 	// The rules are exercised, not only declared.
-	if shared == 0 || migrated == 0 {
-		t.Fatalf("%d allocations kept from Current, %d migrations: the aliasing paths went untested", shared, migrated)
+	if shared == 0 || migrated == 0 || sharedAnswers == 0 {
+		t.Fatalf("%d allocations kept from Current, %d migrations, %d switches reusing an answer: the aliasing paths went untested",
+			shared, migrated, sharedAnswers)
 	}
-	t.Logf("%d allocations kept from Current, %d migrations", shared, migrated)
+	t.Logf("%d allocations kept from Current, %d migrations, %d switches reusing an answer", shared, migrated, sharedAnswers)
 }

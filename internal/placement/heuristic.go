@@ -22,6 +22,12 @@ import (
 // error propagation needs a regression test.
 var testRedistErr func(netmodel.SwitchID) error
 
+// testMemo, when non-nil (tests only), is told of every step-3 memo
+// lookup — the switch and whether it hit — and returns whether to treat
+// it as a miss and solve the switch's LP anyway: the oracle the memo's
+// answers are checked against.
+var testMemo func(sw netmodel.SwitchID, hit bool) (miss bool)
+
 // Heuristic runs Alg. 1: (1) sort tasks by decreasing minimum utility,
 // (2) greedily place each task's seeds at their cheapest viable
 // configuration — keeping already-placed seeds where they are — dropping
@@ -300,6 +306,7 @@ type seedPrep struct {
 	baked *Baked
 	min   *minimal // the seed's cases at this solve's largest capacities
 	task  int32    // index into heurState.tasks
+	shape int32    // this solve's number of baked.shape (heurState.shapes)
 	// cur is the seed's Input.Current assignment, if hasCur.
 	cur    Assignment
 	hasCur bool
@@ -345,6 +352,14 @@ type heurState struct {
 	maxCap netmodel.Resources
 	maxKey []capEntry
 
+	// capClass[i] is the lowest index of a switch whose capacity equals
+	// switch i's bit for bit; capFirst maps a capacity hash to the first
+	// switch with it. shapes numbers the distinct seed shapes. Together
+	// they make a step-3 LP's signature (see lpMemo).
+	capClass []int32
+	capFirst map[uint64]int32
+	shapes   map[*bakedShape]int32
+
 	// remaining[i] is switch i's capacity minus what its seeds hold,
 	// updated in place.
 	remaining []netmodel.Resources
@@ -375,17 +390,22 @@ type heurState struct {
 	migIDs    []int32
 	queue     []move
 
-	// redist is the arena of step 3 and the migrate pass.
+	// redist is the arena of step 3 and the migrate pass, memo the LPs
+	// they solved in this solve.
 	redist redistScratch
+	memo   lpMemo
 }
 
 var heurPool = sync.Pool{New: func() any {
 	return &heurState{
-		swIdx:   map[netmodel.SwitchID]int32{},
-		seedIdx: map[string]int32{},
-		taskIdx: map[string]int32{},
-		maxCap:  netmodel.Resources{},
-		redist:  redistScratch{prob: lp.New(lp.Maximize)},
+		swIdx:    map[netmodel.SwitchID]int32{},
+		seedIdx:  map[string]int32{},
+		taskIdx:  map[string]int32{},
+		maxCap:   netmodel.Resources{},
+		capFirst: map[uint64]int32{},
+		shapes:   map[*bakedShape]int32{},
+		redist:   redistScratch{prob: lp.New(lp.Maximize)},
+		memo:     lpMemo{byHash: map[uint64]int32{}},
 	}
 }}
 
@@ -405,18 +425,31 @@ func (st *heurState) reset(in *Input) {
 	st.greedyOn = zeroed(st.greedyOn, ns)
 	st.dirty = zeroed(st.dirty, ns)
 	clear(st.maxCap)
+	st.capClass = slices.Grow(st.capClass[:0], ns)[:ns]
+	clear(st.capFirst)
 	for i, sw := range in.Switches {
 		rem := st.remaining[i]
 		clear(rem)
+		var h uint64
 		for r, v := range sw.Capacity {
 			rem[r] = v
 			if v > st.maxCap[r] {
 				st.maxCap[r] = v
 			}
+			h += mix64(math.Float64bits(v)) // the same sum in any map order
 		}
+		c, ok := st.capFirst[h]
+		if !ok {
+			c = int32(i)
+			st.capFirst[h] = c
+		} else if !sameCapacity(in.Switches[c].Capacity, sw.Capacity) {
+			c = int32(i) // a collision: a class of its own, which only costs hits
+		}
+		st.capClass[i] = c
 		clear(st.pollMax[i])
 		st.seedsOn[i] = st.seedsOn[i][:0]
 	}
+	st.memo.reset()
 	st.maxKey = st.maxKey[:0]
 	for r, v := range st.maxCap {
 		st.maxKey = append(st.maxKey, capEntry{r, math.Float64bits(v)})
@@ -430,6 +463,7 @@ func (st *heurState) reset(in *Input) {
 	}
 	slices.SortFunc(st.order, func(a, b int32) int { return strings.Compare(in.Seeds[a].ID, in.Seeds[b].ID) })
 	st.preps = slices.Grow(st.preps[:0], n)[:n]
+	clear(st.shapes)
 	for k, i := range st.order {
 		s := &in.Seeds[i]
 		p := &st.preps[k]
@@ -437,7 +471,14 @@ func (st *heurState) reset(in *Input) {
 		if p.baked == nil {
 			p.baked = Bake(s, nil)
 		}
-		p.min = p.baked.shape.minimalAt(st.maxCap, st.maxKey)
+		sh := p.baked.shape
+		num, ok := st.shapes[sh]
+		if !ok {
+			num = int32(len(st.shapes))
+			st.shapes[sh] = num
+		}
+		p.shape = num
+		p.min = sh.minimalAt(st.maxCap, st.maxKey)
 		p.cur, p.hasCur = in.Current[s.ID]
 		st.seedIdx[s.ID] = int32(k) // from here on: ID → prep index
 	}
@@ -467,9 +508,9 @@ func (st *heurState) reset(in *Input) {
 }
 
 // release returns the state to the pool without its pointers into the
-// solved Input and its Result: the seeds, their fragments and every
-// allocation. (Resource names and poll subjects stay behind as map keys
-// until the next solve clears them.)
+// solved Input and its Result: the seeds, their fragments, every
+// allocation and the memo's LP solutions. (Resource names and poll
+// subjects stay behind as map keys until the next solve clears them.)
 func (st *heurState) release() {
 	st.in = nil
 	clear(st.preps[:cap(st.preps)])
@@ -478,7 +519,33 @@ func (st *heurState) release() {
 	}
 	clear(st.taskIdx)
 	clear(st.seedIdx)
+	clear(st.shapes)
+	st.memo.reset()
 	heurPool.Put(st)
+}
+
+// sameCapacity reports whether two capacity vectors hold the same
+// resources with the same amounts, bit for bit.
+func sameCapacity(a, b netmodel.Resources) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for r, v := range a {
+		if w, ok := b[r]; !ok || math.Float64bits(w) != math.Float64bits(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// mix64 is splitmix64's finalizer: every input bit moves every output
+// bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // growMaps returns ms resized to n, every entry a map: those within its
@@ -702,20 +769,23 @@ func (st *heurState) sortTasks() []taskScore {
 }
 
 // normalizedSlack scores a switch's remaining headroom as the mean of
-// remaining/capacity over its resource types. Values are cached per
-// switch until its remaining capacity changes — greedy placement reads
-// this once per (seed, candidate) pair.
+// remaining/capacity over its resource types, summed in resource-name
+// order: in map order, equal switches could score an ulp apart and
+// break greedy's slack ties differently run to run. Values are cached
+// per switch until its remaining capacity changes — greedy placement
+// reads this once per (seed, candidate) pair.
 func (st *heurState) normalizedSlack(si int32) float64 {
 	if st.slackOK[si] {
 		return st.slackCache[si]
 	}
-	rem := st.remaining[si]
+	rem, capacity := st.remaining[si], st.in.Switches[si].Capacity
 	total, count := 0.0, 0
-	for r, c := range st.in.Switches[si].Capacity {
-		if c <= 0 || r == netmodel.ResPoll {
+	for _, e := range st.maxKey { // every resource some switch has more than 0 of
+		c := capacity[e.res]
+		if c <= 0 || e.res == netmodel.ResPoll {
 			continue
 		}
-		total += rem[r] / c
+		total += rem[e.res] / c
 		count++
 	}
 	v := 0.0
@@ -945,13 +1015,10 @@ func (st *heurState) placeTask(ti int32) bool {
 // redistScratch is step 3's arena: its LP and the lists the LP is
 // assembled from, all reused from switch to switch and solve to solve.
 type redistScratch struct {
-	prob     *lp.Problem
-	ids      []int32   // the switch's seeds, in ID order
-	coefs    []lp.Coef // one row being built; AddConstraint copies it
-	obj      []lp.Coef
-	resVars  []lp.Var // every seed's resource variables, back to back
-	resOff   []int    // per seed: where its resource variables start
-	utilVars []lp.Var
+	prob  *lp.Problem
+	ids   []int32   // the switch's seeds, in ID order
+	coefs []lp.Coef // one row being built; AddConstraint copies it
+	obj   []lp.Coef
 	// Per-resource usage sums (excluding poll, handled via subjects)
 	// and poll subject variables, both in first-use order — row order
 	// must not depend on map iteration, or degenerate LPs could pick
@@ -990,11 +1057,89 @@ func (rs *redistScratch) pollVar(subject, name string) lp.Var {
 	return v
 }
 
+// lpMemo holds every step-3 LP solved in one solve, by signature: the
+// switch's capacity class and, in ID order, each resident seed's shape
+// number and case. That is everything the LP reads — rows come from the
+// shape's case, poll variables are shared by the shape's subjects,
+// bounds and right-hand sides come from the capacity, and variable names
+// only label an error — so two switches with one signature have one LP,
+// bit for bit, and one answer. A "place all" task puts the same seeds
+// of a machine on every switch of a class; the migrate pass re-solves
+// each switch it rolls back.
+type lpMemo struct {
+	byHash  map[uint64]int32 // signature hash → newest entry with it
+	entries []memoEntry
+	// Arenas the entries index: per seed, its signature part and where
+	// its variables sit; the seeds' resource variables back to back.
+	seeds   []lpSeed
+	resVars []lp.Var
+}
+
+// memoEntry is one solved LP: its signature's capacity class and seeds
+// (seeds[lo:hi]) and its solution.
+type memoEntry struct {
+	sol    *lp.Solution
+	next   int32 // older entry with the same hash, or -1
+	class  int32
+	lo, hi int32
+}
+
+// lpSeed is one seed of a step-3 LP: its part of the signature, and its
+// variables — len(res) resource variables from resVars[vars] on, and the
+// utility variable.
+type lpSeed struct {
+	shape, cs int32
+	vars      int32
+	util      lp.Var
+}
+
+// reset empties the memo, dropping its solutions.
+func (m *lpMemo) reset() {
+	clear(m.byHash)
+	clear(m.entries)
+	m.entries, m.seeds, m.resVars = m.entries[:0], m.seeds[:0], m.resVars[:0]
+}
+
+// signature hashes the signature of the LP of switch si holding ids.
+func (st *heurState) signature(si int32, ids []int32) uint64 {
+	h := mix64(uint64(st.capClass[si]))
+	for _, k := range ids {
+		p := &st.preps[k]
+		h = mix64(h ^ uint64(p.shape)<<32 ^ uint64(uint32(p.a.Case)))
+	}
+	return h
+}
+
+// lookup returns the entry of the LP of switch si holding ids, whose
+// signature hashes to h, or -1.
+func (st *heurState) lookup(h uint64, si int32, ids []int32) int32 {
+	m := &st.memo
+	e, ok := m.byHash[h]
+	if !ok {
+		return -1
+	}
+next:
+	for ; e >= 0; e = m.entries[e].next {
+		en := &m.entries[e]
+		if en.class != st.capClass[si] || int(en.hi-en.lo) != len(ids) {
+			continue
+		}
+		for j, s := range m.seeds[en.lo:en.hi] {
+			if p := &st.preps[ids[j]]; s.shape != p.shape || int(s.cs) != p.a.Case {
+				continue next
+			}
+		}
+		return e
+	}
+	return -1
+}
+
 // redistribute runs step 3 of Alg. 1 on one switch and commits the
 // answer: maximize the sum of the placed seeds' utilities subject to
 // their selected cases, the switch capacities, and the shared polling
-// budget. An empty switch or a non-optimal LP keeps the greedy
-// allocation, which is feasible by construction.
+// budget. The LP is solved once per signature and solve (see lpMemo).
+// An empty switch or a non-optimal LP keeps the greedy allocation,
+// which is feasible by construction.
 func (st *heurState) redistribute(si int32) error {
 	sw := &st.in.Switches[si]
 	if testRedistErr != nil {
@@ -1010,28 +1155,71 @@ func (st *heurState) redistribute(si int32) error {
 	}
 	slices.Sort(ids) // ID order
 
+	h := st.signature(si, ids)
+	e := st.lookup(h, si, ids)
+	if testMemo != nil && testMemo(sw.ID, e >= 0) {
+		e = -1
+	}
+	if e < 0 {
+		var err error
+		if e, err = st.solveLP(si, ids, h); err != nil {
+			return err
+		}
+	}
+	m := &st.memo
+	en := &m.entries[e]
+	sol := en.sol
+	if sol.Status != lp.Optimal {
+		return nil
+	}
+	for j, k := range ids {
+		p := &st.preps[k]
+		res := p.baked.shape.cases[p.a.Case].res
+		s := &m.seeds[int(en.lo)+j]
+		p.a.Alloc = outcomeAlloc(p.a.Alloc, res, m.resVars[s.vars:int(s.vars)+len(res)], sol)
+		p.a.Utility = sol.Value(s.util)
+	}
+	st.recomputePolls(si)
+	// Update remaining capacity from actual allocations.
+	rem := st.remaining[si]
+	clear(rem)
+	for r, v := range sw.Capacity {
+		rem[r] = v
+	}
+	for _, k := range ids {
+		subSansPoll(rem, st.preps[k].a.Alloc)
+	}
+	st.invalidateSlack(si)
+	return nil
+}
+
+// solveLP builds and solves the LP of switch si holding ids, whose
+// signature hashes to h, and adds it to the memo. It returns the entry.
+func (st *heurState) solveLP(si int32, ids []int32, h uint64) (int32, error) {
+	sw := &st.in.Switches[si]
+	rs, m := &st.redist, &st.memo
 	prob := rs.prob
 	prob.Reset(lp.Maximize)
-	rs.obj, rs.resVars, rs.resOff, rs.utilVars = rs.obj[:0], rs.resVars[:0], rs.resOff[:0], rs.utilVars[:0]
+	rs.obj = rs.obj[:0]
 	rs.usageRes, rs.usage = rs.usageRes[:0], rs.usage[:0]
 	rs.pollSubj, rs.pollVars = rs.pollSubj[:0], rs.pollVars[:0]
+	lo := int32(len(m.seeds))
 	coefs := rs.coefs[:0]
 	for _, k := range ids {
 		p := &st.preps[k]
 		sh := p.baked.shape
 		cl := &sh.cases[p.a.Case]
 		names := p.baked.varNames[p.a.Case]
-		off := len(rs.resVars)
-		rs.resOff = append(rs.resOff, off)
+		off := len(m.resVars)
 		for ri, r := range cl.res {
 			v := prob.AddVar(names[ri], 0, sw.Capacity[r])
-			rs.resVars = append(rs.resVars, v)
+			m.resVars = append(m.resVars, v)
 			rs.addUsage(r, v)
 		}
-		rv := rs.resVars[off:]
+		rv := m.resVars[off:]
 		// Utility variable with t <= each min-term.
 		u := prob.AddVar(p.baked.utilName, 0, lp.Inf)
-		rs.utilVars = append(rs.utilVars, u)
+		m.seeds = append(m.seeds, lpSeed{shape: p.shape, cs: int32(p.a.Case), vars: int32(off), util: u})
 		rs.obj = append(rs.obj, lp.Coef{Var: u, Val: 1})
 		for _, row := range cl.utilRows {
 			coefs = append(coefs[:0], lp.Coef{Var: u, Val: 1})
@@ -1068,30 +1256,16 @@ func (st *heurState) redistribute(si int32) error {
 	prob.SetObjective(rs.obj, 0)
 	sol, err := prob.Solve()
 	if err != nil {
-		return fmt.Errorf("placement: redistribution on switch %d: %w", sw.ID, err)
+		return -1, fmt.Errorf("placement: redistribution on switch %d: %w", sw.ID, err)
 	}
-	if sol.Status != lp.Optimal {
-		return nil
+	next, ok := m.byHash[h]
+	if !ok {
+		next = -1
 	}
-	for j, k := range ids {
-		p := &st.preps[k]
-		res := p.baked.shape.cases[p.a.Case].res
-		off := rs.resOff[j]
-		p.a.Alloc = outcomeAlloc(p.a.Alloc, res, rs.resVars[off:off+len(res)], sol)
-		p.a.Utility = sol.Value(rs.utilVars[j])
-	}
-	st.recomputePolls(si)
-	// Update remaining capacity from actual allocations.
-	rem := st.remaining[si]
-	clear(rem)
-	for r, v := range sw.Capacity {
-		rem[r] = v
-	}
-	for _, k := range ids {
-		subSansPoll(rem, st.preps[k].a.Alloc)
-	}
-	st.invalidateSlack(si)
-	return nil
+	e := int32(len(m.entries))
+	m.byHash[h] = e
+	m.entries = append(m.entries, memoEntry{sol: sol, next: next, class: st.capClass[si], lo: lo, hi: int32(len(m.seeds))})
+	return e, nil
 }
 
 // appendCoefs appends the row's coefficients over the seed's resource

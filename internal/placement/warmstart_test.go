@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
@@ -189,6 +190,25 @@ func TestHeuristicWarmDigestsPinned(t *testing.T) {
 
 	in.Touched = []netmodel.SwitchID{}
 	step("settle", "07c900b457df65aa")
+}
+
+// TestHeuristicSameAnswerEveryRun: a solve is a function of its Input.
+// On identical switches greedy placement breaks utility ties by slack,
+// so equal switches must score equal slack bit for bit; summed in map
+// order they came out an ulp apart, and repeated warm solves of this
+// "place all" problem gave a different placement nearly every run.
+func TestHeuristicSameAnswerEveryRun(t *testing.T) {
+	in := placeAllScenario(7, 6, 2, -187)
+	cold := solveChecked(t, in)
+	warm := *in
+	warm.Current = maps.Clone(cold.Placed)
+	dropTask(&warm, in.Seeds[0].Task)
+	want := solveChecked(t, &warm).Digest()
+	for run := 0; run < 10; run++ {
+		if got := solveChecked(t, &warm).Digest(); got != want {
+			t.Fatalf("run %d: digest %s, first run %s", run, got, want)
+		}
+	}
 }
 
 // TestHeuristicWarmStartPinsUnchanged: with nothing touched, a warm
