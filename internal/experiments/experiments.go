@@ -106,9 +106,10 @@ func newBenchRig(capacity netmodel.Resources, hosts int, busBytesPerSec float64,
 	return loop, fab, s, nil
 }
 
-// compileMachine compiles one machine of a source into the program a
-// soil deploys, once for however many seeds run it.
-func compileMachine(src, machine string) (*core.Program, error) {
+// prepareMachine compiles one machine of a source, which binds no
+// externals, into what a soil deploys, once for however many seeds run
+// it.
+func prepareMachine(src, machine string) (*soil.Prepared, error) {
 	prog, err := almanac.Parse(src)
 	if err != nil {
 		return nil, err
@@ -117,7 +118,11 @@ func compileMachine(src, machine string) (*core.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.Compile(cm)
+	lp, err := core.Compile(cm)
+	if err != nil {
+		return nil, err
+	}
+	return soil.Prepare(lp, nil)
 }
 
 func fmtDuration(d time.Duration) string {

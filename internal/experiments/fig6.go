@@ -163,12 +163,12 @@ func fig6Run(v Fig6Variant, seeds int, duration time.Duration) (Fig6Point, error
 			return Fig6Point{}, err
 		}
 		src := fig6SeedSource(v.IvalMs, port, v.MLIterations)
-		prog, err := compileMachine(src, "Fig6Seed")
+		prep, err := prepareMachine(src, "Fig6Seed")
 		if err != nil {
 			return Fig6Point{}, err
 		}
 		ref := soil.SeedRef{Task: fmt.Sprintf("t%d", i), Machine: "Fig6Seed", Switch: "bench"}
-		if err := s.DeployCompiled(ref, prog, nil, alloc); err != nil {
+		if err := s.DeployCompiled(ref, prep, alloc); err != nil {
 			return Fig6Point{}, err
 		}
 	}

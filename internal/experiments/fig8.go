@@ -99,14 +99,14 @@ func fig8Run(seeds int, aggregate bool) (Fig8Point, error) {
 	if err != nil {
 		return Fig8Point{}, err
 	}
-	prog, err := compileMachine(fig8SeedSource, "BusHog")
+	prep, err := prepareMachine(fig8SeedSource, "BusHog")
 	if err != nil {
 		return Fig8Point{}, err
 	}
 	alloc := netmodel.Resources{netmodel.ResVCPU: 0.001, netmodel.ResRAM: 1, netmodel.ResPoll: 1000}
 	for i := 0; i < seeds; i++ {
 		ref := soil.SeedRef{Task: fmt.Sprintf("t%d", i), Machine: "BusHog", Switch: "bench"}
-		if err := s.DeployCompiled(ref, prog, nil, alloc); err != nil {
+		if err := s.DeployCompiled(ref, prep, alloc); err != nil {
 			return Fig8Point{}, err
 		}
 	}

@@ -93,14 +93,14 @@ func fig9Run(seeds int, opts soil.Options) (Fig9Point, error) {
 	if err != nil {
 		return Fig9Point{}, err
 	}
-	prog, err := compileMachine(fig9SeedSource, "SharedPoller")
+	prep, err := prepareMachine(fig9SeedSource, "SharedPoller")
 	if err != nil {
 		return Fig9Point{}, err
 	}
 	alloc := netmodel.Resources{netmodel.ResVCPU: 0.001, netmodel.ResRAM: 1, netmodel.ResPoll: 1000}
 	for i := 0; i < seeds; i++ {
 		ref := soil.SeedRef{Task: fmt.Sprintf("t%d", i), Machine: "SharedPoller", Switch: "bench"}
-		if err := s.DeployCompiled(ref, prog, nil, alloc); err != nil {
+		if err := s.DeployCompiled(ref, prep, alloc); err != nil {
 			return Fig9Point{}, err
 		}
 	}

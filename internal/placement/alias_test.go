@@ -31,13 +31,11 @@ type seedSnap struct {
 }
 
 type bakedSnap struct {
-	ID, UtilName string
-	VarNames     [][]string
-	Utility      poly.Utility
-	Polls        []PollDemand
-	Cases        []caseSnap
-	PollNames    []string
-	Min          *minimalSnap
+	Utility   poly.Utility
+	Polls     []PollDemand
+	Cases     []caseSnap
+	PollNames []string
+	Min       *minimalSnap
 }
 
 type caseSnap struct {
@@ -117,22 +115,17 @@ func snapBaked(b *Baked) *bakedSnap {
 	if b == nil {
 		return nil
 	}
-	sh := b.shape
 	s := &bakedSnap{
-		ID: b.id, UtilName: b.utilName,
-		Utility: cloneUtility(sh.utility), Polls: clonePolls(sh.polls),
-		PollNames: slices.Clone(sh.pollNames),
+		Utility: cloneUtility(b.utility), Polls: clonePolls(b.polls),
+		PollNames: slices.Clone(b.pollNames),
 	}
-	for _, names := range b.varNames {
-		s.VarNames = append(s.VarNames, slices.Clone(names))
-	}
-	for _, cl := range sh.cases {
+	for _, cl := range b.cases {
 		s.Cases = append(s.Cases, caseSnap{
 			Res:      slices.Clone(cl.res),
 			UtilRows: cloneRows(cl.utilRows), ConRows: cloneRows(cl.conRows), PollRows: cloneRows(cl.pollRows),
 		})
 	}
-	if m := sh.min.Load(); m != nil {
+	if m := b.min.Load(); m != nil {
 		s.Min = &minimalSnap{Key: slices.Clone(m.key), Utils: slices.Clone(m.utils), BestMin: m.bestMin}
 		for _, a := range m.allocs {
 			if a == nil {
@@ -179,7 +172,9 @@ func mapID(m netmodel.Resources) uintptr { return reflect.ValueOf(m).Pointer() }
 // Current, must be unchanged by a full, a warm, a migrating and a
 // SkipRedistribution solve, run one after another on the same values,
 // and by a "place all" solve in which switches share one memoized
-// step-3 answer.
+// step-3 answer — once with a capacity map each and once with one map
+// for all of them. No solve writes a SwitchInfo.Capacity: the seeder
+// hands in the topology's own maps.
 func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 	base := digestScenario()
 	first := map[string]int{}
@@ -187,12 +182,21 @@ func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 		s := &base.Seeds[i]
 		if f, ok := first[s.Task]; ok {
 			s.Utility, s.Polls = base.Seeds[f].Utility, base.Seeds[f].Polls
-			s.Baked = Bake(s, base.Seeds[f].Baked)
+			s.Baked = base.Seeds[f].Baked
 		} else {
 			first[s.Task] = i
-			s.Baked = Bake(s, nil)
+			s.Baked = Bake(s)
 		}
 	}
+	// Every capacity map as it was before any solve, by identity: a
+	// write that a later solve repeats must show too.
+	pristine := map[uintptr]netmodel.Resources{}
+	keepCaps := func(in *Input) {
+		for _, sw := range in.Switches {
+			pristine[mapID(sw.Capacity)] = sw.Capacity.Clone()
+		}
+	}
+	keepCaps(base)
 	// The previous solve: it publishes every machine's minimal
 	// allocations, and its Placed becomes the Current of what follows.
 	prev := solveChecked(t, base)
@@ -221,6 +225,7 @@ func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 	// one's LP and the others reuse its answer. Solved once here to
 	// publish its machines' minimal allocations.
 	placeAll := placeAllScenario(6, 3, 0, 5)
+	keepCaps(placeAll)
 	solveChecked(t, placeAll)
 
 	var touched []netmodel.SwitchID
@@ -238,10 +243,17 @@ func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 		{"migrating", func(in *Input) { in.Current = halfRes.Placed; in.MigrationCost = 0.1 }},
 		{"skip-redistribution", func(in *Input) { in.SkipRedistribution = true }},
 		{"shared-answer", func(in *Input) { *in = *placeAll }},
+		{"shared-capacity", func(in *Input) {
+			*in = *placeAll
+			in.Switches = slices.Clone(placeAll.Switches)
+			for i := range in.Switches {
+				in.Switches[i].Capacity = placeAll.Switches[0].Capacity
+			}
+		}},
 	}
-	memos := map[*bakedShape]*minimal{}
+	memos := map[*Baked]*minimal{}
 	for i := range base.Seeds {
-		sh := base.Seeds[i].Baked.shape
+		sh := base.Seeds[i].Baked
 		memos[sh] = sh.min.Load()
 		if memos[sh] == nil {
 			t.Fatalf("seed %s: no minimal allocations published by the first solve", base.Seeds[i].ID)
@@ -269,6 +281,11 @@ func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 		if err := CheckFeasible(&in, res); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
+		for _, sw := range in.Switches {
+			if was := pristine[mapID(sw.Capacity)]; !reflect.DeepEqual(was, sw.Capacity) {
+				t.Fatalf("%s: a solve wrote switch %d's Capacity: %v, was %v", s.name, sw.ID, sw.Capacity, was)
+			}
+		}
 		if after := snapInput(&in); !reflect.DeepEqual(before, after) {
 			t.Fatalf("%s: the solve wrote into its Input", s.name)
 		}
@@ -286,8 +303,8 @@ func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 			}
 		}
 		migrated += res.Migrations
-		if s.name == "shared-answer" {
-			sharedAnswers = hits
+		if s.name == "shared-answer" || s.name == "shared-capacity" {
+			sharedAnswers += hits
 		}
 	}
 	// The rules are exercised, not only declared.

@@ -142,25 +142,16 @@ type caseLP struct {
 	pollRows []lpRow  // per Polls entry: -coef per res, rhs = const
 }
 
-// Baked is one seed's step-3 LP fragments: every utility case's sorted
-// resource list and util/constraint/poll rows, plus the seed's interned
-// LP variable names. They depend only on the seed's ID, Utility and
-// Polls, so a caller that re-solves the same seeds (the seeder's
-// warm replans) bakes once per (seed, utility) and hands the value back
-// in SeedSpec.Baked. Any number of solves, on any goroutines, share a
-// Baked: nothing in it is written after Bake returns except the
-// minimal allocations a solve publishes on its shape (see minimalAt).
+// Baked is a seed's step-3 LP fragments: every utility case's sorted
+// resource list and util/constraint/poll rows, and the names of its
+// poll subjects' shared variables. They depend only on the seed's
+// Utility and Polls, so every seed with those slices (the seeds of one
+// machine analysed against one set of externals, in the seeder) shares
+// one Baked, and a caller that re-solves them bakes it once and hands it
+// back in SeedSpec.Baked. Any number of solves, on any goroutines, share
+// a Baked: nothing in it is written after Bake returns except the
+// minimal allocations a solve publishes (see minimalAt).
 type Baked struct {
-	id       string
-	utilName string     // "<seed>.u"
-	varNames [][]string // per case: "<seed>.<res>" per shape.cases[ci].res
-	shape    *bakedShape
-}
-
-// bakedShape is the part of a Baked that does not depend on the seed ID:
-// seeds baked from the same Utility and Polls slices (the seeds of one
-// machine) share it.
-type bakedShape struct {
 	utility poly.Utility // the cases baked, checked by Validate
 	polls   []PollDemand
 	cases   []caseLP
@@ -188,21 +179,21 @@ type capEntry struct {
 	bits uint64
 }
 
-// minimalAt returns the shape's minimal allocations for the capacity
+// minimalAt returns the cases' minimal allocations for the capacity
 // vector maxCap, whose sorted entries are key. They depend only on the
 // utility cases and that vector, so the seeds of a machine compute them
 // once per vector, not once per seed and solve.
-func (sh *bakedShape) minimalAt(maxCap netmodel.Resources, key []capEntry) *minimal {
-	if m := sh.min.Load(); m != nil && slices.Equal(m.key, key) {
+func (b *Baked) minimalAt(maxCap netmodel.Resources, key []capEntry) *minimal {
+	if m := b.min.Load(); m != nil && slices.Equal(m.key, key) {
 		return m
 	}
 	m := &minimal{
 		key:     slices.Clone(key),
-		allocs:  make([]netmodel.Resources, len(sh.utility)),
-		utils:   make([]float64, len(sh.utility)),
+		allocs:  make([]netmodel.Resources, len(b.utility)),
+		utils:   make([]float64, len(b.utility)),
 		bestMin: math.Inf(-1),
 	}
-	for ci, c := range sh.utility {
+	for ci, c := range b.utility {
 		alloc, ok := minimalAlloc(c, maxCap)
 		if !ok {
 			m.utils[ci] = math.Inf(-1)
@@ -214,47 +205,22 @@ func (sh *bakedShape) minimalAt(maxCap netmodel.Resources, key []capEntry) *mini
 			m.bestMin = u
 		}
 	}
-	sh.min.Store(m)
+	b.min.Store(m)
 	return m
 }
 
-// Bake precomputes spec's step-3 LP fragments. like may be another
-// seed's Baked: when it was baked from the same Utility and Polls slices,
-// the result shares its rows and adds only spec's variable names.
-func Bake(spec *SeedSpec, like *Baked) *Baked {
-	var sh *bakedShape
-	if like != nil && like.shape.matches(spec) {
-		sh = like.shape
-	} else {
-		sh = bakeShape(spec)
-	}
+// Bake precomputes the step-3 LP fragments of spec's Utility and Polls.
+func Bake(spec *SeedSpec) *Baked {
 	b := &Baked{
-		id: spec.ID, utilName: spec.ID + ".u",
-		varNames: make([][]string, len(sh.cases)),
-		shape:    sh,
-	}
-	for ci := range sh.cases {
-		res := sh.cases[ci].res
-		names := make([]string, len(res))
-		for ri, r := range res {
-			names[ri] = spec.ID + "." + r
-		}
-		b.varNames[ci] = names
-	}
-	return b
-}
-
-func bakeShape(spec *SeedSpec) *bakedShape {
-	sh := &bakedShape{
 		utility: spec.Utility, polls: spec.Polls,
 		cases:     make([]caseLP, len(spec.Utility)),
 		pollNames: make([]string, len(spec.Polls)),
 	}
 	for i, pd := range spec.Polls {
-		sh.pollNames[i] = "poll." + pd.Subject
+		b.pollNames[i] = "poll." + pd.Subject
 	}
 	for ci, c := range spec.Utility {
-		cl := &sh.cases[ci]
+		cl := &b.cases[ci]
 		cl.res = make([]string, 0, 4) // vCPU, RAM, TCAM, PCIe: rarely more
 		for _, con := range c.Constraints {
 			cl.addRes(con)
@@ -281,17 +247,13 @@ func bakeShape(spec *SeedSpec) *bakedShape {
 			cl.pollRows[i] = cl.row(pd.Rate, -1, pd.Rate.Const)
 		}
 	}
-	return sh
+	return b
 }
 
-// matches reports whether b was baked from spec: the same seed ID, the
-// same Utility and Polls slices.
+// matches reports whether b was baked from spec's Utility and Polls
+// slices.
 func (b *Baked) matches(spec *SeedSpec) bool {
-	return b.id == spec.ID && b.shape.matches(spec)
-}
-
-func (sh *bakedShape) matches(spec *SeedSpec) bool {
-	return sameSlice(sh.utility, spec.Utility) && sameSlice(sh.polls, spec.Polls)
+	return sameSlice(b.utility, spec.Utility) && sameSlice(b.polls, spec.Polls)
 }
 
 // sameSlice reports whether a and b are the same slice: same length, same
@@ -306,7 +268,7 @@ type seedPrep struct {
 	baked *Baked
 	min   *minimal // the seed's cases at this solve's largest capacities
 	task  int32    // index into heurState.tasks
-	shape int32    // this solve's number of baked.shape (heurState.shapes)
+	shape int32    // this solve's number of baked, its shape (heurState.shapes)
 	// cur is the seed's Input.Current assignment, if hasCur.
 	cur    Assignment
 	hasCur bool
@@ -354,11 +316,11 @@ type heurState struct {
 
 	// capClass[i] is the lowest index of a switch whose capacity equals
 	// switch i's bit for bit; capFirst maps a capacity hash to the first
-	// switch with it. shapes numbers the distinct seed shapes. Together
+	// switch with it. shapes numbers the distinct Baked values. Together
 	// they make a step-3 LP's signature (see lpMemo).
 	capClass []int32
 	capFirst map[uint64]int32
-	shapes   map[*bakedShape]int32
+	shapes   map[*Baked]int32
 
 	// remaining[i] is switch i's capacity minus what its seeds hold,
 	// updated in place.
@@ -403,7 +365,7 @@ var heurPool = sync.Pool{New: func() any {
 		taskIdx:  map[string]int32{},
 		maxCap:   netmodel.Resources{},
 		capFirst: map[uint64]int32{},
-		shapes:   map[*bakedShape]int32{},
+		shapes:   map[*Baked]int32{},
 		redist:   redistScratch{prob: lp.New(lp.Maximize)},
 		memo:     lpMemo{byHash: map[uint64]int32{}},
 	}
@@ -469,16 +431,15 @@ func (st *heurState) reset(in *Input) {
 		p := &st.preps[k]
 		*p = seedPrep{spec: s, baked: s.Baked}
 		if p.baked == nil {
-			p.baked = Bake(s, nil)
+			p.baked = Bake(s)
 		}
-		sh := p.baked.shape
-		num, ok := st.shapes[sh]
+		num, ok := st.shapes[p.baked]
 		if !ok {
 			num = int32(len(st.shapes))
-			st.shapes[sh] = num
+			st.shapes[p.baked] = num
 		}
 		p.shape = num
-		p.min = sh.minimalAt(st.maxCap, st.maxKey)
+		p.min = p.baked.minimalAt(st.maxCap, st.maxKey)
 		p.cur, p.hasCur = in.Current[s.ID]
 		st.seedIdx[s.ID] = int32(k) // from here on: ID → prep index
 	}
@@ -1058,11 +1019,11 @@ func (rs *redistScratch) pollVar(subject, name string) lp.Var {
 }
 
 // lpMemo holds every step-3 LP solved in one solve, by signature: the
-// switch's capacity class and, in ID order, each resident seed's shape
+// switch's capacity class and, in ID order, each resident seed's Baked
 // number and case. That is everything the LP reads — rows come from the
-// shape's case, poll variables are shared by the shape's subjects,
-// bounds and right-hand sides come from the capacity, and variable names
-// only label an error — so two switches with one signature have one LP,
+// Baked case, poll variables are shared by its subjects, bounds and
+// right-hand sides come from the capacity, and a variable is named by
+// its resource alone — so two switches with one signature have one LP,
 // bit for bit, and one answer. A "place all" task puts the same seeds
 // of a machine on every switch of a class; the migrate pass re-solves
 // each switch it rolls back.
@@ -1174,7 +1135,7 @@ func (st *heurState) redistribute(si int32) error {
 	}
 	for j, k := range ids {
 		p := &st.preps[k]
-		res := p.baked.shape.cases[p.a.Case].res
+		res := p.baked.cases[p.a.Case].res
 		s := &m.seeds[int(en.lo)+j]
 		p.a.Alloc = outcomeAlloc(p.a.Alloc, res, m.resVars[s.vars:int(s.vars)+len(res)], sol)
 		p.a.Utility = sol.Value(s.util)
@@ -1207,18 +1168,17 @@ func (st *heurState) solveLP(si int32, ids []int32, h uint64) (int32, error) {
 	coefs := rs.coefs[:0]
 	for _, k := range ids {
 		p := &st.preps[k]
-		sh := p.baked.shape
-		cl := &sh.cases[p.a.Case]
-		names := p.baked.varNames[p.a.Case]
+		b := p.baked
+		cl := &b.cases[p.a.Case]
 		off := len(m.resVars)
-		for ri, r := range cl.res {
-			v := prob.AddVar(names[ri], 0, sw.Capacity[r])
+		for _, r := range cl.res {
+			v := prob.AddVar(r, 0, sw.Capacity[r])
 			m.resVars = append(m.resVars, v)
 			rs.addUsage(r, v)
 		}
 		rv := m.resVars[off:]
 		// Utility variable with t <= each min-term.
-		u := prob.AddVar(p.baked.utilName, 0, lp.Inf)
+		u := prob.AddVar("util", 0, lp.Inf)
 		m.seeds = append(m.seeds, lpSeed{shape: p.shape, cs: int32(p.a.Case), vars: int32(off), util: u})
 		rs.obj = append(rs.obj, lp.Coef{Var: u, Val: 1})
 		for _, row := range cl.utilRows {
@@ -1233,7 +1193,7 @@ func (st *heurState) solveLP(si int32, ids []int32, h uint64) (int32, error) {
 		}
 		// Poll demands: pollres_p >= rate(res).
 		for pi, row := range cl.pollRows {
-			pv := rs.pollVar(sh.polls[pi].Subject, sh.pollNames[pi])
+			pv := rs.pollVar(b.polls[pi].Subject, b.pollNames[pi])
 			coefs = append(coefs[:0], lp.Coef{Var: pv, Val: 1})
 			coefs = row.appendCoefs(coefs, rv)
 			prob.AddConstraint(coefs, lp.GE, row.rhs)

@@ -80,8 +80,10 @@ func placeAllScenario(switches, tasks, extra int, seed int64) *Input {
 			for j := 0; j <= extra && j < switches; j++ {
 				s.Candidates = append(s.Candidates, netmodel.SwitchID((i+j)%switches))
 			}
-			s.Baked = Bake(&s, like)
-			like = s.Baked
+			if like == nil {
+				like = Bake(&s)
+			}
+			s.Baked = like
 			in.Seeds = append(in.Seeds, s)
 		}
 	}
@@ -123,10 +125,10 @@ func FuzzRedistMemo(f *testing.F) {
 				for i := range in.Seeds {
 					s := &in.Seeds[i]
 					if like, ok := first[s.Task]; ok {
-						s.Utility, s.Polls = like.shape.utility, like.shape.polls
-						s.Baked = Bake(s, like)
+						s.Utility, s.Polls = like.utility, like.polls
+						s.Baked = like
 					} else {
-						s.Baked = Bake(s, nil)
+						s.Baked = Bake(s)
 						first[s.Task] = s.Baked
 					}
 				}
@@ -229,8 +231,10 @@ func TestRedistMemoSignature(t *testing.T) {
 					if p.x {
 						s.Task, s.Machine, s.Utility, s.Polls, m = "tx", "x", x, xPolls, 0
 					}
-					s.Baked = Bake(&s, like[m])
-					like[m] = s.Baked
+					if like[m] == nil {
+						like[m] = Bake(&s)
+					}
+					s.Baked = like[m]
 					in.Seeds = append(in.Seeds, s)
 				}
 			}

@@ -37,10 +37,10 @@ type SeedSpec struct {
 	Utility    poly.Utility        // cases of (C^s, u^s)
 	Polls      []PollDemand
 	// Baked optionally carries this seed's step-3 LP fragments, made by
-	// Bake from this spec's ID, Utility and Polls. The caller owns it and
-	// may hand the same value to every solve while those stay the same
-	// (the seeder keeps one per seed and utility state, and drops it with
-	// the task); nil bakes per solve.
+	// Bake from this spec's Utility and Polls. The caller owns it and may
+	// hand the same value to every solve, and to every seed with those
+	// slices (the seeder keeps one per machine, externals value and
+	// utility state in its program store); nil bakes per solve.
 	Baked *Baked
 }
 
@@ -173,8 +173,7 @@ func (in *Input) validate(swIdx map[netmodel.SwitchID]int32, seedIdx map[string]
 			return fmt.Errorf("placement: seed %s has no utility cases", s.ID)
 		}
 		if s.Baked != nil && !s.Baked.matches(s) {
-			return fmt.Errorf("placement: seed %s: Baked was made from another spec (seed %s; want this Utility and Polls)",
-				s.ID, s.Baked.id)
+			return fmt.Errorf("placement: seed %s: Baked was made from another Utility or Polls", s.ID)
 		}
 	}
 	return nil

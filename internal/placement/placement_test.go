@@ -352,9 +352,9 @@ func TestValidateErrors(t *testing.T) {
 		{"bad candidate", func(in *Input) { in.Seeds[0].Candidates = []netmodel.SwitchID{99} }},
 		{"no utility", func(in *Input) { in.Seeds[0].Utility = nil }},
 		{"dup switch", func(in *Input) { in.Switches = append(in.Switches, in.Switches[0]) }},
-		{"baked for another seed", func(in *Input) { in.Seeds[0].Baked = Bake(&in.Seeds[1], nil) }},
+		{"baked for another seed", func(in *Input) { in.Seeds[0].Baked = Bake(&in.Seeds[1]) }},
 		{"baked from another utility", func(in *Input) {
-			in.Seeds[0].Baked = Bake(&in.Seeds[0], nil)
+			in.Seeds[0].Baked = Bake(&in.Seeds[0])
 			in.Seeds[0].Utility = slices.Clone(in.Seeds[0].Utility)
 		}},
 	}
@@ -369,7 +369,7 @@ func TestValidateErrors(t *testing.T) {
 		t.Fatalf("base should validate: %v", err)
 	}
 	for i := range base.Seeds {
-		base.Seeds[i].Baked = Bake(&base.Seeds[i], nil)
+		base.Seeds[i].Baked = Bake(&base.Seeds[i])
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("base with its own fragments should validate: %v", err)

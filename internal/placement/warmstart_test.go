@@ -40,9 +40,8 @@ func TestHeuristicDigestPinned(t *testing.T) {
 
 // TestBakedFragmentsMatchPerSolve: fragments baked ahead of the solve and
 // carried in SeedSpec.Baked place exactly what fragments baked inside it
-// do. The seeds of a task share their first
-// seed's Utility and Polls, as a machine's seeds do in the seeder, and are
-// baked like it, so they share its rows.
+// do. The seeds of a task share their first seed's Utility and Polls, as
+// a machine's seeds do in the seeder, and so share its one Baked.
 func TestBakedFragmentsMatchPerSolve(t *testing.T) {
 	in := digestScenario()
 	first := map[string]int{}
@@ -58,18 +57,20 @@ func TestBakedFragmentsMatchPerSolve(t *testing.T) {
 	carried.Seeds = slices.Clone(in.Seeds)
 	for i := range carried.Seeds {
 		s := &carried.Seeds[i]
-		like := carried.Seeds[first[s.Task]].Baked
-		s.Baked = Bake(s, like)
-		if like != nil && s.Baked.shape != like.shape {
-			t.Fatalf("seed %s does not share its task's rows", s.ID)
+		if f := first[s.Task]; f != i {
+			s.Baked = carried.Seeds[f].Baked
+		} else {
+			s.Baked = Bake(s)
 		}
 	}
-	other := &carried.Seeds[1]
-	if other.Task == carried.Seeds[0].Task {
+	other := carried
+	other.Seeds = slices.Clone(carried.Seeds)
+	if other.Seeds[1].Task == other.Seeds[0].Task {
 		t.Fatal("scenario: the first two seeds are of one task")
 	}
-	if b := Bake(other, carried.Seeds[0].Baked); b.shape == carried.Seeds[0].Baked.shape {
-		t.Fatal("a seed with other Utility and Polls borrowed rows")
+	other.Seeds[1].Baked = other.Seeds[0].Baked
+	if err := other.Validate(); err == nil {
+		t.Fatal("a seed with other Utility and Polls was accepted with another task's rows")
 	}
 	want := solveChecked(t, in).Digest()
 	// Twice: a solve leaves the fragments it shares as it found them.

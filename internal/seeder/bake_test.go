@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"farm/internal/core"
 	"farm/internal/engine"
 	"farm/internal/fabric"
 	"farm/internal/netmodel"
@@ -65,7 +66,7 @@ func TestBakedFragmentsParity(t *testing.T) {
 		}
 		if ft := sd.tasks["flip"]; ft != nil {
 			for _, spec := range in.Seeds {
-				if spec.Task == "flip" && &spec.Utility[0] != &ft.seeds[0].utilByState["a"][0] {
+				if spec.Task == "flip" && &spec.Utility[0] != &ft.seeds[0].an.states["a"].util[0] {
 					flipped++
 				}
 			}
@@ -111,20 +112,22 @@ func TestBakedFragmentsParity(t *testing.T) {
 	t.Logf("%d solves, %d with a flip seed in its second state", solves, flipped)
 }
 
-// TestBakedFragmentsLifetime: fragments live on their seeds and nowhere
-// else. Over 1 000 retire+resubmit cycles of one task with the other 17
-// live, the fragments reachable from the seeder are exactly one per live
-// seed (no engine time passes, so every seed is in its initial state),
-// and the heap does not grow. A package-level memo keyed by seed would
-// pass the count and fail the heap: each resubmit resolves fresh utility
-// slices, so its entries never hit again.
+// TestBakedFragmentsLifetime: fragments live in the program store, one
+// per machine, externals value and state, and seeds borrow them. Over
+// 1 000 retire+resubmit cycles of one task with the other 17 live, every
+// resubmit carries exactly the fragments the first submit did (nothing
+// is baked again), and the heap does not grow. Then 1 000 submits of HH,
+// each binding a threshold no submit bound before, keep one analysis of
+// the machine, the last value's, and leave the heap flat: values that
+// never repeat must not pile up in the store.
 func TestBakedFragmentsLifetime(t *testing.T) {
 	if raceEnabled {
-		t.Skip("a heap-trend check over 1 000 loaded replans: ~40 s under the race detector, and nothing concurrent to check")
+		t.Skip("a heap-trend check over 2 000 loaded replans: ~80 s under the race detector, and nothing concurrent to check")
 	}
 	sd, _ := loadedSeeder(t)
-	spec := catalogueSpecs()[0]
-	cycle := func() {
+	specs := catalogueSpecs()
+	spec := specs[0]
+	cycle := func(spec TaskSpec) {
 		if err := sd.RemoveTask(spec.Name); err != nil {
 			t.Fatal(err)
 		}
@@ -139,23 +142,19 @@ func TestBakedFragmentsLifetime(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapInuse
 	}
-	check := func(at int) {
-		seeds, baked := 0, 0
-		for _, tk := range sd.tasks {
-			for _, s := range tk.seeds {
-				seeds++
-				baked += len(s.baked)
-			}
+	baked := func(task string) map[string]*placement.Baked {
+		out := map[string]*placement.Baked{}
+		for _, s := range sd.tasks[task].seeds {
+			out[s.id] = s.an.states[s.m.cm.InitialState].baked
 		}
-		if baked != seeds {
-			t.Fatalf("after %d cycles: %d baked values reachable for %d live seeds", at, baked, seeds)
-		}
+		return out
 	}
+	first := baked(spec.Name)
 	var settled uint64
 	for i := 1; i <= 1000; i++ {
-		cycle()
-		if i%100 == 0 {
-			check(i)
+		cycle(spec)
+		if i%100 == 0 && !reflect.DeepEqual(baked(spec.Name), first) {
+			t.Fatalf("after %d resubmits the seeds carry other fragments than the first submit's", i)
 		}
 		if i == 200 {
 			settled = heap()
@@ -163,6 +162,28 @@ func TestBakedFragmentsLifetime(t *testing.T) {
 	}
 	if end := heap(); end > settled+settled/4+(1<<20) {
 		t.Fatalf("heap in use grew from %d to %d bytes over 800 more resubmits", settled, end)
+	}
+
+	var hh TaskSpec
+	for _, s := range specs {
+		if s.Name == "hh" {
+			hh = s
+		}
+	}
+	m := sd.tasks["hh"].seeds[0].m
+	for i := 1; i <= 1000; i++ {
+		spec := hh
+		spec.Externals = map[string]map[string]core.Value{"HH": {"threshold": int64(1_000_000 + i)}}
+		cycle(spec)
+		if got := m.an.externals["threshold"]; got != int64(1_000_000+i) {
+			t.Fatalf("after threshold %d HH keeps the analysis of threshold %v", 1_000_000+i, got)
+		}
+		if i == 200 {
+			settled = heap()
+		}
+	}
+	if end := heap(); end > settled+settled/4+(1<<20) {
+		t.Fatalf("heap in use grew from %d to %d bytes over 800 more distinct externals values", settled, end)
 	}
 }
 

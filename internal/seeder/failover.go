@@ -108,13 +108,15 @@ func (sd *Seeder) FailedSwitches() []netmodel.SwitchID {
 }
 
 // liveSwitches filters the topology's switches through the failure set.
+// Each carries the topology's own capacity map: a solve writes no
+// SwitchInfo.Capacity (placement.TestSolveWritesNothingItDoesNotOwn).
 func (sd *Seeder) liveSwitches() []placement.SwitchInfo {
 	var out []placement.SwitchInfo
 	for _, sw := range sd.fab.Topology().Switches() {
 		if sd.failed[sw.ID] {
 			continue
 		}
-		out = append(out, placement.SwitchInfo{ID: sw.ID, Capacity: sw.Capacity.Clone()})
+		out = append(out, placement.SwitchInfo{ID: sw.ID, Capacity: sw.Capacity})
 	}
 	return out
 }

@@ -3,7 +3,8 @@
 // their place directives against the SDN controller's topology view,
 // runs the static analyses that feed placement optimization, invokes the
 // optimizer across all co-deployed tasks, ships seeds to soils (each
-// machine compiled and passed through its XML wire form once, store.go),
+// machine compiled and passed through its XML wire form once, and
+// analysed once for the externals value it is submitted with, store.go),
 // applies reallocations, and live-migrates seeds (deploy description →
 // transfer state → resume, §V-B).
 package seeder
@@ -21,7 +22,6 @@ import (
 	"farm/internal/harvest"
 	"farm/internal/netmodel"
 	"farm/internal/placement"
-	"farm/internal/poly"
 	"farm/internal/soil"
 )
 
@@ -101,24 +101,14 @@ type task struct {
 type seedInst struct {
 	id  string // ref.ID() (task/machine[/instance]), built once at resolve
 	ref soil.SeedRef
-	// m is the machine as compiled once for its source: first deploy and
-	// migration restore run the same program.
+	// m is the machine as compiled once for its source, and its analysis
+	// against the task's externals, shared with every seed that binds the
+	// same value: first deploy and migration restore run the same
+	// prepared program, and every replan reads the utility of the seed's
+	// current state (§III-B) and its LP fragments from it.
 	m          *storedMachine
-	externals  map[string]core.Value
+	an         *analysis
 	candidates []netmodel.SwitchID
-	// utilByState: the seeder analyzes every state's util so
-	// re-optimizations can use the seed's current state (§III-B).
-	utilByState map[string]poly.Utility
-	polls       []placement.PollDemand
-	// baked holds the seed's step-3 LP fragments per utility state, baked
-	// the first time a solve sees the seed in that state and reused by
-	// every later one; they die with the seed. A seed has a state or two,
-	// so a slice, not a map.
-	baked []stateBaked
-	// kin is the first seed resolved from the same machine: it shares
-	// utilByState and polls, so its fragments lend their rows to this
-	// seed's.
-	kin        *seedInst
 	deployedAt netmodel.SwitchID
 	deployed   bool
 }
@@ -362,11 +352,12 @@ func (sd *Seeder) BroadcastToTask(task, machine string, v core.Value) error {
 }
 
 // resolveMachine performs the seeder's first step for a machine:
-// placement directives → seed instances with candidate sets (π, §III-B),
-// plus the second and third steps (utility and poll analysis).
+// placement directives → seed instances with candidate sets (π, §III-B).
+// The second and third steps (utility and poll analysis) depend only on
+// the machine and its externals, so they come from the program store.
 func (sd *Seeder) resolveMachine(t *task, m *storedMachine, externals map[string]core.Value) ([]*seedInst, error) {
 	cm := m.cm
-	env := core.ConstEnv(cm, externals)
+	an := m.analysisFor(externals)
 
 	placements := cm.Placements
 	if len(placements) == 0 {
@@ -374,7 +365,7 @@ func (sd *Seeder) resolveMachine(t *task, m *storedMachine, externals map[string
 	}
 	var candidateSets [][]netmodel.SwitchID
 	for _, pl := range placements {
-		sets, err := sd.resolvePlacement(pl, env)
+		sets, err := sd.resolvePlacement(pl, an.env)
 		if err != nil {
 			return nil, err
 		}
@@ -383,57 +374,18 @@ func (sd *Seeder) resolveMachine(t *task, m *storedMachine, externals map[string
 	if len(candidateSets) == 0 {
 		return nil, fmt.Errorf("placement resolves to no switches")
 	}
-
-	// Step 2: utility per state.
-	utilByState := map[string]poly.Utility{}
-	for _, st := range cm.States {
-		u, err := almanac.AnalyzeUtility(st.Util, env)
-		if err != nil {
-			return nil, fmt.Errorf("state %s: %w", st.Name, err)
-		}
-		utilByState[st.Name] = u
+	if an.err != nil {
+		return nil, an.err
 	}
 
-	// Step 3: poll variables → subjects and rates.
-	pis, err := almanac.AnalyzePolls(cm, env)
-	if err != nil {
-		return nil, err
-	}
-	var polls []placement.PollDemand
-	for _, pi := range pis {
-		if pi.TType == almanac.TrigTime {
-			continue // time triggers do not touch the ASIC
-		}
-		if pi.What.Kind != almanac.ConstFilter {
-			return nil, fmt.Errorf("trigger %s: subject not resolvable at deployment", pi.Name)
-		}
-		key, err := soil.SubjectKey(pi.What)
-		if err != nil {
-			return nil, fmt.Errorf("trigger %s: %w", pi.Name, err)
-		}
-		polls = append(polls, placement.PollDemand{Subject: key, Rate: pi.RatePerSec})
-	}
-
-	var seeds []*seedInst
+	seeds := make([]*seedInst, len(candidateSets))
 	for i, cands := range candidateSets {
 		inst := ""
 		if len(candidateSets) > 1 {
 			inst = fmt.Sprintf("i%d", i)
 		}
 		ref := soil.SeedRef{Task: t.name, Machine: cm.Name, Instance: inst}
-		si := &seedInst{
-			id:          ref.ID(),
-			ref:         ref,
-			m:           m,
-			externals:   externals,
-			candidates:  cands,
-			utilByState: utilByState,
-			polls:       polls,
-		}
-		seeds = append(seeds, si)
-	}
-	for _, si := range seeds {
-		si.kin = seeds[0]
+		seeds[i] = &seedInst{id: ref.ID(), ref: ref, m: m, an: an, candidates: cands}
 	}
 	return seeds, nil
 }
@@ -634,7 +586,7 @@ func (sd *Seeder) buildInput() *placement.Input {
 			state := s.m.cm.InitialState
 			if s.deployed {
 				if st, err := sd.soils[s.deployedAt].SeedState(s.id); err == nil {
-					if _, ok := s.utilByState[st]; ok {
+					if _, ok := s.an.states[st]; ok {
 						state = st
 					}
 				}
@@ -646,44 +598,19 @@ func (sd *Seeder) buildInput() *placement.Input {
 				// leave it out so C1 drops its task.
 				continue
 			}
+			sa := s.an.states[state]
 			in.Seeds = append(in.Seeds, placement.SeedSpec{
 				ID:         s.id,
 				Task:       t.name,
 				Machine:    s.m.cm.Name,
 				Candidates: cands,
-				Utility:    s.utilByState[state],
-				Polls:      s.polls,
+				Utility:    sa.util,
+				Polls:      s.an.polls,
+				Baked:      sa.baked,
 			})
-			spec := &in.Seeds[len(in.Seeds)-1]
-			spec.Baked = s.bakedFor(state, spec)
 		}
 	}
 	return in
-}
-
-type stateBaked struct {
-	state string
-	baked *placement.Baked
-}
-
-// bakedFor returns the seed's LP fragments in the given state, baking
-// them on first use.
-func (s *seedInst) bakedFor(state string, spec *placement.SeedSpec) *placement.Baked {
-	if b := s.bakedIn(state); b != nil {
-		return b
-	}
-	b := placement.Bake(spec, s.kin.bakedIn(state))
-	s.baked = append(s.baked, stateBaked{state, b})
-	return b
-}
-
-func (s *seedInst) bakedIn(state string) *placement.Baked {
-	for _, sb := range s.baked {
-		if sb.state == state {
-			return sb.baked
-		}
-	}
-	return nil
 }
 
 // apply reconciles soils with an optimization result. Resources are
@@ -760,7 +687,7 @@ func sameAlloc(a, b netmodel.Resources) bool {
 func (sd *Seeder) deploySeed(s *seedInst, a placement.Assignment) error {
 	ref := s.ref
 	ref.Switch = sd.fab.Topology().Switch(a.Switch).Name
-	if err := sd.soils[a.Switch].DeployCompiled(ref, s.m.prog, s.externals, a.Alloc); err != nil {
+	if err := sd.soils[a.Switch].DeployCompiled(ref, s.an.prep, a.Alloc); err != nil {
 		return err
 	}
 	s.ref = ref
@@ -787,10 +714,9 @@ func (sd *Seeder) migrateSeed(s *seedInst, a placement.Assignment) error {
 	ref := s.ref
 	ref.Switch = sd.fab.Topology().Switch(a.Switch).Name
 	target := sd.soils[a.Switch]
-	prog := s.m.prog
-	ext := s.externals
+	prep := s.an.prep
 	engine.ScheduleOn(sd.fab.Sched(), delay, func() {
-		if err := target.RestoreSeed(ref, prog, ext, a.Alloc, snap); err != nil {
+		if err := target.RestoreSeed(ref, prep, a.Alloc, snap); err != nil {
 			sd.logf("seeder: migration restore %s: %v", s.id, err)
 		}
 	})

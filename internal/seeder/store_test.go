@@ -2,6 +2,9 @@ package seeder
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -95,7 +98,7 @@ func TestResubmitCompilesNothing(t *testing.T) {
 	cycle(warmSd)
 	warm := testing.AllocsPerRun(20, func() { cycle(warmSd) })
 	t.Logf("submit+retire of HH on one switch: cold %.0f allocs, warm %.0f", cold, warm)
-	// Measured: cold ≈ 3 080 (most of it the XML codec), warm ≈ 440 —
+	// Measured: cold ≈ 3 160 (most of it the XML codec), warm ≈ 100 —
 	// resolution, placement and the deploy itself.
 	const warmBound = 700
 	if warm > warmBound {
@@ -173,6 +176,173 @@ func TestProgramStoreBounded(t *testing.T) {
 	if got := sd.programs.idle[len(sd.programs.idle)-1]; got != oldest {
 		t.Fatal("a reused idle entry did not move to the young end")
 	}
+
+	// One source, 1 000 externals values: the machine keeps one
+	// analysis, of the value it was last submitted with, and the heap
+	// stays flat.
+	m := func() *storedMachine { return sd.programs.bySource[knobSource].machines["Knob"] }
+	for i := 0; i < 1000; i++ {
+		ext := map[string]core.Value{"leaf": "leaf0", "period": int64(1 + i), "weight": 1.0, "subj": core.FilterVal{PortAny: true}}
+		if err := sd.AddTask(TaskSpec{Name: "knob", Source: knobSource, Externals: map[string]map[string]core.Value{"Knob": ext}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sd.RemoveTask("knob"); err != nil {
+			t.Fatal(err)
+		}
+		if got := m().an.externals["period"]; got != int64(1+i) {
+			t.Fatalf("after value %d Knob keeps the analysis of period %v", 1+i, got)
+		}
+		if i == 199 {
+			settled = heap()
+		}
+	}
+	if end := heap(); end > settled+settled/4+(1<<20) {
+		t.Fatalf("heap grew from %d to %d bytes over 800 more externals values", settled, end)
+	}
+}
+
+// TestExternalsCopiedAtSubmit: the store keys an analysis on a copy of
+// the externals value, not on the caller's map. A caller that writes its
+// map after a submit changes neither that analysis nor what a later
+// submit of the original value gets; submitting the written map gets an
+// analysis of the new value.
+func TestExternalsCopiedAtSubmit(t *testing.T) {
+	fab, _ := testSetup(t, 1, 2, 1)
+	sd := New(fab, Options{})
+	ext := map[string]core.Value{"leaf": "leaf0", "period": int64(10), "weight": 1.0, "subj": core.FilterVal{PortAny: true}}
+	submit := func(name string, ext map[string]core.Value) *analysis {
+		t.Helper()
+		if err := sd.AddTask(TaskSpec{Name: name, Source: knobSource, Externals: map[string]map[string]core.Value{"Knob": ext}}); err != nil {
+			t.Fatal(err)
+		}
+		return sd.tasks[name].seeds[0].an
+	}
+	rate := func(a *analysis) float64 { return a.polls[0].Rate.Eval(map[string]float64{netmodel.ResPCIe: 1}) }
+	first := submit("a", ext)
+	if got := rate(first); got != 100 {
+		t.Fatalf("period 10 polls at %v/s per PCIe unit, want 100", got)
+	}
+	ext["period"] = int64(20)
+	ext["leaf"] = "leaf1"
+	if again := submit("b", map[string]core.Value{"leaf": "leaf0", "period": int64(10), "weight": 1.0, "subj": core.FilterVal{PortAny: true}}); again != first {
+		t.Fatal("a submit of the original value did not get its stored analysis")
+	}
+	if got := rate(first); got != 100 || first.externals["period"] != int64(10) {
+		t.Fatalf("the caller's write reached the stored analysis: rate %v, externals %v", got, first.externals)
+	}
+	written := submit("c", ext)
+	if written == first || rate(written) != 50 {
+		t.Fatalf("the written map got analysis %p (first %p), rate %v: want a new one at 50/s", written, first, rate(written))
+	}
+	if got := sd.TaskSeeds("c"); got["c/Knob"] != "leaf1" {
+		t.Fatalf("the written map placed Knob as %v, want on leaf1", got)
+	}
+}
+
+// TestSameExternals: two bindings are one externals value only if a seed
+// bound to either cannot tell them apart — core.Equal's int64(1) == 1.0
+// and 0 == -0 do not count, in a list neither, and records and maps,
+// which core.Equal compares that loosely, never match.
+func TestSameExternals(t *testing.T) {
+	ext := func(v core.Value) map[string]core.Value { return map[string]core.Value{"x": v} }
+	rec := func(v core.Value) core.Value {
+		return core.StructVal{L: core.LayoutOf("R", []string{"f"}), V: []core.Value{v}}
+	}
+	dict := func(v core.Value) core.Value {
+		m := core.NewMap()
+		m.Set("k", v)
+		return m
+	}
+	for _, tc := range []struct {
+		a, b map[string]core.Value
+		same bool
+	}{
+		{nil, map[string]core.Value{}, true},
+		{ext(int64(1)), ext(int64(1)), true},
+		{ext(int64(1)), ext(1.0), false},
+		{ext(0.0), ext(math.Copysign(0, -1)), false},
+		{ext(math.NaN()), ext(math.NaN()), true},
+		{ext("a"), ext("a"), true},
+		{ext(core.List{int64(1)}), ext(core.List{int64(1)}), true},
+		{ext(core.List{int64(1)}), ext(core.List{1.0}), false},
+		{ext(core.FilterVal{PortAny: true}), ext(core.FilterVal{PortAny: true}), true},
+		{ext(rec(int64(1))), ext(rec(1.0)), false},
+		{ext(rec(int64(1))), ext(rec(int64(1))), false}, // records are never compared: a miss
+		{ext(dict(int64(1))), ext(dict(1.0)), false},
+		{ext(int64(1)), map[string]core.Value{"y": int64(1)}, false},
+		{ext(int64(1)), map[string]core.Value{"x": int64(1), "y": int64(1)}, false},
+	} {
+		if got := sameExternals(tc.a, tc.b); got != tc.same {
+			t.Errorf("sameExternals(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.same)
+		}
+	}
+}
+
+// TestResubmitAnalysesNothing: a submit that binds a value its machine
+// was analysed against before takes the stored analysis — the same
+// utilities, poll demands, LP fragments and prepared program — and runs
+// no utility or poll analysis. The catalogue is submitted, retired and
+// submitted again with equal externals in new maps.
+func TestResubmitAnalysesNothing(t *testing.T) {
+	fab, _ := churnFabric(t)
+	sd := New(fab, Options{})
+	hits, misses := 0, 0
+	testAnalysis = func(hit bool) bool {
+		if hit {
+			hits++
+		} else {
+			misses++
+		}
+		return false
+	}
+	defer func() { testAnalysis = nil }()
+	specs := catalogueSpecs()
+	firstAn := map[string]*analysis{}
+	for _, spec := range specs {
+		if err := sd.AddTask(spec); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sd.tasks[spec.Name].seeds {
+			firstAn[s.id] = s.an
+		}
+	}
+	machines := misses
+	if hits != 0 || machines < len(specs) {
+		t.Fatalf("first submit of the catalogue: %d hits, %d misses", hits, misses)
+	}
+	for _, spec := range specs {
+		if err := sd.RemoveTask(spec.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, spec := range specs {
+		spec.Externals = catalogueExternals(spec.Name)
+		if err := sd.AddTask(spec); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sd.tasks[spec.Name].seeds {
+			if s.an != firstAn[s.id] {
+				t.Fatalf("%s: resubmit got a new analysis", s.id)
+			}
+		}
+	}
+	if misses != machines || hits != machines {
+		t.Fatalf("resubmit of the catalogue: %d analyses run, %d taken from the store; want 0 and %d", misses-machines, hits, machines)
+	}
+}
+
+// catalogueExternals is a catalogue task's default externals in new
+// maps.
+func catalogueExternals(name string) map[string]map[string]core.Value {
+	d, err := tasks.ByName(name)
+	if err != nil {
+		panic(err)
+	}
+	out := map[string]map[string]core.Value{}
+	for m, ext := range d.DefaultExternals {
+		out[m] = maps.Clone(ext)
+	}
+	return out
 }
 
 // TestFailedSourceNotStored: a source that does not parse, or one of
@@ -442,8 +612,12 @@ machine %s {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prep, err := soil.Prepare(m.prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	squatter := soil.SeedRef{Task: "squat", Machine: "Tick1", Switch: "leaf1"}
-	if err := leaf1.DeployCompiled(squatter, m.prog, nil, leaf1.Available()); err != nil {
+	if err := leaf1.DeployCompiled(squatter, prep, leaf1.Available()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -602,15 +776,68 @@ func BenchmarkResubmitLoaded(b *testing.B) {
 	}
 }
 
+// BenchmarkChurnRound is the seeder's share of bench/e2e's control-churn
+// workload, without its RPC and audit layers: the 2×4×8 fabric at soak
+// capacities, the catalogue split between two owners, and per round each
+// owner resubmits the tasks it retired the round before and retires 5 of
+// its own at random (rand seed 11). An op is one round; allocs/submit is
+// a round's objects, its retires included, per submit.
+func BenchmarkChurnRound(b *testing.B) {
+	fab, _ := churnFabric(b)
+	sd := New(fab, Options{})
+	type owner struct{ owned, missing []TaskSpec }
+	owners := []*owner{{}, {}}
+	for i, spec := range catalogueSpecs() {
+		o := owners[i%len(owners)]
+		o.owned = append(o.owned, spec)
+		o.missing = append(o.missing, spec)
+	}
+	rng := rand.New(rand.NewSource(11))
+	round := func() (submits int) {
+		for _, o := range owners {
+			for _, spec := range o.missing {
+				if err := sd.AddTask(spec); err != nil {
+					b.Fatal(err)
+				}
+				submits++
+			}
+			o.missing = o.missing[:0]
+			for _, i := range rng.Perm(len(o.owned))[:5] {
+				if err := sd.RemoveTask(o.owned[i].Name); err != nil {
+					b.Fatal(err)
+				}
+				o.missing = append(o.missing, o.owned[i])
+			}
+		}
+		return submits
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	submits := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submits += round()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(submits), "allocs/submit")
+}
+
 // TestLoadedResubmitAllocBound pins BenchmarkResubmitLoaded's objects per
 // cycle. Re-baking every live seed's step-3 LP fragments on every replan,
 // and cloning a capacity map per update, cost 5 135; fragments carried on
 // the seed and capacity updated in place brought it to ≈ 2 300. Solves
 // in pooled scratch, with minimal allocations computed once per machine,
 // allocation-free LP assembly and outcome maps only for changed answers,
-// bring it to ≈ 450. Under the race detector sync.Pool drops a quarter of
-// what it is handed, so a solve rebuilds its scratch now and then; with
-// no pool at all a cycle is ≈ 800.
+// brought it to ≈ 450 (bound 570). Each machine's analysis, LP fragments
+// and prepared program kept with the machine in the program store,
+// and the soil's books kept in place, bring it to ≈ 222 (bound 280).
+// Under the race detector sync.Pool drops a quarter of what it is
+// handed, so a solve rebuilds its scratch now and then (≈ 290–320).
 func TestLoadedResubmitAllocBound(t *testing.T) {
 	_, cycle := loadedSeeder(t)
 	n := len(catalogueSpecs())
@@ -625,7 +852,7 @@ func TestLoadedResubmitAllocBound(t *testing.T) {
 		}
 	}) / float64(n)
 	t.Logf("loaded retire+resubmit: %.0f allocs per cycle", got)
-	bound := 570
+	bound := 280
 	if raceEnabled {
 		bound = 1000
 	}

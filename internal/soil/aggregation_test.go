@@ -113,7 +113,7 @@ machine RulePoller {
 		}
 		ref := SeedRef{Task: fmt.Sprintf("t%d", i), Machine: "RulePoller", Switch: s.Name()}
 		alloc := netmodel.Resources{netmodel.ResVCPU: 0.01, netmodel.ResRAM: 1, netmodel.ResPoll: 500}
-		if err := s.DeployCompiled(ref, mustCompile(t, cm), nil, alloc); err != nil {
+		if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), alloc); err != nil {
 			t.Fatal(err)
 		}
 	}

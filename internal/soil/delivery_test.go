@@ -175,7 +175,7 @@ func deployMachine(t testing.TB, s *Soil, task, src, machine string) SeedRef {
 	}
 	ref := SeedRef{Task: task, Machine: machine, Switch: s.Name()}
 	alloc := netmodel.Resources{netmodel.ResVCPU: 0.01, netmodel.ResRAM: 1, netmodel.ResPoll: 2000}
-	if err := s.DeployCompiled(ref, mustCompile(t, cm), nil, alloc); err != nil {
+	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), alloc); err != nil {
 		t.Fatal(err)
 	}
 	return ref

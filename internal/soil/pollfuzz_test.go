@@ -46,9 +46,9 @@ const (
 	keepModes
 )
 
-// observerProgram compiles the observer of a subject (port or rule
+// observerProgram prepares the observer of a subject (port or rule
 // counters) keeping its poll results as keep says.
-func observerProgram(tb testing.TB, rule bool, keep int) *core.Program {
+func observerProgram(tb testing.TB, rule bool, keep int) *Prepared {
 	tb.Helper()
 	what, rec, field := "port ANY", "PortStats", "dTxBytes"
 	if rule {
@@ -76,7 +76,7 @@ func observerProgram(tb testing.TB, rule bool, keep int) *core.Program {
 	if err != nil {
 		tb.Fatalf("compile: %v\n%s", err, src)
 	}
-	return mustCompile(tb, cm)
+	return mustPrepare(tb, cm, nil)
 }
 
 // observer is one deployed observer and what the oracle expects of it.
@@ -106,17 +106,17 @@ type oracleGroup struct {
 type pollHarness struct {
 	tb      testing.TB
 	s       *Soil
-	progs   [2][keepModes]*core.Program // by rule subject, keep mode
-	obs     []*observer                 // deployed, in join order
-	groups  [2]oracleGroup              // by rule subject
-	reports map[string][]string         // by seed ID, since the last check
+	progs   [2][keepModes]*Prepared // by rule subject, keep mode
+	obs     []*observer             // deployed, in join order
+	groups  [2]oracleGroup          // by rule subject
+	reports map[string][]string     // by seed ID, since the last check
 	joins   int
 	// keptChecks counts reports of kept results, rewrites the completions
 	// that reused their group's batch.
 	keptChecks, rewrites int
 }
 
-func newPollHarness(tb testing.TB, progs [2][keepModes]*core.Program) *pollHarness {
+func newPollHarness(tb testing.TB, progs [2][keepModes]*Prepared) *pollHarness {
 	fab, _, leaf := oneLeafFabric(tb, 2)
 	h := &pollHarness{tb: tb, s: New(fab, leaf, DefaultOptions()), progs: progs, reports: map[string][]string{}}
 	h.s.SetSendFunc(func(from SeedRef, _ core.SendDest, v core.Value) {
@@ -125,7 +125,7 @@ func newPollHarness(tb testing.TB, progs [2][keepModes]*core.Program) *pollHarne
 	return h
 }
 
-func allObserverPrograms(tb testing.TB) (progs [2][keepModes]*core.Program) {
+func allObserverPrograms(tb testing.TB) (progs [2][keepModes]*Prepared) {
 	for r := range progs {
 		for k := range progs[r] {
 			progs[r][k] = observerProgram(tb, r == 1, k)
@@ -146,7 +146,7 @@ func (h *pollHarness) join(rule bool, keep int) {
 	ref := SeedRef{Task: fmt.Sprintf("t%d", h.joins), Machine: "Obs", Switch: h.s.Name()}
 	h.joins++
 	alloc := netmodel.Resources{netmodel.ResVCPU: 0.01, netmodel.ResRAM: 1, netmodel.ResPoll: 100}
-	if err := h.s.DeployCompiled(ref, h.progs[b2i(rule)][keep], nil, alloc); err != nil {
+	if err := h.s.DeployCompiled(ref, h.progs[b2i(rule)][keep], alloc); err != nil {
 		h.tb.Fatal(err)
 	}
 	h.obs = append(h.obs, &observer{ref: ref, rule: rule, keep: keep})

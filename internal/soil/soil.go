@@ -163,7 +163,6 @@ type seedRuntime struct {
 	ref   SeedRef
 	seed  core.Runner
 	alloc netmodel.Resources
-	polls map[string]*almanac.PollInfo
 	subs  []*pollSub
 	// timers for time triggers and probe rate limiting
 	timeTickers map[string]engine.Ticker
@@ -177,7 +176,7 @@ type seedRuntime struct {
 // pollSub is one seed's subscription to a polling subject.
 type pollSub struct {
 	rt       *seedRuntime
-	varName  string
+	pi       *almanac.PollInfo // the trigger, in the seed's Prepared
 	interval time.Duration
 	group    *pollGroup
 	// seen is set by the first delivery, whose deltas are against zero;
@@ -359,7 +358,7 @@ func (g *pollGroup) deliver(build func(prev *core.Batch) *core.Batch) {
 			}
 		}
 		s.pollsDelivered++
-		s.dispatchTrigger(sub.rt, sub.varName, b)
+		s.dispatchTrigger(sub.rt, sub.pi.Name, b)
 	}
 	g.batch = shared
 }
@@ -388,10 +387,35 @@ func (s *Soil) chargeActions(rt *seedRuntime) {
 	}
 }
 
+// Prepared is a compiled program bound to one set of external bindings,
+// with the trigger analysis of its machine against them: everything a
+// deploy needs that does not depend on the switch. It is read-only, so
+// every seed deployed from it, on this soil or any other, shares it (the
+// seeder keeps one per machine, for the externals value it was last
+// submitted with, and hands it to each of its seeds).
+type Prepared struct {
+	prog      *core.Program
+	externals map[string]core.Value
+	polls     []almanac.PollInfo
+}
+
+// Prepare analyses prog's triggers against externals: poll subjects and
+// intervals, under the same constant environment the seeder analyses the
+// machine with. externals is kept, not copied, and must not change
+// afterwards.
+func Prepare(prog *core.Program, externals map[string]core.Value) (*Prepared, error) {
+	cm := prog.Machine()
+	polls, err := almanac.AnalyzePolls(cm, core.ConstEnv(cm, externals))
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{prog: prog, externals: externals, polls: polls}, nil
+}
+
 // Deploy instantiates a machine on this switch with the given external
 // bindings and resource allocation. The machine arrives in its XML wire
-// form (§V-A-d): this is the wire-format entry, nothing but decode and
-// compile in front of DeployCompiled.
+// form (§V-A-d): this is the wire-format entry, nothing but decode,
+// compile and Prepare in front of DeployCompiled.
 func (s *Soil) Deploy(ref SeedRef, xmlData []byte, externals map[string]core.Value, alloc netmodel.Resources) error {
 	cm, err := almanac.DecodeXML(xmlData)
 	if err != nil {
@@ -401,59 +425,64 @@ func (s *Soil) Deploy(ref SeedRef, xmlData []byte, externals map[string]core.Val
 	if err != nil {
 		return fmt.Errorf("soil %s: %w", s.name, err)
 	}
-	return s.DeployCompiled(ref, prog, externals, alloc)
+	p, err := Prepare(prog, externals)
+	if err != nil {
+		return fmt.Errorf("soil %s: %w", s.name, err)
+	}
+	return s.DeployCompiled(ref, p, alloc)
 }
 
-// DeployCompiled deploys one instance of an already-compiled program.
-// The program is shared read-only with every other seed deployed from
-// it, on this soil or any other (the seeder decodes and compiles a
-// machine once and hands the same program to each of its seeds).
-func (s *Soil) DeployCompiled(ref SeedRef, prog *core.Program, externals map[string]core.Value, alloc netmodel.Resources) error {
-	return s.deploy(ref, prog, externals, alloc, nil)
+// DeployCompiled deploys one instance of a prepared program.
+func (s *Soil) DeployCompiled(ref SeedRef, p *Prepared, alloc netmodel.Resources) error {
+	return s.deploy(ref, p, alloc, nil)
 }
 
 // RestoreSeed deploys a migrated seed and resumes it from a snapshot
 // (migration: deploy the description, transfer the state, resume, §V-B).
-func (s *Soil) RestoreSeed(ref SeedRef, prog *core.Program, externals map[string]core.Value, alloc netmodel.Resources, snap core.Snapshot) error {
-	return s.deploy(ref, prog, externals, alloc, &snap)
+func (s *Soil) RestoreSeed(ref SeedRef, p *Prepared, alloc netmodel.Resources, snap core.Snapshot) error {
+	return s.deploy(ref, p, alloc, &snap)
 }
 
-func (s *Soil) deploy(ref SeedRef, prog *core.Program, externals map[string]core.Value, alloc netmodel.Resources, snap *core.Snapshot) error {
+// fits reports whether alloc fits in what the seeds hold of the
+// capacity: Available().AtLeast(alloc, 1e-9), without building
+// Available.
+func (s *Soil) fits(alloc netmodel.Resources) bool {
+	for r, v := range alloc {
+		if s.capacity[r]-s.used[r] < v-1e-9 {
+			return false
+		}
+	}
+	return true
+}
+
+func (s *Soil) deploy(ref SeedRef, p *Prepared, alloc netmodel.Resources, snap *core.Snapshot) error {
 	id := ref.ID()
 	if _, dup := s.seeds[id]; dup {
 		return fmt.Errorf("soil %s: seed %s already deployed", s.name, id)
 	}
-	if !s.Available().AtLeast(alloc, 1e-9) {
+	if !s.fits(alloc) {
 		return fmt.Errorf("soil %s: insufficient resources for %s: need %v, have %v",
 			s.name, id, alloc, s.Available())
 	}
 	rt := &seedRuntime{
 		ref:         ref,
 		alloc:       alloc.Clone(),
-		polls:       map[string]*almanac.PollInfo{},
 		timeTickers: map[string]engine.Ticker{},
 	}
 	host := &seedHost{soil: s, rt: rt}
-	seed, err := prog.NewRunner(externals, host)
+	seed, err := p.prog.NewRunner(p.externals, host)
 	if err != nil {
 		return fmt.Errorf("soil %s: %w", s.name, err)
 	}
 	rt.seed = seed
 
-	// Static analysis → trigger wiring, against the same constant
-	// environment the seeder analysed the machine with.
-	cm := prog.Machine()
-	polls, err := almanac.AnalyzePolls(cm, core.ConstEnv(cm, externals))
-	if err != nil {
-		return fmt.Errorf("soil %s: %w", s.name, err)
+	s.seeds[id] = rt
+	for r, v := range alloc {
+		s.used[r] += v
 	}
 
-	s.seeds[id] = rt
-	s.used = s.used.Add(alloc)
-
-	for i := range polls {
-		pi := &polls[i]
-		rt.polls[pi.Name] = pi
+	for i := range p.polls {
+		pi := &p.polls[i]
 		interval, err := s.intervalFor(pi, alloc)
 		if err != nil {
 			s.removeInternal(id)
@@ -525,7 +554,7 @@ func (s *Soil) wirePoll(rt *seedRuntime, pi *almanac.PollInfo, interval time.Dur
 	if err != nil {
 		return fmt.Errorf("soil %s: seed %s trigger %s: %w", s.name, rt.ref.ID(), pi.Name, err)
 	}
-	sub := &pollSub{rt: rt, varName: pi.Name, interval: interval}
+	sub := &pollSub{rt: rt, pi: pi, interval: interval}
 	rt.subs = append(rt.subs, sub)
 
 	key := subj.key()
@@ -549,7 +578,7 @@ func (s *Soil) wireProbe(rt *seedRuntime, pi *almanac.PollInfo, interval time.Du
 		return fmt.Errorf("soil %s: probe %s needs a filter subject", s.name, pi.Name)
 	}
 	f := pi.What.Filter
-	sub := &pollSub{rt: rt, varName: pi.Name, interval: interval}
+	sub := &pollSub{rt: rt, pi: pi, interval: interval}
 	rt.subs = append(rt.subs, sub)
 	stop := s.driver.StartSampling(f, 1, func(p dataplane.Packet) {
 		if rt.removed {
@@ -609,7 +638,9 @@ func (s *Soil) removeInternal(id string) {
 			g.retune()
 		}
 	}
-	s.used = s.used.Sub(rt.alloc)
+	for r, v := range rt.alloc {
+		s.used[r] -= v
+	}
 	rt.removed = true
 	delete(s.seeds, id)
 }
@@ -631,19 +662,22 @@ func (s *Soil) Realloc(id string, alloc netmodel.Resources) error {
 	if !ok {
 		return fmt.Errorf("soil %s: no seed %s", s.name, id)
 	}
-	without := s.used.Sub(rt.alloc)
-	if !s.capacity.Sub(without).AtLeast(alloc, 1e-9) {
-		return fmt.Errorf("soil %s: insufficient resources to realloc %s to %v", s.name, id, alloc)
+	// The capacity minus what the other seeds hold must cover alloc.
+	for r, v := range alloc {
+		if s.capacity[r]-(s.used[r]-rt.alloc[r]) < v-1e-9 {
+			return fmt.Errorf("soil %s: insufficient resources to realloc %s to %v", s.name, id, alloc)
+		}
 	}
-	s.used = without.Add(alloc)
+	for r, v := range rt.alloc {
+		s.used[r] -= v
+	}
+	for r, v := range alloc {
+		s.used[r] += v
+	}
 	rt.alloc = alloc.Clone()
 	// Retune resource-dependent polling rates.
 	for _, sub := range rt.subs {
-		pi, ok := rt.polls[sub.varName]
-		if !ok {
-			continue
-		}
-		if iv, err := s.intervalFor(pi, alloc); err == nil {
+		if iv, err := s.intervalFor(sub.pi, alloc); err == nil {
 			sub.interval = iv
 			if sub.group != nil {
 				sub.group.retune()
@@ -786,7 +820,7 @@ func (h *seedHost) Send(to core.SendDest, v core.Value) {
 func (h *seedHost) SetTriggerInterval(trigger string, ivalMillis float64) {
 	d := millis(ivalMillis)
 	for _, sub := range h.rt.subs {
-		if sub.varName == trigger {
+		if sub.pi.Name == trigger {
 			sub.interval = d
 			if sub.group != nil {
 				sub.group.retune()

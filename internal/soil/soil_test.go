@@ -81,14 +81,19 @@ func compileHH(t *testing.T) *almanac.CompiledMachine {
 	return cm
 }
 
-// mustCompile lowers and links a machine: what DeployCompiled takes.
-func mustCompile(t testing.TB, cm *almanac.CompiledMachine) *core.Program {
+// mustPrepare lowers and links a machine and binds it to externals:
+// what DeployCompiled takes.
+func mustPrepare(t testing.TB, cm *almanac.CompiledMachine, externals map[string]core.Value) *Prepared {
 	t.Helper()
 	prog, err := core.Compile(cm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog
+	p, err := Prepare(prog, externals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func leafID(t *testing.T, fab *fabric.Fabric, name string) netmodel.SwitchID {
@@ -167,8 +172,7 @@ func TestResourceAdmission(t *testing.T) {
 	s := New(fab, leaf, DefaultOptions())
 	cm := compileHH(t)
 	huge := netmodel.Resources{netmodel.ResVCPU: 999}
-	err := s.DeployCompiled(SeedRef{Task: "t", Machine: "HH", Switch: s.Name()}, mustCompile(t, cm),
-		map[string]core.Value{"threshold": int64(1)}, huge)
+	err := s.DeployCompiled(SeedRef{Task: "t", Machine: "HH", Switch: s.Name()}, mustPrepare(t, cm, map[string]core.Value{"threshold": int64(1)}), huge)
 	if err == nil || !strings.Contains(err.Error(), "insufficient resources") {
 		t.Fatalf("err = %v", err)
 	}
@@ -182,8 +186,7 @@ func TestDuplicateDeployRejected(t *testing.T) {
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
 	deployHH(t, s, "hh", 1)
 	cm := compileHH(t)
-	err := s.DeployCompiled(SeedRef{Task: "hh", Machine: "HH", Switch: s.Name()}, mustCompile(t, cm),
-		map[string]core.Value{"threshold": int64(1)}, hhAlloc())
+	err := s.DeployCompiled(SeedRef{Task: "hh", Machine: "HH", Switch: s.Name()}, mustPrepare(t, cm, map[string]core.Value{"threshold": int64(1)}), hhAlloc())
 	if err == nil || !strings.Contains(err.Error(), "already deployed") {
 		t.Fatalf("err = %v", err)
 	}
@@ -228,7 +231,7 @@ func TestRemoveReleasesCompiledMachine(t *testing.T) {
 	func() {
 		cm := compileHH(t)
 		runtime.SetFinalizer(cm, func(*almanac.CompiledMachine) { close(collected) })
-		if err := s.DeployCompiled(ref, mustCompile(t, cm), map[string]core.Value{"threshold": int64(1)}, hhAlloc()); err != nil {
+		if err := s.DeployCompiled(ref, mustPrepare(t, cm, map[string]core.Value{"threshold": int64(1)}), hhAlloc()); err != nil {
 			t.Fatal(err)
 		}
 	}()
@@ -438,7 +441,7 @@ func TestMigrationSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref2 := SeedRef{Task: "hh", Machine: "HH", Switch: dst.Name()}
-	if err := dst.RestoreSeed(ref2, mustCompile(t, compileHH(t)), map[string]core.Value{"threshold": int64(1000)}, hhAlloc(), snap); err != nil {
+	if err := dst.RestoreSeed(ref2, mustPrepare(t, compileHH(t), map[string]core.Value{"threshold": int64(1000)}), hhAlloc(), snap); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := dst.SeedVar(ref2.ID(), "threshold"); v != int64(4242) {
@@ -479,7 +482,7 @@ machine Rules {
 	alloc := hhAlloc()
 	alloc[netmodel.ResTCAM] = 2
 	ref := SeedRef{Task: "r", Machine: "Rules", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, mustCompile(t, cm), nil, alloc); err != nil {
+	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), alloc); err != nil {
 		t.Fatal(err)
 	}
 	_ = s.DeliverMessage(ref.ID(), core.MsgSource{Harvester: true}, int64(1))
@@ -517,7 +520,7 @@ machine Probe {
 	leaf := leafID(t, fab, "leaf0")
 	s := New(fab, leaf, DefaultOptions())
 	ref := SeedRef{Task: "p", Machine: "Probe", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, mustCompile(t, cm), nil, hhAlloc()); err != nil {
+	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), hhAlloc()); err != nil {
 		t.Fatal(err)
 	}
 	// 100 matching packets in 20 ms; probe interval 5 ms lower-bounds
@@ -565,7 +568,7 @@ machine Timer {
 	fab, loop := testEnv(t)
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
 	ref := SeedRef{Task: "t", Machine: "Timer", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, mustCompile(t, cm), nil, hhAlloc()); err != nil {
+	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), hhAlloc()); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunFor(105 * time.Millisecond)
@@ -596,7 +599,7 @@ machine Adaptive {
 	fab, loop := testEnv(t)
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
 	ref := SeedRef{Task: "a", Machine: "Adaptive", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, mustCompile(t, cm), nil, hhAlloc()); err != nil {
+	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), hhAlloc()); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunFor(300 * time.Millisecond)
@@ -640,7 +643,7 @@ machine Slow {
 	fab, loop := testEnv(t)
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
 	ref := SeedRef{Task: "s", Machine: "Slow", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, mustCompile(t, cm), nil, hhAlloc()); err != nil {
+	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), hhAlloc()); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunFor(300 * time.Millisecond)
@@ -715,7 +718,7 @@ machine Timer {
 			t.Fatal(err)
 		}
 		refs[name] = SeedRef{Task: "t", Machine: name, Switch: s.Name()}
-		if err := s.DeployCompiled(refs[name], mustCompile(t, cm), nil, hhAlloc()); err != nil {
+		if err := s.DeployCompiled(refs[name], mustPrepare(t, cm, nil), hhAlloc()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -780,7 +783,7 @@ machine Timer {
 			t.Fatal(err)
 		}
 		refs[name] = SeedRef{Task: "t", Machine: name, Switch: s.Name()}
-		return s.DeployCompiled(refs[name], mustCompile(t, cm), nil, hhAlloc())
+		return s.DeployCompiled(refs[name], mustPrepare(t, cm, nil), hhAlloc())
 	}
 	for _, name := range []string{"Timer", "Counter"} {
 		if err := deploy(name); err != nil {
