@@ -180,9 +180,6 @@ func (s *System) analyze() {
 // Detections returns all heavy hitters found so far.
 func (s *System) Detections() []Detection { return s.detections }
 
-// SamplesReceived returns how many packet samples reached the collector.
-func (s *System) SamplesReceived() uint64 { return s.samplesRecv }
-
 // Stop halts agents and collector.
 func (s *System) Stop() {
 	for _, tk := range s.tickers {

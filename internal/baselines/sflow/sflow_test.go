@@ -150,7 +150,7 @@ func TestPacketSamplingForwardsToCollector(t *testing.T) {
 	stop()
 	// Let the samples in flight land.
 	fab.Sched().RunFor(10 * time.Millisecond)
-	got := sys.SamplesReceived()
+	got := sys.samplesRecv
 	if got == 0 {
 		t.Fatal("no samples reached the collector")
 	}

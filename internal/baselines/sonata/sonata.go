@@ -35,9 +35,6 @@ const (
 // KeyFunc extracts the grouping key from a packet.
 type KeyFunc func(p dataplane.Packet, inPort int) string
 
-// KeyByDstIP groups by destination address (classic HH query).
-func KeyByDstIP(p dataplane.Packet, _ int) string { return p.DstIP.String() }
-
 // KeyByInPort groups by ingress port (port-level HH, comparable to
 // FARM's HH seed).
 func KeyByInPort(_ dataplane.Packet, inPort int) string {

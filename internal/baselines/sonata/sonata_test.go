@@ -11,6 +11,9 @@ import (
 	"farm/internal/traffic"
 )
 
+// keyByDstIP groups by destination address (classic HH query).
+func keyByDstIP(p dataplane.Packet, _ int) string { return p.DstIP.String() }
+
 func testFabric(t *testing.T, leaves, hosts int) *fabric.Fabric {
 	t.Helper()
 	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{Spines: 1, Leaves: leaves, HostsPerLeaf: hosts})
@@ -24,7 +27,7 @@ func hhQuery(window time.Duration, threshold float64) Query {
 	return Query{
 		Name:      "hh",
 		Filter:    dataplane.Filter{},
-		Key:       KeyByDstIP,
+		Key:       keyByDstIP,
 		Reduce:    SumBytes,
 		Window:    window,
 		Threshold: threshold,
@@ -91,7 +94,7 @@ func TestSwitchLocalOnly(t *testing.T) {
 	// must NOT detect (no cross-switch merge, §VII).
 	fab := testFabric(t, 3, 2)
 	sys := Deploy(fab, []Query{{
-		Name: "hh", Key: KeyByDstIP, Reduce: SumBytes,
+		Name: "hh", Key: keyByDstIP, Reduce: SumBytes,
 		Window: 200 * time.Millisecond, Threshold: 150_000,
 	}}, Config{AggregationFactor: 0.75})
 	defer sys.Stop()

@@ -28,6 +28,11 @@ func (l *Layout) Index(name string) int {
 	return -1
 }
 
+// layoutTab interns layouts for the whole process. Simulations that run
+// at once in one process each link their programs on their own engine
+// goroutine (two fleet services, a leader and a standby, each on its
+// drive goroutine; seeder.TestConcurrentSimulations runs two), and all
+// of them intern here, so layoutMu guards it.
 var (
 	layoutMu  sync.Mutex
 	layoutTab = map[string]*Layout{}
@@ -95,23 +100,6 @@ func (s StructVal) Set(name string, v Value) bool {
 		return true
 	}
 	return false
-}
-
-// StructOf builds a struct value from a field map (sorted field order).
-// Convenience for hosts and tests; compiled code resolves layouts at
-// link time instead.
-func StructOf(typeName string, fields map[string]Value) StructVal {
-	names := make([]string, 0, len(fields))
-	for k := range fields {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	l := LayoutOf(typeName, names)
-	v := make([]Value, len(names))
-	for i, n := range names {
-		v[i] = fields[n]
-	}
-	return StructVal{L: l, V: v}
 }
 
 // Pre-interned layouts for the poll records the soil hands to seeds on

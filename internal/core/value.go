@@ -92,18 +92,6 @@ func (m *MapVal) Set(key string, v Value) {
 	m.set(&k, &val)
 }
 
-// Keys returns the key texts in sorted order. The list is the caller's
-// to read, not to write.
-func (m *MapVal) Keys() List {
-	switch {
-	case len(m.slots) == 0:
-		return nil
-	case m.keys != nil && (!m.keysStale || m.sameKeys()):
-		return m.keys.(List)
-	}
-	return m.sortedKeys()
-}
-
 // keyList is Keys as map_keys returns it: boxed, and kept, so a handler
 // that walks a map whose key set is the one it walked last time — after
 // value updates, inserts and deletes that cancel out, or a reset and a
@@ -315,21 +303,6 @@ func TypeName(v Value) string {
 		return "distinct"
 	}
 	return fmt.Sprintf("%T", v)
-}
-
-// Truthy converts a value to a boolean condition.
-func Truthy(v Value) (bool, error) {
-	switch x := v.(type) {
-	case bool:
-		return x, nil
-	case int64:
-		return x != 0, nil
-	case float64:
-		return x != 0, nil
-	case nil:
-		return false, nil
-	}
-	return false, fmt.Errorf("core: %s is not usable as a condition", TypeName(v))
 }
 
 // AsFloat widens numeric values.

@@ -16,7 +16,7 @@
 //     a fixed table of flowCacheSlots slots, invalidated wholesale by
 //     bumping a generation counter on any rule or sampler churn.
 //
-// The top tier, the fused Switch.Inject pass, lives in switch.go.
+// The top tier, the fused Switch.InjectKey pass, lives in switch.go.
 package dataplane
 
 import (

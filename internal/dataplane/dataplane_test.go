@@ -13,7 +13,7 @@ func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 func addr(s string) netip.Addr  { return netip.MustParseAddr(s) }
 
 // ref returns a pointer to a copy of p, for handing a literal packet to
-// Inject.
+// injectFresh.
 func ref(p Packet) *Packet { return &p }
 
 func pkt(src, dst string, sport, dport uint16, proto Proto, size int) Packet {
@@ -130,8 +130,8 @@ func TestTCAMCapacityAndReplace(t *testing.T) {
 	if !ok || r.Priority != 9 || r.Action != ActDrop {
 		t.Fatalf("replaced rule = %+v, %v", r, ok)
 	}
-	if tc.Size() != 2 || tc.Free() != 0 {
-		t.Fatalf("size=%d free=%d", tc.Size(), tc.Free())
+	if tc.Size() != 2 || tc.Capacity() != 2 {
+		t.Fatalf("size=%d capacity=%d", tc.Size(), tc.Capacity())
 	}
 }
 
@@ -188,8 +188,8 @@ func TestTCAMLookupMatchesReference(t *testing.T) {
 func TestSwitchInjectCounters(t *testing.T) {
 	sw := NewSwitch("sw0", 4, 16)
 	p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 150)
-	sw.Inject(&p, 1, 2)
-	sw.Inject(&p, 1, 2)
+	injectFresh(sw, &p, 1, 2)
+	injectFresh(sw, &p, 1, 2)
 	in, _ := sw.PortStats(1)
 	out, _ := sw.PortStats(2)
 	if in.RxPackets != 2 || in.RxBytes != 300 {
@@ -208,8 +208,8 @@ func TestSwitchDropRule(t *testing.T) {
 	_ = sw.TCAM().AddRule(Rule{Priority: 1, Filter: Filter{DstPort: 666}, Action: ActDrop})
 	bad := pkt("10.0.0.1", "10.0.0.2", 1, 666, ProtoTCP, 100)
 	good := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)
-	v1 := sw.Inject(&bad, 1, 2)
-	v2 := sw.Inject(&good, 1, 2)
+	v1 := injectFresh(sw, &bad, 1, 2)
+	v2 := injectFresh(sw, &good, 1, 2)
 	if !v1.Dropped || v2.Dropped {
 		t.Fatalf("verdicts = %+v, %+v", v1, v2)
 	}
@@ -228,13 +228,13 @@ func TestSamplerOneInN(t *testing.T) {
 	var got []Packet
 	remove := sw.AddSampler(Filter{}, 3, func(p Packet) { got = append(got, p) })
 	for i := 0; i < 10; i++ {
-		sw.Inject(ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)), 1, 2)
+		injectFresh(sw, ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)), 1, 2)
 	}
 	if len(got) != 3 {
 		t.Fatalf("sampled %d, want 3 (1-in-3 of 10)", len(got))
 	}
 	remove()
-	sw.Inject(ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)), 1, 2)
+	injectFresh(sw, ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)), 1, 2)
 	if len(got) != 3 {
 		t.Fatal("sampler fired after removal")
 	}
@@ -314,7 +314,7 @@ func TestEmuDriverPollPortStats(t *testing.T) {
 	drv := NewEmuDriver(sw, NewBus(loop, DefaultPCIePollBytesPerSec))
 	// Traffic arrives while the poll is in flight; the response reflects
 	// state at service time. Port 9 does not exist and is skipped.
-	sw.Inject(ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)), 1, 2)
+	injectFresh(sw, ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)), 1, 2)
 	var ports []int
 	var got []PortStats
 	calls := 0
@@ -373,7 +373,7 @@ func TestEmuDriverRuleLifecycle(t *testing.T) {
 	if addErr != nil {
 		t.Fatalf("add err = %v", addErr)
 	}
-	sw.Inject(ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 77)), 1, 2)
+	injectFresh(sw, ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 77)), 1, 2)
 	var st RuleStats
 	var ok bool
 	drv.PollRuleStats(f, func(s RuleStats, o bool) { st, ok = s, o })
@@ -406,7 +406,7 @@ func TestEmuDriverSamplingDropsUnderBacklog(t *testing.T) {
 	stop := drv.StartSampling(Filter{}, 1, func(Packet) { delivered++ })
 	defer stop()
 	for i := 0; i < 10; i++ {
-		sw.Inject(ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 1000)), 1, 2)
+		injectFresh(sw, ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 1000)), 1, 2)
 	}
 	loop.RunFor(5 * time.Second)
 	if drv.SampleDrops() == 0 {

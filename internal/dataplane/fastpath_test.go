@@ -130,7 +130,7 @@ func checkTCAMInvariants(t *testing.T, tc *TCAM) {
 // classifier — first match in the match-ordered entry list, then a
 // second scan over every sampler — kept here as the oracle the indexed,
 // flow-cached production path is checked against. They mutate the same
-// counters Lookup and Inject do.
+// counters Lookup and InjectKey do.
 func lookupLinear(t *TCAM, p Packet, inPort int) (Rule, bool) {
 	if e := entryLinear(t, &p, inPort); e != nil {
 		return e.rule, true
@@ -180,13 +180,20 @@ func injectLinear(s *Switch, p *Packet, inPort, outPort int) Verdict {
 	return v
 }
 
+// injectFresh is the production inject path for a caller that carries
+// no key: p's key is built for this call, then InjectKey.
+func injectFresh(s *Switch, p *Packet, inPort, outPort int) Verdict {
+	k := KeyOf(p)
+	return s.InjectKey(p, &k, inPort, outPort)
+}
+
 // injectPaths names the production inject path and its oracle for tests
 // that pin a behaviour on both.
 var injectPaths = []struct {
 	name   string
 	inject func(s *Switch, p *Packet, inPort, outPort int) Verdict
 }{
-	{"fast", (*Switch).Inject},
+	{"fast", injectFresh},
 	{"naive", injectLinear},
 }
 
@@ -386,7 +393,7 @@ func TestFlowCacheInvalidationOnChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)
-	if v := sw.Inject(&p, 1, 2); v.Rule == nil || v.Rule.Note != "low" {
+	if v := injectFresh(sw, &p, 1, 2); v.Rule == nil || v.Rule.Note != "low" {
 		t.Fatalf("verdict = %+v", v)
 	}
 	// Warm cache, then install a higher-priority rule for the same flow:
@@ -395,16 +402,16 @@ func TestFlowCacheInvalidationOnChurn(t *testing.T) {
 	if err := tc.AddRule(high); err != nil {
 		t.Fatal(err)
 	}
-	if v := sw.Inject(&p, 1, 2); !v.Dropped || v.Rule == nil || v.Rule.Note != "high" {
+	if v := injectFresh(sw, &p, 1, 2); !v.Dropped || v.Rule == nil || v.Rule.Note != "high" {
 		t.Fatalf("post-churn verdict = %+v; cache not invalidated", v)
 	}
 	// Removal invalidates too.
 	tc.RemoveRule(high.Filter)
-	if v := sw.Inject(&p, 1, 2); v.Rule == nil || v.Rule.Note != "low" {
+	if v := injectFresh(sw, &p, 1, 2); v.Rule == nil || v.Rule.Note != "low" {
 		t.Fatalf("post-remove verdict = %+v", v)
 	}
-	if tc.Generation() != 3 {
-		t.Fatalf("generation = %d, want 3 (two installs + one removal)", tc.Generation())
+	if tc.gen != 3 {
+		t.Fatalf("generation = %d, want 3 (two installs + one removal)", tc.gen)
 	}
 	if st := sw.CacheStats(); st.Hits != 0 || st.Misses != 3 {
 		t.Fatalf("cache stats = %+v, want every probe invalidated by churn", st)
@@ -419,7 +426,7 @@ func TestFlowCacheFreshTuplesAllocFree(t *testing.T) {
 	_ = sw.TCAM().AddRule(Rule{Priority: 1, Filter: Filter{Proto: ProtoTCP}})
 	sw.AddSampler(Filter{DstPort: 80}, 1<<30, func(Packet) {})
 	p := pkt("10.0.0.1", "10.0.0.2", 0, 80, ProtoTCP, 64)
-	sw.Inject(&p, 1, 2)
+	injectFresh(sw, &p, 1, 2)
 	const tuples = 10 * flowCacheSlots
 	n := 0
 	allocs := testing.AllocsPerRun(1, func() { // one warm-up run, one measured
@@ -427,7 +434,7 @@ func TestFlowCacheFreshTuplesAllocFree(t *testing.T) {
 			n++
 			p.SrcPort = uint16(n)
 			p.DstIP = netip.AddrFrom4([4]byte{10, 1, byte(n >> 8), byte(n)})
-			sw.Inject(&p, 1, 2)
+			injectFresh(sw, &p, 1, 2)
 		}
 	})
 	if allocs != 0 {
@@ -438,7 +445,10 @@ func TestFlowCacheFreshTuplesAllocFree(t *testing.T) {
 	}
 }
 
-func TestStatsMatchingExactIsByFilter(t *testing.T) {
+// TestStatsIsByExactFilter: the soil polls a rule by its exact filter,
+// and Stats answers with that rule's own counters even where another
+// installed filter is broader or narrower.
+func TestStatsIsByExactFilter(t *testing.T) {
 	tc := NewTCAM(8)
 	broad := Filter{Proto: ProtoTCP}
 	narrow := Filter{Proto: ProtoTCP, DstPort: 80}
@@ -446,76 +456,14 @@ func TestStatsMatchingExactIsByFilter(t *testing.T) {
 	_ = tc.AddRule(Rule{Priority: 1, Filter: broad, Action: ActCount})
 	tc.Lookup(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100), 1) // narrow wins
 	tc.Lookup(pkt("10.0.0.1", "10.0.0.2", 1, 443, ProtoTCP, 50), 1) // broad wins
-	// Exact-key query answers from that rule alone, even though the
-	// broad filter covers the narrow rule as well.
-	if st := tc.StatsMatching(broad); st.Packets != 1 || st.Bytes != 50 {
-		t.Fatalf("exact broad = %+v, want the broad rule's own counters", st)
+	if st, ok := tc.Stats(broad); !ok || st.Packets != 1 || st.Bytes != 50 {
+		t.Fatalf("broad = %+v, %v, want the broad rule's own counters", st, ok)
 	}
-	if st := tc.StatsMatching(narrow); st.Packets != 1 || st.Bytes != 100 {
-		t.Fatalf("exact narrow = %+v", st)
+	if st, ok := tc.Stats(narrow); !ok || st.Packets != 1 || st.Bytes != 100 {
+		t.Fatalf("narrow = %+v, %v", st, ok)
 	}
-}
-
-func TestStatsMatchingBroadQueryCovers(t *testing.T) {
-	tc := NewTCAM(8)
-	_ = tc.AddRule(Rule{Priority: 3, Filter: Filter{Proto: ProtoTCP, DstPort: 80}, Action: ActCount})
-	_ = tc.AddRule(Rule{Priority: 2, Filter: Filter{Proto: ProtoTCP, DstPort: 443}, Action: ActCount})
-	_ = tc.AddRule(Rule{Priority: 1, Filter: Filter{Proto: ProtoUDP}, Action: ActCount})
-	tc.Lookup(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100), 1)
-	tc.Lookup(pkt("10.0.0.1", "10.0.0.2", 1, 443, ProtoTCP, 30), 1)
-	tc.Lookup(pkt("10.0.0.1", "10.0.0.2", 1, 53, ProtoUDP, 20), 1)
-	// Not installed exactly -> aggregates the two TCP rules it covers.
-	if st := tc.StatsMatching(Filter{Proto: ProtoTCP}); st.Packets != 2 || st.Bytes != 130 {
-		t.Fatalf("broad TCP = %+v, want 2 pkts / 130 B", st)
-	}
-	// The zero filter covers everything.
-	if st := tc.StatsMatching(Filter{}); st.Packets != 3 || st.Bytes != 150 {
-		t.Fatalf("zero query = %+v, want whole table", st)
-	}
-}
-
-func TestFilterCovers(t *testing.T) {
-	cases := []struct {
-		name string
-		f, g Filter
-		want bool
-	}{
-		{"zero covers anything", Filter{}, Filter{DstPort: 80, Proto: ProtoTCP}, true},
-		{"equal filters", Filter{DstPort: 80}, Filter{DstPort: 80}, true},
-		{"narrow does not cover broad", Filter{DstPort: 80}, Filter{}, false},
-		{"proto covers proto+port", Filter{Proto: ProtoTCP}, Filter{Proto: ProtoTCP, DstPort: 80}, true},
-		{"proto mismatch", Filter{Proto: ProtoTCP}, Filter{Proto: ProtoUDP, DstPort: 80}, false},
-		{"wider prefix covers narrower", Filter{SrcPrefix: pfx("10.0.0.0/8")}, Filter{SrcPrefix: pfx("10.1.0.0/16")}, true},
-		{"narrower prefix does not cover wider", Filter{SrcPrefix: pfx("10.1.0.0/16")}, Filter{SrcPrefix: pfx("10.0.0.0/8")}, false},
-		{"disjoint prefixes", Filter{SrcPrefix: pfx("10.1.0.0/16")}, Filter{SrcPrefix: pfx("10.2.0.0/16")}, false},
-		{"prefix does not cover no-prefix", Filter{SrcPrefix: pfx("10.0.0.0/8")}, Filter{DstPort: 80}, false},
-		{"flag subset covers superset", Filter{FlagsSet: FlagSYN}, Filter{FlagsSet: FlagSYN | FlagACK}, true},
-		{"flag superset does not cover subset", Filter{FlagsSet: FlagSYN | FlagACK}, Filter{FlagsSet: FlagSYN}, false},
-		{"inport exact", Filter{InPort: 2}, Filter{InPort: 2, Proto: ProtoTCP}, true},
-		{"inport mismatch", Filter{InPort: 2}, Filter{InPort: 3}, false},
-	}
-	for _, c := range cases {
-		if got := c.f.Covers(c.g); got != c.want {
-			t.Errorf("%s: Covers = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-// Covers must be sound w.r.t. Match: if f covers g, every packet g
-// matches, f matches.
-func TestFilterCoversSoundness(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 2000; trial++ {
-		f, g := genFilter(rng), genFilter(rng)
-		if !f.Covers(g) {
-			continue
-		}
-		for j := 0; j < 50; j++ {
-			p, inPort := genPacket(rng)
-			if g.Match(&p, inPort) && !f.Match(&p, inPort) {
-				t.Fatalf("f=%v covers g=%v but missed packet %+v in %d", f, g, p, inPort)
-			}
-		}
+	if _, ok := tc.Stats(Filter{Proto: ProtoUDP}); ok {
+		t.Fatal("Stats answered for a filter no rule has")
 	}
 }
 

@@ -253,9 +253,9 @@ func TestV4MappedTwinNotDropped(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			var v, w Verdict
 			if v4First {
-				v, w = sw.Inject(&v4, 1, 2), sw.Inject(&mapped, 1, 2)
+				v, w = injectFresh(sw, &v4, 1, 2), injectFresh(sw, &mapped, 1, 2)
 			} else {
-				w, v = sw.Inject(&mapped, 1, 2), sw.Inject(&v4, 1, 2)
+				w, v = injectFresh(sw, &mapped, 1, 2), injectFresh(sw, &v4, 1, 2)
 			}
 			if !v.Dropped || w.Dropped || w.Rule != nil {
 				t.Fatalf("v4 first %v, round %d: IPv4 verdict %+v, mapped verdict %+v", v4First, i, v, w)

@@ -76,8 +76,8 @@ func (w *oracleWorld) addSampler(f Filter, oneInN int) {
 }
 
 // FuzzInjectOracle runs an arbitrary program of packets, rule churn and
-// sampler churn on the fused Switch.Inject path and on the linear
-// oracle, followed by a storm of more distinct flows than the flow cache
+// sampler churn on the fused InjectKey path, with the key built per
+// call, and on the linear oracle, followed by a storm of more distinct flows than the flow cache
 // has slots, interleaved with repeats of the program's last flows. Each
 // packet visits one or more in-ports in turn, as it would the switches of
 // a path; a third world injects it through InjectKey with one key built
@@ -99,7 +99,7 @@ func FuzzInjectOracle(f *testing.F) {
 		build := func(inject func(s *Switch, p *Packet, inPort, outPort int) Verdict) *oracleWorld {
 			return &oracleWorld{sw: NewSwitch("sw", 4, 12), inject: inject}
 		}
-		fast, slow, keyed := build((*Switch).Inject), build(injectLinear), build(nil)
+		fast, slow, keyed := build(injectFresh), build(injectLinear), build(nil)
 		keyed.key = new(Key)
 		worlds := []*oracleWorld{fast, slow, keyed}
 		next := func() byte {

@@ -243,44 +243,17 @@ func (f Filter) Match(p *Packet, inPort int) bool {
 	return true
 }
 
-// Covers reports whether f is at least as broad as g: every packet g
-// matches (on any ingress port g accepts), f matches too. Each of f's
-// constrained dimensions must constrain g at least as tightly —
-// wildcard fields of f cover anything, a valid prefix of f must contain
-// g's (necessarily valid) prefix, exact fields must be equal, and f's
-// required flags must be a subset of g's.
-func (f Filter) Covers(g Filter) bool {
-	if f.SrcPrefix.IsValid() &&
-		!(g.SrcPrefix.IsValid() && f.SrcPrefix.Bits() <= g.SrcPrefix.Bits() && f.SrcPrefix.Contains(g.SrcPrefix.Addr())) {
-		return false
-	}
-	if f.DstPrefix.IsValid() &&
-		!(g.DstPrefix.IsValid() && f.DstPrefix.Bits() <= g.DstPrefix.Bits() && f.DstPrefix.Contains(g.DstPrefix.Addr())) {
-		return false
-	}
-	if f.SrcPort != 0 && f.SrcPort != g.SrcPort {
-		return false
-	}
-	if f.DstPort != 0 && f.DstPort != g.DstPort {
-		return false
-	}
-	if f.Proto != ProtoAny && f.Proto != g.Proto {
-		return false
-	}
-	if f.FlagsSet != 0 && g.FlagsSet&f.FlagsSet != f.FlagsSet {
-		return false
-	}
-	if f.InPort != 0 && f.InPort != g.InPort {
-		return false
-	}
-	return true
-}
-
 // keyCache memoizes Filter.Key results. The soil encodes the polling
 // subject of every poll wiring through Key, and seeds churn rules with
 // recurring filters, so the steady state is all hits. Bounded: highly
 // dynamic filter populations (per-attacker /32 blocks) stop being
 // cached once the cache is full rather than growing it forever.
+//
+// The cache is the whole process's: the soils of simulations that run
+// at once in one process key their poll subjects from their own engine
+// goroutines (two fleet services, a leader and a standby, each on its
+// drive goroutine; seeder.TestConcurrentSimulations runs two), hence a
+// sync.Map and an atomic size.
 var (
 	keyCache     sync.Map // Filter -> string
 	keyCacheSize atomic.Int64

@@ -31,7 +31,7 @@ func TestSampleCrossingAllocs(t *testing.T) {
 	const burst = 4 // several records in flight at once
 	cross := func() {
 		for i := 0; i < burst; i++ {
-			sw.Inject(&p, 1, 2)
+			injectFresh(sw, &p, 1, 2)
 		}
 		loop.RunFor(time.Millisecond)
 	}
@@ -119,7 +119,7 @@ func TestSamplerSetsInterned(t *testing.T) {
 	empty := 0
 	for i := 0; i < flows; i++ {
 		p, in := flow(i)
-		sw.Inject(&p, in, 0)
+		injectFresh(sw, &p, in, 0)
 		cv, ok := cached(sw, &p, in)
 		if !ok {
 			t.Fatalf("flow %d: not cached right after its packet", i)
@@ -158,7 +158,7 @@ func TestSamplerSetsInterned(t *testing.T) {
 	}
 	p, in := flow(1)
 	remove := sw.AddSampler(Filter{}, 1<<30, func(Packet) {})
-	sw.Inject(&p, in, 0)
+	injectFresh(sw, &p, in, 0)
 	if sw.setsGen != sw.samplerGen || len(sw.sets) != 1 || tableHoldsOld() {
 		t.Fatalf("after AddSampler: table of generation %d (switch at %d) with %d sets, old slices reachable: %v",
 			sw.setsGen, sw.samplerGen, len(sw.sets), tableHoldsOld())
@@ -170,7 +170,7 @@ func TestSamplerSetsInterned(t *testing.T) {
 	}
 	slices[&withAll[0]] = true
 	remove()
-	sw.Inject(&p, in, 0)
+	injectFresh(sw, &p, in, 0)
 	if sw.setsGen != sw.samplerGen || len(sw.sets) != 1 || tableHoldsOld() {
 		t.Fatalf("after removal: table of generation %d (switch at %d) with %d sets, old slices reachable: %v",
 			sw.setsGen, sw.samplerGen, len(sw.sets), tableHoldsOld())
@@ -212,7 +212,7 @@ func TestSamplerSetsBounded(t *testing.T) {
 	var fullSet []*Sampler
 	for i := 0; i < flows; i++ {
 		p, in := flow(i)
-		sw.Inject(&p, in, 0)
+		injectFresh(sw, &p, in, 0)
 		if len(sw.sets) > flowCacheSlots {
 			t.Fatalf("flow %d: %d interned sets, bound %d", i, len(sw.sets), flowCacheSlots)
 		}
@@ -263,7 +263,7 @@ func TestSamplerSetsBeyond64(t *testing.T) {
 				want[i]++
 			}
 		}
-		sw.Inject(&p, 1, 2)
+		injectFresh(sw, &p, 1, 2)
 	}
 	for i := range fired {
 		if fired[i] != want[i] || (i >= 64 && fired[i] == 0) {
@@ -478,10 +478,10 @@ func TestBusReentrantRequest(t *testing.T) {
 	})
 	p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)
 	for i := 0; i < 3; i++ {
-		sw.Inject(&p, 1, 2) // all three are on the bus before the first completes
+		injectFresh(sw, &p, 1, 2) // all three are on the bus before the first completes
 	}
 	loop.RunFor(time.Second)
-	sw.Inject(&p, 1, 2) // the sampler is gone
+	injectFresh(sw, &p, 1, 2) // the sampler is gone
 	loop.RunFor(time.Second)
 	if delivered != 3 || len(sw.samplers) != 0 {
 		t.Fatalf("delivered %d samples with %d samplers left, want 3 and 0", delivered, len(sw.samplers))

@@ -70,7 +70,7 @@ type TCAM struct {
 
 	// Classifier state (docs/dataplane.md): the bucketed rule index and
 	// the generation counter bumped on every rule churn, which stamps the
-	// verdicts in Switch.Inject's flow cache.
+	// verdicts in Switch.InjectKey's flow cache.
 	index ruleIndex
 	gen   uint64
 }
@@ -84,19 +84,11 @@ func NewTCAM(capacity int) *TCAM {
 	}
 }
 
-// Generation returns the rule-churn generation counter; it advances on
-// every AddRule/RemoveRule and stamps (and thereby invalidates) cached
-// flow verdicts.
-func (t *TCAM) Generation() uint64 { return t.gen }
-
 // Capacity returns the maximum number of entries.
 func (t *TCAM) Capacity() int { return t.capacity }
 
 // Size returns the current number of entries.
 func (t *TCAM) Size() int { return len(t.entries) }
-
-// Free returns the remaining entry capacity.
-func (t *TCAM) Free() int { return t.capacity - len(t.entries) }
 
 // ErrTCAMFull is returned by AddRule when the table is at capacity.
 var ErrTCAMFull = fmt.Errorf("dataplane: TCAM full")
@@ -169,26 +161,6 @@ func (t *TCAM) Stats(f Filter) (RuleStats, bool) {
 	return RuleStats{}, false
 }
 
-// StatsMatching returns counters for the query filter. A rule installed
-// with exactly this filter answers alone, resolved O(1) through the
-// byFilter index — the hot path, since the soil polls by exact filter
-// key. Otherwise the query aggregates the counters of every rule it
-// covers (every rule whose matched packets the query would also match,
-// Filter.Covers); the zero filter aggregates the whole table.
-func (t *TCAM) StatsMatching(f Filter) RuleStats {
-	if e, ok := t.byFilter[f]; ok {
-		return e.stats
-	}
-	var agg RuleStats
-	for _, e := range t.entries {
-		if f.Covers(e.rule.Filter) {
-			agg.Packets += e.stats.Packets
-			agg.Bytes += e.stats.Bytes
-		}
-	}
-	return agg
-}
-
 // PortStats are per-port traffic counters.
 type PortStats struct {
 	RxPackets uint64
@@ -231,7 +203,7 @@ type Switch struct {
 	// matching sampler set together, each half stamped with its own
 	// generation (rule churn vs. sampler churn) so either kind of churn
 	// invalidates only lazily, on the next probe of a stale flow. The
-	// table is allocated by the first Inject: a switch that never sees
+	// table is allocated by the first InjectKey: a switch that never sees
 	// a packet pays nothing for it.
 	samplerGen uint64
 	flowCache  *flowCache
@@ -290,7 +262,7 @@ func (s *Switch) PortStats(port int) (PortStats, error) {
 func (s *Switch) Dropped() uint64 { return s.dropped }
 
 // AddSampler registers a packet sampler and returns a remove function.
-// Removal is effective immediately — even for a packet mid-Inject, the
+// Removal is effective immediately — even for a packet mid-InjectKey, the
 // removed sampler no longer fires.
 func (s *Switch) AddSampler(f Filter, oneInN int, fn func(Packet)) (remove func()) {
 	if oneInN < 1 {
@@ -317,7 +289,7 @@ func (s *Switch) AddSampler(f Filter, oneInN int, fn func(Packet)) (remove func(
 // CreditPort adds traffic to a port's counters in bulk without per-packet
 // processing. Large-scale workloads (thousands of ports, Fig. 4) use this
 // to drive counter-polling tasks cheaply; per-packet features (TCAM
-// matching, sampling) require Inject.
+// matching, sampling) require InjectKey.
 func (s *Switch) CreditPort(port int, rxPackets, rxBytes, txPackets, txBytes uint64) error {
 	if port < 1 || port >= len(s.ports) {
 		return fmt.Errorf("dataplane: switch %s has no port %d", s.name, port)
@@ -340,21 +312,17 @@ func (s *Switch) CreditRule(f Filter, packets, bytes uint64) bool {
 	return false
 }
 
-// Inject passes a packet through the ASIC: ingress counters, TCAM
+// InjectKey passes a packet through the ASIC: ingress counters, TCAM
 // classification (counting and possibly dropping), samplers, egress
 // counters. inPort/outPort are 1-based; outPort 0 means locally
-// destined. It is InjectKey with the packet's key built for this call.
-func (s *Switch) Inject(p *Packet, inPort, outPort int) Verdict {
-	k := KeyOf(p)
-	return s.InjectKey(p, &k, inPort, outPort)
-}
-
-// InjectKey is Inject for a caller that built p's key once, with
-// KeyOf, and carries it from switch to switch: the fabric builds it
-// when it resolves a flow and passes it to every hop. k must be
-// KeyOf(p) or a key built from a packet with p's match fields (the
-// 5-tuple and the TCP flags); InjectKey sets its ingress port, the one
-// field that differs from hop to hop.
+// destined.
+//
+// The caller builds p's key once, with KeyOf, and carries it from
+// switch to switch: the fabric builds it when it resolves a flow and
+// passes it to every hop. k must be KeyOf(p) or a key built from a
+// packet with p's match fields (the 5-tuple and the TCP flags);
+// InjectKey sets its ingress port, the one field that differs from hop
+// to hop.
 //
 // TCAM and samplers are evaluated in one fused pass: a single
 // flow-cache probe yields both the winning rule and the matching

@@ -48,7 +48,9 @@ type RealTime struct {
 	spare []func()
 
 	// mu guards inbox and the write of closed, so a Post either lands
-	// before Close or is dropped.
+	// before Close or is dropped. Post, Close and Closed are called from
+	// any goroutine (a fleet service's HTTP and RPC handlers, its Stop)
+	// while the run loop drains the inbox on the engine goroutine.
 	mu     sync.Mutex
 	inbox  []func()
 	closed atomic.Bool

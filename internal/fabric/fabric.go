@@ -163,22 +163,13 @@ func (f *Fabric) HostPort(sw netmodel.SwitchID, h netmodel.HostID) (int, bool) {
 	return int(f.hostPort[h]), true
 }
 
-// PortToward returns the 1-based port of sw facing neighbor nb.
-func (f *Fabric) PortToward(sw, nb netmodel.SwitchID) (int, bool) {
-	if nb < 0 || int(nb) >= len(f.swPorts) {
-		return 0, false
-	}
-	p := f.swPorts[sw][nb]
-	return int(p), p != 0
-}
-
 // Delivered returns the number of packets that reached their last hop.
 func (f *Fabric) Delivered() uint64 { return f.delivered }
 
 // DroppedInFabric returns packets dropped by TCAM rules en route.
 func (f *Fabric) DroppedInFabric() uint64 { return f.dropped }
 
-// The reasons Send, Resolve and PathFor refuse a packet. They are
+// The reasons Send and Resolve refuse a packet. They are
 // returned bare (nothing is formatted per packet); match them with
 // errors.Is.
 var (
@@ -230,17 +221,6 @@ func (f *Fabric) path(r *Route) (netmodel.Path, error) {
 		return nil, ErrNoPath
 	}
 	return paths[r.hash%uint32(len(paths))], nil
-}
-
-// PathFor returns the ECMP path a flow takes between two hosts,
-// selected deterministically by flow hash. Callers must not modify the
-// path (see netmodel.Topology.Paths). PathFor only reads p.
-func (f *Fabric) PathFor(p *dataplane.Packet) (netmodel.Path, error) {
-	r, err := f.Resolve(p)
-	if err != nil {
-		return nil, err
-	}
-	return f.path(&r)
 }
 
 // flowHash is the ECMP path selector: FNV-1a over the flow's canonical
@@ -349,17 +329,10 @@ func (h *hop) step() {
 	f.free = append(f.free, h)
 }
 
-// MustSend is Send for callers holding pre-validated addresses.
-func (f *Fabric) MustSend(p *dataplane.Packet) {
-	if err := f.Send(p); err != nil {
-		panic(err)
-	}
-}
-
-// HostIP returns the i-th host IP on the given leaf index under the
-// SpineLeaf addressing scheme (convenience for generators/tests).
+// HostIP returns the address of the hostIndex-th host on the leaf with
+// the given index, under the builders' addressing (netmodel.HostIP).
 func HostIP(leafIndex, hostIndex int) netip.Addr {
-	return netip.AddrFrom4([4]byte{10, byte(leafIndex), byte(hostIndex / 250), byte(hostIndex%250 + 1)})
+	return netmodel.HostIP(leafIndex, hostIndex)
 }
 
 // controlLatency is the one-way latency of a control-plane message

@@ -20,6 +20,25 @@ func testFabric(t *testing.T, spines, leaves, hosts int) (*Fabric, engine.Schedu
 	return New(topo, loop, Options{}), loop
 }
 
+// PortToward returns the 1-based port of sw facing neighbour nb, as
+// the hop step reads it.
+func (f *Fabric) PortToward(sw, nb netmodel.SwitchID) (int, bool) {
+	if nb < 0 || int(nb) >= len(f.swPorts) {
+		return 0, false
+	}
+	p := f.swPorts[sw][nb]
+	return int(p), p != 0
+}
+
+// PathFor returns the ECMP path p's flow takes, as Send picks it.
+func (f *Fabric) PathFor(p *dataplane.Packet) (netmodel.Path, error) {
+	r, err := f.Resolve(p)
+	if err != nil {
+		return nil, err
+	}
+	return f.path(&r)
+}
+
 func TestPortAssignment(t *testing.T) {
 	f, _ := testFabric(t, 2, 3, 4)
 	topo := f.Topology()

@@ -175,7 +175,9 @@ func BenchmarkFabricSend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fab.MustSend(mode.packet(i))
+				if err := fab.Send(mode.packet(i)); err != nil {
+					b.Fatal(err)
+				}
 				if i%1024 == 0 {
 					loop.RunFor(10 * time.Millisecond) // drain cross-hop events
 				}

@@ -124,9 +124,8 @@ func TestSendOnMatchesPathFor(t *testing.T) {
 }
 
 // refFabric forwards packets over a Fabric's switches the way the
-// fabric did before routes carried the flow-cache key: every hop calls
-// Switch.Inject, which builds the key again from the packet. It counts
-// its own deliveries and drops.
+// fabric did before routes carried the flow-cache key: every hop builds
+// the key again from the packet. It counts its own deliveries and drops.
 type refFabric struct {
 	f                  *Fabric
 	delivered, dropped uint64
@@ -152,7 +151,8 @@ func (r *refFabric) send(t *testing.T, pkt dataplane.Packet) {
 		if !last {
 			outPort, _ = r.f.PortToward(sw, path[i+1])
 		}
-		v := r.f.Switch(sw).Inject(&pkt, inPort, outPort)
+		k := dataplane.KeyOf(&pkt)
+		v := r.f.Switch(sw).InjectKey(&pkt, &k, inPort, outPort)
 		switch {
 		case v.Dropped:
 			r.dropped++

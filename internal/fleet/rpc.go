@@ -41,6 +41,8 @@ type rpcCodec struct {
 	enc *json.Encoder
 }
 
+// codecPool is shared by the RPC server's per-connection goroutines and
+// by clients on any goroutine.
 var codecPool = sync.Pool{New: func() any {
 	c := &rpcCodec{}
 	c.enc = json.NewEncoder(&c.sw)
@@ -153,8 +155,9 @@ func errResponse(err error) rpcResponse {
 }
 
 // Client is an operator-side RPC client for a running fleetd. Requests
-// encode into a client-owned reusable buffer (mu serializes calls, as
-// the underlying Conn would anyway).
+// encode into a client-owned reusable buffer (mu serializes calls from
+// the goroutines sharing the client, as the underlying Conn would
+// anyway).
 type Client struct {
 	conn transport.Conn
 	mu   sync.Mutex

@@ -167,6 +167,10 @@ type Service struct {
 	takeovers uint64
 	audit     []AuditEntry
 
+	// Written on the engine goroutine (draining also by Drain and Stop,
+	// from any goroutine) and read without exec by the HTTP and RPC
+	// handler goroutines (healthz, Ready, Leader, Takeovers, Status,
+	// Metrics, Submit's drain check).
 	leaderView   atomic.Pointer[leaderInfo]
 	takeoversA   atomic.Uint64
 	draining     atomic.Bool
@@ -179,7 +183,7 @@ type Service struct {
 
 	started   bool
 	driveDone chan struct{}
-	stopOnce  sync.Once
+	stopOnce  sync.Once // Stop runs once, whichever goroutine calls it first
 	stopErr   error
 
 	fabricDesc string

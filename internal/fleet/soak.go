@@ -167,6 +167,8 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	for _, c := range clients {
 		totalOps += cfg.Rounds*2*len(c.owned) + len(c.keep) // churn + final pass
 	}
+	// Shared by the client goroutines, the killer goroutine and this
+	// one.
 	var (
 		opsDone    atomic.Int64
 		retried    atomic.Int64

@@ -111,11 +111,3 @@ func (h *Harvester) Deliver(from soil.SeedRef, v core.Value) {
 
 // History returns the retained reports (callers must not modify).
 func (h *Harvester) History() []Record { return h.history }
-
-// LastReport returns the most recent report, if any.
-func (h *Harvester) LastReport() (Record, bool) {
-	if len(h.history) == 0 {
-		return Record{}, false
-	}
-	return h.history[len(h.history)-1], true
-}

@@ -59,9 +59,8 @@ func TestNilLogicCollectsOnly(t *testing.T) {
 	if len(h.History()) != 2 {
 		t.Fatalf("history = %d", len(h.History()))
 	}
-	rec, ok := h.LastReport()
-	if !ok || rec.Val != "b" || rec.From.Switch != "leaf1" || rec.At != 5*time.Millisecond {
-		t.Fatalf("last = %+v, %v", rec, ok)
+	if rec := h.History()[1]; rec.Val != "b" || rec.From.Switch != "leaf1" || rec.At != 5*time.Millisecond {
+		t.Fatalf("last = %+v", rec)
 	}
 }
 
@@ -83,8 +82,8 @@ func TestHistoryBounded(t *testing.T) {
 
 func TestLastReportEmpty(t *testing.T) {
 	h := New("t", nil)
-	if _, ok := h.LastReport(); ok {
-		t.Fatal("empty history should report none")
+	if n := len(h.History()); n != 0 {
+		t.Fatalf("a fresh harvester holds %d reports, want none", n)
 	}
 }
 

@@ -140,12 +140,6 @@ func (p *Problem) Reset(sense Sense) {
 	p.deadline = time.Time{}
 }
 
-// NumVars returns the number of declared variables.
-func (p *Problem) NumVars() int { return len(p.vars) }
-
-// NumConstraints returns the number of added constraints.
-func (p *Problem) NumConstraints() int { return len(p.cons) }
-
 // AddVar declares a continuous variable with bounds [lb, ub]; ub may be
 // lp.Inf. lb must be finite (free variables are not needed by FARM's
 // formulations, where every quantity is a nonnegative resource amount or
@@ -158,13 +152,6 @@ func (p *Problem) AddVar(name string, lb, ub float64) Var {
 // AddBinary declares a 0/1 integer variable.
 func (p *Problem) AddBinary(name string) Var {
 	v := p.AddVar(name, 0, 1)
-	p.vars[v].integer = true
-	return v
-}
-
-// AddIntVar declares an integer variable with bounds [lb, ub].
-func (p *Problem) AddIntVar(name string, lb, ub float64) Var {
-	v := p.AddVar(name, lb, ub)
 	p.vars[v].integer = true
 	return v
 }

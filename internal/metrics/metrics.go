@@ -71,11 +71,6 @@ func (m *CPUMeter) LoadSince(prev CPUSnapshot) float64 {
 	return float64(m.busy-prev.Busy) / float64(elapsed)
 }
 
-// Saturated reports whether demand since prev exceeded the cores.
-func (m *CPUMeter) Saturated(prev CPUSnapshot) bool {
-	return m.LoadSince(prev) > m.cores
-}
-
 // Per-operation CPU costs, calibrated to an Intel Atom C2538-class
 // management CPU (the paper's Accton AS5712/AS7712 platforms).
 const (

@@ -3,6 +3,7 @@ package netmodel_test
 import (
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 
 	"farm/internal/engine"
@@ -15,9 +16,11 @@ import (
 // and parallel links included), then one byte per host naming its leaf,
 // where the value one past the last switch names none — and builds a
 // fabric on it. A host on no switch must be refused by AddHost. Then
-// every pair's Paths and Hops must equal the frozen oracle's, and the
-// fabric must give both ends of every link a port and every host its
-// leaf port: no link carries packets that no counter sees.
+// every pair's Paths and Hops must equal the frozen oracle's, both ends
+// of every link must list each other as neighbours, and the fabric must
+// give every host its leaf port and every switch one port per host and
+// link end (fabric's TestPortAssignment pins that each neighbour gets
+// its own): no link carries packets that no counter sees.
 func FuzzPathTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 0, 1, 0, 2, 1, 2})                       // a path of three switches, two hosts
@@ -81,14 +84,21 @@ func FuzzPathTable(f *testing.F) {
 		}
 		for _, l := range links {
 			for _, end := range [][2]netmodel.SwitchID{l, {l[1], l[0]}} {
-				if p, ok := fab.PortToward(end[0], end[1]); !ok || p < 1 || p > fab.NumPorts(end[0]) {
-					t.Fatalf("link %d-%d: switch %d has port %d, %v toward %d", l[0], l[1], end[0], p, ok, end[1])
+				if !slices.Contains(top.Neighbors(end[0]), end[1]) {
+					t.Fatalf("link %d-%d: switch %d does not list %d as a neighbour", l[0], l[1], end[0], end[1])
 				}
 			}
 		}
+		hostsOn := make([]int, n)
 		for _, h := range top.Hosts() {
+			hostsOn[h.Leaf]++
 			if p, ok := fab.HostPort(h.Leaf, h.ID); !ok || p < 1 || p > fab.NumPorts(h.Leaf) {
 				t.Fatalf("host %v on switch %d has port %d, %v", h.IP, h.Leaf, p, ok)
+			}
+		}
+		for sw := netmodel.SwitchID(0); int(sw) < n; sw++ {
+			if got, want := fab.NumPorts(sw), hostsOn[sw]+len(top.Neighbors(sw)); got != want {
+				t.Fatalf("switch %d has %d ports, want %d hosts plus %d link ends", sw, got, hostsOn[sw], len(top.Neighbors(sw)))
 			}
 		}
 	})

@@ -14,7 +14,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // Resource type names used throughout FARM. These match the three
@@ -153,8 +152,9 @@ func (p Path) Key() string {
 // SpineLeaf hands it out finished; New, AddSwitch, AddLink and AddHost
 // build one by hand, and Finish (or fabric.New) fixes it. Once finished
 // it never changes, so the path table and the fabric's ports describe
-// one network, and any number of goroutines may read it (Paths
-// included) concurrently. Building is not safe for concurrent use.
+// one network. A topology belongs to the simulation built on it and is
+// not safe for concurrent use: Paths and Hops fill the path table as
+// they are asked.
 type Topology struct {
 	switches []Switch
 	// adj is the adjacency by SwitchID, one entry per link end, sorted
@@ -164,7 +164,7 @@ type Topology struct {
 	byIP  map[netip.Addr]HostID
 	// rows is the ECMP table behind Paths and Hops, by source switch,
 	// each row computed on its first query; nil until Finish.
-	rows []atomic.Pointer[pathRow]
+	rows []*pathRow
 }
 
 // DefaultMaxECMP bounds the number of equal-cost paths enumerated per
@@ -187,7 +187,7 @@ func (t *Topology) Finish() {
 	for _, nbs := range t.adj {
 		slices.Sort(nbs)
 	}
-	t.rows = make([]atomic.Pointer[pathRow], len(t.switches))
+	t.rows = make([]*pathRow, len(t.switches))
 }
 
 // mustBeOpen panics if t is finished.
@@ -275,7 +275,7 @@ func (t *Topology) SwitchIDs() []SwitchID {
 // push to the switches: a cell is computed on its first query and
 // shared by every later one. The result is table memory — callers must
 // not modify the slice or any path in it. The topology must be
-// finished. Safe for concurrent use, lock-free.
+// finished.
 func (t *Topology) Paths(src, dst SwitchID) []Path {
 	row := t.row(src)
 	if row == nil || dst < 0 || int(dst) >= len(row.cells) {
@@ -285,11 +285,11 @@ func (t *Topology) Paths(src, dst SwitchID) []Path {
 		}
 		return nil
 	}
-	if ps := row.cells[dst].Load(); ps != nil {
-		return *ps
+	if ps := row.cells[dst]; ps != nil {
+		return ps
 	}
 	ps := t.enumerate(row, dst)
-	row.cells[dst].Store(&ps)
+	row.cells[dst] = ps
 	return ps
 }
 
@@ -307,13 +307,11 @@ func (t *Topology) Hops(src, dst SwitchID) int {
 	return int(row.dist[dst])
 }
 
-// pathRow holds what is known from one source switch. Everything in it
-// is a pure function of the finished adjacency, and nothing reachable
-// from a published pointer is ever written again, so racing fills may
-// publish duplicates but never different answers.
+// pathRow holds what is known from one source switch, a pure function
+// of the finished adjacency.
 type pathRow struct {
-	dist  []int32                  // hops from the source, -1 = unreachable
-	cells []atomic.Pointer[[]Path] // by destination; nil = not yet computed
+	dist  []int32  // hops from the source, -1 = unreachable
+	cells [][]Path // by destination; nil = not yet computed, or unreachable
 }
 
 // row returns the table row of src, running its BFS on the first query;
@@ -325,12 +323,10 @@ func (t *Topology) row(src SwitchID) *pathRow {
 	if src < 0 || int(src) >= len(t.rows) {
 		return nil
 	}
-	row := t.rows[src].Load()
+	row := t.rows[src]
 	if row == nil {
 		row = t.newRow(src)
-		if !t.rows[src].CompareAndSwap(nil, row) {
-			row = t.rows[src].Load()
-		}
+		t.rows[src] = row
 	}
 	return row
 }
@@ -339,7 +335,7 @@ func (t *Topology) row(src SwitchID) *pathRow {
 func (t *Topology) newRow(src SwitchID) *pathRow {
 	row := &pathRow{
 		dist:  make([]int32, len(t.rows)),
-		cells: make([]atomic.Pointer[[]Path], len(t.rows)),
+		cells: make([][]Path, len(t.rows)),
 	}
 	for i := range row.dist {
 		row.dist[i] = -1
@@ -450,8 +446,8 @@ func DefaultSpineCapacity() Resources {
 }
 
 // SpineLeaf builds a two-tier Clos fabric: every leaf is connected to
-// every spine, and hostsPerLeaf hosts hang off each leaf with addresses
-// 10.<leaf>.<k/250>.<k%250+1>. The topology is finished.
+// every spine, and hostsPerLeaf hosts hang off each leaf at HostIP.
+// The topology is finished.
 func SpineLeaf(opts SpineLeafOptions) (*Topology, error) {
 	if opts.Spines <= 0 || opts.Leaves <= 0 {
 		return nil, fmt.Errorf("netmodel: spine-leaf needs positive spines (%d) and leaves (%d)", opts.Spines, opts.Leaves)
@@ -481,8 +477,7 @@ func SpineLeaf(opts SpineLeafOptions) (*Topology, error) {
 			t.AddLink(leaf, s)
 		}
 		for h := 0; h < opts.HostsPerLeaf; h++ {
-			ip := netip.AddrFrom4([4]byte{10, byte(l), byte(h / 250), byte(h%250 + 1)})
-			if _, err := t.AddHost(leaf, ip); err != nil {
+			if _, err := t.AddHost(leaf, HostIP(l, h)); err != nil {
 				return nil, err
 			}
 		}
@@ -518,10 +513,9 @@ func DefaultCoreCapacity() Resources {
 // switches. Aggregation switch g of every pod uplinks to all k/2 cores
 // of group g; within a pod every edge connects to every aggregation
 // switch. Edge switches take the Leaf role (hosts attach there, with
-// the same 10.<edge>.<h/250>.<h%250+1> addressing as SpineLeaf, so
-// LeafPrefix and the placement filters work unchanged), aggregation
-// switches the Spine role, and cores the Core role. The topology is
-// finished.
+// the HostIP addressing of SpineLeaf, edges numbered in creation order,
+// so the placement filters work unchanged), aggregation switches the
+// Spine role, and cores the Core role. The topology is finished.
 func FatTree(opts FatTreeOptions) (*Topology, error) {
 	k := opts.K
 	if k < 2 || k%2 != 0 {
@@ -570,8 +564,7 @@ func FatTree(opts FatTreeOptions) (*Topology, error) {
 				t.AddLink(edge, a)
 			}
 			for h := 0; h < hostsPerEdge; h++ {
-				ip := netip.AddrFrom4([4]byte{10, byte(edgeIdx), byte(h / 250), byte(h%250 + 1)})
-				if _, err := t.AddHost(edge, ip); err != nil {
+				if _, err := t.AddHost(edge, HostIP(edgeIdx, h)); err != nil {
 					return nil, err
 				}
 			}
@@ -582,8 +575,9 @@ func FatTree(opts FatTreeOptions) (*Topology, error) {
 	return t, nil
 }
 
-// LeafPrefix returns the /16 covering all hosts of the given leaf index
-// under the SpineLeaf addressing scheme.
-func LeafPrefix(leafIndex int) netip.Prefix {
-	return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(leafIndex), 0, 0}), 16)
+// HostIP is the address SpineLeaf and FatTree give the hostIndex-th
+// host of the leaf (or edge switch) with the given index:
+// 10.<leaf>.<host/250>.<host%250+1>, so all hosts of a leaf share a /16.
+func HostIP(leafIndex, hostIndex int) netip.Addr {
+	return netip.AddrFrom4([4]byte{10, byte(leafIndex), byte(hostIndex / 250), byte(hostIndex%250 + 1)})
 }

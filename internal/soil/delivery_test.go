@@ -367,14 +367,14 @@ func TestRemoveWithSampleInFlight(t *testing.T) {
 	p := dataplane.Packet{SrcPort: 1, DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100}
 
 	// With the seed in place the sample is delivered and reported.
-	fab.Switch(leaf).Inject(&p, 1, 2)
+	inject(fab.Switch(leaf), p)
 	loop.RunFor(10 * time.Millisecond)
 	if s.ProbesDelivered() != 1 || sent != 1 {
 		t.Fatalf("%d probes delivered, %d sent with the seed deployed, want 1 and 1", s.ProbesDelivered(), sent)
 	}
 
 	// 100 bytes take 100 µs to cross; the seed goes before that.
-	fab.Switch(leaf).Inject(&p, 1, 2)
+	inject(fab.Switch(leaf), p)
 	loop.RunFor(10 * time.Microsecond)
 	if err := s.Remove(a.ID()); err != nil {
 		t.Fatal(err)
@@ -400,7 +400,7 @@ func TestKeptProbePacketIsNotOverwritten(t *testing.T) {
 	s := New(fab, leaf, DefaultOptions())
 	k := deployMachine(t, s, "keeper", packetKeeperSource, "PacketKeeper")
 	for port := uint16(1); port <= 3; port++ {
-		fab.Switch(leaf).Inject(&dataplane.Packet{SrcPort: port, DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100}, 1, 2)
+		inject(fab.Switch(leaf), dataplane.Packet{SrcPort: port, DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100})
 		loop.RunFor(time.Millisecond)
 	}
 	for name, want := range map[string]int64{"n": 3, "firstPort": 1, "curPort": 3} {
@@ -448,7 +448,7 @@ func probeBench(tb testing.TB, subs int) (*Soil, engine.Scheduler, func()) {
 	}
 	// One packet is one sample per seed: subs transfers of 100 µs each.
 	probe := func() {
-		fab.Switch(leaf).Inject(&p, 1, 2)
+		inject(fab.Switch(leaf), p)
 		loop.RunFor(time.Duration(subs+1) * 100 * time.Microsecond)
 	}
 	for i := 0; i < 5; i++ {

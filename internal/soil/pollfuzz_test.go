@@ -178,26 +178,25 @@ func (h *pollHarness) group(rule bool) *pollGroup {
 }
 
 func portRecord(port int, cur, was dataplane.PortStats) string {
-	return core.FormatValue(core.StructOf("PortStats", map[string]core.Value{
-		"port":     int64(port),
-		"rxBytes":  int64(cur.RxBytes),
-		"txBytes":  int64(cur.TxBytes),
-		"rxPkts":   int64(cur.RxPackets),
-		"txPkts":   int64(cur.TxPackets),
-		"dRxBytes": int64(cur.RxBytes) - int64(was.RxBytes),
-		"dTxBytes": int64(cur.TxBytes) - int64(was.TxBytes),
-		"dRxPkts":  int64(cur.RxPackets) - int64(was.RxPackets),
-		"dTxPkts":  int64(cur.TxPackets) - int64(was.TxPackets),
-	}))
+	return core.FormatValue(core.StructVal{
+		L: core.LayoutOf("PortStats", []string{"port", "rxBytes", "txBytes", "rxPkts", "txPkts", "dRxBytes", "dTxBytes", "dRxPkts", "dTxPkts"}),
+		V: []core.Value{
+			int64(port),
+			int64(cur.RxBytes), int64(cur.TxBytes), int64(cur.RxPackets), int64(cur.TxPackets),
+			int64(cur.RxBytes) - int64(was.RxBytes), int64(cur.TxBytes) - int64(was.TxBytes),
+			int64(cur.RxPackets) - int64(was.RxPackets), int64(cur.TxPackets) - int64(was.TxPackets),
+		},
+	})
 }
 
 func ruleRecord(cur, was dataplane.RuleStats) string {
-	return core.FormatValue(core.StructOf("RuleStats", map[string]core.Value{
-		"packets":  int64(cur.Packets),
-		"bytes":    int64(cur.Bytes),
-		"dPackets": int64(cur.Packets) - int64(was.Packets),
-		"dBytes":   int64(cur.Bytes) - int64(was.Bytes),
-	}))
+	return core.FormatValue(core.StructVal{
+		L: core.LayoutOf("RuleStats", []string{"packets", "bytes", "dPackets", "dBytes"}),
+		V: []core.Value{
+			int64(cur.Packets), int64(cur.Bytes),
+			int64(cur.Packets) - int64(was.Packets), int64(cur.Bytes) - int64(was.Bytes),
+		},
+	})
 }
 
 // expect records what each subscriber of a subject should report for a

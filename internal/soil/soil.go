@@ -139,9 +139,6 @@ func (s *Soil) SetLogf(fn func(string, ...any)) { s.logf = fn }
 // Available returns capacity minus allocations.
 func (s *Soil) Available() netmodel.Resources { return s.capacity.Sub(s.used) }
 
-// Used returns the summed allocations of deployed seeds.
-func (s *Soil) Used() netmodel.Resources { return s.used.Clone() }
-
 // Capacity returns the switch's resource capacity.
 func (s *Soil) Capacity() netmodel.Resources { return s.capacity.Clone() }
 
@@ -162,7 +159,7 @@ func (s *Soil) ProbesDelivered() uint64 { return s.probesDelivered }
 type seedRuntime struct {
 	ref   SeedRef
 	seed  core.Runner
-	alloc netmodel.Resources
+	alloc netmodel.Resources // the grant as the deployer passed it: read, never written
 	subs  []*pollSub
 	// timers for time triggers and probe rate limiting
 	timeTickers map[string]engine.Ticker
@@ -415,7 +412,9 @@ func Prepare(prog *core.Program, externals map[string]core.Value) (*Prepared, er
 // Deploy instantiates a machine on this switch with the given external
 // bindings and resource allocation. The machine arrives in its XML wire
 // form (§V-A-d): this is the wire-format entry, nothing but decode,
-// compile and Prepare in front of DeployCompiled.
+// compile and Prepare in front of DeployCompiled. The soil keeps alloc
+// as the seed's grant and never writes it; the caller must not write it
+// either while the seed holds it.
 func (s *Soil) Deploy(ref SeedRef, xmlData []byte, externals map[string]core.Value, alloc netmodel.Resources) error {
 	cm, err := almanac.DecodeXML(xmlData)
 	if err != nil {
@@ -432,13 +431,16 @@ func (s *Soil) Deploy(ref SeedRef, xmlData []byte, externals map[string]core.Val
 	return s.DeployCompiled(ref, p, alloc)
 }
 
-// DeployCompiled deploys one instance of a prepared program.
+// DeployCompiled deploys one instance of a prepared program. The soil
+// keeps alloc as the seed's grant and never writes it; the caller must
+// not write it either while the seed holds it (seeds may share one).
 func (s *Soil) DeployCompiled(ref SeedRef, p *Prepared, alloc netmodel.Resources) error {
 	return s.deploy(ref, p, alloc, nil)
 }
 
 // RestoreSeed deploys a migrated seed and resumes it from a snapshot
 // (migration: deploy the description, transfer the state, resume, §V-B).
+// alloc is kept as DeployCompiled keeps it.
 func (s *Soil) RestoreSeed(ref SeedRef, p *Prepared, alloc netmodel.Resources, snap core.Snapshot) error {
 	return s.deploy(ref, p, alloc, &snap)
 }
@@ -466,7 +468,7 @@ func (s *Soil) deploy(ref SeedRef, p *Prepared, alloc netmodel.Resources, snap *
 	}
 	rt := &seedRuntime{
 		ref:         ref,
-		alloc:       alloc.Clone(),
+		alloc:       alloc,
 		timeTickers: map[string]engine.Ticker{},
 	}
 	host := &seedHost{soil: s, rt: rt}
@@ -656,7 +658,8 @@ func (s *Soil) SnapshotSeed(id string) (core.Snapshot, error) {
 
 // Realloc changes a seed's resource allocation, retunes its triggers
 // (polling intervals may depend on resources), and fires its realloc
-// event (§III-A-c).
+// event (§III-A-c). alloc is kept as DeployCompiled keeps it, in place
+// of the grant it replaces.
 func (s *Soil) Realloc(id string, alloc netmodel.Resources) error {
 	rt, ok := s.seeds[id]
 	if !ok {
@@ -674,7 +677,7 @@ func (s *Soil) Realloc(id string, alloc netmodel.Resources) error {
 	for r, v := range alloc {
 		s.used[r] += v
 	}
-	rt.alloc = alloc.Clone()
+	rt.alloc = alloc
 	// Retune resource-dependent polling rates.
 	for _, sub := range rt.subs {
 		if iv, err := s.intervalFor(sub.pi, alloc); err == nil {
@@ -686,20 +689,6 @@ func (s *Soil) Realloc(id string, alloc netmodel.Resources) error {
 	}
 	s.chargeDispatch()
 	if err := rt.seed.HandleRealloc(); err != nil {
-		return err
-	}
-	s.chargeActions(rt)
-	return nil
-}
-
-// DeliverMessage hands an inbound message to a deployed seed.
-func (s *Soil) DeliverMessage(id string, from core.MsgSource, v core.Value) error {
-	rt, ok := s.seeds[id]
-	if !ok {
-		return fmt.Errorf("soil %s: no seed %s", s.name, id)
-	}
-	s.chargeDispatch()
-	if err := rt.seed.HandleRecv(from, v); err != nil {
 		return err
 	}
 	s.chargeActions(rt)

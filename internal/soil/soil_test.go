@@ -107,6 +107,13 @@ func leafID(t *testing.T, fab *fabric.Fabric, name string) netmodel.SwitchID {
 	return 0
 }
 
+// inject passes p through sw from port 1 to port 2, its key built for
+// this packet as the fabric builds it once per flow.
+func inject(sw *dataplane.Switch, p dataplane.Packet) {
+	k := dataplane.KeyOf(&p)
+	sw.InjectKey(&p, &k, 1, 2)
+}
+
 func hhAlloc() netmodel.Resources {
 	return netmodel.Resources{
 		netmodel.ResVCPU: 1, netmodel.ResRAM: 128,
@@ -176,7 +183,7 @@ func TestResourceAdmission(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "insufficient resources") {
 		t.Fatalf("err = %v", err)
 	}
-	if s.NumSeeds() != 0 || s.Used()[netmodel.ResVCPU] != 0 {
+	if s.NumSeeds() != 0 || s.used[netmodel.ResVCPU] != 0 {
 		t.Fatal("failed deployment leaked resources")
 	}
 }
@@ -207,8 +214,8 @@ func TestRemoveReleasesResources(t *testing.T) {
 	if s.NumSeeds() != 0 {
 		t.Fatal("seed not removed")
 	}
-	if used := s.Used(); used[netmodel.ResVCPU] != 0 || used[netmodel.ResRAM] != 0 {
-		t.Fatalf("resources leaked: %v", used)
+	if s.used[netmodel.ResVCPU] != 0 || s.used[netmodel.ResRAM] != 0 {
+		t.Fatalf("resources leaked: %v", s.used)
 	}
 	loop.RunFor(50 * time.Millisecond)
 	if s.PollsIssued() != polls {
@@ -369,14 +376,14 @@ func TestHarvesterMessageDelivery(t *testing.T) {
 	fab, _ := testEnv(t)
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
 	ref := deployHH(t, s, "hh", 1000)
-	if err := s.DeliverMessage(ref.ID(), core.MsgSource{Harvester: true}, int64(42)); err != nil {
-		t.Fatal(err)
-	}
+	s.DeliverToMachine(ref.Task, ref.Machine, core.MsgSource{Harvester: true}, int64(42))
 	if v, _ := s.SeedVar(ref.ID(), "threshold"); v != int64(42) {
 		t.Fatalf("threshold = %v", v)
 	}
-	if err := s.DeliverMessage("nope/HH", core.MsgSource{Harvester: true}, int64(1)); err == nil {
-		t.Fatal("delivery to missing seed should error")
+	// Another task's message does not reach the seed.
+	s.DeliverToMachine("nope", ref.Machine, core.MsgSource{Harvester: true}, int64(1))
+	if v, _ := s.SeedVar(ref.ID(), "threshold"); v != int64(42) {
+		t.Fatalf("threshold = %v after a message to another task", v)
 	}
 }
 
@@ -431,7 +438,7 @@ func TestMigrationSnapshotRestore(t *testing.T) {
 
 	ref := deployHH(t, src, "hh", 1000)
 	// Mutate state via the harvester.
-	_ = src.DeliverMessage(ref.ID(), core.MsgSource{Harvester: true}, int64(4242))
+	src.DeliverToMachine(ref.Task, ref.Machine, core.MsgSource{Harvester: true}, int64(4242))
 
 	snap, err := src.SnapshotSeed(ref.ID())
 	if err != nil {
@@ -478,19 +485,19 @@ machine Rules {
 	fab, _ := testEnv(t)
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
 	var logged []string
-	s.SetLogf(func(f string, a ...any) { logged = append(logged, f) })
+	s.SetLogf(func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) })
 	alloc := hhAlloc()
 	alloc[netmodel.ResTCAM] = 2
 	ref := SeedRef{Task: "r", Machine: "Rules", Switch: s.Name()}
 	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), alloc); err != nil {
 		t.Fatal(err)
 	}
-	_ = s.DeliverMessage(ref.ID(), core.MsgSource{Harvester: true}, int64(1))
-	_ = s.DeliverMessage(ref.ID(), core.MsgSource{Harvester: true}, int64(2))
-	// Third exceeds the budget: the handler errors, logged by the soil.
-	err = s.DeliverMessage(ref.ID(), core.MsgSource{Harvester: true}, int64(3))
-	if err == nil || !strings.Contains(err.Error(), "TCAM allocation") {
-		t.Fatalf("err = %v, want TCAM budget error", err)
+	for p := int64(1); p <= 3; p++ {
+		s.DeliverToMachine(ref.Task, ref.Machine, core.MsgSource{Harvester: true}, p)
+	}
+	// The third exceeds the budget: the handler errors, logged by the soil.
+	if len(logged) != 1 || !strings.Contains(logged[0], "TCAM allocation") {
+		t.Fatalf("logged %q, want one TCAM budget error", logged)
 	}
 	if v, _ := s.SeedVar(ref.ID(), "installed"); v != int64(2) {
 		t.Fatalf("installed = %v", v)
@@ -527,7 +534,7 @@ machine Probe {
 	// delivery: expect ~4-5 deliveries, not 100.
 	sw := fab.Switch(leaf)
 	for i := 0; i < 100; i++ {
-		sw.Inject(&dataplane.Packet{DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100}, 1, 2)
+		inject(sw, dataplane.Packet{DstPort: 80, Proto: dataplane.ProtoTCP, Size: 100})
 		loop.RunFor(200 * time.Microsecond)
 	}
 	loop.RunFor(10 * time.Millisecond)
@@ -541,7 +548,7 @@ machine Probe {
 	}
 	// Non-matching packets are not sampled.
 	before := seen
-	sw.Inject(&dataplane.Packet{DstPort: 443, Proto: dataplane.ProtoTCP, Size: 100}, 1, 2)
+	inject(sw, dataplane.Packet{DstPort: 443, Proto: dataplane.ProtoTCP, Size: 100})
 	loop.RunFor(10 * time.Millisecond)
 	v, _ = s.SeedVar(ref.ID(), "seen")
 	if v.(int64) != before {

@@ -102,9 +102,9 @@ func taskPayload(rng *rand.Rand) core.Value {
 	case 2:
 		return rng.Float64() * 5000
 	case 3:
-		return core.StructOf("PortStats", map[string]core.Value{
-			"port": int64(rng.Intn(16)), "dTxBytes": float64(rng.Intn(4000)),
-		})
+		port := int64(rng.Intn(16))
+		dTx := float64(rng.Intn(4000))
+		return core.StructVal{L: core.LayoutOf("PortStats", []string{"dTxBytes", "port"}), V: []core.Value{dTx, port}}
 	case 4:
 		return core.ActionVal(dataplane.ActDrop)
 	default:

@@ -145,8 +145,8 @@ func (e *env) waitReport(t *testing.T, task string, within time.Duration) (core.
 	deadline := e.loop.Now() + within
 	for e.loop.Now() < deadline {
 		e.loop.RunFor(10 * time.Millisecond)
-		if rec, ok := h.LastReport(); ok {
-			return rec.Val, true
+		if hist := h.History(); len(hist) > 0 {
+			return hist[len(hist)-1].Val, true
 		}
 	}
 	return nil, false

@@ -138,18 +138,6 @@ func (g *Generator) send(d *ingressDigest, p *dataplane.Packet, r *fabric.Route)
 	}
 }
 
-// Rejected returns how many injected packets the fabric refused to
-// send (fabric.ErrUnknownSource, ErrUnknownDestination, ErrNoPath): a
-// scenario with a mistyped address shows up here instead of silently
-// emitting nothing.
-func (g *Generator) Rejected() uint64 {
-	n := g.offFabric
-	for _, d := range g.digests {
-		n += d.rejected
-	}
-	return n
-}
-
 // PerSwitchDigest returns, per ingress leaf, a digest of every packet
 // the generator injected there: emission time, 5-tuple, size, flags,
 // and app kind, folded in emission order. This is the generator's
@@ -206,17 +194,6 @@ func (g *Generator) StartFlow(spec FlowSpec) (stop func()) {
 	}
 	schedule(rng.float64()) // random start phase
 	return func() { stopped = true }
-}
-
-// Burst sends n packets of the flow immediately.
-func (g *Generator) Burst(spec FlowSpec, n int) {
-	d := g.ingress(spec.Src)
-	pkt := spec.packet()
-	text := pkt.Flow().AppendTo(nil)
-	r := g.resolve(&pkt)
-	for i := 0; i < n; i++ {
-		g.inject(d, &pkt, text, r)
-	}
 }
 
 // resolve returns the route of p's flow, or nil if the fabric refuses

@@ -13,6 +13,28 @@ import (
 	"farm/internal/netmodel"
 )
 
+// Burst sends n packets of the flow at once, through the emission path
+// the flows use.
+func (g *Generator) Burst(spec FlowSpec, n int) {
+	d := g.ingress(spec.Src)
+	pkt := spec.packet()
+	text := pkt.Flow().AppendTo(nil)
+	r := g.resolve(&pkt)
+	for i := 0; i < n; i++ {
+		g.inject(d, &pkt, text, r)
+	}
+}
+
+// Rejected returns how many injected packets the fabric refused to
+// send (fabric.ErrUnknownSource, ErrUnknownDestination, ErrNoPath).
+func (g *Generator) Rejected() uint64 {
+	n := g.offFabric
+	for _, d := range g.digests {
+		n += d.rejected
+	}
+	return n
+}
+
 func testFabric(t *testing.T, spines, leaves, hosts int) *fabric.Fabric {
 	t.Helper()
 	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{Spines: spines, Leaves: leaves, HostsPerLeaf: hosts})

@@ -87,6 +87,9 @@ type frameArena struct {
 	hdr     [4]byte  // header read scratch (kept off the stack so it never escapes per call)
 }
 
+// arenaPool is shared by every connection in the process: each TCP
+// server connection's goroutine and each dialled connection take an
+// arena of their own from it.
 var arenaPool = sync.Pool{New: func() any { return new(frameArena) }}
 
 func getArena() *frameArena  { return arenaPool.Get().(*frameArena) }

@@ -65,6 +65,8 @@ type Server interface {
 // after the Fig. 10 measurements.
 type SharedBufServer struct {
 	handler Handler
+	// mu serializes the calls of the connections' callers, one
+	// goroutine per seed (Fig. 10), and Dial and Close.
 	mu      sync.Mutex
 	buf     []byte
 	scratch []byte // handler response destination, reused under mu
@@ -179,9 +181,11 @@ type TCPServer struct {
 	handler  Handler
 	listener net.Listener
 	wg       sync.WaitGroup
-	mu       sync.Mutex
-	closed   bool
-	conns    map[net.Conn]struct{}
+	// mu guards closed and conns between the accept loop's goroutine,
+	// the per-connection goroutines that untrack themselves, and Close.
+	mu     sync.Mutex
+	closed bool
+	conns  map[net.Conn]struct{}
 }
 
 // NewTCPServer starts a server on a random loopback port.
@@ -315,6 +319,8 @@ func DialTCP(addr string) (Conn, error) {
 }
 
 type tcpConn struct {
+	// mu serializes Call, CallBatch and Close from the goroutines that
+	// share the connection.
 	mu     sync.Mutex
 	c      net.Conn
 	a      *frameArena
