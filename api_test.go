@@ -2,13 +2,14 @@ package farm_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,106 +19,96 @@ import (
 var testOnlyExempt = map[string]string{
 	"traffic.BulkWorkload.HeavyPorts": "the ground truth a heavy-hitter scorer is graded against: " +
 		"the generator's own record of which ports it made heavy, read by the tests that check detection",
+	"dataplane.Switch.Dropped": "the per-switch count of rule drops, which fabric's key-per-hop oracle " +
+		"compares switch by switch; the program reads drops as the fabric's total",
+	"core.MapVal.Set": "builds a map value from Go, as the seeder's externals tests need; " +
+		"the program builds maps only through the map builtins",
+	"poly.Utility.Eval": "evaluates a utility at a resource assignment: the almanac tests' oracle " +
+		"for the utilities analysis derives",
+	"poly.Linear.Equal": "compares two rates within a tolerance: the almanac tests' oracle " +
+		"for the rates analysis derives and the XML round trip keeps",
 }
 
 // TestNoTestOnlyExports holds each internal/ package's API to what the
 // program uses. An exported top-level identifier, or an exported method
 // of an exported type, declared in a non-test file under internal/ and
-// named by a test must also be named by a non-test file of internal/,
+// used by a test must also be used by a non-test file of internal/,
 // cmd/, examples/ or bench/ (bench/ compiles against this API); a use
-// in its own file counts, its declaration does not. An identifier only
-// tests name goes, or moves into the test files that use it
-// (export_test.go when an external test needs it).
+// in its own file counts, its declaration does not. An
+// identifier only tests use goes, or moves into the test files that use
+// it (export_test.go when an external test needs it).
 //
-// The scan reads syntax only, comments dropped: a package-level name
-// counts as used by a bare identifier in a file of its package or by a
-// selector on an import of its package; a method counts as used by any
-// selector with its name. A shared name can hide a test-only export,
-// never invent one.
+// Uses are resolved by type-checking the tree from source, each package
+// once as the program builds it and once with its test files, so a
+// method is told apart from its namesakes on other types. A method the
+// program calls through an interface its type satisfies, or that fmt
+// calls on a value it prints (String, Error), counts as used.
 func TestNoTestOnlyExports(t *testing.T) {
-	files := parseTree(t, "internal", "cmd", "examples", "bench")
-	module := "farm/"
+	tr := loadTree(t, ".", "internal", "cmd", "examples", "bench")
 
 	type decl struct {
-		key  string // "pkg.Name" or "pkg.Type.Method"
-		pos  string
-		file *goFile
-		name string
-		meth bool
+		key, pos string
+		obj      types.Object
 	}
 	var decls []decl
-	for _, f := range files {
-		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+	add := func(obj types.Object) {
+		if k := objKey(obj); obj.Exported() && k != "" {
+			decls = append(decls, decl{k, tr.fset.Position(obj.Pos()).String(), obj})
+		}
+	}
+	for _, p := range tr.pkgs {
+		if len(p.files) == 0 {
 			continue
 		}
-		pkg := filepath.Base(f.dir)
-		for _, d := range f.ast.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if !d.Name.IsExported() {
-					continue
-				}
-				if d.Recv == nil {
-					decls = append(decls, decl{pkg + "." + d.Name.Name, f.pos(d.Name), f, d.Name.Name, false})
-					continue
-				}
-				recv := recvName(d.Recv.List[0].Type)
-				if ast.IsExported(recv) {
-					decls = append(decls, decl{pkg + "." + recv + "." + d.Name.Name, f.pos(d.Name), f, d.Name.Name, true})
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					var names []*ast.Ident
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						names = []*ast.Ident{s.Name}
-					case *ast.ValueSpec:
-						names = s.Names
-					}
-					for _, n := range names {
-						if n.IsExported() {
-							decls = append(decls, decl{pkg + "." + n.Name, f.pos(n), f, n.Name, false})
-						}
+		scope := tr.check(t, p.path).Scope()
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			add(obj)
+			if tn, ok := obj.(*types.TypeName); ok && obj.Exported() && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok {
+					for i := 0; i < n.NumMethods(); i++ {
+						add(n.Method(i))
 					}
 				}
 			}
 		}
 	}
+	for _, p := range tr.pkgs {
+		tr.checkTests(t, p)
+	}
 
-	// namedBy reports whether a test file, or a non-test file, as test
-	// says, names d. d's declaration is not a use of it.
-	namedBy := func(d decl, test bool) bool {
-		for _, u := range files {
-			if u.test != test {
-				continue
-			}
-			if d.meth {
-				if u.selectors[d.name] {
-					return true
-				}
-				continue
-			}
-			if u.dir == d.file.dir && u.bare[d.name] > b2i(u == d.file) {
-				return true
-			}
-			if u.qualified[module+d.file.dir+"."+d.name] {
+	// usedThrough reports whether the program calls d, a method, through
+	// an interface d's type satisfies.
+	usedThrough := func(d decl) bool {
+		fn, ok := d.obj.(*types.Func)
+		if !ok {
+			return false
+		}
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		for _, iface := range tr.ifaceCalls[fn.Name()] {
+			if types.Implements(recv.Type(), iface) || types.Implements(types.NewPointer(recv.Type()), iface) {
 				return true
 			}
 		}
 		return false
 	}
-
 	var testOnly []string
 	seen := map[string]bool{}
 	for _, d := range decls {
 		seen[d.key] = true
-		if namedBy(d, false) {
+		if tr.used[d.key] || usedThrough(d) {
 			if _, ok := testOnlyExempt[d.key]; ok {
 				t.Errorf("%s: exempt from this check, but the program now uses it: drop its exemption", d.key)
 			}
 			continue
 		}
-		if _, ok := testOnlyExempt[d.key]; ok || !namedBy(d, true) {
+		if _, ok := testOnlyExempt[d.key]; ok || !tr.testUsed[d.key] {
 			continue
 		}
 		testOnly = append(testOnly, d.pos+": "+d.key)
@@ -129,130 +120,206 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	sort.Strings(testOnly)
 	for _, u := range testOnly {
-		t.Errorf("%s is exported, but outside its own file only tests name it: delete it, or move it into the tests", u)
+		t.Errorf("%s is exported, but only tests use it: delete it, or move it into the tests", u)
 	}
 }
 
-type goFile struct {
-	path, dir string
-	test      bool
-	ast       *ast.File
-	fset      *token.FileSet
-	bare      map[string]int  // identifiers outside selectors, with their counts
-	selectors map[string]bool // every x.Name's Name
-	qualified map[string]bool // "importpath.Name" for pkg.Name through an import
+// srcPkg is one directory's package: its non-test files, its in-package
+// test files and its external (_test package) test files.
+type srcPkg struct {
+	path, dir            string
+	files, tests, xtests []*ast.File
 }
 
-func (f *goFile) pos(n ast.Node) string {
-	p := f.fset.Position(n.Pos())
-	return f.path + ":" + strconv.Itoa(p.Line)
+// tree type-checks the module's packages from source and records what
+// their files use, keyed by objKey.
+type tree struct {
+	fset    *token.FileSet
+	pkgs    []*srcPkg // in directory order
+	byPath  map[string]*srcPkg
+	checked map[string]*types.Package // non-test packages, as the program builds them
+	std     types.Importer
+
+	used       map[string]bool               // by a non-test file
+	testUsed   map[string]bool               // by a test file
+	ifaceCalls map[string][]*types.Interface // interface methods non-test files call, by name
 }
 
-// parseTree parses every .go file under roots, skipping testdata, with
-// comments dropped, and indexes the names each file refers to.
-func parseTree(t *testing.T, roots ...string) []*goFile {
+// loadTree parses every .go file under roots that the default build
+// context selects (so a //go:build race file is left out), skipping
+// testdata, with comments dropped. The root "." stands for the module
+// root's own files only.
+func loadTree(t *testing.T, roots ...string) *tree {
 	t.Helper()
-	fset := token.NewFileSet()
-	var files []*goFile
+	tr := &tree{
+		fset:       token.NewFileSet(),
+		byPath:     map[string]*srcPkg{},
+		checked:    map[string]*types.Package{},
+		std:        importer.Default(),
+		used:       map[string]bool{},
+		testUsed:   map[string]bool{},
+		ifaceCalls: map[string][]*types.Interface{},
+	}
+	// fmt calls String and Error on the values it prints.
+	fmtPkg, err := tr.std.Import("fmt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, iface := range []types.Object{fmtPkg.Scope().Lookup("Stringer"), types.Universe.Lookup("error")} {
+		i := iface.Type().Underlying().(*types.Interface)
+		tr.ifaceCalls[i.Method(0).Name()] = []*types.Interface{i}
+	}
 	for _, root := range roots {
 		err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
 			if e.IsDir() {
-				if e.Name() == "testdata" {
+				if e.Name() == "testdata" || (root == "." && path != ".") {
 					return filepath.SkipDir
 				}
 				return nil
 			}
-			if !strings.HasSuffix(path, ".go") {
-				return nil
+			dir, name := filepath.Split(path)
+			if ok, err := build.Default.MatchFile(filepath.Clean(dir), name); err != nil || !ok {
+				return err
 			}
-			src, err := os.ReadFile(path)
+			f, err := parser.ParseFile(tr.fset, path, nil, parser.SkipObjectResolution)
 			if err != nil {
 				return err
 			}
-			af, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
-			if err != nil {
-				return err
+			dir = filepath.ToSlash(filepath.Clean(dir))
+			importPath := "farm"
+			if dir != "." {
+				importPath += "/" + dir
 			}
-			path = filepath.ToSlash(path)
-			files = append(files, indexFile(&goFile{
-				path: path,
-				dir:  filepath.ToSlash(filepath.Dir(path)),
-				test: strings.HasSuffix(path, "_test.go"),
-				ast:  af,
-				fset: fset,
-			}))
+			p := tr.byPath[importPath]
+			if p == nil {
+				p = &srcPkg{path: importPath, dir: dir}
+				tr.byPath[importPath] = p
+				tr.pkgs = append(tr.pkgs, p)
+			}
+			switch {
+			case !strings.HasSuffix(name, "_test.go"):
+				p.files = append(p.files, f)
+			case strings.HasSuffix(f.Name.Name, "_test"):
+				p.xtests = append(p.xtests, f)
+			default:
+				p.tests = append(p.tests, f)
+			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	return files
+	return tr
 }
 
-func indexFile(f *goFile) *goFile {
-	f.bare = map[string]int{}
-	f.selectors = map[string]bool{}
-	f.qualified = map[string]bool{}
-	imports := map[string]string{} // local name -> import path
-	for _, im := range f.ast.Imports {
-		path, _ := strconv.Unquote(im.Path.Value)
-		name := filepath.Base(path)
-		if im.Name != nil {
-			name = im.Name.Name
-		}
-		imports[name] = path
+// check returns the non-test package at path, type-checking it and the
+// module packages it imports first, and records its files' uses.
+func (tr *tree) check(t *testing.T, path string) *types.Package {
+	if p := tr.checked[path]; p != nil {
+		return p
 	}
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ImportSpec:
-			return false
-		case *ast.SelectorExpr:
-			f.selectors[n.Sel.Name] = true
-			if x, ok := n.X.(*ast.Ident); ok {
-				if path, ok := imports[x.Name]; ok {
-					f.qualified[path+"."+n.Sel.Name] = true
+	p := tr.byPath[path]
+	pkg := tr.typeCheck(t, path, p.files, nil, true)
+	tr.checked[path] = pkg
+	return pkg
+}
+
+// checkTests type-checks p with its in-package test files, then its
+// external test files against that, and records the test files' uses.
+func (tr *tree) checkTests(t *testing.T, p *srcPkg) {
+	if len(p.tests)+len(p.xtests) == 0 {
+		return
+	}
+	internal := tr.typeCheck(t, p.path, append(append([]*ast.File(nil), p.files...), p.tests...), nil, false)
+	if len(p.xtests) > 0 {
+		tr.typeCheck(t, p.path+"_test", p.xtests, map[string]*types.Package{p.path: internal}, false)
+	}
+}
+
+// typeCheck checks files as the package path, resolving module imports
+// to the non-test packages unless over names another, and records the
+// uses in non-test files (when prod) or in test files. A package
+// checked with its test files may not type-check exactly, as a module
+// package it imports was built without them; its uses are still
+// resolved.
+func (tr *tree) typeCheck(t *testing.T, path string, files []*ast.File, over map[string]*types.Package, prod bool) *types.Package {
+	var firstErr error
+	conf := types.Config{
+		Importer: importerFunc(func(imp string) (*types.Package, error) {
+			if p := over[imp]; p != nil {
+				return p, nil
+			}
+			if tr.byPath[imp] != nil {
+				return tr.check(t, imp), nil
+			}
+			return tr.std.Import(imp)
+		}),
+		Error: func(err error) {
+			if firstErr == nil {
+				firstErr = err
+			}
+		},
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	pkg, _ := conf.Check(path, tr.fset, files, info)
+	if prod && firstErr != nil {
+		t.Fatalf("type-checking %s: %v", path, firstErr)
+	}
+	for id, obj := range info.Uses {
+		if test := strings.HasSuffix(tr.fset.Position(id.Pos()).Filename, "_test.go"); test == prod {
+			continue
+		}
+		if k := objKey(obj); k != "" {
+			if prod {
+				tr.used[k] = true
+			} else {
+				tr.testUsed[k] = true
+			}
+		}
+		if fn, ok := obj.(*types.Func); ok && prod {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					tr.ifaceCalls[fn.Name()] = append(tr.ifaceCalls[fn.Name()], iface)
 				}
 			}
-			ast.Inspect(n.X, visit)
-			return false
-		case *ast.Ident:
-			f.bare[n.Name]++
-		}
-		return true
-	}
-	ast.Inspect(f.ast, visit)
-	return f
-}
-
-// recvName is the base type name of a method receiver: T for T, *T,
-// T[P] and *T[P].
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
 		}
 	}
+	return pkg
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// objKey names a module package's object as the check reports it:
+// "pkg.Name" for a package-level one, "pkg.Type.Method" for a method of
+// a named type, where pkg is the last element of the import path; ""
+// for anything else.
+func objKey(obj types.Object) string {
+	pkg := obj.Pkg()
+	if pkg == nil || !strings.HasPrefix(pkg.Path(), "farm/internal/") || strings.HasSuffix(pkg.Path(), "_test") {
+		return ""
 	}
-	return 0
+	name := filepath.Base(pkg.Path()) + "."
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Origin().Type().(*types.Signature).Recv(); recv != nil {
+			rt := recv.Type()
+			if ptr, ok := rt.(*types.Pointer); ok {
+				rt = ptr.Elem()
+			}
+			n, ok := rt.(*types.Named)
+			if !ok {
+				return ""
+			}
+			return name + n.Obj().Name() + "." + fn.Name()
+		}
+	}
+	if obj.Parent() != pkg.Scope() {
+		return ""
+	}
+	return name + obj.Name()
 }

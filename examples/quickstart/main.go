@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 	"time"
 
 	"farm/internal/core"
@@ -58,8 +59,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("deployed %d HH seeds (one per switch):\n", len(sd.Placements()))
-	for id, a := range sd.Placements() {
+	placements := sd.Placements()
+	fmt.Printf("deployed %d HH seeds (one per switch):\n", len(placements))
+	ids := make([]string, 0, len(placements))
+	for id := range placements {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		a := placements[id]
 		fmt.Printf("  %-12s -> %-8s alloc=%v\n", id, topo.Switch(a.Switch).Name, a.Alloc)
 	}
 

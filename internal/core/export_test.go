@@ -48,3 +48,11 @@ func (m *MapVal) Keys() List {
 	}
 	return m.sortedKeys()
 }
+
+// Get reads the entry whose key text is key.
+func (m *MapVal) Get(key string) (Value, bool) {
+	if i := m.lookup(key); i >= 0 {
+		return m.slots[i].val.box(), true
+	}
+	return nil, false
+}

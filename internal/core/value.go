@@ -78,14 +78,6 @@ func NewMap() *MapVal { return &MapVal{} }
 // Len returns the number of entries.
 func (m *MapVal) Len() int { return len(m.slots) }
 
-// Get reads the entry whose key text is key.
-func (m *MapVal) Get(key string) (Value, bool) {
-	if i := m.lookup(key); i >= 0 {
-		return m.slots[i].val.box(), true
-	}
-	return nil, false
-}
-
 // Set stores v under the key text key.
 func (m *MapVal) Set(key string, v Value) {
 	k, val := rstr(key), unbox(v)

@@ -188,22 +188,19 @@ func (b *Bus) UtilizationSince(prev BusSnapshot) float64 {
 }
 
 // Transfer size constants (bytes) for the operations crossing the bus.
-// The rule sizes are exported for the soil, which applies a seed's rule
-// operations to the TCAM itself and charges the bus for them.
 const (
 	portStatsReqBytes  = 16 // request descriptor
 	portStatsRespBytes = 32 // counters for one port
-	RuleStatsBytes     = 48 // request + one rule's counters, or the rule
-	RuleUpdateBytes    = 96 // install/remove a TCAM entry
+	ruleStatsBytes     = 48 // request + one rule's counters, or the rule
+	ruleUpdateBytes    = 96 // install/remove a TCAM entry
 	sampleHeaderBytes  = 128
 )
 
 // Driver is the soil's window onto the ASIC (the Stratum / EOS SDK role
-// in §V-A). All operations are asynchronous: results arrive via
-// callback after the modelled bus transfer completes.
+// in §V-A): the poll, probe and TCAM-update primitives, each charged to
+// the bus by the driver. Polls and samples answer by callback when their
+// transfer completes; a rule operation acts when it is called.
 type Driver interface {
-	// NumPorts reports the ASIC port count.
-	NumPorts() int
 	// PollPortStats reads counters for the given 1-based ports; nil or
 	// empty polls every port. fn receives the ports that exist, in
 	// request order (ascending for every port), and their counters as
@@ -213,17 +210,22 @@ type Driver interface {
 	PollPortStats(ports []int, fn func(ports []int, stats []PortStats))
 	// PollRuleStats reads the counters of the rule with exactly filter f.
 	PollRuleStats(f Filter, fn func(RuleStats, bool))
-	// AddRule installs a TCAM rule.
-	AddRule(r Rule, fn func(error))
-	// RemoveRule removes the rule with exactly filter f.
-	RemoveRule(f Filter, fn func(removed bool))
-	// GetRule fetches the rule with exactly filter f.
-	GetRule(f Filter, fn func(Rule, bool))
 	// StartSampling mirrors 1-in-N matching packets to fn. Each sample
 	// crosses the bus; samples are dropped when the backlog exceeds the
 	// ASIC's mirror ring (DefaultMaxSampleBacklog). stop unregisters
 	// the sampler.
 	StartSampling(f Filter, oneInN int, fn func(Packet)) (stop func())
+	// AddRule installs r, replacing the rule with the same filter. A
+	// write the table refuses (ErrTCAMFull) crosses no bus.
+	AddRule(r Rule) error
+	// RemoveRule removes the rule with exactly filter f and reports
+	// whether there was one; the write crosses the bus either way.
+	RemoveRule(f Filter) bool
+	// GetRule reads the rule with exactly filter f back from the ASIC.
+	GetRule(f Filter) (Rule, bool)
+	// HasRule reports whether a rule with exactly filter f is installed,
+	// from the driver's shadow of the table: nothing crosses the bus.
+	HasRule(f Filter) bool
 }
 
 // EmuDriver implements Driver over an emulated Switch and Bus.
@@ -248,18 +250,11 @@ func NewEmuDriver(sw *Switch, bus *Bus) *EmuDriver {
 	return &EmuDriver{sw: sw, bus: bus}
 }
 
-// Switch exposes the underlying emulated switch (test and traffic
-// generator access; M&M code must stay behind the Driver interface).
-func (d *EmuDriver) Switch() *Switch { return d.sw }
-
 // Bus exposes the underlying bus for measurement.
 func (d *EmuDriver) Bus() *Bus { return d.bus }
 
 // SampleDrops returns the number of samples dropped due to bus backlog.
 func (d *EmuDriver) SampleDrops() uint64 { return d.sampleDrops }
-
-// NumPorts implements Driver.
-func (d *EmuDriver) NumPorts() int { return d.sw.NumPorts() }
 
 // PollPortStats implements Driver. Counters are read at completion time
 // (the ASIC answers with its state when the request is serviced) into
@@ -283,7 +278,7 @@ func (d *EmuDriver) PollPortStats(ports []int, fn func(ports []int, stats []Port
 func (d *EmuDriver) PollRuleStats(f Filter, fn func(RuleStats, bool)) {
 	p := d.pollRecord()
 	p.rule, p.ruleFn = f, fn
-	d.enqueue(p, RuleStatsBytes)
+	d.enqueue(p, ruleStatsBytes)
 }
 
 // pollRecord is a statistics poll in flight, the polls' counterpart of
@@ -350,31 +345,31 @@ func (p *pollRecord) run() {
 }
 
 // AddRule implements Driver.
-func (d *EmuDriver) AddRule(r Rule, fn func(error)) {
-	d.bus.Request(RuleUpdateBytes, func(time.Duration) {
-		err := d.sw.TCAM().AddRule(r)
-		if fn != nil {
-			fn(err)
-		}
-	})
+func (d *EmuDriver) AddRule(r Rule) error {
+	if err := d.sw.TCAM().AddRule(r); err != nil {
+		return err
+	}
+	d.bus.admit(ruleUpdateBytes)
+	return nil
 }
 
 // RemoveRule implements Driver.
-func (d *EmuDriver) RemoveRule(f Filter, fn func(bool)) {
-	d.bus.Request(RuleUpdateBytes, func(time.Duration) {
-		ok := d.sw.TCAM().RemoveRule(f)
-		if fn != nil {
-			fn(ok)
-		}
-	})
+func (d *EmuDriver) RemoveRule(f Filter) bool {
+	ok := d.sw.TCAM().RemoveRule(f)
+	d.bus.admit(ruleUpdateBytes)
+	return ok
 }
 
 // GetRule implements Driver.
-func (d *EmuDriver) GetRule(f Filter, fn func(Rule, bool)) {
-	d.bus.Request(RuleStatsBytes, func(time.Duration) {
-		r, ok := d.sw.TCAM().GetRule(f)
-		fn(r, ok)
-	})
+func (d *EmuDriver) GetRule(f Filter) (Rule, bool) {
+	d.bus.admit(ruleStatsBytes)
+	return d.sw.TCAM().GetRule(f)
+}
+
+// HasRule implements Driver. The emulated table is its own shadow.
+func (d *EmuDriver) HasRule(f Filter) bool {
+	_, ok := d.sw.TCAM().GetRule(f)
+	return ok
 }
 
 // StartSampling implements Driver.

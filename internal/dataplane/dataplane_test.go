@@ -362,17 +362,40 @@ func TestEmuDriverPollAllPorts(t *testing.T) {
 	}
 }
 
+// TestEmuDriverRuleLifecycle: a rule operation acts when it is called,
+// and the driver charges the bus for it: 96 B for a write the table
+// took and for any removal, 48 B for a read, nothing for a refused write
+// or a look at the shadow.
 func TestEmuDriverRuleLifecycle(t *testing.T) {
 	loop := engine.NewSerial()
-	sw := NewSwitch("sw0", 2, 16)
-	drv := NewEmuDriver(sw, NewBus(loop, DefaultPCIePollBytesPerSec))
-	f := Filter{DstPort: 80}
-	var addErr error = errSentinel
-	drv.AddRule(Rule{Priority: 2, Filter: f, Action: ActCount}, func(err error) { addErr = err })
-	loop.RunFor(10 * time.Millisecond)
-	if addErr != nil {
-		t.Fatalf("add err = %v", addErr)
+	sw := NewSwitch("sw0", 2, 1)
+	bus := NewBus(loop, DefaultPCIePollBytesPerSec)
+	drv := NewEmuDriver(sw, bus)
+	last := bus.Snapshot()
+	charged := func(op string, requests, bytes uint64) {
+		t.Helper()
+		now := bus.Snapshot()
+		if dr, db := now.Requests-last.Requests, now.Bytes-last.Bytes; dr != requests || db != bytes {
+			t.Fatalf("%s: bus +%d requests, +%d B; want +%d, +%d B", op, dr, db, requests, bytes)
+		}
+		last = now
 	}
+	f := Filter{DstPort: 80}
+	if drv.HasRule(f) {
+		t.Fatal("empty table has the rule")
+	}
+	charged("HasRule", 0, 0)
+	if err := drv.AddRule(Rule{Priority: 2, Filter: f, Action: ActCount}); err != nil {
+		t.Fatalf("add err = %v", err)
+	}
+	charged("AddRule", 1, 96)
+	if !drv.HasRule(f) {
+		t.Fatal("added rule is not in the shadow")
+	}
+	if err := drv.AddRule(Rule{Priority: 1, Filter: Filter{DstPort: 443}}); err != ErrTCAMFull {
+		t.Fatalf("add to a full table: err = %v, want ErrTCAMFull", err)
+	}
+	charged("refused AddRule", 0, 0)
 	injectFresh(sw, ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 77)), 1, 2)
 	var st RuleStats
 	var ok bool
@@ -381,19 +404,19 @@ func TestEmuDriverRuleLifecycle(t *testing.T) {
 	if !ok || st.Packets != 1 || st.Bytes != 77 {
 		t.Fatalf("rule stats = %+v, %v", st, ok)
 	}
-	var removed bool
-	drv.RemoveRule(f, func(r bool) { removed = r })
-	loop.RunFor(10 * time.Millisecond)
-	if !removed {
+	last = bus.Snapshot()
+	if r, ok := drv.GetRule(f); !ok || r.Priority != 2 {
+		t.Fatalf("GetRule = %+v, %v", r, ok)
+	}
+	charged("GetRule", 1, 48)
+	if !drv.RemoveRule(f) {
 		t.Fatal("rule not removed")
 	}
+	if drv.RemoveRule(f) {
+		t.Fatal("absent rule removed")
+	}
+	charged("two RemoveRules", 2, 192)
 }
-
-var errSentinel = &sentinelError{}
-
-type sentinelError struct{}
-
-func (*sentinelError) Error() string { return "sentinel" }
 
 func TestEmuDriverSamplingDropsUnderBacklog(t *testing.T) {
 	loop := engine.NewSerial()
@@ -428,3 +451,6 @@ func TestPacketFlowKey(t *testing.T) {
 		t.Fatal("different src ports should differ")
 	}
 }
+
+// Capacity returns the maximum number of entries.
+func (t *TCAM) Capacity() int { return t.capacity }

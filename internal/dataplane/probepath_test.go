@@ -326,7 +326,7 @@ func (d *closureDriver) PollPortStats(ports []int, fn func(ports []int, stats []
 }
 
 func (d *closureDriver) PollRuleStats(f Filter, fn func(RuleStats, bool)) {
-	d.Request(RuleStatsBytes, func(time.Duration) {
+	d.Request(ruleStatsBytes, func(time.Duration) {
 		st, ok := d.sw.TCAM().Stats(f)
 		fn(st, ok)
 	})

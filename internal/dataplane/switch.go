@@ -84,9 +84,6 @@ func NewTCAM(capacity int) *TCAM {
 	}
 }
 
-// Capacity returns the maximum number of entries.
-func (t *TCAM) Capacity() int { return t.capacity }
-
 // Size returns the current number of entries.
 func (t *TCAM) Size() int { return len(t.entries) }
 

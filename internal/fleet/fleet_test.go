@@ -359,3 +359,12 @@ func TestMutationsAcrossStop(t *testing.T) {
 		}
 	}
 }
+
+// Catalogue lists the Tab. I tasks the fleet can run.
+func (c *Client) Catalogue() ([]string, error) {
+	resp, err := c.do(rpcRequest{Op: "catalogue"})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Catalogue, nil
+}

@@ -257,15 +257,6 @@ func (c *Client) Status() (*StatusSnapshot, error) {
 	return resp.Status, nil
 }
 
-// Catalogue lists the Tab. I tasks the fleet can run.
-func (c *Client) Catalogue() ([]string, error) {
-	resp, err := c.do(rpcRequest{Op: "catalogue"})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Catalogue, nil
-}
-
 // SubmitWait submits with retries across leadership gaps: while the
 // server answers "no leader", it backs off and retries until the
 // deadline — the client half of surviving a failover without losing

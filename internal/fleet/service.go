@@ -244,9 +244,6 @@ func New(cfg Config) (*Service, error) {
 // FabricDesc describes the booted fabric for banners and status lines.
 func (s *Service) FabricDesc() string { return s.fabricDesc }
 
-// Fabric exposes the live fabric (tests, metrics wiring).
-func (s *Service) Fabric() *fabric.Fabric { return s.fab }
-
 // Seeder exposes the underlying seeder. Mutations must go through the
 // service's operator API — direct calls break the single-writer
 // contract.
@@ -425,36 +422,6 @@ func (s *Service) Retire(name string) error {
 			return ErrNoLeader
 		}
 		return s.leader.retire(name)
-	})
-}
-
-// FailSwitch fails a switch on the live fabric and re-places the
-// surviving tasks; tasks that no longer fit are undeployed (and
-// un-mirrored) as in seeder.FailSwitch.
-func (s *Service) FailSwitch(id netmodel.SwitchID) (dropped []string, err error) {
-	opErr := s.apply("fail-switch", fmt.Sprint(id), func() error {
-		if s.leader == nil {
-			return ErrNoLeader
-		}
-		var ferr error
-		dropped, ferr = s.sd.FailSwitch(id)
-		if ferr == nil {
-			for _, t := range dropped {
-				s.broker.Publish(topicState, stateDelta{Op: "remove", Task: t})
-			}
-		}
-		return ferr
-	})
-	return dropped, opErr
-}
-
-// RecoverSwitch returns a failed switch to service.
-func (s *Service) RecoverSwitch(id netmodel.SwitchID) error {
-	return s.apply("recover-switch", fmt.Sprint(id), func() error {
-		if s.leader == nil {
-			return ErrNoLeader
-		}
-		return s.sd.RecoverSwitch(id)
 	})
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -179,4 +180,37 @@ func TestConcurrentWritersSerializable(t *testing.T) {
 	if serial := replayAudit(t, cfg, log); serial != live {
 		t.Fatalf("digest mismatch: live %s vs serial replay %s — concurrent execution not serializable", live, serial)
 	}
+}
+
+// Fabric exposes the live fabric (tests, metrics wiring).
+func (s *Service) Fabric() *fabric.Fabric { return s.fab }
+
+// FailSwitch fails a switch on the live fabric and re-places the
+// surviving tasks; tasks that no longer fit are undeployed (and
+// un-mirrored) as in seeder.FailSwitch.
+func (s *Service) FailSwitch(id netmodel.SwitchID) (dropped []string, err error) {
+	opErr := s.apply("fail-switch", fmt.Sprint(id), func() error {
+		if s.leader == nil {
+			return ErrNoLeader
+		}
+		var ferr error
+		dropped, ferr = s.sd.FailSwitch(id)
+		if ferr == nil {
+			for _, t := range dropped {
+				s.broker.Publish(topicState, stateDelta{Op: "remove", Task: t})
+			}
+		}
+		return ferr
+	})
+	return dropped, opErr
+}
+
+// RecoverSwitch returns a failed switch to service.
+func (s *Service) RecoverSwitch(id netmodel.SwitchID) error {
+	return s.apply("recover-switch", fmt.Sprint(id), func() error {
+		if s.leader == nil {
+			return ErrNoLeader
+		}
+		return s.sd.RecoverSwitch(id)
+	})
 }

@@ -58,15 +58,6 @@ func (r Resources) Sub(s Resources) Resources {
 	return c
 }
 
-// Scale returns k*r.
-func (r Resources) Scale(k float64) Resources {
-	c := make(Resources, len(r))
-	for name, v := range r {
-		c[name] = v * k
-	}
-	return c
-}
-
 // AtLeast reports whether r >= s component-wise (within eps).
 func (r Resources) AtLeast(s Resources, eps float64) bool {
 	for k, v := range s {

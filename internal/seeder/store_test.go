@@ -645,8 +645,9 @@ machine %s {
 	if !reflect.DeepEqual(seedsBefore, seedsAfter) {
 		t.Fatalf("a failed AddTask left seeds running:\nbefore %v\nafter  %v", seedsBefore, seedsAfter)
 	}
-	if leaf0 := sd.Soil(sd.byName["leaf0"]); !leaf0.Available().AtLeast(leaf0.Capacity(), 1e-9) {
-		t.Fatalf("leaf0 has %v of %v available after the seed was rolled back", leaf0.Available(), leaf0.Capacity())
+	leaf0 := sd.byName["leaf0"]
+	if avail, capacity := sd.Soil(leaf0).Available(), sd.fab.Topology().Switch(leaf0).Capacity; !avail.AtLeast(capacity, 1e-9) {
+		t.Fatalf("leaf0 has %v of %v available after the seed was rolled back", avail, capacity)
 	}
 	if ent := sd.programs.bySource[spec.Source]; ent == nil || ent.refs != 0 {
 		t.Fatalf("store reference not released: %+v", ent)

@@ -9,7 +9,6 @@
 package sketch
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math"
 )
@@ -94,19 +93,6 @@ func (s *CountMin) Clone() *CountMin {
 	return c
 }
 
-// Merge adds another sketch of identical dimensions into s — the
-// cross-switch aggregation a harvester performs over per-seed sketches.
-func (s *CountMin) Merge(o *CountMin) error {
-	if s.width != o.width || s.depth != o.depth {
-		return fmt.Errorf("sketch: dimension mismatch %dx%d vs %dx%d", s.width, s.depth, o.width, o.depth)
-	}
-	for i := range s.counts {
-		s.counts[i] += o.counts[i]
-	}
-	s.total += o.total
-	return nil
-}
-
 // Distinct is a simple linear-probabilistic distinct counter (a bitmap
 // estimator): fixed memory, estimate = -m * ln(zeroFraction).
 type Distinct struct {
@@ -156,17 +142,4 @@ func (d *Distinct) Clone() *Distinct {
 	c := &Distinct{m: d.m}
 	c.bits = append([]bool(nil), d.bits...)
 	return c
-}
-
-// Merge ORs another counter of the same size into d.
-func (d *Distinct) Merge(o *Distinct) error {
-	if d.m != o.m {
-		return fmt.Errorf("sketch: distinct size mismatch %d vs %d", d.m, o.m)
-	}
-	for i, b := range o.bits {
-		if b {
-			d.bits[i] = true
-		}
-	}
-	return nil
 }

@@ -193,3 +193,30 @@ func TestDistinctSaturation(t *testing.T) {
 		t.Fatalf("saturated estimate = %g", est)
 	}
 }
+
+// Merge adds another sketch of identical dimensions into s — the
+// cross-switch aggregation a harvester would perform over per-seed
+// sketches.
+func (s *CountMin) Merge(o *CountMin) error {
+	if s.width != o.width || s.depth != o.depth {
+		return fmt.Errorf("sketch: dimension mismatch %dx%d vs %dx%d", s.width, s.depth, o.width, o.depth)
+	}
+	for i := range s.counts {
+		s.counts[i] += o.counts[i]
+	}
+	s.total += o.total
+	return nil
+}
+
+// Merge ORs another counter of the same size into d.
+func (d *Distinct) Merge(o *Distinct) error {
+	if d.m != o.m {
+		return fmt.Errorf("sketch: distinct size mismatch %d vs %d", d.m, o.m)
+	}
+	for i, b := range o.bits {
+		if b {
+			d.bits[i] = true
+		}
+	}
+	return nil
+}

@@ -80,7 +80,7 @@ type Soil struct {
 	swID   netmodel.SwitchID
 	name   string
 	loop   engine.Scheduler
-	driver *dataplane.EmuDriver
+	driver dataplane.Driver
 	cpu    *metrics.CPUMeter
 	opts   Options
 
@@ -121,9 +121,6 @@ func New(fab *fabric.Fabric, swID netmodel.SwitchID, opts Options) *Soil {
 	}
 }
 
-// Name returns the switch name this soil runs on.
-func (s *Soil) Name() string { return s.name }
-
 // SwitchID returns the switch ID this soil runs on.
 func (s *Soil) SwitchID() netmodel.SwitchID { return s.swID }
 
@@ -138,9 +135,6 @@ func (s *Soil) SetLogf(fn func(string, ...any)) { s.logf = fn }
 
 // Available returns capacity minus allocations.
 func (s *Soil) Available() netmodel.Resources { return s.capacity.Sub(s.used) }
-
-// Capacity returns the switch's resource capacity.
-func (s *Soil) Capacity() netmodel.Resources { return s.capacity.Clone() }
 
 // NumSeeds returns the number of deployed seeds.
 func (s *Soil) NumSeeds() int { return len(s.seeds) }
@@ -407,28 +401,6 @@ func Prepare(prog *core.Program, externals map[string]core.Value) (*Prepared, er
 		return nil, err
 	}
 	return &Prepared{prog: prog, externals: externals, polls: polls}, nil
-}
-
-// Deploy instantiates a machine on this switch with the given external
-// bindings and resource allocation. The machine arrives in its XML wire
-// form (§V-A-d): this is the wire-format entry, nothing but decode,
-// compile and Prepare in front of DeployCompiled. The soil keeps alloc
-// as the seed's grant and never writes it; the caller must not write it
-// either while the seed holds it.
-func (s *Soil) Deploy(ref SeedRef, xmlData []byte, externals map[string]core.Value, alloc netmodel.Resources) error {
-	cm, err := almanac.DecodeXML(xmlData)
-	if err != nil {
-		return fmt.Errorf("soil %s: %w", s.name, err)
-	}
-	prog, err := core.Compile(cm)
-	if err != nil {
-		return fmt.Errorf("soil %s: %w", s.name, err)
-	}
-	p, err := Prepare(prog, externals)
-	if err != nil {
-		return fmt.Errorf("soil %s: %w", s.name, err)
-	}
-	return s.DeployCompiled(ref, p, alloc)
 }
 
 // DeployCompiled deploys one instance of a prepared program. The soil
@@ -765,37 +737,34 @@ func (h *seedHost) Now() time.Duration { return h.soil.loop.Now() }
 
 func (h *seedHost) Resources() netmodel.Resources { return h.rt.alloc }
 
+// AddTCAMRule, RemoveTCAMRule and GetTCAMRule keep the seed's TCAM
+// budget; the driver applies each operation and charges the bus for it.
 func (h *seedHost) AddTCAMRule(r dataplane.Rule) error {
-	_, replacing := h.soil.driver.Switch().TCAM().GetRule(r.Filter)
+	replacing := h.soil.driver.HasRule(r.Filter)
 	budget := int(h.rt.alloc[netmodel.ResTCAM])
 	if !replacing && h.rt.rulesOwned >= budget {
 		return fmt.Errorf("soil %s: seed %s exceeded its TCAM allocation (%d entries)",
 			h.soil.name, h.rt.ref.ID(), budget)
 	}
-	// Apply synchronously (the soil serializes ASIC access) while
-	// charging the bus transfer asynchronously.
-	if err := h.soil.driver.Switch().TCAM().AddRule(r); err != nil {
+	if err := h.soil.driver.AddRule(r); err != nil {
 		return err
 	}
 	if !replacing {
 		h.rt.rulesOwned++
 	}
-	h.soil.driver.Bus().Request(dataplane.RuleUpdateBytes, nil)
 	return nil
 }
 
 func (h *seedHost) RemoveTCAMRule(f dataplane.Filter) bool {
-	ok := h.soil.driver.Switch().TCAM().RemoveRule(f)
+	ok := h.soil.driver.RemoveRule(f)
 	if ok && h.rt.rulesOwned > 0 {
 		h.rt.rulesOwned--
 	}
-	h.soil.driver.Bus().Request(dataplane.RuleUpdateBytes, nil)
 	return ok
 }
 
 func (h *seedHost) GetTCAMRule(f dataplane.Filter) (dataplane.Rule, bool) {
-	h.soil.driver.Bus().Request(dataplane.RuleStatsBytes, nil)
-	return h.soil.driver.Switch().TCAM().GetRule(f)
+	return h.soil.driver.GetRule(f)
 }
 
 func (h *seedHost) Send(to core.SendDest, v core.Value) {

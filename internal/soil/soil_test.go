@@ -461,15 +461,30 @@ func TestMigrationSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestTCAMBudgetEnforced pins a seed's rule operations: each acts when
+// it is called, and the driver charges the leaf's bus 96 B for an
+// install or a removal (present or not) and 48 B for a read. An install
+// refused for the seed's budget charges nothing; re-installing a filter
+// the seed already owns replaces it, also at budget.
 func TestTCAMBudgetEnforced(t *testing.T) {
 	src := `
 machine Rules {
   place all;
   long installed;
+  bool removed;
   state s {
     when (recv long p from harvester) do {
-      addTCAMRule(port p, drop(), 1);
-      installed = installed + 1;
+      if (p > 0) then {
+        addTCAMRule(port p, drop(), 1);
+        installed = installed + 1;
+      } else {
+        if (p < 0) then {
+          long q = 0 - p;
+          removed = removeTCAMRule(port q);
+        } else {
+          getTCAMRule(port 1);
+        }
+      }
     }
   }
 }
@@ -483,7 +498,8 @@ machine Rules {
 		t.Fatal(err)
 	}
 	fab, _ := testEnv(t)
-	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
+	leaf := leafID(t, fab, "leaf0")
+	s := New(fab, leaf, DefaultOptions())
 	var logged []string
 	s.SetLogf(func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) })
 	alloc := hhAlloc()
@@ -492,15 +508,117 @@ machine Rules {
 	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), alloc); err != nil {
 		t.Fatal(err)
 	}
-	for p := int64(1); p <= 3; p++ {
+	bus := fab.Driver(leaf).Bus()
+	last := bus.Snapshot()
+	// op delivers p to the seed and checks what the bus was charged.
+	op := func(p int64, requests, bytes uint64) {
+		t.Helper()
 		s.DeliverToMachine(ref.Task, ref.Machine, core.MsgSource{Harvester: true}, p)
+		now := bus.Snapshot()
+		if dr, db := now.Requests-last.Requests, now.Bytes-last.Bytes; dr != requests || db != bytes {
+			t.Fatalf("message %d: bus +%d requests, +%d B; want +%d, +%d B (logged %q)", p, dr, db, requests, bytes, logged)
+		}
+		last = now
 	}
-	// The third exceeds the budget: the handler errors, logged by the soil.
+	op(1, 1, 96)
+	op(2, 1, 96)
+	// The third exceeds the budget: the handler errors, logged by the
+	// soil, and nothing crosses the bus.
+	op(3, 0, 0)
 	if len(logged) != 1 || !strings.Contains(logged[0], "TCAM allocation") {
 		t.Fatalf("logged %q, want one TCAM budget error", logged)
 	}
 	if v, _ := s.SeedVar(ref.ID(), "installed"); v != int64(2) {
 		t.Fatalf("installed = %v", v)
+	}
+	// Re-installing an owned filter at budget is a replace.
+	op(1, 1, 96)
+	if v, _ := s.SeedVar(ref.ID(), "installed"); v != int64(3) || len(logged) != 1 {
+		t.Fatalf("installed = %v, logged %q after a replace at budget", v, logged)
+	}
+	for _, rm := range []struct {
+		p    int64
+		want bool
+	}{{-2, true}, {-3, false}} {
+		op(rm.p, 1, 96)
+		if v, _ := s.SeedVar(ref.ID(), "removed"); v != rm.want {
+			t.Fatalf("removeTCAMRule(port %d) = %v, want %v", -rm.p, v, rm.want)
+		}
+	}
+	op(0, 1, 48)
+	if len(logged) != 1 {
+		t.Fatalf("logged %q", logged)
+	}
+}
+
+// fullDriver is the leaf's driver with a switch whose table refuses
+// every write while full is set, as a table other seeds have filled.
+type fullDriver struct {
+	dataplane.Driver
+	full bool
+}
+
+func (d *fullDriver) AddRule(r dataplane.Rule) error {
+	if d.full {
+		return dataplane.ErrTCAMFull
+	}
+	return d.Driver.AddRule(r)
+}
+
+// TestTCAMSwitchFull: an install the switch refuses fails the handler,
+// logged by the soil, and is not charged to the seed's TCAM budget, so
+// once the table has room the seed installs its whole budget.
+func TestTCAMSwitchFull(t *testing.T) {
+	prog, err := almanac.Parse(`
+machine Rules {
+  place all;
+  long installed;
+  state s {
+    when (recv long p from harvester) do {
+      addTCAMRule(port p, drop(), 1);
+      installed = installed + 1;
+    }
+  }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := almanac.CompileMachine(prog, "Rules")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab, _ := testEnv(t)
+	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
+	drv := &fullDriver{Driver: s.driver, full: true}
+	s.driver = drv
+	var logged []string
+	s.SetLogf(func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) })
+	alloc := hhAlloc()
+	alloc[netmodel.ResTCAM] = 2
+	ref := SeedRef{Task: "r", Machine: "Rules", Switch: s.Name()}
+	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), alloc); err != nil {
+		t.Fatal(err)
+	}
+	deliver := func(p int64) {
+		s.DeliverToMachine(ref.Task, ref.Machine, core.MsgSource{Harvester: true}, p)
+	}
+	deliver(1)
+	if len(logged) != 1 || !strings.Contains(logged[0], dataplane.ErrTCAMFull.Error()) {
+		t.Fatalf("logged %q, want one TCAM full error", logged)
+	}
+	if owned := s.seeds[ref.ID()].rulesOwned; owned != 0 {
+		t.Fatalf("a refused install counts %d against the budget", owned)
+	}
+	drv.full = false
+	for p := int64(1); p <= 3; p++ {
+		deliver(p)
+	}
+	if v, _ := s.SeedVar(ref.ID(), "installed"); v != int64(2) {
+		t.Fatalf("installed = %v once the table has room, want the budget of 2", v)
+	}
+	if len(logged) != 2 || !strings.Contains(logged[1], "TCAM allocation") {
+		t.Fatalf("logged %q, want the third install refused for the budget", logged)
 	}
 }
 
@@ -812,4 +930,27 @@ machine Timer {
 	if len(logged) != 10 || !strings.Contains(logged[0], "distinct_new(1e+15)") {
 		t.Fatalf("logged %d errors, want 10 distinct_new size errors: %q", len(logged), logged)
 	}
+}
+
+// Name returns the switch name this soil runs on.
+func (s *Soil) Name() string { return s.name }
+
+// Deploy instantiates a machine from its XML wire form (§V-A-d) on this
+// switch with the given external bindings and resource allocation:
+// decode, compile and Prepare in front of DeployCompiled, the path the
+// seeder's program store takes once per source.
+func (s *Soil) Deploy(ref SeedRef, xmlData []byte, externals map[string]core.Value, alloc netmodel.Resources) error {
+	cm, err := almanac.DecodeXML(xmlData)
+	if err != nil {
+		return fmt.Errorf("soil %s: %w", s.name, err)
+	}
+	prog, err := core.Compile(cm)
+	if err != nil {
+		return fmt.Errorf("soil %s: %w", s.name, err)
+	}
+	p, err := Prepare(prog, externals)
+	if err != nil {
+		return fmt.Errorf("soil %s: %w", s.name, err)
+	}
+	return s.DeployCompiled(ref, p, alloc)
 }

@@ -709,9 +709,6 @@ func (w *BulkWorkload) HeavyPorts() []PortLoad {
 	return out
 }
 
-// NumPorts returns the number of driven ports.
-func (w *BulkWorkload) NumPorts() int { return len(w.ports) }
-
 // Stop halts the workload.
 func (w *BulkWorkload) Stop() {
 	for _, tk := range w.tickers {

@@ -426,3 +426,6 @@ func TestStartFlowPanicsOnBadRate(t *testing.T) {
 	}()
 	g.StartFlow(FlowSpec{Rate: 0})
 }
+
+// NumPorts returns the number of driven ports.
+func (w *BulkWorkload) NumPorts() int { return len(w.ports) }
