@@ -5,6 +5,7 @@ import (
 	"net/netip"
 
 	"farm/internal/dataplane"
+	"farm/internal/netmodel"
 	"farm/internal/poly"
 )
 
@@ -613,13 +614,14 @@ func (a *utilAnalyzer) lin(e Expr) (poly.Linear, error) {
 		}
 		return poly.Linear{}, anaErr(ex.Line(), "unknown identifier %s in util (only the resource parameter and constants are allowed)", ex.Name)
 	case *FieldExpr:
-		if id, ok := ex.X.(*Ident); ok && id.Name == a.param {
-			return poly.Var(ex.Field), nil
+		if !readsResource(ex, a.param) {
+			return poly.Linear{}, anaErr(ex.Line(), "only %s.FIELD or res().FIELD may appear in util", a.param)
 		}
-		if call, ok := ex.X.(*CallExpr); ok && call.Name == "res" && len(call.Args) == 0 {
-			return poly.Var(ex.Field), nil
+		r, ok := netmodel.ResByName(ex.Field)
+		if !ok {
+			return poly.Linear{}, anaErr(ex.Line(), "unknown resource %s", ex.Field)
 		}
-		return poly.Linear{}, anaErr(ex.Line(), "only %s.FIELD or res().FIELD may appear in util", a.param)
+		return poly.Var(r), nil
 	case *UnaryExpr:
 		if ex.Op == "-" {
 			v, err := a.lin(ex.X)
@@ -680,7 +682,7 @@ type PollInfo struct {
 
 // IvalMillisAt evaluates the polling interval in milliseconds at a
 // concrete resource allocation.
-func (pi PollInfo) IvalMillisAt(res map[string]float64) (float64, error) {
+func (pi PollInfo) IvalMillisAt(res netmodel.Vector) (float64, error) {
 	rate := pi.RatePerSec.Eval(res)
 	if rate <= 0 {
 		return 0, fmt.Errorf("almanac: trigger %s: non-positive poll rate %g at %v", pi.Name, rate, res)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"farm/internal/dataplane"
+	"farm/internal/netmodel"
 	"farm/internal/poly"
 )
 
@@ -150,11 +151,11 @@ func TestAnalyzeUtilityPaperHH(t *testing.T) {
 		t.Fatalf("constraints = %d, want 2", len(c.Constraints))
 	}
 	// C^s = {vCPU - 1, RAM - 100}
-	assign := map[string]float64{"vCPU": 2, "RAM": 150, "PCIe": 1.5}
+	assign := netmodel.Vector{netmodel.ResVCPU: 2, netmodel.ResRAM: 150, netmodel.ResPCIe: 1.5}
 	if !c.Feasible(assign, 0) {
 		t.Fatal("should be feasible")
 	}
-	if c.Feasible(map[string]float64{"vCPU": 0.5, "RAM": 150}, 0) {
+	if c.Feasible(netmodel.Vector{netmodel.ResVCPU: 0.5, netmodel.ResRAM: 150}, 0) {
 		t.Fatal("vCPU constraint not extracted")
 	}
 	// u^s = min(vCPU, PCIe) = 1.5 here.
@@ -172,7 +173,7 @@ func TestAnalyzeUtilityConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := u.Eval(nil)
+	v, ok := u.Eval(netmodel.Vector{})
 	if !ok || v != 100 {
 		t.Fatalf("eval = %g,%v", v, ok)
 	}
@@ -192,10 +193,10 @@ func TestAnalyzeUtilityOrSplitsCases(t *testing.T) {
 		t.Fatalf("cases = %d, want 2 (or-split)", len(u))
 	}
 	// Feasible through the RAM side even with low vCPU.
-	if v, ok := u.Eval(map[string]float64{"vCPU": 1, "RAM": 2000}); !ok || v != 1 {
+	if v, ok := u.Eval(netmodel.Vector{netmodel.ResVCPU: 1, netmodel.ResRAM: 2000}); !ok || v != 1 {
 		t.Fatalf("eval = %g,%v", v, ok)
 	}
-	if _, ok := u.Eval(map[string]float64{"vCPU": 1, "RAM": 10}); ok {
+	if _, ok := u.Eval(netmodel.Vector{netmodel.ResVCPU: 1, netmodel.ResRAM: 10}); ok {
 		t.Fatal("neither side should be feasible")
 	}
 }
@@ -210,10 +211,10 @@ func TestAnalyzeUtilityElse(t *testing.T) {
 	if len(u) != 2 {
 		t.Fatalf("cases = %d, want 2", len(u))
 	}
-	if v, _ := u.Eval(map[string]float64{"vCPU": 3}); v != 10 {
+	if v, _ := u.Eval(netmodel.Vector{netmodel.ResVCPU: 3}); v != 10 {
 		t.Fatalf("rich eval = %g", v)
 	}
-	if v, _ := u.Eval(map[string]float64{"vCPU": 1}); v != 1 {
+	if v, _ := u.Eval(netmodel.Vector{netmodel.ResVCPU: 1}); v != 1 {
 		t.Fatalf("poor eval = %g", v)
 	}
 }
@@ -227,13 +228,13 @@ func TestAnalyzeUtilitySequentialIfs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := u.Eval(map[string]float64{"vCPU": 5}); v != 100 {
+	if v, _ := u.Eval(netmodel.Vector{netmodel.ResVCPU: 5}); v != 100 {
 		t.Fatalf("eval(5) = %g", v)
 	}
-	if v, _ := u.Eval(map[string]float64{"vCPU": 2}); v != 10 {
+	if v, _ := u.Eval(netmodel.Vector{netmodel.ResVCPU: 2}); v != 10 {
 		t.Fatalf("eval(2) = %g", v)
 	}
-	if v, _ := u.Eval(map[string]float64{"vCPU": 0}); v != 0 {
+	if v, _ := u.Eval(netmodel.Vector{netmodel.ResVCPU: 0}); v != 0 {
 		t.Fatalf("eval(0) = %g", v)
 	}
 }
@@ -243,10 +244,10 @@ func TestAnalyzeUtilityMaxSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := u.Eval(map[string]float64{"vCPU": 10, "RAM": 1}); v != 10 {
+	if v, _ := u.Eval(netmodel.Vector{netmodel.ResVCPU: 10, netmodel.ResRAM: 1}); v != 10 {
 		t.Fatalf("eval = %g", v)
 	}
-	if v, _ := u.Eval(map[string]float64{"vCPU": 1, "RAM": 10}); v != 20 {
+	if v, _ := u.Eval(netmodel.Vector{netmodel.ResVCPU: 1, netmodel.ResRAM: 10}); v != 20 {
 		t.Fatalf("eval = %g", v)
 	}
 }
@@ -256,7 +257,7 @@ func TestAnalyzeUtilityArithmetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := u.Eval(map[string]float64{"vCPU": 3, "PCIe": 1})
+	v, _ := u.Eval(netmodel.Vector{netmodel.ResVCPU: 3, netmodel.ResPCIe: 1})
 	if v != 7 {
 		t.Fatalf("eval = %g, want 2*1+5", v)
 	}
@@ -267,7 +268,7 @@ func TestAnalyzeUtilityNilMeansZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := u.Eval(nil); !ok || v != 0 {
+	if v, ok := u.Eval(netmodel.Vector{}); !ok || v != 0 {
 		t.Fatalf("eval = %g,%v", v, ok)
 	}
 }
@@ -279,7 +280,7 @@ func TestAnalyzeUtilityExternalsAsConstants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := u.Eval(map[string]float64{"vCPU": 2}); v != 6 {
+	if v, _ := u.Eval(netmodel.Vector{netmodel.ResVCPU: 2}); v != 6 {
 		t.Fatalf("eval = %g", v)
 	}
 }
@@ -307,15 +308,15 @@ func TestAnalyzePollsPaperHH(t *testing.T) {
 		t.Fatalf("pi = %+v", pi)
 	}
 	// ival = 10/res().PCIe ms -> rate = 100 * PCIe polls/s.
-	rate := pi.RatePerSec.Eval(map[string]float64{"PCIe": 1})
+	rate := pi.RatePerSec.Eval(netmodel.Vector{netmodel.ResPCIe: 1})
 	if math.Abs(rate-100) > 1e-9 {
 		t.Fatalf("rate = %g, want 100", rate)
 	}
-	rate2 := pi.RatePerSec.Eval(map[string]float64{"PCIe": 2})
+	rate2 := pi.RatePerSec.Eval(netmodel.Vector{netmodel.ResPCIe: 2})
 	if math.Abs(rate2-200) > 1e-9 {
 		t.Fatalf("rate = %g, want 200", rate2)
 	}
-	ival, err := pi.IvalMillisAt(map[string]float64{"PCIe": 1})
+	ival, err := pi.IvalMillisAt(netmodel.Vector{netmodel.ResPCIe: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestAnalyzePollsConstantIval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := polls[0].RatePerSec.Eval(nil); got != 100 {
+	if got := polls[0].RatePerSec.Eval(netmodel.Vector{}); got != 100 {
 		t.Fatalf("rate = %g, want 100/s for 10ms", got)
 	}
 }
@@ -346,7 +347,7 @@ func TestAnalyzePollsTimeTrigger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if polls[0].TType != TrigTime || polls[0].RatePerSec.Eval(nil) != 2 {
+	if polls[0].TType != TrigTime || polls[0].RatePerSec.Eval(netmodel.Vector{}) != 2 {
 		t.Fatalf("pi = %+v", polls[0])
 	}
 }
@@ -368,7 +369,7 @@ func TestAnalyzePollsRejectsBadIval(t *testing.T) {
 
 func TestIvalMillisAtNonPositiveRate(t *testing.T) {
 	pi := PollInfo{Name: "p", RatePerSec: poly.Constant(0)}
-	if _, err := pi.IvalMillisAt(nil); err == nil {
+	if _, err := pi.IvalMillisAt(netmodel.Vector{}); err == nil {
 		t.Fatal("expected error for zero rate")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"farm/internal/netmodel"
 	"farm/internal/poly"
 )
 
@@ -127,7 +128,7 @@ func TestPrintedUtilityAnalysisAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign := map[string]float64{"vCPU": 2, "RAM": 200, "PCIe": 1.5}
+	assign := netmodel.Vector{netmodel.ResVCPU: 2, netmodel.ResRAM: 200, netmodel.ResPCIe: 1.5}
 	v1, ok1 := u1.Eval(assign)
 	v2, ok2 := u2.Eval(assign)
 	if ok1 != ok2 || v1 != v2 {

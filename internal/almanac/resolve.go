@@ -1,5 +1,7 @@
 package almanac
 
+import "farm/internal/netmodel"
+
 // Name resolution: every name a machine's code reads or assigns, and
 // every state a handler transits to, is resolved once, in lexical block
 // scope, and one that does not resolve is a SemaError at its line. The scope is a stack of declarations the
@@ -17,6 +19,11 @@ package almanac
 //   - a machine variable's initialiser sees the machine variables
 //     declared before it, a state variable's every machine variable and
 //     no state variable.
+//
+// Two checks ride along on the same walk: a resource read (res().X
+// anywhere, P.X in a util whose parameter is P, res.X in a trigger's
+// initialiser) must name one of the five resources, and arithmetic or an
+// ordered comparison may not take a filter.
 //
 // Lower relies on all of it: every name it meets has one static slot.
 
@@ -60,6 +67,11 @@ func resolveNames(cm *CompiledMachine) error {
 		s.states[st.Name] = true
 	}
 	for _, t := range cm.Triggers {
+		s.where = "trigger " + t.Name
+		if err := s.resources(t.Init, "res"); err != nil {
+			return err
+		}
+		s.where = ""
 		if err := s.declare(t.Name, nameTrigger, t.DeclLine); err != nil {
 			return err
 		}
@@ -80,6 +92,18 @@ func resolveNames(cm *CompiledMachine) error {
 		for i := range st.Vars {
 			s.where = "state " + st.Name + ": init of " + st.Vars[i].Name
 			if err := s.expr(st.Vars[i].Init); err != nil {
+				return err
+			}
+		}
+		if st.Util != nil {
+			s.where = "state " + st.Name + ": util"
+			var err error
+			walkStmts(st.Util.Body, func(x Expr) {
+				if err == nil {
+					err = s.resourceField(x, st.Util.Param)
+				}
+			})
+			if err != nil {
 				return err
 			}
 		}
@@ -222,20 +246,77 @@ func (s *scope) stmt(stmt Stmt) error {
 	return nil
 }
 
-// expr checks every name e reads: the first that does not resolve is
-// the error.
+// expr checks every name e reads, every resource it reads and every
+// operator it applies to a filter: the first that fails is the error.
 func (s *scope) expr(e Expr) (err error) {
 	walkExpr(e, func(x Expr) {
-		id, ok := x.(*Ident)
-		if !ok || err != nil {
+		if err != nil {
 			return
 		}
-		switch k, ok := s.kinds[id.Name]; {
-		case !ok:
-			err = s.undeclared(id.Line(), "undeclared name %s", id.Name)
-		case k == nameTrigger:
-			err = s.errorf(id.Line(), "trigger %s can only be assigned, not read", id.Name)
+		switch x := x.(type) {
+		case *Ident:
+			switch k, ok := s.kinds[x.Name]; {
+			case !ok:
+				err = s.undeclared(x.Line(), "undeclared name %s", x.Name)
+			case k == nameTrigger:
+				err = s.errorf(x.Line(), "trigger %s can only be assigned, not read", x.Name)
+			}
+		case *FieldExpr:
+			err = s.resourceField(x, "")
+		case *BinaryExpr:
+			switch x.Op {
+			case "+", "-", "*", "/", "<", ">", "<=", ">=":
+				if isFilter(x.L) || isFilter(x.R) {
+					err = s.errorf(x.Line(), "operator %s is not defined on a filter", x.Op)
+				}
+			}
 		}
 	})
 	return err
+}
+
+// resources checks every resource e reads (see resourceField).
+func (s *scope) resources(e Expr, param string) (err error) {
+	walkExpr(e, func(x Expr) {
+		if err == nil {
+			err = s.resourceField(x, param)
+		}
+	})
+	return err
+}
+
+// resourceField refuses x if it reads a resource (see readsResource)
+// that does not exist.
+func (s *scope) resourceField(x Expr, param string) error {
+	f, ok := x.(*FieldExpr)
+	if !ok || !readsResource(f, param) {
+		return nil
+	}
+	if _, ok := netmodel.ResByName(f.Field); !ok {
+		return s.errorf(f.Line(), "unknown resource %s (the resources are PCIe, RAM, TCAM, poll and vCPU)", f.Field)
+	}
+	return nil
+}
+
+// readsResource reports whether f reads a resource: res().X, or param.X.
+func readsResource(f *FieldExpr, param string) bool {
+	switch base := f.X.(type) {
+	case *CallExpr:
+		return base.Name == "res" && len(base.Args) == 0
+	case *Ident:
+		return base.Name == param
+	}
+	return false
+}
+
+// isFilter reports whether e is a filter by its form: a filter atom, or
+// one joined by and/or.
+func isFilter(e Expr) bool {
+	switch x := e.(type) {
+	case *FilterAtom:
+		return true
+	case *BinaryExpr:
+		return (x.Op == "and" || x.Op == "or") && (isFilter(x.L) || isFilter(x.R))
+	}
+	return false
 }

@@ -274,7 +274,8 @@ func inState(funcs, body string) string {
 // resolve in lexical block scope, each with its one positioned error.
 // They cover every construct Almanac accepted while it scoped names
 // dynamically, the edge-set programs that existed for those constructs
-// among them. FuzzLower starts from them too.
+// among them, a resource field that names no resource, and arithmetic
+// or an ordered comparison on a filter. FuzzLower starts from them too.
 var semaRejections = []struct {
 	name string
 	src  string
@@ -329,6 +330,20 @@ machine M { place all; Pt envPt; state s { when (enter) do { envPt.y = poke(1); 
 	{"state initialiser reads another state's variable", `machine M { place all;
   state s { long sv = 1; when (enter) do { } }
   state u { long w = sv; when (enter) do { } } }`, 3, "state u: init of w: undeclared name sv"},
+	{"unknown resource in a util", `machine M { place all;
+  state s {
+    util (r) { if (r.vCPU >= 1) then { return r.GPU; } }
+    when (enter) do { } } }`, 3, "state s: util: unknown resource GPU"},
+	{"unknown resource in an ival", `machine M { place all;
+  poll p = Poll { .ival = 10 / res().PCIE, .what = port ANY };
+  state s { when (p as x) do { } } }`, 2, "trigger p: unknown resource PCIE"},
+	{"unknown resource in a handler", inState("", "e = res().cpu;"), 8, "state s: unknown resource cpu"},
+	{"arithmetic on a filter", `machine M { place all; time t = 5;
+  state s {
+    when (t as p) do {
+      removeTCAMRule(port 0 - p);
+    } } }`, 4, "state s: operator - is not defined on a filter"},
+	{"ordered comparison on a filter", inState("", "if (dstPort 80 and proto \"tcp\" < 3) then { e = 1; }"), 8, "state s: operator < is not defined on a filter"},
 	{"edge set: CondDeclEnvStateUndeclared", `
 machine CondDeclEnvStateUndeclared {
   place all;

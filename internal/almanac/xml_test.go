@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"farm/internal/netmodel"
 )
 
 // roundTrip encodes, decodes, re-encodes, and requires byte equality —
@@ -48,7 +50,7 @@ func TestXMLRoundTripHH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign := map[string]float64{"vCPU": 2, "RAM": 200, "PCIe": 1}
+	assign := netmodel.Vector{netmodel.ResVCPU: 2, netmodel.ResRAM: 200, netmodel.ResPCIe: 1}
 	v1, ok1 := u1.Eval(assign)
 	v2, ok2 := u2.Eval(assign)
 	if ok1 != ok2 || v1 != v2 {

@@ -199,7 +199,7 @@ func builtinProbes() []rval {
 		rref(StructOf("Rec", map[string]Value{"key": "k1", "n": int64(4)})),
 		probeRule(FilterVal{F: dataplane.Filter{DstPort: 22}}, ActionVal(dataplane.ActRateLimit)),
 		probeSketch(), probeDistinct(),
-		rref(ResourcesVal(netmodel.Resources{netmodel.ResVCPU: 2})),
+		rref(ResourcesVal(&netmodel.Vector{netmodel.ResVCPU: 2})),
 	}
 }
 

@@ -27,18 +27,20 @@ import (
 // deterministic trace line.
 type parityTaskHost struct {
 	now   time.Duration
+	grant netmodel.Vector
 	tcam  *dataplane.TCAM
 	trace []string
 }
 
 func newParityTaskHost() *parityTaskHost {
-	return &parityTaskHost{tcam: dataplane.NewTCAM(128)}
+	return &parityTaskHost{
+		grant: netmodel.Vector{netmodel.ResVCPU: 2, netmodel.ResRAM: 1024, netmodel.ResPCIe: 1},
+		tcam:  dataplane.NewTCAM(128),
+	}
 }
 
-func (h *parityTaskHost) Now() time.Duration { return h.now }
-func (h *parityTaskHost) Resources() netmodel.Resources {
-	return netmodel.Resources{netmodel.ResVCPU: 2, netmodel.ResRAM: 1024, netmodel.ResPCIe: 1}
-}
+func (h *parityTaskHost) Now() time.Duration          { return h.now }
+func (h *parityTaskHost) Resources() *netmodel.Vector { return &h.grant }
 func (h *parityTaskHost) AddTCAMRule(r dataplane.Rule) error {
 	h.trace = append(h.trace, fmt.Sprintf("tcam+ %+v", r))
 	return h.tcam.AddRule(r)

@@ -129,7 +129,7 @@ func fmtValue(rng *rand.Rand, depth int) Value {
 			SrcPort: uint16(rng.Intn(65536)), DstPort: 53, Proto: dataplane.ProtoUDP, Size: 100,
 		})
 	case 9:
-		return ResourcesVal(netmodel.Resources{netmodel.ResVCPU: rng.Float64(), netmodel.ResRAM: float64(rng.Intn(512))})
+		return ResourcesVal(&netmodel.Vector{netmodel.ResVCPU: rng.Float64(), netmodel.ResRAM: float64(rng.Intn(512))})
 	case 10:
 		s := sketch.NewCountMin(1+rng.Intn(300), 1+rng.Intn(5))
 		s.Add(fmtString(rng), uint64(rng.Intn(1e6)))

@@ -42,7 +42,8 @@ func handlerRunner(t *testing.T, src, name string, ext map[string]core.Value) co
 //     list it made for the same groups last time;
 //   - a per-packet `map_get(m, k, map_new())` that finds k: the default
 //     is never built;
-//   - two p.flow reads of a flow read before: the text is interned.
+//   - two p.flow reads of a flow read before: the text is interned;
+//   - res().FIELD reads: the grant is read in place, by index.
 func TestHandlerAllocs(t *testing.T) {
 	t.Run("HHHSolo poll", func(t *testing.T) {
 		r := handlerRunner(t, tasks.HHHStandaloneSource, "HHHSolo",
@@ -109,4 +110,30 @@ machine P {
 	if n, _ := flows.(*core.MapVal).Get(dataplane.Packet(pkt).Flow().String()); n != int64(202) {
 		t.Fatalf("flow count %v, want 202", n)
 	}
+
+	t.Run("res fields", func(t *testing.T) {
+		const resSrc = `
+machine R {
+  place all;
+  time tk = 10;
+  float c;
+  state s {
+    when (tk) do { c = res().vCPU + res().PCIe + res().poll; }
+  }
+}
+`
+		r := handlerRunner(t, resSrc, "R", nil)
+		run := func() {
+			if err := r.HandleTrigger("tk", 10.0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+			t.Errorf("a handler reading res().FIELD allocates %.1f per run, want 0", allocs)
+		}
+		if c, _ := r.Var("c"); c != 3.0 {
+			t.Fatalf("c = %v, want 3 (vCPU 2 + PCIe 1)", c)
+		}
+	})
 }

@@ -30,7 +30,9 @@ type Host interface {
 	// Now returns the current (virtual) time.
 	Now() time.Duration
 	// Resources returns the seed's current resource allocation (res()).
-	Resources() netmodel.Resources
+	// Nothing writes the grant it points to: a new allocation comes as
+	// a new grant, so a res() value a seed keeps stays what it read.
+	Resources() *netmodel.Vector
 	// AddTCAMRule installs a monitoring TCAM rule (local reaction).
 	AddTCAMRule(r dataplane.Rule) error
 	// RemoveTCAMRule removes the rule with exactly the given filter.

@@ -480,7 +480,11 @@ func (s *Seed) evalField(ex *almanac.FieldExpr, sc *scope) (Value, error) {
 		}
 		return nil, fmt.Errorf("core: struct %s has no field %s (line %d)", v.Type(), ex.Field, ex.Line())
 	case ResourcesVal:
-		return netmodel.Resources(v)[ex.Field], nil
+		r, ok := netmodel.ResByName(ex.Field)
+		if !ok {
+			return nil, fmt.Errorf("core: resources have no field %s (line %d)", ex.Field, ex.Line())
+		}
+		return v[r], nil
 	case *MapVal:
 		return v.field(ex.Field).box(), nil
 	case PacketVal:

@@ -136,7 +136,7 @@ func fuzzValue(b *fuzzBytes, depth int) Value {
 	case 10:
 		return PacketVal{SrcPort: uint16(b.next()), DstPort: 80, Proto: dataplane.ProtoTCP, Size: b.next()}
 	case 11:
-		return ResourcesVal(netmodel.Resources{netmodel.ResVCPU: float64(b.next() % 8)})
+		return ResourcesVal(&netmodel.Vector{netmodel.ResVCPU: float64(b.next() % 8)})
 	case 12:
 		s := sketch.NewCountMin(16, 2)
 		s.Add(b.pick("a", "b"), uint64(b.next()))

@@ -14,7 +14,7 @@ import (
 // mockHost records every interaction a seed makes with its environment.
 type mockHost struct {
 	now       time.Duration
-	resources netmodel.Resources
+	resources netmodel.Vector
 	tcam      *dataplane.TCAM
 	rules     []string // every AddTCAMRule call, rendered
 	sent      []sentMsg
@@ -31,14 +31,14 @@ type sentMsg struct {
 
 func newMockHost() *mockHost {
 	return &mockHost{
-		resources: netmodel.Resources{netmodel.ResVCPU: 2, netmodel.ResRAM: 1024, netmodel.ResPCIe: 1},
+		resources: netmodel.Vector{netmodel.ResVCPU: 2, netmodel.ResRAM: 1024, netmodel.ResPCIe: 1},
 		tcam:      dataplane.NewTCAM(64),
 		intervals: map[string]float64{},
 	}
 }
 
-func (h *mockHost) Now() time.Duration            { return h.now }
-func (h *mockHost) Resources() netmodel.Resources { return h.resources }
+func (h *mockHost) Now() time.Duration          { return h.now }
+func (h *mockHost) Resources() *netmodel.Vector { return &h.resources }
 func (h *mockHost) AddTCAMRule(r dataplane.Rule) error {
 	h.rules = append(h.rules, fmt.Sprintf("%+v", r))
 	return h.tcam.AddRule(r)

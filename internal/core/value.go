@@ -259,8 +259,9 @@ type ActionVal dataplane.Action
 // PacketVal is a sampled packet.
 type PacketVal dataplane.Packet
 
-// ResourcesVal is the allocation returned by res().
-type ResourcesVal netmodel.Resources
+// ResourcesVal is the allocation returned by res(): the seed's grant,
+// which nobody writes (see Host.Resources).
+type ResourcesVal = *netmodel.Vector
 
 // TypeName returns a human-readable type tag for diagnostics.
 func TypeName(v Value) string {
@@ -419,8 +420,6 @@ func CloneValue(v Value) Value {
 			out[i] = CloneValue(e)
 		}
 		return StructVal{L: x.L, V: out}
-	case ResourcesVal:
-		return ResourcesVal(netmodel.Resources(x).Clone())
 	case SketchVal:
 		return SketchVal{S: x.S.Clone()}
 	case DistinctVal:

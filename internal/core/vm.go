@@ -490,7 +490,11 @@ func (m *rvmSeed) fieldOp(x rval, field string, line int32) (rval, error) {
 			}
 			return unbox(f), nil
 		case ResourcesVal:
-			return unbox(netmodel.Resources(v)[field]), nil
+			r, ok := netmodel.ResByName(field)
+			if !ok {
+				return rval{}, fmt.Errorf("core: resources have no field %s (line %d)", field, line)
+			}
+			return rfloat(v[r]), nil
 		case *MapVal:
 			return v.field(field), nil
 		case PacketVal:

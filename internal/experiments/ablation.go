@@ -107,7 +107,7 @@ func ablationMigrationCost() (*Table, error) {
 		Columns: []string{"migrations", "utility"},
 	}
 	build := func() *placement.Input {
-		small := netmodel.Resources{
+		small := netmodel.Vector{
 			netmodel.ResVCPU: 1.2, netmodel.ResRAM: 2048,
 			netmodel.ResTCAM: 64, netmodel.ResPCIe: 4, netmodel.ResPoll: 20000,
 		}
@@ -116,8 +116,8 @@ func ablationMigrationCost() (*Table, error) {
 		const nPairs = ablationSwitches / 2
 		for i := 0; i < nPairs; i++ {
 			in.Switches = append(in.Switches,
-				placement.SwitchInfo{ID: netmodel.SwitchID(2 * i), Capacity: small.Clone()},
-				placement.SwitchInfo{ID: netmodel.SwitchID(2*i + 1), Capacity: big.Clone()},
+				placement.SwitchInfo{ID: netmodel.SwitchID(2 * i), Capacity: small},
+				placement.SwitchInfo{ID: netmodel.SwitchID(2*i + 1), Capacity: big},
 			)
 		}
 		// One seed per pair, currently on the small switch; utility
@@ -134,7 +134,7 @@ func ablationMigrationCost() (*Table, error) {
 			})
 			in.Current[id] = placement.Assignment{
 				Switch: netmodel.SwitchID(2 * i),
-				Alloc:  netmodel.Resources{netmodel.ResVCPU: 1},
+				Alloc:  netmodel.Vector{netmodel.ResVCPU: 1},
 				Case:   0, Utility: 10,
 			}
 		}

@@ -91,7 +91,7 @@ func newFabric(spines, leaves, hostsPerLeaf int) (*fabric.Fabric, engine.Schedul
 // named "bench" with the given capacity and hosts, the fabric over it
 // with a PCIe bus of busBytesPerSec (0: the default), and the soil under
 // test, with the given options, whose seeds' sends go nowhere.
-func newBenchRig(capacity netmodel.Resources, hosts int, busBytesPerSec float64, opts soil.Options) (engine.Scheduler, *fabric.Fabric, *soil.Soil, error) {
+func newBenchRig(capacity netmodel.Vector, hosts int, busBytesPerSec float64, opts soil.Options) (engine.Scheduler, *fabric.Fabric, *soil.Soil, error) {
 	topo := netmodel.New()
 	sw := topo.AddSwitch("bench", netmodel.Leaf, capacity)
 	for i := 0; i < hosts; i++ {

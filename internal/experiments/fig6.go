@@ -127,7 +127,7 @@ func (r *Fig6Result) Table() *Table {
 func fig6Run(v Fig6Variant, seeds int, duration time.Duration) (Fig6Point, error) {
 	// One big switch with per-seed-scaled capacity so admission control
 	// is not the variable under test.
-	capacity := netmodel.Resources{
+	capacity := netmodel.Vector{
 		netmodel.ResVCPU: 4, netmodel.ResRAM: 32768,
 		netmodel.ResTCAM: float64(seeds + 64), netmodel.ResPCIe: 64,
 		netmodel.ResPoll: 1e9,
@@ -151,7 +151,7 @@ func fig6Run(v Fig6Variant, seeds int, duration time.Duration) (Fig6Point, error
 		return arg, nil
 	})
 
-	alloc := netmodel.Resources{
+	alloc := netmodel.Vector{
 		netmodel.ResVCPU: 0.01, netmodel.ResRAM: 16,
 		netmodel.ResTCAM: 1, netmodel.ResPoll: 2000,
 	}
@@ -168,7 +168,7 @@ func fig6Run(v Fig6Variant, seeds int, duration time.Duration) (Fig6Point, error
 			return Fig6Point{}, err
 		}
 		ref := soil.SeedRef{Task: fmt.Sprintf("t%d", i), Machine: "Fig6Seed", Switch: "bench"}
-		if err := s.DeployCompiled(ref, prep, alloc); err != nil {
+		if err := s.DeployCompiled(ref, ref.ID(), prep, alloc); err != nil {
 			return Fig6Point{}, err
 		}
 	}

@@ -90,7 +90,7 @@ func (r *Fig8Result) Table() *Table {
 }
 
 func fig8Run(seeds int, aggregate bool) (Fig8Point, error) {
-	capacity := netmodel.Resources{
+	capacity := netmodel.Vector{
 		netmodel.ResVCPU: 64, netmodel.ResRAM: 1 << 20,
 		netmodel.ResTCAM: 1024, netmodel.ResPCIe: 64, netmodel.ResPoll: 1e9,
 	}
@@ -103,10 +103,10 @@ func fig8Run(seeds int, aggregate bool) (Fig8Point, error) {
 	if err != nil {
 		return Fig8Point{}, err
 	}
-	alloc := netmodel.Resources{netmodel.ResVCPU: 0.001, netmodel.ResRAM: 1, netmodel.ResPoll: 1000}
+	alloc := netmodel.Vector{netmodel.ResVCPU: 0.001, netmodel.ResRAM: 1, netmodel.ResPoll: 1000}
 	for i := 0; i < seeds; i++ {
 		ref := soil.SeedRef{Task: fmt.Sprintf("t%d", i), Machine: "BusHog", Switch: "bench"}
-		if err := s.DeployCompiled(ref, prep, alloc); err != nil {
+		if err := s.DeployCompiled(ref, ref.ID(), prep, alloc); err != nil {
 			return Fig8Point{}, err
 		}
 	}

@@ -85,7 +85,7 @@ func (r *Fig9Result) Table() *Table {
 }
 
 func fig9Run(seeds int, opts soil.Options) (Fig9Point, error) {
-	capacity := netmodel.Resources{
+	capacity := netmodel.Vector{
 		netmodel.ResVCPU: 64, netmodel.ResRAM: 1 << 20,
 		netmodel.ResTCAM: 1024, netmodel.ResPCIe: 64, netmodel.ResPoll: 1e9,
 	}
@@ -97,10 +97,10 @@ func fig9Run(seeds int, opts soil.Options) (Fig9Point, error) {
 	if err != nil {
 		return Fig9Point{}, err
 	}
-	alloc := netmodel.Resources{netmodel.ResVCPU: 0.001, netmodel.ResRAM: 1, netmodel.ResPoll: 1000}
+	alloc := netmodel.Vector{netmodel.ResVCPU: 0.001, netmodel.ResRAM: 1, netmodel.ResPoll: 1000}
 	for i := 0; i < seeds; i++ {
 		ref := soil.SeedRef{Task: fmt.Sprintf("t%d", i), Machine: "SharedPoller", Switch: "bench"}
-		if err := s.DeployCompiled(ref, prep, alloc); err != nil {
+		if err := s.DeployCompiled(ref, ref.ID(), prep, alloc); err != nil {
 			return Fig9Point{}, err
 		}
 	}

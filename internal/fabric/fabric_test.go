@@ -136,7 +136,7 @@ func TestSendErrorsAreSentinels(t *testing.T) {
 	// Two leaves and no spine: both hosts exist, nothing connects them.
 	topo := netmodel.New()
 	for i := 0; i < 2; i++ {
-		leaf := topo.AddSwitch("leaf", netmodel.Leaf, nil)
+		leaf := topo.AddSwitch("leaf", netmodel.Leaf, netmodel.Vector{})
 		if _, err := topo.AddHost(leaf, HostIP(i, 0)); err != nil {
 			t.Fatal(err)
 		}

@@ -19,10 +19,10 @@ func openSpineLeaf(t *testing.T, spines, leaves, hosts int) *netmodel.Topology {
 	t.Helper()
 	topo := netmodel.New()
 	for s := 0; s < spines; s++ {
-		topo.AddSwitch(fmt.Sprintf("spine%d", s), netmodel.Spine, nil)
+		topo.AddSwitch(fmt.Sprintf("spine%d", s), netmodel.Spine, netmodel.Vector{})
 	}
 	for l := 0; l < leaves; l++ {
-		leaf := topo.AddSwitch(fmt.Sprintf("leaf%d", l), netmodel.Leaf, nil)
+		leaf := topo.AddSwitch(fmt.Sprintf("leaf%d", l), netmodel.Leaf, netmodel.Vector{})
 		for s := 0; s < spines; s++ {
 			topo.AddLink(leaf, netmodel.SwitchID(s))
 		}
@@ -46,7 +46,7 @@ func TestTopologyFixedAfterNew(t *testing.T) {
 		mutate func(*netmodel.Topology)
 	}{
 		{"AddLink", func(topo *netmodel.Topology) { topo.AddLink(leaf0, leaf1) }},
-		{"AddSwitch", func(topo *netmodel.Topology) { topo.AddSwitch("late", netmodel.Spine, nil) }},
+		{"AddSwitch", func(topo *netmodel.Topology) { topo.AddSwitch("late", netmodel.Spine, netmodel.Vector{}) }},
 		{"AddHost", func(topo *netmodel.Topology) { _, _ = topo.AddHost(leaf0, netip.MustParseAddr("10.9.9.9")) }},
 	} {
 		topo := openSpineLeaf(t, spines, 2, 2)

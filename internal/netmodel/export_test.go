@@ -4,10 +4,9 @@ package netmodel
 var PathsReference = pathsReference
 
 // Scale returns k*r.
-func (r Resources) Scale(k float64) Resources {
-	c := make(Resources, len(r))
-	for name, v := range r {
-		c[name] = v * k
+func (r Vector) Scale(k float64) Vector {
+	for i := range r {
+		r[i] *= k
 	}
-	return c
+	return r
 }

@@ -40,7 +40,7 @@ func FuzzPathTable(f *testing.F) {
 		n := 1 + int(b)%16
 		top := netmodel.New()
 		for i := 0; i < n; i++ {
-			top.AddSwitch("s", netmodel.Leaf, nil)
+			top.AddSwitch("s", netmodel.Leaf, netmodel.Vector{})
 		}
 		var links [][2]netmodel.SwitchID
 		b, _ = next()

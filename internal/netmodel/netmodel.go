@@ -16,70 +16,93 @@ import (
 	"strings"
 )
 
-// Resource type names used throughout FARM. These match the three
-// ASIC-specific resource classes the soil tracks (§II-B-b) plus the
-// general-purpose CPU/RAM of the switch management system.
+// Res names one of the five resources a switch offers its seeds. These
+// match the three ASIC-specific resource classes the soil tracks
+// (§II-B-b) plus the general-purpose CPU/RAM of the switch management
+// system. They are declared in the order of their names sorted, so a
+// loop over them by index visits them in name order.
+type Res int
+
 const (
-	ResVCPU = "vCPU" // management-system CPU cores
-	ResRAM  = "RAM"  // management-system memory, MB
-	ResTCAM = "TCAM" // TCAM entries available to monitoring
-	ResPCIe = "PCIe" // CPU<->ASIC bus share for probing (normalized units)
-	ResPoll = "poll" // statistics polling capacity, requests/s
+	ResPCIe Res = iota // CPU<->ASIC bus share for probing (normalized units)
+	ResRAM             // management-system memory, MB
+	ResTCAM            // TCAM entries available to monitoring
+	ResPoll            // statistics polling capacity, requests/s
+	ResVCPU            // management-system CPU cores
+	NumRes             // the number of resources
 )
 
-// Resources maps resource type to amount. The zero value (nil) means
-// "no resources".
-type Resources map[string]float64
+var resNames = [NumRes]string{"PCIe", "RAM", "TCAM", "poll", "vCPU"}
 
-// Clone returns a deep copy.
-func (r Resources) Clone() Resources {
-	c := make(Resources, len(r))
-	for k, v := range r {
-		c[k] = v
+// String returns the resource's name, the field that names it in
+// Almanac (res.vCPU, res().PCIe).
+func (r Res) String() string {
+	if r >= 0 && r < NumRes {
+		return resNames[r]
 	}
-	return c
+	return fmt.Sprintf("Res(%d)", int(r))
 }
 
-// Add returns r + s (neither operand is modified).
-func (r Resources) Add(s Resources) Resources {
-	c := r.Clone()
-	for k, v := range s {
-		c[k] += v
+// ResByName returns the resource with the given name.
+func ResByName(name string) (Res, bool) {
+	for r, n := range resNames {
+		if n == name {
+			return Res(r), true
+		}
 	}
-	return c
+	return 0, false
 }
 
-// Sub returns r - s (neither operand is modified).
-func (r Resources) Sub(s Resources) Resources {
-	c := r.Clone()
-	for k, v := range s {
-		c[k] -= v
+// Vector is an amount of each resource, indexed by Res: a switch's
+// capacity, a seed's grant. The zero value holds none of any.
+type Vector [NumRes]float64
+
+// Resources is a capacity as topology options and configurations spell
+// it: amounts by resource index, in a keyed literal
+// (Resources{ResVCPU: 4, ResRAM: 8192}), where nil means the default.
+type Resources []float64
+
+// Vector returns the amounts r spells as a vector.
+func (r Resources) Vector() Vector {
+	var v Vector
+	copy(v[:], r)
+	return v
+}
+
+// Add returns r + s.
+func (r Vector) Add(s Vector) Vector {
+	for i, v := range s {
+		r[i] += v
 	}
-	return c
+	return r
+}
+
+// Sub returns r - s.
+func (r Vector) Sub(s Vector) Vector {
+	for i, v := range s {
+		r[i] -= v
+	}
+	return r
 }
 
 // AtLeast reports whether r >= s component-wise (within eps).
-func (r Resources) AtLeast(s Resources, eps float64) bool {
-	for k, v := range s {
-		if r[k] < v-eps {
+func (r Vector) AtLeast(s Vector, eps float64) bool {
+	for i, v := range s {
+		if r[i] < v-eps {
 			return false
 		}
 	}
 	return true
 }
 
-// AsFloats returns r as a plain map for polynomial evaluation.
-func (r Resources) AsFloats() map[string]float64 { return r }
-
-func (r Resources) String() string {
-	keys := make([]string, 0, len(r))
-	for k := range r {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%g", k, r[k])
+// String renders the nonzero amounts in index (name) order, e.g.
+// "{PCIe=4 RAM=100 vCPU=4}".
+func (r Vector) String() string {
+	parts := make([]string, 0, NumRes)
+	for i, v := range r {
+		if v != 0 {
+			parts = append(parts, fmt.Sprintf("%s=%g", Res(i), v))
+		}
 	}
 	return "{" + strings.Join(parts, " ") + "}"
 }
@@ -116,7 +139,7 @@ type Switch struct {
 	ID       SwitchID
 	Name     string
 	Role     Role
-	Capacity Resources
+	Capacity Vector
 }
 
 // Host is an end host attached to a leaf switch.
@@ -189,10 +212,10 @@ func (t *Topology) mustBeOpen(op string) {
 }
 
 // AddSwitch adds a switch and returns its ID.
-func (t *Topology) AddSwitch(name string, role Role, capacity Resources) SwitchID {
+func (t *Topology) AddSwitch(name string, role Role, capacity Vector) SwitchID {
 	t.mustBeOpen("AddSwitch")
 	id := SwitchID(len(t.switches))
-	t.switches = append(t.switches, Switch{ID: id, Name: name, Role: role, Capacity: capacity.Clone()})
+	t.switches = append(t.switches, Switch{ID: id, Name: name, Role: role, Capacity: capacity})
 	t.adj = append(t.adj, nil)
 	return id
 }
@@ -426,14 +449,14 @@ type SpineLeafOptions struct {
 
 // DefaultLeafCapacity models an Accton AS5712-class switch: 4-core Atom
 // (400% CPU), 8 GB RAM, monitoring TCAM share, PCIe polling budget.
-func DefaultLeafCapacity() Resources {
-	return Resources{ResVCPU: 4, ResRAM: 8192, ResTCAM: 1024, ResPCIe: 16, ResPoll: 20000}
+func DefaultLeafCapacity() Vector {
+	return Vector{ResVCPU: 4, ResRAM: 8192, ResTCAM: 1024, ResPCIe: 16, ResPoll: 20000}
 }
 
 // DefaultSpineCapacity models an AS7712-class switch (same CPU, twice
 // the RAM, larger TCAM).
-func DefaultSpineCapacity() Resources {
-	return Resources{ResVCPU: 4, ResRAM: 16384, ResTCAM: 2048, ResPCIe: 16, ResPoll: 20000}
+func DefaultSpineCapacity() Vector {
+	return Vector{ResVCPU: 4, ResRAM: 16384, ResTCAM: 2048, ResPCIe: 16, ResPoll: 20000}
 }
 
 // SpineLeaf builds a two-tier Clos fabric: every leaf is connected to
@@ -449,12 +472,12 @@ func SpineLeaf(opts SpineLeafOptions) (*Topology, error) {
 	if opts.Leaves > 250 {
 		return nil, fmt.Errorf("netmodel: at most 250 leaves supported by the addressing scheme, got %d", opts.Leaves)
 	}
-	leafCap := opts.LeafCapacity
-	if leafCap == nil {
+	leafCap := opts.LeafCapacity.Vector()
+	if opts.LeafCapacity == nil {
 		leafCap = DefaultLeafCapacity()
 	}
-	spineCap := opts.SpineCapacity
-	if spineCap == nil {
+	spineCap := opts.SpineCapacity.Vector()
+	if opts.SpineCapacity == nil {
 		spineCap = DefaultSpineCapacity()
 	}
 	t := New()
@@ -495,8 +518,8 @@ type FatTreeOptions struct {
 
 // DefaultCoreCapacity models a core-tier chassis: more management RAM
 // and TCAM than the AS7712-class spine, same polling path.
-func DefaultCoreCapacity() Resources {
-	return Resources{ResVCPU: 8, ResRAM: 32768, ResTCAM: 4096, ResPCIe: 16, ResPoll: 20000}
+func DefaultCoreCapacity() Vector {
+	return Vector{ResVCPU: 8, ResRAM: 32768, ResTCAM: 4096, ResPCIe: 16, ResPoll: 20000}
 }
 
 // FatTree builds a three-tier k-ary fat-tree: (k/2)^2 core switches in
@@ -523,12 +546,12 @@ func FatTree(opts FatTreeOptions) (*Topology, error) {
 	if hostsPerEdge == 0 {
 		hostsPerEdge = half
 	}
-	edgeCap := opts.EdgeCapacity
-	if edgeCap == nil {
+	edgeCap := opts.EdgeCapacity.Vector()
+	if opts.EdgeCapacity == nil {
 		edgeCap = DefaultLeafCapacity()
 	}
-	aggCap := opts.AggCapacity
-	if aggCap == nil {
+	aggCap := opts.AggCapacity.Vector()
+	if opts.AggCapacity == nil {
 		aggCap = DefaultSpineCapacity()
 	}
 	coreCap := DefaultCoreCapacity()

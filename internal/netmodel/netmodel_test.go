@@ -20,8 +20,8 @@ func mustSpineLeaf(t *testing.T, spines, leaves, hosts int) *Topology {
 }
 
 func TestResourcesOps(t *testing.T) {
-	a := Resources{ResVCPU: 2, ResRAM: 100}
-	b := Resources{ResVCPU: 1, ResTCAM: 10}
+	a := Vector{ResVCPU: 2, ResRAM: 100}
+	b := Vector{ResVCPU: 1, ResTCAM: 10}
 	sum := a.Add(b)
 	if sum[ResVCPU] != 3 || sum[ResRAM] != 100 || sum[ResTCAM] != 10 {
 		t.Fatalf("add = %v", sum)
@@ -33,10 +33,10 @@ func TestResourcesOps(t *testing.T) {
 	if a[ResVCPU] != 2 {
 		t.Fatal("Add/Sub must not mutate operands")
 	}
-	if !a.AtLeast(Resources{ResVCPU: 2}, 0) {
+	if !a.AtLeast(Vector{ResVCPU: 2}, 0) {
 		t.Fatal("AtLeast equal should hold")
 	}
-	if a.AtLeast(Resources{ResVCPU: 2.1}, 0) {
+	if a.AtLeast(Vector{ResVCPU: 2.1}, 0) {
 		t.Fatal("AtLeast should fail")
 	}
 	half := a.Scale(0.5)
@@ -46,7 +46,7 @@ func TestResourcesOps(t *testing.T) {
 }
 
 func TestResourcesString(t *testing.T) {
-	r := Resources{ResVCPU: 2, ResRAM: 100}
+	r := Vector{ResVCPU: 2, ResRAM: 100}
 	if got, want := r.String(), "{RAM=100 vCPU=2}"; got != want {
 		t.Fatalf("String = %q, want %q", got, want)
 	}
@@ -152,8 +152,8 @@ func TestPathsSelf(t *testing.T) {
 
 func TestPathsDisconnected(t *testing.T) {
 	top := New()
-	a := top.AddSwitch("a", Leaf, nil)
-	b := top.AddSwitch("b", Leaf, nil)
+	a := top.AddSwitch("a", Leaf, Vector{})
+	b := top.AddSwitch("b", Leaf, Vector{})
 	top.Finish()
 	if paths := top.Paths(a, b); paths != nil {
 		t.Fatalf("disconnected pair has paths %v", paths)
@@ -571,7 +571,7 @@ func randomTopology(rng *rand.Rand, n, linksPerSwitch int) *Topology {
 	top := New()
 	n = 2 + rng.Intn(n-1)
 	for i := 0; i < n; i++ {
-		top.AddSwitch("s", Leaf, nil)
+		top.AddSwitch("s", Leaf, Vector{})
 	}
 	for i, links := 0, rng.Intn(linksPerSwitch*n); i < links; i++ {
 		top.AddLink(SwitchID(rng.Intn(n)), SwitchID(rng.Intn(n)))
@@ -611,7 +611,7 @@ func TestPathTableMatchesReferenceRandom(t *testing.T) {
 
 func TestAddLinkUnknownSwitchPanics(t *testing.T) {
 	top := New()
-	a := top.AddSwitch("a", Leaf, nil)
+	a := top.AddSwitch("a", Leaf, Vector{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a link to a switch that was never added should panic")
@@ -624,7 +624,7 @@ func TestAddLinkUnknownSwitchPanics(t *testing.T) {
 // added, not by an index out of range when a fabric numbers its ports.
 func TestAddHostUnknownSwitch(t *testing.T) {
 	top := New()
-	top.AddSwitch("leaf0", Leaf, nil)
+	top.AddSwitch("leaf0", Leaf, Vector{})
 	for _, leaf := range []SwitchID{-1, 1, 5} {
 		if _, err := top.AddHost(leaf, netip.AddrFrom4([4]byte{10, 0, 0, 1})); err == nil {
 			t.Fatalf("a host on switch %d of a one-switch topology was accepted", leaf)
@@ -639,15 +639,15 @@ func TestAddHostUnknownSwitch(t *testing.T) {
 // a hand-built topology after Finish and on a builder's output alike.
 func TestFinishedTopologyRefusesMutation(t *testing.T) {
 	hand := New()
-	a := hand.AddSwitch("a", Leaf, nil)
-	b := hand.AddSwitch("b", Spine, nil)
+	a := hand.AddSwitch("a", Leaf, Vector{})
+	b := hand.AddSwitch("b", Spine, Vector{})
 	hand.AddLink(a, b)
 	hand.Finish()
 	hand.Finish() // a second Finish is a no-op
 	built := mustSpineLeaf(t, 2, 2, 1)
 	for name, top := range map[string]*Topology{"hand-built": hand, "SpineLeaf": built} {
 		for op, mutate := range map[string]func(){
-			"AddSwitch": func() { top.AddSwitch("late", Spine, nil) },
+			"AddSwitch": func() { top.AddSwitch("late", Spine, Vector{}) },
 			"AddLink":   func() { top.AddLink(0, 1) },
 			"AddHost":   func() { _, _ = top.AddHost(0, netip.AddrFrom4([4]byte{10, 9, 9, 9})) },
 		} {
@@ -671,7 +671,7 @@ func TestFinishedTopologyRefusesMutation(t *testing.T) {
 // the table they read.
 func TestQueryBeforeFinishPanics(t *testing.T) {
 	top := New()
-	top.AddSwitch("a", Leaf, nil)
+	top.AddSwitch("a", Leaf, Vector{})
 	for name, query := range map[string]func(){
 		"Paths": func() { top.Paths(0, 0) },
 		"Hops":  func() { top.Hops(0, 0) },

@@ -133,15 +133,15 @@ type lpRow struct {
 
 // caseLP is the switch- and seed-independent part of a seed case's
 // step-3 LP fragment, baked ahead of the solve (see Baked) so
-// redistribute never re-sorts names or re-walks polynomials.
+// redistribute never re-walks polynomials.
 type caseLP struct {
-	res      []string // sorted resources the case or polls mention, sans poll
-	utilRows []lpRow  // t <= term rows: -coef per res, rhs = term const
-	conRows  []lpRow  // case constraints as GE rows, rhs = -const
-	pollRows []lpRow  // per Polls entry: -coef per res, rhs = const
+	res      []netmodel.Res // resources the case or polls mention, sans poll, in index order
+	utilRows []lpRow        // t <= term rows: -coef per res, rhs = term const
+	conRows  []lpRow        // case constraints as GE rows, rhs = -const
+	pollRows []lpRow        // per Polls entry: -coef per res, rhs = const
 }
 
-// Baked is a seed's step-3 LP fragments: every utility case's sorted
+// Baked is a seed's step-3 LP fragments: every utility case's
 // resource list and util/constraint/poll rows, and the names of its
 // poll subjects' shared variables. They depend only on the seed's
 // Utility and Polls, so every seed with those slices (the seeds of one
@@ -168,31 +168,27 @@ type Baked struct {
 
 // minimal is every case's minimalAlloc answer at one capacity vector.
 type minimal struct {
-	key     []capEntry           // the capacity vector, sorted by resource
-	allocs  []netmodel.Resources // per case; nil: infeasible even alone
-	utils   []float64            // per case; -Inf where allocs is nil
-	bestMin float64              // max of utils
-}
-
-// capEntry is one resource of a capacity vector, its amount bit for bit.
-type capEntry struct {
-	res  string
-	bits uint64
+	capacity netmodel.Vector   // the capacity vector
+	allocs   []netmodel.Vector // per case
+	ok       []bool            // per case; false: infeasible even alone
+	utils    []float64         // per case; -Inf where infeasible
+	bestMin  float64           // max of utils
 }
 
 // minimalAt returns the cases' minimal allocations for the capacity
-// vector maxCap, whose sorted entries are key. They depend only on the
-// utility cases and that vector, so the seeds of a machine compute them
-// once per vector, not once per seed and solve.
-func (b *Baked) minimalAt(maxCap netmodel.Resources, key []capEntry) *minimal {
-	if m := b.min; m != nil && slices.Equal(m.key, key) {
+// vector maxCap. They depend only on the utility cases and that vector,
+// so the seeds of a machine compute them once per vector, not once per
+// seed and solve.
+func (b *Baked) minimalAt(maxCap netmodel.Vector) *minimal {
+	if m := b.min; m != nil && m.capacity == maxCap {
 		return m
 	}
 	m := &minimal{
-		key:     slices.Clone(key),
-		allocs:  make([]netmodel.Resources, len(b.utility)),
-		utils:   make([]float64, len(b.utility)),
-		bestMin: math.Inf(-1),
+		capacity: maxCap,
+		allocs:   make([]netmodel.Vector, len(b.utility)),
+		ok:       make([]bool, len(b.utility)),
+		utils:    make([]float64, len(b.utility)),
+		bestMin:  math.Inf(-1),
 	}
 	for ci, c := range b.utility {
 		alloc, ok := minimalAlloc(c, maxCap)
@@ -201,7 +197,7 @@ func (b *Baked) minimalAt(maxCap netmodel.Resources, key []capEntry) *minimal {
 			continue
 		}
 		u := caseUtilityAt(c, alloc)
-		m.allocs[ci], m.utils[ci] = alloc, u
+		m.allocs[ci], m.ok[ci], m.utils[ci] = alloc, true, u
 		if u > m.bestMin {
 			m.bestMin = u
 		}
@@ -222,17 +218,22 @@ func Bake(spec *SeedSpec) *Baked {
 	}
 	for ci, c := range spec.Utility {
 		cl := &b.cases[ci]
-		cl.res = make([]string, 0, 4) // vCPU, RAM, TCAM, PCIe: rarely more
+		var used [netmodel.NumRes]bool
 		for _, con := range c.Constraints {
-			cl.addRes(con)
+			mention(&used, con)
 		}
 		for _, term := range c.Util {
-			cl.addRes(term)
+			mention(&used, term)
 		}
 		for _, pd := range spec.Polls {
-			cl.addRes(pd.Rate)
+			mention(&used, pd.Rate)
 		}
-		sort.Strings(cl.res)
+		used[netmodel.ResPoll] = false // poll-typed terms never become LP variables
+		for r, ok := range used {
+			if ok {
+				cl.res = append(cl.res, netmodel.Res(r))
+			}
+		}
 		cl.utilRows = make([]lpRow, len(c.Util))
 		for i, term := range c.Util {
 			cl.utilRows[i] = cl.row(term, -1, term.Const)
@@ -309,27 +310,24 @@ type heurState struct {
 	tasks   []taskPrep
 	taskIdx map[string]int32
 
-	// maxCap is the largest capacity any switch offers per resource —
-	// the feasibility screen for minimal allocations — and maxKey its
-	// sorted entries.
-	maxCap netmodel.Resources
-	maxKey []capEntry
+	// maxCap is the largest capacity any switch offers per resource:
+	// the feasibility screen for minimal allocations.
+	maxCap netmodel.Vector
 
-	// capClass[i] is the lowest index of a switch whose capacity equals
-	// switch i's bit for bit; capFirst maps a capacity hash to the first
+	// capClass[i] is the lowest index of a switch whose capacity vector
+	// equals switch i's; capFirst maps a capacity vector to the first
 	// switch with it. shapes numbers the distinct Baked values. Together
 	// they make a step-3 LP's signature (see lpMemo).
 	capClass []int32
-	capFirst map[uint64]int32
+	capFirst map[netmodel.Vector]int32
 	shapes   map[*Baked]int32
 
-	// remaining[i] is switch i's capacity minus what its seeds hold,
-	// updated in place.
-	remaining []netmodel.Resources
-	// pollMax[i][subject] = current max demand for the subject on
-	// switch i (shared consumption = max across subscribers at group
+	// remaining[i] is switch i's capacity minus what its seeds hold.
+	remaining []netmodel.Vector
+	// pollMax[i] is switch i's shared polling: each subject's largest
+	// demand (shared consumption = max across subscribers at group
 	// rate).
-	pollMax []map[string]float64
+	pollMax []pollLoad
 	// seedsOn[i] lists the preps placed on switch i, in placement order.
 	seedsOn [][]int32
 	// slackCache memoizes normalizedSlack per switch until the switch's
@@ -343,8 +341,8 @@ type heurState struct {
 
 	// Scratch lists and sets of pinCurrent, sortTasks, placeTask,
 	// Heuristic and migrate.
-	used      []netmodel.Resources
-	pollsUsed []map[string]float64
+	used      []netmodel.Vector
+	pollsUsed []pollLoad
 	tasksOn   [][]int32
 	scores    []taskScore
 	committed []int32
@@ -369,8 +367,7 @@ var heurPool = sync.Pool{New: func() any {
 		swIdx:    map[netmodel.SwitchID]int32{},
 		seedIdx:  map[string]int32{},
 		taskIdx:  map[string]int32{},
-		maxCap:   netmodel.Resources{},
-		capFirst: map[uint64]int32{},
+		capFirst: map[netmodel.Vector]int32{},
 		shapes:   map[*Baked]int32{},
 		redist:   redistScratch{prob: lp.New(lp.Maximize)},
 		memo:     lpMemo{byHash: map[uint64]int32{}},
@@ -382,47 +379,36 @@ var heurPool = sync.Pool{New: func() any {
 func (st *heurState) reset(in *Input) {
 	st.in = in
 	ns := len(in.Switches)
-	st.remaining = growMaps(st.remaining, ns)
-	st.pollMax = growMaps(st.pollMax, ns)
-	st.used = growMaps(st.used, ns)
-	st.pollsUsed = growMaps(st.pollsUsed, ns)
+	st.remaining = zeroed(st.remaining, ns)
+	st.pollMax = slices.Grow(st.pollMax[:0], ns)[:ns]
+	st.used = zeroed(st.used, ns)
+	st.pollsUsed = slices.Grow(st.pollsUsed[:0], ns)[:ns]
 	st.seedsOn = growLists(st.seedsOn, ns)
 	st.tasksOn = growLists(st.tasksOn, ns)
 	st.slackCache = slices.Grow(st.slackCache[:0], ns)[:ns]
 	st.slackOK = zeroed(st.slackOK, ns)
 	st.greedyOn = zeroed(st.greedyOn, ns)
 	st.dirty = zeroed(st.dirty, ns)
-	clear(st.maxCap)
+	st.maxCap = netmodel.Vector{}
 	st.capClass = slices.Grow(st.capClass[:0], ns)[:ns]
 	clear(st.capFirst)
 	for i, sw := range in.Switches {
-		rem := st.remaining[i]
-		clear(rem)
-		var h uint64
+		st.remaining[i] = sw.Capacity
 		for r, v := range sw.Capacity {
-			rem[r] = v
 			if v > st.maxCap[r] {
 				st.maxCap[r] = v
 			}
-			h += mix64(math.Float64bits(v)) // the same sum in any map order
 		}
-		c, ok := st.capFirst[h]
+		c, ok := st.capFirst[sw.Capacity]
 		if !ok {
 			c = int32(i)
-			st.capFirst[h] = c
-		} else if !sameCapacity(in.Switches[c].Capacity, sw.Capacity) {
-			c = int32(i) // a collision: a class of its own, which only costs hits
+			st.capFirst[sw.Capacity] = c
 		}
 		st.capClass[i] = c
-		clear(st.pollMax[i])
+		st.pollMax[i].reset()
 		st.seedsOn[i] = st.seedsOn[i][:0]
 	}
 	st.memo.reset()
-	st.maxKey = st.maxKey[:0]
-	for r, v := range st.maxCap {
-		st.maxKey = append(st.maxKey, capEntry{r, math.Float64bits(v)})
-	}
-	slices.SortFunc(st.maxKey, func(a, b capEntry) int { return strings.Compare(a.res, b.res) })
 
 	n := len(in.Seeds)
 	st.order = slices.Grow(st.order[:0], n)[:n]
@@ -445,7 +431,7 @@ func (st *heurState) reset(in *Input) {
 			st.shapes[p.baked] = num
 		}
 		p.shape = num
-		p.min = p.baked.minimalAt(st.maxCap, st.maxKey)
+		p.min = p.baked.minimalAt(st.maxCap)
 		p.cur, p.hasCur = in.Current[s.ID]
 		st.seedIdx[s.ID] = int32(k) // from here on: ID → prep index
 	}
@@ -475,9 +461,9 @@ func (st *heurState) reset(in *Input) {
 }
 
 // release returns the state to the pool without its pointers into the
-// solved Input and its Result: the seeds, their fragments, every
-// allocation and the memo's LP solutions. (Resource names and poll
-// subjects stay behind as map keys until the next solve clears them.)
+// solved Input and its Result: the seeds, their fragments and the memo's
+// LP solutions. (Poll subjects stay behind in the poll loads until the
+// next solve resets them.)
 func (st *heurState) release() {
 	st.in = nil
 	clear(st.preps[:cap(st.preps)])
@@ -491,20 +477,6 @@ func (st *heurState) release() {
 	heurPool.Put(st)
 }
 
-// sameCapacity reports whether two capacity vectors hold the same
-// resources with the same amounts, bit for bit.
-func sameCapacity(a, b netmodel.Resources) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for r, v := range a {
-		if w, ok := b[r]; !ok || math.Float64bits(w) != math.Float64bits(v) {
-			return false
-		}
-	}
-	return true
-}
-
 // mix64 is splitmix64's finalizer: every input bit moves every output
 // bit.
 func mix64(x uint64) uint64 {
@@ -513,18 +485,6 @@ func mix64(x uint64) uint64 {
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	return x ^ x>>31
-}
-
-// growMaps returns ms resized to n, every entry a map: those within its
-// capacity are kept.
-func growMaps[M ~map[K]V, K comparable, V any](ms []M, n int) []M {
-	ms = slices.Grow(ms[:0], n)[:n]
-	for i, m := range ms {
-		if m == nil {
-			ms[i] = M{}
-		}
-	}
-	return ms
 }
 
 // growLists returns ls with n empty lists, keeping their backing arrays.
@@ -536,25 +496,24 @@ func growLists(ls [][]int32, n int) [][]int32 {
 	return ls
 }
 
-// zeroed returns b resized to n, every element false.
-func zeroed(b []bool, n int) []bool {
+// zeroed returns b resized to n, every element zero.
+func zeroed[T any](b []T, n int) []T {
 	b = slices.Grow(b[:0], n)[:n]
 	clear(b)
 	return b
 }
 
-// addRes adds the resources lin mentions to the case's variable list.
-// Poll-typed terms never become LP variables.
-func (cl *caseLP) addRes(lin poly.Linear) {
+// mention marks the resources lin has a nonzero coefficient on.
+func mention(used *[netmodel.NumRes]bool, lin poly.Linear) {
 	for r, c := range lin.Coef {
-		if c != 0 && r != netmodel.ResPoll && !slices.Contains(cl.res, r) {
-			cl.res = append(cl.res, r)
+		if c != 0 {
+			used[r] = true
 		}
 	}
 }
 
-// row bakes scale*lin's coefficients over the case's (sorted) variable
-// list, in that order.
+// row bakes scale*lin's coefficients over the case's variable list, in
+// that order.
 func (cl *caseLP) row(lin poly.Linear, scale, rhs float64) lpRow {
 	n := 0
 	for _, r := range cl.res {
@@ -597,7 +556,7 @@ func (st *heurState) pinCurrent() bool {
 			_, alive := st.swIdx[a.Switch]
 			if !p.hasCur || !alive || !slices.Contains(p.spec.Candidates, a.Switch) ||
 				a.Case < 0 || a.Case >= len(p.spec.Utility) ||
-				!p.spec.Utility[a.Case].Feasible(a.Alloc.AsFloats(), 1e-6) {
+				!p.spec.Utility[a.Case].Feasible(a.Alloc, 1e-6) {
 				t.pinned = false
 				break
 			}
@@ -608,8 +567,8 @@ func (st *heurState) pinCurrent() bool {
 	// switch unpins every task touching it; one pass suffices because
 	// unpinning only reduces usage elsewhere.
 	for i := range in.Switches {
-		clear(st.used[i])
-		clear(st.pollsUsed[i])
+		st.used[i] = netmodel.Vector{}
+		st.pollsUsed[i].reset()
 		st.tasksOn[i] = st.tasksOn[i][:0]
 	}
 	for ti := range st.tasks {
@@ -620,27 +579,15 @@ func (st *heurState) pinCurrent() bool {
 			p := &st.preps[k]
 			a := &p.cur
 			si := st.swIdx[a.Switch]
-			addSansPoll(st.used[si], a.Alloc)
-			polls := st.pollsUsed[si]
-			for _, pd := range p.spec.Polls {
-				d := pd.Rate.Eval(a.Alloc.AsFloats())
-				if d > polls[pd.Subject] {
-					polls[pd.Subject] = d
-				}
-			}
+			st.used[si] = st.used[si].Add(sansPoll(a.Alloc))
+			st.pollsUsed[si].commit(p.spec, a.Alloc)
 			st.tasksOn[si] = append(st.tasksOn[si], int32(ti))
 		}
 	}
 	for i, sw := range in.Switches {
-		over := false
+		over := st.pollsUsed[i].total() > sw.Capacity[netmodel.ResPoll]+1e-9
 		for r, v := range st.used[i] {
-			if v > sw.Capacity[r]+1e-9 {
-				over = true
-				break
-			}
-		}
-		if !over && pollTotal(st.pollsUsed[i]) > sw.Capacity[netmodel.ResPoll]+1e-9 {
-			over = true
+			over = over || v > sw.Capacity[r]+1e-9
 		}
 		if over {
 			for _, ti := range st.tasksOn[i] {
@@ -675,8 +622,7 @@ func (st *heurState) pinCurrent() bool {
 		}
 		return false
 	}
-	// Commit pins in sorted seed order. The pinned Alloc is the caller's
-	// map, which nobody writes (see Assignment).
+	// Commit pins in sorted seed order.
 	for k := range st.preps {
 		p := &st.preps[k]
 		if !st.tasks[p.task].pinned {
@@ -736,23 +682,20 @@ func (st *heurState) sortTasks() []taskScore {
 }
 
 // normalizedSlack scores a switch's remaining headroom as the mean of
-// remaining/capacity over its resource types, summed in resource-name
-// order: in map order, equal switches could score an ulp apart and
-// break greedy's slack ties differently run to run. Values are cached
-// per switch until its remaining capacity changes — greedy placement
-// reads this once per (seed, candidate) pair.
+// remaining/capacity over its resource types, summed in resource order.
+// Values are cached per switch until its remaining capacity changes —
+// greedy placement reads this once per (seed, candidate) pair.
 func (st *heurState) normalizedSlack(si int32) float64 {
 	if st.slackOK[si] {
 		return st.slackCache[si]
 	}
-	rem, capacity := st.remaining[si], st.in.Switches[si].Capacity
+	rem, capacity := &st.remaining[si], &st.in.Switches[si].Capacity
 	total, count := 0.0, 0
-	for _, e := range st.maxKey { // every resource some switch has more than 0 of
-		c := capacity[e.res]
-		if c <= 0 || e.res == netmodel.ResPoll {
+	for r, c := range capacity {
+		if c <= 0 || netmodel.Res(r) == netmodel.ResPoll {
 			continue
 		}
-		total += rem[e.res] / c
+		total += rem[r] / c
 		count++
 	}
 	v := 0.0
@@ -767,13 +710,54 @@ func (st *heurState) invalidateSlack(si int32) {
 	st.slackOK[si] = false
 }
 
+// pollLoad is one switch's shared polling: each subject's largest
+// demand, the subjects in the order they were first committed. total
+// sums them in that order, so a switch's polling total is the same on
+// every run.
+type pollLoad struct {
+	subjects []string
+	max      []float64
+}
+
+func (l *pollLoad) reset() { l.subjects, l.max = l.subjects[:0], l.max[:0] }
+
+// of returns subject's largest demand, 0 if none is committed.
+func (l *pollLoad) of(subject string) float64 {
+	if i := slices.Index(l.subjects, subject); i >= 0 {
+		return l.max[i]
+	}
+	return 0
+}
+
+// commit raises each of spec's subjects to its demand at alloc.
+func (l *pollLoad) commit(spec *SeedSpec, alloc netmodel.Vector) {
+	for _, pd := range spec.Polls {
+		d := pd.Rate.Eval(alloc)
+		switch i := slices.Index(l.subjects, pd.Subject); {
+		case i >= 0:
+			l.max[i] = max(l.max[i], d)
+		case d > 0:
+			l.subjects = append(l.subjects, pd.Subject)
+			l.max = append(l.max, d)
+		}
+	}
+}
+
+func (l *pollLoad) total() float64 {
+	t := 0.0
+	for _, v := range l.max {
+		t += v
+	}
+	return t
+}
+
 // pollDelta computes the increase in total shared polling consumption on
 // switch si if a seed with the given demands is added.
-func (st *heurState) pollDelta(si int32, spec *SeedSpec, alloc netmodel.Resources) float64 {
+func (st *heurState) pollDelta(si int32, spec *SeedSpec, alloc netmodel.Vector) float64 {
 	delta := 0.0
 	for _, pd := range spec.Polls {
-		demand := pd.Rate.Eval(alloc.AsFloats())
-		cur := st.pollMax[si][pd.Subject]
+		demand := pd.Rate.Eval(alloc)
+		cur := st.pollMax[si].of(pd.Subject)
 		if demand > cur {
 			delta += demand - cur
 		}
@@ -781,60 +765,30 @@ func (st *heurState) pollDelta(si int32, spec *SeedSpec, alloc netmodel.Resource
 	return delta
 }
 
-func (st *heurState) commitPolls(si int32, spec *SeedSpec, alloc netmodel.Resources) {
-	m := st.pollMax[si]
-	for _, pd := range spec.Polls {
-		demand := pd.Rate.Eval(alloc.AsFloats())
-		if demand > m[pd.Subject] {
-			m[pd.Subject] = demand
-		}
-	}
-}
-
 // recomputePolls rebuilds the poll-sharing maxima of one switch from
 // scratch (after removals, a max cannot be updated incrementally).
 func (st *heurState) recomputePolls(si int32) {
-	m := st.pollMax[si]
-	clear(m)
+	l := &st.pollMax[si]
+	l.reset()
 	for _, k := range st.seedsOn[si] {
 		p := &st.preps[k]
-		for _, pd := range p.spec.Polls {
-			demand := pd.Rate.Eval(p.a.Alloc.AsFloats())
-			if demand > m[pd.Subject] {
-				m[pd.Subject] = demand
-			}
-		}
+		l.commit(p.spec, p.a.Alloc)
 	}
-}
-
-func pollTotal(m map[string]float64) float64 {
-	t := 0.0
-	for _, v := range m {
-		t += v
-	}
-	return t
 }
 
 // fits reports whether (alloc, polls) fit the remaining capacity of
 // switch si.
-func (st *heurState) fits(si int32, spec *SeedSpec, alloc netmodel.Resources) bool {
-	rem := st.remaining[si]
-	for r, v := range alloc {
-		if r == netmodel.ResPoll {
-			continue
-		}
-		if rem[r] < v-1e-9 {
-			return false
-		}
+func (st *heurState) fits(si int32, spec *SeedSpec, alloc netmodel.Vector) bool {
+	if !st.remaining[si].AtLeast(sansPoll(alloc), 1e-9) {
+		return false
 	}
-	if pollTotal(st.pollMax[si])+st.pollDelta(si, spec, alloc) > st.in.Switches[si].Capacity[netmodel.ResPoll]+1e-9 {
+	if st.pollMax[si].total()+st.pollDelta(si, spec, alloc) > st.in.Switches[si].Capacity[netmodel.ResPoll]+1e-9 {
 		return false
 	}
 	return true
 }
 
-// placeSeed commits one seed at its minimal allocation. The Alloc is the
-// machine's published minimal allocation, shared read-only.
+// placeSeed commits one seed at its machine's minimal allocation.
 func (st *heurState) placeSeed(k, si int32, caseIdx int) {
 	p := &st.preps[k]
 	st.placeSeedAt(k, si, Assignment{
@@ -851,29 +805,17 @@ func (st *heurState) placeSeedAt(k, si int32, a Assignment) {
 	a.Switch = st.in.Switches[si].ID
 	p.a, p.at, p.placed = a, si, true
 	st.nPlaced++
-	subSansPoll(st.remaining[si], a.Alloc)
-	st.commitPolls(si, p.spec, a.Alloc)
+	st.remaining[si] = st.remaining[si].Sub(sansPoll(a.Alloc))
+	st.pollMax[si].commit(p.spec, a.Alloc)
 	st.seedsOn[si] = append(st.seedsOn[si], k)
 	st.invalidateSlack(si)
 }
 
-// subSansPoll and addSansPoll update a capacity map the solve owns in
-// place by an allocation, skipping poll: polling is accounted through
+// sansPoll is alloc without its poll: polling is accounted through
 // shared subjects (pollMax), not per seed.
-func subSansPoll(m, alloc netmodel.Resources) {
-	for r, v := range alloc {
-		if r != netmodel.ResPoll {
-			m[r] -= v
-		}
-	}
-}
-
-func addSansPoll(m, alloc netmodel.Resources) {
-	for r, v := range alloc {
-		if r != netmodel.ResPoll {
-			m[r] += v
-		}
-	}
+func sansPoll(alloc netmodel.Vector) netmodel.Vector {
+	alloc[netmodel.ResPoll] = 0
+	return alloc
 }
 
 // unplaceSeed rolls a seed back out. Its last assignment stays in
@@ -886,7 +828,7 @@ func (st *heurState) unplaceSeed(k int32) {
 	p.placed = false
 	st.nPlaced--
 	si := p.at
-	addSansPoll(st.remaining[si], p.a.Alloc)
+	st.remaining[si] = st.remaining[si].Add(sansPoll(p.a.Alloc))
 	list := st.seedsOn[si]
 	if i := slices.Index(list, k); i >= 0 {
 		st.seedsOn[si] = slices.Delete(list, i, i+1)
@@ -943,7 +885,7 @@ func (st *heurState) placeTask(ti int32) bool {
 			for _, n := range p.spec.Candidates {
 				si := st.swIdx[n]
 				for ci, alloc := range p.min.allocs {
-					if alloc == nil || !st.fits(si, p.spec, alloc) {
+					if !p.min.ok[ci] || !st.fits(si, p.spec, alloc) {
 						continue
 					}
 					c := choice{
@@ -990,14 +932,14 @@ type redistScratch struct {
 	// and poll subject variables, both in first-use order — row order
 	// must not depend on map iteration, or degenerate LPs could pick
 	// different vertices run to run.
-	usageRes []string
+	usageRes []netmodel.Res
 	usage    [][]lp.Coef
 	pollSubj []string
 	pollVars []lp.Var
 }
 
 // addUsage adds v to resource r's capacity row.
-func (rs *redistScratch) addUsage(r string, v lp.Var) {
+func (rs *redistScratch) addUsage(r netmodel.Res, v lp.Var) {
 	i := slices.Index(rs.usageRes, r)
 	if i < 0 {
 		i = len(rs.usageRes)
@@ -1143,19 +1085,16 @@ func (st *heurState) redistribute(si int32) error {
 		p := &st.preps[k]
 		res := p.baked.cases[p.a.Case].res
 		s := &m.seeds[int(en.lo)+j]
-		p.a.Alloc = outcomeAlloc(p.a.Alloc, res, m.resVars[s.vars:int(s.vars)+len(res)], sol)
+		p.a.Alloc = outcomeAlloc(res, m.resVars[s.vars:int(s.vars)+len(res)], sol)
 		p.a.Utility = sol.Value(s.util)
 	}
 	st.recomputePolls(si)
 	// Update remaining capacity from actual allocations.
-	rem := st.remaining[si]
-	clear(rem)
-	for r, v := range sw.Capacity {
-		rem[r] = v
-	}
+	rem := sw.Capacity
 	for _, k := range ids {
-		subSansPoll(rem, st.preps[k].a.Alloc)
+		rem = rem.Sub(sansPoll(st.preps[k].a.Alloc))
 	}
+	st.remaining[si] = rem
 	st.invalidateSlack(si)
 	return nil
 }
@@ -1178,7 +1117,7 @@ func (st *heurState) solveLP(si int32, ids []int32, h uint64) (int32, error) {
 		cl := &b.cases[p.a.Case]
 		off := len(m.resVars)
 		for _, r := range cl.res {
-			v := prob.AddVar(r, 0, sw.Capacity[r])
+			v := prob.AddVar(r.String(), 0, sw.Capacity[r])
 			m.resVars = append(m.resVars, v)
 			rs.addUsage(r, v)
 		}
@@ -1244,24 +1183,9 @@ func (row *lpRow) appendCoefs(coefs []lp.Coef, rv []lp.Var) []lp.Coef {
 }
 
 // outcomeAlloc is a seed's allocation in a solved step-3 LP: every
-// resource the LP gives it more than 1e-9 of. When that is exactly cur
-// — the same resources, the same values bit for bit — it returns cur
-// itself, so a seed whose answer did not change allocates nothing.
-func outcomeAlloc(cur netmodel.Resources, res []string, rv []lp.Var, sol *lp.Solution) netmodel.Resources {
-	n, same := 0, true
-	for ri, v := range rv {
-		if x := sol.Value(v); x > 1e-9 {
-			n++
-			if same {
-				y, ok := cur[res[ri]]
-				same = ok && math.Float64bits(y) == math.Float64bits(x)
-			}
-		}
-	}
-	if same && n == len(cur) {
-		return cur
-	}
-	alloc := make(netmodel.Resources, n)
+// resource the LP gives it more than 1e-9 of.
+func outcomeAlloc(res []netmodel.Res, rv []lp.Var, sol *lp.Solution) netmodel.Vector {
+	var alloc netmodel.Vector
 	for ri, v := range rv {
 		if x := sol.Value(v); x > 1e-9 {
 			alloc[res[ri]] = x
@@ -1377,10 +1301,10 @@ func (st *heurState) moveBenefit(k, to int32) (float64, bool, error) {
 	before := st.switchUtility(from) + st.switchUtility(to)
 
 	// Tentatively move at minimal allocation.
-	alloc := p.min.allocs[a.Case]
-	if alloc == nil {
+	if !p.min.ok[a.Case] {
 		return 0, false, nil
 	}
+	alloc := p.min.allocs[a.Case]
 	st.unplaceSeed(k)
 	if !st.fits(to, p.spec, alloc) {
 		// Restore.
@@ -1413,9 +1337,8 @@ func (st *heurState) moveBenefit(k, to int32) (float64, bool, error) {
 func (st *heurState) applyMove(k, to int32) (bool, error) {
 	p := &st.preps[k]
 	a, from := p.a, p.at
-	alloc := p.min.allocs[a.Case]
 	st.unplaceSeed(k)
-	if alloc == nil || !st.fits(to, p.spec, alloc) {
+	if !p.min.ok[a.Case] || !st.fits(to, p.spec, p.min.allocs[a.Case]) {
 		st.placeSeedAt(k, from, a)
 		return false, nil
 	}

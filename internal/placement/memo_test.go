@@ -49,7 +49,7 @@ func solveMemoAndOracle(t testing.TB, in *Input) (*Result, int) {
 	for id, w := range want.Placed {
 		g, ok := got.Placed[id]
 		if !ok || g.Switch != w.Switch || g.Case != w.Case ||
-			math.Float64bits(g.Utility) != math.Float64bits(w.Utility) || !sameCapacity(g.Alloc, w.Alloc) {
+			math.Float64bits(g.Utility) != math.Float64bits(w.Utility) || g.Alloc != w.Alloc {
 			t.Fatalf("seed %s: %+v with the memo, %+v with every lookup a miss", id, g, w)
 		}
 	}
@@ -137,9 +137,9 @@ func FuzzRedistMemo(f *testing.F) {
 			in = placeAllScenario(ns, nt, ne, seed)
 			if kind == memoOneRes {
 				rng := rand.New(rand.NewSource(seed))
-				res := []string{netmodel.ResVCPU, netmodel.ResRAM, netmodel.ResTCAM, netmodel.ResPCIe, netmodel.ResPoll}[rng.Intn(5)]
+				res := []netmodel.Res{netmodel.ResVCPU, netmodel.ResRAM, netmodel.ResTCAM, netmodel.ResPCIe, netmodel.ResPoll}[rng.Intn(5)]
 				for i := range in.Switches {
-					c := in.Switches[i].Capacity
+					c := &in.Switches[i].Capacity
 					switch rng.Intn(3) {
 					case 0:
 						c[res] = math.Nextafter(c[res], math.Inf(1))
@@ -220,7 +220,7 @@ func TestRedistMemoSignature(t *testing.T) {
 				in.Switches = append(in.Switches, SwitchInfo{ID: netmodel.SwitchID(i), Capacity: netmodel.DefaultLeafCapacity()})
 			}
 			if tc.bump {
-				c := in.Switches[1].Capacity
+				c := &in.Switches[1].Capacity
 				c[netmodel.ResVCPU] = math.Nextafter(c[netmodel.ResVCPU], math.Inf(1))
 			}
 			var like [2]*Baked

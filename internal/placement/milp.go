@@ -33,7 +33,13 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 	}
 
 	prob := lp.New(lp.Maximize)
-	resNames := resourceNames(in)
+	// Every resource but poll, which is budgeted through shared subjects.
+	var resNames []netmodel.Res
+	for r := range netmodel.NumRes {
+		if r != netmodel.ResPoll {
+			resNames = append(resNames, r)
+		}
+	}
 
 	// Big-M per utility: a bound no achievable utility exceeds.
 	bigU := 1.0
@@ -43,9 +49,9 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 				bound := math.Abs(term.Const)
 				for _, sw := range in.Switches {
 					v := term.Const
-					for _, r := range term.Vars() {
-						if term.CoefOf(r) > 0 {
-							v += term.CoefOf(r) * sw.Capacity[r]
+					for r, c := range term.Coef {
+						if c > 0 {
+							v += c * sw.Capacity[r]
 						}
 					}
 					if v > bound {
@@ -63,7 +69,7 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 	type pairVars struct {
 		plc  lp.Var
 		util lp.Var
-		res  map[string]lp.Var
+		res  [netmodel.NumRes]lp.Var // all but poll
 	}
 	// pair per (seed, case, candidate switch)
 	type pairKey struct {
@@ -76,10 +82,10 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 	var obj []lp.Coef
 
 	// usage[sw][r] rows; pollres[sw][subject] vars.
-	usage := map[netmodel.SwitchID]map[string][]lp.Coef{}
+	usage := map[netmodel.SwitchID]*[netmodel.NumRes][]lp.Coef{}
 	pollres := map[netmodel.SwitchID]map[string]lp.Var{}
 	for _, sw := range in.Switches {
-		usage[sw.ID] = map[string][]lp.Coef{}
+		usage[sw.ID] = &[netmodel.NumRes][]lp.Coef{}
 		pollres[sw.ID] = map[string]lp.Var{}
 	}
 
@@ -104,13 +110,10 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 			for _, swID := range s.Candidates {
 				sw, _ := in.switchByID(swID)
 				key := pairKey{si, ci, swID}
-				pv := &pairVars{res: map[string]lp.Var{}}
+				pv := &pairVars{}
 				pv.plc = prob.AddBinary(fmt.Sprintf("plc.%s.%d.%d", s.ID, ci, swID))
 				c1 = append(c1, lp.Coef{Var: pv.plc, Val: 1})
 				for _, r := range resNames {
-					if r == netmodel.ResPoll {
-						continue
-					}
 					rv := prob.AddVar(fmt.Sprintf("res.%s.%d.%d.%s", s.ID, ci, swID, r), 0, sw.Capacity[r])
 					pv.res[r] = rv
 					// C3: res <= cap * plc.
@@ -121,9 +124,9 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 				// con(res) + M(1-plc) >= 0.
 				for _, con := range c.Constraints {
 					coefs := []lp.Coef{}
-					for _, r := range con.Vars() {
-						if rv, ok := pv.res[r]; ok {
-							coefs = append(coefs, lp.Coef{Var: rv, Val: con.CoefOf(r)})
+					for _, r := range resNames {
+						if c := con.Coef[r]; c != 0 {
+							coefs = append(coefs, lp.Coef{Var: pv.res[r], Val: c})
 						}
 					}
 					// bigC: worst violation at res=0 is |con.Const|.
@@ -138,9 +141,9 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 					// u <= term(res) + bigU*(1-plc), i.e.
 					// u + bigU*plc - term_vars(res) <= term.Const + bigU.
 					coefs := []lp.Coef{{Var: pv.util, Val: 1}, {Var: pv.plc, Val: bigU}}
-					for _, r := range term.Vars() {
-						if rv, ok := pv.res[r]; ok {
-							coefs = append(coefs, lp.Coef{Var: rv, Val: -term.CoefOf(r)})
+					for _, r := range resNames {
+						if c := term.Coef[r]; c != 0 {
+							coefs = append(coefs, lp.Coef{Var: pv.res[r], Val: -c})
 						}
 					}
 					prob.AddConstraint(coefs, lp.LE, term.Const+bigU)
@@ -155,15 +158,15 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 					}
 					// Worst-case demand bound for big-M.
 					bigP := math.Abs(pd.Rate.Const) + 1
-					for _, r := range pd.Rate.Vars() {
-						if pd.Rate.CoefOf(r) > 0 {
-							bigP += pd.Rate.CoefOf(r) * sw.Capacity[r]
+					for r, c := range pd.Rate.Coef {
+						if c > 0 {
+							bigP += c * sw.Capacity[r]
 						}
 					}
 					coefs := []lp.Coef{{Var: pr, Val: 1}, {Var: pv.plc, Val: -bigP}}
-					for _, r := range pd.Rate.Vars() {
-						if rv, ok := pv.res[r]; ok {
-							coefs = append(coefs, lp.Coef{Var: rv, Val: -pd.Rate.CoefOf(r)})
+					for _, r := range resNames {
+						if c := pd.Rate.Coef[r]; c != 0 {
+							coefs = append(coefs, lp.Coef{Var: pv.res[r], Val: -c})
 						}
 					}
 					prob.AddConstraint(coefs, lp.GE, pd.Rate.Const-bigP)
@@ -177,8 +180,10 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 
 	// C4: per-switch capacity and shared poll budget.
 	for _, sw := range in.Switches {
-		for r, coefs := range usage[sw.ID] {
-			prob.AddConstraint(coefs, lp.LE, sw.Capacity[r])
+		for _, r := range resNames {
+			if coefs := usage[sw.ID][r]; len(coefs) > 0 {
+				prob.AddConstraint(coefs, lp.LE, sw.Capacity[r])
+			}
 		}
 		if len(pollres[sw.ID]) > 0 {
 			var coefs []lp.Coef
@@ -207,9 +212,9 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 			continue
 		}
 		s := &in.Seeds[key.seed]
-		alloc := netmodel.Resources{}
-		for r, rv := range pv.res {
-			if x := sol.Value(rv); x > 1e-9 {
+		var alloc netmodel.Vector
+		for _, r := range resNames {
+			if x := sol.Value(pv.res[r]); x > 1e-9 {
 				alloc[r] = x
 			}
 		}

@@ -47,23 +47,13 @@ type SeedSpec struct {
 // SwitchInfo is the optimizer's view of one switch.
 type SwitchInfo struct {
 	ID       netmodel.SwitchID
-	Capacity netmodel.Resources // ares(n, ·)
+	Capacity netmodel.Vector // ares(n, ·)
 }
 
 // Assignment is one seed's placement decision.
-//
-// An Alloc is read-only once it is handed out: nobody — the solver, the
-// caller, whoever it is passed on to — writes it afterwards. A solve
-// relies on that rule. A pinned seed keeps its Input.Current Alloc map
-// itself; a greedily placed one gets its machine's minimal allocation,
-// which the seeds of that machine share; and when a step-3 LP gives a
-// seed exactly the allocation it already has, the seed keeps that map.
-// So one map may sit in several Results, in Input.Current and in a
-// Baked at once. Whoever must change an allocation builds a new map (the
-// soil clones on deploy and realloc).
 type Assignment struct {
 	Switch  netmodel.SwitchID
-	Alloc   netmodel.Resources
+	Alloc   netmodel.Vector
 	Case    int // selected utility case
 	Utility float64
 }
@@ -207,7 +197,7 @@ func CheckFeasible(in *Input, res *Result) error {
 			return fmt.Errorf("placement: task %s has %d of %d seeds placed", task, n, seedsByTask[task])
 		}
 	}
-	used := map[netmodel.SwitchID]netmodel.Resources{}
+	used := map[netmodel.SwitchID]netmodel.Vector{}
 	pollUsed := map[netmodel.SwitchID]map[string]float64{}
 	for _, id := range sortedKeys(res.Placed) {
 		a := res.Placed[id]
@@ -222,19 +212,18 @@ func CheckFeasible(in *Input, res *Result) error {
 			return fmt.Errorf("placement: seed %s selected case %d of %d", id, a.Case, len(s.Utility))
 		}
 		cs := s.Utility[a.Case]
-		if !cs.Feasible(a.Alloc.AsFloats(), 1e-6) {
+		if !cs.Feasible(a.Alloc, 1e-6) {
 			return fmt.Errorf("placement: seed %s allocation %v violates case %d constraints", id, a.Alloc, a.Case)
 		}
-		if used[a.Switch] == nil {
+		if pollUsed[a.Switch] == nil {
 			if _, ok := in.switchByID(a.Switch); !ok {
 				return fmt.Errorf("placement: seeds on unknown switch %d", a.Switch)
 			}
-			used[a.Switch] = netmodel.Resources{}
 			pollUsed[a.Switch] = map[string]float64{}
 		}
 		used[a.Switch] = used[a.Switch].Add(a.Alloc)
 		for _, pd := range s.Polls {
-			demand := pd.Rate.Eval(a.Alloc.AsFloats())
+			demand := pd.Rate.Eval(a.Alloc)
 			if demand > pollUsed[a.Switch][pd.Subject] {
 				pollUsed[a.Switch][pd.Subject] = demand
 			}
@@ -245,12 +234,12 @@ func CheckFeasible(in *Input, res *Result) error {
 		if !ok {
 			continue
 		}
-		for _, r := range sortedKeys(u) {
-			if r == netmodel.ResPoll {
+		for r, v := range u {
+			if netmodel.Res(r) == netmodel.ResPoll {
 				continue // polling is checked via shared subjects below
 			}
-			if v := u[r]; v > sw.Capacity[r]+1e-6 {
-				return fmt.Errorf("placement: switch %d over capacity on %s: %g > %g", sw.ID, r, v, sw.Capacity[r])
+			if v > sw.Capacity[r]+1e-6 {
+				return fmt.Errorf("placement: switch %d over capacity on %s: %g > %g", sw.ID, netmodel.Res(r), v, sw.Capacity[r])
 			}
 		}
 		total := 0.0
@@ -296,21 +285,17 @@ func (r *Result) Digest() string {
 		}
 		mix(uint64(len(s)))
 	}
-	var resNames []string
 	for _, id := range sortedKeys(r.Placed) {
 		a := r.Placed[id]
 		mixStr(id)
 		mix(uint64(a.Switch))
 		mix(uint64(a.Case))
 		mix(math.Float64bits(a.Utility))
-		resNames = resNames[:0]
-		for name := range a.Alloc {
-			resNames = append(resNames, name)
-		}
-		sort.Strings(resNames)
-		for _, name := range resNames {
-			mixStr(name)
-			mix(math.Float64bits(a.Alloc[name]))
+		for res, v := range a.Alloc {
+			if v != 0 {
+				mixStr(netmodel.Res(res).String())
+				mix(math.Float64bits(v))
+			}
 		}
 	}
 	for _, t := range r.DroppedTasks {
@@ -326,37 +311,10 @@ func TotalUtility(in *Input, placed map[string]Assignment) float64 {
 	for i := range in.Seeds {
 		s := &in.Seeds[i]
 		if a, ok := placed[s.ID]; ok {
-			total += s.Utility[a.Case].Util.Eval(a.Alloc.AsFloats())
+			total += s.Utility[a.Case].Util.Eval(a.Alloc)
 		}
 	}
 	return total
-}
-
-// resourceNames collects every resource mentioned by capacities or
-// utilities, in deterministic order.
-func resourceNames(in *Input) []string {
-	set := map[string]bool{}
-	for _, sw := range in.Switches {
-		for r := range sw.Capacity {
-			set[r] = true
-		}
-	}
-	for i := range in.Seeds {
-		for _, v := range in.Seeds[i].Utility.Vars() {
-			set[v] = true
-		}
-		for _, pd := range in.Seeds[i].Polls {
-			for _, v := range pd.Rate.Vars() {
-				set[v] = true
-			}
-		}
-	}
-	names := make([]string, 0, len(set))
-	for r := range set {
-		names = append(names, r)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // minimalAlloc returns the cheapest allocation satisfying one utility
@@ -364,13 +322,13 @@ func resourceNames(in *Input) []string {
 // Fast path: constraints of the form a*r - c >= 0 with a single
 // variable become lower bounds; anything more general falls back to a
 // small LP.
-func minimalAlloc(c poly.Case, capacity netmodel.Resources) (netmodel.Resources, bool) {
-	alloc := netmodel.Resources{}
+func minimalAlloc(c poly.Case, capacity netmodel.Vector) (netmodel.Vector, bool) {
+	var alloc netmodel.Vector
 	simple := true
 	for _, con := range c.Constraints {
-		// The constraint's variables, without a sorted copy of their
-		// names: how many, and the one when there is only one.
-		n, r, a := 0, "", 0.0
+		// The constraint's variables: how many, and the one when there is
+		// only one.
+		n, r, a := 0, 0, 0.0
 		for v, coef := range con.Coef {
 			if coef != 0 {
 				n, r, a = n+1, v, coef
@@ -379,7 +337,7 @@ func minimalAlloc(c poly.Case, capacity netmodel.Resources) (netmodel.Resources,
 		switch n {
 		case 0:
 			if con.Const < -1e-9 {
-				return nil, false // constant infeasible
+				return alloc, false // constant infeasible
 			}
 		case 1:
 			if a <= 0 {
@@ -393,59 +351,57 @@ func minimalAlloc(c poly.Case, capacity netmodel.Resources) (netmodel.Resources,
 		}
 	}
 	if simple {
-		if !capacity.AtLeast(alloc, 1e-9) {
-			return nil, false
-		}
-		return alloc, true
+		return alloc, capacity.AtLeast(alloc, 1e-9)
 	}
 	// General case: LP minimizing the (normalized) footprint.
 	prob := lp.New(lp.Minimize)
-	vars := map[string]lp.Var{}
-	var obj []lp.Coef
-	names := map[string]bool{}
+	var used [netmodel.NumRes]bool
 	for _, con := range c.Constraints {
-		for _, v := range con.Vars() {
-			names[v] = true
+		mention(&used, con)
+	}
+	var vars [netmodel.NumRes]lp.Var
+	var obj []lp.Coef
+	for r, ok := range used {
+		if !ok {
+			continue
 		}
-	}
-	ordered := make([]string, 0, len(names))
-	for v := range names {
-		ordered = append(ordered, v)
-	}
-	sort.Strings(ordered)
-	for _, v := range ordered {
-		ub := capacity[v]
-		vars[v] = prob.AddVar(v, 0, ub)
+		ub := capacity[r]
+		vars[r] = prob.AddVar(netmodel.Res(r).String(), 0, ub)
 		w := 1.0
 		if ub > 0 {
 			w = 1 / ub
 		}
-		obj = append(obj, lp.Coef{Var: vars[v], Val: w})
+		obj = append(obj, lp.Coef{Var: vars[r], Val: w})
 	}
 	for _, con := range c.Constraints {
 		var coefs []lp.Coef
-		for _, v := range con.Vars() {
-			coefs = append(coefs, lp.Coef{Var: vars[v], Val: con.CoefOf(v)})
+		for r, coef := range con.Coef {
+			if coef != 0 {
+				coefs = append(coefs, lp.Coef{Var: vars[r], Val: coef})
+			}
 		}
 		prob.AddConstraint(coefs, lp.GE, -con.Const)
 	}
 	prob.SetObjective(obj, 0)
 	sol, err := prob.Solve()
+	var out netmodel.Vector
 	if err != nil || sol.Status != lp.Optimal {
-		return nil, false
+		return out, false
 	}
-	out := netmodel.Resources{}
-	for v, h := range vars {
-		if x := sol.Value(h); x > 1e-9 {
-			out[v] = x
+	for r, ok := range used {
+		if !ok {
+			continue
+		}
+		if x := sol.Value(vars[r]); x > 1e-9 {
+			out[r] = x
 		}
 	}
 	return out, true
 }
 
 // caseUtilityAt evaluates a case's min-of-linear utility.
-func caseUtilityAt(c poly.Case, alloc netmodel.Resources) float64 {
-	u := c.Util.Eval(alloc.AsFloats())
+func caseUtilityAt(c poly.Case, alloc netmodel.Vector) float64 {
+	u := c.Util.Eval(alloc)
 	if math.IsInf(u, 1) {
 		return 0
 	}

@@ -11,7 +11,7 @@ import (
 
 // twoSwitchInput builds a tiny problem with hand-checkable optimum.
 func twoSwitchInput() *Input {
-	capSmall := netmodel.Resources{
+	capSmall := netmodel.Vector{
 		netmodel.ResVCPU: 2, netmodel.ResRAM: 1024,
 		netmodel.ResTCAM: 64, netmodel.ResPCIe: 4, netmodel.ResPoll: 500,
 	}
@@ -29,8 +29,8 @@ func twoSwitchInput() *Input {
 	}
 	return &Input{
 		Switches: []SwitchInfo{
-			{ID: 0, Capacity: capSmall.Clone()},
-			{ID: 1, Capacity: capSmall.Clone()},
+			{ID: 0, Capacity: capSmall},
+			{ID: 1, Capacity: capSmall},
 		},
 		Seeds: []SeedSpec{
 			mkSeed("a", "t1", 0, 1),
@@ -133,8 +133,8 @@ func TestHeuristicMigratesWhenBeneficial(t *testing.T) {
 	// One big switch, one tiny switch. Seed x starts (per Current) on
 	// the tiny one; moving it to the big one raises its utility well
 	// past the migration cost.
-	big := netmodel.Resources{netmodel.ResVCPU: 8, netmodel.ResRAM: 4096, netmodel.ResPoll: 1000, netmodel.ResPCIe: 8, netmodel.ResTCAM: 64}
-	tiny := netmodel.Resources{netmodel.ResVCPU: 0.6, netmodel.ResRAM: 256, netmodel.ResPoll: 1000, netmodel.ResPCIe: 1, netmodel.ResTCAM: 8}
+	big := netmodel.Vector{netmodel.ResVCPU: 8, netmodel.ResRAM: 4096, netmodel.ResPoll: 1000, netmodel.ResPCIe: 8, netmodel.ResTCAM: 64}
+	tiny := netmodel.Vector{netmodel.ResVCPU: 0.6, netmodel.ResRAM: 256, netmodel.ResPoll: 1000, netmodel.ResPCIe: 1, netmodel.ResTCAM: 8}
 	in := &Input{
 		Switches: []SwitchInfo{{ID: 0, Capacity: big}, {ID: 1, Capacity: tiny}},
 		Seeds: []SeedSpec{{
@@ -146,7 +146,7 @@ func TestHeuristicMigratesWhenBeneficial(t *testing.T) {
 			}},
 		}},
 		Current: map[string]Assignment{
-			"x": {Switch: 1, Alloc: netmodel.Resources{netmodel.ResVCPU: 0.5}, Case: 0, Utility: 5},
+			"x": {Switch: 1, Alloc: netmodel.Vector{netmodel.ResVCPU: 0.5}, Case: 0, Utility: 5},
 		},
 	}
 	res, err := Heuristic(in)
@@ -168,8 +168,8 @@ func TestHeuristicMigratesWhenBeneficial(t *testing.T) {
 func TestHeuristicMigrationDisabled(t *testing.T) {
 	in := twoSwitchInput()
 	in.Current = map[string]Assignment{
-		"a": {Switch: 0, Alloc: netmodel.Resources{netmodel.ResVCPU: 0.5}, Case: 0},
-		"b": {Switch: 0, Alloc: netmodel.Resources{netmodel.ResVCPU: 0.5}, Case: 0},
+		"a": {Switch: 0, Alloc: netmodel.Vector{netmodel.ResVCPU: 0.5}, Case: 0},
+		"b": {Switch: 0, Alloc: netmodel.Vector{netmodel.ResVCPU: 0.5}, Case: 0},
 	}
 	in.DisableMigration = true
 	res, err := Heuristic(in)
@@ -185,7 +185,7 @@ func TestHeuristicPollSharing(t *testing.T) {
 	// Poll capacity 150; each seed demands 100 polls/s on the SAME
 	// subject: aggregation shares the demand (max, not sum), so both
 	// fit on one switch. On different subjects they would not.
-	capacity := netmodel.Resources{
+	capacity := netmodel.Vector{
 		netmodel.ResVCPU: 4, netmodel.ResRAM: 4096,
 		netmodel.ResPoll: 150, netmodel.ResPCIe: 4, netmodel.ResTCAM: 64,
 	}
@@ -198,7 +198,7 @@ func TestHeuristicPollSharing(t *testing.T) {
 		}
 	}
 	shared := &Input{
-		Switches: []SwitchInfo{{ID: 0, Capacity: capacity.Clone()}},
+		Switches: []SwitchInfo{{ID: 0, Capacity: capacity}},
 		Seeds:    []SeedSpec{mk("a", "ports:all"), mk("b", "ports:all")},
 	}
 	res, err := Heuristic(shared)
@@ -209,7 +209,7 @@ func TestHeuristicPollSharing(t *testing.T) {
 		t.Fatalf("shared-subject seeds placed = %d, want 2 (aggregation)", len(res.Placed))
 	}
 	distinct := &Input{
-		Switches: []SwitchInfo{{ID: 0, Capacity: capacity.Clone()}},
+		Switches: []SwitchInfo{{ID: 0, Capacity: capacity}},
 		Seeds:    []SeedSpec{mk("a", "ports:all"), mk("b", "rule:other")},
 	}
 	res2, err := Heuristic(distinct)
@@ -265,7 +265,7 @@ func TestMILPBeatsOrMatchesHeuristic(t *testing.T) {
 
 func TestMILPInfeasibleTaskDropped(t *testing.T) {
 	in := &Input{
-		Switches: []SwitchInfo{{ID: 0, Capacity: netmodel.Resources{netmodel.ResVCPU: 1}}},
+		Switches: []SwitchInfo{{ID: 0, Capacity: netmodel.Vector{netmodel.ResVCPU: 1}}},
 		Seeds: []SeedSpec{{
 			ID: "x", Task: "t", Machine: "m", Candidates: []netmodel.SwitchID{0},
 			Utility: poly.Utility{{
@@ -306,7 +306,7 @@ func TestHeuristicAlwaysFeasible(t *testing.T) {
 // on every call — not whichever a map walk meets first.
 func TestCheckFeasibleReportsOneViolation(t *testing.T) {
 	in := twoSwitchInput()
-	starved := netmodel.Resources{netmodel.ResVCPU: 0.1}
+	starved := netmodel.Vector{netmodel.ResVCPU: 0.1}
 	res := &Result{Placed: map[string]Assignment{
 		"a": {Switch: 0, Alloc: starved},
 		"b": {Switch: 1, Alloc: starved},
@@ -407,7 +407,7 @@ func TestMinimalAllocSimpleBounds(t *testing.T) {
 			poly.Term(netmodel.ResRAM, 2).Sub(poly.Constant(100)), // 2*RAM >= 100 -> RAM >= 50
 		},
 	}
-	alloc, ok := minimalAlloc(c, netmodel.Resources{netmodel.ResVCPU: 4, netmodel.ResRAM: 1024})
+	alloc, ok := minimalAlloc(c, netmodel.Vector{netmodel.ResVCPU: 4, netmodel.ResRAM: 1024})
 	if !ok {
 		t.Fatal("should be feasible")
 	}
@@ -415,7 +415,7 @@ func TestMinimalAllocSimpleBounds(t *testing.T) {
 		t.Fatalf("alloc = %v", alloc)
 	}
 	// Infeasible against capacity.
-	if _, ok := minimalAlloc(c, netmodel.Resources{netmodel.ResVCPU: 0.25, netmodel.ResRAM: 1024}); ok {
+	if _, ok := minimalAlloc(c, netmodel.Vector{netmodel.ResVCPU: 0.25, netmodel.ResRAM: 1024}); ok {
 		t.Fatal("should be infeasible")
 	}
 }
@@ -427,7 +427,7 @@ func TestMinimalAllocGeneralLP(t *testing.T) {
 			poly.Term(netmodel.ResVCPU, 1).Add(poly.Term(netmodel.ResRAM, 1)).Sub(poly.Constant(10)),
 		},
 	}
-	alloc, ok := minimalAlloc(c, netmodel.Resources{netmodel.ResVCPU: 4, netmodel.ResRAM: 1024})
+	alloc, ok := minimalAlloc(c, netmodel.Vector{netmodel.ResVCPU: 4, netmodel.ResRAM: 1024})
 	if !ok {
 		t.Fatal("should be feasible")
 	}

@@ -238,7 +238,7 @@ func TestHeuristicWarmStartPinsUnchanged(t *testing.T) {
 	}
 }
 
-func sameRes(a, b netmodel.Resources) bool {
+func sameRes(a, b netmodel.Vector) bool {
 	return a.AtLeast(b, 1e-9) && b.AtLeast(a, 1e-9)
 }
 

@@ -12,86 +12,43 @@ package poly
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
+
+	"farm/internal/netmodel"
 )
 
-// Linear is a linear polynomial c0 + sum_i coef[v_i] * v_i over named
-// variables. The zero value is the constant polynomial 0 and is ready to
+// Linear is a linear polynomial c0 + sum_r coef[r] * r over the
+// resources. The zero value is the constant polynomial 0 and is ready to
 // use.
 type Linear struct {
 	Const float64
-	Coef  map[string]float64
+	Coef  [netmodel.NumRes]float64
 }
 
 // Constant returns the constant polynomial c.
 func Constant(c float64) Linear { return Linear{Const: c} }
 
-// Var returns the polynomial 1*name.
-func Var(name string) Linear {
-	return Linear{Coef: map[string]float64{name: 1}}
-}
+// Var returns the polynomial 1*r.
+func Var(r netmodel.Res) Linear { return Term(r, 1) }
 
-// Term returns the polynomial coef*name.
-func Term(name string, coef float64) Linear {
-	if coef == 0 {
-		return Linear{}
-	}
-	return Linear{Coef: map[string]float64{name: coef}}
-}
-
-// clone returns a deep copy of p.
-func (p Linear) clone() Linear {
-	q := Linear{Const: p.Const}
-	if len(p.Coef) > 0 {
-		q.Coef = make(map[string]float64, len(p.Coef))
-		for k, v := range p.Coef {
-			q.Coef[k] = v
-		}
-	}
-	return q
+// Term returns the polynomial coef*r.
+func Term(r netmodel.Res, coef float64) Linear {
+	var p Linear
+	p.Coef[r] = coef
+	return p
 }
 
 // IsConstant reports whether p has no variable terms.
-func (p Linear) IsConstant() bool {
-	for _, c := range p.Coef {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// CoefOf returns the coefficient of the named variable (0 if absent).
-func (p Linear) CoefOf(name string) float64 { return p.Coef[name] }
-
-// Vars returns the sorted names of variables with nonzero coefficients.
-func (p Linear) Vars() []string {
-	vs := make([]string, 0, len(p.Coef))
-	for v, c := range p.Coef {
-		if c != 0 {
-			vs = append(vs, v)
-		}
-	}
-	sort.Strings(vs)
-	return vs
-}
+func (p Linear) IsConstant() bool { return p.Coef == [netmodel.NumRes]float64{} }
 
 // Add returns p + q.
 func (p Linear) Add(q Linear) Linear {
-	r := p.clone()
-	r.Const += q.Const
-	for v, c := range q.Coef {
-		if c == 0 {
-			continue
-		}
-		if r.Coef == nil {
-			r.Coef = make(map[string]float64)
-		}
-		r.Coef[v] += c
+	p.Const += q.Const
+	for r, c := range q.Coef {
+		p.Coef[r] += c
 	}
-	return r
+	return p
 }
 
 // Sub returns p - q.
@@ -100,12 +57,9 @@ func (p Linear) Sub(q Linear) Linear { return p.Add(q.Scale(-1)) }
 // Scale returns k*p.
 func (p Linear) Scale(k float64) Linear {
 	r := Linear{Const: p.Const * k}
-	if len(p.Coef) > 0 && k != 0 {
-		r.Coef = make(map[string]float64, len(p.Coef))
-		for v, c := range p.Coef {
-			if c*k != 0 {
-				r.Coef[v] = c * k
-			}
+	if k != 0 {
+		for i, c := range p.Coef {
+			r.Coef[i] = c * k
 		}
 	}
 	return r
@@ -136,12 +90,14 @@ func (p Linear) Div(q Linear) (Linear, error) {
 	return p.Scale(1 / q.Const), nil
 }
 
-// Eval evaluates p at the given assignment. Unassigned variables
-// evaluate to 0.
-func (p Linear) Eval(assign map[string]float64) float64 {
+// Eval evaluates p at the allocation r, summing its nonzero terms in
+// resource order.
+func (p Linear) Eval(r netmodel.Vector) float64 {
 	v := p.Const
-	for name, c := range p.Coef {
-		v += c * assign[name]
+	for i, c := range p.Coef {
+		if c != 0 {
+			v += c * r[i]
+		}
 	}
 	return v
 }
@@ -152,31 +108,25 @@ func (p Linear) Equal(q Linear, eps float64) bool {
 	if math.Abs(p.Const-q.Const) > eps {
 		return false
 	}
-	seen := map[string]bool{}
-	for v, c := range p.Coef {
-		if math.Abs(c-q.Coef[v]) > eps {
-			return false
-		}
-		seen[v] = true
-	}
-	for v, c := range q.Coef {
-		if !seen[v] && math.Abs(c) > eps {
+	for r, c := range p.Coef {
+		if math.Abs(c-q.Coef[r]) > eps {
 			return false
 		}
 	}
 	return true
 }
 
-// String renders p deterministically, e.g. "2.5 + 1*vCPU - 3*RAM".
+// String renders p deterministically, e.g. "2.5 - 3*RAM + 1*vCPU".
 func (p Linear) String() string {
 	var b strings.Builder
 	b.WriteString(strconv.FormatFloat(p.Const, 'g', -1, 64))
-	for _, v := range p.Vars() {
-		c := p.Coef[v]
-		if c >= 0 {
-			fmt.Fprintf(&b, " + %s*%s", strconv.FormatFloat(c, 'g', -1, 64), v)
-		} else {
-			fmt.Fprintf(&b, " - %s*%s", strconv.FormatFloat(-c, 'g', -1, 64), v)
+	for r, c := range p.Coef {
+		switch {
+		case c == 0:
+		case c >= 0:
+			fmt.Fprintf(&b, " + %s*%s", strconv.FormatFloat(c, 'g', -1, 64), netmodel.Res(r))
+		default:
+			fmt.Fprintf(&b, " - %s*%s", strconv.FormatFloat(-c, 'g', -1, 64), netmodel.Res(r))
 		}
 	}
 	return b.String()
@@ -190,12 +140,12 @@ type MinExpr []Linear
 // MinOf builds a MinExpr from terms.
 func MinOf(terms ...Linear) MinExpr { return MinExpr(terms) }
 
-// Eval evaluates the minimum at the given assignment. Evaluating an
-// empty MinExpr returns +Inf (the identity of min).
-func (m MinExpr) Eval(assign map[string]float64) float64 {
+// Eval evaluates the minimum at the allocation r. Evaluating an empty
+// MinExpr returns +Inf (the identity of min).
+func (m MinExpr) Eval(r netmodel.Vector) float64 {
 	v := math.Inf(1)
 	for _, t := range m {
-		if tv := t.Eval(assign); tv < v {
+		if tv := t.Eval(r); tv < v {
 			v = tv
 		}
 	}
@@ -233,22 +183,6 @@ func (m MinExpr) Merge(n MinExpr) MinExpr {
 	return r
 }
 
-// Vars returns the sorted union of variables across all terms.
-func (m MinExpr) Vars() []string {
-	set := map[string]bool{}
-	for _, t := range m {
-		for _, v := range t.Vars() {
-			set[v] = true
-		}
-	}
-	vs := make([]string, 0, len(set))
-	for v := range set {
-		vs = append(vs, v)
-	}
-	sort.Strings(vs)
-	return vs
-}
-
 func (m MinExpr) String() string {
 	if len(m) == 1 {
 		return m[0].String()
@@ -269,11 +203,11 @@ type Case struct {
 	Util        MinExpr  // utility under this case
 }
 
-// Feasible reports whether all constraints hold at the assignment
+// Feasible reports whether all constraints hold at the allocation r
 // (with tolerance eps for roundoff).
-func (c Case) Feasible(assign map[string]float64, eps float64) bool {
+func (c Case) Feasible(r netmodel.Vector, eps float64) bool {
 	for _, con := range c.Constraints {
-		if con.Eval(assign) < -eps {
+		if con.Eval(r) < -eps {
 			return false
 		}
 	}
@@ -287,37 +221,16 @@ func (c Case) Feasible(assign map[string]float64, eps float64) bool {
 type Utility []Case
 
 // Eval returns the best utility over all feasible cases, and false if no
-// case is feasible at the assignment.
-func (u Utility) Eval(assign map[string]float64) (float64, bool) {
+// case is feasible at the allocation r.
+func (u Utility) Eval(r netmodel.Vector) (float64, bool) {
 	best, ok := math.Inf(-1), false
 	for _, c := range u {
-		if !c.Feasible(assign, 1e-9) {
+		if !c.Feasible(r, 1e-9) {
 			continue
 		}
-		if v := c.Util.Eval(assign); !ok || v > best {
+		if v := c.Util.Eval(r); !ok || v > best {
 			best, ok = v, true
 		}
 	}
 	return best, ok
-}
-
-// Vars returns the sorted union of variables mentioned anywhere in u.
-func (u Utility) Vars() []string {
-	set := map[string]bool{}
-	for _, c := range u {
-		for _, con := range c.Constraints {
-			for _, v := range con.Vars() {
-				set[v] = true
-			}
-		}
-		for _, v := range c.Util.Vars() {
-			set[v] = true
-		}
-	}
-	vs := make([]string, 0, len(set))
-	for v := range set {
-		vs = append(vs, v)
-	}
-	sort.Strings(vs)
-	return vs
 }

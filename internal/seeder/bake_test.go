@@ -246,7 +246,7 @@ func TestMinimalAllocsFollowCapacity(t *testing.T) {
 	solves, shared := 0, 0
 	sd.beforeSolve = func(in *placement.Input) {
 		solves++
-		maxCap := netmodel.Resources{}
+		maxCap := netmodel.Vector{}
 		for _, sw := range in.Switches {
 			for r, v := range sw.Capacity {
 				maxCap[r] = max(maxCap[r], v)

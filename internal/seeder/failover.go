@@ -108,8 +108,6 @@ func (sd *Seeder) FailedSwitches() []netmodel.SwitchID {
 }
 
 // liveSwitches filters the topology's switches through the failure set.
-// Each carries the topology's own capacity map: a solve writes no
-// SwitchInfo.Capacity (placement.TestSolveWritesNothingItDoesNotOwn).
 func (sd *Seeder) liveSwitches() []placement.SwitchInfo {
 	var out []placement.SwitchInfo
 	for _, sw := range sd.fab.Topology().Switches() {

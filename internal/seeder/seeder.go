@@ -680,14 +680,15 @@ func (sd *Seeder) apply(res *placement.Result) error {
 	return firstErr
 }
 
-func sameAlloc(a, b netmodel.Resources) bool {
+// sameAlloc reports whether a and b hold the same amounts within 1e-9.
+func sameAlloc(a, b netmodel.Vector) bool {
 	return a.AtLeast(b, 1e-9) && b.AtLeast(a, 1e-9)
 }
 
 func (sd *Seeder) deploySeed(s *seedInst, a placement.Assignment) error {
 	ref := s.ref
 	ref.Switch = sd.fab.Topology().Switch(a.Switch).Name
-	if err := sd.soils[a.Switch].DeployCompiled(ref, s.an.prep, a.Alloc); err != nil {
+	if err := sd.soils[a.Switch].DeployCompiled(ref, s.id, s.an.prep, a.Alloc); err != nil {
 		return err
 	}
 	s.ref = ref
@@ -716,7 +717,7 @@ func (sd *Seeder) migrateSeed(s *seedInst, a placement.Assignment) error {
 	target := sd.soils[a.Switch]
 	prep := s.an.prep
 	engine.ScheduleOn(sd.fab.Sched(), delay, func() {
-		if err := target.RestoreSeed(ref, prep, a.Alloc, snap); err != nil {
+		if err := target.RestoreSeed(ref, s.id, prep, a.Alloc, snap); err != nil {
 			sd.logf("seeder: migration restore %s: %v", s.id, err)
 		}
 	})

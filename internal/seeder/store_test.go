@@ -217,7 +217,7 @@ func TestExternalsCopiedAtSubmit(t *testing.T) {
 		}
 		return sd.tasks[name].seeds[0].an
 	}
-	rate := func(a *analysis) float64 { return a.polls[0].Rate.Eval(map[string]float64{netmodel.ResPCIe: 1}) }
+	rate := func(a *analysis) float64 { return a.polls[0].Rate.Eval(netmodel.Vector{netmodel.ResPCIe: 1}) }
 	first := submit("a", ext)
 	if got := rate(first); got != 100 {
 		t.Fatalf("period 10 polls at %v/s per PCIe unit, want 100", got)
@@ -617,7 +617,7 @@ machine %s {
 		t.Fatal(err)
 	}
 	squatter := soil.SeedRef{Task: "squat", Machine: "Tick1", Switch: "leaf1"}
-	if err := leaf1.DeployCompiled(squatter, prep, leaf1.Available()); err != nil {
+	if err := leaf1.DeployCompiled(squatter, squatter.ID(), prep, leaf1.Available()); err != nil {
 		t.Fatal(err)
 	}
 

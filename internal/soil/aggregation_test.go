@@ -112,8 +112,8 @@ machine RulePoller {
 			t.Fatal(err)
 		}
 		ref := SeedRef{Task: fmt.Sprintf("t%d", i), Machine: "RulePoller", Switch: s.Name()}
-		alloc := netmodel.Resources{netmodel.ResVCPU: 0.01, netmodel.ResRAM: 1, netmodel.ResPoll: 500}
-		if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), alloc); err != nil {
+		alloc := netmodel.Vector{netmodel.ResVCPU: 0.01, netmodel.ResRAM: 1, netmodel.ResPoll: 500}
+		if err := s.DeployCompiled(ref, ref.ID(), mustPrepare(t, cm, nil), alloc); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -174,8 +174,8 @@ func deployMachine(t testing.TB, s *Soil, task, src, machine string) SeedRef {
 		t.Fatal(err)
 	}
 	ref := SeedRef{Task: task, Machine: machine, Switch: s.Name()}
-	alloc := netmodel.Resources{netmodel.ResVCPU: 0.01, netmodel.ResRAM: 1, netmodel.ResPoll: 2000}
-	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), alloc); err != nil {
+	alloc := netmodel.Vector{netmodel.ResVCPU: 0.01, netmodel.ResRAM: 1, netmodel.ResPoll: 2000}
+	if err := s.DeployCompiled(ref, ref.ID(), mustPrepare(t, cm, nil), alloc); err != nil {
 		t.Fatal(err)
 	}
 	return ref

@@ -145,8 +145,8 @@ func (h *pollHarness) join(rule bool, keep int) {
 	h.tb.Helper()
 	ref := SeedRef{Task: fmt.Sprintf("t%d", h.joins), Machine: "Obs", Switch: h.s.Name()}
 	h.joins++
-	alloc := netmodel.Resources{netmodel.ResVCPU: 0.01, netmodel.ResRAM: 1, netmodel.ResPoll: 100}
-	if err := h.s.DeployCompiled(ref, h.progs[b2i(rule)][keep], alloc); err != nil {
+	alloc := netmodel.Vector{netmodel.ResVCPU: 0.01, netmodel.ResRAM: 1, netmodel.ResPoll: 100}
+	if err := h.s.DeployCompiled(ref, ref.ID(), h.progs[b2i(rule)][keep], alloc); err != nil {
 		h.tb.Fatal(err)
 	}
 	h.obs = append(h.obs, &observer{ref: ref, rule: rule, keep: keep})

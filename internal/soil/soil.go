@@ -84,8 +84,8 @@ type Soil struct {
 	cpu    *metrics.CPUMeter
 	opts   Options
 
-	capacity netmodel.Resources
-	used     netmodel.Resources
+	capacity netmodel.Vector
+	used     netmodel.Vector
 
 	seeds  map[string]*seedRuntime // by SeedRef.ID()
 	groups map[string]*pollGroup   // by subject key (aggregation on)
@@ -113,8 +113,7 @@ func New(fab *fabric.Fabric, swID netmodel.SwitchID, opts Options) *Soil {
 		driver:   fab.Driver(swID),
 		cpu:      fab.CPU(swID),
 		opts:     opts,
-		capacity: sw.Capacity.Clone(),
-		used:     netmodel.Resources{},
+		capacity: sw.Capacity,
 		seeds:    map[string]*seedRuntime{},
 		groups:   map[string]*pollGroup{},
 		logf:     func(string, ...any) {},
@@ -134,7 +133,7 @@ func (s *Soil) SetExecFunc(fn ExecFunc) { s.exec = fn }
 func (s *Soil) SetLogf(fn func(string, ...any)) { s.logf = fn }
 
 // Available returns capacity minus allocations.
-func (s *Soil) Available() netmodel.Resources { return s.capacity.Sub(s.used) }
+func (s *Soil) Available() netmodel.Vector { return s.capacity.Sub(s.used) }
 
 // NumSeeds returns the number of deployed seeds.
 func (s *Soil) NumSeeds() int { return len(s.seeds) }
@@ -152,8 +151,9 @@ func (s *Soil) ProbesDelivered() uint64 { return s.probesDelivered }
 // seedRuntime is one deployed seed with its triggers.
 type seedRuntime struct {
 	ref   SeedRef
+	id    string // ref.ID(), the key of Soil.seeds
 	seed  core.Runner
-	alloc netmodel.Resources // the grant as the deployer passed it: read, never written
+	alloc *netmodel.Vector // the grant: never written; a Realloc installs a new one
 	subs  []*pollSub
 	// timers for time triggers and probe rate limiting
 	timeTickers map[string]engine.Ticker
@@ -359,7 +359,7 @@ func (g *pollGroup) deliver(build func(prev *core.Batch) *core.Batch) {
 func (s *Soil) dispatchTrigger(rt *seedRuntime, varName string, data core.Value) {
 	s.chargeDispatch()
 	if err := rt.seed.HandleTrigger(varName, data); err != nil {
-		s.logf("soil %s: seed %s: %v", s.name, rt.ref.ID(), err)
+		s.logf("soil %s: seed %s: %v", s.name, rt.id, err)
 	}
 	s.chargeActions(rt)
 }
@@ -403,44 +403,32 @@ func Prepare(prog *core.Program, externals map[string]core.Value) (*Prepared, er
 	return &Prepared{prog: prog, externals: externals, polls: polls}, nil
 }
 
-// DeployCompiled deploys one instance of a prepared program. The soil
-// keeps alloc as the seed's grant and never writes it; the caller must
-// not write it either while the seed holds it (seeds may share one).
-func (s *Soil) DeployCompiled(ref SeedRef, p *Prepared, alloc netmodel.Resources) error {
-	return s.deploy(ref, p, alloc, nil)
+// DeployCompiled deploys one instance of a prepared program with the
+// grant alloc. id is ref.ID(), which the caller builds once; the soil
+// keys the seed by it.
+func (s *Soil) DeployCompiled(ref SeedRef, id string, p *Prepared, alloc netmodel.Vector) error {
+	return s.deploy(ref, id, p, alloc, nil)
 }
 
 // RestoreSeed deploys a migrated seed and resumes it from a snapshot
 // (migration: deploy the description, transfer the state, resume, §V-B).
-// alloc is kept as DeployCompiled keeps it.
-func (s *Soil) RestoreSeed(ref SeedRef, p *Prepared, alloc netmodel.Resources, snap core.Snapshot) error {
-	return s.deploy(ref, p, alloc, &snap)
+// ref, id and alloc are as DeployCompiled takes them.
+func (s *Soil) RestoreSeed(ref SeedRef, id string, p *Prepared, alloc netmodel.Vector, snap core.Snapshot) error {
+	return s.deploy(ref, id, p, alloc, &snap)
 }
 
-// fits reports whether alloc fits in what the seeds hold of the
-// capacity: Available().AtLeast(alloc, 1e-9), without building
-// Available.
-func (s *Soil) fits(alloc netmodel.Resources) bool {
-	for r, v := range alloc {
-		if s.capacity[r]-s.used[r] < v-1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *Soil) deploy(ref SeedRef, p *Prepared, alloc netmodel.Resources, snap *core.Snapshot) error {
-	id := ref.ID()
+func (s *Soil) deploy(ref SeedRef, id string, p *Prepared, alloc netmodel.Vector, snap *core.Snapshot) error {
 	if _, dup := s.seeds[id]; dup {
 		return fmt.Errorf("soil %s: seed %s already deployed", s.name, id)
 	}
-	if !s.fits(alloc) {
+	if !s.Available().AtLeast(alloc, 1e-9) {
 		return fmt.Errorf("soil %s: insufficient resources for %s: need %v, have %v",
 			s.name, id, alloc, s.Available())
 	}
 	rt := &seedRuntime{
 		ref:         ref,
-		alloc:       alloc,
+		id:          id,
+		alloc:       &alloc,
 		timeTickers: map[string]engine.Ticker{},
 	}
 	host := &seedHost{soil: s, rt: rt}
@@ -451,9 +439,7 @@ func (s *Soil) deploy(ref SeedRef, p *Prepared, alloc netmodel.Resources, snap *
 	rt.seed = seed
 
 	s.seeds[id] = rt
-	for r, v := range alloc {
-		s.used[r] += v
-	}
+	s.used = s.used.Add(alloc)
 
 	for i := range p.polls {
 		pi := &p.polls[i]
@@ -494,8 +480,8 @@ func (s *Soil) deploy(ref SeedRef, p *Prepared, alloc netmodel.Resources, snap *
 	return nil
 }
 
-func (s *Soil) intervalFor(pi *almanac.PollInfo, alloc netmodel.Resources) (time.Duration, error) {
-	ms, err := pi.IvalMillisAt(alloc.AsFloats())
+func (s *Soil) intervalFor(pi *almanac.PollInfo, alloc netmodel.Vector) (time.Duration, error) {
+	ms, err := pi.IvalMillisAt(alloc)
 	if err != nil {
 		return 0, err
 	}
@@ -526,7 +512,7 @@ func (s *Soil) wireTimeTrigger(rt *seedRuntime, varName string, interval time.Du
 func (s *Soil) wirePoll(rt *seedRuntime, pi *almanac.PollInfo, interval time.Duration) error {
 	subj, err := subjectFromWhat(pi.What)
 	if err != nil {
-		return fmt.Errorf("soil %s: seed %s trigger %s: %w", s.name, rt.ref.ID(), pi.Name, err)
+		return fmt.Errorf("soil %s: seed %s trigger %s: %w", s.name, rt.id, pi.Name, err)
 	}
 	sub := &pollSub{rt: rt, pi: pi, interval: interval}
 	rt.subs = append(rt.subs, sub)
@@ -534,7 +520,7 @@ func (s *Soil) wirePoll(rt *seedRuntime, pi *almanac.PollInfo, interval time.Dur
 	key := subj.key()
 	if !s.opts.Aggregation {
 		// Without aggregation every subscription polls on its own.
-		key = fmt.Sprintf("%s#%s/%s", key, rt.ref.ID(), pi.Name)
+		key = fmt.Sprintf("%s#%s/%s", key, rt.id, pi.Name)
 	}
 	g, ok := s.groups[key]
 	if !ok {
@@ -612,9 +598,7 @@ func (s *Soil) removeInternal(id string) {
 			g.retune()
 		}
 	}
-	for r, v := range rt.alloc {
-		s.used[r] -= v
-	}
+	s.used = s.used.Sub(*rt.alloc)
 	rt.removed = true
 	delete(s.seeds, id)
 }
@@ -630,26 +614,19 @@ func (s *Soil) SnapshotSeed(id string) (core.Snapshot, error) {
 
 // Realloc changes a seed's resource allocation, retunes its triggers
 // (polling intervals may depend on resources), and fires its realloc
-// event (§III-A-c). alloc is kept as DeployCompiled keeps it, in place
-// of the grant it replaces.
-func (s *Soil) Realloc(id string, alloc netmodel.Resources) error {
+// event (§III-A-c). alloc becomes the seed's grant in place of the one
+// it replaces.
+func (s *Soil) Realloc(id string, alloc netmodel.Vector) error {
 	rt, ok := s.seeds[id]
 	if !ok {
 		return fmt.Errorf("soil %s: no seed %s", s.name, id)
 	}
 	// The capacity minus what the other seeds hold must cover alloc.
-	for r, v := range alloc {
-		if s.capacity[r]-(s.used[r]-rt.alloc[r]) < v-1e-9 {
-			return fmt.Errorf("soil %s: insufficient resources to realloc %s to %v", s.name, id, alloc)
-		}
+	if !s.capacity.Sub(s.used.Sub(*rt.alloc)).AtLeast(alloc, 1e-9) {
+		return fmt.Errorf("soil %s: insufficient resources to realloc %s to %v", s.name, id, alloc)
 	}
-	for r, v := range rt.alloc {
-		s.used[r] -= v
-	}
-	for r, v := range alloc {
-		s.used[r] += v
-	}
-	rt.alloc = alloc
+	s.used = s.used.Sub(*rt.alloc).Add(alloc)
+	rt.alloc = &alloc
 	// Retune resource-dependent polling rates.
 	for _, sub := range rt.subs {
 		if iv, err := s.intervalFor(sub.pi, alloc); err == nil {
@@ -676,7 +653,7 @@ func (s *Soil) DeliverToMachine(task, machine string, from core.MsgSource, v cor
 		}
 		s.chargeDispatch()
 		if err := rt.seed.HandleRecv(from, v); err != nil {
-			s.logf("soil %s: seed %s: %v", s.name, rt.ref.ID(), err)
+			s.logf("soil %s: seed %s: %v", s.name, rt.id, err)
 		}
 		s.chargeActions(rt)
 	}
@@ -735,7 +712,7 @@ type seedHost struct {
 
 func (h *seedHost) Now() time.Duration { return h.soil.loop.Now() }
 
-func (h *seedHost) Resources() netmodel.Resources { return h.rt.alloc }
+func (h *seedHost) Resources() *netmodel.Vector { return h.rt.alloc }
 
 // AddTCAMRule, RemoveTCAMRule and GetTCAMRule keep the seed's TCAM
 // budget; the driver applies each operation and charges the bus for it.
@@ -744,7 +721,7 @@ func (h *seedHost) AddTCAMRule(r dataplane.Rule) error {
 	budget := int(h.rt.alloc[netmodel.ResTCAM])
 	if !replacing && h.rt.rulesOwned >= budget {
 		return fmt.Errorf("soil %s: seed %s exceeded its TCAM allocation (%d entries)",
-			h.soil.name, h.rt.ref.ID(), budget)
+			h.soil.name, h.rt.id, budget)
 	}
 	if err := h.soil.driver.AddRule(r); err != nil {
 		return err
@@ -769,7 +746,7 @@ func (h *seedHost) GetTCAMRule(f dataplane.Filter) (dataplane.Rule, bool) {
 
 func (h *seedHost) Send(to core.SendDest, v core.Value) {
 	if h.soil.send == nil {
-		h.soil.logf("soil %s: seed %s: send with no route configured", h.soil.name, h.rt.ref.ID())
+		h.soil.logf("soil %s: seed %s: send with no route configured", h.soil.name, h.rt.id)
 		return
 	}
 	h.soil.send(h.rt.ref, to, v)
@@ -800,5 +777,5 @@ func (h *seedHost) Exec(command string, arg core.Value) (core.Value, error) {
 }
 
 func (h *seedHost) Log(format string, args ...any) {
-	h.soil.logf("seed %s: "+format, append([]any{h.rt.ref.ID()}, args...)...)
+	h.soil.logf("seed %s: "+format, append([]any{h.rt.id}, args...)...)
 }

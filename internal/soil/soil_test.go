@@ -114,8 +114,8 @@ func inject(sw *dataplane.Switch, p dataplane.Packet) {
 	sw.InjectKey(&p, &k, 1, 2)
 }
 
-func hhAlloc() netmodel.Resources {
-	return netmodel.Resources{
+func hhAlloc() netmodel.Vector {
+	return netmodel.Vector{
 		netmodel.ResVCPU: 1, netmodel.ResRAM: 128,
 		netmodel.ResPCIe: 1, netmodel.ResTCAM: 8, netmodel.ResPoll: 200,
 	}
@@ -178,8 +178,8 @@ func TestResourceAdmission(t *testing.T) {
 	leaf := leafID(t, fab, "leaf0")
 	s := New(fab, leaf, DefaultOptions())
 	cm := compileHH(t)
-	huge := netmodel.Resources{netmodel.ResVCPU: 999}
-	err := s.DeployCompiled(SeedRef{Task: "t", Machine: "HH", Switch: s.Name()}, mustPrepare(t, cm, map[string]core.Value{"threshold": int64(1)}), huge)
+	huge := netmodel.Vector{netmodel.ResVCPU: 999}
+	err := s.DeployCompiled(SeedRef{Task: "t", Machine: "HH", Switch: s.Name()}, "t/HH", mustPrepare(t, cm, map[string]core.Value{"threshold": int64(1)}), huge)
 	if err == nil || !strings.Contains(err.Error(), "insufficient resources") {
 		t.Fatalf("err = %v", err)
 	}
@@ -193,7 +193,7 @@ func TestDuplicateDeployRejected(t *testing.T) {
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
 	deployHH(t, s, "hh", 1)
 	cm := compileHH(t)
-	err := s.DeployCompiled(SeedRef{Task: "hh", Machine: "HH", Switch: s.Name()}, mustPrepare(t, cm, map[string]core.Value{"threshold": int64(1)}), hhAlloc())
+	err := s.DeployCompiled(SeedRef{Task: "hh", Machine: "HH", Switch: s.Name()}, "hh/HH", mustPrepare(t, cm, map[string]core.Value{"threshold": int64(1)}), hhAlloc())
 	if err == nil || !strings.Contains(err.Error(), "already deployed") {
 		t.Fatalf("err = %v", err)
 	}
@@ -238,7 +238,7 @@ func TestRemoveReleasesCompiledMachine(t *testing.T) {
 	func() {
 		cm := compileHH(t)
 		runtime.SetFinalizer(cm, func(*almanac.CompiledMachine) { close(collected) })
-		if err := s.DeployCompiled(ref, mustPrepare(t, cm, map[string]core.Value{"threshold": int64(1)}), hhAlloc()); err != nil {
+		if err := s.DeployCompiled(ref, ref.ID(), mustPrepare(t, cm, map[string]core.Value{"threshold": int64(1)}), hhAlloc()); err != nil {
 			t.Fatal(err)
 		}
 	}()
@@ -423,9 +423,53 @@ func TestReallocOverCapacityRejected(t *testing.T) {
 	fab, _ := testEnv(t)
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
 	ref := deployHH(t, s, "hh", 1)
-	huge := netmodel.Resources{netmodel.ResVCPU: 999}
+	huge := netmodel.Vector{netmodel.ResVCPU: 999}
 	if err := s.Realloc(ref.ID(), huge); err == nil {
 		t.Fatal("over-capacity realloc accepted")
+	}
+}
+
+// TestStoredResKeepsItsGrant: a res() value a seed keeps is the grant it
+// read, after a Realloc too, while res() reads the new grant.
+func TestStoredResKeepsItsGrant(t *testing.T) {
+	const src = `
+machine Keep {
+  place all;
+  list saved;
+  float before; float after;
+  state s {
+    when (enter) do { saved = [res()]; before = res().vCPU; }
+    when (realloc) do { after = res().vCPU; }
+  }
+}
+`
+	prog, err := almanac.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := almanac.CompileMachine(prog, "Keep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab, _ := testEnv(t)
+	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
+	ref := SeedRef{Task: "k", Machine: "Keep", Switch: s.Name()}
+	if err := s.DeployCompiled(ref, ref.ID(), mustPrepare(t, cm, nil), hhAlloc()); err != nil {
+		t.Fatal(err)
+	}
+	grown := hhAlloc()
+	grown[netmodel.ResVCPU] = 2
+	if err := s.Realloc(ref.ID(), grown); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := s.SeedVar(ref.ID(), "before")
+	after, _ := s.SeedVar(ref.ID(), "after")
+	if before != 1.0 || after != 2.0 {
+		t.Fatalf("res().vCPU read %v at deploy and %v after the realloc, want 1 and 2", before, after)
+	}
+	saved, _ := s.SeedVar(ref.ID(), "saved")
+	if l, ok := saved.(core.List); !ok || len(l) != 1 || *l[0].(core.ResourcesVal) != hhAlloc() {
+		t.Fatalf("the kept res() value is %v after the realloc, want the deploy grant %v", saved, hhAlloc())
 	}
 }
 
@@ -448,7 +492,7 @@ func TestMigrationSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref2 := SeedRef{Task: "hh", Machine: "HH", Switch: dst.Name()}
-	if err := dst.RestoreSeed(ref2, mustPrepare(t, compileHH(t), map[string]core.Value{"threshold": int64(1000)}), hhAlloc(), snap); err != nil {
+	if err := dst.RestoreSeed(ref2, ref2.ID(), mustPrepare(t, compileHH(t), map[string]core.Value{"threshold": int64(1000)}), hhAlloc(), snap); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := dst.SeedVar(ref2.ID(), "threshold"); v != int64(4242) {
@@ -505,7 +549,7 @@ machine Rules {
 	alloc := hhAlloc()
 	alloc[netmodel.ResTCAM] = 2
 	ref := SeedRef{Task: "r", Machine: "Rules", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), alloc); err != nil {
+	if err := s.DeployCompiled(ref, ref.ID(), mustPrepare(t, cm, nil), alloc); err != nil {
 		t.Fatal(err)
 	}
 	bus := fab.Driver(leaf).Bus()
@@ -597,7 +641,7 @@ machine Rules {
 	alloc := hhAlloc()
 	alloc[netmodel.ResTCAM] = 2
 	ref := SeedRef{Task: "r", Machine: "Rules", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), alloc); err != nil {
+	if err := s.DeployCompiled(ref, ref.ID(), mustPrepare(t, cm, nil), alloc); err != nil {
 		t.Fatal(err)
 	}
 	deliver := func(p int64) {
@@ -645,7 +689,7 @@ machine Probe {
 	leaf := leafID(t, fab, "leaf0")
 	s := New(fab, leaf, DefaultOptions())
 	ref := SeedRef{Task: "p", Machine: "Probe", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), hhAlloc()); err != nil {
+	if err := s.DeployCompiled(ref, ref.ID(), mustPrepare(t, cm, nil), hhAlloc()); err != nil {
 		t.Fatal(err)
 	}
 	// 100 matching packets in 20 ms; probe interval 5 ms lower-bounds
@@ -693,7 +737,7 @@ machine Timer {
 	fab, loop := testEnv(t)
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
 	ref := SeedRef{Task: "t", Machine: "Timer", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), hhAlloc()); err != nil {
+	if err := s.DeployCompiled(ref, ref.ID(), mustPrepare(t, cm, nil), hhAlloc()); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunFor(105 * time.Millisecond)
@@ -724,7 +768,7 @@ machine Adaptive {
 	fab, loop := testEnv(t)
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
 	ref := SeedRef{Task: "a", Machine: "Adaptive", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), hhAlloc()); err != nil {
+	if err := s.DeployCompiled(ref, ref.ID(), mustPrepare(t, cm, nil), hhAlloc()); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunFor(300 * time.Millisecond)
@@ -768,7 +812,7 @@ machine Slow {
 	fab, loop := testEnv(t)
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
 	ref := SeedRef{Task: "s", Machine: "Slow", Switch: s.Name()}
-	if err := s.DeployCompiled(ref, mustPrepare(t, cm, nil), hhAlloc()); err != nil {
+	if err := s.DeployCompiled(ref, ref.ID(), mustPrepare(t, cm, nil), hhAlloc()); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunFor(300 * time.Millisecond)
@@ -843,7 +887,7 @@ machine Timer {
 			t.Fatal(err)
 		}
 		refs[name] = SeedRef{Task: "t", Machine: name, Switch: s.Name()}
-		if err := s.DeployCompiled(refs[name], mustPrepare(t, cm, nil), hhAlloc()); err != nil {
+		if err := s.DeployCompiled(refs[name], refs[name].ID(), mustPrepare(t, cm, nil), hhAlloc()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -908,7 +952,7 @@ machine Timer {
 			t.Fatal(err)
 		}
 		refs[name] = SeedRef{Task: "t", Machine: name, Switch: s.Name()}
-		return s.DeployCompiled(refs[name], mustPrepare(t, cm, nil), hhAlloc())
+		return s.DeployCompiled(refs[name], refs[name].ID(), mustPrepare(t, cm, nil), hhAlloc())
 	}
 	for _, name := range []string{"Timer", "Counter"} {
 		if err := deploy(name); err != nil {
@@ -939,7 +983,7 @@ func (s *Soil) Name() string { return s.name }
 // switch with the given external bindings and resource allocation:
 // decode, compile and Prepare in front of DeployCompiled, the path the
 // seeder's program store takes once per source.
-func (s *Soil) Deploy(ref SeedRef, xmlData []byte, externals map[string]core.Value, alloc netmodel.Resources) error {
+func (s *Soil) Deploy(ref SeedRef, xmlData []byte, externals map[string]core.Value, alloc netmodel.Vector) error {
 	cm, err := almanac.DecodeXML(xmlData)
 	if err != nil {
 		return fmt.Errorf("soil %s: %w", s.name, err)
@@ -952,5 +996,5 @@ func (s *Soil) Deploy(ref SeedRef, xmlData []byte, externals map[string]core.Val
 	if err != nil {
 		return fmt.Errorf("soil %s: %w", s.name, err)
 	}
-	return s.DeployCompiled(ref, p, alloc)
+	return s.DeployCompiled(ref, ref.ID(), p, alloc)
 }

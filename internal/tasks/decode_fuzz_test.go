@@ -22,8 +22,8 @@ import (
 type fuzzHost struct{ tcam *dataplane.TCAM }
 
 func (fuzzHost) Now() time.Duration { return 0 }
-func (fuzzHost) Resources() netmodel.Resources {
-	return netmodel.Resources{netmodel.ResVCPU: 2, netmodel.ResRAM: 1024, netmodel.ResPCIe: 1}
+func (fuzzHost) Resources() *netmodel.Vector {
+	return &netmodel.Vector{netmodel.ResVCPU: 2, netmodel.ResRAM: 1024, netmodel.ResPCIe: 1}
 }
 func (h fuzzHost) AddTCAMRule(r dataplane.Rule) error                    { return h.tcam.AddRule(r) }
 func (h fuzzHost) RemoveTCAMRule(f dataplane.Filter) bool                { return h.tcam.RemoveRule(f) }
