@@ -124,6 +124,34 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// TestNoWriteOnlyFields holds each internal/ package's unexported
+// struct fields to what the program reads: a field a non-test file
+// writes must also be read by a non-test file. A write is the whole
+// left side of an assignment or an increment, or a field's place in a
+// composite literal; any other use of the field is a read, and so is a
+// comparison of its struct, or its struct's use as a map key. A counter
+// only tests look at shows up here as written and never read. An
+// embedded field is left out: promotion reads it with no name at the
+// use.
+func TestNoWriteOnlyFields(t *testing.T) {
+	tr := loadTree(t, "internal")
+	for _, p := range tr.pkgs {
+		if len(p.files) > 0 {
+			tr.check(t, p.path)
+		}
+	}
+	var unread []string
+	for v := range tr.fieldWritten {
+		if !tr.fieldRead[v] && !v.Exported() && !v.Embedded() {
+			unread = append(unread, tr.fset.Position(v.Pos()).String()+": "+v.Name())
+		}
+	}
+	sort.Strings(unread)
+	for _, u := range unread {
+		t.Errorf("%s is written but never read: delete it, or read it", u)
+	}
+}
+
 // srcPkg is one directory's package: its non-test files, its in-package
 // test files and its external (_test package) test files.
 type srcPkg struct {
@@ -143,6 +171,10 @@ type tree struct {
 	used       map[string]bool               // by a non-test file
 	testUsed   map[string]bool               // by a test file
 	ifaceCalls map[string][]*types.Interface // interface methods non-test files call, by name
+
+	// fieldWritten and fieldRead hold the struct fields non-test files
+	// write and read (see TestNoWriteOnlyFields).
+	fieldWritten, fieldRead map[*types.Var]bool
 }
 
 // loadTree parses every .go file under roots that the default build
@@ -159,6 +191,9 @@ func loadTree(t *testing.T, roots ...string) *tree {
 		used:       map[string]bool{},
 		testUsed:   map[string]bool{},
 		ifaceCalls: map[string][]*types.Interface{},
+
+		fieldWritten: map[*types.Var]bool{},
+		fieldRead:    map[*types.Var]bool{},
 	}
 	// fmt calls String and Error on the values it prints.
 	fmtPkg, err := tr.std.Import("fmt")
@@ -265,9 +300,15 @@ func (tr *tree) typeCheck(t *testing.T, path string, files []*ast.File, over map
 		},
 	}
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	if prod {
+		info.Types = map[ast.Expr]types.TypeAndValue{}
+	}
 	pkg, _ := conf.Check(path, tr.fset, files, info)
 	if prod && firstErr != nil {
 		t.Fatalf("type-checking %s: %v", path, firstErr)
+	}
+	if prod {
+		tr.recordFields(files, info)
 	}
 	for id, obj := range info.Uses {
 		if test := strings.HasSuffix(tr.fset.Position(id.Pos()).Filename, "_test.go"); test == prod {
@@ -289,6 +330,70 @@ func (tr *tree) typeCheck(t *testing.T, path string, files []*ast.File, over map
 		}
 	}
 	return pkg
+}
+
+// recordFields sorts the field uses in files into writes and reads.
+func (tr *tree) recordFields(files []*ast.File, info *types.Info) {
+	writes := map[*ast.Ident]bool{}
+	written := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, lhs := range n.Lhs {
+						written(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				written(n.X)
+			case *ast.CompositeLit:
+				st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						writes[kv.Key.(*ast.Ident)] = true
+					} else {
+						tr.fieldWritten[st.Field(i)] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	// A struct compared, or hashed as a map key, reads all its fields.
+	var readAll func(typ types.Type)
+	readAll = func(typ types.Type) {
+		if st, ok := typ.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				tr.fieldRead[st.Field(i)] = true
+				readAll(st.Field(i).Type())
+			}
+		}
+	}
+	for e, tv := range info.Types {
+		if m, ok := tv.Type.(*types.Map); ok {
+			readAll(m.Key())
+		}
+		if b, ok := e.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
+			readAll(info.Types[b.X].Type)
+		}
+	}
+	for id, obj := range info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			if writes[id] {
+				tr.fieldWritten[v] = true
+			} else {
+				tr.fieldRead[v] = true
+			}
+		}
+	}
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -46,12 +46,8 @@ type Detection struct {
 // collection network (fabric.SendToCentral). The collector state below
 // is mutated only inside the shipped callbacks and the analysis ticker.
 type System struct {
-	fab   *fabric.Fabric
 	sched engine.Scheduler
 	cfg   Config
-
-	// OnHH fires on each new detection (optional).
-	OnHH func(Detection)
 
 	detections []Detection
 	active     map[[2]int]bool // (switch,port) currently flagged
@@ -60,7 +56,6 @@ type System struct {
 	lastCounters map[[2]int]counterRecord
 	tickers      []engine.Ticker
 	stopSamplers []func()
-	samplesRecv  uint64
 }
 
 type counterRecord struct {
@@ -75,7 +70,6 @@ const counterExportBytes = 88
 // Deploy installs agents on every switch and starts the collector.
 func Deploy(fab *fabric.Fabric, cfg Config) *System {
 	s := &System{
-		fab:          fab,
 		sched:        fab.Sched(),
 		cfg:          cfg,
 		active:       map[[2]int]bool{},
@@ -109,7 +103,9 @@ func Deploy(fab *fabric.Fabric, cfg Config) *System {
 		if cfg.SampleOneInN > 0 {
 			stop := drv.StartSampling(dataplane.Filter{}, cfg.SampleOneInN, func(p dataplane.Packet) {
 				cpu.Charge(metrics.CostSampleProcess)
-				fab.SendToCentral(swID, sampleBytes(p), func() { s.samplesRecv++ })
+				// The collector takes the sample and keeps nothing:
+				// detection reads the counters.
+				fab.SendToCentral(swID, sampleBytes(p), func() {})
 			})
 			s.stopSamplers = append(s.stopSamplers, stop)
 		}
@@ -169,11 +165,7 @@ func (s *System) analyze() {
 			continue
 		}
 		s.active[key] = true
-		d := Detection{Switch: netmodel.SwitchID(key[0]), Port: key[1], At: s.sched.Now()}
-		s.detections = append(s.detections, d)
-		if s.OnHH != nil {
-			s.OnHH(d)
-		}
+		s.detections = append(s.detections, Detection{Switch: netmodel.SwitchID(key[0]), Port: key[1], At: s.sched.Now()})
 	}
 }
 

@@ -113,9 +113,6 @@ type System struct {
 	sched engine.Scheduler
 	cfg   Config
 
-	// OnDetect fires per having-match (optional).
-	OnDetect func(Detection)
-
 	detections []Detection
 	tickers    []engine.Ticker
 	stops      []func()
@@ -213,11 +210,7 @@ func (s *System) processBatch(q Query, sw netmodel.SwitchID, batch map[string]fl
 		if v < q.Threshold {
 			continue
 		}
-		d := Detection{Query: q.Name, Switch: sw, Key: k, Value: v, At: s.sched.Now()}
-		s.detections = append(s.detections, d)
-		if s.OnDetect != nil {
-			s.OnDetect(d)
-		}
+		s.detections = append(s.detections, Detection{Query: q.Name, Switch: sw, Key: k, Value: v, At: s.sched.Now()})
 	}
 	// Keep the grown backing array but drop the key references, so the
 	// scratch never pins a retired batch's strings.

@@ -6,7 +6,6 @@ import (
 	"farm/internal/baselines/sflow"
 	"farm/internal/baselines/sonata"
 	"farm/internal/core"
-	"farm/internal/dataplane"
 	"farm/internal/engine"
 	"farm/internal/fabric"
 	"farm/internal/netmodel"
@@ -195,45 +194,45 @@ func fig4Sonata(leaves, hosts int, duration, churn time.Duration) (Fig4Point, er
 	defer sys.Stop()
 	w := fig4Workload(fab, churn)
 	defer w.Stop()
-	// Window flushes carry per-port byte counts from every leaf. One
-	// flush agent per leaf: the port counters it reads and the delta
-	// baseline it keeps are switch-local, and the export enters the
-	// collection network at its leaf.
+	// Window flushes carry per-port byte counts from every leaf.
+	defer sonataCounterAgents(fab, loop, sys, q)()
+	loop.RunFor(time.Second)
+	snap := fab.CentralNet.Snapshot()
+	loop.RunFor(duration)
+	pps, bps := fab.CentralNet.RateSince(snap)
+	return Fig4Point{Ports: leaves * hosts, PktPerSec: pps, BytesPerSec: bps}, nil
+}
+
+// sonataCounterAgents starts one window flush agent per leaf, which
+// ships each port's positive TxBytes delta over q's window to sys as a
+// counter window: the port counters it reads and the delta baseline it
+// keeps are switch-local, and the export enters the collection network
+// at its leaf. It returns the function that stops the agents.
+func sonataCounterAgents(fab *fabric.Fabric, loop engine.Scheduler, sys *sonata.System, q sonata.Query) (stop func()) {
 	var flushes []engine.Ticker
 	for _, sw := range fab.Topology().Switches() {
 		if sw.Role != netmodel.Leaf {
 			continue
 		}
 		swID := sw.ID
-		prev := map[int]dataplane.PortStats{}
-		flushes = append(flushes, loop.Every(window, func() {
-			cur := map[int]dataplane.PortStats{}
+		prev := make([]uint64, fab.NumPorts(swID)+1)
+		flushes = append(flushes, loop.Every(q.Window, func() {
 			bytesByPort := map[int]float64{}
-			for port := 1; port <= fab.NumPorts(swID); port++ {
-				st, err := fab.Switch(swID).PortStats(port)
-				if err != nil {
-					continue
+			for port := 1; port < len(prev); port++ {
+				st, _ := fab.Switch(swID).PortStats(port)
+				if d := st.TxBytes - prev[port]; d > 0 {
+					bytesByPort[port] = float64(d)
 				}
-				cur[port] = st
-				d := float64(st.TxBytes - prev[port].TxBytes)
-				if d > 0 {
-					bytesByPort[port] = d
-				}
+				prev[port] = st.TxBytes
 			}
-			prev = cur
 			if len(bytesByPort) > 0 {
 				sys.IngestCounterWindow(q, swID, bytesByPort)
 			}
 		}))
 	}
-	defer func() {
+	return func() {
 		for _, tk := range flushes {
 			tk.Stop()
 		}
-	}()
-	loop.RunFor(time.Second)
-	snap := fab.CentralNet.Snapshot()
-	loop.RunFor(duration)
-	pps, bps := fab.CentralNet.RateSince(snap)
-	return Fig4Point{Ports: leaves * hosts, PktPerSec: pps, BytesPerSec: bps}, nil
+	}
 }

@@ -185,14 +185,7 @@ func tab4Sonata() (time.Duration, error) {
 	start := loop.Now()
 	// The data plane aggregates at line rate; window flushes carry the
 	// per-port byte counts (counter-window ingestion).
-	var last dataplane.PortStats
-	flush := loop.Every(tab4SonataWindow, func() {
-		st, _ := fab.Switch(leaf).PortStats(1)
-		delta := float64(st.TxBytes - last.TxBytes)
-		last = st
-		sys.IngestCounterWindow(q, leaf, map[int]float64{1: delta})
-	})
-	defer flush.Stop()
+	defer sonataCounterAgents(fab, loop, sys, q)()
 	hot := loop.Every(100*time.Microsecond, func() {
 		_ = fab.Switch(leaf).CreditPort(1, 0, 0, 10, 10_000)
 	})

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -47,9 +46,8 @@ func FuzzHandleRPC(f *testing.F) {
 // a corrupted wire — might.
 type replyConn struct{ reply []byte }
 
-func (c replyConn) Call([]byte) ([]byte, error)          { return c.reply, nil }
-func (c replyConn) CallBatch([][]byte) ([][]byte, error) { return nil, errors.New("unused") }
-func (c replyConn) Close() error                         { return nil }
+func (c replyConn) Call([]byte) ([]byte, error) { return c.reply, nil }
+func (c replyConn) Close() error                { return nil }
 
 // FuzzClientResponse feeds arbitrary bytes to the RPC client as the
 // server's answer to a status call: the client must not panic, a record

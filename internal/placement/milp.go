@@ -31,15 +31,76 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-
-	prob := lp.New(lp.Maximize)
-	// Every resource but poll, which is budgeted through shared subjects.
-	var resNames []netmodel.Res
-	for r := range netmodel.NumRes {
-		if r != netmodel.ResPoll {
-			resNames = append(resNames, r)
+	m := buildMILP(in)
+	sol, err := m.prob.SolveMILP(lp.MILPOptions{Timeout: opts.Timeout})
+	if err != nil {
+		return nil, fmt.Errorf("placement: MILP: %w", err)
+	}
+	res := &Result{Placed: map[string]Assignment{}, Runtime: time.Since(start)}
+	if sol.Status == lp.Infeasible || sol.Values == nil {
+		for t := range m.tplc {
+			res.DroppedTasks = append(res.DroppedTasks, t)
+		}
+		sort.Strings(res.DroppedTasks)
+		return res, nil
+	}
+	for key, pv := range m.pairs {
+		if sol.Value(pv.plc) < 0.5 {
+			continue
+		}
+		s := &in.Seeds[key.seed]
+		var alloc netmodel.Vector
+		for _, r := range milpRes {
+			if x := sol.Value(pv.res[r]); x > 1e-9 {
+				alloc[r] = x
+			}
+		}
+		res.Placed[s.ID] = Assignment{
+			Switch:  key.sw,
+			Alloc:   alloc,
+			Case:    key.caseIdx,
+			Utility: sol.Value(pv.util),
 		}
 	}
+	for t, tv := range m.tplc {
+		if sol.Value(tv) < 0.5 {
+			res.DroppedTasks = append(res.DroppedTasks, t)
+		}
+	}
+	sort.Strings(res.DroppedTasks)
+	res.Utility = TotalUtility(in, res.Placed)
+	return res, nil
+}
+
+// milpRes lists every resource but poll, which is budgeted through
+// shared subjects, in resource order.
+var milpRes = []netmodel.Res{netmodel.ResPCIe, netmodel.ResRAM, netmodel.ResTCAM, netmodel.ResVCPU}
+
+// milpPair is one (seed, case, candidate switch) placement choice.
+type milpPair struct {
+	seed    int
+	caseIdx int
+	sw      netmodel.SwitchID
+}
+
+// milpPairVars are a milpPair's variables.
+type milpPairVars struct {
+	plc  lp.Var
+	util lp.Var
+	res  [netmodel.NumRes]lp.Var // all but poll
+}
+
+// milpModel is the formulation of one input: the problem and the
+// variables its solution is read through.
+type milpModel struct {
+	prob  *lp.Problem
+	pairs map[milpPair]*milpPairVars
+	tplc  map[string]lp.Var
+}
+
+// buildMILP formulates in, which must be valid.
+func buildMILP(in *Input) milpModel {
+	prob := lp.New(lp.Maximize)
 
 	// Big-M per utility: a bound no achievable utility exceeds.
 	bigU := 1.0
@@ -66,24 +127,15 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 	}
 	bigU *= 2
 
-	type pairVars struct {
-		plc  lp.Var
-		util lp.Var
-		res  [netmodel.NumRes]lp.Var // all but poll
-	}
-	// pair per (seed, case, candidate switch)
-	type pairKey struct {
-		seed    int
-		caseIdx int
-		sw      netmodel.SwitchID
-	}
-	pairs := map[pairKey]*pairVars{}
+	pairs := map[milpPair]*milpPairVars{}
 	tplc := map[string]lp.Var{}
 	var obj []lp.Coef
 
-	// usage[sw][r] rows; pollres[sw][subject] vars.
+	// usage[sw][r] rows; pollres[sw][subject] vars, and pollRow[sw]
+	// the shared-poll row over them in the order they are declared.
 	usage := map[netmodel.SwitchID]*[netmodel.NumRes][]lp.Coef{}
 	pollres := map[netmodel.SwitchID]map[string]lp.Var{}
+	pollRow := map[netmodel.SwitchID][]lp.Coef{}
 	for _, sw := range in.Switches {
 		usage[sw.ID] = &[netmodel.NumRes][]lp.Coef{}
 		pollres[sw.ID] = map[string]lp.Var{}
@@ -109,11 +161,11 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 		for ci, c := range s.Utility {
 			for _, swID := range s.Candidates {
 				sw, _ := in.switchByID(swID)
-				key := pairKey{si, ci, swID}
-				pv := &pairVars{}
+				key := milpPair{si, ci, swID}
+				pv := &milpPairVars{}
 				pv.plc = prob.AddBinary(fmt.Sprintf("plc.%s.%d.%d", s.ID, ci, swID))
 				c1 = append(c1, lp.Coef{Var: pv.plc, Val: 1})
-				for _, r := range resNames {
+				for _, r := range milpRes {
 					rv := prob.AddVar(fmt.Sprintf("res.%s.%d.%d.%s", s.ID, ci, swID, r), 0, sw.Capacity[r])
 					pv.res[r] = rv
 					// C3: res <= cap * plc.
@@ -124,7 +176,7 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 				// con(res) + M(1-plc) >= 0.
 				for _, con := range c.Constraints {
 					coefs := []lp.Coef{}
-					for _, r := range resNames {
+					for _, r := range milpRes {
 						if c := con.Coef[r]; c != 0 {
 							coefs = append(coefs, lp.Coef{Var: pv.res[r], Val: c})
 						}
@@ -141,7 +193,7 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 					// u <= term(res) + bigU*(1-plc), i.e.
 					// u + bigU*plc - term_vars(res) <= term.Const + bigU.
 					coefs := []lp.Coef{{Var: pv.util, Val: 1}, {Var: pv.plc, Val: bigU}}
-					for _, r := range resNames {
+					for _, r := range milpRes {
 						if c := term.Coef[r]; c != 0 {
 							coefs = append(coefs, lp.Coef{Var: pv.res[r], Val: -c})
 						}
@@ -155,6 +207,7 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 					if !ok {
 						pr = prob.AddVar(fmt.Sprintf("pollres.%d.%s", swID, pd.Subject), 0, lp.Inf)
 						pollres[swID][pd.Subject] = pr
+						pollRow[swID] = append(pollRow[swID], lp.Coef{Var: pr, Val: 1})
 					}
 					// Worst-case demand bound for big-M.
 					bigP := math.Abs(pd.Rate.Const) + 1
@@ -164,7 +217,7 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 						}
 					}
 					coefs := []lp.Coef{{Var: pr, Val: 1}, {Var: pv.plc, Val: -bigP}}
-					for _, r := range resNames {
+					for _, r := range milpRes {
 						if c := pd.Rate.Coef[r]; c != 0 {
 							coefs = append(coefs, lp.Coef{Var: pv.res[r], Val: -c})
 						}
@@ -180,57 +233,16 @@ func MILP(in *Input, opts MILPOptions) (*Result, error) {
 
 	// C4: per-switch capacity and shared poll budget.
 	for _, sw := range in.Switches {
-		for _, r := range resNames {
+		for _, r := range milpRes {
 			if coefs := usage[sw.ID][r]; len(coefs) > 0 {
 				prob.AddConstraint(coefs, lp.LE, sw.Capacity[r])
 			}
 		}
-		if len(pollres[sw.ID]) > 0 {
-			var coefs []lp.Coef
-			for _, pr := range pollres[sw.ID] {
-				coefs = append(coefs, lp.Coef{Var: pr, Val: 1})
-			}
+		if coefs := pollRow[sw.ID]; len(coefs) > 0 {
 			prob.AddConstraint(coefs, lp.LE, sw.Capacity[netmodel.ResPoll])
 		}
 	}
 
 	prob.SetObjective(obj, 0)
-	sol, err := prob.SolveMILP(lp.MILPOptions{Timeout: opts.Timeout})
-	if err != nil {
-		return nil, fmt.Errorf("placement: MILP: %w", err)
-	}
-	res := &Result{Placed: map[string]Assignment{}, Runtime: time.Since(start)}
-	if sol.Status == lp.Infeasible || sol.Values == nil {
-		for t := range tplc {
-			res.DroppedTasks = append(res.DroppedTasks, t)
-		}
-		sort.Strings(res.DroppedTasks)
-		return res, nil
-	}
-	for key, pv := range pairs {
-		if sol.Value(pv.plc) < 0.5 {
-			continue
-		}
-		s := &in.Seeds[key.seed]
-		var alloc netmodel.Vector
-		for _, r := range resNames {
-			if x := sol.Value(pv.res[r]); x > 1e-9 {
-				alloc[r] = x
-			}
-		}
-		res.Placed[s.ID] = Assignment{
-			Switch:  key.sw,
-			Alloc:   alloc,
-			Case:    key.caseIdx,
-			Utility: sol.Value(pv.util),
-		}
-	}
-	for t, tv := range tplc {
-		if sol.Value(tv) < 0.5 {
-			res.DroppedTasks = append(res.DroppedTasks, t)
-		}
-	}
-	sort.Strings(res.DroppedTasks)
-	res.Utility = TotalUtility(in, res.Placed)
-	return res, nil
+	return milpModel{prob, pairs, tplc}
 }

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -433,5 +434,26 @@ func TestMinimalAllocGeneralLP(t *testing.T) {
 	}
 	if got := alloc[netmodel.ResVCPU] + alloc[netmodel.ResRAM]; got < 10-1e-6 {
 		t.Fatalf("sum = %g, want >= 10", got)
+	}
+}
+
+// TestMILPBuildDeterministic: the exact solver's formulation is a
+// function of its input, row for row and coefficient for coefficient,
+// so a degenerate instance ends on the same vertex every run. The
+// instance puts five poll subjects on one switch, whose shared-poll
+// budget row lists them all.
+func TestMILPBuildDeterministic(t *testing.T) {
+	in := twoSwitchInput()
+	for i := range in.Seeds {
+		in.Seeds[i].Polls = nil
+		for _, subj := range []string{"ports:all", "rule:a", "rule:b", "rule:c", "rule:d"} {
+			in.Seeds[i].Polls = append(in.Seeds[i].Polls, PollDemand{Subject: subj, Rate: poly.Constant(10)})
+		}
+	}
+	want := buildMILP(in).prob
+	for run := 0; run < 20; run++ {
+		if got := buildMILP(in).prob; !reflect.DeepEqual(got, want) {
+			t.Fatalf("build %d formulated another problem than the first", run+1)
+		}
 	}
 }

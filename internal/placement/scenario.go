@@ -27,15 +27,13 @@ const candidateSpread = 4
 // seeds are and how their utility responds to resources.
 type taskProfile struct {
 	name     string
-	minVCPU  float64
-	minRAM   float64
 	utilOf   func(r *rand.Rand) poly.Utility
 	pollRate func(r *rand.Rand) []PollDemand
 }
 
 var profiles = []taskProfile{
 	{
-		name: "hh", minVCPU: 0.25, minRAM: 64,
+		name: "hh",
 		utilOf: func(r *rand.Rand) poly.Utility {
 			return boundedUtility(0.25+r.Float64()*0.5, 64, poly.MinOf(
 				poly.Term(netmodel.ResVCPU, 8+r.Float64()*4),
@@ -47,7 +45,7 @@ var profiles = []taskProfile{
 		},
 	},
 	{
-		name: "ddos", minVCPU: 0.5, minRAM: 128,
+		name: "ddos",
 		utilOf: func(r *rand.Rand) poly.Utility {
 			return boundedUtility(0.5, 128, poly.MinOf(
 				poly.Term(netmodel.ResVCPU, 12+r.Float64()*6),
@@ -59,7 +57,7 @@ var profiles = []taskProfile{
 		},
 	},
 	{
-		name: "superspreader", minVCPU: 0.5, minRAM: 256,
+		name: "superspreader",
 		utilOf: func(r *rand.Rand) poly.Utility {
 			return boundedUtility(0.5, 256, poly.MinOf(
 				poly.Term(netmodel.ResRAM, 0.02+r.Float64()*0.01),
@@ -70,7 +68,7 @@ var profiles = []taskProfile{
 		},
 	},
 	{
-		name: "portscan", minVCPU: 0.25, minRAM: 64,
+		name: "portscan",
 		utilOf: func(r *rand.Rand) poly.Utility {
 			return boundedUtility(0.25, 64, poly.MinOf(
 				poly.Term(netmodel.ResVCPU, 6+r.Float64()*2).Add(poly.Constant(1)),
@@ -81,7 +79,7 @@ var profiles = []taskProfile{
 		},
 	},
 	{
-		name: "entropy", minVCPU: 1, minRAM: 512,
+		name: "entropy",
 		utilOf: func(r *rand.Rand) poly.Utility {
 			return boundedUtility(1, 512, poly.MinOf(
 				poly.Term(netmodel.ResVCPU, 10),
@@ -93,7 +91,7 @@ var profiles = []taskProfile{
 		},
 	},
 	{
-		name: "flowsize", minVCPU: 0.5, minRAM: 256,
+		name: "flowsize",
 		utilOf: func(r *rand.Rand) poly.Utility {
 			u := boundedUtility(0.5, 256, poly.MinOf(poly.Term(netmodel.ResVCPU, 9)))
 			// A cheap fallback case: lower utility at lower footprint
@@ -109,7 +107,7 @@ var profiles = []taskProfile{
 		},
 	},
 	{
-		name: "synflood", minVCPU: 0.25, minRAM: 64,
+		name: "synflood",
 		utilOf: func(r *rand.Rand) poly.Utility {
 			return boundedUtility(0.25, 64, poly.MinOf(
 				poly.Term(netmodel.ResVCPU, 7+r.Float64()*3),
@@ -121,7 +119,7 @@ var profiles = []taskProfile{
 		},
 	},
 	{
-		name: "linkfail", minVCPU: 0.1, minRAM: 32,
+		name: "linkfail",
 		utilOf: func(r *rand.Rand) poly.Utility {
 			return boundedUtility(0.1, 32, poly.MinOf(poly.Constant(5+r.Float64()*5)))
 		},
@@ -130,7 +128,7 @@ var profiles = []taskProfile{
 		},
 	},
 	{
-		name: "slowloris", minVCPU: 0.5, minRAM: 128,
+		name: "slowloris",
 		utilOf: func(r *rand.Rand) poly.Utility {
 			return boundedUtility(0.5, 128, poly.MinOf(
 				poly.Term(netmodel.ResVCPU, 8),
@@ -142,7 +140,7 @@ var profiles = []taskProfile{
 		},
 	},
 	{
-		name: "ml", minVCPU: 2, minRAM: 1024,
+		name: "ml",
 		utilOf: func(r *rand.Rand) poly.Utility {
 			return boundedUtility(2, 1024, poly.MinOf(
 				poly.Term(netmodel.ResVCPU, 15),

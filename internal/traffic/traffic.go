@@ -66,9 +66,6 @@ type Generator struct {
 	// digests holds one per-leaf emission digest cell, built up front so
 	// emission never mutates the map.
 	digests map[netmodel.SwitchID]*ingressDigest
-	// offFabric counts the rejected packets of flows whose source is no
-	// host of the fabric: they have no leaf, so no cell.
-	offFabric uint64
 }
 
 // NewGenerator returns a generator over the fabric.
@@ -97,8 +94,8 @@ func (g *Generator) stream() stream {
 }
 
 // ingress resolves a source address to its ingress leaf's emission
-// digest cell. Unroutable sources (fab.Send rejects their packets, and
-// Rejected counts them) have no cell.
+// digest cell. Unroutable sources (fab.Send rejects their packets) have
+// no cell.
 func (g *Generator) ingress(src netip.Addr) *ingressDigest {
 	if h, ok := g.fab.Topology().HostByIP(src); ok {
 		return g.digests[h.Leaf]
@@ -117,24 +114,16 @@ func (g *Generator) inject(d *ingressDigest, p *dataplane.Packet, text []byte, r
 	if d != nil {
 		d.fold(g.fab.Sched().Now(), p, text)
 	}
-	g.send(d, p, r)
+	g.send(p, r)
 }
 
-// send sends p on r (nil: through Send) and counts a refusal in d, or
-// as off-fabric if the flow has no cell.
-func (g *Generator) send(d *ingressDigest, p *dataplane.Packet, r *fabric.Route) {
-	var err error
+// send sends p on r (nil: through Send). A packet the fabric refuses is
+// not delivered, and nothing else comes of it.
+func (g *Generator) send(p *dataplane.Packet, r *fabric.Route) {
 	if r != nil {
-		err = g.fab.SendOn(*r, p)
+		_ = g.fab.SendOn(*r, p)
 	} else {
-		err = g.fab.Send(p)
-	}
-	if err != nil {
-		if d != nil {
-			d.rejected++
-		} else {
-			g.offFabric++
-		}
+		_ = g.fab.Send(p)
 	}
 }
 
@@ -189,7 +178,7 @@ func (g *Generator) StartFlow(spec FlowSpec) (stop func()) {
 		if d != nil {
 			d.h = tail.fold(foldUint(d.h, uint64(sched.Now())))
 		}
-		g.send(d, &pkt, r)
+		g.send(&pkt, r)
 		schedule(0.5 + rng.float64())
 	}
 	schedule(rng.float64()) // random start phase
@@ -242,11 +231,9 @@ const (
 	digestPrime  uint64 = 1099511628211
 )
 
-// ingressDigest accumulates one leaf's emission digest and its count of
-// packets the fabric refused.
+// ingressDigest accumulates one leaf's emission digest.
 type ingressDigest struct {
-	h        uint64
-	rejected uint64
+	h uint64
 }
 
 // fold adds one emission: its time, then the packet's tail.

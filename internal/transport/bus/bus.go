@@ -39,7 +39,6 @@ type Broker struct {
 	loop       engine.Scheduler
 	latency    func(topic string) time.Duration
 	subs       map[string][]*subscription
-	nextID     int
 	queueLimit int
 
 	stats          Stats
@@ -56,7 +55,6 @@ type pendingMsg struct {
 }
 
 type subscription struct {
-	id      int
 	topic   string
 	fn      func(Message)
 	closed  bool
@@ -108,9 +106,8 @@ func (b *Broker) SetQueueLimit(n int) {
 // inside a delivery callback cannot corrupt an in-progress fan-out
 // iterating the old list.
 func (b *Broker) Subscribe(topic string, fn func(Message)) (cancel func()) {
-	sub := &subscription{id: b.nextID, topic: topic, fn: fn}
+	sub := &subscription{topic: topic, fn: fn}
 	sub.flush = func() { b.flush(sub) }
-	b.nextID++
 	b.subs[topic] = append(b.subs[topic], sub)
 	return func() {
 		if sub.closed {

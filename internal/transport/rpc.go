@@ -1,18 +1,16 @@
 // Package transport implements the two soil↔seed communication schemes
 // the paper compares in §VI-E (Fig. 10): a socket-based RPC path (the
-// gRPC role, built on TCP loopback with length-prefixed batch frames —
+// gRPC role, built on TCP loopback with length-prefixed frames —
 // stdlib only) and a lightweight shared-memory buffer usable when seeds
 // run as threads of the soil process.
 //
 // These are real transports measured with real wall-clock time; the
 // simulated control plane uses transport/bus instead.
 //
-// Frames are multi-record batches assembled in pooled, grow-only
-// arenas: one Write per frame, zero allocations on the steady-state
-// path, and CallBatch amortizes a round trip over many records (≥5×
-// the messages/sec of one record per round trip). See
-// docs/transport.md for the frame format and the buffer-ownership
-// contract.
+// Each frame carries one record and is assembled in a pooled,
+// grow-only arena: one Write per frame and zero allocations on the
+// steady-state path. See docs/transport.md for the frame format and the
+// buffer-ownership contract.
 package transport
 
 import (
@@ -36,16 +34,12 @@ type Handler func(dst, req []byte) []byte
 
 // Conn is one seed's channel to its soil.
 //
-// Ownership contract: response slices returned by Call and CallBatch
-// alias the connection's receive arena and are valid only until the
-// next call on the same Conn — copy to retain.
+// Ownership contract: the response slice returned by Call aliases the
+// connection's receive arena and is valid only until the next call on
+// the same Conn — copy to retain.
 type Conn interface {
 	// Call performs a synchronous request/response round trip.
 	Call(req []byte) ([]byte, error)
-	// CallBatch performs one round trip carrying len(reqs) records in a
-	// single frame each way, returning one response per request. The
-	// amortized cost per record is a fraction of Call's.
-	CallBatch(reqs [][]byte) ([][]byte, error)
 	Close() error
 }
 
@@ -105,32 +99,13 @@ func (s *SharedBufServer) Dial() (Conn, error) {
 
 type sharedBufConn struct {
 	srv *SharedBufServer
-	// out and outRecs are the connection-local response arena: response
-	// views returned to the caller stay valid until the next call.
-	out     []byte
-	outRecs [][]byte
-	bounds  []int
+	// out is the connection-local response arena: the response returned
+	// to the caller stays valid until the next call.
+	out []byte
 }
 
 // ErrTooLarge is returned when a request exceeds the shared buffer.
 var ErrTooLarge = errors.New("transport: request exceeds shared buffer capacity")
-
-// call runs one record through the shared buffer with srv.mu held and
-// appends the response to c.out.
-func (c *sharedBufConn) call(req []byte) error {
-	s := c.srv
-	if len(req) > len(s.buf) {
-		return ErrTooLarge
-	}
-	// Copy in (the seed writes into the shared region), handle, copy out.
-	n := copy(s.buf, req)
-	resp := s.handler(s.scratch[:0], s.buf[:n])
-	if cap(resp) > cap(s.scratch) {
-		s.scratch = resp
-	}
-	c.out = append(c.out, resp...)
-	return nil
-}
 
 func (c *sharedBufConn) Call(req []byte) ([]byte, error) {
 	s := c.srv
@@ -139,43 +114,24 @@ func (c *sharedBufConn) Call(req []byte) ([]byte, error) {
 	if s.closed {
 		return nil, errors.New("transport: shared-buffer server closed")
 	}
-	c.out = c.out[:0]
-	if err := c.call(req); err != nil {
-		return nil, err
+	if len(req) > len(s.buf) {
+		return nil, ErrTooLarge
 	}
+	// Copy in (the seed writes into the shared region), handle, copy out.
+	n := copy(s.buf, req)
+	resp := s.handler(s.scratch[:0], s.buf[:n])
+	if cap(resp) > cap(s.scratch) {
+		s.scratch = resp
+	}
+	c.out = append(c.out[:0], resp...)
 	return c.out, nil
-}
-
-func (c *sharedBufConn) CallBatch(reqs [][]byte) ([][]byte, error) {
-	s := c.srv
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errors.New("transport: shared-buffer server closed")
-	}
-	c.out = c.out[:0]
-	// Record offsets first: c.out may reallocate while the batch grows,
-	// so the response views are materialized only after the last append.
-	c.bounds = c.bounds[:0]
-	for _, req := range reqs {
-		c.bounds = append(c.bounds, len(c.out))
-		if err := c.call(req); err != nil {
-			return nil, err
-		}
-	}
-	c.bounds = append(c.bounds, len(c.out))
-	c.outRecs = c.outRecs[:0]
-	for i := range reqs {
-		c.outRecs = append(c.outRecs, c.out[c.bounds[i]:c.bounds[i+1]:c.bounds[i+1]])
-	}
-	return c.outRecs, nil
 }
 
 func (c *sharedBufConn) Close() error { return nil }
 
 // --- TCP RPC transport (seeds as processes; the gRPC role) ---
 
-// TCPServer serves length-prefixed batch frames over TCP loopback
+// TCPServer serves length-prefixed frames over TCP loopback
 // connections, one connection per seed process.
 type TCPServer struct {
 	handler  Handler
@@ -242,9 +198,8 @@ func (s *TCPServer) acceptLoop() {
 }
 
 // serveConn runs one connection's read-handle-write loop on a pooled
-// frame arena: each inbound batch is decoded in place, every record's
-// response is appended into the outgoing frame as the handler returns
-// it, and the whole response batch leaves in one Write.
+// frame arena: each inbound frame is read in place, and the handler's
+// response leaves in one Write.
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(conn)
@@ -252,15 +207,11 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	a := getArena()
 	defer putArena(a)
 	for {
-		recs, err := a.readBatch(conn)
+		req, err := a.read(conn)
 		if err != nil {
 			return
 		}
-		a.beginBatch()
-		for _, req := range recs {
-			a.handle(s.handler, req)
-		}
-		if err := a.writeTo(conn); err != nil {
+		if err := a.write(conn, a.handle(s.handler, req)); err != nil {
 			return
 		}
 	}
@@ -319,8 +270,8 @@ func DialTCP(addr string) (Conn, error) {
 }
 
 type tcpConn struct {
-	// mu serializes Call, CallBatch and Close from the goroutines that
-	// share the connection.
+	// mu serializes Call and Close from the goroutines that share the
+	// connection.
 	mu     sync.Mutex
 	c      net.Conn
 	a      *frameArena
@@ -333,40 +284,10 @@ func (c *tcpConn) Call(req []byte) ([]byte, error) {
 	if c.closed {
 		return nil, errors.New("transport: connection closed")
 	}
-	c.a.beginBatch()
-	c.a.appendRecord(req)
-	recs, err := c.roundTrip(1)
-	if err != nil {
+	if err := c.a.write(c.c, req); err != nil {
 		return nil, err
 	}
-	return recs[0], nil
-}
-
-func (c *tcpConn) CallBatch(reqs [][]byte) ([][]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, errors.New("transport: connection closed")
-	}
-	c.a.beginBatch()
-	for _, req := range reqs {
-		c.a.appendRecord(req)
-	}
-	return c.roundTrip(len(reqs))
-}
-
-func (c *tcpConn) roundTrip(want int) ([][]byte, error) {
-	if err := c.a.writeTo(c.c); err != nil {
-		return nil, err
-	}
-	recs, err := c.a.readBatch(c.c)
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) != want {
-		return nil, fmt.Errorf("transport: %d responses for %d requests: %w", len(recs), want, errMalformedBatch)
-	}
-	return recs, nil
+	return c.a.read(c.c)
 }
 
 func (c *tcpConn) Close() error {

@@ -208,15 +208,19 @@ func TestTCPServerCloseUnblocksClients(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
+	w := getArena()
+	r := getArena()
+	defer putArena(w)
+	defer putArena(r)
 	var buf bytes.Buffer
 	payloads := [][]byte{[]byte(""), []byte("a"), bytes.Repeat([]byte("z"), 100000)}
 	for _, p := range payloads {
-		if err := writeFrame(&buf, p); err != nil {
+		if err := w.write(&buf, p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, p := range payloads {
-		got, err := readFrame(&buf)
+		got, err := r.read(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,9 +231,9 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRejectsOversized(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	_, err := readFrame(&buf)
+	a := getArena()
+	defer putArena(a)
+	_, err := a.read(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF}))
 	if err == nil {
 		t.Fatal("oversized frame accepted")
 	}
@@ -239,111 +243,56 @@ func TestFrameRejectsOversized(t *testing.T) {
 	if want := fmt.Sprintf("frame of %d bytes", uint32(0xFFFFFFFF)); !strings.Contains(err.Error(), want) {
 		t.Fatalf("err %q does not name the offending size %q", err, want)
 	}
-	// The arena read path reports the same typed error.
-	buf.Reset()
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+}
+
+// TestFrameCycleAllocFree pins the steady-state wire path at zero
+// allocations: a frame written and read back through one arena, a TCP
+// Call (both the client's and the server's half of the round trip) and
+// a shared-buffer Call.
+func TestFrameCycleAllocFree(t *testing.T) {
+	payload := bytes.Repeat([]byte("p"), 256)
 	a := getArena()
 	defer putArena(a)
-	if _, err := a.readBatch(&buf); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("readBatch err = %v, want ErrFrameTooLarge", err)
-	}
-}
-
-func TestBatchFrameRoundTrip(t *testing.T) {
-	w := getArena()
-	r := getArena()
-	defer putArena(w)
-	defer putArena(r)
-	payloads := [][]byte{[]byte(""), []byte("a"), bytes.Repeat([]byte("z"), 100000)}
 	var buf bytes.Buffer
-	w.beginBatch()
-	for _, p := range payloads {
-		w.appendRecord(p)
-	}
-	if err := w.writeTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := r.readBatch(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(payloads) {
-		t.Fatalf("decoded %d records, want %d", len(recs), len(payloads))
-	}
-	for i, p := range payloads {
-		if !bytes.Equal(recs[i], p) {
-			t.Fatalf("record %d corrupted: %d vs %d bytes", i, len(recs[i]), len(p))
+	frame := func() {
+		buf.Reset()
+		if err := a.write(&buf, payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.read(&buf); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-func TestBatchFrameRejectsMalformed(t *testing.T) {
-	r := getArena()
-	defer putArena(r)
-	cases := map[string][]byte{
-		"empty body":      {0, 0, 0, 0},
-		"truncated count": {0, 0, 0, 2, 0, 0, 0, 1},
-		"record overrun":  {0, 0, 0, 9, 0, 0, 0, 1, 0, 0, 0, 99, 'x'},
-		"trailing bytes":  {0, 0, 0, 10, 0, 0, 0, 1, 0, 0, 0, 1, 'x', 'y'},
-	}
-	for name, raw := range cases {
-		var buf bytes.Buffer
-		buf.Write(raw)
-		if _, err := r.readBatch(&buf); err == nil {
-			t.Fatalf("%s: malformed batch accepted", name)
-		}
-	}
-}
-
-func testCallBatch(t *testing.T, srv Server) {
-	t.Helper()
-	c, err := srv.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	const n = 17
-	reqs := make([][]byte, n)
-	for i := range reqs {
-		reqs[i] = []byte(fmt.Sprintf("batch-msg-%d", i))
-	}
-	for round := 0; round < 5; round++ {
-		resps, err := c.CallBatch(reqs)
+	call := func(srv Server) func() {
+		c, err := srv.Dial()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(resps) != n {
-			t.Fatalf("%d responses for %d requests", len(resps), n)
-		}
-		for i, resp := range resps {
-			if string(resp) != fmt.Sprintf("BATCH-MSG-%d", i) {
-				t.Fatalf("round %d record %d = %q", round, i, resp)
+		t.Cleanup(func() { c.Close() })
+		return func() {
+			if _, err := c.Call(payload); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	// Batches interleave with single calls on the same connection.
-	resp, err := c.Call([]byte("solo"))
+	tcp, err := NewTCPServer(echoUpper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(resp) != "SOLO" {
-		t.Fatalf("resp = %q", resp)
+	t.Cleanup(func() { tcp.Close() })
+	for _, tc := range []struct {
+		name  string
+		cycle func()
+	}{
+		{"frame", frame},
+		{"tcp", call(tcp)},
+		{"sharedbuf", call(NewSharedBufServer(1024, echoUpper))},
+	} {
+		tc.cycle() // grow the arenas
+		if allocs := testing.AllocsPerRun(100, tc.cycle); allocs != 0 {
+			t.Errorf("%s: %v allocations per call in steady state, want 0", tc.name, allocs)
+		}
 	}
-}
-
-func TestTCPCallBatch(t *testing.T) {
-	srv, err := NewTCPServer(echoUpper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	testCallBatch(t, srv)
-}
-
-func TestSharedBufCallBatch(t *testing.T) {
-	srv := NewSharedBufServer(1024, echoUpper)
-	defer srv.Close()
-	testCallBatch(t, srv)
 }
 
 // flipBytes answers a request with every byte XORed by 0x5A, so a
@@ -370,27 +319,24 @@ func seedRecord(buf []byte, conn, i int) []byte {
 	return buf
 }
 
-// TestTCPCallBatchConcurrent drives calls from several connections at
-// once and checks every response against the handler's answer to its
+// TestTCPCallConcurrent drives calls from several connections at once
+// and checks every response against the handler's answer to its
 // request: per-connection arenas must not bleed into each other through
-// the shared pool, and batching must change the round trips, never the
-// bytes. The wire-path cases are 10 000 seeds over 4 connections, 8
-// records of 256 bytes per seed, one record per round trip and 64 per
-// frame.
-func TestTCPCallBatchConcurrent(t *testing.T) {
+// the shared pool. The wire-path case is 10 000 seeds over 4
+// connections, 8 records of 256 bytes per seed, one record per round
+// trip.
+func TestTCPCallConcurrent(t *testing.T) {
 	cases := []struct {
 		name    string
 		handler Handler
-		// conns connections each send records requests, batch per frame
-		// (1 = Call).
-		conns, records, batch int
-		request               func(buf []byte, conn, i int) []byte
+		// conns connections each send records requests.
+		conns, records int
+		request        func(buf []byte, conn, i int) []byte
 	}{
-		{"echo", echoUpper, 8, 360, 9, func(buf []byte, conn, i int) []byte {
-			return fmt.Appendf(buf[:0], "c%d-r%d-m%d", conn, i/9, i%9)
+		{"echo", echoUpper, 8, 360, func(buf []byte, conn, i int) []byte {
+			return fmt.Appendf(buf[:0], "c%d-m%d", conn, i)
 		}},
-		{"wire-path/unbatched", flipBytes, 4, 20_000, 1, seedRecord},
-		{"wire-path/batched", flipBytes, 4, 20_000, 64, seedRecord},
+		{"wire-path", flipBytes, 4, 20_000, seedRecord},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -405,7 +351,7 @@ func TestTCPCallBatchConcurrent(t *testing.T) {
 				wg.Add(1)
 				go func(conn int) {
 					defer wg.Done()
-					if err := driveConn(srv, tc.handler, tc.records, tc.batch, func(buf []byte, i int) []byte {
+					if err := driveConn(srv, tc.handler, tc.records, func(buf []byte, i int) []byte {
 						return tc.request(buf, conn, i)
 					}); err != nil {
 						errs <- fmt.Errorf("connection %d: %w", conn, err)
@@ -421,43 +367,29 @@ func TestTCPCallBatchConcurrent(t *testing.T) {
 	}
 }
 
-// driveConn sends records requests on one new connection of srv, batch
-// per frame, and compares each response with h's answer to its request.
-func driveConn(srv Server, h Handler, records, batch int, request func(buf []byte, i int) []byte) error {
+// driveConn sends records requests on one new connection of srv, one
+// per call, and compares each response with h's answer to its request.
+func driveConn(srv Server, h Handler, records int, request func(buf []byte, i int) []byte) error {
 	c, err := srv.Dial()
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	reqs := make([][]byte, batch)
-	resps := make([][]byte, 1)
-	var want []byte
-	for base := 0; base < records; base += batch {
-		n := min(batch, records-base)
-		for j := range reqs[:n] {
-			reqs[j] = request(reqs[j], base+j)
-		}
-		if batch == 1 {
-			resps[0], err = c.Call(reqs[0])
-		} else {
-			resps, err = c.CallBatch(reqs[:n])
-		}
+	var req, want []byte
+	for i := 0; i < records; i++ {
+		req = request(req, i)
+		resp, err := c.Call(req)
 		if err != nil {
-			return fmt.Errorf("record %d: %w", base, err)
+			return fmt.Errorf("record %d: %w", i, err)
 		}
-		if len(resps) != n {
-			return fmt.Errorf("record %d: %d responses to %d requests", base, len(resps), n)
-		}
-		for j, resp := range resps {
-			want = h(want[:0], reqs[j])
-			if !bytes.Equal(resp, want) {
-				k := 0
-				for k < len(resp) && k < len(want) && resp[k] == want[k] {
-					k++
-				}
-				return fmt.Errorf("record %d: %d-byte response differs at byte %d from the handler's %d-byte answer",
-					base+j, len(resp), k, len(want))
+		want = h(want[:0], req)
+		if !bytes.Equal(resp, want) {
+			k := 0
+			for k < len(resp) && k < len(want) && resp[k] == want[k] {
+				k++
 			}
+			return fmt.Errorf("record %d: %d-byte response differs at byte %d from the handler's %d-byte answer",
+				i, len(resp), k, len(want))
 		}
 	}
 	return nil
@@ -535,7 +467,7 @@ func TestTCPCloseDrainsInFlightCall(t *testing.T) {
 }
 
 // TestTCPCloseIdempotentWithIdleConn pins that Close still returns
-// promptly when connections are idle (blocked in readFrame, no request
+// promptly when connections are idle (blocked in a read, no request
 // in flight) and that a second Close is a no-op.
 func TestTCPCloseIdempotentWithIdleConn(t *testing.T) {
 	srv, err := NewTCPServer(func(dst, req []byte) []byte { return append(dst, req...) })
