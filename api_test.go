@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -152,6 +153,38 @@ func TestNoWriteOnlyFields(t *testing.T) {
 	}
 }
 
+// TestNoUnsetFields holds each internal/ package's exported struct
+// fields to what the program sets: a field a non-test file reads must
+// also be set by a non-test file of internal/, cmd/, examples/ or
+// bench/, or it only ever holds its zero value. A write (see
+// TestNoWriteOnlyFields) sets a field, and so does an assignment to an
+// element of an array-typed field. The fields of a struct type with
+// json or xml tags are left out: a decoder sets them.
+func TestNoUnsetFields(t *testing.T) {
+	tr := loadTree(t, "internal", "cmd", "examples", "bench")
+	for _, p := range tr.pkgs {
+		if len(p.files) > 0 {
+			tr.check(t, p.path)
+		}
+	}
+	var unset []string
+	for v := range tr.fieldRead {
+		if !v.Exported() || v.Embedded() || tr.fieldWritten[v] || tr.fieldSet[v] ||
+			!strings.HasPrefix(v.Pkg().Path(), "farm/internal/") {
+			continue
+		}
+		name := v.Name()
+		if owner := tr.fieldOwner[v]; owner != "" {
+			name = owner + "." + name
+		}
+		unset = append(unset, tr.fset.Position(v.Pos()).String()+": "+name)
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s is read but never set: delete it, or set it", u)
+	}
+}
+
 // srcPkg is one directory's package: its non-test files, its in-package
 // test files and its external (_test package) test files.
 type srcPkg struct {
@@ -173,8 +206,12 @@ type tree struct {
 	ifaceCalls map[string][]*types.Interface // interface methods non-test files call, by name
 
 	// fieldWritten and fieldRead hold the struct fields non-test files
-	// write and read (see TestNoWriteOnlyFields).
-	fieldWritten, fieldRead map[*types.Var]bool
+	// write and read (see TestNoWriteOnlyFields); fieldSet holds the
+	// ones they set otherwise (see TestNoUnsetFields).
+	fieldWritten, fieldRead, fieldSet map[*types.Var]bool
+	// fieldOwner names the declared struct type each field belongs to,
+	// for TestNoUnsetFields' output.
+	fieldOwner map[*types.Var]string
 }
 
 // loadTree parses every .go file under roots that the default build
@@ -194,6 +231,8 @@ func loadTree(t *testing.T, roots ...string) *tree {
 
 		fieldWritten: map[*types.Var]bool{},
 		fieldRead:    map[*types.Var]bool{},
+		fieldSet:     map[*types.Var]bool{},
+		fieldOwner:   map[*types.Var]string{},
 	}
 	// fmt calls String and Error on the values it prints.
 	fmtPkg, err := tr.std.Import("fmt")
@@ -334,15 +373,48 @@ func (tr *tree) typeCheck(t *testing.T, path string, files []*ast.File, over map
 
 // recordFields sorts the field uses in files into writes and reads.
 func (tr *tree) recordFields(files []*ast.File, info *types.Info) {
-	writes := map[*ast.Ident]bool{}
+	writes, elemWrites := map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
 	written := func(e ast.Expr) {
-		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+		e = ast.Unparen(e)
+		if sel, ok := e.(*ast.SelectorExpr); ok {
 			writes[sel.Sel] = true
 		}
+		// An array's element lives in the array: setting it sets the
+		// field that holds the array.
+		for {
+			ix, ok := e.(*ast.IndexExpr)
+			if !ok {
+				return
+			}
+			e = ast.Unparen(ix.X)
+			if _, ok := info.Types[e].Type.Underlying().(*types.Array); !ok {
+				return
+			}
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				elemWrites[sel.Sel] = true
+			}
+		}
+	}
+	structFields := func(e ast.Expr) *types.Struct {
+		st, _ := info.Types[e].Type.(*types.Struct)
+		return st
 	}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st := structFields(n.Type); st != nil {
+					for i := 0; i < st.NumFields(); i++ {
+						tr.fieldOwner[st.Field(i)] = f.Name.Name + "." + n.Name.Name
+					}
+				}
+			case *ast.StructType:
+				// A decoder sets the fields of a struct it has tags for.
+				if st := structFields(n); st != nil && decoderTagged(st) {
+					for i := 0; i < st.NumFields(); i++ {
+						tr.fieldSet[st.Field(i)] = true
+					}
+				}
 			case *ast.AssignStmt:
 				if n.Tok != token.DEFINE {
 					for _, lhs := range n.Lhs {
@@ -392,8 +464,24 @@ func (tr *tree) recordFields(files []*ast.File, info *types.Info) {
 			} else {
 				tr.fieldRead[v] = true
 			}
+			if elemWrites[id] {
+				tr.fieldSet[v] = true
+			}
 		}
 	}
+}
+
+// decoderTagged reports whether a field of st has a json or xml tag.
+func decoderTagged(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		tag := reflect.StructTag(st.Tag(i))
+		for _, key := range []string{"json", "xml"} {
+			if _, ok := tag.Lookup(key); ok {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 type importerFunc func(path string) (*types.Package, error)

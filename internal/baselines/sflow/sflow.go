@@ -1,12 +1,12 @@
 // Package sflow emulates an sFlow-style collection-centric monitoring
 // system (RFC 3176): per-switch agents periodically read every port's
-// counters and sample packets, forwarding everything unfiltered to a
-// logically centralized collector that performs all analysis.
+// counters, forwarding them unfiltered to a logically centralized
+// collector that performs all analysis.
 //
 // This is the paper's primary generic baseline (§VI-B): detection
 // latency is dominated by the collector's analysis interval, network
 // load toward the collector grows linearly with the number of ports,
-// and the agent CPU cost is flat (sample-and-forward, no switch-local
+// and the agent CPU cost is flat (poll-and-forward, no switch-local
 // filtering).
 package sflow
 
@@ -27,9 +27,6 @@ type Config struct {
 	// is also the collector's analysis period: detection happens at
 	// analysis boundaries.
 	PollInterval time.Duration
-	// SampleOneInN enables 1-in-N packet sampling when > 0; each sample
-	// crosses to the collector as one datagram.
-	SampleOneInN int
 	// HHThresholdBytesPerSec classifies a port as a heavy hitter.
 	HHThresholdBytesPerSec float64
 }
@@ -55,7 +52,6 @@ type System struct {
 	// collector state: last seen counters and arrival times
 	lastCounters map[[2]int]counterRecord
 	tickers      []engine.Ticker
-	stopSamplers []func()
 }
 
 type counterRecord struct {
@@ -100,27 +96,10 @@ func Deploy(fab *fabric.Fabric, cfg Config) *System {
 			})
 		})
 		s.tickers = append(s.tickers, tk)
-		if cfg.SampleOneInN > 0 {
-			stop := drv.StartSampling(dataplane.Filter{}, cfg.SampleOneInN, func(p dataplane.Packet) {
-				cpu.Charge(metrics.CostSampleProcess)
-				// The collector takes the sample and keeps nothing:
-				// detection reads the counters.
-				fab.SendToCentral(swID, sampleBytes(p), func() {})
-			})
-			s.stopSamplers = append(s.stopSamplers, stop)
-		}
 	}
 	// Collector analysis loop.
 	s.tickers = append(s.tickers, s.sched.Every(cfg.PollInterval, s.analyze))
 	return s
-}
-
-func sampleBytes(p dataplane.Packet) int {
-	n := p.Size
-	if n > 128 {
-		n = 128
-	}
-	return n + 28 // truncated header + encapsulation
 }
 
 func (s *System) ingestCounters(sw netmodel.SwitchID, at time.Duration, ports []int, stats []dataplane.PortStats) {
@@ -176,8 +155,5 @@ func (s *System) Detections() []Detection { return s.detections }
 func (s *System) Stop() {
 	for _, tk := range s.tickers {
 		tk.Stop()
-	}
-	for _, stop := range s.stopSamplers {
-		stop()
 	}
 }

@@ -5,7 +5,7 @@
 // (the Spark Streaming role).
 //
 // Characteristics reproduced from the paper's comparison (§VI-B, §VII):
-//   - state on switches is limited to per-key aggregates within a
+//   - state on switches is limited to per-port byte sums within a
 //     window; results only surface at window boundaries, so detection
 //     latency ≈ window + micro-batch processing + collection delay
 //     (the 3427 ms row in Tab. 4);
@@ -16,64 +16,19 @@ package sonata
 
 import (
 	"sort"
+	"strconv"
 	"time"
 
-	"farm/internal/dataplane"
 	"farm/internal/engine"
 	"farm/internal/fabric"
 	"farm/internal/netmodel"
 )
 
-// ReduceOp is the aggregation applied per key within a window.
-type ReduceOp int
-
-const (
-	Count ReduceOp = iota + 1
-	SumBytes
-)
-
-// KeyFunc extracts the grouping key from a packet.
-type KeyFunc func(p dataplane.Packet, inPort int) string
-
-// KeyByInPort groups by ingress port (port-level HH, comparable to
-// FARM's HH seed).
-func KeyByInPort(_ dataplane.Packet, inPort int) string {
-	return portKey(inPort)
-}
-
-func portKey(port int) string {
-	return "port:" + itoa(port)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
-// Query is one Sonata dataflow: filter → key → reduce within Window,
-// then `having value >= Threshold` evaluated centrally per (switch,key).
+// Query is one Sonata dataflow: the bytes each leaf port transmits,
+// summed within Window, then `having value >= Threshold` evaluated
+// centrally per (switch, port).
 type Query struct {
 	Name      string
-	Filter    dataplane.Filter
-	Key       KeyFunc
-	Reduce    ReduceOp
 	Window    time.Duration
 	Threshold float64
 }
@@ -104,10 +59,9 @@ type Detection struct {
 }
 
 // System is a deployed Sonata instance. The data-plane side is
-// per-switch: each (switch, query) aggregate is written by the in-ASIC
-// tap and flushed by a window ticker; only the exported batch crosses
-// to the stream processor (fabric.SendToCentral). Detections come after
-// the micro-batch delay.
+// per-leaf: each (leaf, query) window ticker reads the leaf's port
+// counters, and only the exported batch crosses to the stream processor
+// (fabric.SendToCentral). Detections come after the micro-batch delay.
 type System struct {
 	fab   *fabric.Fabric
 	sched engine.Scheduler
@@ -115,18 +69,18 @@ type System struct {
 
 	detections []Detection
 	tickers    []engine.Ticker
-	stops      []func()
 	// keyScratch is the stream processor's reusable sort buffer: the
 	// per-window key sort stops allocating once it has grown.
 	keyScratch []string
 }
 
-// Deploy installs the queries on every switch.
-//
-// The data-plane part taps packets inside the ASIC (P4 stage), so the
-// per-packet path costs no PCIe bandwidth and no management CPU — but
-// its state is only a per-key aggregate, flushed at window boundaries
-// to the central processor over the collection network.
+// Deploy installs the queries on every leaf. Each (leaf, query) gets
+// one ticker that fires every q.Window and ships each port's positive
+// TxBytes delta over the window, keyed "port:<n>": the data plane sums
+// bytes at line rate, so the window costs no PCIe bandwidth and no
+// management CPU, and the counters it reads and the delta baseline it
+// keeps are switch-local. The export enters the collection network at
+// its leaf.
 func Deploy(fab *fabric.Fabric, queries []Query, cfg Config) *System {
 	s := &System{
 		fab:   fab,
@@ -134,53 +88,28 @@ func Deploy(fab *fabric.Fabric, queries []Query, cfg Config) *System {
 		cfg:   cfg,
 	}
 	for _, swInfo := range fab.Topology().Switches() {
+		if swInfo.Role != netmodel.Leaf {
+			continue
+		}
 		swID := swInfo.ID
 		for _, q := range queries {
-			q := q
-			agg := map[string]float64{}
-			// In-ASIC tap: direct sampler on the emulated switch, not
-			// through the PCIe-limited driver.
-			remove := fab.Switch(swID).AddSampler(q.Filter, 1, func(p dataplane.Packet) {
-				// The emulated sampler sees egress-bound packets once
-				// per switch; reduce in place.
-				key := q.Key(p, 0)
-				switch q.Reduce {
-				case SumBytes:
-					agg[key] += float64(p.Size)
-				default:
-					agg[key]++
+			prev := make([]uint64, fab.NumPorts(swID)+1)
+			s.tickers = append(s.tickers, s.sched.Every(q.Window, func() {
+				batch := map[string]float64{}
+				for port := 1; port < len(prev); port++ {
+					st, _ := fab.Switch(swID).PortStats(port)
+					if d := st.TxBytes - prev[port]; d > 0 {
+						batch["port:"+strconv.Itoa(port)] = float64(d)
+					}
+					prev[port] = st.TxBytes
 				}
-			})
-			s.stops = append(s.stops, remove)
-			// Window flush: the aggregate never leaves the switch — only
-			// the export batch does.
-			tk := s.sched.Every(q.Window, func() {
-				if len(agg) == 0 {
-					return
+				if len(batch) > 0 {
+					s.export(q, swID, batch)
 				}
-				batch := agg
-				agg = map[string]float64{}
-				s.export(q, swID, batch)
-			})
-			s.tickers = append(s.tickers, tk)
+			}))
 		}
 	}
 	return s
-}
-
-// IngestCounterWindow feeds the data-plane aggregation from bulk port
-// counters (used by large-scale workloads that do not generate
-// per-packet events): each port with traffic contributes one record per
-// window with its byte count.
-func (s *System) IngestCounterWindow(q Query, sw netmodel.SwitchID, portBytes map[int]float64) {
-	batch := map[string]float64{}
-	for port, bytes := range portBytes {
-		batch[portKey(port)] = bytes
-	}
-	if len(batch) == 0 {
-		return
-	}
-	s.export(q, sw, batch)
 }
 
 // export ships one window's records from sw to the stream processor:
@@ -227,8 +156,5 @@ func (s *System) Detections() []Detection { return s.detections }
 func (s *System) Stop() {
 	for _, tk := range s.tickers {
 		tk.Stop()
-	}
-	for _, stop := range s.stops {
-		stop()
 	}
 }

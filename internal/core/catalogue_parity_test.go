@@ -346,7 +346,7 @@ func driveTaskParity(t *testing.T, cm *almanac.CompiledMachine, ext map[string]c
 		case 6, 7:
 			from := core.MsgSource{Harvester: true}
 			if rng.Intn(2) == 0 {
-				from = core.MsgSource{Machine: cm.Name, Switch: "s1"}
+				from = core.MsgSource{Machine: cm.Name}
 			}
 			v := taskPayload(rng)
 			every(step, func(r core.Runner) error { return r.HandleRecv(from, core.CloneValue(v)) })

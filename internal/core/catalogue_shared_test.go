@@ -43,7 +43,7 @@ func stormTranscript(r core.Runner, h *parityTaskHost, cm *almanac.CompiledMachi
 		case 6, 7:
 			from := core.MsgSource{Harvester: true}
 			if rng.Intn(2) == 0 {
-				from = core.MsgSource{Machine: cm.Name, Switch: "s1"}
+				from = core.MsgSource{Machine: cm.Name}
 			}
 			err = r.HandleRecv(from, core.CloneValue(taskPayload(rng)))
 		case 8:

@@ -20,7 +20,6 @@ type SendDest struct {
 type MsgSource struct {
 	Harvester bool
 	Machine   string // sending machine name
-	Switch    string // sending switch name ("" for harvester)
 }
 
 // Host is the seed's window onto its switch and network — implemented

@@ -125,7 +125,7 @@ func ablationMigrationCost() (*Table, error) {
 		for i := 0; i < nPairs; i++ {
 			id := fmt.Sprintf("t%d/s0", i)
 			in.Seeds = append(in.Seeds, placement.SeedSpec{
-				ID: id, Task: fmt.Sprintf("t%d", i), Machine: "m",
+				ID: id, Task: fmt.Sprintf("t%d", i),
 				Candidates: []netmodel.SwitchID{netmodel.SwitchID(2 * i), netmodel.SwitchID(2*i + 1)},
 				Utility: poly.Utility{{
 					Constraints: []poly.Linear{poly.Term(netmodel.ResVCPU, 1).Sub(poly.Constant(1))},

@@ -3,6 +3,7 @@ package experiments
 import (
 	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -59,26 +60,11 @@ func catalogueDigest(d tasks.Def) (digest string, reports, seeds int, err error)
 	if d.NewHarvester != nil {
 		inner = d.NewHarvester()
 	}
+	logic := &digestLogic{inner: inner, h: h}
 	spec := seeder.TaskSpec{
 		Name: d.Name, Source: d.Source, Machines: d.Machines,
 		Externals: d.DefaultExternals,
-		Harvester: harvest.FuncLogic{
-			Start: func(ctx harvest.Context) {
-				if inner != nil {
-					inner.OnStart(ctx)
-				}
-			},
-			Message: func(ctx harvest.Context, from soil.SeedRef, v core.Value) {
-				reports++
-				fmt.Fprintf(h, "%d|%s|%s|%s\n", ctx.Now(), from.Switch, from.Machine, core.FormatValue(v))
-				if inner != nil {
-					// The task's real harvester runs too, so seed recv
-					// paths (threshold pushes, mitigation commands) are
-					// exercised.
-					inner.OnSeedMessage(ctx, from, v)
-				}
-			},
-		},
+		Harvester: logic,
 	}
 	if err := sd.AddTask(spec); err != nil {
 		return "", 0, 0, err
@@ -124,7 +110,31 @@ func catalogueDigest(d tasks.Def) (digest string, reports, seeds int, err error)
 		}
 	}
 	fmt.Fprintf(h, "dropped=%d\n", fab.DroppedInFabric())
-	return fmt.Sprintf("%016x", h.Sum64()), reports, seeds, nil
+	return fmt.Sprintf("%016x", h.Sum64()), logic.reports, seeds, nil
+}
+
+// digestLogic folds every report a task's harvester gets into h and
+// counts it, then hands the start and the report to the task's own
+// harvester (inner, nil for a task without one), so seed recv paths
+// (threshold pushes, mitigation commands) are exercised.
+type digestLogic struct {
+	inner   harvest.Logic
+	h       hash.Hash
+	reports int
+}
+
+func (l *digestLogic) OnStart(ctx harvest.Context) {
+	if l.inner != nil {
+		l.inner.OnStart(ctx)
+	}
+}
+
+func (l *digestLogic) OnSeedMessage(ctx harvest.Context, from soil.SeedRef, v core.Value) {
+	l.reports++
+	fmt.Fprintf(l.h, "%d|%s|%s|%s\n", ctx.Now(), from.Switch, from.Machine, core.FormatValue(v))
+	if l.inner != nil {
+		l.inner.OnSeedMessage(ctx, from, v)
+	}
 }
 
 // catalogueSnapString renders a snapshot deterministically.

@@ -6,9 +6,7 @@ import (
 	"farm/internal/baselines/sflow"
 	"farm/internal/baselines/sonata"
 	"farm/internal/core"
-	"farm/internal/engine"
 	"farm/internal/fabric"
-	"farm/internal/netmodel"
 	"farm/internal/seeder"
 	"farm/internal/traffic"
 )
@@ -185,54 +183,14 @@ func fig4Sonata(leaves, hosts int, duration, churn time.Duration) (Fig4Point, er
 	if err != nil {
 		return Fig4Point{}, err
 	}
-	window := 3 * time.Second
-	q := sonata.Query{
-		Name: "hh", Key: sonata.KeyByInPort, Reduce: sonata.SumBytes,
-		Window: window, Threshold: 1e12,
-	}
-	sys := sonata.Deploy(fab, nil, sonata.Config{AggregationFactor: 0.75})
-	defer sys.Stop()
 	w := fig4Workload(fab, churn)
 	defer w.Stop()
 	// Window flushes carry per-port byte counts from every leaf.
-	defer sonataCounterAgents(fab, loop, sys, q)()
+	q := sonata.Query{Name: "hh", Window: 3 * time.Second, Threshold: 1e12}
+	defer sonata.Deploy(fab, []sonata.Query{q}, sonata.Config{AggregationFactor: 0.75}).Stop()
 	loop.RunFor(time.Second)
 	snap := fab.CentralNet.Snapshot()
 	loop.RunFor(duration)
 	pps, bps := fab.CentralNet.RateSince(snap)
 	return Fig4Point{Ports: leaves * hosts, PktPerSec: pps, BytesPerSec: bps}, nil
-}
-
-// sonataCounterAgents starts one window flush agent per leaf, which
-// ships each port's positive TxBytes delta over q's window to sys as a
-// counter window: the port counters it reads and the delta baseline it
-// keeps are switch-local, and the export enters the collection network
-// at its leaf. It returns the function that stops the agents.
-func sonataCounterAgents(fab *fabric.Fabric, loop engine.Scheduler, sys *sonata.System, q sonata.Query) (stop func()) {
-	var flushes []engine.Ticker
-	for _, sw := range fab.Topology().Switches() {
-		if sw.Role != netmodel.Leaf {
-			continue
-		}
-		swID := sw.ID
-		prev := make([]uint64, fab.NumPorts(swID)+1)
-		flushes = append(flushes, loop.Every(q.Window, func() {
-			bytesByPort := map[int]float64{}
-			for port := 1; port < len(prev); port++ {
-				st, _ := fab.Switch(swID).PortStats(port)
-				if d := st.TxBytes - prev[port]; d > 0 {
-					bytesByPort[port] = float64(d)
-				}
-				prev[port] = st.TxBytes
-			}
-			if len(bytesByPort) > 0 {
-				sys.IngestCounterWindow(q, swID, bytesByPort)
-			}
-		}))
-	}
-	return func() {
-		for _, tk := range flushes {
-			tk.Stop()
-		}
-	}
 }

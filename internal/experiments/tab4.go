@@ -169,13 +169,6 @@ func tab4Sonata() (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	q := sonata.Query{
-		Name: "hh", Key: sonata.KeyByInPort, Reduce: sonata.SumBytes,
-		Window:    tab4SonataWindow,
-		Threshold: 1_000_000,
-	}
-	sys := sonata.Deploy(fab, nil, sonata.Config{AggregationFactor: 0.75})
-	defer sys.Stop()
 	var leaf netmodel.SwitchID
 	for _, sw := range fab.Topology().Switches() {
 		if sw.Name == "leaf0" {
@@ -184,8 +177,10 @@ func tab4Sonata() (time.Duration, error) {
 	}
 	start := loop.Now()
 	// The data plane aggregates at line rate; window flushes carry the
-	// per-port byte counts (counter-window ingestion).
-	defer sonataCounterAgents(fab, loop, sys, q)()
+	// per-port byte counts.
+	q := sonata.Query{Name: "hh", Window: tab4SonataWindow, Threshold: 1_000_000}
+	sys := sonata.Deploy(fab, []sonata.Query{q}, sonata.Config{AggregationFactor: 0.75})
+	defer sys.Stop()
 	hot := loop.Every(100*time.Microsecond, func() {
 		_ = fab.Switch(leaf).CreditPort(1, 0, 0, 10, 10_000)
 	})

@@ -380,7 +380,7 @@ func (f *Fabric) SendToCentral(from netmodel.SwitchID, bytes int, fn func()) {
 
 // SendFromCentral models a control message from a centralized component
 // to a switch CPU; fn is delivered after the control latency.
-func (f *Fabric) SendFromCentral(to netmodel.SwitchID, bytes int, fn func()) {
+func (f *Fabric) SendFromCentral(to netmodel.SwitchID, fn func()) {
 	engine.ScheduleOn(f.sched, f.ControlLatency(to), fn)
 }
 

@@ -33,18 +33,14 @@ type Logic interface {
 	OnSeedMessage(ctx Context, from soil.SeedRef, v core.Value)
 }
 
-// FuncLogic adapts plain functions to Logic. Either field may be nil.
+// FuncLogic adapts a message handler to Logic; Message may be nil.
+// OnStart does nothing.
 type FuncLogic struct {
-	Start   func(ctx Context)
 	Message func(ctx Context, from soil.SeedRef, v core.Value)
 }
 
 // OnStart implements Logic.
-func (f FuncLogic) OnStart(ctx Context) {
-	if f.Start != nil {
-		f.Start(ctx)
-	}
-}
+func (FuncLogic) OnStart(Context) {}
 
 // OnSeedMessage implements Logic.
 func (f FuncLogic) OnSeedMessage(ctx Context, from soil.SeedRef, v core.Value) {
@@ -67,12 +63,10 @@ type Harvester struct {
 	logic   Logic
 	ctx     Context
 	history []Record
-	// HistoryLimit bounds retained records; 0 means DefaultHistoryLimit.
-	HistoryLimit int
 }
 
-// DefaultHistoryLimit bounds the report history.
-const DefaultHistoryLimit = 4096
+// historyLimit bounds the report history.
+const historyLimit = 4096
 
 // New creates a harvester for a task. logic may be nil (collect-only).
 func New(task string, logic Logic) *Harvester {
@@ -96,11 +90,7 @@ func (h *Harvester) Deliver(from soil.SeedRef, v core.Value) {
 	if h.ctx != nil {
 		at = h.ctx.Now()
 	}
-	limit := h.HistoryLimit
-	if limit == 0 {
-		limit = DefaultHistoryLimit
-	}
-	if len(h.history) >= limit {
+	if len(h.history) >= historyLimit {
 		h.history = h.history[1:]
 	}
 	h.history = append(h.history, Record{At: at, From: from, Val: v})

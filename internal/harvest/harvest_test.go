@@ -27,10 +27,8 @@ func (c *fakeCtx) Now() time.Duration             { return c.now }
 func (c *fakeCtx) Log(format string, args ...any) { c.logs = append(c.logs, format) }
 
 func TestFuncLogicDispatch(t *testing.T) {
-	started := false
 	var got core.Value
 	logic := FuncLogic{
-		Start: func(ctx Context) { started = true },
 		Message: func(ctx Context, from soil.SeedRef, v core.Value) {
 			got = v
 			ctx.SendToSeeds("HH", "", int64(1))
@@ -39,9 +37,6 @@ func TestFuncLogicDispatch(t *testing.T) {
 	ctx := &fakeCtx{}
 	h := New("t", logic)
 	h.Bind(ctx)
-	if !started {
-		t.Fatal("OnStart not called on Bind")
-	}
 	h.Deliver(soil.SeedRef{Task: "t", Machine: "HH", Switch: "leaf0"}, int64(42))
 	if got != int64(42) {
 		t.Fatalf("got = %v", got)
@@ -66,17 +61,17 @@ func TestNilLogicCollectsOnly(t *testing.T) {
 
 func TestHistoryBounded(t *testing.T) {
 	h := New("t", nil)
-	h.HistoryLimit = 3
 	h.Bind(&fakeCtx{})
-	for i := 0; i < 10; i++ {
+	const n = historyLimit + 10
+	for i := 0; i < n; i++ {
 		h.Deliver(soil.SeedRef{}, int64(i))
 	}
 	hist := h.History()
-	if len(hist) != 3 {
-		t.Fatalf("history = %d, want 3", len(hist))
+	if len(hist) != historyLimit {
+		t.Fatalf("history = %d, want %d", len(hist), historyLimit)
 	}
-	if hist[0].Val != int64(7) || hist[2].Val != int64(9) {
-		t.Fatalf("history kept wrong records: %v %v", hist[0].Val, hist[2].Val)
+	if hist[0].Val != int64(n-historyLimit) || hist[historyLimit-1].Val != int64(n-1) {
+		t.Fatalf("history kept wrong records: %v %v", hist[0].Val, hist[historyLimit-1].Val)
 	}
 }
 

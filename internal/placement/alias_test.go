@@ -25,11 +25,11 @@ type inputSnap struct {
 }
 
 type seedSnap struct {
-	ID, Task, Machine string
-	Candidates        []netmodel.SwitchID
-	Utility           poly.Utility
-	Polls             []PollDemand
-	Baked             *bakedSnap
+	ID, Task   string
+	Candidates []netmodel.SwitchID
+	Utility    poly.Utility
+	Polls      []PollDemand
+	Baked      *bakedSnap
 }
 
 type bakedSnap struct {
@@ -114,7 +114,7 @@ func snapInput(in *Input) inputSnap {
 	for i := range in.Seeds {
 		sp := &in.Seeds[i]
 		s.Seeds = append(s.Seeds, seedSnap{
-			ID: sp.ID, Task: sp.Task, Machine: sp.Machine,
+			ID: sp.ID, Task: sp.Task,
 			Candidates: slices.Clone(sp.Candidates),
 			Utility:    cloneUtility(sp.Utility), Polls: slices.Clone(sp.Polls),
 			Baked: snapBaked(sp.Baked),

@@ -74,7 +74,7 @@ func placeAllScenario(switches, tasks, extra int, seed int64) *Input {
 		var like *Baked
 		for i := 0; i < switches; i++ {
 			s := SeedSpec{
-				ID: fmt.Sprintf("t%d/s%03d", t, i), Task: fmt.Sprintf("task%d", t), Machine: prof.name,
+				ID: fmt.Sprintf("t%d/s%03d", t, i), Task: fmt.Sprintf("task%d", t),
 				Utility: util, Polls: polls,
 			}
 			for j := 0; j <= extra && j < switches; j++ {
@@ -226,10 +226,10 @@ func TestRedistMemoSignature(t *testing.T) {
 			var like [2]*Baked
 			for _, on := range tc.on {
 				for _, p := range on {
-					s := SeedSpec{ID: p.id, Task: "ty", Machine: "y", Candidates: []netmodel.SwitchID{0, 1}, Utility: y, Polls: yPolls}
+					s := SeedSpec{ID: p.id, Task: "ty", Candidates: []netmodel.SwitchID{0, 1}, Utility: y, Polls: yPolls}
 					m := 1
 					if p.x {
-						s.Task, s.Machine, s.Utility, s.Polls, m = "tx", "x", x, xPolls, 0
+						s.Task, s.Utility, s.Polls, m = "tx", x, xPolls, 0
 					}
 					if like[m] == nil {
 						like[m] = Bake(&s)

@@ -32,7 +32,6 @@ type PollDemand struct {
 type SeedSpec struct {
 	ID         string
 	Task       string
-	Machine    string
 	Candidates []netmodel.SwitchID // N^s, non-empty
 	Utility    poly.Utility        // cases of (C^s, u^s)
 	Polls      []PollDemand

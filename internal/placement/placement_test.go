@@ -19,7 +19,7 @@ func twoSwitchInput() *Input {
 	// Seed utility: min-linear in vCPU, feasible above 0.5 vCPU.
 	mkSeed := func(id, task string, cands ...netmodel.SwitchID) SeedSpec {
 		return SeedSpec{
-			ID: id, Task: task, Machine: "m",
+			ID: id, Task: task,
 			Candidates: cands,
 			Utility: poly.Utility{{
 				Constraints: []poly.Linear{poly.Term(netmodel.ResVCPU, 1).Sub(poly.Constant(0.5))},
@@ -67,11 +67,11 @@ func TestHeuristicDropsWholeTask(t *testing.T) {
 	// Add a task with one placeable and one impossible seed.
 	in.Seeds = append(in.Seeds,
 		SeedSpec{
-			ID: "c", Task: "t2", Machine: "m", Candidates: []netmodel.SwitchID{0},
+			ID: "c", Task: "t2", Candidates: []netmodel.SwitchID{0},
 			Utility: poly.Utility{{Util: poly.MinOf(poly.Constant(1))}},
 		},
 		SeedSpec{
-			ID: "d", Task: "t2", Machine: "m", Candidates: []netmodel.SwitchID{1},
+			ID: "d", Task: "t2", Candidates: []netmodel.SwitchID{1},
 			Utility: poly.Utility{{
 				Constraints: []poly.Linear{poly.Term(netmodel.ResVCPU, 1).Sub(poly.Constant(999))},
 				Util:        poly.MinOf(poly.Constant(1000)),
@@ -139,7 +139,7 @@ func TestHeuristicMigratesWhenBeneficial(t *testing.T) {
 	in := &Input{
 		Switches: []SwitchInfo{{ID: 0, Capacity: big}, {ID: 1, Capacity: tiny}},
 		Seeds: []SeedSpec{{
-			ID: "x", Task: "t", Machine: "m",
+			ID: "x", Task: "t",
 			Candidates: []netmodel.SwitchID{0, 1},
 			Utility: poly.Utility{{
 				Constraints: []poly.Linear{poly.Term(netmodel.ResVCPU, 1).Sub(poly.Constant(0.5))},
@@ -192,7 +192,7 @@ func TestHeuristicPollSharing(t *testing.T) {
 	}
 	mk := func(id, subject string) SeedSpec {
 		return SeedSpec{
-			ID: id, Task: id, Machine: "m",
+			ID: id, Task: id,
 			Candidates: []netmodel.SwitchID{0},
 			Utility:    poly.Utility{{Util: poly.MinOf(poly.Constant(1))}},
 			Polls:      []PollDemand{{Subject: subject, Rate: poly.Constant(100)}},
@@ -268,7 +268,7 @@ func TestMILPInfeasibleTaskDropped(t *testing.T) {
 	in := &Input{
 		Switches: []SwitchInfo{{ID: 0, Capacity: netmodel.Vector{netmodel.ResVCPU: 1}}},
 		Seeds: []SeedSpec{{
-			ID: "x", Task: "t", Machine: "m", Candidates: []netmodel.SwitchID{0},
+			ID: "x", Task: "t", Candidates: []netmodel.SwitchID{0},
 			Utility: poly.Utility{{
 				Constraints: []poly.Linear{poly.Term(netmodel.ResVCPU, 1).Sub(poly.Constant(5))},
 				Util:        poly.MinOf(poly.Constant(10)),

@@ -191,7 +191,6 @@ func RandomScenario(cfg ScenarioConfig) *Input {
 		in.Seeds = append(in.Seeds, SeedSpec{
 			ID:         fmt.Sprintf("t%d/s%d", taskIdx, i),
 			Task:       fmt.Sprintf("task%d-%s", taskIdx, prof.name),
-			Machine:    prof.name,
 			Candidates: cands,
 			Utility:    prof.utilOf(rng),
 			Polls:      prof.pollRate(rng),

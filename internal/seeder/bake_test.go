@@ -253,12 +253,12 @@ func TestMinimalAllocsFollowCapacity(t *testing.T) {
 			}
 		}
 		vectors[maxCap.String()] = true
-		byMachine := map[string]*poly.Case{}
+		rows := map[*poly.Case]bool{}
 		for _, spec := range in.Seeds {
-			if first, ok := byMachine[spec.Machine]; ok && first == &spec.Utility[0] {
+			if rows[&spec.Utility[0]] {
 				shared++
 			}
-			byMachine[spec.Machine] = &spec.Utility[0]
+			rows[&spec.Utility[0]] = true
 		}
 		for _, skip := range []bool{false, true} {
 			carried := *in
@@ -311,7 +311,7 @@ func TestMinimalAllocsFollowCapacity(t *testing.T) {
 		t.Fatalf("the churn saw %d capacity vector(s); the spine's failure did not change it", len(vectors))
 	}
 	if shared == 0 {
-		t.Fatal("no two seeds of a machine shared rows")
+		t.Fatal("no two seeds shared rows")
 	}
 	t.Logf("%d solves over %d capacity vectors, %d seeds on shared rows", solves, len(vectors), shared)
 }

@@ -602,7 +602,6 @@ func (sd *Seeder) buildInput() *placement.Input {
 			in.Seeds = append(in.Seeds, placement.SeedSpec{
 				ID:         s.id,
 				Task:       t.name,
-				Machine:    s.m.cm.Name,
 				Candidates: cands,
 				Utility:    sa.util,
 				Polls:      s.an.polls,
@@ -771,7 +770,7 @@ func (sd *Seeder) route(from soil.SeedRef, to core.SendDest, v core.Value) {
 		return
 	}
 	size := estimateValueBytes(v)
-	src := core.MsgSource{Machine: from.Machine, Switch: from.Switch}
+	src := core.MsgSource{Machine: from.Machine}
 	switch {
 	case to.Harvester:
 		h, ok := sd.harvesters[from.Task]
@@ -854,12 +853,11 @@ type harvesterCtx struct {
 
 // SendToSeeds implements harvest.Context.
 func (c *harvesterCtx) SendToSeeds(machine, switchName string, v core.Value) {
-	size := estimateValueBytes(v)
 	src := core.MsgSource{Harvester: true}
 	send := func(id netmodel.SwitchID) {
 		m := c.sd.msg(v)
 		m.dst, m.task, m.machine, m.src = id, c.task, machine, src
-		c.sd.fab.SendFromCentral(id, size, m.fire)
+		c.sd.fab.SendFromCentral(id, m.fire)
 	}
 	if switchName != "" {
 		id, ok := c.sd.byName[switchName]

@@ -125,16 +125,17 @@ func TestEndToEndHHDetection(t *testing.T) {
 	}
 }
 
+// halveOnStart is a harvester that halves the HH threshold as it starts.
+type halveOnStart struct{}
+
+func (halveOnStart) OnStart(ctx harvest.Context) { ctx.SendToSeeds("HH", "", int64(500_000)) }
+
+func (halveOnStart) OnSeedMessage(harvest.Context, soil.SeedRef, core.Value) {}
+
 func TestHarvesterReconfiguresSeeds(t *testing.T) {
 	fab, loop := testSetup(t, 1, 2, 1)
 	sd := New(fab, Options{})
-	// Harvester that halves the threshold on first report.
-	logic := harvest.FuncLogic{
-		Start: func(ctx harvest.Context) {
-			ctx.SendToSeeds("HH", "", int64(500_000))
-		},
-	}
-	addHHTask(t, sd, "hh", 1_000_000, logic)
+	addHHTask(t, sd, "hh", 1_000_000, halveOnStart{})
 	loop.RunFor(10 * time.Millisecond) // let the broadcast land
 
 	// Every seed's threshold must now be 500k.

@@ -468,7 +468,6 @@ type BulkWorkload struct {
 	Tick      time.Duration
 	BaseRate  float64 // bytes/s on a normal port
 	HeavyRate float64 // bytes/s on a heavy port
-	PktSize   int
 
 	seed  int64
 	ratio float64
@@ -522,7 +521,6 @@ func NewBulkWorkload(fab *fabric.Fabric, cfg BulkConfig) *BulkWorkload {
 		Tick:      cfg.Tick,
 		BaseRate:  cfg.BaseRate,
 		HeavyRate: cfg.HeavyRate,
-		PktSize:   cfg.PacketSize,
 		seed:      cfg.Seed,
 		ratio:     cfg.HeavyRatio,
 		churn:     cfg.Churn,

@@ -26,7 +26,6 @@ import (
 
 // Message is one published message.
 type Message struct {
-	Topic   string
 	Payload any
 }
 
@@ -55,7 +54,6 @@ type pendingMsg struct {
 }
 
 type subscription struct {
-	topic   string
 	fn      func(Message)
 	closed  bool
 	pending []pendingMsg
@@ -106,7 +104,7 @@ func (b *Broker) SetQueueLimit(n int) {
 // inside a delivery callback cannot corrupt an in-progress fan-out
 // iterating the old list.
 func (b *Broker) Subscribe(topic string, fn func(Message)) (cancel func()) {
-	sub := &subscription{topic: topic, fn: fn}
+	sub := &subscription{fn: fn}
 	sub.flush = func() { b.flush(sub) }
 	b.subs[topic] = append(b.subs[topic], sub)
 	return func() {
@@ -175,7 +173,7 @@ func (b *Broker) flush(sub *subscription) {
 		sub.pending[i] = pendingMsg{}
 		i++
 		b.stats.Delivered++
-		sub.fn(Message{Topic: sub.topic, Payload: p})
+		sub.fn(Message{Payload: p})
 	}
 	sub.scheduled = false
 	if sub.closed {
