@@ -192,6 +192,7 @@ machine Two {
 	slices.Sort(catalogue)
 	want := []string{
 		"DDoS.synCount",
+		"DNSReflect.quenched",
 		"DNSReflect.reflectors",
 		"DNSReflect.respBytes",
 		"Entropy.counts",

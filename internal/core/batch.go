@@ -10,15 +10,17 @@ import (
 // interned record layout plus the records' fields as a flat row-major
 // []int64 (every poll field is a counter). It stands for the List of
 // StructVal records that List() materialises, and is what the soil hands
-// to HandleTrigger: one batch per PCIe completion, shared read-only by
-// every subscriber of the polled subject.
+// to HandleTrigger: one batch per PCIe completion and cadence class,
+// shared read-only by the subscribers of the polled subject it is
+// delivered to.
 //
-// A poll group keeps one batch and rewrites it in place for each
-// completion (NewPortStatsBatch, NewRuleStatsBatch), so a handler sees
-// its records only for the length of its run. A handler that keeps the
+// A poll group recycles its batches: each completion is written over a
+// batch that no subscriber needs any more (NewPortStatsBatch,
+// NewRuleStatsBatch take the batch to write into), so a handler sees its
+// records only for the length of its run. A handler that keeps the
 // batch, or one of its rows, in a machine or state variable marks it
 // kept (the register VM looks when the run ends): a kept batch is never
-// written again, and the group builds a new one for its next completion.
+// written again, and a new one is built in its place.
 // Nothing else can keep one: the VM reads a batch in place (list_len,
 // is_list_empty, list_get, field reads, getHH) and everywhere else — the
 // builtins that read a list as a whole, map entries, sends, snapshots,
@@ -53,19 +55,23 @@ type hhMemo struct {
 // harvester raising it for some of them first.
 const hhMemoSlots = 2
 
-// reuse returns the batch the next completion of prev's poll (nil, or a
-// batch of layout l) is written to: prev itself unless a handler kept it
-// or the poll now has another number of records, a new batch otherwise.
-// Either way the getHH answers prev carries become candidates.
-func reuse(prev *Batch, l *Layout, rows int) *Batch {
-	b := prev
-	if b == nil || b.kept || b.rows != rows {
-		cols := len(l.Names)
-		b = &Batch{l: l, rows: rows, cols: cols, data: make([]int64, rows*cols)}
-		if prev == nil {
+// reuse returns the batch a completion of layout l with rows records is
+// written to: into itself unless it is nil, of another layout or size, or
+// kept by a handler, a new batch otherwise. A new batch takes over the
+// getHH answers of into, or of prev (nil, or a batch of layout l), and
+// either way the answers carried become candidates.
+func reuse(into, prev *Batch, l *Layout, rows int) *Batch {
+	b := into
+	if b == nil || b.l != l || b.kept || b.rows != rows {
+		b = &Batch{l: l, rows: rows, cols: len(l.Names), data: make([]int64, rows*len(l.Names))}
+		from := into
+		if from == nil || from.l != l {
+			from = prev
+		}
+		if from == nil {
 			return b
 		}
-		b.hh = prev.hh
+		b.hh = from.hh
 	}
 	for i := range b.hh {
 		b.hh[i].checked = false
@@ -75,15 +81,15 @@ func reuse(prev *Batch, l *Layout, rows int) *Batch {
 
 // NewPortStatsBatch returns the batch of a port-statistics poll: one
 // PortStats record per polled port, cumulative counters plus deltas
-// against prev, the batch of the previous poll of the same ports. A nil
-// prev (or a record prev does not have) gives deltas against zero. The
-// batch is prev rewritten in place when reuse allows, and a new batch
-// otherwise.
-func NewPortStatsBatch(ports []int, cur []dataplane.PortStats, prev *Batch) *Batch {
+// against prev, an earlier batch of the same ports. A nil prev (or a
+// record prev does not have) gives deltas against zero. The batch is
+// into rewritten in place when reuse allows (into may be prev), and a
+// new batch otherwise.
+func NewPortStatsBatch(ports []int, cur []dataplane.PortStats, prev, into *Batch) *Batch {
 	if prev != nil && prev.l != portStatsLayout {
 		prev = nil
 	}
-	b := reuse(prev, portStatsLayout, len(ports))
+	b := reuse(into, prev, portStatsLayout, len(ports))
 	for i, p := range ports {
 		// The cumulative columns of the port's previous record, read
 		// before the row (which may be that record) is written.
@@ -107,9 +113,9 @@ func NewPortStatsBatch(ports []int, cur []dataplane.PortStats, prev *Batch) *Bat
 }
 
 // NewRuleStatsBatch returns the one-record batch of a rule-counter poll,
-// with deltas against prev, the previous poll's batch (nil: zero),
-// rewriting prev in place when reuse allows.
-func NewRuleStatsBatch(cur dataplane.RuleStats, prev *Batch) *Batch {
+// with deltas against prev, an earlier batch of the rule (nil: zero),
+// written over into when reuse allows (into may be prev).
+func NewRuleStatsBatch(cur dataplane.RuleStats, prev, into *Batch) *Batch {
 	if prev != nil && prev.l != ruleStatsLayout {
 		prev = nil
 	}
@@ -117,7 +123,7 @@ func NewRuleStatsBatch(cur dataplane.RuleStats, prev *Batch) *Batch {
 	if prev != nil {
 		wasPkts, wasBytes = prev.data[rsPackets], prev.data[rsBytes]
 	}
-	b := reuse(prev, ruleStatsLayout, 1)
+	b := reuse(into, prev, ruleStatsLayout, 1)
 	b.data[rsPackets] = int64(cur.Packets)
 	b.data[rsBytes] = int64(cur.Bytes)
 	b.data[rsDPackets] = b.data[rsPackets] - wasPkts

@@ -55,10 +55,10 @@ func testBatches(rng *rand.Rand, n int) (first, second *Batch) {
 		}
 	}
 	step()
-	first = NewPortStatsBatch(ports, cur, nil)
+	first = NewPortStatsBatch(ports, cur, nil, nil)
 	first.kept = true
 	step()
-	second = NewPortStatsBatch(ports, cur, first)
+	second = NewPortStatsBatch(ports, cur, first, first)
 	return first, second
 }
 
@@ -70,9 +70,9 @@ func TestBatchMaterialisesToOracle(t *testing.T) {
 	ports := []int{3, 1, 7}
 	prev := []dataplane.PortStats{{RxPackets: 1, RxBytes: 100, TxPackets: 4, TxBytes: 400}, {TxBytes: 9}, {RxBytes: 5}}
 	cur := []dataplane.PortStats{{RxPackets: 5, RxBytes: 500, TxPackets: 10, TxBytes: 1000}, {TxBytes: 3}, {RxBytes: 50}}
-	b0 := NewPortStatsBatch(ports, prev, nil)
+	b0 := NewPortStatsBatch(ports, prev, nil, nil)
 	b0.kept = true // compared below, so not rewritten
-	b1 := NewPortStatsBatch(ports, cur, b0)
+	b1 := NewPortStatsBatch(ports, cur, b0, b0)
 	var want0, want1 List
 	for i, p := range ports {
 		want0 = append(want0, PortStatsRecord(p, prev[i], dataplane.PortStats{}))
@@ -94,22 +94,22 @@ func TestBatchMaterialisesToOracle(t *testing.T) {
 	}
 	// A previous batch that does not describe the same port (or is not a
 	// port batch at all) contributes nothing.
-	other := NewPortStatsBatch([]int{3, 2}, prev[:2], nil)
-	got := NewPortStatsBatch(ports, cur, other)
+	other := NewPortStatsBatch([]int{3, 2}, prev[:2], nil, nil)
+	got := NewPortStatsBatch(ports, cur, other, other)
 	want := List{PortStatsRecord(3, cur[0], prev[0]), PortStatsRecord(1, cur[1], dataplane.PortStats{}), PortStatsRecord(7, cur[2], dataplane.PortStats{})}
 	if !Equal(got, want) {
 		t.Fatalf("mismatched prev:\n got %s\nwant %s", FormatValue(got), FormatValue(want))
 	}
-	r0 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 3, Bytes: 300}, nil)
-	if !Equal(NewPortStatsBatch(ports, cur, r0), NewPortStatsBatch(ports, cur, nil)) {
+	r0 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 3, Bytes: 300}, nil, nil)
+	if !Equal(NewPortStatsBatch(ports, cur, r0, r0), NewPortStatsBatch(ports, cur, nil, nil)) {
 		t.Fatal("a rule batch was used as the base of port deltas")
 	}
-	r1 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 10, Bytes: 1000}, r0)
+	r1 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 10, Bytes: 1000}, r0, r0)
 	wantR := List{RuleStatsRecord(dataplane.RuleStats{Packets: 10, Bytes: 1000}, dataplane.RuleStats{Packets: 3, Bytes: 300})}
 	if !Equal(r1, wantR) || r1.Len() != 1 {
 		t.Fatalf("rule batch = %s, want %s", FormatValue(r1), FormatValue(wantR))
 	}
-	if !Equal(NewRuleStatsBatch(dataplane.RuleStats{Packets: 10, Bytes: 1000}, b0), NewRuleStatsBatch(dataplane.RuleStats{Packets: 10, Bytes: 1000}, nil)) {
+	if !Equal(NewRuleStatsBatch(dataplane.RuleStats{Packets: 10, Bytes: 1000}, b0, b0), NewRuleStatsBatch(dataplane.RuleStats{Packets: 10, Bytes: 1000}, nil, nil)) {
 		t.Fatal("a port batch was used as the base of rule deltas")
 	}
 }
@@ -143,36 +143,53 @@ func TestBatchRewrittenUnlessKept(t *testing.T) {
 			t.Fatalf("%s:\n got %s\nwant %s", what, FormatValue(b), FormatValue(w))
 		}
 	}
-	b0 := NewPortStatsBatch(ports, cs[0], nil)
-	b1 := NewPortStatsBatch(ports, cs[1], b0)
+	b0 := NewPortStatsBatch(ports, cs[0], nil, nil)
+	b1 := NewPortStatsBatch(ports, cs[1], b0, b0)
 	if b1 != b0 {
 		t.Fatal("a batch nobody kept was not rewritten")
 	}
 	check("rewritten", b1, 1, 3)
 	b1.kept = true
-	b2 := NewPortStatsBatch(ports, cs[2], b1)
+	b2 := NewPortStatsBatch(ports, cs[2], b1, b1)
 	if b2 == b1 {
 		t.Fatal("a kept batch was rewritten")
 	}
 	check("kept", b1, 1, 3)
 	check("after a kept one", b2, 2, 3)
-	b3 := NewPortStatsBatch(ports[:2], cs[3], b2)
+	b3 := NewPortStatsBatch(ports[:2], cs[3], b2, b2)
 	if b3 == b2 {
 		t.Fatal("a batch was rewritten with another number of records")
 	}
 	check("fewer ports", b3, 3, 2)
 
-	r0 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 3, Bytes: 300}, nil)
-	r1 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 10, Bytes: 1000}, r0)
+	r0 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 3, Bytes: 300}, nil, nil)
+	r1 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 10, Bytes: 1000}, r0, r0)
 	if r1 != r0 {
 		t.Fatal("a rule batch nobody kept was not rewritten")
 	}
 	r1.kept = true
-	r2 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 12, Bytes: 1100}, r1)
+	r2 := NewRuleStatsBatch(dataplane.RuleStats{Packets: 12, Bytes: 1100}, r1, r1)
 	wantR1 := List{RuleStatsRecord(dataplane.RuleStats{Packets: 10, Bytes: 1000}, dataplane.RuleStats{Packets: 3, Bytes: 300})}
 	wantR2 := List{RuleStatsRecord(dataplane.RuleStats{Packets: 12, Bytes: 1100}, dataplane.RuleStats{Packets: 10, Bytes: 1000})}
 	if r2 == r1 || !Equal(r1, wantR1) || !Equal(r2, wantR2) {
 		t.Fatalf("kept rule batch %s and its successor %s, want %s and %s", FormatValue(r1), FormatValue(r2), FormatValue(wantR1), FormatValue(wantR2))
+	}
+
+	// Deltas against an older completion, written over a third batch
+	// nobody needs: the base still reads its own completion.
+	base := NewPortStatsBatch(ports, cs[0], nil, nil)
+	into := NewPortStatsBatch(ports, cs[1], nil, nil)
+	got := NewPortStatsBatch(ports, cs[2], base, into)
+	if got != into {
+		t.Fatal("the batch to write into was not rewritten")
+	}
+	check("base", base, 0, 3)
+	var wantSkip List
+	for i, p := range ports {
+		wantSkip = append(wantSkip, PortStatsRecord(p, cs[2][i], cs[0][i]))
+	}
+	if !Equal(got, wantSkip) {
+		t.Fatalf("deltas over two completions:\n got %s\nwant %s", FormatValue(got), FormatValue(wantSkip))
 	}
 }
 
@@ -390,9 +407,9 @@ func TestBatchEquivalentToList(t *testing.T) {
 				}
 				var stats, rule *Batch
 				for k := range portCur {
-					stats = NewPortStatsBatch(ports, portCur[k], stats)
+					stats = NewPortStatsBatch(ports, portCur[k], stats, stats)
 					deliver("stats", stats)
-					rule = NewRuleStatsBatch(ruleCur[k], rule)
+					rule = NewRuleStatsBatch(ruleCur[k], rule, rule)
 					deliver("rule", rule)
 				}
 				// Snapshot -> restore into a fresh runner -> snapshot: what

@@ -144,7 +144,7 @@ func probePortBatch(n int) *Batch {
 		stats[i].TxBytes = uint64(i%4) * 700
 		stats[i].RxBytes = uint64(i)
 	}
-	return NewPortStatsBatch(ports, stats, nil)
+	return NewPortStatsBatch(ports, stats, nil, nil)
 }
 
 func probeList() rval { return rref(List{int64(1), "k1", 2.5, int64(2)}) }
@@ -193,7 +193,7 @@ func builtinProbes() []rval {
 		rfloat(math.NaN()), rfloat(math.Inf(1)), rbool(true), rstr(""), rstr("k1"),
 		rref(List(nil)), probeList(), probeMap(),
 		{k: rkBatch, ref: b}, {k: rkRow, i: 2, ref: b},
-		{k: rkBatch, ref: NewRuleStatsBatch(dataplane.RuleStats{Packets: 3, Bytes: 300}, nil)},
+		{k: rkBatch, ref: NewRuleStatsBatch(dataplane.RuleStats{Packets: 3, Bytes: 300}, nil, nil)},
 		probePacket(), rref(PacketVal{DstPort: 53, Proto: dataplane.ProtoUDP}),
 		probeFilter(), rref(FilterVal{PortAny: true}), probeAction(),
 		rref(StructOf("Rec", map[string]Value{"key": "k1", "n": int64(4)})),
@@ -320,7 +320,7 @@ func builtinTable() map[string]builtinRow {
 			func() []rval { return []rval{rref(probePortBatch(8).List()), rint(700)} },
 			func() []rval { return []rval{rref(List{probePortBatch(2).record(1), int64(3)}), rint(0)} },
 			func() []rval {
-				return []rval{{k: rkBatch, ref: NewRuleStatsBatch(dataplane.RuleStats{Packets: 1}, nil)}, rint(0)}
+				return []rval{{k: rkBatch, ref: NewRuleStatsBatch(dataplane.RuleStats{Packets: 1}, nil, nil)}, rint(0)}
 			},
 			args(rref(List(nil)), rint(1)),
 		}},

@@ -120,7 +120,7 @@ func taskPortStats(rng *rand.Rand, n int) *core.Batch {
 			TxPackets: prev[i].TxPackets + uint64(rng.Intn(40)), TxBytes: prev[i].TxBytes + uint64(rng.Intn(4000)),
 		}
 	}
-	return core.NewPortStatsBatch(ports, cur, core.NewPortStatsBatch(ports, prev, nil))
+	return core.NewPortStatsBatch(ports, cur, core.NewPortStatsBatch(ports, prev, nil, nil), nil)
 }
 
 // triggerArg is what HandleTrigger receives for payload v: the register

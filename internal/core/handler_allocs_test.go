@@ -58,7 +58,7 @@ func TestHandlerAllocs(t *testing.T) {
 			for i := range cur {
 				cur[i].TxBytes += uint64(1000 + i)
 			}
-			b = core.NewPortStatsBatch(ports, cur, b)
+			b = core.NewPortStatsBatch(ports, cur, b, b)
 			if err := r.HandleTrigger("stats", b); err != nil {
 				t.Fatal(err)
 			}

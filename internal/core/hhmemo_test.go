@@ -42,7 +42,7 @@ func (s *hhStream) next() *Batch {
 		s.cur[i].TxBytes += s.rate[i]
 		s.cur[i].RxBytes += uint64(s.rng.Intn(5000))
 	}
-	s.prev = NewPortStatsBatch(s.ports, s.cur, s.prev)
+	s.prev = NewPortStatsBatch(s.ports, s.cur, s.prev, s.prev)
 	return s.prev
 }
 
@@ -268,7 +268,7 @@ func TestGetHHAllocs(t *testing.T) {
 					}
 					// The next completion is built once every subscriber
 					// has had this one, as the soil does.
-					prev = NewPortStatsBatch(ports, cur, prev)
+					prev = NewPortStatsBatch(ports, cur, prev, prev)
 					args[0].ref = prev
 					before := mallocs()
 					for s := 0; s < subs; s++ {

@@ -148,6 +148,6 @@ func fuzzValue(b *fuzzBytes, depth int) Value {
 	default:
 		ports := []int{1, 2}
 		stats := []dataplane.PortStats{{TxBytes: uint64(b.next())}, {TxBytes: uint64(b.next())}}
-		return NewPortStatsBatch(ports, stats, nil)
+		return NewPortStatsBatch(ports, stats, nil, nil)
 	}
 }

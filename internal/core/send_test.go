@@ -54,7 +54,7 @@ func TestSendSharesOnlyWhatNothingWrites(t *testing.T) {
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}
-	b := NewPortStatsBatch([]int{4, 5}, []dataplane.PortStats{{TxBytes: 10}, {TxBytes: 20}}, nil)
+	b := NewPortStatsBatch([]int{4, 5}, []dataplane.PortStats{{TxBytes: 10}, {TxBytes: 20}}, nil, nil)
 	if err := r.HandleTrigger("p", b); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package soil
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -31,9 +32,10 @@ func deployPoller(t *testing.T, s *Soil, task string, ivalMs int) SeedRef {
 	return deployMachine(t, s, task, pollerSource(ivalMs), "Poller")
 }
 
-// The aggregation group polls at the fastest subscriber's rate; every
-// subscriber is served at that rate; removing the fast subscriber slows
-// the group back down.
+// The aggregation group polls at the fastest subscriber's rate; each
+// subscriber is served at its own: the slow one, at ten times the fast
+// one's interval, is handed every tenth completion; removing the fast
+// subscriber slows the group back down.
 func TestAggregationGroupRateIsMinInterval(t *testing.T) {
 	fab, loop := testEnv(t)
 	s := New(fab, leafID(t, fab, "leaf0"), DefaultOptions())
@@ -48,11 +50,15 @@ func TestAggregationGroupRateIsMinInterval(t *testing.T) {
 	if issued < 180 || issued > 220 {
 		t.Fatalf("polls issued = %d, want ~200 (group at min interval)", issued)
 	}
-	// The slow subscriber receives every group firing.
+	// The fast subscriber is handed every completion, the slow one every
+	// tenth.
 	vSlow, _ := s.SeedVar(slow.ID(), "polls")
 	vFast, _ := s.SeedVar(fast.ID(), "polls")
-	if vSlow.(int64) != vFast.(int64) {
-		t.Fatalf("subscribers diverged: slow=%v fast=%v", vSlow, vFast)
+	if vSlow.(int64) != vFast.(int64)/10 || vFast.(int64) < 180 {
+		t.Fatalf("slow=%v fast=%v, want slow = fast/10 with fast ~200", vSlow, vFast)
+	}
+	if got := s.PollsDelivered(); got != uint64(vSlow.(int64)+vFast.(int64)) {
+		t.Fatalf("%d polls delivered, want %v + %v", got, vSlow, vFast)
 	}
 
 	// Removing the fast subscriber retunes the group to the slow rate.
@@ -64,6 +70,54 @@ func TestAggregationGroupRateIsMinInterval(t *testing.T) {
 	delta := s.PollsIssued() - before
 	if delta < 15 || delta > 25 {
 		t.Fatalf("polls after removal = %d/s, want ~20 (retuned to slow)", delta)
+	}
+}
+
+// Under a PCIe bus whose other traffic delays each completion by a
+// different amount, a subscriber's cadence is counted in completions:
+// with a 10 ms group, the 10 ms and 17 ms subscribers are handed every
+// completion, the 20 ms one every second and the 100 ms one every tenth.
+func TestPollCadenceUnderBusJitter(t *testing.T) {
+	fab, loop := testEnv(t)
+	leaf := leafID(t, fab, "leaf0")
+	s := New(fab, leaf, DefaultOptions())
+	s.SetSendFunc(func(SeedRef, core.SendDest, core.Value) {})
+	ivals := []int{10, 17, 20, 100}
+	refs := make([]SeedRef, len(ivals))
+	for i, iv := range ivals {
+		refs[i] = deployPoller(t, s, fmt.Sprintf("p%d", iv), iv)
+	}
+	// Bursts of 0-7 ms of bus work at random 3 ms ticks.
+	bus := fab.Driver(leaf).Bus()
+	rng := rand.New(rand.NewSource(7))
+	jitter := loop.Every(3*time.Millisecond, func() {
+		if rng.Intn(3) == 0 {
+			bus.Request(1000*rng.Intn(8), func(time.Duration) {})
+		}
+	})
+	loop.RunFor(2 * time.Second)
+	jitter.Stop()
+	if d := bus.Snapshot().DelayMax; d < 3*time.Millisecond {
+		t.Fatalf("longest bus queueing delay %v: the jitter did not reach the polls", d)
+	}
+	completions := int64(s.groups["ports:all"].n)
+	if issued := int64(s.PollsIssued()); completions < 190 || issued-completions > 1 {
+		t.Fatalf("%d completions of %d polls issued, want ~200 with at most one in flight", completions, issued)
+	}
+	var delivered int64
+	for i, iv := range ivals {
+		k := int64(max(1, iv/ivals[0]))
+		got := seedInts(t, s, refs[i], "polls")[0]
+		delivered += got
+		if i < 2 && got != completions {
+			t.Fatalf("the %d ms subscriber was handed %d of %d completions, want every one", iv, got, completions)
+		}
+		if d := got - completions/k; d < -1 || d > 1 {
+			t.Fatalf("the %d ms subscriber was handed %d of %d completions, want %d ± 1 (every %d)", iv, got, completions, completions/k, k)
+		}
+	}
+	if s.PollsDelivered() != uint64(delivered) {
+		t.Fatalf("%d polls delivered, want %d", s.PollsDelivered(), delivered)
 	}
 }
 

@@ -16,9 +16,10 @@ import (
 )
 
 // Delivery semantics of the shared poll batch: one batch per completion
-// for every subscriber that has been delivered before, read-only to all
-// of them, a batch against zero for a first delivery, and no way for one
-// seed to see what another did with the records.
+// for the subscribers due at it that last saw the same completion,
+// read-only to all of them, deltas against that completion (against zero
+// before a group's first), and no way for one seed to see what another
+// did with the records.
 
 // watchSource records what each completion says about port 1.
 const watchSource = `
@@ -217,10 +218,11 @@ func creditAndPoll(loop engine.Scheduler, fab *fabric.Fabric, leaf netmodel.Swit
 	loop.RunFor(10 * time.Millisecond)
 }
 
-// A seed deployed onto a running group gets cumulative deltas once and
-// per-interval deltas afterwards; the seeds already there cannot tell it
-// joined.
-func TestLateJoinerFirstDeliveryAgainstZero(t *testing.T) {
+// A seed deployed onto a running group starts from the group's latest
+// completion: its first delivery is the delta of the interval since it
+// joined, not the port's lifetime counters, and the seeds already there
+// cannot tell it joined.
+func TestLateJoinerStartsFromLatestCompletion(t *testing.T) {
 	run := func(join bool) (first, late []int64, issued uint64) {
 		fab, loop := testEnv(t)
 		leaf := leafID(t, fab, "leaf0")
@@ -249,8 +251,8 @@ func TestLateJoinerFirstDeliveryAgainstZero(t *testing.T) {
 	if !equalInts(first, want) {
 		t.Fatalf("deltas of the seed already there = %v, want %v (unaffected by the join)", first, want)
 	}
-	// 5000 + 100 + ... + 600 once, then per interval.
-	if wantLate := []int64{7100, 700, 800}; !equalInts(late, wantLate) {
+	// Joined after the fifth completion: the sixth is its first interval.
+	if wantLate := []int64{600, 700, 800}; !equalInts(late, wantLate) {
 		t.Fatalf("late joiner deltas = %v, want %v", late, wantLate)
 	}
 	if issued != issuedAlone || issued != 8 {

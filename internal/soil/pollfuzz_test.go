@@ -3,7 +3,9 @@ package soil
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"farm/internal/almanac"
 	"farm/internal/core"
@@ -11,20 +13,24 @@ import (
 	"farm/internal/netmodel"
 )
 
-// A poll group rewrites its one batch for each completion unless a
-// handler kept it. These tests hold every poll result a handler sees, and
-// every one it kept, to records built fresh from the counters, across
-// subscribers joining and leaving, port-set changes and rule counters.
+// A poll group hands each subscriber every k-th completion, k its
+// interval over the group's period, with deltas against the completion
+// it was last handed, and recycles the batches no subscriber needs. These
+// tests hold every poll result a handler sees, and every one it kept, to
+// records built fresh from the counters, across subscribers joining and
+// leaving at their own intervals, grants that retune them, port-set
+// changes and rule counters.
 
 // observerSource reports each poll result it is handed. A keeping
 // observer also keeps the result and its last record, in machine or
-// state variables, and reports what it kept from its previous completion
-// before keeping this one's. Verbs: the subject, the record type, the
-// machine declarations, the state declarations, the keeping statements.
+// state variables, and reports what it kept from its previous delivery
+// before keeping this one's. Verbs: the interval in ms at a PCIe grant of
+// 1, the subject, the record type, the machine declarations, the state
+// declarations, the keeping statements.
 const observerSource = `
 machine Obs {
   place all;
-  poll p = Poll { .ival = 10, .what = %s };
+  poll p = Poll { .ival = %d / res().PCIe, .what = %s };
   long n;
   %s
   state s {
@@ -46,9 +52,19 @@ const (
 	keepModes
 )
 
+// observerIvals are the intervals, in ms at a PCIe grant of 1, an
+// observer can be written with; the first is the default. observerPCIe
+// are the grants a Realloc can retune one to. Both are exact in binary,
+// so the oracle's intervals are the soil's to the nanosecond.
+var (
+	observerIvals = [...]int{10, 20, 40, 100}
+	observerPCIe  = [...]float64{1, 0.5, 2, 0.25}
+)
+
 // observerProgram prepares the observer of a subject (port or rule
-// counters) keeping its poll results as keep says.
-func observerProgram(tb testing.TB, rule bool, keep int) *Prepared {
+// counters) polling every ival ms at a PCIe grant of 1 and keeping its
+// poll results as keep says.
+func observerProgram(tb testing.TB, rule bool, keep, ival int) *Prepared {
 	tb.Helper()
 	what, rec, field := "port ANY", "PortStats", "dTxBytes"
 	if rule {
@@ -67,7 +83,7 @@ func observerProgram(tb testing.TB, rule bool, keep int) *Prepared {
 	case keepState:
 		st = decls
 	}
-	src := fmt.Sprintf(observerSource, what, env, st, body)
+	src := fmt.Sprintf(observerSource, ival, what, env, st, body)
 	prog, err := almanac.Parse(src)
 	if err != nil {
 		tb.Fatalf("parse: %v\n%s", err, src)
@@ -79,24 +95,35 @@ func observerProgram(tb testing.TB, rule bool, keep int) *Prepared {
 	return mustPrepare(tb, cm, nil)
 }
 
+// observerPrograms is every observer program, by rule subject, keep mode
+// and index in observerIvals.
+type observerPrograms [2][keepModes][len(observerIvals)]*Prepared
+
+// completion is what the oracle remembers of one completion of a
+// subject's group: its number in the group (0: none, counters zero) and
+// the counters it read.
+type completion struct {
+	n     uint64
+	ports []int
+	stats []dataplane.PortStats
+	rule  dataplane.RuleStats
+}
+
 // observer is one deployed observer and what the oracle expects of it.
 type observer struct {
 	ref  SeedRef
 	rule bool
 	keep int
-	// seen is set by its first delivery; kept and keptRow are the text of
-	// the poll result it kept last and of its last record.
-	seen          bool
+	// written is its interval at a PCIe grant of 1, ival the one at its
+	// current grant.
+	written, ival time.Duration
+	// base is the completion it was last handed, or joined at; handed is
+	// set by its first delivery. kept and keptRow are the text of the
+	// poll result it kept last and of its last record.
+	base          completion
+	handed        bool
 	kept, keptRow string
 	want          []string // reports expected since the last check
-}
-
-// oracleGroup is what the oracle remembers of a subject's poll group:
-// the ports and counters of its previous completion.
-type oracleGroup struct {
-	ports []int
-	stats []dataplane.PortStats
-	rule  dataplane.RuleStats
 }
 
 // pollHarness drives a soil's poll groups with completions it makes up
@@ -106,17 +133,17 @@ type oracleGroup struct {
 type pollHarness struct {
 	tb      testing.TB
 	s       *Soil
-	progs   [2][keepModes]*Prepared // by rule subject, keep mode
-	obs     []*observer             // deployed, in join order
-	groups  [2]oracleGroup          // by rule subject
-	reports map[string][]string     // by seed ID, since the last check
+	progs   *observerPrograms
+	obs     []*observer         // deployed, in join order
+	latest  [2]completion       // each subject group's latest completion
+	reports map[string][]string // by seed ID, since the last check
 	joins   int
 	// keptChecks counts reports of kept results, rewrites the completions
-	// that reused their group's batch.
+	// whose batch was their base's, rewritten in place.
 	keptChecks, rewrites int
 }
 
-func newPollHarness(tb testing.TB, progs [2][keepModes]*Prepared) *pollHarness {
+func newPollHarness(tb testing.TB, progs *observerPrograms) *pollHarness {
 	fab, _, leaf := oneLeafFabric(tb, 2)
 	h := &pollHarness{tb: tb, s: New(fab, leaf, DefaultOptions()), progs: progs, reports: map[string][]string{}}
 	h.s.SetSendFunc(func(from SeedRef, _ core.SendDest, v core.Value) {
@@ -125,13 +152,16 @@ func newPollHarness(tb testing.TB, progs [2][keepModes]*Prepared) *pollHarness {
 	return h
 }
 
-func allObserverPrograms(tb testing.TB) (progs [2][keepModes]*Prepared) {
+func allObserverPrograms(tb testing.TB) *observerPrograms {
+	var progs observerPrograms
 	for r := range progs {
 		for k := range progs[r] {
-			progs[r][k] = observerProgram(tb, r == 1, k)
+			for i, ival := range observerIvals {
+				progs[r][k][i] = observerProgram(tb, r == 1, k, ival)
+			}
 		}
 	}
-	return progs
+	return &progs
 }
 
 func b2i(b bool) int {
@@ -141,15 +171,26 @@ func b2i(b bool) int {
 	return 0
 }
 
-func (h *pollHarness) join(rule bool, keep int) {
+func observerGrant(pcie float64) netmodel.Vector {
+	return netmodel.Vector{netmodel.ResVCPU: 0.01, netmodel.ResRAM: 1, netmodel.ResPoll: 100, netmodel.ResPCIe: pcie}
+}
+
+// join deploys an observer of the subject polling every
+// observerIvals[ival] ms. It starts from the group's latest completion.
+func (h *pollHarness) join(rule bool, keep, ival int) {
 	h.tb.Helper()
 	ref := SeedRef{Task: fmt.Sprintf("t%d", h.joins), Machine: "Obs", Switch: h.s.Name()}
 	h.joins++
-	alloc := netmodel.Vector{netmodel.ResVCPU: 0.01, netmodel.ResRAM: 1, netmodel.ResPoll: 100}
-	if err := h.s.DeployCompiled(ref, ref.ID(), h.progs[b2i(rule)][keep], alloc); err != nil {
+	if err := h.s.DeployCompiled(ref, ref.ID(), h.progs[b2i(rule)][keep][ival], observerGrant(1)); err != nil {
 		h.tb.Fatal(err)
 	}
-	h.obs = append(h.obs, &observer{ref: ref, rule: rule, keep: keep})
+	o := &observer{
+		ref: ref, rule: rule, keep: keep,
+		written: time.Duration(observerIvals[ival]) * time.Millisecond,
+		base:    h.latest[b2i(rule)],
+	}
+	o.ival = o.written
+	h.obs = append(h.obs, o)
 }
 
 func (h *pollHarness) leave(i int) {
@@ -164,7 +205,18 @@ func (h *pollHarness) leave(i int) {
 			return
 		}
 	}
-	h.groups[b2i(o.rule)] = oracleGroup{} // the group went with its last subscriber
+	h.latest[b2i(o.rule)] = completion{} // the group went with its last subscriber
+}
+
+// realloc retunes observer i to the grant pcie: its interval scales by
+// 1/pcie from the one it was written with.
+func (h *pollHarness) realloc(i int, pcie float64) {
+	h.tb.Helper()
+	o := h.obs[i]
+	if err := h.s.Realloc(o.ref.ID(), observerGrant(pcie)); err != nil {
+		h.tb.Fatal(err)
+	}
+	o.ival = time.Duration(float64(o.written) / pcie)
 }
 
 // group returns the soil's poll group of a subject, nil if it has none.
@@ -173,6 +225,15 @@ func (h *pollHarness) group(rule bool) *pollGroup {
 		if o.rule == rule {
 			return h.s.seeds[o.ref.ID()].subs[0].group
 		}
+	}
+	return nil
+}
+
+// latestBatch is the batch of a group's latest completion, nil before
+// its first.
+func latestBatch(g *pollGroup) *core.Batch {
+	if b := g.base(g.n); b != nil {
+		return b.batch
 	}
 	return nil
 }
@@ -199,34 +260,47 @@ func ruleRecord(cur, was dataplane.RuleStats) string {
 	})
 }
 
-// expect records what each subscriber of a subject should report for a
-// completion whose records, against the group's previous completion and
-// against zero, are recs and fresh.
-func (h *pollHarness) expect(rule bool, recs, fresh []string) {
-	text := func(rs []string) string {
-		out := "["
-		for i, r := range rs {
-			if i > 0 {
-				out += ", "
-			}
-			out += r
-		}
-		return out + "]"
+// records renders completion c of a subject against base, as its
+// subscriber's handler should see it.
+func records(rule bool, c, base completion) []string {
+	if rule {
+		return []string{ruleRecord(c.rule, base.rule)}
 	}
+	var recs []string
+	for i, p := range c.ports {
+		var was dataplane.PortStats
+		if i < len(base.ports) && base.ports[i] == p {
+			was = base.stats[i]
+		}
+		recs = append(recs, portRecord(p, c.stats[i], was))
+	}
+	return recs
+}
+
+// expect numbers completion c of a subject and records what each of its
+// subscribers due at it should report: a subscriber is due at every k-th
+// completion, k its interval over the shortest of the group's.
+func (h *pollHarness) expect(rule bool, c completion) {
+	c.n = h.latest[b2i(rule)].n + 1
+	h.latest[b2i(rule)] = c
+	var period time.Duration
 	for _, o := range h.obs {
-		if o.rule != rule {
+		if o.rule == rule && (period == 0 || o.ival < period) {
+			period = o.ival
+		}
+	}
+	text := func(rs []string) string { return "[" + strings.Join(rs, ", ") + "]" }
+	for _, o := range h.obs {
+		if o.rule != rule || c.n%uint64(max(1, o.ival/period)) != 0 {
 			continue
 		}
-		rs := recs
-		if !o.seen {
-			rs = fresh
-		}
+		rs := records(rule, c, o.base)
 		o.want = append(o.want, text(rs))
-		if o.seen && o.keep != keepNone {
+		if o.handed && o.keep != keepNone {
 			o.want = append(o.want, o.kept, o.keptRow)
 			h.keptChecks++
 		}
-		o.seen, o.kept, o.keptRow = true, text(rs), rs[len(rs)-1]
+		o.base, o.handed, o.kept, o.keptRow = c, true, text(rs), rs[len(rs)-1]
 	}
 }
 
@@ -236,44 +310,29 @@ func (h *pollHarness) completePorts(ports []int, stats []dataplane.PortStats) {
 	if g == nil {
 		return
 	}
-	og := &h.groups[0]
-	var recs, fresh []string
-	for i, p := range ports {
-		var was dataplane.PortStats
-		if i < len(og.ports) && og.ports[i] == p {
-			was = og.stats[i]
-		}
-		recs = append(recs, portRecord(p, stats[i], was))
-		fresh = append(fresh, portRecord(p, stats[i], dataplane.PortStats{}))
-	}
-	h.expect(false, recs, fresh)
-	before := g.batch
+	h.expect(false, completion{ports: slices.Clone(ports), stats: slices.Clone(stats)})
+	before := latestBatch(g)
 	g.deliverPorts(ports, stats)
-	if before != nil && g.batch == before {
+	if before != nil && latestBatch(g) == before {
 		h.rewrites++
 	}
-	og.ports, og.stats = slices.Clone(ports), slices.Clone(stats)
 	h.check()
 }
 
 // completeRule delivers a rule-counter completion; !ok is a rule the
-// ASIC does not have (yet), which delivers nothing.
+// ASIC does not have (yet), which delivers nothing and is no completion.
 func (h *pollHarness) completeRule(st dataplane.RuleStats, ok bool) {
 	g := h.group(true)
 	if g == nil {
 		return
 	}
-	og := &h.groups[1]
 	if ok {
-		h.expect(true, []string{ruleRecord(st, og.rule)}, []string{ruleRecord(st, dataplane.RuleStats{})})
+		h.expect(true, completion{rule: st})
 	}
-	before := g.batch
+	before := latestBatch(g)
 	g.deliverRule(st, ok)
-	if ok {
-		if before != nil && g.batch == before {
-			h.rewrites++
-		}
-		og.rule = st
+	if ok && before != nil && latestBatch(g) == before {
+		h.rewrites++
 	}
 	h.check()
 }
@@ -285,7 +344,7 @@ func (h *pollHarness) check() {
 	for _, o := range h.obs {
 		got := h.reports[o.ref.ID()]
 		if !slices.Equal(got, o.want) {
-			h.tb.Fatalf("%s (rule %v, keep %d) reported\n%q\nwant\n%q", o.ref.ID(), o.rule, o.keep, got, o.want)
+			h.tb.Fatalf("%s (rule %v, keep %d, ival %v) reported\n%q\nwant\n%q", o.ref.ID(), o.rule, o.keep, o.ival, got, o.want)
 		}
 		o.want = o.want[:0]
 	}
@@ -335,8 +394,8 @@ func TestKeptPollResultsReadTheirCompletion(t *testing.T) {
 	}
 
 	// Nobody keeps anything: one batch, rewritten.
-	h.join(false, keepNone)
-	h.join(true, keepNone)
+	h.join(false, keepNone, 0)
+	h.join(true, keepNone, 0)
 	for i := 0; i < 3; i++ {
 		complete(all)
 		completeRule(true)
@@ -347,15 +406,15 @@ func TestKeptPollResultsReadTheirCompletion(t *testing.T) {
 	// Keepers in state variables, then in machine variables, on both
 	// subjects, and late joiners.
 	for _, keep := range []int{keepState, keepEnv} {
-		h.join(false, keep)
-		h.join(true, keep)
+		h.join(false, keep, 0)
+		h.join(true, keep, 0)
 		for i := 0; i < 3; i++ {
 			complete(all)
 			completeRule(true)
 		}
 	}
-	h.join(false, keepEnv)
-	h.join(true, keepState)
+	h.join(false, keepEnv, 0)
+	h.join(true, keepState, 0)
 	complete(all)
 	completeRule(false)
 	completeRule(true)
@@ -375,7 +434,7 @@ func TestKeptPollResultsReadTheirCompletion(t *testing.T) {
 	for len(h.obs) > 0 {
 		h.leave(len(h.obs) - 1)
 	}
-	h.join(false, keepNone)
+	h.join(false, keepNone, 0)
 	for i := 0; i < 3; i++ {
 		complete(all)
 	}
@@ -389,13 +448,27 @@ func TestKeptPollResultsReadTheirCompletion(t *testing.T) {
 
 // FuzzPollDelivery runs arbitrary sequences of port and rule completions
 // (any port set, rules the ASIC lacks), subscribers joining and leaving,
-// and handlers that keep their poll results or drop them. Every result a
-// handler is handed and every one it kept must read as records built
-// fresh from the counters of the completion it came from.
+// each at its own interval, late joins onto a group that has completed,
+// grants that retune a subscriber's interval, and handlers that keep
+// their poll results or drop them. Every subscriber must be handed
+// exactly the completions its cadence is due, and every result it is
+// handed or kept must read as records built fresh from the counters of
+// the completion it came from, against the one it was handed before.
 func FuzzPollDelivery(f *testing.F) {
 	f.Add([]byte{3, 0, 3, 5, 0, 9, 1, 7, 3, 1, 3, 11, 0, 4, 2, 2, 9, 0, 1, 7, 4, 0, 1, 3})
 	f.Add([]byte{3, 1, 3, 2, 3, 4, 0, 0, 5, 2, 2, 1, 0, 3, 2, 0, 1, 3, 4, 0, 4, 1, 0, 7, 0, 2, 5})
 	f.Add([]byte{3, 2, 3, 4, 3, 1, 3, 5, 5, 1, 5, 2, 4, 1, 5, 3, 1, 0, 4, 0, 5, 6, 0, 1, 5, 9, 4, 2, 5, 7})
+	// Subscribers at 10, 20 and 100 ms on one group, retuned and joined
+	// late while it runs.
+	f.Add([]byte{6, 0, 0, 6, 2, 1, 6, 4, 3, 5, 5, 5, 5, 5, 7, 1, 2, 5, 5, 8, 1, 5, 5, 5, 7, 0, 1, 5, 5, 5, 5, 4, 0, 5, 5, 5})
+	f.Add([]byte{6, 1, 0, 6, 3, 2, 2, 5, 2, 5, 8, 3, 2, 7, 2, 1, 7, 0, 3, 2, 5, 2, 5, 2, 5, 2, 5, 4, 1, 2, 5, 2, 5})
+	// Subscribers that keep nothing, so nothing hides a batch written
+	// over while a slower subscriber still holds it as its base: at 20
+	// and 10 ms with a second 10 ms one joining; and at 10 ms with 40
+	// and 20 ms ones joining late, two classes needing a spare batch in
+	// one completion.
+	f.Add([]byte{6, 0, 1, 3, 0, 5, 5, 5, 3, 0, 5})
+	f.Add([]byte{6, 0, 0, 8, 0, 2, 5, 8, 0, 1, 3, 0, 5})
 	progs := allObserverPrograms(f)
 	portSets := [][]int{{1, 2, 3, 4, 5, 6}, {1, 2, 3}, {4, 5, 6}, {6, 5, 4, 3, 2, 1}, {7, 8, 1, 2, 3, 4}, {2}}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -410,8 +483,15 @@ func FuzzPollDelivery(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
+		steady := func() {
+			ports := portSets[0]
+			for _, p := range ports {
+				c.advance(p, 1)
+			}
+			h.completePorts(ports, c.read(ports))
+		}
 		for ops := 0; len(data) > 0 && ops < 64; ops++ {
-			switch next() % 6 {
+			switch next() % 9 {
 			case 0, 1: // a port completion of a port set
 				ports := portSets[next()%len(portSets)]
 				for _, p := range ports {
@@ -423,20 +503,31 @@ func FuzzPollDelivery(f *testing.F) {
 				rule.Packets += uint64(n % 13)
 				rule.Bytes += uint64(n) * 64
 				h.completeRule(rule, n%5 != 0)
-			case 3: // a subscriber joins
+			case 3: // a subscriber joins at the default interval
 				if b := next(); len(h.obs) < 8 {
-					h.join(b%2 == 1, b/2%keepModes)
+					h.join(b%2 == 1, b/2%keepModes, 0)
 				}
 			case 4: // a subscriber leaves
 				if b := next(); len(h.obs) > 0 {
 					h.leave(b % len(h.obs))
 				}
 			case 5: // a steady completion of every port
-				ports := portSets[0]
-				for _, p := range ports {
-					c.advance(p, 1)
+				steady()
+			case 6: // a subscriber joins at an interval of its own
+				if b, iv := next(), next(); len(h.obs) < 8 {
+					h.join(b%2 == 1, b/2%keepModes, iv%len(observerIvals))
 				}
-				h.completePorts(ports, c.read(ports))
+			case 7: // a grant retunes a subscriber's interval
+				if b, g := next(), next(); len(h.obs) > 0 {
+					h.realloc(b%len(h.obs), observerPCIe[g%len(observerPCIe)])
+				}
+			case 8: // a late join: between two completions of the port group
+				b, iv := next(), next()
+				steady()
+				if len(h.obs) < 8 {
+					h.join(false, b%keepModes, iv%len(observerIvals))
+				}
+				steady()
 			}
 		}
 	})

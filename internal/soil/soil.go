@@ -170,9 +170,11 @@ type pollSub struct {
 	pi       *almanac.PollInfo // the trigger, in the seed's Prepared
 	interval time.Duration
 	group    *pollGroup
-	// seen is set by the first delivery, whose deltas are against zero;
-	// from then on the subscriber's previous counters are the group's.
-	seen      bool
+	// seen is the completion of the group the subscriber was last handed
+	// (pollGroup.n), the base of its next deltas; 0 is none, and deltas
+	// against zero. A subscriber that joins a group which has completed
+	// starts from the group's latest completion.
+	seen      uint64
 	lastProbe time.Duration
 	// pkt is the probe being delivered, lent to the handler by pointer
 	// and overwritten by the next delivery.
@@ -230,22 +232,51 @@ func subjectFromWhat(w almanac.Const) (subject, error) {
 }
 
 // pollGroup aggregates all subscriptions to one subject: the subject is
-// polled once per group interval (the minimum over subscribers) and the
-// result fanned out (§II-B-b "the soil can aggregate polling") as one
-// core.Batch per completion, shared read-only by every subscriber.
+// polled once per group period, the minimum interval over subscribers,
+// and each completion is fanned out (§II-B-b "the soil can aggregate
+// polling"). Each subscriber keeps its own cadence (§III-A-a), counted in
+// completions, not in arrival time: it is handed every k-th completion
+// of its group, k = max(1, ⌊interval / period⌋), with k worked out at
+// delivery from the current intervals. So the subscriber that sets the
+// period is handed every completion, and uneven bus delays shift no one.
+// A subscriber's batch has deltas against the completion it was last
+// handed; the subscribers due together that last saw the same completion
+// form a cadence class and share one batch, read-only.
 type pollGroup struct {
 	soil   *Soil
 	key    string // in Soil.groups
 	subs   []*pollSub
 	ticker engine.Ticker
 	poll   func() // issues the subject's driver read, completing in deliverPorts/deliverRule
+	n      uint64 // completions delivered
 
-	// batch is the previous completion's batch, whose cumulative
-	// counters are the base of the next one's deltas, and which the next
-	// completion is written over unless a handler kept it (core.Batch).
-	// Every subscriber is delivered every completion, so one base serves
-	// all of them (bar a first delivery, see pollSub.seen).
-	batch *core.Batch
+	// bases holds the batch of each completion some subscriber last saw,
+	// and of the latest one (a late joiner's base): the cumulative
+	// counters of the next deltas. A batch no subscriber needs any more
+	// is spare, and a later completion is written over it, unless a
+	// handler kept it (core.Batch). When every holder of a base is due,
+	// its batch is rewritten in place.
+	bases []pollBase
+	spare []*core.Batch
+	due   []delivery // one completion's deliveries, kept for reuse
+}
+
+// pollBase is the batch of completion seq. holders, due and next are
+// worked out afresh for each completion: the subscribers whose base it
+// is, how many of them are due, and the batch they are handed.
+type pollBase struct {
+	seq          uint64
+	batch        *core.Batch
+	holders, due int
+	next         *core.Batch
+}
+
+// delivery is one due subscriber, its base (nil: none) and the batch of
+// its cadence class.
+type delivery struct {
+	sub  *pollSub
+	base *pollBase
+	b    *core.Batch
 }
 
 // newPollGroup binds the subject's driver read and its completion once,
@@ -303,12 +334,12 @@ func (g *pollGroup) fire() {
 }
 
 // deliverPorts runs on the poll's PCIe completion. ports and stats are
-// the driver's and die with the call; the batch written from them does
+// the driver's and die with the call; the batches written from them do
 // not.
 func (g *pollGroup) deliverPorts(ports []int, stats []dataplane.PortStats) {
 	s := g.soil
 	s.cpu.Charge(time.Duration(len(ports)) * metrics.CostPollPerRecord)
-	g.deliver(func(prev *core.Batch) *core.Batch { return core.NewPortStatsBatch(ports, stats, prev) })
+	g.deliver(func(prev, into *core.Batch) *core.Batch { return core.NewPortStatsBatch(ports, stats, prev, into) })
 }
 
 func (g *pollGroup) deliverRule(st dataplane.RuleStats, ok bool) {
@@ -317,41 +348,118 @@ func (g *pollGroup) deliverRule(st dataplane.RuleStats, ok bool) {
 	}
 	s := g.soil
 	s.cpu.Charge(metrics.CostPollPerRecord)
-	g.deliver(func(prev *core.Batch) *core.Batch { return core.NewRuleStatsBatch(st, prev) })
+	g.deliver(func(prev, into *core.Batch) *core.Batch { return core.NewRuleStatsBatch(st, prev, into) })
 }
 
-// deliver fans one completion out: one batch with deltas against the
-// previous completion, written over the group's batch unless a handler
-// kept that, and handed read-only to every subscriber. A subscriber that
-// joined a running group has seen none of its completions, so its first
-// delivery is a new batch apart, with deltas against zero. A completion
-// that finds no subscriber left (the last one was removed with the poll
-// in flight) builds nothing.
-func (g *pollGroup) deliver(build func(prev *core.Batch) *core.Batch) {
+// deliver fans completion n out to the subscribers due at it: one batch
+// per cadence class, all built before any handler runs, with deltas
+// against the class's base (zero for the class that has seen no
+// completion). Every due subscriber then holds completion n, whose batch
+// becomes their base; the bases left without holders, and the classes'
+// other batches, become spare. A completion that finds no subscriber
+// left (the last one was removed with the poll in flight) builds
+// nothing.
+func (g *pollGroup) deliver(build func(prev, into *core.Batch) *core.Batch) {
 	if len(g.subs) == 0 {
 		return
 	}
 	s := g.soil
-	if len(g.subs) > 1 {
-		s.cpu.Charge(time.Duration(len(g.subs)) * metrics.CostAggregationPerSeed)
+	g.n++
+	n := g.n
+	period := g.minInterval()
+	for i := range g.bases {
+		b := &g.bases[i]
+		b.holders, b.due, b.next = 0, 0, nil
 	}
-	shared := build(g.batch)
-	var first *core.Batch
+	g.due = g.due[:0]
 	for _, sub := range g.subs {
-		b := shared
-		if !sub.seen {
-			sub.seen = true
-			if g.batch != nil {
-				if first == nil {
-					first = build(nil)
-				}
-				b = first
+		// k = 1 below twice the period, so the subscriber that sets the
+		// period is due at every completion; k ≥ 2 is a division.
+		due := sub.interval-period < period || n%uint64(sub.interval/period) == 0
+		b := g.base(sub.seen)
+		if b != nil {
+			b.holders++
+			if due {
+				b.due++
 			}
 		}
-		s.pollsDelivered++
-		s.dispatchTrigger(sub.rt, sub.pi.Name, b)
+		if due {
+			g.due = append(g.due, delivery{sub: sub, base: b})
+		}
 	}
-	g.batch = shared
+	if len(g.subs) > 1 {
+		s.cpu.Charge(time.Duration(len(g.due)) * metrics.CostAggregationPerSeed)
+	}
+	var fresh *core.Batch // the class with no base
+	for i := range g.due {
+		d := &g.due[i]
+		switch b := d.base; {
+		case b == nil:
+			if fresh == nil {
+				fresh = build(nil, g.takeSpare())
+			}
+			d.b = fresh
+		case b.next == nil:
+			into := b.batch
+			if b.due < b.holders {
+				into = g.takeSpare()
+			}
+			b.next = build(b.batch, into)
+			d.b = b.next
+		default:
+			d.b = b.next
+		}
+		d.sub.seen = n
+	}
+	// Completion n's batch is the first class's; the rest are spare.
+	latest := fresh
+	keep := g.bases[:0]
+	for _, b := range g.bases {
+		if b.holders > b.due {
+			keep = append(keep, pollBase{seq: b.seq, batch: b.batch})
+		} else if b.batch != b.next {
+			g.spare = append(g.spare, b.batch)
+		}
+		switch {
+		case b.next == nil:
+		case latest == nil:
+			latest = b.next
+		default:
+			g.spare = append(g.spare, b.next)
+		}
+	}
+	g.bases = append(keep, pollBase{seq: n, batch: latest})
+	for _, d := range g.due {
+		s.pollsDelivered++
+		s.dispatchTrigger(d.sub.rt, d.sub.pi.Name, d.b)
+	}
+}
+
+// base returns the base of a subscriber that last saw completion seq,
+// nil for none.
+func (g *pollGroup) base(seq uint64) *pollBase {
+	if seq == 0 {
+		return nil
+	}
+	for i := range g.bases {
+		if g.bases[i].seq == seq {
+			return &g.bases[i]
+		}
+	}
+	return nil
+}
+
+// takeSpare hands out a spare batch to write a completion over, nil when
+// there is none. A kept one is not written but replaced (core.Batch), so
+// it leaves the group either way.
+func (g *pollGroup) takeSpare() *core.Batch {
+	k := len(g.spare) - 1
+	if k < 0 {
+		return nil
+	}
+	b := g.spare[k]
+	g.spare = g.spare[:k]
+	return b
 }
 
 // dispatchTrigger delivers a trigger firing to a seed, charging the
@@ -528,6 +636,7 @@ func (s *Soil) wirePoll(rt *seedRuntime, pi *almanac.PollInfo, interval time.Dur
 		s.groups[key] = g
 	}
 	sub.group = g
+	sub.seen = g.n
 	g.subs = append(g.subs, sub)
 	g.retune()
 	return nil

@@ -404,7 +404,8 @@ const DNSReflectionSource = `
 // DNS reflection/amplification: large DNS responses converging on a
 // victim that never asked. Track response bytes per destination; on
 // crossing the threshold, drop DNS responses toward the victim locally
-// and report the reflector set.
+// and report the reflector set, once per victim: samples still on the
+// bus after the drop rule is in are not a new attack.
 machine DNSReflect {
   place all;
   probe dns = Probe { .ival = 1, .what = srcPort 53 and proto "udp" };
@@ -412,6 +413,7 @@ machine DNSReflect {
   external long bytesLimit;
   map respBytes;
   map reflectors;
+  map quenched;
   string victim;
 
   state monitor {
@@ -426,7 +428,7 @@ machine DNSReflect {
         map refl = map_get(reflectors, p.dstIP, map_new());
         map_set(refl, p.srcIP, 1);
         reflectors = map_set(reflectors, p.dstIP, refl);
-        if (map_get(respBytes, p.dstIP, 0) >= bytesLimit) then {
+        if (map_get(respBytes, p.dstIP, 0) >= bytesLimit and not map_has(quenched, p.dstIP)) then {
           victim = p.dstIP;
           transit quench;
         }
@@ -441,12 +443,14 @@ machine DNSReflect {
     util (res) { return 150; }
     when (enter) do {
       addTCAMRule(dstIP victim and srcPort 53 and proto "udp", drop(), 96);
+      quenched = map_set(quenched, victim, 1);
       send map_keys(map_get(reflectors, victim, map_new())) to harvester;
       transit monitor;
     }
   }
   when (recv string unquench from harvester) do {
     removeTCAMRule(dstIP unquench and srcPort 53 and proto "udp");
+    quenched = map_del(quenched, unquench);
   }
 }
 `

@@ -51,7 +51,7 @@ func taskPortStats(rng *rand.Rand, n int) *core.Batch {
 			TxPackets: prev[i].TxPackets + uint64(rng.Intn(40)), TxBytes: prev[i].TxBytes + uint64(rng.Intn(4000)),
 		}
 	}
-	return core.NewPortStatsBatch(ports, cur, core.NewPortStatsBatch(ports, prev, nil))
+	return core.NewPortStatsBatch(ports, cur, core.NewPortStatsBatch(ports, prev, nil, nil), nil)
 }
 
 // triggerArg is what the register VM's HandleTrigger receives for

@@ -306,6 +306,51 @@ func TestLinkFailureDetection(t *testing.T) {
 	}
 }
 
+// fastPollerSource polls every port each millisecond and does nothing
+// else: a co-subscriber that makes the soil poll port counters at 1 ms.
+const fastPollerSource = `
+machine Fast {
+  place all;
+  poll p = Poll { .ival = 1, .what = port ANY };
+  long n;
+  state s {
+    util (res) { if (res.vCPU >= 0.01) then { return 1; } }
+    when (p as recs) do { n = n + 1; }
+  }
+}
+`
+
+// LinkFail (.ival = 100, quietPolls = 3) declares a port failed after
+// three quiet polls of its own, ≈ 300 ms, even when a 1 ms poller shares
+// its poll group: the group's cadence is not the seed's.
+func TestLinkFailureQuietPortAtItsOwnCadence(t *testing.T) {
+	e := newEnv(t, 2, 2)
+	e.deploy(t, "link-failure")
+	if err := e.sd.AddTask(seeder.TaskSpec{Name: "fast", Source: fastPollerSource, Machines: []string{"Fast"}}); err != nil {
+		t.Fatal(err)
+	}
+	stop := e.gen.StartFlow(traffic.FlowSpec{
+		Src: fabric.HostIP(0, 0), Dst: fabric.HostIP(1, 0),
+		SrcPort: 5, DstPort: 80, Proto: 6, PacketSize: 500, Rate: 1000,
+	})
+	// Ports that never carried traffic are reported once, by 400 ms.
+	e.loop.RunFor(600 * time.Millisecond)
+	stop()
+	quiet := e.loop.Now()
+	h, _ := e.sd.Harvester("link-failure")
+	e.loop.RunFor(time.Second)
+	for _, r := range h.History() {
+		if r.At <= quiet {
+			continue
+		}
+		if d := r.At - quiet; d < 250*time.Millisecond || d > 450*time.Millisecond {
+			t.Fatalf("first report %v after the traffic stopped, want ≈ 300 ms (3 polls at 100 ms): %v", d, core.FormatValue(r.Val))
+		}
+		return
+	}
+	t.Fatal("no link-failure report after the traffic stopped")
+}
+
 func TestTrafficChangeDetection(t *testing.T) {
 	e := newEnv(t, 2, 2)
 	e.deploy(t, "traffic-change")
