@@ -169,20 +169,91 @@ func TestNoUnsetFields(t *testing.T) {
 	}
 	var unset []string
 	for v := range tr.fieldRead {
-		if !v.Exported() || v.Embedded() || tr.fieldWritten[v] || tr.fieldSet[v] ||
+		if !v.Exported() || v.Embedded() || tr.fieldWritten[v] || tr.fieldSet[v] || tr.tagged[v] ||
 			!strings.HasPrefix(v.Pkg().Path(), "farm/internal/") {
 			continue
 		}
-		name := v.Name()
-		if owner := tr.fieldOwner[v]; owner != "" {
-			name = owner + "." + name
-		}
-		unset = append(unset, tr.fset.Position(v.Pos()).String()+": "+name)
+		unset = append(unset, tr.fset.Position(v.Pos()).String()+": "+fieldKey(tr, v))
 	}
 	sort.Strings(unset)
 	for _, u := range unset {
 		t.Errorf("%s is read but never set: delete it, or set it", u)
 	}
+}
+
+// unreadExempt names the exported internal/ struct fields that the
+// program may write without reading, each with the reason it stays.
+var unreadExempt = map[string]string{
+	"fleet.hbMsg.Term": "heartbeats carry the leader's term, which no follower checks yet: " +
+		"the term fence the fleet's failover still lacks",
+	"seeder.Options.PlacementParallel": "bench/e2e sets it when it builds a seeder, and bench/ keeps " +
+		"compiling against it; placement runs serially",
+	"traffic.PortLoad.Switch": "with BytesPerSec, the generator's record of each port it loads: " +
+		"the ground truth a heavy-hitter scorer is graded against",
+	"traffic.PortLoad.BytesPerSec": "with Switch, the generator's record of each port it loads: " +
+		"the ground truth a heavy-hitter scorer is graded against",
+	"harvest.Record.At":   "a harvester's history, which the tests of every task's reports read",
+	"harvest.Record.From": "a harvester's history, which the tests of every task's reports read",
+	"harvest.Record.Val":  "a harvester's history, which the tests of every task's reports read",
+	"dataplane.BusSnapshot.Requests": "the bus ledger that soil.TestTCAMBudgetEnforced, the soil " +
+		"delivery tests and the dataplane bus tests pin",
+	"dataplane.BusSnapshot.Bytes": "the bus ledger that soil.TestTCAMBudgetEnforced, the soil " +
+		"delivery tests and the dataplane bus tests pin",
+	"dataplane.BusSnapshot.DelayMax": "the bus ledger that soil.TestTCAMBudgetEnforced, the soil " +
+		"delivery tests and the dataplane bus tests pin",
+	"almanac.Lowered.Private": "the maps lowering found private, the oracle of almanac.TestPrivateMaps " +
+		"and core.FuzzMapReuse; core's fuzz target cannot reach an almanac export_test.go",
+}
+
+// TestNoUnreadFields holds each internal/ package's exported struct
+// fields to what the program reads: a field a non-test file writes (see
+// TestNoWriteOnlyFields) must also be read by a non-test file of
+// internal/, cmd/, examples/ or bench/. The fields of a struct type with
+// json or xml tags are left out: an encoder reads them. An exempt field
+// the program now reads, or that is gone, fails too.
+func TestNoUnreadFields(t *testing.T) {
+	tr := loadTree(t, "internal", "cmd", "examples", "bench")
+	for _, p := range tr.pkgs {
+		if len(p.files) > 0 {
+			tr.check(t, p.path)
+		}
+	}
+	declared := map[string]bool{}
+	for v := range tr.fieldOwner {
+		declared[fieldKey(tr, v)] = true
+	}
+	for key := range unreadExempt {
+		if !declared[key] {
+			t.Errorf("%s: exempt from this check, but no longer declared: drop its exemption", key)
+		}
+	}
+	var unread []string
+	for v := range tr.fieldWritten {
+		if !v.Exported() || v.Embedded() || tr.tagged[v] || !strings.HasPrefix(v.Pkg().Path(), "farm/internal/") {
+			continue
+		}
+		key := fieldKey(tr, v)
+		_, exempt := unreadExempt[key]
+		switch {
+		case tr.fieldRead[v] && exempt:
+			t.Errorf("%s: exempt from this check, but the program now reads it: drop its exemption", key)
+		case !tr.fieldRead[v] && !exempt:
+			unread = append(unread, tr.fset.Position(v.Pos()).String()+": "+key)
+		}
+	}
+	sort.Strings(unread)
+	for _, u := range unread {
+		t.Errorf("%s is written but never read: delete it, or read it", u)
+	}
+}
+
+// fieldKey names a struct field as "pkg.Type.Field" after the declared
+// type it belongs to, or "Field" for a field of an unnamed struct.
+func fieldKey(tr *tree, v *types.Var) string {
+	if owner := tr.fieldOwner[v]; owner != "" {
+		return owner + "." + v.Name()
+	}
+	return v.Name()
 }
 
 // srcPkg is one directory's package: its non-test files, its in-package
@@ -209,8 +280,11 @@ type tree struct {
 	// write and read (see TestNoWriteOnlyFields); fieldSet holds the
 	// ones they set otherwise (see TestNoUnsetFields).
 	fieldWritten, fieldRead, fieldSet map[*types.Var]bool
+	// tagged holds the fields of struct types with json or xml tags,
+	// which a decoder sets and an encoder reads.
+	tagged map[*types.Var]bool
 	// fieldOwner names the declared struct type each field belongs to,
-	// for TestNoUnsetFields' output.
+	// for the field guards' output.
 	fieldOwner map[*types.Var]string
 }
 
@@ -232,6 +306,7 @@ func loadTree(t *testing.T, roots ...string) *tree {
 		fieldWritten: map[*types.Var]bool{},
 		fieldRead:    map[*types.Var]bool{},
 		fieldSet:     map[*types.Var]bool{},
+		tagged:       map[*types.Var]bool{},
 		fieldOwner:   map[*types.Var]string{},
 	}
 	// fmt calls String and Error on the values it prints.
@@ -409,10 +484,9 @@ func (tr *tree) recordFields(files []*ast.File, info *types.Info) {
 					}
 				}
 			case *ast.StructType:
-				// A decoder sets the fields of a struct it has tags for.
-				if st := structFields(n); st != nil && decoderTagged(st) {
+				if st := structFields(n); st != nil && tagged(st) {
 					for i := 0; i < st.NumFields(); i++ {
-						tr.fieldSet[st.Field(i)] = true
+						tr.tagged[st.Field(i)] = true
 					}
 				}
 			case *ast.AssignStmt:
@@ -471,8 +545,8 @@ func (tr *tree) recordFields(files []*ast.File, info *types.Info) {
 	}
 }
 
-// decoderTagged reports whether a field of st has a json or xml tag.
-func decoderTagged(st *types.Struct) bool {
+// tagged reports whether a field of st has a json or xml tag.
+func tagged(st *types.Struct) bool {
 	for i := 0; i < st.NumFields(); i++ {
 		tag := reflect.StructTag(st.Tag(i))
 		for _, key := range []string{"json", "xml"} {

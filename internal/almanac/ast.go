@@ -288,7 +288,6 @@ type Placement struct {
 	PathExpr   Expr   // boolean filter over paths; nil = all paths
 	RangeOp    string // "==", "<=", ">=", "<", ">"
 	RangeBound Expr
-	DeclLine   int
 }
 
 // UtilDecl is a state's utility callback.

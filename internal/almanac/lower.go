@@ -200,18 +200,14 @@ func Lower(cm *CompiledMachine, builtinNames []string) (lp *Lowered, err error) 
 	}
 	l.private = privateMaps(cm, l.builtin)
 	l.p.Private = sortedNames(l.private)
+	// resolveNames refused a function declared twice, so each name is
+	// one index.
 	for i := range cm.Funcs {
-		// First declaration wins, like the interpreter's map build
-		// would resolve lookups (later duplicates are unreachable
-		// there too since sema rejects them).
-		if _, ok := l.funcIdx[cm.Funcs[i].Name]; !ok {
-			l.funcIdx[cm.Funcs[i].Name] = int32(len(l.p.Funcs))
-			l.p.Funcs = append(l.p.Funcs, LoweredFunc{
-				Name:      cm.Funcs[i].Name,
-				NumParams: int32(len(cm.Funcs[i].Params)),
-				Chunk:     -1,
-			})
-		}
+		l.funcIdx[cm.Funcs[i].Name] = int32(i)
+		l.p.Funcs = append(l.p.Funcs, LoweredFunc{
+			Name:      cm.Funcs[i].Name,
+			NumParams: int32(len(cm.Funcs[i].Params)),
+		})
 	}
 	for i, t := range cm.Triggers {
 		l.trigIdx[t.Name] = int32(i)
@@ -281,15 +277,11 @@ func Lower(cm *CompiledMachine, builtinNames []string) (lp *Lowered, err error) 
 	}
 	for i := range cm.Funcs {
 		fd := &cm.Funcs[i]
-		fi, ok := l.funcIdx[fd.Name]
-		if !ok || l.p.Funcs[fi].Chunk != -1 {
-			continue
-		}
 		params := make([]string, len(fd.Params))
 		for i, p := range fd.Params {
 			params[i] = p.Name
 		}
-		l.p.Funcs[fi].Chunk = l.compileChunk(nil, fd.Body, params)
+		l.p.Funcs[i].Chunk = l.compileChunk(nil, fd.Body, params)
 	}
 	l.p.Init = l.compileInit()
 	if l.err != nil {

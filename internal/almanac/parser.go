@@ -332,8 +332,8 @@ func (p *parser) parseTriggerDecl() (TriggerDecl, error) {
 }
 
 func (p *parser) parsePlacement() (Placement, error) {
-	start := p.advance() // place
-	pl := Placement{DeclLine: start.Line}
+	p.advance() // place
+	var pl Placement
 	switch {
 	case p.accept(tokAll):
 		pl.Quant = QAll

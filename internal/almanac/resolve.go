@@ -23,7 +23,9 @@ import "farm/internal/netmodel"
 // Two checks ride along on the same walk: a resource read (res().X
 // anywhere, P.X in a util whose parameter is P, res.X in a trigger's
 // initialiser) must name one of the five resources, and arithmetic or an
-// ordered comparison may not take a filter.
+// ordered comparison may not take a filter. Before it, a function or
+// struct name the program declares twice is refused at the second
+// declaration.
 //
 // Lower relies on all of it: every name it meets has one static slot.
 
@@ -62,6 +64,20 @@ type scope struct {
 // initialisers use. CompileMachine and DecodeXML call it, so every
 // machine that reaches Lower from source or from the wire has passed it.
 func resolveNames(cm *CompiledMachine) error {
+	for i, fd := range cm.Funcs {
+		for _, prev := range cm.Funcs[:i] {
+			if prev.Name == fd.Name {
+				return semaErr(cm.Name, fd.DeclLine, "function %s declared twice (first at line %d)", fd.Name, prev.DeclLine)
+			}
+		}
+	}
+	for i, sd := range cm.Structs {
+		for _, prev := range cm.Structs[:i] {
+			if prev.Name == sd.Name {
+				return semaErr(cm.Name, sd.DeclLine, "struct %s declared twice (first at line %d)", sd.Name, prev.DeclLine)
+			}
+		}
+	}
 	s := &scope{machine: cm.Name, kinds: map[string]nameKind{}, states: map[string]bool{}}
 	for _, st := range cm.States {
 		s.states[st.Name] = true

@@ -80,7 +80,8 @@ func Compile(prog *Program) ([]*CompiledMachine, error) {
 
 // CompileMachine validates and flattens one machine (resolving single
 // inheritance: states may be overridden in children; variables and
-// trigger variables may not be overridden or shadowed, §III-A-a).
+// trigger variables may not be overridden or shadowed, §III-A-a). A
+// machine that declares a state twice is refused.
 func CompileMachine(prog *Program, name string) (*CompiledMachine, error) {
 	chain, err := inheritanceChain(prog, name)
 	if err != nil {
@@ -104,8 +105,14 @@ func CompileMachine(prog *Program, name string) (*CompiledMachine, error) {
 		if len(md.Placements) > 0 {
 			cm.Placements = md.Placements
 		}
-		// States: override by name.
-		for _, st := range md.States {
+		// States: override by name, a child's state replacing its
+		// parent's; one machine declares each name once.
+		for i, st := range md.States {
+			for _, prev := range md.States[:i] {
+				if prev.Name == st.Name {
+					return nil, semaErr(md.Name, st.DeclLine, "state %s declared twice (first at line %d)", st.Name, prev.DeclLine)
+				}
+			}
 			if idx, ok := stateIdx[st.Name]; ok {
 				cm.States[idx] = CompiledState{Name: st.Name, Vars: st.Vars, Util: st.Util, Events: st.Events}
 			} else {

@@ -468,3 +468,61 @@ func TestSemaRejectsUnresolvedNames(t *testing.T) {
 		}
 	}
 }
+
+// TestSemaRejectsDuplicateDeclarations holds sema to one positioned
+// error, at the second declaration, for a state a machine declares
+// twice and for a struct or function a program declares twice. A
+// child's state that overrides its parent's is legal
+// (TestInheritanceOverridesStates).
+func TestSemaRejectsDuplicateDeclarations(t *testing.T) {
+	for _, r := range []struct {
+		name string
+		src  string
+		line int
+		msg  string
+	}{
+		{"state", `machine M {
+  place all;
+  long x;
+  state a { when (enter) do { x = 1; } }
+  state a { when (enter) do { x = 2; } }
+}
+`, 5, "state a declared twice (first at line 4)"},
+		{"state in a child", `machine Base {
+  place all;
+  long x;
+  state a { when (enter) do { x = 1; } }
+}
+machine Child extends Base {
+  state b { when (enter) do { x = 2; } }
+  state b { when (enter) do { x = 3; } }
+}
+`, 8, "state b declared twice (first at line 7)"},
+		{"struct", `struct S { long x; }
+struct S { float x; float y; }
+machine M {
+  place all;
+  long x;
+  state a { when (enter) do { x = 1; } }
+}
+`, 2, "struct S declared twice (first at line 1)"},
+		{"function", `function f(long a) { return a; }
+machine M {
+  place all;
+  long x;
+  state a { when (enter) do { x = f(1); } }
+}
+function f(long a, long b) { return a + b; }
+`, 7, "function f declared twice (first at line 1)"},
+	} {
+		prog, err := Parse(r.src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v\n%s", r.name, err, r.src)
+		}
+		_, err = Compile(prog)
+		var se *SemaError
+		if !errors.As(err, &se) || se.Line != r.line || se.Msg != r.msg {
+			t.Errorf("%s: Compile = %v, want line %d: %s\n%s", r.name, err, r.line, r.msg, r.src)
+		}
+	}
+}

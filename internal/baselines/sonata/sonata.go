@@ -28,7 +28,6 @@ import (
 // summed within Window, then `having value >= Threshold` evaluated
 // centrally per (switch, port).
 type Query struct {
-	Name      string
 	Window    time.Duration
 	Threshold float64
 }
@@ -49,12 +48,11 @@ const DefaultBatchDelay = 400 * time.Millisecond
 // recordBytes is the export size per surviving record.
 const recordBytes = 64
 
-// Detection is one `having` match emitted by the stream processor.
+// Detection is one `having` match emitted by the stream processor: the
+// leaf and the "port:<n>" key whose window crossed the threshold.
 type Detection struct {
-	Query  string
 	Switch netmodel.SwitchID
 	Key    string
-	Value  float64
 	At     time.Duration
 }
 
@@ -135,11 +133,10 @@ func (s *System) processBatch(q Query, sw netmodel.SwitchID, batch map[string]fl
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		v := batch[k]
-		if v < q.Threshold {
+		if batch[k] < q.Threshold {
 			continue
 		}
-		s.detections = append(s.detections, Detection{Query: q.Name, Switch: sw, Key: k, Value: v, At: s.sched.Now()})
+		s.detections = append(s.detections, Detection{Switch: sw, Key: k, At: s.sched.Now()})
 	}
 	// Keep the grown backing array but drop the key references, so the
 	// scratch never pins a retired batch's strings.

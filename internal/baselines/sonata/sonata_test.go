@@ -23,7 +23,7 @@ func testFabric(t *testing.T, leaves, hosts int) *fabric.Fabric {
 }
 
 func hhQuery(window time.Duration, threshold float64) Query {
-	return Query{Name: "hh", Window: window, Threshold: threshold}
+	return Query{Window: window, Threshold: threshold}
 }
 
 // flow starts a TCP flow of rate packets per second between two hosts.
@@ -158,22 +158,36 @@ func TestExportRespectsAggregationFactor(t *testing.T) {
 	}
 }
 
+// TestPortKeyedWindow credits 5000 bytes to one leaf port in a window:
+// a threshold of 5000 detects that port, and one of 5001 detects
+// nothing, so the window's value is the port's exact byte count.
 func TestPortKeyedWindow(t *testing.T) {
-	fab := testFabric(t, 1, 2)
-	leaf := leafNamed(t, fab, "leaf0")
-	sys := Deploy(fab, []Query{hhQuery(time.Second, 1000)}, Config{AggregationFactor: 0.75})
-	defer sys.Stop()
-	sw := fab.Switch(leaf)
-	if err := sw.CreditPort(1, 0, 0, 5, 5000); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.CreditPort(2, 0, 0, 1, 10); err != nil {
-		t.Fatal(err)
-	}
-	fab.Sched().RunFor(2 * time.Second)
-	dets := sys.Detections()
-	if len(dets) != 1 || dets[0].Switch != leaf || dets[0].Key != "port:1" || dets[0].Value != 5000 {
-		t.Fatalf("detections = %v, want port:1 with 5000 bytes on leaf0", dets)
+	for _, tc := range []struct {
+		threshold float64
+		detects   bool
+	}{{5000, true}, {5001, false}} {
+		fab := testFabric(t, 1, 2)
+		leaf := leafNamed(t, fab, "leaf0")
+		sys := Deploy(fab, []Query{hhQuery(time.Second, tc.threshold)}, Config{AggregationFactor: 0.75})
+		sw := fab.Switch(leaf)
+		if err := sw.CreditPort(1, 0, 0, 5, 5000); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.CreditPort(2, 0, 0, 1, 10); err != nil {
+			t.Fatal(err)
+		}
+		fab.Sched().RunFor(2 * time.Second)
+		sys.Stop()
+		dets := sys.Detections()
+		if !tc.detects {
+			if len(dets) != 0 {
+				t.Fatalf("threshold %g: detections = %v, want none", tc.threshold, dets)
+			}
+			continue
+		}
+		if len(dets) != 1 || dets[0].Switch != leaf || dets[0].Key != "port:1" {
+			t.Fatalf("threshold %g: detections = %v, want port:1 on leaf0", tc.threshold, dets)
+		}
 	}
 }
 

@@ -24,7 +24,6 @@ type Bus struct {
 	requests   uint64
 	bytes      uint64
 	busy       time.Duration
-	delaySum   time.Duration
 	delayMax   time.Duration
 	lastActive time.Duration
 }
@@ -81,7 +80,6 @@ func (b *Bus) admit(size int) (latency time.Duration) {
 	b.bytes += uint64(size)
 	b.busy += transfer
 	queueDelay := start - now
-	b.delaySum += queueDelay
 	if queueDelay > b.delayMax {
 		b.delayMax = queueDelay
 	}
@@ -160,7 +158,6 @@ type BusSnapshot struct {
 	Requests uint64
 	Bytes    uint64
 	Busy     time.Duration
-	DelaySum time.Duration
 	DelayMax time.Duration
 }
 
@@ -171,7 +168,6 @@ func (b *Bus) Snapshot() BusSnapshot {
 		Requests: b.requests,
 		Bytes:    b.bytes,
 		Busy:     b.busy,
-		DelaySum: b.delaySum,
 		DelayMax: b.delayMax,
 	}
 }

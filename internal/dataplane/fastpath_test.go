@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 )
 
@@ -156,7 +157,6 @@ func injectLinear(s *Switch, p *Packet, inPort, outPort int) Verdict {
 	}
 	var v Verdict
 	if e := entryLinear(s.tcam, p, inPort); e != nil {
-		v.Rule = &e.rule
 		if e.rule.Action == ActDrop {
 			v.Dropped = true
 			s.dropped++
@@ -255,13 +255,19 @@ func TestTCAMFastPathProperty(t *testing.T) {
 	}
 }
 
-// sameVerdict reports whether two verdicts agree: the same drop, and no
-// rule or equal rules (they point into different switches' tables).
-func sameVerdict(v, w Verdict) bool {
-	if v.Dropped != w.Dropped || (v.Rule == nil) != (w.Rule == nil) {
+// sameVerdict reports whether two switches that were handed the same
+// packet agree on it: the same drop, and the same rules with the same
+// counters, so the same rule, if any, counted the packet.
+func sameVerdict(v, w Verdict, a, b *Switch) bool {
+	if v != w || len(a.tcam.entries) != len(b.tcam.entries) {
 		return false
 	}
-	return v.Rule == nil || *v.Rule == *w.Rule
+	for i, e := range a.tcam.entries {
+		if f := b.tcam.entries[i]; e.rule != f.rule || e.stats != f.stats {
+			return false
+		}
+	}
+	return true
 }
 
 // overwrote reports whether a valid slot's key changed between two
@@ -346,7 +352,7 @@ func TestSwitchFastPathEquivalence(t *testing.T) {
 		fastW.last, slowW.last = Verdict{}, Verdict{}
 		op(slowW)
 		op(fastW)
-		if !sameVerdict(fastW.last, slowW.last) {
+		if !sameVerdict(fastW.last, slowW.last, fastW.sw, slowW.sw) {
 			t.Fatalf("op %d: verdict fast %+v, linear %+v", i, fastW.last, slowW.last)
 		}
 	}
@@ -393,8 +399,24 @@ func TestFlowCacheInvalidationOnChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)
-	if v := injectFresh(sw, &p, 1, 2); v.Rule == nil || v.Rule.Note != "low" {
-		t.Fatalf("verdict = %+v", v)
+	// inject sends p and names the rules whose packet counter it moved.
+	inject := func() (Verdict, string) {
+		before := map[string]uint64{}
+		for _, r := range tc.Rules() {
+			st, _ := tc.Stats(r.Filter)
+			before[r.Note] = st.Packets
+		}
+		v := injectFresh(sw, &p, 1, 2)
+		var moved []string
+		for _, r := range tc.Rules() {
+			if st, _ := tc.Stats(r.Filter); st.Packets != before[r.Note] {
+				moved = append(moved, r.Note)
+			}
+		}
+		return v, strings.Join(moved, ",")
+	}
+	if v, moved := inject(); v.Dropped || moved != "low" {
+		t.Fatalf("verdict = %+v, counted by %q", v, moved)
 	}
 	// Warm cache, then install a higher-priority rule for the same flow:
 	// the next packet must see it despite the cached verdict.
@@ -402,13 +424,13 @@ func TestFlowCacheInvalidationOnChurn(t *testing.T) {
 	if err := tc.AddRule(high); err != nil {
 		t.Fatal(err)
 	}
-	if v := injectFresh(sw, &p, 1, 2); !v.Dropped || v.Rule == nil || v.Rule.Note != "high" {
-		t.Fatalf("post-churn verdict = %+v; cache not invalidated", v)
+	if v, moved := inject(); !v.Dropped || moved != "high" {
+		t.Fatalf("post-churn verdict = %+v, counted by %q; cache not invalidated", v, moved)
 	}
 	// Removal invalidates too.
 	tc.RemoveRule(high.Filter)
-	if v := injectFresh(sw, &p, 1, 2); v.Rule == nil || v.Rule.Note != "low" {
-		t.Fatalf("post-remove verdict = %+v", v)
+	if v, moved := inject(); v.Dropped || moved != "low" {
+		t.Fatalf("post-remove verdict = %+v, counted by %q", v, moved)
 	}
 	if tc.gen != 3 {
 		t.Fatalf("generation = %d, want 3 (two installs + one removal)", tc.gen)

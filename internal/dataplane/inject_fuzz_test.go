@@ -81,10 +81,11 @@ func (w *oracleWorld) addSampler(f Filter, oneInN int) {
 // has slots, interleaved with repeats of the program's last flows. Each
 // packet visits one or more in-ports in turn, as it would the switches of
 // a path; a third world injects it through InjectKey with one key built
-// per packet, as the fabric does. All three must agree on every verdict,
-// the rule table and its counters, the sampler deliveries in order, the
-// port counters and the drop count, and the keyed world must hit and
-// miss the flow cache exactly as the world that builds a key per call.
+// per packet, as the fabric does. All three must agree on every verdict
+// and, after every packet, on the rules and their counters; at the end,
+// on the sampler deliveries in order, the port counters and the drop
+// count, and the keyed world must hit and miss the flow cache exactly as
+// the world that builds a key per call.
 func FuzzInjectOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 9, 4, 1, 2, 3, 2, 0, 1, 4, 5, 6, 7})
@@ -123,7 +124,7 @@ func FuzzInjectOracle(f *testing.F) {
 						v[i] = w.inject(w.sw, p, hp.in, hp.out)
 					}
 				}
-				if !sameVerdict(v[0], v[1]) || !sameVerdict(v[2], v[1]) {
+				if !sameVerdict(v[0], v[1], fast.sw, slow.sw) || !sameVerdict(v[2], v[1], keyed.sw, slow.sw) {
 					t.Fatalf("packet %d %+v in %d: verdict fast %+v, keyed %+v, linear %+v", fast.injected, *p, hp.in, v[0], v[2], v[1])
 				}
 			}

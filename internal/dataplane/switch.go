@@ -177,12 +177,9 @@ type Sampler struct {
 	removed bool
 }
 
-// Verdict reports what the ASIC did with an injected packet.
+// Verdict reports what the ASIC did with an injected packet: whether a
+// drop rule matched it. The matching rule's Stats count the packet.
 type Verdict struct {
-	// Rule is the TCAM rule that matched, nil if none did. It points
-	// into the table: read-only, and still the rule as it was matched
-	// after the table changes (a replaced rule is a new entry).
-	Rule    *Rule
 	Dropped bool
 }
 
@@ -418,7 +415,6 @@ func (s *Switch) classifyFused(p *Packet, k *flowKey, inPort int) Verdict {
 	if e := cv.e; e != nil {
 		e.stats.Packets++
 		e.stats.Bytes += uint64(p.Size)
-		v.Rule = &e.rule
 		if e.rule.Action == ActDrop {
 			v.Dropped = true
 			s.dropped++

@@ -186,7 +186,7 @@ func fig4Sonata(leaves, hosts int, duration, churn time.Duration) (Fig4Point, er
 	w := fig4Workload(fab, churn)
 	defer w.Stop()
 	// Window flushes carry per-port byte counts from every leaf.
-	q := sonata.Query{Name: "hh", Window: 3 * time.Second, Threshold: 1e12}
+	q := sonata.Query{Window: 3 * time.Second, Threshold: 1e12}
 	defer sonata.Deploy(fab, []sonata.Query{q}, sonata.Config{AggregationFactor: 0.75}).Stop()
 	loop.RunFor(time.Second)
 	snap := fab.CentralNet.Snapshot()

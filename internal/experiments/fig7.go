@@ -44,7 +44,6 @@ type Fig7Point struct {
 	Switches int
 	Utility  float64 // mean
 	Runtime  time.Duration
-	Solved   int // runs that produced a placement
 }
 
 // Fig7Result is the reproduced Fig. 7 (a: utility, b: runtime).
@@ -73,7 +72,7 @@ func fig7(sc fig7Scale) (*Fig7Result, error) {
 			switches = 2
 		}
 		var hU, hT, sU, sT, lU, lT float64
-		var hN, sN, lN int
+		var milpRuns int // the runs small enough for the exact solver
 		for run := 0; run < sc.runs; run++ {
 			in := placement.RandomScenario(placement.ScenarioConfig{
 				Switches: switches,
@@ -87,7 +86,6 @@ func fig7(sc fig7Scale) (*Fig7Result, error) {
 			}
 			hU += h.Utility
 			hT += h.Runtime.Seconds()
-			hN++
 			if seeds <= sc.milpMaxSeeds {
 				ms, err := placement.MILP(in, placement.MILPOptions{Timeout: sc.milpShort})
 				if err != nil {
@@ -95,34 +93,30 @@ func fig7(sc fig7Scale) (*Fig7Result, error) {
 				}
 				sU += ms.Utility
 				sT += ms.Runtime.Seconds()
-				sN++
 				ml, err := placement.MILP(in, placement.MILPOptions{Timeout: sc.milpLong})
 				if err != nil {
 					return nil, fmt.Errorf("experiments: fig7 milp-long: %w", err)
 				}
 				lU += ml.Utility
 				lT += ml.Runtime.Seconds()
-				lN++
+				milpRuns++
 			}
 		}
 		res.Heuristic = append(res.Heuristic, Fig7Point{
 			Seeds: seeds, Switches: switches,
-			Utility: hU / float64(hN),
-			Runtime: time.Duration(hT / float64(hN) * float64(time.Second)),
-			Solved:  hN,
+			Utility: hU / float64(sc.runs),
+			Runtime: time.Duration(hT / float64(sc.runs) * float64(time.Second)),
 		})
-		if sN > 0 {
+		if n := float64(milpRuns); n > 0 {
 			res.MILPShort = append(res.MILPShort, Fig7Point{
 				Seeds: seeds, Switches: switches,
-				Utility: sU / float64(sN),
-				Runtime: time.Duration(sT / float64(sN) * float64(time.Second)),
-				Solved:  sN,
+				Utility: sU / n,
+				Runtime: time.Duration(sT / n * float64(time.Second)),
 			})
 			res.MILPLong = append(res.MILPLong, Fig7Point{
 				Seeds: seeds, Switches: switches,
-				Utility: lU / float64(lN),
-				Runtime: time.Duration(lT / float64(lN) * float64(time.Second)),
-				Solved:  lN,
+				Utility: lU / n,
+				Runtime: time.Duration(lT / n * float64(time.Second)),
 			})
 		}
 	}

@@ -12,7 +12,6 @@ type Tab1Row struct {
 	Name        string
 	Description string
 	SeedLoC     int
-	Machines    int
 }
 
 // Tab1Result is the reproduced Tab. I (use cases implemented in FARM).
@@ -37,7 +36,6 @@ func Tab1() *Tab1Result {
 			Name:        d.Name,
 			Description: d.Description,
 			SeedLoC:     loc,
-			Machines:    len(d.Machines),
 		})
 	}
 	return res

@@ -151,11 +151,12 @@ func tab4SFlow() (time.Duration, error) {
 		_ = fab.Switch(leaf).CreditPort(1, 0, 0, 10, 10_000)
 	})
 	defer hot.Stop()
+	// Detection = the collector flagging the heavy port, leaf0 port 1.
 	deadline := start + 10*time.Second
 	for loop.Now() < deadline {
 		loop.RunFor(time.Millisecond)
 		for _, d := range sys.Detections() {
-			if d.At > start {
+			if d.At > start && d.Switch == leaf && d.Port == 1 {
 				return d.At - start, nil
 			}
 		}
@@ -178,18 +179,20 @@ func tab4Sonata() (time.Duration, error) {
 	start := loop.Now()
 	// The data plane aggregates at line rate; window flushes carry the
 	// per-port byte counts.
-	q := sonata.Query{Name: "hh", Window: tab4SonataWindow, Threshold: 1_000_000}
+	q := sonata.Query{Window: tab4SonataWindow, Threshold: 1_000_000}
 	sys := sonata.Deploy(fab, []sonata.Query{q}, sonata.Config{AggregationFactor: 0.75})
 	defer sys.Stop()
 	hot := loop.Every(100*time.Microsecond, func() {
 		_ = fab.Switch(leaf).CreditPort(1, 0, 0, 10, 10_000)
 	})
 	defer hot.Stop()
+	// Detection = a window of the heavy port, leaf0 port 1, crossing
+	// the threshold.
 	deadline := start + 4*tab4SonataWindow
 	for loop.Now() < deadline {
 		loop.RunFor(10 * time.Millisecond)
 		for _, d := range sys.Detections() {
-			if d.At > start {
+			if d.At > start && d.Switch == leaf && d.Key == "port:1" {
 				return d.At - start, nil
 			}
 		}

@@ -59,7 +59,6 @@ type Record struct {
 // Harvester hosts one task's Logic and keeps a bounded history of
 // received reports for inspection by tests and operators.
 type Harvester struct {
-	Task    string
 	logic   Logic
 	ctx     Context
 	history []Record
@@ -69,8 +68,8 @@ type Harvester struct {
 const historyLimit = 4096
 
 // New creates a harvester for a task. logic may be nil (collect-only).
-func New(task string, logic Logic) *Harvester {
-	return &Harvester{Task: task, logic: logic}
+func New(logic Logic) *Harvester {
+	return &Harvester{logic: logic}
 }
 
 // Bind attaches the seeder-provided context and runs OnStart.

@@ -35,7 +35,7 @@ func TestFuncLogicDispatch(t *testing.T) {
 		},
 	}
 	ctx := &fakeCtx{}
-	h := New("t", logic)
+	h := New(logic)
 	h.Bind(ctx)
 	h.Deliver(soil.SeedRef{Task: "t", Machine: "HH", Switch: "leaf0"}, int64(42))
 	if got != int64(42) {
@@ -47,7 +47,7 @@ func TestFuncLogicDispatch(t *testing.T) {
 }
 
 func TestNilLogicCollectsOnly(t *testing.T) {
-	h := New("t", nil)
+	h := New(nil)
 	h.Bind(&fakeCtx{now: 5 * time.Millisecond})
 	h.Deliver(soil.SeedRef{Switch: "leaf0"}, "a")
 	h.Deliver(soil.SeedRef{Switch: "leaf1"}, "b")
@@ -60,7 +60,7 @@ func TestNilLogicCollectsOnly(t *testing.T) {
 }
 
 func TestHistoryBounded(t *testing.T) {
-	h := New("t", nil)
+	h := New(nil)
 	h.Bind(&fakeCtx{})
 	const n = historyLimit + 10
 	for i := 0; i < n; i++ {
@@ -76,7 +76,7 @@ func TestHistoryBounded(t *testing.T) {
 }
 
 func TestLastReportEmpty(t *testing.T) {
-	h := New("t", nil)
+	h := New(nil)
 	if n := len(h.History()); n != 0 {
 		t.Fatalf("a fresh harvester holds %d reports, want none", n)
 	}
@@ -84,7 +84,7 @@ func TestLastReportEmpty(t *testing.T) {
 
 func TestDeliverBeforeBind(t *testing.T) {
 	// Delivery before Bind must not panic; records at time zero.
-	h := New("t", FuncLogic{})
+	h := New(FuncLogic{})
 	h.Deliver(soil.SeedRef{}, "x")
 	if len(h.History()) != 1 || h.History()[0].At != 0 {
 		t.Fatalf("history = %+v", h.History())

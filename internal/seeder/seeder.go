@@ -238,7 +238,7 @@ func (sd *Seeder) AddTask(spec TaskSpec) error {
 		return err
 	}
 	sd.tasks[spec.Name] = t
-	h := harvest.New(spec.Name, spec.Harvester)
+	h := harvest.New(spec.Harvester)
 	sd.harvesters[spec.Name] = h
 	h.Bind(&harvesterCtx{sd: sd, task: spec.Name})
 
