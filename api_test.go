@@ -20,8 +20,6 @@ import (
 var testOnlyExempt = map[string]string{
 	"traffic.BulkWorkload.HeavyPorts": "the ground truth a heavy-hitter scorer is graded against: " +
 		"the generator's own record of which ports it made heavy, read by the tests that check detection",
-	"dataplane.Switch.Dropped": "the per-switch count of rule drops, which fabric's key-per-hop oracle " +
-		"compares switch by switch; the program reads drops as the fabric's total",
 	"core.MapVal.Set": "builds a map value from Go, as the seeder's externals tests need; " +
 		"the program builds maps only through the map builtins",
 	"poly.Utility.Eval": "evaluates a utility at a resource assignment: the almanac tests' oracle " +
@@ -195,12 +193,6 @@ var unreadExempt = map[string]string{
 	"harvest.Record.At":   "a harvester's history, which the tests of every task's reports read",
 	"harvest.Record.From": "a harvester's history, which the tests of every task's reports read",
 	"harvest.Record.Val":  "a harvester's history, which the tests of every task's reports read",
-	"dataplane.BusSnapshot.Requests": "the bus ledger that soil.TestTCAMBudgetEnforced, the soil " +
-		"delivery tests and the dataplane bus tests pin",
-	"dataplane.BusSnapshot.Bytes": "the bus ledger that soil.TestTCAMBudgetEnforced, the soil " +
-		"delivery tests and the dataplane bus tests pin",
-	"dataplane.BusSnapshot.DelayMax": "the bus ledger that soil.TestTCAMBudgetEnforced, the soil " +
-		"delivery tests and the dataplane bus tests pin",
 	"almanac.Lowered.Private": "the maps lowering found private, the oracle of almanac.TestPrivateMaps " +
 		"and core.FuzzMapReuse; core's fuzz target cannot reach an almanac export_test.go",
 }
@@ -247,6 +239,33 @@ func TestNoUnreadFields(t *testing.T) {
 	}
 }
 
+// TestNoUnusedFields holds each internal/ package's struct fields to
+// the program: a field declared in a non-test file under internal/
+// must be used — written, read or set (see TestNoWriteOnlyFields and
+// TestNoUnsetFields) — by a non-test file of internal/, cmd/,
+// examples/ or bench/. A field nothing uses is dead weight in every
+// value of its struct. Embedded fields, blank fields and the fields of
+// json- or xml-tagged struct types are left out.
+func TestNoUnusedFields(t *testing.T) {
+	tr := loadTree(t, "internal", "cmd", "examples", "bench")
+	for _, p := range tr.pkgs {
+		if len(p.files) > 0 {
+			tr.check(t, p.path)
+		}
+	}
+	var unused []string
+	for v := range tr.fieldDeclared {
+		if v.Embedded() || v.Name() == "_" || tr.tagged[v] || tr.fieldWritten[v] || tr.fieldRead[v] || tr.fieldSet[v] {
+			continue
+		}
+		unused = append(unused, tr.fset.Position(v.Pos()).String()+": "+fieldKey(tr, v))
+	}
+	sort.Strings(unused)
+	for _, u := range unused {
+		t.Errorf("%s is declared but never used: delete it", u)
+	}
+}
+
 // fieldKey names a struct field as "pkg.Type.Field" after the declared
 // type it belongs to, or "Field" for a field of an unnamed struct.
 func fieldKey(tr *tree, v *types.Var) string {
@@ -286,6 +305,9 @@ type tree struct {
 	// fieldOwner names the declared struct type each field belongs to,
 	// for the field guards' output.
 	fieldOwner map[*types.Var]string
+	// fieldDeclared holds the fields of the struct types that non-test
+	// files under internal/ declare.
+	fieldDeclared map[*types.Var]bool
 }
 
 // loadTree parses every .go file under roots that the default build
@@ -303,11 +325,12 @@ func loadTree(t *testing.T, roots ...string) *tree {
 		testUsed:   map[string]bool{},
 		ifaceCalls: map[string][]*types.Interface{},
 
-		fieldWritten: map[*types.Var]bool{},
-		fieldRead:    map[*types.Var]bool{},
-		fieldSet:     map[*types.Var]bool{},
-		tagged:       map[*types.Var]bool{},
-		fieldOwner:   map[*types.Var]string{},
+		fieldWritten:  map[*types.Var]bool{},
+		fieldRead:     map[*types.Var]bool{},
+		fieldSet:      map[*types.Var]bool{},
+		tagged:        map[*types.Var]bool{},
+		fieldOwner:    map[*types.Var]string{},
+		fieldDeclared: map[*types.Var]bool{},
 	}
 	// fmt calls String and Error on the values it prints.
 	fmtPkg, err := tr.std.Import("fmt")
@@ -484,9 +507,16 @@ func (tr *tree) recordFields(files []*ast.File, info *types.Info) {
 					}
 				}
 			case *ast.StructType:
-				if st := structFields(n); st != nil && tagged(st) {
+				if st := structFields(n); st != nil {
+					tag := tagged(st)
 					for i := 0; i < st.NumFields(); i++ {
-						tr.tagged[st.Field(i)] = true
+						f := st.Field(i)
+						if tag {
+							tr.tagged[f] = true
+						}
+						if strings.HasPrefix(f.Pkg().Path(), "farm/internal/") {
+							tr.fieldDeclared[f] = true
+						}
 					}
 				}
 			case *ast.AssignStmt:

@@ -79,9 +79,9 @@ func TestCentralLoadScalesWithPorts(t *testing.T) {
 			HHThresholdBytesPerSec: 1e12, // nothing detected: pure overhead
 		})
 		defer sys.Stop()
-		snap := fab.CentralNet.Snapshot()
+		snap := fab.Meters.Snapshot()
 		fab.Sched().RunFor(time.Second)
-		_, bps := fab.CentralNet.RateSince(snap)
+		_, bps := fab.Meters.Since(snap).CentralRate()
 		return bps
 	}
 	small := load(2, 2)

@@ -205,9 +205,9 @@ func TestWindowExportsDeltaOnce(t *testing.T) {
 		t.Fatalf("after the first window: %d bytes in %d packets, want one %d-byte record",
 			got, fab.CentralNet.Packets(), want)
 	}
-	snap := fab.CentralNet.Snapshot()
+	snap := fab.Meters.Snapshot()
 	fab.Sched().RunFor(time.Second)
-	if pps, bps := fab.CentralNet.RateSince(snap); pps != 0 || bps != 0 {
+	if pps, bps := fab.Meters.Since(snap).CentralRate(); pps != 0 || bps != 0 {
 		t.Fatalf("quiet windows exported %g pkt/s, %g B/s", pps, bps)
 	}
 	if dets := sys.Detections(); len(dets) != 1 {
@@ -228,12 +228,12 @@ func TestStopSilences(t *testing.T) {
 	// Drain in-flight windows and micro-batches.
 	fab.Sched().RunFor(2 * time.Second)
 	n := len(sys.Detections())
-	snap := fab.CentralNet.Snapshot()
+	snap := fab.Meters.Snapshot()
 	fab.Sched().RunFor(2 * time.Second)
 	if got := len(sys.Detections()); got != n {
 		t.Fatalf("detections kept flowing after Stop: %d -> %d", n, got)
 	}
-	if pps, _ := fab.CentralNet.RateSince(snap); pps != 0 {
+	if pps, _ := fab.Meters.Since(snap).CentralRate(); pps != 0 {
 		t.Fatalf("exports kept flowing after Stop: %g pkt/s", pps)
 	}
 }

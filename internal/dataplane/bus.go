@@ -4,28 +4,23 @@ import (
 	"time"
 
 	"farm/internal/engine"
+	"farm/internal/metrics"
 )
 
 // Bus models the PCIe link between the switch management CPU and the
 // ASIC as a rate-limited FIFO channel. All statistics polling, rule
 // updates, and sampled packets cross it; with the capacities measured in
 // the paper (8 Mbps polling vs. 100 Gbps ASIC, a 1:12500 ratio) it is
-// the first resource to congest (Fig. 8).
+// the first resource to congest (Fig. 8). It meters into a BusMeter.
 type Bus struct {
 	sched       engine.Scheduler
 	bytesPerSec float64
 	busyUntil   time.Duration
+	m           *metrics.BusMeter
 
 	// free holds the completion records not in flight. A bus belongs to
 	// one switch: nothing else touches it.
 	free []*completion
-
-	// cumulative accounting
-	requests   uint64
-	bytes      uint64
-	busy       time.Duration
-	delayMax   time.Duration
-	lastActive time.Duration
 }
 
 // completion is one transfer in flight whose end somebody waits for: a
@@ -56,12 +51,16 @@ const minFrameBytes = 64
 const DefaultPCIePollBytesPerSec = 1_000_000
 
 // NewBus returns a bus on the given scheduler with the given capacity in
-// bytes per second.
+// bytes per second, metering into a record of its own.
 func NewBus(sched engine.Scheduler, bytesPerSec float64) *Bus {
+	return newBus(sched, bytesPerSec, new(metrics.BusMeter))
+}
+
+func newBus(sched engine.Scheduler, bytesPerSec float64, m *metrics.BusMeter) *Bus {
 	if bytesPerSec <= 0 {
 		bytesPerSec = DefaultPCIePollBytesPerSec
 	}
-	return &Bus{sched: sched, bytesPerSec: bytesPerSec}
+	return &Bus{sched: sched, bytesPerSec: bytesPerSec, m: m}
 }
 
 // admit queues a transfer of size bytes behind everything already on
@@ -76,12 +75,12 @@ func (b *Bus) admit(size int) (latency time.Duration) {
 	transfer := time.Duration(float64(size) / b.bytesPerSec * float64(time.Second))
 	done := start + transfer
 	b.busyUntil = done
-	b.requests++
-	b.bytes += uint64(size)
-	b.busy += transfer
-	queueDelay := start - now
-	if queueDelay > b.delayMax {
-		b.delayMax = queueDelay
+	m := b.m
+	m.Requests++
+	m.Bytes += uint64(size)
+	m.Busy += transfer
+	if queueDelay := start - now; queueDelay > m.DelayMax {
+		m.DelayMax = queueDelay
 	}
 	return done - now
 }
@@ -152,36 +151,8 @@ func (b *Bus) Backlog() time.Duration {
 	return b.busyUntil - b.sched.Now()
 }
 
-// BusSnapshot is a point-in-time view of cumulative bus accounting.
-type BusSnapshot struct {
-	At       time.Duration
-	Requests uint64
-	Bytes    uint64
-	Busy     time.Duration
-	DelayMax time.Duration
-}
-
-// Snapshot returns the cumulative counters.
-func (b *Bus) Snapshot() BusSnapshot {
-	return BusSnapshot{
-		At:       b.sched.Now(),
-		Requests: b.requests,
-		Bytes:    b.bytes,
-		Busy:     b.busy,
-		DelayMax: b.delayMax,
-	}
-}
-
-// UtilizationSince returns the fraction of time the bus was busy between
-// an earlier snapshot and now (may exceed 1 when the queue has built a
-// backlog beyond "now").
-func (b *Bus) UtilizationSince(prev BusSnapshot) float64 {
-	elapsed := b.sched.Now() - prev.At
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(b.busy-prev.Busy) / float64(elapsed)
-}
+// Snapshot returns the cumulative accounting.
+func (b *Bus) Snapshot() metrics.BusMeter { return *b.m }
 
 // Transfer size constants (bytes) for the operations crossing the bus.
 const (
@@ -206,11 +177,11 @@ type Driver interface {
 	PollPortStats(ports []int, fn func(ports []int, stats []PortStats))
 	// PollRuleStats reads the counters of the rule with exactly filter f.
 	PollRuleStats(f Filter, fn func(RuleStats, bool))
-	// StartSampling mirrors 1-in-N matching packets to fn. Each sample
+	// StartSampling mirrors every matching packet to fn. Each sample
 	// crosses the bus; samples are dropped when the backlog exceeds the
 	// ASIC's mirror ring (DefaultMaxSampleBacklog). stop unregisters
 	// the sampler.
-	StartSampling(f Filter, oneInN int, fn func(Packet)) (stop func())
+	StartSampling(f Filter, fn func(Packet)) (stop func())
 	// AddRule installs r, replacing the rule with the same filter. A
 	// write the table refuses (ErrTCAMFull) crosses no bus.
 	AddRule(r Rule) error
@@ -224,11 +195,10 @@ type Driver interface {
 	HasRule(f Filter) bool
 }
 
-// EmuDriver implements Driver over an emulated Switch and Bus.
+// EmuDriver implements Driver over an emulated Switch and its Bus.
 type EmuDriver struct {
-	sw          *Switch
-	bus         *Bus
-	sampleDrops uint64
+	sw  *Switch
+	bus *Bus
 
 	allPorts  []int         // 1..NumPorts, what a nil port list polls
 	pollPorts []int         // completion scratch, reused across polls
@@ -241,16 +211,17 @@ type EmuDriver struct {
 // the bus backlog exceeds it (the real PCIe DMA ring would overflow).
 const DefaultMaxSampleBacklog = 100 * time.Millisecond
 
-// NewEmuDriver returns a driver over the given switch and bus.
-func NewEmuDriver(sw *Switch, bus *Bus) *EmuDriver {
-	return &EmuDriver{sw: sw, bus: bus}
+// NewEmuDriver returns a driver over the given switch and a bus on
+// sched of bytesPerSec (see NewBus) that meters into the switch's record.
+func NewEmuDriver(sw *Switch, sched engine.Scheduler, bytesPerSec float64) *EmuDriver {
+	return &EmuDriver{sw: sw, bus: newBus(sched, bytesPerSec, &sw.m.Bus)}
 }
 
 // Bus exposes the underlying bus for measurement.
 func (d *EmuDriver) Bus() *Bus { return d.bus }
 
 // SampleDrops returns the number of samples dropped due to bus backlog.
-func (d *EmuDriver) SampleDrops() uint64 { return d.sampleDrops }
+func (d *EmuDriver) SampleDrops() uint64 { return d.sw.m.SampleDrops }
 
 // PollPortStats implements Driver. Counters are read at completion time
 // (the ASIC answers with its state when the request is serviced) into
@@ -369,10 +340,10 @@ func (d *EmuDriver) HasRule(f Filter) bool {
 }
 
 // StartSampling implements Driver.
-func (d *EmuDriver) StartSampling(f Filter, oneInN int, fn func(Packet)) (stop func()) {
-	return d.sw.AddSampler(f, oneInN, func(p Packet) {
+func (d *EmuDriver) StartSampling(f Filter, fn func(Packet)) (stop func()) {
+	return d.sw.AddSampler(f, func(p Packet) {
 		if d.bus.Backlog() > DefaultMaxSampleBacklog {
-			d.sampleDrops++
+			d.sw.m.SampleDrops++
 			return
 		}
 		size := sampleHeaderBytes

@@ -293,9 +293,3 @@ func mix(h, w uint64) uint64 {
 	h = (h ^ w) * mixMul
 	return h ^ h>>29
 }
-
-// CacheStats reports flow-cache effectiveness.
-type CacheStats struct {
-	Hits   uint64
-	Misses uint64
-}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"farm/internal/engine"
+	"farm/internal/metrics"
 )
 
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
@@ -186,7 +187,7 @@ func TestTCAMLookupMatchesReference(t *testing.T) {
 }
 
 func TestSwitchInjectCounters(t *testing.T) {
-	sw := NewSwitch("sw0", 4, 16)
+	sw := NewSwitch("sw0", 4, 16, new(metrics.Switch))
 	p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 150)
 	injectFresh(sw, &p, 1, 2)
 	injectFresh(sw, &p, 1, 2)
@@ -204,7 +205,7 @@ func TestSwitchInjectCounters(t *testing.T) {
 }
 
 func TestSwitchDropRule(t *testing.T) {
-	sw := NewSwitch("sw0", 2, 16)
+	sw := NewSwitch("sw0", 2, 16, new(metrics.Switch))
 	_ = sw.TCAM().AddRule(Rule{Priority: 1, Filter: Filter{DstPort: 666}, Action: ActDrop})
 	bad := pkt("10.0.0.1", "10.0.0.2", 1, 666, ProtoTCP, 100)
 	good := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)
@@ -213,8 +214,8 @@ func TestSwitchDropRule(t *testing.T) {
 	if !v1.Dropped || v2.Dropped {
 		t.Fatalf("verdicts = %+v, %+v", v1, v2)
 	}
-	if sw.Dropped() != 1 {
-		t.Fatalf("dropped = %d", sw.Dropped())
+	if sw.m.RuleDrops != 1 {
+		t.Fatalf("dropped = %d", sw.m.RuleDrops)
 	}
 	// Dropped packets are not transmitted.
 	out, _ := sw.PortStats(2)
@@ -223,19 +224,19 @@ func TestSwitchDropRule(t *testing.T) {
 	}
 }
 
-func TestSamplerOneInN(t *testing.T) {
-	sw := NewSwitch("sw0", 2, 16)
+func TestSamplerFiresUntilRemoved(t *testing.T) {
+	sw := NewSwitch("sw0", 2, 16, new(metrics.Switch))
 	var got []Packet
-	remove := sw.AddSampler(Filter{}, 3, func(p Packet) { got = append(got, p) })
+	remove := sw.AddSampler(Filter{}, func(p Packet) { got = append(got, p) })
 	for i := 0; i < 10; i++ {
 		injectFresh(sw, ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)), 1, 2)
 	}
-	if len(got) != 3 {
-		t.Fatalf("sampled %d, want 3 (1-in-3 of 10)", len(got))
+	if len(got) != 10 {
+		t.Fatalf("sampled %d, want every one of 10", len(got))
 	}
 	remove()
 	injectFresh(sw, ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)), 1, 2)
-	if len(got) != 3 {
+	if len(got) != 10 {
 		t.Fatal("sampler fired after removal")
 	}
 }
@@ -296,13 +297,16 @@ func TestBusConservation(t *testing.T) {
 	}
 }
 
+// A driver's bus meters into its switch's record, and a window of the
+// set reads its utilisation.
 func TestBusUtilization(t *testing.T) {
 	loop := engine.NewSerial()
-	bus := NewBus(loop, 1000)
-	start := bus.Snapshot()
-	bus.Request(500, nil) // 500 ms of service
+	meters := metrics.New(loop, 1)
+	drv := NewEmuDriver(NewSwitch("sw0", 2, 16, &meters.Switches[0]), loop, 1000)
+	start := meters.Snapshot()
+	drv.Bus().Request(500, nil) // 500 ms of service
 	loop.RunFor(time.Second)
-	u := bus.UtilizationSince(start)
+	u := meters.Since(start).Utilization(0)
 	if u < 0.49 || u > 0.51 {
 		t.Fatalf("utilization = %g, want ~0.5", u)
 	}
@@ -310,8 +314,8 @@ func TestBusUtilization(t *testing.T) {
 
 func TestEmuDriverPollPortStats(t *testing.T) {
 	loop := engine.NewSerial()
-	sw := NewSwitch("sw0", 4, 16)
-	drv := NewEmuDriver(sw, NewBus(loop, DefaultPCIePollBytesPerSec))
+	sw := NewSwitch("sw0", 4, 16, new(metrics.Switch))
+	drv := NewEmuDriver(sw, loop, DefaultPCIePollBytesPerSec)
 	// Traffic arrives while the poll is in flight; the response reflects
 	// state at service time. Port 9 does not exist and is skipped.
 	injectFresh(sw, ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)), 1, 2)
@@ -337,8 +341,8 @@ func TestEmuDriverPollPortStats(t *testing.T) {
 
 func TestEmuDriverPollAllPorts(t *testing.T) {
 	loop := engine.NewSerial()
-	sw := NewSwitch("sw0", 8, 16)
-	drv := NewEmuDriver(sw, NewBus(loop, DefaultPCIePollBytesPerSec))
+	sw := NewSwitch("sw0", 8, 16, new(metrics.Switch))
+	drv := NewEmuDriver(sw, loop, DefaultPCIePollBytesPerSec)
 	_ = sw.CreditPort(3, 0, 0, 5, 500)
 	for round := 0; round < 2; round++ { // the second poll reuses the scratch
 		var ports []int
@@ -368,9 +372,9 @@ func TestEmuDriverPollAllPorts(t *testing.T) {
 // or a look at the shadow.
 func TestEmuDriverRuleLifecycle(t *testing.T) {
 	loop := engine.NewSerial()
-	sw := NewSwitch("sw0", 2, 1)
-	bus := NewBus(loop, DefaultPCIePollBytesPerSec)
-	drv := NewEmuDriver(sw, bus)
+	sw := NewSwitch("sw0", 2, 1, new(metrics.Switch))
+	drv := NewEmuDriver(sw, loop, DefaultPCIePollBytesPerSec)
+	bus := drv.Bus()
 	last := bus.Snapshot()
 	charged := func(op string, requests, bytes uint64) {
 		t.Helper()
@@ -420,13 +424,12 @@ func TestEmuDriverRuleLifecycle(t *testing.T) {
 
 func TestEmuDriverSamplingDropsUnderBacklog(t *testing.T) {
 	loop := engine.NewSerial()
-	sw := NewSwitch("sw0", 2, 16)
+	sw := NewSwitch("sw0", 2, 16, new(metrics.Switch))
 	// Tiny bus: one 128 B sample takes 128 ms, more than the 100 ms
 	// ring holds.
-	bus := NewBus(loop, 1000)
-	drv := NewEmuDriver(sw, bus)
+	drv := NewEmuDriver(sw, loop, 1000)
 	delivered := 0
-	stop := drv.StartSampling(Filter{}, 1, func(Packet) { delivered++ })
+	stop := drv.StartSampling(Filter{}, func(Packet) { delivered++ })
 	defer stop()
 	for i := 0; i < 10; i++ {
 		injectFresh(sw, ref(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 1000)), 1, 2)

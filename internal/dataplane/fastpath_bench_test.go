@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"farm/internal/metrics"
 )
 
 // benchRules builds a deterministic rule set spreading across all index
@@ -98,17 +100,17 @@ func BenchmarkSwitchInject(b *testing.B) {
 	for _, mode := range injectPaths {
 		for _, n := range []int{64, 256} {
 			b.Run(fmt.Sprintf("%s/rules=%d", mode.name, n), func(b *testing.B) {
-				sw := NewSwitch("bench", 8, n)
+				sw := NewSwitch("bench", 8, n, new(metrics.Switch))
 				for _, r := range benchRules(n) {
 					if err := sw.TCAM().AddRule(r); err != nil {
 						b.Fatal(err)
 					}
 				}
 				sink := 0
-				sw.AddSampler(Filter{Proto: ProtoTCP}, 100, func(Packet) { sink++ })
-				sw.AddSampler(Filter{DstPort: 80}, 50, func(Packet) { sink++ })
-				sw.AddSampler(Filter{SrcPrefix: pfx("10.8.0.0/16")}, 10, func(Packet) { sink++ })
-				sw.AddSampler(Filter{FlagsSet: FlagSYN}, 1, func(Packet) { sink++ })
+				sw.AddSampler(Filter{Proto: ProtoTCP}, func(Packet) { sink++ })
+				sw.AddSampler(Filter{DstPort: 80}, func(Packet) { sink++ })
+				sw.AddSampler(Filter{SrcPrefix: pfx("10.8.0.0/16")}, func(Packet) { sink++ })
+				sw.AddSampler(Filter{FlagsSet: FlagSYN}, func(Packet) { sink++ })
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

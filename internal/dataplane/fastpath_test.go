@@ -6,6 +6,8 @@ import (
 	"net/netip"
 	"strings"
 	"testing"
+
+	"farm/internal/metrics"
 )
 
 // Lookup returns the highest-priority matching rule for the packet,
@@ -159,18 +161,12 @@ func injectLinear(s *Switch, p *Packet, inPort, outPort int) Verdict {
 	if e := entryLinear(s.tcam, p, inPort); e != nil {
 		if e.rule.Action == ActDrop {
 			v.Dropped = true
-			s.dropped++
+			s.m.RuleDrops++
 		}
 	}
 	for _, sm := range s.samplers {
-		if sm.removed {
-			continue
-		}
-		if sm.Filter.Match(p, inPort) {
-			sm.counter++
-			if sm.counter%sm.OneInN == 0 {
-				sm.fn(*p)
-			}
+		if !sm.removed && sm.Filter.Match(p, inPort) {
+			sm.fn(*p)
 		}
 	}
 	if !v.Dropped && outPort >= 1 && outPort < len(s.ports) {
@@ -309,11 +305,11 @@ func TestSwitchFastPathEquivalence(t *testing.T) {
 		evicted int // injects that overwrote another flow's slot
 	}
 	build := func(path int) *world {
-		w := &world{sw: NewSwitch("sw", 4, 12), inject: injectPaths[path].inject}
+		w := &world{sw: NewSwitch("sw", 4, 12, new(metrics.Switch)), inject: injectPaths[path].inject}
 		filters := []Filter{{}, {DstPort: 80}, {Proto: ProtoUDP}, {SrcPrefix: pfx("10.1.0.0/16")}}
 		for i := 0; i < samplers; i++ {
 			i := i
-			w.removes[i] = w.sw.AddSampler(filters[i], 1+i, func(Packet) {
+			w.removes[i] = w.sw.AddSampler(filters[i], func(Packet) {
 				w.fired[i] = append(w.fired[i], len(w.fired[i]))
 			})
 		}
@@ -357,8 +353,8 @@ func TestSwitchFastPathEquivalence(t *testing.T) {
 		}
 	}
 
-	if fastW.sw.Dropped() != slowW.sw.Dropped() {
-		t.Fatalf("dropped: fast %d, linear %d", fastW.sw.Dropped(), slowW.sw.Dropped())
+	if fastW.sw.m.RuleDrops != slowW.sw.m.RuleDrops {
+		t.Fatalf("dropped: fast %d, linear %d", fastW.sw.m.RuleDrops, slowW.sw.m.RuleDrops)
 	}
 	for port := 1; port <= 4; port++ {
 		fs, _ := fastW.sw.PortStats(port)
@@ -392,7 +388,7 @@ func TestSwitchFastPathEquivalence(t *testing.T) {
 }
 
 func TestFlowCacheInvalidationOnChurn(t *testing.T) {
-	sw := NewSwitch("sw", 2, 8)
+	sw := NewSwitch("sw", 2, 8, new(metrics.Switch))
 	tc := sw.TCAM()
 	low := Rule{Priority: 1, Filter: Filter{Proto: ProtoTCP}, Action: ActAllow, Note: "low"}
 	if err := tc.AddRule(low); err != nil {
@@ -444,9 +440,9 @@ func TestFlowCacheInvalidationOnChurn(t *testing.T) {
 // its flow cache is a fixed table. Ten times as many fresh 5-tuples as
 // it has slots — each a miss that overwrites a slot — allocate nothing.
 func TestFlowCacheFreshTuplesAllocFree(t *testing.T) {
-	sw := NewSwitch("sw", 2, 4)
+	sw := NewSwitch("sw", 2, 4, new(metrics.Switch))
 	_ = sw.TCAM().AddRule(Rule{Priority: 1, Filter: Filter{Proto: ProtoTCP}})
-	sw.AddSampler(Filter{DstPort: 80}, 1<<30, func(Packet) {})
+	sw.AddSampler(Filter{DstPort: 80}, func(Packet) {})
 	p := pkt("10.0.0.1", "10.0.0.2", 0, 80, ProtoTCP, 64)
 	injectFresh(sw, &p, 1, 2)
 	const tuples = 10 * flowCacheSlots
@@ -509,25 +505,24 @@ func TestFilterKeyCachedAndAllocationFree(t *testing.T) {
 	}
 }
 
-// Satellite: deterministic 1-in-N cadence across interleaved matching
-// and non-matching packets — only matching packets advance the counter.
+// Only matching packets are sampled, each one of them, across
+// interleaved matching and non-matching packets.
 func TestSamplerCadenceInterleaved(t *testing.T) {
 	for _, path := range injectPaths {
-		sw := NewSwitch("sw0", 2, 16)
+		sw := NewSwitch("sw0", 2, 16, new(metrics.Switch))
 		var got []uint16
-		sw.AddSampler(Filter{DstPort: 80}, 3, func(p Packet) { got = append(got, p.SrcPort) })
+		sw.AddSampler(Filter{DstPort: 80}, func(p Packet) { got = append(got, p.SrcPort) })
+		var want []uint16
 		matching := 0
 		for i := 0; i < 30; i++ {
-			if i%2 == 0 { // even injections match; odd ones must not advance cadence
+			if i%2 == 0 { // even injections match; odd ones must not be sampled
 				matching++
+				want = append(want, uint16(matching))
 				path.inject(sw, ref(pkt("10.0.0.1", "10.0.0.2", uint16(matching), 80, ProtoTCP, 64)), 1, 2)
 			} else {
 				path.inject(sw, ref(pkt("10.0.0.1", "10.0.0.2", uint16(1000+i), 443, ProtoTCP, 64)), 1, 2)
 			}
 		}
-		// 15 matching packets at 1-in-3: exactly the 3rd, 6th, 9th, 12th,
-		// 15th matching packets are delivered.
-		want := []uint16{3, 6, 9, 12, 15}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: sampled %v, want %v", path.name, got, want)
 		}
@@ -535,31 +530,31 @@ func TestSamplerCadenceInterleaved(t *testing.T) {
 }
 
 // Satellite: removal via the returned remove func mid-stream stops
-// delivery immediately and leaves other samplers' cadence intact —
-// including when the removal happens after the flow cache is warm.
+// delivery immediately and leaves other samplers firing — including
+// when the removal happens after the flow cache is warm.
 func TestSamplerRemoveMidStream(t *testing.T) {
 	for _, path := range injectPaths {
-		sw := NewSwitch("sw0", 2, 16)
+		sw := NewSwitch("sw0", 2, 16, new(metrics.Switch))
 		var a, b int
-		removeA := sw.AddSampler(Filter{}, 2, func(Packet) { a++ })
-		sw.AddSampler(Filter{}, 5, func(Packet) { b++ })
+		removeA := sw.AddSampler(Filter{}, func(Packet) { a++ })
+		sw.AddSampler(Filter{}, func(Packet) { b++ })
 		p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 64)
 		for i := 0; i < 10; i++ { // warm the flow cache
 			path.inject(sw, &p, 1, 2)
 		}
-		if a != 5 || b != 2 {
-			t.Fatalf("%s: pre-removal a=%d b=%d, want 5, 2", path.name, a, b)
+		if a != 10 || b != 10 {
+			t.Fatalf("%s: pre-removal a=%d b=%d, want 10, 10", path.name, a, b)
 		}
 		removeA()
 		removeA() // double removal is a no-op
 		for i := 0; i < 10; i++ {
 			path.inject(sw, &p, 1, 2)
 		}
-		if a != 5 {
+		if a != 10 {
 			t.Fatalf("%s: removed sampler fired: a=%d", path.name, a)
 		}
-		if b != 4 {
-			t.Fatalf("%s: surviving sampler cadence broken: b=%d, want 4", path.name, b)
+		if b != 20 {
+			t.Fatalf("%s: surviving sampler stopped: b=%d, want 20", path.name, b)
 		}
 	}
 }
@@ -568,16 +563,16 @@ func TestSamplerRemoveMidStream(t *testing.T) {
 // take effect for the same packet's remaining samplers.
 func TestSamplerRemoveDuringCallback(t *testing.T) {
 	for _, path := range injectPaths {
-		sw := NewSwitch("sw0", 2, 16)
+		sw := NewSwitch("sw0", 2, 16, new(metrics.Switch))
 		var first, second int
 		var removeSecond func()
-		sw.AddSampler(Filter{}, 1, func(Packet) {
+		sw.AddSampler(Filter{}, func(Packet) {
 			first++
 			if first == 3 {
 				removeSecond()
 			}
 		})
-		removeSecond = sw.AddSampler(Filter{}, 1, func(Packet) { second++ })
+		removeSecond = sw.AddSampler(Filter{}, func(Packet) { second++ })
 		p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 64)
 		for i := 0; i < 6; i++ {
 			path.inject(sw, &p, 1, 2)

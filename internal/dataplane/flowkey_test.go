@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"testing"
 	"unsafe"
+
+	"farm/internal/metrics"
 )
 
 // flowTextReference is the canonical flow text spelled out through the
@@ -244,7 +246,7 @@ func TestFlowKeyOracle(t *testing.T) {
 // order: the flow cache never hands one the other's verdict.
 func TestV4MappedTwinNotDropped(t *testing.T) {
 	for _, v4First := range []bool{true, false} {
-		sw := NewSwitch("sw", 2, 4)
+		sw := NewSwitch("sw", 2, 4, new(metrics.Switch))
 		drop := Filter{SrcPrefix: pfx("10.0.0.0/8")}
 		if err := sw.TCAM().AddRule(Rule{Priority: 1, Filter: drop, Action: ActDrop}); err != nil {
 			t.Fatal(err)

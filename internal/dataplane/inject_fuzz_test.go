@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/netip"
 	"testing"
+
+	"farm/internal/metrics"
 )
 
 // fuzzFilter maps two bytes onto the filter shapes genFilter draws:
@@ -68,9 +70,9 @@ type oracleWorld struct {
 	injected int
 }
 
-func (w *oracleWorld) addSampler(f Filter, oneInN int) {
+func (w *oracleWorld) addSampler(f Filter) {
 	id := len(w.removes)
-	w.removes = append(w.removes, w.sw.AddSampler(f, oneInN, func(Packet) {
+	w.removes = append(w.removes, w.sw.AddSampler(f, func(Packet) {
 		w.fired = append(w.fired, fmt.Sprintf("%d/%d", id, w.injected))
 	}))
 }
@@ -98,7 +100,7 @@ func FuzzInjectOracle(f *testing.F) {
 			return // the storm is what exercises eviction, not length
 		}
 		build := func(inject func(s *Switch, p *Packet, inPort, outPort int) Verdict) *oracleWorld {
-			return &oracleWorld{sw: NewSwitch("sw", 4, 12), inject: inject}
+			return &oracleWorld{sw: NewSwitch("sw", 4, 12, new(metrics.Switch)), inject: inject}
 		}
 		fast, slow, keyed := build(injectFresh), build(injectLinear), build(nil)
 		keyed.key = new(Key)
@@ -145,9 +147,9 @@ func FuzzInjectOracle(f *testing.F) {
 					w.sw.TCAM().RemoveRule(fuzzFilter(a, b))
 				}
 			case 2:
-				a, b, c := next(), next(), next()
+				a, b := next(), next()
 				for _, w := range worlds {
-					w.addSampler(fuzzFilter(a, b), 1+int(c%4))
+					w.addSampler(fuzzFilter(a, b))
 				}
 			case 3:
 				i := int(next())
@@ -198,8 +200,8 @@ type hopPorts struct{ in, out int }
 // deliveries.
 func agreeWithOracle(t *testing.T, name string, w, slow *oracleWorld) {
 	t.Helper()
-	if w.sw.Dropped() != slow.sw.Dropped() {
-		t.Fatalf("dropped: %s %d, linear %d", name, w.sw.Dropped(), slow.sw.Dropped())
+	if w.sw.m.RuleDrops != slow.sw.m.RuleDrops {
+		t.Fatalf("dropped: %s %d, linear %d", name, w.sw.m.RuleDrops, slow.sw.m.RuleDrops)
 	}
 	for port := 0; port <= 4; port++ {
 		if ws, ss := w.sw.ports[port], slow.sw.ports[port]; ws != ss {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"farm/internal/engine"
+	"farm/internal/metrics"
 )
 
 // The probe path below the soil: sampler fire -> PCIe bus -> sink. A
@@ -22,10 +23,10 @@ import (
 // timer handle).
 func TestSampleCrossingAllocs(t *testing.T) {
 	loop := engine.NewSerial()
-	sw := NewSwitch("sw0", 2, 16)
-	drv := NewEmuDriver(sw, NewBus(loop, DefaultPCIePollBytesPerSec))
+	sw := NewSwitch("sw0", 2, 16, new(metrics.Switch))
+	drv := NewEmuDriver(sw, loop, DefaultPCIePollBytesPerSec)
 	bytes := 0
-	stop := drv.StartSampling(Filter{Proto: ProtoTCP}, 1, func(p Packet) { bytes += p.Size })
+	stop := drv.StartSampling(Filter{Proto: ProtoTCP}, func(p Packet) { bytes += p.Size })
 	defer stop()
 	p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100)
 	const burst = 4 // several records in flight at once
@@ -90,14 +91,14 @@ func cached(s *Switch, p *Packet, inPort int) (injectVerdict, bool) {
 // answer; sampler churn starts a new table that holds none of the old
 // slices.
 func TestSamplerSetsInterned(t *testing.T) {
-	sw := NewSwitch("sw0", 2, 16)
+	sw := NewSwitch("sw0", 2, 16, new(metrics.Switch))
 	for _, f := range []Filter{
 		{Proto: ProtoICMP}, {Proto: ProtoTCP}, {Proto: ProtoUDP},
 		{DstPort: 80}, {DstPort: 443}, {DstPort: 22}, {SrcPort: 53},
 		{FlagsSet: FlagSYN}, {InPort: 1},
 		{SrcPrefix: pfx("10.1.0.0/16")}, {SrcPrefix: pfx("10.2.0.0/16")}, {DstPrefix: pfx("10.9.0.0/24")},
 	} {
-		sw.AddSampler(f, 1<<30, func(Packet) {})
+		sw.AddSampler(f, func(Packet) {})
 	}
 	flow := func(i int) (Packet, int) {
 		p := Packet{
@@ -157,7 +158,7 @@ func TestSamplerSetsInterned(t *testing.T) {
 		return false
 	}
 	p, in := flow(1)
-	remove := sw.AddSampler(Filter{}, 1<<30, func(Packet) {})
+	remove := sw.AddSampler(Filter{}, func(Packet) {})
 	injectFresh(sw, &p, in, 0)
 	if sw.setsGen != sw.samplerGen || len(sw.sets) != 1 || tableHoldsOld() {
 		t.Fatalf("after AddSampler: table of generation %d (switch at %d) with %d sets, old slices reachable: %v",
@@ -186,7 +187,7 @@ func TestSamplerSetsInterned(t *testing.T) {
 // flows cached before the drop keep their sets, and every set stays
 // equal to the linear scan's.
 func TestSamplerSetsBounded(t *testing.T) {
-	sw := NewSwitch("sw0", 2, 16)
+	sw := NewSwitch("sw0", 2, 16, new(metrics.Switch))
 	filters := []Filter{
 		{SrcPrefix: pfx("10.0.0.0/9")}, {DstPrefix: pfx("10.0.0.0/9")}, {InPort: 1},
 	}
@@ -194,7 +195,7 @@ func TestSamplerSetsBounded(t *testing.T) {
 		filters = append(filters, Filter{FlagsSet: TCPFlags(1 << bit)})
 	}
 	for _, f := range filters {
-		sw.AddSampler(f, 1<<30, func(Packet) {})
+		sw.AddSampler(f, func(Packet) {})
 	}
 	flow := func(i int) (Packet, int) {
 		p := pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 64)
@@ -240,7 +241,7 @@ func TestSamplerSetsBounded(t *testing.T) {
 // The set key is a bitmask over the sampler slice with no width limit:
 // past 64 samplers the sets still equal the linear scan's.
 func TestSamplerSetsBeyond64(t *testing.T) {
-	sw := NewSwitch("sw0", 2, 16)
+	sw := NewSwitch("sw0", 2, 16, new(metrics.Switch))
 	const samplers = 70
 	fired := make([]int, samplers)
 	for i := 0; i < samplers; i++ {
@@ -249,7 +250,7 @@ func TestSamplerSetsBeyond64(t *testing.T) {
 		if i == 0 || i == 63 || i == 64 || i == samplers-1 {
 			f = Filter{Proto: ProtoTCP}
 		}
-		sw.AddSampler(f, 1, func(Packet) { fired[i]++ })
+		sw.AddSampler(f, func(Packet) { fired[i]++ })
 	}
 	rng := rand.New(rand.NewSource(64))
 	want := make([]int, samplers)
@@ -363,7 +364,7 @@ func TestBusCompletionOrder(t *testing.T) {
 	installed, absent := Filter{DstPort: 80}, Filter{DstPort: 443}
 	run := func(mk func(engine.Scheduler, *Switch) bus) []string {
 		loop := engine.NewSerial()
-		sw := NewSwitch("sw0", 6, 16)
+		sw := NewSwitch("sw0", 6, 16, new(metrics.Switch))
 		if err := sw.TCAM().AddRule(Rule{Filter: installed, Action: ActAllow}); err != nil {
 			t.Fatal(err)
 		}
@@ -417,8 +418,8 @@ func TestBusCompletionOrder(t *testing.T) {
 		return log
 	}
 	got := run(func(s engine.Scheduler, sw *Switch) bus {
-		b := NewBus(s, 1e6)
-		return pooledDriver{Bus: b, drv: NewEmuDriver(sw, b)}
+		drv := NewEmuDriver(sw, s, 1e6)
+		return pooledDriver{Bus: drv.Bus(), drv: drv}
 	})
 	want := run(func(s engine.Scheduler, sw *Switch) bus {
 		return &closureDriver{closureBus: &closureBus{sched: s, bytesPerSec: 1e6}, sw: sw}
@@ -446,7 +447,9 @@ func TestBusCompletionOrder(t *testing.T) {
 // sink that stops its own sampler still gets what was already in flight.
 func TestBusReentrantRequest(t *testing.T) {
 	loop := engine.NewSerial()
-	bus := NewBus(loop, 1e6) // 100 B = 100 µs
+	sw := NewSwitch("sw0", 2, 16, new(metrics.Switch))
+	drv := NewEmuDriver(sw, loop, 1e6)
+	bus := drv.Bus() // 100 B = 100 µs
 	var log []string
 	bus.Request(100, func(lat time.Duration) {
 		log = append(log, fmt.Sprintf("%v outer %v", loop.Now(), lat))
@@ -468,11 +471,9 @@ func TestBusReentrantRequest(t *testing.T) {
 		t.Fatalf("%d records on the free list, want the 3 that were in flight", len(bus.free))
 	}
 
-	sw := NewSwitch("sw0", 2, 16)
-	drv := NewEmuDriver(sw, bus)
 	delivered := 0
 	var stop func()
-	stop = drv.StartSampling(Filter{}, 1, func(Packet) {
+	stop = drv.StartSampling(Filter{}, func(Packet) {
 		delivered++
 		stop()
 	})

@@ -1,6 +1,10 @@
 package dataplane
 
-import "fmt"
+import (
+	"fmt"
+
+	"farm/internal/metrics"
+)
 
 // Action is what a TCAM rule does to matching packets.
 type Action int
@@ -166,14 +170,11 @@ type PortStats struct {
 	TxBytes   uint64
 }
 
-// Sampler copies matching packets to a callback at a 1-in-N rate
-// (deterministic: every Nth matching packet), emulating sFlow-style
-// packet sampling and FARM probe triggers.
+// Sampler copies every matching packet to a callback: the ASIC's mirror
+// to the management CPU behind FARM's probe triggers.
 type Sampler struct {
 	Filter  Filter
-	OneInN  int
 	fn      func(Packet)
-	counter int
 	removed bool
 }
 
@@ -191,7 +192,8 @@ type Switch struct {
 	ports    []PortStats // 1-based; index 0 unused
 	tcam     *TCAM
 	samplers []*Sampler
-	dropped  uint64
+	// m is the switch's meter record, which its driver and bus share.
+	m *metrics.Switch
 
 	// Fused inject path: one flow cache holding the TCAM verdict and the
 	// matching sampler set together, each half stamped with its own
@@ -201,7 +203,6 @@ type Switch struct {
 	// a packet pays nothing for it.
 	samplerGen uint64
 	flowCache  *flowCache
-	cacheStats CacheStats
 
 	// Interned sampler sets of generation setsGen: every flow matched by
 	// the same samplers shares one slice, keyed by the set itself as a
@@ -223,17 +224,18 @@ type injectVerdict struct {
 }
 
 // NewSwitch returns a switch with numPorts ports and the given
-// monitoring-TCAM capacity.
-func NewSwitch(name string, numPorts, tcamCapacity int) *Switch {
+// monitoring-TCAM capacity, metering into m.
+func NewSwitch(name string, numPorts, tcamCapacity int, m *metrics.Switch) *Switch {
 	return &Switch{
 		name:  name,
 		ports: make([]PortStats, numPorts+1),
 		tcam:  NewTCAM(tcamCapacity),
+		m:     m,
 	}
 }
 
 // CacheStats returns hit/miss counters of the fused inject flow cache.
-func (s *Switch) CacheStats() CacheStats { return s.cacheStats }
+func (s *Switch) CacheStats() metrics.CacheMeter { return s.m.Cache }
 
 // Name returns the switch name.
 func (s *Switch) Name() string { return s.name }
@@ -252,17 +254,11 @@ func (s *Switch) PortStats(port int) (PortStats, error) {
 	return s.ports[port], nil
 }
 
-// Dropped returns the total packets dropped by TCAM rules.
-func (s *Switch) Dropped() uint64 { return s.dropped }
-
 // AddSampler registers a packet sampler and returns a remove function.
 // Removal is effective immediately — even for a packet mid-InjectKey, the
 // removed sampler no longer fires.
-func (s *Switch) AddSampler(f Filter, oneInN int, fn func(Packet)) (remove func()) {
-	if oneInN < 1 {
-		oneInN = 1
-	}
-	sm := &Sampler{Filter: f, OneInN: oneInN, fn: fn}
+func (s *Switch) AddSampler(f Filter, fn func(Packet)) (remove func()) {
+	sm := &Sampler{Filter: f, fn: fn}
 	s.samplers = append(s.samplers, sm)
 	s.samplerGen++
 	return func() {
@@ -401,7 +397,7 @@ func (s *Switch) classifyFused(p *Packet, k *flowKey, inPort int) Verdict {
 	slot, ok := s.flowCache.probe(k)
 	cv := &slot.v
 	if !ok || cv.tcamGen != s.tcam.gen || cv.samplerGen != s.samplerGen {
-		s.cacheStats.Misses++
+		s.m.Cache.Misses++
 		*cv = injectVerdict{
 			tcamGen:    s.tcam.gen,
 			samplerGen: s.samplerGen,
@@ -409,7 +405,7 @@ func (s *Switch) classifyFused(p *Packet, k *flowKey, inPort int) Verdict {
 			samplers:   s.samplerSet(p, inPort),
 		}
 	} else {
-		s.cacheStats.Hits++
+		s.m.Cache.Hits++
 	}
 	var v Verdict
 	if e := cv.e; e != nil {
@@ -417,15 +413,11 @@ func (s *Switch) classifyFused(p *Packet, k *flowKey, inPort int) Verdict {
 		e.stats.Bytes += uint64(p.Size)
 		if e.rule.Action == ActDrop {
 			v.Dropped = true
-			s.dropped++
+			s.m.RuleDrops++
 		}
 	}
 	for _, sm := range cv.samplers {
-		if sm.removed { // removed after this verdict was cached
-			continue
-		}
-		sm.counter++
-		if sm.counter%sm.OneInN == 0 {
+		if !sm.removed { // or removed after this verdict was cached
 			sm.fn(*p)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"farm/internal/core"
 	"farm/internal/engine"
 	"farm/internal/fabric"
+	"farm/internal/metrics"
 	"farm/internal/netmodel"
 	"farm/internal/soil"
 )
@@ -85,6 +86,15 @@ func newFabric(spines, leaves, hostsPerLeaf int) (*fabric.Fabric, engine.Schedul
 	}
 	loop := engine.NewSerial()
 	return fabric.New(topo, loop, fabric.Options{}), loop, nil
+}
+
+// window runs loop for settle, then returns what meters count over the
+// next d.
+func window(meters *metrics.Set, loop engine.Scheduler, settle, d time.Duration) metrics.Snapshot {
+	loop.RunFor(settle)
+	prev := meters.Snapshot()
+	loop.RunFor(d)
+	return meters.Since(prev)
 }
 
 // newBenchRig builds the one-switch rig of Figs. 6, 8 and 9: a leaf

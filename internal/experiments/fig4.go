@@ -150,10 +150,7 @@ func fig4FARM(leaves, hosts int, duration, churn time.Duration) (Fig4Point, erro
 	}
 	w := fig4Workload(fab, churn)
 	defer w.Stop()
-	loop.RunFor(time.Second) // settle
-	snap := fab.CentralNet.Snapshot()
-	loop.RunFor(duration)
-	pps, bps := fab.CentralNet.RateSince(snap)
+	pps, bps := window(fab.Meters, loop, time.Second, duration).CentralRate()
 	return Fig4Point{Ports: leaves * hosts, PktPerSec: pps, BytesPerSec: bps}, nil
 }
 
@@ -169,12 +166,9 @@ func fig4SFlow(leaves, hosts int, poll, duration, churn time.Duration) (Fig4Poin
 	defer sys.Stop()
 	w := fig4Workload(fab, churn)
 	defer w.Stop()
-	loop.RunFor(200 * time.Millisecond)
-	snap := fab.CentralNet.Snapshot()
 	// sFlow runs are expensive at 1 ms; a shorter window suffices since
 	// its load is strictly periodic.
-	loop.RunFor(duration / 4)
-	pps, bps := fab.CentralNet.RateSince(snap)
+	pps, bps := window(fab.Meters, loop, 200*time.Millisecond, duration/4).CentralRate()
 	return Fig4Point{Ports: leaves * hosts, PktPerSec: pps, BytesPerSec: bps}, nil
 }
 
@@ -188,9 +182,6 @@ func fig4Sonata(leaves, hosts int, duration, churn time.Duration) (Fig4Point, er
 	// Window flushes carry per-port byte counts from every leaf.
 	q := sonata.Query{Window: 3 * time.Second, Threshold: 1e12}
 	defer sonata.Deploy(fab, []sonata.Query{q}, sonata.Config{AggregationFactor: 0.75}).Stop()
-	loop.RunFor(time.Second)
-	snap := fab.CentralNet.Snapshot()
-	loop.RunFor(duration)
-	pps, bps := fab.CentralNet.RateSince(snap)
+	pps, bps := window(fab.Meters, loop, time.Second, duration).CentralRate()
 	return Fig4Point{Ports: leaves * hosts, PktPerSec: pps, BytesPerSec: bps}, nil
 }

@@ -81,9 +81,10 @@ const fig5CompareCost = 100 * time.Nanosecond
 // and analyzes the deltas locally (threshold compare per rule).
 func fig5FARM(flows int, duration time.Duration) (float64, error) {
 	loop := engine.NewSerial()
-	sw := dataplane.NewSwitch("bench", 8, flows+8)
+	meters := metrics.New(loop, 1)
+	sw := dataplane.NewSwitch("bench", 8, flows+8, &meters.Switches[0])
 	bus := dataplane.NewBus(loop, 256*dataplane.DefaultPCIePollBytesPerSec)
-	cpu := metrics.NewCPUMeter(loop, 4)
+	cpu := &meters.Switches[0].CPU
 
 	filters := make([]dataplane.Filter, flows)
 	for i := range filters {
@@ -114,10 +115,7 @@ func fig5FARM(flows int, duration time.Duration) (float64, error) {
 			}
 		})
 	})
-	loop.RunFor(200 * time.Millisecond)
-	snap := cpu.Snapshot()
-	loop.RunFor(duration)
-	return cpu.LoadSince(snap), nil
+	return window(meters, loop, 200*time.Millisecond, duration).Load(0), nil
 }
 
 // fig5SFlow: the agent samples 1-in-N packets of line-rate traffic
@@ -125,7 +123,8 @@ func fig5FARM(flows int, duration time.Duration) (float64, error) {
 // unfiltered each period (serialize + ship, no analysis).
 func fig5SFlow(duration time.Duration) float64 {
 	loop := engine.NewSerial()
-	cpu := metrics.NewCPUMeter(loop, 4)
+	meters := metrics.New(loop, 1)
+	cpu := &meters.Switches[0].CPU
 	samplesPerSec := fig5TrafficPPS / fig5SampleOneInN
 
 	// Sampling+forwarding, charged in 1 ms batches.
@@ -139,8 +138,5 @@ func fig5SFlow(duration time.Duration) float64 {
 		cpu.Charge(metrics.CostPollIssue)
 		cpu.Charge(48 * (metrics.CostPollPerRecord + 88*metrics.CostSerializePerByte))
 	})
-	loop.RunFor(200 * time.Millisecond)
-	snap := cpu.Snapshot()
-	loop.RunFor(duration)
-	return cpu.LoadSince(snap)
+	return window(meters, loop, 200*time.Millisecond, duration).Load(0)
 }

@@ -144,10 +144,9 @@ func fig6Run(v Fig6Variant, seeds int, duration time.Duration) (Fig6Point, error
 		return Fig6Point{}, err
 	}
 	swID := s.SwitchID()
-	cpu := fab.CPU(swID)
 	s.SetExecFunc(func(cmd string, arg core.Value) (core.Value, error) {
 		// One exec() call = one modelled SVR iteration on this CPU.
-		cpu.Charge(metrics.CostMLIteration)
+		fab.CPU(swID).Charge(metrics.CostMLIteration)
 		return arg, nil
 	})
 
@@ -178,12 +177,9 @@ func fig6Run(v Fig6Variant, seeds int, duration time.Duration) (Fig6Point, error
 			fab.Switch(swID).CreditRule(dataplane.Filter{DstPort: uint16(i + 1)}, 10, 10000)
 		}
 	})
-	loop.RunFor(200 * time.Millisecond)
-	snap := cpu.Snapshot()
-	pollsBefore := s.PollsDelivered()
-	loop.RunFor(duration)
-	load := cpu.LoadSince(snap)
-	delivered := float64(s.PollsDelivered() - pollsBefore)
+	w := window(fab.Meters, loop, 200*time.Millisecond, duration)
+	load := w.Load(swID)
+	delivered := float64(w.Switches[swID].PollsDelivered)
 	requested := float64(seeds) * duration.Seconds() * 1000 / float64(v.IvalMs)
 	accuracy := 1.0
 	if requested > 0 {
@@ -193,8 +189,8 @@ func fig6Run(v Fig6Variant, seeds int, duration time.Duration) (Fig6Point, error
 	// unable to handle all seeds in parallel", §VI-C); the simulated
 	// loop always keeps up, so accuracy is additionally capped by the
 	// demand/core ratio.
-	if load > cpu.Cores() {
-		accuracy *= cpu.Cores() / load
+	if load > metrics.CPUCores {
+		accuracy *= metrics.CPUCores / load
 	}
 	if accuracy > 1 {
 		accuracy = 1

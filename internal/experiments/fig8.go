@@ -110,15 +110,12 @@ func fig8Run(seeds int, aggregate bool) (Fig8Point, error) {
 			return Fig8Point{}, err
 		}
 	}
-	bus := fab.Driver(s.SwitchID()).Bus()
-	loop.RunFor(100 * time.Millisecond)
-	snap := bus.Snapshot()
-	polls := s.PollsIssued()
-	loop.RunFor(2 * time.Second)
+	id := s.SwitchID()
+	w := window(fab.Meters, loop, 100*time.Millisecond, 2*time.Second)
 	return Fig8Point{
 		Seeds:       seeds,
-		Utilization: bus.UtilizationSince(snap),
-		Backlog:     bus.Backlog(),
-		PollsServed: s.PollsIssued() - polls,
+		Utilization: w.Utilization(id),
+		Backlog:     fab.Driver(id).Bus().Backlog(),
+		PollsServed: w.Switches[id].PollsIssued,
 	}, nil
 }

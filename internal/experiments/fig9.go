@@ -104,9 +104,6 @@ func fig9Run(seeds int, opts soil.Options) (Fig9Point, error) {
 			return Fig9Point{}, err
 		}
 	}
-	cpu := fab.CPU(s.SwitchID())
-	loop.RunFor(100 * time.Millisecond)
-	snap := cpu.Snapshot()
-	loop.RunFor(2 * time.Second)
-	return Fig9Point{Seeds: seeds, Load: cpu.LoadSince(snap)}, nil
+	w := window(fab.Meters, loop, 100*time.Millisecond, 2*time.Second)
+	return Fig9Point{Seeds: seeds, Load: w.Load(s.SwitchID())}, nil
 }

@@ -1,8 +1,8 @@
 // Package fabric ties the pieces of the emulated data center together:
-// it instantiates one emulated ASIC (dataplane.Switch), PCIe bus, driver,
-// and CPU meter per topology switch, routes generated packets hop-by-hop
-// along ECMP paths, and models control-plane communication latency
-// between switches and centralized components.
+// it instantiates one emulated ASIC (dataplane.Switch), PCIe bus, driver
+// and meter record (metrics.Set) per topology switch, routes generated
+// packets hop-by-hop along ECMP paths, and models control-plane
+// communication latency between switches and centralized components.
 //
 // New finishes the topology it is given (netmodel.Topology.Finish): the
 // network is fixed from then on, so the ports New numbers from the
@@ -51,9 +51,6 @@ const (
 	DefaultControlBaseLatency = 100 * time.Microsecond
 )
 
-// cpuCores is the management CPU core count per switch.
-const cpuCores = 4
-
 // centralAt is the switch the centralized components (seeder,
 // harvesters, collectors) attach behind: switch 0, a spine under the
 // SpineLeaf builder.
@@ -67,42 +64,40 @@ type Fabric struct {
 
 	switches []*dataplane.Switch
 	drivers  []*dataplane.EmuDriver
-	cpus     []*metrics.CPUMeter
 	// swPorts[sw][nb] is the 1-based port of sw facing switch nb, 0 if
 	// they are not linked; hostPort[h] the port of h on its leaf.
 	swPorts  [][]int32
 	hostPort []int32
 	numPorts []int
 
-	// CentralNet meters all traffic into centralized components: the
-	// collector-bottleneck measurement of Fig. 4.
+	// Meters is the meter set the switches, their drivers and soils, the
+	// fabric and the seeder record into; CentralNet is its meter of all
+	// traffic into centralized components (Fig. 4's collector bottleneck).
+	Meters     *metrics.Set
 	CentralNet *metrics.NetMeter
 
 	// ctrlLatency[sw] is the one-way control latency from sw to centralAt.
 	ctrlLatency []time.Duration
 
-	// delivered and dropped count packets that reached their last hop
-	// and packets a TCAM rule dropped en route; free holds the hop
-	// records of finished packets for reuse.
-	delivered uint64
-	dropped   uint64
-	free      []*hop
+	// free holds the hop records of finished packets for reuse.
+	free []*hop
 }
 
 // New assembles a fabric over the topology, scheduling onto sched.
 func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric {
 	topo.Finish()
 	n := topo.NumSwitches()
+	meters := metrics.New(sched, n)
 	f := &Fabric{
 		topo:        topo,
 		sched:       sched,
 		switches:    make([]*dataplane.Switch, n),
 		drivers:     make([]*dataplane.EmuDriver, n),
-		cpus:        make([]*metrics.CPUMeter, n),
+		Meters:      meters,
 		swPorts:     make([][]int32, n),
 		hostPort:    make([]int32, len(topo.Hosts())),
 		numPorts:    make([]int, n),
-		CentralNet:  metrics.NewNetMeter(sched),
+		CentralNet:  &meters.NetMeter,
 		ctrlLatency: make([]time.Duration, n),
 	}
 
@@ -126,11 +121,9 @@ func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric 
 		if tcamCap <= 0 {
 			tcamCap = 1024
 		}
-		ds := dataplane.NewSwitch(sw.Name, int(port), tcamCap)
+		ds := dataplane.NewSwitch(sw.Name, int(port), tcamCap, &meters.Switches[sw.ID])
 		f.switches[sw.ID] = ds
-		bus := dataplane.NewBus(sched, opts.BusBytesPerSec)
-		f.drivers[sw.ID] = dataplane.NewEmuDriver(ds, bus)
-		f.cpus[sw.ID] = metrics.NewCPUMeter(sched, cpuCores)
+		f.drivers[sw.ID] = dataplane.NewEmuDriver(ds, sched, opts.BusBytesPerSec)
 		f.ctrlLatency[sw.ID] = controlLatency(topo.Hops(centralAt, sw.ID))
 	}
 	return f
@@ -150,7 +143,7 @@ func (f *Fabric) Switch(id netmodel.SwitchID) *dataplane.Switch { return f.switc
 func (f *Fabric) Driver(id netmodel.SwitchID) *dataplane.EmuDriver { return f.drivers[id] }
 
 // CPU returns the management CPU meter of a switch.
-func (f *Fabric) CPU(id netmodel.SwitchID) *metrics.CPUMeter { return f.cpus[id] }
+func (f *Fabric) CPU(id netmodel.SwitchID) *metrics.CPUMeter { return &f.Meters.Switches[id].CPU }
 
 // NumPorts returns the port count of a switch.
 func (f *Fabric) NumPorts(id netmodel.SwitchID) int { return f.numPorts[id] }
@@ -164,10 +157,10 @@ func (f *Fabric) HostPort(sw netmodel.SwitchID, h netmodel.HostID) (int, bool) {
 }
 
 // Delivered returns the number of packets that reached their last hop.
-func (f *Fabric) Delivered() uint64 { return f.delivered }
+func (f *Fabric) Delivered() uint64 { return f.Meters.Delivered }
 
 // DroppedInFabric returns packets dropped by TCAM rules en route.
-func (f *Fabric) DroppedInFabric() uint64 { return f.dropped }
+func (f *Fabric) DroppedInFabric() uint64 { return f.Meters.DroppedInFabric }
 
 // The reasons Send and Resolve refuse a packet. They are
 // returned bare (nothing is formatted per packet); match them with
@@ -318,9 +311,9 @@ func (h *hop) step() {
 	v := f.switches[sw].InjectKey(&h.p, &h.key, inPort, outPort)
 	switch {
 	case v.Dropped:
-		f.dropped++
+		f.Meters.DroppedInFabric++
 	case last:
-		f.delivered++
+		f.Meters.Delivered++
 	default:
 		h.i = i + 1
 		engine.ScheduleOn(f.sched, DefaultHopLatency, h.fire)
@@ -373,8 +366,9 @@ func (f *Fabric) SendToCentral(from netmodel.SwitchID, bytes int, fn func()) {
 	if pkts < 1 {
 		pkts = 1
 	}
-	f.CentralNet.Add(pkts, bytes)
-	f.cpus[from].Charge(time.Duration(bytes) * metrics.CostSerializePerByte)
+	f.CentralNet.CentralPackets += uint64(pkts)
+	f.CentralNet.CentralBytes += uint64(bytes)
+	f.CPU(from).Charge(time.Duration(bytes) * metrics.CostSerializePerByte)
 	engine.ScheduleOn(f.sched, f.ControlLatency(from), fn)
 }
 
@@ -388,6 +382,6 @@ func (f *Fabric) SendFromCentral(to netmodel.SwitchID, fn func()) {
 // (seed-to-seed communication, §II-C-b); fn is delivered after the
 // switch-to-switch latency.
 func (f *Fabric) SendSwitchToSwitch(from, to netmodel.SwitchID, bytes int, fn func()) {
-	f.cpus[from].Charge(time.Duration(bytes) * metrics.CostSerializePerByte)
+	f.CPU(from).Charge(time.Duration(bytes) * metrics.CostSerializePerByte)
 	engine.ScheduleOn(f.sched, f.SwitchLatency(from, to), fn)
 }

@@ -87,7 +87,7 @@ func TestSendOnMatchesPathFor(t *testing.T) {
 	var visited []netmodel.SwitchID
 	for _, sw := range topo.Switches() {
 		id := sw.ID
-		f.Switch(id).AddSampler(dataplane.Filter{}, 1, func(dataplane.Packet) { visited = append(visited, id) })
+		f.Switch(id).AddSampler(dataplane.Filter{}, func(dataplane.Packet) { visited = append(visited, id) })
 	}
 
 	rng := rand.New(rand.NewSource(5))
@@ -204,7 +204,7 @@ func TestCarriedKeyMatchesKeyPerHop(t *testing.T) {
 				}
 				continue
 			}
-			ds.AddSampler(dataplane.Filter{FlagsSet: dataplane.FlagSYN}, 3, func(p dataplane.Packet) {
+			ds.AddSampler(dataplane.Filter{FlagsSet: dataplane.FlagSYN}, func(p dataplane.Packet) {
 				w.fired = append(w.fired, fmt.Sprintf("%d %v %v %v", id, w.loop.Now(), p.Flow(), p.Flags))
 			})
 		}
@@ -270,9 +270,8 @@ func TestCarriedKeyMatchesKeyPerHop(t *testing.T) {
 		}
 		for _, sw := range prod.f.Topology().Switches() {
 			a, b := prod.f.Switch(sw.ID), twin.f.Switch(sw.ID)
-			if a.Dropped() != b.Dropped() || a.CacheStats() != b.CacheStats() {
-				t.Fatalf("%s: switch %s drops %d cache %+v, key per hop %d %+v", phase, sw.Name,
-					a.Dropped(), a.CacheStats(), b.Dropped(), b.CacheStats())
+			if ma, mb := prod.f.Meters.Switches[sw.ID], twin.f.Meters.Switches[sw.ID]; ma != mb {
+				t.Fatalf("%s: switch %s meters %+v, key per hop %+v", phase, sw.Name, ma, mb)
 			}
 			for port := 1; port <= a.NumPorts(); port++ {
 				pa, _ := a.PortStats(port)

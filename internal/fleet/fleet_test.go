@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -233,6 +234,77 @@ func TestFleetLifecycle(t *testing.T) {
 
 // TestFleetFailover kills the active replica and checks the standby
 // takes over within the heartbeat-timeout bound with no task loss.
+// TestMetricsServesTheMeterSet: /metrics keeps every key it has served
+// (bus_dropped_by_topic only once the bus drops), and beside them the
+// fabric's per-switch meters, which show the polls of a submitted task
+// on a switch that holds one of its seeds.
+func TestMetricsServesTheMeterSet(t *testing.T) {
+	s := startService(t, testConfig())
+	waitReady(t, s, 2*time.Second)
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	url := "http://" + s.HTTPAddr() + "/metrics"
+	if err := s.Submit("hh"); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	st, err := s.Status()
+	if err != nil || len(st.Tasks) != 1 || len(st.Tasks[0].Switches) == 0 {
+		t.Fatalf("status after submit: %+v, %v", st, err)
+	}
+	var hh []int // the switches holding an hh seed
+	for _, sw := range s.fab.Topology().Switches() {
+		for _, name := range st.Tasks[0].Switches {
+			if sw.Name == name {
+				hh = append(hh, int(sw.ID))
+				break
+			}
+		}
+	}
+
+	keys := []string{"now", "pending_events", "central_packets", "central_bytes", "delivered",
+		"dropped_in_fabric", "tasks", "placed_seeds", "migrations", "bus_published", "bus_delivered",
+		"bus_coalesced", "bus_dropped", "harvest_reports", "term", "takeovers", "switches"}
+	polled := false
+	for deadline := time.Now().Add(5 * time.Second); !polled && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		var raw map[string]json.RawMessage
+		httpGet(t, client, url, &raw)
+		var m MetricsSnapshot // the same body, decoded as the program's type
+		if body, err := json.Marshal(raw); err != nil || json.Unmarshal(body, &m) != nil {
+			t.Fatalf("/metrics does not decode as a MetricsSnapshot: %v", err)
+		}
+		want := len(keys)
+		if m.BusDropped > 0 {
+			want++ // bus_dropped_by_topic
+		}
+		for _, k := range keys {
+			if _, ok := raw[k]; !ok {
+				t.Fatalf("/metrics has no %q: %s", k, keysOf(raw))
+			}
+		}
+		if len(raw) != want {
+			t.Fatalf("/metrics serves %s, want %v", keysOf(raw), keys)
+		}
+		if len(m.Switches) != s.fab.Topology().NumSwitches() {
+			t.Fatalf("/metrics has %d switch records for %d switches", len(m.Switches), s.fab.Topology().NumSwitches())
+		}
+		for _, id := range hh {
+			polled = polled || m.Switches[id].PollsIssued > 0
+		}
+	}
+	if !polled {
+		t.Fatalf("no poll issued on the switches %v that hold hh seeds", hh)
+	}
+}
+
+func keysOf(m map[string]json.RawMessage) string {
+	var ks []string
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	return strings.Join(ks, " ")
+}
+
 func TestFleetFailover(t *testing.T) {
 	cfg := testConfig()
 	s := startService(t, cfg)

@@ -16,7 +16,7 @@ import (
 // collector):
 //
 //	GET    /healthz        readiness: leader present, not draining
-//	GET    /metrics        MetricsSnapshot (central link, wire, placement)
+//	GET    /metrics        MetricsSnapshot (the fabric's meter set: totals and per-switch meters; wire, placement)
 //	GET    /tasks          StatusSnapshot (deployed tasks + placements)
 //	POST   /tasks          {"name": "<catalogue task>"} → submit
 //	DELETE /tasks/{name}   retire

@@ -41,6 +41,7 @@ import (
 	"farm/internal/engine"
 	"farm/internal/fabric"
 	"farm/internal/harvest"
+	"farm/internal/metrics"
 	"farm/internal/netmodel"
 	"farm/internal/seeder"
 	"farm/internal/soil"
@@ -565,22 +566,17 @@ func (s *Service) Status() (*StatusSnapshot, error) {
 	return st, nil
 }
 
-// MetricsSnapshot is the /metrics payload: engine, wire, and placement
-// gauges of the live fabric.
+// MetricsSnapshot is the /metrics payload: the fabric's meter set, with
+// the engine, wire and placement gauges of the live service.
 type MetricsSnapshot struct {
-	Now             time.Duration `json:"now"`
-	PendingEvents   int           `json:"pending_events"`
-	CentralPackets  uint64        `json:"central_packets"`
-	CentralBytes    uint64        `json:"central_bytes"`
-	Delivered       uint64        `json:"delivered"`
-	DroppedInFabric uint64        `json:"dropped_in_fabric"`
-	Tasks           int           `json:"tasks"`
-	PlacedSeeds     int           `json:"placed_seeds"`
-	Migrations      uint64        `json:"migrations"`
-	BusPublished    uint64        `json:"bus_published"`
-	BusDelivered    uint64        `json:"bus_delivered"`
-	BusCoalesced    uint64        `json:"bus_coalesced"`
-	BusDropped      uint64        `json:"bus_dropped"`
+	metrics.Snapshot
+	PendingEvents int    `json:"pending_events"`
+	Tasks         int    `json:"tasks"`
+	PlacedSeeds   int    `json:"placed_seeds"`
+	BusPublished  uint64 `json:"bus_published"`
+	BusDelivered  uint64 `json:"bus_delivered"`
+	BusCoalesced  uint64 `json:"bus_coalesced"`
+	BusDropped    uint64 `json:"bus_dropped"`
 	// BusDroppedByTopic breaks bus overflow drops down per topic (absent
 	// topics never dropped).
 	BusDroppedByTopic map[string]uint64 `json:"bus_dropped_by_topic,omitempty"`
@@ -593,16 +589,10 @@ type MetricsSnapshot struct {
 func (s *Service) Metrics() (*MetricsSnapshot, error) {
 	m := &MetricsSnapshot{}
 	err := s.exec(func() {
-		m.Now = s.rt.Now()
+		m.Snapshot = s.fab.Meters.Snapshot()
 		m.PendingEvents = s.rt.Pending()
-		cn := s.fab.CentralNet
-		m.CentralPackets = cn.Packets()
-		m.CentralBytes = cn.Bytes()
-		m.Delivered = s.fab.Delivered()
-		m.DroppedInFabric = s.fab.DroppedInFabric()
 		m.Tasks = len(s.sd.TaskNames())
 		m.PlacedSeeds = len(s.sd.Placements())
-		m.Migrations = s.sd.Migrations()
 		bs := s.broker.Stats()
 		m.BusPublished = bs.Published
 		m.BusDelivered = bs.Delivered

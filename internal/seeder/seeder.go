@@ -81,7 +81,6 @@ type Seeder struct {
 	// such fresh drops trigger one full re-solve before they stand.
 	droppedLast map[string]bool
 
-	migrations uint64
 	// freeMsgs holds the control-message records not in flight.
 	freeMsgs []*ctlMsg
 	logf     func(string, ...any)
@@ -161,7 +160,7 @@ func (sd *Seeder) Harvester(taskName string) (*harvest.Harvester, bool) {
 }
 
 // Migrations returns how many live migrations the seeder has performed.
-func (sd *Seeder) Migrations() uint64 { return sd.migrations }
+func (sd *Seeder) Migrations() uint64 { return sd.fab.Meters.Migrations }
 
 // TaskNames lists the currently deployed tasks, sorted.
 func (sd *Seeder) TaskNames() []string {
@@ -200,7 +199,7 @@ func (sd *Seeder) TaskSeeds(name string) map[string]string {
 // digest placement.Result uses, so two seeders that applied equivalent
 // mutation sequences can be compared byte-for-byte.
 func (sd *Seeder) PlacementDigest() string {
-	res := placement.Result{Placed: sd.placements, Migrations: int(sd.migrations)}
+	res := placement.Result{Placed: sd.placements, Migrations: int(sd.Migrations())}
 	return res.Digest()
 }
 
@@ -724,7 +723,7 @@ func (sd *Seeder) migrateSeed(s *seedInst, a placement.Assignment) error {
 	s.deployed = true
 	s.deployedAt = a.Switch
 	sd.placements[s.id] = a
-	sd.migrations++
+	sd.fab.Meters.Migrations++
 	return nil
 }
 

@@ -81,7 +81,7 @@ type Soil struct {
 	name   string
 	loop   engine.Scheduler
 	driver dataplane.Driver
-	cpu    *metrics.CPUMeter
+	m      *metrics.Switch // the switch's meter record
 	opts   Options
 
 	capacity netmodel.Vector
@@ -92,12 +92,7 @@ type Soil struct {
 
 	send SendFunc
 	exec ExecFunc
-
-	// stats
-	pollsIssued     uint64
-	pollsDelivered  uint64
-	probesDelivered uint64
-	logf            func(format string, args ...any)
+	logf func(format string, args ...any)
 }
 
 // New creates the soil of one switch in the fabric.
@@ -111,7 +106,7 @@ func New(fab *fabric.Fabric, swID netmodel.SwitchID, opts Options) *Soil {
 		name:     sw.Name,
 		loop:     fab.Sched(),
 		driver:   fab.Driver(swID),
-		cpu:      fab.CPU(swID),
+		m:        &fab.Meters.Switches[swID],
 		opts:     opts,
 		capacity: sw.Capacity,
 		seeds:    map[string]*seedRuntime{},
@@ -140,13 +135,13 @@ func (s *Soil) NumSeeds() int { return len(s.seeds) }
 
 // PollsIssued returns the number of poll requests sent to the ASIC —
 // with aggregation, fewer than the number of deliveries to seeds.
-func (s *Soil) PollsIssued() uint64 { return s.pollsIssued }
+func (s *Soil) PollsIssued() uint64 { return s.m.PollsIssued }
 
 // PollsDelivered returns poll results delivered to seeds.
-func (s *Soil) PollsDelivered() uint64 { return s.pollsDelivered }
+func (s *Soil) PollsDelivered() uint64 { return s.m.PollsDelivered }
 
 // ProbesDelivered returns probe packets delivered to seeds.
-func (s *Soil) ProbesDelivered() uint64 { return s.probesDelivered }
+func (s *Soil) ProbesDelivered() uint64 { return s.m.ProbesDelivered }
 
 // seedRuntime is one deployed seed with its triggers.
 type seedRuntime struct {
@@ -328,8 +323,8 @@ func (g *pollGroup) stop() {
 
 func (g *pollGroup) fire() {
 	s := g.soil
-	s.pollsIssued++
-	s.cpu.Charge(metrics.CostPollIssue)
+	s.m.PollsIssued++
+	s.m.CPU.Charge(metrics.CostPollIssue)
 	g.poll()
 }
 
@@ -338,7 +333,7 @@ func (g *pollGroup) fire() {
 // not.
 func (g *pollGroup) deliverPorts(ports []int, stats []dataplane.PortStats) {
 	s := g.soil
-	s.cpu.Charge(time.Duration(len(ports)) * metrics.CostPollPerRecord)
+	s.m.CPU.Charge(time.Duration(len(ports)) * metrics.CostPollPerRecord)
 	g.deliver(func(prev, into *core.Batch) *core.Batch { return core.NewPortStatsBatch(ports, stats, prev, into) })
 }
 
@@ -347,7 +342,7 @@ func (g *pollGroup) deliverRule(st dataplane.RuleStats, ok bool) {
 		return // rule not installed (yet); nothing to deliver
 	}
 	s := g.soil
-	s.cpu.Charge(metrics.CostPollPerRecord)
+	s.m.CPU.Charge(metrics.CostPollPerRecord)
 	g.deliver(func(prev, into *core.Batch) *core.Batch { return core.NewRuleStatsBatch(st, prev, into) })
 }
 
@@ -388,7 +383,7 @@ func (g *pollGroup) deliver(build func(prev, into *core.Batch) *core.Batch) {
 		}
 	}
 	if len(g.subs) > 1 {
-		s.cpu.Charge(time.Duration(len(g.due)) * metrics.CostAggregationPerSeed)
+		s.m.CPU.Charge(time.Duration(len(g.due)) * metrics.CostAggregationPerSeed)
 	}
 	var fresh *core.Batch // the class with no base
 	for i := range g.due {
@@ -430,7 +425,7 @@ func (g *pollGroup) deliver(build func(prev, into *core.Batch) *core.Batch) {
 	}
 	g.bases = append(keep, pollBase{seq: n, batch: latest})
 	for _, d := range g.due {
-		s.pollsDelivered++
+		s.m.PollsDelivered++
 		s.dispatchTrigger(d.sub.rt, d.sub.pi.Name, d.b)
 	}
 }
@@ -473,16 +468,16 @@ func (s *Soil) dispatchTrigger(rt *seedRuntime, varName string, data core.Value)
 }
 
 func (s *Soil) chargeDispatch() {
-	s.cpu.Charge(metrics.CostHandlerDispatch)
+	s.m.CPU.Charge(metrics.CostHandlerDispatch)
 	if s.opts.ExecModel == Processes {
-		s.cpu.Charge(metrics.CostContextSwitch)
+		s.m.CPU.Charge(metrics.CostContextSwitch)
 	}
 }
 
 func (s *Soil) chargeActions(rt *seedRuntime) {
 	n := rt.seed.TakeActionCount()
 	if n > 0 {
-		s.cpu.Charge(time.Duration(n) * metrics.CostHandlerPerAction)
+		s.m.CPU.Charge(time.Duration(n) * metrics.CostHandlerPerAction)
 	}
 }
 
@@ -649,7 +644,7 @@ func (s *Soil) wireProbe(rt *seedRuntime, pi *almanac.PollInfo, interval time.Du
 	f := pi.What.Filter
 	sub := &pollSub{rt: rt, pi: pi, interval: interval}
 	rt.subs = append(rt.subs, sub)
-	stop := s.driver.StartSampling(f, 1, func(p dataplane.Packet) {
+	stop := s.driver.StartSampling(f, func(p dataplane.Packet) {
 		if rt.removed {
 			return
 		}
@@ -660,8 +655,8 @@ func (s *Soil) wireProbe(rt *seedRuntime, pi *almanac.PollInfo, interval time.Du
 			return
 		}
 		sub.lastProbe = now
-		s.probesDelivered++
-		s.cpu.Charge(metrics.CostSampleProcess)
+		s.m.ProbesDelivered++
+		s.m.CPU.Charge(metrics.CostSampleProcess)
 		sub.pkt = core.PacketVal(p)
 		s.dispatchTrigger(rt, pi.Name, &sub.pkt)
 	})

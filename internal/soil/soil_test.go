@@ -834,10 +834,9 @@ func TestCPUAccountingProcessVsThreads(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			deployHH(t, s, "t"+string(rune('a'+i)), 1_000_000_000)
 		}
-		cpu := fab.CPU(s.SwitchID())
-		snap := cpu.Snapshot()
+		snap := fab.Meters.Snapshot()
 		loop.RunFor(time.Second)
-		return cpu.LoadSince(snap)
+		return fab.Meters.Since(snap).Load(s.SwitchID())
 	}
 	threads := run(Threads)
 	procs := run(Processes)

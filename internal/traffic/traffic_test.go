@@ -160,7 +160,7 @@ func TestPortScanAdvancesPorts(t *testing.T) {
 	g := NewGenerator(fab, 3)
 	seen := map[uint16]bool{}
 	dstHost, _ := fab.Topology().HostByIP(fabric.HostIP(1, 0))
-	fab.Switch(dstHost.Leaf).AddSampler(dataplane.Filter{}, 1, func(p dataplane.Packet) {
+	fab.Switch(dstHost.Leaf).AddSampler(dataplane.Filter{}, func(p dataplane.Packet) {
 		seen[p.DstPort] = true
 	})
 	stop := g.PortScan(fabric.HostIP(0, 0), fabric.HostIP(1, 0), 1000)
@@ -180,7 +180,7 @@ func TestSuperSpreaderFanout(t *testing.T) {
 		if s.Role != netmodel.Leaf {
 			continue
 		}
-		fab.Switch(s.ID).AddSampler(dataplane.Filter{}, 1, func(p dataplane.Packet) {
+		fab.Switch(s.ID).AddSampler(dataplane.Filter{}, func(p dataplane.Packet) {
 			if p.SrcIP == src {
 				dsts[p.DstIP.String()] = true
 			}
@@ -200,7 +200,7 @@ func TestDNSReflectionMarksResponses(t *testing.T) {
 	victim := fabric.HostIP(0, 0)
 	var dnsSeen int
 	host, _ := fab.Topology().HostByIP(victim)
-	fab.Switch(host.Leaf).AddSampler(dataplane.Filter{}, 1, func(p dataplane.Packet) {
+	fab.Switch(host.Leaf).AddSampler(dataplane.Filter{}, func(p dataplane.Packet) {
 		if p.DstIP == victim && p.App.Kind == dataplane.AppDNS && p.App.DNSResponse {
 			dnsSeen++
 		}
@@ -219,7 +219,7 @@ func TestSSHBruteForceFlags(t *testing.T) {
 	var fails int
 	dst := fabric.HostIP(1, 0)
 	host, _ := fab.Topology().HostByIP(dst)
-	fab.Switch(host.Leaf).AddSampler(dataplane.Filter{DstPort: 22}, 1, func(p dataplane.Packet) {
+	fab.Switch(host.Leaf).AddSampler(dataplane.Filter{DstPort: 22}, func(p dataplane.Packet) {
 		if p.App.SSHAuthFail {
 			fails++
 		}
@@ -238,7 +238,7 @@ func TestSlowloris(t *testing.T) {
 	dst := fabric.HostIP(1, 0)
 	partial := 0
 	host, _ := fab.Topology().HostByIP(dst)
-	fab.Switch(host.Leaf).AddSampler(dataplane.Filter{DstPort: 80}, 1, func(p dataplane.Packet) {
+	fab.Switch(host.Leaf).AddSampler(dataplane.Filter{DstPort: 80}, func(p dataplane.Packet) {
 		if p.App.HTTPPartial {
 			partial++
 		}
