@@ -190,9 +190,6 @@ var unreadExempt = map[string]string{
 		"the ground truth a heavy-hitter scorer is graded against",
 	"traffic.PortLoad.BytesPerSec": "with Switch, the generator's record of each port it loads: " +
 		"the ground truth a heavy-hitter scorer is graded against",
-	"harvest.Record.At":   "a harvester's history, which the tests of every task's reports read",
-	"harvest.Record.From": "a harvester's history, which the tests of every task's reports read",
-	"harvest.Record.Val":  "a harvester's history, which the tests of every task's reports read",
 	"almanac.Lowered.Private": "the maps lowering found private, the oracle of almanac.TestPrivateMaps " +
 		"and core.FuzzMapReuse; core's fuzz target cannot reach an almanac export_test.go",
 }

@@ -90,7 +90,7 @@ func main() {
 	fmt.Println("\nharvester summaries:")
 	for _, name := range names {
 		if h, ok := sd.Harvester(name); ok {
-			fmt.Printf("  %-16s %d reports\n", name, len(h.History()))
+			fmt.Printf("  %-16s %d reports\n", name, h.Reports())
 		}
 	}
 }

@@ -93,5 +93,5 @@ func main() {
 		fmt.Printf("  prio=%d %s action=%s (by %s)\n", r.Priority, r.Filter, r.Action, r.Note)
 	}
 	h, _ := sd.Harvester("hh")
-	fmt.Printf("\nharvester received %d reports in 1s of simulated time\n", len(h.History()))
+	fmt.Printf("\nharvester received %d reports in 1s of simulated time\n", h.Reports())
 }

@@ -318,8 +318,16 @@ func (w *wheel) take(level, idx int) *event {
 // curInsert places an event scheduled before the wheel origin (clamped
 // "now" scheduling during a drain) into the sorted cur window. Callers
 // clamp at >= now, so the insertion point is always at or after curPos.
+// A full window first drops its consumed prefix: while a far event holds
+// cur (the origin jumped to it), the events inserted ahead of it would
+// otherwise grow cur without bound.
 func (w *wheel) curInsert(ev *event) {
 	ev.index = 0
+	if len(w.cur) == cap(w.cur) && w.curPos > 0 {
+		n := copy(w.cur, w.cur[w.curPos:])
+		clear(w.cur[n:])
+		w.cur, w.curPos = w.cur[:n], 0
+	}
 	lo, hi := w.curPos, len(w.cur)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

@@ -555,3 +555,25 @@ func freshEngineMallocs(t *testing.T) uint64 {
 	}
 	return after.Mallocs - before.Mallocs
 }
+
+// TestCurBoundedBehindFarEvent: once the wheel origin has jumped to a
+// far event, every event scheduled ahead of it goes through the sorted
+// cur window. The window keeps only what is queued, not every event that
+// has passed through it before the far one fires.
+func TestCurBoundedBehindFarEvent(t *testing.T) {
+	l := NewSerial()
+	l.After(100*time.Second, func() {})
+	fired := 0
+	for round := 0; round < 1000; round++ {
+		for i := 0; i < 24; i++ {
+			l.After(time.Millisecond, func() { fired++ })
+		}
+		l.RunFor(10 * time.Millisecond)
+	}
+	if fired != 24000 || l.Pending() != 1 {
+		t.Fatalf("%d events fired and %d pending, want 24000 and the far one", fired, l.Pending())
+	}
+	if c := cap(l.q.w.cur); c > 64 {
+		t.Fatalf("the cur window holds %d slots for 25 queued events", c)
+	}
+}

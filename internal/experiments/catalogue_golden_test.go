@@ -70,25 +70,7 @@ func catalogueDigest(d tasks.Def) (digest string, reports, seeds int, err error)
 		return "", 0, 0, err
 	}
 
-	gen := traffic.NewGenerator(fab, catalogueSeed)
-	stops := []func(){
-		gen.SYNFlood(fabric.HostIP(0, 0), 8, 4000),
-		gen.PortScan(fabric.HostIP(1, 0), fabric.HostIP(0, 1), 1000),
-		gen.SuperSpreader(fabric.HostIP(2%catalogueLeaves, 0), 16, 2000),
-		gen.SSHBruteForce(fabric.HostIP(1, 2), fabric.HostIP(0, 2), 200),
-		gen.DNSReflection(fabric.HostIP(0, 3), 4, 1000),
-		gen.Slowloris(fabric.HostIP(0, 4), 12, 50),
-	}
-	defer func() {
-		for _, s := range stops {
-			s()
-		}
-	}()
-	bulk := traffic.NewBulkWorkload(fab, traffic.BulkConfig{
-		Tick: 10 * time.Millisecond, HeavyRatio: 0.1, Churn: time.Second, Seed: 5,
-	})
-	defer bulk.Stop()
-
+	defer startCatalogueLoad(fab)()
 	loop.RunFor(catalogueMillis * time.Millisecond)
 
 	// Fold every seed's terminal state, switch by switch in name order.
@@ -111,6 +93,30 @@ func catalogueDigest(d tasks.Def) (digest string, reports, seeds int, err error)
 	}
 	fmt.Fprintf(h, "dropped=%d\n", fab.DroppedInFabric())
 	return fmt.Sprintf("%016x", h.Sum64()), logic.reports, seeds, nil
+}
+
+// startCatalogueLoad starts the scenario's traffic on fab, a spine-leaf
+// fabric of catalogueLeaves leaves: the attack cocktail and the bulk
+// counters. It returns what stops them.
+func startCatalogueLoad(fab *fabric.Fabric) (stop func()) {
+	gen := traffic.NewGenerator(fab, catalogueSeed)
+	stops := []func(){
+		gen.SYNFlood(fabric.HostIP(0, 0), 8, 4000),
+		gen.PortScan(fabric.HostIP(1, 0), fabric.HostIP(0, 1), 1000),
+		gen.SuperSpreader(fabric.HostIP(2%catalogueLeaves, 0), 16, 2000),
+		gen.SSHBruteForce(fabric.HostIP(1, 2), fabric.HostIP(0, 2), 200),
+		gen.DNSReflection(fabric.HostIP(0, 3), 4, 1000),
+		gen.Slowloris(fabric.HostIP(0, 4), 12, 50),
+	}
+	bulk := traffic.NewBulkWorkload(fab, traffic.BulkConfig{
+		Tick: 10 * time.Millisecond, HeavyRatio: 0.1, Churn: time.Second, Seed: 5,
+	})
+	return func() {
+		bulk.Stop()
+		for _, s := range stops {
+			s()
+		}
+	}
 }
 
 // digestLogic folds every report a task's harvester gets into h and

@@ -232,8 +232,6 @@ func TestFleetLifecycle(t *testing.T) {
 	}
 }
 
-// TestFleetFailover kills the active replica and checks the standby
-// takes over within the heartbeat-timeout bound with no task loss.
 // TestMetricsServesTheMeterSet: /metrics keeps every key it has served
 // (bus_dropped_by_topic only once the bus drops), and beside them the
 // fabric's per-switch meters, which show the polls of a submitted task
@@ -305,6 +303,8 @@ func keysOf(m map[string]json.RawMessage) string {
 	return strings.Join(ks, " ")
 }
 
+// TestFleetFailover kills the active replica and checks the standby
+// takes over within the heartbeat-timeout bound with no task loss.
 func TestFleetFailover(t *testing.T) {
 	cfg := testConfig()
 	s := startService(t, cfg)

@@ -44,12 +44,9 @@ import (
 	"farm/internal/metrics"
 	"farm/internal/netmodel"
 	"farm/internal/seeder"
-	"farm/internal/soil"
 	"farm/internal/tasks"
 	"farm/internal/traffic"
 	"farm/internal/transport/bus"
-
-	"farm/internal/core"
 )
 
 // Fleet-service errors surfaced to operators. ErrNoLeader is
@@ -172,10 +169,9 @@ type Service struct {
 	// from any goroutine) and read without exec by the HTTP and RPC
 	// handler goroutines (healthz, Ready, Leader, Takeovers, Status,
 	// Metrics, Submit's drain check).
-	leaderView   atomic.Pointer[leaderInfo]
-	takeoversA   atomic.Uint64
-	draining     atomic.Bool
-	harvestCount atomic.Uint64
+	leaderView atomic.Pointer[leaderInfo]
+	takeoversA atomic.Uint64
+	draining   atomic.Bool
 
 	trafficStops []func()
 
@@ -358,10 +354,9 @@ func (s *Service) AuditLog() ([]AuditEntry, error) {
 }
 
 // CatalogueSpec builds the seeder TaskSpec for one Tab. I catalogue
-// task, with its default externals and harvester. The harvester is
-// wrapped to count reports into the service's metrics when svc is
-// non-nil.
-func CatalogueSpec(name string, svc *Service) (seeder.TaskSpec, error) {
+// task, with its default externals and harvester.
+// The service parameter is unused; it goes with ROADMAP item 39's bench/ half.
+func CatalogueSpec(name string, _ *Service) (seeder.TaskSpec, error) {
 	d, err := tasks.ByName(name)
 	if err != nil {
 		return seeder.TaskSpec{}, err
@@ -370,9 +365,6 @@ func CatalogueSpec(name string, svc *Service) (seeder.TaskSpec, error) {
 	if d.NewHarvester != nil {
 		logic = d.NewHarvester()
 	}
-	if svc != nil {
-		logic = countingLogic{inner: logic, n: &svc.harvestCount}
-	}
 	return seeder.TaskSpec{
 		Name:      d.Name,
 		Source:    d.Source,
@@ -380,25 +372,6 @@ func CatalogueSpec(name string, svc *Service) (seeder.TaskSpec, error) {
 		Externals: d.DefaultExternals,
 		Harvester: logic,
 	}, nil
-}
-
-// countingLogic wraps a harvester to count delivered reports.
-type countingLogic struct {
-	inner harvest.Logic
-	n     *atomic.Uint64
-}
-
-func (c countingLogic) OnStart(ctx harvest.Context) {
-	if c.inner != nil {
-		c.inner.OnStart(ctx)
-	}
-}
-
-func (c countingLogic) OnSeedMessage(ctx harvest.Context, from soil.SeedRef, v core.Value) {
-	c.n.Add(1)
-	if c.inner != nil {
-		c.inner.OnSeedMessage(ctx, from, v)
-	}
 }
 
 // Submit deploys a Tab. I catalogue task on the live fabric through the
@@ -549,6 +522,7 @@ func (s *Service) Status() (*StatusSnapshot, error) {
 		st.Term = s.term
 		st.Takeovers = s.takeovers
 		st.Migrations = s.sd.Migrations()
+		st.HarvestReports = s.fab.Meters.HarvestReports
 		for _, id := range s.sd.FailedSwitches() {
 			st.FailedSwitches = append(st.FailedSwitches, int(id))
 		}
@@ -562,7 +536,6 @@ func (s *Service) Status() (*StatusSnapshot, error) {
 	}
 	st.Ready = s.Ready()
 	st.Draining = s.draining.Load()
-	st.HarvestReports = s.harvestCount.Load()
 	return st, nil
 }
 
@@ -580,7 +553,6 @@ type MetricsSnapshot struct {
 	// BusDroppedByTopic breaks bus overflow drops down per topic (absent
 	// topics never dropped).
 	BusDroppedByTopic map[string]uint64 `json:"bus_dropped_by_topic,omitempty"`
-	HarvestReports    uint64            `json:"harvest_reports"`
 	Term              uint64            `json:"term"`
 	Takeovers         uint64            `json:"takeovers"`
 }
@@ -607,7 +579,6 @@ func (s *Service) Metrics() (*MetricsSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.HarvestReports = s.harvestCount.Load()
 	return m, nil
 }
 

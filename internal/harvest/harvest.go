@@ -1,7 +1,9 @@
 // Package harvest implements the harvester framework: the optional
 // per-task centralized component that collects reports from a task's
 // seeds and takes global management actions when seed-local decisions
-// are insufficient (§II-C-a of the FARM paper).
+// are insufficient (§II-C-a of the FARM paper). A harvester keeps no
+// reports: its logic folds each one as it arrives, and the harvester
+// counts them.
 package harvest
 
 import (
@@ -49,23 +51,12 @@ func (f FuncLogic) OnSeedMessage(ctx Context, from soil.SeedRef, v core.Value) {
 	}
 }
 
-// Record is one message retained in the harvester's history.
-type Record struct {
-	At   time.Duration
-	From soil.SeedRef
-	Val  core.Value
-}
-
-// Harvester hosts one task's Logic and keeps a bounded history of
-// received reports for inspection by tests and operators.
+// Harvester hosts one task's Logic and counts the reports it receives.
 type Harvester struct {
 	logic   Logic
 	ctx     Context
-	history []Record
+	reports uint64
 }
-
-// historyLimit bounds the report history.
-const historyLimit = 4096
 
 // New creates a harvester for a task. logic may be nil (collect-only).
 func New(logic Logic) *Harvester {
@@ -80,23 +71,16 @@ func (h *Harvester) Bind(ctx Context) {
 	}
 }
 
-// Deliver hands a seed report to the logic and records it. The value is
+// Deliver counts a seed report and hands it to the logic. The value is
 // read-only: a list of scalars and strings is the sending seed's own
 // (a list no seed writes, so sent uncopied), and the same value may be
-// delivered to other harvesters or kept in history.
+// delivered to other harvesters.
 func (h *Harvester) Deliver(from soil.SeedRef, v core.Value) {
-	at := time.Duration(0)
-	if h.ctx != nil {
-		at = h.ctx.Now()
-	}
-	if len(h.history) >= historyLimit {
-		h.history = h.history[1:]
-	}
-	h.history = append(h.history, Record{At: at, From: from, Val: v})
+	h.reports++
 	if h.logic != nil && h.ctx != nil {
 		h.logic.OnSeedMessage(h.ctx, from, v)
 	}
 }
 
-// History returns the retained reports (callers must not modify).
-func (h *Harvester) History() []Record { return h.history }
+// Reports returns how many reports the harvester has received.
+func (h *Harvester) Reports() uint64 { return h.reports }

@@ -46,47 +46,60 @@ func TestFuncLogicDispatch(t *testing.T) {
 	}
 }
 
+// report is one seed report as a recorder saw it.
+type report struct {
+	at   time.Duration
+	from soil.SeedRef
+	v    core.Value
+}
+
+// recorder is a Logic that keeps every report it is handed.
+type recorder struct{ reports []report }
+
+func (*recorder) OnStart(Context) {}
+
+func (r *recorder) OnSeedMessage(ctx Context, from soil.SeedRef, v core.Value) {
+	r.reports = append(r.reports, report{ctx.Now(), from, v})
+}
+
 func TestNilLogicCollectsOnly(t *testing.T) {
 	h := New(nil)
-	h.Bind(&fakeCtx{now: 5 * time.Millisecond})
+	h.Bind(&fakeCtx{})
 	h.Deliver(soil.SeedRef{Switch: "leaf0"}, "a")
 	h.Deliver(soil.SeedRef{Switch: "leaf1"}, "b")
-	if len(h.History()) != 2 {
-		t.Fatalf("history = %d", len(h.History()))
-	}
-	if rec := h.History()[1]; rec.Val != "b" || rec.From.Switch != "leaf1" || rec.At != 5*time.Millisecond {
-		t.Fatalf("last = %+v", rec)
+	if n := h.Reports(); n != 2 {
+		t.Fatalf("reports = %d, want 2", n)
 	}
 }
 
-func TestHistoryBounded(t *testing.T) {
-	h := New(nil)
-	h.Bind(&fakeCtx{})
-	const n = historyLimit + 10
-	for i := 0; i < n; i++ {
-		h.Deliver(soil.SeedRef{}, int64(i))
+func TestLogicSeesEachReport(t *testing.T) {
+	rec := &recorder{}
+	h := New(rec)
+	h.Bind(&fakeCtx{now: 5 * time.Millisecond})
+	h.Deliver(soil.SeedRef{Switch: "leaf0"}, "a")
+	h.Deliver(soil.SeedRef{Switch: "leaf1"}, "b")
+	if h.Reports() != 2 || len(rec.reports) != 2 {
+		t.Fatalf("reports = %d, logic saw %d, want 2", h.Reports(), len(rec.reports))
 	}
-	hist := h.History()
-	if len(hist) != historyLimit {
-		t.Fatalf("history = %d, want %d", len(hist), historyLimit)
-	}
-	if hist[0].Val != int64(n-historyLimit) || hist[historyLimit-1].Val != int64(n-1) {
-		t.Fatalf("history kept wrong records: %v %v", hist[0].Val, hist[historyLimit-1].Val)
+	if r := rec.reports[1]; r.v != "b" || r.from.Switch != "leaf1" || r.at != 5*time.Millisecond {
+		t.Fatalf("last = %+v", r)
 	}
 }
 
 func TestLastReportEmpty(t *testing.T) {
 	h := New(nil)
-	if n := len(h.History()); n != 0 {
-		t.Fatalf("a fresh harvester holds %d reports, want none", n)
+	if n := h.Reports(); n != 0 {
+		t.Fatalf("a fresh harvester counts %d reports, want none", n)
 	}
 }
 
 func TestDeliverBeforeBind(t *testing.T) {
-	// Delivery before Bind must not panic; records at time zero.
-	h := New(FuncLogic{})
+	// Delivery before Bind must not panic; it is counted, and the logic,
+	// which has no context yet, is not called.
+	rec := &recorder{}
+	h := New(rec)
 	h.Deliver(soil.SeedRef{}, "x")
-	if len(h.History()) != 1 || h.History()[0].At != 0 {
-		t.Fatalf("history = %+v", h.History())
+	if h.Reports() != 1 || len(rec.reports) != 0 {
+		t.Fatalf("reports = %d, logic saw %+v", h.Reports(), rec.reports)
 	}
 }

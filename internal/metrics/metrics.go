@@ -114,6 +114,8 @@ type Totals struct {
 	NetMeter
 	// Migrations counts the seeder's live seed migrations.
 	Migrations uint64 `json:"migrations"`
+	// HarvestReports counts the seed reports delivered to harvesters.
+	HarvestReports uint64 `json:"harvest_reports"`
 }
 
 // since returns the counts of t's window after prev.
@@ -123,6 +125,7 @@ func (t Totals) since(prev Totals) Totals {
 	t.CentralPackets -= prev.CentralPackets
 	t.CentralBytes -= prev.CentralBytes
 	t.Migrations -= prev.Migrations
+	t.HarvestReports -= prev.HarvestReports
 	return t
 }
 

@@ -140,7 +140,7 @@ func TestSinceCoversEveryField(t *testing.T) {
 	}
 	counters(t, reflect.ValueOf(w.Totals), "totals.", read)
 	for _, p := range []string{"switch0.CPU", "switch1.Bus.DelayMax", "switch0.Cache.Hits",
-		"switch1.ProbesDelivered", "totals.NetMeter.CentralBytes", "totals.Migrations"} {
+		"switch1.ProbesDelivered", "totals.NetMeter.CentralBytes", "totals.Migrations", "totals.HarvestReports"} {
 		if _, ok := after[p]; !ok {
 			t.Fatalf("no counter %s among %v", p, after)
 		}

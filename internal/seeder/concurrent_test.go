@@ -62,12 +62,7 @@ func TestConcurrentSimulations(t *testing.T) {
 			}
 		}
 		loop.RunFor(runFor)
-		reports := 0
-		for _, spec := range specs {
-			h, _ := sd.Harvester(spec.Name)
-			reports += len(h.History())
-		}
-		return fmt.Sprintf("%s reports=%d central=%d", sd.PlacementDigest(), reports, fab.CentralNet.Bytes()), nil
+		return fmt.Sprintf("%s reports=%d central=%d", sd.PlacementDigest(), fab.Meters.HarvestReports, fab.CentralNet.Bytes()), nil
 	}
 
 	var (

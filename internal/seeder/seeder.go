@@ -838,6 +838,7 @@ func (m *ctlMsg) deliver() {
 	*m = ctlMsg{sd: c.sd, fire: c.fire}
 	c.sd.freeMsgs = append(c.sd.freeMsgs, m)
 	if c.h != nil {
+		c.sd.fab.Meters.HarvestReports++
 		c.h.Deliver(c.from, c.v)
 		return
 	}

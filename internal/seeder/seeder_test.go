@@ -79,10 +79,35 @@ func addHHTask(t *testing.T, sd *Seeder, name string, threshold int64, logic har
 	}
 }
 
+// report is one seed report as a recorder saw it.
+type report struct {
+	at   time.Duration
+	from soil.SeedRef
+	v    core.Value
+}
+
+// recorder is a harvester logic that keeps every report it is handed.
+type recorder struct{ reports []report }
+
+func (*recorder) OnStart(harvest.Context) {}
+
+func (r *recorder) OnSeedMessage(ctx harvest.Context, from soil.SeedRef, v core.Value) {
+	r.reports = append(r.reports, report{ctx.Now(), from, v})
+}
+
+// last returns the latest report, if there is one.
+func (r *recorder) last() (report, bool) {
+	if len(r.reports) == 0 {
+		return report{}, false
+	}
+	return r.reports[len(r.reports)-1], true
+}
+
 func TestEndToEndHHDetection(t *testing.T) {
 	fab, loop := testSetup(t, 2, 4, 2)
 	sd := New(fab, Options{})
-	addHHTask(t, sd, "hh", 1_000_000, nil)
+	rec := &recorder{}
+	addHHTask(t, sd, "hh", 1_000_000, rec)
 
 	// place all: one seed per switch (6 switches).
 	if got := len(sd.Placements()); got != 6 {
@@ -110,18 +135,16 @@ func TestEndToEndHHDetection(t *testing.T) {
 	}
 	loop.RunFor(10 * time.Millisecond)
 
-	h, _ := sd.Harvester("hh")
-	hist := h.History()
-	if len(hist) == 0 {
+	r, ok := rec.last()
+	if !ok {
 		t.Fatal("harvester received no report")
 	}
-	rec := hist[len(hist)-1]
-	if rec.From.Switch != "leaf0" {
-		t.Fatalf("report from %s, want leaf0", rec.From.Switch)
+	if r.from.Switch != "leaf0" {
+		t.Fatalf("report from %s, want leaf0", r.from.Switch)
 	}
-	hit, ok := rec.Val.(core.List)
+	hit, ok := r.v.(core.List)
 	if !ok || len(hit) != 1 || hit[0] != int64(1) {
-		t.Fatalf("hitters = %s", core.FormatValue(rec.Val))
+		t.Fatalf("hitters = %s", core.FormatValue(r.v))
 	}
 }
 
@@ -158,7 +181,8 @@ func TestDetectionLatencyWithinMillisecond(t *testing.T) {
 	// happens within one poll interval + control latency.
 	fab, loop := testSetup(t, 1, 2, 1)
 	sd := New(fab, Options{})
-	addHHTask(t, sd, "hh", 1_000_000, nil)
+	rec := &recorder{}
+	addHHTask(t, sd, "hh", 1_000_000, rec)
 	var leaf netmodel.SwitchID
 	for _, sw := range fab.Topology().Switches() {
 		if sw.Name == "leaf0" {
@@ -169,23 +193,63 @@ func TestDetectionLatencyWithinMillisecond(t *testing.T) {
 	start := loop.Now()
 	// A burst that instantly crosses the threshold.
 	_ = fab.Switch(leaf).CreditPort(1, 0, 0, 10000, 50_000_000)
-	h, _ := sd.Harvester("hh")
 	for loop.Now()-start < 100*time.Millisecond {
 		loop.RunFor(time.Millisecond)
-		if hist := h.History(); len(hist) > 0 && hist[len(hist)-1].At > start {
+		if r, ok := rec.last(); ok && r.at > start {
 			break
 		}
 	}
-	hist := h.History()
-	if len(hist) == 0 || hist[len(hist)-1].At <= start {
+	r, ok := rec.last()
+	if !ok || r.at <= start {
 		t.Fatal("no detection within 100ms")
 	}
-	rec := hist[len(hist)-1]
-	latency := rec.At - start
+	latency := r.at - start
 	// The seed's poll interval is 10/PCIe ms; redistribution grants the
 	// full PCIe so the interval is sub-millisecond to a few ms.
 	if latency > 15*time.Millisecond {
 		t.Fatalf("detection latency %v, want <= 15ms", latency)
+	}
+}
+
+// TestHarvestReportsCounted: the fabric's report total is the sum of
+// its harvesters' counts and of the reports their logic saw, and a
+// retired task's reports stay in it.
+func TestHarvestReportsCounted(t *testing.T) {
+	fab, loop := testSetup(t, 1, 2, 1)
+	sd := New(fab, Options{})
+	recs := []*recorder{{}, {}}
+	var hs []*harvest.Harvester
+	for i, name := range []string{"probe-a", "probe-b"} {
+		if err := sd.AddTask(TaskSpec{Name: name, Source: probeSource, Harvester: recs[i]}); err != nil {
+			t.Fatal(err)
+		}
+		h, _ := sd.Harvester(name)
+		hs = append(hs, h)
+	}
+	check := func(when string) uint64 {
+		t.Helper()
+		total := fab.Meters.HarvestReports
+		seen := uint64(len(recs[0].reports) + len(recs[1].reports))
+		if sum := hs[0].Reports() + hs[1].Reports(); total != sum || total != seen {
+			t.Fatalf("%s: %d reports in the meter set, %d counted by the harvesters, %d seen by their logic", when, total, sum, seen)
+		}
+		return total
+	}
+	loop.RunFor(100 * time.Millisecond)
+	for i, h := range hs {
+		if h.Reports() == 0 {
+			t.Fatalf("harvester %d received no report", i)
+		}
+	}
+	before := check("two tasks")
+	if err := sd.RemoveTask("probe-a"); err != nil {
+		t.Fatal(err)
+	}
+	retired, other := hs[0].Reports(), hs[1].Reports()
+	loop.RunFor(100 * time.Millisecond)
+	if after := check("after a retire"); after <= before || hs[0].Reports() < retired || hs[1].Reports() <= other {
+		t.Fatalf("the total went from %d to %d, the retired task's count from %d to %d and the other's from %d to %d",
+			before, after, retired, hs[0].Reports(), other, hs[1].Reports())
 	}
 }
 
@@ -494,14 +558,19 @@ machine Quiet {
 		}
 		loop.RunFor(10 * time.Millisecond)
 	}
-	for i := 0; i < 600; i++ { // past the harvester's history limit
-		round()
+	round() // makes the records in flight
+	rounds := func() {
+		for i := 0; i < 100; i++ {
+			round()
+		}
 	}
 	before := reports
-	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
-		t.Fatalf("%.0f allocations per round of 24 control messages, want 0", allocs)
+	// One run of 100 rounds (after AllocsPerRun's own warm-up run of
+	// them), so that a single allocation fails.
+	if allocs := testing.AllocsPerRun(1, rounds); allocs != 0 {
+		t.Fatalf("%.0f allocations in 100 rounds of 24 control messages, want 0", allocs)
 	}
-	if got, want := reports-before, 101*8; got != want {
+	if got, want := reports-before, 2*100*8; got != want {
 		t.Fatalf("harvester got %d reports, want %d", got, want)
 	}
 }

@@ -9,8 +9,10 @@ import (
 	"farm/internal/core"
 	"farm/internal/engine"
 	"farm/internal/fabric"
+	"farm/internal/harvest"
 	"farm/internal/netmodel"
 	"farm/internal/seeder"
+	"farm/internal/soil"
 	"farm/internal/traffic"
 )
 
@@ -99,6 +101,34 @@ type env struct {
 	loop engine.Scheduler
 	sd   *seeder.Seeder
 	gen  *traffic.Generator
+	recs map[string]*recorder // by task
+}
+
+// report is one seed report as a recorder saw it.
+type report struct {
+	at time.Duration
+	v  core.Value
+}
+
+// recorder keeps every report a task's harvester gets, then hands the
+// start and the report on to the task's own logic (inner, nil for a task
+// without one).
+type recorder struct {
+	inner   harvest.Logic
+	reports []report
+}
+
+func (r *recorder) OnStart(ctx harvest.Context) {
+	if r.inner != nil {
+		r.inner.OnStart(ctx)
+	}
+}
+
+func (r *recorder) OnSeedMessage(ctx harvest.Context, from soil.SeedRef, v core.Value) {
+	r.reports = append(r.reports, report{ctx.Now(), v})
+	if r.inner != nil {
+		r.inner.OnSeedMessage(ctx, from, v)
+	}
 }
 
 func newEnv(t *testing.T, leaves, hosts int) *env {
@@ -114,6 +144,7 @@ func newEnv(t *testing.T, leaves, hosts int) *env {
 		loop: loop,
 		sd:   seeder.New(fab, seeder.Options{}),
 		gen:  traffic.NewGenerator(fab, 42),
+		recs: map[string]*recorder{},
 	}
 }
 
@@ -123,30 +154,34 @@ func (e *env) deploy(t *testing.T, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := &recorder{}
+	if d.NewHarvester != nil {
+		rec.inner = d.NewHarvester()
+	}
 	spec := seeder.TaskSpec{
 		Name: d.Name, Source: d.Source, Machines: d.Machines,
 		Externals: d.DefaultExternals,
-	}
-	if d.NewHarvester != nil {
-		spec.Harvester = d.NewHarvester()
+		Harvester: rec,
 	}
 	if err := e.sd.AddTask(spec); err != nil {
 		t.Fatal(err)
 	}
+	e.recs[name] = rec
 }
 
-// lastReportString waits for a harvester report and returns it rendered.
+// waitReport runs until the task's harvester has a report and returns
+// the latest one.
 func (e *env) waitReport(t *testing.T, task string, within time.Duration) (core.Value, bool) {
 	t.Helper()
-	h, ok := e.sd.Harvester(task)
+	rec, ok := e.recs[task]
 	if !ok {
 		t.Fatalf("no harvester for %s", task)
 	}
 	deadline := e.loop.Now() + within
 	for e.loop.Now() < deadline {
 		e.loop.RunFor(10 * time.Millisecond)
-		if hist := h.History(); len(hist) > 0 {
-			return hist[len(hist)-1].Val, true
+		if n := len(rec.reports); n > 0 {
+			return rec.reports[n-1].v, true
 		}
 	}
 	return nil, false
@@ -337,14 +372,13 @@ func TestLinkFailureQuietPortAtItsOwnCadence(t *testing.T) {
 	e.loop.RunFor(600 * time.Millisecond)
 	stop()
 	quiet := e.loop.Now()
-	h, _ := e.sd.Harvester("link-failure")
 	e.loop.RunFor(time.Second)
-	for _, r := range h.History() {
-		if r.At <= quiet {
+	for _, r := range e.recs["link-failure"].reports {
+		if r.at <= quiet {
 			continue
 		}
-		if d := r.At - quiet; d < 250*time.Millisecond || d > 450*time.Millisecond {
-			t.Fatalf("first report %v after the traffic stopped, want ≈ 300 ms (3 polls at 100 ms): %v", d, core.FormatValue(r.Val))
+		if d := r.at - quiet; d < 250*time.Millisecond || d > 450*time.Millisecond {
+			t.Fatalf("first report %v after the traffic stopped, want ≈ 300 ms (3 polls at 100 ms): %v", d, core.FormatValue(r.v))
 		}
 		return
 	}
